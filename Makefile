@@ -58,12 +58,17 @@ timeline:
 	$(GO) test -count=1 -run 'TestDriveFanoutZeroAlloc' ./internal/event/
 
 # The wire gate: the zero-copy hot path's allocation guards (encode,
-# decode and queue scan must stay at 0 allocs/op steady-state), the
+# decode, queue scan and the one-word uncoalesced flush must stay at
+# 0 allocs/op steady-state), the buffered-ingress table (split frames,
+# bursts per read, oversized and hostile lengths, mid-frame errors,
+# session rewinds) and the pump's burst and frame-kind rules, the
 # codec microbenchmarks, the cross-node stress tests under the race
 # detector, and a fuzz smoke pass over the frame parser and batch
 # codec.
 wire:
 	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordBoxes' ./internal/channel/
+	$(GO) test -count=1 -run 'TestSendBatchWordZeroAlloc|TestPump' ./internal/node/
+	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst' ./internal/wire/
 	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc' ./internal/event/
 	$(GO) test -race -count=1 -run 'TestBidirectionalStress' ./internal/channel/
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/node/

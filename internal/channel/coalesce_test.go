@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -9,8 +10,10 @@ import (
 	"repro/internal/vtime"
 )
 
-// fakeBatchTr records what the endpoint hands the transport: whole
-// batches via SendBatch, single messages via Send.
+// fakeBatchTr records what the endpoint hands the transport. An
+// endpoint on a batch transport sends everything through SendBatch,
+// coalescing or not, so singles must stay empty; the tests assert how
+// many messages each SendBatch carried.
 type fakeBatchTr struct {
 	mu      sync.Mutex
 	batches [][]Message
@@ -164,25 +167,72 @@ func TestCoalesceMaxHold(t *testing.T) {
 	}
 }
 
+// batchSizes returns how many messages each SendBatch carried, and
+// fails the test if anything bypassed SendBatch.
+func batchSizes(t *testing.T, tr *fakeBatchTr) []int {
+	t.Helper()
+	batches, singles := tr.snapshot()
+	if len(singles) != 0 {
+		t.Fatalf("%d messages bypassed SendBatch: %v", len(singles), singles)
+	}
+	sizes := make([]int, len(batches))
+	for i, b := range batches {
+		sizes[i] = len(b)
+	}
+	return sizes
+}
+
+// TestDisableCoalescingFlushesAndReverts: coalescing decides when the
+// queue flushes, never which transport call carries it. Off, every
+// message is its own SendBatch of one; on, drives share a batch and
+// precede the urgent message that flushed them; a disable drains the
+// queue as one last batch.
 func TestDisableCoalescingFlushesAndReverts(t *testing.T) {
-	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxMsgs: 100})
+	ep, tr := coalescingEndpoint(t, CoalesceConfig{})
 	drive(ep, 0)
 	drive(ep, 1)
-	ep.SetCoalescing(CoalesceConfig{}) // disable: must drain the queue
-	batches, singles := tr.snapshot()
-	if len(batches) != 1 || len(batches[0]) != 2 {
-		t.Fatalf("disable did not flush the queue: %d batches %d singles", len(batches), len(singles))
+	ep.Request(1000)
+	if got := batchSizes(t, tr); !reflect.DeepEqual(got, []int{1, 1, 1}) {
+		t.Fatalf("uncoalesced messages per SendBatch = %v, want [1 1 1]", got)
 	}
-	drive(ep, 2) // now back on the immediate path
-	_, singles = tr.snapshot()
-	if len(singles) != 1 {
-		t.Fatalf("disabled endpoint still batching: %d singles", len(singles))
+
+	ep.SetCoalescing(CoalesceConfig{MaxMsgs: 100})
+	drive(ep, 2)
+	drive(ep, 3)
+	ep.Request(2000)
+	if got := batchSizes(t, tr); !reflect.DeepEqual(got, []int{1, 1, 1, 3}) {
+		t.Fatalf("coalesced messages per SendBatch = %v, want [1 1 1 3]", got)
+	}
+	batches, _ := tr.snapshot()
+	last := batches[3]
+	if last[0].Kind != KindData || last[1].Kind != KindData || last[2].Kind != KindSafeTimeReq {
+		t.Fatalf("queued drives do not precede the urgent ask: %v", last)
+	}
+
+	drive(ep, 4)
+	drive(ep, 5)
+	ep.SetCoalescing(CoalesceConfig{}) // disable: must drain the queue
+	drive(ep, 6)
+	if got := batchSizes(t, tr); !reflect.DeepEqual(got, []int{1, 1, 1, 3, 2, 1}) {
+		t.Fatalf("messages per SendBatch across the disable = %v, want [1 1 1 3 2 1]", got)
+	}
+	seq := uint64(0)
+	batches, _ = tr.snapshot()
+	for _, b := range batches {
+		for _, m := range b {
+			if seq++; m.Seq != seq {
+				t.Fatalf("seq order broken across batches: got %d, want %d", m.Seq, seq)
+			}
+		}
+	}
+	if st := ep.Stats(); st.Flushes != 6 || st.FlushedMsgs != 9 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 
 // TestCoalescedConservativeDelivery asks pipe-connected endpoints to
-// coalesce. Pipes cannot batch, so SetCoalescing must degrade to the
-// immediate path with delivery unchanged — the guarantee that lets
+// coalesce. Pipes cannot batch, so SetCoalescing must degrade to
+// flushing every message with delivery unchanged — the guarantee that lets
 // the builder apply one coalescing policy to mixed deployments.
 // (Batched end-to-end delivery over real TCP is covered in the node
 // package tests.)

@@ -610,37 +610,21 @@ func decodeGobEntry(body []byte) (Message, error) {
 	return m, nil
 }
 
-// DecodeBatch decodes a batch frame payload, invoking fn for every
-// message in order. It reports whether a KindClose was seen (the
-// connection pump's signal to stop reading).
-func (d *BatchDecoder) DecodeBatch(payload []byte, fn func(Message)) (closed bool, err error) {
-	r := &reader{buf: payload}
-	count, err := r.uvarint()
-	if err != nil {
-		return false, err
-	}
-	for i := uint64(0); i < count; i++ {
-		m, err := d.entry(r)
-		if err != nil {
-			return closed, err
-		}
-		if m.Kind == KindClose {
-			closed = true
-		}
-		fn(m)
-	}
-	return closed, nil
+// DecodeBatchInto decodes a batch frame payload into buf[:0] and
+// returns it; see DecodeBatchAppend. Passing the returned slice back
+// in keeps steady-state decoding allocation-free for protocol traffic.
+func (d *BatchDecoder) DecodeBatchInto(payload []byte, buf []Message) (msgs []Message, closed bool, err error) {
+	return d.DecodeBatchAppend(payload, buf[:0])
 }
 
-// DecodeBatchInto decodes a batch frame payload appending every
-// message to buf[:0] and returning it. Message fields are slices of
-// decoder-owned memory (interned names, slab payload copies) — never
-// of the frame payload itself — so the caller may reuse the receive
-// buffer immediately while the decoded batch travels on. Passing the
-// returned slice back in keeps steady-state decoding allocation-free
-// for protocol traffic.
-func (d *BatchDecoder) DecodeBatchInto(payload []byte, buf []Message) (msgs []Message, closed bool, err error) {
-	buf = buf[:0]
+// DecodeBatchAppend decodes a batch frame payload, appending every
+// message to buf, and reports whether a KindClose was seen (the
+// connection pump's signal to stop reading). Message fields are slices
+// of decoder-owned memory (interned names, slab payload copies) —
+// never of the frame payload itself — so the caller may reuse the
+// receive buffer immediately while the decoded batch travels on. On an
+// error the messages decoded before it are still returned.
+func (d *BatchDecoder) DecodeBatchAppend(payload []byte, buf []Message) (msgs []Message, closed bool, err error) {
 	r := &reader{buf: payload}
 	count, err := r.uvarint()
 	if err != nil {

@@ -20,11 +20,11 @@ func init() { gob.Register(customVal{}) }
 func decodeAll(t *testing.T, dec *BatchDecoder, frames [][]byte) (got []Message, closed bool) {
 	t.Helper()
 	for _, f := range frames {
-		c, err := dec.DecodeBatch(f, func(m Message) { got = append(got, m) })
+		msgs, c, err := dec.DecodeBatchAppend(f, got)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		closed = closed || c
+		got, closed = msgs, closed || c
 	}
 	return got, closed
 }
@@ -179,7 +179,7 @@ func TestBatchDecoderRejectsGarbage(t *testing.T) {
 		{0x01, 0x07, 0x01},       // unknown encoding 7
 		{0x01, 0x00, 0x01, 0xff}, // unknown message kind 255
 	} {
-		if _, err := dec.DecodeBatch(payload, func(Message) {}); err == nil {
+		if _, _, err := dec.DecodeBatchInto(payload, nil); err == nil {
 			t.Fatalf("payload %v decoded without error", payload)
 		}
 	}

@@ -69,8 +69,9 @@ func (c CoalesceConfig) Enabled() bool { return c.MaxMsgs > 1 }
 var DefaultCoalesce = CoalesceConfig{MaxMsgs: 64, MaxBytes: 32 << 10}
 
 // BatchTransport is implemented by transports that can carry several
-// messages in one frame. SetCoalescing only takes effect on
-// endpoints whose Transport also implements BatchTransport.
+// messages in one frame. An endpoint on such a transport hands every
+// flush to SendBatch — a lone urgent message is a batch of one — and
+// SetCoalescing only takes effect there.
 type BatchTransport interface {
 	Transport
 	SendBatch(msgs []Message) error
@@ -266,6 +267,11 @@ func (h *Hub) NewEndpoint(peer string, policy Policy, link LinkModel, tr Transpo
 		link:   link,
 		tr:     tr,
 	}
+	if btr, ok := tr.(BatchTransport); ok {
+		ep.sendBatch = btr.SendBatch
+	} else {
+		ep.sendBatch = ep.sendEach
+	}
 	h.mu.Lock()
 	ep.tl = h.tl
 	h.eps = append(h.eps, ep)
@@ -436,13 +442,15 @@ type Endpoint struct {
 	// and rebinding on another endpoint under the new placement epoch.
 	binds map[string]string
 
-	// Egress coalescing. Messages are appended to pendingOut under
-	// ep.mu in nextOut order, so the queue is the seq order; flush
-	// extracts the whole queue and hands it to the transport under
-	// sendMu, which serializes flushes and keeps batches in order.
+	// Egress queue. Messages are appended to pendingOut under ep.mu in
+	// nextOut order, so the queue is the seq order; flush extracts the
+	// whole queue and hands it to sendBatch under sendMu, which
+	// serializes flushes and keeps batches in order. coalesceOn decides
+	// only when the queue flushes: after every message, or once a
+	// budget trips.
+	sendBatch    func([]Message) error // the transport's SendBatch, or sendEach
 	coalesce     CoalesceConfig
 	coalesceOn   bool
-	btr          BatchTransport
 	pendingOut   []Message
 	spareOut     []Message // previous batch's backing array, reused
 	pendingBytes int
@@ -717,10 +725,15 @@ func (ep *Endpoint) nextOut(m Message) Message {
 	return m
 }
 
-func (ep *Endpoint) send(m Message) {
-	if err := ep.tr.Send(m); err != nil {
-		ep.setErr(fmt.Errorf("channel %s: send: %w", ep.Name(), err))
+// sendEach is sendBatch for transports that carry one message at a
+// time (the in-process pipe).
+func (ep *Endpoint) sendEach(msgs []Message) error {
+	for _, m := range msgs {
+		if err := ep.tr.Send(m); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 func (ep *Endpoint) setErr(err error) {
@@ -733,33 +746,21 @@ func (ep *Endpoint) setErr(err error) {
 
 // SetCoalescing enables or disables egress coalescing. It only takes
 // effect when the endpoint's transport can carry batches (the node
-// wire transport can; the in-process pipe cannot and keeps the
-// immediate path). Safe to call at any time; a disable flushes
-// whatever is queued.
+// wire transport can; the in-process pipe cannot and keeps flushing
+// every message). Safe to call at any time; a disable flushes whatever
+// is queued.
 func (ep *Endpoint) SetCoalescing(cfg CoalesceConfig) {
+	_, batching := ep.tr.(BatchTransport)
+	on := cfg.Enabled() && batching
 	ep.mu.Lock()
-	btr, batching := ep.tr.(BatchTransport)
-	if cfg.Enabled() && batching {
-		ep.coalesce = cfg
-		ep.coalesceOn = true
-		ep.btr = btr
-		ep.mu.Unlock()
-		return
-	}
-	wasOn := ep.coalesceOn
+	ep.coalesce = cfg
+	ep.coalesceOn = on
 	ep.mu.Unlock()
-	if wasOn {
-		// Drain what is queued as one last batch before reverting to
-		// the immediate path.
+	if !on {
+		// Whatever raced into the queue after this sees coalesceOn
+		// false and flushes itself.
 		ep.Flush()
 	}
-	ep.mu.Lock()
-	ep.coalesceOn = false
-	ep.btr = nil
-	ep.mu.Unlock()
-	// Catch anything that raced into the queue between the drain and
-	// the disable; a clean queue makes this a no-op.
-	ep.Flush()
 }
 
 // queueLocked appends m to the egress queue and reports whether the
@@ -801,8 +802,6 @@ func (ep *Endpoint) Flush() {
 	ep.pendingOut = ep.spareOut[:0]
 	ep.spareOut = batch
 	ep.pendingBytes = 0
-	useBatch := ep.coalesceOn && ep.btr != nil
-	btr := ep.btr
 	if len(batch) > 0 {
 		ep.stats.Flushes++
 		ep.stats.FlushedMsgs += int64(len(batch))
@@ -811,14 +810,8 @@ func (ep *Endpoint) Flush() {
 	if len(batch) == 0 {
 		return
 	}
-	if useBatch {
-		if err := btr.SendBatch(batch); err != nil {
-			ep.setErr(fmt.Errorf("channel %s: send batch: %w", ep.Name(), err))
-		}
-	} else {
-		for _, m := range batch {
-			ep.send(m)
-		}
+	if err := ep.sendBatch(batch); err != nil {
+		ep.setErr(fmt.Errorf("channel %s: send: %w", ep.Name(), err))
 	}
 }
 

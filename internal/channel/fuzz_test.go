@@ -85,8 +85,9 @@ func FuzzBatchRoundTrip(f *testing.F) {
 }
 
 // FuzzDecodeBatch throws arbitrary bytes at the batch decoder: it
-// must error or succeed, never panic, and the callback and the
-// into-buffer decoders must agree on what a payload contains.
+// must error or succeed, never panic, and appending to a burst already
+// decoded must yield what decoding into an empty buffer yields,
+// leaving the burst's earlier messages alone.
 func FuzzDecodeBatch(f *testing.F) {
 	// Valid payloads as seeds, plus the garbage table.
 	for _, msgs := range [][]Message{
@@ -108,14 +109,14 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{0x01, 0x00, 0x01, 0xff})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		viaCb := 0
-		_, errCb := NewBatchDecoder().DecodeBatch(payload, func(Message) { viaCb++ })
-		msgs, _, errInto := NewBatchDecoder().DecodeBatchInto(payload, nil)
-		if (errCb == nil) != (errInto == nil) {
-			t.Fatalf("decoders disagree on validity: cb=%v into=%v", errCb, errInto)
+		msgs, closedInto, errInto := NewBatchDecoder().DecodeBatchInto(payload, nil)
+		head := Message{Kind: KindMark, Tag: "earlier frame"}
+		burst, closedApp, errApp := NewBatchDecoder().DecodeBatchAppend(payload, []Message{head})
+		if (errApp == nil) != (errInto == nil) || closedApp != closedInto {
+			t.Fatalf("decoders disagree: append=(%v, %v) into=(%v, %v)", closedApp, errApp, closedInto, errInto)
 		}
-		if errCb == nil && viaCb != len(msgs) {
-			t.Fatalf("decoders disagree on count: cb=%d into=%d", viaCb, len(msgs))
+		if len(burst) != len(msgs)+1 || !reflect.DeepEqual(burst[0], head) {
+			t.Fatalf("append decoded %d messages after %+v, into decoded %d", len(burst)-1, burst[0], len(msgs))
 		}
 	})
 }

@@ -439,6 +439,29 @@ func TestSamplerStartStop(t *testing.T) {
 	}
 }
 
+// TestSamplerFinalSampleOnStop: a run that ends inside one sampler
+// interval still gets its closing deltas into the ring and the stream,
+// and the shutdown sample does not run the health poll.
+func TestSamplerFinalSampleOnStop(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := reg.Counter("pia_t")
+	rec := New(64)
+	hub := NewHub()
+	smp := NewSampler(reg, rec, hub, time.Hour) // the ticker never fires
+	polls := 0
+	smp.SetPoll(func() { polls++ })
+	smp.Start()
+	c.Add(3)
+	smp.Stop()
+	d := rec.BuildDump()
+	if len(d.Entries) != 1 || d.Entries[0].Kind != "metric" || d.Entries[0].Name != "pia_t" || d.Entries[0].Value != 3 {
+		t.Fatalf("Stop did not record the closing delta: %+v", d.Entries)
+	}
+	if polls != 0 {
+		t.Fatalf("shutdown sample ran the poll hook %d times", polls)
+	}
+}
+
 func TestRecorderHTTPHandler(t *testing.T) {
 	rec := New(8)
 	rec.Record("session", "s-1", "created", 0)

@@ -78,7 +78,12 @@ func (s *Sampler) Tick() {
 	if poll != nil {
 		poll()
 	}
+	s.sample()
+}
 
+// sample snapshots the registry and publishes what changed since the
+// previous sample.
+func (s *Sampler) sample() {
 	snap := s.reg.Snapshot()
 	now := time.Now().UnixNano()
 
@@ -123,6 +128,11 @@ func (s *Sampler) Start() {
 			for {
 				select {
 				case <-s.stop:
+					// A run shorter than the cadence still streams its
+					// closing deltas. The poll hook is skipped: it judges
+					// live health, and a peer leaving at shutdown is not
+					// a failure to trip on.
+					s.sample()
 					return
 				case <-t.C:
 					s.Tick()
@@ -132,8 +142,9 @@ func (s *Sampler) Start() {
 	})
 }
 
-// Stop halts the sampling goroutine and waits for it to exit.
-// Idempotent; safe on a sampler that was never started.
+// Stop halts the sampling goroutine, which takes one final sample
+// first, and waits for it to exit. Idempotent; safe on a sampler that
+// was never started.
 func (s *Sampler) Stop() {
 	if s == nil {
 		return

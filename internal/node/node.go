@@ -2,9 +2,11 @@
 // subsystems and interconnect them over TCP. Each node serves as both
 // a client and a server and handles all inter-node communication so
 // that it is hidden from the user; the paper used Java RMI here, this
-// implementation speaks the length-prefixed gob protocol of package
-// wire. One TCP connection carries one channel, which preserves the
-// per-channel FIFO order the time-management protocols require.
+// implementation speaks the length-prefixed frames of package wire: a
+// gob hello/helloAck handshake, then nothing but binary batch frames
+// (internal/channel's codec) in both directions. One TCP connection
+// carries one channel, which preserves the per-channel FIFO order the
+// time-management protocols require.
 package node
 
 import (
@@ -64,11 +66,6 @@ type hello struct {
 type helloAck struct {
 	OK    bool
 	Error string
-}
-
-// frame is the single frame type exchanged after the handshake.
-type frame struct {
-	Msg channel.Message
 }
 
 // Hosted bundles a subsystem with its channel hub and snapshot agent
@@ -532,11 +529,13 @@ func (n *Node) serveConn(c *wire.Conn, sess *resilience.Session) error {
 	if hosted.OnChannel != nil {
 		hosted.OnChannel(ep)
 	}
+	// Registered before the ack, so that once the dialer's Connect
+	// returns this side's Close and WireStats already cover the conn.
+	n.addConn(c)
 	if err := c.Send(helloAck{OK: true}); err != nil {
 		c.Close()
 		return err
 	}
-	n.addConn(c)
 	n.trace("node %s: accepted channel %s <- %s@%s", n.name, h.ToSub, h.FromSub, h.FromNode)
 	return n.pump(c, ep, hosted, sess)
 }
@@ -620,10 +619,18 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 	return ep, nil
 }
 
-// pump reads frames and hands them to the endpoint until the
-// connection drops. Gob frames carry one message each (the legacy
-// path and the fallback); batch frames carry many. Both may
-// interleave freely on one connection — the sender picks per flush.
+// maxBurst bounds how many messages pump gathers into one scheduler
+// injection before it stops draining buffered frames.
+const maxBurst = 256
+
+// pump reads batch frames and hands their messages to the endpoint
+// until the connection drops. After each frame it read, it also
+// decodes every complete frame the connection already holds in its
+// receive buffer (up to maxBurst messages, never past a close) and
+// hands the endpoint the whole burst at once: one scheduler injection
+// and wake-up per burst. It never waits for more bytes to do so, so
+// nothing is delayed. A frame of any other kind after the handshake is
+// a protocol violation and ends the connection undecoded.
 //
 // On a resumable session, connection loss never reaches this loop —
 // the session reconnects and replays underneath. Two session events
@@ -631,8 +638,11 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 // pump continues on the rewound timeline) and terminal session loss.
 // Any unrecoverable transport failure is wrapped in PeerLostError.
 func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilience.Session) error {
+	lost := func(cause error) error {
+		return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: cause}
+	}
 	dec := channel.NewBatchDecoder()
-	var batch []channel.Message
+	var burst []channel.Message
 	for {
 		kind, payload, err := c.RecvFrame()
 		if err != nil {
@@ -646,36 +656,36 @@ func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilie
 				dec = channel.NewBatchDecoder()
 				continue
 			}
-			return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
+			return lost(err)
 		}
-		switch kind {
-		case wire.FrameGob:
-			var f frame
-			if err := wire.DecodeGob(payload, &f); err != nil {
-				return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
+		// OnMessages copies the burst, so the slice (and the receive
+		// buffer the decoder read from) is reusable for the next one.
+		burst = burst[:0]
+		closed := false
+		for {
+			if kind != wire.FrameBatch {
+				err = fmt.Errorf("node %s: unexpected frame kind %d after the handshake", n.name, kind)
+				break
 			}
-			ep.OnMessage(f.Msg)
-			if f.Msg.Kind == channel.KindClose {
-				return nil
+			whole := len(burst)
+			if burst, closed, err = dec.DecodeBatchAppend(payload, burst); err != nil {
+				burst = burst[:whole] // only whole frames are delivered
+				break
 			}
-		case wire.FrameBatch:
-			// Decode the whole frame into a reused buffer and hand it to
-			// the endpoint as one batch: one scheduler injection per
-			// frame. OnMessages copies the batch, so the buffer (and the
-			// wire receive buffer the decoder read from) is immediately
-			// reusable for the next frame.
-			msgs, closed, err := dec.DecodeBatchInto(payload, batch)
-			batch = msgs
-			if err != nil {
-				return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
+			if closed || len(burst) >= maxBurst {
+				break
 			}
-			ep.OnMessages(msgs)
-			if closed {
-				return nil
+			var ok bool
+			if kind, payload, ok = c.RecvBuffered(); !ok {
+				break
 			}
-		default:
-			return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(),
-				Cause: fmt.Errorf("node %s: unknown frame kind %d", n.name, kind)}
+		}
+		ep.OnMessages(burst)
+		if err != nil {
+			return lost(err)
+		}
+		if closed {
+			return nil
 		}
 	}
 }
@@ -794,14 +804,18 @@ func (n *Node) Close() error {
 	return nil
 }
 
-// connTransport adapts a wire.Conn to channel.Transport and
-// channel.BatchTransport.
+// connTransport adapts a wire.Conn to channel.BatchTransport.
 type connTransport struct {
 	c *wire.Conn
 }
 
-func (t *connTransport) Send(m channel.Message) error { return t.c.Send(frame{Msg: m}) }
-func (t *connTransport) Close() error                 { return nil } // node owns the conn
+// Send exists to satisfy channel.Transport; endpoints on a batch
+// transport call SendBatch for every flush.
+func (t *connTransport) Send(m channel.Message) error {
+	return t.SendBatch([]channel.Message{m})
+}
+
+func (t *connTransport) Close() error { return nil } // node owns the conn
 
 // SendBatch encodes the messages into as few batch frames as the
 // frame limit allows (almost always one) and flushes them with a
@@ -809,7 +823,9 @@ func (t *connTransport) Close() error                 { return nil } // node own
 // connection's recycled egress buffer — no intermediate frame copy —
 // so a steady-state flush allocates nothing beyond what gob fallback
 // entries need, and the whole batch costs one syscall (and, on a
-// resilient session, one CRC envelope).
+// resilient session, one CRC envelope). A flush of one message — every
+// flush of an uncoalesced channel — is a batch of one: the same frame
+// format, one frame and one Write per drive.
 func (t *connTransport) SendBatch(msgs []channel.Message) error {
 	eg := t.c.BeginEgress()
 	defer eg.Close()

@@ -13,16 +13,23 @@ import (
 	"repro/internal/wire"
 )
 
-// tsender emits values on "out" with a fixed period.
+// tsender emits values on "out" with a fixed period. OnSend, when set,
+// runs inside the step that sent value i — the hook chaos tests use to
+// break connections at a point of the simulation, not of the wall
+// clock. (gob skips func fields, so checkpoints leave it alone.)
 type tsender struct {
 	Next, Count int
 	Period      vtime.Duration
+	OnSend      func(i int)
 }
 
 func (s *tsender) Run(p *core.Proc) error {
 	for s.Next < s.Count {
 		p.Delay(s.Period)
 		p.Send("out", s.Next)
+		if s.OnSend != nil {
+			s.OnSend(s.Next)
+		}
 		s.Next++
 	}
 	return nil
@@ -33,9 +40,11 @@ func (s *tsender) RestoreState(b []byte) error { return core.GobRestore(s, b) }
 
 // trecv records every value with its virtual arrival time — the
 // ground truth that fault-injected runs must reproduce exactly.
+// OnValue, when set, runs inside the step that received the n-th value.
 type trecv struct {
-	Got   []int
-	Times []vtime.Time
+	Got     []int
+	Times   []vtime.Time
+	OnValue func(n int)
 }
 
 func (r *trecv) Run(p *core.Proc) error {
@@ -46,6 +55,9 @@ func (r *trecv) Run(p *core.Proc) error {
 		}
 		r.Got = append(r.Got, m.Value.(int))
 		r.Times = append(r.Times, m.Time)
+		if r.OnValue != nil {
+			r.OnValue(len(r.Got))
+		}
 	}
 }
 
@@ -57,6 +69,7 @@ func (r *trecv) RestoreState(b []byte) error { return core.GobRestore(r, b) }
 type chaosPair struct {
 	n1, n2 *Node
 	s1, s2 *core.Subsystem
+	snd    *tsender
 	rcv    *trecv
 }
 
@@ -68,9 +81,9 @@ func buildChaosPair(t *testing.T, count int, period, latency vtime.Duration, con
 	p := &chaosPair{}
 	p.s1 = core.NewSubsystem("handheld")
 	p.s2 = core.NewSubsystem("server")
-	snd := &tsender{Count: count, Period: period}
+	p.snd = &tsender{Count: count, Period: period}
 	p.rcv = &trecv{}
-	sc, _ := p.s1.NewComponent("prod", snd)
+	sc, _ := p.s1.NewComponent("prod", p.snd)
 	sc.AddPort("out")
 	rc, _ := p.s2.NewComponent("cons", p.rcv)
 	rc.AddPort("in")
@@ -162,9 +175,9 @@ func TestResilientRemoteDelivery(t *testing.T) {
 	}
 }
 
-// TestReconnectMidRun kills the TCP connection repeatedly mid-run;
-// the session resumes each time and the simulation's drives and
-// virtual times must match the uninterrupted run exactly.
+// TestReconnectMidRun kills the TCP connection at every fifth
+// delivered value; the session resumes each time and the simulation's
+// drives and virtual times must match the uninterrupted run exactly.
 func TestReconnectMidRun(t *testing.T) {
 	clean := buildChaosPair(t, 40, 10, 5, nil)
 	clean.run(t, 2000)
@@ -180,24 +193,21 @@ func TestReconnectMidRun(t *testing.T) {
 		n1.SetResilience(cfg)
 		n2.SetResilience(cfg)
 	})
-	stop := make(chan struct{})
-	var killer sync.WaitGroup
-	killer.Add(1)
-	go func() {
-		defer killer.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			case <-time.After(3 * time.Millisecond):
-				chaos.n1.BreakConns()
-			}
+	// The kill runs inside the receiving step, so the connection that
+	// just delivered the value is the one that dies, and the values
+	// still to come need a resumed one.
+	kills := 0
+	chaos.rcv.OnValue = func(n int) {
+		if n%5 == 0 {
+			kills++
+			chaos.n1.BreakConns()
 		}
-	}()
+	}
 	chaos.run(t, 2000)
-	close(stop)
-	killer.Wait()
 	assertSameResults(t, clean.rcv, chaos.rcv)
+	if kills != 8 {
+		t.Fatalf("%d kills over 40 delivered values, want 8", kills)
+	}
 	st := chaos.n1.ResilienceStats()
 	if st.EpochDeaths == 0 || st.Resumes < 2 {
 		t.Fatalf("connection kills never exercised the resume path: %+v", st)
@@ -267,56 +277,42 @@ func TestSnapshotRewindAcrossReconnect(t *testing.T) {
 		t.Fatalf("clean run delivered %d", len(clean.rcv.Got))
 	}
 
-	// The kill below races the workload's tail: if the run drains
-	// before the outage, too few frames land in retention and no
-	// rewind is needed (single-write framing makes this more likely —
-	// one session envelope per flush instead of two per frame). The
-	// test only proves something when the rewind path actually fired,
-	// so retry the chaos leg a few times; every attempt still asserts
-	// result correctness.
-	for attempt := 0; ; attempt++ {
-		chaos := buildChaosPair(t, 120, 1, 200, func(n1, n2 *Node) {
-			cfg := resilience.Config{
-				Heartbeat: 20 * time.Millisecond, HeartbeatMiss: 4,
-				RetryBase: 5 * time.Millisecond, RetryMax: 100,
-				RetentionFrames: 2,
-			}
-			n1.SetResilience(cfg)
-			n2.SetResilience(cfg)
-		})
+	chaos := buildChaosPair(t, 120, 1, 200, func(n1, n2 *Node) {
+		cfg := resilience.Config{
+			Heartbeat: 20 * time.Millisecond, HeartbeatMiss: 4,
+			RetryBase: 5 * time.Millisecond, RetryMax: 100,
+			RetentionFrames: 2,
+		}
+		n1.SetResilience(cfg)
+		n2.SetResilience(cfg)
+	})
 
-		// Complete a distributed snapshot before any chaos.
-		a1 := chaos.n1.Hosted("handheld").Agent
-		a2 := chaos.n2.Hosted("server").Agent
-		tag := a1.Initiate()
-		var wg sync.WaitGroup
-		var e1, e2 error
-		wg.Add(2)
-		go func() { defer wg.Done(); e1 = chaos.s1.Run(3000) }()
-		go func() { defer wg.Done(); e2 = chaos.s2.Run(3000) }()
-		deadline := time.Now().Add(10 * time.Second)
-		for !(a1.HasTag(tag) && a2.HasTag(tag)) {
-			if time.Now().After(deadline) {
-				t.Fatal("snapshot never completed")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		// Kill the connection; the sender keeps emitting into its
-		// granted window, overflowing the 2-frame retention during
-		// the outage.
-		chaos.n1.BreakConns()
-		wg.Wait()
-		if e1 != nil || e2 != nil {
-			t.Fatalf("runs: %v / %v", e1, e2)
-		}
-		assertSameResults(t, clean.rcv, chaos.rcv)
-		st := chaos.n1.ResilienceStats()
-		if st.Rewinds > 0 {
+	// The snapshot's mark is the first message on the channel and the
+	// sender cannot move before the server's first grant, which follows
+	// the server's mark back (FIFO): the snapshot is complete on both
+	// sides before the first value leaves.
+	a1 := chaos.n1.Hosted("handheld").Agent
+	tag := a1.Initiate()
+	// Kill the connection from the sending step of the tenth value: the
+	// sender keeps emitting the other 110 into its granted window, one
+	// frame each, overflowing the 2-frame retention during the outage.
+	// The rewind replays this step; the second time round it must not
+	// kill again.
+	killed := false
+	chaos.snd.OnSend = func(i int) {
+		if i != 10 || killed {
 			return
 		}
-		if attempt == 4 {
-			t.Fatalf("retention overflow never forced a rewind in %d attempts: %+v", attempt+1, st)
+		killed = true
+		if !a1.HasTag(tag) {
+			t.Error("snapshot incomplete when the tenth value left")
 		}
+		chaos.n1.BreakConns()
+	}
+	chaos.run(t, 3000)
+	assertSameResults(t, clean.rcv, chaos.rcv)
+	if st := chaos.n1.ResilienceStats(); !killed || st.Rewinds == 0 {
+		t.Fatalf("retention overflow never forced a rewind (killed=%v): %+v", killed, st)
 	}
 }
 

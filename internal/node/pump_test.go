@@ -1,0 +1,215 @@
+package node
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"strings"
+	"testing"
+
+	"repro/internal/channel"
+	"repro/internal/core"
+	"repro/internal/signal"
+	"repro/internal/vtime"
+	"repro/internal/wire"
+)
+
+// stubStream is a connection whose peer is a script: Read serves a
+// prepared byte stream (everything available in one read, like a burst
+// already in the kernel), Write counts and discards.
+type stubStream struct {
+	in     *bytes.Reader
+	writes int
+}
+
+func (s *stubStream) Read(p []byte) (int, error) {
+	if s.in == nil {
+		return 0, io.EOF
+	}
+	return s.in.Read(p)
+}
+func (s *stubStream) Write(p []byte) (int, error) { s.writes++; return len(p), nil }
+func (s *stubStream) Close() error                { return nil }
+
+// peerScript assembles what a dialing peer puts on the wire, using the
+// real encoders.
+type peerScript struct {
+	buf bytes.Buffer
+	c   *wire.Conn
+	seq uint64
+}
+
+type scriptWriter struct{ *bytes.Buffer }
+
+func (scriptWriter) Read([]byte) (int, error) { return 0, io.EOF }
+func (scriptWriter) Close() error             { return nil }
+
+func newPeerScript(t *testing.T) *peerScript {
+	t.Helper()
+	p := &peerScript{}
+	p.c = wire.NewConn(scriptWriter{&p.buf})
+	if err := p.c.Send(hello{FromNode: "node1", FromSub: "handheld", ToSub: "server",
+		Policy: uint8(channel.Conservative), Link: channel.LinkModel{Latency: 5, PerMessage: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// batch appends one batch frame carrying the given messages, stamped
+// with the channel's next sequence numbers.
+func (p *peerScript) batch(t *testing.T, msgs ...channel.Message) {
+	t.Helper()
+	for i := range msgs {
+		p.seq++
+		msgs[i].Seq = p.seq
+		msgs[i].From = "handheld"
+	}
+	if err := (&connTransport{c: p.c}).SendBatch(msgs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (p *peerScript) data(i int) channel.Message {
+	return channel.Message{Kind: channel.KindData, Net: "link", Source: "prod", Time: vtime.Time(10 * (i + 1)), Value: i}
+}
+
+// serve runs the accepting side of a node against the script and
+// returns serveConn's result with the endpoint and receiver it built.
+func (p *peerScript) serve(t *testing.T) (error, *channel.Endpoint, *core.Subsystem, *receiver) {
+	t.Helper()
+	sub := core.NewSubsystem("server")
+	rcv := &receiver{}
+	rc, _ := sub.NewComponent("cons", rcv)
+	rc.AddPort("in")
+	l, _ := sub.NewNet("link", 0)
+	sub.Connect(l, rc.Port("in"))
+	n := New("node2")
+	var ep *channel.Endpoint
+	n.Host(sub).OnChannel = func(e *channel.Endpoint) {
+		ep = e
+		if err := e.BindNet(l, "link"); err != nil {
+			t.Error(err)
+		}
+	}
+	err := n.serveConn(wire.NewConn(&stubStream{in: bytes.NewReader(p.buf.Bytes())}), nil)
+	if ep == nil {
+		t.Fatalf("handshake never built an endpoint: %v", err)
+	}
+	return err, ep, sub, rcv
+}
+
+// TestPumpDrainsBurstInOrder: frames that arrive together are decoded
+// together and delivered in channel order; the pump stops at the close
+// and never looks at what follows it.
+func TestPumpDrainsBurstInOrder(t *testing.T) {
+	const drives = 600 // more than maxBurst, so the burst bound is crossed
+	p := newPeerScript(t)
+	for i := 0; i < drives; i += 3 {
+		p.batch(t, p.data(i))
+		p.batch(t, p.data(i+1), p.data(i+2))
+	}
+	p.batch(t, channel.Message{Kind: channel.KindClose})
+	if err := p.c.SendRaw(wire.FrameGob, []byte("never read")); err != nil {
+		t.Fatal(err)
+	}
+
+	err, ep, sub, rcv := p.serve(t)
+	if err != nil {
+		t.Fatalf("pump: %v", err)
+	}
+	if got := ep.QueuedCount(); got != drives+1 {
+		t.Fatalf("pump queued %d messages, want %d", got, drives+1)
+	}
+	if err := sub.Run(vtime.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Err(); err != nil {
+		t.Fatalf("endpoint: %v", err)
+	}
+	if len(rcv.Got) != drives {
+		t.Fatalf("delivered %d drives, want %d", len(rcv.Got), drives)
+	}
+	for i, v := range rcv.Got {
+		if v != i {
+			t.Fatalf("order broken at %d: got %d", i, v)
+		}
+	}
+}
+
+// TestPumpRejectsGobAfterHandshake: after the hello exchange the only
+// legal frame is a batch frame. A gob frame ends the connection with a
+// PeerLostError naming the frame kind — its payload is never decoded —
+// and the frames of the same burst that preceded it are still
+// delivered.
+func TestPumpRejectsGobAfterHandshake(t *testing.T) {
+	p := newPeerScript(t)
+	p.batch(t, p.data(0))
+	p.batch(t, p.data(1))
+	// A payload gob would choke on: were it decoded, the error below
+	// would be gob's, not the pump's.
+	if err := p.c.SendRaw(wire.FrameGob, bytes.Repeat([]byte{0xff}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	p.batch(t, p.data(2))
+
+	err, ep, _, _ := p.serve(t)
+	var lost *PeerLostError
+	if !errors.As(err, &lost) || !errors.Is(err, ErrPeerLost) {
+		t.Fatalf("post-handshake gob frame gave %v, want a PeerLostError", err)
+	}
+	if lost.Peer != "handheld" {
+		t.Fatalf("peer = %q", lost.Peer)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "unexpected frame kind 0") || strings.Contains(msg, "gob") || strings.Contains(msg, "decode") {
+		t.Fatalf("error does not name the frame kind, or came from a decoder: %v", err)
+	}
+	if got := ep.QueuedCount(); got != 2 {
+		t.Fatalf("queued %d messages before the violation, want 2", got)
+	}
+}
+
+// TestPumpDeliversFramesBeforeACorruptOne: a frame that fails to decode
+// mid-burst loses the connection, not the whole frames before it.
+func TestPumpDeliversFramesBeforeACorruptOne(t *testing.T) {
+	p := newPeerScript(t)
+	p.batch(t, p.data(0), p.data(1))
+	if err := p.c.SendRaw(wire.FrameBatch, []byte{0x02, 0x07, 0x01}); err != nil { // unknown entry encoding
+		t.Fatal(err)
+	}
+	err, ep, _, _ := p.serve(t)
+	if !errors.Is(err, ErrPeerLost) {
+		t.Fatalf("corrupt batch frame gave %v, want a PeerLostError", err)
+	}
+	if got := ep.QueuedCount(); got != 2 {
+		t.Fatalf("queued %d messages before the corrupt frame, want 2", got)
+	}
+}
+
+// TestSendBatchWordZeroAlloc guards the uncoalesced hot path: a flush
+// of one word drive through connTransport.SendBatch — encode in place
+// in the connection's recycled egress buffer, one frame, one Write —
+// allocates nothing in steady state.
+func TestSendBatchWordZeroAlloc(t *testing.T) {
+	s := &stubStream{}
+	tr := &connTransport{c: wire.NewConn(s)}
+	msgs := []channel.Message{{Kind: channel.KindData, From: "handheld", Seq: 1, Ack: 1,
+		Net: "dmaLink", Source: "dma", Time: 1000, Value: signal.Word(0xdeadbeef)}}
+	if err := tr.SendBatch(msgs); err != nil { // sizes the egress buffer
+		t.Fatal(err)
+	}
+	s.writes = 0
+	const runs = 200
+	if avg := testing.AllocsPerRun(runs, func() {
+		if err := tr.SendBatch(msgs); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("one-word SendBatch allocates %.2f/op steady-state, want 0", avg)
+	}
+	if s.writes != runs+1 { // AllocsPerRun makes one warm-up call
+		t.Fatalf("%d Writes for %d one-message flushes, want one each", s.writes, runs+1)
+	}
+	if st := tr.c.Stats(); st.FramesOut != int64(runs+2) {
+		t.Fatalf("%d frames for %d one-message flushes, want one each", st.FramesOut, runs+2)
+	}
+}

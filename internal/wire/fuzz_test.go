@@ -26,7 +26,9 @@ func frameBytes(kind byte, payload []byte) []byte {
 // FuzzFrameParser feeds arbitrary byte streams to the frame reader.
 // RecvFrame must never panic, never hand back a payload larger than
 // the frame limit, and must terminate (every iteration either returns
-// an error or consumes at least a header's worth of input).
+// an error or consumes at least a header's worth of input). A second
+// reader over the same bytes drains bursts with RecvBuffered the way
+// the node pump does, and must see exactly the same frames.
 func FuzzFrameParser(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frameBytes(FrameGob, []byte("not really gob")))
@@ -43,10 +45,11 @@ func FuzzFrameParser(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewConn(memStream{bytes.NewReader(data)})
+		var frames []wantFrame
 		for {
 			kind, payload, err := c.RecvFrame()
 			if err != nil {
-				return
+				break
 			}
 			if len(payload) > MaxFrame {
 				t.Fatalf("RecvFrame returned %d-byte payload past the limit", len(payload))
@@ -56,6 +59,14 @@ func FuzzFrameParser(f *testing.F) {
 				var v any
 				_ = DecodeGob(payload, &v)
 			}
+			frames = append(frames, wantFrame{kind, append([]byte(nil), payload...)})
+		}
+		burst, _, viaBuffered, _ := recvAll(NewConn(memStream{bytes.NewReader(data)}))
+		mustEqualFrames(t, burst, frames)
+		if len(data) <= recvBufSize && len(frames) > 1 && viaBuffered != len(frames)-1 {
+			// One read delivers the whole input, so every frame after the
+			// first is already buffered.
+			t.Fatalf("RecvBuffered returned %d of %d frames that arrived in one read", viaBuffered, len(frames))
 		}
 	})
 }

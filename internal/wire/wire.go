@@ -1,12 +1,18 @@
 // Package wire implements the framing Pia nodes speak over TCP:
 // length-prefixed, kind-tagged frames. Each frame is a 4-byte
 // big-endian payload length, a 1-byte frame kind, and the payload.
-// Two kinds exist today: FrameGob carries a single gob-encoded value
-// (the self-describing fallback, also used for the handshake), and
-// FrameBatch carries a batch of channel messages in the hand-rolled
-// binary format of internal/channel. The length prefix keeps the
-// stream self-describing, lets both sides count bytes, and makes
-// partial reads detectable.
+// Two kinds exist: FrameGob carries a single gob-encoded value and is
+// what a node connection's hello/helloAck handshake speaks; FrameBatch
+// carries a batch of channel messages in the hand-rolled binary format
+// of internal/channel and is the only kind a node accepts after the
+// handshake — a lone message is a batch of one. The length prefix
+// keeps the stream self-describing, lets both sides count bytes, and
+// makes partial reads detectable.
+//
+// Egress assembles every frame (or run of frames) in a recycled buffer
+// and hands it to the stream in one Write. Ingress reads through a
+// bounded receive buffer, so a burst of small frames costs one read
+// and RecvBuffered hands back the rest of the burst without blocking.
 package wire
 
 import (
@@ -26,7 +32,8 @@ const MaxFrame = 64 << 20
 
 // Frame kinds.
 const (
-	// FrameGob is a single gob-encoded value (handshake, fallback).
+	// FrameGob is a single gob-encoded value: the connection
+	// handshake. No channel message travels in one.
 	FrameGob byte = 0
 	// FrameBatch is a batch of channel messages in the binary batch
 	// format (see internal/channel).
@@ -34,8 +41,8 @@ const (
 )
 
 // Conn frames values over a byte stream. Send, SendRaw and
-// BeginEgress are safe for concurrent use; Recv and RecvFrame must be
-// called from a single reader.
+// BeginEgress are safe for concurrent use; Recv, RecvFrame and
+// RecvBuffered must be called from a single reader.
 type Conn struct {
 	rwc io.ReadWriteCloser
 
@@ -44,7 +51,11 @@ type Conn struct {
 	ebuf   []byte // egress assembly buffer, recycled across flushes
 	egress Egress // the Conn's single egress builder, guarded by wmu
 
-	rbuf []byte // receive buffer, reused across frames
+	// Ingress, single reader: rb[rr:rw] holds bytes read but not yet
+	// handed out; rbuf holds the body of a frame larger than rb.
+	rb     []byte
+	rr, rw int
+	rbuf   []byte
 
 	bytesIn   atomic.Int64
 	bytesOut  atomic.Int64
@@ -89,7 +100,7 @@ func (c *Conn) writeFrameLocked(kind byte, payload []byte) error {
 	// Write: one syscall per frame, and exactly one envelope when the
 	// stream is a resilient session (which frames every Write it
 	// sees). The counters record precisely what was handed to the
-	// stream, on every path — gob fallback included.
+	// stream, on every path.
 	buf := append(c.ebuf[:0], 0, 0, 0, 0, kind)
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
 	buf = append(buf, payload...)
@@ -111,28 +122,105 @@ func (c *Conn) retainEbuf(buf []byte) {
 	}
 }
 
+// recvBufSize bounds the receive buffer: large enough that a burst of
+// small frames costs one read, small enough that an idle connection
+// holds little memory. Frames that do not fit are read straight into
+// their own body buffer.
+const recvBufSize = 32 << 10
+
+// fill reads until at least need bytes (need <= recvBufSize) are
+// buffered, compacting first so every read has the most room the
+// buffer allows. On a read error the buffered partial frame is
+// dropped: the stream is dead, or — on a resumable session that just
+// rewound — restarts at a frame boundary.
+func (c *Conn) fill(need int) error {
+	if c.rb == nil {
+		c.rb = make([]byte, recvBufSize)
+	}
+	for c.rw-c.rr < need {
+		if c.rr > 0 {
+			c.rw = copy(c.rb, c.rb[c.rr:c.rw])
+			c.rr = 0
+		}
+		n, err := c.rwc.Read(c.rb[c.rw:])
+		c.rw += n
+		if err != nil && c.rw < need {
+			if c.rw > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			c.rw = 0
+			return err
+		}
+	}
+	return nil
+}
+
+// take hands out the n-byte-payload frame at the head of the receive
+// buffer, which must hold all of it.
+func (c *Conn) take(n int) (kind byte, payload []byte) {
+	kind = c.rb[c.rr+4]
+	payload = c.rb[c.rr+headerLen : c.rr+headerLen+n]
+	c.rr += headerLen + n
+	c.bytesIn.Add(int64(headerLen + n))
+	c.framesIn.Add(1)
+	return kind, payload
+}
+
 // RecvFrame reads one frame and returns its kind and payload. The
 // payload slice is owned by the Conn and only valid until the next
-// RecvFrame or Recv call; decode it before reading again.
+// RecvFrame, RecvBuffered or Recv call; decode it before reading
+// again. Reads go through a bounded receive buffer, so a frame already
+// in the kernel costs at most one read and a frame already buffered
+// costs none.
 func (c *Conn) RecvFrame() (kind byte, payload []byte, err error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(c.rwc, hdr[:]); err != nil {
+	if err := c.fill(headerLen); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", n)
+	// Checked as uint32, before any conversion or allocation.
+	l := binary.BigEndian.Uint32(c.rb[c.rr:])
+	if l > MaxFrame {
+		return 0, nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", l)
 	}
-	if cap(c.rbuf) < int(n) {
+	n := int(l)
+	if headerLen+n <= recvBufSize {
+		if err := c.fill(headerLen + n); err != nil {
+			return 0, nil, fmt.Errorf("wire: read body: %w", err)
+		}
+		kind, payload = c.take(n)
+		return kind, payload, nil
+	}
+	// Larger than the receive buffer: move what is buffered into the
+	// body buffer and read the rest of the body straight into it.
+	kind = c.rb[c.rr+4]
+	if cap(c.rbuf) < n {
 		c.rbuf = make([]byte, n)
 	}
 	c.rbuf = c.rbuf[:n]
-	if _, err := io.ReadFull(c.rwc, c.rbuf); err != nil {
+	have := copy(c.rbuf, c.rb[c.rr+headerLen:c.rw])
+	c.rr, c.rw = 0, 0
+	if _, err := io.ReadFull(c.rwc, c.rbuf[have:]); err != nil {
 		return 0, nil, fmt.Errorf("wire: read body: %w", err)
 	}
 	c.bytesIn.Add(int64(headerLen + n))
 	c.framesIn.Add(1)
-	return hdr[4], c.rbuf, nil
+	return kind, c.rbuf, nil
+}
+
+// RecvBuffered returns the next frame only if all of it is already in
+// the receive buffer; it never reads from the stream, so it never
+// blocks. Readers use it after RecvFrame to drain a burst. Anything it
+// cannot hand back — a partial frame, one larger than the buffer, a
+// length past the limit — is left for RecvFrame to read or reject.
+func (c *Conn) RecvBuffered() (kind byte, payload []byte, ok bool) {
+	if c.rw-c.rr < headerLen {
+		return 0, nil, false
+	}
+	l := binary.BigEndian.Uint32(c.rb[c.rr:])
+	if l > MaxFrame || c.rw-c.rr-headerLen < int(l) {
+		return 0, nil, false
+	}
+	kind, payload = c.take(int(l))
+	return kind, payload, true
 }
 
 // Recv reads one FrameGob frame into v. It fails on any other frame
