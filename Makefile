@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-core chaos mesh metrics timeline wire optimistic service obs fuzz-smoke bench-smoke bench bench-parallel bench-wire bench-migrate bench-optimistic bench-sessions bench-obs
+.PHONY: ci vet build test race race-core chaos mesh metrics timeline wire optimistic service obs fuzz-smoke bench-smoke bench bench-parallel bench-migrate bench-optimistic bench-sessions bench-obs
 
 ci: vet build test race race-core chaos mesh metrics timeline wire optimistic service obs bench-smoke
 
@@ -57,16 +57,17 @@ timeline:
 	$(GO) test -count=1 -run 'TestTimelineChaos' ./internal/experiments/
 	$(GO) test -count=1 -run 'TestDriveFanoutZeroAlloc' ./internal/event/
 
-# The wire gate: the zero-copy hot path's allocation guards (encode,
-# decode, queue scan and the one-word uncoalesced flush must stay at
+# The wire gate: the zero-copy hot path's allocation guards (encode —
+# tag-table values, a registered value and wubbleu's NetReq — decode,
+# queue scan and the one-word uncoalesced flush must stay at
 # 0 allocs/op steady-state), the buffered-ingress table (split frames,
 # bursts per read, oversized and hostile lengths, mid-frame errors,
-# session rewinds) and the pump's burst and frame-kind rules, the
-# codec microbenchmarks, the cross-node stress tests under the race
-# detector, and a fuzz smoke pass over the frame parser and batch
-# codec.
+# session rewinds) and the pump's burst, frame-kind and corrupt-entry
+# rules, the codec microbenchmarks, the cross-node stress tests under
+# the race detector, and a fuzz smoke pass over the frame parser and
+# batch codec.
 wire:
-	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordBoxes' ./internal/channel/
+	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordBoxes' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestSendBatchWordZeroAlloc|TestPump' ./internal/node/
 	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst' ./internal/wire/
 	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc' ./internal/event/
@@ -76,8 +77,9 @@ wire:
 	$(MAKE) fuzz-smoke
 
 # A few seconds of fuzzing per target: the frame parser on hostile
-# streams, the batch decoder on arbitrary payloads, and the
-# encode/decode round trip across the gob-fallback boundary.
+# streams, the batch decoder on arbitrary payloads (hostile lengths,
+# retired encodings, extension values), and the encode/decode round
+# trip over tag-table and registered values.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFrameParser -fuzztime=3s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBatch -fuzztime=3s ./internal/channel/
@@ -128,11 +130,6 @@ obs:
 # digest deviates from its isolated reference — the BENCH_6 artifact.
 bench-sessions:
 	$(GO) run ./cmd/piabench -exp sessions -json BENCH_6.json
-
-# The wire-codec ablation: coalesced remote legs, gob fallback vs
-# zero-copy binary, with codec allocs/op — the BENCH_3 artifact.
-bench-wire:
-	$(GO) run ./cmd/piabench -exp wire -json BENCH_3.json
 
 # One iteration of the headline benchmarks, as a smoke test that the
 # Table 1 experiments still run end to end (including the coalesced

@@ -2,7 +2,9 @@ package pia
 
 import (
 	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -75,5 +77,47 @@ func TestBuildOnNodesMissingPlacement(t *testing.T) {
 	}
 	if uh.Host != "s2" || uh.Component != "b" {
 		t.Fatalf("error blames %q on %q, want component \"b\" on host \"s2\"", uh.Component, uh.Host)
+	}
+}
+
+// noCodec is a struct nobody registered with the channel codec.
+type noCodec struct{ A int }
+
+type noCodecSrc struct{ Sent bool }
+
+func (s *noCodecSrc) Run(p *Proc) error {
+	if !s.Sent {
+		s.Sent = true
+		p.Delay(10)
+		p.Send("out", noCodec{A: 1})
+	}
+	return nil
+}
+
+// TestBuildOnNodesUnregisteredValueFailsRun: a value type the channel
+// codec cannot carry, driven onto a net split across nodes, ends the
+// run with an error that names the type and the call that fixes it —
+// not with a hang waiting for a drive that was never sent.
+func TestBuildOnNodesUnregisteredValueFailsRun(t *testing.T) {
+	b := NewSystem("cluster").
+		AddComponent("src", "ssA", &noCodecSrc{}, "out").
+		AddComponent("dst", "ssB", &pongState{}, "in").
+		AddNet("wire", 0, "src.out", "dst.in").
+		SetDefaultChannel(Conservative, LinkModel{Latency: Microseconds(50), PerMessage: Microseconds(10)})
+	n1, n2 := NewNode("node1"), NewNode("node2")
+	cl, err := b.BuildOnNodes(map[string]*Node{"ssA": n1, "ssB": n2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	done := make(chan error, 1)
+	go func() { done <- cl.Run(Time(Seconds(1))) }()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run hangs on the unsendable value")
+	}
+	if err == nil || !strings.Contains(err.Error(), "pia.noCodec") || !strings.Contains(err.Error(), "channel.RegisterValue") {
+		t.Fatalf("run returned %v, want an error naming pia.noCodec and channel.RegisterValue", err)
 	}
 }

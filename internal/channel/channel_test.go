@@ -363,10 +363,17 @@ func TestPipeFIFO(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	for i := 1; i <= 100; i++ {
-		if err := a.Send(Message{Seq: uint64(i)}); err != nil {
+	// Batches of 1, 2, 3, ... messages: order holds within and across
+	// SendBatch calls.
+	for i, n := 1, 1; i <= 100; i, n = i+n, n+1 {
+		var batch []Message
+		for j := i; j < i+n && j <= 100; j++ {
+			batch = append(batch, Message{Seq: uint64(j)})
+		}
+		if err := a.SendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
+		batch[0].Seq = 0 // the pipe must not alias the caller's slice
 	}
 	<-done
 	for i, s := range got {
@@ -375,7 +382,7 @@ func TestPipeFIFO(t *testing.T) {
 		}
 	}
 	b.Close()
-	if err := a.Send(Message{}); err != ErrPipeClosed {
+	if err := a.SendBatch([]Message{{}}); err != ErrPipeClosed {
 		t.Fatalf("send after close = %v, want ErrPipeClosed", err)
 	}
 }

@@ -10,21 +10,11 @@ import (
 	"repro/internal/vtime"
 )
 
-// fakeBatchTr records what the endpoint hands the transport. An
-// endpoint on a batch transport sends everything through SendBatch,
-// coalescing or not, so singles must stay empty; the tests assert how
-// many messages each SendBatch carried.
+// fakeBatchTr records what the endpoint hands the transport; the
+// tests assert how many messages each SendBatch carried.
 type fakeBatchTr struct {
 	mu      sync.Mutex
 	batches [][]Message
-	singles []Message
-}
-
-func (f *fakeBatchTr) Send(m Message) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.singles = append(f.singles, m)
-	return nil
 }
 
 func (f *fakeBatchTr) SendBatch(msgs []Message) error {
@@ -37,10 +27,10 @@ func (f *fakeBatchTr) SendBatch(msgs []Message) error {
 
 func (f *fakeBatchTr) Close() error { return nil }
 
-func (f *fakeBatchTr) snapshot() (batches [][]Message, singles []Message) {
+func (f *fakeBatchTr) snapshot() [][]Message {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([][]Message(nil), f.batches...), append([]Message(nil), f.singles...)
+	return append([][]Message(nil), f.batches...)
 }
 
 func coalescingEndpoint(t *testing.T, cfg CoalesceConfig) (*Endpoint, *fakeBatchTr) {
@@ -67,9 +57,8 @@ func TestEmptyFlushIsNoOp(t *testing.T) {
 	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxMsgs: 16})
 	ep.Flush()
 	ep.Flush()
-	batches, singles := tr.snapshot()
-	if len(batches) != 0 || len(singles) != 0 {
-		t.Fatalf("empty flush sent something: %d batches, %d singles", len(batches), len(singles))
+	if batches := tr.snapshot(); len(batches) != 0 {
+		t.Fatalf("empty flush sent %d batches", len(batches))
 	}
 	if st := ep.Stats(); st.Flushes != 0 {
 		t.Fatalf("empty flushes counted: %d", st.Flushes)
@@ -85,17 +74,14 @@ func TestFlushBeforeAsk(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		drive(ep, i)
 	}
-	if batches, singles := tr.snapshot(); len(batches) != 0 || len(singles) != 0 {
-		t.Fatalf("drives under budget flushed early: %d batches, %d singles", len(batches), len(singles))
+	if batches := tr.snapshot(); len(batches) != 0 {
+		t.Fatalf("drives under budget flushed early: %d batches", len(batches))
 	}
 	if n := ep.PendingOut(); n != 3 {
 		t.Fatalf("pending %d, want 3", n)
 	}
 	ep.Request(1000)
-	batches, singles := tr.snapshot()
-	if len(singles) != 0 {
-		t.Fatalf("unexpected single sends: %v", singles)
-	}
+	batches := tr.snapshot()
 	if len(batches) != 1 {
 		t.Fatalf("want 1 batch, got %d", len(batches))
 	}
@@ -126,7 +112,7 @@ func TestCoalesceCountBudget(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		drive(ep, i)
 	}
-	batches, _ := tr.snapshot()
+	batches := tr.snapshot()
 	if len(batches) != 2 || len(batches[0]) != 4 || len(batches[1]) != 4 {
 		t.Fatalf("count budget of 4 over 8 drives gave %d batches", len(batches))
 	}
@@ -142,7 +128,7 @@ func TestCoalesceByteBudget(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		drive(ep, i)
 	}
-	batches, _ := tr.snapshot()
+	batches := tr.snapshot()
 	if len(batches) != 3 {
 		t.Fatalf("byte budget gave %d batches, want 3", len(batches))
 	}
@@ -155,26 +141,21 @@ func TestCoalesceMaxHold(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		drive(ep, i)
 	}
-	if batches, _ := tr.snapshot(); len(batches) != 0 {
+	if batches := tr.snapshot(); len(batches) != 0 {
 		t.Fatalf("hold span not reached but %d batches flushed", len(batches))
 	}
 	// A drive arriving 20 ticks later exceeds MaxHold and forces the
 	// flush.
 	drive(ep, 30)
-	batches, _ := tr.snapshot()
+	batches := tr.snapshot()
 	if len(batches) != 1 || len(batches[0]) != 6 {
 		t.Fatalf("hold-span flush: %d batches", len(batches))
 	}
 }
 
-// batchSizes returns how many messages each SendBatch carried, and
-// fails the test if anything bypassed SendBatch.
-func batchSizes(t *testing.T, tr *fakeBatchTr) []int {
-	t.Helper()
-	batches, singles := tr.snapshot()
-	if len(singles) != 0 {
-		t.Fatalf("%d messages bypassed SendBatch: %v", len(singles), singles)
-	}
+// batchSizes returns how many messages each SendBatch carried.
+func batchSizes(tr *fakeBatchTr) []int {
+	batches := tr.snapshot()
 	sizes := make([]int, len(batches))
 	for i, b := range batches {
 		sizes[i] = len(b)
@@ -192,7 +173,7 @@ func TestDisableCoalescingFlushesAndReverts(t *testing.T) {
 	drive(ep, 0)
 	drive(ep, 1)
 	ep.Request(1000)
-	if got := batchSizes(t, tr); !reflect.DeepEqual(got, []int{1, 1, 1}) {
+	if got := batchSizes(tr); !reflect.DeepEqual(got, []int{1, 1, 1}) {
 		t.Fatalf("uncoalesced messages per SendBatch = %v, want [1 1 1]", got)
 	}
 
@@ -200,10 +181,10 @@ func TestDisableCoalescingFlushesAndReverts(t *testing.T) {
 	drive(ep, 2)
 	drive(ep, 3)
 	ep.Request(2000)
-	if got := batchSizes(t, tr); !reflect.DeepEqual(got, []int{1, 1, 1, 3}) {
+	if got := batchSizes(tr); !reflect.DeepEqual(got, []int{1, 1, 1, 3}) {
 		t.Fatalf("coalesced messages per SendBatch = %v, want [1 1 1 3]", got)
 	}
-	batches, _ := tr.snapshot()
+	batches := tr.snapshot()
 	last := batches[3]
 	if last[0].Kind != KindData || last[1].Kind != KindData || last[2].Kind != KindSafeTimeReq {
 		t.Fatalf("queued drives do not precede the urgent ask: %v", last)
@@ -213,11 +194,11 @@ func TestDisableCoalescingFlushesAndReverts(t *testing.T) {
 	drive(ep, 5)
 	ep.SetCoalescing(CoalesceConfig{}) // disable: must drain the queue
 	drive(ep, 6)
-	if got := batchSizes(t, tr); !reflect.DeepEqual(got, []int{1, 1, 1, 3, 2, 1}) {
+	if got := batchSizes(tr); !reflect.DeepEqual(got, []int{1, 1, 1, 3, 2, 1}) {
 		t.Fatalf("messages per SendBatch across the disable = %v, want [1 1 1 3 2 1]", got)
 	}
 	seq := uint64(0)
-	batches, _ = tr.snapshot()
+	batches = tr.snapshot()
 	for _, b := range batches {
 		for _, m := range b {
 			if seq++; m.Seq != seq {
@@ -230,29 +211,44 @@ func TestDisableCoalescingFlushesAndReverts(t *testing.T) {
 	}
 }
 
-// TestCoalescedConservativeDelivery asks pipe-connected endpoints to
-// coalesce. Pipes cannot batch, so SetCoalescing must degrade to
-// flushing every message with delivery unchanged — the guarantee that lets
-// the builder apply one coalescing policy to mixed deployments.
-// (Batched end-to-end delivery over real TCP is covered in the node
-// package tests.)
-func TestCoalescedConservativeDelivery(t *testing.T) {
+// runPipePair returns what a coalescing policy must never move — the
+// receiver's values, order and virtual arrival times — and the
+// sender-side endpoint's flush counters.
+func runPipePair(t *testing.T, cfg CoalesceConfig) (*receiver, Stats) {
+	t.Helper()
 	s1, s2, _, rcv, h1, h2 := twoSubs(t, Conservative, LinkModel{Latency: 5, PerMessage: 1}, 25, 10)
-	for _, h := range []*Hub{h1, h2} {
-		for _, ep := range h.Endpoints() {
-			ep.SetCoalescing(CoalesceConfig{MaxMsgs: 8})
-		}
-	}
-	e1, e2 := runBoth(s1, s2, 1000)
-	if e1 != nil || e2 != nil {
+	h1.SetCoalescing(cfg)
+	h2.SetCoalescing(cfg)
+	if e1, e2 := runBoth(s1, s2, 1000); e1 != nil || e2 != nil {
 		t.Fatalf("runs: %v / %v", e1, e2)
 	}
-	if len(rcv.Got) != 25 {
-		t.Fatalf("delivered %d, want 25", len(rcv.Got))
+	return rcv, h1.Endpoints()[0].Stats()
+}
+
+// TestCoalescedConservativeDelivery runs the same producer/consumer
+// pair over an in-process pipe uncoalesced and coalesced. The pipe
+// carries whatever SendBatch hands it, so the coalesced run really
+// batches (fewer flushes than messages) — and delivers the same drives
+// at the same virtual times. (Batched delivery over real TCP is
+// covered in the node package tests.)
+func TestCoalescedConservativeDelivery(t *testing.T) {
+	off, offStats := runPipePair(t, CoalesceConfig{})
+	on, onStats := runPipePair(t, CoalesceConfig{MaxMsgs: 8})
+	if len(off.Got) != 25 {
+		t.Fatalf("delivered %d, want 25", len(off.Got))
 	}
-	for i, v := range rcv.Got {
+	for i, v := range off.Got {
 		if v != i {
-			t.Fatalf("order broken: %v", rcv.Got)
+			t.Fatalf("order broken: %v", off.Got)
 		}
+	}
+	if !reflect.DeepEqual(on, off) {
+		t.Fatalf("coalescing moved deliveries:\n off %+v\n on  %+v", off, on)
+	}
+	if offStats.Flushes != offStats.FlushedMsgs {
+		t.Fatalf("uncoalesced pipe batched: %+v", offStats)
+	}
+	if onStats.Flushes >= onStats.FlushedMsgs {
+		t.Fatalf("coalesced pipe never batched: %+v", onStats)
 	}
 }

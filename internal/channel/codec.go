@@ -1,12 +1,11 @@
 package channel
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
-	"sync/atomic"
+	"reflect"
+	"sync"
 
 	"repro/internal/signal"
 	"repro/internal/vtime"
@@ -21,21 +20,12 @@ import (
 //
 // and each entry is
 //
-//	u8      encoding (encBinary | encGob)
+//	u8      encoding (always encBinary; any other value is rejected
+//	        with the body undecoded — 1 was a gob-encoded Message)
 //	uvarint length
 //	length  bytes
 //
-// An encBinary entry is the hand-rolled codec below — it covers the
-// hot message kinds (data drives carrying signal values, safe-time
-// asks and grants) plus marks, restores and closes. Any message the
-// fast path cannot express — in practice a data message whose Value
-// is not a signal type — is carried as an encGob entry: the whole
-// Message gob-encoded, self-describing, exactly as the pre-batch
-// protocol framed every message. Entries of both encodings interleave
-// freely inside one batch, so enabling the fast path never constrains
-// what a channel may carry.
-//
-// The binary message layout is
+// The entry body is the hand-rolled message layout
 //
 //	u8      Kind
 //	uvarint Seq
@@ -51,15 +41,14 @@ import (
 // and values are tagged with one byte:
 //
 //	0 nil, 1 Level, 2 Word, 3 Byte, 4 Packet, 5 Frame, 6 BusCycle,
-//	7 Control, 8 IRQ, 9 int (the common test/helper payload)
+//	7 Control, 8 IRQ, 9 int (the common test/helper payload),
+//	10 extension: string name, uvarint length, body — a type that
+//	   registered its own layout under that name with RegisterValue
 //
 // Times are non-negative int64 ticks (Infinity = MaxInt64), encoded
 // as uvarint.
 
-const (
-	encBinary byte = 0
-	encGob    byte = 1
-)
+const encBinary byte = 0
 
 const (
 	valNil      byte = 0
@@ -72,7 +61,50 @@ const (
 	valControl  byte = 7
 	valIRQ      byte = 8
 	valInt      byte = 9
+	valExt      byte = 10
 )
+
+// valueCodec is one RegisterValue registration.
+type valueCodec struct {
+	name string
+	enc  func(dst []byte, v any) []byte
+	dec  func(body []byte) (any, error)
+}
+
+var (
+	valuesMu     sync.RWMutex
+	valuesByType = map[reflect.Type]*valueCodec{}
+	valuesByName = map[string]*valueCodec{}
+)
+
+// RegisterValue teaches the batch codec to carry values of type T, so
+// a net driven with them can be split across nodes. Each value travels
+// as an extension entry (tag 10): the registered name, a length, and
+// the bytes enc appended to dst. dec receives exactly those bytes and
+// must copy whatever it keeps — they alias the connection's receive
+// buffer — and must return an error, not panic, on a body it cannot
+// read: the bytes come from the peer. Both ends of a channel must
+// register the same name for the same layout. Call it from an init
+// function; like gob.Register it panics on a name or type registered
+// twice.
+func RegisterValue[T any](name string, enc func(dst []byte, v T) []byte, dec func(body []byte) (T, error)) {
+	typ := reflect.TypeFor[T]()
+	vc := &valueCodec{
+		name: name,
+		enc:  func(dst []byte, v any) []byte { return enc(dst, v.(T)) },
+		dec:  func(body []byte) (any, error) { return dec(body) },
+	}
+	valuesMu.Lock()
+	defer valuesMu.Unlock()
+	if _, dup := valuesByName[name]; dup {
+		panic(fmt.Sprintf("channel: RegisterValue: name %q registered twice", name))
+	}
+	if prev, dup := valuesByType[typ]; dup {
+		panic(fmt.Sprintf("channel: RegisterValue: type %v already registered as %q", typ, prev.name))
+	}
+	valuesByName[name] = vc
+	valuesByType[typ] = vc
+}
 
 func appendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
@@ -87,27 +119,28 @@ func appendTime(dst []byte, t vtime.Time) []byte {
 	return binary.AppendUvarint(dst, uint64(t))
 }
 
-// appendValue encodes a signal value on the fast path; ok=false means
-// the value needs the gob fallback.
-func appendValue(dst []byte, v any) ([]byte, bool) {
+// appendValue encodes a data message's value: the closed tag table
+// first, then the RegisterValue registry. A type in neither is an
+// error — nothing is encoded by reflection.
+func appendValue(dst []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		return append(dst, valNil), true
+		return append(dst, valNil), nil
 	case signal.Level:
 		b := byte(0)
 		if x {
 			b = 1
 		}
-		return append(dst, valLevel, b), true
+		return append(dst, valLevel, b), nil
 	case signal.Word:
 		dst = append(dst, valWord)
-		return binary.BigEndian.AppendUint32(dst, uint32(x)), true
+		return binary.BigEndian.AppendUint32(dst, uint32(x)), nil
 	case signal.Byte:
-		return append(dst, valByte, byte(x)), true
+		return append(dst, valByte, byte(x)), nil
 	case signal.Packet:
 		dst = append(dst, valPacket)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...), true
+		return append(dst, x...), nil
 	case signal.Frame:
 		dst = append(dst, valFrame)
 		dst = appendString(dst, x.Src)
@@ -119,7 +152,7 @@ func appendValue(dst []byte, v any) ([]byte, bool) {
 		if x.Last {
 			b = 1
 		}
-		return append(dst, b), true
+		return append(dst, b), nil
 	case signal.BusCycle:
 		dst = append(dst, valBusCycle)
 		dst = binary.BigEndian.AppendUint32(dst, x.Addr)
@@ -128,27 +161,45 @@ func appendValue(dst []byte, v any) ([]byte, bool) {
 		if x.Write {
 			b = 1
 		}
-		return append(dst, b), true
+		return append(dst, b), nil
 	case signal.Control:
 		dst = append(dst, valControl)
 		dst = appendString(dst, x.Op)
-		return binary.AppendUvarint(dst, uint64(int64(x.Arg))+math.MaxInt64+1), true
+		return binary.AppendUvarint(dst, uint64(int64(x.Arg))+math.MaxInt64+1), nil
 	case signal.IRQ:
 		dst = append(dst, valIRQ)
 		dst = binary.AppendUvarint(dst, uint64(int64(x.Line))+math.MaxInt64+1)
-		return appendString(dst, x.Cause), true
+		return appendString(dst, x.Cause), nil
 	case int:
 		dst = append(dst, valInt)
-		return binary.AppendUvarint(dst, uint64(int64(x))+math.MaxInt64+1), true
+		return binary.AppendUvarint(dst, uint64(int64(x))+math.MaxInt64+1), nil
 	default:
-		return dst, false
+		return appendExtValue(dst, v)
 	}
 }
 
-// appendMessage encodes m on the binary fast path; ok=false means the
-// caller must fall back to gob (dst is returned unchanged then).
-func appendMessage(dst []byte, m Message) ([]byte, bool) {
-	mark := len(dst)
+// appendExtValue is appendValue's miss path, kept out of line so the
+// registry lookup costs the word/packet hot path nothing.
+func appendExtValue(dst []byte, v any) ([]byte, error) {
+	valuesMu.RLock()
+	vc := valuesByType[reflect.TypeOf(v)]
+	valuesMu.RUnlock()
+	if vc == nil {
+		return dst, fmt.Errorf("channel: no wire codec for value type %T: register one with channel.RegisterValue", v)
+	}
+	dst = append(dst, valExt)
+	dst = appendString(dst, vc.name)
+	lenPos := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst = vc.enc(dst, v)
+	// A body too long for the fixed-width length makes the entry too
+	// long as well, which appendEntry rejects.
+	putFixedUvarint4(dst[lenPos:], uint64(len(dst)-lenPos-entryLenWidth))
+	return dst, nil
+}
+
+// appendMessage encodes m's entry body onto dst.
+func appendMessage(dst []byte, m Message) ([]byte, error) {
 	dst = append(dst, byte(m.Kind))
 	dst = appendUvarint(dst, m.Seq)
 	dst = appendUvarint(dst, m.Ack)
@@ -158,38 +209,19 @@ func appendMessage(dst []byte, m Message) ([]byte, bool) {
 		dst = appendString(dst, m.Net)
 		dst = appendString(dst, m.Source)
 		dst = appendTime(dst, m.Time)
-		out, ok := appendValue(dst, m.Value)
-		if !ok {
-			return dst[:mark], false
-		}
-		return out, true
+		return appendValue(dst, m.Value)
 	case KindSafeTimeReq:
-		return appendTime(dst, m.Ask), true
+		return appendTime(dst, m.Ask), nil
 	case KindSafeTimeGrant:
-		return appendTime(dst, m.Grant), true
+		return appendTime(dst, m.Grant), nil
 	case KindMark, KindRestore:
-		return appendString(dst, m.Tag), true
+		return appendString(dst, m.Tag), nil
 	case KindClose:
-		return dst, true
+		return dst, nil
 	default:
-		return dst[:mark], false
+		return dst, fmt.Errorf("channel: cannot encode message kind %d", uint8(m.Kind))
 	}
 }
-
-// forceGob, when set, makes AppendBatch skip the binary fast path and
-// carry every entry as self-describing gob — the pre-zero-copy wire
-// codec. It exists so the -exp wire ablation (and anyone debugging a
-// framing suspicion) can force the compatibility fallback; decoders
-// accept both encodings unconditionally, so the knob only ever needs
-// to be set on the sending side.
-var forceGob atomic.Bool
-
-// SetForceGob forces (or releases) the gob fallback encoding for
-// every batch entry this process sends. Safe from any goroutine.
-func SetForceGob(on bool) { forceGob.Store(on) }
-
-// ForceGob reports whether the gob fallback encoding is forced.
-func ForceGob() bool { return forceGob.Load() }
 
 // entryLenWidth is the fixed width of the patchable per-entry length
 // varint: 4 bytes encode up to 2^28-1, comfortably above the frame
@@ -209,44 +241,23 @@ func putFixedUvarint4(dst []byte, v uint64) {
 	dst[entryLenWidth-1] = byte(v & 0x7f)
 }
 
-// sliceWriter lets the gob fallback encode straight into the batch
-// payload under construction, with no intermediate buffer.
-type sliceWriter struct{ buf []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
 // appendEntry encodes one message as a batch entry appended to dst:
-// encoding byte, fixed-width patchable length, body encoded in place.
-// The zero-copy point: the body is written directly into dst — there
-// is no per-message intermediate slice on either encoding.
+// encoding byte, fixed-width patchable length, body encoded in place —
+// there is no per-message intermediate slice. On an error dst is
+// returned as it came in.
 func appendEntry(dst []byte, m Message) ([]byte, error) {
 	mark := len(dst)
-	if !forceGob.Load() {
-		dst = append(dst, encBinary)
-		lenPos := len(dst)
-		dst = append(dst, 0, 0, 0, 0)
-		if out, ok := appendMessage(dst, m); ok {
-			putFixedUvarint4(out[lenPos:lenPos+entryLenWidth], uint64(len(out)-lenPos-entryLenWidth))
-			return out, nil
-		}
-		dst = dst[:mark]
+	dst = append(dst, encBinary, 0, 0, 0, 0)
+	lenPos := mark + 1
+	dst, err := appendMessage(dst, m)
+	if err != nil {
+		return dst[:mark], err
 	}
-	dst = append(dst, encGob)
-	lenPos := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	w := sliceWriter{buf: dst}
-	if err := gob.NewEncoder(&w).Encode(m); err != nil {
-		return dst[:mark], fmt.Errorf("channel: batch gob fallback: %w", err)
+	body := len(dst) - lenPos - entryLenWidth
+	if body > maxEntryLen {
+		return dst[:mark], fmt.Errorf("channel: batch entry of %d bytes exceeds limit", body)
 	}
-	dst = w.buf
-	entry := len(dst) - lenPos - entryLenWidth
-	if entry > maxEntryLen {
-		return dst[:mark], fmt.Errorf("channel: batch entry of %d bytes exceeds limit", entry)
-	}
-	putFixedUvarint4(dst[lenPos:lenPos+entryLenWidth], uint64(entry))
+	putFixedUvarint4(dst[lenPos:], uint64(body))
 	return dst, nil
 }
 
@@ -255,9 +266,8 @@ func appendEntry(dst []byte, m Message) ([]byte, error) {
 // It returns the payload and how many messages were consumed; at
 // least one message is always encoded (a single oversized message is
 // a protocol error surfaced by the transport's own frame limit, not
-// silently truncated here). Messages the binary codec cannot express
-// are embedded as gob entries; SetForceGob forces that fallback for
-// every entry.
+// silently truncated here). A data message whose value has no codec
+// (see RegisterValue) is an error.
 //
 // Bodies are encoded directly into dst behind reserved fixed-width
 // length varints that are patched afterwards, so the encode path
@@ -374,13 +384,25 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// bytes is the one bounds check behind every length a peer supplies
+// (entry, string, packet, frame, extension body). It compares against
+// the remainder: r.pos+n overflows for a hostile n.
 func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.buf) {
+	if n < 0 || n > len(r.buf)-r.pos {
 		return nil, fmt.Errorf("channel: truncated field (%d bytes wanted)", n)
 	}
 	b := r.buf[r.pos : r.pos+n]
 	r.pos += n
 	return b, nil
+}
+
+// lenBytes reads a uvarint length and that many bytes.
+func (r *reader) lenBytes() ([]byte, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	return r.bytes(int(n))
 }
 
 func (r *reader) byte1() (byte, error) {
@@ -400,11 +422,7 @@ func (r *reader) u32() (uint32, error) {
 }
 
 func (d *BatchDecoder) str(r *reader) (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.bytes(int(n))
+	b, err := r.lenBytes()
 	if err != nil {
 		return "", err
 	}
@@ -437,11 +455,7 @@ func (d *BatchDecoder) value(r *reader) (any, error) {
 		b, err := r.byte1()
 		return signal.Byte(b), err
 	case valPacket:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.bytes(int(n))
+		b, err := r.lenBytes()
 		if err != nil {
 			return nil, err
 		}
@@ -457,11 +471,7 @@ func (d *BatchDecoder) value(r *reader) (any, error) {
 		if f.Seq, err = r.u32(); err != nil {
 			return nil, err
 		}
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.bytes(int(n))
+		b, err := r.lenBytes()
 		if err != nil {
 			return nil, err
 		}
@@ -511,9 +521,36 @@ func (d *BatchDecoder) value(r *reader) (any, error) {
 	case valInt:
 		v, err := r.zigzagless()
 		return int(v), err
+	case valExt:
+		return extValue(r)
 	default:
 		return nil, fmt.Errorf("channel: unknown value tag %d", tag)
 	}
+}
+
+// extValue decodes an extension value through the RegisterValue
+// registry. The name is looked up, never interned: an unknown one is
+// a protocol error and must not grow decoder state.
+func extValue(r *reader) (any, error) {
+	name, err := r.lenBytes()
+	if err != nil {
+		return nil, err
+	}
+	valuesMu.RLock()
+	vc := valuesByName[string(name)]
+	valuesMu.RUnlock()
+	if vc == nil {
+		return nil, fmt.Errorf("channel: value type %q is not registered (channel.RegisterValue)", name)
+	}
+	body, err := r.lenBytes()
+	if err != nil {
+		return nil, err
+	}
+	v, err := vc.dec(body)
+	if err != nil {
+		return nil, fmt.Errorf("channel: %s value: %w", vc.name, err)
+	}
+	return v, nil
 }
 
 func (d *BatchDecoder) message(body []byte) (Message, error) {
@@ -576,38 +613,21 @@ func (d *BatchDecoder) message(body []byte) (Message, error) {
 	return m, nil
 }
 
-// entry decodes the next batch entry from r. The gob fallback lives
-// in its own function so its escaping Message does not force a heap
-// allocation onto the binary fast path.
+// entry decodes the next batch entry from r. The encoding byte is
+// checked before the body is looked at.
 func (d *BatchDecoder) entry(r *reader) (Message, error) {
 	enc, err := r.byte1()
 	if err != nil {
 		return Message{}, err
 	}
-	n, err := r.uvarint()
-	if err != nil {
-		return Message{}, err
-	}
-	body, err := r.bytes(int(n))
-	if err != nil {
-		return Message{}, err
-	}
-	switch enc {
-	case encBinary:
-		return d.message(body)
-	case encGob:
-		return decodeGobEntry(body)
-	default:
+	if enc != encBinary {
 		return Message{}, fmt.Errorf("channel: unknown batch encoding %d", enc)
 	}
-}
-
-func decodeGobEntry(body []byte) (Message, error) {
-	var m Message
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&m); err != nil {
-		return m, fmt.Errorf("channel: batch gob entry: %w", err)
+	body, err := r.lenBytes()
+	if err != nil {
+		return Message{}, err
 	}
-	return m, nil
+	return d.message(body)
 }
 
 // DecodeBatchInto decodes a batch frame payload into buf[:0] and

@@ -1,21 +1,42 @@
 package channel
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/signal"
 	"repro/internal/vtime"
 )
 
-// customVal has no binary fast path: it must ride the gob fallback.
+// customVal is outside the closed tag table: it travels as an
+// extension value through the RegisterValue registry.
 type customVal struct {
 	A int
 	B string
 }
 
-func init() { gob.Register(customVal{}) }
+// unregisteredVal has no codec at all.
+type unregisteredVal struct{ X int }
+
+func init() {
+	RegisterValue("channel.test.customVal",
+		func(dst []byte, v customVal) []byte {
+			dst = binary.AppendVarint(dst, int64(v.A))
+			return append(dst, v.B...)
+		},
+		func(body []byte) (customVal, error) {
+			a, n := binary.Varint(body)
+			if n <= 0 {
+				return customVal{}, errors.New("customVal: bad A")
+			}
+			return customVal{A: int(a), B: string(body[n:])}, nil
+		})
+}
 
 func decodeAll(t *testing.T, dec *BatchDecoder, frames [][]byte) (got []Message, closed bool) {
 	t.Helper()
@@ -77,10 +98,10 @@ func TestBatchRoundTripAllKindsAndValues(t *testing.T) {
 	mustEqualMessages(t, got, msgs)
 }
 
-func TestBatchMixedFastPathAndGobFallback(t *testing.T) {
+func TestBatchMixedBuiltinAndRegisteredValues(t *testing.T) {
 	msgs := []Message{
 		{Kind: KindData, From: "ss1", Seq: 1, Net: "link", Source: "p", Time: 1, Value: signal.Word(1)},
-		{Kind: KindData, From: "ss1", Seq: 2, Net: "link", Source: "p", Time: 2, Value: customVal{A: 7, B: "gob"}},
+		{Kind: KindData, From: "ss1", Seq: 2, Net: "link", Source: "p", Time: 2, Value: customVal{A: -7, B: "ext"}},
 		{Kind: KindData, From: "ss1", Seq: 3, Net: "link", Source: "p", Time: 3, Value: signal.Word(3)},
 		{Kind: KindData, From: "ss1", Seq: 4, Net: "link", Source: "p", Time: 4, Value: customVal{A: 9, B: "again"}},
 		{Kind: KindSafeTimeReq, From: "ss1", Seq: 5, Ask: 100},
@@ -169,18 +190,129 @@ func TestBatchCloseDetected(t *testing.T) {
 	mustEqualMessages(t, got, msgs)
 }
 
+// entryOf wraps a message body as a one-entry batch payload with the
+// given encoding byte.
+func entryOf(enc byte, body ...byte) []byte {
+	p := []byte{0x01, enc}
+	p = binary.AppendUvarint(p, uint64(len(body)))
+	return append(p, body...)
+}
+
+// dataBodyUpToValue is a KindData entry body up to, not including, the
+// value: kind, seq, ack, empty From/Net/Source, time 0.
+func dataBodyUpToValue() []byte { return []byte{byte(KindData), 1, 0, 0, 0, 0, 0} }
+
+// hostileLen is a length that fits an int but overflows pos+n.
+var hostileLen = binary.AppendUvarint(nil, 1<<63-1)
+
+// hostilePayloads are one-entry batches whose entry, string and packet
+// length is hostileLen; each used to slice out of range.
+func hostilePayloads() [][]byte {
+	entry := append(append([]byte{0x01, 0x00}, hostileLen...), 1, 2, 3)
+	str := entryOf(encBinary, append([]byte{byte(KindClose), 1, 0}, hostileLen...)...) // From's length
+	pkt := entryOf(encBinary, append(append(dataBodyUpToValue(), valPacket), hostileLen...)...)
+	return [][]byte{entry, str, pkt}
+}
+
 func TestBatchDecoderRejectsGarbage(t *testing.T) {
 	dec := NewBatchDecoder()
-	for _, payload := range [][]byte{
+	for _, payload := range append([][]byte{
 		{},                       // no count
 		{0x01},                   // count 1, no entry
 		{0x01, 0x00},             // entry without length
 		{0x01, 0x00, 0x09},       // binary entry shorter than its length
 		{0x01, 0x07, 0x01},       // unknown encoding 7
 		{0x01, 0x00, 0x01, 0xff}, // unknown message kind 255
-	} {
+	}, hostilePayloads()...) {
 		if _, _, err := dec.DecodeBatchInto(payload, nil); err == nil {
 			t.Fatalf("payload %v decoded without error", payload)
 		}
+	}
+}
+
+// TestRetiredGobEntryRejected: encoding byte 1 used to mean "the body
+// is a gob-encoded Message". Such an entry, well-formed by the old
+// rules, is now refused on the encoding byte alone.
+func TestRetiredGobEntryRejected(t *testing.T) {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(Message{Kind: KindClose, From: "ss1", Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	msgs, _, err := NewBatchDecoder().DecodeBatchInto(entryOf(1, body.Bytes()...), nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown batch encoding 1") {
+		t.Fatalf("gob entry: msgs=%v err=%v, want unknown batch encoding 1", msgs, err)
+	}
+	// The verdict comes before the length and body are even read.
+	if _, _, err := NewBatchDecoder().DecodeBatchInto([]byte{0x01, 0x01}, nil); err == nil || !strings.Contains(err.Error(), "unknown batch encoding 1") {
+		t.Fatalf("bare encoding byte: err=%v, want unknown batch encoding 1", err)
+	}
+}
+
+// extBody is a data entry body carrying an extension value whose
+// length varint and bytes are given raw.
+func extBody(name string, lenAndValue ...byte) []byte {
+	b := append(dataBodyUpToValue(), valExt)
+	b = appendString(b, name)
+	return append(b, lenAndValue...)
+}
+
+func TestExtensionValueBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"unregistered name", entryOf(encBinary, extBody("nobody.registered.this", 1, 7)...), `"nobody.registered.this" is not registered`},
+		{"truncated body", entryOf(encBinary, extBody("channel.test.customVal", 9, 14, 'x')...), "truncated field"},
+		{"hostile body length", entryOf(encBinary, extBody("channel.test.customVal", hostileLen...)...), "truncated field"},
+		{"body the type's decoder refuses", entryOf(encBinary, extBody("channel.test.customVal", 0)...), "channel.test.customVal value: customVal: bad A"},
+	} {
+		msgs, _, err := NewBatchDecoder().DecodeBatchInto(tc.payload, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: msgs=%v err=%v, want error containing %q", tc.name, msgs, err, tc.want)
+		}
+	}
+}
+
+func TestUnregisteredValueFailsEncode(t *testing.T) {
+	good := Message{Kind: KindData, From: "ss1", Seq: 1, Net: "link", Source: "p", Value: signal.Word(1)}
+	bad := Message{Kind: KindData, From: "ss1", Seq: 2, Net: "link", Source: "p", Value: unregisteredVal{X: 1}}
+	payload, n, err := AppendBatch([]byte("prefix"), []Message{bad}, 1<<20)
+	if err == nil || !strings.Contains(err.Error(), "channel.unregisteredVal") || !strings.Contains(err.Error(), "channel.RegisterValue") {
+		t.Fatalf("err = %v, want one naming the type and channel.RegisterValue", err)
+	}
+	if n != 0 || string(payload) != "prefix" {
+		t.Fatalf("failed encode consumed %d and left %q", n, payload)
+	}
+	// Behind encodable messages the bad one is left for the next call,
+	// where it is first and fails it.
+	payload, n, err = AppendBatch(nil, []Message{good, bad}, 1<<20)
+	if err != nil || n != 1 {
+		t.Fatalf("good-then-bad: n=%d err=%v, want the good message shipped", n, err)
+	}
+	got, _ := decodeAll(t, NewBatchDecoder(), [][]byte{payload})
+	mustEqualMessages(t, got, []Message{good})
+}
+
+func TestRegisterValueDuplicatePanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	enc := func(dst []byte, v customVal) []byte { return dst }
+	dec := func([]byte) (customVal, error) { return customVal{}, nil }
+	mustPanic("duplicate name", func() {
+		RegisterValue("channel.test.customVal", func(dst []byte, v unregisteredVal) []byte { return dst },
+			func([]byte) (unregisteredVal, error) { return unregisteredVal{}, nil })
+	})
+	mustPanic("duplicate type", func() { RegisterValue("channel.test.customVal2", enc, dec) })
+	// Neither failed registration left anything behind.
+	if _, err := appendValue(nil, unregisteredVal{}); err == nil {
+		t.Fatal("a refused registration still took effect")
 	}
 }

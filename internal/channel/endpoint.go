@@ -68,15 +68,6 @@ func (c CoalesceConfig) Enabled() bool { return c.MaxMsgs > 1 }
 // amortize framing, small enough to keep wall-clock latency low.
 var DefaultCoalesce = CoalesceConfig{MaxMsgs: 64, MaxBytes: 32 << 10}
 
-// BatchTransport is implemented by transports that can carry several
-// messages in one frame. An endpoint on such a transport hands every
-// flush to SendBatch — a lone urgent message is a batch of one — and
-// SetCoalescing only takes effect there.
-type BatchTransport interface {
-	Transport
-	SendBatch(msgs []Message) error
-}
-
 // Hub manages all channel endpoints of one subsystem. It chains into
 // the subsystem's publish hook so grants are computed and pushed on
 // the scheduler goroutine, after injected messages have been routed —
@@ -267,11 +258,6 @@ func (h *Hub) NewEndpoint(peer string, policy Policy, link LinkModel, tr Transpo
 		link:   link,
 		tr:     tr,
 	}
-	if btr, ok := tr.(BatchTransport); ok {
-		ep.sendBatch = btr.SendBatch
-	} else {
-		ep.sendBatch = ep.sendEach
-	}
 	h.mu.Lock()
 	ep.tl = h.tl
 	h.eps = append(h.eps, ep)
@@ -444,13 +430,11 @@ type Endpoint struct {
 
 	// Egress queue. Messages are appended to pendingOut under ep.mu in
 	// nextOut order, so the queue is the seq order; flush extracts the
-	// whole queue and hands it to sendBatch under sendMu, which
-	// serializes flushes and keeps batches in order. coalesceOn decides
+	// whole queue and hands it to the transport under sendMu, which
+	// serializes flushes and keeps batches in order. coalesce decides
 	// only when the queue flushes: after every message, or once a
 	// budget trips.
-	sendBatch    func([]Message) error // the transport's SendBatch, or sendEach
 	coalesce     CoalesceConfig
-	coalesceOn   bool
 	pendingOut   []Message
 	spareOut     []Message // previous batch's backing array, reused
 	pendingBytes int
@@ -725,17 +709,6 @@ func (ep *Endpoint) nextOut(m Message) Message {
 	return m
 }
 
-// sendEach is sendBatch for transports that carry one message at a
-// time (the in-process pipe).
-func (ep *Endpoint) sendEach(msgs []Message) error {
-	for _, m := range msgs {
-		if err := ep.tr.Send(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (ep *Endpoint) setErr(err error) {
 	ep.mu.Lock()
 	if ep.protoErr == nil {
@@ -744,21 +717,15 @@ func (ep *Endpoint) setErr(err error) {
 	ep.mu.Unlock()
 }
 
-// SetCoalescing enables or disables egress coalescing. It only takes
-// effect when the endpoint's transport can carry batches (the node
-// wire transport can; the in-process pipe cannot and keeps flushing
-// every message). Safe to call at any time; a disable flushes whatever
-// is queued.
+// SetCoalescing enables or disables egress coalescing. Safe to call at
+// any time; a disable flushes whatever is queued.
 func (ep *Endpoint) SetCoalescing(cfg CoalesceConfig) {
-	_, batching := ep.tr.(BatchTransport)
-	on := cfg.Enabled() && batching
 	ep.mu.Lock()
 	ep.coalesce = cfg
-	ep.coalesceOn = on
 	ep.mu.Unlock()
-	if !on {
-		// Whatever raced into the queue after this sees coalesceOn
-		// false and flushes itself.
+	if !cfg.Enabled() {
+		// Whatever raced into the queue after this sees coalescing
+		// off and flushes itself.
 		ep.Flush()
 	}
 }
@@ -768,7 +735,7 @@ func (ep *Endpoint) SetCoalescing(cfg CoalesceConfig) {
 // already be stamped by nextOut so queue order is seq order.
 func (ep *Endpoint) queueLocked(m Message, urgent bool) bool {
 	ep.pendingOut = append(ep.pendingOut, m)
-	if !ep.coalesceOn || urgent {
+	if !ep.coalesce.Enabled() || urgent {
 		return true
 	}
 	ep.pendingBytes += payloadSize(m.Value)
@@ -810,7 +777,7 @@ func (ep *Endpoint) Flush() {
 	if len(batch) == 0 {
 		return
 	}
-	if err := ep.sendBatch(batch); err != nil {
+	if err := ep.tr.SendBatch(batch); err != nil {
 		ep.setErr(fmt.Errorf("channel %s: send: %w", ep.Name(), err))
 	}
 }

@@ -11,18 +11,22 @@ import (
 func init() { Register() }
 
 // fuzzMessage builds one message from fuzz primitives. Kinds cycle
-// through the whole protocol; empty byte payloads are normalised to
-// nil because both codecs (binary and gob) decode a zero-length slice
-// as nil.
-func fuzzMessage(kindSel uint8, seq, ack uint64, from, name, tag string, tick uint64, word uint32, pkt []byte) Message {
+// through the whole protocol; ext selects whether data values come
+// from the closed tag table or the RegisterValue registry. Empty byte
+// payloads are normalised to a word because the codec decodes a
+// zero-length slice as nil.
+func fuzzMessage(ext bool, kindSel uint8, seq, ack uint64, from, name, tag string, tick uint64, word uint32, pkt []byte) Message {
 	kinds := []Kind{KindData, KindSafeTimeReq, KindSafeTimeGrant, KindMark, KindRestore, KindClose}
 	m := Message{Kind: kinds[int(kindSel)%len(kinds)], From: from, Seq: seq, Ack: ack}
 	switch m.Kind {
 	case KindData:
 		m.Net, m.Source, m.Time = name, from, vtime.Time(tick)
-		if len(pkt) == 0 {
+		switch {
+		case ext:
+			m.Value = customVal{A: int(int32(word)), B: string(pkt)}
+		case len(pkt) == 0:
 			m.Value = signal.Word(word)
-		} else {
+		default:
 			m.Value = signal.Packet(pkt)
 		}
 	case KindSafeTimeReq:
@@ -35,25 +39,22 @@ func fuzzMessage(kindSel uint8, seq, ack uint64, from, name, tag string, tick ui
 	return m
 }
 
-// FuzzBatchRoundTrip encodes fuzz-derived message batches — on both
-// the binary fast path and the forced-gob fallback — and requires the
-// decode to reproduce them exactly. This covers the fallback boundary
-// (same batch, either encoding) that a hand-written table never
-// exhausts: hostile strings, extreme times, empty payloads.
+// FuzzBatchRoundTrip encodes fuzz-derived message batches — data
+// values from the closed tag table or from the extension registry —
+// and requires the decode to reproduce them exactly. This covers what
+// a hand-written table never exhausts: hostile strings, extreme
+// times, empty payloads.
 func FuzzBatchRoundTrip(f *testing.F) {
 	f.Add(false, uint8(0), uint64(1), uint64(0), "ss1", "link", "snap", uint64(10), uint32(300), []byte{1, 2, 3})
 	f.Add(true, uint8(0), uint64(1), uint64(0), "ss1", "link", "snap", uint64(10), uint32(300), []byte{1, 2, 3})
 	f.Add(false, uint8(5), uint64(9), uint64(9), "", "", "", ^uint64(0), uint32(0), []byte{})
 	f.Add(true, uint8(3), uint64(0), uint64(1), "a\xffb", "n", "t\x00", uint64(1)<<62, uint32(1), []byte(nil))
 
-	f.Fuzz(func(t *testing.T, gobOnly bool, kindSel uint8, seq, ack uint64, from, name, tag string, tick uint64, word uint32, pkt []byte) {
-		SetForceGob(gobOnly)
-		defer SetForceGob(false)
-
+	f.Fuzz(func(t *testing.T, ext bool, kindSel uint8, seq, ack uint64, from, name, tag string, tick uint64, word uint32, pkt []byte) {
 		msgs := []Message{
-			fuzzMessage(kindSel, seq, ack, from, name, tag, tick, word, pkt),
-			fuzzMessage(kindSel+1, seq+1, ack, from, name, tag, tick/2, word+1, nil),
-			fuzzMessage(kindSel+2, seq+2, ack+1, name, from, tag, tick+1, word, pkt),
+			fuzzMessage(ext, kindSel, seq, ack, from, name, tag, tick, word, pkt),
+			fuzzMessage(ext, kindSel+1, seq+1, ack, from, name, tag, tick/2, word+1, nil),
+			fuzzMessage(!ext, kindSel+2, seq+2, ack+1, name, from, tag, tick+1, word, pkt),
 		}
 		payload, n, err := AppendBatch(nil, msgs, 1<<20)
 		if err != nil {
@@ -78,7 +79,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		}
 		for i := range msgs {
 			if !reflect.DeepEqual(got[i], msgs[i]) {
-				t.Fatalf("message %d (forceGob=%v) mismatch:\n got  %+v\n want %+v", i, gobOnly, got[i], msgs[i])
+				t.Fatalf("message %d (ext=%v) mismatch:\n got  %+v\n want %+v", i, ext, got[i], msgs[i])
 			}
 		}
 	})
@@ -107,6 +108,12 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x07, 0x01})
 	f.Add([]byte{0x01, 0x00, 0x01, 0xff})
+	for _, payload := range hostilePayloads() {
+		f.Add(payload)
+	}
+	f.Add(entryOf(1, 0x01, 0x02))                                               // the retired gob encoding
+	f.Add(entryOf(encBinary, extBody("channel.test.customVal", 2, 14, 'x')...)) // a registered extension value
+	f.Add(entryOf(encBinary, extBody("nobody.registered.this", 1, 7)...))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		msgs, closedInto, errInto := NewBatchDecoder().DecodeBatchInto(payload, nil)

@@ -116,15 +116,18 @@ func (m Message) String() string {
 }
 
 // Transport moves messages to the peer endpoint, preserving order.
-// Send must not block indefinitely on the caller's goroutine: the
-// subsystem scheduler calls it.
+// An endpoint hands every flush to SendBatch — a lone urgent message
+// is a batch of one. SendBatch must not block indefinitely on the
+// caller's goroutine (the subsystem scheduler calls it) and must not
+// keep msgs: the endpoint reuses the backing array.
 type Transport interface {
-	Send(Message) error
+	SendBatch(msgs []Message) error
 	Close() error
 }
 
-// Register registers channel and signal types with gob for transports
-// that serialize (the node package calls this).
+// Register registers channel and signal types with gob, for what
+// still gob-encodes a Message: snapshot images of in-flight channel
+// state. The wire does not — see codec.go.
 func Register() {
 	gob.Register(Message{})
 	signal.Register()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -87,7 +88,9 @@ type Subsystem struct {
 
 	now vtime.Time
 
-	gates    []Gate
+	// gates is copy-on-write: a node accepting a channel adds one
+	// while the scheduler goroutine is ranging over the list.
+	gates    atomic.Pointer[[]Gate]
 	external int // count of ingress sources that may still inject
 
 	// Parallel execution (see parallel.go). workers is the pool
@@ -433,7 +436,21 @@ func (s *Subsystem) AttachHidden(n *Net, name string, owner string, sink Sink) (
 }
 
 // AddGate registers an advancement constraint (conservative channel).
-func (s *Subsystem) AddGate(g Gate) { s.gates = append(s.gates, g) }
+// Safe while the subsystem runs.
+func (s *Subsystem) AddGate(g Gate) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next := append(slices.Clip(s.gateList()), g) // clipped: append copies
+	s.gates.Store(&next)
+}
+
+// gateList returns the current gates, for reading only.
+func (s *Subsystem) gateList() []Gate {
+	if p := s.gates.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
 
 // AddExternal registers an ingress source: while any are registered
 // the scheduler waits for injections instead of terminating when it
@@ -1080,7 +1097,7 @@ func (s *Subsystem) seqFastBound(pi planInfo, until vtime.Time) vtime.Time {
 			b = pi.key2.Add(1)
 		}
 	}
-	for _, g := range s.gates {
+	for _, g := range s.gateList() {
 		if gb := g.Bound().Add(1); gb < b {
 			b = gb
 		}
@@ -1116,7 +1133,7 @@ func (s *Subsystem) pick() (*Component, vtime.Time) {
 // every gate with obligations has discharged them.
 func (s *Subsystem) gatesDrained(until vtime.Time) bool {
 	ok := true
-	for _, g := range s.gates {
+	for _, g := range s.gateList() {
 		if g.Bound() <= until {
 			g.Request(until.Add(1))
 			ok = false
@@ -1133,7 +1150,7 @@ func (s *Subsystem) gatesDrained(until vtime.Time) bool {
 // bound is too low it issues async requests and reports true.
 func (s *Subsystem) gateBlocked(t vtime.Time) bool {
 	blocked := false
-	for _, g := range s.gates {
+	for _, g := range s.gateList() {
 		if g.Bound() < t {
 			g.Request(t)
 			blocked = true

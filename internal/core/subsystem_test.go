@@ -374,6 +374,41 @@ func TestInjectDrive(t *testing.T) {
 	}
 }
 
+// openGate never restricts the subsystem.
+type openGate struct{}
+
+func (openGate) Name() string       { return "open" }
+func (openGate) Bound() vtime.Time  { return vtime.Infinity }
+func (openGate) Request(vtime.Time) {}
+
+// TestAddGateWhileRunning: a node accepting a conservative channel
+// adds a gate to a subsystem whose scheduler is already consulting the
+// gate list on every step. Meaningful under -race (make race).
+func TestAddGateWhileRunning(t *testing.T) {
+	s := NewSubsystem("live")
+	co := &consumer{}
+	cc, _ := s.NewComponent("cons", co)
+	cc.AddPort("in")
+	n, _ := s.NewNet("ext", 0)
+	s.Connect(n, cc.Port("in"))
+	s.AddExternal()
+	done := make(chan error, 1)
+	go func() { done <- s.Run(vtime.Infinity) }()
+	for i := 0; i < 50; i++ {
+		s.AddGate(openGate{})
+		if err := s.InjectDrive("ext", "outside", vtime.Time(10*(i+1)), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.RemoveExternal()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(co.Got) != 50 {
+		t.Fatalf("delivered %d of 50 drives", len(co.Got))
+	}
+}
+
 func TestInjectUnknownNet(t *testing.T) {
 	s := NewSubsystem("inj2")
 	if err := s.InjectDrive("nope", "x", 1, 1); err == nil {

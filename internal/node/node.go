@@ -201,9 +201,8 @@ func (n *Node) FinishAgents() {
 
 // SetCoalescing applies an egress coalescing policy to every channel
 // endpoint the node has created and every endpoint it creates later
-// (both dialed and accepted). Node transports implement batching, so
-// this is the switch that turns one-frame-per-drive into batched
-// frames.
+// (both dialed and accepted): the switch that turns
+// one-frame-per-drive into batched frames.
 func (n *Node) SetCoalescing(cfg channel.CoalesceConfig) {
 	n.mu.Lock()
 	n.coalesce = cfg
@@ -804,15 +803,9 @@ func (n *Node) Close() error {
 	return nil
 }
 
-// connTransport adapts a wire.Conn to channel.BatchTransport.
+// connTransport adapts a wire.Conn to channel.Transport.
 type connTransport struct {
 	c *wire.Conn
-}
-
-// Send exists to satisfy channel.Transport; endpoints on a batch
-// transport call SendBatch for every flush.
-func (t *connTransport) Send(m channel.Message) error {
-	return t.SendBatch([]channel.Message{m})
 }
 
 func (t *connTransport) Close() error { return nil } // node owns the conn
@@ -821,8 +814,8 @@ func (t *connTransport) Close() error { return nil } // node owns the conn
 // frame limit allows (almost always one) and flushes them with a
 // single Write. The messages are encoded directly into the
 // connection's recycled egress buffer — no intermediate frame copy —
-// so a steady-state flush allocates nothing beyond what gob fallback
-// entries need, and the whole batch costs one syscall (and, on a
+// so a steady-state flush allocates nothing, and the whole batch
+// costs one syscall (and, on a
 // resilient session, one CRC envelope). A flush of one message — every
 // flush of an uncoalesced channel — is a batch of one: the same frame
 // format, one frame and one Write per drive.

@@ -2,6 +2,8 @@ package node
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"io"
 	"strings"
@@ -169,19 +171,40 @@ func TestPumpRejectsGobAfterHandshake(t *testing.T) {
 }
 
 // TestPumpDeliversFramesBeforeACorruptOne: a frame that fails to decode
-// mid-burst loses the connection, not the whole frames before it.
+// mid-burst loses the connection — with a PeerLostError, never a
+// panic: pump runs unrecovered, so a panic here would take the whole
+// process down — and not the whole frames before it.
 func TestPumpDeliversFramesBeforeACorruptOne(t *testing.T) {
-	p := newPeerScript(t)
-	p.batch(t, p.data(0), p.data(1))
-	if err := p.c.SendRaw(wire.FrameBatch, []byte{0x02, 0x07, 0x01}); err != nil { // unknown entry encoding
+	var gobClose bytes.Buffer
+	if err := gob.NewEncoder(&gobClose).Encode(channel.Message{Kind: channel.KindClose, From: "handheld", Seq: 3}); err != nil {
 		t.Fatal(err)
 	}
-	err, ep, _, _ := p.serve(t)
-	if !errors.Is(err, ErrPeerLost) {
-		t.Fatalf("corrupt batch frame gave %v, want a PeerLostError", err)
-	}
-	if got := ep.QueuedCount(); got != 2 {
-		t.Fatalf("queued %d messages before the corrupt frame, want 2", got)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"unknown entry encoding", []byte{0x02, 0x07, 0x01}, "unknown batch encoding 7"},
+		// An entry length that fits an int but overflows pos+len.
+		{"hostile entry length", append(binary.AppendUvarint([]byte{0x01, 0x00}, 1<<63-1), 1, 2, 3), "truncated field"},
+		// What a pre-registry sender put on the wire for a value outside
+		// the tag table: well-formed then, refused undecoded now.
+		{"retired gob entry", append(binary.AppendUvarint([]byte{0x01, 0x01}, uint64(gobClose.Len())), gobClose.Bytes()...), "unknown batch encoding 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPeerScript(t)
+			p.batch(t, p.data(0), p.data(1))
+			if err := p.c.SendRaw(wire.FrameBatch, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			err, ep, _, _ := p.serve(t)
+			if !errors.Is(err, ErrPeerLost) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("corrupt batch frame gave %v, want a PeerLostError containing %q", err, tc.want)
+			}
+			if got := ep.QueuedCount(); got != 2 {
+				t.Fatalf("queued %d messages before the corrupt frame, want 2", got)
+			}
+		})
 	}
 }
 

@@ -1,10 +1,16 @@
 package wubbleu
 
-import "encoding/gob"
+import (
+	"encoding/gob"
+
+	"repro/internal/channel"
+)
 
 // Message types exchanged between the WubbleU modules. They are gob
-// registered so any of the nets they travel on can be split across
-// Pia nodes.
+// registered so snapshot images can hold them. NetReq is the one that
+// crosses a node boundary — Placement can only split "dma" and
+// "radio", and everything else on those nets is a signal type — so it
+// also registers a wire layout with the channel codec.
 
 // Strokes is handwriting input from the UI to the recognizer.
 type Strokes struct {
@@ -63,4 +69,10 @@ func init() {
 	gob.Register(DecodeResp{})
 	gob.Register(NetReq{})
 	gob.Register(Rendered{})
+
+	// The body is the URL's bytes; signal.Size still charges the link
+	// model one byte for a NetReq, as for any non-signal value.
+	channel.RegisterValue("wubbleu.NetReq",
+		func(dst []byte, v NetReq) []byte { return append(dst, v.URL...) },
+		func(body []byte) (NetReq, error) { return NetReq{URL: string(body)}, nil })
 }

@@ -1,9 +1,11 @@
 package wubbleu
 
 import (
+	"reflect"
 	"testing"
 
 	pia "repro"
+	"repro/internal/channel"
 	"repro/internal/proto"
 	"repro/internal/vtime"
 )
@@ -223,5 +225,30 @@ func TestUILoadTimeError(t *testing.T) {
 	u := &UI{}
 	if _, err := u.LoadTime(0); err == nil {
 		t.Fatal("LoadTime of incomplete load succeeded")
+	}
+}
+
+// TestCodecZeroAllocNetReq: NetReq is the one WubbleU message that
+// crosses a node boundary (one per page load, on "dma"), through the
+// wire layout messages.go registers. It round-trips, and encoding it
+// into a recycled buffer allocates nothing.
+func TestCodecZeroAllocNetReq(t *testing.T) {
+	msgs := []channel.Message{{Kind: channel.KindData, From: "handheld", Seq: 1, Net: "dma",
+		Source: "browser", Time: 40, Value: NetReq{URL: "http://wubbleu.example/index.html"}}}
+	var dst []byte
+	if avg := testing.AllocsPerRun(200, func() {
+		var err error
+		if dst, _, err = channel.AppendBatch(dst[:0], msgs, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("NetReq encode allocates %.2f/op with a recycled buffer, want 0", avg)
+	}
+	got, _, err := channel.NewBatchDecoder().DecodeBatchInto(dst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, msgs) {
+		t.Fatalf("round trip:\n got  %+v\n want %+v", got, msgs)
 	}
 }

@@ -602,29 +602,46 @@ func (sim *Simulation) runRounds(until Time, backoff func()) error {
 		if len(sim.subOrder) == 1 {
 			return nil
 		}
-		if sim.quiesce(backoff) {
-			return nil
+		if quiet, err := sim.quiesce(backoff); quiet || err != nil {
+			return err
 		}
 	}
 }
 
 // quiesce waits for the transports to flush and reports whether every
 // channel message has been handled; false means another round is
-// needed.
-func (sim *Simulation) quiesce(backoff func()) bool {
+// needed. A channel that latched an error — a value with no wire
+// codec, a dead transport, a protocol violation — will never deliver
+// what it dropped, so that error ends the wait and the run.
+func (sim *Simulation) quiesce(backoff func()) (bool, error) {
 	// Wait until everything sent has at least reached the peer's
 	// injection queue (in-memory pipes flush promptly).
 	for !sim.flushed() {
+		if err := sim.channelErr(); err != nil {
+			return false, err
+		}
 		backoff()
 	}
 	for _, name := range sim.subOrder {
 		for _, ep := range sim.Hubs[name].Endpoints() {
 			if ep.QueuedCount() != ep.HandledCount() {
-				return false
+				return false, nil
 			}
 		}
 	}
-	return true
+	return true, sim.channelErr()
+}
+
+// channelErr returns the first error latched by any channel endpoint.
+func (sim *Simulation) channelErr() error {
+	for _, name := range sim.subOrder {
+		for _, ep := range sim.Hubs[name].Endpoints() {
+			if err := ep.Err(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // flushed reports whether, for every channel pair, the peer has
