@@ -59,8 +59,11 @@ timeline:
 
 # The wire gate: the zero-copy hot path's allocation guards (encode —
 # tag-table values, a registered value and wubbleu's NetReq — decode,
-# queue scan and the one-word uncoalesced flush must stay at
-# 0 allocs/op steady-state), the buffered-ingress table (split frames,
+# queue scan, the filtered Recv on both its inline and its parked path
+# and the one-word uncoalesced flush must stay at 0 allocs/op
+# steady-state; a cold page-load burst into an empty queue costs one
+# allocation per 256-row chunk and is released once drained), the
+# buffered-ingress table (split frames,
 # bursts per read, oversized and hostile lengths, mid-frame errors,
 # session rewinds) and the pump's burst, frame-kind and corrupt-entry
 # rules, the codec microbenchmarks, the cross-node stress tests under
@@ -70,7 +73,8 @@ wire:
 	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordBoxes' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestSendBatchWordZeroAlloc|TestPump' ./internal/node/
 	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst' ./internal/wire/
-	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc' ./internal/event/
+	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs' ./internal/event/
+	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestBidirectionalStress' ./internal/channel/
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/node/
 	$(GO) test -run=^$$ -bench 'BenchmarkAppendBatch|BenchmarkDecodeBatchInto' -benchtime=1000x ./internal/channel/

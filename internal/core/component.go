@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/event"
@@ -152,9 +154,16 @@ type Component struct {
 	specMinDeliv vtime.Time
 
 	// recvPorts is the port filter of the Recv the component is
-	// parked in (nil = any port); recvDeadline bounds the wait.
-	recvPorts    map[string]bool
+	// parked in (nil = any port); recvDeadline bounds the wait. A
+	// filter is a handful of names matched linearly; it aliases
+	// recvFilter, the component-owned copy of the last filter a Recv
+	// named, which is rewritten (and its names validated) only when a
+	// Recv names a different one. recvMsg is the delivery handed to a
+	// parked Recv, which copies it out before the component runs on.
+	recvPorts    []string
+	recvFilter   []string
 	recvDeadline vtime.Time
+	recvMsg      Msg
 
 	runlevel string
 
@@ -203,13 +212,15 @@ func (c *Component) SetRunlevel(level string) { c.runlevel = level }
 // Port returns the named port, or nil.
 func (c *Component) Port(name string) *Port { return c.ports[name] }
 
-// Ports returns the component's port names in creation order is not
-// guaranteed; use for diagnostics.
+// Ports returns the component's ports sorted by name, so everything
+// built from the list (migration images, diagnostics) is the same on
+// every call.
 func (c *Component) Ports() []*Port {
 	out := make([]*Port, 0, len(c.ports))
 	for _, p := range c.ports {
 		out = append(out, p)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -248,8 +259,8 @@ func (c *Component) key() vtime.Time {
 			if t := c.inbox.NextTime(); t != vtime.Infinity {
 				k = vtime.Max(t, c.localTime)
 			}
-		} else if e, ok := c.nextDeliverable(); ok {
-			k = vtime.Max(e.Time, c.localTime)
+		} else if t, ok := c.nextDeliverable(); ok {
+			k = vtime.Max(t, c.localTime)
 		}
 		if c.recvDeadline < k {
 			k = vtime.Max(c.recvDeadline, c.localTime)
@@ -260,18 +271,21 @@ func (c *Component) key() vtime.Time {
 	}
 }
 
-// nextDeliverable returns the earliest inbox event matching the
-// component's current receive filter; ok is false when none matches.
-func (c *Component) nextDeliverable() (event.Event, bool) {
-	head, ok := c.inbox.Peek()
-	if !ok || c.recvPorts == nil || c.recvPorts[head.Port] {
+// nextDeliverable returns the time of the earliest inbox event
+// matching the component's current receive filter; ok is false when
+// none matches. Only the head's time and port are read; no event is
+// materialized.
+func (c *Component) nextDeliverable() (vtime.Time, bool) {
+	t, port, ok := c.inbox.Head()
+	if !ok || c.recvPorts == nil || slices.Contains(c.recvPorts, port) {
 		// No filter, empty inbox, or the head already matches — the
 		// overwhelmingly common cases, all O(1).
-		return head, ok
+		return t, ok
 	}
 	// Filtered receive with a non-matching head: a linear column scan
 	// for the (Time, Seq)-minimal match, no snapshot allocated.
-	return c.inbox.MinMatching(c.recvPorts)
+	e, ok := c.inbox.MinMatching(c.recvPorts)
+	return e.Time, ok
 }
 
 // popDeliverable removes and returns the event nextDeliverable would
@@ -289,13 +303,12 @@ func (c *Component) popDeliverable() (event.Event, bool) {
 }
 
 func (c *Component) popDeliverableRaw() (event.Event, bool) {
-	if c.recvPorts == nil {
-		return c.inbox.Pop()
+	if c.recvPorts != nil {
+		if _, port, ok := c.inbox.Head(); ok && !slices.Contains(c.recvPorts, port) {
+			return c.inbox.PopMatching(c.recvPorts)
+		}
 	}
-	if head, ok := c.inbox.Peek(); ok && c.recvPorts[head.Port] {
-		return c.inbox.Pop()
-	}
-	return c.inbox.PopMatching(c.recvPorts)
+	return c.inbox.Pop()
 }
 
 // tracef emits a trace line from component context: buffered when a

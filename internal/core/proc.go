@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
-	"repro/internal/event"
 	"repro/internal/vtime"
 )
 
@@ -154,13 +154,15 @@ func (p *Proc) RecvDeadline(deadline vtime.Time, ports ...string) (Msg, bool) {
 func (p *Proc) recv(deadline vtime.Time, ports []string) (Msg, bool) {
 	c := p.c
 	if len(ports) > 0 {
-		c.recvPorts = make(map[string]bool, len(ports))
-		for _, name := range ports {
-			if c.ports[name] == nil {
-				panic(fmt.Sprintf("core: %s has no port %q", c.name, name))
+		if !slices.Equal(c.recvFilter, ports) {
+			for _, name := range ports {
+				if c.ports[name] == nil {
+					panic(fmt.Sprintf("core: %s has no port %q", c.name, name))
+				}
 			}
-			c.recvPorts[name] = true
+			c.recvFilter = append(c.recvFilter[:0], ports...)
 		}
+		c.recvPorts = c.recvFilter
 	} else {
 		c.recvPorts = nil
 	}
@@ -252,10 +254,10 @@ func (p *Proc) Logf(format string, args ...any) {
 // bound parks normally, because another component — or the scheduler
 // itself (gates, checkpoints, horizon) — may act first.
 func (c *Component) recvInline(deadline vtime.Time) (Msg, bool, bool) {
-	e, have := c.nextDeliverable()
+	t, have := c.nextDeliverable()
 	key := vtime.Infinity
 	if have {
-		key = vtime.Max(e.Time, c.localTime)
+		key = vtime.Max(t, c.localTime)
 	}
 	if deadline < key {
 		key = vtime.Max(deadline, c.localTime)
@@ -263,16 +265,10 @@ func (c *Component) recvInline(deadline vtime.Time) (Msg, bool, bool) {
 	if key >= c.fastUntil {
 		return Msg{}, false, false
 	}
-	if have && vtime.Max(e.Time, c.localTime) == key {
-		e, _ = c.popDeliverable()
-		msg := c.msgFromEvent(e)
-		if b := c.wbuf; b != nil {
-			b.delivs++
-		} else {
-			atomic.AddInt64(&c.sub.stats.Deliveries, 1)
-		}
+	if have && vtime.Max(t, c.localTime) == key {
+		c.deliver()
 		c.viewNow = key
-		return *msg, true, true
+		return c.recvMsg, true, true
 	}
 	// Deadline expiry: a negative observation a straggler can
 	// invalidate — recorded so the member never passes for inert.
@@ -284,17 +280,24 @@ func (c *Component) recvInline(deadline vtime.Time) (Msg, bool, bool) {
 	return Msg{Time: c.localTime}, false, true
 }
 
-// msgFromEvent converts a delivered event into the Msg handed to Recv,
-// advancing the component's local time to the delivery time.
-func (c *Component) msgFromEvent(e event.Event) *Msg {
-	deliver := vtime.Max(e.Time, c.localTime)
-	c.localTime = deliver
-	return &Msg{
-		Time:   deliver,
+// deliver pops the event nextDeliverable found into recvMsg, the Msg
+// handed to Recv, advancing the component's local time to the delivery
+// time and counting the delivery.
+func (c *Component) deliver() {
+	e, _ := c.popDeliverable()
+	at := vtime.Max(e.Time, c.localTime)
+	c.localTime = at
+	c.recvMsg = Msg{
+		Time:   at,
 		Sent:   e.Time,
 		Port:   e.Port,
 		Net:    e.Net,
 		Value:  e.Value,
 		Source: e.Source,
+	}
+	if b := c.wbuf; b != nil {
+		b.delivs++
+	} else {
+		atomic.AddInt64(&c.sub.stats.Deliveries, 1)
 	}
 }

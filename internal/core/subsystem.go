@@ -1175,15 +1175,9 @@ func (s *Subsystem) step(c *Component, key vtime.Time) {
 	case statusNew, statusRunnable:
 		s.resume(c, tokenMsg{ok: true})
 	case statusRecv:
-		if e, ok := c.nextDeliverable(); ok && vtime.Max(e.Time, c.localTime) == key {
-			e, _ = c.popDeliverable()
-			msg := c.msgFromEvent(e)
-			if b := c.wbuf; b != nil {
-				b.delivs++
-			} else {
-				atomic.AddInt64(&s.stats.Deliveries, 1)
-			}
-			s.resume(c, tokenMsg{ok: true, msg: msg})
+		if t, ok := c.nextDeliverable(); ok && vtime.Max(t, c.localTime) == key {
+			c.deliver()
+			s.resume(c, tokenMsg{ok: true, msg: &c.recvMsg})
 			return
 		}
 		// Deadline expiry: a negative observation ("nothing arrived

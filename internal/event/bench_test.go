@@ -144,7 +144,7 @@ func TestDiscardAfterNoopZeroAlloc(t *testing.T) {
 // recycle round must all run allocation-free against a warm queue.
 func TestQueueScanZeroAlloc(t *testing.T) {
 	var q Queue
-	ports := map[string]bool{"irq": true}
+	ports := []string{"irq"}
 	for i := 0; i < 64; i++ {
 		port := "bus"
 		if i%7 == 0 {
@@ -171,4 +171,29 @@ func TestQueueScanZeroAlloc(t *testing.T) {
 		t.Fatalf("queue scan allocates %.1f times/op, want 0", allocs)
 	}
 	_ = sink
+}
+
+// burstLen is one word-passage page load: the number of net drives
+// that land in the browser's inbox before it starts receiving.
+const burstLen = 16_897
+
+// burst pushes n in-order events into q and pops them all.
+func burst(q *Queue, n int) {
+	for i := 0; i < n; i++ {
+		q.Push(Event{Time: vtime.Time(i), Kind: KindNet, Port: "dma", Net: "dma"})
+	}
+	for q.Len() > 0 {
+		q.Pop()
+	}
+}
+
+// BenchmarkQueueBurst is the cold-queue cost of one page load: every
+// simulation starts with empty queues, so this — not the warm
+// push/pop pair — is what the word-passage rows pay.
+func BenchmarkQueueBurst(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var q Queue
+		burst(&q, burstLen)
+	}
 }

@@ -15,13 +15,18 @@
 // the index column. Ordering operations (NextTime, the scheduler's
 // safe-horizon key scan, drains) touch only the contiguous time/seq
 // columns; heap swaps move 20 bytes instead of whole events; and the
-// row store recycles slots through a free list, so steady-state
-// traffic allocates nothing. Events move in and out of the queue by
-// value — there is no per-event heap object to pool or leak.
+// row store recycles slots through a free list, so a warm queue's
+// steady-state traffic allocates nothing. The row store is chunked:
+// rows never move once a queue holds more than one chunk, so a cold
+// burst of n events costs about n/256 block allocations and no
+// re-copying, and whatever empties the queue releases every chunk but
+// the first. Events move in and out of the queue by value — there is
+// no per-event heap object to pool or leak.
 package event
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/vtime"
 )
@@ -106,7 +111,11 @@ func (e Event) String() string {
 // payload is the row-store half of an event: everything except the
 // (Time, Seq) ordering key, which lives in the heap columns.
 type payload struct {
-	kind      Kind
+	kind Kind
+	// nextFree links the free list through the recycled rows
+	// themselves: 1 + the next free slot, 0 at the end. It sits in
+	// kind's padding and means something only while the row is free.
+	nextFree  int32
 	component string
 	port      string
 	net       string
@@ -115,6 +124,13 @@ type payload struct {
 	exec      func()
 }
 
+// chunkRows is the row-store block size: slot s lives in chunk
+// s>>chunkShift at offset s&(chunkRows-1).
+const (
+	chunkShift = 8
+	chunkRows  = 1 << chunkShift
+)
+
 // Queue is a priority queue of events ordered by (Time, Seq).
 // The zero value is ready to use. Queue is not safe for concurrent
 // use; the subsystem scheduler owns it.
@@ -122,13 +138,30 @@ type Queue struct {
 	// Heap columns, parallel by heap position.
 	times []vtime.Time
 	seqs  []uint64
-	rows  []int32 // index into store
+	rows  []int32 // row-store slot
 
-	// Row store plus free list of recycled slots.
-	store []payload
-	free  []int32
+	// Row store, chunked so rows never move. The first chunk grows by
+	// append up to chunkRows, so a queue that only ever holds a few
+	// events pays for a few rows; every later chunk is one fixed
+	// block. next is the first slot never handed out since the queue
+	// was last empty; free heads the list of recycled slots below it
+	// (1 + slot, 0 when there is none; see payload.nextFree). A queue
+	// that becomes empty restarts at slot 0 and keeps only the first
+	// chunk (see release).
+	first []payload
+	rest  []*[chunkRows]payload
+	next  int32
+	free  int32
 
 	seq uint64
+}
+
+// row returns the row at slot.
+func (q *Queue) row(slot int32) *payload {
+	if slot < chunkRows {
+		return &q.first[slot]
+	}
+	return &q.rest[slot>>chunkShift-1][slot&(chunkRows-1)]
 }
 
 // Len returns the number of pending events.
@@ -180,14 +213,24 @@ func (q *Queue) down(i int) {
 // alloc claims a row slot and fills it from e.
 func (q *Queue) alloc(e *Event) int32 {
 	var slot int32
-	if n := len(q.free); n > 0 {
-		slot = q.free[n-1]
-		q.free = q.free[:n-1]
+	if q.free != 0 {
+		slot = q.free - 1
+		q.free = q.row(slot).nextFree
 	} else {
-		q.store = append(q.store, payload{})
-		slot = int32(len(q.store) - 1)
+		slot = q.next
+		q.next++
+		switch {
+		case slot < chunkRows:
+			// The first chunk keeps its rows across a release; grow
+			// it only when this queue has never been this deep.
+			if int(slot) == len(q.first) {
+				q.first = append(q.first, payload{})
+			}
+		case slot&(chunkRows-1) == 0:
+			q.rest = append(q.rest, new([chunkRows]payload))
+		}
 	}
-	q.store[slot] = payload{
+	*q.row(slot) = payload{
 		kind:      e.Kind,
 		component: e.Component,
 		port:      e.Port,
@@ -224,21 +267,21 @@ func (q *Queue) PushStamped(e Event) {
 	q.pushCols(e.Time, e.Seq, q.alloc(&e))
 }
 
-// eventAt materializes the event at heap position i without removing
-// it.
-func (q *Queue) eventAt(i int) Event {
-	p := &q.store[q.rows[i]]
-	return Event{
-		Time:      q.times[i],
-		Seq:       q.seqs[i],
-		Kind:      p.kind,
-		Component: p.component,
-		Port:      p.port,
-		Net:       p.net,
-		Source:    p.source,
-		Value:     p.value,
-		Exec:      p.exec,
-	}
+// load materializes the event at heap position i into e without
+// removing it. It fills e in place: an Event is 112 bytes, and the
+// drains move tens of thousands of them per page load, so the removal
+// paths write each one once, straight into its destination.
+func (q *Queue) load(i int, e *Event) {
+	p := q.row(q.rows[i])
+	e.Time = q.times[i]
+	e.Seq = q.seqs[i]
+	e.Kind = p.kind
+	e.Component = p.component
+	e.Port = p.port
+	e.Net = p.net
+	e.Source = p.source
+	e.Value = p.value
+	e.Exec = p.exec
 }
 
 // Peek returns the earliest event without removing it; ok is false
@@ -247,26 +290,61 @@ func (q *Queue) Peek() (e Event, ok bool) {
 	if len(q.times) == 0 {
 		return Event{}, false
 	}
-	return q.eventAt(0), true
+	q.load(0, &e)
+	return e, true
 }
 
-// removeAt extracts the event at heap position i, restores heap order
-// and recycles its row slot.
-func (q *Queue) removeAt(i int) Event {
-	e := q.eventAt(i)
+// Head returns the time and port of the earliest event without
+// materializing it; ok is false when the queue is empty. It is what a
+// receiver needs to decide whether the head is deliverable.
+func (q *Queue) Head() (t vtime.Time, port string, ok bool) {
+	if len(q.times) == 0 {
+		return vtime.Infinity, "", false
+	}
+	return q.times[0], q.row(q.rows[0]).port, true
+}
+
+// removeAt extracts the event at heap position i into e, restores
+// heap order and recycles its row slot.
+func (q *Queue) removeAt(i int, e *Event) {
+	q.load(i, e)
 	slot := q.rows[i]
 	n := len(q.times) - 1
 	q.swap(i, n)
 	q.times = q.times[:n]
 	q.seqs = q.seqs[:n]
 	q.rows = q.rows[:n]
-	if i < n {
+	q.recycle(slot)
+	switch {
+	case n == 0:
+		q.release()
+	case i < n:
 		q.down(i)
 		q.up(i)
 	}
-	q.store[slot] = payload{} // drop value/closure references
-	q.free = append(q.free, slot)
-	return e
+}
+
+// recycle clears the row at slot, dropping its value/closure
+// references, and puts it at the head of the free list.
+func (q *Queue) recycle(slot int32) {
+	p := q.row(slot)
+	*p = payload{}
+	p.nextFree = q.free
+	q.free = slot + 1
+}
+
+// release is what every path that empties the queue ends in: row
+// allocation restarts at slot 0, and the chunks past the first — with
+// heap columns that grew past one chunk's worth — are dropped, so a
+// drained burst is not held for the life of the queue while a queue
+// that stays small keeps everything it has warmed. The caller has
+// already cleared every row of the first chunk it used.
+func (q *Queue) release() {
+	q.rest = nil
+	q.next, q.free = 0, 0
+	if cap(q.times) > chunkRows {
+		q.times, q.seqs, q.rows = nil, nil, nil
+	}
 }
 
 // Pop removes and returns the earliest event; ok is false when empty.
@@ -274,7 +352,8 @@ func (q *Queue) Pop() (e Event, ok bool) {
 	if len(q.times) == 0 {
 		return Event{}, false
 	}
-	return q.removeAt(0), true
+	q.removeAt(0, &e)
+	return e, true
 }
 
 // NextTime returns the time of the earliest pending event, or
@@ -287,42 +366,44 @@ func (q *Queue) NextTime() vtime.Time {
 	return q.times[0]
 }
 
-// MinMatching returns the earliest event whose Port is in ports,
-// without removing it. It scans the columns linearly: the (Time, Seq)
-// pair is a total order, so the minimum over matches is exactly the
-// event a sorted walk would find first. Used by filtered receives.
-func (q *Queue) MinMatching(ports map[string]bool) (e Event, ok bool) {
+// minMatching returns the heap position of the earliest event whose
+// Port is in ports, or -1. It scans the columns linearly: the (Time,
+// Seq) pair is a total order, so the minimum over matches is exactly
+// the event a sorted walk would find first. ports is a receive filter
+// — a handful of names — so membership is a linear match too.
+func (q *Queue) minMatching(ports []string) int {
 	best := -1
 	for i := range q.times {
-		if !ports[q.store[q.rows[i]].port] {
+		if !slices.Contains(ports, q.row(q.rows[i]).port) {
 			continue
 		}
 		if best < 0 || q.less(i, best) {
 			best = i
 		}
 	}
+	return best
+}
+
+// MinMatching returns the earliest event whose Port is in ports,
+// without removing it. Used by filtered receives.
+func (q *Queue) MinMatching(ports []string) (e Event, ok bool) {
+	best := q.minMatching(ports)
 	if best < 0 {
 		return Event{}, false
 	}
-	return q.eventAt(best), true
+	q.load(best, &e)
+	return e, true
 }
 
 // PopMatching removes and returns the earliest event whose Port is in
 // ports; ok is false when none match.
-func (q *Queue) PopMatching(ports map[string]bool) (e Event, ok bool) {
-	best := -1
-	for i := range q.times {
-		if !ports[q.store[q.rows[i]].port] {
-			continue
-		}
-		if best < 0 || q.less(i, best) {
-			best = i
-		}
-	}
+func (q *Queue) PopMatching(ports []string) (e Event, ok bool) {
+	best := q.minMatching(ports)
 	if best < 0 {
 		return Event{}, false
 	}
-	return q.removeAt(best), true
+	q.removeAt(best, &e)
+	return e, true
 }
 
 // Drain removes and returns all events with Time <= t, in order. It
@@ -337,11 +418,7 @@ func (q *Queue) Drain(t vtime.Time) []Event {
 // returned slice back in on the next call makes the drive-fanout
 // drain allocation-free in steady state.
 func (q *Queue) DrainInto(t vtime.Time, buf []Event) []Event {
-	buf = buf[:0]
-	for len(q.times) > 0 && q.times[0] <= t {
-		buf = append(buf, q.removeAt(0))
-	}
-	return buf
+	return q.PopBatch(t, 0, buf)
 }
 
 // PopBatch removes up to max events (all of them when max <= 0) with
@@ -353,7 +430,8 @@ func (q *Queue) PopBatch(t vtime.Time, max int, buf []Event) []Event {
 		if max > 0 && len(buf) >= max {
 			break
 		}
-		buf = append(buf, q.removeAt(0))
+		buf = append(buf, Event{})
+		q.removeAt(0, &buf[len(buf)-1])
 	}
 	return buf
 }
@@ -371,11 +449,13 @@ func (q *Queue) Snapshot() []Event {
 		times: append([]vtime.Time(nil), q.times...),
 		seqs:  append([]uint64(nil), q.seqs...),
 		rows:  append([]int32(nil), q.rows...),
-		store: q.store,
+		first: q.first,
+		rest:  q.rest,
 	}
 	out := make([]Event, 0, n)
 	for len(tmp.times) > 0 {
-		out = append(out, tmp.eventAt(0))
+		out = append(out, Event{})
+		tmp.load(0, &out[len(out)-1])
 		m := len(tmp.times) - 1
 		tmp.swap(0, m)
 		tmp.times, tmp.seqs, tmp.rows = tmp.times[:m], tmp.seqs[:m], tmp.rows[:m]
@@ -393,9 +473,8 @@ func (q *Queue) Snapshot() []Event {
 // not scheduled), so the first pass is a pure read over the times
 // column that touches nothing and skips the re-heapify entirely when
 // there is nothing to remove. The opposite extreme — everything is in
-// the discarded future — truncates the columns wholesale without the
-// compaction walk. Only a genuinely mixed queue pays for compaction
-// plus re-heapify.
+// the discarded future — is a Reset, without the compaction walk. Only
+// a genuinely mixed queue pays for compaction plus re-heapify.
 func (q *Queue) DiscardAfter(t vtime.Time) int {
 	doomed := 0
 	for i := 0; i < len(q.times); i++ {
@@ -407,20 +486,13 @@ func (q *Queue) DiscardAfter(t vtime.Time) int {
 		return 0
 	}
 	if doomed == len(q.times) {
-		for i := 0; i < len(q.rows); i++ {
-			slot := q.rows[i]
-			q.store[slot] = payload{}
-			q.free = append(q.free, slot)
-		}
-		q.times, q.seqs, q.rows = q.times[:0], q.seqs[:0], q.rows[:0]
+		q.Reset()
 		return doomed
 	}
 	kept := 0
 	for i := 0; i < len(q.times); i++ {
 		if q.times[i] > t {
-			slot := q.rows[i]
-			q.store[slot] = payload{}
-			q.free = append(q.free, slot)
+			q.recycle(q.rows[i])
 			continue
 		}
 		q.times[kept], q.seqs[kept], q.rows[kept] = q.times[i], q.seqs[i], q.rows[i]
@@ -437,12 +509,13 @@ func (q *Queue) DiscardAfter(t vtime.Time) int {
 // Reset empties the queue but keeps the sequence counter monotone, so
 // new events still order after everything ever scheduled.
 func (q *Queue) Reset() {
-	for i := range q.store {
-		q.store[i] = payload{}
+	for _, slot := range q.rows {
+		if slot < chunkRows {
+			q.first[slot] = payload{}
+		}
 	}
 	q.times = q.times[:0]
 	q.seqs = q.seqs[:0]
 	q.rows = q.rows[:0]
-	q.free = q.free[:0]
-	q.store = q.store[:0]
+	q.release()
 }

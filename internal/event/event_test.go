@@ -201,7 +201,7 @@ func TestMinMatchingAndPopMatching(t *testing.T) {
 	q.Push(Event{Time: 2, Port: "irq"})
 	q.Push(Event{Time: 2, Port: "bus"})
 
-	irq := map[string]bool{"irq": true}
+	irq := []string{"irq"}
 	e, ok := q.MinMatching(irq)
 	if !ok || e.Time != 2 || e.Port != "irq" {
 		t.Fatalf("MinMatching = %v ok=%v, want irq@2", e, ok)
@@ -225,10 +225,10 @@ func TestMinMatchingAndPopMatching(t *testing.T) {
 		}
 	}
 
-	if _, ok := q.MinMatching(map[string]bool{"none": true}); ok {
+	if _, ok := q.MinMatching([]string{"none"}); ok {
 		t.Fatal("MinMatching matched a nonexistent port")
 	}
-	if _, ok := q.PopMatching(map[string]bool{"none": true}); ok {
+	if _, ok := q.PopMatching([]string{"none"}); ok {
 		t.Fatal("PopMatching matched a nonexistent port")
 	}
 }
@@ -237,7 +237,7 @@ func TestMinMatchingAndPopMatching(t *testing.T) {
 func TestMinMatchingProperty(t *testing.T) {
 	f := func(times []uint8, mask []bool) bool {
 		var q Queue
-		ports := map[string]bool{"a": true}
+		ports := []string{"a"}
 		anyMatch := false
 		for i, ts := range times {
 			port := "b"

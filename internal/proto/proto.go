@@ -138,6 +138,10 @@ type Assembler struct {
 	Messages int64
 }
 
+// maxPresize bounds what a length header may make an Assembler
+// allocate ahead of the data.
+const maxPresize = 1 << 20
+
 // NewAssembler creates an idle assembler.
 func NewAssembler() *Assembler { return &Assembler{expected: -1} }
 
@@ -154,6 +158,13 @@ func (a *Assembler) Feed(v any) ([]byte, bool, error) {
 		}
 		a.expected = x.Arg
 		a.buf = a.buf[:0]
+		// The header says how much is coming: size buf once instead of
+		// re-copying it through append's doublings. Past maxPresize a
+		// (hostile or buggy) header is not believed and append grows
+		// buf as the bytes actually arrive.
+		if n := min(a.expected, maxPresize); int64(cap(a.buf)) < n {
+			a.buf = make([]byte, 0, n)
+		}
 		if a.expected == 0 {
 			return a.finish()
 		}

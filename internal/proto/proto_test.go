@@ -156,3 +156,58 @@ func TestDrivesMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAssemblerPresizesFromHeader: the length header sizes buf once —
+// a 64 KB word transfer never re-grows it — and a header no transfer
+// could honour allocates no more than maxPresize ahead of the data.
+func TestAssemblerPresizesFromHeader(t *testing.T) {
+	const size = 64 << 10
+	a := NewAssembler()
+	if _, _, err := a.Feed(lenCtl(size)); err != nil {
+		t.Fatal(err)
+	}
+	grows, capBefore := 0, cap(a.buf)
+	if capBefore < size {
+		t.Fatalf("header of %d pre-sized buf to %d", size, capBefore)
+	}
+	for i := 0; i < size/4; i++ {
+		payload, done, err := a.Feed(wordOf(uint32(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(a.buf); c != capBefore {
+			grows, capBefore = grows+1, c
+		}
+		if done != (i == size/4-1) || (done && len(payload) != size) {
+			t.Fatalf("word %d: done=%v len=%d", i, done, len(payload))
+		}
+	}
+	if grows != 0 {
+		t.Fatalf("buf grew %d times during a pre-sized transfer", grows)
+	}
+
+	// A second transfer of the same size reuses the buffer.
+	if _, _, err := a.Feed(lenCtl(size)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(a.buf) != capBefore {
+		t.Fatalf("second header reallocated buf: cap %d -> %d", capBefore, cap(a.buf))
+	}
+	a.Reset()
+
+	// Hostile headers: huge and negative.
+	h := NewAssembler()
+	if _, _, err := h.Feed(lenCtl(1 << 40)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(h.buf) > maxPresize {
+		t.Fatalf("len header of 1<<40 allocated %d bytes, cap is %d", cap(h.buf), maxPresize)
+	}
+	if _, done, err := h.Feed(wordOf(7)); err != nil || done {
+		t.Fatalf("word after huge header: done=%v err=%v", done, err)
+	}
+	n := NewAssembler()
+	if _, _, err := n.Feed(lenCtl(-5)); err != nil || cap(n.buf) != 0 {
+		t.Fatalf("negative header: err=%v cap=%d", err, cap(n.buf))
+	}
+}

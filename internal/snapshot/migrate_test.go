@@ -1,6 +1,9 @@
 package snapshot
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -212,5 +215,56 @@ func TestExtractRefusesLiveWithoutSaver(t *testing.T) {
 	}
 	if _, err := ExtractComponent(s, "nope", "opaque"); err == nil {
 		t.Fatal("extracting a live saverless component must fail")
+	}
+}
+
+// TestExtractNetsOrderStable captures a six-port component twenty
+// times: the image's Nets — built from Component.Ports — must come out
+// in the same order, by port name, every time, so the same component
+// state always encodes to the same bytes.
+func TestExtractNetsOrderStable(t *testing.T) {
+	s := core.NewSubsystem("hub")
+	c, err := s.NewComponent("hub", &migReceiver{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Port p<i> sits on net n<5-i>, so port order and net order differ.
+	var want []string
+	for i := 0; i < 6; i++ {
+		port, net := fmt.Sprintf("p%d", i), fmt.Sprintf("n%d", 5-i)
+		if _, err := c.AddPort(port); err != nil {
+			t.Fatal(err)
+		}
+		n, err := s.NewNet(net, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Connect(n, c.Port(port)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, net)
+	}
+	var first []byte
+	for round := 0; round < 20; round++ {
+		ci, err := ExtractComponent(s, fmt.Sprintf("cut-%d", round), "hub")
+		if err != nil {
+			t.Fatalf("extract %d: %v", round, err)
+		}
+		var got []string
+		for _, ns := range ci.Nets {
+			got = append(got, ns.Net)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("capture %d: Nets = %v, want %v (port-name order)", round, got, want)
+		}
+		b, err := ci.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = b
+		} else if !bytes.Equal(first, b) {
+			t.Fatalf("capture %d encodes differently from capture 0", round)
+		}
 	}
 }
