@@ -89,15 +89,17 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBatch -fuzztime=3s ./internal/channel/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchRoundTrip -fuzztime=3s ./internal/channel/
 
-# The Time Warp gate: the three-way equivalence matrix (sequential x
-# conservative x optimistic over 50 random topologies, every worker
-# count and window bit-identical), the straggler storm (a topology
-# built so every speculative round rolls back, exactly converging
-# anyway) and the ablation's structural invariants, all under the race
-# detector, plus the guards that the disabled paths — straggler span
-# emission and inbox truncation — stay at 0 allocs/op.
+# The scheduler-core gate: the three-way equivalence matrix
+# (sequential x conservative x optimistic over 50 random topologies,
+# every worker count and window bit-identical), the straggler storm (a
+# topology built so every speculative round rolls back, exactly
+# converging anyway), the one worker pool (attached and run-owned
+# bit-identical to sequential and to each other, fair-shared tenants,
+# no worker outliving Run) and the ablation's structural invariants,
+# all under the race detector, plus the guards that the disabled paths
+# — straggler span emission and inbox truncation — stay at 0 allocs/op.
 optimistic:
-	$(GO) test -race -count=1 -run 'TestParallelEquivalenceProperty|TestOptimisticStragglerStorm|TestOptimisticThrottleAdapts' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestParallelEquivalenceProperty|TestOptimisticStragglerStorm|TestOptimisticThrottleAdapts|TestSharedPool|TestParallelPoolRestart' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestOptimistic' ./internal/experiments/
 	$(GO) test -count=1 -run 'TestDisabledTimelineZeroAlloc' ./internal/timeline/
 	$(GO) test -count=1 -run 'TestDiscardAfterNoopZeroAlloc' ./internal/event/
@@ -105,11 +107,11 @@ optimistic:
 # The multi-tenant service gate: the whole catalog package (session
 # lifecycle, concurrent churn, shared-listener attach, HTTP API)
 # under the race detector, the fair-share determinism proof (tenant
-# digests bit-identical to isolated runs at every pool size), and the
-# pianode observability-mux suite.
+# digests bit-identical to isolated runs at every pool size; the pool
+# itself is gated in `optimistic`), and the pianode observability-mux
+# suite.
 service:
 	$(GO) test -race -count=1 ./internal/service/
-	$(GO) test -race -count=1 -run 'TestSharedPool' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestSessionsExperiment' ./internal/experiments/
 	$(GO) test -count=1 ./cmd/pianode/
 
@@ -137,9 +139,17 @@ bench-sessions:
 
 # One iteration of the headline benchmarks, as a smoke test that the
 # Table 1 experiments still run end to end (including the coalesced
-# remote row).
+# remote row), then one second of each bench/ workload: the program
+# exits 0 even when simulations fail, so the gate is the result line's
+# "correct":true — the pinned virtual times, drive counts and digests
+# reproduced by every simulation.
 bench-smoke:
 	$(GO) test -run=^$$ -bench=Table1 -benchtime=1x ./...
+	@for w in local_word remote_word remote_packet_bulk fan_speculative; do \
+		echo "bench $$w"; \
+		$(GO) run ./bench -workload $$w -seconds 1 -label smoke | tail -n 1 | grep -q '"correct":true' \
+			|| { echo "bench-smoke: $$w did not reproduce its pinned invariants"; exit 1; }; \
+	done
 
 # The worker-pool sweep: piabench exits non-zero if any parallel leg
 # diverges from the sequential reference, so this doubles as a

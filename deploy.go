@@ -75,11 +75,7 @@ func (b *SystemBuilder) BuildOnNodes(placement map[string]*Node) (*Cluster, erro
 	addrs := map[*Node]string{}
 	for _, subName := range v.Subsystems() {
 		n := placement[subName]
-		s := core.NewSubsystem(subName)
-		s.SetWorkers(b.workers)
-		if b.optimism > 0 {
-			s.SetOptimism(b.optimism)
-		}
+		s := b.newSubsystem(subName)
 		hosted := n.Host(s)
 		cl.Subsystems[subName] = s
 		cl.Hubs[subName] = hosted.Hub

@@ -123,9 +123,6 @@ func TestNetAccessors(t *testing.T) {
 	if s.Component("drv").Port("out") != ports[0] {
 		t.Fatal("Port lookup mismatch")
 	}
-	if len(s.Nets()) != 1 {
-		t.Fatal("Nets accessor")
-	}
 }
 
 func TestSendAtPastPanics(t *testing.T) {

@@ -17,20 +17,100 @@ type Image struct {
 	Live      bool // goroutine was alive (Run had not returned)
 	EOF       bool // Recv had already been told the simulation ended
 
-	// State is the behaviour state from StateSaver.SaveState; nil for
-	// components whose behaviour is not checkpointable (only legal
-	// when the component was already done).
+	// State is the behaviour state from StateSaver.SaveState. A saver
+	// may return nil or empty bytes (a pure reactor has nothing to
+	// save); a behaviour that is not checkpointable leaves it nil,
+	// which is only legal when the component was already done.
 	State []byte
 	// Shared reports that State is byte-identical to the previous
 	// checkpoint's image and was not re-stored (incremental mode).
 	Shared bool
 
 	// Inbox is the component's undelivered messages at capture time.
+	// captureImage leaves it to the caller: checkpoints and migration
+	// snapshot the queue, a speculative dispatch journals its pops
+	// instead (see optimistic.go).
 	Inbox []event.Event
 
 	// MemData is the component's synchronous-memory contents, nil if
 	// the component uses no memory model.
 	MemData map[uint32]uint64
+}
+
+// captureImage returns c's saved state — every Image field but the
+// inbox. It is the one place a component is imaged: checkpoints,
+// migration and speculative dispatch all go through it.
+func (c *Component) captureImage() (Image, error) {
+	img := Image{
+		Component: c.name,
+		LocalTime: c.localTime,
+		Runlevel:  c.runlevel,
+		Live:      c.status != statusDone,
+		EOF:       c.eofSignaled,
+	}
+	if sv := c.saver(); sv != nil {
+		st, err := sv.SaveState()
+		if err != nil {
+			return img, err
+		}
+		img.State = st
+	} else if img.Live {
+		return img, ErrNotCheckpointable
+	}
+	if c.memory != nil {
+		img.MemData = c.memory.snapshotData()
+	}
+	return img, nil
+}
+
+// restoreImage unwinds c's goroutine and rewinds c to img — the
+// inverse of captureImage, the inbox again staying with the caller.
+// The one restore rule: it is an error iff the image carries State the
+// behaviour cannot take, or is Live and the behaviour is not a
+// StateSaver; a saver's nil or empty State is restored like any other
+// (RestoreState(nil) undoes what SaveState() == nil saved). The
+// component is reset either way, so a failed restore never leaves an
+// unwound goroutine behind a live status.
+func (c *Component) restoreImage(img *Image) error {
+	c.sub.kill(c)
+	var err error
+	if sv := c.saver(); sv == nil {
+		if len(img.State) > 0 || img.Live {
+			err = ErrNotCheckpointable
+		}
+	} else if len(img.State) > 0 || img.Live {
+		err = sv.RestoreState(img.State)
+	}
+	c.localTime = img.LocalTime
+	c.runlevel = img.Runlevel
+	c.eofSignaled = img.EOF
+	c.reset(img.Live)
+	if c.memory != nil {
+		c.memory.restoreData(img.MemData)
+	}
+	return err
+}
+
+// reset leaves c, whose goroutine the caller has unwound, either ready
+// to re-enter Run from the top (live) or finished.
+func (c *Component) reset(live bool) {
+	c.err = nil
+	if live {
+		c.status = statusNew
+		c.token = make(chan tokenMsg)
+	} else {
+		c.status = statusDone
+	}
+	c.recvPorts = nil
+	c.recvDeadline = vtime.Infinity
+}
+
+// refillInbox replaces c's undelivered messages with the image's.
+func (c *Component) refillInbox(img *Image) {
+	c.inbox.Reset()
+	for _, e := range img.Inbox {
+		c.inbox.PushStamped(e)
+	}
 }
 
 type netImage struct {
@@ -154,33 +234,18 @@ func (s *Subsystem) capture(tag string) (*CheckpointSet, error) {
 		prev = s.checkpoints[len(s.checkpoints)-1]
 	}
 	for _, c := range s.order {
-		img := &Image{
-			Component: c.name,
-			LocalTime: c.localTime,
-			Runlevel:  c.runlevel,
-			Live:      c.status != statusDone,
-			EOF:       c.eofSignaled,
+		img, err := c.captureImage()
+		if err != nil {
+			return nil, fmt.Errorf("core: checkpoint of %s: %w", c.name, err)
 		}
-		if sv := c.saver(); sv != nil {
-			st, err := sv.SaveState()
-			if err != nil {
-				return nil, fmt.Errorf("core: checkpoint of %s: %w", c.name, err)
+		if prev != nil && c.saver() != nil {
+			if p := prev.images[c.name]; p != nil && bytes.Equal(p.State, img.State) {
+				img.State = p.State
+				img.Shared = true
 			}
-			img.State = st
-			if prev != nil {
-				if p := prev.images[c.name]; p != nil && bytes.Equal(p.State, st) {
-					img.State = p.State
-					img.Shared = true
-				}
-			}
-		} else if img.Live {
-			return nil, fmt.Errorf("core: checkpoint of %s: %w", c.name, ErrNotCheckpointable)
 		}
 		img.Inbox = c.inbox.Snapshot()
-		if c.memory != nil {
-			img.MemData = c.memory.snapshotData()
-		}
-		cs.images[c.name] = img
+		cs.images[c.name] = &img
 	}
 	for name, n := range s.nets {
 		cs.nets[name] = netImage{value: n.lastValue, time: n.lastTime, source: n.lastSource}
@@ -241,34 +306,11 @@ func (s *Subsystem) RestoreCheckpoint(cs *CheckpointSet) error {
 		}
 	}
 	for _, c := range s.order {
-		s.kill(c)
-	}
-	for _, c := range s.order {
 		img := cs.images[c.name]
-		if sv := c.saver(); sv != nil && img.State != nil {
-			if err := sv.RestoreState(img.State); err != nil {
-				return fmt.Errorf("core: restore of %s: %w", c.name, err)
-			}
+		if err := c.restoreImage(img); err != nil {
+			return fmt.Errorf("core: restore of %s: %w", c.name, err)
 		}
-		c.localTime = img.LocalTime
-		c.runlevel = img.Runlevel
-		c.eofSignaled = img.EOF
-		c.err = nil
-		c.inbox.Reset()
-		for _, e := range img.Inbox {
-			c.inbox.PushStamped(e)
-		}
-		if img.Live {
-			c.status = statusNew
-			c.token = make(chan tokenMsg)
-		} else {
-			c.status = statusDone
-		}
-		c.recvPorts = nil
-		c.recvDeadline = vtime.Infinity
-		if c.memory != nil {
-			c.memory.restoreData(img.MemData)
-		}
+		c.refillInbox(img)
 	}
 	for name, n := range s.nets {
 		if ni, ok := cs.nets[name]; ok {

@@ -317,3 +317,117 @@ func TestRestoreOfDoneComponentStaysDone(t *testing.T) {
 		t.Fatalf("deliveries after no-op restore = %d", len(co.Got))
 	}
 }
+
+// TestRestoreImageRule drives the same images through every caller of
+// restoreImage — a whole-subsystem restore, a migration adoption and a
+// Time Warp rollback — which must accept and refuse them alike: an
+// error iff the image carries State the behaviour cannot take, or is
+// Live and the behaviour is not a StateSaver.
+func TestRestoreImageRule(t *testing.T) {
+	plain := func() Behavior {
+		return BehaviorFunc(func(p *Proc) error {
+			for {
+				if _, ok := p.Recv(); !ok {
+					return nil
+				}
+			}
+		})
+	}
+	reactor := func() Behavior { return &relay{} } // SaveState returns nil
+	saved, err := (&consumer{Got: []int{7}, Times: []vtime.Time{3}}).SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		beh     func() Behavior
+		img     Image
+		wantErr bool
+	}{
+		{"saver, live, nil state", reactor, Image{Live: true}, false},
+		{"saver, live, empty state", reactor, Image{Live: true, State: []byte{}}, false},
+		{"saver, live, state", func() Behavior { return &consumer{} }, Image{Live: true, State: saved}, false},
+		{"saver, done, no state", reactor, Image{}, false},
+		{"no saver, done, no state", plain, Image{}, false},
+		{"no saver, done, empty state", plain, Image{State: []byte{}}, false},
+		{"no saver, done, state", plain, Image{State: saved}, true},
+		{"no saver, live", plain, Image{Live: true}, true},
+	}
+	callers := []struct {
+		name    string
+		restore func(s *Subsystem, c *Component, img *Image) error
+	}{
+		{"RestoreCheckpoint", func(s *Subsystem, c *Component, img *Image) error {
+			return s.RestoreCheckpoint(&CheckpointSet{ID: 1, images: map[string]*Image{c.name: img}})
+		}},
+		{"RestoreComponentImage", func(s *Subsystem, c *Component, img *Image) error {
+			return s.RestoreComponentImage(img)
+		}},
+		{"rollbackSpec", func(s *Subsystem, c *Component, img *Image) error {
+			c.specImg, c.wbuf = *img, s.grabBuf(c)
+			s.rollbackSpec(c)
+			return s.fatal
+		}},
+	}
+	for _, tc := range cases {
+		for _, caller := range callers {
+			s := NewSubsystem("rule")
+			beh := tc.beh()
+			c, err := s.NewComponent("c", beh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img := tc.img
+			img.Component, img.LocalTime = "c", 42
+			err = caller.restore(s, c, &img)
+			if (err != nil) != tc.wantErr {
+				t.Errorf("%s via %s: err = %v, want error %v", tc.name, caller.name, err, tc.wantErr)
+			}
+			if err != nil && !errors.Is(err, ErrNotCheckpointable) {
+				t.Errorf("%s via %s: err = %v, want ErrNotCheckpointable", tc.name, caller.name, err)
+			}
+			// Refused or not, the component is left reset to the image,
+			// never unwound behind a live status.
+			if c.Done() == tc.img.Live || c.LocalTime() != 42 {
+				t.Errorf("%s via %s: component left %v, want live=%v @42", tc.name, caller.name, c, tc.img.Live)
+			}
+			if co, ok := beh.(*consumer); ok && (len(co.Got) != 1 || co.Got[0] != 7) {
+				t.Errorf("%s via %s: state not restored: %+v", tc.name, caller.name, co)
+			}
+			s.Teardown()
+		}
+	}
+}
+
+// fixedSaver's image costs exactly one allocation.
+type fixedSaver struct{ BehaviorFunc }
+
+func (fixedSaver) SaveState() ([]byte, error) { return make([]byte, 64), nil }
+func (fixedSaver) RestoreState([]byte) error  { return nil }
+
+// TestSpecImageAllocs: imaging a member for a speculative dispatch
+// must cost exactly what its SaveState and memory snapshot cost — the
+// Image stays by value in the Component; a heap image per member per
+// round would show up in every optimistic workload.
+func TestSpecImageAllocs(t *testing.T) {
+	s := NewSubsystem("img")
+	sv := fixedSaver{func(*Proc) error { return nil }}
+	c, err := s.NewComponent("c", sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Memory().data[4] = 9
+	var img Image // escapes, as a component's image does
+	want := testing.AllocsPerRun(100, func() {
+		img.State, _ = c.saver().SaveState()
+		img.MemData = c.memory.snapshotData()
+	})
+	got := testing.AllocsPerRun(100, func() {
+		if !s.captureSpec(c) {
+			t.Fatal("captureSpec refused a StateSaver")
+		}
+	})
+	if got != want {
+		t.Fatalf("captureSpec costs %v allocs, SaveState + memory snapshot cost %v", got, want)
+	}
+}

@@ -145,7 +145,7 @@ type Component struct {
 	// specImg is the lightweight pre-round image captured before a
 	// speculative (past-horizon) dispatch; valid only for the round
 	// that captured it. See optimistic.go.
-	specImg specImage
+	specImg Image
 
 	// Optimistic-merge scratch: the earliest in-round delivery
 	// destined to this component, valid only while specSeen matches

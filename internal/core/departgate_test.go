@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,29 +15,43 @@ import (
 // promptly once the gate opens and Wake is called.
 func TestDepartGateHoldsFiniteHorizonRun(t *testing.T) {
 	s, _, _ := buildPipe(t, 2, 5, 10)
-	var open atomic.Bool
-	var polls atomic.Int64
+	var open, refused atomic.Bool
 	s.SetDepartGate(func(until vtime.Time) bool {
 		if until != 1000 {
 			t.Errorf("gate saw horizon %v, want 1000", until)
 		}
-		polls.Add(1)
-		return open.Load()
+		ok := open.Load()
+		if !ok {
+			refused.Store(true)
+		}
+		return ok
 	})
+	// OnStall fires after the gate said no, right before the scheduler
+	// blocks: once it has, the run is parked on the gate.
+	parked := make(chan struct{})
+	var once sync.Once
+	s.OnStall = func() {
+		if refused.Load() {
+			once.Do(func() { close(parked) })
+		}
+	}
 
 	done := make(chan error, 1)
 	go func() { done <- s.Run(1000) }()
 
-	// The pipe's local work ends at t=52; the run must be parked on
-	// the gate, not returned.
-	time.Sleep(20 * time.Millisecond)
+	// The pipe's local work ends at t=52; the run must park on the
+	// gate, not return.
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("Run returned (%v) while the departure gate was closed", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("departure gate was never consulted")
+	}
 	select {
 	case err := <-done:
 		t.Fatalf("Run returned (%v) while the departure gate was closed", err)
 	default:
-	}
-	if polls.Load() == 0 {
-		t.Fatal("departure gate was never consulted")
 	}
 
 	open.Store(true)

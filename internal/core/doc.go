@@ -22,6 +22,13 @@
 // caught up with its local time and every message it could observe has
 // been delivered.
 //
+// With SetWorkers or SetPool the scheduler runs rounds: every component
+// whose next action lies below the safe horizon is dispatched to the
+// one worker pool type, SharedPool — owned by Run for its duration or
+// attached from the host — and the effects merge in sequential order
+// (parallel.go, optimistic.go). The sequential step is the
+// cohort-of-one case of the same round, stepped inline.
+//
 // # Rollback
 //
 // Components whose behaviour implements StateSaver can be
@@ -30,7 +37,11 @@
 // after the request, and always before the component receives any
 // further message — the rule Pia uses to prevent the domino effect.
 // Restoring a checkpoint cancels the component goroutines and
-// re-enters their Run functions from the restored state.
+// re-enters their Run functions from the restored state. One Image,
+// captured and restored in one place, serves checkpoints, migration
+// and Time Warp rollback under one rule: a restore fails iff the image
+// carries State the behaviour cannot take, or is Live and the
+// behaviour is not a StateSaver.
 //
 // Re-entry runs Run from the top, so behaviours must be resumable
 // from their saved state. Reactive receive loops are naturally so.

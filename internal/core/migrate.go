@@ -77,7 +77,8 @@ func (s *Subsystem) RemoveComponent(name string) error {
 // behaviour and ports; the image supplies behaviour state, local time,
 // runlevel, liveness, EOF flag, undelivered inbox events and memory
 // contents. The migration path uses it to adopt a component whose
-// image travelled from another node.
+// image travelled from another node. The restore rule is
+// restoreImage's, the same one RestoreCheckpoint applies.
 func (s *Subsystem) RestoreComponentImage(img *Image) error {
 	if s.running {
 		return fmt.Errorf("core: cannot restore component %q while running", img.Component)
@@ -86,38 +87,12 @@ func (s *Subsystem) RestoreComponentImage(img *Image) error {
 	if c == nil {
 		return fmt.Errorf("core: no component %q to restore into", img.Component)
 	}
-	s.kill(c)
-	if img.State != nil {
-		sv := c.saver()
-		if sv == nil {
-			return fmt.Errorf("core: restore of %s: behaviour does not implement StateSaver", c.name)
-		}
-		if err := sv.RestoreState(img.State); err != nil {
-			return fmt.Errorf("core: restore of %s: %w", c.name, err)
-		}
-	} else if img.Live {
-		return fmt.Errorf("core: restore of %s: %w", c.name, ErrNotCheckpointable)
-	}
-	c.localTime = img.LocalTime
-	c.runlevel = img.Runlevel
-	c.eofSignaled = img.EOF
-	c.err = nil
-	c.inbox.Reset()
-	for _, e := range img.Inbox {
-		c.inbox.PushStamped(e)
-	}
-	if img.Live {
-		c.status = statusNew
-		c.token = make(chan tokenMsg)
-	} else {
-		c.status = statusDone
-	}
-	c.recvPorts = nil
-	c.recvDeadline = vtime.Infinity
-	if c.memory != nil {
-		c.memory.restoreData(img.MemData)
-	}
+	err := c.restoreImage(img)
+	c.refillInbox(img)
 	s.resetActive()
+	if err != nil {
+		return fmt.Errorf("core: restore of %s: %w", c.name, err)
+	}
 	s.tracef("%s adopted @%v (live=%v, inbox=%d)", c.name, c.localTime, img.Live, len(img.Inbox))
 	return nil
 }
@@ -134,20 +109,4 @@ func (n *Net) LastDrive() (v any, t vtime.Time, src string) {
 // on a migration destination.
 func (n *Net) RestoreLastDrive(v any, t vtime.Time, src string) {
 	n.lastValue, n.lastTime, n.lastSource = v, t, src
-}
-
-// AdvanceTo lifts the subsystem clock to t without executing anything.
-// Only legal between runs, and only forward. The mesh step barrier
-// uses it so a freshly adopted component lands on a subsystem whose
-// clock matches the migration horizon even when the destination's own
-// last event fell short of it.
-func (s *Subsystem) AdvanceTo(t vtime.Time) error {
-	if s.running {
-		return fmt.Errorf("core: cannot advance clock while running")
-	}
-	if t < s.now {
-		return fmt.Errorf("core: AdvanceTo(%v) would rewind past %v", t, s.now)
-	}
-	s.now = t
-	return nil
 }

@@ -83,7 +83,7 @@ const (
 )
 
 // SetOptimism sets the optimistic (Time Warp) window: with w > 0 and
-// a worker pool configured (SetWorkers), rounds whose safe cohort
+// a worker pool configured (SetWorkers or SetPool), rounds whose safe cohort
 // leaves workers idle dispatch checkpointable components
 // speculatively up to w past the safe horizon, rolling back on
 // stragglers at merge time. Results stay bit-identical to the
@@ -96,17 +96,8 @@ func (s *Subsystem) SetOptimism(w vtime.Duration) {
 		w = 0
 	}
 	s.optimism = w
-	s.optThrottle = true
+	s.optThrottle = true // in-package tests clear it to pin the window
 }
-
-// Optimism returns the configured optimism window (0 = conservative).
-func (s *Subsystem) Optimism() vtime.Duration { return s.optimism }
-
-// SetOptimismThrottle enables or disables the adaptive window
-// throttle (enabled by default when SetOptimism is called). Disabling
-// it pins the window at the configured value regardless of rollback
-// ratio — useful for tests that must observe a rollback every round.
-func (s *Subsystem) SetOptimismThrottle(on bool) { s.optThrottle = on }
 
 // optimismWindow returns the effective window for the next round,
 // advancing the throttle's cooldown state.
@@ -163,44 +154,16 @@ func (s *Subsystem) noteSpecOutcome(spec, aborted int) {
 	}
 }
 
-// specImage is the lightweight pre-round image of a speculative
-// member: exactly the per-component slice of a checkpoint Image,
-// minus the inbox (pops are journaled instead — a speculating member
-// only ever shrinks its inbox, so restore is a re-push).
-type specImage struct {
-	state     []byte
-	localTime vtime.Time
-	runlevel  string
-	eof       bool
-	live      bool
-	hasMem    bool
-	mem       map[uint32]uint64
-}
-
-// captureSpec images c for a speculative dispatch. Returns false —
-// keeping the component out of the speculative cohort — when the
-// behaviour cannot be checkpointed.
+// captureSpec images c for a speculative dispatch: the component's
+// checkpoint Image minus the inbox (pops are journaled instead — a
+// speculating member only ever shrinks its inbox, so restore is a
+// re-push), held by value in the component so a dispatch costs no more
+// than SaveState does. Returns false — keeping the component out of
+// the speculative cohort — when the behaviour cannot be checkpointed.
 func (s *Subsystem) captureSpec(c *Component) bool {
-	sv := c.saver()
-	if sv == nil {
-		return false
-	}
-	st, err := sv.SaveState()
-	if err != nil {
-		return false
-	}
-	c.specImg = specImage{
-		state:     st,
-		localTime: c.localTime,
-		runlevel:  c.runlevel,
-		eof:       c.eofSignaled,
-		live:      c.status != statusDone,
-	}
-	if c.memory != nil {
-		c.specImg.hasMem = true
-		c.specImg.mem = c.memory.snapshotData()
-	}
-	return true
+	var err error
+	c.specImg, err = c.captureImage()
+	return err == nil
 }
 
 // detectStragglers marks every speculative round member whose
@@ -353,35 +316,16 @@ func (s *Subsystem) detectStragglers(members []*Component) int {
 // discarded work; the only traces are the pia_optimistic_* counters
 // and a transient straggler-kind timeline span.
 func (s *Subsystem) rollbackSpec(c *Component) {
-	img := &c.specImg
 	b := c.wbuf
-	s.kill(c)
-	if sv := c.saver(); sv != nil {
-		if err := sv.RestoreState(img.state); err != nil && s.fatal == nil {
-			s.fatal = fmt.Errorf("core: optimistic rollback of %s: %w", c.name, err)
-		}
-	}
 	specNow := c.viewNow
-	c.localTime = img.localTime
-	c.runlevel = img.runlevel
-	c.eofSignaled = img.eof
-	c.err = nil
-	if img.live {
-		c.status = statusNew
-		c.token = make(chan tokenMsg)
-	} else {
-		c.status = statusDone
+	if err := c.restoreImage(&c.specImg); err != nil && s.fatal == nil {
+		s.fatal = fmt.Errorf("core: optimistic rollback of %s: %w", c.name, err)
 	}
-	c.recvPorts = nil
-	c.recvDeadline = vtime.Infinity
 	for i := range b.popped {
 		c.inbox.PushStamped(b.popped[i])
 	}
-	if img.hasMem && c.memory != nil {
-		c.memory.restoreData(img.mem)
-	}
-	c.specImg = specImage{}
+	c.specImg = Image{}
 	atomic.AddInt64(&s.stats.Rollbacks, 1)
 	atomic.AddInt64(&s.stats.RolledBack, int64(len(b.ops)))
-	s.tlRec.Straggler("", c.name, "", img.localTime, specNow)
+	s.tlRec.Straggler("", c.name, "", c.localTime, specNow)
 }

@@ -28,17 +28,19 @@ package core
 // emitted them, so virtual times, per-net drive counts and trace
 // digests are bit-for-bit identical to a sequential run.
 //
-// The horizon is additionally capped by every gate bound, by the run
-// horizon `until`, and by the next automatic checkpoint cut, so a
-// round never spans a point where the sequential scheduler would have
-// stopped to stall, depart or capture. External requests (stop,
+// The horizon is additionally capped by Subsystem.roundCap — every
+// gate bound, the run horizon `until`, the next automatic checkpoint
+// cut — so a round never spans a point where the sequential scheduler
+// would have stopped to stall, depart or capture. The sequential step
+// is the cohort-of-one case of the same round: the same cap bounds its
+// inline fast path, and it runs on the scheduler goroutine, unbuffered,
+// because there is nothing to merge it with. External requests (stop,
 // injections, rollbacks, checkpoint tags) invalidate the round's
 // cached generation counter, which makes members fall back to a real
 // park; the requests are absorbed at the next loop top, exactly as in
 // sequential execution.
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -107,12 +109,6 @@ type opRef struct {
 	i   int
 }
 
-// parJob is one dispatched round member.
-type parJob struct {
-	c   *Component
-	key vtime.Time
-}
-
 // prepareLookahead caches each component's output lookahead. Topology
 // is fixed while running, so this runs once per Run. A component with
 // no attached nets can never affect anyone: infinite lookahead.
@@ -166,59 +162,17 @@ func (s *Subsystem) scan() planInfo {
 	return pi
 }
 
-// startPool launches the round workers for one Run.
-func (s *Subsystem) startPool() {
-	s.workCh = make(chan parJob, len(s.order)+1)
-	for i := 0; i < s.workers; i++ {
-		s.poolWG.Add(1)
-		go func() {
-			defer s.poolWG.Done()
-			for job := range s.workCh {
-				s.stepTimed(job.c, job.key)
-				s.roundWG.Done()
-			}
-		}()
-	}
-}
-
-// stopPool drains and joins the round workers.
-func (s *Subsystem) stopPool() {
-	close(s.workCh)
-	s.poolWG.Wait()
-	s.workCh = nil
-}
-
 // runParallelRound dispatches every component whose next action lies
 // strictly inside the safe horizon to the worker pool and merges the
-// buffered effects. Returns false — leaving the sequential path to
-// execute the step — when the round would hold fewer than two
-// components.
-func (s *Subsystem) runParallelRound(pi planInfo, until vtime.Time) bool {
+// buffered effects. Returns false — leaving the cohort of one to step
+// inline — when the round would hold fewer than two components.
+func (s *Subsystem) runParallelRound(pi planInfo, roundCap vtime.Time) bool {
 	if s.optimism == 0 && pi.horizon <= pi.key {
 		return false
 	}
-	// Cap the round at every point where the step-at-a-time scheduler
-	// would have paused: gate bounds (advancing to exactly Bound() is
-	// allowed), the run horizon, the next automatic checkpoint cut.
-	// The cap applies equally to the safe horizon and the speculation
-	// bound: a speculation may be wrong about its peers, never about
-	// an external synchronization point.
-	roundCap := vtime.Infinity
-	for _, g := range s.gateList() {
-		if gb := g.Bound().Add(1); gb < roundCap {
-			roundCap = gb
-		}
-	}
-	if until != vtime.Infinity {
-		if u := until.Add(1); u < roundCap {
-			roundCap = u
-		}
-	}
-	if s.autoCkpt > 0 {
-		if t := s.lastAuto.Add(s.autoCkpt); t < roundCap {
-			roundCap = t
-		}
-	}
+	// roundCap (see Subsystem.roundCap) applies equally to the safe
+	// horizon and the speculation bound: a speculation may be wrong
+	// about its peers, never about an external synchronization point.
 	H := pi.horizon
 	if roundCap < H {
 		H = roundCap
@@ -239,7 +193,7 @@ func (s *Subsystem) runParallelRound(pi planInfo, until vtime.Time) bool {
 	// affected members back to the image captured here.
 	spec := 0
 	B := H
-	if W := s.optimismWindow(); W > 0 && safe < s.poolSize() && H < roundCap {
+	if W := s.optimismWindow(); W > 0 && safe < s.pool.size && H < roundCap {
 		B = H.Add(W)
 		if roundCap < B {
 			B = roundCap
@@ -287,16 +241,7 @@ func (s *Subsystem) runParallelRound(pi planInfo, until vtime.Time) bool {
 		atomic.AddInt64(&s.stats.SpecMembers, int64(spec))
 	}
 	s.roundWG.Add(len(members))
-	if s.sharedPool != nil {
-		// The shared pool copies the jobs into its own queue: members
-		// aliases the s.members scratch slice, which the next round
-		// reuses.
-		s.sharedPool.submit(s, members)
-	} else {
-		for _, c := range members {
-			s.workCh <- parJob{c: c, key: c.planKey}
-		}
-	}
+	s.pool.submit(s, members)
 	s.roundWG.Wait()
 	s.mergeRound(members, spec)
 	return true
@@ -350,7 +295,6 @@ func (s *Subsystem) mergeRound(members []*Component, spec int) {
 	s.mergeRefs = refs[:0]
 
 	maxView := s.now
-	var failed *Component
 	commits := 0
 	for _, c := range members {
 		b := c.wbuf
@@ -369,11 +313,8 @@ func (s *Subsystem) mergeRound(members []*Component, spec int) {
 			if b.spec {
 				commits++
 			}
-			if failed == nil && c.err != nil && c.status == statusDone {
-				failed = c
-			}
 		}
-		s.activate(c)
+		s.commit(c)
 		s.releaseBuf(b)
 		c.wbuf = nil
 	}
@@ -391,15 +332,7 @@ func (s *Subsystem) mergeRound(members []*Component, spec int) {
 	// committed members never overtakes a restored member's earliest
 	// replay action or pending delivery.
 	if maxView > s.now {
-		s.now = maxView
-		for _, c := range s.order {
-			if c.status == statusRecv && c.localTime < s.now {
-				c.localTime = s.now
-			}
-		}
-	}
-	if failed != nil && s.fatal == nil {
-		s.fatal = fmt.Errorf("core: component %s failed: %w", failed.name, failed.err)
+		s.advance(maxView)
 	}
 }
 

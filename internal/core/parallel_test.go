@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/vtime"
 )
@@ -163,11 +166,20 @@ func runFingerprint(t *testing.T, seed int64, workers int) (string, Stats) {
 // window; 0 keeps the rounds purely conservative.
 func runFingerprintOpt(t *testing.T, seed int64, workers int, optimism vtime.Duration) (string, Stats) {
 	t.Helper()
+	return fingerprint(t, seed, fmt.Sprintf("workers %d optimism %d", workers, optimism), func(s *Subsystem) {
+		s.SetWorkers(workers)
+		if optimism > 0 {
+			s.SetOptimism(optimism)
+		}
+	})
+}
+
+// fingerprint builds the seeded system, lets configure pick its
+// scheduler mode, runs it to exhaustion and digests the result.
+func fingerprint(t *testing.T, seed int64, mode string, configure func(*Subsystem)) (string, Stats) {
+	t.Helper()
 	s, cons, polls := randomParallelSystem(seed)
-	s.SetWorkers(workers)
-	if optimism > 0 {
-		s.SetOptimism(optimism)
-	}
+	configure(s)
 
 	driveDigest := fnv.New64a()
 	driveCounts := make(map[string]int64)
@@ -179,7 +191,7 @@ func runFingerprintOpt(t *testing.T, seed int64, workers int, optimism vtime.Dur
 	s.Tracer = func(line string) { fmt.Fprintf(traceDigest, "%s\n", line) }
 
 	if err := s.Run(vtime.Infinity); err != nil {
-		t.Fatalf("seed %d workers %d optimism %d: %v", seed, workers, optimism, err)
+		t.Fatalf("seed %d %s: %v", seed, mode, err)
 	}
 
 	sig := signature(cons)
@@ -351,7 +363,7 @@ func TestParallelAutoCheckpoint(t *testing.T) {
 
 // TestParallelPoolRestart: the pool starts and stops per Run; a
 // finite-horizon run followed by a continuation must work and match a
-// single sequential run.
+// single sequential run, and no pool worker may outlive either Run.
 func TestParallelPoolRestart(t *testing.T) {
 	ref, _, coRef := buildPipe(t, 2, 30, 4)
 	if err := ref.Run(vtime.Infinity); err != nil {
@@ -359,15 +371,32 @@ func TestParallelPoolRestart(t *testing.T) {
 	}
 	s, _, co := buildPipe(t, 2, 30, 4)
 	s.SetWorkers(3)
-	if err := s.Run(60); err != nil {
-		t.Fatal(err)
+	for _, until := range []vtime.Time{60, vtime.Infinity} {
+		if err := s.Run(until); err != nil {
+			t.Fatal(err)
+		}
+		// Close joins the workers; one may still be unwinding its last
+		// frame, so give the runtime a moment before calling it a leak.
+		deadline := time.Now().Add(5 * time.Second)
+		for liveWorkers() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("Run(%v) returned with %d pool workers still alive", until, liveWorkers())
+			}
+			runtime.Gosched()
+		}
 	}
-	if err := s.Run(vtime.Infinity); err != nil {
-		t.Fatal(err)
+	if s.Stats().ParRounds == 0 {
+		t.Fatal("no parallel rounds dispatched; the owned pool went unused")
 	}
 	if fmt.Sprint(co.Got) != fmt.Sprint(coRef.Got) || fmt.Sprint(co.Times) != fmt.Sprint(coRef.Times) {
 		t.Fatalf("split run diverged: got %v@%v want %v@%v", co.Got, co.Times, coRef.Got, coRef.Times)
 	}
+}
+
+// liveWorkers counts the SharedPool worker goroutines in the process.
+func liveWorkers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*SharedPool).worker")
 }
 
 // TestParallelStop: Stop must interrupt parallel rounds promptly (the
@@ -524,7 +553,7 @@ func stormFingerprint(t *testing.T, workers int, optimism vtime.Duration, thrott
 	s.SetWorkers(workers)
 	if optimism > 0 {
 		s.SetOptimism(optimism)
-		s.SetOptimismThrottle(throttle)
+		s.optThrottle = throttle
 	}
 	driveDigest := fnv.New64a()
 	s.OnDrive = func(net, src string, tt vtime.Time, v any) {

@@ -1,10 +1,14 @@
 package core
 
-// SharedPool is a bounded worker pool that serves the parallel rounds
-// of many subsystems at once. A multi-tenant host that gave every
-// session its own SetWorkers pool would run tenants × workers
-// goroutines and let any one tenant saturate the machine; a SharedPool
-// caps the host at one fixed worker count and fair-shares it.
+// SharedPool is the kernel's one worker pool: a bounded set of workers
+// that serves the parallel rounds of any number of subsystems. A
+// subsystem either owns one — SetWorkers(n) with no pool attached
+// makes Run start a one-tenant pool of n and close it on return — or
+// is attached to one the host owns (SetPool). A multi-tenant host that
+// let every session own its pool would run tenants × workers
+// goroutines and let any one tenant saturate the machine; an attached
+// SharedPool caps the host at one fixed worker count and fair-shares
+// it.
 //
 // Fairness is round-robin over subsystems, not over jobs: each
 // subsystem owns a FIFO queue of its current round's members, and
@@ -24,8 +28,7 @@ import "sync"
 // poolQueue holds one subsystem's outstanding round jobs. head/jobs
 // form a FIFO that is reset (not reallocated) each round.
 type poolQueue struct {
-	sub  *Subsystem
-	jobs []parJob
+	jobs []*Component
 	head int
 }
 
@@ -67,32 +70,30 @@ func (p *SharedPool) Size() int { return p.size }
 // submit enqueues one subsystem round. Called on the owning
 // subsystem's scheduler goroutine, which then blocks on its roundWG —
 // so at most one round per subsystem is ever queued, and the queue is
-// always drained when submit finds it again.
+// always drained when submit finds it again. The members are copied:
+// the caller's slice is scratch the next round reuses.
 func (p *SharedPool) submit(s *Subsystem, members []*Component) {
 	p.mu.Lock()
 	q := p.queues[s]
 	if q == nil {
-		q = &poolQueue{sub: s}
+		q = &poolQueue{}
 		p.queues[s] = q
 		p.ring = append(p.ring, q)
 	}
-	q.jobs = q.jobs[:0]
+	q.jobs = append(q.jobs[:0], members...)
 	q.head = 0
-	for _, c := range members {
-		q.jobs = append(q.jobs, parJob{c: c, key: c.planKey})
-	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
 // take pops the next job round-robin across subsystems, blocking
 // until one is available or the pool closes.
-func (p *SharedPool) take() (*Subsystem, parJob, bool) {
+func (p *SharedPool) take() (*Component, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.closed {
-			return nil, parJob{}, false
+			return nil, false
 		}
 		if n := len(p.ring); n > 0 {
 			for i := 0; i < n; i++ {
@@ -100,11 +101,11 @@ func (p *SharedPool) take() (*Subsystem, parJob, bool) {
 				if !q.pending() {
 					continue
 				}
-				job := q.jobs[q.head]
-				q.jobs[q.head] = parJob{}
+				c := q.jobs[q.head]
+				q.jobs[q.head] = nil
 				q.head++
 				p.rr = (p.rr + i + 1) % n
-				return q.sub, job, true
+				return c, true
 			}
 		}
 		p.cond.Wait()
@@ -114,12 +115,13 @@ func (p *SharedPool) take() (*Subsystem, parJob, bool) {
 func (p *SharedPool) worker() {
 	defer p.wg.Done()
 	for {
-		sub, job, ok := p.take()
+		c, ok := p.take()
 		if !ok {
 			return
 		}
-		sub.stepTimed(job.c, job.key)
-		sub.roundWG.Done()
+		// planKey is the key the round's scan cached for c.
+		c.sub.stepTimed(c, c.planKey)
+		c.sub.roundWG.Done()
 	}
 }
 

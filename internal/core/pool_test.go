@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"hash/fnv"
 	"sync"
 	"testing"
 
@@ -11,70 +9,58 @@ import (
 
 // poolFingerprint runs the seeded system with its rounds dispatched
 // into the given shared pool and returns the same fingerprint as
-// runFingerprint.
-func poolFingerprint(t *testing.T, seed int64, pool *SharedPool) (string, Stats) {
+// runFingerprintOpt.
+func poolFingerprint(t *testing.T, seed int64, pool *SharedPool, optimism vtime.Duration) (string, Stats) {
 	t.Helper()
-	s, cons, polls := randomParallelSystem(seed)
-	s.SetPool(pool)
-	defer pool.Forget(s)
-
-	driveDigest := fnv.New64a()
-	driveCounts := make(map[string]int64)
-	s.OnDrive = func(net, src string, tt vtime.Time, v any) {
-		driveCounts[net]++
-		fmt.Fprintf(driveDigest, "%s|%s|%d|%v\n", net, src, tt, v)
-	}
-	traceDigest := fnv.New64a()
-	s.Tracer = func(line string) { fmt.Fprintf(traceDigest, "%s\n", line) }
-
-	if err := s.Run(vtime.Infinity); err != nil {
-		t.Fatalf("seed %d shared pool: %v", seed, err)
-	}
-
-	sig := signature(cons)
-	for i, po := range polls {
-		sig += fmt.Sprintf("|poll%d:", i)
-		for j, v := range po.Got {
-			sig += fmt.Sprintf("%d@%d,", v, po.Times[j])
+	var sub *Subsystem
+	defer func() { pool.Forget(sub) }()
+	return fingerprint(t, seed, "shared pool", func(s *Subsystem) {
+		sub = s
+		s.SetPool(pool)
+		if optimism > 0 {
+			s.SetOptimism(optimism)
 		}
-	}
-	for _, c := range s.Components() {
-		sig += fmt.Sprintf("|%s@%d", c.Name(), c.LocalTime())
-	}
-	sig += fmt.Sprintf("|now=%d", s.Now())
-	for i := 0; ; i++ {
-		name := fmt.Sprintf("n%d", i)
-		if s.Net(name) == nil {
-			break
-		}
-		sig += fmt.Sprintf("|%s=%d", name, driveCounts[name])
-	}
-	st := s.Stats()
-	sig += fmt.Sprintf("|drv=%x|trc=%x|deliv=%d|drives=%d",
-		driveDigest.Sum64(), traceDigest.Sum64(), st.Deliveries, st.Drives)
-	return sig, st
+	})
 }
 
 // TestSharedPoolEquivalence: a subsystem whose rounds run on a shared
 // pool must reproduce the sequential scheduler bit-for-bit, at every
-// pool size.
+// pool size — whether the pool is attached (SetPool) or owned by the
+// run (SetWorkers alone), which must also dispatch the very same
+// rounds and speculations.
 func TestSharedPoolEquivalence(t *testing.T) {
-	var rounds int64
+	var rounds, spec int64
 	for seed := int64(1); seed <= 20; seed++ {
 		want, _ := runFingerprint(t, seed, 0)
 		for _, n := range []int{1, 2, 4} {
-			pool := NewSharedPool(n)
-			got, st := poolFingerprint(t, seed, pool)
-			pool.Close()
-			if got != want {
-				t.Fatalf("seed %d: shared pool n=%d diverged from sequential\nseq: %s\npool: %s",
-					seed, n, want, got)
+			for _, w := range []vtime.Duration{0, 17} {
+				pool := NewSharedPool(n)
+				got, st := poolFingerprint(t, seed, pool, w)
+				pool.Close()
+				if got != want {
+					t.Fatalf("seed %d: shared pool n=%d optimism=%d diverged from sequential\nseq: %s\npool: %s",
+						seed, n, w, want, got)
+				}
+				owned, ost := runFingerprintOpt(t, seed, n, w)
+				if owned != want {
+					t.Fatalf("seed %d: owned pool n=%d optimism=%d diverged from sequential\nseq: %s\npool: %s",
+						seed, n, w, want, owned)
+				}
+				if ost.ParRounds != st.ParRounds || ost.SpecMembers != st.SpecMembers || ost.SpecCommits != st.SpecCommits {
+					t.Fatalf("seed %d n=%d optimism=%d: owned pool ran %d rounds, %d speculations, %d commits; attached ran %d, %d, %d",
+						seed, n, w, ost.ParRounds, ost.SpecMembers, ost.SpecCommits,
+						st.ParRounds, st.SpecMembers, st.SpecCommits)
+				}
+				rounds += st.ParRounds
+				spec += st.SpecMembers
 			}
-			rounds += st.ParRounds
 		}
 	}
 	if rounds == 0 {
 		t.Fatalf("no seed produced a parallel round on the shared pool")
+	}
+	if spec == 0 {
+		t.Fatalf("no seed produced a speculative dispatch on the shared pool")
 	}
 }
 
@@ -97,7 +83,7 @@ func TestSharedPoolConcurrentSubsystems(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], _ = poolFingerprint(t, int64(i+1), pool)
+			got[i], _ = poolFingerprint(t, int64(i+1), pool, 0)
 		}(i)
 	}
 	wg.Wait()
@@ -116,7 +102,7 @@ func TestSharedPoolForgetReuse(t *testing.T) {
 	defer pool.Close()
 	want, _ := runFingerprint(t, 3, 0)
 	for i := 0; i < 5; i++ {
-		got, _ := poolFingerprint(t, 3, pool)
+		got, _ := poolFingerprint(t, 3, pool, 0)
 		if got != want {
 			t.Fatalf("iteration %d diverged", i)
 		}

@@ -19,8 +19,9 @@ var (
 	// ErrNoCheckpoint is reported when a rollback finds no
 	// checkpoint at or before the requested time.
 	ErrNoCheckpoint = errors.New("core: no checkpoint at or before requested time")
-	// ErrNotCheckpointable is reported when a checkpoint is requested
-	// and a live component's behaviour does not implement StateSaver.
+	// ErrNotCheckpointable is reported when a live component's
+	// behaviour does not implement StateSaver and a checkpoint is
+	// requested, or an image is restored that needs one.
 	ErrNotCheckpointable = errors.New("core: component behaviour does not implement StateSaver")
 	// ErrNotRunning is delivered to an InjectCtl reject callback when
 	// the run loop exited before the control action could execute.
@@ -93,22 +94,22 @@ type Subsystem struct {
 	gates    atomic.Pointer[[]Gate]
 	external int // count of ingress sources that may still inject
 
-	// Parallel execution (see parallel.go). workers is the pool
-	// size (0 = sequential); fastOK gates the inline fast paths and
-	// parallel rounds on the absence of a per-step hook. sharedPool,
-	// when set, replaces the private per-run pool: rounds dispatch
-	// into a host-wide pool fair-shared with other subsystems
-	// (see pool.go).
-	workers    int
-	fastOK     bool
-	workCh     chan parJob
-	sharedPool *SharedPool
-	poolWG     sync.WaitGroup
-	roundWG    sync.WaitGroup
-	active     []*Component // runnable index, lazily compacted
-	members    []*Component // scratch: current round membership
-	mergeRefs  []opRef      // scratch: merge ordering
-	bufFree    []*workerBuf
+	// Parallel execution (see parallel.go). workers is the size of
+	// the pool a Run owns when none is attached (0 = sequential);
+	// fastOK gates the inline fast paths and parallel rounds on the
+	// absence of a per-step hook. attached is the host-wide pool set
+	// by SetPool, fair-shared with other subsystems (see pool.go);
+	// pool is the one the current Run dispatches into — attached, or
+	// the run's own; nil when sequential.
+	workers   int
+	fastOK    bool
+	attached  *SharedPool
+	pool      *SharedPool
+	roundWG   sync.WaitGroup
+	active    []*Component // runnable index, lazily compacted
+	members   []*Component // scratch: current round membership
+	mergeRefs []opRef      // scratch: merge ordering
+	bufFree   []*workerBuf
 
 	// Optimistic (Time Warp) execution: see optimistic.go. optimism
 	// is the configured window W past the safe horizon within which
@@ -140,7 +141,6 @@ type Subsystem struct {
 	injected []injectedItem
 	stopReq  bool
 	rbTime   vtime.Time // pending rollback-to-before time; Infinity = none
-	rbTag    string     // pending restore-by-snapshot-tag
 	rbComp   string     // pending component-relative rollback: component name
 	rbCompT  vtime.Time // ... and the local time it must rewind to or before
 	wakeGen  uint64
@@ -280,10 +280,11 @@ func (s *Subsystem) Stats() Stats {
 }
 
 // SetWorkers sets the size of the parallel-round worker pool: with
-// n > 0, Run dispatches every component whose next action falls
-// strictly inside the safe horizon to n worker goroutines and merges
-// their output deterministically. 0 (the default) keeps the
-// scheduler fully sequential. Only legal between runs.
+// n > 0 and no pool attached, Run owns a one-tenant SharedPool of n
+// for its duration, dispatches every component whose next action
+// falls strictly inside the safe horizon to it and merges the output
+// deterministically. 0 (the default) keeps the scheduler fully
+// sequential. Only legal between runs.
 func (s *Subsystem) SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -296,19 +297,11 @@ func (s *Subsystem) Workers() int { return s.workers }
 
 // SetPool attaches the subsystem to a shared worker pool: parallel
 // rounds dispatch into p and fair-share its workers with every other
-// attached subsystem, instead of starting a private pool. Overrides
-// SetWorkers while set; pass nil to detach (the caller should also
-// p.Forget(s) to drop the pool-side queue). Only legal between runs.
-func (s *Subsystem) SetPool(p *SharedPool) { s.sharedPool = p }
-
-// poolSize is the effective worker count for round-shaping
-// heuristics, whichever pool flavor is in use.
-func (s *Subsystem) poolSize() int {
-	if s.sharedPool != nil {
-		return s.sharedPool.size
-	}
-	return s.workers
-}
+// attached subsystem, instead of Run owning a pool of its own.
+// Overrides SetWorkers while set; pass nil to detach (the caller
+// should also p.Forget(s) to drop the pool-side queue). Only legal
+// between runs.
+func (s *Subsystem) SetPool(p *SharedPool) { s.attached = p }
 
 // Components returns the subsystem's components in creation order.
 func (s *Subsystem) Components() []*Component {
@@ -322,15 +315,6 @@ func (s *Subsystem) Component(name string) *Component { return s.comps[name] }
 
 // Net returns the named net, or nil.
 func (s *Subsystem) Net(name string) *Net { return s.nets[name] }
-
-// Nets returns all nets (unordered).
-func (s *Subsystem) Nets() []*Net {
-	out := make([]*Net, 0, len(s.nets))
-	for _, n := range s.nets {
-		out = append(out, n)
-	}
-	return out
-}
 
 // NewComponent adds a component with the given behaviour.
 func (s *Subsystem) NewComponent(name string, b Behavior) (*Component, error) {
@@ -597,17 +581,6 @@ func (s *Subsystem) RequestRollbackComponent(comp string, t vtime.Time) {
 	s.mu.Unlock()
 }
 
-// RequestRestoreTag asks the scheduler to restore the checkpoint
-// captured for the given snapshot tag (distributed coordinated
-// restore). Safe from any goroutine.
-func (s *Subsystem) RequestRestoreTag(tag string) {
-	s.extGen.Add(1)
-	s.mu.Lock()
-	s.rbTag = tag
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
 // CheckpointByTag returns the retained checkpoint captured for the
 // given snapshot tag, or nil.
 func (s *Subsystem) CheckpointByTag(tag string) *CheckpointSet {
@@ -832,12 +805,12 @@ func (s *Subsystem) Run(until vtime.Time) error {
 	// and re-earns it after rollback storms (see optimistic.go).
 	s.effOpt = s.optimism
 	s.optCool, s.optClean = 0, 0
-	if s.sharedPool != nil {
-		// Rounds dispatch into the shared pool; nothing per-run to
-		// start or join — roundWG already fences every round.
-	} else if s.workers > 0 {
-		s.startPool()
-		defer s.stopPool()
+	// An attached pool outlives the run (roundWG already fences every
+	// round); with only SetWorkers, the run owns a one-tenant pool.
+	s.pool = s.attached
+	if s.pool == nil && s.workers > 0 {
+		s.pool = NewSharedPool(s.workers)
+		defer s.pool.Close()
 	}
 
 	for {
@@ -850,13 +823,11 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		s.stopReq = false
 		rb := s.rbTime
 		s.rbTime = vtime.Infinity
-		rbTag := s.rbTag
-		s.rbTag = ""
 		rbComp, rbCompT := s.rbComp, s.rbCompT
 		s.rbComp = ""
 		var inj []injectedItem
 		var tags []string
-		if rb == vtime.Infinity && rbTag == "" && rbComp == "" {
+		if rb == vtime.Infinity && rbComp == "" {
 			inj = s.injected
 			s.injected = nil
 			tags = s.ckptTags
@@ -869,16 +840,6 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		}
 		if s.fatal != nil {
 			return s.fatal
-		}
-		if rbTag != "" {
-			cs := s.CheckpointByTag(rbTag)
-			if cs == nil {
-				return fmt.Errorf("%w (tag %q)", ErrNoCheckpoint, rbTag)
-			}
-			if err := s.RestoreCheckpoint(cs); err != nil {
-				return err
-			}
-			continue
 		}
 		if rb != vtime.Infinity {
 			if err := s.restoreBefore(rb); err != nil {
@@ -905,7 +866,7 @@ func (s *Subsystem) Run(until vtime.Time) error {
 				s.driveLocal(n, d.src, d.t, d.v)
 			}
 			s.mu.Lock()
-			interrupted := s.rbTime != vtime.Infinity || s.rbTag != ""
+			interrupted := s.rbTime != vtime.Infinity
 			if interrupted || retry {
 				rest := inj[idx+1:]
 				if retry {
@@ -919,7 +880,7 @@ func (s *Subsystem) Run(until vtime.Time) error {
 			}
 		}
 		s.mu.Lock()
-		interrupted := s.rbTime != vtime.Infinity || s.rbTag != ""
+		interrupted := s.rbTime != vtime.Infinity
 		s.mu.Unlock()
 		if interrupted {
 			continue
@@ -989,12 +950,7 @@ func (s *Subsystem) Run(until vtime.Time) error {
 			// subsystem's time must stay at its last processed event,
 			// or a late message would wrongly read as a straggler.
 			if !s.hasExternal() {
-				s.now = vtime.Max(s.now, until)
-				for _, c := range s.order {
-					if c.status == statusRecv && c.localTime < s.now {
-						c.localTime = s.now
-					}
-				}
+				s.advance(until)
 			}
 			// Announce the departure so the channel layer can push a
 			// final grant covering the horizon: a peer whose ask is
@@ -1032,47 +988,33 @@ func (s *Subsystem) Run(until vtime.Time) error {
 			continue
 		}
 
-		// Parallel round: when more than one component's next action
-		// falls strictly inside the safe horizon, dispatch them all
-		// to the worker pool and merge their effects in canonical
-		// order (see parallel.go).
-		if (s.workCh != nil || s.sharedPool != nil) && s.fastOK && s.runParallelRound(pi, until) {
-			continue
-		}
-
-		// Execute the step. Components idle in Recv experience the
-		// passage of virtual time: their local times track subsystem
-		// time, preserving the invariant that system time never
-		// exceeds any local time.
-		s.now = vtime.Max(s.now, key)
-		for _, c := range s.order {
-			if c.status == statusRecv && c.localTime < s.now {
-				c.localTime = s.now
+		// The round: every component whose next action falls strictly
+		// inside the safe horizon goes to the worker pool and the
+		// effects merge in canonical order (see parallel.go). A cohort
+		// of one — always the case without a pool — is stepped inline
+		// below, on this goroutine and unbuffered, the same cap
+		// bounding its inline fast path. A per-step hook pins the
+		// scheduler to one action per step: no rounds, no fast bound.
+		var fast vtime.Time
+		if s.fastOK {
+			roundCap := s.roundCap(until)
+			if s.pool != nil && s.runParallelRound(pi, roundCap) {
+				continue
 			}
+			fast = s.seqFastBound(pi, roundCap)
 		}
+		s.advance(key)
 		next.viewNow = s.now
 		next.fastGen = s.extGen.Load()
-		next.fastUntil = 0
-		if s.fastOK {
-			next.fastUntil = s.seqFastBound(pi, until)
-		}
+		next.fastUntil = fast
 		s.stepTimed(next, key)
-		s.activate(next)
+		s.commit(next)
 		// A fused run of inline actions ends past the entry key:
 		// catch the subsystem clock (and idle local times) up to the
 		// last action actually executed, exactly where the
 		// step-at-a-time scheduler would have left them.
 		if next.viewNow > s.now {
-			s.now = next.viewNow
-			for _, c := range s.order {
-				if c.status == statusRecv && c.localTime < s.now {
-					c.localTime = s.now
-				}
-			}
-		}
-
-		if next.err != nil && next.status == statusDone {
-			s.fatal = fmt.Errorf("core: component %s failed: %w", next.name, next.err)
+			s.advance(next.viewNow)
 		}
 		if s.OnStep != nil {
 			s.OnStep(s.now)
@@ -1080,23 +1022,36 @@ func (s *Subsystem) Run(until vtime.Time) error {
 	}
 }
 
-// seqFastBound computes the exclusive bound below which the picked
-// component may keep acting inline without handing the token back:
-// the runner-up's key (adjusted for the creation-order tie-break),
-// every gate bound, the run horizon, and the next automatic
-// checkpoint cut. Anything the component does strictly below this
-// bound is exactly what the step-at-a-time scheduler would have done
-// next anyway.
-func (s *Subsystem) seqFastBound(pi planInfo, until vtime.Time) vtime.Time {
-	b := vtime.Infinity
-	if pi.key2 != vtime.Infinity {
-		b = pi.key2
-		if pi.best.index < pi.idx2 {
-			// The picked component wins same-key ties against the
-			// runner-up, so it may still act at key2 itself.
-			b = pi.key2.Add(1)
+// advance lifts the subsystem clock to t (never backwards). Components
+// idle in Recv experience the passage of virtual time: their local
+// times track subsystem time, preserving the invariant that system
+// time never exceeds any local time.
+func (s *Subsystem) advance(t vtime.Time) {
+	s.now = vtime.Max(s.now, t)
+	for _, c := range s.order {
+		if c.status == statusRecv && c.localTime < s.now {
+			c.localTime = s.now
 		}
 	}
+}
+
+// commit folds a stepped component back into the schedule: it rejoins
+// the runnable index, and a Run that returned an error fails the
+// subsystem at the next loop top (the first failure wins).
+func (s *Subsystem) commit(c *Component) {
+	s.activate(c)
+	if s.fatal == nil && c.err != nil && c.status == statusDone {
+		s.fatal = fmt.Errorf("core: component %s failed: %w", c.name, c.err)
+	}
+}
+
+// roundCap returns the exclusive bound at which the step-at-a-time
+// scheduler would next pause whatever the components do: every gate
+// bound (advancing to exactly Bound() is allowed), the run horizon,
+// the next automatic checkpoint cut. It caps the round's safe horizon
+// and speculation bound and the cohort-of-one's inline fast path alike.
+func (s *Subsystem) roundCap(until vtime.Time) vtime.Time {
+	b := vtime.Infinity
 	for _, g := range s.gateList() {
 		if gb := g.Bound().Add(1); gb < b {
 			b = gb
@@ -1115,17 +1070,20 @@ func (s *Subsystem) seqFastBound(pi planInfo, until vtime.Time) vtime.Time {
 	return b
 }
 
-// pick returns the component with the smallest scheduling key and the
-// key itself. Ties break on creation order for determinism.
-func (s *Subsystem) pick() (*Component, vtime.Time) {
-	var best *Component
-	min := vtime.Infinity
-	for _, c := range s.order {
-		if k := c.key(); k < min {
-			min, best = k, c
-		}
+// seqFastBound computes the exclusive bound below which the picked
+// component may keep acting inline without handing the token back:
+// the runner-up's key (adjusted for the creation-order tie-break),
+// capped by roundCap. Anything the component does strictly below this
+// bound is exactly what the step-at-a-time scheduler would have done
+// next anyway.
+func (s *Subsystem) seqFastBound(pi planInfo, roundCap vtime.Time) vtime.Time {
+	b := pi.key2
+	if b != vtime.Infinity && pi.best.index < pi.idx2 {
+		// The picked component wins same-key ties against the
+		// runner-up, so it may still act at key2 itself.
+		b = b.Add(1)
 	}
-	return best, min
+	return vtime.Min(b, roundCap)
 }
 
 // gatesDrained reports whether the subsystem may leave a finite
@@ -1241,20 +1199,27 @@ func (s *Subsystem) stall() {
 func (s *Subsystem) tryExit() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.injected) > 0 || len(s.ckptTags) > 0 || s.stopReq ||
-		s.rbTime != vtime.Infinity || s.rbTag != "" || s.rbComp != "" {
+	if s.pendingLocked() {
 		return false
 	}
 	s.accepting = false
 	return true
 }
 
-// waitForWake blocks until something changes: an injection, a gate
-// update (Wake), a stop, or a rollback request.
+// pendingLocked reports whether an external request — an injection, a
+// checkpoint, a stop, a rollback — waits for the next loop top. Call
+// with s.mu held.
+func (s *Subsystem) pendingLocked() bool {
+	return len(s.injected) > 0 || len(s.ckptTags) > 0 || s.stopReq ||
+		s.rbTime != vtime.Infinity || s.rbComp != ""
+}
+
+// waitForWake blocks until something changes: an external request or
+// a gate update (Wake).
 func (s *Subsystem) waitForWake() {
 	s.mu.Lock()
 	gen := s.wakeGen
-	for len(s.injected) == 0 && len(s.ckptTags) == 0 && !s.stopReq && s.rbTime == vtime.Infinity && s.rbTag == "" && s.rbComp == "" && s.wakeGen == gen {
+	for !s.pendingLocked() && s.wakeGen == gen {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
@@ -1290,7 +1255,6 @@ func (s *Subsystem) ReplaceBehavior(name string, b Behavior, transfer bool) erro
 	if b == nil {
 		return fmt.Errorf("core: nil behaviour for %q", name)
 	}
-	var state []byte
 	if transfer {
 		oldSv, oldOK := c.behavior.(StateSaver)
 		newSv, newOK := b.(StateSaver)
@@ -1302,18 +1266,12 @@ func (s *Subsystem) ReplaceBehavior(name string, b Behavior, transfer bool) erro
 			if err := newSv.RestoreState(st); err != nil {
 				return fmt.Errorf("core: reload of %s: restore: %w", name, err)
 			}
-			state = st
 		}
 	}
-	_ = state
 	s.kill(c)
 	c.behavior = b
-	c.status = statusNew
-	c.token = make(chan tokenMsg)
-	c.err = nil
+	c.reset(true)
 	c.eofSignaled = false
-	c.recvPorts = nil
-	c.recvDeadline = vtime.Infinity
 	s.activate(c)
 	s.tracef("%s behaviour reloaded (transfer=%v)", name, transfer)
 	return nil
@@ -1323,6 +1281,11 @@ func (s *Subsystem) ReplaceBehavior(name string, b Behavior, transfer bool) erro
 // could act (its next scheduling key), or Infinity when idle. Used by
 // the safe-time protocol.
 func (s *Subsystem) NextEventTime() vtime.Time {
-	_, key := s.pick()
-	return key
+	min := vtime.Infinity
+	for _, c := range s.order {
+		if k := c.key(); k < min {
+			min = k
+		}
+	}
+	return min
 }

@@ -407,6 +407,18 @@ type Simulation struct {
 	timelineRec *timeline.Recorder
 }
 
+// newSubsystem creates one kernel subsystem with the builder's
+// scheduler settings — the one place a local build and a deployment
+// configure the kernel.
+func (b *SystemBuilder) newSubsystem(name string) *core.Subsystem {
+	s := core.NewSubsystem(name)
+	s.SetWorkers(b.workers)
+	if b.optimism > 0 {
+		s.SetOptimism(b.optimism)
+	}
+	return s
+}
+
 // BuildLocal realizes the description in-process. Conservative
 // channel topologies are validated against the paper's
 // simple-cycles-only rule.
@@ -434,11 +446,7 @@ func (b *SystemBuilder) BuildLocal() (*Simulation, error) {
 		Engines:    make(map[string]*detail.Engine),
 	}
 	for _, subName := range v.Subsystems() {
-		s := core.NewSubsystem(subName)
-		s.SetWorkers(b.workers)
-		if b.optimism > 0 {
-			s.SetOptimism(b.optimism)
-		}
+		s := b.newSubsystem(subName)
 		sim.Subsystems[subName] = s
 		sim.Hubs[subName] = channel.NewHub(s)
 		sim.subOrder = append(sim.subOrder, subName)
