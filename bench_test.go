@@ -12,7 +12,6 @@ package pia_test
 import (
 	"testing"
 
-	pia "repro"
 	"repro/internal/experiments"
 	"repro/internal/vtime"
 )
@@ -75,20 +74,6 @@ func BenchmarkTable1_RemoteWord(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		last, err = experiments.Remote(benchPage, "wordLevel")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportRow(b, last, err)
-}
-
-func BenchmarkTable1_RemoteWordCoalesced(b *testing.B) {
-	page := benchPage
-	page.Coalesce = pia.DefaultCoalesce
-	var last experiments.Table1Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		last, err = experiments.Remote(page, "wordLevel")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,9 +30,9 @@ import (
 	"repro/internal/wubbleu"
 )
 
-// jsonOut, when non-empty, receives the Table 1 rows (including the
-// coalesced remote row) as machine-readable JSON — the perf
-// trajectory later changes are compared against.
+// jsonOut, when non-empty, receives the Table 1 rows as
+// machine-readable JSON — the perf trajectory later changes are
+// compared against.
 var jsonOut string
 
 // chaosSeed fixes the fault schedule of -exp chaos; the same seed
@@ -102,7 +102,7 @@ func startReporter() {
 }
 
 func main() {
-	exp := flag.String("exp", "table1", "experiment to run (table1, chaos, timeline, coalesce, parallel, optimistic, migrate, sessions, obs, fig1..fig6, runlevel, policy, checkpoint, incremental, snapshot, memsync, all)")
+	exp := flag.String("exp", "table1", "experiment to run (table1, chaos, timeline, parallel, optimistic, migrate, sessions, obs, fig1..fig6, runlevel, policy, checkpoint, incremental, snapshot, memsync, all)")
 	pageKB := flag.Int("page", 66, "page size in KB for WubbleU experiments")
 	flag.StringVar(&jsonOut, "json", "", "write Table 1 (or -exp parallel) results to this file as JSON (e.g. BENCH_1.json)")
 	flag.Int64Var(&chaosSeed, "seed", 1, "fault-schedule seed for -exp chaos")
@@ -146,7 +146,6 @@ func main() {
 		"table1":      table1,
 		"chaos":       chaos,
 		"timeline":    timelineExp,
-		"coalesce":    coalesce,
 		"parallel":    parallel,
 		"optimistic":  optimisticExp,
 		"migrate":     migrateExp,
@@ -196,18 +195,6 @@ func table1(pageKB int) error {
 	if err != nil {
 		return err
 	}
-	// One extra row beyond the paper: the remote word level with
-	// egress coalescing — same workload, batched wire frames.
-	cfg.Coalesce = pia.DefaultCoalesce
-	co, err := experiments.Remote(cfg, "wordLevel")
-	if err != nil {
-		return err
-	}
-	co.Location = "remote+coalesce"
-	if rows[0].Wall > 0 {
-		co.Overhead = float64(co.Wall) / float64(rows[0].Wall)
-	}
-	rows = append(rows, co)
 	w := tw()
 	fmt.Fprintln(w, "Location\tDetail level\tsimulation time\tvirtual load\tlink drives\twire frames\twire bytes\toverhead")
 	for _, r := range rows {
@@ -296,31 +283,6 @@ func timelineExp(pageKB int) error {
 		})
 	}
 	return nil
-}
-
-// coalesce runs the coalescing ablation alone: remote word level,
-// frames and wall with and without batching on identical workloads.
-func coalesce(pageKB int) error {
-	fmt.Printf("Coalescing ablation: remote word level, %d KB page\n\n", pageKB)
-	cfg := experiments.Table1Config{PageSize: pageKB * 1024, Images: 4}
-	metricsHooks(&cfg)
-	off, on, err := experiments.CoalescingAblation(cfg, "wordLevel")
-	if err != nil {
-		return err
-	}
-	w := tw()
-	fmt.Fprintln(w, "Location\tsimulation time\tlink drives\twire frames\twire bytes")
-	for _, r := range []experiments.Table1Row{off, on} {
-		fmt.Fprintf(w, "%s\t%v\t%d\t%d\t%d\n", r.Location, r.Wall, r.Drives, r.FramesOut, r.WireBytesOut)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if on.FramesOut > 0 {
-		fmt.Printf("\nframe reduction: %.1fx, wall: %v -> %v\n",
-			float64(off.FramesOut)/float64(on.FramesOut), off.Wall, on.Wall)
-	}
-	return writeJSON(cfg, []experiments.Table1Row{off, on})
 }
 
 // parallel sweeps the safe-horizon worker pool over a fan-out

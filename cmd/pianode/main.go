@@ -51,10 +51,6 @@ func main() {
 	verbose := flag.Bool("v", false, "log channel activity")
 	workers := flag.Int("workers", 0, "scheduler worker-pool size (0 = sequential; results are identical)")
 	optimism := flag.Int64("optimism", 0, "speculate this many virtual ns past the safe horizon when workers would idle (0 = conservative; results are identical)")
-	coalesce := flag.Bool("coalesce", false, "coalesce egress messages into batched wire frames")
-	coalesceMsgs := flag.Int("coalesce-msgs", channel.DefaultCoalesce.MaxMsgs, "flush a batch at this many queued messages")
-	coalesceBytes := flag.Int("coalesce-bytes", channel.DefaultCoalesce.MaxBytes, "flush a batch at this many queued payload bytes (0 = no byte budget)")
-	coalesceHold := flag.Int64("coalesce-hold", 0, "flush when queued drives span this many virtual ns (0 = unbounded)")
 
 	// Deterministic fault injection on accepted connections (chaos
 	// testing a designer's link against this vendor node).
@@ -253,13 +249,6 @@ func main() {
 	n := node.New("modem-node")
 	if *verbose {
 		n.Tracer = func(s string) { log.Print(s) }
-	}
-	if *coalesce {
-		n.SetCoalescing(channel.CoalesceConfig{
-			MaxMsgs:  *coalesceMsgs,
-			MaxBytes: *coalesceBytes,
-			MaxHold:  vtime.Duration(*coalesceHold),
-		})
 	}
 	if fcfg.Enabled() {
 		n.SetFaults(fcfg)

@@ -51,13 +51,21 @@ func (r *receiver) RestoreState(b []byte) error { return core.GobRestore(r, b) }
 // "link" split between them, bridged by a channel of the given policy.
 func twoSubs(t *testing.T, policy Policy, link LinkModel, count int, period vtime.Duration) (s1, s2 *core.Subsystem, snd *sender, rcv *receiver, h1, h2 *Hub) {
 	t.Helper()
-	s1 = core.NewSubsystem("ss1")
-	s2 = core.NewSubsystem("ss2")
 	snd = &sender{Count: count, Period: period}
 	rcv = &receiver{}
-	sc, _ := s1.NewComponent("prod", snd)
+	s1, s2, h1, h2 = splitPair(t, policy, link, snd, rcv)
+	return
+}
+
+// splitPair is twoSubs for any producer driving "out" and any consumer
+// receiving on "in".
+func splitPair(t *testing.T, policy Policy, link LinkModel, prod, cons core.Behavior) (s1, s2 *core.Subsystem, h1, h2 *Hub) {
+	t.Helper()
+	s1 = core.NewSubsystem("ss1")
+	s2 = core.NewSubsystem("ss2")
+	sc, _ := s1.NewComponent("prod", prod)
 	sc.AddPort("out")
-	rc, _ := s2.NewComponent("cons", rcv)
+	rc, _ := s2.NewComponent("cons", cons)
 	rc.AddPort("in")
 	// The split net: one fragment per subsystem.
 	n1, _ := s1.NewNet("link", 0)

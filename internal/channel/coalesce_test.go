@@ -1,11 +1,13 @@
 package channel
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/proto"
 	"repro/internal/signal"
 	"repro/internal/vtime"
 )
@@ -38,9 +40,8 @@ func coalescingEndpoint(t *testing.T, cfg CoalesceConfig) (*Endpoint, *fakeBatch
 	sub := core.NewSubsystem("ss1")
 	h := NewHub(sub)
 	tr := &fakeBatchTr{}
-	// A small deterministic link (like the rest of the suite) so the
-	// virtual arrival times in MaxHold tests are easy to reason about:
-	// drive(i) arrives at roughly i+6 with no queueing.
+	// A small deterministic link (like the rest of the suite): drive(i)
+	// arrives at roughly i+6 with no queueing.
 	ep, err := h.NewEndpoint("peer", Conservative, LinkModel{Latency: 5, PerMessage: 1}, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -134,25 +135,6 @@ func TestCoalesceByteBudget(t *testing.T) {
 	}
 }
 
-func TestCoalesceMaxHold(t *testing.T) {
-	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxMsgs: 100, MaxHold: 10})
-	// Drives sent at 0..4 arrive ~1 tick apart: within the hold span,
-	// no flush.
-	for i := 0; i < 5; i++ {
-		drive(ep, i)
-	}
-	if batches := tr.snapshot(); len(batches) != 0 {
-		t.Fatalf("hold span not reached but %d batches flushed", len(batches))
-	}
-	// A drive arriving 20 ticks later exceeds MaxHold and forces the
-	// flush.
-	drive(ep, 30)
-	batches := tr.snapshot()
-	if len(batches) != 1 || len(batches[0]) != 6 {
-		t.Fatalf("hold-span flush: %d batches", len(batches))
-	}
-}
-
 // batchSizes returns how many messages each SendBatch carried.
 func batchSizes(tr *fakeBatchTr) []int {
 	batches := tr.snapshot()
@@ -211,14 +193,23 @@ func TestDisableCoalescingFlushesAndReverts(t *testing.T) {
 	}
 }
 
+// override applies cfg to both hubs; a nil cfg leaves their endpoints
+// with the policy they start with.
+func override(cfg *CoalesceConfig, hubs ...*Hub) {
+	for _, h := range hubs {
+		if cfg != nil {
+			h.SetCoalescing(*cfg)
+		}
+	}
+}
+
 // runPipePair returns what a coalescing policy must never move — the
 // receiver's values, order and virtual arrival times — and the
 // sender-side endpoint's flush counters.
-func runPipePair(t *testing.T, cfg CoalesceConfig) (*receiver, Stats) {
+func runPipePair(t *testing.T, cfg *CoalesceConfig) (*receiver, Stats) {
 	t.Helper()
 	s1, s2, _, rcv, h1, h2 := twoSubs(t, Conservative, LinkModel{Latency: 5, PerMessage: 1}, 25, 10)
-	h1.SetCoalescing(cfg)
-	h2.SetCoalescing(cfg)
+	override(cfg, h1, h2)
 	if e1, e2 := runBoth(s1, s2, 1000); e1 != nil || e2 != nil {
 		t.Fatalf("runs: %v / %v", e1, e2)
 	}
@@ -226,14 +217,14 @@ func runPipePair(t *testing.T, cfg CoalesceConfig) (*receiver, Stats) {
 }
 
 // TestCoalescedConservativeDelivery runs the same producer/consumer
-// pair over an in-process pipe uncoalesced and coalesced. The pipe
-// carries whatever SendBatch hands it, so the coalesced run really
-// batches (fewer flushes than messages) — and delivers the same drives
-// at the same virtual times. (Batched delivery over real TCP is
+// pair over an in-process pipe flushing per message, with a small
+// explicit budget and with the policy an endpoint starts with. The
+// pipe carries whatever SendBatch hands it, so the coalesced runs
+// really batch (fewer flushes than messages) — and deliver the same
+// drives at the same virtual times. (Batched delivery over real TCP is
 // covered in the node package tests.)
 func TestCoalescedConservativeDelivery(t *testing.T) {
-	off, offStats := runPipePair(t, CoalesceConfig{})
-	on, onStats := runPipePair(t, CoalesceConfig{MaxMsgs: 8})
+	off, offStats := runPipePair(t, &CoalesceConfig{})
 	if len(off.Got) != 25 {
 		t.Fatalf("delivered %d, want 25", len(off.Got))
 	}
@@ -242,13 +233,94 @@ func TestCoalescedConservativeDelivery(t *testing.T) {
 			t.Fatalf("order broken: %v", off.Got)
 		}
 	}
-	if !reflect.DeepEqual(on, off) {
-		t.Fatalf("coalescing moved deliveries:\n off %+v\n on  %+v", off, on)
-	}
 	if offStats.Flushes != offStats.FlushedMsgs {
 		t.Fatalf("uncoalesced pipe batched: %+v", offStats)
 	}
-	if onStats.Flushes >= onStats.FlushedMsgs {
-		t.Fatalf("coalesced pipe never batched: %+v", onStats)
+	for name, cfg := range map[string]*CoalesceConfig{"budget of 8": {MaxMsgs: 8}, "default": nil} {
+		on, onStats := runPipePair(t, cfg)
+		if !reflect.DeepEqual(on, off) {
+			t.Fatalf("%s: coalescing moved deliveries:\n off %+v\n on  %+v", name, off, on)
+		}
+		if onStats.Flushes >= onStats.FlushedMsgs {
+			t.Fatalf("%s: coalesced pipe never batched: %+v", name, onStats)
+		}
+	}
+}
+
+// pageSender moves Page to the peer at a proto detail level.
+type pageSender struct {
+	Page  []byte
+	Level string
+}
+
+func (s *pageSender) Run(p *core.Proc) error {
+	p.Delay(10)
+	proto.SendMessage(p, "out", s.Page, s.Level, proto.DefaultConfig)
+	return nil
+}
+
+// pageReceiver reassembles it, recording when every drive arrived.
+type pageReceiver struct {
+	Got   []byte
+	Times []vtime.Time
+	Err   error
+}
+
+func (r *pageReceiver) Run(p *core.Proc) error {
+	a := proto.NewAssembler()
+	for {
+		m, ok := p.Recv("in")
+		if !ok {
+			return nil
+		}
+		r.Times = append(r.Times, m.Time)
+		if payload, done, err := a.Feed(m.Value); err != nil {
+			r.Err = err
+		} else if done {
+			r.Got = payload
+		}
+	}
+}
+
+// TestDefaultCoalescingMovesNoDrive is the same comparison on the
+// traffic the policy is sized for: one page at each detail level —
+// thousands of bus cycles or words, or tens of 1 KB frames — through
+// endpoints left as NewEndpoint made them, against the
+// flush-per-message reference. Every drive arrives at the same virtual
+// time and the page arrives whole; only the number of flushes differs.
+func TestDefaultCoalescingMovesNoDrive(t *testing.T) {
+	page := make([]byte, 40<<10)
+	for i := range page {
+		page[i] = byte(i * 31)
+	}
+	run := func(level string, cfg *CoalesceConfig) (*pageReceiver, Stats) {
+		rcv := &pageReceiver{}
+		s1, s2, h1, h2 := splitPair(t, Conservative, LinkModel{Latency: 5, PerMessage: 1}, &pageSender{Page: page, Level: level}, rcv)
+		override(cfg, h1, h2)
+		if e1, e2 := runBoth(s1, s2, vtime.Time(vtime.Second)); e1 != nil || e2 != nil {
+			t.Fatalf("%s runs: %v / %v", level, e1, e2)
+		}
+		return rcv, h1.Endpoints()[0].Stats()
+	}
+	for _, level := range []string{proto.LevelHardware, proto.LevelWord, proto.LevelPacket} {
+		ref, refStats := run(level, &CoalesceConfig{})
+		got, stats := run(level, nil)
+		drives := proto.Drives(len(page), level, proto.DefaultConfig)
+		if ref.Err != nil || !bytes.Equal(ref.Got, page) || len(ref.Times) != drives {
+			t.Fatalf("%s reference: err %v, %d bytes, %d drives (want %d)", level, ref.Err, len(ref.Got), len(ref.Times), drives)
+		}
+		if got.Err != nil || !bytes.Equal(got.Got, page) || !reflect.DeepEqual(got.Times, ref.Times) {
+			t.Fatalf("%s: the default policy moved a drive (err %v, %d bytes, %d drives)", level, got.Err, len(got.Got), len(got.Times))
+		}
+		if stats.DataOut != refStats.DataOut || refStats.Flushes != refStats.FlushedMsgs {
+			t.Fatalf("%s: data out %d vs %d, reference flushes %+v", level, stats.DataOut, refStats.DataOut, refStats)
+		}
+		// How often the stall flush and the safe-time asks cut a batch
+		// short depends on how the two schedulers interleave; that the
+		// default batches at all, and never past its count budget, does
+		// not.
+		if stats.Flushes >= stats.FlushedMsgs || stats.FlushedMsgs > stats.Flushes*int64(DefaultCoalesce.MaxMsgs) {
+			t.Fatalf("%s: default policy flushed %d messages in %d flushes", level, stats.FlushedMsgs, stats.Flushes)
+		}
 	}
 }

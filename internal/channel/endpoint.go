@@ -42,30 +42,31 @@ type Stats struct {
 	FlushedMsgs         int64 // messages carried by those flushes
 }
 
-// CoalesceConfig tunes egress message coalescing. Data drives
+// CoalesceConfig sizes egress message coalescing. Data drives
 // accumulate in the endpoint's egress queue until one of the budgets
 // trips; urgent messages (safe-time asks and grants, marks, restores,
 // close) always flush immediately, with any queued drives preceding
-// them in the same batch so FIFO order is preserved.
+// them in the same batch so FIFO order is preserved. Nothing bounds
+// how long a drive may be held in virtual time, and nothing needs to:
+// timestamps are stamped at egress and every scheduler stall and
+// horizon departure flushes, so holding moves wall-clock delivery only.
 type CoalesceConfig struct {
 	// MaxMsgs flushes once this many messages are queued. Values
-	// below 2 disable coalescing.
+	// below 2 disable coalescing: every message is its own flush.
 	MaxMsgs int
 	// MaxBytes flushes once the queued payload bytes (signal sizes,
 	// not wire encoding) reach this budget. 0 means no byte budget.
 	MaxBytes int
-	// MaxHold bounds the virtual-time span a queued drive may wait
-	// behind the first queued drive. 0 means unbounded — safe because
-	// timestamps are stamped at egress and every scheduler stall
-	// flushes, so holding affects wall-clock delivery only.
-	MaxHold vtime.Duration
 }
 
 // Enabled reports whether the config actually coalesces.
 func (c CoalesceConfig) Enabled() bool { return c.MaxMsgs > 1 }
 
-// DefaultCoalesce is a balanced policy: big enough batches to
-// amortize framing, small enough to keep wall-clock latency low.
+// DefaultCoalesce is the policy every endpoint starts with: batches
+// big enough to amortize framing over a burst of word drives, small
+// enough that a page of packets still streams. SetCoalescing overrides
+// it; the zero CoalesceConfig is the flush-per-message reference the
+// tests compare against.
 var DefaultCoalesce = CoalesceConfig{MaxMsgs: 64, MaxBytes: 32 << 10}
 
 // Hub manages all channel endpoints of one subsystem. It chains into
@@ -257,6 +258,8 @@ func (h *Hub) NewEndpoint(peer string, policy Policy, link LinkModel, tr Transpo
 		policy: policy,
 		link:   link,
 		tr:     tr,
+
+		coalesce: DefaultCoalesce,
 	}
 	h.mu.Lock()
 	ep.tl = h.tl
@@ -432,13 +435,12 @@ type Endpoint struct {
 	// nextOut order, so the queue is the seq order; flush extracts the
 	// whole queue and hands it to the transport under sendMu, which
 	// serializes flushes and keeps batches in order. coalesce decides
-	// only when the queue flushes: after every message, or once a
-	// budget trips.
+	// only when the queue flushes: once a budget trips, or — the zero
+	// config — after every message.
 	coalesce     CoalesceConfig
 	pendingOut   []Message
 	spareOut     []Message // previous batch's backing array, reused
 	pendingBytes int
-	holdBase     vtime.Time // Time of the first queued drive
 
 	sendMu sync.Mutex // serializes flushes; never taken under ep.mu
 
@@ -717,8 +719,9 @@ func (ep *Endpoint) setErr(err error) {
 	ep.mu.Unlock()
 }
 
-// SetCoalescing enables or disables egress coalescing. Safe to call at
-// any time; a disable flushes whatever is queued.
+// SetCoalescing replaces the endpoint's coalescing budgets
+// (DefaultCoalesce until then). Safe to call at any time; a disable
+// flushes whatever is queued.
 func (ep *Endpoint) SetCoalescing(cfg CoalesceConfig) {
 	ep.mu.Lock()
 	ep.coalesce = cfg
@@ -739,19 +742,8 @@ func (ep *Endpoint) queueLocked(m Message, urgent bool) bool {
 		return true
 	}
 	ep.pendingBytes += payloadSize(m.Value)
-	if len(ep.pendingOut) == 1 {
-		ep.holdBase = m.Time
-	}
-	if ep.coalesce.MaxMsgs > 0 && len(ep.pendingOut) >= ep.coalesce.MaxMsgs {
-		return true
-	}
-	if ep.coalesce.MaxBytes > 0 && ep.pendingBytes >= ep.coalesce.MaxBytes {
-		return true
-	}
-	if ep.coalesce.MaxHold > 0 && m.Time.Sub(ep.holdBase) >= ep.coalesce.MaxHold {
-		return true
-	}
-	return false
+	return len(ep.pendingOut) >= ep.coalesce.MaxMsgs ||
+		ep.coalesce.MaxBytes > 0 && ep.pendingBytes >= ep.coalesce.MaxBytes
 }
 
 // Flush drains the egress queue onto the transport. An empty queue is
@@ -1138,7 +1130,6 @@ func (ep *Endpoint) ResetProtocol() {
 	ep.seqInNext = 0
 	ep.pendingOut = ep.pendingOut[:0]
 	ep.pendingBytes = 0
-	ep.holdBase = 0
 	// A transport error from the dying epoch is part of what the
 	// rewind recovers from.
 	ep.protoErr = nil

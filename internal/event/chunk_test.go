@@ -34,8 +34,13 @@ type model struct {
 }
 
 func (m *model) push(q *Queue) {
+	m.pushAt(q, vtime.Time(m.rng.Intn(acrossTimes)))
+}
+
+// pushAt pushes an event at time at on a random port.
+func (m *model) pushAt(q *Queue, at vtime.Time) {
 	e := Event{
-		Time:      vtime.Time(m.rng.Intn(acrossTimes)),
+		Time:      at,
 		Kind:      KindNet,
 		Component: strconv.Itoa(m.id),
 		Port:      acrossPorts[m.rng.Intn(len(acrossPorts))],

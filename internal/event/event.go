@@ -9,19 +9,36 @@
 // delivered in the order they were produced. That tie-break is what
 // makes whole-simulation runs reproducible bit-for-bit.
 //
-// The queue is laid out struct-of-arrays: the heap itself is three
+// The queue is laid out struct-of-arrays: the ordering is three
 // parallel columns — times, seqs and row indices — while the bulky
 // routing/payload fields live in a separate row store addressed by
 // the index column. Ordering operations (NextTime, the scheduler's
 // safe-horizon key scan, drains) touch only the contiguous time/seq
 // columns; heap swaps move 20 bytes instead of whole events; and the
 // row store recycles slots through a free list, so a warm queue's
-// steady-state traffic allocates nothing. The row store is chunked:
-// rows never move once a queue holds more than one chunk, so a cold
-// burst of n events costs about n/256 block allocations and no
-// re-copying, and whatever empties the queue releases every chunk but
-// the first. Events move in and out of the queue by value — there is
-// no per-event heap object to pool or leak.
+// steady-state traffic allocates nothing.
+//
+// The columns are read in one of two ways. A queue starts as a sorted
+// run: while every push orders at or after the one before it — a page
+// arriving over a channel, a burst toward one inbox, a timer chain —
+// a push is an append, the head is a cursor into the run and a pop is
+// a load plus cursor++, with no sift. The popped prefix is reclaimed
+// (the run copied down to position 0) whenever it outweighs the live
+// run, so each reclamation moves fewer positions than were popped
+// since the last one and a queue that never empties keeps columns
+// proportional to its depth. The first push that orders before its
+// predecessor — a rollback re-pushing popped events, two sources
+// interleaving — moves the run to position 0 and from then on the same
+// columns are a binary heap. No heapify is needed: in a sorted array
+// every position's parent sits at a smaller index and so holds a
+// smaller key, which is the heap invariant. The queue is a heap until
+// something empties it, and an empty queue is an empty run again.
+//
+// The row store is chunked: rows never move once a queue holds more
+// than one chunk, so a cold burst of n events costs about n/256 block
+// allocations and no re-copying, and whatever empties the queue
+// releases every chunk but the first. Events move in and out of the
+// queue by value — there is no per-event heap object to pool or leak.
 package event
 
 import (
@@ -109,7 +126,7 @@ func (e Event) String() string {
 }
 
 // payload is the row-store half of an event: everything except the
-// (Time, Seq) ordering key, which lives in the heap columns.
+// (Time, Seq) ordering key, which lives in the ordering columns.
 type payload struct {
 	kind Kind
 	// nextFree links the free list through the recycled rows
@@ -135,10 +152,15 @@ const (
 // The zero value is ready to use. Queue is not safe for concurrent
 // use; the subsystem scheduler owns it.
 type Queue struct {
-	// Heap columns, parallel by heap position.
+	// Ordering columns, parallel by position; positions head.. are
+	// live. While heap is false they are a sorted run and head is its
+	// cursor; once heap is true they are a binary heap and head is 0
+	// (see the package comment).
 	times []vtime.Time
 	seqs  []uint64
 	rows  []int32 // row-store slot
+	head  int
+	heap  bool
 
 	// Row store, chunked so rows never move. The first chunk grows by
 	// append up to chunkRows, so a queue that only ever holds a few
@@ -165,7 +187,7 @@ func (q *Queue) row(slot int32) *payload {
 }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.times) }
+func (q *Queue) Len() int { return len(q.times) - q.head }
 
 func (q *Queue) less(i, j int) bool {
 	if q.times[i] != q.times[j] {
@@ -243,10 +265,33 @@ func (q *Queue) alloc(e *Event) int32 {
 }
 
 func (q *Queue) pushCols(t vtime.Time, seq uint64, slot int32) {
+	n := len(q.times)
 	q.times = append(q.times, t)
 	q.seqs = append(q.seqs, seq)
 	q.rows = append(q.rows, slot)
-	q.up(len(q.times) - 1)
+	switch {
+	case q.heap:
+		q.up(n)
+	case n > q.head && q.less(n, n-1):
+		// The first push that does not extend the run: from here until
+		// the queue empties the columns are a heap.
+		q.compact()
+		q.heap = true
+		q.up(len(q.times) - 1)
+	}
+}
+
+// compact moves the live run down to position 0, dropping the popped
+// prefix.
+func (q *Queue) compact() {
+	if q.head == 0 {
+		return
+	}
+	n := copy(q.times, q.times[q.head:])
+	copy(q.seqs, q.seqs[q.head:])
+	copy(q.rows, q.rows[q.head:])
+	q.times, q.seqs, q.rows = q.times[:n], q.seqs[:n], q.rows[:n]
+	q.head = 0
 }
 
 // Push schedules an event, stamping it with the next sequence number,
@@ -267,7 +312,7 @@ func (q *Queue) PushStamped(e Event) {
 	q.pushCols(e.Time, e.Seq, q.alloc(&e))
 }
 
-// load materializes the event at heap position i into e without
+// load materializes the event at position i into e without
 // removing it. It fills e in place: an Event is 112 bytes, and the
 // drains move tens of thousands of them per page load, so the removal
 // paths write each one once, straight into its destination.
@@ -287,10 +332,10 @@ func (q *Queue) load(i int, e *Event) {
 // Peek returns the earliest event without removing it; ok is false
 // when the queue is empty.
 func (q *Queue) Peek() (e Event, ok bool) {
-	if len(q.times) == 0 {
+	if q.Len() == 0 {
 		return Event{}, false
 	}
-	q.load(0, &e)
+	q.load(q.head, &e)
 	return e, true
 }
 
@@ -298,29 +343,44 @@ func (q *Queue) Peek() (e Event, ok bool) {
 // materializing it; ok is false when the queue is empty. It is what a
 // receiver needs to decide whether the head is deliverable.
 func (q *Queue) Head() (t vtime.Time, port string, ok bool) {
-	if len(q.times) == 0 {
+	if q.Len() == 0 {
 		return vtime.Infinity, "", false
 	}
-	return q.times[0], q.row(q.rows[0]).port, true
+	return q.times[q.head], q.row(q.rows[q.head]).port, true
 }
 
-// removeAt extracts the event at heap position i into e, restores
-// heap order and recycles its row slot.
+// removeAt extracts the event at position i into e, restores the
+// columns' order and recycles its row slot. Off a run the head leaves
+// by advancing the cursor, and an event further in by closing the gap
+// from the front, which the scan that found it already walked; off a
+// heap the last leaf takes its place and is sifted.
 func (q *Queue) removeAt(i int, e *Event) {
 	q.load(i, e)
-	slot := q.rows[i]
-	n := len(q.times) - 1
-	q.swap(i, n)
-	q.times = q.times[:n]
-	q.seqs = q.seqs[:n]
-	q.rows = q.rows[:n]
-	q.recycle(slot)
-	switch {
-	case n == 0:
+	q.recycle(q.rows[i])
+	if q.heap {
+		n := len(q.times) - 1
+		q.swap(i, n)
+		q.times, q.seqs, q.rows = q.times[:n], q.seqs[:n], q.rows[:n]
+		if i < n {
+			q.down(i)
+			q.up(i)
+		}
+	} else {
+		if i > q.head {
+			copy(q.times[q.head+1:i+1], q.times[q.head:i])
+			copy(q.seqs[q.head+1:i+1], q.seqs[q.head:i])
+			copy(q.rows[q.head+1:i+1], q.rows[q.head:i])
+		}
+		q.head++
+	}
+	switch live := q.Len(); {
+	case live == 0:
 		q.release()
-	case i < n:
-		q.down(i)
-		q.up(i)
+	case q.head > live:
+		// Each compaction copies fewer positions than were popped
+		// since the last one, so a queue that never empties keeps
+		// columns proportional to its depth for O(1) a pop.
+		q.compact()
 	}
 }
 
@@ -333,26 +393,30 @@ func (q *Queue) recycle(slot int32) {
 	q.free = slot + 1
 }
 
-// release is what every path that empties the queue ends in: row
-// allocation restarts at slot 0, and the chunks past the first — with
-// heap columns that grew past one chunk's worth — are dropped, so a
-// drained burst is not held for the life of the queue while a queue
-// that stays small keeps everything it has warmed. The caller has
-// already cleared every row of the first chunk it used.
+// release is what every path that empties the queue ends in: the
+// columns are an empty run again, row allocation restarts at slot 0,
+// and the chunks past the first — with columns that grew past one
+// chunk's worth — are dropped, so a drained burst is not held for the
+// life of the queue while a queue that stays small keeps everything it
+// has warmed. The caller has already cleared every row of the first
+// chunk it used.
 func (q *Queue) release() {
 	q.rest = nil
 	q.next, q.free = 0, 0
+	q.head, q.heap = 0, false
 	if cap(q.times) > chunkRows {
 		q.times, q.seqs, q.rows = nil, nil, nil
+	} else {
+		q.times, q.seqs, q.rows = q.times[:0], q.seqs[:0], q.rows[:0]
 	}
 }
 
 // Pop removes and returns the earliest event; ok is false when empty.
 func (q *Queue) Pop() (e Event, ok bool) {
-	if len(q.times) == 0 {
+	if q.Len() == 0 {
 		return Event{}, false
 	}
-	q.removeAt(0, &e)
+	q.removeAt(q.head, &e)
 	return e, true
 }
 
@@ -360,22 +424,26 @@ func (q *Queue) Pop() (e Event, ok bool) {
 // vtime.Infinity when the queue is empty. It reads only the head of
 // the time column — the safe-horizon scan's fast path.
 func (q *Queue) NextTime() vtime.Time {
-	if len(q.times) == 0 {
+	if q.Len() == 0 {
 		return vtime.Infinity
 	}
-	return q.times[0]
+	return q.times[q.head]
 }
 
-// minMatching returns the heap position of the earliest event whose
-// Port is in ports, or -1. It scans the columns linearly: the (Time,
-// Seq) pair is a total order, so the minimum over matches is exactly
-// the event a sorted walk would find first. ports is a receive filter
-// — a handful of names — so membership is a linear match too.
+// minMatching returns the position of the earliest event whose Port
+// is in ports, or -1. It scans the columns linearly: the (Time, Seq)
+// pair is a total order, so the minimum over matches is exactly the
+// event a sorted walk would find first — and a run is that walk, so
+// its first match ends the scan. ports is a receive filter — a handful
+// of names — so membership is a linear match too.
 func (q *Queue) minMatching(ports []string) int {
 	best := -1
-	for i := range q.times {
+	for i := q.head; i < len(q.times); i++ {
 		if !slices.Contains(ports, q.row(q.rows[i]).port) {
 			continue
+		}
+		if !q.heap {
+			return i
 		}
 		if best < 0 || q.less(i, best) {
 			best = i
@@ -426,12 +494,12 @@ func (q *Queue) DrainInto(t vtime.Time, buf []Event) []Event {
 // bound how much work one drain may claim.
 func (q *Queue) PopBatch(t vtime.Time, max int, buf []Event) []Event {
 	buf = buf[:0]
-	for len(q.times) > 0 && q.times[0] <= t {
+	for q.Len() > 0 && q.times[q.head] <= t {
 		if max > 0 && len(buf) >= max {
 			break
 		}
 		buf = append(buf, Event{})
-		q.removeAt(0, &buf[len(buf)-1])
+		q.removeAt(q.head, &buf[len(buf)-1])
 	}
 	return buf
 }
@@ -439,9 +507,16 @@ func (q *Queue) PopBatch(t vtime.Time, max int, buf []Event) []Event {
 // Snapshot returns the pending events in delivery order without
 // disturbing the queue. Used by the checkpoint machinery.
 func (q *Queue) Snapshot() []Event {
-	n := len(q.times)
+	n := q.Len()
 	if n == 0 {
 		return nil
+	}
+	out := make([]Event, n)
+	if !q.heap {
+		for i := range out {
+			q.load(q.head+i, &out[i])
+		}
+		return out
 	}
 	// Copy the heap columns and pop the copy down; the row store is
 	// only read.
@@ -452,10 +527,8 @@ func (q *Queue) Snapshot() []Event {
 		first: q.first,
 		rest:  q.rest,
 	}
-	out := make([]Event, 0, n)
-	for len(tmp.times) > 0 {
-		out = append(out, Event{})
-		tmp.load(0, &out[len(out)-1])
+	for i := range out {
+		tmp.load(0, &out[i])
 		m := len(tmp.times) - 1
 		tmp.swap(0, m)
 		tmp.times, tmp.seqs, tmp.rows = tmp.times[:m], tmp.seqs[:m], tmp.rows[:m]
@@ -474,23 +547,25 @@ func (q *Queue) Snapshot() []Event {
 // column that touches nothing and skips the re-heapify entirely when
 // there is nothing to remove. The opposite extreme — everything is in
 // the discarded future — is a Reset, without the compaction walk. Only
-// a genuinely mixed queue pays for compaction plus re-heapify.
+// a genuinely mixed queue pays for compaction, and a heap for the
+// re-heapify after it: compaction keeps the survivors' relative order,
+// so a run is still a run.
 func (q *Queue) DiscardAfter(t vtime.Time) int {
 	doomed := 0
-	for i := 0; i < len(q.times); i++ {
-		if q.times[i] > t {
+	for _, at := range q.times[q.head:] {
+		if at > t {
 			doomed++
 		}
 	}
 	if doomed == 0 {
 		return 0
 	}
-	if doomed == len(q.times) {
+	if doomed == q.Len() {
 		q.Reset()
 		return doomed
 	}
 	kept := 0
-	for i := 0; i < len(q.times); i++ {
+	for i := q.head; i < len(q.times); i++ {
 		if q.times[i] > t {
 			q.recycle(q.rows[i])
 			continue
@@ -499,9 +574,11 @@ func (q *Queue) DiscardAfter(t vtime.Time) int {
 		kept++
 	}
 	q.times, q.seqs, q.rows = q.times[:kept], q.seqs[:kept], q.rows[:kept]
-	// Re-heapify the surviving columns.
-	for i := kept/2 - 1; i >= 0; i-- {
-		q.down(i)
+	q.head = 0
+	if q.heap {
+		for i := kept/2 - 1; i >= 0; i-- {
+			q.down(i)
+		}
 	}
 	return doomed
 }
@@ -509,13 +586,10 @@ func (q *Queue) DiscardAfter(t vtime.Time) int {
 // Reset empties the queue but keeps the sequence counter monotone, so
 // new events still order after everything ever scheduled.
 func (q *Queue) Reset() {
-	for _, slot := range q.rows {
+	for _, slot := range q.rows[q.head:] {
 		if slot < chunkRows {
 			q.first[slot] = payload{}
 		}
 	}
-	q.times = q.times[:0]
-	q.seqs = q.seqs[:0]
-	q.rows = q.rows[:0]
 	q.release()
 }

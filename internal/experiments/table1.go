@@ -28,9 +28,7 @@ type Table1Row struct {
 	Overhead float64        // Wall / native Wall
 
 	// Wire traffic for remote rows (sent direction, both nodes
-	// summed): how many TCP frames and bytes the run cost. The
-	// coalescing ablation's figure of merit — same drives, fewer
-	// frames.
+	// summed): how many TCP frames and bytes the run cost.
 	FramesOut    int64
 	WireBytesOut int64
 
@@ -51,10 +49,6 @@ type Table1Row struct {
 type Table1Config struct {
 	PageSize int
 	Images   int
-
-	// Coalesce, when enabled, batches cross-node egress on remote
-	// rows. The zero value keeps the one-frame-per-message path.
-	Coalesce pia.CoalesceConfig
 
 	// Workers sizes each subsystem's scheduler worker pool; 0 keeps
 	// the sequential scheduler. Virtual results are identical either
@@ -190,9 +184,6 @@ func Remote(c Table1Config, level string) (Table1Row, error) {
 	}
 	b.SetDefaultChannel(pia.Conservative, pia.LoopbackLink)
 	b.SetWorkers(c.Workers)
-	if c.Coalesce.Enabled() {
-		b.SetCoalescing(c.Coalesce)
-	}
 	n1, n2 := pia.NewNode("handheld-node"), pia.NewNode("modem-node")
 	cl, err := b.BuildOnNodes(map[string]*pia.Node{
 		"handheld":  n1,
@@ -238,27 +229,6 @@ func Remote(c Table1Config, level string) (Table1Row, error) {
 		row.WireBytesOut += ws.BytesOut
 	}
 	return row, nil
-}
-
-// CoalescingAblation runs the remote row at the given level twice —
-// uncoalesced, then with the given (or default) coalescing policy —
-// so the frame reduction and wall-clock change are measured on
-// identical workloads.
-func CoalescingAblation(c Table1Config, level string) (off, on Table1Row, err error) {
-	plain := c
-	plain.Coalesce = pia.CoalesceConfig{}
-	if off, err = Remote(plain, level); err != nil {
-		return off, on, err
-	}
-	batched := c
-	if !batched.Coalesce.Enabled() {
-		batched.Coalesce = pia.DefaultCoalesce
-	}
-	if on, err = Remote(batched, level); err != nil {
-		return off, on, err
-	}
-	on.Location, off.Location = "remote+coalesce", "remote"
-	return off, on, nil
 }
 
 func levelName(level string) string {

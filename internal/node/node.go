@@ -199,10 +199,10 @@ func (n *Node) FinishAgents() {
 	}
 }
 
-// SetCoalescing applies an egress coalescing policy to every channel
-// endpoint the node has created and every endpoint it creates later
-// (both dialed and accepted): the switch that turns
-// one-frame-per-drive into batched frames.
+// SetCoalescing replaces the egress coalescing budgets
+// (channel.DefaultCoalesce unless set) on every channel endpoint the
+// node has created and every endpoint it creates later, both dialed
+// and accepted.
 func (n *Node) SetCoalescing(cfg channel.CoalesceConfig) {
 	n.mu.Lock()
 	n.coalesce = cfg
@@ -399,8 +399,8 @@ func (n *Node) rewindHooks(sub string) (func() string, func(string) bool) {
 }
 
 // WireStats sums the framing counters of every connection the node
-// owns: bytes and frames, in and out. The frame counts are what the
-// coalescing ablation reports — fewer frames for the same drives is
+// owns: bytes and frames, in and out. Frames against drives is what
+// egress coalescing is judged by — fewer frames for the same drives is
 // the whole point.
 func (n *Node) WireStats() wire.Stats {
 	n.mu.Lock()
@@ -816,9 +816,10 @@ func (t *connTransport) Close() error { return nil } // node owns the conn
 // connection's recycled egress buffer — no intermediate frame copy —
 // so a steady-state flush allocates nothing, and the whole batch
 // costs one syscall (and, on a
-// resilient session, one CRC envelope). A flush of one message — every
-// flush of an uncoalesced channel — is a batch of one: the same frame
-// format, one frame and one Write per drive.
+// resilient session, one CRC envelope). A flush of one message — a
+// lone drive leaving at a stall, an ask, every flush of a channel set
+// to the zero CoalesceConfig — is a batch of one: the same frame
+// format, one frame and one Write.
 func (t *connTransport) SendBatch(msgs []channel.Message) error {
 	eg := t.c.BeginEgress()
 	defer eg.Close()

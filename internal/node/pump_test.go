@@ -208,7 +208,7 @@ func TestPumpDeliversFramesBeforeACorruptOne(t *testing.T) {
 	}
 }
 
-// TestSendBatchWordZeroAlloc guards the uncoalesced hot path: a flush
+// TestSendBatchWordZeroAlloc guards the batch-of-one path: a flush
 // of one word drive through connTransport.SendBatch — encode in place
 // in the connection's recycled egress buffer, one frame, one Write —
 // allocates nothing in steady state.

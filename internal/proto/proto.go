@@ -130,17 +130,35 @@ func sendPackets(p *core.Proc, port string, payload []byte, cfg Config) int {
 // level. Feed it every message received on the data port; when a
 // complete payload is available it is returned with done=true.
 type Assembler struct {
+	// A word/byte stream accumulates in buf, sized from its header.
 	buf      []byte
 	expected int64 // -1: idle, >=0: word/byte stream in progress
-	inFrame  bool
+
+	// A frame transfer says nothing about its length until Last, so
+	// the payloads are kept as handed over (size bytes in all) and
+	// joined once, into the result, when Last arrives.
+	parts   [][]byte
+	size    int
+	inFrame bool
 
 	// Messages counts completed payloads (diagnostics).
 	Messages int64
 }
 
-// maxPresize bounds what a length header may make an Assembler
-// allocate ahead of the data.
-const maxPresize = 1 << 20
+const (
+	// maxPresize bounds what a length header may make an Assembler
+	// allocate ahead of the data.
+	maxPresize = 1 << 20
+
+	// maxMessage bounds what a transfer in progress may hold, eight
+	// times the largest page any workload moves. Past it Feed drops
+	// the transfer and returns an error, so a peer that never sets
+	// Frame.Last, or whose header promises 2^40 bytes and then streams
+	// them, cannot grow memory without limit. A kept frame is charged
+	// its slice header too, so empty and one-byte frames count.
+	maxMessage  = 16 << 20
+	sliceHeader = 24
+)
 
 // NewAssembler creates an idle assembler.
 func NewAssembler() *Assembler { return &Assembler{expected: -1} }
@@ -176,6 +194,9 @@ func (a *Assembler) Feed(v any) ([]byte, bool, error) {
 		if !x.Write {
 			return nil, false, nil
 		}
+		if len(a.buf) >= maxMessage {
+			return nil, false, a.overflow()
+		}
 		a.buf = append(a.buf, byte(x.Data))
 		if int64(len(a.buf)) >= a.expected {
 			return a.finish()
@@ -184,6 +205,9 @@ func (a *Assembler) Feed(v any) ([]byte, bool, error) {
 	case signal.Word:
 		if a.expected < 0 {
 			return nil, false, fmt.Errorf("proto: word without length header")
+		}
+		if len(a.buf) >= maxMessage {
+			return nil, false, a.overflow()
 		}
 		var w [4]byte
 		binary.LittleEndian.PutUint32(w[:], uint32(x))
@@ -201,7 +225,11 @@ func (a *Assembler) Feed(v any) ([]byte, bool, error) {
 			return nil, false, fmt.Errorf("proto: frame inside a word/byte transfer")
 		}
 		a.inFrame = true
-		a.buf = append(a.buf, x.Payload...)
+		a.parts = append(a.parts, x.Payload)
+		a.size += len(x.Payload)
+		if a.size+len(a.parts)*sliceHeader > maxMessage {
+			return nil, false, a.overflow()
+		}
 		if x.Last {
 			return a.finish()
 		}
@@ -217,20 +245,34 @@ func (a *Assembler) Feed(v any) ([]byte, bool, error) {
 	}
 }
 
+// finish hands the completed transfer out as one exact-size slice.
 func (a *Assembler) finish() ([]byte, bool, error) {
-	out := make([]byte, len(a.buf))
-	copy(out, a.buf)
-	a.buf = a.buf[:0]
-	a.expected = -1
-	a.inFrame = false
+	out := make([]byte, len(a.buf)+a.size)
+	n := copy(out, a.buf)
+	for _, p := range a.parts {
+		n += copy(out[n:], p)
+	}
+	a.Reset()
 	a.Messages++
 	return out, true, nil
 }
 
+// overflow drops a transfer that has reached maxMessage, with the
+// storage it grew, and reports it.
+func (a *Assembler) overflow() error {
+	a.Reset()
+	a.buf, a.parts = nil, nil
+	return fmt.Errorf("proto: transfer in progress exceeds %d bytes", maxMessage)
+}
+
 // Reset drops any partial transfer (used after a rollback when the
-// assembler is not part of saved state).
+// assembler is not part of saved state). The kept payloads are let go,
+// not just forgotten, so a finished page is not pinned by the list.
 func (a *Assembler) Reset() {
 	a.buf = a.buf[:0]
+	clear(a.parts)
+	a.parts = a.parts[:0]
+	a.size = 0
 	a.expected = -1
 	a.inFrame = false
 }

@@ -3,10 +3,12 @@ package proto
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/signal"
 	"repro/internal/vtime"
 )
 
@@ -209,5 +211,133 @@ func TestAssemblerPresizesFromHeader(t *testing.T) {
 	n := NewAssembler()
 	if _, _, err := n.Feed(lenCtl(-5)); err != nil || cap(n.buf) != 0 {
 		t.Fatalf("negative header: err=%v cap=%d", err, cap(n.buf))
+	}
+}
+
+// allocatedBytes reports how many heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestAssemblerJoinsFramesOnce is the page-path guard: a 2 MB page in
+// 2 048 frames costs the result, allocated once at its exact size, plus
+// the doubling growth of the list of kept payloads — not a buffer
+// re-grown from 1 KB to 2 MB and then copied — and a second page
+// through the same assembler costs the result alone.
+func TestAssemblerJoinsFramesOnce(t *testing.T) {
+	const (
+		frames   = 2048
+		frameLen = 1024
+		message  = frames * frameLen
+	)
+	page := make([]byte, message)
+	for i := range page {
+		page[i] = byte(i * 7)
+	}
+	// Box the frames ahead of the measurement, as a received event has.
+	values := make([]any, frames)
+	for i := range values {
+		values[i] = frameOf(page[i*frameLen:(i+1)*frameLen], i == frames-1)
+	}
+	a := NewAssembler()
+	var got []byte
+	transfer := func() {
+		for i, v := range values {
+			payload, done, err := a.Feed(v)
+			if err != nil || done != (i == frames-1) {
+				t.Fatalf("frame %d: done=%v err=%v", i, done, err)
+			}
+			got = payload
+		}
+	}
+	size := allocatedBytes(transfer)
+	if !bytes.Equal(got, page) {
+		t.Fatal("joined page differs from the one sent")
+	}
+	if limit := uint64(message + message/10); size > limit {
+		t.Fatalf("cold transfer allocated %d bytes for a %d-byte page, want <= %d", size, message, limit)
+	}
+	if len(a.parts) != 0 || a.size != 0 || cap(a.buf) != 0 {
+		t.Fatalf("finished transfer still holds %d payloads, %d bytes, a %d-byte buffer", len(a.parts), a.size, cap(a.buf))
+	}
+	for _, p := range a.parts[:cap(a.parts)] {
+		if p != nil {
+			t.Fatal("finished transfer still pins a frame payload")
+		}
+	}
+	if size = allocatedBytes(transfer); size > message+4096 {
+		t.Fatalf("warm transfer allocated %d bytes; want the %d-byte result alone", size, message)
+	}
+	if n := testing.AllocsPerRun(3, transfer); n != 1 {
+		t.Fatalf("warm transfer allocated %.0f objects; want the result alone", n)
+	}
+	// Cold: the assembler, the result, and append reaching 2 048 list
+	// entries in 14 growths.
+	cold := testing.AllocsPerRun(3, func() {
+		a = NewAssembler()
+		transfer()
+	})
+	if cold > 2+20 {
+		t.Fatalf("cold transfer allocated %.0f objects, want the result and the list's growth", cold)
+	}
+}
+
+// TestAssemblerBoundsTransferInProgress: no stream a peer can send
+// makes an assembler hold more than maxMessage. Each hostile stream is
+// fed until Feed refuses it; what was held up to then stays under the
+// cap, the refusal releases it, and the assembler takes a well-formed
+// transfer afterwards.
+func TestAssemblerBoundsTransferInProgress(t *testing.T) {
+	chunk := make([]byte, 1<<20)
+	for _, tc := range []struct {
+		name   string
+		header any // fed once first, if non-nil
+		value  any // then fed until refused
+		most   int // feeds that must be enough
+	}{
+		{"frames that never set Last", nil, frameOf(chunk, false), maxMessage/len(chunk) + 1},
+		{"one-byte frames that never set Last", nil, frameOf(chunk[:1], false), maxMessage/(1+sliceHeader) + 1},
+		{"empty frames that never set Last", nil, frameOf(nil, false), maxMessage/sliceHeader + 1},
+		{"words after a 2^40 header", lenCtl(1 << 40), wordOf(0xfeedface), maxMessage/4 + 1},
+		{"bus cycles after a 2^40 header", lenCtl(1 << 40), signal.BusCycle{Data: 0xa5, Write: true}, maxMessage + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewAssembler()
+			if tc.header != nil {
+				if _, _, err := a.Feed(tc.header); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fed := 0
+			for ; ; fed++ {
+				if fed > tc.most {
+					t.Fatalf("still accepting after %d values", fed)
+				}
+				held := len(a.buf) + a.size + len(a.parts)*sliceHeader
+				if held > maxMessage {
+					t.Fatalf("holding %d bytes after %d values, cap is %d", held, fed, maxMessage)
+				}
+				payload, done, err := a.Feed(tc.value)
+				if done || payload != nil {
+					t.Fatalf("hostile stream completed a %d-byte message", len(payload))
+				}
+				if err != nil {
+					break
+				}
+			}
+			if fed+2 < tc.most {
+				t.Fatalf("refused after %d values, the cap allows about %d", fed, tc.most)
+			}
+			if cap(a.buf) != 0 || len(a.parts) != 0 || a.size != 0 {
+				t.Fatalf("refused transfer still holds %d + %d bytes in %d payloads", cap(a.buf), a.size, len(a.parts))
+			}
+			if payload, done, err := a.Feed(frameOf([]byte{1, 2, 3}, true)); err != nil || !done || len(payload) != 3 {
+				t.Fatalf("transfer after the refusal: %v done=%v err=%v", payload, done, err)
+			}
+		})
 	}
 }

@@ -369,8 +369,8 @@ func (e *Egress) Close() {
 func (c *Conn) Close() error { return c.rwc.Close() }
 
 // Stats is a snapshot of one connection's framing counters. Totals
-// include the frame headers; FramesOut is the coalescing ablation's
-// figure of merit (fewer frames for the same drives).
+// include the frame headers; FramesOut is egress coalescing's figure
+// of merit (fewer frames for the same drives).
 type Stats struct {
 	BytesIn, BytesOut   int64
 	FramesIn, FramesOut int64

@@ -58,32 +58,30 @@ func GenPage(total, images int) ([]byte, error) {
 	imgBytes := payload * 2 / 3
 	htmlBytes := payload - imgBytes
 
-	rng := rand.New(rand.NewSource(0x77754255))
-	html := make([]byte, htmlBytes)
+	// The page is written in place: html and images go straight into
+	// out, the only allocation proportional to the page.
+	out := make([]byte, total)
+	binary.LittleEndian.PutUint32(out[0:], pageMagic)
+	binary.LittleEndian.PutUint32(out[4:], uint32(htmlBytes))
+	binary.LittleEndian.PutUint32(out[8:], uint32(images))
+	pos := 12
 	fill := []byte("<p>the pia home page, rendered by wubbleu </p>")
-	for i := range html {
-		html[i] = fill[i%len(fill)]
+	for i := 0; i < htmlBytes; i++ {
+		out[pos+i] = fill[i%len(fill)]
 	}
-	out := make([]byte, 0, total)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], pageMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(htmlBytes))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(images))
-	out = append(out, hdr[:]...)
-	out = append(out, html...)
+	pos += htmlBytes
+	rng := rand.New(rand.NewSource(0x77754255))
 	rem := imgBytes
 	for i := 0; i < images; i++ {
 		sz := rem / (images - i)
-		img := make([]byte, sz)
-		rng.Read(img)
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(sz))
-		out = append(out, l[:]...)
-		out = append(out, img...)
+		binary.LittleEndian.PutUint32(out[pos:], uint32(sz))
+		pos += 4
+		rng.Read(out[pos : pos+sz])
+		pos += sz
 		rem -= sz
 	}
-	if len(out) != total {
-		return nil, fmt.Errorf("wubbleu: generated %d bytes, want %d", len(out), total)
+	if pos != total {
+		return nil, fmt.Errorf("wubbleu: generated %d bytes, want %d", pos, total)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package wubbleu
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	pia "repro"
@@ -32,6 +33,24 @@ func TestGenPageRoundTrip(t *testing.T) {
 	}
 	if _, err := GenPage(10, 4); err == nil {
 		t.Fatal("tiny page accepted")
+	}
+}
+
+// TestGenPageAllocatesPageOnce is the page-path guard on the server
+// side: generating a 2 MB page allocates the page and the random
+// source's fixed state, not same-sized temporaries for the html and
+// each image.
+func TestGenPageAllocatesPageOnce(t *testing.T) {
+	const total = 2 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	data, err := GenPage(total, DefaultImageCount)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(data) != total {
+		t.Fatalf("GenPage: %d bytes, err %v", len(data), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > total+16<<10 {
+		t.Fatalf("GenPage(%d) allocated %d bytes, want the page once", total, got)
 	}
 }
 

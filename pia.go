@@ -106,11 +106,11 @@ var (
 	InternetLink = channel.InternetLink
 )
 
-// CoalesceConfig tunes egress message coalescing on cross-node
-// channels; see channel.CoalesceConfig.
+// CoalesceConfig sizes egress message coalescing; see
+// channel.CoalesceConfig.
 type CoalesceConfig = channel.CoalesceConfig
 
-// DefaultCoalesce is the balanced coalescing policy.
+// DefaultCoalesce is the coalescing policy every channel starts with.
 var DefaultCoalesce = channel.DefaultCoalesce
 
 // FaultConfig describes deterministic fault injection on cross-node
@@ -281,9 +281,9 @@ func (b *SystemBuilder) SetChannel(subA, subB string, p Policy, link LinkModel) 
 	return b
 }
 
-// SetCoalescing applies an egress coalescing policy to every
-// cross-node channel the build creates. In-process channels (pipes)
-// keep the immediate path — they have no framing cost to amortize.
+// SetCoalescing replaces DefaultCoalesce on every cross-node channel
+// the build creates; the zero CoalesceConfig is one frame per message.
+// In-process channels (pipes) keep the default.
 func (b *SystemBuilder) SetCoalescing(cfg CoalesceConfig) *SystemBuilder {
 	b.coalesce = cfg
 	b.coalesceSet = true
