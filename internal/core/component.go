@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -81,8 +80,17 @@ type Component struct {
 	ifaces   map[string]*Interface
 
 	localTime vtime.Time
-	status    status
 	inbox     event.Queue // undelivered messages for this component
+
+	// The one-byte fields share a word: a Component is allocated per
+	// component per simulation and sits at the top of its allocator
+	// size class (TestComponentSizeClass).
+	status status
+	// active marks membership in the scheduler's runnable index.
+	// Components whose key is Infinity are lazily compacted out and
+	// re-activated when an event lands in their inbox.
+	active      bool
+	eofSignaled bool // Recv already told "simulation over" once
 
 	// index is the component's creation order: the deterministic
 	// tie-break for equal scheduling keys and the canonical merge
@@ -96,10 +104,6 @@ type Component struct {
 	// components concurrently.
 	parked chan struct{}
 
-	// active marks membership in the scheduler's runnable index.
-	// Components whose key is Infinity are lazily compacted out and
-	// re-activated when an event lands in their inbox.
-	active  bool
 	planKey vtime.Time // key cached by the last scheduler scan
 
 	// mLag is the component's virtual-time lag gauge, created lazily
@@ -176,9 +180,7 @@ type Component struct {
 	irqPort string
 	irqFn   func(*Proc, Msg)
 
-	proc *Proc
-
-	eofSignaled bool // Recv already told "simulation over" once
+	proc Proc // handed to Run by address
 
 	err error // terminal error from Run
 }
@@ -273,42 +275,33 @@ func (c *Component) key() vtime.Time {
 
 // nextDeliverable returns the time of the earliest inbox event
 // matching the component's current receive filter; ok is false when
-// none matches. Only the head's time and port are read; no event is
-// materialized.
+// none matches. No event is materialized: an unfiltered receive reads
+// the head of the time column, and a filtered one scans the columns for
+// the (Time, Seq)-minimal match, which a matching head ends at once.
 func (c *Component) nextDeliverable() (vtime.Time, bool) {
-	t, port, ok := c.inbox.Head()
-	if !ok || c.recvPorts == nil || slices.Contains(c.recvPorts, port) {
-		// No filter, empty inbox, or the head already matches — the
-		// overwhelmingly common cases, all O(1).
-		return t, ok
+	if c.recvPorts == nil {
+		t := c.inbox.NextTime()
+		return t, t != vtime.Infinity
 	}
-	// Filtered receive with a non-matching head: a linear column scan
-	// for the (Time, Seq)-minimal match, no snapshot allocated.
-	e, ok := c.inbox.MinMatching(c.recvPorts)
-	return e.Time, ok
+	t, _, ok := c.inbox.MinMatching(c.recvPorts)
+	return t, ok
 }
 
-// popDeliverable removes and returns the event nextDeliverable would
-// return. While the component runs speculatively (past the safe
-// horizon in an optimistic round), every pop is journaled so a
-// straggler rollback can push the consumed events back.
-func (c *Component) popDeliverable() (event.Event, bool) {
-	e, ok := c.popDeliverableRaw()
-	if ok {
-		if b := c.wbuf; b != nil && b.spec {
-			b.popped = append(b.popped, e)
-		}
-	}
-	return e, ok
-}
-
-func (c *Component) popDeliverableRaw() (event.Event, bool) {
+// popDeliverable removes the event nextDeliverable found into *e.
+// While the component runs speculatively (past the safe horizon in an
+// optimistic round), every pop is journaled so a straggler rollback can
+// push the consumed events back.
+func (c *Component) popDeliverable(e *event.Event) bool {
+	var ok bool
 	if c.recvPorts != nil {
-		if _, port, ok := c.inbox.Head(); ok && !slices.Contains(c.recvPorts, port) {
-			return c.inbox.PopMatching(c.recvPorts)
-		}
+		ok = c.inbox.PopMatching(c.recvPorts, e)
+	} else {
+		ok = c.inbox.PopInto(e)
 	}
-	return c.inbox.Pop()
+	if b := c.wbuf; ok && b != nil && b.spec {
+		b.popped = append(b.popped, *e)
+	}
+	return ok
 }
 
 // tracef emits a trace line from component context: buffered when a

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/event"
 	"repro/internal/vtime"
 )
 
@@ -14,6 +15,8 @@ import (
 // goroutine.
 type Proc struct {
 	c *Component
+
+	sendPort *Port // the port the last send named (see sendNet)
 }
 
 // Time returns the component's local virtual time.
@@ -106,15 +109,27 @@ func (p *Proc) Sync() { p.Yield() }
 // listening port happens after the net's propagation delay. Send does
 // not yield.
 func (p *Proc) Send(port string, v any) {
-	c := p.c
-	pt := c.ports[port]
-	if pt == nil {
-		panic(fmt.Sprintf("core: %s has no port %q", c.name, port))
+	p.c.emit(p.sendNet(port), p.c.localTime, v)
+}
+
+// sendNet resolves the net a send on the named port drives. A sender
+// names the same port send after send, so the last port found is kept
+// and recognised by its name: AddPort rejects duplicate names and
+// nothing removes or renames a port, so a name resolves to one *Port
+// for the component's life. The port's net is read each time; Connect
+// may attach it later.
+func (p *Proc) sendNet(port string) *Net {
+	pt := p.sendPort
+	if pt == nil || pt.Name != port {
+		if pt = p.c.ports[port]; pt == nil {
+			panic(fmt.Sprintf("core: %s has no port %q", p.c.name, port))
+		}
+		p.sendPort = pt
 	}
 	if pt.net == nil {
-		panic(fmt.Sprintf("core: port %s.%s is not attached to a net", c.name, port))
+		panic(fmt.Sprintf("core: port %s.%s is not attached to a net", p.c.name, port))
 	}
-	c.emit(pt.net, c.localTime, v)
+	return pt.net
 }
 
 // SendAt is Send with an explicit future timestamp (>= local time).
@@ -124,15 +139,7 @@ func (p *Proc) SendAt(port string, v any, t vtime.Time) {
 	if t < p.c.localTime {
 		panic(fmt.Sprintf("core: %s SendAt into its own past (%v < %v)", p.c.name, t, p.c.localTime))
 	}
-	c := p.c
-	pt := c.ports[port]
-	if pt == nil {
-		panic(fmt.Sprintf("core: %s has no port %q", c.name, port))
-	}
-	if pt.net == nil {
-		panic(fmt.Sprintf("core: port %s.%s is not attached to a net", c.name, port))
-	}
-	c.emit(pt.net, t, v)
+	p.c.emit(p.sendNet(port), t, v)
 }
 
 // Recv blocks until a message arrives on one of the named ports (any
@@ -171,9 +178,12 @@ func (p *Proc) recv(deadline vtime.Time, ports []string) (Msg, bool) {
 	// step-at-a-time scheduler would have picked this component right
 	// back, so the handoff can be skipped entirely.
 	if c.fastUntil != 0 && c.sub.extGen.Load() == c.fastGen {
-		if m, ok, done := c.recvInline(deadline); done {
+		if ok, done := c.recvInline(deadline); done {
 			c.recvPorts = nil
-			return m, ok
+			if !ok {
+				return Msg{Time: c.localTime}, false
+			}
+			return c.recvMsg, true
 		}
 	}
 	c.recvDeadline = deadline
@@ -252,8 +262,9 @@ func (p *Proc) Logf(format string, args ...any) {
 // expiry) falls strictly below the component's fast bound, it is
 // applied inline and done=true is returned. Anything at or past the
 // bound parks normally, because another component — or the scheduler
-// itself (gates, checkpoints, horizon) — may act first.
-func (c *Component) recvInline(deadline vtime.Time) (Msg, bool, bool) {
+// itself (gates, checkpoints, horizon) — may act first. A delivery
+// (ok) is left in recvMsg.
+func (c *Component) recvInline(deadline vtime.Time) (ok, done bool) {
 	t, have := c.nextDeliverable()
 	key := vtime.Infinity
 	if have {
@@ -263,12 +274,12 @@ func (c *Component) recvInline(deadline vtime.Time) (Msg, bool, bool) {
 		key = vtime.Max(deadline, c.localTime)
 	}
 	if key >= c.fastUntil {
-		return Msg{}, false, false
+		return false, false
 	}
 	if have && vtime.Max(t, c.localTime) == key {
 		c.deliver()
 		c.viewNow = key
-		return c.recvMsg, true, true
+		return true, true
 	}
 	// Deadline expiry: a negative observation a straggler can
 	// invalidate — recorded so the member never passes for inert.
@@ -277,24 +288,20 @@ func (c *Component) recvInline(deadline vtime.Time) (Msg, bool, bool) {
 	}
 	c.localTime = vtime.Max(c.localTime, deadline)
 	c.viewNow = key
-	return Msg{Time: c.localTime}, false, true
+	return false, true
 }
 
 // deliver pops the event nextDeliverable found into recvMsg, the Msg
 // handed to Recv, advancing the component's local time to the delivery
 // time and counting the delivery.
 func (c *Component) deliver() {
-	e, _ := c.popDeliverable()
+	var e event.Event
+	c.popDeliverable(&e)
 	at := vtime.Max(e.Time, c.localTime)
 	c.localTime = at
-	c.recvMsg = Msg{
-		Time:   at,
-		Sent:   e.Time,
-		Port:   e.Port,
-		Net:    e.Net,
-		Value:  e.Value,
-		Source: e.Source,
-	}
+	m := &c.recvMsg
+	m.Time, m.Sent = at, e.Time
+	m.Port, m.Net, m.Value, m.Source = e.Port, e.Net, e.Value, e.Source
 	if b := c.wbuf; b != nil {
 		b.delivs++
 	} else {

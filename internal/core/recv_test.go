@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/vtime"
 )
@@ -210,5 +212,118 @@ func TestCheckpointLargeInboxPreserved(t *testing.T) {
 	}
 	if !slices.Equal(co.Got, wantGot) || !slices.Equal(co.Times, wantTimes) {
 		t.Fatalf("replay diverged: %d deliveries, first %v @%v", len(co.Got), co.Got[:min(4, len(co.Got))], co.Times[:min(4, len(co.Times))])
+	}
+}
+
+// wordSink receives until the simulation ends. It keeps no state, so a
+// speculative dispatch images it for nothing and a rollback replay is
+// identical; deliveries are counted by the scheduler.
+type wordSink struct{ filter []string }
+
+func (w *wordSink) Run(p *Proc) error {
+	for {
+		if _, ok := p.Recv(w.filter...); !ok {
+			return nil
+		}
+	}
+}
+
+func (w *wordSink) SaveState() ([]byte, error) { return nil, nil }
+func (w *wordSink) RestoreState([]byte) error  { return nil }
+
+// TestWordBurstBytesPerDelivery: one page of boxed words, tx -> rx
+// through one subsystem, costs what its parts must — the 8-byte box
+// Send's `any` makes of a word past 255, a 24-byte inbox row, and 40
+// bytes of ordering columns doubled up to the burst (20 bytes a
+// position, each position allocated twice over) — and nothing per word
+// beyond that: no event or Msg copy escapes, whether the receive is
+// filtered or not, and whether rx is stepped by the sequential
+// scheduler or dispatched past the safe horizon round after round with
+// every pop journaled for rollback.
+func TestWordBurstBytesPerDelivery(t *testing.T) {
+	const (
+		words    = 16_384
+		wordTime = 800
+		// What the run may cost on top of words * 72 bytes and one
+		// allocation a word: the subsystem's goroutines and channels, the
+		// chunk table, the columns' growth below one chunk, and under
+		// speculation a few allocations a round and two journals of one
+		// round's pops (the worker buffers change hands).
+		slackBytes  = 96 << 10
+		slackAllocs = words / 32
+		specWords   = 128 // taken by one speculative dispatch
+	)
+	for _, tc := range []struct {
+		name        string
+		filter      []string
+		speculative bool
+	}{
+		{"unfiltered", nil, false},
+		{"filtered", []string{"link"}, false},
+		{"unfiltered-speculative", nil, true},
+		{"filtered-speculative", []string{"link"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tx := BehaviorFunc(func(p *Proc) error {
+				for i := 0; i < words; i++ {
+					p.SendAt("link", 1000+i, vtime.Time(wordTime*(1+i)))
+				}
+				return nil
+			})
+			s := streamPair(t, tx, &wordSink{filter: tc.filter}, "link")
+			if tc.speculative {
+				// A pacer one window ahead of nothing: it holds the safe
+				// horizon a nanosecond past its own key, so rx's next
+				// word always lies beyond it and the idle second worker
+				// takes rx speculatively, specWords a round.
+				const window = specWords * wordTime
+				pc, err := s.NewComponent("pacer", BehaviorFunc(func(p *Proc) error {
+					for p.Time() < wordTime*(words+1) {
+						p.Delay(window)
+					}
+					return nil
+				}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, _ := pc.AddPort("out")
+				n, _ := s.NewNet("pace", 1)
+				if err := s.Connect(n, out); err != nil {
+					t.Fatal(err)
+				}
+				s.SetWorkers(2)
+				s.SetOptimism(window)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if err := s.Run(vtime.Infinity); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			st := s.Stats()
+			if st.Deliveries != words {
+				t.Fatalf("delivered %d of %d words", st.Deliveries, words)
+			}
+			if tc.speculative && st.SpecCommits < words/specWords/2 {
+				t.Fatalf("rx was dispatched speculatively %d times (%d committed): the journal path did not run", st.SpecMembers, st.SpecCommits)
+			}
+			bytes, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+			t.Logf("%d bytes (%.1f a word), %d allocations; %d speculative dispatches, %d rolled back", bytes, float64(bytes)/words, allocs, st.SpecMembers, st.Rollbacks)
+			if (!raceBuild && bytes > words*72+slackBytes) || allocs > words+slackAllocs {
+				t.Fatalf("%d words cost %d bytes and %d allocations, want <= %d and <= %d", words, bytes, allocs, words*72+slackBytes, words+slackAllocs)
+			}
+		})
+	}
+}
+
+// TestComponentSizeClass: a simulation allocates one Component per
+// component, so its size is a per-simulation cost on every workload.
+// With the 8-byte header the allocator puts before a pointerful object
+// this large it fills its 704-byte size class; a field that does not
+// fit the padding costs every component the next class.
+func TestComponentSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Component{}); size+8 > 704 {
+		t.Fatalf("Component is %d bytes: past the 704-byte size class", size)
 	}
 }

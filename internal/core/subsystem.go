@@ -339,7 +339,7 @@ func (s *Subsystem) NewComponent(name string, b Behavior) (*Component, error) {
 		parked:       make(chan struct{}),
 		recvDeadline: vtime.Infinity,
 	}
-	c.proc = &Proc{c}
+	c.proc.c = c
 	s.comps[name] = c
 	s.order = append(s.order, c)
 	s.activate(c)
@@ -637,6 +637,11 @@ func (s *Subsystem) driveFrom(n *Net, driver *Port, src string, t vtime.Time, v 
 		s.OnDrive(n.Name, src, t, v)
 	}
 	deliver := t.Add(n.Delay)
+	// One event serves the whole fanout: only the listener changes. It is
+	// filled field by field; a struct literal is built in a temporary and
+	// copied.
+	var ev event.Event
+	ev.Time, ev.Kind, ev.Net, ev.Value, ev.Source = deliver, event.KindNet, n.Name, v, src
 	for _, pt := range n.ports {
 		if pt == driver {
 			continue
@@ -650,18 +655,11 @@ func (s *Subsystem) driveFrom(n *Net, driver *Port, src string, t vtime.Time, v 
 			}
 			continue
 		}
-		// The fanout pushes one event value per listener straight into
-		// the inbox's struct-of-arrays columns; nothing is heap
-		// allocated once those columns reach steady-state capacity.
-		pt.comp.inbox.Push(event.Event{
-			Time:      deliver,
-			Kind:      event.KindNet,
-			Component: pt.comp.name,
-			Port:      pt.Name,
-			Net:       n.Name,
-			Value:     v,
-			Source:    src,
-		})
+		// The fanout writes one row per listener straight into the
+		// inbox's struct-of-arrays columns; nothing is heap allocated
+		// once those columns reach steady-state capacity.
+		ev.Component, ev.Port = pt.comp.name, pt.Name
+		pt.comp.inbox.PushFrom(&ev)
 		if !pt.comp.active {
 			s.activate(pt.comp)
 		}
@@ -727,7 +725,7 @@ func (s *Subsystem) startGoroutine(c *Component) {
 		if tok.kill {
 			panic(killPanic{c.name})
 		}
-		err := c.behavior.Run(c.proc)
+		err := c.behavior.Run(&c.proc)
 		c.err = err
 		c.status = statusDone
 	}()

@@ -14,10 +14,10 @@ func driveFanout(q *Queue, t vtime.Time, fanout int, scratch []Event) []Event {
 		q.Push(Event{Time: t, Kind: KindNet, Net: "bus", Value: i})
 	}
 	if scratch == nil {
-		_ = q.Drain(t)
+		_ = q.PopBatch(t, 0, nil)
 		return nil
 	}
-	return q.DrainInto(t, scratch)
+	return q.PopBatch(t, 0, scratch)
 }
 
 // BenchmarkDriveFanout measures allocations per drive-fanout round.
@@ -159,8 +159,8 @@ func TestQueueScanZeroAlloc(t *testing.T) {
 		if e, ok := q.Peek(); ok {
 			sink += e.Time
 		}
-		if e, ok := q.MinMatching(ports); ok {
-			sink += e.Time
+		if t, _, ok := q.MinMatching(ports); ok {
+			sink += t
 		}
 		scratch = q.PopBatch(vtime.Infinity, 8, scratch)
 		for _, e := range scratch {

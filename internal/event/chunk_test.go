@@ -2,10 +2,12 @@ package event
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/vtime"
 )
@@ -23,31 +25,96 @@ const (
 
 var acrossPorts = []string{"a", "b", "c"}
 
+// routePool is the routing tuples the model draws from: every port of
+// acrossPorts from each of 40 sources, several times what a push
+// searches (maxRoutes), so a walk that draws from all of it outruns the
+// route table's search and, at a shallow depth, its rebuild threshold.
+var routePool = func() (pool []route) {
+	for src := 0; src < 40; src++ {
+		for _, port := range acrossPorts {
+			pool = append(pool, route{"comp", port, "net-" + port, "src" + strconv.Itoa(src)})
+		}
+	}
+	return pool
+}()
+
 // model is the reference the queue is checked against: the live events
-// in push order, each tagged (Component) with a unique id so a row
-// handed back with the wrong payload is caught.
+// in push order, each tagged (Value) with a unique id so a row handed
+// back with the wrong payload is caught, and each on a routing tuple
+// drawn from routePool so a row handed back with the wrong route is.
 type model struct {
 	t    *testing.T
 	rng  *rand.Rand
 	live []Event
 	id   int
+
+	// cold is the share of pushes (percent) that draw their route from
+	// the whole pool; of the rest half repeat the previous push's route
+	// and half draw from the first four.
+	cold int
+	prev route
+
+	// How the route table served the pushes, read off the queue's state
+	// around each one.
+	routes struct{ lastHit, tableHit, miss, rebuilt, reset int }
 }
 
 func (m *model) push(q *Queue) {
 	m.pushAt(q, vtime.Time(m.rng.Intn(acrossTimes)))
 }
 
-// pushAt pushes an event at time at on a random port.
+// pushAt pushes an event at time at on a drawn route.
 func (m *model) pushAt(q *Queue, at vtime.Time) {
+	switch pick := m.rng.Intn(100); {
+	case pick < m.cold || m.id == 0:
+		m.prev = routePool[m.rng.Intn(len(routePool))]
+	case (pick-m.cold)%2 == 0:
+		m.prev = routePool[m.rng.Intn(4)]
+	}
+	r := m.prev
 	e := Event{
-		Time:      at,
-		Kind:      KindNet,
-		Component: strconv.Itoa(m.id),
-		Port:      acrossPorts[m.rng.Intn(len(acrossPorts))],
+		Time: at, Kind: KindNet,
+		Component: r.component, Port: r.port, Net: r.net, Source: r.source,
+		Value: m.id,
 	}
 	m.id++
-	e.Seq = q.Push(e)
+	m.pushed(q, r, func() { e.Seq = q.Push(e) })
 	m.live = append(m.live, e)
+}
+
+// pushed runs one push of an event routed r and counts how the route
+// table served it.
+func (m *model) pushed(q *Queue, r route, push func()) {
+	n := len(q.routes)
+	wasLast := n > 0 && q.routes[q.lastRoute] == r
+	push()
+	switch after := len(q.routes); {
+	case wasLast:
+		m.routes.lastHit++
+	case after == n:
+		m.routes.tableHit++
+	default:
+		m.routes.miss++
+		if after < n {
+			// A rebuild leaves at most one route per live row, under
+			// half of what it had.
+			m.routes.rebuilt++
+		}
+	}
+	if got := q.routes[q.lastRoute]; got != r {
+		m.t.Fatalf("push routed %+v left %+v as the last route", r, got)
+	}
+}
+
+// emptied counts a route table reset: the queue is empty and its table,
+// which held hadRoutes, went with it.
+func (m *model) emptied(q *Queue, hadRoutes int) {
+	if q.Len() == 0 && hadRoutes > 0 {
+		if len(q.routes) != 0 {
+			m.t.Fatalf("empty queue keeps %d routes", len(q.routes))
+		}
+		m.routes.reset++
+	}
 }
 
 // sorted returns the live events in delivery order.
@@ -57,17 +124,12 @@ func (m *model) sorted() []Event {
 	return out
 }
 
-// same compares the fields the model sets (Event holds a func, so ==
-// is not available).
-func same(a, b Event) bool {
-	return a.Time == b.Time && a.Seq == b.Seq && a.Kind == b.Kind &&
-		a.Component == b.Component && a.Port == b.Port
-}
-
-// removed records that the queue handed back got, which must be want.
+// removed records that the queue handed back got, which must be want
+// in every field (the model's values are ints, so Event's == is
+// defined).
 func (m *model) removed(got, want Event) {
 	m.t.Helper()
-	if !same(got, want) {
+	if got != want {
 		m.t.Fatalf("queue returned %+v, reference says %+v", got, want)
 	}
 	i := slices.IndexFunc(m.live, func(e Event) bool { return e.Seq == want.Seq })
@@ -104,7 +166,8 @@ func (m *model) fill(q *Queue, n int) {
 			m.removed(got, want)
 		case 5:
 			if want, ok := m.minMatching([]string{"b"}); ok {
-				got, _ := q.PopMatching([]string{"b"})
+				var got Event
+				q.PopMatching([]string{"b"}, &got)
 				m.removed(got, want)
 			}
 		}
@@ -159,17 +222,18 @@ func TestMinMatchingAcrossChunks(t *testing.T) {
 	filter := []string{"a", "c"}
 	for {
 		want, any := m.minMatching(filter)
-		got, ok := q.MinMatching(filter)
-		if ok != any || !same(got, want) {
-			t.Fatalf("MinMatching = %+v %v, reference %+v %v", got, ok, want, any)
+		at, seq, ok := q.MinMatching(filter)
+		if ok != any || (ok && (at != want.Time || seq != want.Seq)) {
+			t.Fatalf("MinMatching = @%v seq %d %v, reference %+v %v", at, seq, ok, want, any)
 		}
 		if !ok {
 			break
 		}
-		popped, _ := q.PopMatching(filter)
+		var popped Event
+		q.PopMatching(filter, &popped)
 		m.removed(popped, want)
 	}
-	if _, ok := q.PopMatching(filter); ok {
+	if q.PopMatching(filter, new(Event)) {
 		t.Fatal("PopMatching matched after MinMatching reported none")
 	}
 	for _, e := range m.live {
@@ -183,22 +247,22 @@ func TestMinMatchingAcrossChunks(t *testing.T) {
 func TestDrainPartitionAcrossChunks(t *testing.T) {
 	q, m := filled(t, 4)
 	const cut = acrossTimes / 2
-	got := q.DrainInto(cut, nil)
+	got := q.PopBatch(cut, 0, nil)
 	ref := m.sorted()
 	n := sort.Search(len(ref), func(i int) bool { return ref[i].Time > cut })
-	if !slices.EqualFunc(got, ref[:n], same) {
-		t.Fatalf("DrainInto(%d) returned %d events, reference has %d (or they differ)", cut, len(got), n)
+	if !slices.Equal(got, ref[:n]) {
+		t.Fatalf("PopBatch(%d) returned %d events, reference has %d (or they differ)", cut, len(got), n)
 	}
 	m.live = slices.Clone(ref[n:])
 	if t0 := q.NextTime(); t0 <= cut {
-		t.Fatalf("head at %v left behind by DrainInto(%d)", t0, cut)
+		t.Fatalf("head at %v left behind by PopBatch(%d)", t0, cut)
 	}
 	m.popAll(q)
 }
 
 func TestSnapshotAcrossChunks(t *testing.T) {
 	q, m := filled(t, 5)
-	if snap := q.Snapshot(); !slices.EqualFunc(snap, m.sorted(), same) {
+	if snap := q.Snapshot(); !slices.Equal(snap, m.sorted()) {
 		t.Fatalf("snapshot of %d events differs from the reference", len(snap))
 	}
 	// The queue is undisturbed: it still accepts pushes and pops in
@@ -236,8 +300,8 @@ func TestDiscardAfterAcrossChunks(t *testing.T) {
 
 // TestEmptyingPathsReleaseAlike: whichever call takes the last event
 // out leaves the queue in the same state — one chunk, row allocation
-// restarted, no burst-sized column kept, the sequence counter still
-// monotone — and a refill after it orders correctly.
+// restarted, no burst-sized column kept, no route kept, the sequence
+// counter still monotone — and a refill after it orders correctly.
 func TestEmptyingPathsReleaseAlike(t *testing.T) {
 	paths := []struct {
 		name  string
@@ -250,7 +314,7 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 		}},
 		{"PopMatching", func(q *Queue) {
 			for q.Len() > 0 {
-				q.PopMatching(acrossPorts)
+				q.PopMatching(acrossPorts, new(Event))
 			}
 		}},
 		{"PopBatch", func(q *Queue) {
@@ -259,7 +323,7 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 				buf = q.PopBatch(vtime.Infinity, 100, buf)
 			}
 		}},
-		{"DrainInto", func(q *Queue) { q.DrainInto(vtime.Infinity, nil) }},
+		{"PopBatchAll", func(q *Queue) { q.PopBatch(vtime.Infinity, 0, nil) }},
 		{"DiscardAfter", func(q *Queue) { q.DiscardAfter(-1) }},
 		{"Reset", func(q *Queue) { q.Reset() }},
 	}
@@ -278,8 +342,16 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 				t.Fatalf("burst-sized storage kept: first %d, columns %d/%d/%d", len(q.first), cap(q.times), cap(q.seqs), cap(q.rows))
 			}
 			for i, r := range q.first {
-				if r.component != "" || r.port != "" || r.value != nil || r.exec != nil {
+				if r.value != nil {
 					t.Fatalf("row %d of the kept chunk still holds %+v", i, r)
+				}
+			}
+			if len(q.routes) != 0 || cap(q.routes) > chunkRows {
+				t.Fatalf("route table kept: %d routes, room for %d", len(q.routes), cap(q.routes))
+			}
+			for i, r := range q.routes[:cap(q.routes)] {
+				if r != (route{}) {
+					t.Fatalf("route %d of the emptied table still holds %+v", i, r)
 				}
 			}
 			m.live = nil
@@ -295,14 +367,21 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 
 // TestQueueBurstAllocs is the guard behind BenchmarkQueueBurst: one
 // page load into a zero Queue costs one allocation per 256-row chunk
-// plus the logarithmic growth of the three heap columns, the chunk
+// plus the logarithmic growth of the three ordering columns, the chunk
 // table and the first chunk — never a re-copy of the rows — and once
-// drained the queue keeps at most one chunk.
+// drained the queue keeps at most one chunk. In bytes a cold 16 384
+// burst is a 24-byte row and 40 bytes of columns an event: 20 bytes a
+// position, each allocated twice over by doubling up to the burst
+// (growing by a quarter, as append does past 256 elements, allocates
+// each five times over).
 func TestQueueBurstAllocs(t *testing.T) {
 	const (
 		chunks = (burstLen + chunkRows - 1) / chunkRows
-		slack  = 96 // ~20 growths per column x 3, ~8 each for first and rest
+		slack  = 96 // ~15 growths per column x 3, ~8 each for first and rest, the route table
 	)
+	if size := unsafe.Sizeof(payload{}); size > 32 {
+		t.Fatalf("a row is %d bytes, want <= 32", size)
+	}
 	var q *Queue
 	allocs := testing.AllocsPerRun(5, func() {
 		q = new(Queue)
@@ -314,5 +393,68 @@ func TestQueueBurstAllocs(t *testing.T) {
 	if len(q.rest) != 0 || len(q.first) > chunkRows || cap(q.times) > chunkRows {
 		t.Fatalf("drained queue keeps %d extra chunks, %d first-chunk rows, %d column slots",
 			len(q.rest), len(q.first), cap(q.times))
+	}
+
+	if raceBuild {
+		return
+	}
+	const cold = 16_384
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	burst(new(Queue), cold)
+	runtime.ReadMemStats(&after)
+	// On top of 64 bytes an event: the chunk table, the first chunk's
+	// and the columns' growth below one chunk, one route.
+	if got := after.TotalAlloc - before.TotalAlloc; got > cold*64+(16<<10) {
+		t.Fatalf("cold burst of %d allocates %d bytes, %.1f an event, want 64", cold, got, float64(got)/cold)
+	}
+}
+
+// TestRouteTableBounded: Source arrives from a peer's socket, so no
+// stream of distinct names may grow an inbox's route table — neither
+// through an inbox that empties between messages (the table goes with
+// the queue) nor through one that never does (it is rebuilt from the
+// live rows) — while a table that must be large, because the live rows
+// really are that distinct, still hands every row back as it was pushed.
+func TestRouteTableBounded(t *testing.T) {
+	const pushes = 1_000_000
+	for _, depth := range []int{1, 2} {
+		var q Queue
+		for i := 0; i < depth-1; i++ {
+			q.Push(Event{Time: 0, Port: "in", Source: "resident"})
+		}
+		for i := 0; i < pushes; i++ {
+			q.Push(Event{Time: vtime.Time(i), Port: "in", Source: strconv.Itoa(i), Value: i})
+			if n := len(q.routes); n > maxRoutes {
+				t.Fatalf("depth %d: %d routes after %d distinct sources, want <= %d", depth, n, i+1, maxRoutes)
+			}
+			e := mustPop(t, &q)
+			if was := i - (depth - 1); was >= 0 && (e.Source != strconv.Itoa(was) || e.Value != was) {
+				t.Fatalf("depth %d: pop %d returned %+v", depth, i, e)
+			}
+		}
+	}
+
+	// 1 000 live rows on 1 000 ports: far past what a push searches, so
+	// the table holds a route per row, and each row keeps its own.
+	const live = 1000
+	var q Queue
+	for i := 0; i < live; i++ {
+		q.Push(Event{Time: vtime.Time(i), Port: "p" + strconv.Itoa(i), Source: "s" + strconv.Itoa(i%7), Value: i})
+	}
+	if n := len(q.routes); n != live {
+		t.Fatalf("%d distinct live routes interned as %d", live, n)
+	}
+	for i := 0; i < live; i++ {
+		// Churn beside the distinct rows must not disturb them, though it
+		// rebuilds the table as they drain.
+		q.Push(Event{Time: live, Port: "churn", Source: strconv.Itoa(i)})
+		e := mustPop(t, &q)
+		if e.Port != "p"+strconv.Itoa(i) || e.Source != "s"+strconv.Itoa(i%7) || e.Value != i {
+			t.Fatalf("pop %d returned %+v", i, e)
+		}
+		if n, most := len(q.routes), max(maxRoutes, 2*q.Len()+1); n > most {
+			t.Fatalf("%d routes for %d live rows, want <= %d", n, q.Len(), most)
+		}
 	}
 }

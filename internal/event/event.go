@@ -10,13 +10,23 @@
 // makes whole-simulation runs reproducible bit-for-bit.
 //
 // The queue is laid out struct-of-arrays: the ordering is three
-// parallel columns — times, seqs and row indices — while the bulky
-// routing/payload fields live in a separate row store addressed by
-// the index column. Ordering operations (NextTime, the scheduler's
-// safe-horizon key scan, drains) touch only the contiguous time/seq
-// columns; heap swaps move 20 bytes instead of whole events; and the
-// row store recycles slots through a free list, so a warm queue's
-// steady-state traffic allocates nothing.
+// parallel columns — times, seqs and row indices — while the value
+// lives in a separate row store addressed by the index column.
+// Ordering operations (NextTime, the scheduler's safe-horizon key
+// scan, drains) touch only the contiguous time/seq columns; heap swaps
+// move 20 bytes instead of whole events; and the row store recycles
+// slots through a free list, so a warm queue's steady-state traffic
+// allocates nothing.
+//
+// A row is 24 bytes: the value, the kind and an index into the queue's
+// route table. The routing tuple (Component, Port, Net, Source) is
+// topology, not data — an inbox sees a handful of distinct ones for
+// the life of a design — so each distinct tuple is stored once and a
+// push that repeats the previous push's tuple, the shape of every
+// burst, finds it without a search. The table is bounded whatever a
+// peer sends (see maxRoutes). The value stays an `any` because Event,
+// core.Msg and the drive hooks are `any` on the public surface; it is
+// the only pointer pair the collector still walks in a row.
 //
 // The columns are read in one of two ways. A queue starts as a sorted
 // run: while every push orders at or after the one before it — a page
@@ -37,8 +47,9 @@
 // The row store is chunked: rows never move once a queue holds more
 // than one chunk, so a cold burst of n events costs about n/256 block
 // allocations and no re-copying, and whatever empties the queue
-// releases every chunk but the first. Events move in and out of the
-// queue by value — there is no per-event heap object to pool or leak.
+// releases every chunk but the first. Events are copied field by field
+// between the caller's Event and a row — there is no per-event heap
+// object to pool or leak.
 package event
 
 import (
@@ -92,17 +103,12 @@ type Event struct {
 	Net       string
 
 	// Value is the payload (a signal value for net events, nil for
-	// timers). It must be gob-encodable when the event crosses a
-	// node boundary.
+	// timers).
 	Value any
 
 	// Source identifies the component that produced the event;
 	// empty for external injections.
 	Source string
-
-	// Exec is an optional control action for KindControl events.
-	// Never serialized.
-	Exec func() `json:"-"`
 }
 
 // Before reports whether e is ordered strictly before f.
@@ -125,21 +131,39 @@ func (e Event) String() string {
 	}
 }
 
-// payload is the row-store half of an event: everything except the
-// (Time, Seq) ordering key, which lives in the ordering columns.
+// payload is the row-store half of an event: the value, the kind and
+// the route. The (Time, Seq) ordering key lives in the ordering columns
+// and the routing strings in the route table.
 type payload struct {
+	value any
+	// link is the row's index in the route table while the row is live.
+	// While it is free, link threads the free list through the recycled
+	// rows themselves: 1 + the next free slot, 0 at the end.
+	link int32
 	kind Kind
-	// nextFree links the free list through the recycled rows
-	// themselves: 1 + the next free slot, 0 at the end. It sits in
-	// kind's padding and means something only while the row is free.
-	nextFree  int32
-	component string
-	port      string
-	net       string
-	source    string
-	value     any
-	exec      func()
 }
+
+// route is the topology half of an event, stored once per distinct
+// tuple in Queue.routes.
+type route struct {
+	component, port, net, source string
+}
+
+func (r *route) is(component, port, net, source string) bool {
+	// Rows of one inbox share the component and mostly the net; the
+	// source and the port tell them apart.
+	return r.source == source && r.port == port && r.net == net && r.component == component
+}
+
+// maxRoutes bounds the route table against traffic it cannot intern:
+// Source arrives from a peer's socket. A push looks no further back
+// than the maxRoutes most recent routes, so it costs the same however
+// many distinct tuples a peer invents, and a table that has reached
+// maxRoutes is rebuilt from the live rows once it is also more than
+// twice their number (it cannot be smaller than the distinct routes
+// its rows hold). A table of up to maxRoutes routes is searched whole
+// and so never holds a tuple twice.
+const maxRoutes = 32
 
 // chunkRows is the row-store block size: slot s lives in chunk
 // s>>chunkShift at offset s&(chunkRows-1).
@@ -162,14 +186,20 @@ type Queue struct {
 	head  int
 	heap  bool
 
+	// lastRoute is the route the most recent push used; routes is the
+	// table it indexes. The table is emptied with the queue (release)
+	// and rebuilt from the live rows when it outgrows them (maxRoutes).
+	lastRoute int32
+	routes    []route
+
 	// Row store, chunked so rows never move. The first chunk grows by
 	// append up to chunkRows, so a queue that only ever holds a few
 	// events pays for a few rows; every later chunk is one fixed
 	// block. next is the first slot never handed out since the queue
 	// was last empty; free heads the list of recycled slots below it
-	// (1 + slot, 0 when there is none; see payload.nextFree). A queue
-	// that becomes empty restarts at slot 0 and keeps only the first
-	// chunk (see release).
+	// (1 + slot, 0 when there is none; see payload.link). A queue that
+	// becomes empty restarts at slot 0 and keeps only the first chunk
+	// (see release).
 	first []payload
 	rest  []*[chunkRows]payload
 	next  int32
@@ -237,7 +267,7 @@ func (q *Queue) alloc(e *Event) int32 {
 	var slot int32
 	if q.free != 0 {
 		slot = q.free - 1
-		q.free = q.row(slot).nextFree
+		q.free = q.row(slot).link
 	} else {
 		slot = q.next
 		q.next++
@@ -252,23 +282,64 @@ func (q *Queue) alloc(e *Event) int32 {
 			q.rest = append(q.rest, new([chunkRows]payload))
 		}
 	}
-	*q.row(slot) = payload{
-		kind:      e.Kind,
-		component: e.Component,
-		port:      e.Port,
-		net:       e.Net,
-		source:    e.Source,
-		value:     e.Value,
-		exec:      e.Exec,
-	}
+	p := q.row(slot)
+	p.value = e.Value
+	p.link = q.intern(e.Component, e.Port, e.Net, e.Source)
+	p.kind = e.Kind
 	return slot
+}
+
+// intern returns the route table's index for the tuple, adding it when
+// the search (see maxRoutes) does not find it.
+func (q *Queue) intern(component, port, net, source string) int32 {
+	n := len(q.routes)
+	if n > 0 && q.routes[q.lastRoute].is(component, port, net, source) {
+		return q.lastRoute
+	}
+	for i := n - 1; i >= max(0, n-maxRoutes); i-- {
+		if q.routes[i].is(component, port, net, source) {
+			q.lastRoute = int32(i)
+			return q.lastRoute
+		}
+	}
+	if n >= maxRoutes && n > 2*q.Len() {
+		q.rebuildRoutes()
+	}
+	q.lastRoute = int32(len(q.routes))
+	q.routes = append(q.routes, route{component, port, net, source})
+	return q.lastRoute
+}
+
+// rebuildRoutes re-interns the live rows into an empty table, dropping
+// every route no row holds any more. The new table has at most one
+// route per live row, which is below the size that asks for a rebuild,
+// so the interning does not re-enter.
+func (q *Queue) rebuildRoutes() {
+	old := q.routes
+	q.routes = nil
+	for _, slot := range q.rows[q.head:] {
+		p := q.row(slot)
+		r := &old[p.link]
+		p.link = q.intern(r.component, r.port, r.net, r.source)
+	}
+}
+
+// grow doubles a full ordering column that has reached one chunk's
+// worth. Past 256 elements append grows by a quarter, which re-copies a
+// cold 16 k burst some twenty times a column; below that it already
+// doubles.
+func grow[T any](col []T) []T {
+	if n := len(col); n == cap(col) && n >= chunkRows {
+		return slices.Grow(col, n)
+	}
+	return col
 }
 
 func (q *Queue) pushCols(t vtime.Time, seq uint64, slot int32) {
 	n := len(q.times)
-	q.times = append(q.times, t)
-	q.seqs = append(q.seqs, seq)
-	q.rows = append(q.rows, slot)
+	q.times = append(grow(q.times), t)
+	q.seqs = append(grow(q.seqs), seq)
+	q.rows = append(grow(q.rows), slot)
 	switch {
 	case q.heap:
 		q.up(n)
@@ -296,9 +367,14 @@ func (q *Queue) compact() {
 
 // Push schedules an event, stamping it with the next sequence number,
 // which it returns.
-func (q *Queue) Push(e Event) uint64 {
+func (q *Queue) Push(e Event) uint64 { return q.PushFrom(&e) }
+
+// PushFrom is Push reading the event through a pointer, for a caller
+// that pushes one event to many queues; e.Seq is ignored and *e is not
+// written.
+func (q *Queue) PushFrom(e *Event) uint64 {
 	q.seq++
-	q.pushCols(e.Time, q.seq, q.alloc(&e))
+	q.pushCols(e.Time, q.seq, q.alloc(e))
 	return q.seq
 }
 
@@ -313,20 +389,21 @@ func (q *Queue) PushStamped(e Event) {
 }
 
 // load materializes the event at position i into e without
-// removing it. It fills e in place: an Event is 112 bytes, and the
-// drains move tens of thousands of them per page load, so the removal
-// paths write each one once, straight into its destination.
+// removing it. It fills e in place: an Event is 104 bytes against a
+// row's 24, and the drains move tens of thousands of them per page
+// load, so the removal paths write each one once, straight into its
+// destination.
 func (q *Queue) load(i int, e *Event) {
 	p := q.row(q.rows[i])
+	r := &q.routes[p.link]
 	e.Time = q.times[i]
 	e.Seq = q.seqs[i]
 	e.Kind = p.kind
-	e.Component = p.component
-	e.Port = p.port
-	e.Net = p.net
-	e.Source = p.source
+	e.Component = r.component
+	e.Port = r.port
+	e.Net = r.net
+	e.Source = r.source
 	e.Value = p.value
-	e.Exec = p.exec
 }
 
 // Peek returns the earliest event without removing it; ok is false
@@ -337,16 +414,6 @@ func (q *Queue) Peek() (e Event, ok bool) {
 	}
 	q.load(q.head, &e)
 	return e, true
-}
-
-// Head returns the time and port of the earliest event without
-// materializing it; ok is false when the queue is empty. It is what a
-// receiver needs to decide whether the head is deliverable.
-func (q *Queue) Head() (t vtime.Time, port string, ok bool) {
-	if q.Len() == 0 {
-		return vtime.Infinity, "", false
-	}
-	return q.times[q.head], q.row(q.rows[q.head]).port, true
 }
 
 // removeAt extracts the event at position i into e, restores the
@@ -384,26 +451,32 @@ func (q *Queue) removeAt(i int, e *Event) {
 	}
 }
 
-// recycle clears the row at slot, dropping its value/closure
-// references, and puts it at the head of the free list.
+// recycle clears the row at slot, dropping its reference to the value,
+// and puts it at the head of the free list.
 func (q *Queue) recycle(slot int32) {
 	p := q.row(slot)
-	*p = payload{}
-	p.nextFree = q.free
+	p.value = nil
+	p.link = q.free
 	q.free = slot + 1
 }
 
 // release is what every path that empties the queue ends in: the
 // columns are an empty run again, row allocation restarts at slot 0,
-// and the chunks past the first — with columns that grew past one
-// chunk's worth — are dropped, so a drained burst is not held for the
-// life of the queue while a queue that stays small keeps everything it
-// has warmed. The caller has already cleared every row of the first
-// chunk it used.
+// the route table is empty, and the chunks past the first — with
+// columns and a route table that grew past one chunk's worth — are
+// dropped, so a drained burst is not held for the life of the queue
+// while a queue that stays small keeps everything it has warmed. The
+// caller has already cleared every row of the first chunk it used.
 func (q *Queue) release() {
 	q.rest = nil
 	q.next, q.free = 0, 0
 	q.head, q.heap = 0, false
+	if cap(q.routes) > chunkRows {
+		q.routes = nil
+	} else {
+		clear(q.routes)
+		q.routes = q.routes[:0]
+	}
 	if cap(q.times) > chunkRows {
 		q.times, q.seqs, q.rows = nil, nil, nil
 	} else {
@@ -413,11 +486,18 @@ func (q *Queue) release() {
 
 // Pop removes and returns the earliest event; ok is false when empty.
 func (q *Queue) Pop() (e Event, ok bool) {
+	ok = q.PopInto(&e)
+	return e, ok
+}
+
+// PopInto is Pop writing the event through a pointer; it reports false,
+// leaving *e alone, when the queue is empty.
+func (q *Queue) PopInto(e *Event) bool {
 	if q.Len() == 0 {
-		return Event{}, false
+		return false
 	}
-	q.removeAt(q.head, &e)
-	return e, true
+	q.removeAt(q.head, e)
+	return true
 }
 
 // NextTime returns the time of the earliest pending event, or
@@ -434,15 +514,16 @@ func (q *Queue) NextTime() vtime.Time {
 // is in ports, or -1. It scans the columns linearly: the (Time, Seq)
 // pair is a total order, so the minimum over matches is exactly the
 // event a sorted walk would find first — and a run is that walk, so
-// its first match ends the scan. ports is a receive filter — a handful
-// of names — so membership is a linear match too.
+// its first match ends the scan, as does a heap's root. ports is a
+// receive filter — a handful of names — so membership is a linear match
+// too.
 func (q *Queue) minMatching(ports []string) int {
 	best := -1
 	for i := q.head; i < len(q.times); i++ {
-		if !slices.Contains(ports, q.row(q.rows[i]).port) {
+		if !slices.Contains(ports, q.routes[q.row(q.rows[i]).link].port) {
 			continue
 		}
-		if !q.heap {
+		if !q.heap || i == 0 {
 			return i
 		}
 		if best < 0 || q.less(i, best) {
@@ -452,46 +533,33 @@ func (q *Queue) minMatching(ports []string) int {
 	return best
 }
 
-// MinMatching returns the earliest event whose Port is in ports,
-// without removing it. Used by filtered receives.
-func (q *Queue) MinMatching(ports []string) (e Event, ok bool) {
+// MinMatching returns the (Time, Seq) key of the earliest event whose
+// Port is in ports, without removing or materializing it; ok is false
+// when none match. It is what a filtered receive needs to decide when
+// its next delivery is due.
+func (q *Queue) MinMatching(ports []string) (t vtime.Time, seq uint64, ok bool) {
 	best := q.minMatching(ports)
 	if best < 0 {
-		return Event{}, false
+		return vtime.Infinity, 0, false
 	}
-	q.load(best, &e)
-	return e, true
+	return q.times[best], q.seqs[best], true
 }
 
-// PopMatching removes and returns the earliest event whose Port is in
-// ports; ok is false when none match.
-func (q *Queue) PopMatching(ports []string) (e Event, ok bool) {
+// PopMatching removes the earliest event whose Port is in ports into
+// *e; it reports false, leaving *e alone, when none match.
+func (q *Queue) PopMatching(ports []string, e *Event) bool {
 	best := q.minMatching(ports)
 	if best < 0 {
-		return Event{}, false
+		return false
 	}
-	q.removeAt(best, &e)
-	return e, true
-}
-
-// Drain removes and returns all events with Time <= t, in order. It
-// allocates a fresh slice per call; hot paths should use DrainInto
-// with a reused scratch buffer instead.
-func (q *Queue) Drain(t vtime.Time) []Event {
-	return q.DrainInto(t, nil)
-}
-
-// DrainInto removes all events with Time <= t, in order, appending
-// them to buf[:0] and returning it (grown as needed). Passing the
-// returned slice back in on the next call makes the drive-fanout
-// drain allocation-free in steady state.
-func (q *Queue) DrainInto(t vtime.Time, buf []Event) []Event {
-	return q.PopBatch(t, 0, buf)
+	q.removeAt(best, e)
+	return true
 }
 
 // PopBatch removes up to max events (all of them when max <= 0) with
-// Time <= t, appending into buf[:0] like DrainInto. It lets a caller
-// bound how much work one drain may claim.
+// Time <= t, in order, appending them to buf[:0] and returning it
+// (grown as needed). Passing the returned slice back in on the next
+// call makes a drain allocation-free in steady state.
 func (q *Queue) PopBatch(t vtime.Time, max int, buf []Event) []Event {
 	buf = buf[:0]
 	for q.Len() > 0 && q.times[q.head] <= t {
@@ -521,11 +589,12 @@ func (q *Queue) Snapshot() []Event {
 	// Copy the heap columns and pop the copy down; the row store is
 	// only read.
 	tmp := Queue{
-		times: append([]vtime.Time(nil), q.times...),
-		seqs:  append([]uint64(nil), q.seqs...),
-		rows:  append([]int32(nil), q.rows...),
-		first: q.first,
-		rest:  q.rest,
+		times:  append([]vtime.Time(nil), q.times...),
+		seqs:   append([]uint64(nil), q.seqs...),
+		rows:   append([]int32(nil), q.rows...),
+		routes: q.routes,
+		first:  q.first,
+		rest:   q.rest,
 	}
 	for i := range out {
 		tmp.load(0, &out[i])

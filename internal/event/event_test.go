@@ -73,18 +73,19 @@ func TestPopEmpty(t *testing.T) {
 	}
 }
 
+// TestDrain: PopBatch with no cap drains everything due.
 func TestDrain(t *testing.T) {
 	var q Queue
 	for _, ts := range []vtime.Time{5, 1, 9, 3, 7} {
 		q.Push(Event{Time: ts})
 	}
-	got := q.Drain(5)
+	got := q.PopBatch(5, 0, nil)
 	if len(got) != 3 {
-		t.Fatalf("Drain(5) returned %d events, want 3", len(got))
+		t.Fatalf("PopBatch(5) returned %d events, want 3", len(got))
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].Before(got[i-1]) {
-			t.Fatal("Drain output not ordered")
+			t.Fatal("PopBatch output not ordered")
 		}
 	}
 	if q.Len() != 2 {
@@ -202,16 +203,17 @@ func TestMinMatchingAndPopMatching(t *testing.T) {
 	q.Push(Event{Time: 2, Port: "bus"})
 
 	irq := []string{"irq"}
-	e, ok := q.MinMatching(irq)
-	if !ok || e.Time != 2 || e.Port != "irq" {
-		t.Fatalf("MinMatching = %v ok=%v, want irq@2", e, ok)
+	at, seq, ok := q.MinMatching(irq)
+	if !ok || at != 2 || seq != 3 {
+		t.Fatalf("MinMatching = @%v seq %d ok=%v, want irq@2 (seq 3)", at, seq, ok)
 	}
 	if q.Len() != 4 {
 		t.Fatal("MinMatching must not remove")
 	}
 
-	e, ok = q.PopMatching(irq)
-	if !ok || e.Time != 2 || e.Port != "irq" {
+	var e Event
+	ok = q.PopMatching(irq, &e)
+	if !ok || e.Time != 2 || e.Seq != seq || e.Port != "irq" {
 		t.Fatalf("PopMatching = %v ok=%v, want irq@2", e, ok)
 	}
 	if q.Len() != 3 {
@@ -225,10 +227,10 @@ func TestMinMatchingAndPopMatching(t *testing.T) {
 		}
 	}
 
-	if _, ok := q.MinMatching([]string{"none"}); ok {
+	if _, _, ok := q.MinMatching([]string{"none"}); ok {
 		t.Fatal("MinMatching matched a nonexistent port")
 	}
-	if _, ok := q.PopMatching([]string{"none"}); ok {
+	if q.PopMatching([]string{"none"}, &e) {
 		t.Fatal("PopMatching matched a nonexistent port")
 	}
 }
@@ -247,13 +249,13 @@ func TestMinMatchingProperty(t *testing.T) {
 			}
 			q.Push(Event{Time: vtime.Time(ts), Port: port})
 		}
-		got, ok := q.MinMatching(ports)
+		at, seq, ok := q.MinMatching(ports)
 		if !anyMatch {
 			return !ok
 		}
 		for _, e := range q.Snapshot() {
 			if e.Port == "a" {
-				return ok && got.Time == e.Time && got.Seq == e.Seq
+				return ok && at == e.Time && seq == e.Seq
 			}
 		}
 		return false
@@ -286,14 +288,14 @@ func TestQueueSortedProperty(t *testing.T) {
 	}
 }
 
-// Property: Drain(t) returns exactly the events with Time <= t.
+// Property: PopBatch(t, 0) returns exactly the events with Time <= t.
 func TestDrainPartitionProperty(t *testing.T) {
 	f := func(times []uint8, cut uint8) bool {
 		var q Queue
 		for _, ts := range times {
 			q.Push(Event{Time: vtime.Time(ts)})
 		}
-		got := q.Drain(vtime.Time(cut))
+		got := q.PopBatch(vtime.Time(cut), 0, nil)
 		for _, e := range got {
 			if e.Time > vtime.Time(cut) {
 				return false

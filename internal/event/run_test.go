@@ -15,8 +15,9 @@ import (
 
 // checkShape asserts what the columns must look like whichever reading
 // is current: a run is sorted from its cursor, a heap starts at 0 and
-// every position orders at or after its parent, and an empty queue is
-// an empty run.
+// every position orders at or after its parent, an empty queue is an
+// empty run, every live row's route is in the table, and a table small
+// enough to be searched whole holds each route once.
 func checkShape(t *testing.T, q *Queue) {
 	t.Helper()
 	if q.Len() == 0 {
@@ -24,6 +25,19 @@ func checkShape(t *testing.T, q *Queue) {
 			t.Fatalf("empty queue is not an empty run: heap %v, head %d, %d positions", q.heap, q.head, len(q.times))
 		}
 		return
+	}
+	for _, slot := range q.rows[q.head:] {
+		if link := q.row(slot).link; link < 0 || int(link) >= len(q.routes) {
+			t.Fatalf("row %d holds route %d of %d", slot, link, len(q.routes))
+		}
+	}
+	if len(q.routes) <= maxRoutes {
+		// Searched whole on every push, so it holds no tuple twice.
+		for i, r := range q.routes {
+			if slices.Contains(q.routes[:i], r) {
+				t.Fatalf("route %d of %d repeats an earlier one: %+v", i, len(q.routes), r)
+			}
+		}
 	}
 	if !q.heap {
 		for i := q.head + 1; i < len(q.times); i++ {
@@ -45,9 +59,11 @@ func checkShape(t *testing.T, q *Queue) {
 
 // TestQueueModel: seeded random interleavings of every mutating call,
 // checked against the sorted-slice reference after each one. The walk
-// moves through phases that favour different calls so that each
-// run/heap transition is reached many times; the counters at the end
-// say that every one was.
+// moves through phases that favour different calls, each drawing its
+// routes either mostly from a few or mostly from the whole pool, so
+// that each run/heap transition and each way the route table serves a
+// push is reached many times; the counters at the end say that every
+// one was.
 func TestQueueModel(t *testing.T) {
 	const (
 		opPushNext = iota // at or after the latest time pushed: extends a run
@@ -82,8 +98,10 @@ func TestQueueModel(t *testing.T) {
 		reclaimed      int // a pop copied the live run down over its popped prefix
 		heapEmptied    int // a heap emptied and the queue was a run again
 	}
+	m := &model{t: t} // one model, so its route counters span the seeds
 	for seed := int64(1); seed <= 12; seed++ {
-		q, m := new(Queue), &model{t: t, rng: rand.New(rand.NewSource(seed))}
+		q := new(Queue)
+		m.rng = rand.New(rand.NewSource(seed))
 		var (
 			clock  vtime.Time // latest time pushed in order
 			popped []Event    // most recent last, as a rollback journal holds them
@@ -97,6 +115,7 @@ func TestQueueModel(t *testing.T) {
 		for step := 0; step < 6000; step++ {
 			if step%150 == 0 {
 				weights = phases[m.rng.Intn(len(phases))]
+				m.cold = []int{5, 90}[m.rng.Intn(2)]
 			}
 			total := 0
 			for _, w := range weights {
@@ -110,7 +129,7 @@ func TestQueueModel(t *testing.T) {
 			if len(m.live) > 400 && op <= opRepush {
 				op = opPop
 			}
-			wasHeap, head := q.heap, q.head
+			wasHeap, head, hadRoutes := q.heap, q.head, len(q.routes)
 			switch op {
 			case opPushNext:
 				clock += vtime.Time(m.rng.Intn(3))
@@ -126,7 +145,7 @@ func TestQueueModel(t *testing.T) {
 					if !q.heap && q.Len() > 0 && e.Before(m.sorted()[len(m.live)-1]) {
 						seen.repushOlder++
 					}
-					q.PushStamped(e)
+					m.pushed(q, route{e.Component, e.Port, e.Net, e.Source}, func() { q.PushStamped(e) })
 					m.live = append(m.live, e)
 				}
 				popped = popped[:len(popped)-n]
@@ -147,10 +166,11 @@ func TestQueueModel(t *testing.T) {
 				if at := q.minMatching(filter); !q.heap && at > q.head {
 					seen.midRun++
 				}
-				peek, _ := q.MinMatching(filter)
-				got, ok := q.PopMatching(filter)
-				if ok != any || (ok && !same(peek, got)) {
-					t.Fatalf("seed %d step %d: PopMatching = %+v %v after MinMatching %+v, reference %+v %v", seed, step, got, ok, peek, want, any)
+				at, seq, peeked := q.MinMatching(filter)
+				var got Event
+				ok := q.PopMatching(filter, &got)
+				if ok != any || peeked != any || (ok && (at != got.Time || seq != got.Seq)) {
+					t.Fatalf("seed %d step %d: PopMatching = %+v %v after MinMatching @%v seq %d %v, reference %+v %v", seed, step, got, ok, at, seq, peeked, want, any)
 				}
 				if ok {
 					took(got, want)
@@ -163,7 +183,7 @@ func TestQueueModel(t *testing.T) {
 					n++
 				}
 				got := q.PopBatch(cut, max, nil)
-				if !slices.EqualFunc(got, ref[:n], same) {
+				if !slices.Equal(got, ref[:n]) {
 					t.Fatalf("seed %d step %d: PopBatch(%v, %d) returned %d events, reference %d (or they differ)", seed, step, cut, max, len(got), n)
 				}
 				for i := range got {
@@ -177,7 +197,7 @@ func TestQueueModel(t *testing.T) {
 				}
 				m.live = kept
 			case opSnapshot:
-				if snap := q.Snapshot(); !slices.EqualFunc(snap, m.sorted(), same) {
+				if snap := q.Snapshot(); !slices.Equal(snap, m.sorted()) {
 					t.Fatalf("seed %d step %d: snapshot of %d events differs from the reference", seed, step, len(snap))
 				}
 			case opReset:
@@ -187,6 +207,7 @@ func TestQueueModel(t *testing.T) {
 			if wasHeap && q.Len() == 0 {
 				seen.heapEmptied++
 			}
+			m.emptied(q, hadRoutes)
 			if q.Len() != len(m.live) {
 				t.Fatalf("seed %d step %d op %d: Len %d, reference %d", seed, step, op, q.Len(), len(m.live))
 			}
@@ -205,7 +226,10 @@ func TestQueueModel(t *testing.T) {
 	if seen.lateWithPrefix == 0 || seen.midRun == 0 || seen.repushOlder == 0 || seen.reclaimed == 0 || seen.heapEmptied == 0 {
 		t.Fatalf("a transition was never reached: %+v", seen)
 	}
-	t.Logf("transitions reached: %+v", seen)
+	if r := m.routes; r.lastHit == 0 || r.tableHit == 0 || r.miss == 0 || r.rebuilt == 0 || r.reset == 0 {
+		t.Fatalf("the route table never served a push one way: %+v", r)
+	}
+	t.Logf("transitions reached: %+v; route table: %+v", seen, m.routes)
 }
 
 // TestRunNeverEmptiesStaysSmall: a queue that is pushed and popped in

@@ -3,9 +3,10 @@
 // Pia lets a single communication action be rendered at several levels
 // of detail: the same logical transfer might appear as a sequence of
 // bus cycles (Level changes and Words) at the hardware level, or as a
-// single Packet at the packet level. The types here cover that range
-// and are all gob-encodable, so they can cross node boundaries
-// unchanged.
+// single Packet at the packet level. The types here cover that range;
+// each has a tag in the channel codec's value table, which is how it
+// crosses a node boundary unchanged. (Register keeps them known to gob
+// for what still uses it: snapshot and migration images.)
 package signal
 
 import (

@@ -16,10 +16,8 @@ import (
 	"repro/internal/vtime"
 )
 
-// WireEvent is the gob-encodable form of one undelivered inbox event.
-// event.Event itself cannot cross a node boundary: its Exec field is a
-// closure. Events carrying a non-nil Exec (scheduler-internal control
-// actions) refuse to migrate.
+// WireEvent is the form in which one undelivered inbox event crosses a
+// node boundary: event.Event with its Kind as a plain integer.
 type WireEvent struct {
 	Time      vtime.Time
 	Seq       uint64
@@ -106,9 +104,6 @@ func ExtractComponent(sub *core.Subsystem, tag, comp string) (*ComponentImage, e
 		MemData:   img.MemData,
 	}
 	for _, e := range img.Inbox {
-		if e.Exec != nil {
-			return nil, fmt.Errorf("snapshot: component %s has a pending control event and cannot migrate", comp)
-		}
 		ci.Inbox = append(ci.Inbox, WireEvent{
 			Time:      e.Time,
 			Seq:       e.Seq,
