@@ -14,24 +14,23 @@
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/faultnet"
 	"repro/internal/flight"
 	"repro/internal/mesh"
 	"repro/internal/metrics"
@@ -43,293 +42,260 @@ import (
 	"repro/internal/wubbleu"
 )
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:7777", "address to serve Pia channels on")
-	level := flag.String("level", "packetLevel", "initial DMA detail level (hardwareLevel|wordLevel|packetLevel)")
-	pageKB := flag.Int("page", 66, "page size in KB served by the web store")
-	images := flag.Int("images", 4, "images embedded in the page")
-	verbose := flag.Bool("v", false, "log channel activity")
-	workers := flag.Int("workers", 0, "scheduler worker-pool size (0 = sequential; results are identical)")
-	optimism := flag.Int64("optimism", 0, "speculate this many virtual ns past the safe horizon when workers would idle (0 = conservative; results are identical)")
+// mode is what the node does with its life, derived once from the
+// flags; as a bit set it also says which modes read a flag.
+type mode uint8
+
+const (
+	modeModem   mode = 1 << iota // serve the WubbleU modem site (the default)
+	modeService                  // multi-tenant session catalog
+	modeMesh                     // one member of an N-node control plane
+	modeMerge                    // stitch timeline files and exit
+
+	serving = modeModem | modeService | modeMesh
+)
+
+var modeNames = map[mode]string{modeModem: "modemsite", modeService: "service", modeMesh: "mesh", modeMerge: "timeline-merge"}
+
+// String is the mode's name in build info, flight dumps and messages.
+func (m mode) String() string { return modeNames[m] }
+
+// options is every flag's value; the flags bind straight into it.
+type options struct {
+	listen, level  string
+	pageKB, images int
+	verbose        bool
+	workers        int
+	optimism       int64
+	links          node.LinkFlags
+
+	metricsAddr              string
+	report, watchEvery       time.Duration
+	pprofOn                  bool
+	timelinePath, flightDump string
+	attribTop                int
+	timelineMerge            string
+	args                     []string // positional: the files -timeline-merge reads
+
+	service bool
+	limits  service.Limits
+
+	meshName, meshPeers, meshMigrate string
+	meshStep, meshUntil              time.Duration
+}
+
+// readBy says which modes read each flag (the link flags, declared by
+// node.LinkFlags, are read by every serving mode). A flag set in a
+// mode that does not read it is a conflict, not a silent no-op.
+var readBy = map[string]mode{
+	"listen": serving, "v": serving, "metrics": serving, "pprof": serving,
+	"flight-dump": serving, "watch-interval": serving, "attrib-top": serving,
+	"level": modeModem, "page": modeModem, "images": modeModem,
+	"optimism": modeModem, "report": modeModem,
+	"workers":        modeModem | modeService,
+	"timeline":       modeModem | modeMesh,
+	"timeline-merge": modeMerge,
+	"service":        modeService, "max-sessions": modeService, "max-mem": modeService,
+	"max-session-mem": modeService, "max-steps": modeService,
+	"mesh-name": modeMesh, "peers": modeMesh, "mesh-step": modeMesh,
+	"mesh-until": modeMesh, "mesh-migrate": modeMesh,
+}
+
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:7777", "address to serve Pia channels on")
+	fs.StringVar(&o.level, "level", "packetLevel", "initial DMA detail level (hardwareLevel|wordLevel|packetLevel)")
+	fs.IntVar(&o.pageKB, "page", 66, "page size in KB served by the web store")
+	fs.IntVar(&o.images, "images", 4, "images embedded in the page")
+	fs.BoolVar(&o.verbose, "v", false, "log channel activity")
+	fs.IntVar(&o.workers, "workers", 0, "scheduler worker-pool size (0 = sequential; results are identical)")
+	fs.Int64Var(&o.optimism, "optimism", 0, "speculate this many virtual ns past the safe horizon when workers would idle (0 = conservative; results are identical)")
 
 	// Deterministic fault injection on accepted connections (chaos
-	// testing a designer's link against this vendor node).
-	seed := flag.Int64("seed", 1, "fault-schedule seed; same seed reproduces the same faults")
-	faultDrop := flag.Float64("fault-drop", 0, "probability a frame is dropped")
-	faultDup := flag.Float64("fault-dup", 0, "probability a frame is duplicated")
-	faultReorder := flag.Float64("fault-reorder", 0, "probability a frame is swapped with its successor")
-	faultCorrupt := flag.Float64("fault-corrupt", 0, "probability one frame byte is flipped")
-	faultLatency := flag.Duration("fault-latency", 0, "fixed wall-clock delay per frame")
-	faultJitter := flag.Duration("fault-jitter", 0, "uniform random extra delay per frame")
-	faultBW := flag.Int64("fault-bw", 0, "bandwidth cap in bits/s (0 = uncapped)")
-	faultPartition := flag.String("fault-partition", "", "scripted partitions, \"atframe:healms[,...]\" e.g. \"50:15\"")
-
-	// Resumable sessions: survive connection loss and injected faults.
-	resilient := flag.Bool("resilient", false, "speak the resumable session protocol (peer must too)")
-	heartbeat := flag.Duration("heartbeat", time.Second, "session heartbeat interval")
-	heartbeatMiss := flag.Int("heartbeat-miss", 0, "missed heartbeats before the connection is declared dead (0 = default)")
-	retryBase := flag.Duration("retry-base", 0, "initial reconnect backoff (0 = default)")
-	retryMax := flag.Int("retry-max", 0, "reconnect attempts per outage before giving up (0 = default)")
-	retentionFrames := flag.Int("retention-frames", 0, "unacked frames retained for resume (0 = default)")
-	retentionBytes := flag.Int("retention-bytes", 0, "unacked bytes retained for resume (0 = default)")
+	// testing a designer's link against this vendor node) and the
+	// resumable sessions that survive it: the flags wubbleu takes too.
+	o.links.Register(fs)
 
 	// Observability: the unified metrics registry, exposed over HTTP
 	// and/or as periodic run-report lines.
-	metricsAddr := flag.String("metrics", "", "serve /metrics (JSON + Prometheus text) and /healthz on this address (empty = off)")
-	report := flag.Duration("report", 0, "print a structured run-report line at this interval (0 = off)")
-	pprofOn := flag.Bool("pprof", false, "also serve /debug/pprof/ on the -metrics address")
-	timelinePath := flag.String("timeline", "", "record a structured timeline and write it (per-node native JSON) to this file at shutdown")
-	flightDump := flag.String("flight-dump", "", "write flight-recorder post-mortem JSON dumps into this directory when a failure trigger trips (requires -metrics)")
-	watchEvery := flag.Duration("watch-interval", time.Second, "sampling cadence for the /watch telemetry stream and the flight recorder's metric deltas")
-	attribTop := flag.Int("attrib-top", 0, "per-component wall-cost attribution: export cost histograms plus a top-N ranking in /metrics (0 = off; requires -metrics)")
-	timelineMerge := flag.String("timeline-merge", "", "merge per-node timeline files (remaining args) into a Perfetto trace at this path, then exit")
+	fs.StringVar(&o.metricsAddr, "metrics", "", "serve /metrics (JSON + Prometheus text) and /healthz on this address (empty = off)")
+	fs.DurationVar(&o.report, "report", 0, "print a structured run-report line at this interval (0 = off)")
+	fs.BoolVar(&o.pprofOn, "pprof", false, "also serve /debug/pprof/ on the -metrics address")
+	fs.StringVar(&o.timelinePath, "timeline", "", "record a structured timeline and write it (per-node native JSON) to this file at shutdown")
+	fs.StringVar(&o.flightDump, "flight-dump", "", "write flight-recorder post-mortem JSON dumps into this directory when a failure trigger trips (requires -metrics)")
+	fs.DurationVar(&o.watchEvery, "watch-interval", time.Second, "sampling cadence for the /watch telemetry stream and the flight recorder's metric deltas")
+	fs.IntVar(&o.attribTop, "attrib-top", 0, "per-component wall-cost attribution: export cost histograms plus a top-N ranking in /metrics (0 = off; requires -metrics)")
+	fs.StringVar(&o.timelineMerge, "timeline-merge", "", "merge per-node timeline files (remaining args) into a Perfetto trace at this path, then exit")
 
 	// Service mode: a multi-tenant session catalog replaces the single
 	// modem-site subsystem. Designers create sessions over HTTP and
 	// attach over the shared data listener by session id.
-	serviceMode := flag.Bool("service", false, "run the multi-tenant session service (session API on the -metrics address, data channels on -listen)")
-	maxSessions := flag.Int("max-sessions", 0, "service mode: admission cap on concurrent sessions (0 = unlimited)")
-	maxMem := flag.Int64("max-mem", 0, "service mode: admission cap on total session footprint bytes (0 = unlimited)")
-	maxSessionMem := flag.Int64("max-session-mem", 0, "service mode: admission cap on a single session's footprint bytes (0 = unlimited)")
-	maxSteps := flag.Int64("max-steps", 0, "service mode: per-session scheduler-step budget; crossing it evicts the tenant (0 = unlimited)")
+	fs.BoolVar(&o.service, "service", false, "run the multi-tenant session service (session API on the -metrics address, data channels on -listen)")
+	fs.IntVar(&o.limits.MaxSessions, "max-sessions", 0, "service mode: admission cap on concurrent sessions (0 = unlimited)")
+	fs.Int64Var(&o.limits.MaxMemBytes, "max-mem", 0, "service mode: admission cap on total session footprint bytes (0 = unlimited)")
+	fs.Int64Var(&o.limits.MaxSessionMemBytes, "max-session-mem", 0, "service mode: admission cap on a single session's footprint bytes (0 = unlimited)")
+	fs.Int64Var(&o.limits.MaxSteps, "max-steps", 0, "service mode: per-session scheduler-step budget; crossing it evicts the tenant (0 = unlimited)")
 
 	// Mesh mode: join an N-node control plane running the shared
 	// migration demo workload instead of serving the modem site.
-	meshName := flag.String("mesh-name", "", "join a mesh as this member and run the migration demo workload (requires -peers)")
-	meshPeers := flag.String("peers", "", "static mesh peer list: comma-separated name=host:port control addresses including this member's own entry (bare host:port entries get names derived from the address)")
-	meshStep := flag.Duration("mesh-step", 25*time.Millisecond, "mesh lock-step round length in virtual time")
-	meshUntil := flag.Duration("mesh-until", 0, "virtual horizon for the mesh run (0 = the demo workload's natural horizon)")
-	meshMigrate := flag.String("mesh-migrate", "", "scripted live migration, \"component:dest@virtualtime\" e.g. \"hot:bravo@50ms\" (leader only)")
-	flag.Parse()
+	fs.StringVar(&o.meshName, "mesh-name", "", "join a mesh as this member and run the migration demo workload (requires -peers)")
+	fs.StringVar(&o.meshPeers, "peers", "", "static mesh peer list: comma-separated name=host:port control addresses including this member's own entry (bare host:port entries get names derived from the address)")
+	fs.DurationVar(&o.meshStep, "mesh-step", 25*time.Millisecond, "mesh lock-step round length in virtual time")
+	fs.DurationVar(&o.meshUntil, "mesh-until", 0, "virtual horizon for the mesh run (0 = the demo workload's natural horizon)")
+	fs.StringVar(&o.meshMigrate, "mesh-migrate", "", "scripted live migration, \"component:dest@virtualtime\" e.g. \"hot:bravo@50ms\" (leader only)")
+}
 
-	// Merge mode: stitch per-node timeline files from a distributed
-	// run into one Perfetto trace and exit without serving anything.
-	//
-	//	pianode -timeline-merge trace.json node-a.json node-b.json
-	if *timelineMerge != "" {
-		if flag.NArg() == 0 {
-			log.Fatal("pianode: -timeline-merge needs at least one per-node timeline file argument")
-		}
-		out, err := os.Create(*timelineMerge)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := timeline.MergeFiles(out, flag.Args()...); err != nil {
-			out.Close()
-			log.Fatalf("pianode: -timeline-merge: %v", err)
-		}
-		if err := out.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("pianode: merged %d timeline file(s) into %s (open at ui.perfetto.dev)\n",
-			flag.NArg(), *timelineMerge)
-		return
+func (o *options) mode() mode {
+	switch {
+	case o.timelineMerge != "":
+		return modeMerge
+	case o.service:
+		return modeService
+	case o.meshName != "" || o.meshPeers != "":
+		return modeMesh
 	}
-	if *pprofOn && *metricsAddr == "" {
-		log.Fatal("pianode: -pprof needs -metrics to provide the HTTP listener")
-	}
-	if *flightDump != "" && *metricsAddr == "" {
-		log.Fatal("pianode: -flight-dump needs -metrics to enable the flight recorder")
-	}
-	if *serviceMode {
-		if *meshName != "" || *meshPeers != "" {
-			log.Fatal("pianode: -service and mesh mode are mutually exclusive")
-		}
-		if *metricsAddr == "" {
-			log.Fatal("pianode: -service needs -metrics to provide the session API listener")
-		}
-	}
+	return modeModem
+}
 
-	fcfg := faultnet.Config{
-		Seed:         *seed,
-		Latency:      *faultLatency,
-		Jitter:       *faultJitter,
-		BandwidthBps: *faultBW,
-		DropProb:     *faultDrop,
-		DupProb:      *faultDup,
-		ReorderProb:  *faultReorder,
-		CorruptProb:  *faultCorrupt,
-	}
-	if *faultPartition != "" {
-		parts, err := faultnet.ParsePartitions(*faultPartition)
-		if err != nil {
-			log.Fatalf("pianode: -fault-partition: %v", err)
+// validate returns every flag conflict at once: each flag in set (the
+// names given on the command line) that the selected mode never
+// reads, then the rules between flags. It touches nothing outside o.
+func (o *options) validate(set []string) error {
+	m := o.mode()
+	var errs []error
+	bad := func(format string, a ...any) { errs = append(errs, fmt.Errorf("pianode: "+format, a...)) }
+	for _, name := range set {
+		by := readBy[name]
+		if o.links.Has(name) {
+			by = serving
 		}
-		fcfg.Partitions = parts
-	}
-	rcfg := resilience.Config{
-		Heartbeat:       *heartbeat,
-		HeartbeatMiss:   *heartbeatMiss,
-		RetryBase:       *retryBase,
-		RetryMax:        *retryMax,
-		RetentionFrames: *retentionFrames,
-		RetentionBytes:  *retentionBytes,
-		Seed:            *seed,
-	}
-
-	if *serviceMode {
-		if err := runService(serviceOptions{
-			listen:      *listen,
-			metricsAddr: *metricsAddr,
-			verbose:     *verbose,
-			pprofOn:     *pprofOn,
-			resilient:   *resilient,
-			workers:     *workers,
-			limits: service.Limits{
-				MaxSessions:        *maxSessions,
-				MaxMemBytes:        *maxMem,
-				MaxSessionMemBytes: *maxSessionMem,
-				MaxSteps:           *maxSteps,
-			},
-			faults:     fcfg,
-			res:        rcfg,
-			flightDump: *flightDump,
-			watchEvery: *watchEvery,
-			attribTop:  *attribTop,
-		}); err != nil {
-			log.Fatal(err)
+		if by&m == 0 {
+			bad("-%s is not read in %s mode", name, m)
 		}
-		return
 	}
-
-	// Mesh mode replaces the modem-site server wholesale: the node
-	// becomes one member of an N-node control plane running the shared
-	// migration demo workload in lock step.
-	if *meshName != "" || *meshPeers != "" {
-		if *meshName == "" {
-			log.Fatal("pianode: -peers needs -mesh-name to say which member this node is")
+	noMetrics := m != modeMerge && o.metricsAddr == ""
+	for _, rule := range []struct {
+		hit bool
+		msg string
+	}{
+		{m == modeMerge && len(o.args) == 0, "-timeline-merge needs at least one per-node timeline file argument"},
+		{noMetrics && o.pprofOn, "-pprof needs -metrics to provide the HTTP listener"},
+		{noMetrics && o.flightDump != "", "-flight-dump needs -metrics to enable the flight recorder"},
+		{noMetrics && o.attribTop > 0 && o.report <= 0, "-attrib-top needs -metrics (or -report) to provide the registry"},
+		{m == modeService && (o.meshName != "" || o.meshPeers != ""), "-service and mesh mode are mutually exclusive"},
+		{noMetrics && m == modeService, "-service needs -metrics to provide the session API listener"},
+		{m == modeMesh && o.meshName == "", "-peers needs -mesh-name to say which member this node is"},
+	} {
+		if rule.hit {
+			bad("%s", rule.msg)
 		}
-		// The single-node default port would collide between co-hosted
-		// members; mesh mode defaults to an ephemeral data port (the
-		// control plane exchanges the bound addresses) unless -listen
-		// was given explicitly.
-		dataListen := "127.0.0.1:0"
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "listen" {
-				dataListen = *listen
-			}
-		})
-		if err := runMesh(meshOptions{
-			name:         *meshName,
-			peers:        *meshPeers,
-			dataListen:   dataListen,
-			metricsAddr:  *metricsAddr,
-			timelinePath: *timelinePath,
-			migrate:      *meshMigrate,
-			pprofOn:      *pprofOn,
-			verbose:      *verbose,
-			resilient:    *resilient,
-			step:         *meshStep,
-			until:        *meshUntil,
-			faults:       fcfg,
-			res:          rcfg,
-			flightDump:   *flightDump,
-			watchEvery:   *watchEvery,
-			attribTop:    *attribTop,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
+	return errors.Join(errs...)
+}
 
-	cfg := wubbleu.DefaultConfig()
-	cfg.PageSize = *pageKB * 1024
-	cfg.Images = *images
-	cfg.Level = *level
-
-	sub := core.NewSubsystem("modemsite")
-	sub.SetWorkers(*workers)
-	if *optimism > 0 {
-		sub.SetOptimism(vtime.Duration(*optimism))
+// parse declares the flags on fs, parses argv into o and returns the
+// names of the flags given.
+func (o *options) parse(fs *flag.FlagSet, argv []string) (set []string, err error) {
+	o.register(fs)
+	if err := fs.Parse(argv); err != nil {
+		return nil, err
 	}
-	if _, err := wubbleu.InstallModemSite(sub, cfg); err != nil {
+	o.args = fs.Args()
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	return set, nil
+}
+
+func main() {
+	var o options
+	set, _ := o.parse(flag.CommandLine, os.Args[1:]) // exits on a parse error
+	if err := o.validate(set); err != nil {
 		log.Fatal(err)
 	}
+	m := o.mode()
+	// The single-node default port would collide between co-hosted
+	// mesh members; mesh mode defaults to an ephemeral data port (the
+	// control plane exchanges the bound addresses) unless -listen was
+	// given explicitly.
+	if m == modeMesh && !slices.Contains(set, "listen") {
+		o.listen = "127.0.0.1:0"
+	}
+	run := runModem
+	switch m {
+	case modeMerge:
+		run = runMerge
+	case modeService:
+		run = runService
+	case modeMesh:
+		run = runMesh
+	}
+	if err := run(&o); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	n := node.New("modem-node")
-	if *verbose {
-		n.Tracer = func(s string) { log.Print(s) }
+// runMerge stitches per-node timeline files from a distributed run
+// into one Perfetto trace, without serving anything.
+//
+//	pianode -timeline-merge trace.json node-a.json node-b.json
+func runMerge(o *options) error {
+	var buf bytes.Buffer
+	if err := timeline.MergeFiles(&buf, o.args...); err != nil {
+		return fmt.Errorf("pianode: -timeline-merge: %v", err)
 	}
-	if fcfg.Enabled() {
-		n.SetFaults(fcfg)
-		if !*resilient {
-			log.Print("pianode: warning: faults armed without -resilient; connections will not survive them")
-		}
+	if err := os.WriteFile(o.timelineMerge, buf.Bytes(), 0o666); err != nil {
+		return err
 	}
-	if *resilient {
-		n.SetResilience(rcfg)
+	fmt.Printf("pianode: merged %d timeline file(s) into %s (open at ui.perfetto.dev)\n",
+		len(o.args), o.timelineMerge)
+	return nil
+}
+
+// runModem serves the WubbleU modem site as one subsystem a
+// designer's node dials.
+func runModem(o *options) error {
+	cfg := wubbleu.DefaultConfig()
+	cfg.PageSize = o.pageKB * 1024
+	cfg.Images = o.images
+	cfg.Level = o.level
+
+	sub := core.NewSubsystem("modemsite")
+	sub.SetWorkers(o.workers)
+	if o.optimism > 0 {
+		sub.SetOptimism(vtime.Duration(o.optimism))
 	}
-	hosted := n.Host(sub)
+	if _, err := wubbleu.InstallModemSite(sub, cfg); err != nil {
+		return err
+	}
+
+	st, err := bringUp(o, "modem-node")
+	if err != nil {
+		return err
+	}
+	defer st.close()
+	n := st.node
 	// When a designer's node connects, splice the incoming channel
 	// into our fragment of the split "dma" net.
-	hosted.OnChannel = func(ep *channel.Endpoint) {
+	n.Host(sub).OnChannel = func(ep *channel.Endpoint) {
 		if err := ep.BindNet(sub.Net("dma"), "dma"); err != nil {
 			log.Printf("pianode: bind dma: %v", err)
 		}
 	}
+	st.watch(sub)
 
-	// The metrics registry is created only when something will read
-	// it; with both flags off the node runs on the zero-overhead
-	// disabled path (nil registry, nil scheduler gauges).
-	var reg *metrics.Registry
-	if *metricsAddr != "" || *report > 0 {
-		reg = metrics.NewRegistry()
-		metrics.RegisterBuildInfo(reg, "modemsite")
-		n.EnableMetrics(reg)
-	}
-	if *attribTop > 0 {
-		if reg == nil {
-			log.Fatal("pianode: -attrib-top needs -metrics (or -report) to provide the registry")
-		}
-		sub.EnableCostAttribution(reg, *attribTop)
-	}
-	// The timeline recorder, like the registry, exists only when asked
-	// for; otherwise every hook stays nil and the hot path is
-	// allocation-free.
-	if *timelinePath != "" {
-		n.EnableTimeline(timeline.NewRecorder(0))
-	}
-	// The flight recorder and /watch hub ride on the metrics listener:
-	// with -metrics off the observer stays nil and every trigger path
-	// pays one nil check.
-	var fobs *flight.Observer
-	if *metricsAddr != "" {
-		var fsmp *flight.Sampler
-		fobs, fsmp = newFlight(reg, *flightDump, "modemsite", *watchEvery)
-		n.EnableFlight(fobs)
-		sub.OnThrottleCollapse = func(spec, aborted int) {
-			fobs.Event("throttle", sub.Name(), "rollback storm: speculation window collapsed", int64(aborted))
-			fobs.Trip("rollback-storm", sub.Name())
-		}
-		fsmp.Start()
-		defer fsmp.Stop()
-	}
-
-	addr, err := n.Listen(*listen)
+	addr, err := n.Listen(o.listen)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("pianode: serving subsystem %q (level %s, %d KB page) on %s\n",
-		sub.Name(), cfg.Level, *pageKB, addr)
-
-	var obsSrv *http.Server
-	if *metricsAddr != "" {
-		srv, maddr, err := serveObs(*metricsAddr, obsConfig{
-			reg: reg, health: n, resilient: *resilient, pprofOn: *pprofOn,
-			rec: fobs.Rec, hub: fobs.Hub,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		obsSrv = srv
-		fmt.Printf("pianode: metrics on http://%s/metrics, health on http://%s/healthz\n", maddr, maddr)
-		fmt.Printf("pianode: live telemetry on http://%s/watch, flight recorder on http://%s/debug/flight\n", maddr, maddr)
-		if *pprofOn {
-			fmt.Printf("pianode: profiles on http://%s/debug/pprof/\n", maddr)
-		}
+		sub.Name(), cfg.Level, o.pageKB, addr)
+	maddr, err := st.serve(obsConfig{})
+	if err != nil {
+		return err
 	}
-	if *report > 0 {
-		t := time.NewTicker(*report)
+	if maddr != "" {
+		st.banner(maddr, "")
+	}
+	if o.report > 0 {
+		t := time.NewTicker(o.report)
 		defer t.Stop()
 		go func() {
 			for range t.C {
@@ -351,7 +317,7 @@ func main() {
 	select {
 	case err := <-done:
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Println("pianode: simulation complete")
 	case <-sig:
@@ -359,15 +325,8 @@ func main() {
 		sub.Stop()
 		<-done
 	}
-	if *timelinePath != "" {
-		if err := n.WriteTimeline(*timelinePath); err != nil {
-			log.Printf("pianode: -timeline: %v", err)
-		} else {
-			fmt.Printf("pianode: timeline written to %s (merge with -timeline-merge)\n", *timelinePath)
-		}
-	}
-	shutdownObs(obsSrv)
-	n.Close()
+	st.writeTimeline()
+	return nil
 }
 
 // healthSource is the slice of the node the health endpoint reads —
@@ -520,82 +479,6 @@ func writeObsJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-// serveObs starts the observability HTTP listener. Returns the
-// server (so the caller can drain it at shutdown) and the bound
-// address.
-func serveObs(addr string, o obsConfig) (*http.Server, string, error) {
-	srv := &http.Server{
-		Handler: newObsMux(o),
-		// Slow-client bounds: a scraper that stalls mid-headers or
-		// mid-read cannot pin a connection open forever. The write
-		// budget is generous because /debug/pprof/profile streams
-		// for its ?seconds= argument (30s by default) before the
-		// response completes.
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       15 * time.Second,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("pianode: -metrics %s: %w", addr, err)
-	}
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			log.Printf("pianode: metrics server: %v", err)
-		}
-	}()
-	return srv, ln.Addr().String(), nil
-}
-
-// shutdownObs drains in-flight scrapes before the process exits. A
-// nil server (observability was never enabled) is a no-op.
-func shutdownObs(srv *http.Server) {
-	if srv == nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("pianode: metrics shutdown: %v", err)
-	}
-}
-
-// newFlight assembles the flight-recorder stack for one mode: the
-// ring recorder (stamped with the mode and wired to the registry),
-// the /watch streaming hub, and the sampler feeding both with metric
-// deltas. When dumpDir is set, a trip writes the post-mortem there as
-// a self-contained JSON file.
-func newFlight(reg *metrics.Registry, dumpDir, mode string, every time.Duration) (*flight.Observer, *flight.Sampler) {
-	rec := flight.New(0)
-	rec.SetInfo("mode", mode)
-	rec.AttachRegistry(reg)
-	hub := flight.NewHub()
-	if dumpDir != "" {
-		if err := os.MkdirAll(dumpDir, 0o755); err != nil {
-			log.Fatalf("pianode: -flight-dump: %v", err)
-		}
-		rec.OnTrip(func(d *flight.Dump) {
-			path := filepath.Join(dumpDir, fmt.Sprintf("flight-%s-%d.json", mode, d.GeneratedNS))
-			f, err := os.Create(path)
-			if err != nil {
-				log.Printf("pianode: flight dump: %v", err)
-				return
-			}
-			if err := d.WriteJSON(f); err != nil {
-				log.Printf("pianode: flight dump: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Printf("pianode: flight dump: %v", err)
-				return
-			}
-			fmt.Printf("pianode: flight recorder tripped (%s): post-mortem written to %s\n", d.Reason, path)
-		})
-	}
-	smp := flight.NewSampler(reg, rec, hub, every)
-	return &flight.Observer{Rec: rec, Hub: hub}, smp
-}
-
 // meshHealth reports this member's view of the mesh: every member
 // with its join/leave state and last-heartbeat age. The probe fails
 // (503) only when a quorum of members is dead; losing one peer of a
@@ -668,79 +551,37 @@ func handleMigrate(w http.ResponseWriter, r *http.Request, mem migrator) {
 	})
 }
 
-// serviceOptions carries the parsed flag values into service mode.
-type serviceOptions struct {
-	listen, metricsAddr string
-	verbose, pprofOn    bool
-	resilient           bool
-	workers             int
-	limits              service.Limits
-	faults              faultnet.Config
-	res                 resilience.Config
-	flightDump          string
-	watchEvery          time.Duration
-	attribTop           int
-}
-
 // runService turns the node into a multi-tenant simulation service:
 // a session catalog managed over HTTP on the -metrics address, every
 // live session hosted under its id behind the one shared data
 // listener, all of them fair-sharing one bounded worker pool.
-func runService(o serviceOptions) error {
-	n := node.New("service-node")
-	if o.verbose {
-		n.Tracer = func(s string) { log.Print(s) }
+func runService(o *options) error {
+	st, err := bringUp(o, "service-node")
+	if err != nil {
+		return err
 	}
-	if o.faults.Enabled() {
-		n.SetFaults(o.faults)
-		if !o.resilient {
-			log.Print("pianode: warning: faults armed without -resilient; connections will not survive them")
-		}
-	}
-	if o.resilient {
-		n.SetResilience(o.res)
-	}
-	defer n.Close()
-
-	// One shared registry backs the scrape, but the node is NOT wired
-	// into it: each session runs its own registry (so its samples can
-	// carry the tenant label), and the catalog's collector re-emits
-	// them all into this one at snapshot time.
-	reg := metrics.NewRegistry()
-	metrics.RegisterBuildInfo(reg, "service")
-	fobs, fsmp := newFlight(reg, o.flightDump, "service", o.watchEvery)
-	n.EnableFlight(fobs)
-	fsmp.Start()
-	defer fsmp.Stop()
+	defer st.close()
 	cat := service.NewCatalog(service.Config{
 		Workers:         o.workers,
 		Limits:          o.limits,
-		Node:            n,
-		Metrics:         reg,
-		Flight:          fobs,
+		Node:            st.node,
+		Metrics:         st.reg,
+		Flight:          st.fobs,
 		AttributionTopN: o.attribTop,
 	})
 	defer cat.Close()
 
-	addr, err := n.Listen(o.listen)
+	addr, err := st.node.Listen(o.listen)
 	if err != nil {
 		return err
 	}
-	srv, maddr, err := serveObs(o.metricsAddr, obsConfig{
-		reg: reg, health: n, resilient: o.resilient,
-		pprofOn: o.pprofOn, catalog: cat,
-		rec: fobs.Rec, hub: fobs.Hub,
-	})
+	maddr, err := st.serve(obsConfig{catalog: cat})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("pianode: session service up: data channels on %s, session API on http://%s/sessions\n",
 		addr, maddr)
-	fmt.Printf("pianode: metrics on http://%s/metrics, health on http://%s/healthz\n", maddr, maddr)
-	fmt.Printf("pianode: live telemetry on http://%s/watch (?session= filters a tenant), flight recorder on http://%s/debug/flight\n", maddr, maddr)
-	if o.pprofOn {
-		fmt.Printf("pianode: profiles on http://%s/debug/pprof/\n", maddr)
-	}
+	st.banner(maddr, " (?session= filters a tenant)")
 	if o.workers > 0 {
 		fmt.Printf("pianode: sessions fair-share a %d-worker pool\n", o.workers)
 	}
@@ -749,23 +590,11 @@ func runService(o serviceOptions) error {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	fmt.Println("pianode: interrupted")
-	shutdownObs(srv)
-	st := cat.Stats()
+	shutdownObs(st.srv)
+	cs := cat.Stats()
 	fmt.Printf("pianode: service done: live=%d created=%d stopped=%d evicted=%d rejected=%d\n",
-		st.Live, st.Created, st.Stopped, st.Evicted, st.Rejected)
+		cs.Live, cs.Created, cs.Stopped, cs.Evicted, cs.Rejected)
 	return nil
-}
-
-// meshOptions carries the parsed flag values into mesh mode.
-type meshOptions struct {
-	name, peers, dataListen, metricsAddr, timelinePath, migrate string
-	pprofOn, verbose, resilient                                 bool
-	step, until                                                 time.Duration
-	faults                                                      faultnet.Config
-	res                                                         resilience.Config
-	flightDump                                                  string
-	watchEvery                                                  time.Duration
-	attribTop                                                   int
 }
 
 // runMesh joins the static mesh as one member and runs the shared
@@ -774,14 +603,14 @@ type meshOptions struct {
 // per-component drive digests at the end, so bit-identical output
 // across a migrated and a stationary run can be checked from the
 // shell.
-func runMesh(o meshOptions) error {
-	peers, err := parsePeers(o.peers)
+func runMesh(o *options) error {
+	peers, err := parsePeers(o.meshPeers)
 	if err != nil {
 		return err
 	}
-	self, ok := peers[o.name]
+	self, ok := peers[o.meshName]
 	if !ok {
-		return fmt.Errorf("pianode: -peers has no entry for this member %q", o.name)
+		return fmt.Errorf("pianode: -peers has no entry for this member %q", o.meshName)
 	}
 	names := make([]string, 0, len(peers))
 	for name := range peers {
@@ -796,84 +625,54 @@ func runMesh(o meshOptions) error {
 		return err
 	}
 
-	nd := node.New(o.name)
-	if o.verbose {
-		nd.Tracer = func(s string) { log.Print(s) }
+	st, err := bringUp(o, o.meshName)
+	if err != nil {
+		return err
 	}
-	if o.faults.Enabled() {
-		nd.SetFaults(o.faults)
-		if !o.resilient {
-			log.Print("pianode: warning: faults armed without -resilient; data channels will not survive them")
-		}
-	}
-	if o.resilient {
-		nd.SetResilience(o.res)
-	}
-	var reg *metrics.Registry
-	if o.metricsAddr != "" {
-		reg = metrics.NewRegistry()
-		metrics.RegisterBuildInfo(reg, "mesh")
-		nd.EnableMetrics(reg)
-	}
-	cfg := mesh.Config{
-		Name:       o.name,
+	defer st.close()
+	mem, err := mesh.New(mesh.Config{
+		Name:       o.meshName,
 		Blueprint:  bp,
-		Node:       nd,
+		Node:       st.node,
 		CtlListen:  self,
-		DataListen: o.dataListen,
-	}
-	if o.timelinePath != "" {
-		cfg.Timeline = timeline.NewRecorder(0)
-	}
-	mem, err := mesh.New(cfg)
+		DataListen: o.listen,
+		Timeline:   st.node.Timeline(),
+	})
 	if err != nil {
 		return err
 	}
 	defer mem.Close()
 	fmt.Printf("pianode: mesh member %q: control on %s, data on %s\n",
-		o.name, mem.CtlAddr(), mem.DataAddr())
+		o.meshName, mem.CtlAddr(), mem.DataAddr())
 
-	// Flight stack: peer-loss trips via the node, quorum death via the
-	// sampler's poll hook (membership health is not registry-driven).
-	var fobs *flight.Observer
-	if o.metricsAddr != "" {
-		fobs2, fsmp := newFlight(reg, o.flightDump, "mesh", o.watchEvery)
-		fobs = fobs2
-		fobs.Rec.SetInfo("member", o.name)
-		nd.EnableFlight(fobs)
-		fsmp.SetPoll(func() {
+	// Peer loss trips the flight recorder via the node; quorum death
+	// via the sampler's poll hook (membership health is not
+	// registry-driven).
+	if st.fobs != nil {
+		st.fobs.Rec.SetInfo("member", o.meshName)
+		st.smp.SetPoll(func() {
 			if h := mem.Health(); h.QuorumDead {
-				fobs.Event("health", o.name, fmt.Sprintf("quorum dead: %d/%d members alive", h.Alive, h.Total), int64(h.Alive))
-				fobs.Trip("quorum-dead", fmt.Sprintf("%s sees %d/%d alive", o.name, h.Alive, h.Total))
+				st.fobs.Event("health", o.meshName, fmt.Sprintf("quorum dead: %d/%d members alive", h.Alive, h.Total), int64(h.Alive))
+				st.fobs.Trip("quorum-dead", fmt.Sprintf("%s sees %d/%d alive", o.meshName, h.Alive, h.Total))
 			}
 		})
-		fsmp.Start()
-		defer fsmp.Stop()
-		if o.attribTop > 0 {
-			mem.Subsystem().EnableCostAttribution(reg, o.attribTop)
-		}
 	}
+	st.watch(mem.Subsystem())
 
 	// Admin/metrics listener comes up before the (blocking) mesh
 	// formation so probes can watch the mesh assemble.
-	var obsSrv *http.Server
-	defer func() { shutdownObs(obsSrv) }()
-	if o.metricsAddr != "" {
-		srv, maddr, err := serveObs(o.metricsAddr, obsConfig{
-			reg: reg, health: nd, resilient: o.resilient, pprofOn: o.pprofOn, mem: mem,
-			rec: fobs.Rec, hub: fobs.Hub,
-		})
-		if err != nil {
-			return err
-		}
-		obsSrv = srv
+	maddr, err := st.serve(obsConfig{mem: mem})
+	if err != nil {
+		return err
+	}
+	if maddr != "" {
 		fmt.Printf("pianode: mesh health on http://%s/healthz, migration admin on http://%s/migrate\n",
 			maddr, maddr)
 	}
 
 	others := make(map[string]string, len(peers))
 	for name, addr := range peers {
-		if name != o.name {
+		if name != o.meshName {
 			others[name] = addr
 		}
 	}
@@ -882,8 +681,8 @@ func runMesh(o meshOptions) error {
 	}
 	fmt.Printf("pianode: mesh up: %d members, leader %q\n", len(names), mem.Leader())
 
-	if o.migrate != "" {
-		comp, dest, at, err := parseMigrate(o.migrate)
+	if o.meshMigrate != "" {
+		comp, dest, at, err := parseMigrate(o.meshMigrate)
 		if err != nil {
 			return err
 		}
@@ -897,14 +696,14 @@ func runMesh(o meshOptions) error {
 		}
 	}
 
-	until := vtime.Time(o.until.Nanoseconds())
-	if o.until <= 0 {
+	until := vtime.Time(o.meshUntil.Nanoseconds())
+	if o.meshUntil <= 0 {
 		until = params.Horizon()
 	}
 	done := make(chan error, 1)
 	go func() {
 		if mem.IsLeader() {
-			done <- mem.Lead(until, vtime.Duration(o.step.Nanoseconds()))
+			done <- mem.Lead(until, vtime.Duration(o.meshStep.Nanoseconds()))
 		} else {
 			done <- mem.Wait()
 		}
@@ -923,12 +722,12 @@ func runMesh(o meshOptions) error {
 		return nil
 	}
 
-	st := mem.Stats()
+	ms := mem.Stats()
 	fmt.Printf("pianode: mesh run complete: rounds=%d reissues=%d migrations=%d epoch=%d\n",
-		st.Rounds, st.Reissues, st.Migrations, st.Epoch)
-	if st.Migrations > 0 {
+		ms.Rounds, ms.Reissues, ms.Migrations, ms.Epoch)
+	if ms.Migrations > 0 {
 		fmt.Printf("pianode: last migration: virtual downtime=%dns wall=%s epoch_propagation=%s\n",
-			int64(st.MigrationVirtual), st.MigrationWall, st.EpochPropagation)
+			int64(ms.MigrationVirtual), ms.MigrationWall, ms.EpochPropagation)
 	}
 	digs := mem.Digests()
 	comps := make([]string, 0, len(digs))
@@ -939,13 +738,7 @@ func runMesh(o meshOptions) error {
 	for _, c := range comps {
 		fmt.Printf("pianode: digest %s=%016x\n", c, digs[c])
 	}
-	if o.timelinePath != "" {
-		if err := nd.WriteTimeline(o.timelinePath); err != nil {
-			log.Printf("pianode: -timeline: %v", err)
-		} else {
-			fmt.Printf("pianode: timeline written to %s (merge with -timeline-merge)\n", o.timelinePath)
-		}
-	}
+	st.writeTimeline()
 	return nil
 }
 

@@ -9,17 +9,17 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"time"
 
 	pia "repro"
 	"repro/internal/core"
-	"repro/internal/faultnet"
 	"repro/internal/node"
-	"repro/internal/resilience"
 	"repro/internal/vtime"
 	"repro/internal/wubbleu"
 )
@@ -33,20 +33,11 @@ func main() {
 	script := flag.String("script", "", "simulation run control file with switchpoint rules (local runs only)")
 
 	// Deterministic fault injection on this side's egress, and the
-	// resumable session protocol to survive it (remote runs only;
-	// mirror of pianode's flags — a resilient pianode needs a
-	// resilient dialer).
-	seed := flag.Int64("seed", 1, "fault-schedule seed; same seed reproduces the same faults")
-	faultDrop := flag.Float64("fault-drop", 0, "probability a frame is dropped")
-	faultDup := flag.Float64("fault-dup", 0, "probability a frame is duplicated")
-	faultReorder := flag.Float64("fault-reorder", 0, "probability a frame is swapped with its successor")
-	faultCorrupt := flag.Float64("fault-corrupt", 0, "probability one frame byte is flipped")
-	faultLatency := flag.Duration("fault-latency", 0, "fixed wall-clock delay per frame")
-	faultJitter := flag.Duration("fault-jitter", 0, "uniform random extra delay per frame")
-	faultBW := flag.Int64("fault-bw", 0, "bandwidth cap in bits/s (0 = uncapped)")
-	faultPartition := flag.String("fault-partition", "", "scripted partitions, \"atframe:healms[,...]\" e.g. \"50:15\"")
-	resilient := flag.Bool("resilient", false, "speak the resumable session protocol (peer must too)")
-	heartbeat := flag.Duration("heartbeat", time.Second, "session heartbeat interval")
+	// resumable session protocol to survive it (remote runs only): the
+	// flags pianode takes too — a resilient pianode needs a resilient
+	// dialer.
+	var links node.LinkFlags
+	links.Register(flag.CommandLine)
 	flag.Parse()
 
 	cfg := wubbleu.DefaultConfig()
@@ -56,42 +47,29 @@ func main() {
 	cfg.Level = *level
 	cfg.NoCache = *loads > 1
 
-	fcfg := faultnet.Config{
-		Seed:         *seed,
-		Latency:      *faultLatency,
-		Jitter:       *faultJitter,
-		BandwidthBps: *faultBW,
-		DropProb:     *faultDrop,
-		DupProb:      *faultDup,
-		ReorderProb:  *faultReorder,
-		CorruptProb:  *faultCorrupt,
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := conflict(*remote != "", set, &links); err != nil {
+		log.Fatal(err)
 	}
-	if *faultPartition != "" {
-		parts, err := faultnet.ParsePartitions(*faultPartition)
-		if err != nil {
-			log.Fatalf("wubbleu: -fault-partition: %v", err)
-		}
-		fcfg.Partitions = parts
-	}
-	var rcfg resilience.Config
-	if *resilient {
-		rcfg = resilience.Config{Heartbeat: *heartbeat, Seed: *seed}
-	}
-
 	if *remote == "" {
-		if fcfg.Enabled() || *resilient {
-			log.Fatal("wubbleu: -fault-*/-resilient apply to remote runs (local runs have no network link)")
-		}
 		runLocal(cfg, *script)
 		return
 	}
-	if *script != "" {
-		log.Fatal("wubbleu: -script applies to local runs (the remote node owns the ASIC's runlevel)")
+	runRemote(cfg, *remote, &links)
+}
+
+// conflict reports a flag given on the command line (set) that the
+// chosen run cannot honour: a local run has no link to arm, a remote
+// one no ASIC of its own to script. The two cannot both hold.
+func conflict(remote bool, set []string, links *node.LinkFlags) error {
+	if !remote && slices.ContainsFunc(set, links.Has) {
+		return errors.New("wubbleu: -fault-*/-resilient apply to remote runs (local runs have no network link)")
 	}
-	if fcfg.Enabled() && !*resilient {
-		log.Print("wubbleu: warning: faults armed without -resilient; the connection will not survive them")
+	if remote && slices.Contains(set, "script") {
+		return errors.New("wubbleu: -script applies to local runs (the remote node owns the ASIC's runlevel)")
 	}
-	runRemote(cfg, *remote, fcfg, rcfg, *resilient)
+	return nil
 }
 
 func runLocal(cfg wubbleu.Config, script string) {
@@ -125,18 +103,15 @@ func runLocal(cfg wubbleu.Config, script string) {
 	report(app.Result(), cfg, time.Since(start), "local")
 }
 
-func runRemote(cfg wubbleu.Config, addr string, fcfg faultnet.Config, rcfg resilience.Config, resilient bool) {
+func runRemote(cfg wubbleu.Config, addr string, links *node.LinkFlags) {
 	sub := core.NewSubsystem("handheld")
 	half, err := wubbleu.InstallHandheld(sub, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	n := node.New("designer-node")
-	if fcfg.Enabled() {
-		n.SetFaults(fcfg)
-	}
-	if resilient {
-		n.SetResilience(rcfg)
+	if err := links.Apply(n); err != nil {
+		log.Fatal(err)
 	}
 	n.Host(sub)
 	ep, err := n.Connect("handheld", addr, "modemsite", pia.Conservative, pia.LoopbackLink)

@@ -657,17 +657,6 @@ func (ep *Endpoint) UnbindNet(localNet *core.Net) error {
 	return nil
 }
 
-// Binds returns the local->remote net bindings this endpoint carries.
-func (ep *Endpoint) Binds() map[string]string {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	out := make(map[string]string, len(ep.binds))
-	for k, v := range ep.binds {
-		out[k] = v
-	}
-	return out
-}
-
 // egress forwards a local net drive across the channel.
 func (ep *Endpoint) egress(remoteNet string, m core.Msg) {
 	size := payloadSize(m.Value)
@@ -927,17 +916,6 @@ func (ep *Endpoint) TakeRecorded() []Message {
 	ep.recording = false
 	ep.mu.Unlock()
 	return out
-}
-
-// Replay re-injects previously captured in-flight data messages
-// after a coordinated restore.
-func (ep *Endpoint) Replay(msgs []Message) {
-	for _, m := range msgs {
-		if m.Kind != KindData {
-			continue
-		}
-		_ = ep.sub.InjectDrive(m.Net, m.Source, m.Time, m.Value)
-	}
 }
 
 // OnMessage is the ingress entry point, called by the transport pump

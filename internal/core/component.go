@@ -349,10 +349,6 @@ func (c *Component) emit(n *Net, t vtime.Time, v any) {
 	}
 }
 
-// minTime reports the earliest timestamp in the component's inbox
-// (ignoring any receive filter), or Infinity.
-func (c *Component) inboxNextTime() vtime.Time { return c.inbox.NextTime() }
-
 // saver returns the behaviour's StateSaver, or nil.
 func (c *Component) saver() StateSaver {
 	s, _ := c.behavior.(StateSaver)

@@ -66,6 +66,37 @@ func TestDepartGateHoldsFiniteHorizonRun(t *testing.T) {
 	}
 }
 
+// TestDepartGateWakeBeforeWait: a Wake that lands after the gate said
+// no but before the scheduler blocks — here from OnStall itself, the
+// last code to run before the wait — must not be slept through. The
+// gate opens exactly once and nothing wakes the loop again, so a run
+// loop that samples the wake generation only after OnStall parks for
+// good.
+func TestDepartGateWakeBeforeWait(t *testing.T) {
+	s, _, _ := buildPipe(t, 2, 5, 10)
+	var open atomic.Bool
+	s.SetDepartGate(func(vtime.Time) bool { return open.Load() })
+	var once sync.Once
+	s.OnStall = func() {
+		once.Do(func() {
+			open.Store(true)
+			s.Wake()
+		})
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Run(1000) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		s.Stop()
+		<-done
+		t.Fatal("Run slept through a Wake that landed between the gate check and the wait")
+	}
+}
+
 // TestInjectCtlRunsWhileLive: a control injection queued against a
 // live (gate-parked) run loop executes on the scheduler goroutine.
 func TestInjectCtlRunsWhileLive(t *testing.T) {

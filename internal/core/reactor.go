@@ -35,8 +35,9 @@ type Finalizer interface {
 
 // React adapts a Reactor to the Behavior interface. If the reactor
 // also implements StateSaver the adapter forwards checkpointing;
-// otherwise, if the reactor value is gob-encodable, wrap it with
-// GobState instead.
+// otherwise it saves and restores the reactor value itself with
+// GobSave/GobRestore, so a reactor whose state is its exported fields
+// checkpoints without writing either method.
 func React(r Reactor) Behavior { return &reactorBehavior{r: r} }
 
 type reactorBehavior struct {

@@ -817,6 +817,11 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		// straggler must first rewind the subsystem and only then be
 		// delivered, or the restore would wipe it out.
 		s.mu.Lock()
+		// The wake generation is read here, before any gate below is
+		// evaluated: a Wake landing after a gate reported closed (or
+		// from inside OnStall) moves it, and stall then returns at once
+		// instead of sleeping through the update it announces.
+		gen := s.wakeGen
 		stop := s.stopReq
 		s.stopReq = false
 		rb := s.rbTime
@@ -925,7 +930,7 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		// not stranded mid-ratchet by our departure).
 		if until != vtime.Infinity && key > until {
 			if s.hasExternal() && !s.gatesDrained(until) {
-				s.stall()
+				s.stall(gen)
 				continue
 			}
 			// The departure gate holds the scheduler at the horizon
@@ -937,7 +942,7 @@ func (s *Subsystem) Run(until vtime.Time) error {
 			gate := s.departGate
 			s.mu.Unlock()
 			if gate != nil && !gate(until) {
-				s.stall()
+				s.stall(gen)
 				continue
 			}
 			if !s.tryExit() {
@@ -963,7 +968,7 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		if key == vtime.Infinity {
 			if s.hasExternal() {
 				// Stalled on the outside world.
-				s.stall()
+				s.stall(gen)
 				continue
 			}
 			if s.signalEOF() {
@@ -982,7 +987,7 @@ func (s *Subsystem) Run(until vtime.Time) error {
 
 		// Conservative gates: may we advance to key?
 		if blocked := s.gateBlocked(key); blocked {
-			s.stall()
+			s.stall(gen)
 			continue
 		}
 
@@ -1174,15 +1179,18 @@ func (s *Subsystem) hasExternal() bool {
 
 // stall announces the impending block (the channel layer flushes its
 // coalesced egress here — peers may be waiting on exactly those
-// messages) and then waits. OnStall runs outside s.mu, so hooks may
-// send on transports freely; a peer reply racing in between lands in
-// the injection queue and makes waitForWake return immediately.
-func (s *Subsystem) stall() {
+// messages) and then waits for an external request or for the wake
+// generation to move past gen, the value the loop top read before it
+// evaluated the gates. OnStall runs outside s.mu, so hooks may send on
+// transports freely; a peer reply racing in between lands in the
+// injection queue, and a gate update racing in between has already
+// moved the generation, so either makes waitForWake return immediately.
+func (s *Subsystem) stall(gen uint64) {
 	atomic.AddInt64(&s.stats.Stalls, 1)
 	if s.OnStall != nil {
 		s.OnStall()
 	}
-	s.waitForWake()
+	s.waitForWake(gen)
 	if s.OnResume != nil {
 		s.OnResume()
 	}
@@ -1213,10 +1221,9 @@ func (s *Subsystem) pendingLocked() bool {
 }
 
 // waitForWake blocks until something changes: an external request or
-// a gate update (Wake).
-func (s *Subsystem) waitForWake() {
+// a gate update (a Wake since gen was read).
+func (s *Subsystem) waitForWake(gen uint64) {
 	s.mu.Lock()
-	gen := s.wakeGen
 	for !s.pendingLocked() && s.wakeGen == gen {
 		s.cond.Wait()
 	}

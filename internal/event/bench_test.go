@@ -73,75 +73,10 @@ func TestDriveFanoutZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkDiscardAfter guards the rollback truncation fast paths.
-// "noop" is the dominant case (the speculated future was consumed, not
-// scheduled): a pure column scan, no compaction, no re-heapify. "all"
-// truncates the columns wholesale. "mixed" is the only shape that pays
-// for compaction plus heapify.
-func BenchmarkDiscardAfter(b *testing.B) {
-	const n = 256
-	fill := func(q *Queue) {
-		for i := 0; i < n; i++ {
-			q.Push(Event{Time: vtime.Time((i * 37) % n), Net: "bus"})
-		}
-	}
-
-	b.Run("noop", func(b *testing.B) {
-		var q Queue
-		fill(&q)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if q.DiscardAfter(vtime.Time(n)) != 0 {
-				b.Fatal("noop leg removed events")
-			}
-		}
-	})
-
-	b.Run("all", func(b *testing.B) {
-		var q Queue
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fill(&q)
-			if q.DiscardAfter(-1) != n {
-				b.Fatal("all leg kept events")
-			}
-		}
-	})
-
-	b.Run("mixed", func(b *testing.B) {
-		var q Queue
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fill(&q)
-			if q.DiscardAfter(n/2) == 0 {
-				b.Fatal("mixed leg removed nothing")
-			}
-		}
-	})
-}
-
-// TestDiscardAfterNoopZeroAlloc pins the zero-removal fast path at 0
-// allocs/op: rollback calls DiscardAfter on every restored inbox, and
-// most inboxes have nothing in the discarded future.
-func TestDiscardAfterNoopZeroAlloc(t *testing.T) {
-	var q Queue
-	for i := 0; i < 64; i++ {
-		q.Push(Event{Time: vtime.Time(i), Net: "bus"})
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if q.DiscardAfter(vtime.Time(64)) != 0 {
-			t.Fatal("removed events")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("DiscardAfter noop allocates %.1f times/op, want 0", allocs)
-	}
-}
-
 // TestQueueScanZeroAlloc guards the safe-horizon scan paths: NextTime
 // (the scheduler key scan reads only the head of the time column),
-// MinMatching (filtered receive), Peek, and a PopBatch/PushStamped
-// recycle round must all run allocation-free against a warm queue.
+// MinMatching (filtered receive) and a PopBatch/PushStamped recycle
+// round must all run allocation-free against a warm queue.
 func TestQueueScanZeroAlloc(t *testing.T) {
 	var q Queue
 	ports := []string{"irq"}
@@ -156,9 +91,6 @@ func TestQueueScanZeroAlloc(t *testing.T) {
 	sink := vtime.Time(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		sink += q.NextTime()
-		if e, ok := q.Peek(); ok {
-			sink += e.Time
-		}
 		if t, _, ok := q.MinMatching(ports); ok {
 			sink += t
 		}

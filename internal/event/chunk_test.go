@@ -271,33 +271,6 @@ func TestSnapshotAcrossChunks(t *testing.T) {
 	m.popAll(q)
 }
 
-func TestDiscardAfterAcrossChunks(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cut  vtime.Time
-	}{
-		{"none", acrossTimes},
-		{"mixed", acrossTimes / 2},
-		{"all", -1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			q, m := filled(t, 6)
-			ref := m.sorted()
-			n := sort.Search(len(ref), func(i int) bool { return ref[i].Time > tc.cut })
-			if got := q.DiscardAfter(tc.cut); got != len(ref)-n {
-				t.Fatalf("DiscardAfter(%v) removed %d, want %d", tc.cut, got, len(ref)-n)
-			}
-			m.live = slices.Clone(ref[:n])
-			// Discarded rows are reusable, and survivors still order
-			// against events pushed afterwards.
-			for i := 0; i < 2*chunkRows; i++ {
-				m.push(q)
-			}
-			m.popAll(q)
-		})
-	}
-}
-
 // TestEmptyingPathsReleaseAlike: whichever call takes the last event
 // out leaves the queue in the same state — one chunk, row allocation
 // restarted, no burst-sized column kept, no route kept, the sequence
@@ -324,7 +297,6 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 			}
 		}},
 		{"PopBatchAll", func(q *Queue) { q.PopBatch(vtime.Infinity, 0, nil) }},
-		{"DiscardAfter", func(q *Queue) { q.DiscardAfter(-1) }},
 		{"Reset", func(q *Queue) { q.Reset() }},
 	}
 	for _, p := range paths {

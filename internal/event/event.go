@@ -303,7 +303,10 @@ func (q *Queue) intern(component, port, net, source string) int32 {
 		}
 	}
 	if n >= maxRoutes && n > 2*q.Len() {
+		// A live row may hold the tuple at an index the bounded search
+		// above did not reach; the rebuilt table is searched whole.
 		q.rebuildRoutes()
+		return q.intern(component, port, net, source)
 	}
 	q.lastRoute = int32(len(q.routes))
 	q.routes = append(q.routes, route{component, port, net, source})
@@ -404,16 +407,6 @@ func (q *Queue) load(i int, e *Event) {
 	e.Net = r.net
 	e.Source = r.source
 	e.Value = p.value
-}
-
-// Peek returns the earliest event without removing it; ok is false
-// when the queue is empty.
-func (q *Queue) Peek() (e Event, ok bool) {
-	if q.Len() == 0 {
-		return Event{}, false
-	}
-	q.load(q.head, &e)
-	return e, true
 }
 
 // removeAt extracts the event at position i into e, restores the
@@ -604,52 +597,6 @@ func (q *Queue) Snapshot() []Event {
 		tmp.down(0)
 	}
 	return out
-}
-
-// DiscardAfter removes every pending event with Time > t and returns
-// how many were removed. Used on rollback: events from the discarded
-// future must not survive the restore.
-//
-// The dominant rollback case is a queue whose pending events all sit
-// at or before the restore point (the speculated future was consumed,
-// not scheduled), so the first pass is a pure read over the times
-// column that touches nothing and skips the re-heapify entirely when
-// there is nothing to remove. The opposite extreme — everything is in
-// the discarded future — is a Reset, without the compaction walk. Only
-// a genuinely mixed queue pays for compaction, and a heap for the
-// re-heapify after it: compaction keeps the survivors' relative order,
-// so a run is still a run.
-func (q *Queue) DiscardAfter(t vtime.Time) int {
-	doomed := 0
-	for _, at := range q.times[q.head:] {
-		if at > t {
-			doomed++
-		}
-	}
-	if doomed == 0 {
-		return 0
-	}
-	if doomed == q.Len() {
-		q.Reset()
-		return doomed
-	}
-	kept := 0
-	for i := q.head; i < len(q.times); i++ {
-		if q.times[i] > t {
-			q.recycle(q.rows[i])
-			continue
-		}
-		q.times[kept], q.seqs[kept], q.rows[kept] = q.times[i], q.seqs[i], q.rows[i]
-		kept++
-	}
-	q.times, q.seqs, q.rows = q.times[:kept], q.seqs[:kept], q.rows[:kept]
-	q.head = 0
-	if q.heap {
-		for i := kept/2 - 1; i >= 0; i-- {
-			q.down(i)
-		}
-	}
-	return doomed
 }
 
 // Reset empties the queue but keeps the sequence counter monotone, so

@@ -48,21 +48,17 @@ func TestQueueFIFOWithinSameTime(t *testing.T) {
 	}
 }
 
-func TestPeekAndNextTime(t *testing.T) {
+func TestNextTime(t *testing.T) {
 	var q Queue
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue should report !ok")
-	}
 	if q.NextTime() != vtime.Infinity {
 		t.Fatal("NextTime on empty queue should be Infinity")
 	}
 	q.Push(Event{Time: 42})
-	head, ok := q.Peek()
-	if !ok || head.Time != 42 || q.NextTime() != 42 {
-		t.Fatal("Peek/NextTime disagree with contents")
+	if q.NextTime() != 42 {
+		t.Fatal("NextTime disagrees with contents")
 	}
 	if q.Len() != 1 {
-		t.Fatal("Peek must not remove")
+		t.Fatal("NextTime must not remove")
 	}
 }
 
@@ -93,69 +89,6 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-func TestDiscardAfter(t *testing.T) {
-	var q Queue
-	for _, ts := range []vtime.Time{5, 1, 9, 3, 7} {
-		q.Push(Event{Time: ts})
-	}
-	n := q.DiscardAfter(5)
-	if n != 2 {
-		t.Fatalf("DiscardAfter removed %d, want 2", n)
-	}
-	var rest []vtime.Time
-	for q.Len() > 0 {
-		rest = append(rest, mustPop(t, &q).Time)
-	}
-	want := []vtime.Time{1, 3, 5}
-	for i := range want {
-		if rest[i] != want[i] {
-			t.Fatalf("after discard: %v, want %v", rest, want)
-		}
-	}
-}
-
-func TestDiscardAfterFastPaths(t *testing.T) {
-	// Zero-removal: nothing after t, the queue must be untouched and
-	// still pop in order.
-	var q Queue
-	for _, ts := range []vtime.Time{5, 1, 9, 3, 7} {
-		q.Push(Event{Time: ts})
-	}
-	if n := q.DiscardAfter(9); n != 0 {
-		t.Fatalf("DiscardAfter(9) removed %d, want 0", n)
-	}
-	if q.Len() != 5 {
-		t.Fatalf("zero-removal path shrank the queue: len %d", q.Len())
-	}
-
-	// Remove-all: everything after t, wholesale truncation, and the
-	// freed rows must be reusable.
-	if n := q.DiscardAfter(0); n != 5 {
-		t.Fatalf("DiscardAfter(0) removed %d, want 5", n)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("remove-all left %d events", q.Len())
-	}
-	q.Push(Event{Time: 2})
-	q.Push(Event{Time: 4})
-	if got := mustPop(t, &q).Time; got != 2 {
-		t.Fatalf("after remove-all reuse: popped %v, want 2", got)
-	}
-
-	// Mixed, with sequence order preserved among equal times.
-	q.Reset()
-	a := q.Push(Event{Time: 3, Port: "a"})
-	b := q.Push(Event{Time: 3, Port: "b"})
-	q.Push(Event{Time: 8})
-	if n := q.DiscardAfter(3); n != 1 {
-		t.Fatalf("mixed discard removed %d, want 1", n)
-	}
-	e1, e2 := mustPop(t, &q), mustPop(t, &q)
-	if e1.Seq != a || e2.Seq != b {
-		t.Fatalf("mixed discard broke seq order: %d,%d want %d,%d", e1.Seq, e2.Seq, a, b)
-	}
-}
-
 func TestSnapshotDoesNotDisturb(t *testing.T) {
 	var q Queue
 	for _, ts := range []vtime.Time{5, 1, 9} {
@@ -165,8 +98,7 @@ func TestSnapshotDoesNotDisturb(t *testing.T) {
 	if len(snap) != 3 || snap[0].Time != 1 || snap[1].Time != 5 || snap[2].Time != 9 {
 		t.Fatalf("snapshot wrong: %v", snap)
 	}
-	head, ok := q.Peek()
-	if q.Len() != 3 || !ok || head.Time != 1 {
+	if q.Len() != 3 || q.NextTime() != 1 {
 		t.Fatal("Snapshot disturbed the queue")
 	}
 }

@@ -72,7 +72,6 @@ func TestQueueModel(t *testing.T) {
 		opPop
 		opPopMatching
 		opPopBatch
-		opDiscard
 		opSnapshot
 		opReset
 		nOps
@@ -85,11 +84,11 @@ func TestQueueModel(t *testing.T) {
 		// A drain.
 		{opPop: 10, opPopMatching: 2, opPopBatch: 1},
 		// Speculate and roll back.
-		{opPushNext: 6, opPop: 4, opRepush: 1, opDiscard: 1},
+		{opPushNext: 6, opPop: 4, opRepush: 1},
 		// Interleaved sources.
-		{opPushAny: 6, opPop: 5, opPopMatching: 2, opPopBatch: 1, opDiscard: 1},
+		{opPushAny: 6, opPop: 5, opPopMatching: 2, opPopBatch: 1},
 		// Everything.
-		{opPushNext: 4, opPushAny: 1, opRepush: 1, opPop: 4, opPopMatching: 2, opPopBatch: 1, opDiscard: 1, opSnapshot: 1, opReset: 1},
+		{opPushNext: 4, opPushAny: 1, opRepush: 1, opPop: 4, opPopMatching: 2, opPopBatch: 1, opSnapshot: 1, opReset: 1},
 	}
 	var seen struct {
 		lateWithPrefix int // out-of-order push into a run whose head had advanced
@@ -189,13 +188,6 @@ func TestQueueModel(t *testing.T) {
 				for i := range got {
 					took(got[i], ref[i])
 				}
-			case opDiscard:
-				cut := clock - vtime.Time(m.rng.Intn(6))
-				kept := slices.DeleteFunc(slices.Clone(m.live), func(e Event) bool { return e.Time > cut })
-				if got, want := q.DiscardAfter(cut), len(m.live)-len(kept); got != want {
-					t.Fatalf("seed %d step %d: DiscardAfter(%v) removed %d, want %d", seed, step, cut, got, want)
-				}
-				m.live = kept
 			case opSnapshot:
 				if snap := q.Snapshot(); !slices.Equal(snap, m.sorted()) {
 					t.Fatalf("seed %d step %d: snapshot of %d events differs from the reference", seed, step, len(snap))

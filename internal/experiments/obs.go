@@ -120,25 +120,15 @@ func (w *watcher) close() {
 
 // obsStack is the full telemetry stack one instrumented run attaches.
 type obsStack struct {
-	rec     *flight.Recorder
-	hub     *flight.Hub
 	obs     *flight.Observer
 	sampler *flight.Sampler
 	watch   *watcher
 }
 
 func newObsStack(reg *metrics.Registry, every time.Duration) (*obsStack, error) {
-	rec := flight.New(0)
-	rec.SetInfo("mode", "obs-experiment")
-	rec.AttachRegistry(reg)
-	hub := flight.NewHub()
-	st := &obsStack{
-		rec:     rec,
-		hub:     hub,
-		obs:     &flight.Observer{Rec: rec, Hub: hub},
-		sampler: flight.NewSampler(reg, rec, hub, every),
-	}
-	w, err := newWatcher(hub)
+	obs, sampler := flight.NewObserver(reg, "obs-experiment", every)
+	st := &obsStack{obs: obs, sampler: sampler}
+	w, err := newWatcher(obs.Hub)
 	if err != nil {
 		return nil, err
 	}
@@ -153,12 +143,12 @@ func newObsStack(reg *metrics.Registry, every time.Duration) (*obsStack, error) 
 func (st *obsStack) stop(row *ObsRow) error {
 	st.sampler.Stop()
 	st.watch.close()
-	if tripped, reason := st.rec.Tripped(); tripped {
+	if tripped, reason := st.obs.Rec.Tripped(); tripped {
 		return fmt.Errorf("obs: %s: flight recorder tripped during healthy run: %s", row.Leg, reason)
 	}
-	row.EventsStreamed = st.hub.Sent()
-	row.RingRecorded = st.rec.BuildDump().Recorded
-	row.Dropped = st.hub.Dropped()
+	row.EventsStreamed = st.obs.Hub.Sent()
+	row.RingRecorded = st.obs.Rec.BuildDump().Recorded
+	row.Dropped = st.obs.Hub.Dropped()
 	if row.Dropped != 0 {
 		return fmt.Errorf("obs: %s: live watcher dropped (%d) during run", row.Leg, row.Dropped)
 	}

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/timeline"
 )
@@ -353,4 +354,31 @@ func (o *Observer) Trip(reason, detail string) {
 // Enabled reports whether the observer does anything at all.
 func (o *Observer) Enabled() bool {
 	return o != nil && (o.Rec != nil || o.Hub != nil)
+}
+
+// NewObserver assembles the flight stack one process attaches: the
+// ring recorder (stamped with mode and wired to reg), the /watch
+// streaming hub, and the sampler feeding both with reg's metric deltas
+// at the given cadence (<= 0 selects DefaultInterval). The sampler is
+// returned unstarted; its owner calls Start and Stop.
+func NewObserver(reg *metrics.Registry, mode string, every time.Duration) (*Observer, *Sampler) {
+	rec := New(0)
+	rec.SetInfo("mode", mode)
+	rec.AttachRegistry(reg)
+	hub := NewHub()
+	return &Observer{Rec: rec, Hub: hub}, NewSampler(reg, rec, hub, every)
+}
+
+// TripOnRollbackStorm chains onto sub's throttle-collapse hook: a
+// rollback storm (the optimistic window collapsing) is recorded as a
+// transition and trips the recorder. Call before sub runs.
+func (o *Observer) TripOnRollbackStorm(sub *core.Subsystem) {
+	name, prev := sub.Name(), sub.OnThrottleCollapse
+	sub.OnThrottleCollapse = func(spec, aborted int) {
+		if prev != nil {
+			prev(spec, aborted)
+		}
+		o.Event("throttle", name, "rollback storm: speculation window collapsed", int64(aborted))
+		o.Trip("rollback-storm", name)
+	}
 }

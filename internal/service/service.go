@@ -503,14 +503,6 @@ func (c *Catalog) bumpRev() {
 	c.mu.Unlock()
 }
 
-// Revision returns the catalog revision: a counter bumped by every
-// lifecycle transition of any session.
-func (c *Catalog) Revision() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rev
-}
-
 // Stats is a point-in-time summary of catalog-level counters.
 type Stats struct {
 	Live      int   `json:"live"`

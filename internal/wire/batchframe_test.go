@@ -110,17 +110,3 @@ func TestSendRawTooLarge(t *testing.T) {
 		t.Fatal("oversized frame accepted")
 	}
 }
-
-func TestBufPoolRoundTrip(t *testing.T) {
-	b := GetBuf()
-	if len(b) != 0 {
-		t.Fatalf("pooled buffer not empty: len=%d", len(b))
-	}
-	b = append(b, 1, 2, 3)
-	PutBuf(b)
-	b2 := GetBuf()
-	if len(b2) != 0 {
-		t.Fatalf("reused buffer not reset: len=%d", len(b2))
-	}
-	PutBuf(b2)
-}

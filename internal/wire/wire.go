@@ -244,22 +244,6 @@ func DecodeGob(payload []byte, v any) error {
 	return nil
 }
 
-// bufPool recycles scratch buffers for callers assembling frame
-// payloads (EncodeGob and the node batch path), so steady-state
-// sends allocate nothing.
-var bufPool = sync.Pool{New: func() any { return make([]byte, 0, 4<<10) }}
-
-// GetBuf returns a scratch byte slice (length 0) from the pool.
-func GetBuf() []byte { return bufPool.Get().([]byte)[:0] }
-
-// PutBuf returns a scratch buffer to the pool.
-func PutBuf(b []byte) {
-	if cap(b) > MaxFrame {
-		return // do not retain pathological buffers
-	}
-	bufPool.Put(b[:0]) //nolint:staticcheck // slices are pointer-shaped
-}
-
 // Egress is a multi-frame egress builder: callers encode frame
 // payloads directly into the connection's recycled assembly buffer —
 // no intermediate per-frame slice — and Flush hands the whole run of

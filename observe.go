@@ -174,16 +174,7 @@ func (sim *Simulation) EnableFlight(o *FlightObserver) {
 		o.Rec.AttachTimeline(sim.timelineRec)
 	}
 	for _, name := range sim.subOrder {
-		sub := sim.Subsystems[name]
-		name := name
-		prev := sub.OnThrottleCollapse
-		sub.OnThrottleCollapse = func(spec, aborted int) {
-			if prev != nil {
-				prev(spec, aborted)
-			}
-			o.Event("throttle", name, "rollback storm: speculation window collapsed", int64(aborted))
-			o.Trip("rollback-storm", name)
-		}
+		o.TripOnRollbackStorm(sim.Subsystems[name])
 	}
 }
 
