@@ -203,29 +203,20 @@ func (cl *Cluster) EnableTimeline(limit int) map[string]*TimelineRecorder {
 // EnableFlight wires the cluster's failure triggers into the
 // observer: each node's peer-loss detection (a resumable session
 // exhausting its transport) and every subsystem's optimistic throttle
-// collapse record and trip, and the first node timeline recorder (if
-// EnableTimeline ran) is attached so post-mortems carry an event
-// tail. Call between BuildOnNodes and Run. A nil/empty observer
-// leaves the hot paths untouched.
+// collapse record and trip. Each node offers the observer its metrics
+// registry and timeline recorder (enabled before or after this call)
+// and the flight recorder keeps the first of each, so post-mortems
+// carry the event tail of the first node (in subsystem declaration
+// order) that has one. Call between BuildOnNodes and Run. A nil/empty
+// observer leaves the hot paths untouched.
 func (cl *Cluster) EnableFlight(o *FlightObserver) {
 	if !o.Enabled() {
 		return
 	}
 	for _, n := range cl.nodeSet {
 		n.EnableFlight(o)
-		if rec := cl.timelines[n.Name()]; rec != nil {
-			o.Rec.AttachTimeline(rec)
-		}
 	}
 	cl.Simulation.EnableFlight(o)
-}
-
-// EnableCostAttribution turns on per-component wall-clock cost
-// attribution for every hosted subsystem (see
-// Simulation.EnableCostAttribution). Call between BuildOnNodes and
-// Run.
-func (cl *Cluster) EnableCostAttribution(reg *MetricsRegistry, topN int) *MetricsRegistry {
-	return cl.Simulation.EnableCostAttribution(reg, topN)
 }
 
 // Timelines returns the per-node recorders wired by EnableTimeline,

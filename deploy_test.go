@@ -121,3 +121,59 @@ func TestBuildOnNodesUnregisteredValueFailsRun(t *testing.T) {
 		t.Fatalf("run returned %v, want an error naming pia.noCodec and channel.RegisterValue", err)
 	}
 }
+
+// TestFlightTimelineEitherOrder: EnableFlight and EnableTimeline wire
+// the post-mortem's event tail whichever is called first, on a local
+// simulation and on a cluster — where the flight recorder is shared
+// and keeps the first node's recorder, as Cluster.EnableFlight says.
+func TestFlightTimelineEitherOrder(t *testing.T) {
+	for _, flightFirst := range []bool{false, true} {
+		system := func() *SystemBuilder {
+			return NewSystem("order").
+				AddComponent("src", "ssA", &pingState{N: 5}, "out").
+				AddComponent("dst", "ssB", &pongState{}, "in").
+				AddNet("wire", 0, "src.out", "dst.in").
+				SetDefaultChannel(Conservative, LinkModel{Latency: Microseconds(50), PerMessage: Microseconds(10)})
+		}
+		sim, err := system().BuildLocal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := system().BuildOnNodes(map[string]*Node{"ssA": NewNode("node1"), "ssB": NewNode("node2")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		simRec, clRec := NewFlightRecorder(0), NewFlightRecorder(0)
+		if flightFirst {
+			sim.EnableFlight(&FlightObserver{Rec: simRec})
+			cl.EnableFlight(&FlightObserver{Rec: clRec})
+		}
+		sim.EnableTimeline(nil)
+		cl.EnableTimeline(0)
+		if !flightFirst {
+			sim.EnableFlight(&FlightObserver{Rec: simRec})
+			cl.EnableFlight(&FlightObserver{Rec: clRec})
+		}
+		if err := sim.Run(Time(Seconds(1))); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Run(Time(Seconds(1))); err != nil {
+			t.Fatal(err)
+		}
+		sim.Close()
+		cl.Close()
+
+		if n := len(simRec.BuildDump().Timeline); n == 0 {
+			t.Errorf("flightFirst=%v: local post-mortem has an empty timeline tail", flightFirst)
+		}
+		tail := clRec.BuildDump().Timeline
+		if len(tail) == 0 {
+			t.Errorf("flightFirst=%v: cluster post-mortem has an empty timeline tail", flightFirst)
+		}
+		for _, e := range tail {
+			if e.Node != "node1" {
+				t.Fatalf("flightFirst=%v: cluster tail holds an event of %q, want the first node's only", flightFirst, e.Node)
+			}
+		}
+	}
+}

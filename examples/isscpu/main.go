@@ -15,7 +15,7 @@ import (
 	pia "repro"
 	"repro/internal/iss"
 	"repro/internal/signal"
-	"repro/internal/trace"
+	"repro/internal/timeline"
 )
 
 const program = `
@@ -97,8 +97,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := trace.NewRecorder(0)
-	rec.Attach(sim.Subsystem("main"))
+	rec := sim.EnableTimeline(nil)
 
 	if err := sim.Run(pia.Infinity); err != nil {
 		log.Fatal(err)
@@ -107,7 +106,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "cpu executed %d instructions in %v virtual time (i960 @33MHz)\n",
 		cpu.Executed, cpu.CyclesCharged())
 	fmt.Fprintf(os.Stderr, "outputs: %v\n", w.Got)
-	if err := rec.WriteVCD(os.Stdout); err != nil {
+	if err := timeline.WriteVCD(os.Stdout, rec.Events()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "VCD waveform written to stdout")

@@ -260,6 +260,7 @@ func (s *Subsystem) capture(tag string) (*CheckpointSet, error) {
 	if s.OnCheckpoint != nil {
 		s.OnCheckpoint(cs)
 	}
+	s.tlRec.Checkpoint(s.name, cs.Tag, cs.Time)
 	return cs, nil
 }
 
@@ -339,5 +340,6 @@ func (s *Subsystem) RestoreCheckpoint(cs *CheckpointSet) error {
 	if s.OnRestore != nil {
 		s.OnRestore(cs)
 	}
+	s.tlRec.Restore(s.name, cs.Tag, cs.Time)
 	return nil
 }

@@ -324,7 +324,7 @@ func (c *Component) tracef(format string, args ...any) {
 func (c *Component) noteRunlevel(level string) {
 	s := c.sub
 	if c.wbuf != nil {
-		if s.OnRunlevel != nil || s.Tracer != nil {
+		if s.tlRec != nil || s.Tracer != nil {
 			c.wbuf.push(parOp{at: c.viewNow, kind: opRunlevel, str: level})
 		}
 		return

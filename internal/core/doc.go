@@ -54,4 +54,14 @@
 // Chandy-Lamport snapshots are layered on top by packages channel,
 // snapshot and node; they interact with the scheduler through the
 // Gate, Tap and Inject hooks defined here.
+//
+// # Observation
+//
+// What a run did is recorded in one place, the timeline recorder
+// EnableTimeline stores: the drive, checkpoint, restore, runlevel,
+// stall and resume sites emit into it directly, and it drops a
+// restored subsystem's discarded future itself. The On* hook fields
+// are for code that must act on the scheduler goroutine — the
+// debugger's watchpoints, the channel layer's flush at a stall, the
+// running drive digests of mesh and service — not for recording.
 package core

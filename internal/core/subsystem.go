@@ -162,14 +162,12 @@ type Subsystem struct {
 	// hooks
 	Tracer       func(string)                               // optional trace sink
 	OnStep       func(now vtime.Time)                       // called after every scheduling step
-	OnRunlevel   func(comp, level string)                   // called on imperative runlevel switches
 	OnCheckpoint func(cs *CheckpointSet)                    // called when a checkpoint is captured
 	OnRestore    func(cs *CheckpointSet)                    // called after a restore completes
 	OnPublish    func(now, key vtime.Time)                  // called on the scheduler goroutine after each publish
-	OnDrive      func(net, src string, t vtime.Time, v any) // called for every net drive (waveform tracing)
+	OnDrive      func(net, src string, t vtime.Time, v any) // called for every net drive (debugger watchpoints, running digests)
 	OnDepart     func(until vtime.Time)                     // called right before Run returns at a finite horizon
 	OnStall      func()                                     // called right before the scheduler blocks waiting for input
-	OnResume     func()                                     // called right after a stall ends
 
 	// OnThrottleCollapse fires on the scheduler goroutine when the
 	// optimistic throttle collapses the speculation window to zero
@@ -205,10 +203,10 @@ type Subsystem struct {
 	// loop pays one nil check per round, nothing more.
 	mSched *schedMetrics
 
-	// tlRec, when non-nil, is the timeline recorder wired in by
-	// EnableTimeline (see timeline.go). All timeline emission rides
-	// the nil-guarded hook chain above, so the disabled path costs
-	// nothing beyond the existing hook nil checks.
+	// tlRec, when non-nil, is the timeline recorder stored by
+	// EnableTimeline. The drive, checkpoint, restore, runlevel, stall
+	// and resume sites emit into it directly; its emitters are no-ops
+	// on a nil receiver, so the disabled path costs one nil test.
 	tlRec *timeline.Recorder
 
 	// attrib, when non-nil, is the per-component wall-cost
@@ -607,10 +605,10 @@ func (s *Subsystem) tracef(format string, args ...any) {
 	}
 }
 
+// noteRunlevel runs on the scheduler goroutine, where s.now is
+// coherent.
 func (s *Subsystem) noteRunlevel(c *Component, level string) {
-	if s.OnRunlevel != nil {
-		s.OnRunlevel(c.name, level)
-	}
+	s.tlRec.Runlevel(s.name, c.name, level, s.now)
 	s.tracef("%s runlevel -> %s", c.name, level)
 }
 
@@ -635,6 +633,9 @@ func (s *Subsystem) driveFrom(n *Net, driver *Port, src string, t vtime.Time, v 
 	atomic.AddInt64(&s.stats.Drives, 1)
 	if s.OnDrive != nil {
 		s.OnDrive(n.Name, src, t, v)
+	}
+	if s.tlRec != nil {
+		s.tlRec.Drive(s.name, src, n.Name, t, v)
 	}
 	deliver := t.Add(n.Delay)
 	// One event serves the whole fanout: only the listener changes. It is
@@ -1190,10 +1191,9 @@ func (s *Subsystem) stall(gen uint64) {
 	if s.OnStall != nil {
 		s.OnStall()
 	}
+	s.tlRec.Stall(s.name, s.now, 0)
 	s.waitForWake(gen)
-	if s.OnResume != nil {
-		s.OnResume()
-	}
+	s.tlRec.Resume(s.name, s.now)
 }
 
 // tryExit atomically ends injection acceptance for a clean run exit.

@@ -1,70 +1,18 @@
 package core
 
-import (
-	"repro/internal/timeline"
-	"repro/internal/vtime"
-)
+import "repro/internal/timeline"
 
 // EnableTimeline attaches the structured span/event recorder to this
 // subsystem's lifecycle: net drives, checkpoint captures, restores
 // (with the rewind marker covering the discarded-future window),
-// runlevel switches, and scheduler stall/resume transitions.
-//
-// Wiring rides the existing hook chain (OnDrive/OnCheckpoint/
-// OnRestore/OnRunlevel/OnStall), so with the timeline never enabled
-// every hook stays nil and the drive fanout hot path is untouched —
-// zero allocations, same as with metrics disabled. Enabling is
-// idempotent per (subsystem, recorder).
+// runlevel switches, and scheduler stall/resume transitions. It only
+// stores the recorder; each of those sites emits into it directly, and
+// with the timeline never enabled the drive fanout hot path pays one
+// nil test — zero allocations, same as with metrics disabled. Call
+// before running.
 func (s *Subsystem) EnableTimeline(rec *timeline.Recorder) {
-	if rec == nil || s.tlRec == rec {
-		return
-	}
-	s.tlRec = rec
-	name := s.name
-
-	prevDrive := s.OnDrive
-	s.OnDrive = func(net, src string, t vtime.Time, v any) {
-		if prevDrive != nil {
-			prevDrive(net, src, t, v)
-		}
-		rec.Drive(name, src, net, t, v)
-	}
-	prevCkpt := s.OnCheckpoint
-	s.OnCheckpoint = func(cs *CheckpointSet) {
-		if prevCkpt != nil {
-			prevCkpt(cs)
-		}
-		rec.Checkpoint(name, cs.Tag, cs.Time)
-	}
-	prevRestore := s.OnRestore
-	s.OnRestore = func(cs *CheckpointSet) {
-		if prevRestore != nil {
-			prevRestore(cs)
-		}
-		rec.Restore(name, cs.Tag, cs.Time)
-	}
-	prevRunlevel := s.OnRunlevel
-	s.OnRunlevel = func(comp, level string) {
-		if prevRunlevel != nil {
-			prevRunlevel(comp, level)
-		}
-		// Runs on the scheduler goroutine (noteRunlevel), where s.now
-		// is coherent.
-		rec.Runlevel(name, comp, level, s.now)
-	}
-	prevStall := s.OnStall
-	s.OnStall = func() {
-		if prevStall != nil {
-			prevStall()
-		}
-		rec.Stall(name, s.now, 0)
-	}
-	prevResume := s.OnResume
-	s.OnResume = func() {
-		if prevResume != nil {
-			prevResume()
-		}
-		rec.Resume(name, s.now)
+	if rec != nil {
+		s.tlRec = rec
 	}
 }
 

@@ -163,9 +163,9 @@ func (e *Engine) AddRule(src string) (*Switchpoint, error) {
 // EnableTimeline records every applied switchpoint action as a
 // runlevel event, chained through OnSwitch. The firing is stamped
 // with the subsystem's current virtual time; the component itself
-// adopts the level at its next safe point (core's OnRunlevel chain,
-// wired by Subsystem.EnableTimeline, records that consultation
-// separately).
+// adopts the level at its next safe point (core records that
+// consultation separately, into the recorder Subsystem.EnableTimeline
+// stored).
 func (e *Engine) EnableTimeline(rec *timeline.Recorder) {
 	if rec == nil {
 		return

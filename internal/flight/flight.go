@@ -126,24 +126,30 @@ func (r *Recorder) SetInfo(k, v string) {
 }
 
 // AttachRegistry sets the metrics registry whose final snapshot dumps
-// embed. Nil-safe; last attach wins.
+// embed. Nil-safe; the first non-nil attach is kept, so nodes sharing
+// one recorder may each offer theirs, in any order with each other's
+// Enable* calls.
 func (r *Recorder) AttachRegistry(reg *metrics.Registry) {
-	if r == nil {
+	if r == nil || reg == nil {
 		return
 	}
 	r.mu.Lock()
-	r.reg = reg
+	if r.reg == nil {
+		r.reg = reg
+	}
 	r.mu.Unlock()
 }
 
 // AttachTimeline sets the timeline recorder whose tail dumps embed.
-// Nil-safe; last attach wins.
+// Nil-safe; the first non-nil attach is kept, as for AttachRegistry.
 func (r *Recorder) AttachTimeline(tl *timeline.Recorder) {
-	if r == nil {
+	if r == nil || tl == nil {
 		return
 	}
 	r.mu.Lock()
-	r.tl = tl
+	if r.tl == nil {
+		r.tl = tl
+	}
 	r.mu.Unlock()
 }
 
@@ -278,13 +284,7 @@ func (r *Recorder) BuildDump() *Dump {
 	r.mu.Unlock()
 
 	d.Metrics = reg.Snapshot()
-	if tl != nil {
-		evs := tl.Events()
-		if len(evs) > dumpTimelineTail {
-			evs = evs[len(evs)-dumpTimelineTail:]
-		}
-		d.Timeline = evs
-	}
+	d.Timeline = tl.Tail(dumpTimelineTail)
 	return d
 }
 

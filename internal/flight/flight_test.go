@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -478,5 +479,37 @@ func TestRecorderHTTPHandler(t *testing.T) {
 	}
 	if d.Tripped || len(d.Entries) != 1 || d.Entries[0].Name != "s-1" {
 		t.Fatalf("handler dump = %+v", d)
+	}
+}
+
+// TestBuildDumpCopiesOnlyTheTail: a dump keeps dumpTimelineTail events,
+// so that is all it may copy out of the timeline ring — under the
+// mutex every scheduler records through — however full the ring is. A
+// full default-size ring is ≈ 10 MB; the tail is ≈ 40 KB.
+func TestBuildDumpCopiesOnlyTheTail(t *testing.T) {
+	tl := timeline.NewRecorder(0)
+	for i := 0; i < timeline.DefaultLimit; i++ {
+		tl.Drive("sub", "comp", "net", vtime.Time(i), nil)
+	}
+	r := New(8)
+	r.AttachTimeline(tl)
+
+	const runs = 8
+	var d *Dump
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		d = r.BuildDump()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 256<<10 {
+		t.Fatalf("BuildDump allocates %d KB against a full ring, want the tail only (≤ 256 KB)", per>>10)
+	}
+	if len(d.Timeline) != dumpTimelineTail {
+		t.Fatalf("dump carries %d timeline events, want %d", len(d.Timeline), dumpTimelineTail)
+	}
+	first, last := d.Timeline[0].VT, d.Timeline[dumpTimelineTail-1].VT
+	if first != timeline.DefaultLimit-dumpTimelineTail || last != timeline.DefaultLimit-1 {
+		t.Fatalf("tail spans vt %d..%d, want the newest %d events", first, last, dumpTimelineTail)
 	}
 }

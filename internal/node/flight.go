@@ -10,10 +10,10 @@ import (
 // EnableFlight attaches a flight observer to the node's failure
 // triggers: an unrecoverable transport loss on a resumable session
 // (the pump surfacing *PeerLostError) records the loss and trips the
-// recorder, and the node's metrics registry / timeline recorder (when
-// wired) are attached so post-mortems are self-contained. Idempotent
-// per node; with flight never enabled the error paths pay one nil
-// check.
+// recorder, and the node's metrics registry / timeline recorder
+// (wired before or after this call) are attached so post-mortems are
+// self-contained. Idempotent per node; with flight never enabled the
+// error paths pay one nil check.
 func (n *Node) EnableFlight(o *flight.Observer) {
 	if !o.Enabled() {
 		return
@@ -24,16 +24,10 @@ func (n *Node) EnableFlight(o *flight.Observer) {
 		return
 	}
 	n.flightObs = o
-	reg, rec := n.metricsReg, n.tlRec
 	n.mu.Unlock()
 
 	o.Rec.SetInfo("node", n.name)
-	if reg != nil {
-		o.Rec.AttachRegistry(reg)
-	}
-	if rec != nil {
-		o.Rec.AttachTimeline(rec)
-	}
+	n.wireObservers()
 }
 
 // flightObserver returns the attached observer (nil-safe to use).

@@ -98,10 +98,7 @@ func (n *Node) EnableMetrics(reg *metrics.Registry) {
 		})
 	})
 
-	// Timeline recorder health, if a recorder is already wired (the
-	// reverse order — timeline enabled after metrics — registers from
-	// EnableTimeline instead).
-	n.maybeExportTimelineMetrics()
+	n.wireObservers()
 }
 
 // MetricsRegistry returns the registry passed to EnableMetrics, or

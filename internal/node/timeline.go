@@ -16,10 +16,10 @@ import (
 // are created. The recorder is stamped with the node's name so
 // per-node timeline files merge unambiguously.
 //
-// Idempotent per node; with the timeline never enabled every hook
-// stays nil and the hot paths are untouched. When a metrics registry
-// is (or later becomes) wired, recorder health counters are exported
-// through it.
+// Idempotent per node; with the timeline never enabled the hot paths
+// pay one nil test. In any order with EnableMetrics and EnableFlight,
+// recorder health counters are exported through the registry and the
+// recorder's tail is embedded in flight post-mortems.
 func (n *Node) EnableTimeline(rec *timeline.Recorder) {
 	if rec == nil {
 		return
@@ -49,7 +49,7 @@ func (n *Node) EnableTimeline(rec *timeline.Recorder) {
 	for _, s := range sessions {
 		s.SetTimeline(rec)
 	}
-	n.maybeExportTimelineMetrics()
+	n.wireObservers()
 }
 
 // Timeline returns the recorder wired by EnableTimeline, or nil.
@@ -75,20 +75,29 @@ func (n *Node) WriteTimeline(path string) error {
 	return f.Close()
 }
 
-// maybeExportTimelineMetrics registers a pull collector over the
-// recorder's counters once both the registry and the recorder exist.
-// Called from both EnableTimeline and EnableMetrics, whichever comes
-// second.
-func (n *Node) maybeExportTimelineMetrics() {
+// wireObservers cross-wires whichever of the node's three
+// observability handles exist so far: the recorder's health counters
+// are exported through the registry, and the flight recorder embeds
+// the registry's snapshot and the recorder's tail in its post-mortems.
+// EnableMetrics, EnableTimeline and EnableFlight each call it after
+// storing their own handle, so every call order wires the same thing.
+func (n *Node) wireObservers() {
 	n.mu.Lock()
-	reg, rec := n.metricsReg, n.tlRec
-	if reg == nil || rec == nil || n.tlMetricsOn {
-		n.mu.Unlock()
-		return
+	reg, rec, o := n.metricsReg, n.tlRec, n.flightObs
+	export := reg != nil && rec != nil && !n.tlMetricsOn
+	if export {
+		n.tlMetricsOn = true
 	}
-	n.tlMetricsOn = true
 	name := n.name
 	n.mu.Unlock()
+
+	if o != nil {
+		o.Rec.AttachRegistry(reg)
+		o.Rec.AttachTimeline(rec)
+	}
+	if !export {
+		return
+	}
 	reg.AddCollector(func(emit func(metrics.Sample)) {
 		st := rec.Stats()
 		metrics.EmitCounters(emit, []string{"node", name},

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -146,6 +147,11 @@ func decodeHelloAck(body []byte) (helloAck, error) {
 	return a, nil
 }
 
+// errCorrupt marks a readEnvelope error as corruption — bytes arrived
+// and were wrong — as opposed to transport loss (the underlying read
+// error, returned as is). Sessions count the first kind in CrcKills.
+var errCorrupt = errors.New("resilience: corrupt envelope")
+
 // readEnvelope reads and validates one envelope, returning its type
 // and body. Any framing or checksum anomaly is an error: the caller
 // kills the connection epoch and lets the resume protocol resync.
@@ -156,7 +162,7 @@ func readEnvelope(r io.Reader) (typ byte, body []byte, err error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
 	if n < 1+envTrailer || n > maxEnvelope {
-		return 0, nil, fmt.Errorf("resilience: envelope of %d bytes out of range", n)
+		return 0, nil, fmt.Errorf("%w: length %d out of range", errCorrupt, n)
 	}
 	typ = hdr[4]
 	rest := make([]byte, n-1)
@@ -169,7 +175,7 @@ func readEnvelope(r io.Reader) (typ byte, body []byte, err error) {
 	crc.Write([]byte{typ})
 	crc.Write(body)
 	if crc.Sum32() != wantCRC {
-		return 0, nil, fmt.Errorf("resilience: envelope checksum mismatch (type %d, %d bytes)", typ, len(body))
+		return 0, nil, fmt.Errorf("%w: checksum mismatch (type %d, %d bytes)", errCorrupt, typ, len(body))
 	}
 	return typ, body, nil
 }

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -513,4 +514,43 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatalf("session ids: client %d server %d", p.client.ID(), p.server.ID())
 	}
 	_ = fmt.Sprintf("%v", p.client.Stats()) // Stats must be plain data
+}
+
+// byteConn is a connection epoch that yields fixed bytes and then EOF.
+type byteConn struct{ *bytes.Reader }
+
+func (byteConn) Write(p []byte) (int, error) { return len(p), nil }
+func (byteConn) Close() error                { return nil }
+
+// TestCorruptionCountsAsCrcKill pins what CrcKills means: an epoch
+// that died because bytes arrived and were wrong (a flipped checksum
+// byte, a length field outside the envelope bounds), not one that died
+// because the transport went away.
+func TestCorruptionCountsAsCrcKill(t *testing.T) {
+	flipped := encodeData(1, 0, []byte("payload"))
+	flipped[len(flipped)-1] ^= 0x01
+	hostile := encodeData(1, 0, []byte("payload"))
+	binary.BigEndian.PutUint32(hostile[:4], maxEnvelope+1)
+	for _, tc := range []struct {
+		name  string
+		bytes []byte
+		kills int64
+	}{
+		{"flipped CRC byte", flipped, 1},
+		{"length out of range", hostile, 1},
+		{"EOF", nil, 0},
+		{"EOF mid-envelope", flipped[:len(flipped)-2], 0},
+	} {
+		conn := byteConn{bytes.NewReader(tc.bytes)}
+		_, _, err := readEnvelope(bytes.NewReader(tc.bytes))
+		if got := errors.Is(err, errCorrupt); got != (tc.kills == 1) {
+			t.Fatalf("%s: readEnvelope error %v, errCorrupt = %v", tc.name, err, got)
+		}
+		s := newSession(Config{}, nil)
+		s.conn = conn
+		s.readLoop(conn)
+		if st := s.Stats(); st.CrcKills != tc.kills || st.EpochDeaths != 1 {
+			t.Fatalf("%s: CrcKills = %d, EpochDeaths = %d, want %d and 1", tc.name, st.CrcKills, st.EpochDeaths, tc.kills)
+		}
+	}
 }

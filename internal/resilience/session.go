@@ -26,6 +26,7 @@ package resilience
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -582,8 +583,7 @@ func (s *Session) readLoop(conn io.ReadWriteCloser) {
 		typ, body, err := readEnvelope(conn)
 		if err != nil {
 			s.mu.Lock()
-			crc := s.conn == conn && isCRCish(err)
-			if crc {
+			if s.conn == conn && errors.Is(err, errCorrupt) {
 				s.stats.CrcKills++
 			}
 			s.mu.Unlock()
@@ -601,21 +601,6 @@ func (s *Session) readLoop(conn io.ReadWriteCloser) {
 	}
 }
 
-// isCRCish classifies an envelope error as corruption (vs transport
-// loss) for the stats.
-func isCRCish(err error) bool {
-	return err != nil && (containsStr(err.Error(), "checksum") || containsStr(err.Error(), "out of range"))
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // handleEnvelope processes one validated envelope; a non-nil return
 // kills the epoch.
 func (s *Session) handleEnvelope(conn io.ReadWriteCloser, typ byte, body []byte) error {
@@ -630,8 +615,8 @@ func (s *Session) handleEnvelope(conn io.ReadWriteCloser, typ byte, body []byte)
 		if len(body) < 16 {
 			return fmt.Errorf("short data envelope")
 		}
-		seq := beUint64(body[0:8])
-		ack := beUint64(body[8:16])
+		seq := binary.BigEndian.Uint64(body[0:8])
+		ack := binary.BigEndian.Uint64(body[8:16])
 		if err := s.pruneLocked(ack); err != nil {
 			return err
 		}
@@ -651,19 +636,13 @@ func (s *Session) handleEnvelope(conn io.ReadWriteCloser, typ byte, body []byte)
 		if len(body) != 8 {
 			return fmt.Errorf("short heartbeat")
 		}
-		if err := s.pruneLocked(beUint64(body)); err != nil {
+		if err := s.pruneLocked(binary.BigEndian.Uint64(body)); err != nil {
 			return err
 		}
 	default:
 		return fmt.Errorf("unexpected envelope type %d mid-stream", typ)
 	}
 	return nil
-}
-
-func beUint64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[7]) | uint64(b[6])<<8 | uint64(b[5])<<16 | uint64(b[4])<<24 |
-		uint64(b[3])<<32 | uint64(b[2])<<40 | uint64(b[1])<<48 | uint64(b[0])<<56
 }
 
 // redialLoop (dialing side only) watches for dead epochs and

@@ -2,9 +2,10 @@
 // virtual time: component drives, channel send/delivery pairs,
 // checkpoint/restore/rewind markers, runlevel switches, conservative
 // protocol chatter, WAN fault injections, and resilient-session epoch
-// transitions. It is distinct from the waveform recorder in
-// internal/trace — trace answers "what value was on this net when",
-// timeline answers "what happened, in what order, and what caused it".
+// transitions. It is the repository's one rewind-aware event store:
+// "what happened, in what order, and what caused it" (Perfetto, logfmt)
+// and "what value was on this net when" (VCD, text log, drive digest)
+// are exporters over the same []Event.
 //
 // Events fall into two classes. Canonical kinds (drive, send, deliver,
 // checkpoint, restore, rewind, runlevel) describe the committed
@@ -95,6 +96,11 @@ type Event struct {
 	Wall   int64  `json:"wall,omitempty"` // wall clock, ns since epoch (advisory)
 	Seq    uint64 `json:"seq"`            // per-stream sequence
 	Detail string `json:"d,omitempty"`    // value / tag / level / fault verb
+
+	// Value is the driven value of a drive event as the component sent
+	// it, for the waveform exporters (WriteVCD, WriteText, Digest). It
+	// is not serialized: Detail carries its printed form.
+	Value any `json:"-"`
 }
 
 // streamKey identifies the deterministic sub-stream an event's Seq is
@@ -213,11 +219,9 @@ func (r *Recorder) recordLocked(e Event) {
 	}
 	r.stats.Recorded++
 	if r.n < r.limit {
-		if r.n == len(r.events) {
-			r.events = append(r.events, e)
-		} else {
-			r.events[(r.head+r.n)%len(r.events)] = e
-		}
+		// Not yet wrapped (or just linearized by a rewind): head is 0
+		// and the ring is exactly the slice, so filling is an append.
+		r.events = append(r.events, e)
 		r.n++
 		return
 	}
@@ -240,7 +244,7 @@ func (r *Recorder) Drive(sub, comp, net string, t vtime.Time, v any) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Kind: KindDrive, Sub: sub, Comp: comp, Net: net, VT: t, Detail: fmt.Sprint(v)})
+	r.record(Event{Kind: KindDrive, Sub: sub, Comp: comp, Net: net, VT: t, Detail: fmt.Sprint(v), Value: v})
 }
 
 // Send records a committed cross-subsystem data send from→to at t.
@@ -403,15 +407,24 @@ func (r *Recorder) dropAfterLocked(sub string, cutoff vtime.Time) {
 }
 
 // Events returns a copy of the committed view, oldest first.
-func (r *Recorder) Events() []Event {
+func (r *Recorder) Events() []Event { return r.Tail(-1) }
+
+// Tail returns a copy of the newest n events of the committed view,
+// oldest first (all of them when n < 0 or n exceeds what is retained).
+// Only the copied events are touched under the lock every emitter
+// records through.
+func (r *Recorder) Tail(n int) []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.events[(r.head+i)%len(r.events)]
+	if n < 0 || n > r.n {
+		n = r.n
+	}
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = r.events[(r.head+r.n-n+i)%len(r.events)]
 	}
 	return out
 }

@@ -1,190 +1,75 @@
-// Package trace records simulation activity and exports it in
-// standard EDA formats. A Recorder taps every net drive of one or
-// more subsystems and can dump the result as a VCD (Value Change
-// Dump, IEEE 1364) waveform readable by GTKWave and every commercial
-// wave viewer, or as a plain text event log. Rollbacks are handled:
-// when a subsystem restores a checkpoint, recorded events from the
-// discarded future are dropped, so the exported waveform reflects the
-// committed execution only.
-package trace
+package timeline
 
 import (
 	"fmt"
 	"hash/fnv"
 	"io"
 	"sort"
-	"sync"
 
-	"repro/internal/core"
 	"repro/internal/signal"
 	"repro/internal/vtime"
 )
 
-// Event is one recorded net drive.
-type Event struct {
-	Time   vtime.Time
-	Sub    string
-	Net    string
-	Source string
-	Value  any
-}
+// The waveform exporters: "what value was on this net when". They read
+// only the KindDrive events of a committed view (Recorder.Events), so
+// a rewind that dropped a subsystem's discarded future from the ring
+// has dropped it from the waveform too. Events read back from a native
+// file carry no Value: they digest the same (Detail is the value as
+// printed) and export to VCD as bare drive counters.
 
-// Recorder collects events from attached subsystems. Safe for
-// concurrent attachment to multiple subsystems (each scheduler calls
-// in on its own goroutine).
-//
-// With a retention limit the storage is a ring buffer: once full,
-// each append overwrites the oldest event in place, so steady-state
-// recording is O(1) per event instead of re-copying the whole
-// retained window (which made a limited recorder O(n·limit) over a
-// run).
-type Recorder struct {
-	mu sync.Mutex
-	// events holds the retained window. Unlimited (limit == 0) it is
-	// a plain append slice with head == 0. Limited, it fills like a
-	// slice until len == limit, then becomes a ring: head indexes the
-	// oldest event and appends overwrite in place.
-	events []Event
-	head   int
-	n      int // retained count; always == len(events) until the ring wraps
-	limit  int
-}
-
-// NewRecorder creates a recorder; limit bounds retained events
-// (oldest dropped first), 0 means unlimited.
-func NewRecorder(limit int) *Recorder {
-	return &Recorder{limit: limit}
-}
-
-// Attach taps a subsystem's net drives and restore events. Call
-// before running; chains any existing hooks.
-func (r *Recorder) Attach(s *core.Subsystem) {
-	name := s.Name()
-	prevDrive := s.OnDrive
-	s.OnDrive = func(net, src string, t vtime.Time, v any) {
-		if prevDrive != nil {
-			prevDrive(net, src, t, v)
+// drives returns the drive events of evs in virtual-time order, ties
+// keeping record order.
+func drives(evs []Event) []Event {
+	out := make([]Event, 0, len(evs))
+	for i := range evs {
+		if evs[i].Kind == KindDrive {
+			out = append(out, evs[i])
 		}
-		r.record(Event{Time: t, Sub: name, Net: net, Source: src, Value: v})
 	}
-	prevRestore := s.OnRestore
-	s.OnRestore = func(cs *core.CheckpointSet) {
-		if prevRestore != nil {
-			prevRestore(cs)
-		}
-		r.dropAfter(name, cs.Time)
-	}
-}
-
-func (r *Recorder) record(e Event) {
-	r.mu.Lock()
-	if r.limit > 0 && r.n == r.limit {
-		// Ring full: overwrite the oldest in place. O(1) steady
-		// state, no re-copying of the retained window.
-		r.events[r.head] = e
-		r.head++
-		if r.head == r.limit {
-			r.head = 0
-		}
-	} else {
-		r.events = append(r.events, e)
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// forEachLocked visits the retained events in record order (oldest
-// first). Caller holds r.mu.
-func (r *Recorder) forEachLocked(fn func(*Event)) {
-	if r.n == 0 {
-		return
-	}
-	for i := r.head; i < len(r.events); i++ {
-		fn(&r.events[i])
-	}
-	for i := 0; i < r.head; i++ {
-		fn(&r.events[i])
-	}
-}
-
-// dropAfter removes a subsystem's events from its discarded future.
-// Rare (one call per checkpoint restore), so it linearizes the ring
-// into a fresh compact slice rather than compacting in place.
-func (r *Recorder) dropAfter(sub string, t vtime.Time) {
-	r.mu.Lock()
-	kept := make([]Event, 0, r.n)
-	r.forEachLocked(func(e *Event) {
-		if e.Sub == sub && e.Time > t {
-			return
-		}
-		kept = append(kept, *e)
-	})
-	r.events = kept
-	r.head = 0
-	r.n = len(kept)
-	r.mu.Unlock()
-}
-
-// Events returns a copy of the recorded events in time order (ties
-// keep record order).
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	out := make([]Event, 0, r.n)
-	r.forEachLocked(func(e *Event) { out = append(out, *e) })
-	r.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].VT < out[j].VT })
 	return out
 }
 
-// Digest returns an FNV-1a hash over the recorded event stream in
-// order — a cheap fingerprint for asserting that two runs (e.g.
+// Digest returns an FNV-1a hash over the drive events of evs in the
+// order given — a cheap fingerprint for asserting that two runs (e.g.
 // sequential vs. parallel scheduling, or clean vs. faulted links)
-// produced bit-for-bit identical traces.
-func (r *Recorder) Digest() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// produced bit-for-bit identical drive streams.
+func Digest(evs []Event) uint64 {
 	h := fnv.New64a()
-	r.forEachLocked(func(e *Event) {
-		fmt.Fprintf(h, "%d|%s|%s|%s|%v\n", e.Time, e.Sub, e.Net, e.Source, e.Value)
-	})
+	for i := range evs {
+		if e := &evs[i]; e.Kind == KindDrive {
+			fmt.Fprintf(h, "%d|%s|%s|%s|%s\n", e.VT, e.Sub, e.Net, e.Comp, e.Detail)
+		}
+	}
 	return h.Sum64()
 }
 
-// Len returns the number of retained events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// WriteText dumps a human-readable event log.
-func (r *Recorder) WriteText(w io.Writer) error {
-	for _, e := range r.Events() {
+// WriteText dumps the drive events of evs as a human-readable log.
+func WriteText(w io.Writer, evs []Event) error {
+	for _, e := range drives(evs) {
 		if _, err := fmt.Fprintf(w, "%-12v %s/%s <- %s = %s\n",
-			e.Time, e.Sub, e.Net, e.Source, signal.String(e.Value)); err != nil {
+			e.VT, e.Sub, e.Net, e.Comp, signal.String(e.Value)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// --- VCD export ---
-
 // vcdVar is one declared VCD signal.
 type vcdVar struct {
 	id    string
 	width int
-	kind  string // "wire" or "real" or "event"
 }
 
-// WriteVCD dumps the recording as a Value Change Dump. Each net
-// becomes a signal inside a scope named after its subsystem. Signal
+// WriteVCD dumps the drive events of evs as a Value Change Dump (IEEE
+// 1364, readable by GTKWave and every commercial wave viewer). Each
+// net becomes a signal inside a scope named after its subsystem. Signal
 // widths are inferred from the values observed: Level -> 1-bit wire,
 // Byte -> 8, Word/BusCycle -> 32, packets and frames -> a 32-bit
 // "bytes transferred" vector, everything else -> a 32-bit event
 // counter.
-func (r *Recorder) WriteVCD(w io.Writer) error {
-	events := r.Events()
+func WriteVCD(w io.Writer, evs []Event) error {
+	events := drives(evs)
 	// Collect signals per (sub, net).
 	type key struct{ sub, net string }
 	vars := make(map[key]*vcdVar)
@@ -206,7 +91,6 @@ func (r *Recorder) WriteVCD(w io.Writer) error {
 	})
 	for i, k := range order {
 		vars[k].id = vcdID(i)
-		vars[k].kind = "wire"
 	}
 
 	// Sanitizing can collide distinct raw names ("a-b" and "a_b" both
@@ -245,7 +129,7 @@ func (r *Recorder) WriteVCD(w io.Writer) error {
 			cur = k.sub
 		}
 		v := vars[k]
-		fmt.Fprintf(w, "$var %s %d %s %s $end\n", v.kind, v.width, v.id, netNames[k])
+		fmt.Fprintf(w, "$var wire %d %s %s $end\n", v.width, v.id, netNames[k])
 	}
 	if cur != "" {
 		fmt.Fprintf(w, "$upscope $end\n")
@@ -257,11 +141,11 @@ func (r *Recorder) WriteVCD(w io.Writer) error {
 	last := vtime.Time(-1)
 	counters := make(map[key]uint32)
 	for _, e := range events {
-		if e.Time != last {
-			if _, err := fmt.Fprintf(w, "#%d\n", int64(e.Time)); err != nil {
+		if e.VT != last {
+			if _, err := fmt.Fprintf(w, "#%d\n", int64(e.VT)); err != nil {
 				return err
 			}
-			last = e.Time
+			last = e.VT
 		}
 		k := key{e.Sub, e.Net}
 		v := vars[k]

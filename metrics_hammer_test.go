@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/timeline"
 )
 
 // TestMetricsHammer runs a two-node cluster with coalescing, seeded
@@ -47,10 +49,7 @@ func TestMetricsHammer(t *testing.T) {
 	defer cl.Close()
 
 	reg := cl.EnableMetrics(NewMetricsRegistry())
-	rec := NewTraceRecorder(64) // small limit: the ring wraps under fire
-	for _, sub := range cl.Subsystems {
-		rec.Attach(sub)
-	}
+	recs := cl.EnableTimeline(64) // small limit: each node's ring wraps under fire
 
 	// The full flight stack: recorder + hub on the cluster's failure
 	// triggers, cost attribution on every dispatch, and a sampler
@@ -138,10 +137,13 @@ func TestMetricsHammer(t *testing.T) {
 					_ = n.ResilienceStats()
 					_, _ = n.SessionHealth()
 				}
-				// Trace recorder (ring buffer under concurrent record).
-				_ = rec.Len()
-				_ = rec.Digest()
-				_ = rec.Events()
+				// Timeline recorders (the one ring, under concurrent
+				// record, rewind and tail reads from the flight dump).
+				for _, rec := range recs {
+					_ = rec.Len()
+					_ = rec.Stats()
+					_ = timeline.Digest(rec.Events())
+				}
 				// Flight recorder and hub accessors.
 				_ = frec.BuildDump()
 				_, _ = frec.Tripped()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/iss"
 	"repro/internal/metrics"
 	"repro/internal/timeline"
-	"repro/internal/trace"
 )
 
 // Observability and debugging surface.
@@ -71,11 +70,13 @@ func (sim *Simulation) EnableMetrics(reg *MetricsRegistry) *MetricsRegistry {
 }
 
 type (
-	// TimelineRecorder is the structured span/event tracer: lifecycle
-	// intervals and causal edges keyed by virtual time (drives,
+	// TimelineRecorder is the one event recorder: lifecycle intervals
+	// and causal edges keyed by virtual time (drives with their values,
 	// channel send/delivery flows, checkpoint/restore/rewind markers,
-	// runlevel switches, protocol and WAN fault chatter). Distinct
-	// from TraceRecorder, which records net waveforms.
+	// runlevel switches, protocol and WAN fault chatter), bounded and
+	// rewind-aware. Its Events feed every exporter: WriteTimeline here,
+	// and the waveform ones in internal/timeline (WriteVCD, WriteText,
+	// Digest).
 	TimelineRecorder = timeline.Recorder
 	// TimelineEvent is one recorded timeline event.
 	TimelineEvent = timeline.Event
@@ -92,12 +93,13 @@ func NewTimelineRecorder(limit int) *TimelineRecorder { return timeline.NewRecor
 // detail engine of the simulation into rec and returns the recorder
 // used (a fresh default-sized one when rec is nil). Call between
 // BuildLocal and Run; with the timeline never enabled the hot paths
-// stay hook-free and allocation-free.
+// pay one nil test and stay allocation-free.
 func (sim *Simulation) EnableTimeline(rec *TimelineRecorder) *TimelineRecorder {
 	if rec == nil {
 		rec = NewTimelineRecorder(0)
 	}
 	sim.timelineRec = rec
+	sim.flightRec.AttachTimeline(rec)
 	for _, name := range sim.subOrder {
 		sim.Subsystems[name].EnableTimeline(rec)
 		sim.Hubs[name].EnableTimeline(rec)
@@ -163,16 +165,15 @@ func NewFlightSampler(reg *MetricsRegistry, rec *FlightRecorder, hub *FlightHub,
 // EnableFlight wires the simulation's failure triggers into the
 // observer: every subsystem's optimistic throttle collapse (a
 // rollback storm) records and trips, and the simulation's timeline
-// recorder (if enabled) is attached so post-mortems carry the event
-// tail. Call between BuildLocal and Run, after EnableTimeline if both
-// are wanted. A nil/empty observer leaves the hot paths untouched.
+// recorder (enabled before or after this call) is attached so
+// post-mortems carry the event tail. Call between BuildLocal and Run.
+// A nil/empty observer leaves the hot paths untouched.
 func (sim *Simulation) EnableFlight(o *FlightObserver) {
 	if !o.Enabled() {
 		return
 	}
-	if sim.timelineRec != nil {
-		o.Rec.AttachTimeline(sim.timelineRec)
-	}
+	sim.flightRec = o.Rec
+	o.Rec.AttachTimeline(sim.timelineRec)
 	for _, name := range sim.subOrder {
 		o.TripOnRollbackStorm(sim.Subsystems[name])
 	}
@@ -195,10 +196,6 @@ func (sim *Simulation) EnableCostAttribution(reg *MetricsRegistry, topN int) *Me
 }
 
 type (
-	// TraceRecorder taps net drives for waveform/text export.
-	TraceRecorder = trace.Recorder
-	// TraceEvent is one recorded net drive.
-	TraceEvent = trace.Event
 	// Debugger adds breakpoints, watchpoints, stepping and
 	// inspection to a subsystem.
 	Debugger = debug.Debugger
@@ -210,10 +207,6 @@ type (
 	// DebugHit explains why a debugged run paused.
 	DebugHit = debug.Hit
 )
-
-// NewTraceRecorder creates a recorder retaining at most limit events
-// (0 = unlimited). Attach it to subsystems before running.
-func NewTraceRecorder(limit int) *TraceRecorder { return trace.NewRecorder(limit) }
 
 // NewDebugger attaches a debugger to a subsystem.
 func NewDebugger(sub *Subsystem) *Debugger { return debug.New(sub) }

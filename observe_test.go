@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/signal"
+	"repro/internal/timeline"
 )
 
 func TestPublicTraceAndDebug(t *testing.T) {
@@ -19,8 +20,7 @@ func TestPublicTraceAndDebug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewTraceRecorder(0)
-	rec.Attach(sim.Subsystem("main"))
+	rec := sim.EnableTimeline(nil)
 	dbg := NewDebugger(sim.Subsystem("main"))
 	bp, err := dbg.AddBreak("src >= 30")
 	if err != nil {
@@ -45,7 +45,7 @@ func TestPublicTraceAndDebug(t *testing.T) {
 		t.Fatalf("deliveries %v", dst.Got)
 	}
 	var vcd bytes.Buffer
-	if err := rec.WriteVCD(&vcd); err != nil {
+	if err := timeline.WriteVCD(&vcd, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(vcd.String(), "$enddefinitions") {

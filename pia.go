@@ -35,6 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detail"
 	"repro/internal/faultnet"
+	"repro/internal/flight"
 	"repro/internal/graph"
 	"repro/internal/resilience"
 	"repro/internal/snapshot"
@@ -405,6 +406,11 @@ type Simulation struct {
 	// EnableTimeline. For clusters each node owns its own recorder
 	// instead (see Cluster.EnableTimeline).
 	timelineRec *timeline.Recorder
+
+	// flightRec, when non-nil, is the flight recorder handed to
+	// EnableFlight; EnableTimeline attaches its recorder to it, so the
+	// two calls work in either order.
+	flightRec *flight.Recorder
 }
 
 // newSubsystem creates one kernel subsystem with the builder's
