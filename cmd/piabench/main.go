@@ -30,9 +30,9 @@ import (
 	"repro/internal/wubbleu"
 )
 
-// jsonOut, when non-empty, receives the Table 1 rows as
-// machine-readable JSON — the perf trajectory later changes are
-// compared against.
+// jsonOut, when non-empty, receives the experiment's rows as
+// machine-readable JSON (see writeArtifact) — the perf trajectory later
+// changes are compared against.
 var jsonOut string
 
 // chaosSeed fixes the fault schedule of -exp chaos; the same seed
@@ -104,7 +104,7 @@ func startReporter() {
 func main() {
 	exp := flag.String("exp", "table1", "experiment to run (table1, chaos, timeline, parallel, optimistic, migrate, sessions, obs, fig1..fig6, runlevel, policy, checkpoint, incremental, snapshot, memsync, all)")
 	pageKB := flag.Int("page", 66, "page size in KB for WubbleU experiments")
-	flag.StringVar(&jsonOut, "json", "", "write Table 1 (or -exp parallel) results to this file as JSON (e.g. BENCH_1.json)")
+	flag.StringVar(&jsonOut, "json", "", "write the rows of -exp table1, parallel, optimistic, migrate, sessions or obs to this file as JSON (e.g. BENCH_1.json)")
 	flag.Int64Var(&chaosSeed, "seed", 1, "fault-schedule seed for -exp chaos")
 	flag.IntVar(&benchWorkers, "workers", 0, "scheduler worker-pool size per subsystem (0 = sequential)")
 	flag.Int64Var(&benchOptimism, "optimism", 0, "override the Time Warp window in virtual ns for -exp optimistic (0 = experiment default)")
@@ -203,7 +203,26 @@ func table1(pageKB int) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	return writeJSON(cfg, rows)
+	return writeArtifact(table1Artifact(cfg, rows))
+}
+
+// table1Artifact ends in the unified metrics block: the full registry
+// snapshot of the last metrics-wired leg (scheduler counters and lag
+// gauges, channel endpoints, wire conns, fault links, sessions).
+func table1Artifact(cfg experiments.Table1Config, rows []experiments.Table1Row) any {
+	var last []pia.MetricSample
+	for _, r := range rows {
+		if r.Metrics != nil {
+			last = r.Metrics
+		}
+	}
+	return struct {
+		Experiment string                  `json:"experiment"`
+		PageBytes  int                     `json:"page_bytes"`
+		Images     int                     `json:"images"`
+		Rows       []experiments.Table1Row `json:"rows"`
+		Metrics    []pia.MetricSample      `json:"metrics,omitempty"`
+	}{Experiment: "table1", PageBytes: cfg.PageSize, Images: cfg.Images, Rows: rows, Metrics: last}
 }
 
 // chaos runs the Table 1 remote word-level workload clean and then
@@ -318,63 +337,18 @@ func parallel(pageKB int) error {
 		return err
 	}
 	fmt.Println("\nresult invariant holds: virtual results identical at every worker count")
-	return writeParallelJSON(cfg, rows, table)
+	return writeArtifact(parallelArtifact(cfg, rows, table))
 }
 
-// parallelRow is the machine-readable form of one sweep leg.
-type parallelRow struct {
-	Mode      string  `json:"mode"`
-	Workers   int     `json:"workers"`
-	WallNS    int64   `json:"wall_ns"`
-	VirtualNS int64   `json:"virtual_ns"`
-	Drives    int64   `json:"drives"`
-	ParRounds int64   `json:"parallel_rounds"`
-	Digest    string  `json:"drive_digest"`
-	Speedup   float64 `json:"speedup"`
-}
-
-func writeParallelJSON(cfg experiments.ParallelConfig, rows []experiments.ParallelRow, table []experiments.Table1Row) error {
-	if jsonOut == "" {
-		return nil
-	}
-	out := struct {
-		Experiment string        `json:"experiment"`
-		Fanout     int           `json:"fanout"`
-		Rounds     int           `json:"rounds"`
-		ServiceNS  int64         `json:"service_ns"`
-		Rows       []parallelRow `json:"rows"`
-		Table      []benchRow    `json:"table1_local"`
-	}{Experiment: "parallel", Fanout: cfg.Fanout, Rounds: cfg.Rounds, ServiceNS: cfg.Service.Nanoseconds()}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, parallelRow{
-			Mode:      r.Mode,
-			Workers:   r.Workers,
-			WallNS:    r.Wall.Nanoseconds(),
-			VirtualNS: int64(r.Virt),
-			Drives:    r.Drives,
-			ParRounds: r.ParRounds,
-			Digest:    fmt.Sprintf("%016x", r.Digest),
-			Speedup:   r.Speedup,
-		})
-	}
-	for _, r := range table {
-		out.Table = append(out.Table, benchRow{
-			Location:   r.Location,
-			Level:      r.Level,
-			WallNS:     r.Wall.Nanoseconds(),
-			VirtualNS:  int64(r.Virt),
-			LinkDrives: r.Drives,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", jsonOut)
-	return nil
+func parallelArtifact(cfg experiments.ParallelConfig, rows []experiments.ParallelRow, table []experiments.Table1Row) any {
+	return struct {
+		Experiment string                    `json:"experiment"`
+		Fanout     int                       `json:"fanout"`
+		Rounds     int                       `json:"rounds"`
+		Service    time.Duration             `json:"service_ns"`
+		Rows       []experiments.ParallelRow `json:"rows"`
+		Table      []experiments.Table1Row   `json:"table1_local"`
+	}{Experiment: "parallel", Fanout: cfg.Fanout, Rounds: cfg.Rounds, Service: cfg.Service, Rows: rows, Table: table}
 }
 
 // sessionsExp benchmarks the multi-tenant session service: steady
@@ -413,65 +387,21 @@ func sessionsExp(int) error {
 		return err
 	}
 	fmt.Println("\nresult invariant holds: per-session digests identical to isolated runs at every worker count")
-	return writeSessionsJSON(cfg, rows)
+	return writeArtifact(sessionsArtifact(cfg, rows))
 }
 
-// sessionsRow is the machine-readable form of one sessions leg.
-type sessionsRow struct {
-	Leg            string  `json:"leg"`
-	Workers        int     `json:"workers"`
-	Sessions       int     `json:"sessions"`
-	PeakLive       int     `json:"peak_live"`
-	WallNS         int64   `json:"wall_ns"`
-	SessionsPerSec float64 `json:"sessions_per_sec,omitempty"`
-	Steps          int64   `json:"steps,omitempty"`
-	DigestsOK      bool    `json:"digests_identical"`
-	Rejected       int64   `json:"rejected,omitempty"`
-	Evicted        int64   `json:"evicted,omitempty"`
-	EvictChunk     int     `json:"evict_chunk,omitempty"`
-	EvictSteps     int64   `json:"evict_steps,omitempty"`
-}
-
-func writeSessionsJSON(cfg experiments.SessionsConfig, rows []experiments.SessionsRow) error {
-	if jsonOut == "" {
-		return nil
-	}
-	out := struct {
-		Experiment string        `json:"experiment"`
-		Sessions   int           `json:"sessions"`
-		Churn      int           `json:"churn"`
-		Clients    int           `json:"clients"`
-		Fanout     int           `json:"fanout"`
-		Rounds     int           `json:"rounds"`
-		Seeds      int           `json:"seeds"`
-		Rows       []sessionsRow `json:"rows"`
+func sessionsArtifact(cfg experiments.SessionsConfig, rows []experiments.SessionsRow) any {
+	return struct {
+		Experiment string                    `json:"experiment"`
+		Sessions   int                       `json:"sessions"`
+		Churn      int                       `json:"churn"`
+		Clients    int                       `json:"clients"`
+		Fanout     int                       `json:"fanout"`
+		Rounds     int                       `json:"rounds"`
+		Seeds      int                       `json:"seeds"`
+		Rows       []experiments.SessionsRow `json:"rows"`
 	}{Experiment: "sessions", Sessions: cfg.Sessions, Churn: cfg.Churn, Clients: cfg.Clients,
-		Fanout: cfg.Fanout, Rounds: cfg.Rounds, Seeds: cfg.Seeds}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, sessionsRow{
-			Leg:            r.Leg,
-			Workers:        r.Workers,
-			Sessions:       r.Sessions,
-			PeakLive:       r.PeakLive,
-			WallNS:         r.Wall.Nanoseconds(),
-			SessionsPerSec: r.SessionsPerSec,
-			Steps:          r.Steps,
-			DigestsOK:      r.DigestsOK,
-			Rejected:       r.Rejected,
-			Evicted:        r.Evicted,
-			EvictChunk:     r.EvictChunk,
-			EvictSteps:     r.EvictSteps,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", jsonOut)
-	return nil
+		Fanout: cfg.Fanout, Rounds: cfg.Rounds, Seeds: cfg.Seeds, Rows: rows}
 }
 
 // obsExp measures the observability overhead: the remote word-level
@@ -500,64 +430,20 @@ func obsExp(pageKB int) error {
 		return err
 	}
 	fmt.Println("\nresult invariant holds: virtual results bit-identical with observers attached")
-	return writeObsJSON(cfg, rows)
+	return writeArtifact(obsArtifact(cfg, rows))
 }
 
-// obsRow is the machine-readable form of one observability leg.
-type obsRow struct {
-	Leg            string  `json:"leg"`
-	Workers        int     `json:"workers"`
-	OffWallNS      int64   `json:"off_wall_ns"`
-	OnWallNS       int64   `json:"on_wall_ns"`
-	OverheadPct    float64 `json:"overhead_pct"`
-	DigestsOK      bool    `json:"digests_identical"`
-	VirtualNS      int64   `json:"virtual_ns,omitempty"`
-	LinkDrives     int     `json:"link_drives,omitempty"`
-	Steps          int64   `json:"steps,omitempty"`
-	EventsStreamed uint64  `json:"frames_streamed"`
-	RingRecorded   uint64  `json:"ring_recorded"`
-	Dropped        uint64  `json:"subscribers_dropped"`
-}
-
-func writeObsJSON(cfg experiments.ObsConfig, rows []experiments.ObsRow) error {
-	if jsonOut == "" {
-		return nil
-	}
-	out := struct {
-		Experiment      string   `json:"experiment"`
-		PageBytes       int      `json:"page_bytes"`
-		Sessions        int      `json:"sessions"`
-		Runs            int      `json:"runs"`
-		WatchIntervalNS int64    `json:"watch_interval_ns"`
-		AttributionTopN int      `json:"attribution_top_n"`
-		Rows            []obsRow `json:"rows"`
+func obsArtifact(cfg experiments.ObsConfig, rows []experiments.ObsRow) any {
+	return struct {
+		Experiment    string               `json:"experiment"`
+		PageBytes     int                  `json:"page_bytes"`
+		Sessions      int                  `json:"sessions"`
+		Runs          int                  `json:"runs"`
+		WatchInterval time.Duration        `json:"watch_interval_ns"`
+		TopN          int                  `json:"attribution_top_n"`
+		Rows          []experiments.ObsRow `json:"rows"`
 	}{Experiment: "obs", PageBytes: cfg.Table1.PageSize, Sessions: cfg.Sessions.Sessions,
-		Runs: cfg.Runs, WatchIntervalNS: cfg.WatchInterval.Nanoseconds(), AttributionTopN: cfg.TopN}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, obsRow{
-			Leg:            r.Leg,
-			Workers:        r.Workers,
-			OffWallNS:      r.OffWall.Nanoseconds(),
-			OnWallNS:       r.OnWall.Nanoseconds(),
-			OverheadPct:    r.OverheadPct,
-			DigestsOK:      r.DigestsOK,
-			VirtualNS:      int64(r.Virt),
-			LinkDrives:     r.Drives,
-			Steps:          r.Steps,
-			EventsStreamed: r.EventsStreamed,
-			RingRecorded:   r.RingRecorded,
-			Dropped:        r.Dropped,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", jsonOut)
-	return nil
+		Runs: cfg.Runs, WatchInterval: cfg.WatchInterval, TopN: cfg.TopN, Rows: rows}
 }
 
 // optimisticExp runs the Time Warp ablation: lookahead (high, low,
@@ -594,69 +480,19 @@ func optimisticExp(int) error {
 		return err
 	}
 	fmt.Println("\nresult invariant holds: virtual results identical across mode, workers and window")
-	return writeOptimisticJSON(cfg, rows)
+	return writeArtifact(optimisticArtifact(cfg, rows))
 }
 
-// optimisticRow is the machine-readable form of one ablation leg.
-type optimisticRow struct {
-	Lookahead   string  `json:"lookahead"`
-	Mode        string  `json:"mode"`
-	Workers     int     `json:"workers"`
-	WallNS      int64   `json:"wall_ns"`
-	VirtualNS   int64   `json:"virtual_ns"`
-	Drives      int64   `json:"drives"`
-	ParRounds   int64   `json:"parallel_rounds"`
-	SpecRounds  int64   `json:"spec_rounds"`
-	SpecCommits int64   `json:"spec_commits"`
-	Rollbacks   int64   `json:"rollbacks"`
-	RolledBack  int64   `json:"rolled_back_events"`
-	CommitRatio float64 `json:"commit_ratio"`
-	Digest      string  `json:"drive_digest"`
-	Speedup     float64 `json:"speedup_vs_sequential"`
-	VsCons      float64 `json:"speedup_vs_conservative,omitempty"`
-}
-
-func writeOptimisticJSON(cfg experiments.OptimisticConfig, rows []experiments.OptimisticRow) error {
-	if jsonOut == "" {
-		return nil
-	}
-	out := struct {
-		Experiment string          `json:"experiment"`
-		Fanout     int             `json:"fanout"`
-		Rounds     int             `json:"rounds"`
-		ServiceNS  int64           `json:"service_ns"`
-		WindowNS   int64           `json:"window_ns"`
-		Rows       []optimisticRow `json:"rows"`
+func optimisticArtifact(cfg experiments.OptimisticConfig, rows []experiments.OptimisticRow) any {
+	return struct {
+		Experiment string                      `json:"experiment"`
+		Fanout     int                         `json:"fanout"`
+		Rounds     int                         `json:"rounds"`
+		Service    time.Duration               `json:"service_ns"`
+		Window     vtime.Duration              `json:"window_ns"`
+		Rows       []experiments.OptimisticRow `json:"rows"`
 	}{Experiment: "optimistic", Fanout: cfg.Fanout, Rounds: cfg.Rounds,
-		ServiceNS: cfg.Service.Nanoseconds(), WindowNS: int64(cfg.Window)}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, optimisticRow{
-			Lookahead:   r.Lookahead,
-			Mode:        r.Mode,
-			Workers:     r.Workers,
-			WallNS:      r.Wall.Nanoseconds(),
-			VirtualNS:   int64(r.Virt),
-			Drives:      r.Drives,
-			ParRounds:   r.ParRounds,
-			SpecRounds:  r.SpecRounds,
-			SpecCommits: r.SpecCommits,
-			Rollbacks:   r.Rollbacks,
-			RolledBack:  r.RolledBack,
-			CommitRatio: r.CommitRatio,
-			Digest:      fmt.Sprintf("%016x", r.Digest),
-			Speedup:     r.Speedup,
-			VsCons:      r.VsCons,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", jsonOut)
-	return nil
+		Service: cfg.Service, Window: cfg.Window, Rows: rows}
 }
 
 // migrateExp runs the live-migration experiment: the 3-member mesh
@@ -684,7 +520,15 @@ func migrateExp(int) error {
 	}
 	fmt.Printf("\nresult invariant holds: %d drive digests bit-identical across stationary, migrated and chaos legs\n",
 		len(rows[0].Digests))
-	return writeMigrateJSON(cfg, rows)
+	return writeArtifact(migrateArtifact(cfg, rows))
+}
+
+func migrateArtifact(cfg experiments.MigrateConfig, rows []experiments.MigrateRow) any {
+	return struct {
+		Experiment string                   `json:"experiment"`
+		Seed       int64                    `json:"seed"`
+		Rows       []experiments.MigrateRow `json:"rows"`
+	}{Experiment: "migrate", Seed: cfg.Seed, Rows: rows}
 }
 
 func matchWord(ok bool) string {
@@ -694,105 +538,16 @@ func matchWord(ok bool) string {
 	return "DIVERGED"
 }
 
-// migrateRow is the machine-readable form of one migration leg.
-type migrateRow struct {
-	Mode               string            `json:"mode"`
-	WallNS             int64             `json:"wall_ns"`
-	Rounds             int64             `json:"rounds"`
-	Reissues           int64             `json:"reissues"`
-	Migrations         int64             `json:"migrations"`
-	Epoch              uint64            `json:"epoch"`
-	VirtualDowntimeNS  int64             `json:"virtual_downtime_ns"`
-	MigrationWallNS    int64             `json:"migration_wall_ns"`
-	EpochPropagationNS int64             `json:"epoch_propagation_ns"`
-	DigestsMatch       bool              `json:"digests_match"`
-	Digests            map[string]string `json:"digests"`
-}
-
-func writeMigrateJSON(cfg experiments.MigrateConfig, rows []experiments.MigrateRow) error {
+// writeArtifact writes one experiment's -json artifact: the header
+// fields the experiment declares, then the rows it was handed,
+// marshalled as they are — the experiments package's row types carry
+// the key names, so a field added to a row reaches the BENCH file
+// without being named here.
+func writeArtifact(artifact any) error {
 	if jsonOut == "" {
 		return nil
 	}
-	out := struct {
-		Experiment string       `json:"experiment"`
-		Seed       int64        `json:"seed"`
-		Rows       []migrateRow `json:"rows"`
-	}{Experiment: "migrate", Seed: cfg.Seed}
-	for _, r := range rows {
-		jr := migrateRow{
-			Mode:               r.Mode,
-			WallNS:             r.Wall.Nanoseconds(),
-			Rounds:             r.Rounds,
-			Reissues:           r.Reissues,
-			Migrations:         r.Migrations,
-			Epoch:              r.Epoch,
-			VirtualDowntimeNS:  int64(r.VirtualDowntime),
-			MigrationWallNS:    r.MigrationWall.Nanoseconds(),
-			EpochPropagationNS: r.EpochPropagation.Nanoseconds(),
-			DigestsMatch:       r.DigestsMatch,
-			Digests:            map[string]string{},
-		}
-		for _, comp := range experiments.DigestComponents(r.Digests) {
-			jr.Digests[comp] = fmt.Sprintf("%016x", r.Digests[comp])
-		}
-		out.Rows = append(out.Rows, jr)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", jsonOut)
-	return nil
-}
-
-// benchRow is the machine-readable form of one Table 1 row.
-type benchRow struct {
-	Location     string  `json:"location"`
-	Level        string  `json:"level"`
-	WallNS       int64   `json:"wall_ns"`
-	VirtualNS    int64   `json:"virtual_ns"`
-	LinkDrives   int     `json:"link_drives"`
-	FramesOut    int64   `json:"frames_out"`
-	WireBytesOut int64   `json:"wire_bytes_out"`
-	Overhead     float64 `json:"overhead"`
-}
-
-func writeJSON(cfg experiments.Table1Config, rows []experiments.Table1Row) error {
-	if jsonOut == "" {
-		return nil
-	}
-	out := struct {
-		Experiment string     `json:"experiment"`
-		PageBytes  int        `json:"page_bytes"`
-		Images     int        `json:"images"`
-		Rows       []benchRow `json:"rows"`
-		// Metrics is the unified metrics block: the full registry
-		// snapshot of the last metrics-wired leg (scheduler counters
-		// and lag gauges, channel endpoints, wire conns, fault links,
-		// sessions).
-		Metrics []pia.MetricSample `json:"metrics,omitempty"`
-	}{Experiment: "table1", PageBytes: cfg.PageSize, Images: cfg.Images}
-	for _, r := range rows {
-		if r.Metrics != nil {
-			out.Metrics = r.Metrics
-		}
-	}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, benchRow{
-			Location:     r.Location,
-			Level:        r.Level,
-			WallNS:       r.Wall.Nanoseconds(),
-			VirtualNS:    int64(r.Virt),
-			LinkDrives:   r.Drives,
-			FramesOut:    r.FramesOut,
-			WireBytesOut: r.WireBytesOut,
-			Overhead:     r.Overhead,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	data, err := json.MarshalIndent(artifact, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,16 +1,10 @@
 package pia
 
 import (
-	"fmt"
 	"io"
 	"time"
 
-	"repro/internal/channel"
-	"repro/internal/core"
-	"repro/internal/detail"
-	"repro/internal/graph"
 	"repro/internal/node"
-	"repro/internal/snapshot"
 	"repro/internal/timeline"
 )
 
@@ -34,129 +28,13 @@ type Cluster struct {
 // BuildOnNodes realizes the description across the given nodes:
 // placement maps every subsystem name to the node hosting it.
 // Subsystem pairs on the same node are bridged in-process; pairs on
-// different nodes get a TCP channel (each node listens on an
-// ephemeral loopback port unless it is already listening).
+// different nodes get a TCP channel (the accepting node listens on an
+// ephemeral loopback port). It is BuildLocal's build with a placement.
 func (b *SystemBuilder) BuildOnNodes(placement map[string]*Node) (*Cluster, error) {
-	if b.err != nil {
-		return nil, b.err
+	if placement == nil { // places nothing, which is an error here, not a local build
+		placement = map[string]*Node{}
 	}
-	v, err := b.view()
-	if err != nil {
-		return nil, err
-	}
-	splits, chans, err := v.Partition()
-	if err != nil {
-		return nil, err
-	}
-	if err := b.validateTopology(chans); err != nil {
-		return nil, err
-	}
-	for _, sub := range v.Subsystems() {
-		if placement[sub] == nil {
-			e := &graph.UnknownHostError{Host: sub}
-			if comps := v.Components(sub); len(comps) > 0 {
-				e.Component = comps[0]
-			}
-			return nil, e
-		}
-	}
-
-	cl := &Cluster{
-		Simulation: Simulation{
-			Name:       b.name,
-			Subsystems: make(map[string]*core.Subsystem),
-			Hubs:       make(map[string]*channel.Hub),
-			Agents:     make(map[string]*snapshot.Agent),
-			Engines:    make(map[string]*detail.Engine),
-		},
-		Nodes: make(map[string]*Node),
-	}
-	seen := map[*Node]bool{}
-	addrs := map[*Node]string{}
-	for _, subName := range v.Subsystems() {
-		n := placement[subName]
-		s := b.newSubsystem(subName)
-		hosted := n.Host(s)
-		cl.Subsystems[subName] = s
-		cl.Hubs[subName] = hosted.Hub
-		cl.Nodes[subName] = n
-		cl.subOrder = append(cl.subOrder, subName)
-		if !seen[n] {
-			seen[n] = true
-			cl.nodeSet = append(cl.nodeSet, n)
-		}
-	}
-	if err := b.populate(cl.Subsystems, splits); err != nil {
-		return nil, err
-	}
-	if b.coalesceSet {
-		for _, n := range cl.nodeSet {
-			n.SetCoalescing(b.coalesce)
-		}
-	}
-	if b.faultsSet {
-		for _, n := range cl.nodeSet {
-			n.SetFaults(b.faults)
-		}
-	}
-	if b.resilSet {
-		for _, n := range cl.nodeSet {
-			n.SetResilience(b.resil)
-		}
-	}
-
-	// Start listeners on nodes that will accept cross-node channels.
-	needListen := map[*Node]bool{}
-	for _, cs := range chans {
-		na, nb := placement[cs.A], placement[cs.B]
-		if na != nb {
-			needListen[nb] = true
-		}
-	}
-	for n := range needListen {
-		addr, err := n.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[n] = addr
-	}
-
-	for _, cs := range chans {
-		cfg := b.pairCfg(cs.A, cs.B)
-		na, nb := placement[cs.A], placement[cs.B]
-		var epA, epB *channel.Endpoint
-		if na == nb {
-			epA, epB, err = channel.Connect(cl.Hubs[cs.A], cl.Hubs[cs.B], cfg.policy, cfg.link)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			epA, err = na.Connect(cs.A, addrs[nb], cs.B, cfg.policy, cfg.link)
-			if err != nil {
-				return nil, err
-			}
-			epB = cl.Hubs[cs.B].Endpoint(cs.A)
-			if epB == nil {
-				return nil, fmt.Errorf("pia: handshake for %s<->%s left no endpoint", cs.A, cs.B)
-			}
-		}
-		for _, netName := range cs.Nets {
-			if err := epA.BindNet(cl.Subsystems[cs.A].Net(netName), netName); err != nil {
-				return nil, err
-			}
-			if err := epB.BindNet(cl.Subsystems[cs.B].Net(netName), netName); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, n := range cl.nodeSet {
-		n.FinishAgents()
-	}
-	for name, hosted := range cl.Subsystems {
-		cl.Agents[name] = cl.Nodes[name].Hosted(name).Agent
-		cl.Engines[name] = detail.NewEngine(hosted)
-	}
-	return cl, nil
+	return b.build(placement)
 }
 
 // EnableMetrics wires the whole cluster into reg and returns the

@@ -78,6 +78,15 @@ func TestBuildOnNodesMissingPlacement(t *testing.T) {
 	if uh.Host != "s2" || uh.Component != "b" {
 		t.Fatalf("error blames %q on %q, want component \"b\" on host \"s2\"", uh.Component, uh.Host)
 	}
+	// Refused before anything was hosted on the nodes it did name.
+	if n.Hosted("s1") != nil {
+		t.Fatal("a refused placement left s1 hosted")
+	}
+	// A nil placement places nothing; it is not a request for the
+	// in-process build the two entry points share.
+	if _, err := b.BuildOnNodes(nil); !errors.As(err, &uh) || uh.Host != "s1" {
+		t.Fatalf("nil placement: want *graph.UnknownHostError for s1, got %v", err)
+	}
 }
 
 // noCodec is a struct nobody registered with the channel codec.

@@ -113,10 +113,31 @@ func (c *Component) refillInbox(img *Image) {
 	}
 }
 
-type netImage struct {
-	value  any
-	time   vtime.Time
-	source string
+// NetImage is one net's sampling state (LastValue et al.): what a
+// checkpoint set keeps for every net of the subsystem, and what a
+// migration carries for the nets its component touches, so re-homed
+// fragments answer Read exactly as the source's would have.
+type NetImage struct {
+	Net    string
+	Value  any
+	Time   vtime.Time
+	Source string
+}
+
+// Image returns the net's sampling state.
+func (n *Net) Image() NetImage {
+	return NetImage{Net: n.Name, Value: n.lastValue, Time: n.lastTime, Source: n.lastSource}
+}
+
+// RestoreNets seeds the sampling state of every named net the
+// subsystem has, without fanning anything out; images of nets it does
+// not have are skipped.
+func (s *Subsystem) RestoreNets(nets []NetImage) {
+	for _, ni := range nets {
+		if n := s.nets[ni.Net]; n != nil {
+			n.lastValue, n.lastTime, n.lastSource = ni.Value, ni.Time, ni.Source
+		}
+	}
 }
 
 // CheckpointSet is a consistent image of an entire subsystem: every
@@ -132,7 +153,7 @@ type CheckpointSet struct {
 	Time vtime.Time
 
 	images map[string]*Image
-	nets   map[string]netImage
+	nets   []NetImage
 }
 
 // Image returns the named component's image, or nil.
@@ -227,7 +248,7 @@ func (s *Subsystem) capture(tag string) (*CheckpointSet, error) {
 		Tag:    tag,
 		Time:   s.now,
 		images: make(map[string]*Image, len(s.order)),
-		nets:   make(map[string]netImage, len(s.nets)),
+		nets:   make([]NetImage, 0, len(s.nets)),
 	}
 	var prev *CheckpointSet
 	if s.ckptIncr && len(s.checkpoints) > 0 {
@@ -247,8 +268,8 @@ func (s *Subsystem) capture(tag string) (*CheckpointSet, error) {
 		img.Inbox = c.inbox.Snapshot()
 		cs.images[c.name] = &img
 	}
-	for name, n := range s.nets {
-		cs.nets[name] = netImage{value: n.lastValue, time: n.lastTime, source: n.lastSource}
+	for _, n := range s.nets {
+		cs.nets = append(cs.nets, n.Image())
 	}
 	s.checkpoints = append(s.checkpoints, cs)
 	if len(s.checkpoints) > s.ckptKeep {
@@ -313,11 +334,7 @@ func (s *Subsystem) RestoreCheckpoint(cs *CheckpointSet) error {
 		}
 		c.refillInbox(img)
 	}
-	for name, n := range s.nets {
-		if ni, ok := cs.nets[name]; ok {
-			n.lastValue, n.lastTime, n.lastSource = ni.value, ni.time, ni.source
-		}
-	}
+	s.RestoreNets(cs.nets)
 	s.now = cs.Time
 	// Automatic checkpointing resumes from the restored point: the
 	// replay timeline needs its own cuts, or a second rollback could

@@ -318,11 +318,18 @@ func TestRestoreOfDoneComponentStaysDone(t *testing.T) {
 	}
 }
 
+// WireRestore ships img across the migration wire — the image a
+// ComponentImage embeds, Encode, Decode, AdoptComponent — and is set by
+// wire_restore_test.go: only the external test package may import
+// internal/snapshot, which imports this one.
+var WireRestore func(s *Subsystem, img *Image) error
+
 // TestRestoreImageRule drives the same images through every caller of
-// restoreImage — a whole-subsystem restore, a migration adoption and a
-// Time Warp rollback — which must accept and refuse them alike: an
-// error iff the image carries State the behaviour cannot take, or is
-// Live and the behaviour is not a StateSaver.
+// restoreImage — a whole-subsystem restore, a migration adoption, the
+// same adoption after the image crossed the wire, and a Time Warp
+// rollback — which must accept and refuse them alike: an error iff the
+// image carries State the behaviour cannot take, or is Live and the
+// behaviour is not a StateSaver.
 func TestRestoreImageRule(t *testing.T) {
 	plain := func() Behavior {
 		return BehaviorFunc(func(p *Proc) error {
@@ -362,6 +369,9 @@ func TestRestoreImageRule(t *testing.T) {
 		}},
 		{"RestoreComponentImage", func(s *Subsystem, c *Component, img *Image) error {
 			return s.RestoreComponentImage(img)
+		}},
+		{"wire", func(s *Subsystem, c *Component, img *Image) error {
+			return WireRestore(s, img)
 		}},
 		{"rollbackSpec", func(s *Subsystem, c *Component, img *Image) error {
 			c.specImg, c.wbuf = *img, s.grabBuf(c)

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/vtime"
-)
+import "fmt"
 
 // This file holds the subsystem surgery primitives live component
 // migration is built on: detaching hidden (channel) ports from nets,
@@ -95,18 +91,4 @@ func (s *Subsystem) RestoreComponentImage(img *Image) error {
 	}
 	s.tracef("%s adopted @%v (live=%v, inbox=%d)", c.name, c.localTime, img.Live, len(img.Inbox))
 	return nil
-}
-
-// LastDrive returns the net's most recent drive: value, drive time and
-// driving component. The migration path uses it to carry a re-homed
-// net fragment's sampling state to the destination subsystem.
-func (n *Net) LastDrive() (v any, t vtime.Time, src string) {
-	return n.lastValue, n.lastTime, n.lastSource
-}
-
-// RestoreLastDrive seeds the net's sampling state (LastValue et al.)
-// without fanning anything out. Used when a net fragment is recreated
-// on a migration destination.
-func (n *Net) RestoreLastDrive(v any, t vtime.Time, src string) {
-	n.lastValue, n.lastTime, n.lastSource = v, t, src
 }

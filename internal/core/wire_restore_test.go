@@ -1,0 +1,24 @@
+package core_test
+
+import (
+	"repro/internal/core"
+	"repro/internal/snapshot"
+)
+
+// The wire row of TestRestoreImageRule's caller table: what
+// mesh.handlePrepare and applyEpoch do with an extracted image. gob
+// drops an empty State to nil on the way, which the restore rule must
+// not notice.
+func init() {
+	core.WireRestore = func(s *core.Subsystem, img *core.Image) error {
+		b, err := (&snapshot.ComponentImage{Image: *img}).Encode()
+		if err != nil {
+			return err
+		}
+		ci, err := snapshot.DecodeComponentImage(b)
+		if err != nil {
+			return err
+		}
+		return snapshot.AdoptComponent(s, ci)
+	}
+}

@@ -9,7 +9,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 	"time"
 
 	"repro/internal/faultnet"
@@ -48,29 +48,29 @@ func (c MigrateConfig) withDefaults() MigrateConfig {
 
 // MigrateRow is one leg of the migration experiment.
 type MigrateRow struct {
-	Mode     string
-	Wall     time.Duration
-	Rounds   int64
-	Reissues int64
+	Mode     string        `json:"mode"`
+	Wall     time.Duration `json:"wall_ns"`
+	Rounds   int64         `json:"rounds"`
+	Reissues int64         `json:"reissues"`
 	// Migrations counts completed live migrations in the leg.
-	Migrations int64
-	Epoch      uint64
+	Migrations int64  `json:"migrations"`
+	Epoch      uint64 `json:"epoch"`
 	// VirtualDowntime is how long, in virtual time, the migrated
 	// component was unavailable: zero by construction, recorded to
 	// assert it.
-	VirtualDowntime vtime.Duration
+	VirtualDowntime vtime.Duration `json:"virtual_downtime_ns"`
 	// MigrationWall is the wall-clock span of the migration, prepare
 	// order to final dial ack.
-	MigrationWall time.Duration
+	MigrationWall time.Duration `json:"migration_wall_ns"`
 	// EpochPropagation is the wall clock from the placement-epoch
 	// broadcast to its final ack across the mesh.
-	EpochPropagation time.Duration
-	// Digests is the union of per-component drive digests across the
-	// mesh at the end of the leg.
-	Digests map[string]uint64
+	EpochPropagation time.Duration `json:"epoch_propagation_ns"`
 	// DigestsMatch reports bit-identity with the stationary leg (true
 	// on the reference itself).
-	DigestsMatch bool
+	DigestsMatch bool `json:"digests_match"`
+	// Digests is the union of per-component drive digests across the
+	// mesh at the end of the leg.
+	Digests map[string]Digest `json:"digests"`
 }
 
 // migrateMembers is the fixed member set; "alpha" (the smallest name)
@@ -105,7 +105,7 @@ func Migrate(cfg MigrateConfig) ([]MigrateRow, error) {
 
 	rows := []MigrateRow{ref, mig, chaos}
 	for i := 1; i < len(rows); i++ {
-		rows[i].DigestsMatch = digestsEqual(ref.Digests, rows[i].Digests)
+		rows[i].DigestsMatch = maps.Equal(ref.Digests, rows[i].Digests)
 		if !rows[i].DigestsMatch {
 			return rows, fmt.Errorf("migrate: %s leg diverged from the stationary reference: %v vs %v",
 				rows[i].Mode, rows[i].Digests, ref.Digests)
@@ -146,7 +146,10 @@ func migrateLeg(mode string, p mesh.DemoParams, cfg MigrateConfig, tune func(i i
 	row.VirtualDowntime = st.MigrationVirtual
 	row.MigrationWall = st.MigrationWall
 	row.EpochPropagation = st.EpochPropagation
-	row.Digests = lm.Digests()
+	row.Digests = make(map[string]Digest)
+	for comp, d := range lm.Digests() {
+		row.Digests[comp] = Digest(d)
+	}
 	return row, nil
 }
 
@@ -171,27 +174,4 @@ func chaosNodes(seed int64) func(i int, mc *mesh.Config) {
 		})
 		mc.Node = n
 	}
-}
-
-func digestsEqual(a, b map[string]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// DigestComponents returns the sorted component names of a digest
-// map, for stable reporting.
-func DigestComponents(d map[string]uint64) []string {
-	out := make([]string, 0, len(d))
-	for c := range d {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

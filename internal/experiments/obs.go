@@ -61,26 +61,26 @@ func DefaultObsConfig() ObsConfig {
 
 // ObsRow is one leg of the observability overhead experiment.
 type ObsRow struct {
-	Leg     string // "remote-word", "sessions-steady"
-	Workers int
+	Leg     string `json:"leg"` // "remote-word", "sessions-steady"
+	Workers int    `json:"workers"`
 
-	OffWall     time.Duration // metrics-only baseline (min over Runs)
-	OnWall      time.Duration // + flight stack + SSE watcher (min over Runs)
-	OverheadPct float64       // (OnWall-OffWall)/OffWall * 100
+	OffWall     time.Duration `json:"off_wall_ns"`  // metrics-only baseline (min over Runs)
+	OnWall      time.Duration `json:"on_wall_ns"`   // + flight stack + SSE watcher (min over Runs)
+	OverheadPct float64       `json:"overhead_pct"` // (OnWall-OffWall)/OffWall * 100
 
 	// DigestsOK is the whole point: the virtual results with observers
 	// attached are bit-identical to the baseline run (drives + virtual
 	// time on the remote leg, per-tenant drive digests on the sessions
 	// leg). Obs returns an error on any divergence.
-	DigestsOK bool
-	Virt      vtime.Duration // remote leg: virtual load time
-	Drives    int            // remote leg: DMA net drives
-	Steps     int64          // sessions leg: scheduler steps
+	DigestsOK bool           `json:"digests_identical"`
+	Virt      vtime.Duration `json:"virtual_ns,omitempty"`  // remote leg: virtual load time
+	Drives    int            `json:"link_drives,omitempty"` // remote leg: DMA net drives
+	Steps     int64          `json:"steps,omitempty"`       // sessions leg: scheduler steps
 
 	// Flight-stack accounting from the final instrumented run.
-	EventsStreamed uint64 // SSE frames enqueued to subscribers
-	RingRecorded   uint64 // entries the flight ring recorded
-	Dropped        uint64 // subscribers dropped for stalling (want 0)
+	EventsStreamed uint64 `json:"frames_streamed"`     // SSE frames enqueued to subscribers
+	RingRecorded   uint64 `json:"ring_recorded"`       // entries the flight ring recorded
+	Dropped        uint64 `json:"subscribers_dropped"` // subscribers dropped for stalling (want 0)
 }
 
 // watcher is one live SSE client: the hub mounted on a real HTTP

@@ -70,21 +70,21 @@ func DefaultOptimisticConfig() OptimisticConfig {
 // reference bit-for-bit; the wall clock and the speculation counters
 // are the measured quantities.
 type OptimisticRow struct {
-	Lookahead   string
-	Mode        string // sequential | conservative | optimistic
-	Workers     int
-	Wall        time.Duration
-	Virt        vtime.Duration
-	Drives      int64
-	ParRounds   int64
-	SpecRounds  int64
-	SpecCommits int64
-	Rollbacks   int64
-	RolledBack  int64
-	CommitRatio float64 // committed / dispatched speculations
-	Digest      uint64
-	Speedup     float64 // sequential wall / this wall
-	VsCons      float64 // conservative wall at same leg+workers / this wall
+	Lookahead   string         `json:"lookahead"`
+	Mode        string         `json:"mode"` // sequential | conservative | optimistic
+	Workers     int            `json:"workers"`
+	Wall        time.Duration  `json:"wall_ns"`
+	Virt        vtime.Duration `json:"virtual_ns"`
+	Drives      int64          `json:"drives"`
+	ParRounds   int64          `json:"parallel_rounds"`
+	SpecRounds  int64          `json:"spec_rounds"`
+	SpecCommits int64          `json:"spec_commits"`
+	Rollbacks   int64          `json:"rollbacks"`
+	RolledBack  int64          `json:"rolled_back_events"`
+	CommitRatio float64        `json:"commit_ratio"` // committed / dispatched speculations
+	Digest      Digest         `json:"drive_digest"`
+	Speedup     float64        `json:"speedup_vs_sequential"`             // sequential wall / this wall
+	VsCons      float64        `json:"speedup_vs_conservative,omitempty"` // conservative wall at same leg+workers / this wall
 }
 
 // optSource emits one batch of jobs per period, one job per lane,
@@ -251,7 +251,7 @@ func runOptLeg(c OptimisticConfig, la OptLookahead, workers int, optimism vtime.
 		SpecCommits: st.SpecCommits,
 		Rollbacks:   st.Rollbacks,
 		RolledBack:  st.RolledBack,
-		Digest:      digest.Sum64(),
+		Digest:      Digest(digest.Sum64()),
 	}
 	if st.SpecMembers > 0 {
 		row.CommitRatio = float64(st.SpecCommits) / float64(st.SpecMembers)

@@ -50,14 +50,23 @@ func DefaultParallelConfig() ParallelConfig {
 // Virt, Drives and Digest are the invariants — every row must agree
 // with the sequential reference bit-for-bit.
 type ParallelRow struct {
-	Mode      string
-	Workers   int
-	Wall      time.Duration
-	Virt      vtime.Duration
-	Drives    int64
-	ParRounds int64
-	Digest    uint64
-	Speedup   float64
+	Mode      string         `json:"mode"`
+	Workers   int            `json:"workers"`
+	Wall      time.Duration  `json:"wall_ns"`
+	Virt      vtime.Duration `json:"virtual_ns"`
+	Drives    int64          `json:"drives"`
+	ParRounds int64          `json:"parallel_rounds"`
+	Digest    Digest         `json:"drive_digest"`
+	Speedup   float64        `json:"speedup"`
+}
+
+// Digest is a drive digest as the experiments report it: a uint64 that
+// marshals as the 16 hex digits the BENCH files hold.
+type Digest uint64
+
+// MarshalText renders the digest as %016x.
+func (d Digest) MarshalText() ([]byte, error) {
+	return fmt.Appendf(nil, "%016x", uint64(d)), nil
 }
 
 // spin is the deterministic per-job compute: an xorshift64 walk.
@@ -194,7 +203,7 @@ func runFan(c ParallelConfig, workers int) (ParallelRow, error) {
 		Virt:      vtime.Duration(s.Now()),
 		Drives:    st.Drives,
 		ParRounds: st.ParRounds,
-		Digest:    digest.Sum64(),
+		Digest:    Digest(digest.Sum64()),
 	}, nil
 }
 

@@ -48,18 +48,18 @@ func DefaultSessionsConfig() SessionsConfig {
 
 // SessionsRow is one benchmark leg.
 type SessionsRow struct {
-	Leg            string        // "steady", "churn", "admission", "evict"
-	Workers        int           // shared-pool size (0 = sequential)
-	Sessions       int           // sessions the leg ran
-	PeakLive       int           // max concurrent sessions observed
-	Wall           time.Duration // leg wall-clock
-	SessionsPerSec float64       // churn leg: completed sessions per second
-	Steps          int64         // scheduler steps summed over the leg
-	DigestsOK      bool          // every digest matched its isolated reference
-	Rejected       int64         // admission leg: budget rejections
-	Evicted        int64         // evict leg: budget evictions
-	EvictChunk     int           // evict leg: step-call index that crossed the budget
-	EvictSteps     int64         // evict leg: step count at eviction
+	Leg            string        `json:"leg"`                        // "steady", "churn", "admission", "evict"
+	Workers        int           `json:"workers"`                    // shared-pool size (0 = sequential)
+	Sessions       int           `json:"sessions"`                   // sessions the leg ran
+	PeakLive       int           `json:"peak_live"`                  // max concurrent sessions observed
+	Wall           time.Duration `json:"wall_ns"`                    // leg wall-clock
+	SessionsPerSec float64       `json:"sessions_per_sec,omitempty"` // churn leg: completed sessions per second
+	Steps          int64         `json:"steps,omitempty"`            // scheduler steps summed over the leg
+	DigestsOK      bool          `json:"digests_identical"`          // every digest matched its isolated reference
+	Rejected       int64         `json:"rejected,omitempty"`         // admission leg: budget rejections
+	Evicted        int64         `json:"evicted,omitempty"`          // evict leg: budget evictions
+	EvictChunk     int           `json:"evict_chunk,omitempty"`      // evict leg: step-call index that crossed the budget
+	EvictSteps     int64         `json:"evict_steps,omitempty"`      // evict leg: step count at eviction
 }
 
 func (c SessionsConfig) spec(i int) service.Spec {

@@ -18,30 +18,34 @@ import (
 )
 
 // Table1Row is one row of Table 1: "Time and simulation overhead on
-// several configurations of the WubbleU example".
+// several configurations of the WubbleU example". Like every row type
+// of this package that piabench writes out, it carries the artifact's
+// key names itself: a BENCH file is these rows marshalled as they are
+// (durations, wall and virtual, as nanoseconds), in field order.
 type Table1Row struct {
-	Location string // "N/A" (native), "local", "remote"
-	Level    string // "HotJava", "word passage", "packet passage"
-	Wall     time.Duration
-	Virt     vtime.Duration // virtual load time (not in the paper's table)
-	Drives   int            // net drives on the switchable DMA link
-	Overhead float64        // Wall / native Wall
+	Location string         `json:"location"` // "N/A" (native), "local", "remote"
+	Level    string         `json:"level"`    // "HotJava", "word passage", "packet passage"
+	Wall     time.Duration  `json:"wall_ns"`
+	Virt     vtime.Duration `json:"virtual_ns"`  // virtual load time (not in the paper's table)
+	Drives   int            `json:"link_drives"` // net drives on the switchable DMA link
 
 	// Wire traffic for remote rows (sent direction, both nodes
 	// summed): how many TCP frames and bytes the run cost.
-	FramesOut    int64
-	WireBytesOut int64
+	FramesOut    int64 `json:"frames_out"`
+	WireBytesOut int64 `json:"wire_bytes_out"`
+
+	Overhead float64 `json:"overhead"` // Wall / native Wall
 
 	// Metrics is the leg's unified metrics snapshot, taken right
 	// after the run completes and before teardown. Populated only
 	// with Table1Config.CollectMetrics; nil otherwise (the
 	// zero-overhead default).
-	Metrics []pia.MetricSample
+	Metrics []pia.MetricSample `json:"-"`
 
 	// TimelineEvents is the total number of timeline events the leg
 	// recorded (all nodes summed). Populated only with
 	// Table1Config.Timeline.
-	TimelineEvents uint64
+	TimelineEvents uint64 `json:"-"`
 }
 
 // Table1Config scales the experiment (the paper used the full 66 KB

@@ -167,21 +167,24 @@ func (r *Recorder) OnTrip(f func(*Dump)) {
 // Record appends one entry to the ring, overwriting the oldest slot
 // when full. After a trip the ring is frozen: the post-mortem keeps
 // the moments before the failure, and later records only bump a
-// counter. Nil-safe and allocation-free.
-func (r *Recorder) Record(kind, name, detail string, value int64) {
+// counter. It returns the wall-clock stamp it wrote into the entry, 0
+// when it wrote none, so whoever reports the same transition elsewhere
+// carries the same stamp. Nil-safe and allocation-free.
+func (r *Recorder) Record(kind, name, detail string, value int64) (wallNS int64) {
 	if r == nil {
-		return
+		return 0
 	}
 	r.mu.Lock()
 	if r.frozen {
 		r.after++
 		r.mu.Unlock()
-		return
+		return 0
 	}
 	r.total++
 	e := &r.ring[r.next]
 	e.Seq = r.total
-	e.WallNS = time.Now().UnixNano()
+	wallNS = time.Now().UnixNano()
+	e.WallNS = wallNS
 	e.Kind = kind
 	e.Name = name
 	e.Detail = detail
@@ -192,6 +195,7 @@ func (r *Recorder) Record(kind, name, detail string, value int64) {
 		r.filled = true
 	}
 	r.mu.Unlock()
+	return wallNS
 }
 
 // Tripped reports whether the recorder has frozen, and why.
@@ -208,20 +212,22 @@ func (r *Recorder) Tripped() (bool, string) {
 // dump delivery to the OnTrip callbacks on a fresh goroutine. Only
 // the first trip wins; later ones are no-ops. Safe to call while
 // holding any caller-side lock: nothing beyond the recorder's own
-// leaf mutex is touched synchronously.
-func (r *Recorder) Trip(reason, detail string) {
+// leaf mutex is touched synchronously. Like Record it returns the
+// stamp of the entry it wrote, 0 for none.
+func (r *Recorder) Trip(reason, detail string) (wallNS int64) {
 	if r == nil {
-		return
+		return 0
 	}
 	r.mu.Lock()
 	if r.frozen {
 		r.mu.Unlock()
-		return
+		return 0
 	}
 	r.total++
 	e := &r.ring[r.next]
 	e.Seq = r.total
-	e.WallNS = time.Now().UnixNano()
+	wallNS = time.Now().UnixNano()
+	e.WallNS = wallNS
 	e.Kind = "trip"
 	e.Name = reason
 	e.Detail = detail
@@ -234,18 +240,18 @@ func (r *Recorder) Trip(reason, detail string) {
 	r.frozen = true
 	r.reason = reason
 	r.detail = detail
-	r.tripNS = e.WallNS
+	r.tripNS = wallNS
 	cbs := append([]func(*Dump){}, r.onTrip...)
 	r.mu.Unlock()
-	if len(cbs) == 0 {
-		return
+	if len(cbs) > 0 {
+		go func() {
+			d := r.BuildDump()
+			for _, cb := range cbs {
+				cb(d)
+			}
+		}()
 	}
-	go func() {
-		d := r.BuildDump()
-		for _, cb := range cbs {
-			cb(d)
-		}
-	}()
+	return wallNS
 }
 
 // BuildDump assembles a dump from the current state: ring entries
@@ -309,15 +315,20 @@ type Observer struct {
 	Hub *Hub
 }
 
-// Event records a transition in the ring and streams it to watchers.
-// Transitions whose kind is "session" carry the name as the session
-// id so ?session= filters apply.
+// Event records a transition in the ring and streams it to watchers
+// under the stamp the ring entry got, so the two can be joined on
+// wall_ns (with no ring entry — no recorder, or a frozen one — the
+// frame is stamped here). Transitions whose kind is "session" carry the
+// name as the session id so ?session= filters apply.
 func (o *Observer) Event(kind, name, detail string, value int64) {
 	if o == nil {
 		return
 	}
-	o.Rec.Record(kind, name, detail, value)
+	wallNS := o.Rec.Record(kind, name, detail, value)
 	if o.Hub != nil {
+		if wallNS == 0 {
+			wallNS = time.Now().UnixNano()
+		}
 		session := ""
 		if kind == "session" {
 			session = name
@@ -328,7 +339,7 @@ func (o *Observer) Event(kind, name, detail string, value int64) {
 			Detail:  detail,
 			Value:   value,
 			Session: session,
-			WallNS:  time.Now().UnixNano(),
+			WallNS:  wallNS,
 		})
 	}
 }
@@ -340,13 +351,16 @@ func (o *Observer) Trip(reason, detail string) {
 	if o == nil {
 		return
 	}
-	o.Rec.Trip(reason, detail)
+	wallNS := o.Rec.Trip(reason, detail)
 	if o.Hub != nil {
+		if wallNS == 0 {
+			wallNS = time.Now().UnixNano()
+		}
 		o.Hub.PublishEvent(Transition{
 			Kind:   "trip",
 			Name:   reason,
 			Detail: detail,
-			WallNS: time.Now().UnixNano(),
+			WallNS: wallNS,
 		})
 	}
 }

@@ -247,6 +247,39 @@ func TestHubDropsStalledSubscriber(t *testing.T) {
 	h.unsubscribe(healthy)
 }
 
+// TestEventStampedOnce: the ring entry and the /watch frame of one
+// transition — and of the trip that freezes the ring — carry the same
+// wall_ns, so a post-mortem dump and a recorded stream can be joined on
+// it. After the trip there is no ring entry and the frame is stamped on
+// its own.
+func TestEventStampedOnce(t *testing.T) {
+	o := &Observer{Rec: New(8), Hub: NewHub()}
+	sub := o.Hub.subscribe("", "")
+	defer o.Hub.unsubscribe(sub)
+	frame := func() Transition {
+		var tr Transition
+		if err := json.Unmarshal((<-sub.ch).data, &tr); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	o.Event("session", "s-1", "running", 3)
+	o.Trip("peer-lost", "alpha")
+	ring := o.Rec.BuildDump().Entries
+	if len(ring) != 2 {
+		t.Fatalf("ring holds %d entries, want 2", len(ring))
+	}
+	for _, e := range ring {
+		if tr := frame(); tr.Kind != e.Kind || tr.WallNS != e.WallNS || e.WallNS == 0 {
+			t.Errorf("%s: /watch frame wall_ns %d, ring entry wall_ns %d", e.Kind, tr.WallNS, e.WallNS)
+		}
+	}
+	o.Event("session", "s-1", "stopped", 0)
+	if tr := frame(); tr.WallNS == 0 {
+		t.Error("transition after the trip streamed without a stamp")
+	}
+}
+
 func TestHubFilters(t *testing.T) {
 	h := NewHub()
 	all := h.subscribe("", "")

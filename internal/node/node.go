@@ -734,28 +734,6 @@ func (n *Node) isClosed() bool {
 	return n.closed
 }
 
-// RunAll runs every hosted subsystem concurrently until the horizon
-// and returns the first error.
-func (n *Node) RunAll(until vtime.Time) error {
-	n.mu.Lock()
-	hosted := make([]*Hosted, 0, len(n.hosted))
-	for _, h := range n.hosted {
-		hosted = append(hosted, h)
-	}
-	n.mu.Unlock()
-	errs := make([]error, len(hosted))
-	var wg sync.WaitGroup
-	for i, h := range hosted {
-		wg.Add(1)
-		go func(i int, h *Hosted) {
-			defer wg.Done()
-			errs[i] = h.Sub.Run(until)
-		}(i, h)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // CloseChannels announces completion on every hosted hub (grants of
 // Infinity / Close messages) without tearing down the node.
 func (n *Node) CloseChannels() error {

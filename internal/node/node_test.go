@@ -195,24 +195,6 @@ func TestConnectUnknownSubsystem(t *testing.T) {
 	}
 }
 
-func TestRunAll(t *testing.T) {
-	n1, n2, _, _, rcv := buildRemotePair(t, channel.Conservative, 4)
-	defer n1.Close()
-	defer n2.Close()
-	var wg sync.WaitGroup
-	var e1, e2 error
-	wg.Add(2)
-	go func() { defer wg.Done(); e1 = n1.RunAll(500) }()
-	go func() { defer wg.Done(); e2 = n2.RunAll(500) }()
-	wg.Wait()
-	if e1 != nil || e2 != nil {
-		t.Fatalf("RunAll: %v / %v", e1, e2)
-	}
-	if len(rcv.Got) != 4 {
-		t.Fatalf("received %v", rcv.Got)
-	}
-}
-
 func TestHostIdempotent(t *testing.T) {
 	n := New("x")
 	s := core.NewSubsystem("s")

@@ -12,6 +12,11 @@ import (
 	"repro/internal/vtime"
 )
 
+// maxSpecBytes caps the body of a create request. A Spec is a handful
+// of short fields; anything larger is refused as a bad spec before it
+// is buffered.
+const maxSpecBytes = 64 << 10
+
 // Handler serves the session API over the catalog:
 //
 //	POST   /sessions            create (form or JSON body: Spec fields)
@@ -25,6 +30,7 @@ import (
 func Handler(c *Catalog) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxSpecBytes)
 		spec, err := specFromRequest(r)
 		if err != nil {
 			writeError(w, err)

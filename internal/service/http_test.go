@@ -171,6 +171,26 @@ func TestHTTPErrorPaths(t *testing.T) {
 		}
 	}
 
+	// A create body past maxSpecBytes is a bad spec in either encoding,
+	// refused before it is buffered.
+	big := strings.Repeat("x", maxSpecBytes)
+	for _, ct := range []string{"application/json", "application/x-www-form-urlencoded"} {
+		body := "id=" + big
+		if ct == "application/json" {
+			body = `{"id":"` + big + `"}`
+		}
+		req := httptest.NewRequest("POST", "/sessions", strings.NewReader(body))
+		req.Header.Set("Content-Type", ct)
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "too large") {
+			t.Fatalf("oversized %s create: code %d, body %s", ct, rr.Code, rr.Body)
+		}
+	}
+	if infos, _ := c.List(); len(infos) != 0 {
+		t.Fatalf("oversized creates left %d sessions", len(infos))
+	}
+
 	// Fill the catalog: the next create is a budget rejection, 429.
 	if rr, _ := doReq(t, h, "POST", "/sessions", url.Values{"id": {"only"}}); rr.Code != http.StatusCreated {
 		t.Fatalf("create: %d", rr.Code)

@@ -12,48 +12,16 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/event"
-	"repro/internal/vtime"
 )
 
-// WireEvent is the form in which one undelivered inbox event crosses a
-// node boundary: event.Event with its Kind as a plain integer.
-type WireEvent struct {
-	Time      vtime.Time
-	Seq       uint64
-	Kind      uint8
-	Component string
-	Port      string
-	Net       string
-	Value     any
-	Source    string
-}
-
-// NetState is the sampling state (LastValue et al.) of one net the
-// component connects to, carried so re-homed fragments answer Read
-// exactly as the source's would have.
-type NetState struct {
-	Net    string
-	Value  any
-	Time   vtime.Time
-	Source string
-}
-
-// ComponentImage is one component's complete migratable state: the
-// behaviour state plus scheduler bookkeeping from the checkpoint
-// image, the undelivered inbox in wire form, and the sampling state of
-// every net the component touches. It is self-contained and
-// gob-encodable (given the payload types are gob-registered).
+// ComponentImage is one component's complete migratable state: its
+// checkpoint image (behaviour state, scheduler bookkeeping and the
+// undelivered inbox) plus the sampling state of every net the
+// component touches. It is self-contained and gob-encodable (given the
+// payload types are gob-registered).
 type ComponentImage struct {
-	Component string
-	LocalTime vtime.Time
-	Runlevel  string
-	Live      bool
-	EOF       bool
-	State     []byte
-	Inbox     []WireEvent
-	MemData   map[uint32]uint64
-	Nets      []NetState
+	core.Image
+	Nets []core.NetImage
 }
 
 // Encode serializes the image for transfer.
@@ -94,38 +62,15 @@ func ExtractComponent(sub *core.Subsystem, tag, comp string) (*ComponentImage, e
 	if img == nil {
 		return nil, fmt.Errorf("snapshot: checkpoint has no image for %q", comp)
 	}
-	ci := &ComponentImage{
-		Component: img.Component,
-		LocalTime: img.LocalTime,
-		Runlevel:  img.Runlevel,
-		Live:      img.Live,
-		EOF:       img.EOF,
-		State:     img.State,
-		MemData:   img.MemData,
-	}
-	for _, e := range img.Inbox {
-		ci.Inbox = append(ci.Inbox, WireEvent{
-			Time:      e.Time,
-			Seq:       e.Seq,
-			Kind:      uint8(e.Kind),
-			Component: e.Component,
-			Port:      e.Port,
-			Net:       e.Net,
-			Value:     e.Value,
-			Source:    e.Source,
-		})
-	}
 	c := sub.Component(comp)
 	if c == nil {
 		return nil, fmt.Errorf("snapshot: no component %q", comp)
 	}
+	ci := &ComponentImage{Image: *img}
 	for _, p := range c.Ports() {
-		n := p.Net()
-		if n == nil {
-			continue
+		if n := p.Net(); n != nil {
+			ci.Nets = append(ci.Nets, n.Image())
 		}
-		v, t, src := n.LastDrive()
-		ci.Nets = append(ci.Nets, NetState{Net: n.Name, Value: v, Time: t, Source: src})
 	}
 	return ci, nil
 }
@@ -136,34 +81,9 @@ func ExtractComponent(sub *core.Subsystem, tag, comp string) (*ComponentImage, e
 // its blueprint); adoption supplies the state. Only legal between
 // runs.
 func AdoptComponent(sub *core.Subsystem, ci *ComponentImage) error {
-	img := &core.Image{
-		Component: ci.Component,
-		LocalTime: ci.LocalTime,
-		Runlevel:  ci.Runlevel,
-		Live:      ci.Live,
-		EOF:       ci.EOF,
-		State:     ci.State,
-		MemData:   ci.MemData,
-	}
-	for _, e := range ci.Inbox {
-		img.Inbox = append(img.Inbox, event.Event{
-			Time:      e.Time,
-			Seq:       e.Seq,
-			Kind:      event.Kind(e.Kind),
-			Component: e.Component,
-			Port:      e.Port,
-			Net:       e.Net,
-			Value:     e.Value,
-			Source:    e.Source,
-		})
-	}
-	if err := sub.RestoreComponentImage(img); err != nil {
+	if err := sub.RestoreComponentImage(&ci.Image); err != nil {
 		return err
 	}
-	for _, ns := range ci.Nets {
-		if n := sub.Net(ns.Net); n != nil {
-			n.RestoreLastDrive(ns.Value, ns.Time, ns.Source)
-		}
-	}
+	sub.RestoreNets(ci.Nets)
 	return nil
 }

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -81,7 +82,7 @@ func buildMigPair(t *testing.T, name string, count int, delay vtime.Duration) (*
 
 // TestAdoptIntoDifferentSubsystem captures a component on one
 // subsystem and restores it into a separately built instance: the
-// cross-node transfer path of live migration, minus the wire.
+// cross-node transfer path of live migration.
 func TestAdoptIntoDifferentSubsystem(t *testing.T) {
 	src, _ := buildMigPair(t, "origin", 8, 3)
 	// Run to a horizon where dst has seen some values.
@@ -158,6 +159,18 @@ func TestAdoptWithStraddlingEvents(t *testing.T) {
 	}
 	if straddlers == 0 {
 		t.Fatalf("precondition: no straddling event in the image (inbox %+v)", ci.Inbox)
+	}
+	// The inbox crosses the wire as the event.Event rows it holds.
+	b, err := ci.Encode()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	sent := ci.Inbox
+	if ci, err = DecodeComponentImage(b); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(ci.Inbox, sent) {
+		t.Fatalf("inbox changed on the wire:\n got %+v\nwant %+v", ci.Inbox, sent)
 	}
 
 	dstSub, dstRcv := buildMigPair(t, "destination", 8, 7)

@@ -101,7 +101,7 @@ func NewAgent(hub *channel.Hub) *Agent {
 func (a *Agent) attach(ep *channel.Endpoint) {
 	e := ep
 	e.SetMarkHandler(func(tag string) { a.onMark(tag, e) })
-	e.SetRestoreHandler(func(token string) { a.execRestore(token) })
+	e.SetRestoreHandler(a.doRestore)
 }
 
 // Attach wires the agent's mark and restore handlers onto an endpoint
@@ -130,7 +130,7 @@ func (a *Agent) UseSnapshotsForRollback() {
 func (a *Agent) setStraggler(ep *channel.Endpoint) {
 	ep.SetStragglerHandler(func(t vtime.Time) bool {
 		if snap := a.LatestBefore(t); snap != nil {
-			if err := a.restoreLocal(snap); err == nil {
+			if a.restore(snap, nil) == nil {
 				return true
 			}
 		}
@@ -141,21 +141,31 @@ func (a *Agent) setStraggler(ep *channel.Endpoint) {
 	})
 }
 
-// restoreLocal rewinds only this subsystem to its share of the
-// snapshot and replays the captured in-flight messages. Runs on the
-// scheduler goroutine.
-func (a *Agent) restoreLocal(snap *Snapshot) error {
+// restore rewinds this subsystem to its share of the snapshot, replays
+// the captured in-flight messages and fires OnRestore: the one body
+// behind a straggler's local rollback, a session rewind and a
+// coordinated restore. beforeReplay, when set, runs between the
+// checkpoint restore and the replay. Runs on the scheduler goroutine.
+func (a *Agent) restore(snap *Snapshot, beforeReplay func()) error {
 	if err := a.sub.RestoreCheckpoint(snap.Checkpoint); err != nil {
-		if a.err == nil {
-			a.err = fmt.Errorf("snapshot %s: local restore: %w", snap.Tag, err)
-		}
-		return err
+		return a.fail(fmt.Errorf("snapshot %s: restore: %w", snap.Tag, err))
+	}
+	if beforeReplay != nil {
+		beforeReplay()
 	}
 	a.replay(snap)
 	if a.OnRestore != nil {
 		a.OnRestore(snap.Tag)
 	}
 	return nil
+}
+
+// fail latches the first error the agent hit and returns err.
+func (a *Agent) fail(err error) error {
+	if a.err == nil {
+		a.err = err
+	}
+	return err
 }
 
 // replay re-injects the snapshot's captured in-flight messages.
@@ -244,36 +254,18 @@ func (a *Agent) HasTag(tag string) bool {
 // error instead of waiting on a scheduler that will never come back.
 // Safe from any goroutine.
 func (a *Agent) RewindTo(tag string, beforeRestore, beforeReplay func(), done func(error)) {
-	fail := func(err error) {
-		if a.err == nil {
-			a.err = err
-		}
-		if done != nil {
-			done(err)
-		}
-	}
 	a.sub.InjectCtl(func() bool {
 		if beforeRestore != nil {
 			beforeRestore()
 		}
-		snap := a.Completed(tag)
-		if snap == nil {
-			fail(fmt.Errorf("snapshot: rewind to unknown tag %q", tag))
-			return false
-		}
-		if err := a.sub.RestoreCheckpoint(snap.Checkpoint); err != nil {
-			fail(fmt.Errorf("snapshot %s: rewind restore: %w", tag, err))
-			return false
-		}
-		if beforeReplay != nil {
-			beforeReplay()
-		}
-		a.replay(snap)
-		if a.OnRestore != nil {
-			a.OnRestore(tag)
+		var err error
+		if snap := a.Completed(tag); snap != nil {
+			err = a.restore(snap, beforeReplay)
+		} else {
+			err = a.fail(fmt.Errorf("snapshot: rewind to unknown tag %q", tag))
 		}
 		if done != nil {
-			done(nil)
+			done(err)
 		}
 		return false
 	}, func(err error) {
@@ -359,11 +351,8 @@ func (a *Agent) newToken(tag string) string {
 	return fmt.Sprintf("%s|%s#%d", tag, a.sub.Name(), a.rstSeq)
 }
 
-// execRestore handles an incoming restore order (scheduler
-// goroutine).
-func (a *Agent) execRestore(token string) { a.doRestore(token) }
-
-// doRestore executes a restore token locally and forwards it.
+// doRestore executes a restore token — RestoreTag's own or a peer's
+// incoming order — locally and forwards it. Scheduler goroutine.
 func (a *Agent) doRestore(token string) {
 	if a.restored[token] {
 		return
@@ -378,24 +367,11 @@ func (a *Agent) doRestore(token string) {
 	}
 	snap := a.Completed(tag)
 	if snap == nil {
-		if a.err == nil {
-			a.err = fmt.Errorf("snapshot: restore of unknown tag %q", tag)
-		}
+		a.fail(fmt.Errorf("snapshot: restore of unknown tag %q", tag))
 		return
 	}
 	for _, ep := range a.hub.Endpoints() {
 		ep.SendRestore(token)
 	}
-	if err := a.sub.RestoreCheckpoint(snap.Checkpoint); err != nil {
-		if a.err == nil {
-			a.err = fmt.Errorf("snapshot %s: restore: %w", tag, err)
-		}
-		return
-	}
-	// Replay the captured in-flight messages into the restored
-	// state.
-	a.replay(snap)
-	if a.OnRestore != nil {
-		a.OnRestore(tag)
-	}
+	_ = a.restore(snap, nil)
 }

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -429,6 +430,21 @@ func (b *SystemBuilder) newSubsystem(name string) *core.Subsystem {
 // channel topologies are validated against the paper's
 // simple-cycles-only rule.
 func (b *SystemBuilder) BuildLocal() (*Simulation, error) {
+	cl, err := b.build(nil)
+	if err != nil {
+		return nil, err
+	}
+	return &cl.Simulation, nil
+}
+
+// build realizes the description: view, partition, topology check,
+// subsystems, populate, bridge and bind, agents, engines. placement
+// maps every subsystem to the node hosting it; a nil placement hosts
+// nothing, so every subsystem gets a hub of its own and every channel
+// is an in-process pipe — which is also what two subsystems on the same
+// node get. Subsystems on different nodes get a TCP channel, the
+// accepting node listening on an ephemeral loopback port.
+func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -444,45 +460,103 @@ func (b *SystemBuilder) BuildLocal() (*Simulation, error) {
 		return nil, err
 	}
 
-	sim := &Simulation{
+	cl := &Cluster{Simulation: Simulation{
 		Name:       b.name,
 		Subsystems: make(map[string]*core.Subsystem),
 		Hubs:       make(map[string]*channel.Hub),
 		Agents:     make(map[string]*snapshot.Agent),
 		Engines:    make(map[string]*detail.Engine),
+	}}
+	var addrs map[*Node]string // accepting node -> its listen address
+	if placement != nil {
+		for _, subName := range v.Subsystems() {
+			if placement[subName] == nil {
+				e := &graph.UnknownHostError{Host: subName}
+				if comps := v.Components(subName); len(comps) > 0 {
+					e.Component = comps[0]
+				}
+				return nil, e
+			}
+		}
+		cl.Nodes = make(map[string]*Node)
+		addrs = make(map[*Node]string)
 	}
 	for _, subName := range v.Subsystems() {
 		s := b.newSubsystem(subName)
-		sim.Subsystems[subName] = s
-		sim.Hubs[subName] = channel.NewHub(s)
-		sim.subOrder = append(sim.subOrder, subName)
+		cl.Subsystems[subName] = s
+		cl.subOrder = append(cl.subOrder, subName)
+		n := placement[subName]
+		if n == nil {
+			cl.Hubs[subName] = channel.NewHub(s)
+			continue
+		}
+		cl.Hubs[subName] = n.Host(s).Hub
+		cl.Nodes[subName] = n
+		if !slices.Contains(cl.nodeSet, n) {
+			cl.nodeSet = append(cl.nodeSet, n)
+		}
 	}
-	if err := b.populate(sim.Subsystems, splits); err != nil {
+	if err := b.populate(cl.Subsystems, splits); err != nil {
 		return nil, err
 	}
+	for _, n := range cl.nodeSet {
+		if b.coalesceSet {
+			n.SetCoalescing(b.coalesce)
+		}
+		if b.faultsSet {
+			n.SetFaults(b.faults)
+		}
+		if b.resilSet {
+			n.SetResilience(b.resil)
+		}
+	}
+
 	// Bridge the crossing nets.
-	endpoints := make(map[[2]string][2]*channel.Endpoint)
 	for _, cs := range chans {
 		cfg := b.pairCfg(cs.A, cs.B)
-		epA, epB, err := channel.Connect(sim.Hubs[cs.A], sim.Hubs[cs.B], cfg.policy, cfg.link)
-		if err != nil {
-			return nil, err
+		na, nb := placement[cs.A], placement[cs.B]
+		var epA, epB *channel.Endpoint
+		if na == nb {
+			epA, epB, err = channel.Connect(cl.Hubs[cs.A], cl.Hubs[cs.B], cfg.policy, cfg.link)
+			if err != nil {
+				return nil, err
+			}
+		} else {
+			addr, listening := addrs[nb]
+			if !listening {
+				if addr, err = nb.Listen("127.0.0.1:0"); err != nil {
+					return nil, err
+				}
+				addrs[nb] = addr
+			}
+			if epA, err = na.Connect(cs.A, addr, cs.B, cfg.policy, cfg.link); err != nil {
+				return nil, err
+			}
+			if epB = cl.Hubs[cs.B].Endpoint(cs.A); epB == nil {
+				return nil, fmt.Errorf("pia: handshake for %s<->%s left no endpoint", cs.A, cs.B)
+			}
 		}
-		endpoints[[2]string{cs.A, cs.B}] = [2]*channel.Endpoint{epA, epB}
 		for _, netName := range cs.Nets {
-			if err := epA.BindNet(sim.Subsystems[cs.A].Net(netName), netName); err != nil {
+			if err := epA.BindNet(cl.Subsystems[cs.A].Net(netName), netName); err != nil {
 				return nil, err
 			}
-			if err := epB.BindNet(sim.Subsystems[cs.B].Net(netName), netName); err != nil {
+			if err := epB.BindNet(cl.Subsystems[cs.B].Net(netName), netName); err != nil {
 				return nil, err
 			}
 		}
 	}
-	for name, hub := range sim.Hubs {
-		sim.Agents[name] = snapshot.NewAgent(hub)
-		sim.Engines[name] = detail.NewEngine(sim.Subsystems[name])
+	for _, n := range cl.nodeSet {
+		n.FinishAgents()
 	}
-	return sim, nil
+	for name, s := range cl.Subsystems {
+		if n := cl.Nodes[name]; n != nil {
+			cl.Agents[name] = n.Hosted(name).Agent
+		} else {
+			cl.Agents[name] = snapshot.NewAgent(cl.Hubs[name])
+		}
+		cl.Engines[name] = detail.NewEngine(s)
+	}
+	return cl, nil
 }
 
 // populate instantiates components, ports and net fragments into the
@@ -607,8 +681,21 @@ func (sim *Simulation) runRounds(until Time, backoff func()) error {
 				done <- i
 			}(i, sim.Subsystems[name])
 		}
+		// A channel that has latched an error dropped what it held —
+		// possibly the grant a peer is stalled on — so once one
+		// subsystem is back with such an error standing, the others are
+		// stopped rather than waited for.
+		var chanErr error
 		for range sim.subOrder {
 			<-done
+			if chanErr == nil {
+				if chanErr = sim.channelErr(); chanErr != nil {
+					sim.Stop()
+				}
+			}
+		}
+		if chanErr != nil {
+			return chanErr
 		}
 		if err := errors.Join(errs...); err != nil {
 			return err
