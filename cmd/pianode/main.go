@@ -509,9 +509,10 @@ func meshHealth(w http.ResponseWriter, mem migrator) {
 
 // handleMigrate accepts POST /migrate?component=hot&dest=bravo on any
 // member and forwards the request to the mesh leader, which performs
-// the migration at the next held drain barrier. The response only
-// acknowledges acceptance; completion shows up as an epoch bump in
-// /healthz.
+// the migration at the next held drain barrier. 200 means the leader
+// queued it (completion shows up as an epoch bump in /healthz), 409
+// carries the leader's reason for refusing, 502 means the leader could
+// not be reached.
 func handleMigrate(w http.ResponseWriter, r *http.Request, mem migrator) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -540,7 +541,11 @@ func handleMigrate(w http.ResponseWriter, r *http.Request, mem migrator) {
 		return
 	}
 	if err := mem.RequestMigration(comp, dest); err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
+		code := http.StatusBadGateway // the leader could not be asked
+		if refused := (*mesh.Refused)(nil); errors.As(err, &refused) {
+			code = http.StatusConflict // it was, and said no
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	writeObsJSON(w, http.StatusOK, map[string]any{

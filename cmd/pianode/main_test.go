@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -207,6 +208,13 @@ func TestMigrateEndpoint(t *testing.T) {
 	fm.migrateErr = errors.New("leader unreachable")
 	if rr := postForm(t, mux, "/migrate", url.Values{"component": {"hot"}, "dest": {"bravo"}}); rr.Code != http.StatusBadGateway {
 		t.Fatalf("failed forward: %d", rr.Code)
+	}
+	// The leader's refusal is passed through with its reason, not
+	// answered accepted:true.
+	fm.migrateErr = fmt.Errorf("forwarding: %w", &mesh.Refused{Member: "alpha", Phase: "migrate", Reason: "16 migrations already wait"})
+	rr := postForm(t, mux, "/migrate", url.Values{"component": {"hot"}, "dest": {"bravo"}})
+	if rr.Code != http.StatusConflict || !strings.Contains(rr.Body.String(), "16 migrations already wait") {
+		t.Fatalf("refused migration: %d %q, want 409 carrying the leader's reason", rr.Code, rr.Body.String())
 	}
 }
 

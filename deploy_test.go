@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/channel"
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -128,6 +130,65 @@ func TestBuildOnNodesUnregisteredValueFailsRun(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "pia.noCodec") || !strings.Contains(err.Error(), "channel.RegisterValue") {
 		t.Fatalf("run returned %v, want an error naming pia.noCodec and channel.RegisterValue", err)
+	}
+}
+
+// TestLatchedErrorWithAllStalled: two subsystems that each wait on the
+// other, over a channel one side of which cannot send. The first thing
+// ssB's endpoint flushes is its own safe-time ask, as ssB stalls; the
+// flush fails and latches, ssA is never asked and so never grants,
+// ssA's own ask is answered by a grant that fails the same way, and
+// both are stalled for good on the other's grant with no Run left to
+// return and have the latch noticed. The latch itself must end the run.
+func TestLatchedErrorWithAllStalled(t *testing.T) {
+	sim := &Simulation{
+		Subsystems: make(map[string]*core.Subsystem),
+		Hubs:       make(map[string]*channel.Hub),
+		subOrder:   []string{"ssA", "ssB"},
+	}
+	for _, name := range sim.subOrder {
+		s := core.NewSubsystem(name)
+		c, err := s.NewComponent("waiter", &pongState{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := c.AddPort("in")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := s.NewNet("quiet", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Connect(n, in); err != nil {
+			t.Fatal(err)
+		}
+		sim.Subsystems[name], sim.Hubs[name] = s, channel.NewHub(s)
+	}
+	defer sim.Close()
+	link := LinkModel{Latency: Microseconds(50)}
+	ta, tb := channel.Pipe()
+	epA, err := sim.Hubs["ssA"].NewEndpoint("ssB", Conservative, link, ta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB, err := sim.Hubs["ssB"].NewEndpoint("ssA", Conservative, link, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta.Receive(epA.OnMessage)
+	tb.Receive(epB.OnMessage)
+	ta.Close() // from here every send of ssB's fails; ssA's still arrive
+
+	done := make(chan error, 1)
+	go func() { done <- sim.Run(Time(Seconds(1))) }()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run hangs with every subsystem stalled behind the latched error")
+	}
+	if !errors.Is(err, channel.ErrPipeClosed) {
+		t.Fatalf("run returned %v, want the latched send error", err)
 	}
 }
 

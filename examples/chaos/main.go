@@ -92,18 +92,9 @@ func main() {
 	var resil pia.ResilienceStats
 	for _, n := range []*pia.Node{n1, n2} {
 		for _, st := range n.FaultStats() {
-			faults.Frames += st.Frames
-			faults.Dropped += st.Dropped
-			faults.Duplicated += st.Duplicated
-			faults.Reordered += st.Reordered
-			faults.Corrupted += st.Corrupted
-			faults.Cuts += st.Cuts
+			faults.Add(st)
 		}
-		rs := n.ResilienceStats()
-		resil.EpochDeaths += rs.EpochDeaths
-		resil.Resumes += rs.Resumes
-		resil.ReplayedFrames += rs.ReplayedFrames
-		resil.Rewinds += rs.Rewinds
+		resil.Add(n.ResilienceStats())
 	}
 
 	fmt.Printf("clean:  loaded %q in %v virtual, %d DMA drives, %v wall\n",

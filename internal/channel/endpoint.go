@@ -700,12 +700,18 @@ func (ep *Endpoint) nextOut(m Message) Message {
 	return m
 }
 
-func (ep *Endpoint) setErr(err error) {
-	ep.mu.Lock()
+// latchLocked records the endpoint's first error and ends the run of
+// the subsystem that owns it. What the error dropped — a drive, an
+// ask, the grant a peer is stalled on — will never arrive, so every
+// subsystem may by now be stalled on another with no Run left to come
+// back and have Err looked at; the owner coming back stopped is what
+// gets it looked at. Caller holds ep.mu: Stop takes only the
+// subsystem's own lock, under which the subsystem never calls out.
+func (ep *Endpoint) latchLocked(format string, args ...any) {
 	if ep.protoErr == nil {
-		ep.protoErr = err
+		ep.protoErr = fmt.Errorf("channel %s: %w", ep.Name(), fmt.Errorf(format, args...))
+		ep.sub.Stop()
 	}
-	ep.mu.Unlock()
 }
 
 // SetCoalescing replaces the endpoint's coalescing budgets
@@ -759,7 +765,9 @@ func (ep *Endpoint) Flush() {
 		return
 	}
 	if err := ep.tr.SendBatch(batch); err != nil {
-		ep.setErr(fmt.Errorf("channel %s: send: %w", ep.Name(), err))
+		ep.mu.Lock()
+		ep.latchLocked("send: %w", err)
+		ep.mu.Unlock()
 	}
 }
 
@@ -1019,9 +1027,7 @@ func (ep *Endpoint) process(m Message) bool {
 				}
 				return false
 			}
-			if ep.protoErr == nil {
-				ep.protoErr = fmt.Errorf("channel %s: conservative causality violation: data @%v behind subsystem time %v", ep.Name(), m.Time, ep.sub.Now())
-			}
+			ep.latchLocked("conservative causality violation: data @%v behind subsystem time %v", m.Time, ep.sub.Now())
 		}
 		ep.stats.DataIn++
 		ep.stats.BytesIn += int64(payloadSize(m.Value))
@@ -1128,8 +1134,6 @@ func (ep *Endpoint) seqChecked(m Message) bool {
 		return true
 	}
 	ep.stats.SeqErrors++
-	if ep.protoErr == nil {
-		ep.protoErr = fmt.Errorf("channel %s: FIFO violation: got seq %d, want %d", ep.Name(), m.Seq, ep.seqInNext)
-	}
+	ep.latchLocked("FIFO violation: got seq %d, want %d", m.Seq, ep.seqInNext)
 	return false
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // The wire row of TestRestoreImageRule's caller table: what
-// mesh.handlePrepare and applyEpoch do with an extracted image. gob
+// mesh's extract and applyEpoch do with an extracted image. gob
 // drops an empty State to nil on the way, which the restore rule must
 // not notice.
 func init() {

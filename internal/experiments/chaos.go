@@ -153,28 +153,9 @@ func chaosLeg(c Table1Config, faults *pia.FaultConfig, resil *pia.ResilienceConf
 			if err := l.VerifyDigest(); err != nil {
 				return ChaosRow{}, err
 			}
-			s := l.Stats()
-			row.Faults.Frames += s.Frames
-			row.Faults.Forwarded += s.Forwarded
-			row.Faults.Dropped += s.Dropped
-			row.Faults.Duplicated += s.Duplicated
-			row.Faults.Reordered += s.Reordered
-			row.Faults.Corrupted += s.Corrupted
-			row.Faults.Cuts += s.Cuts
-			row.Faults.BytesShaped += s.BytesShaped
+			row.Faults.Add(l.Stats())
 		}
-		rs := n.ResilienceStats()
-		row.Resil.EpochDeaths += rs.EpochDeaths
-		row.Resil.DialAttempts += rs.DialAttempts
-		row.Resil.Resumes += rs.Resumes
-		row.Resil.ReplayedFrames += rs.ReplayedFrames
-		row.Resil.Rewinds += rs.Rewinds
-		row.Resil.GapKills += rs.GapKills
-		row.Resil.CrcKills += rs.CrcKills
-		row.Resil.DupFramesIn += rs.DupFramesIn
-		row.Resil.FramesOut += rs.FramesOut
-		row.Resil.FramesIn += rs.FramesIn
-		row.Resil.HeartbeatsOut += rs.HeartbeatsOut
+		row.Resil.Add(n.ResilienceStats())
 	}
 	return row, nil
 }

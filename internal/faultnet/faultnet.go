@@ -101,6 +101,20 @@ type Stats struct {
 	Digest      uint64
 }
 
+// Add accumulates o's counters into s, for callers summing several
+// links. Digest is left alone: a hash of one link's schedule, it has
+// no sum.
+func (s *Stats) Add(o Stats) {
+	s.Frames += o.Frames
+	s.Forwarded += o.Forwarded
+	s.Dropped += o.Dropped
+	s.Duplicated += o.Duplicated
+	s.Reordered += o.Reordered
+	s.Corrupted += o.Corrupted
+	s.Cuts += o.Cuts
+	s.BytesShaped += o.BytesShaped
+}
+
 // action encodes one frame's fate as a bitmask, the unit the schedule
 // digest is computed over.
 type action uint8

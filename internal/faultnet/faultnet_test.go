@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -324,5 +325,30 @@ func TestEnabled(t *testing.T) {
 	if !(Config{DropProb: 0.1}).Enabled() || !(Config{Latency: time.Millisecond}).Enabled() ||
 		!(Config{Partitions: []Partition{{1, 0}}}).Enabled() {
 		t.Fatal("non-zero config not enabled")
+	}
+}
+
+// TestStatsAddCoversEveryCounter: a counter added to Stats and not to
+// Add would be summed nowhere; Digest is the one field with no sum.
+func TestStatsAddCoversEveryCounter(t *testing.T) {
+	var one Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() == reflect.Int64 {
+			v.Field(i).SetInt(int64(i + 1))
+		}
+	}
+	one.Digest = 7
+	sum := Stats{Digest: 3}
+	sum.Add(one)
+	sum.Add(one)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < s.NumField(); i++ {
+		if s.Field(i).Kind() == reflect.Int64 && s.Field(i).Int() != 2*int64(i+1) {
+			t.Errorf("Add does not sum %s", s.Type().Field(i).Name)
+		}
+	}
+	if sum.Digest != 3 {
+		t.Errorf("Add touched Digest: %d", sum.Digest)
 	}
 }

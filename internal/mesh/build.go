@@ -1,10 +1,12 @@
 // Local data-plane construction: each member compiles the shared
 // blueprint, instantiates only its own slice of the system, and
-// establishes the initial inter-member channels.
+// establishes the inter-member channels — the initial ones at build
+// time, the ones a placement epoch adds in its dial phase.
 package mesh
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/channel"
@@ -13,21 +15,17 @@ import (
 
 // viewState is a member's replica of the global placement: the graph
 // view, the flat component->member map, the channel specs derived
-// from the current epoch, and the dial work queued by an epoch
-// application for the dial phase.
+// from the current epoch, and the peers whose channel those specs
+// need but the hub does not hold yet.
 type viewState struct {
 	view      *graph.View
 	placement map[string]string
 	chanSpecs []graph.ChannelSpec
-
-	pendingDial   []string // peers I must dial new channels to
-	pendingAccept []string // peers that will dial me
+	toOpen    []string
 }
 
 // buildData builds the member's local fragment — components placed
-// here, net fragments touching them — and connects the initial
-// channels: for each channel spec the lexicographically smaller
-// member dials, the larger accepts, and both bind the crossing nets.
+// here, net fragments touching them — and opens the initial channels.
 func (m *Member) buildData() error {
 	view, err := m.bp.View()
 	if err != nil {
@@ -42,52 +40,47 @@ func (m *Member) buildData() error {
 		placement: make(map[string]string, len(m.bp.Components)),
 		chanSpecs: chans,
 	}
-	for _, cs := range m.bp.Components {
+	for i := range m.bp.Components {
+		cs := &m.bp.Components[i]
 		vs.placement[cs.Name] = m.bp.Placement[cs.Name]
-	}
-
-	for _, cs := range m.bp.Components {
 		if vs.placement[cs.Name] != m.name {
 			continue
 		}
-		c, err := m.sub.NewComponent(cs.Name, cs.New())
-		if err != nil {
+		if err := m.instantiate(cs); err != nil {
 			return err
-		}
-		for _, pn := range cs.Ports {
-			if _, err := c.AddPort(pn); err != nil {
-				return err
-			}
 		}
 	}
 	if err := m.buildNets(splits); err != nil {
 		return err
 	}
-
 	for _, cs := range chans {
-		switch m.name {
-		case cs.A: // smaller name: dial
-			ep, err := m.nd.Connect(m.name, m.ms.dataAddr(cs.B), cs.B, m.bp.Policy, m.bp.Link)
-			if err != nil {
-				return fmt.Errorf("mesh: %s: dial data channel to %s: %w", m.name, cs.B, err)
-			}
-			if err := m.bindChannel(ep, cs.Nets); err != nil {
-				return err
-			}
-		case cs.B: // larger name: accept
-			ep, err := m.acceptChannel(cs.A, m.cfg.ConnectTimeout)
-			if err != nil {
-				return err
-			}
-			if err := m.bindChannel(ep, cs.Nets); err != nil {
-				return err
-			}
+		if peer := peerOf(cs, m.name); peer != "" {
+			vs.toOpen = append(vs.toOpen, peer)
 		}
 	}
-	m.nd.FinishAgents()
 	m.mu.Lock()
 	m.view = vs
 	m.mu.Unlock()
+	if err := m.openChannels(); err != nil {
+		return err
+	}
+	m.nd.FinishAgents()
+	return nil
+}
+
+// instantiate creates one blueprint component and its ports on the
+// local subsystem: at build time for a component placed here, at an
+// epoch for one arriving by migration.
+func (m *Member) instantiate(spec *ComponentSpec) error {
+	c, err := m.sub.NewComponent(spec.Name, spec.New())
+	if err != nil {
+		return err
+	}
+	for _, pn := range spec.Ports {
+		if _, err := c.AddPort(pn); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -129,49 +122,84 @@ func (m *Member) buildNets(splits []graph.Split) error {
 	return nil
 }
 
-// bindChannel binds the crossing nets on a fresh endpoint. Remote
-// fragments share the logical net's name, so the remote name equals
-// the local one.
-func (m *Member) bindChannel(ep *channel.Endpoint, nets []string) error {
-	for _, nn := range nets {
-		n := m.sub.Net(nn)
-		if n == nil {
-			return fmt.Errorf("mesh: %s: channel to %s binds unknown net %s", m.name, ep.Peer(), nn)
+// openChannels establishes the channel toward every peer in the
+// view's toOpen list: the lexicographically smaller member dials, the
+// larger accepts, and both attach the snapshot agent (once there is
+// one, so marks and restores traverse a mid-run channel) and bind the
+// crossing nets. Every member has applied the same epoch before any
+// of them runs this (the leader sequences the phases), so both ends
+// know the nets to bind.
+func (m *Member) openChannels() error {
+	vs := m.view // written only on the member loop, and by Start before it runs
+	if vs == nil {
+		return nil
+	}
+	for _, cs := range vs.chanSpecs {
+		peer := peerOf(cs, m.name)
+		if !slices.Contains(vs.toOpen, peer) {
+			continue
 		}
-		if err := ep.BindNet(n, nn); err != nil {
-			return err
+		var (
+			ep  *channel.Endpoint
+			err error
+		)
+		if m.name < peer {
+			ep, err = m.nd.Connect(m.name, m.ms.dataAddr(peer), peer, m.bp.Policy, m.bp.Link)
+		} else {
+			ep, err = m.acceptChannel(peer)
+		}
+		if err != nil {
+			return fmt.Errorf("mesh: %s: data channel with %s: %w", m.name, peer, err)
+		}
+		if m.hosted.Agent != nil {
+			m.hosted.Agent.Attach(ep)
+		}
+		for _, nn := range cs.Nets {
+			if err := m.bindNet(ep, nn); err != nil {
+				return err
+			}
 		}
 	}
+	vs.toOpen = nil
 	return nil
 }
 
-// acceptChannel waits for the node's accept path to hand over an
-// endpoint from the given peer. The OnChannel hook fires on the
-// accept goroutine after the endpoint is fully registered and before
-// the handshake ack releases the dialer, so receiving the token here
-// both sequences the build and carries the happens-before the race
-// detector needs.
-func (m *Member) acceptChannel(peer string, timeout time.Duration) (*channel.Endpoint, error) {
-	deadline := time.After(timeout)
-	for {
-		select {
-		case ep := <-m.accepted:
-			if ep.Peer() == peer {
-				return ep, nil
-			}
-			// A channel from another peer arrived first; park it back.
-			// Channel specs are processed in deterministic order on
-			// both sides, so this is rare and bounded.
-			select {
-			case m.accepted <- ep:
-			default:
-				return nil, fmt.Errorf("mesh: %s: accepted-channel overflow", m.name)
-			}
-			time.Sleep(time.Millisecond)
-		case <-deadline:
-			return nil, fmt.Errorf("mesh: %s: timed out waiting for channel from %s", m.name, peer)
-		case <-m.closed:
-			return nil, fmt.Errorf("mesh: %s closed", m.name)
-		}
+// bindNet binds one crossing net on an endpoint. Remote fragments
+// share the logical net's name, so the remote name equals the local
+// one.
+func (m *Member) bindNet(ep *channel.Endpoint, nn string) error {
+	n := m.sub.Net(nn)
+	if n == nil {
+		return fmt.Errorf("mesh: %s: channel to %s binds unknown net %s", m.name, ep.Peer(), nn)
+	}
+	return ep.BindNet(n, nn)
+}
+
+// acceptedFrom returns the slot the node's accept path drops the
+// endpoint dialed by peer into. Either side may ask first.
+func (m *Member) acceptedFrom(peer string) chan *channel.Endpoint {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	slot := m.accepted[peer]
+	if slot == nil {
+		slot = make(chan *channel.Endpoint, 1)
+		m.accepted[peer] = slot
+	}
+	return slot
+}
+
+// acceptChannel waits for the endpoint peer dials. Receiving it from
+// the accept goroutine both sequences the build and carries the
+// happens-before the race detector needs.
+func (m *Member) acceptChannel(peer string) (*channel.Endpoint, error) {
+	patience := time.NewTimer(connectTimeout)
+	defer patience.Stop()
+	select {
+	case ep := <-m.acceptedFrom(peer):
+		return ep, nil
+	case <-patience.C:
+		return nil, fmt.Errorf("no dial within %v", connectTimeout)
+	case <-m.closed:
+		return nil, fmt.Errorf("%s closed", m.name)
 	}
 }

@@ -10,6 +10,7 @@ package mesh
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/core"
@@ -88,22 +89,16 @@ func (d *Digest) Seed(comp string, h uint64) {
 	d.mu.Unlock()
 }
 
-// Take removes and returns a departing component's hash state.
-func (d *Digest) Take(comp string) uint64 {
+// Take removes a departing component's hash state.
+func (d *Digest) Take(comp string) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	h := d.m[comp]
 	delete(d.m, comp)
-	return h
+	d.mu.Unlock()
 }
 
 // Snapshot copies the table: component -> hash.
 func (d *Digest) Snapshot() map[string]uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(map[string]uint64, len(d.m))
-	for k, v := range d.m {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(d.m)
 }

@@ -4,6 +4,7 @@ package mesh
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -91,9 +92,7 @@ func (lm *LocalMesh) Run(until vtime.Time, step vtime.Duration) error {
 func (lm *LocalMesh) Digests() map[string]uint64 {
 	out := make(map[string]uint64)
 	for _, m := range lm.Members {
-		for c, h := range m.Digests() {
-			out[c] = h
-		}
+		maps.Copy(out, m.Digests())
 	}
 	return out
 }

@@ -4,10 +4,20 @@ package mesh
 
 import (
 	"encoding/gob"
+	"fmt"
 	"net"
 	"sort"
 	"sync"
 	"time"
+)
+
+// frameKind tags each value on a control connection after the
+// handshake: one gob-encoded kind, then the gob of the struct it names.
+type frameKind uint8
+
+const (
+	frameRequest frameKind = iota + 1
+	frameReply
 )
 
 // peerConn is one control connection with gob framing. Writes are
@@ -20,54 +30,81 @@ type peerConn struct {
 	wmu  sync.Mutex
 }
 
-func newPeerConn(name string, c net.Conn, enc *gob.Encoder, dec *gob.Decoder) *peerConn {
-	return &peerConn{name: name, c: c, enc: enc, dec: dec}
-}
-
-func (pc *peerConn) send(env envelope) error {
+// send writes one frame, a request or a reply.
+func (pc *peerConn) send(f any) error {
+	kind := frameReply
+	if _, ok := f.(request); ok {
+		kind = frameRequest
+	}
 	pc.wmu.Lock()
 	defer pc.wmu.Unlock()
-	return pc.enc.Encode(env)
+	if err := pc.enc.Encode(kind); err != nil {
+		return err
+	}
+	return pc.enc.Encode(f)
 }
 
-func (pc *peerConn) close() { pc.c.Close() }
+// recv reads one frame. A kind this build does not know is a protocol
+// error that ends the connection, like any other undecodable byte.
+func (pc *peerConn) recv() (any, error) {
+	var kind frameKind
+	if err := pc.dec.Decode(&kind); err != nil {
+		return nil, err
+	}
+	switch kind {
+	case frameRequest:
+		var rq request
+		err := pc.dec.Decode(&rq)
+		return rq, err
+	case frameReply:
+		var rp reply
+		err := pc.dec.Decode(&rp)
+		return rp, err
+	}
+	return nil, fmt.Errorf("mesh: unknown control frame kind %d from %s", kind, pc.name)
+}
 
 // peerState is everything the membership table knows about one peer.
 type peerState struct {
-	name     string
 	conn     *peerConn
 	dataAddr string
 	lastHB   time.Time
-	joined   bool
 	left     bool
 }
 
-// membership tracks the full member set: self plus every peer.
+// membership tracks every peer that has completed the handshake.
 type membership struct {
 	mu      sync.Mutex
 	self    string
-	hbEvery time.Duration
 	peers   map[string]*peerState
+	changed chan struct{} // closed and replaced whenever a peer joins or leaves
 }
 
-func newMembership(self string, hbEvery time.Duration) *membership {
-	return &membership{self: self, hbEvery: hbEvery, peers: make(map[string]*peerState)}
+func newMembership(self string) *membership {
+	return &membership{self: self, peers: make(map[string]*peerState), changed: make(chan struct{})}
+}
+
+// watch returns a channel the next join or leave closes. Take it
+// before reading the state being waited on, so a change landing
+// between the read and the wait is not slept through.
+func (ms *membership) watch() <-chan struct{} {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	return ms.changed
+}
+
+// signal wakes every watcher; caller holds ms.mu.
+func (ms *membership) signal() {
+	close(ms.changed)
+	ms.changed = make(chan struct{})
 }
 
 // join registers a peer's established control connection.
-func (ms *membership) join(name string, pc *peerConn, dataAddr string) {
+func (ms *membership) join(pc *peerConn, dataAddr string) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	ps := ms.peers[name]
-	if ps == nil {
-		ps = &peerState{name: name}
-		ms.peers[name] = ps
-	}
-	ps.conn = pc
-	ps.dataAddr = dataAddr
-	ps.joined = true
-	ps.left = false
-	ps.lastHB = time.Now()
+	ms.peers[pc.name] = &peerState{conn: pc, dataAddr: dataAddr, lastHB: time.Now()}
+	ms.signal()
 }
 
 // note refreshes a peer's heartbeat; any control traffic counts.
@@ -82,20 +119,37 @@ func (ms *membership) note(name string) {
 // markLeft records a graceful leave (or a dead connection).
 func (ms *membership) markLeft(name string) {
 	ms.mu.Lock()
-	if ps := ms.peers[name]; ps != nil {
+	defer ms.mu.Unlock()
+	if ps := ms.peers[name]; ps != nil && !ps.left {
 		ps.left = true
+		ms.signal()
 	}
-	ms.mu.Unlock()
 }
 
-// conn returns the control connection toward a peer, or nil.
-func (ms *membership) conn(name string) *peerConn {
+// conn returns the control connection toward a peer that is still a
+// member.
+func (ms *membership) conn(name string) (*peerConn, error) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if ps := ms.peers[name]; ps != nil {
-		return ps.conn
+	ps := ms.peers[name]
+	if ps == nil {
+		return nil, fmt.Errorf("mesh: %s: no control connection to %s", ms.self, name)
 	}
-	return nil
+	if ps.left {
+		return nil, fmt.Errorf("mesh: %s: member %s has left", ms.self, name)
+	}
+	return ps.conn, nil
+}
+
+// conns returns the control connection of every peer, left or not.
+func (ms *membership) conns() []*peerConn {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	out := make([]*peerConn, 0, len(ms.peers))
+	for _, ps := range ms.peers {
+		out = append(out, ps.conn)
+	}
+	return out
 }
 
 // dataAddr returns the peer's data-plane listen address.
@@ -108,17 +162,11 @@ func (ms *membership) dataAddr(name string) string {
 	return ""
 }
 
-// joinedCount reports how many peers have completed the handshake.
-func (ms *membership) joinedCount() int {
+// joined reports how many peers have completed the handshake.
+func (ms *membership) joined() int {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	n := 0
-	for _, ps := range ms.peers {
-		if ps.joined {
-			n++
-		}
-	}
-	return n
+	return len(ms.peers)
 }
 
 // PeerHealth is one row of a member's health report.
@@ -151,29 +199,21 @@ func (ms *membership) health() Health {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	now := time.Now()
-	stale := 3 * ms.hbEvery
-	h := Health{}
-	h.Members = append(h.Members, PeerHealth{Name: ms.self, Self: true, Joined: true, Alive: true})
-	h.Alive, h.Total = 1, 1
-	names := make([]string, 0, len(ms.peers))
-	for n := range ms.peers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		ps := ms.peers[n]
+	h := Health{Members: []PeerHealth{{Name: ms.self, Self: true, Joined: true, Alive: true}}}
+	for n, ps := range ms.peers {
 		age := now.Sub(ps.lastHB)
-		alive := ps.joined && !ps.left && age < stale
 		h.Members = append(h.Members, PeerHealth{
-			Name: n, Joined: ps.joined, Left: ps.left,
-			LastHeartbeat: ps.lastHB, Age: age, Alive: alive,
+			Name: n, Joined: true, Left: ps.left,
+			LastHeartbeat: ps.lastHB, Age: age, Alive: !ps.left && age < 3*heartbeatEvery,
 		})
+	}
+	sort.Slice(h.Members, func(i, j int) bool { return h.Members[i].Name < h.Members[j].Name })
+	for _, ph := range h.Members {
 		h.Total++
-		if alive {
+		if ph.Alive {
 			h.Alive++
 		}
 	}
 	h.QuorumDead = h.Alive*2 <= h.Total
-	sort.Slice(h.Members, func(i, j int) bool { return h.Members[i].Name < h.Members[j].Name })
 	return h
 }

@@ -35,7 +35,9 @@ package mesh
 import (
 	"encoding/gob"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,20 +65,9 @@ type Config struct {
 	// ephemeral loopback port.
 	CtlListen  string
 	DataListen string
-	// Heartbeat is the control-plane heartbeat interval (default
-	// 250ms). A peer is reported dead after three missed intervals.
-	Heartbeat time.Duration
-	// ConnectTimeout bounds mesh formation and data-channel dials
-	// (default 10s).
-	ConnectTimeout time.Duration
-	// StepTimeout bounds one coordination phase: a step round or a
-	// migration phase (default 60s).
-	StepTimeout time.Duration
 	// Timeline, when non-nil, receives the member's timeline events
 	// (and, on the leader, the migrate phase spans).
 	Timeline *timeline.Recorder
-	// NoDigest disables the per-component drive digest hook.
-	NoDigest bool
 }
 
 func (c *Config) withDefaults() Config {
@@ -87,17 +78,25 @@ func (c *Config) withDefaults() Config {
 	if out.DataListen == "" {
 		out.DataListen = "127.0.0.1:0"
 	}
-	if out.Heartbeat <= 0 {
-		out.Heartbeat = 250 * time.Millisecond
-	}
-	if out.ConnectTimeout <= 0 {
-		out.ConnectTimeout = 10 * time.Second
-	}
-	if out.StepTimeout <= 0 {
-		out.StepTimeout = 60 * time.Second
-	}
 	return out
 }
+
+// The control plane's wall-clock constants: no caller ever set one to
+// another value, so they are not configuration (DESIGN §10.1 has the
+// reasoning behind each value).
+const (
+	heartbeatEvery = 250 * time.Millisecond // note interval; a peer is dead after three silent ones
+	connectTimeout = 10 * time.Second       // mesh formation, and each data-channel dial or accept
+	phaseTimeout   = 60 * time.Second       // one call: a step round or a migration phase, every reply included
+
+	// The two waits with no event behind them, because what they wait
+	// for happens in another process: a peer's listener coming up, and
+	// data frames still on the wire when a round's counters were read.
+	ctlDialRetry   = 50 * time.Millisecond
+	reissueBackoff = 500 * time.Microsecond
+
+	maxQueuedMigrations = 16 // live requests held for the next barrier; the leader refuses the one after
+)
 
 // Stats counts control-plane activity on one member. Leader-only
 // fields are zero elsewhere.
@@ -117,21 +116,42 @@ type Stats struct {
 	MigrationVirtual vtime.Duration
 }
 
-type inboundEnv struct {
+// Refused is a member's answer to a call it would not or could not
+// carry out: the reply's Err, with who said it and in which phase.
+type Refused struct {
+	Member string
+	Phase  string
+	Reason string
+}
+
+func (e *Refused) Error() string {
+	return fmt.Sprintf("mesh: member %s refused %s: %s", e.Member, e.Phase, e.Reason)
+}
+
+// inbound is one request on its way to the member loop.
+type inbound struct {
 	from string
-	env  envelope
+	rq   request
+}
+
+// answer is one reply on its way to call, or — lost set — the news
+// that from's control connection is gone. Both come off the same
+// reader goroutine in order, so a member's last reply is always seen
+// before its departure.
+type answer struct {
+	from string
+	rp   reply
+	lost bool
 }
 
 type migPlan struct {
-	At   vtime.Time
-	Comp string
-	Dest string
+	At vtime.Time
+	move
 }
 
 // Member is one mesh participant: a node hosting one subsystem named
 // after the member, plus the control-plane machinery.
 type Member struct {
-	cfg    Config
 	name   string
 	nd     *node.Node
 	hosted *node.Hosted
@@ -149,22 +169,28 @@ type Member struct {
 	leaderNm  string
 	memberSet []string // all member names, sorted
 
-	inbox    chan inboundEnv
-	acks     chan inboundEnv
-	migReqs  chan migRequestMsg
-	accepted chan *channel.Endpoint
+	inbox   chan inbound // requests, served one at a time by the member loop
+	replies chan answer  // replies and departures, read only by call
+	migReqs chan move    // leader: live requests waiting for the next barrier
+
+	// callMu admits one call at a time, so every reply in flight
+	// belongs to the call holding it or to one that already gave up.
+	callMu       sync.Mutex
+	callID       uint64
+	phaseTimeout time.Duration // phaseTimeout, except in tests of the timer
 
 	mu        sync.Mutex
-	view      *viewState // replicated placement (guarded by serve loop + mu for readers)
-	plans     []migPlan  // leader: scheduled migrations, by virtual time
+	view      *viewState                        // replicated placement (guarded by serve loop + mu for readers)
+	plans     []migPlan                         // leader: scheduled migrations, by virtual time
+	accepted  map[string]chan *channel.Endpoint // data channels the node accepted, by dialing peer
 	stats     Stats
+	buildErr  error
 	runErr    error
-	started   bool
 	runDone   chan struct{}
+	runOver   sync.Once
 	closed    chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-	hbSeq     atomic.Uint64
 }
 
 // New creates a member: it builds the node, hosts the subsystem,
@@ -179,16 +205,18 @@ func New(cfg Config) (*Member, error) {
 		return nil, fmt.Errorf("mesh: member %s needs a blueprint", cfg.Name)
 	}
 	m := &Member{
-		cfg:      cfg,
-		name:     cfg.Name,
-		bp:       cfg.Blueprint,
-		tl:       cfg.Timeline,
-		inbox:    make(chan inboundEnv, 64),
-		acks:     make(chan inboundEnv, 256),
-		migReqs:  make(chan migRequestMsg, 16),
-		accepted: make(chan *channel.Endpoint, 16),
-		runDone:  make(chan struct{}),
-		closed:   make(chan struct{}),
+		name:         cfg.Name,
+		bp:           cfg.Blueprint,
+		tl:           cfg.Timeline,
+		ms:           newMembership(cfg.Name),
+		digest:       NewDigest(),
+		inbox:        make(chan inbound, 64),
+		replies:      make(chan answer, 256),
+		migReqs:      make(chan move, maxQueuedMigrations),
+		phaseTimeout: phaseTimeout,
+		accepted:     make(map[string]chan *channel.Endpoint),
+		runDone:      make(chan struct{}),
+		closed:       make(chan struct{}),
 	}
 	m.nd = cfg.Node
 	if m.nd == nil {
@@ -200,11 +228,11 @@ func New(cfg Config) (*Member, error) {
 	m.sub = core.NewSubsystem(cfg.Name)
 	m.hosted = m.nd.Host(m.sub)
 	m.hub = m.hosted.Hub
-	m.hosted.OnChannel = func(ep *channel.Endpoint) { m.accepted <- ep }
-	if !cfg.NoDigest {
-		m.digest = NewDigest()
-		m.digest.Install(m.sub)
-	}
+	// The hook fires on the node's accept goroutine after the endpoint
+	// is fully registered and before the handshake ack releases the
+	// dialer; a hub holds one endpoint per peer, so the slot is free.
+	m.hosted.OnChannel = func(ep *channel.Endpoint) { m.acceptedFrom(ep.Peer()) <- ep }
+	m.digest.Install(m.sub)
 	dataAddr, err := m.nd.Listen(cfg.DataListen)
 	if err != nil {
 		return nil, fmt.Errorf("mesh: %s data listen: %w", cfg.Name, err)
@@ -217,7 +245,6 @@ func New(cfg Config) (*Member, error) {
 	}
 	m.ctlLn = ln
 	m.ctlAddr = ln.Addr().String()
-	m.ms = newMembership(cfg.Name, cfg.Heartbeat)
 	m.wg.Add(1)
 	go m.acceptCtl()
 	return m, nil
@@ -240,12 +267,7 @@ func (m *Member) Subsystem() *core.Subsystem { return m.sub }
 func (m *Member) Node() *node.Node { return m.nd }
 
 // Digests returns this member's per-component drive digests.
-func (m *Member) Digests() map[string]uint64 {
-	if m.digest == nil {
-		return nil
-	}
-	return m.digest.Snapshot()
-}
+func (m *Member) Digests() map[string]uint64 { return m.digest.Snapshot() }
 
 // Health reports membership and heartbeat state.
 func (m *Member) Health() Health { return m.ms.health() }
@@ -276,28 +298,23 @@ func (m *Member) Stats() Stats {
 func (m *Member) Placement() map[string]string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]string)
-	if m.view != nil {
-		for c, s := range m.view.placement {
-			out[c] = s
-		}
+	if m.view == nil {
+		return map[string]string{}
 	}
-	return out
+	return maps.Clone(m.view.placement)
 }
 
 // Start joins the mesh: peers maps every member name (self included
 // or not) to its control address. Start connects the full control
 // mesh, exchanges data-plane addresses, builds the local slice of the
-// simulation, establishes the initial data channels, and reports
-// ready to the leader. It returns once this member is operational;
-// the leader then calls Lead and followers call Wait.
+// simulation, establishes the initial data channels, and starts
+// serving the leader's calls — the first of which asks how the build
+// went. It returns once this member is operational; the leader then
+// calls Lead and followers call Wait.
 func (m *Member) Start(peers map[string]string) error {
-	names := make([]string, 0, len(peers)+1)
-	seen := map[string]bool{m.name: true}
-	names = append(names, m.name)
+	names := []string{m.name}
 	for n := range peers {
-		if !seen[n] {
-			seen[n] = true
+		if n != m.name {
 			names = append(names, n)
 		}
 	}
@@ -309,7 +326,7 @@ func (m *Member) Start(peers map[string]string) error {
 	}
 
 	// Connect the control mesh: the smaller name dials.
-	deadline := time.Now().Add(m.cfg.ConnectTimeout)
+	deadline := time.Now().Add(connectTimeout)
 	for _, peer := range names {
 		if peer <= m.name {
 			continue
@@ -318,30 +335,29 @@ func (m *Member) Start(peers map[string]string) error {
 			return err
 		}
 	}
-	for m.ms.joinedCount() < len(names)-1 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("mesh: %s: mesh formation timed out (%d/%d peers)",
-				m.name, m.ms.joinedCount(), len(names)-1)
+	formed := time.NewTimer(time.Until(deadline))
+	defer formed.Stop()
+	for {
+		joinOrLeave := m.ms.watch()
+		if m.ms.joined() == len(names)-1 {
+			break
 		}
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-joinOrLeave:
+		case <-formed.C:
+			return fmt.Errorf("mesh: %s: mesh formation timed out (%d/%d peers)",
+				m.name, m.ms.joined(), len(names)-1)
+		case <-m.closed:
+			return fmt.Errorf("mesh: %s closed while the mesh formed", m.name)
+		}
 	}
 
+	// A failed build still serves: opReady is how the leader learns why.
+	m.buildErr = m.buildData()
 	m.wg.Add(2)
 	go m.serve()
 	go m.heartbeatLoop()
-
-	buildErr := m.buildData()
-	env := envelope{Ready: &readyMsg{}}
-	if buildErr != nil {
-		env.Ready.Err = buildErr.Error()
-	}
-	if err := m.send(m.leaderNm, env); err != nil && buildErr == nil {
-		buildErr = err
-	}
-	m.mu.Lock()
-	m.started = true
-	m.mu.Unlock()
-	return buildErr
+	return m.buildErr
 }
 
 // dialCtl establishes the control connection to one peer, retrying
@@ -355,25 +371,19 @@ func (m *Member) dialCtl(peer, addr string, deadline time.Time) error {
 		c, err := net.DialTimeout("tcp", addr, time.Until(deadline))
 		if err != nil {
 			lastErr = err
-			time.Sleep(50 * time.Millisecond)
+			time.Sleep(ctlDialRetry)
 			continue
 		}
 		enc, dec := gob.NewEncoder(c), gob.NewDecoder(c)
-		if err := enc.Encode(ctlHello{From: m.name, DataAddr: m.dataAddr}); err != nil {
-			c.Close()
-			lastErr = err
-			continue
-		}
 		var w ctlWelcome
-		if err := dec.Decode(&w); err != nil {
+		if lastErr = enc.Encode(ctlHello{From: m.name, DataAddr: m.dataAddr}); lastErr == nil {
+			lastErr = dec.Decode(&w)
+		}
+		if lastErr != nil {
 			c.Close()
-			lastErr = err
 			continue
 		}
-		pc := newPeerConn(w.From, c, enc, dec)
-		m.ms.join(w.From, pc, w.DataAddr)
-		m.wg.Add(1)
-		go m.readLoop(pc)
+		m.admit(&peerConn{name: w.From, c: c, enc: enc, dec: dec}, w.DataAddr)
 		return nil
 	}
 	return fmt.Errorf("mesh: %s: dial control %s (%s): %w", m.name, peer, addr, lastErr)
@@ -391,118 +401,164 @@ func (m *Member) acceptCtl() {
 		go func(c net.Conn) {
 			enc, dec := gob.NewEncoder(c), gob.NewDecoder(c)
 			var h ctlHello
-			if err := dec.Decode(&h); err != nil {
+			err := dec.Decode(&h)
+			if err == nil {
+				err = enc.Encode(ctlWelcome{From: m.name, DataAddr: m.dataAddr})
+			}
+			if err != nil {
 				c.Close()
 				return
 			}
-			if err := enc.Encode(ctlWelcome{From: m.name, DataAddr: m.dataAddr}); err != nil {
-				c.Close()
-				return
-			}
-			pc := newPeerConn(h.From, c, enc, dec)
-			m.ms.join(h.From, pc, h.DataAddr)
-			m.wg.Add(1)
-			go m.readLoop(pc)
+			m.admit(&peerConn{name: h.From, c: c, enc: enc, dec: dec}, h.DataAddr)
 		}(c)
 	}
 }
 
-// readLoop drains one control connection, routing messages.
+// admit makes a peer whose handshake completed a member and starts
+// reading its connection.
+func (m *Member) admit(pc *peerConn, dataAddr string) {
+	m.ms.join(pc, dataAddr)
+	m.wg.Add(1)
+	go m.readLoop(pc)
+}
+
+// readLoop drains one control connection, routing frames. Whatever
+// ends it — EOF, a reset, bytes that do not decode — the peer is gone.
 func (m *Member) readLoop(pc *peerConn) {
 	defer m.wg.Done()
 	for {
-		var env envelope
-		if err := pc.dec.Decode(&env); err != nil {
-			select {
-			case <-m.closed:
-			default:
-				m.ms.markLeft(pc.name)
-			}
+		f, err := pc.recv()
+		if err != nil {
+			pc.c.Close()
+			m.peerGone(pc.name)
 			return
 		}
-		m.route(pc.name, env)
+		m.route(pc.name, f)
 	}
 }
 
-// route dispatches one inbound control message. Heartbeats update
-// membership inline; acks go to the leader's collector; everything
-// else is a directive for the member loop.
-func (m *Member) route(from string, env envelope) {
-	m.ms.note(from)
-	switch {
-	case env.Heartbeat != nil:
-		return
-	case env.Leave != nil:
-		m.ms.markLeft(from)
-		return
-	case env.MigRequest != nil:
-		if m.IsLeader() {
+// peerGone records a departure and tells a call that may be waiting
+// on that member.
+func (m *Member) peerGone(name string) {
+	m.ms.markLeft(name)
+	m.answer(answer{from: name, lost: true})
+}
+
+// answer hands call a reply or a departure.
+func (m *Member) answer(a answer) {
+	select {
+	case m.replies <- a:
+	case <-m.closed:
+	}
+}
+
+// route dispatches one inbound frame. Notes are absorbed here, on the
+// reader, so they are never stuck behind a long round; replies go to
+// call; every other request is work for the member loop.
+func (m *Member) route(from string, f any) {
+	m.ms.note(from) // any control traffic counts as a heartbeat
+	switch f := f.(type) {
+	case reply:
+		m.answer(answer{from: from, rp: f})
+	case request:
+		switch {
+		case f.ID != 0:
 			select {
-			case m.migReqs <- *env.MigRequest:
-			default:
+			case m.inbox <- inbound{from, f}:
+			case <-m.closed:
 			}
-		}
-		return
-	case env.Ready != nil, env.StepDone != nil, env.MigPrepared != nil,
-		env.MigApplied != nil, env.MigDialed != nil, env.Finished != nil:
-		select {
-		case m.acks <- inboundEnv{from, env}:
-		case <-m.closed:
-		}
-	default:
-		select {
-		case m.inbox <- inboundEnv{from, env}:
-		case <-m.closed:
+		case f.Op == opLeave:
+			m.peerGone(from)
 		}
 	}
 }
 
-// send delivers a control message to a member; sends to self are
+// send delivers a request or a reply to a member; frames to self are
 // routed locally so the leader participates like any member.
-func (m *Member) send(to string, env envelope) error {
+func (m *Member) send(to string, f any) error {
 	if to == m.name {
-		m.route(m.name, env)
+		m.route(m.name, f)
 		return nil
 	}
-	pc := m.ms.conn(to)
-	if pc == nil {
-		return fmt.Errorf("mesh: %s: no control connection to %s", m.name, to)
+	pc, err := m.ms.conn(to)
+	if err != nil {
+		return err
 	}
-	return pc.send(env)
+	return pc.send(f)
 }
 
-// broadcast sends to every member, self included.
-func (m *Member) broadcast(env envelope) error {
-	var first error
-	for _, name := range m.memberSet {
-		if err := m.send(name, env); err != nil && first == nil {
-			first = err
-		}
+// notify sends a note to every peer still connected, best effort.
+func (m *Member) notify(o op) {
+	for _, pc := range m.ms.conns() {
+		pc.send(request{Op: o})
 	}
-	return first
 }
 
 // heartbeatLoop keeps peers' membership tables warm.
 func (m *Member) heartbeatLoop() {
 	defer m.wg.Done()
-	t := time.NewTicker(m.cfg.Heartbeat)
+	t := time.NewTicker(heartbeatEvery)
 	defer t.Stop()
 	for {
 		select {
 		case <-m.closed:
 			return
 		case <-t.C:
-			seq := m.hbSeq.Add(1)
-			for _, name := range m.memberSet {
-				if name == m.name {
-					continue
-				}
-				if pc := m.ms.conn(name); pc != nil {
-					pc.send(envelope{Heartbeat: &heartbeatMsg{Seq: seq}})
-				}
-			}
+			m.notify(opHeartbeat)
 		}
 	}
+}
+
+// call is the one request/reply exchange of the control plane: it
+// sends rq to every member in to under a fresh ID and gathers exactly
+// one reply from each. A reply that echoes another ID belongs to a
+// call that already gave up and is dropped, as is a second reply from
+// one member. The first refusal, the first addressed member to leave
+// and the phase timeout each end the call with an error naming the
+// member and the phase.
+func (m *Member) call(to []string, rq request) (map[string]reply, error) {
+	m.callMu.Lock()
+	defer m.callMu.Unlock()
+	m.callID++
+	rq.ID = m.callID
+	var sendErr error
+	for _, name := range to {
+		out := rq
+		if name != rq.Move.To {
+			out.Image = image{} // an image rides only toward its destination
+		}
+		if err := m.send(name, out); err != nil && sendErr == nil {
+			sendErr = fmt.Errorf("mesh: %s: %s to %s: %w", m.name, rq.Op, name, err)
+		}
+	}
+	if sendErr != nil {
+		return nil, sendErr
+	}
+	timeout := time.NewTimer(m.phaseTimeout)
+	defer timeout.Stop()
+	got := make(map[string]reply, len(to))
+	for len(got) < len(to) {
+		select {
+		case in := <-m.replies:
+			_, dup := got[in.from]
+			switch {
+			case dup || !slices.Contains(to, in.from): // a second reply, or a member not asked
+			case in.lost:
+				return nil, fmt.Errorf("mesh: %s: member %s left during %s", m.name, in.from, rq.Op)
+			case in.rp.ID != rq.ID: // an earlier call's
+			case in.rp.Err != "":
+				return nil, &Refused{Member: in.from, Phase: rq.Op.String(), Reason: in.rp.Err}
+			default:
+				got[in.from] = in.rp
+			}
+		case <-timeout.C:
+			return nil, fmt.Errorf("mesh: %s: %s timed out after %v with %d of %d replies",
+				m.name, rq.Op, m.phaseTimeout, len(got), len(to))
+		case <-m.closed:
+			return nil, fmt.Errorf("mesh: %s closed during %s", m.name, rq.Op)
+		}
+	}
+	return got, nil
 }
 
 // serve is the member loop: the single goroutine that touches the
@@ -517,55 +573,66 @@ func (m *Member) serve() {
 		case <-m.closed:
 			return
 		case in := <-m.inbox:
-			env := in.env
-			switch {
-			case env.StepGo != nil:
-				m.handleStep(env.StepGo)
-			case env.MigPrepare != nil:
-				m.handlePrepare(env.MigPrepare)
-			case env.MigApply != nil:
-				m.handleApply(env.MigApply)
-			case env.MigDial != nil:
-				m.handleDial(env.MigDial)
-			case env.Finish != nil:
-				m.send(m.leaderNm, envelope{Finished: &finishedMsg{}})
-				select {
-				case <-m.runDone:
-				default:
-					close(m.runDone)
-				}
+			rp := m.handle(in.rq)
+			m.send(in.from, rp)
+			// Only after the reply is on its way: Wait returning is
+			// what lets the caller Close this member.
+			if in.rq.Op == opFinish {
+				m.runOver.Do(func() { close(m.runDone) })
 			}
 		}
 	}
 }
 
-// handleStep runs one round and reports channel counters.
-func (m *Member) handleStep(sg *stepGoMsg) {
-	done := &stepDoneMsg{
-		Round:   sg.Round,
+// handle carries out one request and builds its reply.
+func (m *Member) handle(rq request) reply {
+	rp := reply{ID: rq.ID, Op: rq.Op}
+	var err error
+	switch rq.Op {
+	case opReady:
+		err = m.buildErr
+	case opStep:
+		rp.Counters, err = m.step(rq.Until)
+	case opMigrate:
+		err = m.queueMigration(rq.Move)
+	case opPrepare:
+		rp.Image, err = m.extract(rq.Move)
+	case opApply:
+		err = m.applyEpoch(rq.Move, rq.Image)
+	case opDial:
+		err = m.openChannels()
+	case opFinish:
+	default:
+		err = fmt.Errorf("%s does not know %s", m.name, rq.Op)
+	}
+	if err != nil {
+		rp.Err = err.Error()
+	}
+	return rp
+}
+
+// step runs one round and reports channel counters.
+func (m *Member) step(until vtime.Time) (counters, error) {
+	err := m.sub.Run(until)
+	if err != nil {
+		m.mu.Lock()
+		if m.runErr == nil {
+			m.runErr = err
+		}
+		m.mu.Unlock()
+	}
+	c := counters{
 		Sent:    make(map[string]int64),
 		Queued:  make(map[string]int64),
 		Handled: make(map[string]int64),
 	}
-	if err := m.sub.Run(sg.Until); err != nil {
-		done.Err = err.Error()
-		m.setRunErr(err)
-	}
 	for _, ep := range m.hub.Endpoints() {
 		p := ep.Peer()
-		done.Sent[p] += ep.SentCount()
-		done.Queued[p] += ep.QueuedCount()
-		done.Handled[p] += ep.HandledCount()
+		c.Sent[p] += ep.SentCount()
+		c.Queued[p] += ep.QueuedCount()
+		c.Handled[p] += ep.HandledCount()
 	}
-	m.send(m.leaderNm, envelope{StepDone: done})
-}
-
-func (m *Member) setRunErr(err error) {
-	m.mu.Lock()
-	if m.runErr == nil {
-		m.runErr = err
-	}
-	m.mu.Unlock()
+	return c, err
 }
 
 // Wait blocks until the leader finishes the run (or the member is
@@ -589,16 +656,19 @@ func (m *Member) MigrateAt(at vtime.Time, comp, dest string) error {
 		return fmt.Errorf("mesh: MigrateAt on non-leader %s", m.name)
 	}
 	m.mu.Lock()
-	m.plans = append(m.plans, migPlan{At: at, Comp: comp, Dest: dest})
+	m.plans = append(m.plans, migPlan{At: at, move: move{Comp: comp, To: dest}})
 	sort.SliceStable(m.plans, func(i, j int) bool { return m.plans[i].At < m.plans[j].At })
 	m.mu.Unlock()
 	return nil
 }
 
 // RequestMigration asks the leader (from any member) to migrate comp
-// to dest at the next drained barrier.
+// to dest at the next drained barrier, and returns the leader's
+// verdict: nil once the request is queued, a *Refused carrying the
+// leader's reason when it is not.
 func (m *Member) RequestMigration(comp, dest string) error {
-	return m.send(m.leaderNm, envelope{MigRequest: &migRequestMsg{Comp: comp, Dest: dest}})
+	_, err := m.call([]string{m.leaderNm}, request{Op: opMigrate, Move: move{Comp: comp, To: dest}})
+	return err
 }
 
 // Lead drives the whole run from the leader: lock-step rounds of
@@ -612,108 +682,56 @@ func (m *Member) Lead(until vtime.Time, step vtime.Duration) error {
 	if step <= 0 {
 		return fmt.Errorf("mesh: non-positive step %v", step)
 	}
-	if err := m.collectReady(); err != nil {
-		m.finishRun()
+	err := m.rounds(until, step)
+	// However the rounds ended, every member still listening is told
+	// the run is over.
+	if _, ferr := m.call(m.memberSet, request{Op: opFinish}); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// rounds is the leader's script: ready, then step until the barrier
+// holds, migrate what is due, and on to the next horizon.
+func (m *Member) rounds(until vtime.Time, step vtime.Duration) error {
+	if _, err := m.call(m.memberSet, request{Op: opReady}); err != nil {
 		return err
 	}
-	var (
-		t     vtime.Time
-		round uint64
-	)
-	for t < until {
+	for t := vtime.Time(0); t < until; {
 		h := vtime.Min(t.Add(step), until)
-		round++
-		if err := m.broadcast(envelope{StepGo: &stepGoMsg{Round: round, Until: h, Epoch: m.epoch.Load()}}); err != nil {
-			m.finishRun()
-			return err
-		}
-		reports, err := m.collectStep(round)
+		reports, err := m.call(m.memberSet, request{Op: opStep, Until: h})
 		if err != nil {
-			m.finishRun()
 			return err
 		}
-		if !barrierHolds(reports) {
-			m.mu.Lock()
+		held := barrierHolds(reports)
+		m.mu.Lock()
+		if held {
+			m.stats.Rounds++
+		} else {
 			m.stats.Reissues++
-			m.mu.Unlock()
-			time.Sleep(500 * time.Microsecond)
+		}
+		m.mu.Unlock()
+		if !held {
+			time.Sleep(reissueBackoff)
 			continue
 		}
-		m.mu.Lock()
-		m.stats.Rounds++
-		m.mu.Unlock()
 		t = h
 		if err := m.runMigrations(t); err != nil {
-			m.finishRun()
 			return err
 		}
-	}
-	return m.finishRun()
-}
-
-// collectReady waits for every member's build report.
-func (m *Member) collectReady() error {
-	got := map[string]bool{}
-	for len(got) < len(m.memberSet) {
-		in, err := m.nextAck()
-		if err != nil {
-			return err
-		}
-		if in.env.Ready == nil {
-			continue // stale ack from a previous phase
-		}
-		if in.env.Ready.Err != "" {
-			return fmt.Errorf("mesh: member %s failed to build: %s", in.from, in.env.Ready.Err)
-		}
-		got[in.from] = true
 	}
 	return nil
-}
-
-// collectStep gathers the current round's reports from all members.
-func (m *Member) collectStep(round uint64) (map[string]*stepDoneMsg, error) {
-	reports := make(map[string]*stepDoneMsg)
-	for len(reports) < len(m.memberSet) {
-		in, err := m.nextAck()
-		if err != nil {
-			return nil, err
-		}
-		sd := in.env.StepDone
-		if sd == nil || sd.Round != round {
-			continue // stale report from a re-issued round
-		}
-		if sd.Err != "" {
-			return nil, fmt.Errorf("mesh: member %s round %d: %s", in.from, round, sd.Err)
-		}
-		reports[in.from] = sd
-	}
-	return reports, nil
-}
-
-// nextAck reads one ack with the phase timeout.
-func (m *Member) nextAck() (inboundEnv, error) {
-	select {
-	case in := <-m.acks:
-		return in, nil
-	case <-m.closed:
-		return inboundEnv{}, fmt.Errorf("mesh: %s closed while coordinating", m.name)
-	case <-time.After(m.cfg.StepTimeout):
-		return inboundEnv{}, fmt.Errorf("mesh: %s: coordination timed out after %v", m.name, m.cfg.StepTimeout)
-	}
 }
 
 // barrierHolds checks the drain condition over all members' reports:
 // for every directed pair X->Y, X.Sent[Y] == Y.Queued[X] ==
 // Y.Handled[X]. Counters are cumulative, so equality means nothing
 // is in flight or queued anywhere.
-func barrierHolds(reports map[string]*stepDoneMsg) bool {
+func barrierHolds(reports map[string]reply) bool {
 	for x, rx := range reports {
-		for y, sent := range rx.Sent {
-			ry := reports[y]
-			if ry == nil {
-				return false
-			}
-			if ry.Queued[x] != sent || ry.Handled[x] != sent {
+		for y, sent := range rx.Counters.Sent {
+			ry, ok := reports[y]
+			if !ok || ry.Counters.Queued[x] != sent || ry.Counters.Handled[x] != sent {
 				return false
 			}
 		}
@@ -721,47 +739,16 @@ func barrierHolds(reports map[string]*stepDoneMsg) bool {
 	return true
 }
 
-// finishRun tells every member the run is over and collects acks.
-func (m *Member) finishRun() error {
-	if err := m.broadcast(envelope{Finish: &finishMsg{}}); err != nil {
-		return err
-	}
-	got := map[string]bool{}
-	for len(got) < len(m.memberSet) {
-		in, err := m.nextAck()
-		if err != nil {
-			return err
-		}
-		if in.env.Finished == nil {
-			continue
-		}
-		got[in.from] = true
-	}
-	m.mu.Lock()
-	err := m.runErr
-	m.mu.Unlock()
-	return err
-}
-
 // Close leaves the mesh and tears down listeners, connections and
 // the node.
 func (m *Member) Close() error {
 	var err error
 	m.closeOnce.Do(func() {
-		for _, name := range m.memberSet {
-			if name == m.name {
-				continue
-			}
-			if pc := m.ms.conn(name); pc != nil {
-				pc.send(envelope{Leave: &leaveMsg{}})
-			}
-		}
+		m.notify(opLeave)
 		close(m.closed)
 		m.ctlLn.Close()
-		for _, name := range m.memberSet {
-			if pc := m.ms.conn(name); pc != nil {
-				pc.close()
-			}
+		for _, pc := range m.ms.conns() {
+			pc.c.Close()
 		}
 		err = m.nd.Close()
 		m.wg.Wait()

@@ -3,7 +3,6 @@ package mesh
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/vtime"
@@ -114,17 +113,10 @@ func TestMeshHealth(t *testing.T) {
 		t.Fatalf("healthy mesh reported %+v", h)
 	}
 	lm.Member("charlie").Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	awaitMembership(t, lm.Leader(), "charlie leaving", func() bool {
 		h = lm.Leader().Health()
-		if h.Alive == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("leader never noticed charlie leaving: %+v", h)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return h.Alive == 2
+	})
 	if h.QuorumDead {
 		t.Fatalf("2/3 alive must keep quorum: %+v", h)
 	}

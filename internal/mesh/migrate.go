@@ -1,36 +1,35 @@
-// Live component migration: the leader-side protocol driver and the
-// member-side phase handlers.
+// Live component migration: the leader's script and the member-side
+// phase bodies.
 //
-// Protocol state machine (leader), entered only at a held drain
-// barrier with horizon h:
+// The script runs only at a held drain barrier with horizon h; each
+// arrow is one call, each name on the left a timeline span:
 //
 //	quiesce   barrier held: all channels empty, virtual time <= h final
 //	   |
-//	snapshot  migPrepare -> source extracts ComponentImage at tag
+//	snapshot  opPrepare -> the source extracts the ComponentImage at tag
 //	   |      "mig-<epoch>" (a degenerate Chandy-Lamport cut)
-//	transfer  migApply broadcast carries image + digest to everyone
-//	   |      (image only toward dest); members ack after splicing
+//	transfer  opApply -> everyone, the image and digest riding only
+//	   |      toward the destination
 //	splice    each member: view.Move, re-derive Partition, source
 //	   |      removes the component, dest rebuilds it from the
 //	   |      blueprint and adopts the state, everyone rebinds
 //	   |      channel endpoints to the new net splits
-//	resume    migDial establishes channels the new placement needs
-//	          that did not exist; next stepGo resumes the run
+//	resume    opDial -> everyone opens the channels the new placement
+//	          needs that did not exist; the next opStep resumes the run
 //
-// Failure cases: a member that cannot apply the epoch acks with an
-// error and the leader aborts the run (placement must never fork); a
-// component with a pending scheduler-control event refuses to
-// migrate at the snapshot phase; rewinds to snapshot tags taken
-// under an older epoch are refused by construction (tags do not
-// survive migration — see DESIGN.md §10).
+// Failure cases: a member that cannot apply the epoch refuses and the
+// leader aborts the run (placement must never fork); a component with
+// a pending scheduler-control event refuses to migrate at the snapshot
+// phase; rewinds to snapshot tags taken under an older epoch are
+// refused by construction (tags do not survive migration — see
+// DESIGN.md §10).
 package mesh
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
-	"repro/internal/channel"
 	"repro/internal/snapshot"
 	"repro/internal/vtime"
 )
@@ -38,198 +37,139 @@ import (
 // runMigrations executes every migration due at the held barrier t:
 // scheduled plans with At <= t plus any queued live requests.
 func (m *Member) runMigrations(t vtime.Time) error {
-	var due []migPlan
+	var due []move
 	m.mu.Lock()
 	for len(m.plans) > 0 && m.plans[0].At <= t {
-		due = append(due, m.plans[0])
+		due = append(due, m.plans[0].move)
 		m.plans = m.plans[1:]
 	}
 	m.mu.Unlock()
-	for {
+	for queued := true; queued; {
 		select {
-		case req := <-m.migReqs:
-			due = append(due, migPlan{At: t, Comp: req.Comp, Dest: req.Dest})
-			continue
+		case mv := <-m.migReqs:
+			due = append(due, mv)
 		default:
+			queued = false
 		}
-		break
 	}
-	for _, p := range due {
-		if err := m.migrate(t, p.Comp, p.Dest); err != nil {
+	for _, mv := range due {
+		if err := m.migrate(t, mv); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// migrate moves one component at the held barrier with horizon t.
-func (m *Member) migrate(t vtime.Time, comp, dest string) error {
+// resolve checks a wanted move against the current placement and
+// returns it with From filled in.
+func (m *Member) resolve(mv move) (move, error) {
 	m.mu.Lock()
-	from := ""
 	if m.view != nil {
-		from = m.view.placement[comp]
+		mv.From = m.view.placement[mv.Comp]
 	}
 	m.mu.Unlock()
-	if from == "" {
-		return fmt.Errorf("mesh: migrate unknown component %q", comp)
+	if mv.From == "" {
+		return mv, fmt.Errorf("mesh: migrate unknown component %q", mv.Comp)
 	}
-	found := false
-	for _, n := range m.memberSet {
-		if n == dest {
-			found = true
-		}
+	if !slices.Contains(m.memberSet, mv.To) {
+		return mv, fmt.Errorf("mesh: migrate %s to unknown member %q", mv.Comp, mv.To)
 	}
-	if !found {
-		return fmt.Errorf("mesh: migrate %s to unknown member %q", comp, dest)
-	}
-	if from == dest {
-		return nil // already home
-	}
-	epoch := m.epoch.Load() + 1
-	start := time.Now()
-	startVT := t
-	if m.tl != nil {
-		m.tl.Migrate(m.name, comp, from, dest, "quiesce", t)
-	}
+	return mv, nil
+}
 
-	// snapshot: extract at the source.
-	if err := m.send(from, envelope{MigPrepare: &migPrepareMsg{Epoch: epoch, Comp: comp, Dest: dest}}); err != nil {
+// queueMigration is the leader's verdict on a live request: queued
+// for the next barrier (nil) or the reason it is not.
+func (m *Member) queueMigration(mv move) error {
+	if !m.IsLeader() {
+		return fmt.Errorf("%s is not the leader, %s is", m.name, m.leaderNm)
+	}
+	select {
+	case <-m.runDone:
+		return fmt.Errorf("the run is over")
+	default:
+	}
+	if _, err := m.resolve(mv); err != nil {
 		return err
 	}
-	var prep *migPreparedMsg
-	for prep == nil {
-		in, err := m.nextAck()
-		if err != nil {
-			return err
-		}
-		if p := in.env.MigPrepared; p != nil && p.Epoch == epoch {
-			if p.Err != "" {
-				return fmt.Errorf("mesh: prepare migration of %s on %s: %s", comp, from, p.Err)
-			}
-			prep = p
-		}
+	select {
+	case m.migReqs <- mv:
+		return nil
+	default:
+		return fmt.Errorf("%d migrations already wait for the next barrier", maxQueuedMigrations)
 	}
-	if m.tl != nil {
-		m.tl.Migrate(m.name, comp, from, dest, "snapshot", t)
-	}
+}
 
-	// transfer + splice: broadcast the epoch; the image rides only
-	// toward the destination.
+// migrate moves one component at the held barrier with horizon t.
+func (m *Member) migrate(t vtime.Time, mv move) error {
+	mv, err := m.resolve(mv)
+	if err != nil {
+		return err
+	}
+	if mv.From == mv.To {
+		return nil // already home
+	}
+	mv.Epoch = m.epoch.Load() + 1
+	span := func(phase string) {
+		if m.tl != nil {
+			m.tl.Migrate(m.name, mv.Comp, mv.From, mv.To, phase, t)
+		}
+	}
+	start := time.Now()
+	span("quiesce")
+
+	prepared, err := m.call([]string{mv.From}, request{Op: opPrepare, Move: mv})
+	if err != nil {
+		return err
+	}
+	span("snapshot")
+	span("transfer")
+
 	applyStart := time.Now()
-	for _, name := range m.memberSet {
-		msg := &migApplyMsg{Epoch: epoch, Comp: comp, From: from, To: dest}
-		if name == dest {
-			msg.Image = prep.Image
-			msg.Digest = prep.Digest
-		}
-		if err := m.send(name, envelope{MigApply: msg}); err != nil {
-			return err
-		}
-	}
-	if m.tl != nil {
-		m.tl.Migrate(m.name, comp, from, dest, "transfer", t)
-	}
-	if err := m.collectPhase(epoch, "apply"); err != nil {
+	if _, err := m.call(m.memberSet, request{Op: opApply, Move: mv, Image: prepared[mv.From].Image}); err != nil {
 		return err
 	}
 	propagation := time.Since(applyStart)
-	if m.tl != nil {
-		m.tl.Migrate(m.name, comp, from, dest, "splice", t)
-	}
+	span("splice")
 
-	// resume: establish channels the new placement needs.
-	if err := m.broadcast(envelope{MigDial: &migDialMsg{Epoch: epoch}}); err != nil {
+	if _, err := m.call(m.memberSet, request{Op: opDial}); err != nil {
 		return err
 	}
-	if err := m.collectPhase(epoch, "dial"); err != nil {
-		return err
-	}
-	if m.tl != nil {
-		m.tl.Migrate(m.name, comp, from, dest, "resume", t)
-	}
+	span("resume")
 
 	m.mu.Lock()
 	m.stats.Migrations++
 	m.stats.EpochPropagation = propagation
 	m.stats.MigrationWall = time.Since(start)
-	m.stats.MigrationVirtual = t.Sub(startVT) // zero by construction
+	m.stats.MigrationVirtual = 0 // the whole script ran between two rounds
 	m.mu.Unlock()
 	return nil
 }
 
-// collectPhase gathers one migration phase's acks from all members.
-func (m *Member) collectPhase(epoch uint64, phase string) error {
-	got := map[string]bool{}
-	for len(got) < len(m.memberSet) {
-		in, err := m.nextAck()
-		if err != nil {
-			return fmt.Errorf("mesh: migration %s phase: %w", phase, err)
-		}
-		var gotEpoch uint64
-		var errStr string
-		switch {
-		case phase == "apply" && in.env.MigApplied != nil:
-			gotEpoch, errStr = in.env.MigApplied.Epoch, in.env.MigApplied.Err
-		case phase == "dial" && in.env.MigDialed != nil:
-			gotEpoch, errStr = in.env.MigDialed.Epoch, in.env.MigDialed.Err
-		default:
-			continue
-		}
-		if gotEpoch != epoch {
-			continue
-		}
-		if errStr != "" {
-			return fmt.Errorf("mesh: member %s migration %s phase: %s", in.from, phase, errStr)
-		}
-		got[in.from] = true
-	}
-	return nil
-}
-
-// handlePrepare extracts the migrating component's image (source
-// member only). The checkpoint tag is derived from the epoch so a
-// re-sent prepare deduplicates onto the same capture.
-func (m *Member) handlePrepare(p *migPrepareMsg) {
-	reply := &migPreparedMsg{Epoch: p.Epoch}
-	ci, err := snapshot.ExtractComponent(m.sub, fmt.Sprintf("mig-%d", p.Epoch), p.Comp)
-	if err == nil {
-		var b []byte
-		if b, err = ci.Encode(); err == nil {
-			reply.Image = b
-			if m.digest != nil {
-				reply.Digest = m.digest.Value(p.Comp)
-			}
-		}
-	}
+// extract captures the migrating component's image (source member
+// only). The checkpoint tag is derived from the epoch so a re-sent
+// prepare deduplicates onto the same capture.
+func (m *Member) extract(mv move) (image, error) {
+	ci, err := snapshot.ExtractComponent(m.sub, fmt.Sprintf("mig-%d", mv.Epoch), mv.Comp)
 	if err != nil {
-		reply.Err = err.Error()
+		return image{}, err
 	}
-	m.send(m.leaderNm, envelope{MigPrepared: reply})
+	b, err := ci.Encode()
+	return image{Bytes: b, Digest: m.digest.Value(mv.Comp)}, err
 }
 
-// handleApply applies one placement epoch locally: move the
-// component in the replicated view, re-derive the net splits, remove
-// or rebuild-and-adopt the component, and rebind channel endpoints
-// to the new splits. Channels that newly appear are queued for the
+// applyEpoch applies one placement epoch locally: move the component
+// in the replicated view, re-derive the net splits, remove or
+// rebuild-and-adopt the component, and rebind channel endpoints to
+// the new splits. Peers a channel newly leads to are left for the
 // dial phase; channels that lost all nets stay connected but idle
 // (reused if a later epoch routes nets over them again).
-func (m *Member) handleApply(a *migApplyMsg) {
-	reply := &migAppliedMsg{Epoch: a.Epoch}
-	if err := m.applyEpoch(a); err != nil {
-		reply.Err = err.Error()
-	}
-	m.send(m.leaderNm, envelope{MigApplied: reply})
-}
-
-func (m *Member) applyEpoch(a *migApplyMsg) error {
-	m.mu.Lock()
-	vs := m.view
-	m.mu.Unlock()
+func (m *Member) applyEpoch(mv move, img image) error {
+	vs := m.view // written only on the member loop, and by Start before it runs
 	if vs == nil {
-		return fmt.Errorf("mesh: %s: epoch %d before build", m.name, a.Epoch)
+		return fmt.Errorf("mesh: %s: epoch %d before build", m.name, mv.Epoch)
 	}
 	oldNets := netsByPeer(vs.chanSpecs, m.name)
-	if err := vs.view.Move(a.To, a.Comp); err != nil {
+	if err := vs.view.Move(mv.To, mv.Comp); err != nil {
 		return err
 	}
 	splits, chans, err := vs.view.Partition()
@@ -237,65 +177,41 @@ func (m *Member) applyEpoch(a *migApplyMsg) error {
 		return err
 	}
 
-	if m.name == a.From {
-		if m.digest != nil {
-			m.digest.Take(a.Comp)
-		}
-		if err := m.sub.RemoveComponent(a.Comp); err != nil {
+	if m.name == mv.From {
+		m.digest.Take(mv.Comp)
+		if err := m.sub.RemoveComponent(mv.Comp); err != nil {
 			return err
 		}
 	}
-	if m.name == a.To {
-		spec := m.bp.Component(a.Comp)
+	if m.name == mv.To {
+		spec := m.bp.Component(mv.Comp)
 		if spec == nil {
-			return fmt.Errorf("mesh: %s: blueprint has no component %q", m.name, a.Comp)
+			return fmt.Errorf("mesh: %s: blueprint has no component %q", m.name, mv.Comp)
 		}
-		c, err := m.sub.NewComponent(a.Comp, spec.New())
-		if err != nil {
+		if err := m.instantiate(spec); err != nil {
 			return err
-		}
-		for _, pn := range spec.Ports {
-			if _, err := c.AddPort(pn); err != nil {
-				return err
-			}
 		}
 		if err := m.buildNets(splits); err != nil {
 			return err
 		}
-		ci, err := snapshot.DecodeComponentImage(a.Image)
+		ci, err := snapshot.DecodeComponentImage(img.Bytes)
 		if err != nil {
 			return err
 		}
 		if err := snapshot.AdoptComponent(m.sub, ci); err != nil {
 			return err
 		}
-		if m.digest != nil {
-			m.digest.Seed(a.Comp, a.Digest)
-		}
+		m.digest.Seed(mv.Comp, img.Digest)
 	}
 
 	// Splice: rebind endpoints to the new per-peer net sets.
 	newNets := netsByPeer(chans, m.name)
-	vs.pendingDial, vs.pendingAccept = nil, nil
-	peers := map[string]bool{}
-	for p := range oldNets {
-		peers[p] = true
-	}
-	for p := range newNets {
-		peers[p] = true
-	}
+	vs.toOpen = nil
 	for _, peer := range m.memberSet {
-		if !peers[peer] {
-			continue
-		}
 		ep := m.hub.Endpoint(peer)
 		if ep == nil {
 			if len(newNets[peer]) > 0 {
-				if m.name < peer {
-					vs.pendingDial = append(vs.pendingDial, peer)
-				} else {
-					vs.pendingAccept = append(vs.pendingAccept, peer)
-				}
+				vs.toOpen = append(vs.toOpen, peer)
 			}
 			continue
 		}
@@ -313,11 +229,7 @@ func (m *Member) applyEpoch(a *migApplyMsg) error {
 			if oldNets[peer][nn] {
 				continue
 			}
-			n := m.sub.Net(nn)
-			if n == nil {
-				return fmt.Errorf("mesh: %s: epoch %d binds unknown net %s", m.name, a.Epoch, nn)
-			}
-			if err := ep.BindNet(n, nn); err != nil {
+			if err := m.bindNet(ep, nn); err != nil {
 				return err
 			}
 		}
@@ -325,64 +237,8 @@ func (m *Member) applyEpoch(a *migApplyMsg) error {
 
 	m.mu.Lock()
 	vs.chanSpecs = chans
-	vs.placement[a.Comp] = a.To
+	vs.placement[mv.Comp] = mv.To
 	m.mu.Unlock()
-	m.epoch.Store(a.Epoch)
+	m.epoch.Store(mv.Epoch)
 	return nil
-}
-
-// handleDial establishes the channels queued by the last epoch
-// application. Every member has already applied the epoch (the
-// leader sequences the phases), so both ends know the nets to bind.
-func (m *Member) handleDial(d *migDialMsg) {
-	reply := &migDialedMsg{Epoch: d.Epoch}
-	if err := m.dialPending(); err != nil {
-		reply.Err = err.Error()
-	}
-	m.send(m.leaderNm, envelope{MigDialed: reply})
-}
-
-func (m *Member) dialPending() error {
-	m.mu.Lock()
-	vs := m.view
-	m.mu.Unlock()
-	if vs == nil {
-		return nil
-	}
-	nets := netsByPeer(vs.chanSpecs, m.name)
-	for _, peer := range vs.pendingDial {
-		ep, err := m.nd.Connect(m.name, m.ms.dataAddr(peer), peer, m.bp.Policy, m.bp.Link)
-		if err != nil {
-			return fmt.Errorf("mesh: %s: dial migration channel to %s: %w", m.name, peer, err)
-		}
-		if err := m.attachNew(ep, nets[peer]); err != nil {
-			return err
-		}
-	}
-	for _, peer := range vs.pendingAccept {
-		ep, err := m.acceptChannel(peer, m.cfg.ConnectTimeout)
-		if err != nil {
-			return err
-		}
-		if err := m.attachNew(ep, nets[peer]); err != nil {
-			return err
-		}
-	}
-	vs.pendingDial, vs.pendingAccept = nil, nil
-	return nil
-}
-
-// attachNew wires a mid-run endpoint: snapshot agent first (so marks
-// and restores traverse it), then the net bindings the current epoch
-// routes over it.
-func (m *Member) attachNew(ep *channel.Endpoint, nets map[string]bool) error {
-	if m.hosted.Agent != nil {
-		m.hosted.Agent.Attach(ep)
-	}
-	names := make([]string, 0, len(nets))
-	for nn := range nets {
-		names = append(names, nn)
-	}
-	sort.Strings(names)
-	return m.bindChannel(ep, names)
 }

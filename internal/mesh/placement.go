@@ -101,18 +101,25 @@ func (bp *Blueprint) View() (*graph.View, error) {
 	return v, nil
 }
 
+// peerOf returns the other end of a channel spec that touches me, ""
+// for one that does not.
+func peerOf(cs graph.ChannelSpec, me string) string {
+	switch me {
+	case cs.A:
+		return cs.B
+	case cs.B:
+		return cs.A
+	}
+	return ""
+}
+
 // netsByPeer extracts, for one member, the set of nets each of its
 // channels carries: peer name -> net name set.
 func netsByPeer(chans []graph.ChannelSpec, me string) map[string]map[string]bool {
 	out := make(map[string]map[string]bool)
 	for _, cs := range chans {
-		var peer string
-		switch me {
-		case cs.A:
-			peer = cs.B
-		case cs.B:
-			peer = cs.A
-		default:
+		peer := peerOf(cs, me)
+		if peer == "" {
 			continue
 		}
 		set := make(map[string]bool, len(cs.Nets))

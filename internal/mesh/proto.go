@@ -4,9 +4,16 @@
 // through the data-plane wire layer: membership and migration
 // coordination must stay reachable while faultnet is mangling the
 // data links, exactly like a management network in a real cluster.
+//
+// After the hello/welcome handshake a connection carries requests and
+// the replies that echo their IDs, in both directions. An operation is
+// an op code; what it carries beyond "do it" and "done, or this error"
+// is a field of the request or the reply.
 package mesh
 
 import (
+	"fmt"
+
 	"repro/internal/vtime"
 )
 
@@ -24,125 +31,80 @@ type ctlWelcome struct {
 	DataAddr string
 }
 
-// envelope is the single framed type exchanged after the handshake.
-// Exactly one field is non-nil. A struct-of-pointers union keeps the
-// stream self-describing without gob interface registration.
-type envelope struct {
-	Heartbeat  *heartbeatMsg
-	Ready      *readyMsg
-	StepGo     *stepGoMsg
-	StepDone   *stepDoneMsg
-	MigRequest *migRequestMsg
-	MigPrepare *migPrepareMsg
-	MigPrepared *migPreparedMsg
-	MigApply   *migApplyMsg
-	MigApplied *migAppliedMsg
-	MigDial    *migDialMsg
-	MigDialed  *migDialedMsg
-	Finish     *finishMsg
-	Finished   *finishedMsg
-	Leave      *leaveMsg
+// op names one control-plane operation. The first two are one-way
+// notes (request ID 0, never answered); every other op is a call that
+// gets exactly one reply.
+type op uint8
+
+const (
+	opHeartbeat op = iota + 1 // note, any -> any: keeps the membership table warm when nothing else flows
+	opLeave                   // note, any -> any: graceful departure
+	opReady                   // leader -> all: report the local build (components, nets, data channels)
+	opStep                    // leader -> all: run to request.Until, reply with channel counters
+	opMigrate                 // any -> leader: queue a live migration (Move.Comp, Move.To)
+	opPrepare                 // leader -> source: extract Move.Comp, reply with its image
+	opApply                   // leader -> all: apply placement epoch Move.Epoch
+	opDial                    // leader -> all: open the channels the applied epoch added
+	opFinish                  // leader -> all: no more rounds
+)
+
+var opNames = [...]string{"", "heartbeat", "leave", "ready", "step", "migrate", "prepare", "apply", "dial", "finish"}
+
+func (o op) String() string {
+	if int(o) < len(opNames) && o != 0 {
+		return opNames[o]
+	}
+	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// heartbeatMsg keeps the membership table warm. Any control traffic
-// counts as a heartbeat; this one flows when nothing else does.
-type heartbeatMsg struct {
-	Seq uint64
-}
-
-// readyMsg reports that a member finished building its local plane
-// (components, nets, data channels) and can accept step rounds.
-type readyMsg struct {
-	Err string
-}
-
-// stepGoMsg orders one lock-step round: run the local subsystem to
-// the horizon, then report counters. The leader re-issues with a
-// fresh Round number until the drain barrier holds.
-type stepGoMsg struct {
-	Round uint64
+// request is one call (ID > 0, answered by the reply echoing it) or
+// one note (ID 0).
+type request struct {
+	ID uint64
+	Op op
+	// Until is opStep's horizon. The leader re-issues the same horizon
+	// under a fresh ID until the drain barrier holds; re-entering Run at
+	// a reached horizon is idempotent.
 	Until vtime.Time
-	Epoch uint64
+	Move  move  // opMigrate, opPrepare, opApply
+	Image image // opApply, toward the destination only
 }
 
-// stepDoneMsg reports per-peer channel counters after a round. The
-// barrier holds when, for every directed pair X->Y, X's Sent[Y]
-// equals Y's Queued[X] equals Y's Handled[X]: every message sent has
-// been received AND absorbed into the destination subsystem, so all
-// channels are provably empty.
-type stepDoneMsg struct {
-	Round   uint64
+// reply answers the request whose ID it echoes. A non-empty Err is the
+// member's refusal or failure.
+type reply struct {
+	ID       uint64
+	Op       op
+	Err      string
+	Counters counters // opStep
+	Image    image    // opPrepare
+}
+
+// move names one migration: Comp goes From -> To under placement
+// epoch Epoch. A request to the leader fills Comp and To; the leader
+// stamps the rest.
+type move struct {
+	Epoch uint64
+	Comp  string
+	From  string
+	To    string
+}
+
+// image is an encoded snapshot.ComponentImage plus the component's
+// running drive-digest state, which must move with it so the digest
+// stream stays continuous across homes.
+type image struct {
+	Bytes  []byte
+	Digest uint64
+}
+
+// counters are a member's cumulative per-peer channel counts after a
+// round. The barrier holds when, for every directed pair X->Y, X's
+// Sent[Y] equals Y's Queued[X] equals Y's Handled[X]: every message
+// sent has been received AND absorbed into the destination subsystem,
+// so all channels are provably empty.
+type counters struct {
 	Sent    map[string]int64 // peer -> messages we sent toward it
 	Queued  map[string]int64 // peer -> messages we enqueued from it
 	Handled map[string]int64 // peer -> messages we absorbed from it
-	Err     string
 }
-
-// migRequestMsg asks the leader to migrate a component. Any member
-// (or an admin endpoint on any member) may send it; the leader
-// executes at the next drained barrier.
-type migRequestMsg struct {
-	Comp string
-	Dest string
-}
-
-// migPrepareMsg orders the source member to extract the component
-// image at the held barrier.
-type migPrepareMsg struct {
-	Epoch uint64
-	Comp  string
-	Dest  string
-}
-
-// migPreparedMsg returns the encoded snapshot.ComponentImage plus the
-// component's running drive-digest state, which must move with it so
-// the digest stream stays continuous across homes.
-type migPreparedMsg struct {
-	Epoch  uint64
-	Image  []byte
-	Digest uint64
-	Err    string
-}
-
-// migApplyMsg broadcasts the new placement epoch. Every member
-// re-derives its net splits from the moved global view and splices
-// channel bindings; Image is non-empty only toward the destination.
-type migApplyMsg struct {
-	Epoch  uint64
-	Comp   string
-	From   string
-	To     string
-	Image  []byte
-	Digest uint64
-}
-
-// migAppliedMsg acks an epoch application.
-type migAppliedMsg struct {
-	Epoch uint64
-	Err   string
-}
-
-// migDialMsg orders members to establish any data channels the new
-// placement requires that did not exist before. It is a separate
-// phase so every member has already applied the epoch (and therefore
-// knows its bindings) before any new connection handshake begins.
-type migDialMsg struct {
-	Epoch uint64
-}
-
-// migDialedMsg acks the dial phase.
-type migDialedMsg struct {
-	Epoch uint64
-	Err   string
-}
-
-// finishMsg ends the run: no more rounds will be issued.
-type finishMsg struct{}
-
-// finishedMsg acks a finish.
-type finishedMsg struct {
-	Err string
-}
-
-// leaveMsg announces a graceful departure from the mesh.
-type leaveMsg struct{}

@@ -354,18 +354,7 @@ func (n *Node) ResilienceStats() resilience.Stats {
 	n.mu.Unlock()
 	var total resilience.Stats
 	for _, s := range sessions {
-		st := s.Stats()
-		total.EpochDeaths += st.EpochDeaths
-		total.DialAttempts += st.DialAttempts
-		total.Resumes += st.Resumes
-		total.ReplayedFrames += st.ReplayedFrames
-		total.Rewinds += st.Rewinds
-		total.GapKills += st.GapKills
-		total.CrcKills += st.CrcKills
-		total.DupFramesIn += st.DupFramesIn
-		total.FramesOut += st.FramesOut
-		total.FramesIn += st.FramesIn
-		total.HeartbeatsOut += st.HeartbeatsOut
+		total.Add(s.Stats())
 	}
 	return total
 }

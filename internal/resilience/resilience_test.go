@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -551,6 +552,24 @@ func TestCorruptionCountsAsCrcKill(t *testing.T) {
 		s.readLoop(conn)
 		if st := s.Stats(); st.CrcKills != tc.kills || st.EpochDeaths != 1 {
 			t.Fatalf("%s: CrcKills = %d, EpochDeaths = %d, want %d and 1", tc.name, st.CrcKills, st.EpochDeaths, tc.kills)
+		}
+	}
+}
+
+// TestStatsAddCoversEveryCounter: a counter added to Stats and not to
+// Add would be summed nowhere.
+func TestStatsAddCoversEveryCounter(t *testing.T) {
+	var one, sum Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	sum.Add(one)
+	sum.Add(one)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < s.NumField(); i++ {
+		if s.Field(i).Int() != 2*int64(i+1) {
+			t.Errorf("Add does not sum %s", s.Type().Field(i).Name)
 		}
 	}
 }

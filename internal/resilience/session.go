@@ -136,6 +136,21 @@ type Stats struct {
 	HeartbeatsOut  int64
 }
 
+// Add accumulates o into s, for callers summing several sessions.
+func (s *Stats) Add(o Stats) {
+	s.EpochDeaths += o.EpochDeaths
+	s.DialAttempts += o.DialAttempts
+	s.Resumes += o.Resumes
+	s.ReplayedFrames += o.ReplayedFrames
+	s.Rewinds += o.Rewinds
+	s.GapKills += o.GapKills
+	s.CrcKills += o.CrcKills
+	s.DupFramesIn += o.DupFramesIn
+	s.FramesOut += o.FramesOut
+	s.FramesIn += o.FramesIn
+	s.HeartbeatsOut += o.HeartbeatsOut
+}
+
 // retFrame is one retained egress envelope.
 type retFrame struct {
 	seq uint64

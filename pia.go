@@ -684,7 +684,8 @@ func (sim *Simulation) runRounds(until Time, backoff func()) error {
 		// A channel that has latched an error dropped what it held —
 		// possibly the grant a peer is stalled on — so once one
 		// subsystem is back with such an error standing, the others are
-		// stopped rather than waited for.
+		// stopped rather than waited for. The latch stops the subsystem
+		// that owns the endpoint, so at least that one does come back.
 		var chanErr error
 		for range sim.subOrder {
 			<-done
