@@ -51,7 +51,7 @@ func coalescingEndpoint(t *testing.T, cfg CoalesceConfig) (*Endpoint, *fakeBatch
 }
 
 func drive(ep *Endpoint, i int) {
-	ep.egress("link", core.Msg{Sent: vtime.Time(i), Value: signal.Word(uint32(i)), Source: "prod"})
+	ep.egress("link", &core.Msg{Sent: vtime.Time(i), Value: signal.Word(uint32(i)), Source: "prod"})
 }
 
 func TestEmptyFlushIsNoOp(t *testing.T) {

@@ -20,25 +20,49 @@ import (
 //
 // and each entry is
 //
-//	u8      encoding (always encBinary; any other value is rejected
-//	        with the body undecoded — 1 was a gob-encoded Message)
+//	u8      encoding
 //	uvarint length
 //	length  bytes
 //
-// The entry body is the hand-rolled message layout
+// with three encoding bytes assigned:
+//
+//	0  a control message (encBinary)
+//	1  retired — was a gob-encoded Message; rejected with the body
+//	   undecoded, like every unassigned value
+//	2  a run of data messages (encRun)
+//
+// A control entry body is
 //
 //	u8      Kind
 //	uvarint Seq
 //	uvarint Ack
 //	string  From            (uvarint length + bytes)
 //	kind-specific fields:
-//	  KindData:          string Net, string Source, uvarint Time, value
 //	  KindSafeTimeReq:   uvarint Ask
 //	  KindSafeTimeGrant: uvarint Grant
 //	  KindMark/Restore:  string Tag
 //	  KindClose:         (nothing)
 //
-// and values are tagged with one byte:
+// KindData has no control layout: a data message travels only in a run
+// entry, a lone drive as a run of one. A run entry body says what its
+// drives share once and then only what differs:
+//
+//	uvarint Seq0            (the first item's Seq; item i has Seq0+i)
+//	uvarint Ack
+//	string  From
+//	string  Net
+//	string  Source
+//	items, to the end of the body, at least one:
+//	  uvarint ΔTime         (from the previous item's Time; the first
+//	                         item's is from 0, so it is its Time)
+//	  value
+//
+// The encoder extends a run while the next message is KindData with the
+// same From, Net, Source and Ack, the next Seq and a Time that does not
+// fall; anything else ends the entry. A page burst of word drives
+// therefore costs one header and 8 or 9 bytes a word.
+//
+// Values are tagged with one byte:
 //
 //	0 nil, 1 Level, 2 Word, 3 Byte, 4 Packet, 5 Frame, 6 BusCycle,
 //	7 Control, 8 IRQ, 9 int (the common test/helper payload),
@@ -48,7 +72,17 @@ import (
 // Times are non-negative int64 ticks (Infinity = MaxInt64), encoded
 // as uvarint.
 
-const encBinary byte = 0
+const (
+	encBinary byte = 0
+	encRun    byte = 2
+)
+
+// maxBatchMsgs bounds the messages of one batch frame. A run item can
+// be two wire bytes and decodes to a 128-byte Message, so without a
+// bound one hostile frame of wire.MaxFrame bytes would decode to
+// gigabytes; with it a frame decodes to at most 8 MB. AppendBatch ends
+// a frame here and DecodeBatchAppend rejects a frame that goes past.
+const maxBatchMsgs = 1 << 16
 
 const (
 	valNil      byte = 0
@@ -198,18 +232,13 @@ func appendExtValue(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
-// appendMessage encodes m's entry body onto dst.
-func appendMessage(dst []byte, m Message) ([]byte, error) {
+// appendMessage encodes a control message's entry body onto dst.
+func appendMessage(dst []byte, m *Message) ([]byte, error) {
 	dst = append(dst, byte(m.Kind))
 	dst = appendUvarint(dst, m.Seq)
 	dst = appendUvarint(dst, m.Ack)
 	dst = appendString(dst, m.From)
 	switch m.Kind {
-	case KindData:
-		dst = appendString(dst, m.Net)
-		dst = appendString(dst, m.Source)
-		dst = appendTime(dst, m.Time)
-		return appendValue(dst, m.Value)
 	case KindSafeTimeReq:
 		return appendTime(dst, m.Ask), nil
 	case KindSafeTimeGrant:
@@ -226,7 +255,7 @@ func appendMessage(dst []byte, m Message) ([]byte, error) {
 // entryLenWidth is the fixed width of the patchable per-entry length
 // varint: 4 bytes encode up to 2^28-1, comfortably above the frame
 // limit. Continuation-padded varints are what binary.Uvarint already
-// accepts, so old decoders read the new layout unchanged.
+// accepts.
 const entryLenWidth = 4
 
 const maxEntryLen = 1<<(7*entryLenWidth) - 1
@@ -241,33 +270,88 @@ func putFixedUvarint4(dst []byte, v uint64) {
 	dst[entryLenWidth-1] = byte(v & 0x7f)
 }
 
-// appendEntry encodes one message as a batch entry appended to dst:
-// encoding byte, fixed-width patchable length, body encoded in place —
-// there is no per-message intermediate slice. On an error dst is
-// returned as it came in.
-func appendEntry(dst []byte, m Message) ([]byte, error) {
+// appendEntry encodes one control message as a batch entry appended to
+// dst: encoding byte, fixed-width patchable length, body encoded in
+// place — there is no per-message intermediate slice. On an error dst
+// is returned as it came in.
+func appendEntry(dst []byte, m *Message) ([]byte, error) {
 	mark := len(dst)
 	dst = append(dst, encBinary, 0, 0, 0, 0)
-	lenPos := mark + 1
+	body := len(dst)
 	dst, err := appendMessage(dst, m)
 	if err != nil {
 		return dst[:mark], err
 	}
-	body := len(dst) - lenPos - entryLenWidth
-	if body > maxEntryLen {
-		return dst[:mark], fmt.Errorf("channel: batch entry of %d bytes exceeds limit", body)
+	if len(dst)-body > maxEntryLen {
+		return dst[:mark], fmt.Errorf("channel: batch entry of %d bytes exceeds limit", len(dst)-body)
 	}
-	putFixedUvarint4(dst[lenPos:], uint64(body))
+	putFixedUvarint4(dst[body-entryLenWidth:], uint64(len(dst)-body))
 	return dst, nil
 }
 
+// sameRun reports whether m, the took-th message after first, extends
+// first's run: what the run header says once must hold for it, its Seq
+// must be Seq0+took without wrapping, and its Time must be expressible
+// as a non-negative delta from prev.
+func sameRun(first, m *Message, took int, prev vtime.Time) bool {
+	return m.Kind == KindData && m.Seq == first.Seq+uint64(took) && m.Seq > first.Seq &&
+		m.Ack == first.Ack && m.Time >= prev &&
+		m.From == first.From && m.Net == first.Net && m.Source == first.Source
+}
+
+// appendRun encodes the data message msgs[0] and every message after
+// it that extends its run as one run entry appended to dst, and
+// returns how many it took. The entry stops before it would pass room
+// bytes; took 0 with a nil error means not even the first item fits
+// (never when must is set: the first message of a frame is encoded
+// whatever its size). An error is msgs[0]'s — a later message that
+// cannot be encoded just ends the run, to fail the call it is first
+// in. Whenever took is 0, dst is returned as it came in.
+func appendRun(dst []byte, msgs []Message, room int, must bool) (out []byte, took int, err error) {
+	mark := len(dst)
+	first := &msgs[0]
+	if first.Time < 0 {
+		return dst, 0, fmt.Errorf("channel: cannot encode a data message at negative time %d", int64(first.Time))
+	}
+	dst = append(dst, encRun, 0, 0, 0, 0)
+	body := len(dst)
+	dst = appendUvarint(dst, first.Seq)
+	dst = appendUvarint(dst, first.Ack)
+	dst = appendString(dst, first.From)
+	dst = appendString(dst, first.Net)
+	dst = appendString(dst, first.Source)
+	prev := vtime.Time(0)
+	for took < len(msgs) {
+		m := &msgs[took]
+		if took > 0 && !sameRun(first, m, took, prev) {
+			break
+		}
+		item := len(dst)
+		dst = appendUvarint(dst, uint64(m.Time-prev))
+		if dst, err = appendValue(dst, m.Value); err == nil && len(dst)-body > maxEntryLen {
+			err = fmt.Errorf("channel: batch entry of %d bytes exceeds limit", len(dst)-body)
+		}
+		if err != nil || len(dst)-mark > room && !(must && took == 0) {
+			if took == 0 {
+				return dst[:mark], 0, err
+			}
+			dst = dst[:item]
+			break
+		}
+		prev = m.Time
+		took++
+	}
+	putFixedUvarint4(dst[body-entryLenWidth:], uint64(len(dst)-body))
+	return dst, took, nil
+}
+
 // AppendBatch encodes messages into a batch frame payload appended to
-// dst, stopping before the encoded payload would exceed limit bytes.
-// It returns the payload and how many messages were consumed; at
-// least one message is always encoded (a single oversized message is
-// a protocol error surfaced by the transport's own frame limit, not
-// silently truncated here). A data message whose value has no codec
-// (see RegisterValue) is an error.
+// dst, stopping before the encoded payload would exceed limit bytes or
+// maxBatchMsgs messages. It returns the payload and how many messages
+// were consumed; at least one message is always encoded (a single
+// oversized message is a protocol error surfaced by the transport's
+// own frame limit, not silently truncated here). A data message whose
+// value has no codec (see RegisterValue) is an error.
 //
 // Bodies are encoded directly into dst behind reserved fixed-width
 // length varints that are patched afterwards, so the encode path
@@ -278,30 +362,39 @@ func AppendBatch(dst []byte, msgs []Message, limit int) ([]byte, int, error) {
 	if len(msgs) == 0 {
 		return dst, 0, nil
 	}
+	if len(msgs) > maxBatchMsgs {
+		msgs = msgs[:maxBatchMsgs]
+	}
 	base := len(dst)
 	// Reserve a maximal uvarint for the count and patch it afterwards:
 	// re-encoding with the real count would shift the entries.
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 	entries := len(dst)
-	n := 0
-	for _, m := range msgs {
+	count, n := 0, 0
+	for n < len(msgs) {
 		mark := len(dst)
+		took := 1
 		var err error
-		if dst, err = appendEntry(dst, m); err != nil {
-			if n == 0 {
-				return dst[:base], 0, err
+		if msgs[n].Kind == KindData {
+			dst, took, err = appendRun(dst, msgs[n:], limit-(mark-base), n == 0)
+		} else {
+			dst, err = appendEntry(dst, &msgs[n])
+			if err == nil && n > 0 && len(dst)-base > limit {
+				dst, took = dst[:mark], 0 // does not fit: leave for the next frame
 			}
-			break // ship what fits; the bad message surfaces next call
 		}
-		if n > 0 && len(dst)-base > limit {
-			dst = dst[:mark] // does not fit: leave for the next frame
-			break
+		if err != nil && n == 0 {
+			return dst[:base], 0, err
 		}
-		n++
+		if err != nil || took == 0 {
+			break // ship what fits; the rest — a bad message first — is the next call's
+		}
+		n += took
+		count++
 	}
-	// Patch the count into the reserved bytes as a fixed-width
+	// Patch the entry count into the reserved bytes as a fixed-width
 	// uvarint (10 bytes, high-bit continuation on the first nine).
-	putFixedUvarint(dst[base:entries], uint64(n))
+	putFixedUvarint(dst[base:entries], uint64(count))
 	return dst, n, nil
 }
 
@@ -553,82 +646,111 @@ func extValue(r *reader) (any, error) {
 	return v, nil
 }
 
-func (d *BatchDecoder) message(body []byte) (Message, error) {
+// grow extends buf by one zero Message and returns it for the decoder
+// to fill in place.
+func grow(buf []Message) ([]Message, *Message) {
+	buf = append(buf, Message{})
+	return buf, &buf[len(buf)-1]
+}
+
+// message decodes a control entry body into m, a zero Message.
+func (d *BatchDecoder) message(body []byte, m *Message) error {
 	r := &reader{buf: body}
-	var m Message
 	k, err := r.byte1()
 	if err != nil {
-		return m, err
+		return err
 	}
 	m.Kind = Kind(k)
-	seq, err := r.uvarint()
-	if err != nil {
-		return m, err
+	if m.Seq, err = r.uvarint(); err != nil {
+		return err
 	}
-	m.Seq = seq
-	ack, err := r.uvarint()
-	if err != nil {
-		return m, err
+	if m.Ack, err = r.uvarint(); err != nil {
+		return err
 	}
-	m.Ack = ack
 	if m.From, err = d.str(r); err != nil {
-		return m, err
+		return err
 	}
 	switch m.Kind {
-	case KindData:
-		if m.Net, err = d.str(r); err != nil {
-			return m, err
-		}
-		if m.Source, err = d.str(r); err != nil {
-			return m, err
-		}
-		t, err := r.uvarint()
-		if err != nil {
-			return m, err
-		}
-		m.Time = vtime.Time(t)
-		if m.Value, err = d.value(r); err != nil {
-			return m, err
-		}
 	case KindSafeTimeReq:
 		t, err := r.uvarint()
 		if err != nil {
-			return m, err
+			return err
 		}
 		m.Ask = vtime.Time(t)
 	case KindSafeTimeGrant:
 		t, err := r.uvarint()
 		if err != nil {
-			return m, err
+			return err
 		}
 		m.Grant = vtime.Time(t)
 	case KindMark, KindRestore:
 		if m.Tag, err = d.str(r); err != nil {
-			return m, err
+			return err
 		}
 	case KindClose:
 	default:
-		return m, fmt.Errorf("channel: unknown message kind %d in batch", k)
+		// KindData included: a drive travels in a run entry.
+		return fmt.Errorf("channel: unknown message kind %d in batch", k)
 	}
-	return m, nil
+	return nil
 }
 
-// entry decodes the next batch entry from r. The encoding byte is
-// checked before the body is looked at.
-func (d *BatchDecoder) entry(r *reader) (Message, error) {
-	enc, err := r.byte1()
+// run decodes a run entry body, appending one Message per item to buf.
+// The three names are interned once for the whole run. stop is the
+// length buf may not pass (the frame's maxBatchMsgs).
+func (d *BatchDecoder) run(body []byte, buf []Message, stop int) ([]Message, error) {
+	r := &reader{buf: body}
+	seq0, err := r.uvarint()
 	if err != nil {
-		return Message{}, err
+		return buf, err
 	}
-	if enc != encBinary {
-		return Message{}, fmt.Errorf("channel: unknown batch encoding %d", enc)
-	}
-	body, err := r.lenBytes()
+	ack, err := r.uvarint()
 	if err != nil {
-		return Message{}, err
+		return buf, err
 	}
-	return d.message(body)
+	from, err := d.str(r)
+	if err != nil {
+		return buf, err
+	}
+	net, err := d.str(r)
+	if err != nil {
+		return buf, err
+	}
+	source, err := d.str(r)
+	if err != nil {
+		return buf, err
+	}
+	if r.pos == len(r.buf) {
+		return buf, fmt.Errorf("channel: empty run in batch")
+	}
+	t := uint64(0)
+	for seq := seq0; r.pos < len(r.buf); seq++ {
+		if seq < seq0 {
+			return buf, fmt.Errorf("channel: run from seq %d wraps", seq0)
+		}
+		if len(buf) >= stop {
+			return buf, errBatchTooLong
+		}
+		delta, err := r.uvarint()
+		if err != nil {
+			return buf, err
+		}
+		if delta > math.MaxInt64-t {
+			return buf, fmt.Errorf("channel: run time overflows (%d + %d)", t, delta)
+		}
+		t += delta
+		var m *Message
+		buf, m = grow(buf)
+		m.Kind, m.From, m.Seq, m.Ack = KindData, from, seq, ack
+		m.Net, m.Source, m.Time = net, source, vtime.Time(t)
+		if m.Value, err = d.value(r); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
+
+var errBatchTooLong = fmt.Errorf("channel: batch of more than %d messages", maxBatchMsgs)
 
 // DecodeBatchInto decodes a batch frame payload into buf[:0] and
 // returns it; see DecodeBatchAppend. Passing the returned slice back
@@ -638,27 +760,48 @@ func (d *BatchDecoder) DecodeBatchInto(payload []byte, buf []Message) (msgs []Me
 }
 
 // DecodeBatchAppend decodes a batch frame payload, appending every
-// message to buf, and reports whether a KindClose was seen (the
-// connection pump's signal to stop reading). Message fields are slices
-// of decoder-owned memory (interned names, slab payload copies) —
-// never of the frame payload itself — so the caller may reuse the
-// receive buffer immediately while the decoded batch travels on. On an
-// error the messages decoded before it are still returned.
+// message to buf — each is filled in where it lies — and reports
+// whether a KindClose was seen (the connection pump's signal to stop
+// reading). Message fields are slices of decoder-owned memory (interned
+// names, slab payload copies) — never of the frame payload itself — so
+// the caller may reuse the receive buffer immediately while the decoded
+// batch travels on. On an error the messages of the whole entries
+// decoded before it are still returned. The encoding byte of an entry
+// is checked before its body is looked at.
 func (d *BatchDecoder) DecodeBatchAppend(payload []byte, buf []Message) (msgs []Message, closed bool, err error) {
 	r := &reader{buf: payload}
 	count, err := r.uvarint()
 	if err != nil {
 		return buf, false, err
 	}
+	stop := len(buf) + maxBatchMsgs
 	for i := uint64(0); i < count; i++ {
-		m, err := d.entry(r)
+		whole := len(buf)
+		enc, err := r.byte1()
 		if err != nil {
 			return buf, closed, err
 		}
-		if m.Kind == KindClose {
-			closed = true
+		if enc != encBinary && enc != encRun {
+			return buf, closed, fmt.Errorf("channel: unknown batch encoding %d", enc)
 		}
-		buf = append(buf, m)
+		body, err := r.lenBytes()
+		if err != nil {
+			return buf, closed, err
+		}
+		if enc == encRun {
+			buf, err = d.run(body, buf, stop)
+		} else if whole >= stop {
+			err = errBatchTooLong
+		} else {
+			var m *Message
+			buf, m = grow(buf)
+			if err = d.message(body, m); err == nil && m.Kind == KindClose {
+				closed = true
+			}
+		}
+		if err != nil {
+			return buf[:whole], closed, err
+		}
 	}
 	return buf, closed, nil
 }

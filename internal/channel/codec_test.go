@@ -190,17 +190,27 @@ func TestBatchCloseDetected(t *testing.T) {
 	mustEqualMessages(t, got, msgs)
 }
 
-// entryOf wraps a message body as a one-entry batch payload with the
-// given encoding byte.
-func entryOf(enc byte, body ...byte) []byte {
-	p := []byte{0x01, enc}
-	p = binary.AppendUvarint(p, uint64(len(body)))
-	return append(p, body...)
+// rawEntry is one batch entry: encoding byte, length, body.
+func rawEntry(enc byte, body ...byte) []byte {
+	return append(binary.AppendUvarint([]byte{enc}, uint64(len(body))), body...)
 }
 
-// dataBodyUpToValue is a KindData entry body up to, not including, the
-// value: kind, seq, ack, empty From/Net/Source, time 0.
-func dataBodyUpToValue() []byte { return []byte{byte(KindData), 1, 0, 0, 0, 0, 0} }
+// batchOf is a batch payload announcing count entries and carrying the
+// ones given.
+func batchOf(count uint64, entries ...[]byte) []byte {
+	p := binary.AppendUvarint(nil, count)
+	for _, e := range entries {
+		p = append(p, e...)
+	}
+	return p
+}
+
+// entryOf wraps a message body as a one-entry batch payload with the
+// given encoding byte.
+func entryOf(enc byte, body ...byte) []byte { return batchOf(1, rawEntry(enc, body...)) }
+
+// wordItem is one run item: the ΔTime bytes given, then a word.
+func wordItem(delta ...byte) []byte { return append(delta, valWord, 0, 0, 0, 7) }
 
 // hostileLen is a length that fits an int but overflows pos+n.
 var hostileLen = binary.AppendUvarint(nil, 1<<63-1)
@@ -210,7 +220,7 @@ var hostileLen = binary.AppendUvarint(nil, 1<<63-1)
 func hostilePayloads() [][]byte {
 	entry := append(append([]byte{0x01, 0x00}, hostileLen...), 1, 2, 3)
 	str := entryOf(encBinary, append([]byte{byte(KindClose), 1, 0}, hostileLen...)...) // From's length
-	pkt := entryOf(encBinary, append(append(dataBodyUpToValue(), valPacket), hostileLen...)...)
+	pkt := batchOf(1, runOf(1, append([]byte{0, valPacket}, hostileLen...)))
 	return [][]byte{entry, str, pkt}
 }
 
@@ -227,6 +237,123 @@ func TestBatchDecoderRejectsGarbage(t *testing.T) {
 		if _, _, err := dec.DecodeBatchInto(payload, nil); err == nil {
 			t.Fatalf("payload %v decoded without error", payload)
 		}
+	}
+}
+
+// runOf is a run entry from seq0 with ack 0, empty names and the given
+// items.
+func runOf(seq0 uint64, items ...[]byte) []byte {
+	body := append(binary.AppendUvarint(nil, seq0), 0, 0, 0, 0)
+	for _, it := range items {
+		body = append(body, it...)
+	}
+	return rawEntry(encRun, body...)
+}
+
+// TestCorruptRunKeepsEarlierWholeEntries: every way a run entry can be
+// wrong is a decode error, never a panic or a silent truncation, and it
+// costs the frame that entry and what follows — the whole entries
+// before it are returned, the corrupt run's own leading items are not.
+func TestCorruptRunKeepsEarlierWholeEntries(t *testing.T) {
+	ask := Message{Kind: KindSafeTimeReq, From: "ss1", Seq: 1, Ask: 9}
+	good, err := appendEntry(nil, &ask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nilItems := make([][]byte, maxBatchMsgs)
+	for i := range nilItems {
+		nilItems[i] = []byte{0, valNil}
+	}
+	for _, tc := range []struct {
+		name  string
+		count uint64
+		entry []byte
+		want  string
+	}{
+		{"drive outside a run entry", 2, rawEntry(encBinary, byte(KindData), 2, 0, 0, 0, 0, 0, valNil), "unknown message kind 0"},
+		{"header cut short", 2, rawEntry(encRun, 2, 0, 0, 0), "truncated"},
+		{"no items", 2, runOf(2), "empty run"},
+		{"second item cut short", 2, runOf(2, wordItem(3), []byte{1, valWord, 0}), "truncated field"},
+		{"ΔTime sum past MaxInt64", 2, runOf(2, wordItem(1), wordItem(hostileLen...)), "overflows"},
+		{"Seq0+n wraps", 2, runOf(^uint64(0), wordItem(0), wordItem(0)), "wraps"},
+		{"one message past the cap", 2, runOf(2, nilItems...), "more than 65536 messages"},
+		{"retired gob entry", 2, rawEntry(1, 0x01, 0x02), "unknown batch encoding 1"},
+		{"count larger than the entries present", 3, runOf(2, wordItem(0)), "truncated"},
+	} {
+		msgs, _, err := NewBatchDecoder().DecodeBatchInto(batchOf(tc.count, good, tc.entry), nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err=%v, want one containing %q", tc.name, err, tc.want)
+			continue
+		}
+		want := []Message{ask}
+		if tc.count == 3 { // its run was whole; the entry after it is what is missing
+			want = append(want, Message{Kind: KindData, Seq: 2, Value: signal.Word(7)})
+		}
+		if !reflect.DeepEqual(msgs, want) {
+			t.Errorf("%s: kept %+v, want %+v", tc.name, msgs, want)
+		}
+	}
+	// The cap itself is legal: a frame of exactly maxBatchMsgs decodes.
+	msgs, _, err := NewBatchDecoder().DecodeBatchInto(batchOf(1, runOf(1, nilItems...)), nil)
+	if err != nil || len(msgs) != maxBatchMsgs || msgs[maxBatchMsgs-1].Seq != maxBatchMsgs {
+		t.Fatalf("frame at the cap: %d messages, err=%v", len(msgs), err)
+	}
+}
+
+// TestAppendBatchStopsAtMessageCap: the encoder never builds the frame
+// the decoder refuses; what is past the cap is the next frame's.
+func TestAppendBatchStopsAtMessageCap(t *testing.T) {
+	msgs := make([]Message, maxBatchMsgs+5)
+	for i := range msgs {
+		msgs[i] = Message{Kind: KindData, From: "ss1", Seq: uint64(i + 1), Net: "link", Source: "p", Time: vtime.Time(i)}
+	}
+	first, n, err := AppendBatch(nil, msgs, 1<<30)
+	if err != nil || n != maxBatchMsgs {
+		t.Fatalf("first frame took %d of %d (err=%v), want %d", n, len(msgs), err, maxBatchMsgs)
+	}
+	second, n, err := AppendBatch(nil, msgs[n:], 1<<30)
+	if err != nil || n != 5 {
+		t.Fatalf("second frame took %d (err=%v), want 5", n, err)
+	}
+	got, _ := decodeAll(t, NewBatchDecoder(), [][]byte{first, second})
+	mustEqualMessages(t, got, msgs)
+}
+
+// TestRunBreakRule: consecutive drives share a run entry exactly while
+// From, Net, Source and Ack repeat, Seq steps by one and Time does not
+// fall; a lone drive is a run of one, and a negative Time has no
+// encoding.
+func TestRunBreakRule(t *testing.T) {
+	d := func(seq, ack uint64, from, net, src string, at vtime.Time) Message {
+		return Message{Kind: KindData, From: from, Seq: seq, Ack: ack, Net: net, Source: src, Time: at, Value: signal.Word(uint32(seq))}
+	}
+	for _, tc := range []struct {
+		name    string
+		msgs    []Message
+		entries uint64
+	}{
+		{"a lone drive", []Message{d(1, 0, "a", "n", "s", 5)}, 1},
+		{"a burst", []Message{d(1, 0, "a", "n", "s", 5), d(2, 0, "a", "n", "s", 5), d(3, 0, "a", "n", "s", 9)}, 1},
+		{"Ack moves", []Message{d(1, 0, "a", "n", "s", 5), d(2, 1, "a", "n", "s", 6)}, 2},
+		{"Source changes", []Message{d(1, 0, "a", "n", "s", 5), d(2, 0, "a", "n", "s2", 6)}, 2},
+		{"Net changes", []Message{d(1, 0, "a", "n", "s", 5), d(2, 0, "a", "n2", "s", 6)}, 2},
+		{"From changes", []Message{d(1, 0, "a", "n", "s", 5), d(2, 0, "b", "n", "s", 6)}, 2},
+		{"Seq skips", []Message{d(1, 0, "a", "n", "s", 5), d(3, 0, "a", "n", "s", 6)}, 2},
+		{"Time falls", []Message{d(1, 0, "a", "n", "s", 5), d(2, 0, "a", "n", "s", 4)}, 2},
+		{"a grant between", []Message{d(1, 0, "a", "n", "s", 5), {Kind: KindSafeTimeGrant, From: "a", Seq: 2, Grant: 7}, d(3, 0, "a", "n", "s", 6)}, 3},
+	} {
+		payload, n, err := AppendBatch(nil, tc.msgs, 1<<20)
+		if err != nil || n != len(tc.msgs) {
+			t.Fatalf("%s: consumed %d of %d, err=%v", tc.name, n, len(tc.msgs), err)
+		}
+		if entries, _ := binary.Uvarint(payload); entries != tc.entries {
+			t.Errorf("%s: %d entries, want %d", tc.name, entries, tc.entries)
+		}
+		got, _ := decodeAll(t, NewBatchDecoder(), [][]byte{payload})
+		mustEqualMessages(t, got, tc.msgs)
+	}
+	if _, n, err := AppendBatch(nil, []Message{d(1, 0, "a", "n", "s", -1)}, 1<<20); err == nil || n != 0 {
+		t.Fatalf("negative time encoded: n=%d err=%v", n, err)
 	}
 }
 
@@ -248,12 +375,11 @@ func TestRetiredGobEntryRejected(t *testing.T) {
 	}
 }
 
-// extBody is a data entry body carrying an extension value whose
-// length varint and bytes are given raw.
-func extBody(name string, lenAndValue ...byte) []byte {
-	b := append(dataBodyUpToValue(), valExt)
-	b = appendString(b, name)
-	return append(b, lenAndValue...)
+// extRun is a one-entry batch: a run of one item carrying an extension
+// value whose length varint and bytes are given raw.
+func extRun(name string, lenAndValue ...byte) []byte {
+	item := appendString([]byte{0, valExt}, name)
+	return batchOf(1, runOf(1, append(item, lenAndValue...)))
 }
 
 func TestExtensionValueBoundary(t *testing.T) {
@@ -262,10 +388,10 @@ func TestExtensionValueBoundary(t *testing.T) {
 		payload []byte
 		want    string
 	}{
-		{"unregistered name", entryOf(encBinary, extBody("nobody.registered.this", 1, 7)...), `"nobody.registered.this" is not registered`},
-		{"truncated body", entryOf(encBinary, extBody("channel.test.customVal", 9, 14, 'x')...), "truncated field"},
-		{"hostile body length", entryOf(encBinary, extBody("channel.test.customVal", hostileLen...)...), "truncated field"},
-		{"body the type's decoder refuses", entryOf(encBinary, extBody("channel.test.customVal", 0)...), "channel.test.customVal value: customVal: bad A"},
+		{"unregistered name", extRun("nobody.registered.this", 1, 7), `"nobody.registered.this" is not registered`},
+		{"truncated body", extRun("channel.test.customVal", 9, 14, 'x'), "truncated field"},
+		{"hostile body length", extRun("channel.test.customVal", hostileLen...), "truncated field"},
+		{"body the type's decoder refuses", extRun("channel.test.customVal", 0), "channel.test.customVal value: customVal: bad A"},
 	} {
 		msgs, _, err := NewBatchDecoder().DecodeBatchInto(tc.payload, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

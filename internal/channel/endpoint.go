@@ -209,13 +209,11 @@ func (ep *Endpoint) departGrant(g vtime.Time) {
 		ep.pendingAsk = 0
 	}
 	ep.stats.GrantsOut++
-	flush := ep.queueLocked(ep.nextOut(Message{Kind: KindSafeTimeGrant, Grant: g}), true)
+	ep.slotLocked(KindSafeTimeGrant).Grant = g
 	tl := ep.tl
 	ep.mu.Unlock()
 	tl.Grant(ep.local, ep.peer, g)
-	if flush {
-		ep.Flush()
-	}
+	ep.Flush()
 }
 
 // Subsystem returns the hub's subsystem.
@@ -413,7 +411,7 @@ type Endpoint struct {
 	busyUntil      vtime.Time // link serialization horizon
 	seqOut         uint64
 	seqInNext      uint64
-	unacked        []egressRec // our egress not yet covered by every frontier grant
+	unacked        []egressRun // our egress not yet covered by every frontier grant
 	recording      bool
 	recorded       []Message
 	closed         bool
@@ -431,8 +429,8 @@ type Endpoint struct {
 	// and rebinding on another endpoint under the new placement epoch.
 	binds map[string]string
 
-	// Egress queue. Messages are appended to pendingOut under ep.mu in
-	// nextOut order, so the queue is the seq order; flush extracts the
+	// Egress queue. Messages are appended to pendingOut under ep.mu as
+	// slotLocked stamps them, so the queue is the seq order; flush extracts the
 	// whole queue and hands it to the transport under sendMu, which
 	// serializes flushes and keeps batches in order. coalesce decides
 	// only when the queue flushes: once a budget trips, or — the zero
@@ -443,6 +441,12 @@ type Endpoint struct {
 	pendingBytes int
 
 	sendMu sync.Mutex // serializes flushes; never taken under ep.mu
+
+	// inNet is the net the last ingress drive went to, so a run of
+	// drives looks its net up once instead of once a drive. Scheduler
+	// goroutine only. A subsystem never removes or replaces a net, so
+	// the pointer stays good for as long as the name matches.
+	inNet *core.Net
 
 	// Flush accounting for round-based drivers (pia.Simulation.Run):
 	// queuedN counts messages enqueued by the transport pump,
@@ -492,11 +496,40 @@ func (ep *Endpoint) Err() error {
 	return ep.protoErr
 }
 
-// egressRec tracks one outgoing data message the peer may still react
-// to under some frontier grant.
-type egressRec struct {
-	seq     uint64
-	arrival vtime.Time
+// egressRun tracks n consecutive outgoing data messages the peer may
+// still react to under some frontier grant: message i of the run has
+// sequence number seq0+i and arrives at arrival0+i*stride. Arrivals
+// never fall along an endpoint's egress — LinkModel.Arrival starts each
+// message at max(sent, busyUntil), at or after the start of the one
+// before — so stride is never negative and a run's earliest arrival
+// beyond any sequence number is that of its first message beyond it. A
+// page burst, evenly spaced by the link's serialization, is one run.
+type egressRun struct {
+	seq0     uint64
+	arrival0 vtime.Time
+	stride   vtime.Duration
+	n        uint64
+}
+
+// at is the arrival of the run's i-th message.
+func (r *egressRun) at(i uint64) vtime.Time {
+	return r.arrival0 + vtime.Time(r.stride)*vtime.Time(i)
+}
+
+// noteEgressLocked records an outgoing data message for the echo cap:
+// it extends the last run when it is that run's next sequence number at
+// the run's stride (a run of one takes whatever stride comes), and
+// starts a new run otherwise. Caller holds ep.mu.
+func (ep *Endpoint) noteEgressLocked(seq uint64, arrival vtime.Time) {
+	if k := len(ep.unacked); k > 0 {
+		r := &ep.unacked[k-1]
+		if d := arrival.Sub(r.at(r.n - 1)); seq == r.seq0+r.n && d >= 0 && (r.n == 1 || d == r.stride) {
+			r.stride = d
+			r.n++
+			return
+		}
+	}
+	ep.unacked = append(ep.unacked, egressRun{seq0: seq, arrival0: arrival, n: 1})
 }
 
 // grantRec is one promise from the peer: "given everything of yours I
@@ -536,11 +569,16 @@ func (ep *Endpoint) boundLocked() vtime.Time {
 	best := vtime.Time(0)
 	for _, g := range ep.grants {
 		cand := g.val
-		for _, rec := range ep.unacked {
-			if rec.seq <= g.ack {
-				continue // the grant already accounted for this one
+		for i := range ep.unacked {
+			r := &ep.unacked[i]
+			first := uint64(0) // the run's first message the grant had not seen
+			if g.ack >= r.seq0 {
+				first = g.ack - r.seq0 + 1
 			}
-			if echo := rec.arrival.Add(ep.link.Lookahead()); echo < cand {
+			if first >= r.n {
+				continue // the grant already accounted for all of it
+			}
+			if echo := r.at(first).Add(ep.link.Lookahead()); echo < cand {
 				cand = echo
 			}
 		}
@@ -577,10 +615,15 @@ func (ep *Endpoint) addGrant(val vtime.Time, ack uint64) {
 		}
 	}
 	keptE := ep.unacked[:0]
-	for _, rec := range ep.unacked {
-		if rec.seq > minAck {
-			keptE = append(keptE, rec)
+	for _, r := range ep.unacked {
+		if minAck >= r.seq0 {
+			covered := minAck - r.seq0 + 1
+			if covered >= r.n {
+				continue
+			}
+			r.seq0, r.arrival0, r.n = r.seq0+covered, r.at(covered), r.n-covered
 		}
+		keptE = append(keptE, r)
 	}
 	ep.unacked = keptE
 }
@@ -606,14 +649,12 @@ func (ep *Endpoint) Request(t vtime.Time) {
 	ep.lastAsk = t
 	ep.lastAskData = ep.stats.DataIn
 	ep.stats.AsksOut++
-	flush := ep.queueLocked(ep.nextOut(Message{Kind: KindSafeTimeReq, Ask: t}), true)
+	ep.slotLocked(KindSafeTimeReq).Ask = t
 	ep.lastAskSeqOut = ep.seqOut
 	tl := ep.tl
 	ep.mu.Unlock()
 	tl.Ask(ep.local, ep.peer, t)
-	if flush {
-		ep.Flush()
-	}
+	ep.Flush()
 }
 
 // BindNet attaches the endpoint to a split net: a hidden port is
@@ -622,7 +663,7 @@ func (ep *Endpoint) Request(t vtime.Time) {
 func (ep *Endpoint) BindNet(localNet *core.Net, remoteNet string) error {
 	name := graph.HiddenPortName(localNet.Name, ep.peer)
 	_, err := ep.sub.AttachHidden(localNet, name, ep.Name(), func(m core.Msg) {
-		ep.egress(remoteNet, m)
+		ep.egress(remoteNet, &m)
 	})
 	if err != nil {
 		return err
@@ -658,7 +699,7 @@ func (ep *Endpoint) UnbindNet(localNet *core.Net) error {
 }
 
 // egress forwards a local net drive across the channel.
-func (ep *Endpoint) egress(remoteNet string, m core.Msg) {
+func (ep *Endpoint) egress(remoteNet string, m *core.Msg) {
 	size := payloadSize(m.Value)
 	ep.mu.Lock()
 	if ep.closed || ep.paused {
@@ -671,15 +712,12 @@ func (ep *Endpoint) egress(remoteNet string, m core.Msg) {
 	ep.busyUntil = busy
 	ep.stats.DataOut++
 	ep.stats.BytesOut += int64(size)
-	out := ep.nextOut(Message{
-		Kind:   KindData,
-		Net:    remoteNet,
-		Source: m.Source,
-		Time:   arrive,
-		Value:  m.Value,
-	})
-	ep.unacked = append(ep.unacked, egressRec{seq: out.Seq, arrival: arrive})
-	flush := ep.queueLocked(out, false)
+	out := ep.slotLocked(KindData)
+	out.Net, out.Source, out.Time, out.Value = remoteNet, m.Source, arrive, m.Value
+	ep.noteEgressLocked(out.Seq, arrive)
+	ep.pendingBytes += size
+	flush := !ep.coalesce.Enabled() || len(ep.pendingOut) >= ep.coalesce.MaxMsgs ||
+		ep.coalesce.MaxBytes > 0 && ep.pendingBytes >= ep.coalesce.MaxBytes
 	tl := ep.tl
 	ep.mu.Unlock()
 	// Recorded at the drive's send time; the peer records the matching
@@ -691,13 +729,18 @@ func (ep *Endpoint) egress(remoteNet string, m core.Msg) {
 	}
 }
 
-// nextOut stamps common fields; caller holds ep.mu.
-func (ep *Endpoint) nextOut(m Message) Message {
+// slotLocked extends the egress queue by one message of kind k,
+// stamped with the channel's next sequence number, and returns it for
+// the caller to fill in where it lies: no Message is built elsewhere
+// and copied in, and queue order is seq order. A control kind is
+// urgent — its caller flushes after releasing ep.mu, and the drives
+// queued ahead of it leave in the same batch. Caller holds ep.mu.
+func (ep *Endpoint) slotLocked(k Kind) *Message {
 	ep.seqOut++
-	m.Seq = ep.seqOut
-	m.From = ep.local
-	m.Ack = ep.seqInNext
-	return m
+	ep.pendingOut = append(ep.pendingOut, Message{})
+	out := &ep.pendingOut[len(ep.pendingOut)-1]
+	out.Kind, out.From, out.Seq, out.Ack = k, ep.local, ep.seqOut, ep.seqInNext
+	return out
 }
 
 // latchLocked records the endpoint's first error and ends the run of
@@ -726,19 +769,6 @@ func (ep *Endpoint) SetCoalescing(cfg CoalesceConfig) {
 		// off and flushes itself.
 		ep.Flush()
 	}
-}
-
-// queueLocked appends m to the egress queue and reports whether the
-// caller must flush after releasing ep.mu. Caller holds ep.mu; m must
-// already be stamped by nextOut so queue order is seq order.
-func (ep *Endpoint) queueLocked(m Message, urgent bool) bool {
-	ep.pendingOut = append(ep.pendingOut, m)
-	if !ep.coalesce.Enabled() || urgent {
-		return true
-	}
-	ep.pendingBytes += payloadSize(m.Value)
-	return len(ep.pendingOut) >= ep.coalesce.MaxMsgs ||
-		ep.coalesce.MaxBytes > 0 && ep.pendingBytes >= ep.coalesce.MaxBytes
 }
 
 // Flush drains the egress queue onto the transport. An empty queue is
@@ -831,13 +861,11 @@ func (ep *Endpoint) pushGrant(floor vtime.Time) {
 	if DebugHook != nil {
 		dbg("%s PUSH grant=%v floor=%v pending=%v myAck=%d", ep.Name(), g, floor, pending, ep.seqInNext)
 	}
-	flush := ep.queueLocked(ep.nextOut(Message{Kind: KindSafeTimeGrant, Grant: g}), true)
+	ep.slotLocked(KindSafeTimeGrant).Grant = g
 	tl := ep.tl
 	ep.mu.Unlock()
 	tl.Grant(ep.local, ep.peer, g)
-	if flush {
-		ep.Flush()
-	}
+	ep.Flush()
 }
 
 // sendClose announces completion.
@@ -848,7 +876,7 @@ func (ep *Endpoint) sendClose() error {
 		return nil
 	}
 	ep.closed = true
-	ep.queueLocked(ep.nextOut(Message{Kind: KindClose}), true)
+	ep.slotLocked(KindClose)
 	ep.mu.Unlock()
 	ep.Flush() // everything queued, then the close, then the transport goes down
 	return ep.tr.Close()
@@ -888,7 +916,7 @@ func (ep *Endpoint) SendMark(tag string) {
 		ep.mu.Unlock()
 		return
 	}
-	ep.queueLocked(ep.nextOut(Message{Kind: KindMark, Tag: tag}), true)
+	ep.slotLocked(KindMark).Tag = tag
 	ep.mu.Unlock()
 	ep.Flush()
 }
@@ -900,7 +928,7 @@ func (ep *Endpoint) SendRestore(tag string) {
 		ep.mu.Unlock()
 		return
 	}
-	ep.queueLocked(ep.nextOut(Message{Kind: KindRestore, Tag: tag}), true)
+	ep.slotLocked(KindRestore).Tag = tag
 	ep.mu.Unlock()
 	ep.Flush()
 }
@@ -935,7 +963,7 @@ func (ep *Endpoint) TakeRecorded() []Message {
 func (ep *Endpoint) OnMessage(m Message) {
 	ep.queuedN.Add(1)
 	ep.sub.InjectFunc(func() bool {
-		retry := ep.process(m)
+		retry := ep.process(&m)
 		if !retry {
 			ep.handledN.Add(1)
 		}
@@ -972,7 +1000,7 @@ func (ep *Endpoint) OnMessages(msgs []Message) {
 	i := 0
 	ep.sub.InjectFunc(func() bool {
 		for i < len(batch) {
-			if ep.process(batch[i]) {
+			if ep.process(&batch[i]) {
 				return true // straggler: retry this message after the rollback
 			}
 			ep.handledN.Add(1)
@@ -988,9 +1016,9 @@ func (ep *Endpoint) OnMessages(msgs []Message) {
 
 // process handles one message on the scheduler goroutine. It returns
 // true (retry after rollback) for optimistic stragglers.
-func (ep *Endpoint) process(m Message) bool {
+func (ep *Endpoint) process(m *Message) bool {
 	if DebugHook != nil {
-		dbg("%s PROC seq=%d ack=%d %v", ep.Name(), m.Seq, m.Ack, m)
+		dbg("%s PROC seq=%d ack=%d %v", ep.Name(), m.Seq, m.Ack, *m)
 	}
 	ep.mu.Lock()
 	if !ep.seqChecked(m) {
@@ -999,7 +1027,7 @@ func (ep *Endpoint) process(m Message) bool {
 	switch m.Kind {
 	case KindData:
 		if ep.recording {
-			ep.recorded = append(ep.recorded, m)
+			ep.recorded = append(ep.recorded, *m)
 		}
 		if m.Time < ep.sub.Now() {
 			if ep.policy == Optimistic {
@@ -1034,7 +1062,14 @@ func (ep *Endpoint) process(m Message) bool {
 		tl := ep.tl
 		ep.mu.Unlock()
 		tl.Deliver(ep.peer, ep.local, m.Net, m.Time)
-		_ = ep.sub.DriveNow(m.Net, m.Source, m.Time, m.Value)
+		// A drive of a net this subsystem does not have goes nowhere,
+		// as it always has.
+		if ep.inNet == nil || ep.inNet.Name != m.Net {
+			ep.inNet = ep.sub.Net(m.Net)
+		}
+		if ep.inNet != nil {
+			ep.sub.DriveNetNow(ep.inNet, m.Source, m.Time, m.Value)
+		}
 	case KindSafeTimeReq:
 		ep.stats.AsksIn++
 		// Record the demand; the answer is always computed fresh at
@@ -1128,7 +1163,7 @@ func (ep *Endpoint) ResumeProtocol() {
 }
 
 // seqChecked verifies FIFO sequencing; caller holds ep.mu.
-func (ep *Endpoint) seqChecked(m Message) bool {
+func (ep *Endpoint) seqChecked(m *Message) bool {
 	ep.seqInNext++
 	if m.Seq == ep.seqInNext {
 		return true

@@ -10,51 +10,75 @@ import (
 
 func init() { Register() }
 
-// fuzzMessage builds one message from fuzz primitives. Kinds cycle
-// through the whole protocol; ext selects whether data values come
-// from the closed tag table or the RegisterValue registry. Empty byte
-// payloads are normalised to a word because the codec decodes a
-// zero-length slice as nil.
-func fuzzMessage(ext bool, kindSel uint8, seq, ack uint64, from, name, tag string, tick uint64, word uint32, pkt []byte) Message {
-	kinds := []Kind{KindData, KindSafeTimeReq, KindSafeTimeGrant, KindMark, KindRestore, KindClose}
-	m := Message{Kind: kinds[int(kindSel)%len(kinds)], From: from, Seq: seq, Ack: ack}
-	switch m.Kind {
-	case KindData:
-		m.Net, m.Source, m.Time = name, from, vtime.Time(tick)
-		switch {
-		case ext:
-			m.Value = customVal{A: int(int32(word)), B: string(pkt)}
-		case len(pkt) == 0:
-			m.Value = signal.Word(word)
-		default:
-			m.Value = signal.Packet(pkt)
-		}
-	case KindSafeTimeReq:
-		m.Ask = vtime.Time(tick)
-	case KindSafeTimeGrant:
-		m.Grant = vtime.Time(tick)
-	case KindMark, KindRestore:
-		m.Tag = tag
+// fuzzBatch builds a batch from fuzz primitives. Each shape byte is
+// one run of data messages — its low six bits the length, 1 to 64 —
+// and what ends it: nothing but a moved Ack, an ask, a grant with the
+// Source changing after it, or a mark. Values cycle through the closed
+// tag table and the RegisterValue registry; a run whose shape byte has
+// bit 5 set lets Time fall back halfway through, which must split it.
+// Empty byte payloads are normalised to a word because the codec
+// decodes a zero-length slice as nil.
+func fuzzBatch(shape []byte, seq, ack uint64, from, name, tag string, tick uint64, word uint32, pkt []byte) []Message {
+	if len(shape) > 8 {
+		shape = shape[:8]
 	}
-	return m
+	source := from
+	start := vtime.Time(tick & uint64(vtime.Infinity)) // a data Time is never negative
+	var msgs []Message
+	next := func(m Message) {
+		m.From, m.Seq, m.Ack = from, seq, ack
+		seq++
+		msgs = append(msgs, m)
+	}
+	for _, b := range shape {
+		n := int(b&63) + 1
+		at := start
+		for i := 0; i < n; i++ {
+			m := Message{Kind: KindData, Net: name, Source: source, Time: at}
+			switch {
+			case i%3 == 1:
+				m.Value = customVal{A: int(int32(word)) + i, B: string(pkt)}
+			case i%3 == 2 && len(pkt) > 0:
+				m.Value = signal.Packet(pkt)
+			default:
+				m.Value = signal.Word(word + uint32(i))
+			}
+			next(m)
+			if at = at.Add(vtime.Duration(word % 1000)); b&32 != 0 && i == n/2 {
+				at = start
+			}
+		}
+		switch b >> 6 {
+		case 0:
+			ack++
+		case 1:
+			next(Message{Kind: KindSafeTimeReq, Ask: start})
+		case 2:
+			next(Message{Kind: KindSafeTimeGrant, Grant: start})
+			source += "'"
+		case 3:
+			next(Message{Kind: KindMark, Tag: tag})
+		}
+	}
+	return msgs
 }
 
-// FuzzBatchRoundTrip encodes fuzz-derived message batches — data
-// values from the closed tag table or from the extension registry —
-// and requires the decode to reproduce them exactly. This covers what
-// a hand-written table never exhausts: hostile strings, extreme
-// times, empty payloads.
+// FuzzBatchRoundTrip encodes fuzz-derived batches — runs of 1 to 64
+// drives with asks, grants and marks between them and with Ack and
+// Source changing mid-batch — and requires the decode to reproduce
+// every field of every message exactly, a data message's Ack included.
+// This covers what a hand-written table never exhausts: hostile
+// strings, extreme times, empty payloads, runs that break anywhere.
 func FuzzBatchRoundTrip(f *testing.F) {
-	f.Add(false, uint8(0), uint64(1), uint64(0), "ss1", "link", "snap", uint64(10), uint32(300), []byte{1, 2, 3})
-	f.Add(true, uint8(0), uint64(1), uint64(0), "ss1", "link", "snap", uint64(10), uint32(300), []byte{1, 2, 3})
-	f.Add(false, uint8(5), uint64(9), uint64(9), "", "", "", ^uint64(0), uint32(0), []byte{})
-	f.Add(true, uint8(3), uint64(0), uint64(1), "a\xffb", "n", "t\x00", uint64(1)<<62, uint32(1), []byte(nil))
+	f.Add([]byte{0}, uint64(1), uint64(0), "ss1", "link", "snap", uint64(10), uint32(300), []byte{1, 2, 3})
+	f.Add([]byte{63, 64 | 5, 128 | 32 | 9, 192, 7}, uint64(1), uint64(0), "ss1", "link", "snap", uint64(10), uint32(300), []byte{1, 2, 3})
+	f.Add([]byte{1, 1}, uint64(9), uint64(9), "", "", "", ^uint64(0), uint32(0), []byte{})
+	f.Add([]byte{32 | 3, 128}, ^uint64(0)-2, uint64(1), "a\xffb", "n", "t\x00", uint64(1)<<62, uint32(999), []byte(nil))
 
-	f.Fuzz(func(t *testing.T, ext bool, kindSel uint8, seq, ack uint64, from, name, tag string, tick uint64, word uint32, pkt []byte) {
-		msgs := []Message{
-			fuzzMessage(ext, kindSel, seq, ack, from, name, tag, tick, word, pkt),
-			fuzzMessage(ext, kindSel+1, seq+1, ack, from, name, tag, tick/2, word+1, nil),
-			fuzzMessage(!ext, kindSel+2, seq+2, ack+1, name, from, tag, tick+1, word, pkt),
+	f.Fuzz(func(t *testing.T, shape []byte, seq, ack uint64, from, name, tag string, tick uint64, word uint32, pkt []byte) {
+		msgs := fuzzBatch(shape, seq, ack, from, name, tag, tick, word, pkt)
+		if len(msgs) == 0 {
+			return // AppendBatch writes nothing, not an empty frame
 		}
 		payload, n, err := AppendBatch(nil, msgs, 1<<20)
 		if err != nil {
@@ -67,19 +91,15 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		wantClosed := false
-		for _, m := range msgs {
-			wantClosed = wantClosed || m.Kind == KindClose
-		}
-		if closed != wantClosed {
-			t.Fatalf("closed=%v, want %v", closed, wantClosed)
+		if closed {
+			t.Fatal("no close in batch, decoder says closed")
 		}
 		if len(got) != len(msgs) {
 			t.Fatalf("decoded %d messages, want %d", len(got), len(msgs))
 		}
 		for i := range msgs {
 			if !reflect.DeepEqual(got[i], msgs[i]) {
-				t.Fatalf("message %d (ext=%v) mismatch:\n got  %+v\n want %+v", i, ext, got[i], msgs[i])
+				t.Fatalf("message %d mismatch:\n got  %+v\n want %+v", i, got[i], msgs[i])
 			}
 		}
 	})
@@ -111,9 +131,18 @@ func FuzzDecodeBatch(f *testing.F) {
 	for _, payload := range hostilePayloads() {
 		f.Add(payload)
 	}
-	f.Add(entryOf(1, 0x01, 0x02))                                               // the retired gob encoding
-	f.Add(entryOf(encBinary, extBody("channel.test.customVal", 2, 14, 'x')...)) // a registered extension value
-	f.Add(entryOf(encBinary, extBody("nobody.registered.this", 1, 7)...))
+	f.Add(entryOf(1, 0x01, 0x02))                       // the retired gob encoding
+	f.Add(extRun("channel.test.customVal", 2, 14, 'x')) // a registered extension value
+	f.Add(extRun("nobody.registered.this", 1, 7))
+	// Run entries: a whole one, then each way of being wrong.
+	f.Add(batchOf(1, runOf(1, wordItem(5), wordItem(0), wordItem(3))))
+	f.Add(entryOf(encRun, 1, 0, 0, 0))                                  // header cut short
+	f.Add(batchOf(1, runOf(1, wordItem(5), []byte{1, valWord, 0})))     // item cut short
+	f.Add(batchOf(1, runOf(1)))                                         // no items
+	f.Add(batchOf(1, runOf(1, wordItem(1), wordItem(hostileLen...))))   // ΔTime sum past MaxInt64
+	f.Add(batchOf(1, runOf(^uint64(0), wordItem(0), wordItem(0))))      // Seq0+n wraps
+	f.Add(batchOf(3, runOf(1, wordItem(0))))                            // count larger than the entries present
+	f.Add(entryOf(encBinary, byte(KindData), 1, 0, 0, 0, 0, 0, valNil)) // a drive outside a run entry
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		msgs, closedInto, errInto := NewBatchDecoder().DecodeBatchInto(payload, nil)

@@ -550,6 +550,12 @@ func (s *Subsystem) DriveNow(net, src string, t vtime.Time, v any) error {
 	return nil
 }
 
+// DriveNetNow is DriveNow for a caller that already holds the net: a
+// channel endpoint delivering a run of drives looks the net up once.
+func (s *Subsystem) DriveNetNow(n *Net, src string, t vtime.Time, v any) {
+	s.driveLocal(n, src, t, v)
+}
+
 // RequestRollback asks the scheduler to restore the latest checkpoint
 // whose cut time is <= t (a straggler with timestamp t arrived on an
 // optimistic channel). Safe from any goroutine.

@@ -229,7 +229,7 @@ func (b *pumpBeh) Run(p *core.Proc) error {
 	return nil
 }
 
-func (b *pumpBeh) SaveState() ([]byte, error)  { return core.GobSave(b) }
+func (b *pumpBeh) SaveState() ([]byte, error)   { return core.GobSave(b) }
 func (b *pumpBeh) RestoreState(bs []byte) error { return core.GobRestore(b, bs) }
 
 // drainBeh absorbs local filler traffic.
@@ -246,5 +246,5 @@ func (b *drainBeh) Run(p *core.Proc) error {
 	}
 }
 
-func (b *drainBeh) SaveState() ([]byte, error)  { return core.GobSave(b) }
+func (b *drainBeh) SaveState() ([]byte, error)   { return core.GobSave(b) }
 func (b *drainBeh) RestoreState(bs []byte) error { return core.GobRestore(b, bs) }

@@ -190,6 +190,11 @@ func TestPumpDeliversFramesBeforeACorruptOne(t *testing.T) {
 		// What a pre-registry sender put on the wire for a value outside
 		// the tag table: well-formed then, refused undecoded now.
 		{"retired gob entry", append(binary.AppendUvarint([]byte{0x01, 0x01}, uint64(gobClose.Len())), gobClose.Bytes()...), "unknown batch encoding 1"},
+		// A run entry (encoding 2: seq0 3, ack 0, empty From, Net "link",
+		// Source "prod") whose first item is whole — ΔTime 30, nil — and
+		// whose second, a word, stops inside its value: the whole item is
+		// not delivered either, only whole frames are.
+		{"run cut short inside an item", []byte{0x01, 0x02, 18, 3, 0, 0, 4, 'l', 'i', 'n', 'k', 4, 'p', 'r', 'o', 'd', 30, 0, 10, 2, 0}, "truncated field"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newPeerScript(t)
@@ -205,6 +210,31 @@ func TestPumpDeliversFramesBeforeACorruptOne(t *testing.T) {
 				t.Fatalf("queued %d messages before the corrupt frame, want 2", got)
 			}
 		})
+	}
+}
+
+// TestSendBatchWordBurstIsOneRun pins what a burst costs on the wire: a
+// 64-word flush — the default coalescing budget, words past 255 at a
+// three-byte spacing as in a page load — is one frame and one Write of
+// at most 10 bytes a word, frame header, count, entry header and the
+// names said once all included.
+func TestSendBatchWordBurstIsOneRun(t *testing.T) {
+	s := &stubStream{}
+	tr := &connTransport{c: wire.NewConn(s)}
+	msgs := make([]channel.Message, channel.DefaultCoalesce.MaxMsgs)
+	for i := range msgs {
+		msgs[i] = channel.Message{Kind: channel.KindData, From: "modemsite", Seq: uint64(100 + i), Ack: 7,
+			Net: "dma", Source: "asic", Time: vtime.Time(1_000_000 + 20_040*i), Value: signal.Word(0xdead0000 + uint32(i))}
+	}
+	if err := tr.SendBatch(msgs); err != nil {
+		t.Fatal(err)
+	}
+	st := tr.c.Stats()
+	if st.FramesOut != 1 || s.writes != 1 {
+		t.Fatalf("a %d-word flush took %d frames and %d Writes, want one of each", len(msgs), st.FramesOut, s.writes)
+	}
+	if perWord := float64(st.BytesOut) / float64(len(msgs)); perWord > 10 {
+		t.Fatalf("a %d-word flush is %d bytes on the wire, %.1f a word; want at most 10", len(msgs), st.BytesOut, perWord)
 	}
 }
 
