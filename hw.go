@@ -54,7 +54,9 @@ type (
 // DefaultProtoConfig matches the paper's experiment.
 var DefaultProtoConfig = proto.DefaultConfig
 
-// SendMessage transfers a payload at the given detail level.
+// SendMessage transfers a payload at the given detail level. Packets
+// are views of payload: do not modify it after the call. Only the Last
+// packet owns its bytes.
 func SendMessage(p *Proc, port string, payload []byte, level string, cfg ProtoConfig) int {
 	return proto.SendMessage(p, port, payload, level, cfg)
 }

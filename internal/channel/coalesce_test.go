@@ -135,6 +135,51 @@ func TestCoalesceByteBudget(t *testing.T) {
 	}
 }
 
+// TestFlushDropsPayloadReferences: once the transport has a batch, the
+// endpoint keeps nothing it carried. Both egress arrays — the one just
+// sent and the one queued next — hold only zero Messages up to their
+// capacity, so a flushed packet (a view of a whole page) is not pinned
+// by a spent slot until the array is next written; the transport still
+// got every payload intact.
+func TestFlushDropsPayloadReferences(t *testing.T) {
+	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxMsgs: 4})
+	page := make([]byte, 10<<10)
+	for i := range page {
+		page[i] = byte(i)
+	}
+	for i := 0; i < 10; i++ {
+		chunk := page[i<<10 : (i+1)<<10 : (i+1)<<10]
+		ep.egress("link", &core.Msg{Sent: vtime.Time(i), Value: signal.Frame{Seq: uint32(i), Payload: chunk}, Source: "prod"})
+	}
+	ep.Request(1000) // the last two drives leave with the ask
+	got := 0
+	for _, b := range tr.snapshot() {
+		for _, m := range b {
+			if f, ok := m.Value.(signal.Frame); ok {
+				if !bytes.Equal(f.Payload, page[f.Seq<<10:(f.Seq+1)<<10]) {
+					t.Fatalf("frame %d reached the transport changed", f.Seq)
+				}
+				got++
+			}
+		}
+	}
+	if got != 10 {
+		t.Fatalf("transport got %d frames, want 10", got)
+	}
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	for name, arr := range map[string][]Message{"pendingOut": ep.pendingOut, "spareOut": ep.spareOut} {
+		if cap(arr) == 0 {
+			t.Fatalf("%s never held a batch", name)
+		}
+		for i, m := range arr[:cap(arr)] {
+			if !reflect.ValueOf(m).IsZero() {
+				t.Fatalf("%s[%d] still holds %v after the flush", name, i, m)
+			}
+		}
+	}
+}
+
 // batchSizes returns how many messages each SendBatch carried.
 func batchSizes(tr *fakeBatchTr) []int {
 	batches := tr.snapshot()

@@ -775,6 +775,9 @@ func (ep *Endpoint) SetCoalescing(cfg CoalesceConfig) {
 // a no-op. Concurrent flushes are serialized by sendMu, and the queue
 // is extracted under ep.mu after sendMu is held, so batches leave in
 // enqueue (= seq) order even when several goroutines race to flush.
+// Once the transport has the batch its slots are cleared: a spent
+// message would otherwise keep its value — a packet, a view of a whole
+// page — alive until the slot is next written.
 func (ep *Endpoint) Flush() {
 	ep.sendMu.Lock()
 	defer ep.sendMu.Unlock()
@@ -794,7 +797,9 @@ func (ep *Endpoint) Flush() {
 	if len(batch) == 0 {
 		return
 	}
-	if err := ep.tr.SendBatch(batch); err != nil {
+	err := ep.tr.SendBatch(batch)
+	clear(batch) // the transport keeps nothing (Transport)
+	if err != nil {
 		ep.mu.Lock()
 		ep.latchLocked("send: %w", err)
 		ep.mu.Unlock()
@@ -972,8 +977,12 @@ func (ep *Endpoint) OnMessage(m Message) {
 }
 
 // msgBufPool recycles the batch buffers OnMessages hands from the
-// transport pump to the scheduler goroutine.
-var msgBufPool = sync.Pool{New: func() any { return make([]Message, 0, 64) }}
+// transport pump to the scheduler goroutine. It holds pointers, so a
+// Put boxes nothing.
+var msgBufPool = sync.Pool{New: func() any {
+	b := make([]Message, 0, 64)
+	return &b
+}}
 
 // OnMessages is the batched ingress entry point: one decoded frame's
 // worth of messages, queued as a single injection. Processing order —
@@ -995,10 +1004,12 @@ func (ep *Endpoint) OnMessages(msgs []Message) {
 		ep.OnMessage(msgs[0])
 		return
 	}
-	batch := append(msgBufPool.Get().([]Message)[:0], msgs...)
-	ep.queuedN.Add(int64(len(batch)))
+	buf := msgBufPool.Get().(*[]Message)
+	*buf = append((*buf)[:0], msgs...)
+	ep.queuedN.Add(int64(len(msgs)))
 	i := 0
 	ep.sub.InjectFunc(func() bool {
+		batch := *buf
 		for i < len(batch) {
 			if ep.process(&batch[i]) {
 				return true // straggler: retry this message after the rollback
@@ -1006,10 +1017,9 @@ func (ep *Endpoint) OnMessages(msgs []Message) {
 			ep.handledN.Add(1)
 			i++
 		}
-		for j := range batch {
-			batch[j] = Message{} // drop payload references
-		}
-		msgBufPool.Put(batch[:0]) //nolint:staticcheck // slices are pointer-shaped
+		clear(batch) // drop payload references
+		*buf = batch[:0]
+		msgBufPool.Put(buf)
 		return false
 	})
 }
@@ -1147,6 +1157,7 @@ func (ep *Endpoint) ResetProtocol() {
 	ep.busyUntil = 0
 	ep.seqOut = 0
 	ep.seqInNext = 0
+	clear(ep.pendingOut)
 	ep.pendingOut = ep.pendingOut[:0]
 	ep.pendingBytes = 0
 	// A transport error from the dying epoch is part of what the

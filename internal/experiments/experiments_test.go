@@ -47,13 +47,24 @@ func TestRemoteLevel(t *testing.T) {
 
 func TestTable1ShapeSmall(t *testing.T) {
 	// 16 KB keeps the word-level rows well clear of wall-clock
-	// jitter while staying fast.
-	rows, err := Table1(Table1Config{PageSize: 16 * 1024, Images: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("%d rows", len(rows))
+	// jitter while staying fast. Each row's wall is its fastest of three
+	// runs: on a shared host one run of a millisecond-scale row can land
+	// a GC cycle or a descheduling several times its own length.
+	var rows []Table1Row
+	for rep := 0; rep < 3; rep++ {
+		got, err := Table1(Table1Config{PageSize: 16 * 1024, Images: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 5 {
+			t.Fatalf("%d rows", len(got))
+		}
+		if rows == nil {
+			rows = got
+		}
+		for i := range rows {
+			rows[i].Wall = min(rows[i].Wall, got[i].Wall)
+		}
 	}
 	byName := map[string]Table1Row{}
 	for _, r := range rows {

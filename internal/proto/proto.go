@@ -16,6 +16,7 @@
 package proto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -64,6 +65,11 @@ func (c Config) packetLen() int {
 // level: a length header precedes word- and hardware-level streams,
 // and packet-level transfers use signal.Frame with a Last marker.
 // It returns the number of net drives performed.
+//
+// Packets are views of payload, not copies: the caller must not modify
+// payload after the call, since receivers — and anything that keeps a
+// delivered value — may still be reading it. Only the Last packet owns
+// its bytes.
 func SendMessage(p *core.Proc, port string, payload []byte, level string, cfg Config) int {
 	switch level {
 	case LevelHardware:
@@ -112,14 +118,18 @@ func sendPackets(p *core.Proc, port string, payload []byte, cfg Config) int {
 	}
 	seq := uint32(0)
 	for off := 0; off < len(payload); off += plen {
-		end := off + plen
-		if end > len(payload) {
-			end = len(payload)
+		end := min(off+plen, len(payload))
+		last := end == len(payload)
+		// A packet is a view of payload, capacity-clipped so a
+		// receiver's append cannot reach the next packet. The Last one
+		// is copied: the net keeps its last value (checkpointed with
+		// it), and a view there would pin the whole payload.
+		chunk := payload[off:end:end]
+		if last {
+			chunk = append(make([]byte, 0, len(chunk)), chunk...)
 		}
-		chunk := make([]byte, end-off)
-		copy(chunk, payload[off:end])
 		p.Advance(cfg.PerPacket)
-		p.Send(port, signal.Frame{Seq: seq, Payload: chunk, Last: end == len(payload)})
+		p.Send(port, signal.Frame{Seq: seq, Payload: chunk, Last: last})
 		seq++
 		n++
 	}
@@ -245,12 +255,18 @@ func (a *Assembler) Feed(v any) ([]byte, bool, error) {
 	}
 }
 
-// finish hands the completed transfer out as one exact-size slice.
+// finish hands the completed transfer out as one new slice, never nil.
+// A transfer is either a word/byte stream in buf or frames in parts;
+// bytes.Join allocates the result without zeroing it first.
 func (a *Assembler) finish() ([]byte, bool, error) {
-	out := make([]byte, len(a.buf)+a.size)
-	n := copy(out, a.buf)
-	for _, p := range a.parts {
-		n += copy(out[n:], p)
+	var out []byte
+	if a.inFrame {
+		out = bytes.Join(a.parts, nil)
+	} else {
+		out = append(out, a.buf...)
+	}
+	if out == nil {
+		out = []byte{} // an empty transfer is still a message
 	}
 	a.Reset()
 	a.Messages++

@@ -286,6 +286,57 @@ func TestAssemblerJoinsFramesOnce(t *testing.T) {
 	}
 }
 
+// TestSendPacketsShareThePayload: a packet-level send cuts views of the
+// payload instead of copying it. Every packet but the last aliases its
+// slice of payload with cap == len, so a receiver's append cannot
+// clobber the next packet; the Last packet owns at most one packet of
+// bytes, because a net keeps its last value and a view would pin the
+// whole payload; and a 2 MB send allocates that one packet and the
+// boxed frames, not a second copy of the page.
+func TestSendPacketsShareThePayload(t *testing.T) {
+	plen := DefaultConfig.PacketLen
+	payload := make([]byte, 2<<20+100) // a short last packet
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	n := Drives(len(payload), LevelPacket, DefaultConfig)
+	s := core.NewSubsystem("p")
+	sent := make([]any, 0, n) // sized ahead: the hook allocates nothing
+	s.OnDrive = func(_, _ string, _ vtime.Time, v any) { sent = append(sent, v) }
+	var size uint64
+	tc, _ := s.NewComponent("tx", core.BehaviorFunc(func(p *core.Proc) error {
+		size = allocatedBytes(func() { SendMessage(p, "out", payload, LevelPacket, DefaultConfig) })
+		return nil
+	}))
+	tc.AddPort("out")
+	w, _ := s.NewNet("w", 0) // nobody listens: the send is all that allocates
+	s.Connect(w, tc.Port("out"))
+	if err := s.Run(vtime.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if len(sent) != n {
+		t.Fatalf("%d packets, want %d", len(sent), n)
+	}
+	for i, v := range sent {
+		f := v.(signal.Frame)
+		off := i * plen
+		if !bytes.Equal(f.Payload, payload[off:min(off+plen, len(payload))]) || f.Last != (i == n-1) {
+			t.Fatalf("packet %d: %d bytes, Last %v", i, len(f.Payload), f.Last)
+		}
+		view := &f.Payload[0] == &payload[off]
+		if !f.Last && (!view || cap(f.Payload) != len(f.Payload)) {
+			t.Fatalf("packet %d: view %v, cap %d for %d bytes; want a capacity-clipped view", i, view, cap(f.Payload), len(f.Payload))
+		}
+		if f.Last && (view || cap(f.Payload) > plen) {
+			t.Fatalf("last packet: view %v, cap %d; want a copy of at most %d bytes", view, cap(f.Payload), plen)
+		}
+	}
+	// A boxed frame is one small size class, well under 128 bytes.
+	if limit := uint64(plen + n*128); size > limit {
+		t.Fatalf("a %d-byte send allocated %d bytes, want <= %d (one packet and %d boxes)", len(payload), size, limit, n)
+	}
+}
+
 // TestAssemblerBoundsTransferInProgress: no stream a peer can send
 // makes an assembler hold more than maxMessage. Each hostile stream is
 // fed until Feed refuses it; what was held up to then stays under the

@@ -359,21 +359,16 @@ type Server struct {
 // Run implements core.Behavior.
 func (s *Server) Run(p *core.Proc) error {
 	if s.store == nil {
-		st, err := NewStore()
-		if err != nil {
-			return err
-		}
-		s.store = st
-	}
-	if s.est == nil {
-		s.est, _ = timing.NewEstimator(timing.ServerCPU)
-	}
-	if s.Cfg.PageSize != DefaultPageSize || s.Cfg.Images != DefaultImageCount {
+		// The store holds the one page this server is configured to
+		// serve; any other URL gets the 404.
 		page, err := GenPage(s.Cfg.PageSize, s.Cfg.Images)
 		if err != nil {
 			return err
 		}
-		s.store.Put(s.Cfg.URL, page)
+		s.store = &Store{pages: map[string][]byte{s.Cfg.URL: page}}
+	}
+	if s.est == nil {
+		s.est, _ = timing.NewEstimator(timing.ServerCPU)
 	}
 	asm := proto.NewAssembler()
 	for {
@@ -396,19 +391,17 @@ func (s *Server) Run(p *core.Proc) error {
 		s.est.ChargeCycles(p, s.Cfg.ServerCyclesPerKB*int64(len(page))/1024)
 		s.Served++
 		// Stream the page back over the air, one frame per radio
-		// packet with its airtime.
+		// packet with its airtime. The frames are views of the store's
+		// page, which nothing writes; cap == len, so a receiver's append
+		// cannot reach the next frame's bytes.
 		flen := s.Cfg.RadioFrameLen
 		if flen <= 0 {
 			flen = 1024
 		}
 		seq := uint32(0)
 		for off := 0; off < len(page) || seq == 0; off += flen {
-			end := off + flen
-			if end > len(page) {
-				end = len(page)
-			}
-			chunk := make([]byte, end-off)
-			copy(chunk, page[off:end])
+			end := min(off+flen, len(page))
+			chunk := page[off:end:end]
 			p.Advance(s.Cfg.airtime(len(chunk) + 16))
 			p.Send("radio", signal.Frame{Src: "server", Dst: "asic", Seq: seq, Payload: chunk, Last: end >= len(page)})
 			seq++

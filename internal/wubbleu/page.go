@@ -65,18 +65,20 @@ func GenPage(total, images int) ([]byte, error) {
 	binary.LittleEndian.PutUint32(out[4:], uint32(htmlBytes))
 	binary.LittleEndian.PutUint32(out[8:], uint32(images))
 	pos := 12
-	fill := []byte("<p>the pia home page, rendered by wubbleu </p>")
-	for i := 0; i < htmlBytes; i++ {
-		out[pos+i] = fill[i%len(fill)]
+	// The html repeats one line: lay it down once, then double what is
+	// written (a multiple of the line, so the pattern stays in phase).
+	html := out[pos : pos+htmlBytes]
+	for n := copy(html, "<p>the pia home page, rendered by wubbleu </p>"); n < len(html); {
+		n += copy(html[n:], html[:n])
 	}
 	pos += htmlBytes
-	rng := rand.New(rand.NewSource(0x77754255))
+	rng := imageBytes{src: rand.NewSource(0x77754255)}
 	rem := imgBytes
 	for i := 0; i < images; i++ {
 		sz := rem / (images - i)
 		binary.LittleEndian.PutUint32(out[pos:], uint32(sz))
 		pos += 4
-		rng.Read(out[pos : pos+sz])
+		rng.read(out[pos : pos+sz])
 		pos += sz
 		rem -= sz
 	}
@@ -84,6 +86,34 @@ func GenPage(total, images int) ([]byte, error) {
 		return nil, fmt.Errorf("wubbleu: generated %d bytes, want %d", pos, total)
 	}
 	return out, nil
+}
+
+// imageBytes is math/rand's Rand.Read byte stream — seven bytes of
+// each Int63, low byte first, the unused rest carried to the next call
+// — produced a word at a time: each Int63 is stored as eight bytes and
+// the next one overwrites the eighth. The pages are pinned to those
+// bytes (TestGenPageBytesPinned).
+type imageBytes struct {
+	src  rand.Source
+	val  int64
+	left int // bytes of val not yet handed out
+}
+
+func (r *imageBytes) read(p []byte) {
+	for len(p) > 0 {
+		if r.left == 0 && len(p) >= 8 {
+			binary.LittleEndian.PutUint64(p, uint64(r.src.Int63()))
+			p = p[7:]
+			continue
+		}
+		if r.left == 0 {
+			r.val, r.left = r.src.Int63(), 7
+		}
+		p[0] = byte(r.val)
+		r.val >>= 8
+		r.left--
+		p = p[1:]
+	}
 }
 
 // ParsePage decodes a generated page.

@@ -1,13 +1,17 @@
 package wubbleu
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	pia "repro"
 	"repro/internal/channel"
 	"repro/internal/proto"
+	"repro/internal/signal"
 	"repro/internal/vtime"
 )
 
@@ -51,6 +55,29 @@ func TestGenPageAllocatesPageOnce(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > total+16<<10 {
 		t.Fatalf("GenPage(%d) allocated %d bytes, want the page once", total, got)
+	}
+}
+
+// TestGenPageBytesPinned pins the bytes of generated pages: every
+// digest downstream hashes frame payloads, so generating a page faster
+// may not change one byte of it. 200 001 bytes with five images puts
+// the image boundaries in the middle of a random source's word.
+func TestGenPageBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		total, images int
+		sha256        string
+	}{
+		{DefaultPageSize, 4, "feb3b8df28b08ac397d5046fd3221d1f72c19891f8670a099614605556c57389"},
+		{2 << 20, 4, "85b64a47d5cc59b2c509582f1cc04aefb34da06195710b9107049b6fd4a074b9"},
+		{200_001, 5, "d03894fa379b709ae8f3b4a36ad896a9d6b8db02ad02577dd491f86e7f544d39"},
+	} {
+		data, err := GenPage(tc.total, tc.images)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.sha256 {
+			t.Errorf("GenPage(%d, %d) sha256 %s, want %s", tc.total, tc.images, got, tc.sha256)
+		}
 	}
 }
 
@@ -199,6 +226,67 @@ func TestRemotePlacementSplitsDMA(t *testing.T) {
 	if sim.Subsystem("handheld").Net("radio") != nil {
 		t.Fatal("radio net leaked onto the handheld subsystem")
 	}
+}
+
+// TestLastValuesPinNoPage: packets travel as views of the page, but a
+// net keeps its last value (and checkpoints it), so what the nets hold
+// after a packet-level remote run must not pin a page. Both fragments
+// of "dma" end on the Last frame, which owns at most one packet of
+// bytes outside the page the ASIC sent; "radio" ends on a frame of at
+// most one packet, or on a view of the server's own store page, which
+// the server keeps anyway.
+func TestLastValuesPinNoPage(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PageSize = 8<<10 + 300 // a short last packet
+	cfg.Images = 1
+	b := pia.NewSystem("wubbleu-remote")
+	app, err := Install(b, cfg, RemotePlacement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetDefaultChannel(pia.Conservative, pia.LoopbackLink)
+	sim, err := b.BuildLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	// The ASIC's first DMA packet starts the page it sends.
+	var dmaPage []byte
+	sim.Subsystem("modemsite").OnDrive = func(net, _ string, _ vtime.Time, v any) {
+		if f, ok := v.(signal.Frame); ok && net == "dma" && dmaPage == nil {
+			dmaPage = unsafe.Slice(unsafe.SliceData(f.Payload), cfg.PageSize)
+		}
+	}
+	if err := sim.Run(pia.Time(pia.Seconds(30))); err != nil {
+		t.Fatal(err)
+	}
+	if res := app.Result(); res.Loads != 1 || res.PageBytes[0] != cfg.PageSize {
+		t.Fatalf("remote load did not complete: %+v", res)
+	}
+	plen := cfg.Proto.PacketLen
+	lastFrame := func(sub, net string) signal.Frame {
+		v, _ := sim.Subsystem(sub).Net(net).LastValue()
+		f, ok := v.(signal.Frame)
+		if !ok || !f.Last || len(f.Payload) == 0 {
+			t.Fatalf("%s/%s ends on %v, want the Last frame", sub, net, v)
+		}
+		return f
+	}
+	for _, sub := range []string{"handheld", "modemsite"} {
+		if f := lastFrame(sub, "dma"); cap(f.Payload) > plen || within(f.Payload, dmaPage) {
+			t.Fatalf("%s/dma keeps %d bytes of capacity, a view of the page: %v", sub, cap(f.Payload), within(f.Payload, dmaPage))
+		}
+	}
+	f := lastFrame("modemsite", "radio")
+	if store := app.Server.store.Get(cfg.URL); cap(f.Payload) > plen && !within(f.Payload, store) {
+		t.Fatalf("modemsite/radio keeps %d bytes of capacity outside the store page", cap(f.Payload))
+	}
+}
+
+// within reports whether b's bytes lie inside page's array.
+func within(b, page []byte) bool {
+	p, lo := uintptr(unsafe.Pointer(unsafe.SliceData(b))), uintptr(unsafe.Pointer(unsafe.SliceData(page)))
+	return p >= lo && p < lo+uintptr(len(page))
 }
 
 func TestFig5CommunicationGraph(t *testing.T) {
