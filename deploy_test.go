@@ -2,13 +2,17 @@ package pia
 
 import (
 	"errors"
+	"io"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/node"
 )
 
 func TestBuildOnNodesTwoNodes(t *testing.T) {
@@ -24,7 +28,6 @@ func TestBuildOnNodesTwoNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
 	if err := cl.Run(Time(Seconds(1))); err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +38,13 @@ func TestBuildOnNodesTwoNodes(t *testing.T) {
 		if v != i {
 			t.Fatalf("order broken: %v", dst.Got)
 		}
+	}
+	// An orderly teardown is not a lost peer: nothing latches.
+	if err := cl.Close(); err != nil {
+		t.Fatalf("Close after a clean run: %v", err)
+	}
+	if err := cl.channelErr(); err != nil {
+		t.Fatalf("Close after a clean run latched %v", err)
 	}
 }
 
@@ -189,6 +199,128 @@ func TestLatchedErrorWithAllStalled(t *testing.T) {
 	}
 	if !errors.Is(err, channel.ErrPipeClosed) {
 		t.Fatalf("run returned %v, want the latched send error", err)
+	}
+}
+
+// cutProxy forwards TCP connections to a target address until cut,
+// which closes every connection it carries, as a dead link or a
+// crashed peer does: no Close crosses the channel first.
+type cutProxy struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func newCutProxy(t *testing.T, target string) *cutProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &cutProxy{ln: ln}
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			out, err := net.Dial("tcp", target)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			p.mu.Lock()
+			p.conns = append(p.conns, in, out)
+			p.mu.Unlock()
+			go io.Copy(out, in)
+			go io.Copy(in, out)
+		}
+	}()
+	return p
+}
+
+func (p *cutProxy) cut() {
+	p.ln.Close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.conns {
+		c.Close()
+	}
+}
+
+// TestPeerLostEndsStalledRun: a TCP channel that dies while both of its
+// subsystems wait — ssA stalled on a grant ssB has not sent, ssB busy in
+// a step that has not returned — ends the run with the loss. Nothing
+// more can arrive over the dead connection, so the pump latches the
+// loss on its endpoint, which stops ssA; before, only the flight
+// recorder heard of it and ssA waited for the grant for ever.
+func TestPeerLostEndsStalledRun(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	sA, sB := core.NewSubsystem("ssA"), core.NewSubsystem("ssB")
+	// ssA has work at 1 ms, which the channel's gate holds until ssB
+	// grants it; ssB's one component holds ssB's scheduler at time 0.
+	if _, err := sA.NewComponent("ticker", BehaviorFunc(func(p *Proc) error {
+		p.DelayUntil(Time(Milliseconds(1)))
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sB.NewComponent("hold", BehaviorFunc(func(p *Proc) error {
+		close(entered)
+		<-release
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	n1, n2 := NewNode("node1"), NewNode("node2")
+	hA, hB := n1.Host(sA), n2.Host(sB)
+	addr, err := n2.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	px := newCutProxy(t, addr)
+	epA, err := n1.Connect("ssA", px.ln.Addr().String(), "ssB", Conservative, LinkModel{Latency: Microseconds(50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &Cluster{
+		Simulation: Simulation{
+			Subsystems: map[string]*core.Subsystem{"ssA": sA, "ssB": sB},
+			Hubs:       map[string]*channel.Hub{"ssA": hA.Hub, "ssB": hB.Hub},
+			subOrder:   []string{"ssA", "ssB"},
+		},
+		Nodes:   map[string]*Node{"ssA": n1, "ssB": n2},
+		nodeSet: []*Node{n1, n2},
+	}
+	defer cl.Close()
+	defer close(release) // whatever happens, let ssB's step return
+	done := make(chan error, 1)
+	go func() { done <- cl.Run(Time(Seconds(1))) }()
+
+	// Both sides wait: ssB inside its step, ssA on the grant it asked for.
+	<-entered
+	deadline := time.Now().Add(10 * time.Second)
+	for epA.Stats().AsksOut == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("ssA never asked for a grant")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	px.cut()
+	for epA.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the channel died under a stalled run and its endpoint never latched the loss")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release <- struct{}{} // ssB's step returns; ssB's own latch stops it
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run hangs after the peer was lost")
+	}
+	if !errors.Is(err, node.ErrPeerLost) {
+		t.Fatalf("run returned %v, want an error wrapping node.ErrPeerLost", err)
 	}
 }
 

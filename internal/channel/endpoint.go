@@ -757,6 +757,20 @@ func (ep *Endpoint) latchLocked(format string, args ...any) {
 	}
 }
 
+// PeerLost latches err, the loss of the transport to the peer, as the
+// endpoint's error — which ends the owning subsystem's run, as a failed
+// send does — unless the channel was over already: this side has closed
+// it, or the peer has with a Close. Once the transport is gone nothing
+// more arrives, so a run stalled on a grant only the peer could send
+// would otherwise wait for ever. The transport pump calls it.
+func (ep *Endpoint) PeerLost(err error) {
+	ep.mu.Lock()
+	if !ep.closed && !ep.peerDone {
+		ep.latchLocked("%w", err)
+	}
+	ep.mu.Unlock()
+}
+
 // SetCoalescing replaces the endpoint's coalescing budgets
 // (DefaultCoalesce until then). Safe to call at any time; a disable
 // flushes whatever is queued.
@@ -976,50 +990,66 @@ func (ep *Endpoint) OnMessage(m Message) {
 	})
 }
 
-// msgBufPool recycles the batch buffers OnMessages hands from the
-// transport pump to the scheduler goroutine. It holds pointers, so a
-// Put boxes nothing.
+// msgBufPool recycles the batch buffers the transport pump decodes
+// into and OnMessages hands to the scheduler goroutine; every buffer in
+// it is empty (see recycle). It holds pointers, so a Put boxes nothing.
 var msgBufPool = sync.Pool{New: func() any {
 	b := make([]Message, 0, 64)
 	return &b
 }}
 
-// OnMessages is the batched ingress entry point: one decoded frame's
-// worth of messages, queued as a single injection. Processing order —
-// and therefore the channel's FIFO guarantee — is identical to
-// calling OnMessage per message; what changes is the cost: one
-// injection-queue append and one scheduler wakeup per frame instead
-// of one per message. Straggler retry semantics are preserved by
-// resuming the in-batch cursor: a message that requests a rollback is
-// retried (and the rest of the batch stays behind it) exactly as the
-// per-message path would re-queue it at the front.
+// BatchBuf returns an empty buffer for one batch of ingress messages:
+// the transport pump decodes into it and hands it to OnMessages, which
+// takes it over.
+func BatchBuf() *[]Message { return msgBufPool.Get().(*[]Message) }
+
+// recycle drops the payload references *buf holds and returns it to
+// msgBufPool.
+func recycle(buf *[]Message) {
+	clear(*buf)
+	*buf = (*buf)[:0]
+	msgBufPool.Put(buf)
+}
+
+// OnMessages is the batched ingress entry point: one burst of decoded
+// messages, queued as a single injection. Processing order — and
+// therefore the channel's FIFO guarantee — is identical to calling
+// OnMessage per message; what changes is the cost: one injection-queue
+// append and one scheduler wakeup per burst instead of one per
+// message. Straggler retry semantics are preserved by resuming the
+// in-batch cursor: a message that requests a rollback is retried (and
+// the rest of the batch stays behind it) exactly as the per-message
+// path would re-queue it at the front.
 //
-// OnMessages copies msgs before returning, so the caller may reuse
-// its slice (the pump's decode buffer) immediately.
-func (ep *Endpoint) OnMessages(msgs []Message) {
+// OnMessages takes buf over — the caller got it from BatchBuf and must
+// not touch it, or the slice it holds, again — so a burst crosses to
+// the scheduler goroutine as decoded, without a copy. The handled
+// count moves once per pass over the batch: by everything the pass
+// processed, before a straggler's retry as at the end.
+func (ep *Endpoint) OnMessages(buf *[]Message) {
+	msgs := *buf
 	switch len(msgs) {
 	case 0:
+		recycle(buf)
 		return
 	case 1:
 		ep.OnMessage(msgs[0])
+		recycle(buf)
 		return
 	}
-	buf := msgBufPool.Get().(*[]Message)
-	*buf = append((*buf)[:0], msgs...)
 	ep.queuedN.Add(int64(len(msgs)))
-	i := 0
+	handled := 0
 	ep.sub.InjectFunc(func() bool {
-		batch := *buf
-		for i < len(batch) {
-			if ep.process(&batch[i]) {
-				return true // straggler: retry this message after the rollback
-			}
-			ep.handledN.Add(1)
+		i := handled
+		for i < len(msgs) && !ep.process(&msgs[i]) {
 			i++
 		}
-		clear(batch) // drop payload references
-		*buf = batch[:0]
-		msgBufPool.Put(buf)
+		ep.handledN.Add(int64(i - handled))
+		handled = i
+		if i < len(msgs) {
+			return true // straggler: retry this message after the rollback
+		}
+		recycle(buf)
 		return false
 	})
 }

@@ -255,9 +255,9 @@ func (c *Component) key() vtime.Time {
 		k := vtime.Infinity
 		if c.recvPorts == nil {
 			// Unfiltered receive — the overwhelmingly common case. The
-			// key is a pure column read: the head of the inbox's time
-			// column, no event materialized. This is what keeps the
-			// safe-horizon scan walking contiguous memory.
+			// key is one load: the time of the inbox's earliest event (the
+			// key beside its head row, or the heap's root), no event
+			// materialized. This is what keeps the safe-horizon scan cheap.
 			if t := c.inbox.NextTime(); t != vtime.Infinity {
 				k = vtime.Max(t, c.localTime)
 			}
@@ -276,7 +276,7 @@ func (c *Component) key() vtime.Time {
 // nextDeliverable returns the time of the earliest inbox event
 // matching the component's current receive filter; ok is false when
 // none matches. No event is materialized: an unfiltered receive reads
-// the head of the time column, and a filtered one scans the columns for
+// the earliest event's time, and a filtered one searches the inbox for
 // the (Time, Seq)-minimal match, which a matching head ends at once.
 func (c *Component) nextDeliverable() (vtime.Time, bool) {
 	if c.recvPorts == nil {

@@ -111,6 +111,52 @@ func TestRecvFilteredZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRecvFilterChangeAfterTimeout: a filtered poll that times out
+// with a later event pending on its port — DrainInterrupts' poll of the
+// irq port — does not leave that event to the next receive on another
+// port of a filter just as long. The receive on "in" takes the "in"
+// message, and the irq event is still there for the irq port, whether
+// rx is served inline or parked and resumed by the scheduler.
+func TestRecvFilterChangeAfterTimeout(t *testing.T) {
+	for _, parked := range []bool{false, true} {
+		name := "inline"
+		if parked {
+			name = "parked"
+		}
+		t.Run(name, func(t *testing.T) {
+			tx := BehaviorFunc(func(p *Proc) error {
+				p.SendAt("irq", "irq", 10)
+				p.SendAt("in", "in", 20)
+				return nil
+			})
+			var got []Msg
+			rx := BehaviorFunc(func(p *Proc) error {
+				if m, ok := p.RecvDeadline(p.Time(), "irq"); ok {
+					t.Errorf("poll at %v took %+v, due later", p.Time(), m)
+				}
+				for _, port := range []string{"in", "irq"} {
+					m, ok := p.Recv(port)
+					if !ok {
+						t.Errorf("Recv(%q) found nothing", port)
+					}
+					got = append(got, m)
+				}
+				return nil
+			})
+			s := streamPair(t, tx, rx, "irq", "in")
+			if parked {
+				s.OnStep = func(vtime.Time) {}
+			}
+			if err := s.Run(vtime.Infinity); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 2 || got[0].Port != "in" || got[0].Value != "in" || got[0].Time != 20 || got[1].Port != "irq" || got[1].Value != "irq" {
+				t.Fatalf("Recv(in) then Recv(irq) = %+v, want the in message @20, then the irq one", got)
+			}
+		})
+	}
+}
+
 // BenchmarkRecvFiltered is local_word's receive side without the
 // harness: tx streams b.N words into rx's inbox without yielding (the
 // DMA link's burst), rx takes them with one filtered Recv per word.
@@ -233,22 +279,21 @@ func (w *wordSink) RestoreState([]byte) error  { return nil }
 
 // TestWordBurstBytesPerDelivery: one page of boxed words, tx -> rx
 // through one subsystem, costs what its parts must — the 8-byte box
-// Send's `any` makes of a word past 255, a 24-byte inbox row, and 40
-// bytes of ordering columns doubled up to the burst (20 bytes a
-// position, each position allocated twice over) — and nothing per word
-// beyond that: no event or Msg copy escapes, whether the receive is
-// filtered or not, and whether rx is stepped by the sequential
-// scheduler or dispatched past the safe horizon round after round with
-// every pop journaled for rollback.
+// Send's `any` makes of a word past 255, a 24-byte inbox row and its
+// 16-byte key, in chunks sized to their allocator class — and nothing
+// per word beyond that: no event or Msg copy escapes, whether the
+// receive is filtered or not, and whether rx is stepped by the
+// sequential scheduler or dispatched past the safe horizon round after
+// round with every pop journaled for rollback.
 func TestWordBurstBytesPerDelivery(t *testing.T) {
 	const (
 		words    = 16_384
 		wordTime = 800
-		// What the run may cost on top of words * 72 bytes and one
+		// What the run may cost on top of words * 52 bytes and one
 		// allocation a word: the subsystem's goroutines and channels, the
-		// chunk table, the columns' growth below one chunk, and under
-		// speculation a few allocations a round and two journals of one
-		// round's pops (the worker buffers change hands).
+		// chunk table, the first chunk's growth, and under speculation a
+		// few allocations a round and two journals of one round's pops
+		// (the worker buffers change hands).
 		slackBytes  = 96 << 10
 		slackAllocs = words / 32
 		specWords   = 128 // taken by one speculative dispatch
@@ -310,8 +355,8 @@ func TestWordBurstBytesPerDelivery(t *testing.T) {
 			}
 			bytes, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 			t.Logf("%d bytes (%.1f a word), %d allocations; %d speculative dispatches, %d rolled back", bytes, float64(bytes)/words, allocs, st.SpecMembers, st.Rollbacks)
-			if (!raceBuild && bytes > words*72+slackBytes) || allocs > words+slackAllocs {
-				t.Fatalf("%d words cost %d bytes and %d allocations, want <= %d and <= %d", words, bytes, allocs, words*72+slackBytes, words+slackAllocs)
+			if (!raceBuild && bytes > words*52+slackBytes) || allocs > words+slackAllocs {
+				t.Fatalf("%d words cost %d bytes and %d allocations, want <= %d and <= %d", words, bytes, allocs, words*52+slackBytes, words+slackAllocs)
 			}
 		})
 	}

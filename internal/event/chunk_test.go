@@ -310,8 +310,14 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 			if len(q.rest) != 0 || q.next != 0 || q.free != 0 {
 				t.Fatalf("rows not released: %d extra chunks, next %d, free %d", len(q.rest), q.next, q.free)
 			}
-			if len(q.first) > chunkRows || cap(q.times) > chunkRows || cap(q.seqs) > chunkRows || cap(q.rows) > chunkRows {
-				t.Fatalf("burst-sized storage kept: first %d, columns %d/%d/%d", len(q.first), cap(q.times), cap(q.seqs), cap(q.rows))
+			if q.heap || q.head != 0 {
+				t.Fatalf("not an empty run: heap %v, head %d", q.heap, q.head)
+			}
+			if len(q.first) > chunkRows || len(q.firstKeys) > chunkRows {
+				t.Fatalf("burst-sized first chunk kept: %d rows, %d keys", len(q.first), len(q.firstKeys))
+			}
+			if c := q.cols; c != nil && (len(c.times) != 0 || cap(c.times) > chunkRows || cap(c.seqs) > chunkRows || cap(c.rows) > chunkRows) {
+				t.Fatalf("heap columns kept: %d positions, room for %d/%d/%d", len(c.times), cap(c.times), cap(c.seqs), cap(c.rows))
 			}
 			for i, r := range q.first {
 				if r.value != nil {
@@ -338,18 +344,16 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 }
 
 // TestQueueBurstAllocs is the guard behind BenchmarkQueueBurst: one
-// page load into a zero Queue costs one allocation per 256-row chunk
-// plus the logarithmic growth of the three ordering columns, the chunk
-// table and the first chunk — never a re-copy of the rows — and once
-// drained the queue keeps at most one chunk. In bytes a cold 16 384
-// burst is a 24-byte row and 40 bytes of columns an event: 20 bytes a
-// position, each allocated twice over by doubling up to the burst
-// (growing by a quarter, as append does past 256 elements, allocates
-// each five times over).
+// page load into a zero Queue costs one allocation per chunk plus the
+// logarithmic growth of the chunk table and of the first chunk's rows
+// and keys — no ordering column, never a re-copy of the rows — and once
+// drained the queue keeps at most one chunk. At its peak the burst
+// holds its rows and keys and at most one chunk more, and in all it
+// allocates 40 bytes an event and the first chunk's growth: under 44.
 func TestQueueBurstAllocs(t *testing.T) {
 	const (
 		chunks = (burstLen + chunkRows - 1) / chunkRows
-		slack  = 96 // ~15 growths per column x 3, ~8 each for first and rest, the route table
+		slack  = 32 // ~9 growths each for the first chunk's rows and keys, ~8 for the chunk table, the route table
 	)
 	if size := unsafe.Sizeof(payload{}); size > 32 {
 		t.Fatalf("a row is %d bytes, want <= 32", size)
@@ -362,25 +366,66 @@ func TestQueueBurstAllocs(t *testing.T) {
 	if allocs > chunks+slack {
 		t.Fatalf("burst of %d costs %.0f allocations, want <= %d chunks + %d", burstLen, allocs, chunks, slack)
 	}
-	if len(q.rest) != 0 || len(q.first) > chunkRows || cap(q.times) > chunkRows {
-		t.Fatalf("drained queue keeps %d extra chunks, %d first-chunk rows, %d column slots",
-			len(q.rest), len(q.first), cap(q.times))
+	if len(q.rest) != 0 || len(q.first) > chunkRows || q.cols != nil {
+		t.Fatalf("drained queue keeps %d extra chunks, %d first-chunk rows, heap columns %v",
+			len(q.rest), len(q.first), q.cols != nil)
+	}
+
+	// At the peak: every event pushed, none popped.
+	const cold = 16_384
+	q = new(Queue)
+	for i := 0; i < cold; i++ {
+		q.Push(Event{Time: vtime.Time(i), Kind: KindNet, Port: "dma", Net: "dma"})
+	}
+	rowKey := unsafe.Sizeof(payload{}) + unsafe.Sizeof(key{})
+	held := uintptr(cap(q.first))*unsafe.Sizeof(payload{}) + uintptr(cap(q.firstKeys))*unsafe.Sizeof(key{})
+	for _, c := range q.rest {
+		if c != nil {
+			held += unsafe.Sizeof(*c)
+		}
+	}
+	if live := cold * rowKey; held > live+unsafe.Sizeof(chunk{}) || q.heap || q.cols != nil {
+		t.Fatalf("a cold burst of %d holds %d bytes of rows and keys (heap %v), want <= %d live and one chunk",
+			cold, held, q.heap, live)
 	}
 
 	if raceBuild {
 		return
 	}
-	const cold = 16_384
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	burst(new(Queue), cold)
 	runtime.ReadMemStats(&after)
-	// On top of 64 bytes an event: the chunk table, the first chunk's
-	// and the columns' growth below one chunk, one route.
-	if got := after.TotalAlloc - before.TotalAlloc; got > cold*64+(16<<10) {
-		t.Fatalf("cold burst of %d allocates %d bytes, %.1f an event, want 64", cold, got, float64(got)/cold)
+	if got := after.TotalAlloc - before.TotalAlloc; got > cold*44 {
+		t.Fatalf("cold burst of %d allocates %d bytes, %.1f an event, want <= 44", cold, got, float64(got)/cold)
 	}
 }
+
+// TestChunkFillsItsSizeClass: a chunk is a pointerful object past 512
+// bytes, so the allocator puts an 8-byte header before it and rounds
+// the sum up to a size class. chunkRows is the most rows whose chunk
+// fits the 10 240-byte class: one more row and the chunk spills into
+// the 10 880-byte class, 640 bytes of it never used.
+func TestChunkFillsItsSizeClass(t *testing.T) {
+	const class, header = 10240, 8
+	size := unsafe.Sizeof(chunk{})
+	if size+header > class || size+header+unsafe.Sizeof(payload{})+unsafe.Sizeof(key{}) <= class {
+		t.Fatalf("a %d-row chunk is %d bytes: it does not fill the %d-byte class", chunkRows, size, class)
+	}
+	if raceBuild {
+		return
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sink = new(chunk)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got != class {
+		t.Fatalf("a chunk allocates %d bytes, want the %d-byte class", got, class)
+	}
+	sink = nil
+}
+
+var sink *chunk
 
 // TestRouteTableBounded: Source arrives from a peer's socket, so no
 // stream of distinct names may grow an inbox's route table — neither

@@ -9,47 +9,44 @@
 // delivered in the order they were produced. That tie-break is what
 // makes whole-simulation runs reproducible bit-for-bit.
 //
-// The queue is laid out struct-of-arrays: the ordering is three
-// parallel columns — times, seqs and row indices — while the value
-// lives in a separate row store addressed by the index column.
-// Ordering operations (NextTime, the scheduler's safe-horizon key
-// scan, drains) touch only the contiguous time/seq columns; heap swaps
-// move 20 bytes instead of whole events; and the row store recycles
-// slots through a free list, so a warm queue's steady-state traffic
-// allocates nothing.
+// An event is stored as a row and a key. A row is 24 bytes: the value,
+// the kind and an index into the queue's route table. The routing tuple
+// (Component, Port, Net, Source) is topology, not data — an inbox sees
+// a handful of distinct ones for the life of a design — so each
+// distinct tuple is stored once and a push that repeats the previous
+// push's tuple, the shape of every burst, finds it without a search.
+// The table is bounded whatever a peer sends (see maxRoutes). The value
+// stays an `any` because Event, core.Msg and the drive hooks are `any`
+// on the public surface; it is the only pointer pair the collector
+// still walks in a row. The key is the (Time, Seq) pair, 16 bytes kept
+// in pointer-free memory: the collector never scans it.
 //
-// A row is 24 bytes: the value, the kind and an index into the queue's
-// route table. The routing tuple (Component, Port, Net, Source) is
-// topology, not data — an inbox sees a handful of distinct ones for
-// the life of a design — so each distinct tuple is stored once and a
-// push that repeats the previous push's tuple, the shape of every
-// burst, finds it without a search. The table is bounded whatever a
-// peer sends (see maxRoutes). The value stays an `any` because Event,
-// core.Msg and the drive hooks are `any` on the public surface; it is
-// the only pointer pair the collector still walks in a row.
-//
-// The columns are read in one of two ways. A queue starts as a sorted
-// run: while every push orders at or after the one before it — a page
+// The queue is read in one of two ways. It starts as a sorted run:
+// while every push orders at or after the one before it — a page
 // arriving over a channel, a burst toward one inbox, a timer chain —
-// a push is an append, the head is a cursor into the run and a pop is
-// a load plus cursor++, with no sift. The popped prefix is reclaimed
-// (the run copied down to position 0) whenever it outweighs the live
-// run, so each reclamation moves fewer positions than were popped
-// since the last one and a queue that never empties keeps columns
-// proportional to its depth. The first push that orders before its
-// predecessor — a rollback re-pushing popped events, two sources
-// interleaving — moves the run to position 0 and from then on the same
-// columns are a binary heap. No heapify is needed: in a sorted array
-// every position's parent sits at a smaller index and so holds a
-// smaller key, which is the heap invariant. The queue is a heap until
-// something empties it, and an empty queue is an empty run again.
+// the live events are the row-store slots head..next, each slot's key
+// sits beside its row, a push writes slot next and a pop reads slot
+// head and steps past it. Nothing else is kept, grown or copied: a
+// burst costs one row and one key an event. The first push that orders
+// before the tail, or a pop from inside the run (a filtered receive
+// whose earliest match is not the head), turns the live range into a
+// binary heap over three contiguous columns — times, seqs and slots —
+// with no heapify: a sorted array is a heap, because every position's
+// parent sits at a smaller index and so holds a smaller key. From then
+// until something empties the queue the heap's sifts compare and move
+// those columns only (20 bytes a position) and freed slots are
+// recycled through a free list; an empty queue is an empty run again.
 //
-// The row store is chunked: rows never move once a queue holds more
-// than one chunk, so a cold burst of n events costs about n/256 block
-// allocations and no re-copying, and whatever empties the queue
-// releases every chunk but the first. Events are copied field by field
-// between the caller's Event and a row — there is no per-event heap
-// object to pool or leak.
+// The row store is chunked, and a row never moves. The first chunk
+// grows by append, so a queue that only ever holds a few events pays
+// for a few rows; every later chunk is one fixed block of rows and
+// their keys, sized to its allocator class. A run drops each chunk its
+// head has passed and rebases the chunk table once the dropped prefix
+// outweighs the live part, so a run that never empties keeps storage
+// proportional to its depth; whatever empties the queue releases every
+// chunk but the first. Events are copied field by field between the
+// caller's Event and a row — there is no per-event heap object to pool
+// or leak.
 package event
 
 import (
@@ -132,8 +129,9 @@ func (e Event) String() string {
 }
 
 // payload is the row-store half of an event: the value, the kind and
-// the route. The (Time, Seq) ordering key lives in the ordering columns
-// and the routing strings in the route table.
+// the route. The (Time, Seq) key lives beside it (key) while the queue
+// is a run and in the heap's columns once it is a heap; the routing
+// strings live in the route table.
 type payload struct {
 	value any
 	// link is the row's index in the route table while the row is live.
@@ -141,6 +139,20 @@ type payload struct {
 	// rows themselves: 1 + the next free slot, 0 at the end.
 	link int32
 	kind Kind
+}
+
+// key is an event's ordering key as a run keeps it, beside its row.
+type key struct {
+	time vtime.Time
+	seq  uint64
+}
+
+// after reports whether k orders strictly after (t, seq).
+func (k *key) after(t vtime.Time, seq uint64) bool {
+	if k.time != t {
+		return k.time > t
+	}
+	return k.seq > seq
 }
 
 // route is the topology half of an event, stored once per distinct
@@ -165,26 +177,57 @@ func (r *route) is(component, port, net, source string) bool {
 // and so never holds a tuple twice.
 const maxRoutes = 32
 
-// chunkRows is the row-store block size: slot s lives in chunk
-// s>>chunkShift at offset s&(chunkRows-1).
-const (
-	chunkShift = 8
-	chunkRows  = 1 << chunkShift
-)
+// chunkRows is the number of slots in a chunk, and what the first
+// chunk grows to: slot s lives in the first chunk when s < chunkRows
+// and in chunk s/chunkRows of the store, rest[s/chunkRows-1], at
+// s%chunkRows otherwise.
+const chunkRows = 255
+
+// chunk is one fixed block of the row store: its rows, then their keys.
+// The keys hold no pointers and lie past the last pointer word, so the
+// collector's scan of a chunk stops at the rows. 255 rows of 24 bytes
+// and keys of 16, with the 8-byte header the allocator puts before a
+// pointerful object this large, fill the 10 240-byte size class
+// (TestChunkFillsItsSizeClass); 256 would spill into the 10 880-byte
+// one.
+type chunk struct {
+	rows [chunkRows]payload
+	keys [chunkRows]key
+}
+
+// columns is the heap: three parallel columns, a binary heap by
+// position ordered by (times, seqs), rows naming each position's slot.
+type columns struct {
+	times []vtime.Time
+	seqs  []uint64
+	rows  []int32
+}
 
 // Queue is a priority queue of events ordered by (Time, Seq).
 // The zero value is ready to use. Queue is not safe for concurrent
 // use; the subsystem scheduler owns it.
 type Queue struct {
-	// Ordering columns, parallel by position; positions head.. are
-	// live. While heap is false they are a sorted run and head is its
-	// cursor; once heap is true they are a binary heap and head is 0
-	// (see the package comment).
-	times []vtime.Time
-	seqs  []uint64
-	rows  []int32 // row-store slot
-	head  int
-	heap  bool
+	// Row store, chunked so rows never move: the first chunk (first and
+	// firstKeys, grown together by append up to chunkRows) and then
+	// fixed chunks, nil once a run's head has passed them. next is the
+	// first slot never handed out since the queue was last empty. While
+	// the queue is a run (heap false) its live events are the slots
+	// head..next in order. Once it is a heap, cols holds them and free
+	// heads the list of recycled slots (1 + slot, 0 when there is none;
+	// see payload.link). A queue that becomes empty restarts at slot 0
+	// as an empty run and keeps only the first chunk (see release).
+	first     []payload
+	firstKeys []key
+	rest      []*chunk
+	head      int32
+	next      int32
+	free      int32
+	heap      bool
+
+	// cols is the heap while heap is true, and empty otherwise. It is
+	// a pointer, nil until the queue first becomes a heap: most inboxes
+	// never do, and every component embeds one.
+	cols *columns
 
 	// lastRoute is the route the most recent push used; routes is the
 	// table it indexes. The table is emptied with the queue (release)
@@ -192,101 +235,125 @@ type Queue struct {
 	lastRoute int32
 	routes    []route
 
-	// Row store, chunked so rows never move. The first chunk grows by
-	// append up to chunkRows, so a queue that only ever holds a few
-	// events pays for a few rows; every later chunk is one fixed
-	// block. next is the first slot never handed out since the queue
-	// was last empty; free heads the list of recycled slots below it
-	// (1 + slot, 0 when there is none; see payload.link). A queue that
-	// becomes empty restarts at slot 0 and keeps only the first chunk
-	// (see release).
-	first []payload
-	rest  []*[chunkRows]payload
-	next  int32
-	free  int32
-
 	seq uint64
 }
 
-// row returns the row at slot.
-func (q *Queue) row(slot int32) *payload {
+// at returns the row and the key at slot; only a run reads the key.
+func (q *Queue) at(slot int32) (*payload, *key) {
 	if slot < chunkRows {
-		return &q.first[slot]
+		return &q.first[slot], &q.firstKeys[slot]
 	}
-	return &q.rest[slot>>chunkShift-1][slot&(chunkRows-1)]
+	s := uint32(slot)
+	c := q.rest[s/chunkRows-1]
+	return &c.rows[s%chunkRows], &c.keys[s%chunkRows]
 }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.times) - q.head }
-
-func (q *Queue) less(i, j int) bool {
-	if q.times[i] != q.times[j] {
-		return q.times[i] < q.times[j]
+func (q *Queue) Len() int {
+	if q.heap {
+		return len(q.cols.times)
 	}
-	return q.seqs[i] < q.seqs[j]
+	return int(q.next - q.head)
 }
 
-func (q *Queue) swap(i, j int) {
-	q.times[i], q.times[j] = q.times[j], q.times[i]
-	q.seqs[i], q.seqs[j] = q.seqs[j], q.seqs[i]
-	q.rows[i], q.rows[j] = q.rows[j], q.rows[i]
+func (c *columns) less(i, j int) bool {
+	if c.times[i] != c.times[j] {
+		return c.times[i] < c.times[j]
+	}
+	return c.seqs[i] < c.seqs[j]
 }
 
-func (q *Queue) up(i int) {
+func (c *columns) swap(i, j int) {
+	c.times[i], c.times[j] = c.times[j], c.times[i]
+	c.seqs[i], c.seqs[j] = c.seqs[j], c.seqs[i]
+	c.rows[i], c.rows[j] = c.rows[j], c.rows[i]
+}
+
+func (c *columns) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !c.less(i, parent) {
 			break
 		}
-		q.swap(i, parent)
+		c.swap(i, parent)
 		i = parent
 	}
 }
 
-func (q *Queue) down(i int) {
-	n := len(q.times)
+func (c *columns) down(i int) {
+	n := len(c.times)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && q.less(r, l) {
+		if r := l + 1; r < n && c.less(r, l) {
 			m = r
 		}
-		if !q.less(m, i) {
+		if !c.less(m, i) {
 			return
 		}
-		q.swap(i, m)
+		c.swap(i, m)
 		i = m
 	}
 }
 
-// alloc claims a row slot and fills it from e.
-func (q *Queue) alloc(e *Event) int32 {
-	var slot int32
-	if q.free != 0 {
-		slot = q.free - 1
-		q.free = q.row(slot).link
-	} else {
-		slot = q.next
-		q.next++
-		switch {
-		case slot < chunkRows:
-			// The first chunk keeps its rows across a release; grow
-			// it only when this queue has never been this deep.
-			if int(slot) == len(q.first) {
-				q.first = append(q.first, payload{})
-			}
-		case slot&(chunkRows-1) == 0:
-			q.rest = append(q.rest, new([chunkRows]payload))
-		}
+// grow doubles a full heap column that has reached one chunk's worth.
+// Past 256 elements append grows by a quarter, which re-copies a deep
+// heap some twenty times a column; below that it already doubles.
+func grow[T any](col []T) []T {
+	if n := len(col); n == cap(col) && n >= chunkRows {
+		return slices.Grow(col, n)
 	}
-	p := q.row(slot)
-	p.value = e.Value
-	p.link = q.intern(e.Component, e.Port, e.Net, e.Source)
-	p.kind = e.Kind
+	return col
+}
+
+func (c *columns) push(t vtime.Time, seq uint64, slot int32) {
+	c.times = append(grow(c.times), t)
+	c.seqs = append(grow(c.seqs), seq)
+	c.rows = append(grow(c.rows), slot)
+	c.up(len(c.times) - 1)
+}
+
+// remove drops position i: the last leaf takes its place and is sifted.
+func (c *columns) remove(i int) {
+	n := len(c.times) - 1
+	c.swap(i, n)
+	c.times, c.seqs, c.rows = c.times[:n], c.seqs[:n], c.rows[:n]
+	if i < n {
+		c.down(i)
+		c.up(i)
+	}
+}
+
+// claim hands out slot next, adding the storage it lives in.
+func (q *Queue) claim() int32 {
+	slot := q.next
+	q.next++
+	switch {
+	case slot < chunkRows:
+		// The first chunk keeps its rows across a release; grow it only
+		// when this queue has never been this deep.
+		if int(slot) == len(q.first) {
+			q.first = extend(q.first)
+			q.firstKeys = extend(q.firstKeys)
+		}
+	case slot%chunkRows == 0:
+		q.rest = append(q.rest, new(chunk))
+	}
 	return slot
+}
+
+// extend appends one zero element to a first-chunk slice: by append's
+// own growth while that stays within one chunk, and to exactly
+// chunkRows on the growth that would pass it.
+func extend[T any](s []T) []T {
+	if n := len(s); n == cap(s) && 2*n > chunkRows {
+		s = append(make([]T, 0, chunkRows), s...)
+	}
+	var zero T
+	return append(s, zero)
 }
 
 // intern returns the route table's index for the tuple, adding it when
@@ -320,52 +387,75 @@ func (q *Queue) intern(component, port, net, source string) int32 {
 func (q *Queue) rebuildRoutes() {
 	old := q.routes
 	q.routes = nil
-	for _, slot := range q.rows[q.head:] {
-		p := q.row(slot)
+	q.forLive(func(slot int32) {
+		p, _ := q.at(slot)
 		r := &old[p.link]
 		p.link = q.intern(r.component, r.port, r.net, r.source)
-	}
+	})
 }
 
-// grow doubles a full ordering column that has reached one chunk's
-// worth. Past 256 elements append grows by a quarter, which re-copies a
-// cold 16 k burst some twenty times a column; below that it already
-// doubles.
-func grow[T any](col []T) []T {
-	if n := len(col); n == cap(col) && n >= chunkRows {
-		return slices.Grow(col, n)
-	}
-	return col
-}
-
-func (q *Queue) pushCols(t vtime.Time, seq uint64, slot int32) {
-	n := len(q.times)
-	q.times = append(grow(q.times), t)
-	q.seqs = append(grow(q.seqs), seq)
-	q.rows = append(grow(q.rows), slot)
-	switch {
-	case q.heap:
-		q.up(n)
-	case n > q.head && q.less(n, n-1):
-		// The first push that does not extend the run: from here until
-		// the queue empties the columns are a heap.
-		q.compact()
-		q.heap = true
-		q.up(len(q.times) - 1)
-	}
-}
-
-// compact moves the live run down to position 0, dropping the popped
-// prefix.
-func (q *Queue) compact() {
-	if q.head == 0 {
+// forLive calls f with every live slot.
+func (q *Queue) forLive(f func(slot int32)) {
+	if q.heap {
+		for _, slot := range q.cols.rows {
+			f(slot)
+		}
 		return
 	}
-	n := copy(q.times, q.times[q.head:])
-	copy(q.seqs, q.seqs[q.head:])
-	copy(q.rows, q.rows[q.head:])
-	q.times, q.seqs, q.rows = q.times[:n], q.seqs[:n], q.rows[:n]
-	q.head = 0
+	for slot := q.head; slot < q.next; slot++ {
+		f(slot)
+	}
+}
+
+// push stores an event keyed (t, seq): at the tail of a run when it
+// orders there, into the heap otherwise. The route is interned before a
+// slot is claimed, so a rebuild it triggers sees only live rows.
+func (q *Queue) push(t vtime.Time, seq uint64, e *Event) {
+	link := q.intern(e.Component, e.Port, e.Net, e.Source)
+	if !q.heap && q.head != q.next {
+		if _, tail := q.at(q.next - 1); tail.after(t, seq) {
+			// The first push that orders before the tail: from here
+			// until the queue empties it is a heap.
+			q.toHeap()
+		}
+	}
+	var slot int32
+	if q.free != 0 { // a heap's recycled slot; a run has none
+		slot = q.free - 1
+		p, _ := q.at(slot)
+		q.free = p.link
+	} else {
+		slot = q.claim()
+	}
+	p, k := q.at(slot)
+	p.value, p.link, p.kind = e.Value, link, e.Kind
+	if q.heap {
+		q.cols.push(t, seq, slot)
+	} else {
+		*k = key{t, seq}
+	}
+}
+
+// toHeap turns the run into the heap: the run's i-th event becomes
+// column position i, which in a sorted range already satisfies the
+// heap order.
+func (q *Queue) toHeap() {
+	c := q.cols
+	if c == nil {
+		c = new(columns)
+		q.cols = c
+	}
+	n := q.Len()
+	c.times = slices.Grow(c.times[:0], n)
+	c.seqs = slices.Grow(c.seqs[:0], n)
+	c.rows = slices.Grow(c.rows[:0], n)
+	for slot := q.head; slot < q.next; slot++ {
+		_, k := q.at(slot)
+		c.times = append(c.times, k.time)
+		c.seqs = append(c.seqs, k.seq)
+		c.rows = append(c.rows, slot)
+	}
+	q.heap = true
 }
 
 // Push schedules an event, stamping it with the next sequence number,
@@ -377,7 +467,7 @@ func (q *Queue) Push(e Event) uint64 { return q.PushFrom(&e) }
 // written.
 func (q *Queue) PushFrom(e *Event) uint64 {
 	q.seq++
-	q.pushCols(e.Time, q.seq, q.alloc(e))
+	q.push(e.Time, q.seq, e)
 	return q.seq
 }
 
@@ -388,19 +478,17 @@ func (q *Queue) PushStamped(e Event) {
 	if e.Seq > q.seq {
 		q.seq = e.Seq
 	}
-	q.pushCols(e.Time, e.Seq, q.alloc(&e))
+	q.push(e.Time, e.Seq, &e)
 }
 
-// load materializes the event at position i into e without
-// removing it. It fills e in place: an Event is 104 bytes against a
-// row's 24, and the drains move tens of thousands of them per page
-// load, so the removal paths write each one once, straight into its
-// destination.
-func (q *Queue) load(i int, e *Event) {
-	p := q.row(q.rows[i])
+// fill materializes an event from its row and key into e. It fills e
+// in place: an Event is 104 bytes against a row's 24, and the drains
+// move tens of thousands of them per page load, so the removal paths
+// write each one once, straight into its destination.
+func (q *Queue) fill(e *Event, p *payload, t vtime.Time, seq uint64) {
 	r := &q.routes[p.link]
-	e.Time = q.times[i]
-	e.Seq = q.seqs[i]
+	e.Time = t
+	e.Seq = seq
 	e.Kind = p.kind
 	e.Component = r.component
 	e.Port = r.port
@@ -409,71 +497,86 @@ func (q *Queue) load(i int, e *Event) {
 	e.Value = p.value
 }
 
-// removeAt extracts the event at position i into e, restores the
-// columns' order and recycles its row slot. Off a run the head leaves
-// by advancing the cursor, and an event further in by closing the gap
-// from the front, which the scan that found it already walked; off a
-// heap the last leaf takes its place and is sifted.
-func (q *Queue) removeAt(i int, e *Event) {
-	q.load(i, e)
-	q.recycle(q.rows[i])
-	if q.heap {
-		n := len(q.times) - 1
-		q.swap(i, n)
-		q.times, q.seqs, q.rows = q.times[:n], q.seqs[:n], q.rows[:n]
-		if i < n {
-			q.down(i)
-			q.up(i)
-		}
-	} else {
-		if i > q.head {
-			copy(q.times[q.head+1:i+1], q.times[q.head:i])
-			copy(q.seqs[q.head+1:i+1], q.seqs[q.head:i])
-			copy(q.rows[q.head+1:i+1], q.rows[q.head:i])
-		}
-		q.head++
-	}
-	switch live := q.Len(); {
-	case live == 0:
+// popHead removes the run's head into e: a load, a cleared value and a
+// cursor step. A chunk the head leaves, other than the first, is
+// dropped (see passed).
+func (q *Queue) popHead(e *Event) {
+	p, k := q.at(q.head)
+	q.fill(e, p, k.time, k.seq)
+	p.value = nil
+	q.head++
+	switch {
+	case q.head == q.next:
 		q.release()
-	case q.head > live:
-		// Each compaction copies fewer positions than were popped
-		// since the last one, so a queue that never empties keeps
-		// columns proportional to its depth for O(1) a pop.
-		q.compact()
+	case q.head%chunkRows == 0 && q.head > chunkRows:
+		q.passed()
+	}
+}
+
+// passed drops the chunk the run's head has just left — chunk d of
+// the store, rest[d-1], with every chunk before it already dropped —
+// and rebases the chunk table once those d dead entries outnumber the
+// live ones: the live chunks move to the front and the cursors down by
+// d chunks. Each rebase moves fewer entries than it drops, so a run
+// that never empties keeps a table proportional to its depth.
+func (q *Queue) passed() {
+	d := int(q.head/chunkRows) - 1
+	q.rest[d-1] = nil
+	if live := len(q.rest) - d; d > live {
+		n := copy(q.rest, q.rest[d:])
+		clear(q.rest[n:])
+		q.rest = q.rest[:n]
+		q.head -= int32(d * chunkRows)
+		q.next -= int32(d * chunkRows)
+	}
+}
+
+// removeAt extracts the event at heap position i into e, restores the
+// heap order and recycles its row slot.
+func (q *Queue) removeAt(i int, e *Event) {
+	c := q.cols
+	slot := c.rows[i]
+	p, _ := q.at(slot)
+	q.fill(e, p, c.times[i], c.seqs[i])
+	q.recycle(slot)
+	c.remove(i)
+	if len(c.times) == 0 {
+		q.release()
 	}
 }
 
 // recycle clears the row at slot, dropping its reference to the value,
 // and puts it at the head of the free list.
 func (q *Queue) recycle(slot int32) {
-	p := q.row(slot)
+	p, _ := q.at(slot)
 	p.value = nil
 	p.link = q.free
 	q.free = slot + 1
 }
 
-// release is what every path that empties the queue ends in: the
-// columns are an empty run again, row allocation restarts at slot 0,
-// the route table is empty, and the chunks past the first — with
-// columns and a route table that grew past one chunk's worth — are
-// dropped, so a drained burst is not held for the life of the queue
-// while a queue that stays small keeps everything it has warmed. The
-// caller has already cleared every row of the first chunk it used.
+// release is what every path that empties the queue ends in: it is an
+// empty run again, row allocation restarts at slot 0, the route table
+// is empty, and the chunks past the first — with heap columns and a
+// route table that grew past one chunk's worth — are dropped, so a
+// drained burst is not held for the life of the queue while a queue
+// that stays small keeps everything it has warmed. The caller has
+// already cleared every row of the first chunk it used.
 func (q *Queue) release() {
 	q.rest = nil
-	q.next, q.free = 0, 0
-	q.head, q.heap = 0, false
+	q.head, q.next, q.free = 0, 0, 0
+	q.heap = false
 	if cap(q.routes) > chunkRows {
 		q.routes = nil
 	} else {
 		clear(q.routes)
 		q.routes = q.routes[:0]
 	}
-	if cap(q.times) > chunkRows {
-		q.times, q.seqs, q.rows = nil, nil, nil
-	} else {
-		q.times, q.seqs, q.rows = q.times[:0], q.seqs[:0], q.rows[:0]
+	if c := q.cols; c != nil {
+		if cap(c.times) > chunkRows {
+			q.cols = nil
+		} else {
+			c.times, c.seqs, c.rows = c.times[:0], c.seqs[:0], c.rows[:0]
+		}
 	}
 }
 
@@ -486,40 +589,57 @@ func (q *Queue) Pop() (e Event, ok bool) {
 // PopInto is Pop writing the event through a pointer; it reports false,
 // leaving *e alone, when the queue is empty.
 func (q *Queue) PopInto(e *Event) bool {
-	if q.Len() == 0 {
+	switch {
+	case q.heap:
+		q.removeAt(0, e)
+	case q.head == q.next:
 		return false
+	default:
+		q.popHead(e)
 	}
-	q.removeAt(q.head, e)
 	return true
 }
 
 // NextTime returns the time of the earliest pending event, or
-// vtime.Infinity when the queue is empty. It reads only the head of
-// the time column — the safe-horizon scan's fast path.
+// vtime.Infinity when the queue is empty. It reads one key — the
+// safe-horizon scan's fast path.
 func (q *Queue) NextTime() vtime.Time {
-	if q.Len() == 0 {
+	switch {
+	case q.heap:
+		return q.cols.times[0]
+	case q.head == q.next:
 		return vtime.Infinity
+	default:
+		_, k := q.at(q.head)
+		return k.time
 	}
-	return q.times[q.head]
 }
 
-// minMatching returns the position of the earliest event whose Port
-// is in ports, or -1. It scans the columns linearly: the (Time, Seq)
-// pair is a total order, so the minimum over matches is exactly the
-// event a sorted walk would find first — and a run is that walk, so
-// its first match ends the scan, as does a heap's root. ports is a
-// receive filter — a handful of names — so membership is a linear match
-// too.
+// minMatching returns the position (slot in a run, column in a heap)
+// of the earliest event whose Port is in ports, or -1. A run is in
+// order, so its first match is the earliest; a heap is scanned whole
+// for the (Time, Seq)-minimal match, unless its root matches. ports is
+// a receive filter — a handful of names — so membership is a linear
+// match too.
 func (q *Queue) minMatching(ports []string) int {
+	if !q.heap {
+		for slot := q.head; slot < q.next; slot++ {
+			if p, _ := q.at(slot); slices.Contains(ports, q.routes[p.link].port) {
+				return int(slot)
+			}
+		}
+		return -1
+	}
+	c := q.cols
 	best := -1
-	for i := q.head; i < len(q.times); i++ {
-		if !slices.Contains(ports, q.routes[q.row(q.rows[i]).link].port) {
+	for i, slot := range c.rows {
+		if p, _ := q.at(slot); !slices.Contains(ports, q.routes[p.link].port) {
 			continue
 		}
-		if !q.heap || i == 0 {
-			return i
+		if i == 0 {
+			return 0
 		}
-		if best < 0 || q.less(i, best) {
+		if best < 0 || c.less(i, best) {
 			best = i
 		}
 	}
@@ -531,21 +651,36 @@ func (q *Queue) minMatching(ports []string) int {
 // when none match. It is what a filtered receive needs to decide when
 // its next delivery is due.
 func (q *Queue) MinMatching(ports []string) (t vtime.Time, seq uint64, ok bool) {
-	best := q.minMatching(ports)
-	if best < 0 {
+	at := q.minMatching(ports)
+	switch {
+	case at < 0:
 		return vtime.Infinity, 0, false
+	case q.heap:
+		return q.cols.times[at], q.cols.seqs[at], true
+	default:
+		_, k := q.at(int32(at))
+		return k.time, k.seq, true
 	}
-	return q.times[best], q.seqs[best], true
 }
 
 // PopMatching removes the earliest event whose Port is in ports into
 // *e; it reports false, leaving *e alone, when none match.
 func (q *Queue) PopMatching(ports []string, e *Event) bool {
-	best := q.minMatching(ports)
-	if best < 0 {
+	at := q.minMatching(ports)
+	if at < 0 {
 		return false
 	}
-	q.removeAt(best, e)
+	if !q.heap {
+		if at == int(q.head) {
+			q.popHead(e)
+			return true
+		}
+		// A pop from inside the run: from here until the queue empties
+		// it is a heap, in which the run's slot at is position at-head.
+		at -= int(q.head)
+		q.toHeap()
+	}
+	q.removeAt(at, e)
 	return true
 }
 
@@ -555,12 +690,12 @@ func (q *Queue) PopMatching(ports []string, e *Event) bool {
 // call makes a drain allocation-free in steady state.
 func (q *Queue) PopBatch(t vtime.Time, max int, buf []Event) []Event {
 	buf = buf[:0]
-	for q.Len() > 0 && q.times[q.head] <= t {
+	for q.Len() > 0 && q.NextTime() <= t {
 		if max > 0 && len(buf) >= max {
 			break
 		}
 		buf = append(buf, Event{})
-		q.removeAt(q.head, &buf[len(buf)-1])
+		q.PopInto(&buf[len(buf)-1])
 	}
 	return buf
 }
@@ -575,26 +710,18 @@ func (q *Queue) Snapshot() []Event {
 	out := make([]Event, n)
 	if !q.heap {
 		for i := range out {
-			q.load(q.head+i, &out[i])
+			p, k := q.at(q.head + int32(i))
+			q.fill(&out[i], p, k.time, k.seq)
 		}
 		return out
 	}
-	// Copy the heap columns and pop the copy down; the row store is
-	// only read.
-	tmp := Queue{
-		times:  append([]vtime.Time(nil), q.times...),
-		seqs:   append([]uint64(nil), q.seqs...),
-		rows:   append([]int32(nil), q.rows...),
-		routes: q.routes,
-		first:  q.first,
-		rest:   q.rest,
-	}
+	// Pop a copy of the heap columns down; the row store is only read.
+	c := q.cols
+	tmp := columns{times: slices.Clone(c.times), seqs: slices.Clone(c.seqs), rows: slices.Clone(c.rows)}
 	for i := range out {
-		tmp.load(0, &out[i])
-		m := len(tmp.times) - 1
-		tmp.swap(0, m)
-		tmp.times, tmp.seqs, tmp.rows = tmp.times[:m], tmp.seqs[:m], tmp.rows[:m]
-		tmp.down(0)
+		p, _ := q.at(tmp.rows[0])
+		q.fill(&out[i], p, tmp.times[0], tmp.seqs[0])
+		tmp.remove(0)
 	}
 	return out
 }
@@ -602,10 +729,10 @@ func (q *Queue) Snapshot() []Event {
 // Reset empties the queue but keeps the sequence counter monotone, so
 // new events still order after everything ever scheduled.
 func (q *Queue) Reset() {
-	for _, slot := range q.rows[q.head:] {
+	q.forLive(func(slot int32) {
 		if slot < chunkRows {
-			q.first[slot] = payload{}
+			q.first[slot].value = nil
 		}
-	}
+	})
 	q.release()
 }

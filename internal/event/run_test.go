@@ -13,22 +13,35 @@ import (
 // These tests drive the model of chunk_test.go through both readings
 // and every way from one to the other.
 
-// checkShape asserts what the columns must look like whichever reading
-// is current: a run is sorted from its cursor, a heap starts at 0 and
-// every position orders at or after its parent, an empty queue is an
-// empty run, every live row's route is in the table, and a table small
-// enough to be searched whole holds each route once.
+// checkShape asserts what the queue must look like whichever reading is
+// current. An empty queue is an empty run with no chunk past the first.
+// A run is its slots head..next with their keys in order, no free list
+// and no heap columns; every chunk its head has passed is dropped and
+// every later one is there, and the dropped prefix of the chunk table is
+// no longer than the live part. A heap is its columns with every
+// position ordered at or after its parent. Either way every live row's
+// route is in the table, and a table small enough to be searched whole
+// holds each route once.
 func checkShape(t *testing.T, q *Queue) {
 	t.Helper()
 	if q.Len() == 0 {
-		if q.heap || q.head != 0 || len(q.times) != 0 {
-			t.Fatalf("empty queue is not an empty run: heap %v, head %d, %d positions", q.heap, q.head, len(q.times))
+		if q.heap || q.head != 0 || q.next != 0 || q.free != 0 || len(q.rest) != 0 {
+			t.Fatalf("empty queue is not an empty run: heap %v, slots %d..%d, free %d, %d extra chunks",
+				q.heap, q.head, q.next, q.free, len(q.rest))
 		}
 		return
 	}
-	for _, slot := range q.rows[q.head:] {
-		if link := q.row(slot).link; link < 0 || int(link) >= len(q.routes) {
-			t.Fatalf("row %d holds route %d of %d", slot, link, len(q.routes))
+	var live []int32 // the live slots
+	if q.heap {
+		live = q.cols.rows
+	} else {
+		for slot := q.head; slot < q.next; slot++ {
+			live = append(live, slot)
+		}
+	}
+	for _, slot := range live {
+		if p, _ := q.at(slot); p.link < 0 || int(p.link) >= len(q.routes) {
+			t.Fatalf("row %d holds route %d of %d", slot, p.link, len(q.routes))
 		}
 	}
 	if len(q.routes) <= maxRoutes {
@@ -40,18 +53,32 @@ func checkShape(t *testing.T, q *Queue) {
 		}
 	}
 	if !q.heap {
-		for i := q.head + 1; i < len(q.times); i++ {
-			if q.less(i, i-1) {
-				t.Fatalf("run out of order at position %d (head %d)", i, q.head)
+		if q.free != 0 || (q.cols != nil && len(q.cols.times) != 0) {
+			t.Fatalf("run with free list %d and %d heap positions", q.free, len(q.cols.times))
+		}
+		for slot := q.head + 1; slot < q.next; slot++ {
+			_, prev := q.at(slot - 1)
+			if _, k := q.at(slot); prev.after(k.time, k.seq) {
+				t.Fatalf("run out of order at slot %d (slots %d..%d)", slot, q.head, q.next)
 			}
+		}
+		headChunk, tailChunk := int(q.head/chunkRows), int((q.next-1)/chunkRows)
+		if len(q.rest) != tailChunk {
+			t.Fatalf("slots up to %d in a store of %d chunks", q.next-1, 1+len(q.rest))
+		}
+		for i, c := range q.rest {
+			if passed := i+1 < headChunk; passed != (c == nil) {
+				t.Fatalf("chunk %d (head in chunk %d): dropped %v", i+1, headChunk, c == nil)
+			}
+		}
+		if dead := max(0, headChunk-1); dead > len(q.rest)-dead {
+			t.Fatalf("chunk table of %d holds %d dropped chunks", len(q.rest), dead)
 		}
 		return
 	}
-	if q.head != 0 {
-		t.Fatalf("heap with head %d", q.head)
-	}
-	for i := 1; i < len(q.times); i++ {
-		if q.less(i, (i-1)/2) {
+	c := q.cols
+	for i := 1; i < len(c.times); i++ {
+		if c.less(i, (i-1)/2) {
 			t.Fatalf("heap order broken at position %d", i)
 		}
 	}
@@ -76,25 +103,32 @@ func TestQueueModel(t *testing.T) {
 		opReset
 		nOps
 	)
-	phases := [][nOps]int{
+	phases := []struct {
+		weights [nOps]int
+		steps   int
+	}{
 		// An in-order burst.
-		{opPushNext: 10},
+		{[nOps]int{opPushNext: 10}, 150},
 		// A run that never empties.
-		{opPushNext: 10, opPop: 9, opPopMatching: 3, opSnapshot: 1},
+		{[nOps]int{opPushNext: 10, opPop: 9, opPopMatching: 3, opSnapshot: 1}, 150},
+		// A timer chain: a run that never empties and never heaps, long
+		// enough for its head to pass chunks.
+		{[nOps]int{opPushNext: 11, opPop: 10}, 1500},
 		// A drain.
-		{opPop: 10, opPopMatching: 2, opPopBatch: 1},
+		{[nOps]int{opPop: 10, opPopMatching: 2, opPopBatch: 1}, 150},
 		// Speculate and roll back.
-		{opPushNext: 6, opPop: 4, opRepush: 1},
+		{[nOps]int{opPushNext: 6, opPop: 4, opRepush: 1}, 150},
 		// Interleaved sources.
-		{opPushAny: 6, opPop: 5, opPopMatching: 2, opPopBatch: 1},
+		{[nOps]int{opPushAny: 6, opPop: 5, opPopMatching: 2, opPopBatch: 1}, 150},
 		// Everything.
-		{opPushNext: 4, opPushAny: 1, opRepush: 1, opPop: 4, opPopMatching: 2, opPopBatch: 1, opSnapshot: 1, opReset: 1},
+		{[nOps]int{opPushNext: 4, opPushAny: 1, opRepush: 1, opPop: 4, opPopMatching: 2, opPopBatch: 1, opSnapshot: 1, opReset: 1}, 150},
 	}
 	var seen struct {
 		lateWithPrefix int // out-of-order push into a run whose head had advanced
 		midRun         int // PopMatching took an event from inside a run
 		repushOlder    int // rollback re-push of keys older than the run's tail
-		reclaimed      int // a pop copied the live run down over its popped prefix
+		passed         int // a run's head left a chunk and the chunk was dropped
+		rebased        int // ... and the chunk table was rebased
 		heapEmptied    int // a heap emptied and the queue was a run again
 	}
 	m := &model{t: t} // one model, so its route counters span the seeds
@@ -111,9 +145,10 @@ func TestQueueModel(t *testing.T) {
 			popped = append(popped, got)
 		}
 		var weights [nOps]int
-		for step := 0; step < 6000; step++ {
-			if step%150 == 0 {
-				weights = phases[m.rng.Intn(len(phases))]
+		for step, left := 0, 0; step < 6000; step, left = step+1, left-1 {
+			if left == 0 {
+				ph := phases[m.rng.Intn(len(phases))]
+				weights, left = ph.weights, ph.steps
 				m.cold = []int{5, 90}[m.rng.Intn(2)]
 			}
 			total := 0
@@ -155,14 +190,17 @@ func TestQueueModel(t *testing.T) {
 				}
 				if ok {
 					took(got, m.sorted()[0])
-					if !wasHeap && head > 0 && q.head == 0 && q.Len() > 0 {
-						seen.reclaimed++
+					if !wasHeap && q.Len() > 0 && head > chunkRows && head%chunkRows == chunkRows-1 {
+						seen.passed++
+						if q.head < head {
+							seen.rebased++
+						}
 					}
 				}
 			case opPopMatching:
 				filter := acrossPorts[m.rng.Intn(len(acrossPorts)):][:1]
 				want, any := m.minMatching(filter)
-				if at := q.minMatching(filter); !q.heap && at > q.head {
+				if at := q.minMatching(filter); !q.heap && at > int(q.head) {
 					seen.midRun++
 				}
 				at, seq, peeked := q.MinMatching(filter)
@@ -215,7 +253,8 @@ func TestQueueModel(t *testing.T) {
 		m.popAll(q)
 		checkShape(t, q)
 	}
-	if seen.lateWithPrefix == 0 || seen.midRun == 0 || seen.repushOlder == 0 || seen.reclaimed == 0 || seen.heapEmptied == 0 {
+	if seen.lateWithPrefix == 0 || seen.midRun == 0 || seen.repushOlder == 0 ||
+		seen.passed == 0 || seen.rebased == 0 || seen.heapEmptied == 0 {
 		t.Fatalf("a transition was never reached: %+v", seen)
 	}
 	if r := m.routes; r.lastHit == 0 || r.tableHit == 0 || r.miss == 0 || r.rebuilt == 0 || r.reset == 0 {
@@ -226,37 +265,47 @@ func TestQueueModel(t *testing.T) {
 
 // TestRunNeverEmptiesStaysSmall: a queue that is pushed and popped in
 // order for ever without emptying — a component that always has its
-// next timer pending — stays a run, and reclaiming the popped prefix
-// keeps its columns and its row store proportional to its depth, not
-// to its history.
+// next timer pending — stays a run, and dropping the chunks its head
+// passes and rebasing the chunk table keep its row store and the table
+// proportional to its depth, not to its history: at most the chunks
+// the live slots span, and a table at most twice that long.
 func TestRunNeverEmptiesStaysSmall(t *testing.T) {
-	const depth = 100
-	var q Queue
-	for i := 0; i < 200_000; i++ {
-		q.Push(Event{Time: vtime.Time(i)})
-		if q.Len() > depth {
-			if e := mustPop(t, &q); e.Time != vtime.Time(i-depth) {
-				t.Fatalf("popped time %v at push %d", e.Time, i)
+	for _, depth := range []int{100, 1000} {
+		var q Queue
+		spans := (depth+chunkRows-1)/chunkRows + 1 // the most chunks depth+1 slots can touch
+		for i := 0; i < 200_000; i++ {
+			q.Push(Event{Time: vtime.Time(i)})
+			if q.Len() > depth {
+				if e := mustPop(t, &q); e.Time != vtime.Time(i-depth) {
+					t.Fatalf("depth %d: popped time %v at push %d", depth, e.Time, i)
+				}
+			}
+			if q.heap || q.cols != nil {
+				t.Fatalf("depth %d: in-order traffic entered the heap at push %d", depth, i)
+			}
+			held := 0
+			for _, c := range q.rest {
+				if c != nil {
+					held++
+				}
+			}
+			if held > spans || len(q.rest) > 2*spans || cap(q.rest) > 4*spans {
+				t.Fatalf("depth %d, push %d: %d chunks held in a table of %d (room for %d), want <= %d and <= %d",
+					depth, i, held, len(q.rest), cap(q.rest), spans, 2*spans)
+			}
+			if q.next > int32(len(q.rest)+1)*chunkRows || len(q.first) > chunkRows {
+				t.Fatalf("depth %d, push %d: slot %d past a store of %d chunks", depth, i, q.next, 1+len(q.rest))
 			}
 		}
-		if q.heap {
-			t.Fatalf("in-order traffic entered the heap at push %d", i)
-		}
-	}
-	// A prefix is reclaimed once it passes the live run, so at most
-	// 2*depth+1 positions are ever in use; append may have doubled past
-	// that once.
-	if c := cap(q.times); c > 8*depth {
-		t.Fatalf("columns grew to %d positions for a depth of %d", c, depth)
-	}
-	if q.next > depth+1 || len(q.rest) != 0 {
-		t.Fatalf("row store grew to %d slots, %d extra chunks for a depth of %d", q.next, len(q.rest), depth)
+		checkShape(t, &q)
 	}
 }
 
 // TestInOrderBurstNeverHeaps: one page load into an inbox — pushes in
 // (Time, Seq) order with ties, then a drain — is served by the run from
-// its first push to its last pop.
+// its first push to its last pop, and the drain lets go of each chunk
+// as its head leaves it: past the first chunk the queue holds only the
+// chunks between its head and its tail.
 func TestInOrderBurstNeverHeaps(t *testing.T) {
 	const n = 16_384
 	var q Queue
@@ -266,12 +315,25 @@ func TestInOrderBurstNeverHeaps(t *testing.T) {
 			t.Fatalf("push %d entered the heap", i)
 		}
 	}
+	chunks := len(q.rest)
 	for i := 0; i < n; i++ {
 		if q.heap {
 			t.Fatalf("pop %d found a heap", i)
 		}
 		if e := mustPop(t, &q); e.Time != vtime.Time(i/4) || e.Seq != uint64(i+1) {
 			t.Fatalf("pop %d returned time %v seq %d", i, e.Time, e.Seq)
+		}
+		held := 0
+		for _, c := range q.rest {
+			if c != nil {
+				held++
+			}
+		}
+		if want := (n-1)/chunkRows - max(1, (i+1)/chunkRows) + 1; q.Len() > 0 && held != min(want, chunks) {
+			t.Fatalf("pop %d: %d chunks held, want %d", i, held, min(want, chunks))
+		}
+		if i%97 == 0 {
+			checkShape(t, &q)
 		}
 	}
 	checkShape(t, &q)

@@ -624,13 +624,20 @@ const maxBurst = 256
 // the session reconnects and replays underneath. Two session events
 // do surface: a negotiated checkpoint rewind (handled in place, the
 // pump continues on the rewound timeline) and terminal session loss.
-// Any unrecoverable transport failure is wrapped in PeerLostError.
-func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilience.Session) error {
+// Any unrecoverable transport failure is wrapped in PeerLostError and,
+// unless the node is closing, latched on the endpoint, which ends the
+// run of the subsystem it serves: nothing more will arrive from the
+// peer, and that run may be stalled on a grant only the peer can send.
+func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilience.Session) (err error) {
+	defer func() {
+		if err != nil && !n.isClosed() {
+			ep.PeerLost(err)
+		}
+	}()
 	lost := func(cause error) error {
 		return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: cause}
 	}
 	dec := channel.NewBatchDecoder()
-	var burst []channel.Message
 	for {
 		kind, payload, err := c.RecvFrame()
 		if err != nil {
@@ -646,9 +653,12 @@ func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilie
 			}
 			return lost(err)
 		}
-		// OnMessages copies the burst, so the slice (and the receive
-		// buffer the decoder read from) is reusable for the next one.
-		burst = burst[:0]
+		// The burst is decoded into a buffer OnMessages takes over, so it
+		// reaches the scheduler goroutine without a copy; the decoded
+		// messages do not alias the receive buffer, which the next frame
+		// reuses.
+		buf := channel.BatchBuf()
+		burst := *buf
 		closed := false
 		for {
 			if kind != wire.FrameBatch {
@@ -657,7 +667,10 @@ func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilie
 			}
 			whole := len(burst)
 			if burst, closed, err = dec.DecodeBatchAppend(payload, burst); err != nil {
-				burst = burst[:whole] // only whole frames are delivered
+				// Only whole frames are delivered; the rest of the buffer
+				// must not pin what a torn frame decoded.
+				clear(burst[whole:])
+				burst = burst[:whole]
 				break
 			}
 			if closed || len(burst) >= maxBurst {
@@ -668,7 +681,8 @@ func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilie
 				break
 			}
 		}
-		ep.OnMessages(burst)
+		*buf = burst
+		ep.OnMessages(buf)
 		if err != nil {
 			return lost(err)
 		}

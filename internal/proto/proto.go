@@ -140,7 +140,8 @@ func sendPackets(p *core.Proc, port string, payload []byte, cfg Config) int {
 // level. Feed it every message received on the data port; when a
 // complete payload is available it is returned with done=true.
 type Assembler struct {
-	// A word/byte stream accumulates in buf, sized from its header.
+	// A word/byte stream accumulates in buf, sized from its header and
+	// handed out as the result when the stream completes.
 	buf      []byte
 	expected int64 // -1: idle, >=0: word/byte stream in progress
 
@@ -255,15 +256,20 @@ func (a *Assembler) Feed(v any) ([]byte, bool, error) {
 	}
 }
 
-// finish hands the completed transfer out as one new slice, never nil.
-// A transfer is either a word/byte stream in buf or frames in parts;
-// bytes.Join allocates the result without zeroing it first.
+// finish hands the completed transfer out as one slice the caller owns,
+// never nil. A transfer is either a word/byte stream in buf or frames
+// in parts. buf itself is handed out, capacity-clipped, and the
+// assembler lets go of it: the next transfer sizes a new one from its
+// header, so the result is never written again and the stream costs
+// one allocation, not a second one and a copy. Frames are joined by
+// bytes.Join, which allocates the result without zeroing it first.
 func (a *Assembler) finish() ([]byte, bool, error) {
 	var out []byte
 	if a.inFrame {
 		out = bytes.Join(a.parts, nil)
 	} else {
-		out = append(out, a.buf...)
+		out = a.buf[:len(a.buf):len(a.buf)]
+		a.buf = nil
 	}
 	if out == nil {
 		out = []byte{} // an empty transfer is still a message

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -177,10 +178,10 @@ func TestAssemblerPresizesFromHeader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c := cap(a.buf); c != capBefore {
+		if c := cap(a.buf); !done && c != capBefore {
 			grows, capBefore = grows+1, c
 		}
-		if done != (i == size/4-1) || (done && len(payload) != size) {
+		if done != (i == size/4-1) || (done && (len(payload) != size || cap(payload) != size)) {
 			t.Fatalf("word %d: done=%v len=%d", i, done, len(payload))
 		}
 	}
@@ -188,12 +189,16 @@ func TestAssemblerPresizesFromHeader(t *testing.T) {
 		t.Fatalf("buf grew %d times during a pre-sized transfer", grows)
 	}
 
-	// A second transfer of the same size reuses the buffer.
+	// The finished transfer took buf with it; a second header of the same
+	// size sizes a new one the same way.
+	if a.buf != nil {
+		t.Fatalf("finished transfer left a %d-byte buffer behind", cap(a.buf))
+	}
 	if _, _, err := a.Feed(lenCtl(size)); err != nil {
 		t.Fatal(err)
 	}
 	if cap(a.buf) != capBefore {
-		t.Fatalf("second header reallocated buf: cap %d -> %d", capBefore, cap(a.buf))
+		t.Fatalf("second header sized buf %d, the first %d", cap(a.buf), capBefore)
 	}
 	a.Reset()
 
@@ -283,6 +288,57 @@ func TestAssemblerJoinsFramesOnce(t *testing.T) {
 	})
 	if cold > 2+20 {
 		t.Fatalf("cold transfer allocated %.0f objects, want the result and the list's growth", cold)
+	}
+}
+
+// TestAssemblerHandsOutWordBuffer: a word stream is assembled in the
+// buffer its length header sized, and that buffer is the result — a
+// 66 KB page costs the one allocation the header made, not a second
+// one and a copy — and the assembler lets go of it, so a second
+// transfer on the same assembler never writes into a page it already
+// handed out.
+func TestAssemblerHandsOutWordBuffer(t *testing.T) {
+	const size = 66 << 10
+	page := func(seed byte) (want []byte, values []any) {
+		want = make([]byte, size)
+		for i := range want {
+			want[i] = seed + byte(i*7)
+		}
+		// Boxed ahead of the measurement, as a received event has them.
+		values = append(values, lenCtl(size))
+		for i := 0; i < size; i += 4 {
+			values = append(values, wordOf(binary.LittleEndian.Uint32(want[i:])))
+		}
+		return want, values
+	}
+	a := NewAssembler()
+	transfer := func(values []any) (got []byte) {
+		for i, v := range values {
+			payload, done, err := a.Feed(v)
+			if err != nil || done != (i == len(values)-1) {
+				t.Fatalf("value %d: done=%v err=%v", i, done, err)
+			}
+			got = payload
+		}
+		return got
+	}
+	want1, first := page(1)
+	want2, second := page(2)
+	if n := testing.AllocsPerRun(3, func() { transfer(first) }); n != 1 {
+		t.Fatalf("a %d-byte word transfer allocated %.0f objects, want the presized buffer alone", size, n)
+	}
+	// The buffer alone, rounded up to whole pages: no second copy.
+	if got := allocatedBytes(func() { transfer(first) }); got > size+size/8 {
+		t.Fatalf("a %d-byte word transfer allocated %d bytes, want the presized buffer alone", size, got)
+	}
+	one := transfer(first)
+	two := transfer(second)
+	if !bytes.Equal(one, want1) || !bytes.Equal(two, want2) {
+		t.Fatal("a second transfer changed the first one's result, or a result differs from the words sent")
+	}
+	if &one[0] == &two[0] || cap(one) != len(one) || a.buf != nil {
+		t.Fatalf("results share storage (%v), the first has room past its end (cap %d for %d), or the assembler kept a buffer (%d)",
+			&one[0] == &two[0], cap(one), len(one), cap(a.buf))
 	}
 }
 
