@@ -87,8 +87,11 @@ timeline:
 # empty queue costs one allocation per 255-row
 # chunk, each filling its size class, at most 44 bytes an event with
 # no ordering column, and is released chunk by chunk as it drains; one
-# page of boxed words through a subsystem costs 52 bytes and one
-# allocation a word, journaled under speculation or not), the event
+# page of int drives through a subsystem costs 52 bytes a drive plus
+# its box, journaled under speculation or not, while a signal.Word >= 256
+# is boxed into a 1 KB chunk shared by 256 words, on decode and along a
+# word-level page end to end, with the boxer run under the race
+# detector's checkptr), the event
 # queue's run/heap and route-table model test with the guards that an
 # in-order burst never enters the heap, that a run which never empties
 # keeps storage and chunk table proportional to its depth and that no
@@ -111,15 +114,15 @@ timeline:
 # tests under the race detector, and a fuzz smoke pass over the frame
 # parser and batch codec.
 wire:
-	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordBoxes|TestPageBurstIsOneUnackedRun|TestFlushDropsPayloadReferences' ./internal/channel/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestPageBurstIsOneUnackedRun|TestFlushDropsPayloadReferences' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestSendBatchWord|TestPump|TestPingPong' ./internal/node/
 	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst' ./internal/wire/
 	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestRouteTableBounded' ./internal/event/
-	$(GO) test -count=1 -run 'TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage' ./internal/proto/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass' ./internal/core/
 	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes' .
 	$(GO) test -race -count=1 -run 'TestBidirectionalStress' ./internal/channel/
-	$(GO) test -race -count=1 ./internal/wire/ ./internal/node/
+	$(GO) test -race -count=1 ./internal/wire/ ./internal/node/ ./internal/signal/
 	$(GO) test -run=^$$ -bench 'BenchmarkAppendBatch|BenchmarkDecodeBatchInto' -benchtime=1000x ./internal/channel/
 	$(MAKE) fuzz-smoke
 

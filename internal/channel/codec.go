@@ -413,10 +413,12 @@ func putFixedUvarint(dst []byte, v uint64) {
 // steady-state decoding does not allocate a fresh string per message,
 // and sub-allocates byte payload copies (packets, frame bodies) from
 // a recycled slab so a burst of packets costs one allocation per slab
-// rather than one per message.
+// rather than one per message. Words are boxed the same way, one 1 KB
+// chunk per signal.WordChunk words >= 256.
 type BatchDecoder struct {
 	names map[string]string
 	slab  []byte
+	words signal.WordBoxes
 }
 
 const (
@@ -543,7 +545,7 @@ func (d *BatchDecoder) value(r *reader) (any, error) {
 		return signal.Level(b != 0), err
 	case valWord:
 		w, err := r.u32()
-		return signal.Word(w), err
+		return d.words.Box(signal.Word(w)), err
 	case valByte:
 		b, err := r.byte1()
 		return signal.Byte(b), err

@@ -10,9 +10,8 @@ import (
 // protocolMix is the steady-state remote hot path: data drives
 // carrying small words, safe-time asks and grants. Word values stay
 // below 256 so decoding boxes them from the runtime's static cells;
-// larger words cost one interface-box allocation per message on
-// decode (runtime.convT32), which is the one residual allocation the
-// codec cannot remove — see TestDecodeLargeWordBoxes.
+// larger words share one 1 KB chunk per 256 words on decode, the one
+// residual allocation of a word — see TestDecodeLargeWordsOneChunkPer256.
 func protocolMix() []Message {
 	return []Message{
 		{Kind: KindData, From: "ss1", Seq: 1, Ack: 3, Net: "dmaLink", Source: "cpu", Time: 100, Value: signal.Word(17)},
@@ -98,14 +97,16 @@ func TestDecodePacketAmortizedAlloc(t *testing.T) {
 	}
 }
 
-// TestDecodeLargeWordBoxes documents the residual allocation the
-// zero-copy decode cannot remove: a signal.Word >= 256 boxes into the
-// Message's any-typed Value field (one runtime.convT32 per message).
-// The guard is an upper bound so a regression past one box per
-// message is still caught.
-func TestDecodeLargeWordBoxes(t *testing.T) {
-	msgs := []Message{
-		{Kind: KindData, From: "ss1", Seq: 1, Net: "dma", Source: "cpu", Time: 10, Value: signal.Word(0xdeadbeef)},
+// TestDecodeLargeWordsOneChunkPer256 guards the one allocation decode
+// keeps for words: a signal.Word >= 256 is boxed into the decoder's
+// current 1 KB chunk (signal.WordBoxes), so a run of 1 024 of them costs
+// one chunk per 256 words, plus at most one for a chunk left part-full
+// by the previous run.
+func TestDecodeLargeWordsOneChunkPer256(t *testing.T) {
+	const n = 1024
+	msgs := make([]Message, n)
+	for i := range msgs {
+		msgs[i] = Message{Kind: KindData, From: "ss1", Seq: uint64(i + 1), Net: "dma", Source: "cpu", Time: vtime.Time(10 * i), Value: signal.Word(0xdead0000 + i)}
 	}
 	payload, _, err := AppendBatch(nil, msgs, 1<<20)
 	if err != nil {
@@ -113,10 +114,19 @@ func TestDecodeLargeWordBoxes(t *testing.T) {
 	}
 	dec := NewBatchDecoder()
 	var buf []Message
+	if buf, _, err = dec.DecodeBatchInto(payload, buf); err != nil || len(buf) != n {
+		t.Fatalf("decode: %d messages, %v", len(buf), err)
+	}
+	for i, m := range buf {
+		if m.Value != msgs[i].Value {
+			t.Fatalf("message %d carries %v, want %v", i, m.Value, msgs[i].Value)
+		}
+	}
+	const want = n/signal.WordChunk + 1
 	if avg := testing.AllocsPerRun(200, func() {
 		buf, _, _ = dec.DecodeBatchInto(payload, buf)
-	}); avg > 1 {
-		t.Fatalf("large-word decode allocates %.2f/op, want <= 1 (the interface box)", avg)
+	}); avg > want {
+		t.Fatalf("decoding %d large words allocates %.2f/op, want <= %d (one chunk per %d words)", n, avg, want, signal.WordChunk)
 	}
 }
 

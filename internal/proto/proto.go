@@ -93,15 +93,17 @@ func sendBytes(p *core.Proc, port string, payload []byte, cfg Config) int {
 	return n
 }
 
-// sendWords passes individual four-byte words across the net.
+// sendWords passes individual four-byte words across the net. The
+// words are boxed in shared chunks, not one allocation each.
 func sendWords(p *core.Proc, port string, payload []byte, cfg Config) int {
 	p.Send(port, signal.Control{Op: "len", Arg: int64(len(payload))})
 	n := 1
+	var boxes signal.WordBoxes
 	for i := 0; i < len(payload); i += 4 {
 		var w [4]byte
 		copy(w[:], payload[i:])
 		p.Advance(cfg.PerWord)
-		p.Send(port, signal.Word(binary.LittleEndian.Uint32(w[:])))
+		p.Send(port, boxes.Box(signal.Word(binary.LittleEndian.Uint32(w[:]))))
 		n++
 	}
 	return n

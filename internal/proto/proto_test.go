@@ -448,3 +448,60 @@ func TestAssemblerBoundsTransferInProgress(t *testing.T) {
 		})
 	}
 }
+
+// TestWordPageBoxesInChunks pins the word page end to end: a 66 KB
+// page sent word by word through one subsystem and assembled by
+// ReceiveMessage boxes its words in shared chunks, one allocation per
+// signal.WordChunk words, not one a word. The only other allocations
+// are the assembler's one presized buffer and what running a
+// subsystem costs on its own (goroutines, event queue chunks).
+func TestWordPageBoxesInChunks(t *testing.T) {
+	const (
+		size  = 66 << 10
+		words = size / 4
+		// What the subsystem's run costs besides the boxes and the
+		// presize: the event queue's 255-row chunks for the page's
+		// drives, and a fixed 48 for goroutines, channels and tables.
+		// (A page of words < 256, which box for free, costs ≈ 105.)
+		runSlack = words/255 + 48
+	)
+	page := make([]byte, size)
+	for i := 0; i < size; i += 4 {
+		binary.LittleEndian.PutUint32(page[i:], 0x01000000|uint32(i)) // every word >= 256
+	}
+	s := core.NewSubsystem("p")
+	tx := core.BehaviorFunc(func(p *core.Proc) error {
+		SendMessage(p, "out", page, "wordLevel", Config{})
+		return nil
+	})
+	var got []byte
+	rx := core.BehaviorFunc(func(p *core.Proc) error {
+		msg, _, err := ReceiveMessage(p, "in", NewAssembler())
+		got = msg
+		return err
+	})
+	tc, _ := s.NewComponent("tx", tx)
+	tc.AddPort("out")
+	rc, _ := s.NewComponent("rx", rx)
+	rc.AddPort("in")
+	n, _ := s.NewNet("w", 1)
+	if err := s.Connect(n, tc.Port("out"), rc.Port("in")); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := s.Run(vtime.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if !bytes.Equal(got, page) {
+		t.Fatal("assembled page differs from the one sent")
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("a %d-word page cost %d allocations", words, allocs)
+	if limit := uint64(words/signal.WordChunk + runSlack + 1); allocs > limit {
+		t.Fatalf("a %d-word page cost %d allocations, want <= %d: one box chunk per %d words, the presize and %d for the run",
+			words, allocs, limit, signal.WordChunk, runSlack)
+	}
+}
