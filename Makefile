@@ -90,19 +90,23 @@ timeline:
 # page of int drives through a subsystem costs 52 bytes a drive plus
 # its box, journaled under speculation or not, while a signal.Word >= 256
 # is boxed into a 1 KB chunk shared by 256 words, on decode and along a
-# word-level page end to end, with the boxer run under the race
-# detector's checkptr), the event
+# word-level page end to end, and a signal.Frame that is not Last into
+# a 1 152 B chunk shared by 16 frames on decode, the Last one alone,
+# with the boxer run under the race detector's checkptr), the event
 # queue's run/heap and route-table model test with the guards that an
 # in-order burst never enters the heap, that a run which never empties
 # keeps storage and chunk table proportional to its depth and that no
 # stream of names a peer sends grows an inbox's route table, the
-# page-path guards (a 2 MB page is joined by its assembler and a word
-# page handed out as the buffer its header sized, and the page is
-# generated by the server in one allocation, with its bytes pinned by
-# SHA-256; packets are
+# page-path guards (a 2 MB page is joined once, by the assembler that
+# consumes it, and a word page handed out as the buffer its header
+# sized; the ASIC forwards the radio payloads it buffered without
+# joining them, and a send of parts makes the same drives as a send of
+# their join at every level; the page is generated by the server in one
+# allocation, with its bytes pinned by SHA-256; packets are
 # capacity-clipped views of the page, only the Last one a copy, so no
 # net's last value and no flushed egress slot pins a page; no stream a
-# peer sends makes an assembler hold more than its cap), the two-node
+# peer sends makes an assembler hold more than its cap, nor a negative
+# length header pass as idle), the two-node
 # ping-pong in which the default egress
 # policy may hold no lone message, the buffered-ingress table (split
 # frames, bursts per read, oversized and hostile lengths, mid-frame errors,
@@ -112,13 +116,13 @@ timeline:
 # unacked record), a TCP channel lost under a stalled run ending that
 # run with the loss, the codec microbenchmarks, the cross-node stress
 # tests under the race detector, and a fuzz smoke pass over the frame
-# parser and batch codec.
+# parser, the batch codec and the assembler.
 wire:
-	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestPageBurstIsOneUnackedRun|TestFlushDropsPayloadReferences' ./internal/channel/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestPageBurstIsOneUnackedRun|TestFlushDropsPayloadReferences' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestSendBatchWord|TestPump|TestPingPong' ./internal/node/
 	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst' ./internal/wire/
 	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestRouteTableBounded' ./internal/event/
-	$(GO) test -count=1 -run 'TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass' ./internal/core/
 	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes' .
 	$(GO) test -race -count=1 -run 'TestBidirectionalStress' ./internal/channel/
@@ -128,12 +132,14 @@ wire:
 
 # A few seconds of fuzzing per target: the frame parser on hostile
 # streams, the batch decoder on arbitrary payloads (hostile lengths,
-# retired encodings, extension values), and the encode/decode round
-# trip over tag-table and registered values.
+# retired encodings, extension values), the encode/decode round
+# trip over tag-table and registered values, and the assembler's Feed
+# against the join of its FeedParts on any stream of values.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFrameParser -fuzztime=3s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBatch -fuzztime=3s ./internal/channel/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchRoundTrip -fuzztime=3s ./internal/channel/
+	$(GO) test -run=^$$ -fuzz=FuzzAssembler -fuzztime=3s ./internal/proto/
 
 # The scheduler-core gate: the three-way equivalence matrix
 # (sequential x conservative x optimistic over 50 random topologies,

@@ -413,12 +413,14 @@ func putFixedUvarint(dst []byte, v uint64) {
 // steady-state decoding does not allocate a fresh string per message,
 // and sub-allocates byte payload copies (packets, frame bodies) from
 // a recycled slab so a burst of packets costs one allocation per slab
-// rather than one per message. Words are boxed the same way, one 1 KB
-// chunk per signal.WordChunk words >= 256.
+// rather than one per message. Words and frames are boxed the same
+// way: one 1 KB chunk per signal.WordChunk words >= 256, one 1 152 B
+// chunk per signal.FrameChunk frames that are not Last.
 type BatchDecoder struct {
-	names map[string]string
-	slab  []byte
-	words signal.WordBoxes
+	names  map[string]string
+	slab   []byte
+	words  signal.WordBoxes
+	frames signal.FrameBoxes
 }
 
 const (
@@ -576,7 +578,7 @@ func (d *BatchDecoder) value(r *reader) (any, error) {
 			return nil, err
 		}
 		f.Last = last != 0
-		return f, nil
+		return d.frames.Box(f), nil
 	case valBusCycle:
 		var bc signal.BusCycle
 		if bc.Addr, err = r.u32(); err != nil {

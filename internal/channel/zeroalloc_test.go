@@ -1,7 +1,9 @@
 package channel
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/signal"
 	"repro/internal/vtime"
@@ -127,6 +129,48 @@ func TestDecodeLargeWordsOneChunkPer256(t *testing.T) {
 		buf, _, _ = dec.DecodeBatchInto(payload, buf)
 	}); avg > want {
 		t.Fatalf("decoding %d large words allocates %.2f/op, want <= %d (one chunk per %d words)", n, avg, want, signal.WordChunk)
+	}
+}
+
+// TestDecodeFramesOneChunkPer16 guards the frame box: a packet-level
+// run of frames decodes each frame that is not Last into the decoder's
+// current signal.FrameBoxes chunk, so 1 000 frames cost one chunk per
+// signal.FrameChunk frames — plus one left part-full by the previous
+// run and the payload slab's refills — not a box each; and the Last
+// frame is boxed alone, outside the chunk its siblings fill.
+func TestDecodeFramesOneChunkPer16(t *testing.T) {
+	const n = 1000 // the last chunk of the run is half full
+	msgs := make([]Message, n+1)
+	for i := range msgs {
+		msgs[i] = Message{Kind: KindData, From: "ss1", Seq: uint64(i + 1), Net: "dma", Source: "asic", Time: vtime.Time(20 * i),
+			Value: signal.Frame{Seq: uint32(i), Payload: []byte{byte(i), byte(i >> 8)}, Last: i == n}}
+	}
+	payload, _, err := AppendBatch(nil, msgs, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewBatchDecoder()
+	var buf []Message
+	if buf, _, err = dec.DecodeBatchInto(payload, buf); err != nil || len(buf) != n+1 {
+		t.Fatalf("decode: %d messages, %v", len(buf), err)
+	}
+	for i, m := range buf {
+		if !reflect.DeepEqual(m.Value, msgs[i].Value) {
+			t.Fatalf("message %d carries %v, want %v", i, m.Value, msgs[i].Value)
+		}
+	}
+	data := func(v any) uintptr { return uintptr((*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1]) }
+	size := unsafe.Sizeof(signal.Frame{})
+	open := data(buf[n-1].Value) - uintptr((n-1)%signal.FrameChunk)*size // the chunk frame n-1 sits in
+	if last := data(buf[n].Value); last >= open && last < open+signal.FrameChunk*size {
+		t.Fatalf("the Last frame shares the chunk of frames %d..%d", n-1-(n-1)%signal.FrameChunk, n-1)
+	}
+	// 2 001 payload bytes: a 64 KB slab refills once every 32 decodes.
+	const want = n/signal.FrameChunk + 1 + 1 + 1
+	if avg := testing.AllocsPerRun(200, func() {
+		buf, _, _ = dec.DecodeBatchInto(payload, buf)
+	}); avg > want {
+		t.Fatalf("decoding %d frames allocates %.2f/op, want <= %d (one chunk per %d frames, the Last box, a slab refill)", n+1, avg, want, signal.FrameChunk)
 	}
 }
 

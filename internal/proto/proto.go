@@ -71,37 +71,54 @@ func (c Config) packetLen() int {
 // delivered value — may still be reading it. Only the Last packet owns
 // its bytes.
 func SendMessage(p *core.Proc, port string, payload []byte, level string, cfg Config) int {
+	return SendParts(p, port, [][]byte{payload}, level, cfg)
+}
+
+// SendParts transfers the concatenation of parts exactly as
+// SendMessage transfers it joined — the same drives, values and
+// virtual times — without joining it: a word that straddles two parts
+// is gathered from both, a packet inside one part is a view of it, and
+// only a packet that straddles parts and the Last packet are copies.
+// As with SendMessage, the parts must not be modified after the call.
+func SendParts(p *core.Proc, port string, parts [][]byte, level string, cfg Config) int {
+	total := 0
+	for _, b := range parts {
+		total += len(b)
+	}
 	switch level {
 	case LevelHardware:
-		return sendBytes(p, port, payload, cfg)
+		return sendBytes(p, port, parts, total, cfg)
 	case LevelWord:
-		return sendWords(p, port, payload, cfg)
+		return sendWords(p, port, parts, total, cfg)
 	default:
-		return sendPackets(p, port, payload, cfg)
+		return sendPackets(p, port, parts, total, cfg)
 	}
 }
 
 // sendBytes renders the transfer as one bus cycle per byte.
-func sendBytes(p *core.Proc, port string, payload []byte, cfg Config) int {
-	p.Send(port, signal.Control{Op: "len", Arg: int64(len(payload))})
-	n := 1
-	for i, b := range payload {
-		p.Advance(cfg.PerByte)
-		p.Send(port, signal.BusCycle{Addr: uint32(i), Data: signal.Word(b), Write: true})
-		n++
+func sendBytes(p *core.Proc, port string, parts [][]byte, total int, cfg Config) int {
+	p.Send(port, signal.Control{Op: "len", Arg: int64(total)})
+	i := 0
+	for _, part := range parts {
+		for _, b := range part {
+			p.Advance(cfg.PerByte)
+			p.Send(port, signal.BusCycle{Addr: uint32(i), Data: signal.Word(b), Write: true})
+			i++
+		}
 	}
-	return n
+	return 1 + i
 }
 
 // sendWords passes individual four-byte words across the net. The
 // words are boxed in shared chunks, not one allocation each.
-func sendWords(p *core.Proc, port string, payload []byte, cfg Config) int {
-	p.Send(port, signal.Control{Op: "len", Arg: int64(len(payload))})
+func sendWords(p *core.Proc, port string, parts [][]byte, total int, cfg Config) int {
+	p.Send(port, signal.Control{Op: "len", Arg: int64(total)})
 	n := 1
 	var boxes signal.WordBoxes
-	for i := 0; i < len(payload); i += 4 {
+	c := cursor{parts: parts}
+	for i := 0; i < total; i += 4 {
 		var w [4]byte
-		copy(w[:], payload[i:])
+		c.read(w[:min(4, total-i)])
 		p.Advance(cfg.PerWord)
 		p.Send(port, boxes.Box(signal.Word(binary.LittleEndian.Uint32(w[:]))))
 		n++
@@ -109,33 +126,75 @@ func sendWords(p *core.Proc, port string, payload []byte, cfg Config) int {
 	return n
 }
 
-// sendPackets sends the data in packets (default 1 KB).
-func sendPackets(p *core.Proc, port string, payload []byte, cfg Config) int {
-	plen := cfg.packetLen()
-	n := 0
-	if len(payload) == 0 {
+// sendPackets sends the data in packets (default 1 KB). The frames are
+// boxed in shared chunks, the Last one alone.
+func sendPackets(p *core.Proc, port string, parts [][]byte, total int, cfg Config) int {
+	if total == 0 {
 		p.Advance(cfg.PerPacket)
 		p.Send(port, signal.Frame{Seq: 0, Last: true})
 		return 1
 	}
-	seq := uint32(0)
-	for off := 0; off < len(payload); off += plen {
-		end := min(off+plen, len(payload))
-		last := end == len(payload)
-		// A packet is a view of payload, capacity-clipped so a
-		// receiver's append cannot reach the next packet. The Last one
-		// is copied: the net keeps its last value (checkpointed with
-		// it), and a view there would pin the whole payload.
-		chunk := payload[off:end:end]
-		if last {
-			chunk = append(make([]byte, 0, len(chunk)), chunk...)
+	plen := cfg.packetLen()
+	var boxes signal.FrameBoxes
+	c := cursor{parts: parts}
+	n := 0
+	for off := 0; off < total; off += plen {
+		size := min(plen, total-off)
+		last := off+size == total
+		// A packet inside one part is a view of it, capacity-clipped so
+		// a receiver's append cannot reach the next packet. One that
+		// straddles parts is gathered into a copy, and so is the Last
+		// one: the net keeps its last value (checkpointed with it), and
+		// a view there would pin the whole part.
+		var chunk []byte
+		if !last {
+			chunk = c.view(size)
+		}
+		if chunk == nil {
+			chunk = make([]byte, size)
+			c.read(chunk)
 		}
 		p.Advance(cfg.PerPacket)
-		p.Send(port, signal.Frame{Seq: seq, Payload: chunk, Last: last})
-		seq++
+		p.Send(port, boxes.Box(signal.Frame{Seq: uint32(n), Payload: chunk, Last: last}))
 		n++
 	}
 	return n
+}
+
+// cursor reads the concatenation of parts in order. Its callers never
+// ask for more bytes than are left.
+type cursor struct {
+	parts [][]byte
+	off   int // into parts[0]
+}
+
+// rest returns what is left of the current part, first stepping past
+// the parts already read and empty ones.
+func (c *cursor) rest() []byte {
+	for c.off == len(c.parts[0]) {
+		c.parts, c.off = c.parts[1:], 0
+	}
+	return c.parts[0][c.off:]
+}
+
+// view returns the next n > 0 bytes as a capacity-clipped view when
+// they lie in one part, and nil, without moving, when they do not.
+func (c *cursor) view(n int) []byte {
+	if r := c.rest(); len(r) >= n {
+		c.off += n
+		return r[:n:n]
+	}
+	return nil
+}
+
+// read fills dst with the next len(dst) bytes, gathered from as many
+// parts as they span.
+func (c *cursor) read(dst []byte) {
+	for len(dst) > 0 {
+		k := copy(dst, c.rest())
+		c.off += k
+		dst = dst[k:]
+	}
 }
 
 // Assembler reconstructs messages from transfers at any detail
@@ -149,7 +208,7 @@ type Assembler struct {
 
 	// A frame transfer says nothing about its length until Last, so
 	// the payloads are kept as handed over (size bytes in all) and
-	// joined once, into the result, when Last arrives.
+	// handed out, or joined once, when Last arrives.
 	parts   [][]byte
 	size    int
 	inFrame bool
@@ -176,16 +235,77 @@ const (
 // NewAssembler creates an idle assembler.
 func NewAssembler() *Assembler { return &Assembler{expected: -1} }
 
+// completion says what, if anything, a fed value completed.
+type completion uint8
+
+const (
+	pending completion = iota // nothing yet
+	stream                    // a word/byte stream, in buf
+	frames                    // a frame transfer, in parts
+	bare                      // a bare signal.Packet, the value itself
+)
+
 // Feed consumes one received value. It returns the completed payload
-// once the transfer finishes.
+// once the transfer finishes, as one slice the caller owns: a frame
+// transfer is FeedParts' parts joined, and a stream is the buffer its
+// header sized.
 func (a *Assembler) Feed(v any) ([]byte, bool, error) {
+	c, err := a.feed(v)
+	var out []byte
+	switch c {
+	case pending:
+		return nil, false, err
+	case stream:
+		out = a.takeBuf()
+	case frames:
+		// bytes.Join allocates the result without zeroing it first.
+		out = bytes.Join(a.parts, nil)
+	case bare:
+		out = bytes.Clone(v.(signal.Packet))
+	}
+	if out == nil {
+		out = []byte{} // an empty transfer is still a message
+	}
+	a.complete(c)
+	return out, true, nil
+}
+
+// FeedParts consumes one received value like Feed, but hands a
+// completed frame transfer out as the payloads its frames carried,
+// unjoined and in order, for a forwarder that never needs them
+// contiguous. The assembler gives up its list of them, and the bytes
+// are the sender's, to be read and not written. A bare packet is
+// likewise the sender's bytes; a stream is one part the caller owns.
+func (a *Assembler) FeedParts(v any) ([][]byte, bool, error) {
+	c, err := a.feed(v)
+	var parts [][]byte
+	switch c {
+	case pending:
+		return nil, false, err
+	case stream:
+		parts = [][]byte{a.takeBuf()}
+	case frames:
+		parts, a.parts = a.parts, nil
+	case bare:
+		parts = [][]byte{v.(signal.Packet)}
+	}
+	a.complete(c)
+	return parts, true, nil
+}
+
+// feed advances the transfer by one value and reports what, if
+// anything, it completed; Feed and FeedParts take the result.
+func (a *Assembler) feed(v any) (completion, error) {
 	switch x := v.(type) {
 	case signal.Control:
 		if x.Op != "len" {
-			return nil, false, nil // other control traffic is not ours
+			return pending, nil // other control traffic is not ours
 		}
 		if a.expected >= 0 || a.inFrame {
-			return nil, false, fmt.Errorf("proto: length header inside a transfer")
+			return pending, fmt.Errorf("proto: length header inside a transfer")
+		}
+		if x.Arg < 0 {
+			return pending, fmt.Errorf("proto: negative length header %d", x.Arg)
 		}
 		a.expected = x.Arg
 		a.buf = a.buf[:0]
@@ -197,30 +317,30 @@ func (a *Assembler) Feed(v any) ([]byte, bool, error) {
 			a.buf = make([]byte, 0, n)
 		}
 		if a.expected == 0 {
-			return a.finish()
+			return stream, nil
 		}
-		return nil, false, nil
+		return pending, nil
 	case signal.BusCycle:
 		if a.expected < 0 {
-			return nil, false, fmt.Errorf("proto: bus cycle without length header")
+			return pending, fmt.Errorf("proto: bus cycle without length header")
 		}
 		if !x.Write {
-			return nil, false, nil
+			return pending, nil
 		}
 		if len(a.buf) >= maxMessage {
-			return nil, false, a.overflow()
+			return pending, a.overflow()
 		}
 		a.buf = append(a.buf, byte(x.Data))
 		if int64(len(a.buf)) >= a.expected {
-			return a.finish()
+			return stream, nil
 		}
-		return nil, false, nil
+		return pending, nil
 	case signal.Word:
 		if a.expected < 0 {
-			return nil, false, fmt.Errorf("proto: word without length header")
+			return pending, fmt.Errorf("proto: word without length header")
 		}
 		if len(a.buf) >= maxMessage {
-			return nil, false, a.overflow()
+			return pending, a.overflow()
 		}
 		var w [4]byte
 		binary.LittleEndian.PutUint32(w[:], uint32(x))
@@ -230,55 +350,49 @@ func (a *Assembler) Feed(v any) ([]byte, bool, error) {
 		}
 		a.buf = append(a.buf, w[:need]...)
 		if int64(len(a.buf)) >= a.expected {
-			return a.finish()
+			return stream, nil
 		}
-		return nil, false, nil
+		return pending, nil
 	case signal.Frame:
 		if a.expected >= 0 {
-			return nil, false, fmt.Errorf("proto: frame inside a word/byte transfer")
+			return pending, fmt.Errorf("proto: frame inside a word/byte transfer")
 		}
 		a.inFrame = true
 		a.parts = append(a.parts, x.Payload)
 		a.size += len(x.Payload)
 		if a.size+len(a.parts)*sliceHeader > maxMessage {
-			return nil, false, a.overflow()
+			return pending, a.overflow()
 		}
 		if x.Last {
-			return a.finish()
+			return frames, nil
 		}
-		return nil, false, nil
+		return pending, nil
 	case signal.Packet:
-		// A bare packet is a complete message.
-		a.Messages++
-		out := make([]byte, len(x))
-		copy(out, x)
-		return out, true, nil
+		// A bare packet is a complete message, and leaves any transfer
+		// in progress as it was.
+		return bare, nil
 	default:
-		return nil, false, nil
+		return pending, nil
 	}
 }
 
-// finish hands the completed transfer out as one slice the caller owns,
-// never nil. A transfer is either a word/byte stream in buf or frames
-// in parts. buf itself is handed out, capacity-clipped, and the
-// assembler lets go of it: the next transfer sizes a new one from its
-// header, so the result is never written again and the stream costs
-// one allocation, not a second one and a copy. Frames are joined by
-// bytes.Join, which allocates the result without zeroing it first.
-func (a *Assembler) finish() ([]byte, bool, error) {
-	var out []byte
-	if a.inFrame {
-		out = bytes.Join(a.parts, nil)
-	} else {
-		out = a.buf[:len(a.buf):len(a.buf)]
-		a.buf = nil
+// takeBuf hands a completed stream's buf out, capacity-clipped, and
+// lets go of it: the next transfer sizes a new one from its header, so
+// the result is never written again and the stream costs one
+// allocation, not a second one and a copy.
+func (a *Assembler) takeBuf() []byte {
+	out := a.buf[:len(a.buf):len(a.buf)]
+	a.buf = nil
+	return out
+}
+
+// complete counts a completed message and readies the assembler for the
+// next transfer; a bare packet interrupted none.
+func (a *Assembler) complete(c completion) {
+	if c != bare {
+		a.Reset()
 	}
-	if out == nil {
-		out = []byte{} // an empty transfer is still a message
-	}
-	a.Reset()
 	a.Messages++
-	return out, true, nil
 }
 
 // overflow drops a transfer that has reached maxMessage, with the

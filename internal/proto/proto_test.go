@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -101,26 +102,44 @@ func TestUnknownLevelFallsBackToPacket(t *testing.T) {
 }
 
 func TestAssemblerErrors(t *testing.T) {
-	a := NewAssembler()
-	// Word without header.
-	if _, _, err := a.Feed(wordOf(1)); err == nil {
-		t.Fatal("word without header accepted")
-	}
-	a.Reset()
-	// Header inside a transfer.
-	if _, _, err := a.Feed(lenCtl(8)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := a.Feed(lenCtl(8)); err == nil {
-		t.Fatal("nested header accepted")
-	}
-	a.Reset()
-	// Frame inside a word transfer.
-	if _, _, err := a.Feed(lenCtl(8)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := a.Feed(frameOf([]byte{1}, true)); err == nil {
-		t.Fatal("frame inside word transfer accepted")
+	for _, tc := range []struct {
+		name   string
+		values []any  // all but the last are accepted; the last is refused
+		want   string // in the refusal
+		idle   bool   // the assembler is idle after the refusal
+	}{
+		{"word without header", []any{wordOf(1)}, "word without length header", true},
+		{"header inside a transfer", []any{lenCtl(8), lenCtl(8)}, "length header inside a transfer", false},
+		{"frame inside a word transfer", []any{lenCtl(8), frameOf([]byte{1}, true)}, "frame inside a word/byte transfer", false},
+		// A negative length is the peer's error, reported as such: it is
+		// not the idle sentinel, and the next word is not blamed for it.
+		{"len -1", []any{lenCtl(-1)}, "negative length header -1", true},
+		{"len -5", []any{lenCtl(-5)}, "negative length header -5", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewAssembler()
+			last := len(tc.values) - 1
+			for i, v := range tc.values[:last] {
+				if _, _, err := a.Feed(v); err != nil {
+					t.Fatalf("value %d refused: %v", i, err)
+				}
+			}
+			_, done, err := a.Feed(tc.values[last])
+			if err == nil || done || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got done=%v err=%v, want a refusal naming %q", done, err, tc.want)
+			}
+			if !tc.idle {
+				return
+			}
+			// Nothing of the refused value is left behind: a well-formed
+			// transfer follows.
+			if _, _, err := a.Feed(lenCtl(3)); err != nil {
+				t.Fatal(err)
+			}
+			if payload, done, err := a.Feed(wordOf(0x030201)); err != nil || !done || !bytes.Equal(payload, []byte{1, 2, 3}) {
+				t.Fatalf("transfer after the refusal: %v done=%v err=%v", payload, done, err)
+			}
+		})
 	}
 }
 
@@ -214,8 +233,8 @@ func TestAssemblerPresizesFromHeader(t *testing.T) {
 		t.Fatalf("word after huge header: done=%v err=%v", done, err)
 	}
 	n := NewAssembler()
-	if _, _, err := n.Feed(lenCtl(-5)); err != nil || cap(n.buf) != 0 {
-		t.Fatalf("negative header: err=%v cap=%d", err, cap(n.buf))
+	if _, _, err := n.Feed(lenCtl(-5)); err == nil || cap(n.buf) != 0 {
+		t.Fatalf("negative header: err=%v cap=%d, want a refusal that allocates nothing", err, cap(n.buf))
 	}
 }
 

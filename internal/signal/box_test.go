@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestBoxIsAWord checks that a boxed word, small or large, is in every
@@ -45,7 +46,9 @@ func TestBoxIsAWord(t *testing.T) {
 func TestBoxGobRoundTrip(t *testing.T) {
 	Register()
 	var b WordBoxes
-	in := []any{b.Box(3), b.Box(0x12345678), Level(true), b.Box(0xffffffff)}
+	var f FrameBoxes
+	in := []any{b.Box(3), b.Box(0x12345678), Level(true), b.Box(0xffffffff),
+		f.Box(Frame{Src: "s", Dst: "d", Seq: 1, Payload: []byte{1, 2}}), f.Box(Frame{Seq: 2, Payload: []byte{3}, Last: true})}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
 		t.Fatal(err)
@@ -94,4 +97,95 @@ func TestBoxAllocsPerChunk(t *testing.T) {
 		t.Fatalf("%d boxes cost %.2f allocations, want <= 1", WordChunk, avg)
 	}
 	_ = sink
+}
+
+// TestChunksFillTheirSizeClass: a word chunk is 1 024 B and a frame
+// chunk 1 152 B, both exact size classes of Go's allocator, so a chunk
+// wastes nothing. A field added to Frame breaks the second and must
+// re-size FrameChunk.
+func TestChunksFillTheirSizeClass(t *testing.T) {
+	if n := WordChunk * unsafe.Sizeof(Word(0)); n != 1024 {
+		t.Errorf("a word chunk is %d B, want 1024", n)
+	}
+	if n := FrameChunk * unsafe.Sizeof(Frame{}); n != 1152 {
+		t.Errorf("a frame chunk is %d B, want 1152", n)
+	}
+}
+
+// dataOf is the data word of an interface value: where its box lives.
+func dataOf(v any) uintptr { return uintptr((*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1]) }
+
+// TestFrameBoxIsAFrame checks that a boxed frame, Last or not, is in
+// every observable way the value any(f) would be.
+func TestFrameBoxIsAFrame(t *testing.T) {
+	var b FrameBoxes
+	for _, f := range []Frame{
+		{},
+		{Src: "server", Dst: "asic", Seq: 7, Payload: []byte("page"), Last: false},
+		{Src: "asic", Dst: "server", Seq: 1, Payload: []byte("url"), Last: true},
+	} {
+		v := b.Box(f)
+		got, ok := v.(Frame)
+		if !ok || !reflect.DeepEqual(got, f) {
+			t.Errorf("Box(%v).(Frame) = %v, %v", f, got, ok)
+		}
+		if reflect.TypeOf(v) != reflect.TypeOf(Frame{}) {
+			t.Errorf("reflect.TypeOf(Box(%v)) = %v", f, reflect.TypeOf(v))
+		}
+		if String(v) != String(any(f)) || Size(v) != Size(any(f)) {
+			t.Errorf("Box(%v): String %q Size %d, want %q %d", f, String(v), Size(v), String(any(f)), Size(any(f)))
+		}
+	}
+}
+
+// TestFrameBoxesShareChunksButNotLast: frames that are not Last share
+// chunks of FrameChunk, one allocation a chunk, while a Last frame is
+// boxed alone, outside the chunk being filled, so a net that keeps its
+// last value pins no sibling's payload.
+func TestFrameBoxesShareChunksButNotLast(t *testing.T) {
+	var b FrameBoxes
+	const size = unsafe.Sizeof(Frame{})
+	first := dataOf(b.Box(Frame{Seq: 0}))
+	second := dataOf(b.Box(Frame{Seq: 1}))
+	if second != first+size {
+		t.Fatalf("consecutive frames boxed %d B apart, want the next slot (%d B)", second-first, size)
+	}
+	if last := dataOf(b.Box(Frame{Seq: 2, Last: true})); last >= first && last < first+FrameChunk*size {
+		t.Fatalf("the Last frame was boxed at slot %d of the open chunk", (last-first)/size)
+	}
+	if third := dataOf(b.Box(Frame{Seq: 3})); third != first+2*size {
+		t.Fatalf("the frame after a Last one went %d B past the chunk's start, want slot 2", third-first)
+	}
+	var sink any
+	avg := testing.AllocsPerRun(100, func() {
+		b = FrameBoxes{}
+		for i := range FrameChunk {
+			sink = b.Box(Frame{Seq: uint32(i), Payload: []byte{}})
+		}
+	})
+	if avg > 1 {
+		t.Fatalf("%d frame boxes cost %.2f allocations, want <= 1", FrameChunk, avg)
+	}
+	_ = sink
+}
+
+// TestFrameBoxSurvivesGC holds boxed frames only through a []any: a
+// frame chunk holds pointers, and the collector must keep both the
+// chunks and the payloads they point at alive and unchanged.
+func TestFrameBoxSurvivesGC(t *testing.T) {
+	const n = 1000
+	vals := make([]any, n)
+	var b FrameBoxes
+	for i := range vals {
+		vals[i] = b.Box(Frame{Src: "s", Seq: uint32(i), Payload: bytes.Repeat([]byte{byte(i)}, 64), Last: i%100 == 99})
+	}
+	b = FrameBoxes{}
+	runtime.GC()
+	runtime.GC()
+	for i, v := range vals {
+		f := v.(Frame)
+		if f.Seq != uint32(i) || f.Src != "s" || !bytes.Equal(f.Payload, bytes.Repeat([]byte{byte(i)}, 64)) {
+			t.Fatalf("vals[%d] = %v after GC", i, f)
+		}
+	}
 }

@@ -328,7 +328,7 @@ func (a *ASIC) Run(p *core.Proc) error {
 			p.Advance(a.Cfg.airtime(len(v.URL) + 16)) // request frame airtime
 			p.Send("radio", signal.Frame{Src: "asic", Dst: "server", Payload: []byte(v.URL), Last: true})
 		case signal.Frame:
-			page, done, err := asm.Feed(v)
+			parts, done, err := asm.FeedParts(v)
 			if err != nil {
 				return fmt.Errorf("wubbleu: asic radio: %w", err)
 			}
@@ -336,9 +336,10 @@ func (a *ASIC) Run(p *core.Proc) error {
 				continue
 			}
 			// Whole page buffered on the chip: DMA it to the CPU at
-			// the current detail level.
+			// the current detail level, straight out of the radio
+			// payloads it arrived in. Only the browser needs it whole.
 			a.Transfers++
-			a.DMADrives += proto.SendMessage(p, "dma", page, p.Runlevel(), a.Cfg.Proto)
+			a.DMADrives += proto.SendParts(p, "dma", parts, p.Runlevel(), a.Cfg.Proto)
 		}
 	}
 }
@@ -393,17 +394,19 @@ func (s *Server) Run(p *core.Proc) error {
 		// Stream the page back over the air, one frame per radio
 		// packet with its airtime. The frames are views of the store's
 		// page, which nothing writes; cap == len, so a receiver's append
-		// cannot reach the next frame's bytes.
+		// cannot reach the next frame's bytes. The frames are boxed in
+		// shared chunks, the Last one alone.
 		flen := s.Cfg.RadioFrameLen
 		if flen <= 0 {
 			flen = 1024
 		}
+		var boxes signal.FrameBoxes
 		seq := uint32(0)
 		for off := 0; off < len(page) || seq == 0; off += flen {
 			end := min(off+flen, len(page))
 			chunk := page[off:end:end]
 			p.Advance(s.Cfg.airtime(len(chunk) + 16))
-			p.Send("radio", signal.Frame{Src: "server", Dst: "asic", Seq: seq, Payload: chunk, Last: end >= len(page)})
+			p.Send("radio", boxes.Box(signal.Frame{Src: "server", Dst: "asic", Seq: seq, Payload: chunk, Last: end >= len(page)}))
 			seq++
 		}
 	}

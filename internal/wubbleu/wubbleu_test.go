@@ -230,11 +230,12 @@ func TestRemotePlacementSplitsDMA(t *testing.T) {
 
 // TestLastValuesPinNoPage: packets travel as views of the page, but a
 // net keeps its last value (and checkpoints it), so what the nets hold
-// after a packet-level remote run must not pin a page. Both fragments
-// of "dma" end on the Last frame, which owns at most one packet of
-// bytes outside the page the ASIC sent; "radio" ends on a frame of at
-// most one packet, or on a view of the server's own store page, which
-// the server keeps anyway.
+// after a packet-level remote run must not pin a page. The ASIC
+// forwards the radio payloads it buffered, so the page its DMA packets
+// are views of is the server's store page. Both fragments of "dma" end
+// on the Last frame, which owns at most one packet of bytes outside
+// that page; "radio" ends on a frame of at most one packet, or on a
+// view of the store page, which the server keeps anyway.
 func TestLastValuesPinNoPage(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PageSize = 8<<10 + 300 // a short last packet
@@ -250,11 +251,10 @@ func TestLastValuesPinNoPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	// The ASIC's first DMA packet starts the page it sends.
-	var dmaPage []byte
+	var firstDMA []byte
 	sim.Subsystem("modemsite").OnDrive = func(net, _ string, _ vtime.Time, v any) {
-		if f, ok := v.(signal.Frame); ok && net == "dma" && dmaPage == nil {
-			dmaPage = unsafe.Slice(unsafe.SliceData(f.Payload), cfg.PageSize)
+		if f, ok := v.(signal.Frame); ok && net == "dma" && firstDMA == nil {
+			firstDMA = f.Payload
 		}
 	}
 	if err := sim.Run(pia.Time(pia.Seconds(30))); err != nil {
@@ -262,6 +262,10 @@ func TestLastValuesPinNoPage(t *testing.T) {
 	}
 	if res := app.Result(); res.Loads != 1 || res.PageBytes[0] != cfg.PageSize {
 		t.Fatalf("remote load did not complete: %+v", res)
+	}
+	store := app.Server.store.Get(cfg.URL)
+	if !within(firstDMA, store) {
+		t.Fatal("the ASIC's first DMA packet is not a view of the store page")
 	}
 	plen := cfg.Proto.PacketLen
 	lastFrame := func(sub, net string) signal.Frame {
@@ -273,14 +277,64 @@ func TestLastValuesPinNoPage(t *testing.T) {
 		return f
 	}
 	for _, sub := range []string{"handheld", "modemsite"} {
-		if f := lastFrame(sub, "dma"); cap(f.Payload) > plen || within(f.Payload, dmaPage) {
-			t.Fatalf("%s/dma keeps %d bytes of capacity, a view of the page: %v", sub, cap(f.Payload), within(f.Payload, dmaPage))
+		if f := lastFrame(sub, "dma"); cap(f.Payload) > plen || within(f.Payload, store) {
+			t.Fatalf("%s/dma keeps %d bytes of capacity, a view of the page: %v", sub, cap(f.Payload), within(f.Payload, store))
 		}
 	}
-	f := lastFrame("modemsite", "radio")
-	if store := app.Server.store.Get(cfg.URL); cap(f.Payload) > plen && !within(f.Payload, store) {
+	if f := lastFrame("modemsite", "radio"); cap(f.Payload) > plen && !within(f.Payload, store) {
 		t.Fatalf("modemsite/radio keeps %d bytes of capacity outside the store page", cap(f.Payload))
 	}
+}
+
+// TestASICForwardsRadioPayloads: the ASIC buffers a page as the radio
+// payloads it arrived in and DMAs them without joining them first.
+// Every packet but the Last is a view of the server's store page, and a
+// packet-level load of a 2 MB page allocates two pages — the server's
+// GenPage and the browser's one join — not a third in the ASIC.
+func TestASICForwardsRadioPayloads(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PageSize = 2 << 20
+	b := pia.NewSystem("wubbleu")
+	app, err := Install(b, cfg, LocalPlacement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := b.BuildLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dma := make([]signal.Frame, 0, proto.Drives(cfg.PageSize, proto.LevelPacket, cfg.Proto)) // the hook allocates nothing
+	sim.Subsystem("main").OnDrive = func(net, _ string, _ vtime.Time, v any) {
+		if f, ok := v.(signal.Frame); ok && net == "dma" {
+			dma = append(dma, f)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := sim.Run(pia.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if res := app.Result(); res.Loads != 1 || res.PageBytes[0] != cfg.PageSize {
+		t.Fatalf("load did not complete: %+v", res)
+	}
+	store := app.Server.store.Get(cfg.URL)
+	if len(dma) != proto.Drives(cfg.PageSize, proto.LevelPacket, cfg.Proto) {
+		t.Fatalf("%d DMA packets", len(dma))
+	}
+	for i, f := range dma {
+		if view := within(f.Payload, store); view == f.Last {
+			t.Fatalf("DMA packet %d (Last %v): view of the store page %v", i, f.Last, view)
+		}
+	}
+	// Two pages plus what a run of 4 096 drives costs on its own, which
+	// reads 0.9 MB: event queue chunks, frame box chunks, the two lists
+	// of kept payloads. A third page would pass the limit.
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(2*cfg.PageSize + 3*cfg.PageSize/4); got > limit {
+		t.Fatalf("a %d-byte packet-level load allocated %d bytes, want <= %d: the page twice, not three times", cfg.PageSize, got, limit)
+	}
+	t.Logf("a %d-byte packet-level load allocated %d bytes", cfg.PageSize, got)
 }
 
 // within reports whether b's bytes lie inside page's array.
