@@ -84,17 +84,19 @@ timeline:
 # and the one-word batch-of-one flush must stay at 0 allocs/op
 # steady-state, and a filtered poll that times out hands nothing to
 # the next receive on another port; a cold page-load burst into an
-# empty queue costs one allocation per 255-row
-# chunk, each filling its size class, at most 44 bytes an event with
-# no ordering column, and is released chunk by chunk as it drains; one
-# page of int drives through a subsystem costs 52 bytes a drive plus
-# its box, journaled under speculation or not, while a signal.Word >= 256
+# empty queue costs one allocation per 639-row chunk, each filling its
+# size class, 16 bytes an event — its row; the evenly paced burst is one
+# span of keys — and is released chunk by chunk as it drains; one page
+# of int drives through a subsystem costs its 16-byte rows and 8-byte
+# boxes, journaled under speculation or not, while a signal.Word >= 256
 # is boxed into a 1 KB chunk shared by 256 words, on decode and along a
 # word-level page end to end, and a signal.Frame that is not Last into
 # a 1 152 B chunk shared by 16 frames on decode, the Last one alone,
 # with the boxer run under the race detector's checkptr), the event
 # queue's run/heap and route-table model test with the guards that an
-# in-order burst never enters the heap, that a run which never empties
+# in-order burst never enters the heap, that a push joins the tail span
+# exactly when it continues it (route, kind, sequence, time step), that
+# a run which never empties
 # keeps storage and chunk table proportional to its depth and that no
 # stream of names a peer sends grows an inbox's route table, the
 # page-path guards (a 2 MB page is joined once, by the assembler that
@@ -121,7 +123,7 @@ wire:
 	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestPageBurstIsOneUnackedRun|TestFlushDropsPayloadReferences' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestSendBatchWord|TestPump|TestPingPong' ./internal/node/
 	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst' ./internal/wire/
-	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestRouteTableBounded' ./internal/event/
+	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestPacedBurstIsOneSpan|TestRouteTableBounded' ./internal/event/
 	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass' ./internal/core/
 	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes' .
@@ -133,13 +135,15 @@ wire:
 # A few seconds of fuzzing per target: the frame parser on hostile
 # streams, the batch decoder on arbitrary payloads (hostile lengths,
 # retired encodings, extension values), the encode/decode round
-# trip over tag-table and registered values, and the assembler's Feed
-# against the join of its FeedParts on any stream of values.
+# trip over tag-table and registered values, the assembler's Feed
+# against the join of its FeedParts on any stream of values, and the
+# event queue against a sorted reference on any stream of calls.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFrameParser -fuzztime=3s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBatch -fuzztime=3s ./internal/channel/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchRoundTrip -fuzztime=3s ./internal/channel/
 	$(GO) test -run=^$$ -fuzz=FuzzAssembler -fuzztime=3s ./internal/proto/
+	$(GO) test -run=^$$ -fuzz=FuzzQueue -fuzztime=3s ./internal/event/
 
 # The scheduler-core gate: the three-way equivalence matrix
 # (sequential x conservative x optimistic over 50 random topologies,

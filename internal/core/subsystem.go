@@ -662,9 +662,10 @@ func (s *Subsystem) driveFrom(n *Net, driver *Port, src string, t vtime.Time, v 
 			}
 			continue
 		}
-		// The fanout writes one row and its key per listener straight
-		// into the inbox's row store; nothing is heap allocated once
-		// the store has warmed.
+		// The fanout writes one row per listener straight into the
+		// inbox's row store, and its key into the inbox's tail span or
+		// a new one; nothing is heap allocated once the store has
+		// warmed.
 		ev.Component, ev.Port = pt.comp.name, pt.Name
 		pt.comp.inbox.PushFrom(&ev)
 		if !pt.comp.active {

@@ -14,12 +14,12 @@ import (
 
 // The testing/quick properties in event_test.go generate at most 50
 // elements, so none of them ever leaves the first row-store chunk.
-// These are their explicit large-n versions: about a thousand live
-// rows (four chunks), random times, and pops interleaved with the
+// These are their explicit large-n versions: two thousand live rows
+// (four chunks), random times, and pops interleaved with the
 // pushes so recycled slots are scattered over every chunk.
 
 const (
-	acrossRows  = 1000
+	acrossRows  = 2000
 	acrossTimes = 64 // few distinct times: most orderings are Seq ties
 )
 
@@ -53,6 +53,7 @@ type model struct {
 	// and half draw from the first four.
 	cold int
 	prev route
+	kind Kind // of every push
 
 	// How the route table served the pushes, read off the queue's state
 	// around each one.
@@ -71,9 +72,14 @@ func (m *model) pushAt(q *Queue, at vtime.Time) {
 	case (pick-m.cold)%2 == 0:
 		m.prev = routePool[m.rng.Intn(4)]
 	}
-	r := m.prev
+	m.pushOn(q, at, m.prev)
+}
+
+// pushOn pushes an event at time at on route r.
+func (m *model) pushOn(q *Queue, at vtime.Time, r route) {
+	m.prev = r
 	e := Event{
-		Time: at, Kind: KindNet,
+		Time: at, Kind: m.kind,
 		Component: r.component, Port: r.port, Net: r.net, Source: r.source,
 		Value: m.id,
 	}
@@ -313,14 +319,19 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 			if q.heap || q.head != 0 {
 				t.Fatalf("not an empty run: heap %v, head %d", q.heap, q.head)
 			}
-			if len(q.first) > chunkRows || len(q.firstKeys) > chunkRows {
-				t.Fatalf("burst-sized first chunk kept: %d rows, %d keys", len(q.first), len(q.firstKeys))
+			if len(q.first) > chunkRows {
+				t.Fatalf("burst-sized first chunk kept: %d rows", len(q.first))
 			}
-			if c := q.cols; c != nil && (len(c.times) != 0 || cap(c.times) > chunkRows || cap(c.seqs) > chunkRows || cap(c.rows) > chunkRows) {
-				t.Fatalf("heap columns kept: %d positions, room for %d/%d/%d", len(c.times), cap(c.times), cap(c.seqs), cap(c.rows))
+			if len(q.spans) != 0 || q.spanHead != 0 || cap(q.spans) > chunkRows {
+				t.Fatalf("run keys kept: spans %d..%d, room for %d", q.spanHead, len(q.spans), cap(q.spans))
+			}
+			if c := q.cols; c != nil && (len(c.times) != 0 || len(c.tags) != 0 ||
+				cap(c.times) > chunkRows || cap(c.seqs) > chunkRows || cap(c.rows) > chunkRows || cap(c.tags) > chunkRows) {
+				t.Fatalf("heap columns kept: %d positions, %d tags, room for %d/%d/%d/%d",
+					len(c.times), len(c.tags), cap(c.times), cap(c.seqs), cap(c.rows), cap(c.tags))
 			}
 			for i, r := range q.first {
-				if r.value != nil {
+				if r != nil {
 					t.Fatalf("row %d of the kept chunk still holds %+v", i, r)
 				}
 			}
@@ -345,18 +356,20 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 
 // TestQueueBurstAllocs is the guard behind BenchmarkQueueBurst: one
 // page load into a zero Queue costs one allocation per chunk plus the
-// logarithmic growth of the chunk table and of the first chunk's rows
-// and keys — no ordering column, never a re-copy of the rows — and once
-// drained the queue keeps at most one chunk. At its peak the burst
-// holds its rows and keys and at most one chunk more, and in all it
-// allocates 40 bytes an event and the first chunk's growth: under 44.
+// logarithmic growth of the chunk table and of the first chunk's rows —
+// no ordering column, no key per event, never a re-copy of the rows —
+// and once drained the queue keeps at most one chunk. The burst is
+// evenly spaced on one route, so its keys are one span: at its peak it
+// holds its rows, at most one chunk more and that span, and in all it
+// allocates 16 bytes an event and the first chunk's growth, which is
+// under three chunks' worth.
 func TestQueueBurstAllocs(t *testing.T) {
 	const (
 		chunks = (burstLen + chunkRows - 1) / chunkRows
-		slack  = 32 // ~9 growths each for the first chunk's rows and keys, ~8 for the chunk table, the route table
+		slack  = 24 // ~10 growths of the first chunk's rows, ~5 of the chunk table, the route table, the span
 	)
-	if size := unsafe.Sizeof(payload{}); size > 32 {
-		t.Fatalf("a row is %d bytes, want <= 32", size)
+	if size := unsafe.Sizeof(*new(Queue).at(0)); size != 16 {
+		t.Fatalf("a row is %d bytes, want 16", size)
 	}
 	var q *Queue
 	allocs := testing.AllocsPerRun(5, func() {
@@ -377,16 +390,16 @@ func TestQueueBurstAllocs(t *testing.T) {
 	for i := 0; i < cold; i++ {
 		q.Push(Event{Time: vtime.Time(i), Kind: KindNet, Port: "dma", Net: "dma"})
 	}
-	rowKey := unsafe.Sizeof(payload{}) + unsafe.Sizeof(key{})
-	held := uintptr(cap(q.first))*unsafe.Sizeof(payload{}) + uintptr(cap(q.firstKeys))*unsafe.Sizeof(key{})
+	row := unsafe.Sizeof(any(nil))
+	held := uintptr(cap(q.first)) * row
 	for _, c := range q.rest {
 		if c != nil {
 			held += unsafe.Sizeof(*c)
 		}
 	}
-	if live := cold * rowKey; held > live+unsafe.Sizeof(chunk{}) || q.heap || q.cols != nil {
-		t.Fatalf("a cold burst of %d holds %d bytes of rows and keys (heap %v), want <= %d live and one chunk",
-			cold, held, q.heap, live)
+	if live := cold * row; held > live+unsafe.Sizeof(chunk{}) || len(q.spans) != 1 || q.heap || q.cols != nil {
+		t.Fatalf("a cold burst of %d holds %d bytes of rows and %d spans (heap %v), want <= %d live and one chunk, one span",
+			cold, held, len(q.spans), q.heap, live)
 	}
 
 	if raceBuild {
@@ -396,8 +409,8 @@ func TestQueueBurstAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	burst(new(Queue), cold)
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > cold*44 {
-		t.Fatalf("cold burst of %d allocates %d bytes, %.1f an event, want <= 44", cold, got, float64(got)/cold)
+	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(cold*row+3*unsafe.Sizeof(chunk{})); got > want {
+		t.Fatalf("cold burst of %d allocates %d bytes, %.1f an event, want <= %d", cold, got, float64(got)/cold, want)
 	}
 }
 
@@ -409,7 +422,7 @@ func TestQueueBurstAllocs(t *testing.T) {
 func TestChunkFillsItsSizeClass(t *testing.T) {
 	const class, header = 10240, 8
 	size := unsafe.Sizeof(chunk{})
-	if size+header > class || size+header+unsafe.Sizeof(payload{})+unsafe.Sizeof(key{}) <= class {
+	if size+header > class || size+header+unsafe.Sizeof(any(nil)) <= class {
 		t.Fatalf("a %d-row chunk is %d bytes: it does not fill the %d-byte class", chunkRows, size, class)
 	}
 	if raceBuild {

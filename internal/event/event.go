@@ -9,48 +9,54 @@
 // delivered in the order they were produced. That tie-break is what
 // makes whole-simulation runs reproducible bit-for-bit.
 //
-// An event is stored as a row and a key. A row is 24 bytes: the value,
-// the kind and an index into the queue's route table. The routing tuple
-// (Component, Port, Net, Source) is topology, not data — an inbox sees
-// a handful of distinct ones for the life of a design — so each
-// distinct tuple is stored once and a push that repeats the previous
-// push's tuple, the shape of every burst, finds it without a search.
-// The table is bounded whatever a peer sends (see maxRoutes). The value
-// stays an `any` because Event, core.Msg and the drive hooks are `any`
-// on the public surface; it is the only pointer pair the collector
-// still walks in a row. The key is the (Time, Seq) pair, 16 bytes kept
-// in pointer-free memory: the collector never scans it.
+// An event is stored as a row and a key. A row is the value alone, 16
+// bytes: it stays an `any` because Event, core.Msg and the drive hooks
+// are `any` on the public surface, and it is the only pointer pair the
+// collector walks in the row store. The rest of an event is its key:
+// the (Time, Seq) pair, the kind and an index into the queue's route
+// table, all pointer-free. The routing tuple (Component, Port, Net,
+// Source) is topology, not data — an inbox sees a handful of distinct
+// ones for the life of a design — so each distinct tuple is stored once
+// and a push that repeats the previous push's tuple, the shape of every
+// burst, finds it without a search. The table is bounded whatever a
+// peer sends (see maxRoutes).
 //
 // The queue is read in one of two ways. It starts as a sorted run:
 // while every push orders at or after the one before it — a page
 // arriving over a channel, a burst toward one inbox, a timer chain —
-// the live events are the row-store slots head..next, each slot's key
-// sits beside its row, a push writes slot next and a pop reads slot
-// head and steps past it. Nothing else is kept, grown or copied: a
-// burst costs one row and one key an event. The first push that orders
-// before the tail, or a pop from inside the run (a filtered receive
-// whose earliest match is not the head), turns the live range into a
-// binary heap over three contiguous columns — times, seqs and slots —
-// with no heapify: a sorted array is a heap, because every position's
-// parent sits at a smaller index and so holds a smaller key. From then
-// until something empties the queue the heap's sifts compare and move
-// those columns only (20 bytes a position) and freed slots are
-// recycled through a free list; an empty queue is an empty run again.
+// the live events are the row-store slots head..next, a push writes
+// slot next and a pop reads slot head and steps past it. A run keeps
+// its keys as spans, not one per slot: a span is a stretch of events on
+// one route and of one kind, with consecutive sequence numbers and
+// evenly spaced times, held as its first event's key, a stride and a
+// count. A push that continues the tail span counts itself into it, so
+// a burst of drives paced one word time apart is one 32-byte span
+// however long it is, and a queued word costs its row and nothing else.
+// The first push that orders before the tail, or a pop from inside the
+// run (a filtered receive whose earliest match is not the head), turns
+// the live range into a binary heap over three contiguous columns —
+// times, seqs and slots — with no heapify: a sorted array is a heap,
+// because every position's parent sits at a smaller index and so holds a
+// smaller key. Each live slot's kind and route move to a column indexed
+// by slot, which the sifts never touch. From then until something
+// empties the queue the heap's sifts compare and move the three columns
+// only (20 bytes a position) and freed slots are recycled through a free
+// list; an empty queue is an empty run again.
 //
 // The row store is chunked, and a row never moves. The first chunk
 // grows by append, so a queue that only ever holds a few events pays
-// for a few rows; every later chunk is one fixed block of rows and
-// their keys, sized to its allocator class. A run drops each chunk its
-// head has passed and rebases the chunk table once the dropped prefix
-// outweighs the live part, so a run that never empties keeps storage
-// proportional to its depth; whatever empties the queue releases every
-// chunk but the first. Events are copied field by field between the
-// caller's Event and a row — there is no per-event heap object to pool
-// or leak.
+// for a few rows; every later chunk is one fixed block of rows, sized to
+// its allocator class. A run drops each chunk its head has passed and
+// rebases the chunk table once the dropped prefix outweighs the live
+// part, so a run that never empties keeps storage proportional to its
+// depth; whatever empties the queue releases every chunk but the first.
+// Events are copied field by field between the caller's Event and a row
+// and its key — there is no per-event heap object to pool or leak.
 package event
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/vtime"
@@ -128,31 +134,64 @@ func (e Event) String() string {
 	}
 }
 
-// payload is the row-store half of an event: the value, the kind and
-// the route. The (Time, Seq) key lives beside it (key) while the queue
-// is a run and in the heap's columns once it is a heap; the routing
-// strings live in the route table.
-type payload struct {
-	value any
-	// link is the row's index in the route table while the row is live.
-	// While it is free, link threads the free list through the recycled
-	// rows themselves: 1 + the next free slot, 0 at the end.
+// tag is the part of an event's key that says what and where: its kind
+// and the index of its route in the route table.
+type tag struct {
 	link int32
 	kind Kind
 }
 
-// key is an event's ordering key as a run keeps it, beside its row.
+// key is an event's ordering key.
 type key struct {
 	time vtime.Time
 	seq  uint64
 }
 
 // after reports whether k orders strictly after (t, seq).
-func (k *key) after(t vtime.Time, seq uint64) bool {
+func (k key) after(t vtime.Time, seq uint64) bool {
 	if k.time != t {
 		return k.time > t
 	}
 	return k.seq > seq
+}
+
+// span is a run's key for n consecutive slots: events sharing a tag,
+// with consecutive sequence numbers and times stride apart. time and seq
+// are the first live event's; a pop from the head steps them to the
+// next one. While a span keys one event its stride means nothing: the
+// next event to join it sets the stride.
+type span struct {
+	time   vtime.Time
+	seq    uint64
+	n      int32
+	stride int32
+	tag
+}
+
+// at returns the key of the span's i-th live event.
+func (s *span) at(i int32) key {
+	return key{s.time + vtime.Time(i)*vtime.Time(s.stride), s.seq + uint64(i)}
+}
+
+// extend counts an event keyed (t, seq) with tag g into s when it
+// continues it: the same tag, the next sequence number, and — while s
+// keys two events or more — the same time step; joining a span of one
+// sets the step, if it fits. The caller has checked that (t, seq) does
+// not order before s's last event.
+func (s *span) extend(t vtime.Time, seq uint64, g tag) bool {
+	last := s.at(s.n - 1)
+	if s.tag != g || seq != last.seq+1 || s.n == math.MaxInt32 {
+		return false
+	}
+	// t >= last.time, so the unsigned difference is exact.
+	switch d := uint64(t) - uint64(last.time); {
+	case s.n == 1 && d <= math.MaxInt32:
+		s.stride = int32(d)
+	case d != uint64(s.stride):
+		return false
+	}
+	s.n++
+	return true
 }
 
 // route is the topology half of an event, stored once per distinct
@@ -171,81 +210,78 @@ func (r *route) is(component, port, net, source string) bool {
 // Source arrives from a peer's socket. A push looks no further back
 // than the maxRoutes most recent routes, so it costs the same however
 // many distinct tuples a peer invents, and a table that has reached
-// maxRoutes is rebuilt from the live rows once it is also more than
+// maxRoutes is rebuilt from the live events once it is also more than
 // twice their number (it cannot be smaller than the distinct routes
-// its rows hold). A table of up to maxRoutes routes is searched whole
-// and so never holds a tuple twice.
+// they hold). A table of up to maxRoutes routes is searched whole and
+// so never holds a tuple twice.
 const maxRoutes = 32
 
 // chunkRows is the number of slots in a chunk, and what the first
 // chunk grows to: slot s lives in the first chunk when s < chunkRows
 // and in chunk s/chunkRows of the store, rest[s/chunkRows-1], at
 // s%chunkRows otherwise.
-const chunkRows = 255
+const chunkRows = 639
 
-// chunk is one fixed block of the row store: its rows, then their keys.
-// The keys hold no pointers and lie past the last pointer word, so the
-// collector's scan of a chunk stops at the rows. 255 rows of 24 bytes
-// and keys of 16, with the 8-byte header the allocator puts before a
-// pointerful object this large, fill the 10 240-byte size class
-// (TestChunkFillsItsSizeClass); 256 would spill into the 10 880-byte
-// one.
-type chunk struct {
-	rows [chunkRows]payload
-	keys [chunkRows]key
-}
+// chunk is one fixed block of the row store. 639 rows of 16 bytes, with
+// the 8-byte header the allocator puts before a pointerful object this
+// large, fill the 10 240-byte size class (TestChunkFillsItsSizeClass);
+// 640 would spill into the 10 880-byte one.
+type chunk [chunkRows]any
 
 // columns is the heap: three parallel columns, a binary heap by
 // position ordered by (times, seqs), rows naming each position's slot.
+// tags is indexed by slot, not position: a live slot's tag, and a free
+// slot's link in the free list (1 + the next free slot, 0 at the end).
 type columns struct {
 	times []vtime.Time
 	seqs  []uint64
 	rows  []int32
+	tags  []tag
 }
 
 // Queue is a priority queue of events ordered by (Time, Seq).
 // The zero value is ready to use. Queue is not safe for concurrent
 // use; the subsystem scheduler owns it.
 type Queue struct {
-	// Row store, chunked so rows never move: the first chunk (first and
-	// firstKeys, grown together by append up to chunkRows) and then
-	// fixed chunks, nil once a run's head has passed them. next is the
-	// first slot never handed out since the queue was last empty. While
-	// the queue is a run (heap false) its live events are the slots
-	// head..next in order. Once it is a heap, cols holds them and free
-	// heads the list of recycled slots (1 + slot, 0 when there is none;
-	// see payload.link). A queue that becomes empty restarts at slot 0
+	// Row store, chunked so rows never move: the first chunk (first,
+	// grown by append up to chunkRows) and then fixed chunks, nil once a
+	// run's head has passed them. next is the first slot never handed
+	// out since the queue was last empty. While the queue is a run (heap
+	// false) its live events are the slots head..next in order, keyed by
+	// spans[spanHead:] in the same order. Once it is a heap, cols holds
+	// their keys and free heads the list of recycled slots (1 + slot, 0
+	// when there is none). A queue that becomes empty restarts at slot 0
 	// as an empty run and keeps only the first chunk (see release).
-	first     []payload
-	firstKeys []key
-	rest      []*chunk
-	head      int32
-	next      int32
-	free      int32
+	first    []any
+	rest     []*chunk
+	spans    []span
+	head     int32
+	next     int32
+	free     int32
+	spanHead int32
+
+	// lastRoute is the route the most recent push used; routes is the
+	// table it indexes. The table is emptied with the queue (release)
+	// and rebuilt from the live events when it outgrows them (maxRoutes).
+	lastRoute int32
 	heap      bool
+	routes    []route
 
 	// cols is the heap while heap is true, and empty otherwise. It is
 	// a pointer, nil until the queue first becomes a heap: most inboxes
 	// never do, and every component embeds one.
 	cols *columns
 
-	// lastRoute is the route the most recent push used; routes is the
-	// table it indexes. The table is emptied with the queue (release)
-	// and rebuilt from the live rows when it outgrows them (maxRoutes).
-	lastRoute int32
-	routes    []route
-
 	seq uint64
 }
 
-// at returns the row and the key at slot; only a run reads the key.
-func (q *Queue) at(slot int32) (*payload, *key) {
+// at returns the row at slot.
+func (q *Queue) at(slot int32) *any {
 	if slot < chunkRows {
-		return &q.first[slot], &q.firstKeys[slot]
+		return &q.first[slot]
 	}
 	s := uint32(slot)
-	c := q.rest[s/chunkRows-1]
-	return &c.rows[s%chunkRows], &c.keys[s%chunkRows]
+	return &q.rest[s/chunkRows-1][s%chunkRows]
 }
 
 // Len returns the number of pending events.
@@ -299,9 +335,9 @@ func (c *columns) down(i int) {
 	}
 }
 
-// grow doubles a full heap column that has reached one chunk's worth.
-// Past 256 elements append grows by a quarter, which re-copies a deep
-// heap some twenty times a column; below that it already doubles.
+// grow doubles a full column that has reached one chunk's worth. Past
+// 256 elements append grows by a quarter, which re-copies a deep column
+// some twenty times; below that it already doubles.
 func grow[T any](col []T) []T {
 	if n := len(col); n == cap(col) && n >= chunkRows {
 		return slices.Grow(col, n)
@@ -337,7 +373,6 @@ func (q *Queue) claim() int32 {
 		// when this queue has never been this deep.
 		if int(slot) == len(q.first) {
 			q.first = extend(q.first)
-			q.firstKeys = extend(q.firstKeys)
 		}
 	case slot%chunkRows == 0:
 		q.rest = append(q.rest, new(chunk))
@@ -345,15 +380,14 @@ func (q *Queue) claim() int32 {
 	return slot
 }
 
-// extend appends one zero element to a first-chunk slice: by append's
-// own growth while that stays within one chunk, and to exactly
-// chunkRows on the growth that would pass it.
-func extend[T any](s []T) []T {
+// extend appends one zero element to the first chunk: by append's own
+// growth while that stays within one chunk, and to exactly chunkRows on
+// the growth that would pass it.
+func extend(s []any) []any {
 	if n := len(s); n == cap(s) && 2*n > chunkRows {
-		s = append(make([]T, 0, chunkRows), s...)
+		s = append(make([]any, 0, chunkRows), s...)
 	}
-	var zero T
-	return append(s, zero)
+	return append(s, nil)
 }
 
 // intern returns the route table's index for the tuple, adding it when
@@ -370,7 +404,7 @@ func (q *Queue) intern(component, port, net, source string) int32 {
 		}
 	}
 	if n >= maxRoutes && n > 2*q.Len() {
-		// A live row may hold the tuple at an index the bounded search
+		// A live event may hold the tuple at an index the bounded search
 		// above did not reach; the rebuilt table is searched whole.
 		q.rebuildRoutes()
 		return q.intern(component, port, net, source)
@@ -380,65 +414,80 @@ func (q *Queue) intern(component, port, net, source string) int32 {
 	return q.lastRoute
 }
 
-// rebuildRoutes re-interns the live rows into an empty table, dropping
-// every route no row holds any more. The new table has at most one
-// route per live row, which is below the size that asks for a rebuild,
-// so the interning does not re-enter.
+// rebuildRoutes re-interns the live tags — a run's spans, a heap's live
+// slots — into an empty table, dropping every route none of them holds
+// any more. The new table has at most one route per live event, which
+// is below the size that asks for a rebuild, so the interning does not
+// re-enter.
 func (q *Queue) rebuildRoutes() {
 	old := q.routes
 	q.routes = nil
-	q.forLive(func(slot int32) {
-		p, _ := q.at(slot)
-		r := &old[p.link]
-		p.link = q.intern(r.component, r.port, r.net, r.source)
-	})
-}
-
-// forLive calls f with every live slot.
-func (q *Queue) forLive(f func(slot int32)) {
+	relink := func(g *tag) {
+		r := &old[g.link]
+		g.link = q.intern(r.component, r.port, r.net, r.source)
+	}
 	if q.heap {
 		for _, slot := range q.cols.rows {
-			f(slot)
+			relink(&q.cols.tags[slot])
 		}
 		return
 	}
-	for slot := q.head; slot < q.next; slot++ {
-		f(slot)
+	for i := range q.spans[q.spanHead:] {
+		relink(&q.spans[int(q.spanHead)+i].tag)
 	}
 }
 
 // push stores an event keyed (t, seq): at the tail of a run when it
-// orders there, into the heap otherwise. The route is interned before a
-// slot is claimed, so a rebuild it triggers sees only live rows.
+// orders there — in the tail span when it continues it — and into the
+// heap otherwise. The route is interned before a slot is claimed, so a
+// rebuild it triggers sees only live events.
 func (q *Queue) push(t vtime.Time, seq uint64, e *Event) {
-	link := q.intern(e.Component, e.Port, e.Net, e.Source)
+	g := tag{q.intern(e.Component, e.Port, e.Net, e.Source), e.Kind}
 	if !q.heap && q.head != q.next {
-		if _, tail := q.at(q.next - 1); tail.after(t, seq) {
+		if tail := &q.spans[len(q.spans)-1]; tail.at(tail.n-1).after(t, seq) {
 			// The first push that orders before the tail: from here
 			// until the queue empties it is a heap.
 			q.toHeap()
+		} else if tail.extend(t, seq, g) {
+			*q.at(q.claim()) = e.Value
+			return
 		}
 	}
+	if !q.heap {
+		q.open(span{time: t, seq: seq, n: 1, tag: g})
+		*q.at(q.claim()) = e.Value
+		return
+	}
+	c := q.cols
 	var slot int32
-	if q.free != 0 { // a heap's recycled slot; a run has none
+	if q.free != 0 {
 		slot = q.free - 1
-		p, _ := q.at(slot)
-		q.free = p.link
+		q.free = c.tags[slot].link
+		c.tags[slot] = g
 	} else {
 		slot = q.claim()
+		c.tags = append(c.tags, g) // tags is slot-indexed up to next
 	}
-	p, k := q.at(slot)
-	p.value, p.link, p.kind = e.Value, link, e.Kind
-	if q.heap {
-		q.cols.push(t, seq, slot)
-	} else {
-		*k = key{t, seq}
+	*q.at(slot) = e.Value
+	c.push(t, seq, slot)
+}
+
+// open appends a span to the run's keys. A full key slice whose dead
+// prefix — the spans the head has passed — is at least as long as its
+// live part moves the live part down instead of growing: each move
+// copies no more spans than were popped since the last, so a run that
+// never empties keeps keys proportional to its depth.
+func (q *Queue) open(s span) {
+	if n := len(q.spans); n == cap(q.spans) && q.spanHead > 0 && 2*int(q.spanHead) >= n {
+		q.spans = q.spans[:copy(q.spans, q.spans[q.spanHead:])]
+		q.spanHead = 0
 	}
+	q.spans = append(grow(q.spans), s)
 }
 
 // toHeap turns the run into the heap: the run's i-th event becomes
 // column position i, which in a sorted range already satisfies the
-// heap order.
+// heap order, and each span's tag is written to its slots.
 func (q *Queue) toHeap() {
 	c := q.cols
 	if c == nil {
@@ -449,12 +498,19 @@ func (q *Queue) toHeap() {
 	c.times = slices.Grow(c.times[:0], n)
 	c.seqs = slices.Grow(c.seqs[:0], n)
 	c.rows = slices.Grow(c.rows[:0], n)
-	for slot := q.head; slot < q.next; slot++ {
-		_, k := q.at(slot)
-		c.times = append(c.times, k.time)
-		c.seqs = append(c.seqs, k.seq)
-		c.rows = append(c.rows, slot)
+	c.tags = slices.Grow(c.tags[:0], int(q.next))[:q.next]
+	slot := q.head
+	for _, s := range q.spans[q.spanHead:] {
+		for i := int32(0); i < s.n; i++ {
+			k := s.at(i)
+			c.times = append(c.times, k.time)
+			c.seqs = append(c.seqs, k.seq)
+			c.rows = append(c.rows, slot)
+			c.tags[slot] = s.tag
+			slot++
+		}
 	}
+	q.spans, q.spanHead = q.spans[:0], 0
 	q.heap = true
 }
 
@@ -482,28 +538,34 @@ func (q *Queue) PushStamped(e Event) {
 }
 
 // fill materializes an event from its row and key into e. It fills e
-// in place: an Event is 104 bytes against a row's 24, and the drains
+// in place: an Event is 104 bytes against a row's 16, and the drains
 // move tens of thousands of them per page load, so the removal paths
 // write each one once, straight into its destination.
-func (q *Queue) fill(e *Event, p *payload, t vtime.Time, seq uint64) {
-	r := &q.routes[p.link]
-	e.Time = t
-	e.Seq = seq
-	e.Kind = p.kind
+func (q *Queue) fill(e *Event, value any, k key, g tag) {
+	r := &q.routes[g.link]
+	e.Time = k.time
+	e.Seq = k.seq
+	e.Kind = g.kind
 	e.Component = r.component
 	e.Port = r.port
 	e.Net = r.net
 	e.Source = r.source
-	e.Value = p.value
+	e.Value = value
 }
 
 // popHead removes the run's head into e: a load, a cleared value and a
-// cursor step. A chunk the head leaves, other than the first, is
-// dropped (see passed).
+// step of the head and of its span. A chunk the head leaves, other than
+// the first, is dropped (see passed).
 func (q *Queue) popHead(e *Event) {
-	p, k := q.at(q.head)
-	q.fill(e, p, k.time, k.seq)
-	p.value = nil
+	s, row := &q.spans[q.spanHead], q.at(q.head)
+	q.fill(e, *row, s.at(0), s.tag)
+	*row = nil
+	if s.n--; s.n > 0 {
+		s.time += vtime.Time(s.stride)
+		s.seq++
+	} else {
+		q.spanHead++
+	}
 	q.head++
 	switch {
 	case q.head == q.next:
@@ -532,39 +594,38 @@ func (q *Queue) passed() {
 }
 
 // removeAt extracts the event at heap position i into e, restores the
-// heap order and recycles its row slot.
+// heap order and recycles its row slot, clearing the row so it drops
+// its reference to the value.
 func (q *Queue) removeAt(i int, e *Event) {
 	c := q.cols
 	slot := c.rows[i]
-	p, _ := q.at(slot)
-	q.fill(e, p, c.times[i], c.seqs[i])
-	q.recycle(slot)
+	row := q.at(slot)
+	q.fill(e, *row, key{c.times[i], c.seqs[i]}, c.tags[slot])
+	*row = nil
+	c.tags[slot].link = q.free
+	q.free = slot + 1
 	c.remove(i)
 	if len(c.times) == 0 {
 		q.release()
 	}
 }
 
-// recycle clears the row at slot, dropping its reference to the value,
-// and puts it at the head of the free list.
-func (q *Queue) recycle(slot int32) {
-	p, _ := q.at(slot)
-	p.value = nil
-	p.link = q.free
-	q.free = slot + 1
-}
-
 // release is what every path that empties the queue ends in: it is an
 // empty run again, row allocation restarts at slot 0, the route table
-// is empty, and the chunks past the first — with heap columns and a
-// route table that grew past one chunk's worth — are dropped, so a
-// drained burst is not held for the life of the queue while a queue
+// is empty, and the chunks past the first — with run keys, heap columns
+// and a route table that grew past one chunk's worth — are dropped, so
+// a drained burst is not held for the life of the queue while a queue
 // that stays small keeps everything it has warmed. The caller has
 // already cleared every row of the first chunk it used.
 func (q *Queue) release() {
 	q.rest = nil
-	q.head, q.next, q.free = 0, 0, 0
+	q.head, q.next, q.free, q.spanHead = 0, 0, 0, 0
 	q.heap = false
+	if cap(q.spans) > chunkRows {
+		q.spans = nil
+	} else {
+		q.spans = q.spans[:0]
+	}
 	if cap(q.routes) > chunkRows {
 		q.routes = nil
 	} else {
@@ -572,10 +633,10 @@ func (q *Queue) release() {
 		q.routes = q.routes[:0]
 	}
 	if c := q.cols; c != nil {
-		if cap(c.times) > chunkRows {
+		if cap(c.times) > chunkRows || cap(c.tags) > chunkRows {
 			q.cols = nil
 		} else {
-			c.times, c.seqs, c.rows = c.times[:0], c.seqs[:0], c.rows[:0]
+			c.times, c.seqs, c.rows, c.tags = c.times[:0], c.seqs[:0], c.rows[:0], c.tags[:0]
 		}
 	}
 }
@@ -610,40 +671,47 @@ func (q *Queue) NextTime() vtime.Time {
 	case q.head == q.next:
 		return vtime.Infinity
 	default:
-		_, k := q.at(q.head)
-		return k.time
+		return q.spans[q.spanHead].time
 	}
 }
 
 // minMatching returns the position (slot in a run, column in a heap)
-// of the earliest event whose Port is in ports, or -1. A run is in
-// order, so its first match is the earliest; a heap is scanned whole
-// for the (Time, Seq)-minimal match, unless its root matches. ports is
-// a receive filter — a handful of names — so membership is a linear
-// match too.
-func (q *Queue) minMatching(ports []string) int {
+// and the key of the earliest event whose Port is in ports; the
+// position is -1 when none match. A run is in order and a span has one
+// route, so the run's answer is the first event of its first matching
+// span; a heap is scanned whole for the (Time, Seq)-minimal match,
+// unless its root matches. ports is a receive filter — a handful of
+// names — so membership is a linear match too.
+func (q *Queue) minMatching(ports []string) (int, key) {
 	if !q.heap {
-		for slot := q.head; slot < q.next; slot++ {
-			if p, _ := q.at(slot); slices.Contains(ports, q.routes[p.link].port) {
-				return int(slot)
+		slot := q.head
+		for i := range q.spans[q.spanHead:] {
+			s := &q.spans[int(q.spanHead)+i]
+			if slices.Contains(ports, q.routes[s.link].port) {
+				return int(slot), s.at(0)
 			}
+			slot += s.n
 		}
-		return -1
+		return -1, key{}
 	}
 	c := q.cols
 	best := -1
 	for i, slot := range c.rows {
-		if p, _ := q.at(slot); !slices.Contains(ports, q.routes[p.link].port) {
+		if !slices.Contains(ports, q.routes[c.tags[slot].link].port) {
 			continue
 		}
 		if i == 0 {
-			return 0
+			best = 0
+			break
 		}
 		if best < 0 || c.less(i, best) {
 			best = i
 		}
 	}
-	return best
+	if best < 0 {
+		return -1, key{}
+	}
+	return best, key{c.times[best], c.seqs[best]}
 }
 
 // MinMatching returns the (Time, Seq) key of the earliest event whose
@@ -651,22 +719,17 @@ func (q *Queue) minMatching(ports []string) int {
 // when none match. It is what a filtered receive needs to decide when
 // its next delivery is due.
 func (q *Queue) MinMatching(ports []string) (t vtime.Time, seq uint64, ok bool) {
-	at := q.minMatching(ports)
-	switch {
-	case at < 0:
+	at, k := q.minMatching(ports)
+	if at < 0 {
 		return vtime.Infinity, 0, false
-	case q.heap:
-		return q.cols.times[at], q.cols.seqs[at], true
-	default:
-		_, k := q.at(int32(at))
-		return k.time, k.seq, true
 	}
+	return k.time, k.seq, true
 }
 
 // PopMatching removes the earliest event whose Port is in ports into
 // *e; it reports false, leaving *e alone, when none match.
 func (q *Queue) PopMatching(ports []string, e *Event) bool {
-	at := q.minMatching(ports)
+	at, _ := q.minMatching(ports)
 	if at < 0 {
 		return false
 	}
@@ -707,32 +770,35 @@ func (q *Queue) Snapshot() []Event {
 	if n == 0 {
 		return nil
 	}
-	out := make([]Event, n)
+	out := make([]Event, 0, n)
 	if !q.heap {
-		for i := range out {
-			p, k := q.at(q.head + int32(i))
-			q.fill(&out[i], p, k.time, k.seq)
+		slot := q.head
+		for _, s := range q.spans[q.spanHead:] {
+			for i := int32(0); i < s.n; i++ {
+				out = append(out, Event{})
+				q.fill(&out[len(out)-1], *q.at(slot), s.at(i), s.tag)
+				slot++
+			}
 		}
 		return out
 	}
 	// Pop a copy of the heap columns down; the row store is only read.
 	c := q.cols
 	tmp := columns{times: slices.Clone(c.times), seqs: slices.Clone(c.seqs), rows: slices.Clone(c.rows)}
-	for i := range out {
-		p, _ := q.at(tmp.rows[0])
-		q.fill(&out[i], p, tmp.times[0], tmp.seqs[0])
+	for range n {
+		slot := tmp.rows[0]
+		out = append(out, Event{})
+		q.fill(&out[len(out)-1], *q.at(slot), key{tmp.times[0], tmp.seqs[0]}, c.tags[slot])
 		tmp.remove(0)
 	}
 	return out
 }
 
 // Reset empties the queue but keeps the sequence counter monotone, so
-// new events still order after everything ever scheduled.
+// new events still order after everything ever scheduled. Every row of
+// the first chunk that is not live is already clear, so clearing the
+// slots handed out clears exactly the live ones.
 func (q *Queue) Reset() {
-	q.forLive(func(slot int32) {
-		if slot < chunkRows {
-			q.first[slot].value = nil
-		}
-	})
+	clear(q.first[:min(len(q.first), int(q.next))])
 	q.release()
 }

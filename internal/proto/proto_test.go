@@ -479,10 +479,10 @@ func TestWordPageBoxesInChunks(t *testing.T) {
 		size  = 66 << 10
 		words = size / 4
 		// What the subsystem's run costs besides the boxes and the
-		// presize: the event queue's 255-row chunks for the page's
+		// presize: the event queue's 639-row chunks for the page's
 		// drives, and a fixed 48 for goroutines, channels and tables.
-		// (A page of words < 256, which box for free, costs ≈ 105.)
-		runSlack = words/255 + 48
+		// (A page of words < 256, which box for free, costs ≈ 52.)
+		runSlack = words/639 + 48
 	)
 	page := make([]byte, size)
 	for i := 0; i < size; i += 4 {
