@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: ci fmt vet build test race race-core chaos mesh metrics timeline wire optimistic service obs fuzz-smoke bench-smoke bench bench-parallel bench-migrate bench-optimistic bench-sessions bench-obs
 
-ci: fmt vet build test race race-core chaos mesh metrics timeline wire optimistic service obs bench-smoke
+ci: fmt vet build test race race-core chaos mesh metrics timeline fuzz-smoke wire optimistic service obs bench-smoke
 
 # Every Go file is gofmt-clean: any name gofmt -l prints fails the gate.
 fmt:
@@ -117,33 +117,49 @@ timeline:
 # most 10 bytes a word; a page burst with no grant coming back is one
 # unacked record), a TCP channel lost under a stalled run ending that
 # run with the loss, the codec microbenchmarks, the cross-node stress
-# tests under the race detector, and a fuzz smoke pass over the frame
-# parser, the batch codec and the assembler.
-wire:
-	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestPageBurstIsOneUnackedRun|TestFlushDropsPayloadReferences' ./internal/channel/ ./internal/wubbleu/
+# tests under the race detector, and — its prerequisite — the fuzz smoke
+# pass. The peer vocabularies outside the batch codec are gated here
+# too: the node hello/helloAck and the hardware-server RPC round-trip,
+# refuse every hostile or pre-binary frame (a gob hello, a 2^62 length,
+# an unknown kind, version or tag, trailing bytes) without a large
+# allocation while the node and the server keep serving, and a remote
+# register read costs at most 8 allocations. A bus cycle is boxed in a
+# 3 KB chunk shared by 256 cycles, on decode and along a 64 KB
+# hardware-level transfer end to end, and the hub's grant fan-out after
+# a key publication and its flush at a stall allocate nothing.
+wire: fuzz-smoke
+	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestFlushDropsPayloadReferences' ./internal/channel/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestHello|TestConnectNamesAHandshakeFault|TestConnectUnknownSubsystem' ./internal/node/
+	$(GO) test -count=1 -run 'TestRPC|TestServerSurvivesProtocolError|TestRemoteRunForPastTheCap|TestRemoteCallNamesABadResponse|TestRemoteCallAllocs' ./internal/hwstub/
 	$(GO) test -count=1 -run 'TestSendBatchWord|TestPump|TestPingPong' ./internal/node/
 	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst' ./internal/wire/
 	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestPacedBurstIsOneSpan|TestRouteTableBounded' ./internal/event/
-	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks|TestHardwareTransferBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass' ./internal/core/
 	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes' .
 	$(GO) test -race -count=1 -run 'TestBidirectionalStress' ./internal/channel/
-	$(GO) test -race -count=1 ./internal/wire/ ./internal/node/ ./internal/signal/
+	$(GO) test -race -count=1 ./internal/wire/ ./internal/node/ ./internal/signal/ ./internal/hwstub/
 	$(GO) test -run=^$$ -bench 'BenchmarkAppendBatch|BenchmarkDecodeBatchInto' -benchtime=1000x ./internal/channel/
-	$(MAKE) fuzz-smoke
 
 # A few seconds of fuzzing per target: the frame parser on hostile
 # streams, the batch decoder on arbitrary payloads (hostile lengths,
 # retired encodings, extension values), the encode/decode round
 # trip over tag-table and registered values, the assembler's Feed
-# against the join of its FeedParts on any stream of values, and the
-# event queue against a sorted reference on any stream of calls.
+# against the join of its FeedParts on any stream of values, the event
+# queue against a sorted reference on any stream of calls, and the node
+# hello and helloAck and the hardware-server request and response
+# decoders on arbitrary payloads (no panic, nothing past a named cap,
+# what decodes re-encodes to the same value). A direct ci prerequisite.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFrameParser -fuzztime=3s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBatch -fuzztime=3s ./internal/channel/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchRoundTrip -fuzztime=3s ./internal/channel/
 	$(GO) test -run=^$$ -fuzz=FuzzAssembler -fuzztime=3s ./internal/proto/
 	$(GO) test -run=^$$ -fuzz=FuzzQueue -fuzztime=3s ./internal/event/
+	$(GO) test -run=^$$ -fuzz=FuzzHello$$ -fuzztime=3s ./internal/node/
+	$(GO) test -run=^$$ -fuzz=FuzzHelloAck -fuzztime=3s ./internal/node/
+	$(GO) test -run=^$$ -fuzz=FuzzHWRequest -fuzztime=3s ./internal/hwstub/
+	$(GO) test -run=^$$ -fuzz=FuzzHWResponse -fuzztime=3s ./internal/hwstub/
 
 # The scheduler-core gate: the three-way equivalence matrix
 # (sequential x conservative x optimistic over 50 random topologies,

@@ -415,12 +415,14 @@ func putFixedUvarint(dst []byte, v uint64) {
 // a recycled slab so a burst of packets costs one allocation per slab
 // rather than one per message. Words and frames are boxed the same
 // way: one 1 KB chunk per signal.WordChunk words >= 256, one 1 152 B
-// chunk per signal.FrameChunk frames that are not Last.
+// chunk per signal.FrameChunk frames that are not Last, one 3 KB chunk
+// per signal.BusCycleChunk bus cycles.
 type BatchDecoder struct {
 	names  map[string]string
 	slab   []byte
 	words  signal.WordBoxes
 	frames signal.FrameBoxes
+	cycles signal.BusCycleBoxes
 }
 
 const (
@@ -594,7 +596,7 @@ func (d *BatchDecoder) value(r *reader) (any, error) {
 			return nil, err
 		}
 		bc.Write = wr != 0
-		return bc, nil
+		return d.cycles.Box(bc), nil
 	case valControl:
 		var c signal.Control
 		if c.Op, err = d.str(r); err != nil {

@@ -76,8 +76,14 @@ var DefaultCoalesce = CoalesceConfig{MaxMsgs: 64, MaxBytes: 32 << 10}
 type Hub struct {
 	sub *core.Subsystem
 
-	mu  sync.Mutex
+	mu sync.Mutex
+	// eps is copy-on-write: NewEndpoint installs a new slice and never
+	// writes into one it handed out, so a reader takes it under mu and
+	// ranges over it without a copy.
 	eps []*Endpoint
+	// bounds is publish's scratch, one entry per endpoint; publish runs
+	// on the scheduler goroutine only.
+	bounds []vtime.Time
 
 	closed    bool
 	metricsOn bool // EnableMetrics already wired a collector
@@ -115,16 +121,21 @@ func NewHub(sub *core.Subsystem) *Hub {
 	return h
 }
 
+// endpoints returns the current endpoint list. The caller must not
+// modify it.
+func (h *Hub) endpoints() []*Endpoint {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.eps
+}
+
 // flushAll drains every endpoint's egress queue. Chained into the
 // subsystem's stall hook: whenever the scheduler is about to block,
 // anything still coalescing goes on the wire — the peer may be
 // waiting on exactly those drives, and nothing further will top up
 // the batch while we sleep.
 func (h *Hub) flushAll() {
-	h.mu.Lock()
-	eps := append([]*Endpoint(nil), h.eps...)
-	h.mu.Unlock()
-	for _, ep := range eps {
+	for _, ep := range h.endpoints() {
 		ep.Flush()
 	}
 }
@@ -140,7 +151,7 @@ func (h *Hub) EnableTimeline(rec *timeline.Recorder) {
 	}
 	h.mu.Lock()
 	h.tl = rec
-	eps := append([]*Endpoint(nil), h.eps...)
+	eps := h.eps
 	h.mu.Unlock()
 	for _, ep := range eps {
 		ep.setTimeline(rec)
@@ -155,10 +166,7 @@ func (ep *Endpoint) setTimeline(rec *timeline.Recorder) {
 
 // SetCoalescing applies cfg to every endpoint of the hub.
 func (h *Hub) SetCoalescing(cfg CoalesceConfig) {
-	h.mu.Lock()
-	eps := append([]*Endpoint(nil), h.eps...)
-	h.mu.Unlock()
-	for _, ep := range eps {
+	for _, ep := range h.endpoints() {
 		ep.SetCoalescing(cfg)
 	}
 }
@@ -171,10 +179,7 @@ func (h *Hub) SetCoalescing(cfg CoalesceConfig) {
 // in-flight messages are already covered by the peer's unacked-egress
 // cap.
 func (h *Hub) depart(until vtime.Time) {
-	h.mu.Lock()
-	eps := append([]*Endpoint(nil), h.eps...)
-	h.mu.Unlock()
-	for _, ep := range eps {
+	for _, ep := range h.endpoints() {
 		ep.departGrant(until.Add(1))
 		ep.Flush() // departGrant may dedupe to nothing; drives must still go out
 	}
@@ -261,7 +266,7 @@ func (h *Hub) NewEndpoint(peer string, policy Policy, link LinkModel, tr Transpo
 	}
 	h.mu.Lock()
 	ep.tl = h.tl
-	h.eps = append(h.eps, ep)
+	h.eps = append(h.eps[:len(h.eps):len(h.eps)], ep) // a new slice: see eps
 	h.mu.Unlock()
 	h.sub.AddExternal()
 	if policy == Conservative {
@@ -301,11 +306,12 @@ func (ep *Endpoint) inBound() (bound vtime.Time, conservative bool) {
 // longer decouple the recursion.
 func (h *Hub) publish(_ vtime.Time) {
 	_, key := h.sub.PublishedTimes()
-	h.mu.Lock()
-	eps := append([]*Endpoint(nil), h.eps...)
-	h.mu.Unlock()
+	eps := h.endpoints()
 	f := key // global floor, for ask-forwarding decisions
-	bounds := make([]vtime.Time, len(eps))
+	if cap(h.bounds) < len(eps) {
+		h.bounds = make([]vtime.Time, len(eps))
+	}
+	bounds := h.bounds[:len(eps)]
 	for i, ep := range eps {
 		b, conservative := ep.inBound()
 		if !conservative {
@@ -371,7 +377,7 @@ func (h *Hub) Close() error {
 		return nil
 	}
 	h.closed = true
-	eps := append([]*Endpoint(nil), h.eps...)
+	eps := h.eps
 	h.mu.Unlock()
 	var first error
 	for _, ep := range eps {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/signal"
 	"repro/internal/vtime"
 )
@@ -132,6 +133,39 @@ func TestDecodeLargeWordsOneChunkPer256(t *testing.T) {
 	}
 }
 
+// TestDecodeBusCyclesOneChunkPer256 guards the bus-cycle box: a
+// hardware-level run of 1 024 cycles decodes into the decoder's current
+// 3 KB chunk (signal.BusCycleBoxes), one chunk per 256 cycles plus at
+// most one left part-full by the previous run, not a box a byte.
+func TestDecodeBusCyclesOneChunkPer256(t *testing.T) {
+	const n = 1024
+	msgs := make([]Message, n)
+	for i := range msgs {
+		msgs[i] = Message{Kind: KindData, From: "ss1", Seq: uint64(i + 1), Net: "bus", Source: "dma", Time: vtime.Time(3 * i),
+			Value: signal.BusCycle{Addr: uint32(i), Data: signal.Word(i & 0xff), Write: true}}
+	}
+	payload, _, err := AppendBatch(nil, msgs, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewBatchDecoder()
+	var buf []Message
+	if buf, _, err = dec.DecodeBatchInto(payload, buf); err != nil || len(buf) != n {
+		t.Fatalf("decode: %d messages, %v", len(buf), err)
+	}
+	for i, m := range buf {
+		if m.Value != msgs[i].Value {
+			t.Fatalf("message %d carries %v, want %v", i, m.Value, msgs[i].Value)
+		}
+	}
+	const want = n/signal.BusCycleChunk + 1
+	if avg := testing.AllocsPerRun(200, func() {
+		buf, _, _ = dec.DecodeBatchInto(payload, buf)
+	}); avg > want {
+		t.Fatalf("decoding %d bus cycles allocates %.2f/op, want <= %d (one chunk per %d cycles)", n, avg, want, signal.BusCycleChunk)
+	}
+}
+
 // TestDecodeFramesOneChunkPer16 guards the frame box: a packet-level
 // run of frames decodes each frame that is not Last into the decoder's
 // current signal.FrameBoxes chunk, so 1 000 frames cost one chunk per
@@ -204,5 +238,26 @@ func BenchmarkDecodeBatchInto(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPublishZeroAlloc guards the hub's per-publication work: the
+// safe-time grant fan-out that runs after every key publication, and the
+// flush of every endpoint at every stall, read the copy-on-write
+// endpoint list and the hub's scratch in place — no copy of the list, no
+// bounds slice — so they allocate nothing.
+func TestPublishZeroAlloc(t *testing.T) {
+	h := NewHub(core.NewSubsystem("hub"))
+	for _, peer := range []string{"a", "b", "c"} {
+		tr, _ := Pipe()
+		if _, err := h.NewEndpoint(peer, Conservative, LinkModel{Latency: 10}, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		h.publish(0)
+		h.flushAll()
+	}); avg != 0 {
+		t.Fatalf("a key publication and a stall flush allocate %.2f/op, want 0", avg)
 	}
 }

@@ -1,6 +1,7 @@
 package hwstub
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -9,25 +10,10 @@ import (
 	"repro/internal/wire"
 )
 
-// The remote hardware protocol: a tiny request/response RPC over the
-// wire framing. This is the paper's "small server which resides on
-// the embedded system": it exposes the stub operations so a remotely
-// located device can be patched into a simulated circuit.
-
-type hwReq struct {
-	Op   string // "settime", "readtime", "runfor", "stall", "pending", "write", "read"
-	Time vtime.Time
-	Dur  vtime.Duration
-	Addr uint32
-	Val  uint32
-}
-
-type hwResp struct {
-	Err  string
-	Time vtime.Time
-	Val  uint32
-	IRQs []Interrupt
-}
+// The remote hardware server: the paper's "small server which resides
+// on the embedded system". It exposes the stub operations over the wire
+// framing (the RPC of rpc.go), so a remotely located device can be
+// patched into a simulated circuit.
 
 // Server makes a Device remotely accessible.
 type Server struct {
@@ -64,37 +50,55 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serve answers requests until the connection drops or speaks out of
+// protocol. The request's payload is decoded before the next read and
+// the response is encoded into one buffer recycled across calls.
 func (s *Server) serve(c *wire.Conn) {
 	defer c.Close()
+	var buf []byte
 	for {
-		var req hwReq
-		if err := c.Recv(&req); err != nil {
+		kind, payload, err := c.RecvFrame()
+		if err != nil {
 			return
 		}
-		var resp hwResp
+		req, err := decodeReq(kind, payload)
+		if err != nil {
+			// Answer with the cause — under the op the caller sent, if it
+			// sent one, which is what its call is waiting on — and close.
+			var op byte
+			if len(payload) > 0 {
+				op = payload[0]
+			}
+			_ = c.SendRaw(wire.FrameHW, appendResp(buf[:0], hwResp{Op: op, Err: err.Error()}))
+			return
+		}
+		resp := hwResp{Op: req.Op}
 		switch req.Op {
-		case "settime":
+		case opSetTime:
 			resp.Err = errStr(s.dev.SetTime(req.Time))
-		case "readtime":
+		case opReadTime:
 			t, err := s.dev.ReadTime()
 			resp.Time, resp.Err = t, errStr(err)
-		case "runfor":
+		case opRunFor:
 			irqs, err := s.dev.RunFor(req.Dur)
 			resp.IRQs, resp.Err = irqs, errStr(err)
-		case "stall":
+		case opStall:
 			resp.Err = errStr(s.dev.Stall())
-		case "pending":
+		case opPending:
 			irqs, err := s.dev.Pending()
 			resp.IRQs, resp.Err = irqs, errStr(err)
-		case "write":
+		case opWrite:
 			resp.Err = errStr(s.dev.WriteReg(req.Addr, req.Val))
-		case "read":
+		case opRead:
 			v, err := s.dev.ReadReg(req.Addr)
 			resp.Val, resp.Err = v, errStr(err)
-		default:
-			resp.Err = fmt.Sprintf("hwstub: unknown op %q", req.Op)
 		}
-		if err := c.Send(resp); err != nil {
+		if len(resp.IRQs) > maxIRQs {
+			resp.IRQs = nil
+			resp.Err = fmt.Sprintf("hwstub: more than %d interrupts in one response", maxIRQs)
+		}
+		buf = appendResp(buf[:0], resp)
+		if err := c.SendRaw(wire.FrameHW, buf); err != nil {
 			return
 		}
 	}
@@ -117,8 +121,9 @@ func errStr(err error) string {
 // RemoteDevice is a Device backed by a hardware server across the
 // network. It is safe for use by one adapter at a time.
 type RemoteDevice struct {
-	mu sync.Mutex
-	c  *wire.Conn
+	mu  sync.Mutex
+	c   *wire.Conn
+	buf []byte // request encoding, recycled across calls
 }
 
 // Dial connects to a hardware server.
@@ -133,61 +138,70 @@ func Dial(addr string) (*RemoteDevice, error) {
 // Close releases the connection.
 func (r *RemoteDevice) Close() error { return r.c.Close() }
 
+// call makes one request and waits for its response. A response out of
+// protocol closes the connection: nothing after it can be trusted to
+// answer the request it follows.
 func (r *RemoteDevice) call(req hwReq) (hwResp, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.c.Send(req); err != nil {
+	r.buf = appendReq(r.buf[:0], req)
+	if err := r.c.SendRaw(wire.FrameHW, r.buf); err != nil {
 		return hwResp{}, err
 	}
-	var resp hwResp
-	if err := r.c.Recv(&resp); err != nil {
+	kind, payload, err := r.c.RecvFrame()
+	if err != nil {
+		return hwResp{}, err
+	}
+	resp, err := decodeResp(kind, payload, req.Op)
+	if err != nil {
+		r.c.Close()
 		return hwResp{}, err
 	}
 	if resp.Err != "" {
-		return resp, fmt.Errorf("%s", resp.Err)
+		return resp, errors.New(resp.Err)
 	}
 	return resp, nil
 }
 
 // SetTime implements Device.
 func (r *RemoteDevice) SetTime(t vtime.Time) error {
-	_, err := r.call(hwReq{Op: "settime", Time: t})
+	_, err := r.call(hwReq{Op: opSetTime, Time: t})
 	return err
 }
 
 // ReadTime implements Device.
 func (r *RemoteDevice) ReadTime() (vtime.Time, error) {
-	resp, err := r.call(hwReq{Op: "readtime"})
+	resp, err := r.call(hwReq{Op: opReadTime})
 	return resp.Time, err
 }
 
 // RunFor implements Device.
 func (r *RemoteDevice) RunFor(d vtime.Duration) ([]Interrupt, error) {
-	resp, err := r.call(hwReq{Op: "runfor", Dur: d})
+	resp, err := r.call(hwReq{Op: opRunFor, Dur: d})
 	return resp.IRQs, err
 }
 
 // Stall implements Device.
 func (r *RemoteDevice) Stall() error {
-	_, err := r.call(hwReq{Op: "stall"})
+	_, err := r.call(hwReq{Op: opStall})
 	return err
 }
 
 // Pending implements Device.
 func (r *RemoteDevice) Pending() ([]Interrupt, error) {
-	resp, err := r.call(hwReq{Op: "pending"})
+	resp, err := r.call(hwReq{Op: opPending})
 	return resp.IRQs, err
 }
 
 // WriteReg implements Device.
 func (r *RemoteDevice) WriteReg(addr, v uint32) error {
-	_, err := r.call(hwReq{Op: "write", Addr: addr, Val: v})
+	_, err := r.call(hwReq{Op: opWrite, Addr: addr, Val: v})
 	return err
 }
 
 // ReadReg implements Device.
 func (r *RemoteDevice) ReadReg(addr uint32) (uint32, error) {
-	resp, err := r.call(hwReq{Op: "read", Addr: addr})
+	resp, err := r.call(hwReq{Op: opRead, Addr: addr})
 	return resp.Val, err
 }
 

@@ -3,10 +3,10 @@
 // a client and a server and handles all inter-node communication so
 // that it is hidden from the user; the paper used Java RMI here, this
 // implementation speaks the length-prefixed frames of package wire: a
-// gob hello/helloAck handshake, then nothing but binary batch frames
-// (internal/channel's codec) in both directions. One TCP connection
-// carries one channel, which preserves the per-channel FIFO order the
-// time-management protocols require.
+// binary hello/helloAck handshake (hello.go), then nothing but binary
+// batch frames (internal/channel's codec) in both directions. One TCP
+// connection carries one channel, which preserves the per-channel FIFO
+// order the time-management protocols require.
 package node
 
 import (
@@ -51,22 +51,6 @@ func (e *PeerLostError) Error() string {
 // Unwrap makes errors.Is match both ErrPeerLost and the cause chain
 // (e.g. resilience.ErrSessionLost).
 func (e *PeerLostError) Unwrap() []error { return []error{ErrPeerLost, e.Cause} }
-
-// hello opens a channel: the dialing node announces which hosted
-// subsystem it wants to bind to which remote subsystem.
-type hello struct {
-	FromNode string
-	FromSub  string
-	ToSub    string
-	Policy   uint8
-	Link     channel.LinkModel
-}
-
-// helloAck confirms or rejects the binding.
-type helloAck struct {
-	OK    bool
-	Error string
-}
 
 // Hosted bundles a subsystem with its channel hub and snapshot agent
 // on a node.
@@ -492,21 +476,24 @@ func (n *Node) acceptSessions(rl *resilience.Listener) {
 // serveConn handles the server side of one channel connection. sess
 // is non-nil when the connection is a resumable session.
 func (n *Node) serveConn(c *wire.Conn, sess *resilience.Session) error {
-	var h hello
-	if err := c.Recv(&h); err != nil {
+	kind, payload, err := c.RecvFrame()
+	if err != nil {
 		c.Close()
+		return fmt.Errorf("handshake: %w", err)
+	}
+	h, err := decodeHello(kind, payload)
+	if err != nil {
+		n.refuse(c, fmt.Sprintf("node %s: %v", n.name, err))
 		return fmt.Errorf("handshake: %w", err)
 	}
 	hosted := n.Hosted(h.ToSub)
 	if hosted == nil {
-		_ = c.Send(helloAck{Error: fmt.Sprintf("node %s hosts no subsystem %q", n.name, h.ToSub)})
-		c.Close()
+		n.refuse(c, fmt.Sprintf("node %s hosts no subsystem %q", n.name, h.ToSub))
 		return fmt.Errorf("unknown subsystem %q", h.ToSub)
 	}
-	ep, err := hosted.Hub.NewEndpoint(h.FromSub, channel.Policy(h.Policy), h.Link, &connTransport{c: c})
+	ep, err := hosted.Hub.NewEndpoint(h.FromSub, h.Policy, h.Link, &connTransport{c: c})
 	if err != nil {
-		_ = c.Send(helloAck{Error: err.Error()})
-		c.Close()
+		n.refuse(c, err.Error())
 		return err
 	}
 	n.applyCoalescing(ep)
@@ -520,12 +507,19 @@ func (n *Node) serveConn(c *wire.Conn, sess *resilience.Session) error {
 	// Registered before the ack, so that once the dialer's Connect
 	// returns this side's Close and WireStats already cover the conn.
 	n.addConn(c)
-	if err := c.Send(helloAck{OK: true}); err != nil {
+	if err := c.SendRaw(wire.FrameHello, appendHelloAck(nil, helloAck{OK: true})); err != nil {
 		c.Close()
 		return err
 	}
 	n.trace("node %s: accepted channel %s <- %s@%s", n.name, h.ToSub, h.FromSub, h.FromNode)
 	return n.pump(c, ep, hosted, sess)
+}
+
+// refuse answers a hello with a refusal naming the reason, and closes
+// the connection.
+func (n *Node) refuse(c *wire.Conn, reason string) {
+	_ = c.SendRaw(wire.FrameHello, appendHelloAck(nil, helloAck{Error: reason}))
+	c.Close()
 }
 
 // Connect dials a remote node and opens a channel between the local
@@ -575,12 +569,17 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 		}
 		c = wire.NewConn(rwc)
 	}
-	if err := c.Send(hello{FromNode: n.name, FromSub: localSub, ToSub: remoteSub, Policy: uint8(policy), Link: link}); err != nil {
+	h := hello{FromNode: n.name, FromSub: localSub, ToSub: remoteSub, Policy: policy, Link: link}
+	if err := c.SendRaw(wire.FrameHello, appendHello(nil, h)); err != nil {
 		c.Close()
 		return nil, err
 	}
 	var ack helloAck
-	if err := c.Recv(&ack); err != nil {
+	kind, payload, err := c.RecvFrame()
+	if err == nil {
+		ack, err = decodeHelloAck(kind, payload)
+	}
+	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("node %s: handshake with %s: %w", n.name, addr, err)
 	}

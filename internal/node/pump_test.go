@@ -50,8 +50,9 @@ func newPeerScript(t *testing.T) *peerScript {
 	t.Helper()
 	p := &peerScript{}
 	p.c = wire.NewConn(scriptWriter{&p.buf})
-	if err := p.c.Send(hello{FromNode: "node1", FromSub: "handheld", ToSub: "server",
-		Policy: uint8(channel.Conservative), Link: channel.LinkModel{Latency: 5, PerMessage: 1}}); err != nil {
+	h := hello{FromNode: "node1", FromSub: "handheld", ToSub: "server",
+		Policy: channel.Conservative, Link: channel.LinkModel{Latency: 5, PerMessage: 1}}
+	if err := p.c.SendRaw(wire.FrameHello, appendHello(nil, h)); err != nil {
 		t.Fatal(err)
 	}
 	return p

@@ -95,14 +95,16 @@ func SendParts(p *core.Proc, port string, parts [][]byte, level string, cfg Conf
 	}
 }
 
-// sendBytes renders the transfer as one bus cycle per byte.
+// sendBytes renders the transfer as one bus cycle per byte. The cycles
+// are boxed in shared chunks, not one allocation each.
 func sendBytes(p *core.Proc, port string, parts [][]byte, total int, cfg Config) int {
 	p.Send(port, signal.Control{Op: "len", Arg: int64(total)})
 	i := 0
+	var boxes signal.BusCycleBoxes
 	for _, part := range parts {
 		for _, b := range part {
 			p.Advance(cfg.PerByte)
-			p.Send(port, signal.BusCycle{Addr: uint32(i), Data: signal.Word(b), Write: true})
+			p.Send(port, boxes.Box(signal.BusCycle{Addr: uint32(i), Data: signal.Word(b), Write: true}))
 			i++
 		}
 	}

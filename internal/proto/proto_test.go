@@ -524,3 +524,55 @@ func TestWordPageBoxesInChunks(t *testing.T) {
 			words, allocs, limit, signal.WordChunk, runSlack)
 	}
 }
+
+// TestHardwareTransferBoxesInChunks pins the hardware level end to end:
+// a 64 KB transfer is one bus cycle a byte, boxed in shared chunks — one
+// allocation per signal.BusCycleChunk cycles, not one a byte — and
+// assembled by ReceiveMessage into its one presized buffer.
+func TestHardwareTransferBoxesInChunks(t *testing.T) {
+	const (
+		size = 64 << 10
+		// As in TestWordPageBoxesInChunks: the event queue's 639-row
+		// chunks for the transfer's drives and a fixed 48 for the run.
+		runSlack = size/639 + 48
+	)
+	page := make([]byte, size)
+	for i := range page {
+		page[i] = byte(i * 7)
+	}
+	s := core.NewSubsystem("p")
+	tx := core.BehaviorFunc(func(p *core.Proc) error {
+		SendMessage(p, "out", page, LevelHardware, Config{})
+		return nil
+	})
+	var got []byte
+	rx := core.BehaviorFunc(func(p *core.Proc) error {
+		msg, _, err := ReceiveMessage(p, "in", NewAssembler())
+		got = msg
+		return err
+	})
+	tc, _ := s.NewComponent("tx", tx)
+	tc.AddPort("out")
+	rc, _ := s.NewComponent("rx", rx)
+	rc.AddPort("in")
+	n, _ := s.NewNet("bus", 1)
+	if err := s.Connect(n, tc.Port("out"), rc.Port("in")); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := s.Run(vtime.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if !bytes.Equal(got, page) {
+		t.Fatal("assembled transfer differs from the one sent")
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("a %d-byte hardware-level transfer cost %d allocations", size, allocs)
+	if limit := uint64(size/signal.BusCycleChunk + runSlack + 1); allocs > limit {
+		t.Fatalf("a %d-byte hardware-level transfer cost %d allocations, want <= %d: one box chunk per %d cycles, the presize and %d for the run",
+			size, allocs, limit, signal.BusCycleChunk, runSlack)
+	}
+}

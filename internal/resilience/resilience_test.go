@@ -261,7 +261,9 @@ func (b *blackhole) Close() error { return b.inner.Close() }
 func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 	var (
 		mu    sync.Mutex
-		holes []*blackhole
+		first *blackhole
+		once  sync.Once
+		live  = make(chan struct{}) // closed once the session resumed on a wrapped transport
 	)
 	p := newPair(t, Config{
 		Heartbeat: 10 * time.Millisecond, HeartbeatMiss: 3,
@@ -271,11 +273,21 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 	p.wrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
 		b := &blackhole{inner: c}
 		mu.Lock()
-		holes = append(holes, b)
+		if first == nil {
+			first = b
+		}
 		mu.Unlock()
 		return b
 	}
 	p.mu.Unlock()
+	p.client.SetOnChange(func() {
+		// The first resume was the dial; the second runs on the redial,
+		// which the hook wrapped. Tripping any earlier would strand the
+		// resume handshake, not the stream.
+		if p.client.Stats().Resumes >= 2 {
+			once.Do(func() { close(live) })
+		}
+	})
 	p.killRaw() // move onto a blackhole-wrapped transport
 
 	const n = 64 << 10
@@ -287,16 +299,10 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 		}
 		// Wait for the redial to actually wrap a transport, then
 		// silently kill it.
-		for {
-			mu.Lock()
-			if len(holes) > 0 {
-				holes[0].trip()
-				mu.Unlock()
-				break
-			}
-			mu.Unlock()
-			time.Sleep(time.Millisecond)
-		}
+		<-live
+		mu.Lock()
+		first.trip()
+		mu.Unlock()
 		for i := half; i < n; i += 4 << 10 {
 			p.client.Write(want[i : i+4<<10])
 		}

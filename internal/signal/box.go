@@ -2,12 +2,13 @@ package signal
 
 import "unsafe"
 
-// Chunk lengths of the two boxers. Each chunk fills an exact size class
-// of Go's allocator, so it wastes nothing: 256 four-byte words are
-// 1 024 B, and 16 Frames of 72 B are 1 152 B.
+// Chunk lengths of the boxers. Each chunk fills an exact size class of
+// Go's allocator, so it wastes nothing: 256 four-byte words are 1 024 B,
+// 16 Frames of 72 B are 1 152 B, and 256 BusCycles of 12 B are 3 072 B.
 const (
-	WordChunk  = 256
-	FrameChunk = 16
+	WordChunk     = 256
+	FrameChunk    = 16
+	BusCycleChunk = 256
 )
 
 // boxes boxes values of type T into interface values in shared chunks
@@ -49,8 +50,9 @@ func typeWord[T any]() unsafe.Pointer {
 }
 
 var (
-	wordType  = typeWord[Word]()
-	frameType = typeWord[Frame]()
+	wordType     = typeWord[Word]()
+	frameType    = typeWord[Frame]()
+	busCycleType = typeWord[BusCycle]()
 )
 
 // WordBoxes boxes Words in pointer-free chunks of WordChunk. A word
@@ -83,4 +85,16 @@ func (b *FrameBoxes) Box(f Frame) any {
 		return f
 	}
 	return b.b.box(f, FrameChunk, frameType)
+}
+
+// BusCycleBoxes boxes BusCycles in pointer-free chunks of BusCycleChunk:
+// a hardware-level transfer is one cycle a byte, so boxing each alone
+// would cost one allocation a byte.
+type BusCycleBoxes struct {
+	b boxes[BusCycle]
+}
+
+// Box returns c as an interface value.
+func (b *BusCycleBoxes) Box(c BusCycle) any {
+	return b.b.box(c, BusCycleChunk, busCycleType)
 }

@@ -99,10 +99,10 @@ func TestBoxAllocsPerChunk(t *testing.T) {
 	_ = sink
 }
 
-// TestChunksFillTheirSizeClass: a word chunk is 1 024 B and a frame
-// chunk 1 152 B, both exact size classes of Go's allocator, so a chunk
-// wastes nothing. A field added to Frame breaks the second and must
-// re-size FrameChunk.
+// TestChunksFillTheirSizeClass: a word chunk is 1 024 B, a frame chunk
+// 1 152 B and a bus-cycle chunk 3 072 B, all exact size classes of Go's
+// allocator, so a chunk wastes nothing. A field added to Frame or
+// BusCycle breaks its row and must re-size its chunk.
 func TestChunksFillTheirSizeClass(t *testing.T) {
 	if n := WordChunk * unsafe.Sizeof(Word(0)); n != 1024 {
 		t.Errorf("a word chunk is %d B, want 1024", n)
@@ -110,6 +110,32 @@ func TestChunksFillTheirSizeClass(t *testing.T) {
 	if n := FrameChunk * unsafe.Sizeof(Frame{}); n != 1152 {
 		t.Errorf("a frame chunk is %d B, want 1152", n)
 	}
+	if n := BusCycleChunk * unsafe.Sizeof(BusCycle{}); n != 3072 {
+		t.Errorf("a bus-cycle chunk is %d B, want 3072", n)
+	}
+}
+
+// TestBusCycleBoxes: a boxed bus cycle is the value any(c) would be, and
+// BusCycleChunk of them cost one allocation.
+func TestBusCycleBoxes(t *testing.T) {
+	var b BusCycleBoxes
+	for _, c := range []BusCycle{{}, {Addr: 0xffff, Data: 0xa5, Write: true}} {
+		v := b.Box(c)
+		if got, ok := v.(BusCycle); !ok || got != c || v != any(c) || reflect.TypeOf(v) != reflect.TypeOf(c) {
+			t.Errorf("Box(%v) = %v (%T)", c, v, v)
+		}
+	}
+	var sink any
+	avg := testing.AllocsPerRun(100, func() {
+		b = BusCycleBoxes{}
+		for i := range BusCycleChunk {
+			sink = b.Box(BusCycle{Addr: uint32(i), Data: Word(i), Write: true})
+		}
+	})
+	if avg > 1 {
+		t.Fatalf("%d bus-cycle boxes cost %.2f allocations, want <= 1", BusCycleChunk, avg)
+	}
+	_ = sink
 }
 
 // dataOf is the data word of an interface value: where its box lives.

@@ -1,13 +1,15 @@
 // Package wire implements the framing Pia nodes speak over TCP:
 // length-prefixed, kind-tagged frames. Each frame is a 4-byte
 // big-endian payload length, a 1-byte frame kind, and the payload.
-// Two kinds exist: FrameGob carries a single gob-encoded value and is
-// what a node connection's hello/helloAck handshake speaks; FrameBatch
-// carries a batch of channel messages in the hand-rolled binary format
-// of internal/channel and is the only kind a node accepts after the
-// handshake — a lone message is a batch of one. The length prefix
-// keeps the stream self-describing, lets both sides count bytes, and
-// makes partial reads detectable.
+// Each vocabulary a peer speaks has a kind of its own, and each is a
+// hand-written binary layout: FrameBatch carries a batch of channel
+// messages (internal/channel's codec) and is the only kind a node
+// accepts after the handshake — a lone message is a batch of one;
+// FrameHello carries the node handshake (internal/node); FrameHW the
+// hardware-server RPC (internal/hwstub). Fields is the bounded reader
+// those layouts are parsed with. The length prefix keeps the stream
+// self-describing, lets both sides count bytes, and makes partial reads
+// detectable.
 //
 // Egress assembles every frame (or run of frames) in a recycled buffer
 // and hands it to the stream in one Write. Ingress reads through a
@@ -32,12 +34,16 @@ const MaxFrame = 64 << 20
 
 // Frame kinds.
 const (
-	// FrameGob is a single gob-encoded value: the connection
-	// handshake. No channel message travels in one.
+	// FrameGob is a single gob-encoded value. No peer speaks it any
+	// more: it stays for Send, Recv and DecodeGob (see Send).
 	FrameGob byte = 0
 	// FrameBatch is a batch of channel messages in the binary batch
 	// format (see internal/channel).
 	FrameBatch byte = 1
+	// FrameHello is the node handshake: a hello, then its helloAck.
+	FrameHello byte = 2
+	// FrameHW is one request or response of the hardware-server RPC.
+	FrameHW byte = 3
 )
 
 // Conn frames values over a byte stream. Send, SendRaw and
@@ -72,7 +78,10 @@ func NewConn(rwc io.ReadWriteCloser) *Conn {
 // headerLen is the frame overhead: 4-byte length + 1-byte kind.
 const headerLen = 5
 
-// Send writes one FrameGob frame containing v.
+// Send writes one FrameGob frame containing v. No peer vocabulary is
+// gob any more; Send, Recv and DecodeGob stay only for the gob
+// round-trip probe of the benchmark harness, and go when that probe is
+// retired.
 func (c *Conn) Send(v any) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
