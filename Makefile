@@ -99,12 +99,15 @@ timeline:
 # a run which never empties
 # keeps storage and chunk table proportional to its depth and that no
 # stream of names a peer sends grows an inbox's route table, the
-# page-path guards (a 2 MB page is joined once, by the assembler that
-# consumes it, and a word page handed out as the buffer its header
-# sized; the ASIC forwards the radio payloads it buffered without
-# joining them, and a send of parts makes the same drives as a send of
-# their join at every level; the page is generated by the server in one
-# allocation, with its bytes pinned by SHA-256; packets are
+# page-path guards (no one joins a 2 MB packet-level page: the ASIC
+# forwards the radio payloads it buffered and the browser reads and
+# caches the packets it received, so a load allocates the server's page
+# once and a cached load re-serves the same parts; where a reader does
+# ask for one slice the assembler joins the frames once, and a word page
+# is handed out as the buffer its header sized; a send of parts makes
+# the same drives as a send of their join at every level; the page is
+# generated by the server in one allocation, with its bytes pinned by
+# SHA-256; packets are
 # capacity-clipped views of the page, only the Last one a copy, so no
 # net's last value and no flushed egress slot pins a page; no stream a
 # peer sends makes an assembler hold more than its cap, nor a negative
@@ -134,7 +137,7 @@ wire: fuzz-smoke
 	$(GO) test -count=1 -run 'TestSendBatchWord|TestPump|TestPingPong' ./internal/node/
 	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst' ./internal/wire/
 	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestPacedBurstIsOneSpan|TestRouteTableBounded' ./internal/event/
-	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks|TestHardwareTransferBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestBrowserCachesPageAsReceived|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks|TestHardwareTransferBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass' ./internal/core/
 	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes' .
 	$(GO) test -race -count=1 -run 'TestBidirectionalStress' ./internal/channel/
@@ -145,8 +148,11 @@ wire: fuzz-smoke
 # streams, the batch decoder on arbitrary payloads (hostile lengths,
 # retired encodings, extension values), the encode/decode round
 # trip over tag-table and registered values, the assembler's Feed
-# against the join of its FeedParts on any stream of values, the event
-# queue against a sorted reference on any stream of calls, and the node
+# against the join of its FeedParts on any stream of values, the page
+# parser on any bytes cut into any parts (the parts and their join
+# parse alike, and a header claiming 2^32-1 images or html bytes
+# allocates only what the input backs), the event queue against a
+# sorted reference on any stream of calls, and the node
 # hello and helloAck and the hardware-server request and response
 # decoders on arbitrary payloads (no panic, nothing past a named cap,
 # what decodes re-encodes to the same value). A direct ci prerequisite.
@@ -155,6 +161,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBatch -fuzztime=3s ./internal/channel/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchRoundTrip -fuzztime=3s ./internal/channel/
 	$(GO) test -run=^$$ -fuzz=FuzzAssembler -fuzztime=3s ./internal/proto/
+	$(GO) test -run=^$$ -fuzz=FuzzParsePage -fuzztime=3s ./internal/wubbleu/
 	$(GO) test -run=^$$ -fuzz=FuzzQueue -fuzztime=3s ./internal/event/
 	$(GO) test -run=^$$ -fuzz=FuzzHello$$ -fuzztime=3s ./internal/node/
 	$(GO) test -run=^$$ -fuzz=FuzzHelloAck -fuzztime=3s ./internal/node/

@@ -253,10 +253,16 @@ const (
 // header sized.
 func (a *Assembler) Feed(v any) ([]byte, bool, error) {
 	c, err := a.feed(v)
+	if c == pending {
+		return nil, false, err
+	}
+	return a.joined(c, v), true, nil
+}
+
+// joined hands out the message v completed as one slice.
+func (a *Assembler) joined(c completion, v any) []byte {
 	var out []byte
 	switch c {
-	case pending:
-		return nil, false, err
 	case stream:
 		out = a.takeBuf()
 	case frames:
@@ -269,21 +275,27 @@ func (a *Assembler) Feed(v any) ([]byte, bool, error) {
 		out = []byte{} // an empty transfer is still a message
 	}
 	a.complete(c)
-	return out, true, nil
+	return out
 }
 
 // FeedParts consumes one received value like Feed, but hands a
 // completed frame transfer out as the payloads its frames carried,
-// unjoined and in order, for a forwarder that never needs them
-// contiguous. The assembler gives up its list of them, and the bytes
-// are the sender's, to be read and not written. A bare packet is
+// unjoined and in order, for a forwarder or reader that never needs
+// them contiguous. The assembler gives up its list of them, and the
+// bytes are the sender's, to be read and not written. A bare packet is
 // likewise the sender's bytes; a stream is one part the caller owns.
 func (a *Assembler) FeedParts(v any) ([][]byte, bool, error) {
 	c, err := a.feed(v)
+	if c == pending {
+		return nil, false, err
+	}
+	return a.parted(c, v), true, nil
+}
+
+// parted hands out the message v completed as parts.
+func (a *Assembler) parted(c completion, v any) [][]byte {
 	var parts [][]byte
 	switch c {
-	case pending:
-		return nil, false, err
 	case stream:
 		parts = [][]byte{a.takeBuf()}
 	case frames:
@@ -292,11 +304,11 @@ func (a *Assembler) FeedParts(v any) ([][]byte, bool, error) {
 		parts = [][]byte{v.(signal.Packet)}
 	}
 	a.complete(c)
-	return parts, true, nil
+	return parts
 }
 
 // feed advances the transfer by one value and reports what, if
-// anything, it completed; Feed and FeedParts take the result.
+// anything, it completed; joined and parted take the result.
 func (a *Assembler) feed(v any) (completion, error) {
 	switch x := v.(type) {
 	case signal.Control:
@@ -418,20 +430,40 @@ func (a *Assembler) Reset() {
 }
 
 // ReceiveMessage blocks on the port until one complete message has
-// been assembled, at whatever detail level the sender used. It
-// returns ok=false if the simulation ends first.
+// been assembled, at whatever detail level the sender used, and returns
+// it as Feed does: one slice. It returns ok=false if the simulation
+// ends first.
 func ReceiveMessage(p *core.Proc, port string, a *Assembler) ([]byte, bool, error) {
+	c, v, err := receive(p, port, a)
+	if c == pending {
+		return nil, false, err
+	}
+	return a.joined(c, v), true, nil
+}
+
+// ReceiveParts is ReceiveMessage for a consumer that never needs the
+// message contiguous: it returns it as FeedParts does, a frame transfer
+// as the payloads its frames carried, unjoined, and a word or hardware
+// stream as one part, the buffer its header sized.
+func ReceiveParts(p *core.Proc, port string, a *Assembler) ([][]byte, bool, error) {
+	c, v, err := receive(p, port, a)
+	if c == pending {
+		return nil, false, err
+	}
+	return a.parted(c, v), true, nil
+}
+
+// receive feeds what arrives on the port to a until a value completes a
+// message, and returns what it completed and that value. It returns
+// pending when the simulation ends first, or with feed's error.
+func receive(p *core.Proc, port string, a *Assembler) (completion, any, error) {
 	for {
 		m, ok := p.Recv(port)
 		if !ok {
-			return nil, false, nil
+			return pending, nil, nil
 		}
-		payload, done, err := a.Feed(m.Value)
-		if err != nil {
-			return nil, false, err
-		}
-		if done {
-			return payload, true, nil
+		if c, err := a.feed(m.Value); c != pending || err != nil {
+			return c, m.Value, err
 		}
 	}
 }

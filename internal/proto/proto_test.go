@@ -15,7 +15,10 @@ import (
 )
 
 // pipe runs one transfer at the given level through a subsystem and
-// returns the received payload and the receiver's completion time.
+// returns the received payload and the receiver's completion time. A
+// second receiver takes the same transfer with ReceiveParts: a part a
+// packet, or one for a stream, joining to it, every one but the Last a
+// view of payload.
 func pipe(t *testing.T, payload []byte, level string, cfg Config) ([]byte, vtime.Time, int) {
 	t.Helper()
 	s := core.NewSubsystem("p")
@@ -38,14 +41,33 @@ func pipe(t *testing.T, payload []byte, level string, cfg Config) ([]byte, vtime
 		}
 		return nil
 	})
+	var parts [][]byte
+	rxParts := core.BehaviorFunc(func(p *core.Proc) (err error) {
+		parts, _, err = ReceiveParts(p, "in", NewAssembler())
+		return err
+	})
 	tc, _ := s.NewComponent("tx", tx)
 	tc.AddPort("out")
 	rc, _ := s.NewComponent("rx", rx)
 	rc.AddPort("in")
+	pc, _ := s.NewComponent("rxParts", rxParts)
+	pc.AddPort("in")
 	n, _ := s.NewNet("w", 1)
-	s.Connect(n, tc.Port("out"), rc.Port("in"))
+	s.Connect(n, tc.Port("out"), rc.Port("in"), pc.Port("in"))
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
+	}
+	want := drives // a part a packet; a stream is one part
+	if level == LevelHardware || level == LevelWord {
+		want = 1
+	}
+	if len(parts) != want || !bytes.Equal(bytes.Join(parts, nil), got) {
+		t.Fatalf("%s: ReceiveParts' %d parts (want %d) do not join to ReceiveMessage's %d bytes", level, len(parts), want, len(got))
+	}
+	for i, part := range parts[:len(parts)-1] {
+		if inPart(part, [][]byte{payload}) != 0 {
+			t.Fatalf("%s: part %d of %d is a copy, want a view of the payload", level, i, len(parts))
+		}
 	}
 	return got, at, drives
 }
@@ -293,7 +315,14 @@ func TestAssemblerJoinsFramesOnce(t *testing.T) {
 			t.Fatal("finished transfer still pins a frame payload")
 		}
 	}
-	if size = allocatedBytes(transfer); size > message+4096 {
+	// TotalAlloc is the whole process's, so whatever the runtime
+	// allocates meanwhile is charged to the transfer too: the least of
+	// several warm transfers is what one costs.
+	size = allocatedBytes(transfer)
+	for range 4 {
+		size = min(size, allocatedBytes(transfer))
+	}
+	if size > message+4096 {
 		t.Fatalf("warm transfer allocated %d bytes; want the %d-byte result alone", size, message)
 	}
 	if n := testing.AllocsPerRun(3, transfer); n != 1 {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 )
 
 // Listener accepts raw connections and demuxes them into resumable
@@ -99,9 +98,9 @@ func (l *Listener) handshake(raw net.Conn) {
 	if l.Wrap != nil {
 		conn = l.Wrap(raw)
 	}
-	setReadDeadline(conn, time.Now().Add(l.cfg.HandshakeTimeout))
+	stop := handshakeDeadline(conn, l.cfg.HandshakeTimeout)
 	typ, body, err := readEnvelope(conn)
-	if err != nil || typ != typeHello {
+	if !stop() || err != nil || typ != typeHello {
 		conn.Close()
 		return
 	}
@@ -110,7 +109,6 @@ func (l *Listener) handshake(raw net.Conn) {
 		conn.Close()
 		return
 	}
-	setReadDeadline(conn, time.Time{})
 
 	if h.SessionID == 0 {
 		l.acceptNew(conn)

@@ -215,11 +215,19 @@ func TestLossyLink(t *testing.T) {
 }
 
 // blackhole swallows writes and blocks reads once tripped — a peer
-// that is silently gone, as opposed to a closed TCP connection.
+// that is silently gone, as opposed to a closed TCP connection. As on
+// a socket whose peer vanished, a blocked read ends only when this side
+// closes the stream. It has no read deadline.
 type blackhole struct {
-	inner io.ReadWriteCloser
-	mu    sync.Mutex
-	dead  bool
+	inner  io.ReadWriteCloser
+	mu     sync.Mutex
+	dead   bool
+	once   sync.Once
+	closed chan struct{} // closed by Close
+}
+
+func newBlackhole(inner io.ReadWriteCloser) *blackhole {
+	return &blackhole{inner: inner, closed: make(chan struct{})}
 }
 
 func (b *blackhole) trip() {
@@ -235,13 +243,19 @@ func (b *blackhole) isDead() bool {
 	return b.dead
 }
 
+// silent blocks until the stream is closed.
+func (b *blackhole) silent() (int, error) {
+	<-b.closed
+	return 0, net.ErrClosed
+}
+
 func (b *blackhole) Read(p []byte) (int, error) {
 	if b.isDead() {
-		select {} // silent forever
+		return b.silent()
 	}
 	n, err := b.inner.Read(p)
 	if err != nil && b.isDead() {
-		select {}
+		return b.silent()
 	}
 	return n, err
 }
@@ -253,7 +267,10 @@ func (b *blackhole) Write(p []byte) (int, error) {
 	return b.inner.Write(p)
 }
 
-func (b *blackhole) Close() error { return b.inner.Close() }
+func (b *blackhole) Close() error {
+	b.once.Do(func() { close(b.closed) })
+	return b.inner.Close()
+}
 
 // TestHeartbeatDetectsSilentPeer: when the transport turns into a
 // black hole (no error, no data), heartbeat liveness must kill the
@@ -271,7 +288,7 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 	})
 	p.mu.Lock()
 	p.wrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
-		b := &blackhole{inner: c}
+		b := newBlackhole(c)
 		mu.Lock()
 		if first == nil {
 			first = b
@@ -282,8 +299,9 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 	p.mu.Unlock()
 	p.client.SetOnChange(func() {
 		// The first resume was the dial; the second runs on the redial,
-		// which the hook wrapped. Tripping any earlier would strand the
-		// resume handshake, not the stream.
+		// which the hook wrapped. Tripping any earlier would test the
+		// resume handshake's bound (TestResumeHandshakeTimesOut), not
+		// heartbeat liveness.
 		if p.client.Stats().Resumes >= 2 {
 			once.Do(func() { close(live) })
 		}
@@ -312,6 +330,106 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 	}
 	if st := p.client.Stats(); st.EpochDeaths == 0 || st.HeartbeatsOut == 0 {
 		t.Fatalf("heartbeat liveness never fired: %+v", st)
+	}
+}
+
+// TestResumeHandshakeTimesOut: a transport that goes silent between
+// the redial and the helloAck — a blackhole tripped as the redial wraps
+// it, so the hello is swallowed and no ack comes — has no read deadline
+// to bound the handshake. The resume must still fail within
+// HandshakeTimeout, by closing the stream, and the next attempt must
+// resume the stream with nothing lost.
+func TestResumeHandshakeTimesOut(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	var (
+		once       sync.Once
+		silent     = make(chan *blackhole, 1)
+		wrapped    time.Time
+		resumed    = make(chan struct{}) // closed once a redial resumed the session
+		resumeOnce sync.Once
+	)
+	p := newPair(t, Config{HandshakeTimeout: timeout, RetryBase: 2 * time.Millisecond, RetryMax: 5})
+	p.mu.Lock()
+	p.wrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
+		b := newBlackhole(c)
+		once.Do(func() {
+			b.trip()
+			wrapped = time.Now()
+			silent <- b
+		})
+		return b
+	}
+	p.mu.Unlock()
+	p.client.SetOnChange(func() {
+		if p.client.Stats().Resumes >= 2 {
+			resumeOnce.Do(func() { close(resumed) })
+		}
+	})
+
+	const n = 64 << 10
+	want := pattern(n)
+	p.client.Write(want[:n/2])
+	p.killRaw() // the redial lands on the silent transport
+	guard := time.After(10 * time.Second)
+	var b *blackhole
+	select {
+	case b = <-silent:
+	case <-guard:
+		t.Fatal("the session never redialed")
+	}
+	select {
+	case <-b.closed:
+	case <-guard:
+		t.Fatal("the resume handshake on a silent transport never ended")
+	}
+	// The bound sits far above HandshakeTimeout so a loaded host cannot
+	// trip it, and far below the guard, where an unbounded handshake
+	// would hang.
+	if took := time.Since(wrapped); took > 10*timeout {
+		t.Fatalf("the silent resume handshake failed after %v, want near HandshakeTimeout %v", took, timeout)
+	}
+	select {
+	case <-resumed:
+	case <-guard:
+		t.Fatalf("no retry resumed the session: %+v", p.client.Stats())
+	}
+	p.client.Write(want[n/2:])
+	if got := drain(t, p.server, n); !bytes.Equal(got, want) {
+		t.Fatal("stream not continuous across a silent resume handshake")
+	}
+	if st := p.client.Stats(); st.DialAttempts < 3 {
+		t.Fatalf("%d dial attempts, want the first, the silent one and its retry", st.DialAttempts)
+	}
+}
+
+// TestListenerHandshakeTimesOut: the accepting side bounds the hello
+// the same way. A dialer that connects and says nothing, through a
+// wrapped stream with no read deadline, is closed within
+// HandshakeTimeout.
+func TestListenerHandshakeTimesOut(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := NewListener(raw, Config{HandshakeTimeout: timeout})
+	ln.Wrap = func(c io.ReadWriteCloser) io.ReadWriteCloser { return newBlackhole(c) }
+	go ln.Serve()
+	t.Cleanup(func() { ln.Close() })
+	c, err := net.Dial("tcp", raw.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	c.SetReadDeadline(start.Add(10 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("a silent dialer read %v, want the listener's close", err)
+	}
+	// As in TestResumeHandshakeTimesOut: well above the timeout, well
+	// below the guard.
+	if took := time.Since(start); took > 10*timeout {
+		t.Fatalf("the listener closed a silent handshake after %v, want near HandshakeTimeout %v", took, timeout)
 	}
 }
 

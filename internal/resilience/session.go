@@ -739,15 +739,18 @@ func (s *Session) clientHandshake(conn io.ReadWriteCloser) error {
 		h.Tag = s.latestTag()
 	}
 	s.mu.Unlock()
-	setReadDeadline(conn, time.Now().Add(s.cfg.HandshakeTimeout))
+	stop := handshakeDeadline(conn, s.cfg.HandshakeTimeout)
 	if _, err := conn.Write(encodeHello(h)); err != nil {
+		stop()
 		return fmt.Errorf("hello: %w", err)
 	}
 	typ, body, err := readEnvelope(conn)
+	if !stop() {
+		return fmt.Errorf("hello ack: none within %v", s.cfg.HandshakeTimeout)
+	}
 	if err != nil {
 		return fmt.Errorf("hello ack: %w", err)
 	}
-	setReadDeadline(conn, time.Time{})
 	if typ != typeHelloAck {
 		return fmt.Errorf("expected hello ack, got type %d", typ)
 	}
@@ -849,10 +852,10 @@ func (s *Session) keepaliveLoop() {
 	}
 }
 
-// setReadDeadline applies a read deadline when the stream supports
-// one (net.Conn and faultnet.Conn do).
-func setReadDeadline(c io.ReadWriteCloser, t time.Time) {
-	if d, ok := c.(interface{ SetReadDeadline(time.Time) error }); ok {
-		_ = d.SetReadDeadline(t)
-	}
+// handshakeDeadline bounds one hello/ack exchange on c to d by closing
+// c when d passes, which ends a blocked read or write on any stream.
+// stop ends the bound before c carries the stream, and reports false
+// when it came too late: c is closed and the exchange failed.
+func handshakeDeadline(c io.ReadWriteCloser, d time.Duration) (stop func() bool) {
+	return time.AfterFunc(d, func() { c.Close() }).Stop
 }

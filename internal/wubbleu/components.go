@@ -135,9 +135,10 @@ func (r *Recognizer) Run(p *core.Proc) error {
 func (r *Recognizer) SaveState() ([]byte, error)  { return core.GobSave(r) }
 func (r *Recognizer) RestoreState(b []byte) error { return core.GobRestore(r, b) }
 
-// Cache is the handheld's page cache.
+// Cache is the handheld's page cache. It keeps each page as the parts
+// the browser received it in.
 type Cache struct {
-	Pages  map[string][]byte
+	Pages  map[string][][]byte
 	Hits   int
 	Misses int
 }
@@ -145,7 +146,7 @@ type Cache struct {
 // Run implements core.Behavior.
 func (c *Cache) Run(p *core.Proc) error {
 	if c.Pages == nil {
-		c.Pages = make(map[string][]byte)
+		c.Pages = make(map[string][][]byte)
 	}
 	for {
 		m, ok := p.Recv("bus")
@@ -158,17 +159,17 @@ func (c *Cache) Run(p *core.Proc) error {
 		}
 		switch req.Op {
 		case "get":
-			data, hit := c.Pages[req.Key]
+			parts, hit := c.Pages[req.Key]
 			if hit {
 				c.Hits++
 			} else {
 				c.Misses++
 			}
 			p.Advance(20 * vtime.Microsecond)
-			p.Send("bus", CacheResp{Key: req.Key, Hit: hit, Data: data})
+			p.Send("bus", CacheResp{Key: req.Key, Hit: hit, Parts: parts})
 		case "put":
-			c.Pages[req.Key] = req.Data
-			p.Advance(vtime.Duration(len(req.Data)) * 2) // ~2ns/byte copy
+			c.Pages[req.Key] = req.Parts
+			p.Advance(vtime.Duration(partsLen(req.Parts)) * 2) // ~2ns/byte copy
 		}
 	}
 }
@@ -237,26 +238,27 @@ func (b *Browser) Run(p *core.Proc) error {
 		if page == nil {
 			return nil // simulation ended mid-fetch
 		}
-		parsed, err := ParsePage(page)
+		l, err := parseLayout(page)
 		if err != nil {
 			return fmt.Errorf("wubbleu: browser: %w", err)
 		}
-		b.est.ChargeCycles(p, b.Cfg.ParseCyclesPerKB*int64(len(parsed.HTML))/1024)
-		for i, img := range parsed.Images {
-			p.Send("jpeg", DecodeReq{ID: i, Size: len(img)})
+		b.est.ChargeCycles(p, b.Cfg.ParseCyclesPerKB*int64(l.html)/1024)
+		for i, size := range l.images {
+			p.Send("jpeg", DecodeReq{ID: i, Size: size})
 			if !b.awaitDecode(p, i) {
 				return nil
 			}
 		}
 		b.est.ChargeCycles(p, b.Cfg.RenderCycles)
 		b.Loaded++
-		p.Send("screen", Rendered{URL: req.URL, Bytes: len(page)})
+		p.Send("screen", Rendered{URL: req.URL, Bytes: partsLen(page)})
 	}
 }
 
-// fetch returns the page bytes, consulting the cache first and the
-// network interface on a miss.
-func (b *Browser) fetch(p *core.Proc, url string) ([]byte, error) {
+// fetch returns the page as the parts it arrived in, consulting the
+// cache first and the network interface on a miss. The browser reads
+// only the page's layout, so the parts are never joined.
+func (b *Browser) fetch(p *core.Proc, url string) ([][]byte, error) {
 	if !b.Cfg.NoCache {
 		p.Send("cache", CacheReq{Op: "get", Key: url})
 		for {
@@ -269,14 +271,14 @@ func (b *Browser) fetch(p *core.Proc, url string) ([]byte, error) {
 				continue
 			}
 			if resp.Hit {
-				return resp.Data, nil
+				return resp.Parts, nil
 			}
 			break
 		}
 	}
 	p.Send("dma", NetReq{URL: url})
 	asm := proto.NewAssembler()
-	page, ok, err := proto.ReceiveMessage(p, "dma", asm)
+	page, ok, err := proto.ReceiveParts(p, "dma", asm)
 	if err != nil {
 		return nil, fmt.Errorf("wubbleu: browser dma: %w", err)
 	}
@@ -284,7 +286,7 @@ func (b *Browser) fetch(p *core.Proc, url string) ([]byte, error) {
 		return nil, nil
 	}
 	if !b.Cfg.NoCache {
-		p.Send("cache", CacheReq{Op: "put", Key: url, Data: page})
+		p.Send("cache", CacheReq{Op: "put", Key: url, Parts: page})
 	}
 	return page, nil
 }
@@ -337,7 +339,7 @@ func (a *ASIC) Run(p *core.Proc) error {
 			}
 			// Whole page buffered on the chip: DMA it to the CPU at
 			// the current detail level, straight out of the radio
-			// payloads it arrived in. Only the browser needs it whole.
+			// payloads it arrived in; the browser reads it the same way.
 			a.Transfers++
 			a.DMADrives += proto.SendParts(p, "dma", parts, p.Runlevel(), a.Cfg.Proto)
 		}

@@ -23,18 +23,20 @@ type URLReq struct {
 	URL string
 }
 
-// CacheReq is a browser request to the cache module.
+// CacheReq is a browser request to the cache module. A page is
+// carried as the parts it arrived in (proto.ReceiveParts), never
+// joined.
 type CacheReq struct {
-	Op   string // "get" or "put"
-	Key  string
-	Data []byte
+	Op    string // "get" or "put"
+	Key   string
+	Parts [][]byte
 }
 
 // CacheResp answers a "get".
 type CacheResp struct {
-	Key  string
-	Hit  bool
-	Data []byte
+	Key   string
+	Hit   bool
+	Parts [][]byte
 }
 
 // DecodeReq asks the JPEG decoder to decode one image.

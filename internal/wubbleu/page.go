@@ -116,38 +116,113 @@ func (r *imageBytes) read(p []byte) {
 	}
 }
 
-// ParsePage decodes a generated page.
+// ParsePage decodes a page held in one slice: parseLayout's one-part
+// case, with the html and images as views of data.
 func ParsePage(data []byte) (*Page, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("wubbleu: page too short (%d bytes)", len(data))
+	l, err := parseLayout([][]byte{data})
+	if err != nil {
+		return nil, err
 	}
-	if binary.LittleEndian.Uint32(data[0:]) != pageMagic {
-		return nil, fmt.Errorf("wubbleu: bad page magic")
-	}
-	htmlLen := int(binary.LittleEndian.Uint32(data[4:]))
-	images := int(binary.LittleEndian.Uint32(data[8:]))
-	pos := 12
-	if pos+htmlLen > len(data) {
-		return nil, fmt.Errorf("wubbleu: truncated html")
-	}
-	p := &Page{HTML: data[pos : pos+htmlLen]}
-	pos += htmlLen
-	for i := 0; i < images; i++ {
-		if pos+4 > len(data) {
-			return nil, fmt.Errorf("wubbleu: truncated image header %d", i)
-		}
-		sz := int(binary.LittleEndian.Uint32(data[pos:]))
+	p := &Page{HTML: data[12 : 12+l.html], Images: make([][]byte, 0, len(l.images))}
+	pos := 12 + l.html
+	for _, sz := range l.images {
 		pos += 4
-		if pos+sz > len(data) {
-			return nil, fmt.Errorf("wubbleu: truncated image %d", i)
-		}
 		p.Images = append(p.Images, data[pos:pos+sz])
 		pos += sz
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("wubbleu: %d trailing bytes", len(data)-pos)
-	}
 	return p, nil
+}
+
+// layout is what the browser reads of a page: the html's length and
+// each image's size, in page order.
+type layout struct {
+	html   int
+	images []int
+}
+
+// parseLayout reads a page's layout from the concatenation of parts,
+// without joining them. Every length in the page comes from the peer,
+// so each is checked against the bytes left before it is believed, and
+// the image list grows as images are found, never presized from the
+// header's count: what parsing allocates is backed by the input's
+// bytes.
+func parseLayout(parts [][]byte) (layout, error) {
+	r := pageReader{parts: parts, left: partsLen(parts)}
+	if r.left < 12 {
+		return layout{}, fmt.Errorf("wubbleu: page too short (%d bytes)", r.left)
+	}
+	if r.uint32() != pageMagic {
+		return layout{}, fmt.Errorf("wubbleu: bad page magic")
+	}
+	html, images := r.uint32(), r.uint32()
+	if !r.skip(html) {
+		return layout{}, fmt.Errorf("wubbleu: truncated html")
+	}
+	l := layout{html: int(html)}
+	for i := uint32(0); i < images; i++ {
+		if r.left < 4 {
+			return layout{}, fmt.Errorf("wubbleu: truncated image header %d", i)
+		}
+		sz := r.uint32()
+		if !r.skip(sz) {
+			return layout{}, fmt.Errorf("wubbleu: truncated image %d", i)
+		}
+		l.images = append(l.images, int(sz))
+	}
+	if r.left != 0 {
+		return layout{}, fmt.Errorf("wubbleu: %d trailing bytes", r.left)
+	}
+	return l, nil
+}
+
+// partsLen is the length of the concatenation of parts.
+func partsLen(parts [][]byte) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
+}
+
+// pageReader reads the concatenation of parts in order, left bytes of
+// it still unread.
+type pageReader struct {
+	parts [][]byte
+	off   int // into parts[0]
+	left  int
+}
+
+// uint32 reads a little-endian uint32; the caller has checked that
+// four bytes are left.
+func (r *pageReader) uint32() uint32 {
+	var b [4]byte
+	r.next(4, b[:])
+	return binary.LittleEndian.Uint32(b[:])
+}
+
+// skip steps past n bytes, or reports false, without moving, when
+// fewer are left.
+func (r *pageReader) skip(n uint32) bool {
+	if uint64(n) > uint64(r.left) {
+		return false
+	}
+	r.next(int(n), nil)
+	return true
+}
+
+// next steps past n bytes, at most left, copying them into dst as far
+// as dst reaches.
+func (r *pageReader) next(n int, dst []byte) {
+	r.left -= n
+	for n > 0 {
+		for r.off == len(r.parts[0]) {
+			r.parts, r.off = r.parts[1:], 0
+		}
+		k := min(n, len(r.parts[0])-r.off)
+		dst = dst[copy(dst, r.parts[0][r.off:r.off+k]):]
+		r.off += k
+		n -= k
+	}
 }
 
 // Store is the dedicated server's page store.

@@ -1,6 +1,7 @@
 package wubbleu
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"reflect"
@@ -81,18 +82,30 @@ func TestGenPageBytesPinned(t *testing.T) {
 	}
 }
 
+// badPage is a page the parser must refuse.
+type badPage struct {
+	name string
+	data []byte
+}
+
+// badPages are pages the parser must refuse, one per check it makes.
+func badPages() []badPage {
+	good, _ := GenPage(2048, 2)
+	magic := bytes.Clone(good)
+	magic[0] ^= 0xff
+	return []badPage{
+		{"short", []byte{1, 2}},
+		{"bad magic", magic},
+		{"truncated", good[:100]},
+		{"trailing", append(bytes.Clone(good), 0)},
+	}
+}
+
 func TestParsePageErrors(t *testing.T) {
-	if _, err := ParsePage([]byte{1, 2}); err == nil {
-		t.Fatal("short page accepted")
-	}
-	data, _ := GenPage(2048, 2)
-	data[0] ^= 0xff
-	if _, err := ParsePage(data); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	data[0] ^= 0xff
-	if _, err := ParsePage(data[:100]); err == nil {
-		t.Fatal("truncated page accepted")
+	for _, bad := range badPages() {
+		if _, err := ParsePage(bad.data); err == nil {
+			t.Errorf("%s page accepted", bad.name)
+		}
 	}
 }
 
@@ -289,8 +302,9 @@ func TestLastValuesPinNoPage(t *testing.T) {
 // TestASICForwardsRadioPayloads: the ASIC buffers a page as the radio
 // payloads it arrived in and DMAs them without joining them first.
 // Every packet but the Last is a view of the server's store page, and a
-// packet-level load of a 2 MB page allocates two pages — the server's
-// GenPage and the browser's one join — not a third in the ASIC.
+// packet-level load of a 2 MB page allocates one page — the server's
+// GenPage — not a join in the ASIC or in the browser, which reads the
+// page as the packets it received.
 func TestASICForwardsRadioPayloads(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PageSize = 2 << 20
@@ -327,14 +341,79 @@ func TestASICForwardsRadioPayloads(t *testing.T) {
 			t.Fatalf("DMA packet %d (Last %v): view of the store page %v", i, f.Last, view)
 		}
 	}
-	// Two pages plus what a run of 4 096 drives costs on its own, which
+	// One page plus what a run of 4 096 drives costs on its own, which
 	// reads 0.9 MB: event queue chunks, frame box chunks, the two lists
-	// of kept payloads. A third page would pass the limit.
+	// of kept payloads. A second page would pass the limit.
 	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(2*cfg.PageSize + 3*cfg.PageSize/4); got > limit {
-		t.Fatalf("a %d-byte packet-level load allocated %d bytes, want <= %d: the page twice, not three times", cfg.PageSize, got, limit)
+	if limit := uint64(cfg.PageSize + 3*cfg.PageSize/4); got > limit {
+		t.Fatalf("a %d-byte packet-level load allocated %d bytes, want <= %d: the page once, not twice", cfg.PageSize, got, limit)
 	}
 	t.Logf("a %d-byte packet-level load allocated %d bytes", cfg.PageSize, got)
+}
+
+// TestBrowserCachesPageAsReceived: the browser hands the cache the
+// page as the packets it received, so in local placement every cached
+// part but the Last is a view of the server's store page, and a second
+// load's cache hit re-serves those same parts without allocating
+// anything page-sized.
+func TestBrowserCachesPageAsReceived(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PageSize = 2 << 20
+	cfg.Loads = 2
+	b := pia.NewSystem("wubbleu")
+	app, err := Install(b, cfg, LocalPlacement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := b.BuildLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		served   [][]byte
+		rendered []uint64 // TotalAlloc as each load rendered
+		ms       runtime.MemStats
+	)
+	sim.Subsystem("main").OnDrive = func(_, _ string, _ vtime.Time, v any) {
+		switch x := v.(type) {
+		case CacheResp:
+			if x.Hit {
+				served = x.Parts
+			}
+		case Rendered:
+			runtime.ReadMemStats(&ms)
+			rendered = append(rendered, ms.TotalAlloc)
+		}
+	}
+	if err := sim.Run(pia.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if res := app.Result(); res.Loads != 2 || res.CacheHits != 1 || res.PageBytes[1] != cfg.PageSize {
+		t.Fatalf("loads did not complete, or the second missed the cache: %+v", res)
+	}
+	store := app.Server.store.Get(cfg.URL)
+	cached := app.Cache.Pages[cfg.URL]
+	if n := proto.Drives(cfg.PageSize, proto.LevelPacket, cfg.Proto); len(cached) != n || partsLen(cached) != cfg.PageSize {
+		t.Fatalf("cached %d parts of %d bytes, want the %d packets of the page", len(cached), partsLen(cached), n)
+	}
+	for i, part := range cached {
+		if last := i == len(cached)-1; within(part, store) == last {
+			t.Fatalf("cached part %d (Last %v): view of the store page %v", i, last, within(part, store))
+		}
+	}
+	if len(served) != len(cached) {
+		t.Fatalf("the hit served %d parts, the cache holds %d", len(served), len(cached))
+	}
+	for i := range served {
+		if unsafe.SliceData(served[i]) != unsafe.SliceData(cached[i]) || len(served[i]) != len(cached[i]) {
+			t.Fatalf("the hit served part %d as other bytes than the cache holds", i)
+		}
+	}
+	got := rendered[1] - rendered[0]
+	if got > uint64(cfg.PageSize/8) {
+		t.Fatalf("the cached load allocated %d bytes, want nothing page-sized", got)
+	}
+	t.Logf("the cached load of a %d-byte page allocated %d bytes", cfg.PageSize, got)
 }
 
 // within reports whether b's bytes lie inside page's array.
