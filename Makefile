@@ -129,9 +129,14 @@ timeline:
 # register read costs at most 8 allocations. A bus cycle is boxed in a
 # 3 KB chunk shared by 256 cycles, on decode and along a 64 KB
 # hardware-level transfer end to end, and the hub's grant fan-out after
-# a key publication and its flush at a stall allocate nothing.
+# a key publication and its flush at a stall allocate nothing. The
+# safe-time protocol's model walks every interleaving of steps,
+# publishes and FIFO deliveries among two or three bare protocol values
+# to a bounded depth, checking the paper's invariants after every
+# action (TestSafeTimeModel), and fuzz-smoke drives the same walk from a
+# byte stream (FuzzSafeTime).
 wire: fuzz-smoke
-	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestFlushDropsPayloadReferences' ./internal/channel/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestFlushDropsPayloadReferences|TestSafeTimeModel' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestHello|TestConnectNamesAHandshakeFault|TestConnectUnknownSubsystem' ./internal/node/
 	$(GO) test -count=1 -run 'TestRPC|TestServerSurvivesProtocolError|TestRemoteRunForPastTheCap|TestRemoteCallNamesABadResponse|TestRemoteCallAllocs' ./internal/hwstub/
 	$(GO) test -count=1 -run 'TestSendBatchWord|TestPump|TestPingPong' ./internal/node/
@@ -152,7 +157,8 @@ wire: fuzz-smoke
 # parser on any bytes cut into any parts (the parts and their join
 # parse alike, and a header claiming 2^32-1 images or html bytes
 # allocates only what the input backs), the event queue against a
-# sorted reference on any stream of calls, and the node
+# sorted reference on any stream of calls, the safe-time model's
+# invariants on any schedule of its actions, and the node
 # hello and helloAck and the hardware-server request and response
 # decoders on arbitrary payloads (no panic, nothing past a named cap,
 # what decodes re-encodes to the same value). A direct ci prerequisite.
@@ -163,6 +169,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzAssembler -fuzztime=3s ./internal/proto/
 	$(GO) test -run=^$$ -fuzz=FuzzParsePage -fuzztime=3s ./internal/wubbleu/
 	$(GO) test -run=^$$ -fuzz=FuzzQueue -fuzztime=3s ./internal/event/
+	$(GO) test -run=^$$ -fuzz=FuzzSafeTime -fuzztime=3s ./internal/channel/
 	$(GO) test -run=^$$ -fuzz=FuzzHello$$ -fuzztime=3s ./internal/node/
 	$(GO) test -run=^$$ -fuzz=FuzzHelloAck -fuzztime=3s ./internal/node/
 	$(GO) test -run=^$$ -fuzz=FuzzHWRequest -fuzztime=3s ./internal/hwstub/

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/signal"
 	"repro/internal/timeline"
 	"repro/internal/vtime"
 )
@@ -154,14 +155,10 @@ func (h *Hub) EnableTimeline(rec *timeline.Recorder) {
 	eps := h.eps
 	h.mu.Unlock()
 	for _, ep := range eps {
-		ep.setTimeline(rec)
+		ep.mu.Lock()
+		ep.tl = rec
+		ep.mu.Unlock()
 	}
-}
-
-func (ep *Endpoint) setTimeline(rec *timeline.Recorder) {
-	ep.mu.Lock()
-	ep.tl = rec
-	ep.mu.Unlock()
 }
 
 // SetCoalescing applies cfg to every endpoint of the hub.
@@ -172,53 +169,15 @@ func (h *Hub) SetCoalescing(cfg CoalesceConfig) {
 }
 
 // depart pushes a final grant covering the horizon to every
-// conservative peer when this subsystem leaves a finite-horizon run.
-// Sound because the subsystem will not simulate at or below the
-// horizon again: its future sends (in later runs) happen at times
-// strictly beyond it, and reactions it might have to the peer's own
-// in-flight messages are already covered by the peer's unacked-egress
-// cap.
+// conservative peer when this subsystem leaves a finite-horizon run
+// (safeTime.depart).
 func (h *Hub) depart(until vtime.Time) {
+	g := until.Add(1)
 	for _, ep := range h.endpoints() {
-		ep.departGrant(until.Add(1))
-		ep.Flush() // departGrant may dedupe to nothing; drives must still go out
+		if !ep.do(func(s *safeTime) out { return s.depart(g) }, "") {
+			ep.Flush() // no grant to carry them, but drives must still go out
+		}
 	}
-}
-
-// departGrant sends a grant covering the horizon. It is always sent,
-// even when it does not raise the peer's bound: the departing
-// subsystem has processed everything it will process this run, and
-// the grant's piggybacked Ack is what releases the peer's
-// unacked-egress cap — without it the peer could wait forever on
-// echoes that will never come.
-func (ep *Endpoint) departGrant(g vtime.Time) {
-	ep.mu.Lock()
-	if ep.policy != Conservative || ep.closed || ep.paused || ep.peerDone {
-		ep.mu.Unlock()
-		return
-	}
-	if g <= ep.lastSent && ep.stats.DataIn <= ep.lastDepartData {
-		// Nothing new to tell the peer: the grant would not raise its
-		// bound and our Ack has not moved past any of its data.
-		// Resending anyway would ping-pong departure grants between
-		// idle peers forever in round-based drivers.
-		ep.mu.Unlock()
-		return
-	}
-	if g < ep.lastSent {
-		g = ep.lastSent // idempotent re-grant as an ack carrier
-	}
-	ep.lastSent = g
-	ep.lastDepartData = ep.stats.DataIn
-	if ep.pendingAsk > 0 && g >= ep.pendingAsk {
-		ep.pendingAsk = 0
-	}
-	ep.stats.GrantsOut++
-	ep.slotLocked(KindSafeTimeGrant).Grant = g
-	tl := ep.tl
-	ep.mu.Unlock()
-	tl.Grant(ep.local, ep.peer, g)
-	ep.Flush()
 }
 
 // Subsystem returns the hub's subsystem.
@@ -254,13 +213,18 @@ func (h *Hub) NewEndpoint(peer string, policy Policy, link LinkModel, tr Transpo
 		return nil, fmt.Errorf("channel: duplicate endpoint %s -> %s", h.sub.Name(), peer)
 	}
 	ep := &Endpoint{
-		hub:    h,
 		sub:    h.sub,
 		local:  h.sub.Name(),
 		peer:   peer,
 		policy: policy,
 		link:   link,
 		tr:     tr,
+		st: safeTime{
+			local:        h.sub.Name(),
+			peer:         peer,
+			conservative: policy == Conservative,
+			link:         link,
+		},
 
 		coalesce: DefaultCoalesce,
 	}
@@ -275,96 +239,35 @@ func (h *Hub) NewEndpoint(peer string, policy Policy, link LinkModel, tr Transpo
 	return ep, nil
 }
 
-// inBound is the earliest virtual time at which anything can still
-// arrive from this endpoint's peer, as far as the peer has promised:
-// its latest grant (a finished peer counts as Infinity).
-func (ep *Endpoint) inBound() (bound vtime.Time, conservative bool) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.policy != Conservative {
-		return 0, false
-	}
-	return ep.boundLocked(), true
-}
-
 // publish runs on the scheduler goroutine after each key publication:
 // push grants that have risen, answer pending asks, and forward asks
-// we cannot yet satisfy. The grant toward peer X is
-//
-//	min(own next key, min over peers P != X of inBound(P)) + lookahead(X)
-//
-// — the paper's rule: "the time a subsystem reports is essentially
-// its own subsystem time with all restrictions from the opposite
-// processor removed. If this were not the case, there would be
-// deadlock." Excluding X makes the grant independent of what X has
-// granted us, so a bidirectional pair resolves immediately and a
-// chain resolves in one hop per link; the influence of X's own
-// in-flight messages on us is handled on X's side, which caps its
-// gate bound by the arrival times of its unacknowledged egress (see
-// Bound). This is also exactly why the paper restricts the subsystem
-// graph to simple cycles: around a longer cycle the exclusions no
-// longer decouple the recursion.
+// we cannot yet satisfy. The grant toward peer X stands on
+// floorExcept(key, bounds, X) — our key with X's restriction removed —
+// and a pending ask is relayed upstream when forwards says so.
 func (h *Hub) publish(_ vtime.Time) {
 	_, key := h.sub.PublishedTimes()
 	eps := h.endpoints()
-	f := key // global floor, for ask-forwarding decisions
 	if cap(h.bounds) < len(eps) {
 		h.bounds = make([]vtime.Time, len(eps))
 	}
 	bounds := h.bounds[:len(eps)]
 	for i, ep := range eps {
-		b, conservative := ep.inBound()
-		if !conservative {
-			b = vtime.Infinity
-		}
-		bounds[i] = b
-		if b < f {
-			f = b
-		}
+		bounds[i] = ep.Bound()
 	}
-	for i, ep := range eps {
-		// Floor excluding the target's own restriction.
-		fx := key
-		for j, b := range bounds {
-			if j != i && b < fx {
-				fx = b
-			}
-		}
-		ep.pushGrant(fx)
-	}
-	// Ask forwarding: a pending ask we cannot satisfy because our
-	// floor is capped by grants we hold (not by our own work) is
-	// relayed upstream, so demand propagates along chains. Driven
-	// only by genuine demand and bounded by the original ask, idle
-	// systems stay silent.
 	needed := vtime.Time(0)
-	for _, ep := range eps {
-		if ep.policy != Conservative {
-			continue
-		}
-		ep.mu.Lock()
-		if ep.pendingAsk > 0 {
-			if want := ep.pendingAsk.Add(-ep.link.Lookahead()); want > needed {
-				needed = want
-			}
-		}
-		ep.mu.Unlock()
+	for i, ep := range eps {
+		fx := floorExcept(key, bounds, i)
+		ep.do(func(s *safeTime) out {
+			o := s.grant(fx)
+			needed = max(needed, s.demand()) // what the grant left unmet
+			return o
+		}, "")
 	}
-	if needed == 0 || f >= needed || f >= key {
-		// Nothing demanded, already satisfiable, or our own pending
-		// work is the cap — forwarding cannot help.
+	if !forwards(key, floorExcept(key, bounds, -1), needed) {
 		return
 	}
 	for _, ep := range eps {
-		if ep.policy != Conservative {
-			continue
-		}
-		ep.mu.Lock()
-		below := !ep.peerDone && ep.boundLocked() < needed
-		ep.mu.Unlock()
-		if below {
-			ep.Request(needed)
-		}
+		ep.do(func(s *safeTime) out { return s.forward(needed) }, "")
 	}
 }
 
@@ -381,7 +284,12 @@ func (h *Hub) Close() error {
 	h.mu.Unlock()
 	var first error
 	for _, ep := range eps {
-		if err := ep.sendClose(); err != nil && first == nil {
+		if !ep.do((*safeTime).close, "") {
+			continue
+		}
+		// Everything queued, then the close, went out: the transport
+		// goes down.
+		if err := ep.tr.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -395,8 +303,13 @@ func (h *Hub) Close() error {
 // snapshot marks. Like Pia's channel components it has no thread of
 // its own — egress runs on the subsystem's scheduler, ingress on the
 // transport's pump.
+//
+// The safe-time protocol is st; everything else is what the endpoint
+// performs for it. Every action takes the one shape: lock mu, call st,
+// fill the egress slot for the message it returns, unlock, and only
+// then perform — the timeline record, the flush, the drive, the
+// handler, the stop.
 type Endpoint struct {
-	hub    *Hub
 	sub    *core.Subsystem
 	local  string
 	peer   string
@@ -404,31 +317,14 @@ type Endpoint struct {
 	link   LinkModel
 	tr     Transport
 
-	mu             sync.Mutex
-	grants         []grantRec // frontier of the peer's promises (see bound)
-	lastAsk        vtime.Time // ask we sent most recently
-	lastAskData    int64      // stats.DataIn when it was sent
-	lastAskSeqOut  uint64     // seqOut when it was sent
-	lastGrantData  int64      // stats.DataIn at our last grant push
-	lastGrantAck   uint64     // seqInNext at our last grant push
-	lastDepartData int64      // stats.DataIn at our last departure grant
-	pendingAsk     vtime.Time // the peer's latest ask, 0 none
-	lastSent       vtime.Time // highest grant we pushed
-	busyUntil      vtime.Time // link serialization horizon
-	seqOut         uint64
-	seqInNext      uint64
-	unacked        []egressRun // our egress not yet covered by every frontier grant
-	recording      bool
-	recorded       []Message
-	closed         bool
-	paused         bool // rewind in progress: egress discarded
-	peerDone       bool
-	protoErr       error
-	stats          Stats
-	markFn         func(tag string)
-	restoreFn      func(tag string)
-	stragglerFn    func(t vtime.Time) bool
-	tl             *timeline.Recorder // nil unless EnableTimeline wired it
+	mu          sync.Mutex
+	st          safeTime
+	recording   bool
+	recorded    []Message
+	markFn      func(tag string)
+	restoreFn   func(tag string)
+	stragglerFn func(t vtime.Time) bool
+	tl          *timeline.Recorder // nil unless EnableTimeline wired it
 
 	// binds tracks the nets this endpoint bridges: local net name ->
 	// remote fragment name. Migration re-homes nets by unbinding here
@@ -436,7 +332,7 @@ type Endpoint struct {
 	binds map[string]string
 
 	// Egress queue. Messages are appended to pendingOut under ep.mu as
-	// slotLocked stamps them, so the queue is the seq order; flush extracts the
+	// slotLocked fills them, so the queue is the seq order; flush extracts the
 	// whole queue and hands it to the transport under sendMu, which
 	// serializes flushes and keeps batches in order. coalesce decides
 	// only when the queue flushes: once a budget trips, or — the zero
@@ -461,11 +357,48 @@ type Endpoint struct {
 	handledN atomic.Int64
 }
 
+// do is the one shape of every protocol send: under ep.mu it lets the
+// protocol decide and fills the egress slot for the message decided on
+// (a mark or restore carries tag); then, unlocked, it records the
+// message on the timeline and flushes the queue onto the wire. It
+// reports whether a message was queued.
+func (ep *Endpoint) do(decide func(*safeTime) out, tag string) bool {
+	ep.mu.Lock()
+	o := decide(&ep.st)
+	if o.seq == 0 {
+		ep.mu.Unlock()
+		return false
+	}
+	ep.slotLocked(o).Tag = tag
+	tl := ep.tl
+	ep.mu.Unlock()
+	switch o.kind {
+	case KindSafeTimeReq:
+		tl.Ask(ep.local, ep.peer, o.t)
+	case KindSafeTimeGrant:
+		tl.Grant(ep.local, ep.peer, o.t)
+	}
+	ep.Flush()
+	return true
+}
+
+// slotLocked extends the egress queue by one message, stamped with o,
+// and returns it for the caller to fill in where it lies: no Message is
+// built elsewhere and copied in, and queue order is seq order. A control
+// kind is urgent — its caller flushes after releasing ep.mu, and the
+// drives queued ahead of it leave in the same batch. Caller holds ep.mu.
+func (ep *Endpoint) slotLocked(o out) *Message {
+	ep.pendingOut = append(ep.pendingOut, Message{})
+	m := &ep.pendingOut[len(ep.pendingOut)-1]
+	m.stamp(o, ep.local)
+	return m
+}
+
 // SentCount returns how many messages this endpoint has emitted.
 func (ep *Endpoint) SentCount() int64 {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return int64(ep.seqOut)
+	return int64(ep.st.seqOut)
 }
 
 // QueuedCount returns how many peer messages have reached the local
@@ -492,59 +425,14 @@ func (ep *Endpoint) Link() LinkModel { return ep.link }
 func (ep *Endpoint) Stats() Stats {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return ep.stats
+	return ep.st.stats
 }
 
 // Err returns any protocol error observed on ingress.
 func (ep *Endpoint) Err() error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return ep.protoErr
-}
-
-// egressRun tracks n consecutive outgoing data messages the peer may
-// still react to under some frontier grant: message i of the run has
-// sequence number seq0+i and arrives at arrival0+i*stride. Arrivals
-// never fall along an endpoint's egress — LinkModel.Arrival starts each
-// message at max(sent, busyUntil), at or after the start of the one
-// before — so stride is never negative and a run's earliest arrival
-// beyond any sequence number is that of its first message beyond it. A
-// page burst, evenly spaced by the link's serialization, is one run.
-type egressRun struct {
-	seq0     uint64
-	arrival0 vtime.Time
-	stride   vtime.Duration
-	n        uint64
-}
-
-// at is the arrival of the run's i-th message.
-func (r *egressRun) at(i uint64) vtime.Time {
-	return r.arrival0 + vtime.Time(r.stride)*vtime.Time(i)
-}
-
-// noteEgressLocked records an outgoing data message for the echo cap:
-// it extends the last run when it is that run's next sequence number at
-// the run's stride (a run of one takes whatever stride comes), and
-// starts a new run otherwise. Caller holds ep.mu.
-func (ep *Endpoint) noteEgressLocked(seq uint64, arrival vtime.Time) {
-	if k := len(ep.unacked); k > 0 {
-		r := &ep.unacked[k-1]
-		if d := arrival.Sub(r.at(r.n - 1)); seq == r.seq0+r.n && d >= 0 && (r.n == 1 || d == r.stride) {
-			r.stride = d
-			r.n++
-			return
-		}
-	}
-	ep.unacked = append(ep.unacked, egressRun{seq0: seq, arrival0: arrival, n: 1})
-}
-
-// grantRec is one promise from the peer: "given everything of yours I
-// had processed up to Ack, nothing will arrive from me below Val."
-// Your messages beyond Ack may provoke earlier reactions, so the
-// promise is capped by their echo times at evaluation.
-type grantRec struct {
-	val vtime.Time
-	ack uint64
+	return ep.st.err
 }
 
 // Quiesced implements core.GateQuiescer: the endpoint owes the peer
@@ -552,115 +440,21 @@ type grantRec struct {
 func (ep *Endpoint) Quiesced() bool {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return ep.pendingAsk == 0
+	return ep.st.quiesced()
 }
 
 // Bound implements core.Gate: the earliest virtual time at which
-// anything can still arrive from the peer. Each frontier grant was
-// computed with our restriction removed, so it does not account for
-// the peer's reactions to messages of ours it had not yet processed
-// when granting (seq beyond its Ack); each grant is therefore capped
-// by the earliest echo of that egress (arrival at the peer plus the
-// return lookahead), and the bound is the best-capped grant.
+// anything can still arrive from the peer (safeTime.bound).
 func (ep *Endpoint) Bound() vtime.Time {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return ep.boundLocked()
-}
-
-func (ep *Endpoint) boundLocked() vtime.Time {
-	if ep.peerDone {
-		return vtime.Infinity
-	}
-	best := vtime.Time(0)
-	for _, g := range ep.grants {
-		cand := g.val
-		for i := range ep.unacked {
-			r := &ep.unacked[i]
-			first := uint64(0) // the run's first message the grant had not seen
-			if g.ack >= r.seq0 {
-				first = g.ack - r.seq0 + 1
-			}
-			if first >= r.n {
-				continue // the grant already accounted for all of it
-			}
-			if echo := r.at(first).Add(ep.link.Lookahead()); echo < cand {
-				cand = echo
-			}
-		}
-		if cand > best {
-			best = cand
-		}
-	}
-	return best
-}
-
-// addGrant merges a new promise into the frontier, dropping dominated
-// entries and egress records covered by every remaining grant.
-// Caller holds ep.mu.
-func (ep *Endpoint) addGrant(val vtime.Time, ack uint64) {
-	kept := ep.grants[:0]
-	dominated := false
-	for _, g := range ep.grants {
-		if g.val <= val && g.ack <= ack {
-			continue // dominated by the new grant
-		}
-		if g.val >= val && g.ack >= ack {
-			dominated = true
-		}
-		kept = append(kept, g)
-	}
-	ep.grants = kept
-	if !dominated {
-		ep.grants = append(ep.grants, grantRec{val: val, ack: ack})
-	}
-	minAck := ^uint64(0)
-	for _, g := range ep.grants {
-		if g.ack < minAck {
-			minAck = g.ack
-		}
-	}
-	keptE := ep.unacked[:0]
-	for _, r := range ep.unacked {
-		if minAck >= r.seq0 {
-			covered := minAck - r.seq0 + 1
-			if covered >= r.n {
-				continue
-			}
-			r.seq0, r.arrival0, r.n = r.seq0+covered, r.at(covered), r.n-covered
-		}
-		keptE = append(keptE, r)
-	}
-	ep.unacked = keptE
+	return ep.st.bound()
 }
 
 // Request implements core.Gate: ask the peer for a safe time of at
-// least t — a pure demand (the paper's "request a safe time from the
-// subsystem on the far end of the channel"). An ask is re-sent when
-// t rises, after new peer data has arrived since the last one (the
-// piggybacked Ack then refreshes the peer's view of what is still in
-// flight), or after we have sent new egress (whose echoes cap every
-// grant issued against the old ask, so only a reply to a fresher ask
-// can raise our bound).
+// least t (safeTime.ask).
 func (ep *Endpoint) Request(t vtime.Time) {
-	ep.mu.Lock()
-	stale := ep.stats.DataIn > ep.lastAskData || ep.seqOut > ep.lastAskSeqOut
-	if ep.peerDone || ep.closed || ep.paused || (t <= ep.lastAsk && !stale) {
-		ep.mu.Unlock()
-		return
-	}
-	if t < ep.lastAsk {
-		t = ep.lastAsk // keep the strongest outstanding demand
-	}
-	ep.lastAsk = t
-	ep.lastAskData = ep.stats.DataIn
-	ep.stats.AsksOut++
-	ep.slotLocked(KindSafeTimeReq).Ask = t
-	ep.lastAskSeqOut = ep.seqOut
-	tl := ep.tl
-	ep.mu.Unlock()
-	tl.Ask(ep.local, ep.peer, t)
-	ep.Flush()
+	ep.do(func(s *safeTime) out { return s.ask(t) }, "")
 }
 
 // BindNet attaches the endpoint to a split net: a hidden port is
@@ -704,23 +498,18 @@ func (ep *Endpoint) UnbindNet(localNet *core.Net) error {
 	return nil
 }
 
-// egress forwards a local net drive across the channel.
+// egress forwards a local net drive across the channel: do's shape,
+// with the flush left to the coalescing budgets.
 func (ep *Endpoint) egress(remoteNet string, m *core.Msg) {
-	size := payloadSize(m.Value)
+	size := signal.Size(m.Value) // what the link model charges for
 	ep.mu.Lock()
-	if ep.closed || ep.paused {
-		// Paused egress belongs to a timeline a rewind is abandoning:
-		// the restored run regenerates these drives from scratch.
+	o := ep.st.data(m.Sent, size)
+	if o.seq == 0 {
 		ep.mu.Unlock()
 		return
 	}
-	arrive, busy := ep.link.Arrival(m.Sent, size, ep.busyUntil)
-	ep.busyUntil = busy
-	ep.stats.DataOut++
-	ep.stats.BytesOut += int64(size)
-	out := ep.slotLocked(KindData)
-	out.Net, out.Source, out.Time, out.Value = remoteNet, m.Source, arrive, m.Value
-	ep.noteEgressLocked(out.Seq, arrive)
+	msg := ep.slotLocked(o)
+	msg.Net, msg.Source, msg.Value = remoteNet, m.Source, m.Value
 	ep.pendingBytes += size
 	flush := !ep.coalesce.Enabled() || len(ep.pendingOut) >= ep.coalesce.MaxMsgs ||
 		ep.coalesce.MaxBytes > 0 && ep.pendingBytes >= ep.coalesce.MaxBytes
@@ -735,34 +524,6 @@ func (ep *Endpoint) egress(remoteNet string, m *core.Msg) {
 	}
 }
 
-// slotLocked extends the egress queue by one message of kind k,
-// stamped with the channel's next sequence number, and returns it for
-// the caller to fill in where it lies: no Message is built elsewhere
-// and copied in, and queue order is seq order. A control kind is
-// urgent — its caller flushes after releasing ep.mu, and the drives
-// queued ahead of it leave in the same batch. Caller holds ep.mu.
-func (ep *Endpoint) slotLocked(k Kind) *Message {
-	ep.seqOut++
-	ep.pendingOut = append(ep.pendingOut, Message{})
-	out := &ep.pendingOut[len(ep.pendingOut)-1]
-	out.Kind, out.From, out.Seq, out.Ack = k, ep.local, ep.seqOut, ep.seqInNext
-	return out
-}
-
-// latchLocked records the endpoint's first error and ends the run of
-// the subsystem that owns it. What the error dropped — a drive, an
-// ask, the grant a peer is stalled on — will never arrive, so every
-// subsystem may by now be stalled on another with no Run left to come
-// back and have Err looked at; the owner coming back stopped is what
-// gets it looked at. Caller holds ep.mu: Stop takes only the
-// subsystem's own lock, under which the subsystem never calls out.
-func (ep *Endpoint) latchLocked(format string, args ...any) {
-	if ep.protoErr == nil {
-		ep.protoErr = fmt.Errorf("channel %s: %w", ep.Name(), fmt.Errorf(format, args...))
-		ep.sub.Stop()
-	}
-}
-
 // PeerLost latches err, the loss of the transport to the peer, as the
 // endpoint's error — which ends the owning subsystem's run, as a failed
 // send does — unless the channel was over already: this side has closed
@@ -771,10 +532,11 @@ func (ep *Endpoint) latchLocked(format string, args ...any) {
 // would otherwise wait for ever. The transport pump calls it.
 func (ep *Endpoint) PeerLost(err error) {
 	ep.mu.Lock()
-	if !ep.closed && !ep.peerDone {
-		ep.latchLocked("%w", err)
-	}
+	stop := !ep.st.closed && !ep.st.peerDone && ep.st.latch(err)
 	ep.mu.Unlock()
+	if stop {
+		ep.sub.Stop()
+	}
 }
 
 // SetCoalescing replaces the endpoint's coalescing budgets
@@ -810,8 +572,8 @@ func (ep *Endpoint) Flush() {
 	ep.spareOut = batch
 	ep.pendingBytes = 0
 	if len(batch) > 0 {
-		ep.stats.Flushes++
-		ep.stats.FlushedMsgs += int64(len(batch))
+		ep.st.stats.Flushes++
+		ep.st.stats.FlushedMsgs += int64(len(batch))
 	}
 	ep.mu.Unlock()
 	if len(batch) == 0 {
@@ -821,8 +583,11 @@ func (ep *Endpoint) Flush() {
 	clear(batch) // the transport keeps nothing (Transport)
 	if err != nil {
 		ep.mu.Lock()
-		ep.latchLocked("send: %w", err)
+		stop := ep.st.latch(fmt.Errorf("send: %w", err))
 		ep.mu.Unlock()
+		if stop {
+			ep.sub.Stop()
+		}
 	}
 }
 
@@ -831,80 +596,6 @@ func (ep *Endpoint) PendingOut() int {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	return len(ep.pendingOut)
-}
-
-// pushGrant computes this subsystem's grant toward the peer from the
-// given floor and pushes it when it helps an outstanding ask. Runs on
-// the scheduler goroutine.
-//
-// Grants are strictly solicited and never exceed the pending ask.
-// This is what keeps every grant fresh: the ask it answers was sent
-// (FIFO) after everything the asker had transmitted, so the floor
-// used here already accounts for every input that could make this
-// subsystem act earlier — an unsolicited grant, by contrast, can be
-// overtaken by a peer message already in flight when it is computed,
-// leaving the peer holding a promise the grantor can no longer keep.
-// "Never again" is expressed only by an explicit Close.
-func (ep *Endpoint) pushGrant(floor vtime.Time) {
-	g := floor.Add(ep.link.Lookahead())
-	ep.mu.Lock()
-	if ep.closed || ep.paused || ep.policy != Conservative {
-		ep.mu.Unlock()
-		return
-	}
-	pending := ep.pendingAsk
-	if pending == 0 {
-		ep.mu.Unlock()
-		return
-	}
-	if g > pending {
-		g = pending
-	}
-	// Send when the grant satisfies the demand, improves the last
-	// sent value by at least one lookahead (the lifting chain moves
-	// in >= lookahead increments, so holding back smaller
-	// improvements bounds chatter without hurting liveness), or
-	// repeats a value with a fresh Ack after new peer data — the
-	// refreshed Ack is what lifts the peer's echo cap on that data.
-	// Values need not be monotone: each grant stands on the floor of
-	// its own instant, and the receiver's frontier keeps whichever
-	// (value, ack) combinations bound it best.
-	refresh := ep.stats.DataIn > ep.lastGrantData
-	improved := g >= pending || g.Sub(ep.lastSent) >= ep.link.Lookahead()
-	duplicate := g == ep.lastSent && ep.seqInNext == ep.lastGrantAck
-	if duplicate || (!improved && !refresh) {
-		ep.mu.Unlock()
-		return
-	}
-	ep.lastSent = g
-	ep.lastGrantData = ep.stats.DataIn
-	ep.lastGrantAck = ep.seqInNext
-	if g >= pending {
-		ep.pendingAsk = 0
-	}
-	ep.stats.GrantsOut++
-	if DebugHook != nil {
-		dbg("%s PUSH grant=%v floor=%v pending=%v myAck=%d", ep.Name(), g, floor, pending, ep.seqInNext)
-	}
-	ep.slotLocked(KindSafeTimeGrant).Grant = g
-	tl := ep.tl
-	ep.mu.Unlock()
-	tl.Grant(ep.local, ep.peer, g)
-	ep.Flush()
-}
-
-// sendClose announces completion.
-func (ep *Endpoint) sendClose() error {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		return nil
-	}
-	ep.closed = true
-	ep.slotLocked(KindClose)
-	ep.mu.Unlock()
-	ep.Flush() // everything queued, then the close, then the transport goes down
-	return ep.tr.Close()
 }
 
 // SetMarkHandler registers the Chandy-Lamport mark callback.
@@ -936,26 +627,12 @@ func (ep *Endpoint) SetStragglerHandler(fn func(t vtime.Time) bool) {
 
 // SendMark emits a snapshot mark toward the peer.
 func (ep *Endpoint) SendMark(tag string) {
-	ep.mu.Lock()
-	if ep.closed || ep.paused {
-		ep.mu.Unlock()
-		return
-	}
-	ep.slotLocked(KindMark).Tag = tag
-	ep.mu.Unlock()
-	ep.Flush()
+	ep.do(func(s *safeTime) out { return s.control(KindMark) }, tag)
 }
 
 // SendRestore orders the peer to restore the tagged snapshot.
 func (ep *Endpoint) SendRestore(tag string) {
-	ep.mu.Lock()
-	if ep.closed || ep.paused {
-		ep.mu.Unlock()
-		return
-	}
-	ep.slotLocked(KindRestore).Tag = tag
-	ep.mu.Unlock()
-	ep.Flush()
+	ep.do(func(s *safeTime) out { return s.control(KindRestore) }, tag)
 }
 
 // SetRecording starts or stops capturing incoming data messages (the
@@ -1060,53 +737,23 @@ func (ep *Endpoint) OnMessages(buf *[]Message) {
 	})
 }
 
-// process handles one message on the scheduler goroutine. It returns
-// true (retry after rollback) for optimistic stragglers.
+// process handles one message on the scheduler goroutine
+// (safeTime.receive). It returns true (retry after rollback) for an
+// optimistic straggler the handler wants redelivered.
 func (ep *Endpoint) process(m *Message) bool {
-	if DebugHook != nil {
-		dbg("%s PROC seq=%d ack=%d %v", ep.Name(), m.Seq, m.Ack, *m)
-	}
+	now := ep.sub.Now()
 	ep.mu.Lock()
-	if !ep.seqChecked(m) {
-		ep.seqInNext = m.Seq
+	v, stop := ep.st.receive(m, now)
+	if v == inDeliver && ep.recording {
+		ep.recorded = append(ep.recorded, *m)
 	}
-	switch m.Kind {
-	case KindData:
-		if ep.recording {
-			ep.recorded = append(ep.recorded, *m)
-		}
-		if m.Time < ep.sub.Now() {
-			if ep.policy == Optimistic {
-				ep.stats.Stragglers++
-				fn := ep.stragglerFn
-				// A straggler is not "received": undo the bookkeeping
-				// this attempt did.
-				if ep.recording {
-					ep.recorded = ep.recorded[:len(ep.recorded)-1]
-				}
-				tl := ep.tl
-				ep.mu.Unlock()
-				tl.Straggler(ep.peer, ep.local, m.Net, m.Time, ep.sub.Now())
-				redeliver := true
-				if fn != nil {
-					redeliver = fn(m.Time)
-				} else {
-					ep.sub.RequestRollback(m.Time)
-				}
-				if redeliver {
-					ep.mu.Lock()
-					ep.seqInNext--
-					ep.mu.Unlock()
-					return true // re-deliver after the restore
-				}
-				return false
-			}
-			ep.latchLocked("conservative causality violation: data @%v behind subsystem time %v", m.Time, ep.sub.Now())
-		}
-		ep.stats.DataIn++
-		ep.stats.BytesIn += int64(payloadSize(m.Value))
-		tl := ep.tl
-		ep.mu.Unlock()
+	tl, markFn, restoreFn, stragglerFn := ep.tl, ep.markFn, ep.restoreFn, ep.stragglerFn
+	ep.mu.Unlock()
+	if stop {
+		ep.sub.Stop()
+	}
+	switch v {
+	case inDeliver:
 		tl.Deliver(ep.peer, ep.local, m.Net, m.Time)
 		// A drive of a net this subsystem does not have goes nowhere,
 		// as it always has.
@@ -1116,45 +763,23 @@ func (ep *Endpoint) process(m *Message) bool {
 		if ep.inNet != nil {
 			ep.sub.DriveNetNow(ep.inNet, m.Source, m.Time, m.Value)
 		}
-	case KindSafeTimeReq:
-		ep.stats.AsksIn++
-		// Record the demand; the answer is always computed fresh at
-		// the next publish, with the floor and Ack of the same
-		// instant. (Replying here with a previously sent value would
-		// pair an old promise with a new Ack — the new Ack may cover
-		// data whose reactions the old value never accounted for.)
-		if m.Ask > ep.pendingAsk {
-			ep.pendingAsk = m.Ask
+	case inStraggler:
+		tl.Straggler(ep.peer, ep.local, m.Net, m.Time, now)
+		if stragglerFn != nil {
+			return stragglerFn(m.Time)
 		}
-		ep.mu.Unlock()
-	case KindSafeTimeGrant:
-		ep.stats.GrantsIn++
-		// A grant is a promise relative to its Ack: merge it into the
-		// frontier; Bound() evaluates each frontier grant capped by
-		// the echoes of egress that grant had not seen.
-		ep.addGrant(m.Grant, m.Ack)
-		ep.mu.Unlock()
-	case KindMark:
-		fn := ep.markFn
-		ep.mu.Unlock()
-		if fn != nil {
-			fn(m.Tag)
+		ep.sub.RequestRollback(m.Time)
+		return true // re-deliver after the restore
+	case inMark:
+		if markFn != nil {
+			markFn(m.Tag)
 		}
-	case KindRestore:
-		fn := ep.restoreFn
-		ep.mu.Unlock()
-		if fn != nil {
-			fn(m.Tag)
+	case inRestore:
+		if restoreFn != nil {
+			restoreFn(m.Tag)
 		}
-	case KindClose:
-		wasDone := ep.peerDone
-		ep.peerDone = true
-		ep.mu.Unlock()
-		if !wasDone {
-			ep.sub.RemoveExternal()
-		}
-	default:
-		ep.mu.Unlock()
+	case inClose:
+		ep.sub.RemoveExternal()
 	}
 	return false
 }
@@ -1164,14 +789,12 @@ func (ep *Endpoint) process(m *Message) bool {
 func (ep *Endpoint) LastSeqIn() uint64 {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return ep.seqInNext
+	return ep.st.seqIn
 }
 
 // ResetProtocol zeroes all per-connection protocol state for a
-// checkpoint rewind: both sides of the channel restart framing from
-// sequence 1 with no outstanding grants, asks or unacked egress, as
-// if the channel had just been built. Egress is paused — drives of
-// the abandoned timeline are discarded — until ResumeProtocol.
+// checkpoint rewind (safeTime.reset) and drops the queued egress of the
+// abandoned timeline. Egress stays paused until ResumeProtocol.
 //
 // Call on the subsystem's scheduler goroutine (via InjectFunc), after
 // every message of the dead connection epoch has drained from the
@@ -1179,43 +802,16 @@ func (ep *Endpoint) LastSeqIn() uint64 {
 // sequence numbers with the reset counters.
 func (ep *Endpoint) ResetProtocol() {
 	ep.mu.Lock()
-	ep.paused = true
-	ep.grants = nil
-	ep.unacked = nil
-	ep.pendingAsk = 0
-	ep.lastAsk = 0
-	ep.lastAskData = 0
-	ep.lastAskSeqOut = 0
-	ep.lastGrantData = 0
-	ep.lastGrantAck = 0
-	ep.lastDepartData = 0
-	ep.lastSent = 0
-	ep.busyUntil = 0
-	ep.seqOut = 0
-	ep.seqInNext = 0
+	ep.st.reset()
 	clear(ep.pendingOut)
 	ep.pendingOut = ep.pendingOut[:0]
 	ep.pendingBytes = 0
-	// A transport error from the dying epoch is part of what the
-	// rewind recovers from.
-	ep.protoErr = nil
 	ep.mu.Unlock()
 }
 
 // ResumeProtocol reopens egress after a rewind's restore completes.
 func (ep *Endpoint) ResumeProtocol() {
 	ep.mu.Lock()
-	ep.paused = false
+	ep.st.paused = false
 	ep.mu.Unlock()
-}
-
-// seqChecked verifies FIFO sequencing; caller holds ep.mu.
-func (ep *Endpoint) seqChecked(m *Message) bool {
-	ep.seqInNext++
-	if m.Seq == ep.seqInNext {
-		return true
-	}
-	ep.stats.SeqErrors++
-	ep.latchLocked("FIFO violation: got seq %d, want %d", m.Seq, ep.seqInNext)
-	return false
 }

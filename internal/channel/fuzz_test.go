@@ -156,3 +156,31 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSafeTime is TestSafeTimeModel's walk on a byte stream: the first
+// byte picks the topology (its low bit whether one message may be
+// forged), every byte after it the next action among those possible, and
+// the schedule is then finished as the model finishes one, the model's
+// invariants checked after every action.
+func FuzzSafeTime(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4})
+	f.Add([]byte{3, 0, 0, 0, 7, 9, 1, 1, 250})
+	f.Add([]byte{4, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})
+	f.Add([]byte{7, 2, 7, 1, 8, 2, 8, 1, 8, 2, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		top := &modelTopologies[int(data[0]>>1)%len(modelTopologies)]
+		w := newWorld(top, data[0]&1 == 1)
+		c := &checker{tb: t, top: top, finished: map[string]bool{}}
+		var acts []act
+		for _, b := range data[1:min(len(data), 1024)] {
+			if acts = w.enabled(acts[:0]); len(acts) == 0 {
+				break
+			}
+			c.apply(w, acts[int(b)%len(acts)])
+		}
+		c.finish(w)
+	})
+}

@@ -9,20 +9,12 @@
 //
 // Each conservative endpoint acts as a core.Gate on its subsystem:
 // the scheduler may not advance to time t until the peer has granted
-// a safe time >= t. A subsystem's grant to a peer is
-//
-//	min(own next event key, all grants it holds from conservative peers) + lookahead
-//
-// where the lookahead is the channel's link latency (plus fixed
-// per-message overhead). Grants are pushed both in response to
-// explicit safe-time requests and proactively whenever they rise —
-// the null-message variant of the protocol. The mandatory positive
-// lookahead is what breaks restriction cycles; the paper achieves the
-// same deadlock freedom by removing the asking peer's restrictions
-// from the reported time, and restricts topologies to simple cycles.
-// A real Internet link always has positive latency, so requiring
-// Latency > 0 on conservative channels is faithful to the deployment
-// the paper describes.
+// a safe time >= t. The protocol — asks, grants solicited by them and
+// computed with the asker's restrictions removed, the echo cap,
+// departures — is one value with no lock, clock or transport, safeTime
+// (safetime.go); DESIGN.md §5b states its rules and the invariants its
+// model test checks. Conservative channels need positive lookahead, as
+// any real link has.
 package channel
 
 import (

@@ -3,12 +3,7 @@ package channel
 import (
 	"errors"
 	"sync"
-
-	"repro/internal/signal"
 )
-
-// payloadSize charges the link model for a value's wire size.
-func payloadSize(v any) int { return signal.Size(v) }
 
 // ErrPipeClosed is returned by SendBatch after Close.
 var ErrPipeClosed = errors.New("channel: pipe closed")

@@ -76,7 +76,7 @@ func (r *refUnacked) addGrant(val vtime.Time, ack uint64) {
 func unackedLen(ep *Endpoint) (n uint64) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	for _, r := range ep.unacked {
+	for _, r := range ep.st.unacked {
 		n += r.n
 	}
 	return n
@@ -146,7 +146,7 @@ func TestUnackedRunsMatchPerMessageRecords(t *testing.T) {
 				val := vtime.Time(rng.Int63n(int64(now) + 1000))
 				ack := uint64(rng.Int63n(ep.SentCount() + 1))
 				ep.mu.Lock()
-				ep.addGrant(val, ack)
+				ep.st.addGrant(val, ack)
 				ep.mu.Unlock()
 				ref.addGrant(val, ack)
 				check(step, "grant")
@@ -168,7 +168,7 @@ func TestPageBurstIsOneUnackedRun(t *testing.T) {
 		drive(ep, 3*i)
 	}
 	ep.mu.Lock()
-	runs, grown := len(ep.unacked), cap(ep.unacked)
+	runs, grown := len(ep.st.unacked), cap(ep.st.unacked)
 	ep.mu.Unlock()
 	if runs != 1 || grown > 4 {
 		t.Fatalf("a %d-word burst is %d unacked runs (capacity %d), want 1", words, runs, grown)

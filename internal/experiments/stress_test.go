@@ -47,7 +47,7 @@ func TestSnapshotChainStress(t *testing.T) {
 				now, key := s.PublishedTimes()
 				fmt.Printf("%s now=%v key=%v\n", name, now, key)
 				for _, ep := range sim.Hubs[name].Endpoints() {
-					fmt.Println("  ", ep.DebugState())
+					fmt.Println("  ", ep.Name(), "bound", ep.Bound(), fmt.Sprintf("%+v", ep.Stats()))
 				}
 			}
 			t.Fatalf("iter %d hung", iter)

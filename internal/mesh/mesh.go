@@ -544,6 +544,14 @@ func (m *Member) call(to []string, rq request) (map[string]reply, error) {
 			switch {
 			case dup || !slices.Contains(to, in.from): // a second reply, or a member not asked
 			case in.lost:
+				// Our own Close tears down the control connections, so
+				// a peer's loss may be that close's echo: it is
+				// reported as the close.
+				select {
+				case <-m.closed:
+					return nil, fmt.Errorf("mesh: %s closed during %s", m.name, rq.Op)
+				default:
+				}
 				return nil, fmt.Errorf("mesh: %s: member %s left during %s", m.name, in.from, rq.Op)
 			case in.rp.ID != rq.ID: // an earlier call's
 			case in.rp.Err != "":
