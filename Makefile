@@ -1,8 +1,23 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-core chaos mesh metrics timeline wire optimistic service obs fuzz-smoke bench-smoke bench bench-parallel bench-migrate bench-optimistic bench-sessions bench-obs
+.PHONY: ci loc fmt vet build test race race-core chaos mesh metrics timeline wire optimistic service obs fuzz-smoke bench-smoke bench bench-parallel bench-migrate bench-optimistic bench-sessions bench-obs
 
 ci: fmt vet build test race race-core chaos mesh metrics timeline fuzz-smoke wire optimistic service obs bench-smoke
+
+# Line counts, the north star's net-negative metric: for each package
+# directory outside bench/, then each top-level directory and the whole
+# tree, the non-test Go lines and the non-blank, non-comment ones (a
+# comment line is one that starts with //).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | sort | xargs awk ' \
+		FNR == 1 { d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); \
+			t = d; sub(/\/.*/, "", t); if (!(d in n)) dirs[++nd] = d; if (!(t in tn)) tops[++nt] = t } \
+		{ n[d]++; tn[t]++; all++ } \
+		!/^[ \t]*(\/\/.*)?$$/ { c[d]++; tc[t]++; code++ } \
+		END { printf "%-28s %7s %7s\n", "directory", "lines", "code"; \
+			for (i = 1; i <= nd; i++) printf "%-28s %7d %7d\n", dirs[i], n[dirs[i]], c[dirs[i]]; \
+			for (i = 1; i <= nt; i++) printf "%-28s %7d %7d\n", tops[i] "/ (all)", tn[tops[i]], tc[tops[i]]; \
+			printf "%-28s %7d %7d\n", "total", all, code }'
 
 # Every Go file is gofmt-clean: any name gofmt -l prints fails the gate.
 fmt:

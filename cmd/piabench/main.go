@@ -142,31 +142,8 @@ func main() {
 		}()
 	}
 
-	runners := map[string]func(int) error{
-		"table1":      table1,
-		"chaos":       chaos,
-		"timeline":    timelineExp,
-		"parallel":    parallel,
-		"optimistic":  optimisticExp,
-		"migrate":     migrateExp,
-		"sessions":    sessionsExp,
-		"obs":         obsExp,
-		"fig1":        fig1,
-		"fig2":        fig2,
-		"fig3":        fig3,
-		"fig4":        fig4,
-		"fig5":        fig5,
-		"fig6":        fig6,
-		"runlevel":    runlevel,
-		"policy":      policy,
-		"checkpoint":  checkpoint,
-		"incremental": incremental,
-		"snapshot":    snapshotScale,
-		"memsync":     memsync,
-	}
 	if *exp == "all" {
-		for _, name := range []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-			"runlevel", "policy", "checkpoint", "incremental", "snapshot", "memsync"} {
+		for _, name := range all {
 			fmt.Printf("\n================ %s ================\n", name)
 			if err := runners[name](*pageKB); err != nil {
 				log.Fatalf("%s: %v", name, err)
@@ -182,6 +159,35 @@ func main() {
 		log.Fatal(err)
 	}
 }
+
+// runners maps each -exp name to its printer, which takes the page
+// size in KB.
+var runners = map[string]func(int) error{
+	"table1":      table1,
+	"chaos":       chaos,
+	"timeline":    timelineExp,
+	"parallel":    parallel,
+	"optimistic":  optimisticExp,
+	"migrate":     migrateExp,
+	"sessions":    sessionsExp,
+	"obs":         obsExp,
+	"fig1":        fig1,
+	"fig2":        fig2,
+	"fig3":        fig3,
+	"fig4":        fig4,
+	"fig5":        fig5,
+	"fig6":        fig6,
+	"runlevel":    runlevel,
+	"policy":      policy,
+	"checkpoint":  checkpoint,
+	"incremental": incremental,
+	"snapshot":    snapshotScale,
+	"memsync":     memsync,
+}
+
+// all is what -exp all runs, in order.
+var all = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
+	"runlevel", "policy", "checkpoint", "incremental", "snapshot", "memsync"}
 
 func tw() *tabwriter.Writer {
 	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

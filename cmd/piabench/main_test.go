@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -202,4 +204,68 @@ func TestDigestAndDurationForms(t *testing.T) {
 	if got := string(parseObject(t, data).vals["digests"]); got != `{"x":"0000000000000abc"}` {
 		t.Errorf("digests = %s", got)
 	}
+}
+
+// TestPrintersRunAll runs every experiment of -exp all at an 8 KB page
+// with stdout captured, and fails on an error or on a table header (or,
+// for the figures that print no table, a label) missing from what the
+// experiment printed. Columns are aligned by spaces, so a header is
+// matched with every run of two or more spaces read as one tab.
+func TestPrintersRunAll(t *testing.T) {
+	headers := map[string][]string{
+		"table1":      {"Location\tDetail level\tsimulation time\tvirtual load\tlink drives\twire frames\twire bytes\toverhead"},
+		"fig1":        {"page loads completed:", "interrupts forwarded from remote hardware:", "wall clock:"},
+		"fig2":        {"net\tcrossing\tfragments"},
+		"fig3":        {"policy\twall\tdelivered\tstalls\trestores\tstragglers"},
+		"fig4":        {"asks to SS2:", "asks to SS3:", "deliveries:"},
+		"fig5":        {"net\tendpoints"},
+		"fig6":        {"CPU subsystem", "remote subsystem", "smoke run (remote, packet):"},
+		"runlevel":    {"mode\twall\tlink drives"},
+		"policy":      {"period\tpolicy\twall\tstalls\trestores\tstragglers"},
+		"checkpoint":  {"interval\tcheckpoints\treplay steps\twall"},
+		"incremental": {"mode\tcheckpoints\ttotal bytes"},
+		"snapshot":    {"subsystems\twall\tin-flight captured"},
+		"memsync":     {"mode\tviolations\trestores\tdynamically marked\twall"},
+	}
+	gap := regexp.MustCompile(`  +`)
+	for _, name := range all {
+		want, ok := headers[name]
+		if !ok {
+			t.Errorf("%s: no expected header", name)
+			continue
+		}
+		out := captureStdout(t, func() error { return runners[name](8) })
+		var lines []string
+		for _, l := range strings.Split(out, "\n") {
+			lines = append(lines, gap.ReplaceAllString(strings.TrimSpace(l), "\t"))
+		}
+		for _, h := range want {
+			if !slices.ContainsFunc(lines, func(l string) bool { return strings.HasPrefix(l, h) }) {
+				t.Errorf("%s: printed no line starting %q:\n%s", name, h, out)
+			}
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout sent to a file and returns what
+// it printed; f's error fails the test.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	file, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	stdout := os.Stdout
+	os.Stdout = file
+	err = f()
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(file.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	pia "repro"
@@ -34,62 +33,12 @@ func PolicySweep(messages, busySteps int, periods []vtime.Duration) ([]PolicyRow
 	var out []PolicyRow
 	for _, period := range periods {
 		for _, pol := range []pia.Policy{pia.Conservative, pia.Optimistic} {
-			src := &burster{Count: messages, Period: period}
-			dst := &sink{}
-			busy := &burster{Count: busySteps, Period: 1}
-			b := pia.NewSystem("sweep").
-				AddComponent("src", "ss2", src, "out").
-				AddComponent("dst", "ss1", dst, "in").
-				AddComponent("busy", "ss1", busy, "out").
-				AddNet("wire", 0, "src.out", "dst.in").
-				AddNet("noise", 0, "busy.out").
-				SetDefaultChannel(pol, pia.LinkModel{Latency: 5, PerMessage: 1})
-			sim, err := b.BuildLocal()
+			res, err := policyLeg(pol, messages, busySteps, period)
 			if err != nil {
 				return nil, err
 			}
-			horizon := pia.Time(vtime.Duration(messages)*period + vtime.Duration(busySteps) + 100_000)
-			start := time.Now()
-			if pol == pia.Optimistic {
-				ss1, ss2 := sim.Subsystem("ss1"), sim.Subsystem("ss2")
-				ss1.SetAutoCheckpoint(vtime.Duration(period))
-				ss1.SetCheckpointRetention(1_000_000)
-				done1 := make(chan error, 1)
-				go func() { done1 <- ss1.Run(pia.Infinity) }()
-				for {
-					now, key := ss1.PublishedTimes()
-					if int(now) >= busySteps/2 || key == pia.Infinity {
-						break
-					}
-					runtime.Gosched()
-				}
-				if err := ss2.Run(horizon); err != nil {
-					return nil, err
-				}
-				if err := sim.Hubs["ss2"].Close(); err != nil {
-					return nil, err
-				}
-				if err := <-done1; err != nil {
-					return nil, err
-				}
-			} else if err := sim.Run(horizon); err != nil {
-				return nil, err
-			}
-			row := PolicyRow{
-				Policy:   pol.String(),
-				Period:   period,
-				Wall:     time.Since(start),
-				Stalls:   sim.Subsystem("ss1").Stats().Stalls,
-				Restores: sim.Subsystem("ss1").Stats().Restores,
-			}
-			for _, ep := range sim.Hubs["ss1"].Endpoints() {
-				row.Stragglers += ep.Stats().Stragglers
-			}
-			sim.Close()
-			if len(dst.Got) != messages {
-				return nil, fmt.Errorf("policy sweep %s/%v: delivered %d/%d", pol, period, len(dst.Got), messages)
-			}
-			out = append(out, row)
+			out = append(out, PolicyRow{Policy: res.Policy, Period: period, Wall: res.Wall,
+				Stalls: res.Stalls, Restores: res.Restores, Stragglers: res.Stragglers})
 		}
 	}
 	return out, nil

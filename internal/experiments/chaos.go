@@ -7,7 +7,6 @@ import (
 	pia "repro"
 	"repro/internal/proto"
 	"repro/internal/vtime"
-	"repro/internal/wubbleu"
 )
 
 // ChaosConfig drives the chaos experiment: the Table 1 remote
@@ -89,69 +88,59 @@ func (r ChaosRow) Injected() int64 {
 // link's fault schedule from (seed, link name) and verifies the
 // digest, so the run is provably the scheduled one.
 func Chaos(c ChaosConfig) (clean, faulty ChaosRow, err error) {
+	ref, err := Remote(c.Table1Config, proto.LevelWord)
+	if err != nil {
+		return clean, faulty, fmt.Errorf("chaos: clean leg: %w", err)
+	}
+	clean = ChaosRow{Mode: "clean", Wall: ref.Wall, Virt: ref.Virt, Drives: ref.Drives}
+	if faulty, err = c.withDefaults().faultyLeg(); err != nil {
+		return clean, faulty, fmt.Errorf("chaos: faulty leg: %w", err)
+	}
+	return clean, faulty, faulty.outcome().against(ref.outcome(), "chaos: the faulty leg")
+}
+
+// withDefaults fills the fault mix and the recovery tuning left zero.
+func (c ChaosConfig) withDefaults() ChaosConfig {
 	if !c.Faults.Enabled() {
 		c.Faults = DefaultChaosFaults(c.Seed)
 	}
 	if !c.Resilience.Enabled() {
 		c.Resilience = DefaultChaosResilience()
 	}
-	if clean, err = chaosLeg(c.Table1Config, nil, nil); err != nil {
-		return clean, faulty, fmt.Errorf("chaos: clean leg: %w", err)
-	}
-	clean.Mode = "clean"
-	if faulty, err = chaosLeg(c.Table1Config, &c.Faults, &c.Resilience); err != nil {
-		return clean, faulty, fmt.Errorf("chaos: faulty leg: %w", err)
-	}
-	faulty.Mode = "faulty"
-	if faulty.Virt != clean.Virt {
-		return clean, faulty, fmt.Errorf("chaos: virtual time diverged under faults: clean %v, faulty %v", clean.Virt, faulty.Virt)
-	}
-	if faulty.Drives != clean.Drives {
-		return clean, faulty, fmt.Errorf("chaos: link drives diverged under faults: clean %d, faulty %d", clean.Drives, faulty.Drives)
-	}
-	return clean, faulty, nil
+	return c
 }
 
-// chaosLeg runs the remote word-level workload once. With nil faults
-// and resilience it is exactly the Table 1 remote row; otherwise the
-// cross-node link is shaped and the session layer recovers.
-func chaosLeg(c Table1Config, faults *pia.FaultConfig, resil *pia.ResilienceConfig) (ChaosRow, error) {
+// faultyStand builds the Table 1 remote word-level stand with loads
+// page loads, its cross-node link shaped by c's faults and recovered
+// by the session layer.
+func (c ChaosConfig) faultyStand(loads int) (*stand, error) {
 	cfg := c.wubbleu(proto.LevelWord)
-	b := pia.NewSystem("wubbleu-chaos")
-	app, err := wubbleu.Install(b, cfg, wubbleu.RemotePlacement())
-	if err != nil {
-		return ChaosRow{}, err
-	}
-	b.SetDefaultChannel(pia.Conservative, pia.LoopbackLink)
-	if faults != nil {
-		b.SetFaults(*faults)
-	}
-	if resil != nil {
-		b.SetResilience(*resil)
-	}
-	n1, n2 := pia.NewNode("handheld-node"), pia.NewNode("modem-node")
-	cl, err := b.BuildOnNodes(map[string]*pia.Node{
-		"handheld":  n1,
-		"modemsite": n2,
+	cfg.Loads = loads
+	return newStand(cfg, true, func(b *pia.SystemBuilder) {
+		b.SetWorkers(c.Workers).SetFaults(c.Faults).SetResilience(c.Resilience)
 	})
+}
+
+func (r ChaosRow) outcome() outcome { return outcome{virt: r.Virt, drives: int64(r.Drives)} }
+
+// faultyLeg runs the faulty stand's one load and verifies every link's
+// fault schedule.
+func (c ChaosConfig) faultyLeg() (ChaosRow, error) {
+	row := ChaosRow{Mode: "faulty"}
+	s, err := c.faultyStand(1)
 	if err != nil {
-		return ChaosRow{}, err
+		return row, err
 	}
-	defer cl.Close()
-	start := time.Now()
-	if err := cl.Run(horizon(cfg)); err != nil {
-		return ChaosRow{}, err
+	defer s.sys.Close()
+	wall, res, err := s.load()
+	if err != nil {
+		return row, err
 	}
-	wall := time.Since(start)
-	res := app.Result()
-	if res.Loads != cfg.Loads {
-		return ChaosRow{}, fmt.Errorf("load incomplete (%d/%d)", res.Loads, cfg.Loads)
-	}
-	row := ChaosRow{Wall: wall, Virt: res.LoadVirt[0], Drives: res.DMADrives}
-	for _, n := range []*pia.Node{n1, n2} {
+	row.Wall, row.Virt, row.Drives = wall, res.LoadVirt[0], res.DMADrives
+	for _, n := range s.nodes {
 		for _, l := range n.FaultLinks() {
 			if err := l.VerifyDigest(); err != nil {
-				return ChaosRow{}, err
+				return row, err
 			}
 			row.Faults.Add(l.Stats())
 		}

@@ -6,13 +6,11 @@ import (
 	"time"
 
 	pia "repro"
-	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/hwstub"
 	"repro/internal/proto"
 	"repro/internal/signal"
 	"repro/internal/vtime"
-	"repro/internal/wubbleu"
 )
 
 // --- shared workload pieces ---
@@ -71,77 +69,89 @@ type Fig3Result struct {
 	Stragglers int64
 }
 
-// Fig3 runs the scenario under both policies. messages is the number
-// of cross-channel messages; busySteps the local work racing ahead.
+// Fig3 runs the scenario under both policies at its published message
+// spacing. messages is the number of cross-channel messages; busySteps
+// the local work racing ahead.
 func Fig3(messages, busySteps int) ([]Fig3Result, error) {
 	var out []Fig3Result
 	for _, pol := range []pia.Policy{pia.Conservative, pia.Optimistic} {
-		src := &burster{Count: messages, Period: 100}
-		dst := &sink{}
-		busy := &burster{Count: busySteps, Period: 1}
-		b := pia.NewSystem("fig3").
-			AddComponent("src", "ss2", src, "out").
-			AddComponent("dst", "ss1", dst, "in").
-			AddComponent("busy", "ss1", busy, "out").
-			AddNet("wire", 0, "src.out", "dst.in").
-			AddNet("noise", 0, "busy.out").
-			SetDefaultChannel(pol, pia.LinkModel{Latency: 5, PerMessage: 1})
-		sim, err := b.BuildLocal()
+		res, err := policyLeg(pol, messages, busySteps, 100)
 		if err != nil {
 			return nil, err
-		}
-		horizon := pia.Time(vtime.Duration(messages)*100 + vtime.Duration(busySteps) + 10_000)
-		start := time.Now()
-		if pol == pia.Optimistic {
-			// Let ss1 race ahead before ss2 produces anything, so the
-			// remote messages are guaranteed stragglers — the
-			// scenario Fig. 3's conservative stall prevents.
-			ss1, ss2 := sim.Subsystem("ss1"), sim.Subsystem("ss2")
-			ss1.SetAutoCheckpoint(50)
-			ss1.SetCheckpointRetention(10_000)
-			done1 := make(chan error, 1)
-			go func() { done1 <- ss1.Run(pia.Infinity) }()
-			for {
-				now, key := ss1.PublishedTimes()
-				if int(now) >= busySteps/2 || key == pia.Infinity {
-					break // raced far enough (or exhausted all local work)
-				}
-				runtime.Gosched()
-			}
-			if err := ss2.Run(horizon); err != nil {
-				return nil, err
-			}
-			if err := sim.Hubs["ss2"].Close(); err != nil {
-				return nil, err
-			}
-			if err := <-done1; err != nil {
-				return nil, err
-			}
-		} else if err := sim.Run(horizon); err != nil {
-			return nil, err
-		}
-		wall := time.Since(start)
-		res := Fig3Result{
-			Policy:    pol.String(),
-			Wall:      wall,
-			Delivered: len(dst.Got),
-			Ordered:   ordered(dst.Got),
-			Stalls:    sim.Subsystem("ss1").Stats().Stalls,
-			Restores:  sim.Subsystem("ss1").Stats().Restores,
-		}
-		for _, ep := range sim.Hubs["ss1"].Endpoints() {
-			res.Stragglers += ep.Stats().Stragglers
-			if err := ep.Err(); err != nil {
-				return nil, fmt.Errorf("fig3 %s: %w", pol, err)
-			}
-		}
-		sim.Close()
-		if res.Delivered != messages || !res.Ordered {
-			return nil, fmt.Errorf("fig3 %s: delivered %d/%d ordered=%v", pol, res.Delivered, messages, res.Ordered)
 		}
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// policyLeg runs the channel-policy scenario once: src on ss2 sends
+// messages integers period apart across a channel under pol to dst on
+// ss1, beside busySteps of local work on ss1. The optimistic leg lets
+// ss1 race ahead before ss2 produces anything, so the remote messages
+// are guaranteed stragglers — the situation optimism gambles on and
+// Fig. 3's conservative stall prevents — and its rollback costs are
+// actually exercised.
+func policyLeg(pol pia.Policy, messages, busySteps int, period vtime.Duration) (Fig3Result, error) {
+	src := &burster{Count: messages, Period: period}
+	dst := &sink{}
+	busy := &burster{Count: busySteps, Period: 1}
+	sim, err := pia.NewSystem("policy").
+		AddComponent("src", "ss2", src, "out").
+		AddComponent("dst", "ss1", dst, "in").
+		AddComponent("busy", "ss1", busy, "out").
+		AddNet("wire", 0, "src.out", "dst.in").
+		AddNet("noise", 0, "busy.out").
+		SetDefaultChannel(pol, pia.LinkModel{Latency: 5, PerMessage: 1}).
+		BuildLocal()
+	if err != nil {
+		return Fig3Result{}, err
+	}
+	defer sim.Close()
+	horizon := pia.Time(vtime.Duration(messages)*period + vtime.Duration(busySteps) + 100_000)
+	ss1, ss2 := sim.Subsystem("ss1"), sim.Subsystem("ss2")
+	start := time.Now()
+	if pol == pia.Optimistic {
+		ss1.SetAutoCheckpoint(period)
+		ss1.SetCheckpointRetention(1_000_000)
+		done1 := make(chan error, 1)
+		go func() { done1 <- ss1.Run(pia.Infinity) }()
+		for {
+			now, key := ss1.PublishedTimes()
+			if int(now) >= busySteps/2 || key == pia.Infinity {
+				break // raced far enough (or exhausted all local work)
+			}
+			runtime.Gosched()
+		}
+		if err := ss2.Run(horizon); err != nil {
+			return Fig3Result{}, err
+		}
+		if err := sim.Hubs["ss2"].Close(); err != nil {
+			return Fig3Result{}, err
+		}
+		if err := <-done1; err != nil {
+			return Fig3Result{}, err
+		}
+	} else if err := sim.Run(horizon); err != nil {
+		return Fig3Result{}, err
+	}
+	res := Fig3Result{
+		Policy:    pol.String(),
+		Wall:      time.Since(start),
+		Delivered: len(dst.Got),
+		Ordered:   ordered(dst.Got),
+		Stalls:    ss1.Stats().Stalls,
+		Restores:  ss1.Stats().Restores,
+	}
+	for _, ep := range sim.Hubs["ss1"].Endpoints() {
+		res.Stragglers += ep.Stats().Stragglers
+		if err := ep.Err(); err != nil {
+			return res, fmt.Errorf("policy %s/%v: %w", pol, period, err)
+		}
+	}
+	if res.Delivered != messages || !res.Ordered {
+		return res, fmt.Errorf("policy %s/%v: delivered %d/%d ordered=%v", pol, period, res.Delivered, messages, res.Ordered)
+	}
+	return res, nil
 }
 
 func ordered(xs []int) bool {
@@ -211,25 +221,17 @@ type Fig2Split struct {
 // Fig2 builds the remote WubbleU and reports how its nets were split
 // — the hidden ports and channel components of Fig. 2.
 func Fig2() ([]Fig2Split, error) {
-	cfg := wubbleu.DefaultConfig()
-	cfg.PageSize = 4096
-	cfg.Images = 1
-	b := pia.NewSystem("fig2")
-	if _, err := wubbleu.Install(b, cfg, wubbleu.RemotePlacement()); err != nil {
-		return nil, err
-	}
-	b.SetDefaultChannel(pia.Conservative, pia.LoopbackLink)
-	sim, err := b.BuildLocal()
+	s, err := newStand(Table1Config{PageSize: 4096, Images: 1}.wubbleu(proto.LevelPacket), true, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer sim.Close()
+	defer s.sys.Close()
 	var out []Fig2Split
 	netNames := []string{"ink", "url", "screen", "cachebus", "jpegbus", "dma", "radio"}
 	for _, name := range netNames {
 		sp := Fig2Split{Net: name}
-		for _, subName := range sim.SubsystemNames() {
-			n := sim.Subsystem(subName).Net(name)
+		for _, subName := range s.sim.SubsystemNames() {
+			n := s.sim.Subsystem(subName).Net(name)
 			if n == nil {
 				continue
 			}
@@ -265,14 +267,6 @@ type Fig1Result struct {
 // board behind a remote hardware server is patched into the handheld
 // subsystem through the stub.
 func Fig1() (Fig1Result, error) {
-	cfg := wubbleu.DefaultConfig()
-	cfg.PageSize = 8 * 1024
-	cfg.Images = 2
-	b := pia.NewSystem("fig1")
-	app, err := wubbleu.Install(b, cfg, wubbleu.RemotePlacement())
-	if err != nil {
-		return Fig1Result{}, err
-	}
 	// Remote hardware: a watchdog board on a third site.
 	board := hwstub.NewSimBoard(func(regs map[uint32]uint32, from, to vtime.Time) []hwstub.Interrupt {
 		var irqs []hwstub.Interrupt
@@ -295,28 +289,21 @@ func Fig1() (Fig1Result, error) {
 	defer dev.Close()
 	adapter := &hwstub.Adapter{Dev: dev, Quantum: vtime.Duration(2 * vtime.Millisecond), Horizon: vtime.Time(60 * vtime.Millisecond)}
 	irqs := &irqCounter{}
-	b.AddComponent("watchdog", "handheld", adapter, "bus", "irq").
-		AddComponent("irqmon", "handheld", irqs, "irq").
-		AddNet("wdbus", 0, "watchdog.bus").
-		AddNet("wdirq", 0, "watchdog.irq", "irqmon.irq")
-	b.SetDefaultChannel(pia.Conservative, pia.LoopbackLink)
-
-	n1, n2 := pia.NewNode("site-a"), pia.NewNode("site-b")
-	cl, err := b.BuildOnNodes(map[string]*pia.Node{"handheld": n1, "modemsite": n2})
+	s, err := newStand(Table1Config{PageSize: 8 * 1024, Images: 2}.wubbleu(proto.LevelPacket), true, func(b *pia.SystemBuilder) {
+		b.AddComponent("watchdog", "handheld", adapter, "bus", "irq").
+			AddComponent("irqmon", "handheld", irqs, "irq").
+			AddNet("wdbus", 0, "watchdog.bus").
+			AddNet("wdirq", 0, "watchdog.irq", "irqmon.irq")
+	})
 	if err != nil {
 		return Fig1Result{}, err
 	}
-	defer cl.Close()
-	start := time.Now()
-	if err := cl.Run(horizon(cfg)); err != nil {
-		return Fig1Result{}, err
+	defer s.sys.Close()
+	wall, res, err := s.load()
+	if err != nil {
+		return Fig1Result{}, fmt.Errorf("fig1: %w", err)
 	}
-	res := app.Result()
-	return Fig1Result{
-		Loads:        res.Loads,
-		HWInterrupts: adapter.Forwarded,
-		Wall:         time.Since(start),
-	}, nil
+	return Fig1Result{Loads: res.Loads, HWInterrupts: adapter.Forwarded, Wall: wall}, nil
 }
 
 // irqCounter counts IRQ messages.
@@ -353,37 +340,25 @@ type SwitchpointResult struct {
 // after the first).
 func RunlevelSwitch(pageSize int) ([]SwitchpointResult, error) {
 	run := func(mode, level, rule string) (SwitchpointResult, int64, error) {
-		cfg := wubbleu.DefaultConfig()
-		cfg.PageSize = pageSize
-		cfg.Images = 2
+		cfg := Table1Config{PageSize: pageSize, Images: 2}.wubbleu(level)
 		cfg.Loads = 2
-		cfg.Level = level
 		cfg.NoCache = true // both loads must actually transfer
-		b := pia.NewSystem("rl-" + mode)
-		app, err := wubbleu.Install(b, cfg, wubbleu.LocalPlacement())
+		s, err := newStand(cfg, false, nil)
 		if err != nil {
 			return SwitchpointResult{}, 0, err
 		}
-		sim, err := b.BuildLocal()
-		if err != nil {
-			return SwitchpointResult{}, 0, err
-		}
+		defer s.sys.Close()
 		if rule != "" {
-			if _, err := sim.Engines["main"].AddRule(rule); err != nil {
+			if _, err := s.sim.Engines["main"].AddRule(rule); err != nil {
 				return SwitchpointResult{}, 0, err
 			}
 		}
-		start := time.Now()
-		if err := sim.Run(pia.Infinity); err != nil {
-			return SwitchpointResult{}, 0, err
-		}
-		res := app.Result()
-		if res.Loads != 2 {
-			return SwitchpointResult{}, 0, fmt.Errorf("runlevel %s: %d loads", mode, res.Loads)
+		wall, res, err := s.load()
+		if err != nil {
+			return SwitchpointResult{}, 0, fmt.Errorf("runlevel %s: %w", mode, err)
 		}
 		// When the first load finished, for placing the switchpoint.
-		firstDone := app.UI.RenderedT[0]
-		return SwitchpointResult{Mode: mode, Wall: time.Since(start), Drives: res.DMADrives}, firstDone, nil
+		return SwitchpointResult{Mode: mode, Wall: wall, Drives: res.DMADrives}, s.app.UI.RenderedT[0], nil
 	}
 	var out []SwitchpointResult
 	word, firstDone, err := run("word", proto.LevelWord, "")
@@ -409,5 +384,3 @@ func RunlevelSwitch(pageSize int) ([]SwitchpointResult, error) {
 	out = append(out, switched)
 	return out, nil
 }
-
-var _ = channel.Conservative // keep the import for documentation references

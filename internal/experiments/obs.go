@@ -165,11 +165,29 @@ func Obs(cfg ObsConfig) ([]ObsRow, error) {
 	if cfg.WatchInterval <= 0 {
 		cfg.WatchInterval = 25 * time.Millisecond
 	}
-	remote, err := obsRemoteLeg(cfg)
-	if err != nil {
+	remote := ObsRow{Leg: "remote-word", Workers: cfg.Table1.Workers}
+	if err := cfg.pairs(&remote, cfg.remoteRun); err != nil {
 		return nil, err
 	}
-	sessions, err := obsSessionsLeg(cfg)
+	scfg := cfg.Sessions
+	sessions := ObsRow{Leg: "sessions-steady"}
+	if len(scfg.Workers) > 0 {
+		sessions.Workers = scfg.Workers[len(scfg.Workers)-1]
+	}
+	refs, err := scfg.references()
+	if err != nil {
+		return []ObsRow{remote}, err
+	}
+	// Every tenant's drive digest is held to its isolated reference in
+	// both variants; the outcome is the steps summed over tenants.
+	err = cfg.pairs(&sessions, func(reg *metrics.Registry, st *obsStack) (time.Duration, outcome, error) {
+		svc := service.Config{Workers: sessions.Workers, Metrics: reg}
+		if st != nil {
+			svc.Flight, svc.AttributionTopN = st.obs, cfg.TopN
+		}
+		row, err := steady(scfg, svc, refs)
+		return row.Wall, outcome{steps: row.Steps}, err
+	})
 	if err != nil {
 		return []ObsRow{remote}, err
 	}
@@ -183,183 +201,71 @@ func overheadPct(off, on time.Duration) float64 {
 	return (float64(on) - float64(off)) / float64(off) * 100
 }
 
-// obsRemoteLeg runs the paper's remote word-passage row with metrics
-// wired (the baseline) and then fully instrumented. Equality is judged
-// on the committed virtual outcome: the virtual load time and the DMA
-// drive count.
-func obsRemoteLeg(cfg ObsConfig) (ObsRow, error) {
-	row := ObsRow{Leg: "remote-word", Workers: cfg.Table1.Workers}
-
+// pairs runs one leg's metrics-only baseline and its fully instrumented
+// variant interleaved, Runs pairs of them, keeping each variant's
+// fastest wall, and holds every run's outcome to the first baseline's.
+// run gets a fresh registry and, on the instrumented variant, the
+// flight stack built on it.
+func (cfg ObsConfig) pairs(row *ObsRow, run func(*metrics.Registry, *obsStack) (time.Duration, outcome, error)) error {
+	var ref outcome
 	for r := 0; r < cfg.Runs; r++ {
-		// Off half of the pair: metrics wired, no flight stack.
-		c := cfg.Table1
-		c.CollectMetrics = true
-		t1, err := Remote(c, proto.LevelWord)
-		if err != nil {
-			return row, fmt.Errorf("obs: remote off run %d: %w", r, err)
-		}
-		if r == 0 {
-			row.Virt, row.Drives, row.OffWall = t1.Virt, t1.Drives, t1.Wall
-		} else {
-			if t1.Virt != row.Virt || t1.Drives != row.Drives {
-				return row, fmt.Errorf("obs: bare remote runs diverged: virt %v/%v drives %d/%d",
-					t1.Virt, row.Virt, t1.Drives, row.Drives)
+		for _, on := range []bool{false, true} {
+			reg := metrics.NewRegistry()
+			var st *obsStack
+			if on {
+				var err error
+				if st, err = newObsStack(reg, cfg.WatchInterval); err != nil {
+					return err
+				}
 			}
-			if t1.Wall < row.OffWall {
-				row.OffWall = t1.Wall
+			wall, out, err := run(reg, st)
+			if st != nil {
+				if serr := st.stop(row); err == nil && serr != nil {
+					return serr
+				}
 			}
-		}
-
-		// On half: same workload with the full flight stack attached.
-		c = cfg.Table1
-		c.CollectMetrics = true
-		var (
-			reg     *pia.MetricsRegistry
-			st      *obsStack
-			hookErr error
-		)
-		c.OnMetrics = func(r *pia.MetricsRegistry) { reg = r }
-		c.OnCluster = func(cl *pia.Cluster) {
-			st, hookErr = newObsStack(reg, cfg.WatchInterval)
-			if hookErr != nil {
-				return
-			}
-			cl.EnableFlight(st.obs)
-			cl.EnableCostAttribution(reg, cfg.TopN)
-		}
-		t1, err = Remote(c, proto.LevelWord)
-		if hookErr != nil {
-			return row, hookErr
-		}
-		if err != nil {
-			st.sampler.Stop()
-			st.watch.close()
-			return row, fmt.Errorf("obs: remote on run %d: %w", r, err)
-		}
-		if err := st.stop(&row); err != nil {
-			return row, err
-		}
-		if t1.Virt != row.Virt || t1.Drives != row.Drives {
-			return row, fmt.Errorf("obs: instrumented remote diverged: virt %v want %v, drives %d want %d",
-				t1.Virt, row.Virt, t1.Drives, row.Drives)
-		}
-		if r == 0 || t1.Wall < row.OnWall {
-			row.OnWall = t1.Wall
-		}
-	}
-	row.DigestsOK = true
-	row.OverheadPct = overheadPct(row.OffWall, row.OnWall)
-	return row, nil
-}
-
-// obsSessionsLeg holds the steady multi-tenant leg with metrics wired
-// (the baseline) and then fully instrumented. Every tenant's drive
-// digest is checked against its isolated single-session reference in
-// both variants, so equality with observers attached is enforced per
-// tenant.
-func obsSessionsLeg(cfg ObsConfig) (ObsRow, error) {
-	scfg := cfg.Sessions
-	workers := 0
-	if len(scfg.Workers) > 0 {
-		workers = scfg.Workers[len(scfg.Workers)-1]
-	}
-	row := ObsRow{Leg: "sessions-steady", Workers: workers}
-
-	refs, err := scfg.references()
-	if err != nil {
-		return row, err
-	}
-
-	for r := 0; r < cfg.Runs; r++ {
-		// Off half of the pair: metrics wired, no flight stack.
-		wall, steps, err := obsSteadyRun(scfg, service.Config{
-			Workers: workers,
-			Metrics: metrics.NewRegistry(),
-		}, refs)
-		if err != nil {
-			return row, fmt.Errorf("obs: sessions off run %d: %w", r, err)
-		}
-		if r == 0 || wall < row.OffWall {
-			row.OffWall = wall
-		}
-		row.Steps = steps
-
-		// On half: same catalog workload with the full flight stack.
-		reg := metrics.NewRegistry()
-		st, err := newObsStack(reg, cfg.WatchInterval)
-		if err != nil {
-			return row, err
-		}
-		wall, steps, err = obsSteadyRun(scfg, service.Config{
-			Workers:         workers,
-			Metrics:         reg,
-			Flight:          st.obs,
-			AttributionTopN: cfg.TopN,
-		}, refs)
-		if err != nil {
-			st.sampler.Stop()
-			st.watch.close()
-			return row, fmt.Errorf("obs: sessions on run %d: %w", r, err)
-		}
-		if err := st.stop(&row); err != nil {
-			return row, err
-		}
-		if steps != row.Steps {
-			return row, fmt.Errorf("obs: instrumented sessions step count diverged: %d want %d", steps, row.Steps)
-		}
-		if r == 0 || wall < row.OnWall {
-			row.OnWall = wall
-		}
-	}
-	row.DigestsOK = true
-	row.OverheadPct = overheadPct(row.OffWall, row.OnWall)
-	return row, nil
-}
-
-// obsSteadyRun is the steady fair-share serving pattern of the
-// sessions benchmark under an arbitrary catalog config: hold every
-// tenant live, advance all of them in interleaved StepChunk quanta
-// until done, and digest-check each against its isolated reference.
-func obsSteadyRun(cfg SessionsConfig, svc service.Config, refs []uint64) (time.Duration, int64, error) {
-	cat := service.NewCatalog(svc)
-	defer cat.Close()
-
-	start := time.Now()
-	ids := make([]string, cfg.Sessions)
-	for i := range ids {
-		info, err := cat.Create(cfg.spec(i))
-		if err != nil {
-			return 0, 0, fmt.Errorf("create %d: %w", i, err)
-		}
-		ids[i] = info.ID
-	}
-	done := make(map[string]service.Info, len(ids))
-	maxRounds := int(vtime.Duration(cfg.Rounds+3)*10*vtime.Millisecond/cfg.StepChunk) + 4
-	for round := 0; len(done) < len(ids); round++ {
-		if round > maxRounds {
-			return 0, 0, fmt.Errorf("stuck after %d rounds (%d/%d done)", round, len(done), len(ids))
-		}
-		for _, id := range ids {
-			if _, ok := done[id]; ok {
-				continue
-			}
-			info, err := cat.Step(id, 0, cfg.StepChunk)
 			if err != nil {
-				return 0, 0, fmt.Errorf("step %s: %w", id, err)
+				return fmt.Errorf("obs: %s run %d: %w", row.Leg, r, err)
 			}
-			if info.State == service.StateDone {
-				done[id] = info
+			if r == 0 && !on {
+				ref = out
+			} else if err := out.against(ref, fmt.Sprintf("obs: %s run %d", row.Leg, r)); err != nil {
+				return err
+			}
+			best := &row.OffWall
+			if on {
+				best = &row.OnWall
+			}
+			if r == 0 || wall < *best {
+				*best = wall
 			}
 		}
 	}
-	wall := time.Since(start)
-	var steps int64
-	for i, id := range ids {
-		info := done[id]
-		steps += info.Steps
-		if info.DigestU64 != refs[i%cfg.Seeds] {
-			return 0, 0, fmt.Errorf("tenant %s digest %016x, want %016x", id, info.DigestU64, refs[i%cfg.Seeds])
-		}
+	row.Virt, row.Drives, row.Steps = ref.virt, int(ref.drives), ref.steps
+	row.DigestsOK = true
+	row.OverheadPct = overheadPct(row.OffWall, row.OnWall)
+	return nil
+}
+
+// remoteRun runs the paper's remote word-passage stand with metrics
+// wired into reg and, given st, the flight stack and cost attribution
+// attached. Its outcome is the committed virtual one: the virtual load
+// time and the DMA drive count.
+func (cfg ObsConfig) remoteRun(reg *metrics.Registry, st *obsStack) (time.Duration, outcome, error) {
+	c := cfg.Table1
+	s, err := newStand(c.wubbleu(proto.LevelWord), true, func(b *pia.SystemBuilder) { b.SetWorkers(c.Workers) })
+	if err != nil {
+		return 0, outcome{}, err
 	}
-	return wall, steps, nil
+	defer s.sys.Close()
+	s.cl.EnableMetrics(reg)
+	if st != nil {
+		s.cl.EnableFlight(st.obs)
+		s.cl.EnableCostAttribution(reg, cfg.TopN)
+	}
+	wall, res, err := s.load()
+	if err != nil {
+		return 0, outcome{}, err
+	}
+	return wall, outcome{virt: res.LoadVirt[0], drives: int64(res.DMADrives)}, nil
 }

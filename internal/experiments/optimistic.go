@@ -87,6 +87,17 @@ type OptimisticRow struct {
 	VsCons      float64        `json:"speedup_vs_conservative,omitempty"` // conservative wall at same leg+workers / this wall
 }
 
+// spin is the deterministic per-job compute: an xorshift64 walk.
+func spin(seed uint64, iters int) uint64 {
+	x := seed | 1
+	for i := 0; i < iters; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	return x
+}
+
 // optSource emits one batch of jobs per period, one job per lane,
 // staggering the lanes by a nanosecond of virtual time so the lanes'
 // keys are strictly ordered (which is what lets a small nonzero
@@ -153,11 +164,12 @@ func (k *optSink) Run(p *core.Proc) error {
 	}
 }
 
-// runOptLeg measures one leg: Fanout probe services, each fed by a
-// private high-delay jobs net and reporting on a private high-delay
-// result net, all sharing a silent probe bus whose delay is the
-// lookahead under test. optimism == 0 selects conservative mode.
-func runOptLeg(c OptimisticConfig, la OptLookahead, workers int, optimism vtime.Duration) (OptimisticRow, error) {
+// fanLeg measures one leg of the fan workload, the one the ablation
+// and the worker-pool sweep both run: Fanout probe services, each fed
+// by a private high-delay jobs net and reporting on a private
+// high-delay result net, all sharing a silent probe bus whose delay is
+// the lookahead under test. optimism == 0 selects conservative mode.
+func fanLeg(c OptimisticConfig, la OptLookahead, workers int, optimism vtime.Duration) (OptimisticRow, error) {
 	const feed = vtime.Millisecond // jobs/result net delay; >= every lookahead
 	s := core.NewSubsystem("probe")
 	s.SetWorkers(workers)
@@ -228,7 +240,7 @@ func runOptLeg(c OptimisticConfig, la OptLookahead, workers int, optimism vtime.
 	}
 	wall := time.Since(start)
 	if want := c.Fanout * c.Rounds; sink.got != want {
-		return OptimisticRow{}, fmt.Errorf("experiments: optimistic leg %s/%d delivered %d results, want %d",
+		return OptimisticRow{}, fmt.Errorf("experiments: fan leg %s/%d delivered %d results, want %d",
 			la.Name, workers, sink.got, want)
 	}
 	st := s.Stats()
@@ -259,6 +271,10 @@ func runOptLeg(c OptimisticConfig, la OptLookahead, workers int, optimism vtime.
 	return row, nil
 }
 
+func (r OptimisticRow) outcome() outcome {
+	return outcome{virt: r.Virt, drives: r.Drives, digest: r.Digest}
+}
+
 // Optimistic sweeps lookahead x mode x workers and errors if any leg
 // diverges from its lookahead's sequential reference in virtual time,
 // drive count or drive digest. The interesting comparison is within a
@@ -270,26 +286,24 @@ func runOptLeg(c OptimisticConfig, la OptLookahead, workers int, optimism vtime.
 func Optimistic(c OptimisticConfig) ([]OptimisticRow, error) {
 	var rows []OptimisticRow
 	for _, la := range c.Lookaheads {
-		ref, err := runOptLeg(c, la, 0, 0)
+		ref, err := fanLeg(c, la, 0, 0)
 		if err != nil {
 			return nil, err
 		}
 		ref.Speedup = 1
 		rows = append(rows, ref)
 		for _, w := range c.Workers {
-			cons, err := runOptLeg(c, la, w, 0)
+			cons, err := fanLeg(c, la, w, 0)
 			if err != nil {
 				return nil, err
 			}
-			opt, err := runOptLeg(c, la, w, c.Window)
+			opt, err := fanLeg(c, la, w, c.Window)
 			if err != nil {
 				return nil, err
 			}
 			for _, r := range []*OptimisticRow{&cons, &opt} {
-				if r.Virt != ref.Virt || r.Drives != ref.Drives || r.Digest != ref.Digest {
-					return nil, fmt.Errorf(
-						"experiments: %s/%s workers=%d diverged from sequential: virt %v/%v drives %d/%d digest %x/%x",
-						la.Name, r.Mode, w, r.Virt, ref.Virt, r.Drives, ref.Drives, r.Digest, ref.Digest)
+				if err := r.outcome().against(ref.outcome(), fmt.Sprintf("%s/%s workers=%d", la.Name, r.Mode, w)); err != nil {
+					return nil, err
 				}
 				if ref.Wall > 0 {
 					r.Speedup = float64(ref.Wall) / float64(r.Wall)

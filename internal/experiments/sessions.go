@@ -109,7 +109,7 @@ func Sessions(cfg SessionsConfig) ([]SessionsRow, error) {
 	var rows []SessionsRow
 
 	for _, workers := range cfg.Workers {
-		row, err := steadyLeg(cfg, workers, refs)
+		row, err := steady(cfg, service.Config{Workers: workers}, refs)
 		if err != nil {
 			return rows, err
 		}
@@ -136,12 +136,14 @@ func Sessions(cfg SessionsConfig) ([]SessionsRow, error) {
 	return rows, nil
 }
 
-// steadyLeg holds cfg.Sessions tenants live at once and advances all
-// of them in interleaved StepChunk quanta — the fair-share serving
-// pattern — until every tenant finishes.
-func steadyLeg(cfg SessionsConfig, workers int, refs []uint64) (SessionsRow, error) {
-	row := SessionsRow{Leg: "steady", Workers: workers, Sessions: cfg.Sessions, DigestsOK: true}
-	cat := service.NewCatalog(service.Config{Workers: workers})
+// steady holds cfg.Sessions tenants live at once on one catalog
+// configured as svc and advances all of them in interleaved StepChunk
+// quanta — the fair-share serving pattern — until every tenant
+// finishes, checking each one's drive digest against its isolated
+// reference.
+func steady(cfg SessionsConfig, svc service.Config, refs []uint64) (SessionsRow, error) {
+	row := SessionsRow{Leg: "steady", Workers: svc.Workers, Sessions: cfg.Sessions}
+	cat := service.NewCatalog(svc)
 	defer cat.Close()
 
 	start := time.Now()
@@ -179,11 +181,11 @@ func steadyLeg(cfg SessionsConfig, workers int, refs []uint64) (SessionsRow, err
 		info := done[id]
 		row.Steps += info.Steps
 		if info.DigestU64 != refs[i%cfg.Seeds] {
-			row.DigestsOK = false
 			return row, fmt.Errorf("sessions: steady workers=%d tenant %s digest %016x, want %016x",
-				workers, id, info.DigestU64, refs[i%cfg.Seeds])
+				svc.Workers, id, info.DigestU64, refs[i%cfg.Seeds])
 		}
 	}
+	row.DigestsOK = true
 	return row, nil
 }
 

@@ -75,13 +75,6 @@ type Table1Config struct {
 	// the returned row. Off by default so benchmarks measure the
 	// disabled path.
 	Timeline bool
-
-	// OnCluster, when set, receives the built cluster of a Remote leg
-	// after metrics/timeline wiring and before Run — the hook the
-	// observability overhead experiment uses to attach a flight
-	// recorder, streaming hub, and cost attribution to an otherwise
-	// identical run.
-	OnCluster func(*pia.Cluster)
 }
 
 // DefaultTable1Config reproduces the paper's setup.
@@ -122,8 +115,78 @@ func Native(c Table1Config) (Table1Row, error) {
 	return Table1Row{Location: "N/A", Level: "HotJava", Wall: res.Elapsed}, nil
 }
 
-// horizon bounds a simulated load generously in virtual time.
-func horizon(cfg wubbleu.Config) pia.Time {
+// outcome is what a run must reproduce bit for bit against its
+// reference, whatever its worker count, window, placement, faults or
+// observers: virtual time, drive count, scheduler steps and drive
+// digest, each zero where a scenario keeps none.
+type outcome struct {
+	virt          vtime.Duration
+	drives, steps int64
+	digest        Digest
+}
+
+// against errors unless o reproduces ref, naming the run as what.
+func (o outcome) against(ref outcome, what string) error {
+	if o == ref {
+		return nil
+	}
+	return fmt.Errorf("experiments: %s diverged from the reference: virtual %v/%v, drives %d/%d, steps %d/%d, digest %016x/%016x",
+		what, o.virt, ref.virt, o.drives, ref.drives, o.steps, ref.steps, uint64(o.digest), uint64(ref.digest))
+}
+
+// stand is one WubbleU page-load system, the one every Table 1 row and
+// every WubbleU scenario stands up. A local stand holds the whole
+// design in one subsystem. A remote one places the cellular ASIC, and
+// the server behind its wireless link, on a second Pia node reached
+// over real loopback TCP, as in the paper's two-workstation setup.
+type stand struct {
+	app *wubbleu.App
+	sys interface { // the local simulation, or the cluster
+		Run(pia.Time) error
+		Close() error
+		EnableMetrics(*pia.MetricsRegistry) *pia.MetricsRegistry
+	}
+	sim   *pia.Simulation // a remote stand's is its cluster's
+	cl    *pia.Cluster    // nil on a local stand
+	nodes []*pia.Node     // the handheld's and the modem site's; nil on a local stand
+}
+
+// newStand builds cfg's stand. setup, when not nil, configures the
+// builder past the design and its placement: workers, faults and
+// resilience on the cross-node link, components beside the design.
+func newStand(cfg wubbleu.Config, remote bool, setup func(*pia.SystemBuilder)) (*stand, error) {
+	b := pia.NewSystem("wubbleu")
+	pl := wubbleu.LocalPlacement()
+	if remote {
+		pl = wubbleu.RemotePlacement()
+		b.SetDefaultChannel(pia.Conservative, pia.LoopbackLink)
+	}
+	app, err := wubbleu.Install(b, cfg, pl)
+	if err != nil {
+		return nil, err
+	}
+	if setup != nil {
+		setup(b)
+	}
+	s := &stand{app: app}
+	if !remote {
+		if s.sim, err = b.BuildLocal(); err != nil {
+			return nil, err
+		}
+		s.sys = s.sim
+		return s, nil
+	}
+	s.nodes = []*pia.Node{pia.NewNode("handheld-node"), pia.NewNode("modem-node")}
+	if s.cl, err = b.BuildOnNodes(map[string]*pia.Node{"handheld": s.nodes[0], "modemsite": s.nodes[1]}); err != nil {
+		return nil, err
+	}
+	s.sys, s.sim = s.cl, &s.cl.Simulation
+	return s, nil
+}
+
+// horizon bounds the stand's loads generously in virtual time.
+func (s *stand) horizon() pia.Time {
+	cfg := s.app.Cfg
 	// Radio transfer dominates virtual time; 100x margin.
 	perLoad := vtime.Duration(int64(cfg.PageSize)*8*int64(vtime.Second)/cfg.RadioBitsPerSec) * 100
 	if perLoad < vtime.Duration(1*vtime.Second) {
@@ -132,102 +195,64 @@ func horizon(cfg wubbleu.Config) pia.Time {
 	return pia.Time(perLoad * vtime.Duration(cfg.Loads))
 }
 
-// Local runs the whole design in a single subsystem at the given
-// detail level and measures wall-clock simulation time.
-func Local(c Table1Config, level string) (Table1Row, error) {
-	cfg := c.wubbleu(level)
-	b := pia.NewSystem("wubbleu-local")
-	app, err := wubbleu.Install(b, cfg, wubbleu.LocalPlacement())
-	if err != nil {
-		return Table1Row{}, err
-	}
-	b.SetWorkers(c.Workers)
-	sim, err := b.BuildLocal()
-	if err != nil {
-		return Table1Row{}, err
-	}
-	var reg *pia.MetricsRegistry
-	if c.CollectMetrics {
-		reg = sim.EnableMetrics(pia.NewMetricsRegistry())
-		if c.OnMetrics != nil {
-			c.OnMetrics(reg)
-		}
-	}
-	var rec *pia.TimelineRecorder
-	if c.Timeline {
-		rec = sim.EnableTimeline(nil)
-	}
+// load runs the stand to its horizon and returns the wall clock it
+// took and the loads' result; it errors unless every load completed.
+func (s *stand) load() (time.Duration, wubbleu.Result, error) {
 	start := time.Now()
-	if err := sim.Run(pia.Infinity); err != nil {
-		return Table1Row{}, err
+	if err := s.sys.Run(s.horizon()); err != nil {
+		return 0, wubbleu.Result{}, err
 	}
 	wall := time.Since(start)
-	res := app.Result()
-	if res.Loads != cfg.Loads {
-		return Table1Row{}, fmt.Errorf("experiments: local %s load incomplete (%d/%d)", level, res.Loads, cfg.Loads)
+	res := s.app.Result()
+	if res.Loads != s.app.Cfg.Loads {
+		return 0, res, fmt.Errorf("load incomplete (%d/%d)", res.Loads, s.app.Cfg.Loads)
 	}
-	return Table1Row{
-		Location: "local", Level: levelName(level),
-		Wall: wall, Virt: res.LoadVirt[0], Drives: res.DMADrives,
-		Metrics:        reg.Snapshot(),
-		TimelineEvents: rec.Stats().Recorded,
-	}, nil
+	return wall, res, nil
 }
 
-// Remote places the cellular ASIC (and the server behind its
-// wireless link) on a second Pia node reached over real loopback
-// TCP, as in the paper's two-workstation setup, and measures
-// wall-clock simulation time at the given detail level for the DMA
-// link that now crosses the network.
-func Remote(c Table1Config, level string) (Table1Row, error) {
-	cfg := c.wubbleu(level)
-	b := pia.NewSystem("wubbleu-remote")
-	app, err := wubbleu.Install(b, cfg, wubbleu.RemotePlacement())
-	if err != nil {
-		return Table1Row{}, err
+// Local runs the whole design in a single subsystem at the given
+// detail level and measures wall-clock simulation time.
+func Local(c Table1Config, level string) (Table1Row, error) { return table1Row(c, level, false) }
+
+// Remote runs the remote stand, the DMA link crossing the network, at
+// the given detail level and measures wall-clock simulation time.
+func Remote(c Table1Config, level string) (Table1Row, error) { return table1Row(c, level, true) }
+
+func (r Table1Row) outcome() outcome { return outcome{virt: r.Virt, drives: int64(r.Drives)} }
+
+func table1Row(c Table1Config, level string, remote bool) (Table1Row, error) {
+	row := Table1Row{Location: "local", Level: levelName(level)}
+	if remote {
+		row.Location = "remote"
 	}
-	b.SetDefaultChannel(pia.Conservative, pia.LoopbackLink)
-	b.SetWorkers(c.Workers)
-	n1, n2 := pia.NewNode("handheld-node"), pia.NewNode("modem-node")
-	cl, err := b.BuildOnNodes(map[string]*pia.Node{
-		"handheld":  n1,
-		"modemsite": n2,
-	})
+	s, err := newStand(c.wubbleu(level), remote, func(b *pia.SystemBuilder) { b.SetWorkers(c.Workers) })
 	if err != nil {
-		return Table1Row{}, err
+		return row, err
 	}
-	defer cl.Close()
+	defer s.sys.Close()
 	var reg *pia.MetricsRegistry
 	if c.CollectMetrics {
-		reg = cl.EnableMetrics(pia.NewMetricsRegistry())
+		reg = s.sys.EnableMetrics(pia.NewMetricsRegistry())
 		if c.OnMetrics != nil {
 			c.OnMetrics(reg)
 		}
 	}
-	if c.Timeline {
-		cl.EnableTimeline(0)
+	recs := map[string]*pia.TimelineRecorder{}
+	if c.Timeline && remote {
+		recs = s.cl.EnableTimeline(0)
+	} else if c.Timeline {
+		recs["main"] = s.sim.EnableTimeline(nil)
 	}
-	if c.OnCluster != nil {
-		c.OnCluster(cl)
+	wall, res, err := s.load()
+	if err != nil {
+		return row, fmt.Errorf("experiments: %s %s: %w", row.Location, level, err)
 	}
-	start := time.Now()
-	if err := cl.Run(horizon(cfg)); err != nil {
-		return Table1Row{}, err
-	}
-	wall := time.Since(start)
-	res := app.Result()
-	if res.Loads != cfg.Loads {
-		return Table1Row{}, fmt.Errorf("experiments: remote %s load incomplete (%d/%d)", level, res.Loads, cfg.Loads)
-	}
-	row := Table1Row{
-		Location: "remote", Level: levelName(level),
-		Wall: wall, Virt: res.LoadVirt[0], Drives: res.DMADrives,
-		Metrics: reg.Snapshot(),
-	}
-	for _, rec := range cl.Timelines() {
+	row.Wall, row.Virt, row.Drives = wall, res.LoadVirt[0], res.DMADrives
+	row.Metrics = reg.Snapshot()
+	for _, rec := range recs {
 		row.TimelineEvents += rec.Stats().Recorded
 	}
-	for _, n := range []*pia.Node{n1, n2} {
+	for _, n := range s.nodes {
 		ws := n.WireStats()
 		row.FramesOut += ws.FramesOut
 		row.WireBytesOut += ws.BytesOut

@@ -9,7 +9,6 @@ import (
 	"repro/internal/proto"
 	"repro/internal/timeline"
 	"repro/internal/vtime"
-	"repro/internal/wubbleu"
 )
 
 // ChaosTimelineResult is the outcome of the chaos-timeline scenario:
@@ -60,36 +59,17 @@ type ChaosTimelineResult struct {
 // pure functions of the seed, so the merged canonical export is
 // byte-identical run to run.
 func ChaosTimeline(c ChaosConfig) (ChaosTimelineResult, error) {
-	if !c.Faults.Enabled() {
-		c.Faults = DefaultChaosFaults(c.Seed)
-	}
-	if !c.Resilience.Enabled() {
-		c.Resilience = DefaultChaosResilience()
-	}
-	cfg := c.wubbleu(proto.LevelWord)
-	cfg.Loads = 2 // load 2 is a cache hit: it never leaves the handheld
-	b := pia.NewSystem("wubbleu-chaos")
-	app, err := wubbleu.Install(b, cfg, wubbleu.RemotePlacement())
+	// Load 2 is a cache hit: it never leaves the handheld.
+	s, err := c.withDefaults().faultyStand(2)
 	if err != nil {
 		return ChaosTimelineResult{}, err
 	}
-	b.SetDefaultChannel(pia.Conservative, pia.LoopbackLink)
-	b.SetFaults(c.Faults)
-	b.SetResilience(c.Resilience)
-	n1, n2 := pia.NewNode("handheld-node"), pia.NewNode("modem-node")
-	cl, err := b.BuildOnNodes(map[string]*pia.Node{
-		"handheld":  n1,
-		"modemsite": n2,
-	})
-	if err != nil {
-		return ChaosTimelineResult{}, err
-	}
-	defer cl.Close()
+	defer s.sys.Close()
 	// Ring large enough that nothing is evicted: determinism of the
 	// canonical bytes depends on the full committed history surviving.
-	cl.EnableTimeline(1 << 20)
+	s.cl.EnableTimeline(1 << 20)
 
-	end := horizon(cfg)
+	end := s.horizon()
 	// Find the inter-load boundary without knowing it a priori: step
 	// the horizon in fixed virtual increments until load 1 has
 	// rendered. The stopping step is determined only by the workload's
@@ -104,28 +84,25 @@ func ChaosTimeline(c ChaosConfig) (ChaosTimelineResult, error) {
 		if at > end {
 			return ChaosTimelineResult{}, fmt.Errorf("chaos-timeline: load 1 incomplete by horizon %v", end)
 		}
-		if err := cl.Run(at); err != nil {
+		if err := s.sys.Run(at); err != nil {
 			return ChaosTimelineResult{}, err
 		}
-		if app.Result().Loads >= 1 {
+		if s.app.Result().Loads >= 1 {
 			break
 		}
 	}
 	// Both schedulers are quiescent at the stepped horizon, so the
 	// capture lands at a virtual time determined only by the workload.
-	hh := cl.Subsystems["handheld"]
+	hh := s.cl.Subsystems["handheld"]
 	cs, err := hh.CaptureNow("scripted-rewind")
 	if err != nil {
 		return ChaosTimelineResult{}, err
 	}
-	if err := cl.Run(end); err != nil {
-		return ChaosTimelineResult{}, err
+	_, res, err := s.load()
+	if err != nil {
+		return ChaosTimelineResult{}, fmt.Errorf("chaos-timeline: %w", err)
 	}
 	wall := time.Since(start)
-	res := app.Result()
-	if res.Loads != cfg.Loads {
-		return ChaosTimelineResult{}, fmt.Errorf("chaos-timeline: load incomplete (%d/%d)", res.Loads, cfg.Loads)
-	}
 	if res.CacheHits == 0 {
 		// The all-arrows-complete guarantee depends on load 2 staying
 		// on the handheld; a cache miss would commit unmatched sends.
@@ -143,7 +120,7 @@ func ChaosTimeline(c ChaosConfig) (ChaosTimelineResult, error) {
 		Row: ChaosRow{Mode: "faulty+timeline", Wall: wall, Virt: res.LoadVirt[0], Drives: res.DMADrives},
 	}
 	batches := make([][]timeline.Event, 0, 2)
-	for _, rec := range cl.Timelines() {
+	for _, rec := range s.cl.Timelines() {
 		batches = append(batches, rec.Events())
 		out.Evicted += rec.Stats().Evicted
 	}
@@ -184,11 +161,5 @@ func TimelineOverhead(c Table1Config) (off, on Table1Row, err error) {
 		return off, on, err
 	}
 	off.Location, on.Location = "remote", "remote+timeline"
-	if on.Virt != off.Virt {
-		return off, on, fmt.Errorf("timeline-overhead: virtual time diverged: off %v, on %v", off.Virt, on.Virt)
-	}
-	if on.Drives != off.Drives {
-		return off, on, fmt.Errorf("timeline-overhead: link drives diverged: off %d, on %d", off.Drives, on.Drives)
-	}
-	return off, on, nil
+	return off, on, on.outcome().against(off.outcome(), "timeline-overhead: the recorded leg")
 }

@@ -62,10 +62,6 @@ type Config struct {
 	// HeartbeatMiss is how many silent heartbeat intervals kill the
 	// connection epoch (default 4).
 	HeartbeatMiss int
-	// PeerTimeout bounds how long a session may sit with no
-	// connection before it is declared lost; 0 means wait forever
-	// (the dialing side's retry budget still applies).
-	PeerTimeout time.Duration
 
 	// RetryBase is the first reconnect backoff (default 20ms); the
 	// delay doubles per attempt up to RetryCap (default 2s), with
@@ -74,12 +70,11 @@ type Config struct {
 	RetryCap  time.Duration
 	RetryMax  int
 
-	// RetentionFrames and RetentionBytes bound the unacked egress
-	// kept for resume replay (defaults 65536 frames, 32 MB). When an
-	// outage outlives the retention, the next resume negotiates a
-	// checkpoint rewind instead of a replay.
+	// RetentionFrames bounds the unacked egress kept for resume
+	// replay (default 65536 frames; retentionBytes bounds its size).
+	// When an outage outlives the retention, the next resume
+	// negotiates a checkpoint rewind instead of a replay.
 	RetentionFrames int
-	RetentionBytes  int
 
 	// HandshakeTimeout bounds one hello/ack exchange (default 5s).
 	HandshakeTimeout time.Duration
@@ -87,6 +82,10 @@ type Config struct {
 	// Seed drives backoff jitter.
 	Seed int64
 }
+
+// retentionBytes bounds the bytes of unacked egress a session keeps
+// for resume replay, beside Config.RetentionFrames.
+const retentionBytes = 32 << 20
 
 // Enabled reports whether the config was explicitly populated; an
 // all-zero config leaves the resilience layer off in the node stack.
@@ -111,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetentionFrames <= 0 {
 		c.RetentionFrames = 1 << 16
-	}
-	if c.RetentionBytes <= 0 {
-		c.RetentionBytes = 32 << 20
 	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
@@ -392,7 +388,7 @@ func (s *Session) retainLocked(seq uint64, env []byte) {
 	s.retention = append(s.retention, retFrame{seq: seq, env: env})
 	s.retBytes += len(env)
 	for (s.cfg.RetentionFrames > 0 && len(s.retention) > s.cfg.RetentionFrames) ||
-		(s.cfg.RetentionBytes > 0 && s.retBytes > s.cfg.RetentionBytes) {
+		s.retBytes > retentionBytes {
 		s.retBytes -= len(s.retention[0].env)
 		s.retention = s.retention[1:]
 	}
@@ -783,21 +779,14 @@ func (s *Session) clientHandshake(conn io.ReadWriteCloser) error {
 // startKeepalive launches the heartbeat/liveness goroutine when the
 // config asks for one.
 func (s *Session) startKeepalive() {
-	if s.cfg.Heartbeat <= 0 && s.cfg.PeerTimeout <= 0 {
+	if s.cfg.Heartbeat <= 0 {
 		return
 	}
 	go s.keepaliveLoop()
 }
 
 func (s *Session) keepaliveLoop() {
-	interval := s.cfg.Heartbeat
-	if interval <= 0 {
-		interval = s.cfg.PeerTimeout / 4
-	}
-	if interval <= 0 {
-		return
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(s.cfg.Heartbeat)
 	defer ticker.Stop()
 	for {
 		select {
@@ -813,13 +802,9 @@ func (s *Session) keepaliveLoop() {
 		stalled := time.Since(s.ackStall)
 		s.mu.Unlock()
 		if conn == nil {
-			if s.cfg.PeerTimeout > 0 && idle > s.cfg.PeerTimeout {
-				s.fail(fmt.Errorf("%w: no connection for %v", ErrSessionLost, idle.Round(time.Millisecond)))
-				return
-			}
 			continue
 		}
-		if s.cfg.Heartbeat > 0 && idle > s.cfg.Heartbeat*time.Duration(s.cfg.HeartbeatMiss) {
+		if idle > s.cfg.Heartbeat*time.Duration(s.cfg.HeartbeatMiss) {
 			s.epochDead(conn, fmt.Errorf("heartbeat: peer silent for %v", idle.Round(time.Millisecond)))
 			continue
 		}
@@ -827,28 +812,26 @@ func (s *Session) keepaliveLoop() {
 		// tail frame dropped by the network with no follow-up traffic
 		// to expose the gap) is recovered by killing the epoch — the
 		// resume handshake replays everything unacked.
-		if s.cfg.Heartbeat > 0 && unacked > 0 && stalled > s.cfg.Heartbeat*time.Duration(s.cfg.HeartbeatMiss) {
+		if unacked > 0 && stalled > s.cfg.Heartbeat*time.Duration(s.cfg.HeartbeatMiss) {
 			s.epochDead(conn, fmt.Errorf("ack stall: %d envelopes unacked for %v", unacked, stalled.Round(time.Millisecond)))
 			continue
 		}
-		if s.cfg.Heartbeat > 0 {
-			env := encodeHeartbeat(ack)
-			s.wmu.Lock()
-			s.mu.Lock()
-			cur := s.conn
-			s.mu.Unlock()
-			if cur == conn {
-				if _, err := conn.Write(env); err != nil {
-					s.wmu.Unlock()
-					s.epochDead(conn, fmt.Errorf("heartbeat write: %w", err))
-					continue
-				}
-				s.mu.Lock()
-				s.stats.HeartbeatsOut++
-				s.mu.Unlock()
+		env := encodeHeartbeat(ack)
+		s.wmu.Lock()
+		s.mu.Lock()
+		cur := s.conn
+		s.mu.Unlock()
+		if cur == conn {
+			if _, err := conn.Write(env); err != nil {
+				s.wmu.Unlock()
+				s.epochDead(conn, fmt.Errorf("heartbeat write: %w", err))
+				continue
 			}
-			s.wmu.Unlock()
+			s.mu.Lock()
+			s.stats.HeartbeatsOut++
+			s.mu.Unlock()
 		}
+		s.wmu.Unlock()
 	}
 }
 
