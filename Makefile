@@ -124,18 +124,25 @@ timeline:
 # generated by the server in one allocation, with its bytes pinned by
 # SHA-256; packets are
 # capacity-clipped views of the page, only the Last one a copy, so no
-# net's last value and no flushed egress slot pins a page; no stream a
+# net's last value and no egress queue pins a page; no stream a
 # peer sends makes an assembler hold more than its cap, nor a negative
 # length header pass as idle), the two-node
 # ping-pong in which the default egress
 # policy may hold no lone message, the buffered-ingress table (split
 # frames, bursts per read, oversized and hostile lengths, mid-frame errors,
 # session rewinds) and the pump's burst, frame-kind and corrupt-entry
-# rules, the run-shaped data path (a 64-word flush is one frame of at
-# most 10 bytes a word; a page burst with no grant coming back is one
-# unacked record), a TCP channel lost under a stalled run ending that
-# run with the loss, the codec microbenchmarks, the cross-node stress
-# tests under the race detector, and — its prerequisite — the fuzz smoke
+# rules (a frame at the byte cap reaches the endpoint in bursts of at
+# most maxBurst; a long frame with a corrupt end loses the connection
+# without a panic), the run-shaped data path (a 64-word frame is one
+# Write of at most 10 bytes a word with no allocation; a page burst with
+# no grant coming back is one unacked record and two frame-buffer
+# allocations; the byte cap cuts and bounds frames; the egress queue and
+# the pipe keep no value once it is sent or delivered; the decode
+# cursor's bursts alias no payload; a frame is written where it was
+# built), a TCP channel lost under a stalled run ending that run with
+# the loss, the codec microbenchmarks, the cross-node stress tests and
+# egress racing marks and flushes under the race detector, and — its
+# prerequisite — the fuzz smoke
 # pass. The peer vocabularies outside the batch codec are gated here
 # too: the node hello/helloAck and the hardware-server RPC round-trip,
 # refuse every hostile or pre-binary frame (a gob hello, a 2^62 length,
@@ -151,16 +158,16 @@ timeline:
 # action (TestSafeTimeModel), and fuzz-smoke drives the same walk from a
 # byte stream (FuzzSafeTime).
 wire: fuzz-smoke
-	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestFlushDropsPayloadReferences|TestSafeTimeModel' ./internal/channel/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestPageEgressTwoBufferAllocs|TestCoalesceByteCap|TestFlushDropsPayloadReferences|TestPipeDropsDeliveredValues|TestCursorBurstsDoNotAliasThePayload|TestSafeTimeModel' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestHello|TestConnectNamesAHandshakeFault|TestConnectUnknownSubsystem' ./internal/node/
 	$(GO) test -count=1 -run 'TestRPC|TestServerSurvivesProtocolError|TestRemoteRunForPastTheCap|TestRemoteCallNamesABadResponse|TestRemoteCallAllocs' ./internal/hwstub/
-	$(GO) test -count=1 -run 'TestSendBatchWord|TestPump|TestPingPong' ./internal/node/
-	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst' ./internal/wire/
+	$(GO) test -count=1 -run 'TestSendFrameWord|TestPump|TestPingPong' ./internal/node/
+	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst|TestWriteFrameInPlace' ./internal/wire/
 	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestPacedBurstIsOneSpan|TestRouteTableBounded' ./internal/event/
 	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestBrowserCachesPageAsReceived|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks|TestHardwareTransferBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass' ./internal/core/
 	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes' .
-	$(GO) test -race -count=1 -run 'TestBidirectionalStress' ./internal/channel/
+	$(GO) test -race -count=1 -run 'TestBidirectionalStress|TestConcurrentFlushesKeepSeqOrder' ./internal/channel/
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/node/ ./internal/signal/ ./internal/hwstub/
 	$(GO) test -run=^$$ -bench 'BenchmarkAppendBatch|BenchmarkDecodeBatchInto' -benchtime=1000x ./internal/channel/
 

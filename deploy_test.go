@@ -186,8 +186,8 @@ func TestLatchedErrorWithAllStalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta.Receive(epA.OnMessage)
-	tb.Receive(epB.OnMessage)
+	ta.Receive(epA.OnMessages)
+	tb.Receive(epB.OnMessages)
 	ta.Close() // from here every send of ssB's fails; ssA's still arrive
 
 	done := make(chan error, 1)

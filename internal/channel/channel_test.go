@@ -1,11 +1,15 @@
 package channel
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
+	"repro/internal/signal"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // sender emits Count values on "out", spaced Period apart.
@@ -358,30 +362,45 @@ func TestLinkModel(t *testing.T) {
 	}
 }
 
+// frameOf encodes msgs as one frame the way an endpoint builds it:
+// room for the transport's header, then the batch payload.
+func frameOf(t *testing.T, msgs []Message) []byte {
+	t.Helper()
+	frame, n, err := AppendBatch(make([]byte, wire.HeaderLen), msgs, 1<<20)
+	if err != nil || n != len(msgs) {
+		t.Fatalf("encoded %d of %d messages: %v", n, len(msgs), err)
+	}
+	wire.PutHeader(frame, wire.FrameBatch)
+	return frame
+}
+
 func TestPipeFIFO(t *testing.T) {
 	a, b := Pipe()
 	var got []uint64
 	var mu sync.Mutex
 	done := make(chan struct{})
-	b.Receive(func(m Message) {
+	b.Receive(func(burst *[]Message) {
 		mu.Lock()
-		got = append(got, m.Seq)
+		for _, m := range *burst {
+			got = append(got, m.Seq)
+		}
 		if len(got) == 100 {
 			close(done)
 		}
 		mu.Unlock()
 	})
-	// Batches of 1, 2, 3, ... messages: order holds within and across
-	// SendBatch calls.
+	// Frames of 1, 2, 3, ... messages: order holds within and across
+	// SendFrame calls.
 	for i, n := 1, 1; i <= 100; i, n = i+n, n+1 {
 		var batch []Message
 		for j := i; j < i+n && j <= 100; j++ {
 			batch = append(batch, Message{Seq: uint64(j)})
 		}
-		if err := a.SendBatch(batch); err != nil {
+		frame := frameOf(t, batch)
+		if err := a.SendFrame(frame); err != nil {
 			t.Fatal(err)
 		}
-		batch[0].Seq = 0 // the pipe must not alias the caller's slice
+		clear(frame) // the pipe must not alias the caller's frame
 	}
 	<-done
 	for i, s := range got {
@@ -390,8 +409,37 @@ func TestPipeFIFO(t *testing.T) {
 		}
 	}
 	b.Close()
-	if err := a.SendBatch([]Message{{}}); err != ErrPipeClosed {
+	if err := a.SendFrame(frameOf(t, []Message{{Seq: 101}})); err != ErrPipeClosed {
 		t.Fatalf("send after close = %v, want ErrPipeClosed", err)
+	}
+}
+
+// TestPipeDropsDeliveredValues: once a burst has been handed on and
+// its receiver has let go of a value in it, nothing of the pipe keeps
+// the value alive — as the queue's popped slots used to, holding a
+// delivered packet for as long as later sends reused the queue's array.
+func TestPipeDropsDeliveredValues(t *testing.T) {
+	a, b := Pipe()
+	delivered := make(chan weak.Pointer[byte], 1)
+	b.Receive(func(burst *[]Message) {
+		var held weak.Pointer[byte]
+		for _, m := range *burst {
+			if pkt, ok := m.Value.(signal.Packet); ok {
+				held = weak.Make(&pkt[0])
+			}
+		}
+		clear(*burst)
+		delivered <- held
+	})
+	// Larger than the decoder's slab items: the copy is its own object.
+	frame := frameOf(t, []Message{{Seq: 1, Value: signal.Packet(make([]byte, 16<<10))}, {Seq: 2, Value: signal.Word(1)}})
+	if err := a.SendFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	held := <-delivered
+	runtime.GC()
+	if held.Value() != nil {
+		t.Fatal("a delivered packet is still reachable once its receiver dropped it")
 	}
 }
 

@@ -3,43 +3,53 @@ package channel
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/signal"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
-// fakeBatchTr records what the endpoint hands the transport; the
-// tests assert how many messages each SendBatch carried.
-type fakeBatchTr struct {
-	mu      sync.Mutex
-	batches [][]Message
+// fakeFrameTr records what the endpoint hands the transport: each
+// frame decoded, and its size on the wire. The tests assert how many
+// messages each frame carried.
+type fakeFrameTr struct {
+	mu     sync.Mutex
+	dec    *BatchDecoder
+	frames [][]Message
+	sizes  []int
 }
 
-func (f *fakeBatchTr) SendBatch(msgs []Message) error {
-	cp := append([]Message(nil), msgs...)
+func (f *fakeFrameTr) SendFrame(frame []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.batches = append(f.batches, cp)
+	msgs, _, err := f.dec.DecodeBatchInto(frame[wire.HeaderLen:], nil)
+	if err != nil {
+		return err
+	}
+	f.frames = append(f.frames, msgs)
+	f.sizes = append(f.sizes, len(frame))
 	return nil
 }
 
-func (f *fakeBatchTr) Close() error { return nil }
+func (f *fakeFrameTr) Close() error { return nil }
 
-func (f *fakeBatchTr) snapshot() [][]Message {
+func (f *fakeFrameTr) snapshot() [][]Message {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([][]Message(nil), f.batches...)
+	return append([][]Message(nil), f.frames...)
 }
 
-func coalescingEndpoint(t *testing.T, cfg CoalesceConfig) (*Endpoint, *fakeBatchTr) {
+func coalescingEndpoint(t *testing.T, cfg CoalesceConfig) (*Endpoint, *fakeFrameTr) {
 	t.Helper()
 	sub := core.NewSubsystem("ss1")
 	h := NewHub(sub)
-	tr := &fakeBatchTr{}
+	tr := &fakeFrameTr{dec: NewBatchDecoder()}
 	// A small deterministic link (like the rest of the suite): drive(i)
 	// arrives at roughly i+6 with no queueing.
 	ep, err := h.NewEndpoint("peer", Conservative, LinkModel{Latency: 5, PerMessage: 1}, tr)
@@ -51,15 +61,20 @@ func coalescingEndpoint(t *testing.T, cfg CoalesceConfig) (*Endpoint, *fakeBatch
 }
 
 func drive(ep *Endpoint, i int) {
-	ep.egress("link", &core.Msg{Sent: vtime.Time(i), Value: signal.Word(uint32(i)), Source: "prod"})
+	ep.egress("link", "prod", vtime.Time(i), signal.Word(uint32(i)))
 }
 
+// wordFrame is the wire size of a frame of n drives from drive: a
+// 36-byte head — header room, count, run entry header with the names —
+// and six bytes a word, ΔTime and value.
+func wordFrame(n int) int { return 36 + 6*n }
+
 func TestEmptyFlushIsNoOp(t *testing.T) {
-	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxMsgs: 16})
+	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxBytes: 1 << 10})
 	ep.Flush()
 	ep.Flush()
-	if batches := tr.snapshot(); len(batches) != 0 {
-		t.Fatalf("empty flush sent %d batches", len(batches))
+	if frames := tr.snapshot(); len(frames) != 0 {
+		t.Fatalf("empty flush sent %d frames", len(frames))
 	}
 	if st := ep.Stats(); st.Flushes != 0 {
 		t.Fatalf("empty flushes counted: %d", st.Flushes)
@@ -68,39 +83,39 @@ func TestEmptyFlushIsNoOp(t *testing.T) {
 
 // TestFlushBeforeAsk is the safety property coalescing must not
 // break: a safe-time ask leaves immediately, and every data message
-// queued before it goes on the wire first (same batch, earlier
+// queued before it goes on the wire first (same frame, earlier
 // positions) so FIFO seq order holds at the receiver.
 func TestFlushBeforeAsk(t *testing.T) {
-	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxMsgs: 100, MaxBytes: 1 << 20})
+	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxBytes: 1 << 20})
 	for i := 0; i < 3; i++ {
 		drive(ep, i)
 	}
-	if batches := tr.snapshot(); len(batches) != 0 {
-		t.Fatalf("drives under budget flushed early: %d batches", len(batches))
+	if frames := tr.snapshot(); len(frames) != 0 {
+		t.Fatalf("drives under the cap flushed early: %d frames", len(frames))
 	}
 	if n := ep.PendingOut(); n != 3 {
 		t.Fatalf("pending %d, want 3", n)
 	}
 	ep.Request(1000)
-	batches := tr.snapshot()
-	if len(batches) != 1 {
-		t.Fatalf("want 1 batch, got %d", len(batches))
+	frames := tr.snapshot()
+	if len(frames) != 1 {
+		t.Fatalf("want 1 frame, got %d", len(frames))
 	}
-	b := batches[0]
+	b := frames[0]
 	if len(b) != 4 {
-		t.Fatalf("batch carries %d messages, want 4 (3 data + ask)", len(b))
+		t.Fatalf("frame carries %d messages, want 4 (3 data + ask)", len(b))
 	}
 	for i := 0; i < 3; i++ {
 		if b[i].Kind != KindData {
-			t.Fatalf("batch[%d] = %v, want data before the ask", i, b[i].Kind)
+			t.Fatalf("frame[%d] = %v, want data before the ask", i, b[i].Kind)
 		}
 	}
 	if b[3].Kind != KindSafeTimeReq || b[3].Ask != 1000 {
-		t.Fatalf("batch tail = %+v, want the ask", b[3])
+		t.Fatalf("frame tail = %+v, want the ask", b[3])
 	}
 	for i, m := range b {
 		if m.Seq != uint64(i+1) {
-			t.Fatalf("seq order broken in batch: %+v", b)
+			t.Fatalf("seq order broken in frame: %+v", b)
 		}
 	}
 	if n := ep.PendingOut(); n != 0 {
@@ -108,14 +123,25 @@ func TestFlushBeforeAsk(t *testing.T) {
 	}
 }
 
-func TestCoalesceCountBudget(t *testing.T) {
-	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxMsgs: 4})
-	for i := 0; i < 8; i++ {
+// TestCoalesceByteCapCutsFrames: the drive that would take the open
+// frame past the cap starts the next frame, and the full one flushes —
+// at a cap of four drives, nine drives leave as two frames of four, the
+// ninth waiting for the next protocol event.
+func TestCoalesceByteCapCutsFrames(t *testing.T) {
+	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxBytes: wordFrame(4)})
+	for i := 0; i < 9; i++ {
 		drive(ep, i)
 	}
-	batches := tr.snapshot()
-	if len(batches) != 2 || len(batches[0]) != 4 || len(batches[1]) != 4 {
-		t.Fatalf("count budget of 4 over 8 drives gave %d batches", len(batches))
+	if got := batchSizes(tr); !reflect.DeepEqual(got, []int{4, 4}) {
+		t.Fatalf("a cap of four drives over nine drives gave frames %v, want [4 4]", got)
+	}
+	for i, size := range tr.sizes {
+		if size != wordFrame(4) {
+			t.Fatalf("frame %d is %d bytes, want %d", i, size, wordFrame(4))
+		}
+	}
+	if n := ep.PendingOut(); n != 1 {
+		t.Fatalf("pending %d, want 1", n)
 	}
 	if st := ep.Stats(); st.Flushes != 2 || st.FlushedMsgs != 8 {
 		t.Fatalf("stats: %+v", st)
@@ -123,41 +149,86 @@ func TestCoalesceCountBudget(t *testing.T) {
 }
 
 func TestCoalesceByteBudget(t *testing.T) {
-	// Each Word is 4 payload bytes; an 8-byte budget trips on every
-	// second drive.
-	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxMsgs: 100, MaxBytes: 8})
+	// The cap counts wire bytes: room for two drives a frame.
+	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxBytes: wordFrame(2)})
 	for i := 0; i < 6; i++ {
 		drive(ep, i)
 	}
-	batches := tr.snapshot()
-	if len(batches) != 3 {
-		t.Fatalf("byte budget gave %d batches, want 3", len(batches))
+	ep.Flush()
+	if got := batchSizes(tr); !reflect.DeepEqual(got, []int{2, 2, 2}) {
+		t.Fatalf("byte cap gave frames %v, want [2 2 2]", got)
 	}
 }
 
-// TestFlushDropsPayloadReferences: once the transport has a batch, the
-// endpoint keeps nothing it carried. Both egress arrays — the one just
-// sent and the one queued next — hold only zero Messages up to their
-// capacity, so a flushed packet (a view of a whole page) is not pinned
-// by a spent slot until the array is next written; the transport still
-// got every payload intact.
+// TestCoalesceByteCapBoundsFrames: no frame passes the cap unless it
+// holds one message larger than the cap, whatever mix of sizes and
+// protocol messages fills it, and the frames carry every message in
+// seq order.
+func TestCoalesceByteCapBoundsFrames(t *testing.T) {
+	const limit = 300
+	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxBytes: limit})
+	for i := 0; i < 200; i++ {
+		var v any = signal.Word(uint32(i))
+		switch i % 7 {
+		case 3:
+			v = signal.Packet(make([]byte, i))
+		case 5:
+			v = signal.Frame{Seq: uint32(i), Payload: make([]byte, 2*i)}
+		}
+		ep.egress("link", "prod", vtime.Time(i), v)
+		if i%11 == 0 {
+			ep.Request(vtime.Time(1000 + i))
+		}
+	}
+	ep.Flush()
+	seq := uint64(0)
+	for i, f := range tr.snapshot() {
+		if tr.sizes[i] > limit && len(f) != 1 {
+			t.Fatalf("frame %d is %d bytes with %d messages, past the cap of %d", i, tr.sizes[i], len(f), limit)
+		}
+		for _, m := range f {
+			if seq++; m.Seq != seq {
+				t.Fatalf("seq order broken across frames: got %d, want %d", m.Seq, seq)
+			}
+		}
+	}
+	if st := ep.Stats(); st.FlushedMsgs != int64(seq) || seq != 200+19 {
+		t.Fatalf("frames carried %d messages, stats %+v", seq, st)
+	}
+}
+
+// TestFlushDropsPayloadReferences: the egress queue is wire bytes, so
+// once egress returns the endpoint keeps nothing of a drive's value —
+// a packet, a view of a whole page — even while its frame waits for a
+// flush; the transport still gets every payload intact.
 func TestFlushDropsPayloadReferences(t *testing.T) {
-	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxMsgs: 4})
+	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxBytes: 1 << 20})
 	page := make([]byte, 10<<10)
 	for i := range page {
 		page[i] = byte(i)
 	}
 	for i := 0; i < 10; i++ {
 		chunk := page[i<<10 : (i+1)<<10 : (i+1)<<10]
-		ep.egress("link", &core.Msg{Sent: vtime.Time(i), Value: signal.Frame{Seq: uint32(i), Payload: chunk}, Source: "prod"})
+		ep.egress("link", "prod", vtime.Time(i), signal.Frame{Seq: uint32(i), Payload: chunk})
 	}
-	ep.Request(1000) // the last two drives leave with the ask
+	if n := ep.PendingOut(); n != 10 {
+		t.Fatalf("pending %d, want all 10 drives queued", n)
+	}
+	held := weak.Make(&page[0])
+	page = nil
+	runtime.GC()
+	if held.Value() != nil {
+		t.Fatal("the egress queue still refers to the page its drives carried")
+	}
+	ep.Request(1000) // the drives leave with the ask
 	got := 0
 	for _, b := range tr.snapshot() {
 		for _, m := range b {
 			if f, ok := m.Value.(signal.Frame); ok {
-				if !bytes.Equal(f.Payload, page[f.Seq<<10:(f.Seq+1)<<10]) {
-					t.Fatalf("frame %d reached the transport changed", f.Seq)
+				for j, c := range f.Payload {
+					if c != byte(int(f.Seq)<<10+j) {
+						t.Fatalf("frame %d reached the transport changed", f.Seq)
+					}
 				}
 				got++
 			}
@@ -166,53 +237,91 @@ func TestFlushDropsPayloadReferences(t *testing.T) {
 	if got != 10 {
 		t.Fatalf("transport got %d frames, want 10", got)
 	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	for name, arr := range map[string][]Message{"pendingOut": ep.pendingOut, "spareOut": ep.spareOut} {
-		if cap(arr) == 0 {
-			t.Fatalf("%s never held a batch", name)
+}
+
+// nullTr is a transport that counts the frames it is handed and drops
+// them.
+type nullTr struct{ frames int }
+
+func (n *nullTr) SendFrame([]byte) error { n.frames++; return nil }
+func (n *nullTr) Close() error           { return nil }
+
+// TestPageEgressTwoBufferAllocs guards PR 32's failure mode, a queue
+// that grows in append's 1.25x steps: the egress of a whole page of
+// word drives — 16 897 of them, as in remote_word, with no grant in
+// between — costs the endpoint two frame-buffer allocations, the small
+// one its first drive takes and the one sized for the cap, plus the one
+// unacked run record TestPageBurstIsOneUnackedRun pins, and nothing per
+// drive or per frame. The buffer it keeps is the size it was given.
+func TestPageEgressTwoBufferAllocs(t *testing.T) {
+	const words = 16_897
+	var v any = signal.Word(0xdead) // boxed once: a drive's box is its sender's
+	var ep *Endpoint
+	var tr *nullTr
+	build := func() {
+		tr = &nullTr{}
+		var err error
+		ep, err = NewHub(core.NewSubsystem("ss1")).NewEndpoint("peer", Conservative, LinkModel{Latency: 5, PerMessage: 1}, tr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, m := range arr[:cap(arr)] {
-			if !reflect.ValueOf(m).IsZero() {
-				t.Fatalf("%s[%d] still holds %v after the flush", name, i, m)
+	}
+	egress := func(n int) func() {
+		return func() {
+			build()
+			for i := 0; i < n; i++ {
+				ep.egress("link", "prod", vtime.Time(3*i), v)
 			}
+			ep.Flush()
 		}
+	}
+	setup := testing.AllocsPerRun(5, build)
+	first := testing.AllocsPerRun(5, egress(1))
+	page := testing.AllocsPerRun(5, egress(words))
+	if first-setup > 2 || page-first > 1 {
+		t.Fatalf("the first drive costs the endpoint %.0f allocations, want 2 (its frame buffer, its run record), and the %d after it %.0f, want 1 (the buffer sized to the cap)", first-setup, words-1, page-first)
+	}
+	if min := words * 6 / frameCap; tr.frames < min || tr.frames > min+2 {
+		t.Fatalf("the page left in %d frames, want %d or a little more at the %d-byte cap", tr.frames, min, frameCap)
+	}
+	if c := cap(ep.out.buf); c != frameCap+frameSlack {
+		t.Fatalf("the frame buffer grew to %d bytes, want %d", c, frameCap+frameSlack)
 	}
 }
 
-// batchSizes returns how many messages each SendBatch carried.
-func batchSizes(tr *fakeBatchTr) []int {
-	batches := tr.snapshot()
-	sizes := make([]int, len(batches))
-	for i, b := range batches {
+// batchSizes returns how many messages each frame carried.
+func batchSizes(tr *fakeFrameTr) []int {
+	frames := tr.snapshot()
+	sizes := make([]int, len(frames))
+	for i, b := range frames {
 		sizes[i] = len(b)
 	}
 	return sizes
 }
 
-// TestDisableCoalescingFlushesAndReverts: coalescing decides when the
+// TestDisableCoalescingFlushesAndReverts: the cap decides when the
 // queue flushes, never which transport call carries it. Off, every
-// message is its own SendBatch of one; on, drives share a batch and
+// message is its own frame of one; on, drives share a frame and
 // precede the urgent message that flushed them; a disable drains the
-// queue as one last batch.
+// queue as one last frame.
 func TestDisableCoalescingFlushesAndReverts(t *testing.T) {
 	ep, tr := coalescingEndpoint(t, CoalesceConfig{})
 	drive(ep, 0)
 	drive(ep, 1)
 	ep.Request(1000)
 	if got := batchSizes(tr); !reflect.DeepEqual(got, []int{1, 1, 1}) {
-		t.Fatalf("uncoalesced messages per SendBatch = %v, want [1 1 1]", got)
+		t.Fatalf("uncoalesced messages per frame = %v, want [1 1 1]", got)
 	}
 
-	ep.SetCoalescing(CoalesceConfig{MaxMsgs: 100})
+	ep.SetCoalescing(CoalesceConfig{MaxBytes: 1 << 20})
 	drive(ep, 2)
 	drive(ep, 3)
 	ep.Request(2000)
 	if got := batchSizes(tr); !reflect.DeepEqual(got, []int{1, 1, 1, 3}) {
-		t.Fatalf("coalesced messages per SendBatch = %v, want [1 1 1 3]", got)
+		t.Fatalf("coalesced messages per frame = %v, want [1 1 1 3]", got)
 	}
-	batches := tr.snapshot()
-	last := batches[3]
+	frames := tr.snapshot()
+	last := frames[3]
 	if last[0].Kind != KindData || last[1].Kind != KindData || last[2].Kind != KindSafeTimeReq {
 		t.Fatalf("queued drives do not precede the urgent ask: %v", last)
 	}
@@ -222,14 +331,14 @@ func TestDisableCoalescingFlushesAndReverts(t *testing.T) {
 	ep.SetCoalescing(CoalesceConfig{}) // disable: must drain the queue
 	drive(ep, 6)
 	if got := batchSizes(tr); !reflect.DeepEqual(got, []int{1, 1, 1, 3, 2, 1}) {
-		t.Fatalf("messages per SendBatch across the disable = %v, want [1 1 1 3 2 1]", got)
+		t.Fatalf("messages per frame across the disable = %v, want [1 1 1 3 2 1]", got)
 	}
 	seq := uint64(0)
-	batches = tr.snapshot()
-	for _, b := range batches {
+	frames = tr.snapshot()
+	for _, b := range frames {
 		for _, m := range b {
 			if seq++; m.Seq != seq {
-				t.Fatalf("seq order broken across batches: got %d, want %d", m.Seq, seq)
+				t.Fatalf("seq order broken across frames: got %d, want %d", m.Seq, seq)
 			}
 		}
 	}
@@ -263,8 +372,8 @@ func runPipePair(t *testing.T, cfg *CoalesceConfig) (*receiver, Stats) {
 
 // TestCoalescedConservativeDelivery runs the same producer/consumer
 // pair over an in-process pipe flushing per message, with a small
-// explicit budget and with the policy an endpoint starts with. The
-// pipe carries whatever SendBatch hands it, so the coalesced runs
+// explicit cap and with the policy an endpoint starts with. The pipe
+// carries every frame SendFrame hands it, so the coalesced runs
 // really batch (fewer flushes than messages) — and deliver the same
 // drives at the same virtual times. (Batched delivery over real TCP is
 // covered in the node package tests.)
@@ -281,7 +390,7 @@ func TestCoalescedConservativeDelivery(t *testing.T) {
 	if offStats.Flushes != offStats.FlushedMsgs {
 		t.Fatalf("uncoalesced pipe batched: %+v", offStats)
 	}
-	for name, cfg := range map[string]*CoalesceConfig{"budget of 8": {MaxMsgs: 8}, "default": nil} {
+	for name, cfg := range map[string]*CoalesceConfig{"a cap of 64 bytes": {MaxBytes: 64}, "default": nil} {
 		on, onStats := runPipePair(t, cfg)
 		if !reflect.DeepEqual(on, off) {
 			t.Fatalf("%s: coalescing moved deliveries:\n off %+v\n on  %+v", name, off, on)
@@ -338,18 +447,21 @@ func TestDefaultCoalescingMovesNoDrive(t *testing.T) {
 	for i := range page {
 		page[i] = byte(i * 31)
 	}
-	run := func(level string, cfg *CoalesceConfig) (*pageReceiver, Stats) {
+	run := func(level string, cfg *CoalesceConfig) (*pageReceiver, Stats, int) {
 		rcv := &pageReceiver{}
 		s1, s2, h1, h2 := splitPair(t, Conservative, LinkModel{Latency: 5, PerMessage: 1}, &pageSender{Page: page, Level: level}, rcv)
 		override(cfg, h1, h2)
+		ep := h1.Endpoints()[0]
+		sizes := &largestFrame{Transport: ep.tr}
+		ep.tr = sizes
 		if e1, e2 := runBoth(s1, s2, vtime.Time(vtime.Second)); e1 != nil || e2 != nil {
 			t.Fatalf("%s runs: %v / %v", level, e1, e2)
 		}
-		return rcv, h1.Endpoints()[0].Stats()
+		return rcv, ep.Stats(), sizes.largest
 	}
 	for _, level := range []string{proto.LevelHardware, proto.LevelWord, proto.LevelPacket} {
-		ref, refStats := run(level, &CoalesceConfig{})
-		got, stats := run(level, nil)
+		ref, refStats, _ := run(level, &CoalesceConfig{})
+		got, stats, largest := run(level, nil)
 		drives := proto.Drives(len(page), level, proto.DefaultConfig)
 		if ref.Err != nil || !bytes.Equal(ref.Got, page) || len(ref.Times) != drives {
 			t.Fatalf("%s reference: err %v, %d bytes, %d drives (want %d)", level, ref.Err, len(ref.Got), len(ref.Times), drives)
@@ -360,12 +472,80 @@ func TestDefaultCoalescingMovesNoDrive(t *testing.T) {
 		if stats.DataOut != refStats.DataOut || refStats.Flushes != refStats.FlushedMsgs {
 			t.Fatalf("%s: data out %d vs %d, reference flushes %+v", level, stats.DataOut, refStats.DataOut, refStats)
 		}
-		// How often the stall flush and the safe-time asks cut a batch
+		// How often the stall flush and the safe-time asks cut a frame
 		// short depends on how the two schedulers interleave; that the
-		// default batches at all, and never past its count budget, does
-		// not.
-		if stats.Flushes >= stats.FlushedMsgs || stats.FlushedMsgs > stats.Flushes*int64(DefaultCoalesce.MaxMsgs) {
-			t.Fatalf("%s: default policy flushed %d messages in %d flushes", level, stats.FlushedMsgs, stats.Flushes)
+		// default batches at all, and never past its byte cap, does not.
+		if stats.Flushes >= stats.FlushedMsgs || largest > DefaultCoalesce.MaxBytes {
+			t.Fatalf("%s: default policy flushed %d messages in %d flushes, the largest frame %d bytes", level, stats.FlushedMsgs, stats.Flushes, largest)
 		}
+	}
+}
+
+// largestFrame passes frames on, noting the largest. Only the flushing
+// goroutine, under the endpoint's send lock, calls it.
+type largestFrame struct {
+	Transport
+	largest int
+}
+
+func (l *largestFrame) SendFrame(frame []byte) error {
+	l.largest = max(l.largest, len(frame))
+	return l.Transport.SendFrame(frame)
+}
+
+// TestConcurrentFlushesKeepSeqOrder: drives are encoded on the
+// scheduler's goroutine while other goroutines send marks and flush —
+// the snapshot agent and the hub do — so a frame may be on the wire
+// while the next is being built behind it in the same buffer, and the
+// buffer may grow under a flush in flight. Every message still arrives,
+// once, in seq order, and no frame passes the cap unless it holds one
+// message. Meant for -race.
+func TestConcurrentFlushesKeepSeqOrder(t *testing.T) {
+	const limit, drives = 700, 3000
+	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxBytes: limit})
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	marks := 0
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ep.SendMark("m")
+			marks++
+			ep.Flush()
+			_ = ep.PendingOut()
+		}
+	}()
+	for i := 0; i < drives; i++ {
+		var v any = signal.Word(uint32(i))
+		if i%50 == 7 {
+			v = signal.Packet(make([]byte, 100+i%1500)) // some past the cap
+		}
+		ep.egress("link", "prod", vtime.Time(i), v)
+	}
+	close(stop)
+	wg.Wait()
+	ep.Flush()
+	seq, data := uint64(0), 0
+	for i, f := range tr.snapshot() {
+		if tr.sizes[i] > limit && len(f) != 1 {
+			t.Fatalf("frame %d is %d bytes with %d messages, past the cap of %d", i, tr.sizes[i], len(f), limit)
+		}
+		for _, m := range f {
+			if seq++; m.Seq != seq {
+				t.Fatalf("seq order broken: got %d, want %d", m.Seq, seq)
+			}
+			if m.Kind == KindData {
+				data++
+			}
+		}
+	}
+	if data != drives || seq != uint64(drives+marks) {
+		t.Fatalf("got %d drives and %d messages, want %d and %d", data, seq, drives, drives+marks)
 	}
 }

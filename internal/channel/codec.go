@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/signal"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // Binary batch format.
@@ -80,8 +81,8 @@ const (
 // maxBatchMsgs bounds the messages of one batch frame. A run item can
 // be two wire bytes and decodes to a 128-byte Message, so without a
 // bound one hostile frame of wire.MaxFrame bytes would decode to
-// gigabytes; with it a frame decodes to at most 8 MB. AppendBatch ends
-// a frame here and DecodeBatchAppend rejects a frame that goes past.
+// gigabytes; with it a frame decodes to at most 8 MB. The frame builder
+// ends a frame here and the decoder rejects a frame that goes past.
 const maxBatchMsgs = 1 << 16
 
 const (
@@ -260,6 +261,9 @@ const entryLenWidth = 4
 
 const maxEntryLen = 1<<(7*entryLenWidth) - 1
 
+// countWidth is the fixed width of a frame's patchable entry count.
+const countWidth = 10
+
 // putFixedUvarint4 writes v as a 4-byte continuation-padded varint so
 // an entry length can be patched in place after the body is encoded.
 func putFixedUvarint4(dst []byte, v uint64) {
@@ -270,79 +274,286 @@ func putFixedUvarint4(dst []byte, v uint64) {
 	dst[entryLenWidth-1] = byte(v & 0x7f)
 }
 
-// appendEntry encodes one control message as a batch entry appended to
-// dst: encoding byte, fixed-width patchable length, body encoded in
-// place — there is no per-message intermediate slice. On an error dst
-// is returned as it came in.
-func appendEntry(dst []byte, m *Message) ([]byte, error) {
-	mark := len(dst)
-	dst = append(dst, encBinary, 0, 0, 0, 0)
-	body := len(dst)
-	dst, err := appendMessage(dst, m)
-	if err != nil {
-		return dst[:mark], err
+// putFixedUvarint writes v as a 10-byte varint (padded with
+// continuation zeros) so the count can be patched in place.
+func putFixedUvarint(dst []byte, v uint64) {
+	for i := 0; i < countWidth-1; i++ {
+		dst[i] = byte(v&0x7f) | 0x80
+		v >>= 7
 	}
-	if len(dst)-body > maxEntryLen {
-		return dst[:mark], fmt.Errorf("channel: batch entry of %d bytes exceeds limit", len(dst)-body)
-	}
-	putFixedUvarint4(dst[body-entryLenWidth:], uint64(len(dst)-body))
-	return dst, nil
+	dst[countWidth-1] = byte(v & 0x7f)
 }
 
-// sameRun reports whether m, the took-th message after first, extends
-// first's run: what the run header says once must hold for it, its Seq
-// must be Seq0+took without wrapping, and its Time must be expressible
-// as a non-negative delta from prev.
-func sameRun(first, m *Message, took int, prev vtime.Time) bool {
-	return m.Kind == KindData && m.Seq == first.Seq+uint64(took) && m.Seq > first.Seq &&
-		m.Ack == first.Ack && m.Time >= prev &&
-		m.From == first.From && m.Net == first.Net && m.Source == first.Source
+// frameBuilder is the batch encoder: it appends messages, in seq order,
+// to batch frame payloads it builds in place. A drive extends the open
+// run entry while sameRun holds and opens one of its own otherwise; a
+// control is an entry of its own. Each frame begins with room bytes for
+// the wire header and a count, both filled in when the frame is sealed,
+// so a sealed frame is written where it lies and nothing writes into it
+// again until it has been sent.
+//
+// A message that would take the open frame past limit bytes (its room
+// included) or past maxBatchMsgs messages does not fit: drive and
+// control then leave the builder as it was and say so, and the caller
+// seals the frame and adds the message to the next. The first message
+// of a frame always fits, whatever its size.
+//
+// buf holds, in order: the frames handed to the flush in flight
+// (buf[:busy]), sealed frames waiting for the next flush
+// (buf[busy:sealed]) and the open frame.
+type frameBuilder struct {
+	buf   []byte
+	room  int // bytes ahead of each frame's payload: 0, or wire.HeaderLen for the header
+	limit int // a frame's byte cap, room included; 0 is a message a frame
+	size  int // the capacity buf takes once its first runs short; 0: append grows it
+
+	busy    int // bytes at the front owned by the flush in flight
+	sealed  int // end of the sealed frames
+	waiting int // messages in the sealed frames not yet taken
+
+	frame   int // offset of the open frame, -1 when none
+	entries int // entries in the open frame
+	msgs    int // messages in the open frame
+	run     int // offset of the open frame's last entry while it is a run, else -1
+	head    runHead
 }
 
-// appendRun encodes the data message msgs[0] and every message after
-// it that extends its run as one run entry appended to dst, and
-// returns how many it took. The entry stops before it would pass room
-// bytes; took 0 with a nil error means not even the first item fits
-// (never when must is set: the first message of a frame is encoded
-// whatever its size). An error is msgs[0]'s — a later message that
-// cannot be encoded just ends the run, to fail the call it is first
-// in. Whenever took is 0, dst is returned as it came in.
-func appendRun(dst []byte, msgs []Message, room int, must bool) (out []byte, took int, err error) {
-	mark := len(dst)
-	first := &msgs[0]
-	if first.Time < 0 {
-		return dst, 0, fmt.Errorf("channel: cannot encode a data message at negative time %d", int64(first.Time))
+// runHead is what the open run entry's header says once for all its
+// items, and where the run has got to.
+type runHead struct {
+	seq0, next, ack   uint64 // next: the Seq the next item must carry
+	prev              vtime.Time
+	from, net, source string
+}
+
+// sameRun reports whether a drive extends the run r: what r's header
+// says once must hold for it, its Seq must be r's next without wrapping,
+// and its Time must be expressible as a non-negative delta from the
+// previous item's.
+func sameRun(r *runHead, seq, ack uint64, t vtime.Time, from, net, source string) bool {
+	return seq == r.next && seq > r.seq0 && ack == r.ack && t >= r.prev &&
+		from == r.from && net == r.net && source == r.source
+}
+
+const (
+	// firstFrameCap is the capacity a builder sized for frames takes
+	// first: a frame of protocol messages and a few drives.
+	firstFrameCap = 512
+	// frameSlack is what a builder sized for frames holds beyond its
+	// cap: a message found not to fit is encoded past the cap once, and
+	// after the cut its frame is built behind the sealed one, so neither
+	// makes append grow buf for a message up to about this size — a
+	// 1 KB packet and its run header.
+	frameSlack = 2 << 10
+)
+
+var zeroHead [16]byte // a frame's room and count before they are filled
+
+// reserve gives buf room for the next message without append's growth
+// when the builder is sized for frames: firstFrameCap at first, then
+// the full size in one step once less than half of that is left.
+func (b *frameBuilder) reserve() {
+	if b.size == 0 || cap(b.buf)-len(b.buf) >= firstFrameCap/2 || cap(b.buf) >= b.size {
+		return
 	}
-	dst = append(dst, encRun, 0, 0, 0, 0)
-	body := len(dst)
-	dst = appendUvarint(dst, first.Seq)
-	dst = appendUvarint(dst, first.Ack)
-	dst = appendString(dst, first.From)
-	dst = appendString(dst, first.Net)
-	dst = appendString(dst, first.Source)
-	prev := vtime.Time(0)
-	for took < len(msgs) {
-		m := &msgs[took]
-		if took > 0 && !sameRun(first, m, took, prev) {
-			break
-		}
-		item := len(dst)
-		dst = appendUvarint(dst, uint64(m.Time-prev))
-		if dst, err = appendValue(dst, m.Value); err == nil && len(dst)-body > maxEntryLen {
-			err = fmt.Errorf("channel: batch entry of %d bytes exceeds limit", len(dst)-body)
-		}
-		if err != nil || len(dst)-mark > room && !(must && took == 0) {
-			if took == 0 {
-				return dst[:mark], 0, err
+	n := b.size
+	if b.buf == nil {
+		n = firstFrameCap
+	}
+	buf := make([]byte, len(b.buf), n)
+	copy(buf, b.buf)
+	b.buf = buf
+}
+
+// open starts a frame unless one is open, and readies buf for the next
+// message.
+func (b *frameBuilder) open() {
+	b.reserve()
+	if b.frame >= 0 {
+		return
+	}
+	b.frame = len(b.buf)
+	b.buf = append(b.buf, zeroHead[:b.room+countWidth]...)
+	b.entries, b.msgs, b.run = 0, 0, -1
+}
+
+// closeRun patches the open run entry's length. buf must end where the
+// run does.
+func (b *frameBuilder) closeRun() {
+	if b.run >= 0 {
+		body := b.run + 1 + entryLenWidth
+		putFixedUvarint4(b.buf[b.run+1:body], uint64(len(b.buf)-body))
+		b.run = -1
+	}
+}
+
+// fits reports whether the message appended from mark leaves the open
+// frame within the cap, and takes it back out if not.
+func (b *frameBuilder) fits(mark int) bool {
+	if b.msgs == 0 || len(b.buf)-b.frame <= b.limit {
+		return true
+	}
+	b.buf = b.buf[:mark]
+	return false
+}
+
+// drive adds a data message: Seq seq and Ack ack from the subsystem
+// from, arriving at t on net, driven by source, carrying v. It reports
+// whether the message fit the open frame; on an error it is not added.
+func (b *frameBuilder) drive(seq, ack uint64, t vtime.Time, from, net, source string, v any) (bool, error) {
+	if t < 0 {
+		return false, fmt.Errorf("channel: cannot encode a data message at negative time %d", int64(t))
+	}
+	b.open()
+	if b.msgs >= maxBatchMsgs {
+		return false, nil
+	}
+	mark := len(b.buf)
+	if b.run >= 0 && sameRun(&b.head, seq, ack, t, from, net, source) {
+		b.buf = appendUvarint(b.buf, uint64(t-b.head.prev))
+		var err error
+		b.buf, err = appendValue(b.buf, v)
+		if err == nil && len(b.buf)-b.run-1-entryLenWidth <= maxEntryLen {
+			if !b.fits(mark) {
+				return false, nil
 			}
-			dst = dst[:item]
-			break
+			b.head.next++
+			b.head.prev = t
+			b.msgs++
+			return true, nil
 		}
-		prev = m.Time
-		took++
+		b.buf = b.buf[:mark]
+		if err != nil {
+			return false, err
+		}
+		// The run entry is as long as an entry may be: the drive opens
+		// the next one.
 	}
-	putFixedUvarint4(dst[body-entryLenWidth:], uint64(len(dst)-body))
-	return dst, took, nil
+	b.closeRun()
+	b.buf = append(b.buf, encRun, 0, 0, 0, 0)
+	body := len(b.buf)
+	b.buf = appendUvarint(b.buf, seq)
+	b.buf = appendUvarint(b.buf, ack)
+	b.buf = appendString(b.buf, from)
+	b.buf = appendString(b.buf, net)
+	b.buf = appendString(b.buf, source)
+	b.buf = appendUvarint(b.buf, uint64(t)) // the first item's ΔTime is from 0
+	var err error
+	if b.buf, err = appendValue(b.buf, v); err == nil && len(b.buf)-body > maxEntryLen {
+		err = fmt.Errorf("channel: batch entry of %d bytes exceeds limit", len(b.buf)-body)
+	}
+	if err != nil {
+		b.buf = b.buf[:mark]
+		return false, err
+	}
+	if !b.fits(mark) {
+		return false, nil
+	}
+	b.run = mark
+	b.head = runHead{seq0: seq, next: seq + 1, ack: ack, prev: t, from: from, net: net, source: source}
+	b.entries++
+	b.msgs++
+	return true, nil
+}
+
+// control adds a control message as an entry of its own: encoding
+// byte, fixed-width patchable length, body encoded in place. It reports
+// whether the message fit the open frame; on an error it is not added.
+func (b *frameBuilder) control(m *Message) (bool, error) {
+	b.open()
+	if b.msgs >= maxBatchMsgs {
+		return false, nil
+	}
+	mark := len(b.buf)
+	b.closeRun()
+	b.buf = append(b.buf, encBinary, 0, 0, 0, 0)
+	body := len(b.buf)
+	var err error
+	if b.buf, err = appendMessage(b.buf, m); err == nil && len(b.buf)-body > maxEntryLen {
+		err = fmt.Errorf("channel: batch entry of %d bytes exceeds limit", len(b.buf)-body)
+	}
+	if err != nil {
+		b.buf = b.buf[:mark]
+		return false, err
+	}
+	if !b.fits(mark) {
+		return false, nil
+	}
+	putFixedUvarint4(b.buf[body-entryLenWidth:body], uint64(len(b.buf)-body))
+	b.entries++
+	b.msgs++
+	return true, nil
+}
+
+// add adds m, a drive or a control; see drive and control.
+func (b *frameBuilder) add(m *Message) (bool, error) {
+	if m.Kind == KindData {
+		return b.drive(m.Seq, m.Ack, m.Time, m.From, m.Net, m.Source, m.Value)
+	}
+	return b.control(m)
+}
+
+// seal closes the open frame: the count is patched and the wire header,
+// when the frame has room for one, written. An open frame without a
+// message is taken back out.
+func (b *frameBuilder) seal() {
+	if b.frame < 0 {
+		return
+	}
+	if b.msgs == 0 {
+		b.buf = b.buf[:b.frame]
+	} else {
+		b.closeRun()
+		putFixedUvarint(b.buf[b.frame+b.room:], uint64(b.entries))
+		if b.room > 0 {
+			wire.PutHeader(b.buf[b.frame:], wire.FrameBatch)
+		}
+		b.sealed = len(b.buf)
+		b.waiting += b.msgs
+	}
+	b.frame = -1
+}
+
+// take hands the sealed frames to a flush, which owns them until done,
+// and says how many messages they carry. One flush at a time.
+func (b *frameBuilder) take() (frames []byte, msgs int) {
+	b.busy, msgs = b.sealed, b.waiting
+	b.waiting = 0
+	return b.buf[:b.busy], msgs
+}
+
+// done ends the flush: its frames are dropped and what was built
+// meanwhile moves to the front of buf.
+func (b *frameBuilder) done() {
+	n := b.busy
+	if n == 0 {
+		return
+	}
+	b.buf = b.buf[:copy(b.buf, b.buf[n:])]
+	b.busy = 0
+	b.sealed -= n
+	if b.frame >= 0 {
+		b.frame -= n
+	}
+	if b.run >= 0 {
+		b.run -= n
+	}
+}
+
+// reset drops every message not yet handed to a flush.
+func (b *frameBuilder) reset() {
+	b.buf = b.buf[:b.busy]
+	b.sealed, b.waiting = b.busy, 0
+	b.frame, b.run = -1, -1
+}
+
+// pending is how many messages wait for a flush.
+func (b *frameBuilder) pending() int {
+	n := b.waiting
+	if b.frame >= 0 {
+		n += b.msgs
+	}
+	return n
 }
 
 // AppendBatch encodes messages into a batch frame payload appended to
@@ -351,61 +562,27 @@ func appendRun(dst []byte, msgs []Message, room int, must bool) (out []byte, too
 // were consumed; at least one message is always encoded (a single
 // oversized message is a protocol error surfaced by the transport's
 // own frame limit, not silently truncated here). A data message whose
-// value has no codec (see RegisterValue) is an error.
+// value has no codec (see RegisterValue) is an error when it is first,
+// and otherwise ends the frame before it.
 //
-// Bodies are encoded directly into dst behind reserved fixed-width
-// length varints that are patched afterwards, so the encode path
-// performs no per-message allocation — callers that recycle dst (the
-// wire egress builder does) encode whole batches with zero
-// steady-state allocations.
+// It is the frame builder endpoints encode their egress with, run over
+// a slice: bodies are encoded directly into dst behind fixed-width
+// lengths patched afterwards, so a caller that recycles dst encodes
+// with zero steady-state allocations.
 func AppendBatch(dst []byte, msgs []Message, limit int) ([]byte, int, error) {
-	if len(msgs) == 0 {
-		return dst, 0, nil
-	}
-	if len(msgs) > maxBatchMsgs {
-		msgs = msgs[:maxBatchMsgs]
-	}
-	base := len(dst)
-	// Reserve a maximal uvarint for the count and patch it afterwards:
-	// re-encoding with the real count would shift the entries.
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-	entries := len(dst)
-	count, n := 0, 0
-	for n < len(msgs) {
-		mark := len(dst)
-		took := 1
-		var err error
-		if msgs[n].Kind == KindData {
-			dst, took, err = appendRun(dst, msgs[n:], limit-(mark-base), n == 0)
-		} else {
-			dst, err = appendEntry(dst, &msgs[n])
-			if err == nil && n > 0 && len(dst)-base > limit {
-				dst, took = dst[:mark], 0 // does not fit: leave for the next frame
-			}
-		}
+	b := frameBuilder{buf: dst, limit: limit, frame: -1, run: -1}
+	n := 0
+	for ; n < len(msgs); n++ {
+		fit, err := b.add(&msgs[n])
 		if err != nil && n == 0 {
-			return dst[:base], 0, err
+			return dst, 0, err
 		}
-		if err != nil || took == 0 {
+		if err != nil || !fit {
 			break // ship what fits; the rest — a bad message first — is the next call's
 		}
-		n += took
-		count++
 	}
-	// Patch the entry count into the reserved bytes as a fixed-width
-	// uvarint (10 bytes, high-bit continuation on the first nine).
-	putFixedUvarint(dst[base:entries], uint64(count))
-	return dst, n, nil
-}
-
-// putFixedUvarint writes v as a 10-byte varint (padded with
-// continuation zeros) so the count can be patched in place.
-func putFixedUvarint(dst []byte, v uint64) {
-	for i := 0; i < 9; i++ {
-		dst[i] = byte(v&0x7f) | 0x80
-		v >>= 7
-	}
-	dst[9] = byte(v & 0x7f)
+	b.seal()
+	return b.buf, n, nil
 }
 
 // BatchDecoder decodes batch frame payloads. It interns the small
@@ -417,12 +594,33 @@ func putFixedUvarint(dst []byte, v uint64) {
 // way: one 1 KB chunk per signal.WordChunk words >= 256, one 1 152 B
 // chunk per signal.FrameChunk frames that are not Last, one 3 KB chunk
 // per signal.BusCycleChunk bus cycles.
+//
+// It is also a cursor over one frame: Start points it at a payload and
+// Next decodes the payload's messages in bursts of any length, resuming
+// inside a run entry where the last burst stopped, so a reader hands on
+// bounded bursts however large the frame. The cursor borrows the
+// payload until Next reports the frame done; the messages it decodes
+// never alias it.
 type BatchDecoder struct {
 	names  map[string]string
 	slab   []byte
 	words  signal.WordBoxes
 	frames signal.FrameBoxes
 	cycles signal.BusCycleBoxes
+
+	// The frame Start was given: frame.pos is at the next entry, items
+	// at the open run entry's next item (empty when none is open).
+	frame  reader
+	items  reader
+	left   uint64 // entries not yet begun
+	n      int    // messages decoded from the frame
+	closed bool   // a KindClose was among them
+	err    error  // what ended the frame early, until the next Start
+
+	// The open run entry's header: item i carries Seq seq0+i.
+	seq0, seq, ack    uint64
+	t                 uint64 // the last item's Time
+	from, net, source string
 }
 
 const (
@@ -701,62 +899,139 @@ func (d *BatchDecoder) message(body []byte, m *Message) error {
 	return nil
 }
 
-// run decodes a run entry body, appending one Message per item to buf.
-// The three names are interned once for the whole run. stop is the
-// length buf may not pass (the frame's maxBatchMsgs).
-func (d *BatchDecoder) run(body []byte, buf []Message, stop int) ([]Message, error) {
+var errBatchTooLong = fmt.Errorf("channel: batch of more than %d messages", maxBatchMsgs)
+
+// Start points the cursor at a batch frame payload, dropping whatever
+// is left of the previous one.
+func (d *BatchDecoder) Start(payload []byte) {
+	d.frame, d.items = reader{buf: payload}, reader{}
+	d.n, d.closed = 0, false
+	d.left, d.err = d.frame.uvarint()
+}
+
+// Closed reports whether the frame Start was given carried a KindClose
+// among the messages decoded from it so far.
+func (d *BatchDecoder) Closed() bool { return d.closed }
+
+// Next appends the frame's next messages to buf — each is filled in
+// where it lies — until buf holds limit messages or the frame is done,
+// and reports whether it is done. An error is the frame's end: Next
+// takes back out what it appended of the entry that failed, so the
+// messages it returns are whole entries and the leading items of the run
+// entry an earlier call stopped in. The encoding byte of an entry is
+// checked before its body is looked at.
+func (d *BatchDecoder) Next(buf []Message, limit int) (_ []Message, done bool, err error) {
+	keep := len(buf) // where the entry being decoded starts, within this call
+	for d.err == nil && len(buf) < limit {
+		if d.items.pos < len(d.items.buf) {
+			buf, d.err = d.runItems(buf, limit)
+			continue
+		}
+		if d.left == 0 {
+			break
+		}
+		d.left--
+		keep = len(buf)
+		buf, d.err = d.entry(buf)
+	}
+	if d.err != nil {
+		clear(buf[keep:])
+		buf = buf[:keep]
+	} else if d.left > 0 || d.items.pos < len(d.items.buf) {
+		return buf, false, nil
+	}
+	d.frame, d.items, d.left = reader{}, reader{}, 0 // the payload is the caller's again
+	return buf, true, d.err
+}
+
+// entry begins the frame's next entry: a control message is decoded
+// onto buf, a run entry's header is read and its items left to runItems.
+func (d *BatchDecoder) entry(buf []Message) ([]Message, error) {
+	r := &d.frame
+	enc, err := r.byte1()
+	if err != nil {
+		return buf, err
+	}
+	if enc != encBinary && enc != encRun {
+		return buf, fmt.Errorf("channel: unknown batch encoding %d", enc)
+	}
+	body, err := r.lenBytes()
+	if err != nil {
+		return buf, err
+	}
+	if enc == encRun {
+		return buf, d.runHeader(body)
+	}
+	if d.n >= maxBatchMsgs {
+		return buf, errBatchTooLong
+	}
+	var m *Message
+	buf, m = grow(buf)
+	if err := d.message(body, m); err != nil {
+		return buf, err
+	}
+	d.n++
+	d.closed = d.closed || m.Kind == KindClose
+	return buf, nil
+}
+
+// runHeader reads a run entry's header and opens its items. The three
+// names are interned once for the whole run.
+func (d *BatchDecoder) runHeader(body []byte) (err error) {
 	r := &reader{buf: body}
-	seq0, err := r.uvarint()
-	if err != nil {
-		return buf, err
+	if d.seq0, err = r.uvarint(); err != nil {
+		return err
 	}
-	ack, err := r.uvarint()
-	if err != nil {
-		return buf, err
+	if d.ack, err = r.uvarint(); err != nil {
+		return err
 	}
-	from, err := d.str(r)
-	if err != nil {
-		return buf, err
+	if d.from, err = d.str(r); err != nil {
+		return err
 	}
-	net, err := d.str(r)
-	if err != nil {
-		return buf, err
+	if d.net, err = d.str(r); err != nil {
+		return err
 	}
-	source, err := d.str(r)
-	if err != nil {
-		return buf, err
+	if d.source, err = d.str(r); err != nil {
+		return err
 	}
 	if r.pos == len(r.buf) {
-		return buf, fmt.Errorf("channel: empty run in batch")
+		return fmt.Errorf("channel: empty run in batch")
 	}
-	t := uint64(0)
-	for seq := seq0; r.pos < len(r.buf); seq++ {
-		if seq < seq0 {
-			return buf, fmt.Errorf("channel: run from seq %d wraps", seq0)
+	d.seq, d.t, d.items = d.seq0, 0, *r
+	return nil
+}
+
+// runItems decodes the open run's items onto buf until the run ends or
+// buf holds limit messages.
+func (d *BatchDecoder) runItems(buf []Message, limit int) ([]Message, error) {
+	r := &d.items
+	for r.pos < len(r.buf) && len(buf) < limit {
+		if d.seq < d.seq0 {
+			return buf, fmt.Errorf("channel: run from seq %d wraps", d.seq0)
 		}
-		if len(buf) >= stop {
+		if d.n >= maxBatchMsgs {
 			return buf, errBatchTooLong
 		}
 		delta, err := r.uvarint()
 		if err != nil {
 			return buf, err
 		}
-		if delta > math.MaxInt64-t {
-			return buf, fmt.Errorf("channel: run time overflows (%d + %d)", t, delta)
+		if delta > math.MaxInt64-d.t {
+			return buf, fmt.Errorf("channel: run time overflows (%d + %d)", d.t, delta)
 		}
-		t += delta
+		d.t += delta
 		var m *Message
 		buf, m = grow(buf)
-		m.Kind, m.From, m.Seq, m.Ack = KindData, from, seq, ack
-		m.Net, m.Source, m.Time = net, source, vtime.Time(t)
+		m.Kind, m.From, m.Seq, m.Ack = KindData, d.from, d.seq, d.ack
+		m.Net, m.Source, m.Time = d.net, d.source, vtime.Time(d.t)
 		if m.Value, err = d.value(r); err != nil {
 			return buf, err
 		}
+		d.seq++
+		d.n++
 	}
 	return buf, nil
 }
-
-var errBatchTooLong = fmt.Errorf("channel: batch of more than %d messages", maxBatchMsgs)
 
 // DecodeBatchInto decodes a batch frame payload into buf[:0] and
 // returns it; see DecodeBatchAppend. Passing the returned slice back
@@ -765,49 +1040,16 @@ func (d *BatchDecoder) DecodeBatchInto(payload []byte, buf []Message) (msgs []Me
 	return d.DecodeBatchAppend(payload, buf[:0])
 }
 
-// DecodeBatchAppend decodes a batch frame payload, appending every
-// message to buf — each is filled in where it lies — and reports
-// whether a KindClose was seen (the connection pump's signal to stop
-// reading). Message fields are slices of decoder-owned memory (interned
-// names, slab payload copies) — never of the frame payload itself — so
-// the caller may reuse the receive buffer immediately while the decoded
-// batch travels on. On an error the messages of the whole entries
-// decoded before it are still returned. The encoding byte of an entry
-// is checked before its body is looked at.
+// DecodeBatchAppend decodes a whole batch frame payload, appending
+// every message to buf, and reports whether a KindClose was seen (the
+// connection pump's signal to stop reading): the cursor run over the
+// frame in one burst. Message fields are slices of decoder-owned memory
+// (interned names, slab payload copies) — never of the frame payload
+// itself — so the caller may reuse the receive buffer immediately while
+// the decoded batch travels on. On an error the messages of the whole
+// entries decoded before it are still returned.
 func (d *BatchDecoder) DecodeBatchAppend(payload []byte, buf []Message) (msgs []Message, closed bool, err error) {
-	r := &reader{buf: payload}
-	count, err := r.uvarint()
-	if err != nil {
-		return buf, false, err
-	}
-	stop := len(buf) + maxBatchMsgs
-	for i := uint64(0); i < count; i++ {
-		whole := len(buf)
-		enc, err := r.byte1()
-		if err != nil {
-			return buf, closed, err
-		}
-		if enc != encBinary && enc != encRun {
-			return buf, closed, fmt.Errorf("channel: unknown batch encoding %d", enc)
-		}
-		body, err := r.lenBytes()
-		if err != nil {
-			return buf, closed, err
-		}
-		if enc == encRun {
-			buf, err = d.run(body, buf, stop)
-		} else if whole >= stop {
-			err = errBatchTooLong
-		} else {
-			var m *Message
-			buf, m = grow(buf)
-			if err = d.message(body, m); err == nil && m.Kind == KindClose {
-				closed = true
-			}
-		}
-		if err != nil {
-			return buf[:whole], closed, err
-		}
-	}
-	return buf, closed, nil
+	d.Start(payload)
+	msgs, _, err = d.Next(buf, math.MaxInt)
+	return msgs, d.closed, err
 }

@@ -256,10 +256,11 @@ func runOf(seq0 uint64, items ...[]byte) []byte {
 // before it are returned, the corrupt run's own leading items are not.
 func TestCorruptRunKeepsEarlierWholeEntries(t *testing.T) {
 	ask := Message{Kind: KindSafeTimeReq, From: "ss1", Seq: 1, Ask: 9}
-	good, err := appendEntry(nil, &ask)
+	payload, _, err := AppendBatch(nil, []Message{ask}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	good := payload[countWidth:] // the ask's entry, without the frame's count
 	nilItems := make([][]byte, maxBatchMsgs)
 	for i := range nilItems {
 		nilItems[i] = []byte{0, valNil}
@@ -440,5 +441,63 @@ func TestRegisterValueDuplicatePanics(t *testing.T) {
 	// Neither failed registration left anything behind.
 	if _, err := appendValue(nil, unregisteredVal{}); err == nil {
 		t.Fatal("a refused registration still took effect")
+	}
+}
+
+// TestCursorBurstsDoNotAliasThePayload: the cursor borrows the frame's
+// payload, and nothing it hands on may. A frame of words, packets and
+// frames is decoded in bursts; after each hand-off the bytes the cursor
+// has moved past are overwritten with a poison byte, and after the last
+// the whole payload is. Every delivered message must still equal the
+// one encoded — and the bursts after a poisoning must decode as if
+// nothing had happened, so the cursor never reads back.
+func TestCursorBurstsDoNotAliasThePayload(t *testing.T) {
+	const poison = 0xa5
+	var msgs []Message
+	seq := uint64(0)
+	for i := 0; i < 700; i++ {
+		seq++
+		m := Message{Kind: KindData, From: "modemsite", Seq: seq, Ack: uint64(i / 50), Net: "dma", Source: "asic", Time: vtime.Time(1000 + 10*i)}
+		switch i % 5 {
+		case 1:
+			m.Value = signal.Packet(bytes.Repeat([]byte{byte(i)}, 1+i%9*(i%3)*700)) // up to 5.6 KB: slab and own copies
+		case 3:
+			m.Value = signal.Frame{Src: "a", Dst: "b", Seq: uint32(i), Payload: bytes.Repeat([]byte{byte(i >> 1)}, 1+i%64), Last: i%2 == 0}
+		default:
+			m.Value = signal.Word(0xbeef0000 + uint32(i)) // past 255: chunk boxes
+		}
+		msgs = append(msgs, m)
+		if i%97 == 0 {
+			seq++
+			msgs = append(msgs, Message{Kind: KindSafeTimeReq, From: "modemsite", Seq: seq, Ack: uint64(i / 50), Ask: vtime.Time(i)})
+		}
+	}
+	payload, n, err := AppendBatch(nil, msgs, 1<<30)
+	if err != nil || n != len(msgs) {
+		t.Fatalf("encoded %d of %d: %v", n, len(msgs), err)
+	}
+	for _, size := range []int{1, 7, 256} {
+		p := append([]byte(nil), payload...)
+		dec := NewBatchDecoder()
+		dec.Start(p)
+		var got []Message
+		for done := false; !done; {
+			var burst []Message
+			if burst, done, err = dec.Next(make([]Message, 0, size), size); err != nil {
+				t.Fatalf("bursts of %d: %v", size, err)
+			}
+			got = append(got, burst...)
+			read := dec.frame.pos // what the cursor has moved past
+			if dec.items.pos < len(dec.items.buf) {
+				read = cap(p) - cap(dec.items.buf) + dec.items.pos
+			}
+			for i := range p[:read] {
+				p[i] = poison
+			}
+		}
+		for i := range p {
+			p[i] = poison
+		}
+		mustEqualMessages(t, got, msgs)
 	}
 }

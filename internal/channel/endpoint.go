@@ -10,6 +10,7 @@ import (
 	"repro/internal/signal"
 	"repro/internal/timeline"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // Policy selects how a channel trades parallelism against restores.
@@ -43,32 +44,36 @@ type Stats struct {
 	FlushedMsgs         int64 // messages carried by those flushes
 }
 
-// CoalesceConfig sizes egress message coalescing. Data drives
-// accumulate in the endpoint's egress queue until one of the budgets
-// trips; urgent messages (safe-time asks and grants, marks, restores,
-// close) always flush immediately, with any queued drives preceding
-// them in the same batch so FIFO order is preserved. Nothing bounds
-// how long a drive may be held in virtual time, and nothing needs to:
-// timestamps are stamped at egress and every scheduler stall and
-// horizon departure flushes, so holding moves wall-clock delivery only.
+// CoalesceConfig sizes the frames an endpoint's egress is written
+// into. Drives are encoded into the open frame as they are sent; the
+// frame goes on the wire at the next protocol event — a safe-time ask
+// or grant, a scheduler stall, a horizon departure, a mark, a restore,
+// the close — with the message that caused it last, so FIFO order is
+// the frame's order, or when the next message would take it past the
+// byte cap. Nothing bounds how long a drive may be held in virtual
+// time, and nothing needs to: timestamps are stamped at egress and
+// every stall and departure flushes, so holding moves wall-clock
+// delivery only.
 type CoalesceConfig struct {
-	// MaxMsgs flushes once this many messages are queued. Values
-	// below 2 disable coalescing: every message is its own flush.
-	MaxMsgs int
-	// MaxBytes flushes once the queued payload bytes (signal sizes,
-	// not wire encoding) reach this budget. 0 means no byte budget.
+	// MaxBytes caps a frame in wire bytes, its header included: a
+	// message that would take the open frame past it starts the next
+	// one, and the full frame is flushed. A frame holding one message
+	// larger than the cap is the only one past it. 0 flushes every
+	// message as a frame of its own, the reference the tests compare
+	// against.
 	MaxBytes int
 }
 
-// Enabled reports whether the config actually coalesces.
-func (c CoalesceConfig) Enabled() bool { return c.MaxMsgs > 1 }
+// frameCap is the byte cap every endpoint starts with: a frame the
+// peer's receive buffer (wire.RecvBufSize) holds whole, so it is read
+// in one piece — and a page of word drives costs a frame per 32 KB, not
+// per message count.
+const frameCap = wire.RecvBufSize
 
-// DefaultCoalesce is the policy every endpoint starts with: batches
-// big enough to amortize framing over a burst of word drives, small
-// enough that a page of packets still streams. SetCoalescing overrides
-// it; the zero CoalesceConfig is the flush-per-message reference the
-// tests compare against.
-var DefaultCoalesce = CoalesceConfig{MaxMsgs: 64, MaxBytes: 32 << 10}
+// DefaultCoalesce is the policy every endpoint starts with: frames at
+// frameCap. SetCoalescing overrides it; the zero CoalesceConfig is the
+// flush-per-message reference the tests compare against.
+var DefaultCoalesce = CoalesceConfig{MaxBytes: frameCap}
 
 // Hub manages all channel endpoints of one subsystem. It chains into
 // the subsystem's publish hook so grants are computed and pushed on
@@ -225,9 +230,9 @@ func (h *Hub) NewEndpoint(peer string, policy Policy, link LinkModel, tr Transpo
 			conservative: policy == Conservative,
 			link:         link,
 		},
-
-		coalesce: DefaultCoalesce,
+		out: frameBuilder{room: wire.HeaderLen, frame: -1, run: -1},
 	}
+	ep.out.limit, ep.out.size = frameSizing(DefaultCoalesce)
 	h.mu.Lock()
 	ep.tl = h.tl
 	h.eps = append(h.eps[:len(h.eps):len(h.eps)], ep) // a new slice: see eps
@@ -306,8 +311,8 @@ func (h *Hub) Close() error {
 //
 // The safe-time protocol is st; everything else is what the endpoint
 // performs for it. Every action takes the one shape: lock mu, call st,
-// fill the egress slot for the message it returns, unlock, and only
-// then perform — the timeline record, the flush, the drive, the
+// encode the message it returns into the egress frame, unlock, and
+// only then perform — the timeline record, the flush, the drive, the
 // handler, the stop.
 type Endpoint struct {
 	sub    *core.Subsystem
@@ -331,17 +336,13 @@ type Endpoint struct {
 	// and rebinding on another endpoint under the new placement epoch.
 	binds map[string]string
 
-	// Egress queue. Messages are appended to pendingOut under ep.mu as
-	// slotLocked fills them, so the queue is the seq order; flush extracts the
-	// whole queue and hands it to the transport under sendMu, which
-	// serializes flushes and keeps batches in order. coalesce decides
-	// only when the queue flushes: once a budget trips, or — the zero
-	// config — after every message.
-	coalesce     CoalesceConfig
-	pendingOut   []Message
-	spareOut     []Message // previous batch's backing array, reused
-	pendingBytes int
-
+	// Egress queue: the wire bytes of the frames leaving next. Each
+	// message is encoded into out under ep.mu as it is stamped, so the
+	// queue is the seq order and holds no message and no value, only
+	// bytes. A flush takes the sealed frames and hands them to the
+	// transport under sendMu, which serializes flushes and keeps frames
+	// in order; messages encoded meanwhile go behind them.
+	out    frameBuilder
 	sendMu sync.Mutex // serializes flushes; never taken under ep.mu
 
 	// inNet is the net the last ingress drive went to, so a run of
@@ -358,10 +359,11 @@ type Endpoint struct {
 }
 
 // do is the one shape of every protocol send: under ep.mu it lets the
-// protocol decide and fills the egress slot for the message decided on
-// (a mark or restore carries tag); then, unlocked, it records the
-// message on the timeline and flushes the queue onto the wire. It
-// reports whether a message was queued.
+// protocol decide and encodes the message decided on (a mark or restore
+// carries tag) into the egress frame; then, unlocked, it records the
+// message on the timeline and flushes the frame onto the wire, the
+// drives encoded ahead of the message in it. It reports whether a
+// message was queued.
 func (ep *Endpoint) do(decide func(*safeTime) out, tag string) bool {
 	ep.mu.Lock()
 	o := decide(&ep.st)
@@ -369,9 +371,20 @@ func (ep *Endpoint) do(decide func(*safeTime) out, tag string) bool {
 		ep.mu.Unlock()
 		return false
 	}
-	ep.slotLocked(o).Tag = tag
+	var m Message
+	m.stamp(o, ep.local)
+	m.Tag = tag
+	fit, err := ep.out.control(&m)
+	if err == nil && !fit {
+		ep.out.seal()
+		_, err = ep.out.control(&m)
+	}
 	tl := ep.tl
 	ep.mu.Unlock()
+	if err != nil {
+		ep.fail(err)
+		return true
+	}
 	switch o.kind {
 	case KindSafeTimeReq:
 		tl.Ask(ep.local, ep.peer, o.t)
@@ -380,18 +393,6 @@ func (ep *Endpoint) do(decide func(*safeTime) out, tag string) bool {
 	}
 	ep.Flush()
 	return true
-}
-
-// slotLocked extends the egress queue by one message, stamped with o,
-// and returns it for the caller to fill in where it lies: no Message is
-// built elsewhere and copied in, and queue order is seq order. A control
-// kind is urgent — its caller flushes after releasing ep.mu, and the
-// drives queued ahead of it leave in the same batch. Caller holds ep.mu.
-func (ep *Endpoint) slotLocked(o out) *Message {
-	ep.pendingOut = append(ep.pendingOut, Message{})
-	m := &ep.pendingOut[len(ep.pendingOut)-1]
-	m.stamp(o, ep.local)
-	return m
 }
 
 // SentCount returns how many messages this endpoint has emitted.
@@ -462,8 +463,8 @@ func (ep *Endpoint) Request(t vtime.Time) {
 // forwarded to the peer's fragment named remoteNet.
 func (ep *Endpoint) BindNet(localNet *core.Net, remoteNet string) error {
 	name := graph.HiddenPortName(localNet.Name, ep.peer)
-	_, err := ep.sub.AttachHidden(localNet, name, ep.Name(), func(m core.Msg) {
-		ep.egress(remoteNet, &m)
+	_, err := ep.sub.AttachHidden(localNet, name, ep.Name(), func(src string, sent vtime.Time, v any) {
+		ep.egress(remoteNet, src, sent, v)
 	})
 	if err != nil {
 		return err
@@ -498,29 +499,52 @@ func (ep *Endpoint) UnbindNet(localNet *core.Net) error {
 	return nil
 }
 
-// egress forwards a local net drive across the channel: do's shape,
-// with the flush left to the coalescing budgets.
-func (ep *Endpoint) egress(remoteNet string, m *core.Msg) {
-	size := signal.Size(m.Value) // what the link model charges for
+// egress forwards a drive of a local net by src, sent at virtual time
+// sent, across the channel: do's shape, with the drive encoded straight
+// into the open frame's run entry and the flush left to the byte cap.
+// Once it returns nothing of the endpoint refers to v.
+func (ep *Endpoint) egress(remoteNet, src string, sent vtime.Time, v any) {
+	size := signal.Size(v) // what the link model charges for
 	ep.mu.Lock()
-	o := ep.st.data(m.Sent, size)
+	o := ep.st.data(sent, size)
 	if o.seq == 0 {
 		ep.mu.Unlock()
 		return
 	}
-	msg := ep.slotLocked(o)
-	msg.Net, msg.Source, msg.Value = remoteNet, m.Source, m.Value
-	ep.pendingBytes += size
-	flush := !ep.coalesce.Enabled() || len(ep.pendingOut) >= ep.coalesce.MaxMsgs ||
-		ep.coalesce.MaxBytes > 0 && ep.pendingBytes >= ep.coalesce.MaxBytes
+	b := &ep.out
+	fit, err := b.drive(o.seq, o.ack, o.t, ep.local, remoteNet, src, v)
+	if err == nil && !fit {
+		b.seal() // full: it flushes below, and the drive opens the next
+		_, err = b.drive(o.seq, o.ack, o.t, ep.local, remoteNet, src, v)
+	}
+	full := b.sealed > b.busy
+	perMessage := b.limit == 0
 	tl := ep.tl
 	ep.mu.Unlock()
+	if err != nil {
+		ep.fail(err)
+		return
+	}
 	// Recorded at the drive's send time; the peer records the matching
 	// delivery at the arrival time, and the exporter pairs the two by
 	// committed index into one flow.
-	tl.Send(ep.local, ep.peer, remoteNet, m.Sent)
-	if flush {
+	tl.Send(ep.local, ep.peer, remoteNet, sent)
+	switch {
+	case perMessage:
 		ep.Flush()
+	case full:
+		ep.flush(false)
+	}
+}
+
+// fail latches err, a message that could not be sent, as the endpoint's
+// error and ends the owner's run.
+func (ep *Endpoint) fail(err error) {
+	ep.mu.Lock()
+	stop := ep.st.latch(fmt.Errorf("send: %w", err))
+	ep.mu.Unlock()
+	if stop {
+		ep.sub.Stop()
 	}
 }
 
@@ -539,55 +563,65 @@ func (ep *Endpoint) PeerLost(err error) {
 	}
 }
 
-// SetCoalescing replaces the endpoint's coalescing budgets
-// (DefaultCoalesce until then). Safe to call at any time; a disable
-// flushes whatever is queued.
+// SetCoalescing replaces the endpoint's frame cap (DefaultCoalesce
+// until then). Safe to call at any time: the frame being built flushes,
+// and the next one is built to the new cap.
 func (ep *Endpoint) SetCoalescing(cfg CoalesceConfig) {
 	ep.mu.Lock()
-	ep.coalesce = cfg
+	ep.out.limit, ep.out.size = frameSizing(cfg)
 	ep.mu.Unlock()
-	if !cfg.Enabled() {
-		// Whatever raced into the queue after this sees coalescing
-		// off and flushes itself.
-		ep.Flush()
-	}
+	ep.Flush()
 }
 
-// Flush drains the egress queue onto the transport. An empty queue is
-// a no-op. Concurrent flushes are serialized by sendMu, and the queue
-// is extracted under ep.mu after sendMu is held, so batches leave in
-// enqueue (= seq) order even when several goroutines race to flush.
-// Once the transport has the batch its slots are cleared: a spent
-// message would otherwise keep its value — a packet, a view of a whole
-// page — alive until the slot is next written.
-func (ep *Endpoint) Flush() {
+// frameSizing is the builder's cap and buffer size under cfg: a
+// buffer sized for frames at the cap, capped itself at frameCap so a
+// large cap does not reserve its size up front.
+func frameSizing(cfg CoalesceConfig) (limit, size int) {
+	if cfg.MaxBytes <= 0 {
+		return 0, 0
+	}
+	return cfg.MaxBytes, min(cfg.MaxBytes, frameCap) + frameSlack
+}
+
+// Flush puts everything queued on the transport: the open frame is
+// sealed and every sealed frame sent. An empty queue is a no-op.
+func (ep *Endpoint) Flush() { ep.flush(true) }
+
+// flush sends the sealed frames, after sealing the open one when all is
+// set; a frame the byte cap sealed goes without the one its overflow
+// opened. Concurrent flushes are serialized by sendMu, and the frames
+// are taken under ep.mu after sendMu is held, so they leave in seq order
+// even when several goroutines race to flush. The transport writes each
+// frame where it was built, reading it only: what is encoded while it
+// does goes behind it in the same buffer, and moves to the front once
+// it is sent.
+func (ep *Endpoint) flush(all bool) {
 	ep.sendMu.Lock()
 	defer ep.sendMu.Unlock()
 	ep.mu.Lock()
-	batch := ep.pendingOut
-	// Swap in the previous batch's array: steady state allocates
-	// nothing. The array being handed to the transport below is not
-	// reused until the next flush, which sendMu holds off.
-	ep.pendingOut = ep.spareOut[:0]
-	ep.spareOut = batch
-	ep.pendingBytes = 0
-	if len(batch) > 0 {
+	if all {
+		ep.out.seal()
+	}
+	frames, msgs := ep.out.take()
+	if msgs > 0 {
 		ep.st.stats.Flushes++
-		ep.st.stats.FlushedMsgs += int64(len(batch))
+		ep.st.stats.FlushedMsgs += int64(msgs)
 	}
 	ep.mu.Unlock()
-	if len(batch) == 0 {
+	if len(frames) == 0 {
 		return
 	}
-	err := ep.tr.SendBatch(batch)
-	clear(batch) // the transport keeps nothing (Transport)
+	var err error
+	for len(frames) > 0 && err == nil {
+		var frame []byte
+		frame, frames = wire.NextFrame(frames)
+		err = ep.tr.SendFrame(frame)
+	}
+	ep.mu.Lock()
+	ep.out.done()
+	ep.mu.Unlock()
 	if err != nil {
-		ep.mu.Lock()
-		stop := ep.st.latch(fmt.Errorf("send: %w", err))
-		ep.mu.Unlock()
-		if stop {
-			ep.sub.Stop()
-		}
+		ep.fail(err)
 	}
 }
 
@@ -595,7 +629,7 @@ func (ep *Endpoint) Flush() {
 func (ep *Endpoint) PendingOut() int {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return len(ep.pendingOut)
+	return ep.out.pending()
 }
 
 // SetMarkHandler registers the Chandy-Lamport mark callback.
@@ -656,23 +690,6 @@ func (ep *Endpoint) TakeRecorded() []Message {
 	return out
 }
 
-// OnMessage is the ingress entry point, called by the transport pump
-// in arrival order. All processing is deferred to the subsystem's
-// scheduler goroutine through the injection queue, which preserves
-// the channel's FIFO order relative to every other ingress action —
-// the property both the safe-time protocol and the Chandy-Lamport
-// marks depend on.
-func (ep *Endpoint) OnMessage(m Message) {
-	ep.queuedN.Add(1)
-	ep.sub.InjectFunc(func() bool {
-		retry := ep.process(&m)
-		if !retry {
-			ep.handledN.Add(1)
-		}
-		return retry
-	})
-}
-
 // msgBufPool recycles the batch buffers the transport pump decodes
 // into and OnMessages hands to the scheduler goroutine; every buffer in
 // it is empty (see recycle). It holds pointers, so a Put boxes nothing.
@@ -694,42 +711,39 @@ func recycle(buf *[]Message) {
 	msgBufPool.Put(buf)
 }
 
-// OnMessages is the batched ingress entry point: one burst of decoded
-// messages, queued as a single injection. Processing order — and
-// therefore the channel's FIFO guarantee — is identical to calling
-// OnMessage per message; what changes is the cost: one injection-queue
-// append and one scheduler wakeup per burst instead of one per
-// message. Straggler retry semantics are preserved by resuming the
-// in-batch cursor: a message that requests a rollback is retried (and
-// the rest of the batch stays behind it) exactly as the per-message
-// path would re-queue it at the front.
+// OnMessages is the ingress entry point, called by the transport pump
+// with each burst of decoded messages in arrival order. All processing
+// is deferred to the subsystem's scheduler goroutine through the
+// injection queue, one injection and one scheduler wakeup a burst,
+// which preserves the channel's FIFO order relative to every other
+// ingress action — the property both the safe-time protocol and the
+// Chandy-Lamport marks depend on. A message that requests a rollback
+// (an optimistic straggler) is retried, and the rest of the burst
+// stays behind it, by resuming the in-burst cursor after the restore.
 //
 // OnMessages takes buf over — the caller got it from BatchBuf and must
 // not touch it, or the slice it holds, again — so a burst crosses to
 // the scheduler goroutine as decoded, without a copy. The handled
-// count moves once per pass over the batch: by everything the pass
+// count moves once per pass over the burst: by everything the pass
 // processed, before a straggler's retry as at the end.
 func (ep *Endpoint) OnMessages(buf *[]Message) {
 	msgs := *buf
-	switch len(msgs) {
-	case 0:
-		recycle(buf)
-		return
-	case 1:
-		ep.OnMessage(msgs[0])
+	if len(msgs) == 0 {
 		recycle(buf)
 		return
 	}
 	ep.queuedN.Add(int64(len(msgs)))
 	handled := 0
 	ep.sub.InjectFunc(func() bool {
-		i := handled
-		for i < len(msgs) && !ep.process(&msgs[i]) {
-			i++
+		i, retry := handled, false
+		for i < len(msgs) && !retry {
+			var n int
+			n, retry = ep.process(msgs[i:])
+			i += n
 		}
 		ep.handledN.Add(int64(i - handled))
 		handled = i
-		if i < len(msgs) {
+		if retry {
 			return true // straggler: retry this message after the rollback
 		}
 		recycle(buf)
@@ -737,23 +751,36 @@ func (ep *Endpoint) OnMessages(buf *[]Message) {
 	})
 }
 
-// process handles one message on the scheduler goroutine
-// (safeTime.receive). It returns true (retry after rollback) for an
-// optimistic straggler the handler wants redelivered.
-func (ep *Endpoint) process(m *Message) bool {
+// process handles msgs[0] and the messages after it that are plain
+// deliveries on the scheduler goroutine (safeTime.receive): their
+// verdicts are decided under one lock, up to and including the first
+// message whose verdict is not a delivery, and then performed in order.
+// It returns how many messages it handled, and whether the message
+// after them is an optimistic straggler the handler wants redelivered
+// once the rollback it requested has run.
+func (ep *Endpoint) process(msgs []Message) (handled int, retry bool) {
 	now := ep.sub.Now()
+	n, v, stop := 0, inDeliver, false
 	ep.mu.Lock()
-	v, stop := ep.st.receive(m, now)
-	if v == inDeliver && ep.recording {
-		ep.recorded = append(ep.recorded, *m)
+	for n < len(msgs) {
+		var halt bool
+		v, halt = ep.st.receive(&msgs[n], now)
+		stop = stop || halt
+		if v != inDeliver {
+			break
+		}
+		if ep.recording {
+			ep.recorded = append(ep.recorded, msgs[n])
+		}
+		n++
 	}
 	tl, markFn, restoreFn, stragglerFn := ep.tl, ep.markFn, ep.restoreFn, ep.stragglerFn
 	ep.mu.Unlock()
 	if stop {
 		ep.sub.Stop()
 	}
-	switch v {
-	case inDeliver:
+	for i := range msgs[:n] {
+		m := &msgs[i]
 		tl.Deliver(ep.peer, ep.local, m.Net, m.Time)
 		// A drive of a net this subsystem does not have goes nowhere,
 		// as it always has.
@@ -763,13 +790,23 @@ func (ep *Endpoint) process(m *Message) bool {
 		if ep.inNet != nil {
 			ep.sub.DriveNetNow(ep.inNet, m.Source, m.Time, m.Value)
 		}
+	}
+	if n == len(msgs) {
+		return n, false
+	}
+	m := &msgs[n]
+	switch v {
 	case inStraggler:
 		tl.Straggler(ep.peer, ep.local, m.Net, m.Time, now)
+		retry := true
 		if stragglerFn != nil {
-			return stragglerFn(m.Time)
+			retry = stragglerFn(m.Time) // false: the sender rewinds past it and sends it again
+		} else {
+			ep.sub.RequestRollback(m.Time)
 		}
-		ep.sub.RequestRollback(m.Time)
-		return true // re-deliver after the restore
+		if retry {
+			return n, true // re-deliver after the restore
+		}
 	case inMark:
 		if markFn != nil {
 			markFn(m.Tag)
@@ -781,7 +818,7 @@ func (ep *Endpoint) process(m *Message) bool {
 	case inClose:
 		ep.sub.RemoveExternal()
 	}
-	return false
+	return n + 1, false
 }
 
 // LastSeqIn returns the highest channel sequence number processed
@@ -803,9 +840,7 @@ func (ep *Endpoint) LastSeqIn() uint64 {
 func (ep *Endpoint) ResetProtocol() {
 	ep.mu.Lock()
 	ep.st.reset()
-	clear(ep.pendingOut)
-	ep.pendingOut = ep.pendingOut[:0]
-	ep.pendingBytes = 0
+	ep.out.reset()
 	ep.mu.Unlock()
 }
 

@@ -1,11 +1,13 @@
 package channel
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/signal"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 func init() { Register() }
@@ -94,22 +96,71 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		if closed {
 			t.Fatal("no close in batch, decoder says closed")
 		}
-		if len(got) != len(msgs) {
-			t.Fatalf("decoded %d messages, want %d", len(got), len(msgs))
-		}
+		mustRoundTrip(t, got, msgs)
+
+		// The same messages as an endpoint builds them: header room, a
+		// small cap that cuts frames anywhere, the message that does not
+		// fit opening the next frame.
+		limit := 40 + int(word%400)
+		b := frameBuilder{room: wire.HeaderLen, limit: limit, size: limit + frameSlack, frame: -1, run: -1}
 		for i := range msgs {
-			if !reflect.DeepEqual(got[i], msgs[i]) {
-				t.Fatalf("message %d mismatch:\n got  %+v\n want %+v", i, got[i], msgs[i])
+			fit, err := b.add(&msgs[i])
+			if err == nil && !fit {
+				b.seal()
+				fit, err = b.add(&msgs[i])
+			}
+			if err != nil || !fit {
+				t.Fatalf("message %d: fit %v, err %v", i, fit, err)
 			}
 		}
+		b.seal()
+		frames, taken := b.take()
+		if taken != len(msgs) {
+			t.Fatalf("sealed frames carry %d messages, want %d", taken, len(msgs))
+		}
+		dec := NewBatchDecoder()
+		got = got[:0]
+		for len(frames) > 0 {
+			var frame []byte
+			frame, frames = wire.NextFrame(frames)
+			before := len(got)
+			if got, _, err = dec.DecodeBatchAppend(frame[wire.HeaderLen:], got); err != nil {
+				t.Fatalf("decode frame: %v", err)
+			}
+			if len(frame) > limit && len(got)-before != 1 {
+				t.Fatalf("a %d-byte frame of %d messages passes the %d-byte cap", len(frame), len(got)-before, limit)
+			}
+		}
+		mustRoundTrip(t, got, msgs)
 	})
+}
+
+func mustRoundTrip(t *testing.T, got, msgs []Message) {
+	t.Helper()
+	if len(got) != len(msgs) {
+		t.Fatalf("decoded %d messages, want %d", len(got), len(msgs))
+	}
+	for i := range msgs {
+		if !reflect.DeepEqual(got[i], msgs[i]) {
+			t.Fatalf("message %d mismatch:\n got  %+v\n want %+v", i, got[i], msgs[i])
+		}
+	}
 }
 
 // FuzzDecodeBatch throws arbitrary bytes at the batch decoder: it
 // must error or succeed, never panic, and appending to a burst already
 // decoded must yield what decoding into an empty buffer yields,
-// leaving the burst's earlier messages alone.
+// leaving the burst's earlier messages alone. The cursor, run over the
+// same bytes in bursts of 1 to 300 messages, must give the same
+// messages, close and error as the whole-frame decode; the one
+// difference allowed is the leading items of a run entry that fails
+// after an earlier burst handed them on.
 func FuzzDecodeBatch(f *testing.F) {
+	seeds := 0
+	add := func(payload []byte) {
+		seeds++
+		f.Add(payload, uint16(seeds*37))
+	}
 	// Valid payloads as seeds, plus the garbage table.
 	for _, msgs := range [][]Message{
 		{{Kind: KindData, From: "ss1", Seq: 1, Net: "link", Source: "p", Time: 5, Value: signal.Word(1)}},
@@ -121,30 +172,30 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(payload)
+		add(payload)
 		// Truncations of a valid payload probe every partial-field path.
-		f.Add(payload[:len(payload)/2])
+		add(payload[:len(payload)/2])
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x01, 0x07, 0x01})
-	f.Add([]byte{0x01, 0x00, 0x01, 0xff})
+	add([]byte{})
+	add([]byte{0x01, 0x07, 0x01})
+	add([]byte{0x01, 0x00, 0x01, 0xff})
 	for _, payload := range hostilePayloads() {
-		f.Add(payload)
+		add(payload)
 	}
-	f.Add(entryOf(1, 0x01, 0x02))                       // the retired gob encoding
-	f.Add(extRun("channel.test.customVal", 2, 14, 'x')) // a registered extension value
-	f.Add(extRun("nobody.registered.this", 1, 7))
+	add(entryOf(1, 0x01, 0x02))                       // the retired gob encoding
+	add(extRun("channel.test.customVal", 2, 14, 'x')) // a registered extension value
+	add(extRun("nobody.registered.this", 1, 7))
 	// Run entries: a whole one, then each way of being wrong.
-	f.Add(batchOf(1, runOf(1, wordItem(5), wordItem(0), wordItem(3))))
-	f.Add(entryOf(encRun, 1, 0, 0, 0))                                  // header cut short
-	f.Add(batchOf(1, runOf(1, wordItem(5), []byte{1, valWord, 0})))     // item cut short
-	f.Add(batchOf(1, runOf(1)))                                         // no items
-	f.Add(batchOf(1, runOf(1, wordItem(1), wordItem(hostileLen...))))   // ΔTime sum past MaxInt64
-	f.Add(batchOf(1, runOf(^uint64(0), wordItem(0), wordItem(0))))      // Seq0+n wraps
-	f.Add(batchOf(3, runOf(1, wordItem(0))))                            // count larger than the entries present
-	f.Add(entryOf(encBinary, byte(KindData), 1, 0, 0, 0, 0, 0, valNil)) // a drive outside a run entry
+	add(batchOf(1, runOf(1, wordItem(5), wordItem(0), wordItem(3))))
+	add(entryOf(encRun, 1, 0, 0, 0))                                  // header cut short
+	add(batchOf(1, runOf(1, wordItem(5), []byte{1, valWord, 0})))     // item cut short
+	add(batchOf(1, runOf(1)))                                         // no items
+	add(batchOf(1, runOf(1, wordItem(1), wordItem(hostileLen...))))   // ΔTime sum past MaxInt64
+	add(batchOf(1, runOf(^uint64(0), wordItem(0), wordItem(0))))      // Seq0+n wraps
+	add(batchOf(3, runOf(1, wordItem(0))))                            // count larger than the entries present
+	add(entryOf(encBinary, byte(KindData), 1, 0, 0, 0, 0, 0, valNil)) // a drive outside a run entry
 
-	f.Fuzz(func(t *testing.T, payload []byte) {
+	f.Fuzz(func(t *testing.T, payload []byte, size uint16) {
 		msgs, closedInto, errInto := NewBatchDecoder().DecodeBatchInto(payload, nil)
 		head := Message{Kind: KindMark, Tag: "earlier frame"}
 		burst, closedApp, errApp := NewBatchDecoder().DecodeBatchAppend(payload, []Message{head})
@@ -153,6 +204,31 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		if len(burst) != len(msgs)+1 || !reflect.DeepEqual(burst[0], head) {
 			t.Fatalf("append decoded %d messages after %+v, into decoded %d", len(burst)-1, burst[0], len(msgs))
+		}
+
+		n := 1 + int(size)%300
+		dec := NewBatchDecoder()
+		dec.Start(payload)
+		var bursts []Message
+		var err error
+		for done := false; !done; {
+			var b []Message
+			if b, done, err = dec.Next(make([]Message, 0, n), n); len(b) > n || !done && len(b) == 0 {
+				t.Fatalf("a burst of up to %d carried %d messages, done %v", n, len(b), done)
+			}
+			bursts = append(bursts, b...)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(errInto) || dec.Closed() != closedInto {
+			t.Fatalf("bursts of %d: (%v, %v), whole frame: (%v, %v)", n, dec.Closed(), err, closedInto, errInto)
+		}
+		if len(bursts) < len(msgs) || len(msgs) > 0 && !reflect.DeepEqual(bursts[:len(msgs)], msgs) {
+			t.Fatalf("bursts of %d decoded %d messages, the whole frame %d, and they differ", n, len(bursts), len(msgs))
+		}
+		for i, m := range bursts[len(msgs):] {
+			first := bursts[len(msgs)]
+			if err == nil || m.Kind != KindData || m.Seq != first.Seq+uint64(i) || m.Net != first.Net || m.Source != first.Source {
+				t.Fatalf("bursts of %d handed on %+v past what the whole frame keeps (err %v)", n, m, err)
+			}
 		}
 	})
 }

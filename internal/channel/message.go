@@ -107,13 +107,15 @@ func (m Message) String() string {
 	}
 }
 
-// Transport moves messages to the peer endpoint, preserving order.
-// An endpoint hands every flush to SendBatch — a lone urgent message
-// is a batch of one. SendBatch must not block indefinitely on the
-// caller's goroutine (the subsystem scheduler calls it) and must not
-// keep msgs: the endpoint reuses the backing array.
+// Transport moves batch frames to the peer endpoint, preserving order.
+// An endpoint hands it every frame it flushes — a lone urgent message
+// is a frame of one — as built: the wire header (wire.PutHeader), then
+// the batch payload (codec.go). SendFrame must not block indefinitely
+// on the caller's goroutine (the subsystem scheduler calls it), must
+// not write into frame, and must not keep it: the endpoint builds the
+// next frames in the same buffer.
 type Transport interface {
-	SendBatch(msgs []Message) error
+	SendFrame(frame []byte) error
 	Close() error
 }
 

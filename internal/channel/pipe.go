@@ -3,19 +3,24 @@ package channel
 import (
 	"errors"
 	"sync"
+
+	"repro/internal/wire"
 )
 
-// ErrPipeClosed is returned by SendBatch after Close.
+// ErrPipeClosed is returned by SendFrame after Close.
 var ErrPipeClosed = errors.New("channel: pipe closed")
 
 // PipeEnd is an in-process Transport: two ends connected by unbounded
 // FIFO queues with one pump goroutine per direction. Used when both
 // subsystems live in the same Pia node; the node package provides the
-// TCP equivalent for remote peers.
+// TCP equivalent for remote peers. A frame is decoded as it is sent,
+// with the receiving end's own BatchDecoder, so in-process and TCP
+// channels carry the same bytes through the same codec.
 type PipeEnd struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []Message
+	dec    *BatchDecoder
+	queue  *[]Message // decoded, not yet taken by the pump; nil when none
 	closed bool
 
 	peer *PipeEnd
@@ -23,8 +28,8 @@ type PipeEnd struct {
 
 // Pipe creates a connected pair of transports.
 func Pipe() (*PipeEnd, *PipeEnd) {
-	a := &PipeEnd{}
-	b := &PipeEnd{}
+	a := &PipeEnd{dec: NewBatchDecoder()}
+	b := &PipeEnd{dec: NewBatchDecoder()}
 	a.cond = sync.NewCond(&a.mu)
 	b.cond = sync.NewCond(&b.mu)
 	a.peer = b
@@ -32,37 +37,42 @@ func Pipe() (*PipeEnd, *PipeEnd) {
 	return a, b
 }
 
-// SendBatch enqueues the messages for the peer, in order, under one
-// lock. It never blocks.
-func (p *PipeEnd) SendBatch(msgs []Message) error {
+// SendFrame decodes the frame onto the peer's queue, in order, under
+// one lock. It never blocks, and keeps nothing of frame.
+func (p *PipeEnd) SendFrame(frame []byte) error {
 	q := p.peer
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrPipeClosed
 	}
-	q.queue = append(q.queue, msgs...)
+	if q.queue == nil {
+		q.queue = BatchBuf()
+	}
+	var err error
+	*q.queue, _, err = q.dec.DecodeBatchAppend(frame[wire.HeaderLen:], *q.queue)
 	q.cond.Signal()
-	return nil
+	return err
 }
 
-// Receive starts the pump: fn is invoked for every incoming message,
-// in order, on a dedicated goroutine, until Close.
-func (p *PipeEnd) Receive(fn func(Message)) {
+// Receive starts the pump: on a dedicated goroutine, until Close, fn
+// is handed everything decoded since its last call, in order, as one
+// burst it takes over (see Endpoint.OnMessages). The pump keeps
+// nothing of a burst it has handed on.
+func (p *PipeEnd) Receive(fn func(*[]Message)) {
 	go func() {
 		for {
 			p.mu.Lock()
-			for len(p.queue) == 0 && !p.closed {
+			for p.queue == nil && !p.closed {
 				p.cond.Wait()
 			}
-			if len(p.queue) == 0 && p.closed {
-				p.mu.Unlock()
-				return
-			}
-			m := p.queue[0]
-			p.queue = p.queue[1:]
+			burst := p.queue
+			p.queue = nil
 			p.mu.Unlock()
-			fn(m)
+			if burst == nil {
+				return // closed, and everything delivered
+			}
+			fn(burst)
 		}
 	}()
 }
@@ -91,7 +101,7 @@ func Connect(a, b *Hub, policy Policy, link LinkModel) (*Endpoint, *Endpoint, er
 		return nil, nil, err
 	}
 	// ta's queue holds what B sent; drain it into A's endpoint.
-	ta.Receive(epA.OnMessage)
-	tb.Receive(epB.OnMessage)
+	ta.Receive(epA.OnMessages)
+	tb.Receive(epB.OnMessages)
 	return epA, epB, nil
 }

@@ -93,7 +93,7 @@ func TestUnackedRunsMatchPerMessageRecords(t *testing.T) {
 	link := LinkModel{Latency: 7, PerMessage: 3, BytesPerSecond: 1 << 28}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr := &fakeBatchTr{}
+		tr := &fakeFrameTr{dec: NewBatchDecoder()}
 		ep, err := NewHub(core.NewSubsystem("ss1")).NewEndpoint("peer", Conservative, link, tr)
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestUnackedRunsMatchPerMessageRecords(t *testing.T) {
 				}
 				for i, n := 0, 1+rng.Intn(40); i < n; i++ {
 					now = now.Add(gap)
-					ep.egress("link", &core.Msg{Sent: now, Value: v, Source: "prod"})
+					ep.egress("link", "prod", now, v)
 				}
 				mirror()
 				check(step, "burst")

@@ -38,9 +38,10 @@ type Interface struct {
 	Ports []string
 }
 
-// Sink receives events delivered to a hidden port. It is called on
-// the subsystem scheduler goroutine and must not block.
-type Sink func(m Msg)
+// Sink receives the drives of the net a hidden port listens to: the
+// driving component, the virtual time it sent at and the value. It is
+// called on the subsystem scheduler goroutine and must not block.
+type Sink func(src string, sent vtime.Time, v any)
 
 // Msg is a value delivered to a port.
 type Msg struct {

@@ -658,7 +658,7 @@ func (s *Subsystem) driveFrom(n *Net, driver *Port, src string, t vtime.Time, v 
 		}
 		if pt.hidden {
 			if !skipHidden && pt.sink != nil {
-				pt.sink(Msg{Time: deliver, Sent: t, Port: pt.Name, Net: n.Name, Value: v, Source: src})
+				pt.sink(src, t, v)
 			}
 			continue
 		}

@@ -183,10 +183,9 @@ func (n *Node) FinishAgents() {
 	}
 }
 
-// SetCoalescing replaces the egress coalescing budgets
-// (channel.DefaultCoalesce unless set) on every channel endpoint the
-// node has created and every endpoint it creates later, both dialed
-// and accepted.
+// SetCoalescing replaces the egress frame cap (channel.DefaultCoalesce
+// unless set) on every channel endpoint the node has created and every
+// endpoint it creates later, both dialed and accepted.
 func (n *Node) SetCoalescing(cfg channel.CoalesceConfig) {
 	n.mu.Lock()
 	n.coalesce = cfg
@@ -606,18 +605,12 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 	return ep, nil
 }
 
-// maxBurst bounds how many messages pump gathers into one scheduler
-// injection before it stops draining buffered frames.
+// maxBurst bounds how many messages pump hands the scheduler in one
+// injection, however large the frame they come from.
 const maxBurst = 256
 
 // pump reads batch frames and hands their messages to the endpoint
-// until the connection drops. After each frame it read, it also
-// decodes every complete frame the connection already holds in its
-// receive buffer (up to maxBurst messages, never past a close) and
-// hands the endpoint the whole burst at once: one scheduler injection
-// and wake-up per burst. It never waits for more bytes to do so, so
-// nothing is delayed. A frame of any other kind after the handshake is
-// a protocol violation and ends the connection undecoded.
+// (readBursts) until the connection drops.
 //
 // On a resumable session, connection loss never reaches this loop —
 // the session reconnects and replays underneath. Two session events
@@ -633,57 +626,96 @@ func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilie
 			ep.PeerLost(err)
 		}
 	}()
-	lost := func(cause error) error {
-		return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: cause}
-	}
 	dec := channel.NewBatchDecoder()
 	for {
-		kind, payload, err := c.RecvFrame()
-		if err != nil {
-			var rw *resilience.RewoundError
-			if sess != nil && errors.As(err, &rw) {
-				if rerr := n.handleRewind(h, ep, sess, rw.Tag); rerr != nil {
-					return rerr
-				}
-				// Fresh timeline: the peer's encoder restarted from
-				// scratch, so batch-decoder state must too.
-				dec = channel.NewBatchDecoder()
-				continue
-			}
-			return lost(err)
+		err := readBursts(c, dec, ep.OnMessages)
+		if err == nil {
+			return nil // the peer closed the channel
 		}
-		// The burst is decoded into a buffer OnMessages takes over, so it
+		var rw *resilience.RewoundError
+		if sess != nil && errors.As(err, &rw) {
+			if rerr := n.handleRewind(h, ep, sess, rw.Tag); rerr != nil {
+				return rerr
+			}
+			// Fresh timeline: the peer's encoder restarted from
+			// scratch, so batch-decoder state must too.
+			dec = channel.NewBatchDecoder()
+			continue
+		}
+		return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
+	}
+}
+
+// readBursts reads batch frames from c and hands their messages to
+// deliver in bursts of at most maxBurst — one scheduler injection and
+// wake-up each — until a close has been delivered (nil) or something
+// ends the connection: a read error, returned as RecvFrame gave it, a
+// frame that fails to decode, or a frame of another kind, which is a
+// protocol violation and is not decoded. dec is a cursor, so a frame
+// longer than a burst is handed on in several, each decoded while the
+// one before is being processed. A burst that ends a frame short of
+// maxBurst is topped up from the frames c already holds in its receive
+// buffer, never past a close; readBursts never waits for more bytes to
+// do so, so nothing is delayed.
+//
+// Of a frame that fails to decode, what reaches deliver is what its
+// bursts carried before the failing one: nothing, when it began in that
+// burst — a frame of at most maxBurst messages is delivered whole or
+// not at all — and for a longer frame the bursts already handed on.
+// Those are well-formed and in order; nothing after the fault is
+// delivered.
+func readBursts(c *wire.Conn, dec *channel.BatchDecoder, deliver func(*[]channel.Message)) error {
+	unexpected := func(kind byte) error {
+		return fmt.Errorf("node: unexpected frame kind %d after the handshake", kind)
+	}
+	open := false // dec holds a frame with messages left to decode
+	for {
+		if !open {
+			kind, payload, err := c.RecvFrame()
+			if err != nil {
+				return err
+			}
+			if kind != wire.FrameBatch {
+				return unexpected(kind)
+			}
+			dec.Start(payload)
+		}
+		// The burst is decoded into a buffer deliver takes over, so it
 		// reaches the scheduler goroutine without a copy; the decoded
 		// messages do not alias the receive buffer, which the next frame
 		// reuses.
 		buf := channel.BatchBuf()
 		burst := *buf
-		closed := false
+		whole := 0 // where the frame being decoded starts in the burst
+		var err error
 		for {
-			if kind != wire.FrameBatch {
-				err = fmt.Errorf("node %s: unexpected frame kind %d after the handshake", n.name, kind)
-				break
-			}
-			whole := len(burst)
-			if burst, closed, err = dec.DecodeBatchAppend(payload, burst); err != nil {
-				// Only whole frames are delivered; the rest of the buffer
-				// must not pin what a torn frame decoded.
+			var done bool
+			if burst, done, err = dec.Next(burst, maxBurst); err != nil {
+				// The burst must not carry, or pin, what the failing
+				// frame decoded in it.
 				clear(burst[whole:])
 				burst = burst[:whole]
 				break
 			}
-			if closed || len(burst) >= maxBurst {
+			if open = !done; open || dec.Closed() || len(burst) >= maxBurst {
 				break
 			}
-			var ok bool
-			if kind, payload, ok = c.RecvBuffered(); !ok {
+			kind, payload, ok := c.RecvBuffered()
+			if !ok {
 				break
 			}
+			if kind != wire.FrameBatch {
+				err = unexpected(kind)
+				break
+			}
+			whole = len(burst)
+			dec.Start(payload)
 		}
+		closed := !open && dec.Closed()
 		*buf = burst
-		ep.OnMessages(buf)
+		deliver(buf)
 		if err != nil {
-			return lost(err)
+			return err
 		}
 		if closed {
 			return nil
@@ -790,29 +822,9 @@ type connTransport struct {
 
 func (t *connTransport) Close() error { return nil } // node owns the conn
 
-// SendBatch encodes the messages into as few batch frames as the
-// frame limit allows (almost always one) and flushes them with a
-// single Write. The messages are encoded directly into the
-// connection's recycled egress buffer — no intermediate frame copy —
-// so a steady-state flush allocates nothing, and the whole batch
-// costs one syscall (and, on a
-// resilient session, one CRC envelope). A flush of one message — a
-// lone drive leaving at a stall, an ask, every flush of a channel set
-// to the zero CoalesceConfig — is a batch of one: the same frame
-// format, one frame and one Write.
-func (t *connTransport) SendBatch(msgs []channel.Message) error {
-	eg := t.c.BeginEgress()
-	defer eg.Close()
-	for len(msgs) > 0 {
-		buf := eg.BeginFrame(wire.FrameBatch)
-		buf, done, err := channel.AppendBatch(buf, msgs, wire.MaxFrame)
-		if err != nil {
-			return err
-		}
-		if err := eg.EndFrame(buf); err != nil {
-			return err
-		}
-		msgs = msgs[done:]
-	}
-	return eg.Flush()
+// SendFrame writes a batch frame where the endpoint built it, header
+// included: one Write — one syscall and, on a resilient session, one
+// CRC envelope — with no copy and no allocation.
+func (t *connTransport) SendFrame(frame []byte) error {
+	return t.c.WriteFrame(frame)
 }

@@ -285,6 +285,9 @@ func TestSnapshotRewindAcrossReconnect(t *testing.T) {
 		}
 		n1.SetResilience(cfg)
 		n2.SetResilience(cfg)
+		// A frame a message, so the outage's egress is many frames: a
+		// frame cap would carry all 110 values in one.
+		n1.SetCoalescing(channel.CoalesceConfig{})
 	})
 
 	// The snapshot's mark is the first message on the channel and the

@@ -121,7 +121,7 @@ func TestRemoteCoalescedDelivery(t *testing.T) {
 	n1, n2, s1, s2, rcv := buildRemotePair(t, channel.Conservative, 25)
 	defer n1.Close()
 	defer n2.Close()
-	cfg := channel.CoalesceConfig{MaxMsgs: 8, MaxBytes: 32 << 10}
+	cfg := channel.CoalesceConfig{MaxBytes: 96} // a few drives a frame
 	n1.SetCoalescing(cfg)
 	n2.SetCoalescing(cfg)
 	var wg sync.WaitGroup

@@ -67,9 +67,21 @@ func (p *peerScript) batch(t *testing.T, msgs ...channel.Message) {
 		msgs[i].Seq = p.seq
 		msgs[i].From = "handheld"
 	}
-	if err := (&connTransport{c: p.c}).SendBatch(msgs); err != nil {
+	if err := (&connTransport{c: p.c}).SendFrame(frameOf(t, msgs)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// frameOf encodes msgs as one frame the way an endpoint builds it: room
+// for the wire header, then the batch payload.
+func frameOf(t *testing.T, msgs []channel.Message) []byte {
+	t.Helper()
+	frame, n, err := channel.AppendBatch(make([]byte, wire.HeaderLen), msgs, wire.MaxFrame)
+	if err != nil || n != len(msgs) {
+		t.Fatalf("encoded %d of %d messages: %v", n, len(msgs), err)
+	}
+	wire.PutHeader(frame, wire.FrameBatch)
+	return frame
 }
 
 func (p *peerScript) data(i int) channel.Message {
@@ -214,56 +226,127 @@ func TestPumpDeliversFramesBeforeACorruptOne(t *testing.T) {
 	}
 }
 
-// TestSendBatchWordBurstIsOneRun pins what a burst costs on the wire: a
-// 64-word flush — the default coalescing budget, words past 255 at a
-// three-byte spacing as in a page load — is one frame and one Write of
-// at most 10 bytes a word, frame header, count, entry header and the
-// names said once all included.
-func TestSendBatchWordBurstIsOneRun(t *testing.T) {
+// TestSendFrameWordBurstIsOneRun pins what a burst costs on the wire: a
+// frame of 64 word drives — words past 255 at a three-byte spacing as
+// in a page load — is one Write of at most 10 bytes a word, frame
+// header, count, entry header and the names said once all included.
+func TestSendFrameWordBurstIsOneRun(t *testing.T) {
 	s := &stubStream{}
 	tr := &connTransport{c: wire.NewConn(s)}
-	msgs := make([]channel.Message, channel.DefaultCoalesce.MaxMsgs)
+	msgs := make([]channel.Message, 64)
 	for i := range msgs {
 		msgs[i] = channel.Message{Kind: channel.KindData, From: "modemsite", Seq: uint64(100 + i), Ack: 7,
 			Net: "dma", Source: "asic", Time: vtime.Time(1_000_000 + 20_040*i), Value: signal.Word(0xdead0000 + uint32(i))}
 	}
-	if err := tr.SendBatch(msgs); err != nil {
+	if err := tr.SendFrame(frameOf(t, msgs)); err != nil {
 		t.Fatal(err)
 	}
 	st := tr.c.Stats()
 	if st.FramesOut != 1 || s.writes != 1 {
-		t.Fatalf("a %d-word flush took %d frames and %d Writes, want one of each", len(msgs), st.FramesOut, s.writes)
+		t.Fatalf("a %d-word frame took %d frames and %d Writes, want one of each", len(msgs), st.FramesOut, s.writes)
 	}
 	if perWord := float64(st.BytesOut) / float64(len(msgs)); perWord > 10 {
-		t.Fatalf("a %d-word flush is %d bytes on the wire, %.1f a word; want at most 10", len(msgs), st.BytesOut, perWord)
+		t.Fatalf("a %d-word frame is %d bytes on the wire, %.1f a word; want at most 10", len(msgs), st.BytesOut, perWord)
 	}
 }
 
-// TestSendBatchWordZeroAlloc guards the batch-of-one path: a flush
-// of one word drive through connTransport.SendBatch — encode in place
-// in the connection's recycled egress buffer, one frame, one Write —
-// allocates nothing in steady state.
-func TestSendBatchWordZeroAlloc(t *testing.T) {
+// TestSendFrameWordZeroAlloc guards the frame-of-one path: a frame of
+// one word drive through connTransport.SendFrame — the header written
+// into the frame's own room, one Write — allocates nothing.
+func TestSendFrameWordZeroAlloc(t *testing.T) {
 	s := &stubStream{}
 	tr := &connTransport{c: wire.NewConn(s)}
-	msgs := []channel.Message{{Kind: channel.KindData, From: "handheld", Seq: 1, Ack: 1,
-		Net: "dmaLink", Source: "dma", Time: 1000, Value: signal.Word(0xdeadbeef)}}
-	if err := tr.SendBatch(msgs); err != nil { // sizes the egress buffer
-		t.Fatal(err)
-	}
-	s.writes = 0
+	frame := frameOf(t, []channel.Message{{Kind: channel.KindData, From: "handheld", Seq: 1, Ack: 1,
+		Net: "dmaLink", Source: "dma", Time: 1000, Value: signal.Word(0xdeadbeef)}})
 	const runs = 200
 	if avg := testing.AllocsPerRun(runs, func() {
-		if err := tr.SendBatch(msgs); err != nil {
+		if err := tr.SendFrame(frame); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("one-word SendBatch allocates %.2f/op steady-state, want 0", avg)
+		t.Fatalf("one-word SendFrame allocates %.2f/op, want 0", avg)
 	}
 	if s.writes != runs+1 { // AllocsPerRun makes one warm-up call
-		t.Fatalf("%d Writes for %d one-message flushes, want one each", s.writes, runs+1)
+		t.Fatalf("%d Writes for %d one-message frames, want one each", s.writes, runs+1)
 	}
-	if st := tr.c.Stats(); st.FramesOut != int64(runs+2) {
-		t.Fatalf("%d frames for %d one-message flushes, want one each", st.FramesOut, runs+2)
+	if st := tr.c.Stats(); st.FramesOut != int64(runs+1) {
+		t.Fatalf("%d frames for %d one-message frames, want one each", st.FramesOut, runs+1)
+	}
+}
+
+// TestPumpBurstsAFrameAtTheCap: a frame at the byte cap holds
+// thousands of word drives; the pump hands them on in bursts of at most
+// maxBurst — never the frame as one — in order, and stops after the
+// close.
+func TestPumpBurstsAFrameAtTheCap(t *testing.T) {
+	p := &peerScript{}
+	p.c = wire.NewConn(scriptWriter{&p.buf})
+	var msgs []channel.Message
+	for len(msgs) < 64 || len(frameOf(t, msgs)) < channel.DefaultCoalesce.MaxBytes-16 {
+		m := p.data(len(msgs))
+		m.Seq, m.From = uint64(len(msgs)+1), "handheld" // as batch stamps them
+		msgs = append(msgs, m)
+	}
+	p.batch(t, msgs...)
+	if size := p.buf.Len(); size > channel.DefaultCoalesce.MaxBytes || size < channel.DefaultCoalesce.MaxBytes-32 {
+		t.Fatalf("the frame is %d bytes, want one at the %d-byte cap", size, channel.DefaultCoalesce.MaxBytes)
+	}
+	p.batch(t, channel.Message{Kind: channel.KindClose})
+
+	var got []channel.Message
+	largest := 0
+	err := readBursts(wire.NewConn(&stubStream{in: bytes.NewReader(p.buf.Bytes())}), channel.NewBatchDecoder(), func(buf *[]channel.Message) {
+		largest = max(largest, len(*buf))
+		got = append(got, *buf...)
+	})
+	if err != nil {
+		t.Fatalf("pump: %v", err)
+	}
+	if largest > maxBurst {
+		t.Fatalf("a %d-message frame reached the endpoint in bursts of up to %d, want at most %d", len(msgs), largest, maxBurst)
+	}
+	if len(got) != len(msgs)+1 || got[len(msgs)].Kind != channel.KindClose {
+		t.Fatalf("delivered %d messages, want the %d drives and the close", len(got), len(msgs))
+	}
+	for i, m := range got[:len(msgs)] {
+		if m.Seq != uint64(i+1) || m.Value != i {
+			t.Fatalf("order broken at %d: %+v", i, m)
+		}
+	}
+}
+
+// TestPumpLongFrameCorruptAtTheEnd: a frame of more than maxBurst
+// messages whose last entry is corrupt ends the connection with a
+// PeerLostError, never a panic. The bursts of it handed on before the
+// fault was reached stay delivered — whole bursts of well-formed
+// messages, in order — and nothing of the corrupt entry is.
+func TestPumpLongFrameCorruptAtTheEnd(t *testing.T) {
+	const drives = 3*maxBurst + 10
+	p := newPeerScript(t)
+	msgs := make([]channel.Message, drives)
+	for i := range msgs {
+		msgs[i] = p.data(i)
+		p.seq++
+		msgs[i].Seq, msgs[i].From = p.seq, "handheld"
+	}
+	frame := frameOf(t, msgs)
+	// One more entry, counted in the frame's count: an item cut short.
+	entries, n := binary.Uvarint(frame[wire.HeaderLen:])
+	if n <= 0 {
+		t.Fatal("frame count unreadable")
+	}
+	count := binary.AppendUvarint(nil, entries+1)
+	payload := append(count, frame[wire.HeaderLen+n:]...)
+	payload = append(payload, 0x02, 18, 3, 0, 0, 4, 'l', 'i', 'n', 'k', 4, 'p', 'r', 'o', 'd', 30, 0, 10, 2, 0)
+	if err := p.c.SendRaw(wire.FrameBatch, payload); err != nil {
+		t.Fatal(err)
+	}
+	err, ep, _, _ := p.serve(t)
+	var lost *PeerLostError
+	if !errors.As(err, &lost) || !strings.Contains(err.Error(), "truncated field") {
+		t.Fatalf("a long frame with a corrupt end gave %v, want a PeerLostError", err)
+	}
+	if got := ep.QueuedCount(); got%maxBurst != 0 || got == 0 || got > drives {
+		t.Fatalf("queued %d messages, want the whole bursts handed on before the fault", got)
 	}
 }

@@ -205,3 +205,45 @@ func TestEgressAbandonedSendsNothing(t *testing.T) {
 		t.Fatalf("abandoned egress wrote %d times, %d bytes", s.writes, c.Stats().BytesOut)
 	}
 }
+
+// TestWriteFrameInPlace: a run of frames built with room for their
+// headers, filled by PutHeader, splits back into its frames with
+// NextFrame; WriteFrame sends each as it lies, one Write a frame, reads
+// back as SendRaw's frame would, and leaves the caller's bytes as they
+// were. A frame whose header does not give its own length is refused
+// before anything is written.
+func TestWriteFrameInPlace(t *testing.T) {
+	var frames []byte
+	for _, p := range [][]byte{{1, 2, 3}, {}, bytes.Repeat([]byte{9}, 300)} {
+		at := len(frames)
+		frames = append(append(frames, make([]byte, HeaderLen)...), p...)
+		PutHeader(frames[at:], FrameBatch)
+	}
+	before := append([]byte(nil), frames...)
+	s := newCountStream()
+	c := NewConn(s)
+	var lens []int
+	for rest := frames; len(rest) > 0; {
+		var frame []byte
+		frame, rest = NextFrame(rest)
+		lens = append(lens, len(frame)-HeaderLen)
+		if err := c.WriteFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(lens) != 3 || lens[0] != 3 || lens[1] != 0 || lens[2] != 300 {
+		t.Fatalf("NextFrame split the run into payloads of %v bytes, want [3 0 300]", lens)
+	}
+	if s.writes != 3 || !bytes.Equal(frames, before) || !bytes.Equal(s.buf.Bytes(), frames) {
+		t.Fatalf("%d Writes; frames changed %v; stream equals the frames %v", s.writes, !bytes.Equal(frames, before), bytes.Equal(s.buf.Bytes(), frames))
+	}
+	for _, want := range []int{3, 0, 300} {
+		kind, payload, err := c.RecvFrame()
+		if err != nil || kind != FrameBatch || len(payload) != want {
+			t.Fatalf("read back kind %d, %d bytes, err %v; want a %d-byte batch frame", kind, len(payload), err, want)
+		}
+	}
+	if err := c.WriteFrame([]byte{0, 0, 0, 9, FrameBatch, 1}); err == nil || s.writes != 3 {
+		t.Fatalf("a header claiming 9 bytes over a 1-byte payload: err %v, %d Writes", err, s.writes)
+	}
+}

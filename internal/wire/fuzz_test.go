@@ -16,10 +16,10 @@ func (m memStream) Close() error                { return nil }
 
 // frameBytes assembles a well-formed frame for seeding the corpus.
 func frameBytes(kind byte, payload []byte) []byte {
-	buf := make([]byte, headerLen+len(payload))
+	buf := make([]byte, HeaderLen+len(payload))
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
 	buf[4] = kind
-	copy(buf[headerLen:], payload)
+	copy(buf[HeaderLen:], payload)
 	return buf
 }
 
@@ -63,7 +63,7 @@ func FuzzFrameParser(f *testing.F) {
 		}
 		burst, _, viaBuffered, _ := recvAll(NewConn(memStream{bytes.NewReader(data)}))
 		mustEqualFrames(t, burst, frames)
-		if len(data) <= recvBufSize && len(frames) > 1 && viaBuffered != len(frames)-1 {
+		if len(data) <= RecvBufSize && len(frames) > 1 && viaBuffered != len(frames)-1 {
 			// One read delivers the whole input, so every frame after the
 			// first is already buffered.
 			t.Fatalf("RecvBuffered returned %d of %d frames that arrived in one read", viaBuffered, len(frames))

@@ -131,7 +131,7 @@ func TestRecvBurstCostsReadsPerBufferNotPerFrame(t *testing.T) {
 		t.Fatalf("ended with %v, want io.EOF", err)
 	}
 	mustEqualFrames(t, got, want)
-	maxReads := (len(stream)+recvBufSize-1)/recvBufSize + 1
+	maxReads := (len(stream)+RecvBufSize-1)/RecvBufSize + 1
 	if reads := s.reads - 1; reads > maxReads { // the last Read is the EOF
 		t.Fatalf("%d frames (%d bytes) cost %d reads, want <= %d", frames, len(stream), reads, maxReads)
 	}
@@ -146,8 +146,8 @@ func TestRecvBurstCostsReadsPerBufferNotPerFrame(t *testing.T) {
 func TestRecvFrameIngress(t *testing.T) {
 	small := wantFrame{FrameBatch, []byte("small")}
 	after := wantFrame{FrameBatch, []byte("after")}
-	big := wantFrame{FrameBatch, bytes.Repeat([]byte{0x5a}, recvBufSize+1000)}
-	exact := wantFrame{FrameBatch, bytes.Repeat([]byte{0x11}, recvBufSize-headerLen)}
+	big := wantFrame{FrameBatch, bytes.Repeat([]byte{0x5a}, RecvBufSize+1000)}
+	exact := wantFrame{FrameBatch, bytes.Repeat([]byte{0x11}, RecvBufSize-HeaderLen)}
 	overLimit := frameBytes(FrameBatch, nil)
 	binary.BigEndian.PutUint32(overLimit[:4], MaxFrame+1)
 	errBoom := errors.New("boom")
@@ -200,18 +200,18 @@ func TestRecvFrameIngress(t *testing.T) {
 		},
 		{
 			name:    "read error inside a body",
-			script:  []chunk{{data: join(small.bytes(), after.bytes()[:headerLen+2])}, {err: errBoom}},
+			script:  []chunk{{data: join(small.bytes(), after.bytes()[:HeaderLen+2])}, {err: errBoom}},
 			want:    []wantFrame{small},
 			wantErr: func(err error) bool { return errors.Is(err, errBoom) },
 		},
 		{
 			name:    "read error inside a body larger than the buffer",
-			script:  []chunk{{data: big.bytes()[:recvBufSize+10]}, {err: errBoom}},
+			script:  []chunk{{data: big.bytes()[:RecvBufSize+10]}, {err: errBoom}},
 			wantErr: func(err error) bool { return errors.Is(err, errBoom) },
 		},
 		{
 			name:    "stream ends inside a frame",
-			script:  []chunk{{data: small.bytes()[:headerLen+1]}},
+			script:  []chunk{{data: small.bytes()[:HeaderLen+1]}},
 			wantErr: func(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) },
 		},
 		{
@@ -219,7 +219,7 @@ func TestRecvFrameIngress(t *testing.T) {
 			// stream at a frame boundary: bytes of the abandoned
 			// timeline still buffered must not be glued to it.
 			name:   "session rewind drops the partial frame buffered before it",
-			script: []chunk{{data: join(small.bytes(), after.bytes()[:headerLen+2])}, {err: rewound}, {data: after.bytes()}},
+			script: []chunk{{data: join(small.bytes(), after.bytes()[:HeaderLen+2])}, {err: rewound}, {data: after.bytes()}},
 			want:   []wantFrame{small},
 			wantErr: func(err error) bool {
 				var rw *resilience.RewoundError
@@ -246,7 +246,7 @@ func TestRecvFrameIngress(t *testing.T) {
 			mustEqualFrames(t, got, tc.want)
 			var bytesIn int64
 			for _, w := range tc.want {
-				bytesIn += int64(headerLen + len(w.payload))
+				bytesIn += int64(HeaderLen + len(w.payload))
 			}
 			if st := c.Stats(); st.FramesIn != int64(len(tc.want)) || st.BytesIn != bytesIn {
 				t.Fatalf("stats %+v, want %d frames / %d bytes", st, len(tc.want), bytesIn)

@@ -11,10 +11,12 @@
 // self-describing, lets both sides count bytes, and makes partial reads
 // detectable.
 //
-// Egress assembles every frame (or run of frames) in a recycled buffer
-// and hands it to the stream in one Write. Ingress reads through a
-// bounded receive buffer, so a burst of small frames costs one read
-// and RecvBuffered hands back the rest of the burst without blocking.
+// Egress hands every frame (or run of frames) to the stream in one
+// Write: WriteFrame writes a frame its encoder built with room for the
+// header, where it lies, once PutHeader has filled it; SendRaw and the
+// Egress builder assemble in a recycled buffer. Ingress reads through a
+// bounded receive buffer, so a burst of small frames costs one read and
+// RecvBuffered hands back the rest of the burst without blocking.
 package wire
 
 import (
@@ -46,8 +48,8 @@ const (
 	FrameHW byte = 3
 )
 
-// Conn frames values over a byte stream. Send, SendRaw and
-// BeginEgress are safe for concurrent use; Recv, RecvFrame and
+// Conn frames values over a byte stream. Send, SendRaw, WriteFrame
+// and BeginEgress are safe for concurrent use; Recv, RecvFrame and
 // RecvBuffered must be called from a single reader.
 type Conn struct {
 	rwc io.ReadWriteCloser
@@ -75,8 +77,10 @@ func NewConn(rwc io.ReadWriteCloser) *Conn {
 	return c
 }
 
-// headerLen is the frame overhead: 4-byte length + 1-byte kind.
-const headerLen = 5
+// HeaderLen is the frame overhead: 4-byte length + 1-byte kind. An
+// encoder that leaves this much room ahead of its payload can have the
+// frame written where it was built (PutHeader, WriteFrame).
+const HeaderLen = 5
 
 // Send writes one FrameGob frame containing v. No peer vocabulary is
 // gob any more; Send, Recv and DecodeGob stay only for the gob
@@ -99,6 +103,44 @@ func (c *Conn) SendRaw(kind byte, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	return c.writeFrameLocked(kind, payload)
+}
+
+// PutHeader writes the header of a frame of the given kind into
+// frame[:HeaderLen], the room its encoder left ahead of the payload
+// that fills the rest of frame.
+func PutHeader(frame []byte, kind byte) {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-HeaderLen))
+	frame[4] = kind
+}
+
+// NextFrame splits the first frame, header included, off frames laid
+// end to end whose headers PutHeader wrote.
+func NextFrame(frames []byte) (frame, rest []byte) {
+	n := HeaderLen + int(binary.BigEndian.Uint32(frames))
+	return frames[:n], frames[n:]
+}
+
+// WriteFrame writes one frame that was built in place, its header
+// written by PutHeader: the whole frame goes to the stream in one Write,
+// with no copy and without writing into it, so the caller's buffer is
+// the frame on the wire; the caller may reuse it once WriteFrame
+// returns.
+func (c *Conn) WriteFrame(frame []byte) error {
+	if len(frame) < HeaderLen || int(binary.BigEndian.Uint32(frame)) != len(frame)-HeaderLen {
+		return fmt.Errorf("wire: a frame of %d bytes whose header does not say so", len(frame))
+	}
+	if len(frame)-HeaderLen > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(frame)-HeaderLen)
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	n, err := c.rwc.Write(frame)
+	c.bytesOut.Add(int64(n))
+	if err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
+	}
+	c.framesOut.Add(1)
+	return nil
 }
 
 func (c *Conn) writeFrameLocked(kind byte, payload []byte) error {
@@ -131,20 +173,21 @@ func (c *Conn) retainEbuf(buf []byte) {
 	}
 }
 
-// recvBufSize bounds the receive buffer: large enough that a burst of
+// RecvBufSize bounds the receive buffer: large enough that a burst of
 // small frames costs one read, small enough that an idle connection
 // holds little memory. Frames that do not fit are read straight into
-// their own body buffer.
-const recvBufSize = 32 << 10
+// their own body buffer; a channel endpoint caps the frames it builds
+// at this size, so each of them arrives in one piece.
+const RecvBufSize = 32 << 10
 
-// fill reads until at least need bytes (need <= recvBufSize) are
+// fill reads until at least need bytes (need <= RecvBufSize) are
 // buffered, compacting first so every read has the most room the
 // buffer allows. On a read error the buffered partial frame is
 // dropped: the stream is dead, or — on a resumable session that just
 // rewound — restarts at a frame boundary.
 func (c *Conn) fill(need int) error {
 	if c.rb == nil {
-		c.rb = make([]byte, recvBufSize)
+		c.rb = make([]byte, RecvBufSize)
 	}
 	for c.rw-c.rr < need {
 		if c.rr > 0 {
@@ -168,9 +211,9 @@ func (c *Conn) fill(need int) error {
 // buffer, which must hold all of it.
 func (c *Conn) take(n int) (kind byte, payload []byte) {
 	kind = c.rb[c.rr+4]
-	payload = c.rb[c.rr+headerLen : c.rr+headerLen+n]
-	c.rr += headerLen + n
-	c.bytesIn.Add(int64(headerLen + n))
+	payload = c.rb[c.rr+HeaderLen : c.rr+HeaderLen+n]
+	c.rr += HeaderLen + n
+	c.bytesIn.Add(int64(HeaderLen + n))
 	c.framesIn.Add(1)
 	return kind, payload
 }
@@ -182,7 +225,7 @@ func (c *Conn) take(n int) (kind byte, payload []byte) {
 // in the kernel costs at most one read and a frame already buffered
 // costs none.
 func (c *Conn) RecvFrame() (kind byte, payload []byte, err error) {
-	if err := c.fill(headerLen); err != nil {
+	if err := c.fill(HeaderLen); err != nil {
 		return 0, nil, err
 	}
 	// Checked as uint32, before any conversion or allocation.
@@ -191,8 +234,8 @@ func (c *Conn) RecvFrame() (kind byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", l)
 	}
 	n := int(l)
-	if headerLen+n <= recvBufSize {
-		if err := c.fill(headerLen + n); err != nil {
+	if HeaderLen+n <= RecvBufSize {
+		if err := c.fill(HeaderLen + n); err != nil {
 			return 0, nil, fmt.Errorf("wire: read body: %w", err)
 		}
 		kind, payload = c.take(n)
@@ -205,12 +248,12 @@ func (c *Conn) RecvFrame() (kind byte, payload []byte, err error) {
 		c.rbuf = make([]byte, n)
 	}
 	c.rbuf = c.rbuf[:n]
-	have := copy(c.rbuf, c.rb[c.rr+headerLen:c.rw])
+	have := copy(c.rbuf, c.rb[c.rr+HeaderLen:c.rw])
 	c.rr, c.rw = 0, 0
 	if _, err := io.ReadFull(c.rwc, c.rbuf[have:]); err != nil {
 		return 0, nil, fmt.Errorf("wire: read body: %w", err)
 	}
-	c.bytesIn.Add(int64(headerLen + n))
+	c.bytesIn.Add(int64(HeaderLen + n))
 	c.framesIn.Add(1)
 	return kind, c.rbuf, nil
 }
@@ -221,11 +264,11 @@ func (c *Conn) RecvFrame() (kind byte, payload []byte, err error) {
 // cannot hand back — a partial frame, one larger than the buffer, a
 // length past the limit — is left for RecvFrame to read or reject.
 func (c *Conn) RecvBuffered() (kind byte, payload []byte, ok bool) {
-	if c.rw-c.rr < headerLen {
+	if c.rw-c.rr < HeaderLen {
 		return 0, nil, false
 	}
 	l := binary.BigEndian.Uint32(c.rb[c.rr:])
-	if l > MaxFrame || c.rw-c.rr-headerLen < int(l) {
+	if l > MaxFrame || c.rw-c.rr-HeaderLen < int(l) {
 		return 0, nil, false
 	}
 	kind, payload = c.take(int(l))
@@ -307,7 +350,7 @@ func (e *Egress) EndFrame(buf []byte) error {
 		return e.err
 	}
 	e.buf = buf
-	payload := len(buf) - e.hdr - headerLen
+	payload := len(buf) - e.hdr - HeaderLen
 	if payload < 0 {
 		e.err = fmt.Errorf("wire: EndFrame buffer shorter than its header")
 		return e.err

@@ -108,11 +108,12 @@ var (
 	InternetLink = channel.InternetLink
 )
 
-// CoalesceConfig sizes egress message coalescing; see
-// channel.CoalesceConfig.
+// CoalesceConfig caps, in wire bytes, the frames a channel's egress is
+// written into; see channel.CoalesceConfig.
 type CoalesceConfig = channel.CoalesceConfig
 
-// DefaultCoalesce is the coalescing policy every channel starts with.
+// DefaultCoalesce is the frame cap every channel starts with: a frame
+// the peer's 32 KB receive buffer holds whole.
 var DefaultCoalesce = channel.DefaultCoalesce
 
 // FaultConfig describes deterministic fault injection on cross-node
@@ -285,7 +286,8 @@ func (b *SystemBuilder) SetChannel(subA, subB string, p Policy, link LinkModel) 
 
 // SetCoalescing replaces DefaultCoalesce on every cross-node channel
 // the build creates; the zero CoalesceConfig is one frame per message.
-// In-process channels (pipes) keep the default.
+// In-process channels (pipes) keep the default. The benchmark harness
+// sets the default explicitly through it; it goes once that call does.
 func (b *SystemBuilder) SetCoalescing(cfg CoalesceConfig) *SystemBuilder {
 	b.coalesce = cfg
 	b.coalesceSet = true
