@@ -58,7 +58,10 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/experiments/...
 
 # The mesh gate: the 3-node control plane and live migration under
-# the race detector, including the drive-digest equivalence suite
+# the race detector — the control frames' round trip, the hostile
+# frames and handshakes that end only their own connection, a silent
+# peer that holds neither Start past its deadline nor Close — including
+# the drive-digest equivalence suite
 # (stationary vs migrated vs there-and-back vs randomized barriers),
 # both with goroutines forced onto one OS thread and genuinely
 # interleaved. The control plane waits on signals (a membership change,
@@ -180,10 +183,12 @@ wire: fuzz-smoke
 # parse alike, and a header claiming 2^32-1 images or html bytes
 # allocates only what the input backs), the event queue against a
 # sorted reference on any stream of calls, the safe-time model's
-# invariants on any schedule of its actions, and the node
+# invariants on any schedule of its actions, the node
 # hello and helloAck and the hardware-server request and response
 # decoders on arbitrary payloads (no panic, nothing past a named cap,
-# what decodes re-encodes to the same value). A direct ci prerequisite.
+# what decodes re-encodes to the same value), and the mesh control
+# frame decoder the same way, re-encoding what it accepts to the same
+# bytes. A direct ci prerequisite.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFrameParser -fuzztime=3s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBatch -fuzztime=3s ./internal/channel/
@@ -196,6 +201,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzHelloAck -fuzztime=3s ./internal/node/
 	$(GO) test -run=^$$ -fuzz=FuzzHWRequest -fuzztime=3s ./internal/hwstub/
 	$(GO) test -run=^$$ -fuzz=FuzzHWResponse -fuzztime=3s ./internal/hwstub/
+	$(GO) test -run=^$$ -fuzz=FuzzMeshFrame -fuzztime=3s ./internal/mesh/
 
 # The scheduler-core gate: the three-way equivalence matrix
 # (sequential x conservative x optimistic over 50 random topologies,

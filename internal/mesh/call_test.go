@@ -5,8 +5,8 @@
 package mesh
 
 import (
-	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -16,16 +16,29 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // guard bounds every wait in this file that should be over in
 // microseconds; it only ever elapses in a failing test.
 const guard = 10 * time.Second
 
-// peer is the test's end of one control connection.
+// peer is the test's end of one control connection: c is the socket,
+// the peerConn the member's own framing over it.
 type peer struct {
 	t *testing.T
+	c net.Conn
 	*peerConn
+}
+
+// handshakeAs plays one side of the control handshake as name on c —
+// the dialer's when dialer is set — and returns the test's end of the
+// connection and the hello the other side sent.
+func handshakeAs(t *testing.T, c net.Conn, name string, dialer bool) (*peer, ctlHello, error) {
+	p := &peer{t, c, &peerConn{Conn: wire.NewConn(c)}}
+	h, err := hellos(p.peerConn, c, ctlHello{From: name, DataAddr: "127.0.0.1:1"}, time.Now().Add(guard), dialer)
+	p.name = h.From
+	return p, h, err
 }
 
 func (p *peer) next() any {
@@ -62,6 +75,21 @@ func (p *peer) nextReply() reply {
 			if f.Op != opHeartbeat {
 				p.t.Fatalf("scripted peer: want a reply, got request %s", f.Op)
 			}
+		}
+	}
+}
+
+// hungUp reads what the member still sends until it closes its end,
+// and fails unless that is a clean EOF inside the guard.
+func (p *peer) hungUp() {
+	p.t.Helper()
+	p.c.SetReadDeadline(time.Now().Add(guard))
+	for {
+		if _, _, err := p.RecvFrame(); err != nil {
+			if err != io.EOF {
+				p.t.Fatalf("scripted peer: want the member to hang up, got %v", err)
+			}
+			return
 		}
 	}
 }
@@ -118,16 +146,12 @@ func dialAs(t *testing.T, m *Member, name string) *peer {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	enc, dec := gob.NewEncoder(c), gob.NewDecoder(c)
-	var w ctlWelcome
-	if err := enc.Encode(ctlHello{From: name, DataAddr: "127.0.0.1:1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&w); err != nil || w.From != m.name {
-		t.Fatalf("welcome %+v, %v", w, err)
+	p, h, err := handshakeAs(t, c, name, true)
+	if err != nil || h.From != m.name {
+		t.Fatalf("answering hello %+v, %v", h, err)
 	}
 	awaitMembership(t, m, name+" joining", func() bool { _, err := m.ms.conn(name); return err == nil })
-	return &peer{t, &peerConn{name: m.name, c: c, enc: enc, dec: dec}}
+	return p
 }
 
 // listenAs plays a larger-named member before the handshake: the
@@ -145,13 +169,12 @@ func listenAs(t *testing.T, name string) (string, <-chan *peer) {
 		if err != nil {
 			return
 		}
-		enc, dec := gob.NewEncoder(c), gob.NewDecoder(c)
-		var h ctlHello
-		if dec.Decode(&h) != nil || enc.Encode(ctlWelcome{From: name, DataAddr: "127.0.0.1:1"}) != nil {
+		p, _, err := handshakeAs(t, c, name, false)
+		if err != nil {
 			c.Close()
 			return
 		}
-		out <- &peer{t, &peerConn{name: h.From, c: c, enc: enc, dec: dec}}
+		out <- p
 	}()
 	return ln.Addr().String(), out
 }
@@ -172,7 +195,7 @@ func within(t *testing.T, what string, fn func() error) error {
 }
 
 func marked(id uint64, mark int64) reply {
-	return reply{ID: id, Op: opStep, Counters: counters{Sent: map[string]int64{"mark": mark}}}
+	return reply{ID: id, Op: opStep, Counters: counters{"mark": {Sent: mark}}}
 }
 
 // TestCallGathersOneReplyPerMember: replies are preloaded in a known
@@ -193,7 +216,7 @@ func TestCallGathersOneReplyPerMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got["p1"].Counters.Sent["mark"] != 3 || got["p2"].Counters.Sent["mark"] != 5 {
+	if len(got) != 2 || got["p1"].Counters["mark"].Sent != 3 || got["p2"].Counters["mark"].Sent != 5 {
 		t.Fatalf("gathered %+v, want p1's first right-ID reply and p2's", got)
 	}
 	for _, p := range []*peer{p1, p2} {
@@ -205,7 +228,7 @@ func TestCallGathersOneReplyPerMember(t *testing.T) {
 	m.route("p1", marked(id, 6))
 	m.route("p1", marked(id+1, 7))
 	got, err = m.call([]string{"p1"}, request{Op: opStep})
-	if err != nil || got["p1"].Counters.Sent["mark"] != 7 {
+	if err != nil || got["p1"].Counters["mark"].Sent != 7 {
 		t.Fatalf("second call gathered %+v, %v; want mark 7", got, err)
 	}
 }
@@ -293,18 +316,6 @@ func TestCloseDuringGather(t *testing.T) {
 	}
 }
 
-// TestUnknownFrameKindEndsConnection: bytes that are not a request or
-// a reply cost the peer its membership, not the member its life.
-func TestUnknownFrameKindEndsConnection(t *testing.T) {
-	m := newMember(t, "alpha", &Blueprint{})
-	p := dialAs(t, m, "p1")
-	if err := p.enc.Encode(frameKind(9)); err != nil {
-		t.Fatal(err)
-	}
-	awaitMembership(t, m, "p1 dropped", hasLeft(m, "p1"))
-	dialAs(t, m, "p2") // still accepting
-}
-
 // soloBlueprint is the smallest system that runs: a pump and a drain
 // on one member, nothing crossing.
 func soloBlueprint(home string) *Blueprint {
@@ -338,22 +349,17 @@ func startWithScriptedPeer(t *testing.T, name, peerName string, bp *Blueprint) (
 	return m, <-dialed, err
 }
 
-// TestUnknownOpIsRefused: an op this build does not know is answered
-// with an Err under the caller's ID — no panic, no silence.
+// TestUnknownOpIsRefused: an op this build does not know is a protocol
+// error, here on a connection the member dialed: the member hangs up —
+// no panic, no reply — and records the peer as left.
 func TestUnknownOpIsRefused(t *testing.T) {
-	_, p, err := startWithScriptedPeer(t, "alpha", "zulu", soloBlueprint("alpha"))
+	m, p, err := startWithScriptedPeer(t, "alpha", "zulu", soloBlueprint("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.mustSend(request{ID: 5, Op: op(99)})
-	if rp := p.nextReply(); rp.ID != 5 || rp.Op != op(99) || !strings.Contains(rp.Err, "op(99)") {
-		t.Fatalf("unknown op answered %+v", rp)
-	}
-	// And the member loop is still serving.
-	p.mustSend(request{ID: 6, Op: opReady})
-	if rp := p.nextReply(); rp.ID != 6 || rp.Err != "" {
-		t.Fatalf("ready after the unknown op answered %+v", rp)
-	}
+	awaitMembership(t, m, "zulu dropped", hasLeft(m, "zulu"))
+	p.hungUp()
 }
 
 // TestLeadEndsWhenFollowerDies: a follower whose control connection
@@ -404,7 +410,7 @@ func TestFollowerAnswersTheLeader(t *testing.T) {
 		t.Fatalf("ready: %s", rp.Err)
 	}
 	rp := ask(request{ID: 2, Op: opStep, Until: vtime.Time(10 * vtime.Millisecond)})
-	if rp.Err != "" || len(rp.Counters.Sent) != 0 {
+	if rp.Err != "" || len(rp.Counters) != 0 {
 		t.Fatalf("step of a member with no channels answered %+v", rp)
 	}
 	if got := m.Subsystem().Component("drain").Behavior().(*drainBeh).Count; got != 3 {
@@ -461,6 +467,12 @@ func TestRequestMigrationReturnsTheVerdict(t *testing.T) {
 	}
 	wantRefusal(charlie.RequestMigration("ghost", "bravo"), `unknown component "ghost"`)
 	wantRefusal(charlie.RequestMigration("hot", "nowhere"), `unknown member "nowhere"`)
+	// A name no control frame may carry is refused by the asker, and
+	// costs it nothing: the requests below still reach the leader.
+	var refused *Refused
+	if err := charlie.RequestMigration(strings.Repeat("x", maxName+1), "bravo"); !errors.As(err, &refused) || refused.Member != "charlie" {
+		t.Fatalf("an over-long component name gave %v, want charlie's own refusal", err)
+	}
 	for i := 0; i < maxQueuedMigrations; i++ {
 		from := lm.Members[i%len(lm.Members)] // the leader asks itself the same way
 		if err := from.RequestMigration("hot", "bravo"); err != nil {

@@ -3,65 +3,36 @@
 package mesh
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
-// frameKind tags each value on a control connection after the
-// handshake: one gob-encoded kind, then the gob of the struct it names.
-type frameKind uint8
-
-const (
-	frameRequest frameKind = iota + 1
-	frameReply
-)
-
-// peerConn is one control connection with gob framing. Writes are
-// serialized; reads happen on a single reader goroutine.
+// peerConn is one admitted control connection. wire.Conn serialises its
+// writes and bounds its frames; reads happen on a single reader
+// goroutine.
 type peerConn struct {
 	name string
-	c    net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	wmu  sync.Mutex
+	*wire.Conn
 }
 
-// send writes one frame, a request or a reply.
+// send writes one control frame.
 func (pc *peerConn) send(f any) error {
-	kind := frameReply
-	if _, ok := f.(request); ok {
-		kind = frameRequest
-	}
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
-	if err := pc.enc.Encode(kind); err != nil {
-		return err
-	}
-	return pc.enc.Encode(f)
+	return pc.SendRaw(wire.FrameMesh, appendFrame(nil, f))
 }
 
-// recv reads one frame. A kind this build does not know is a protocol
-// error that ends the connection, like any other undecodable byte.
+// recv reads one control frame. Bytes that do not decode are a
+// protocol error that ends the connection.
 func (pc *peerConn) recv() (any, error) {
-	var kind frameKind
-	if err := pc.dec.Decode(&kind); err != nil {
+	kind, payload, err := pc.RecvFrame()
+	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case frameRequest:
-		var rq request
-		err := pc.dec.Decode(&rq)
-		return rq, err
-	case frameReply:
-		var rp reply
-		err := pc.dec.Decode(&rp)
-		return rp, err
-	}
-	return nil, fmt.Errorf("mesh: unknown control frame kind %d from %s", kind, pc.name)
+	return decodeFrame(kind, payload)
 }
 
 // peerState is everything the membership table knows about one peer.
@@ -72,16 +43,24 @@ type peerState struct {
 	left     bool
 }
 
-// membership tracks every peer that has completed the handshake.
+// membership tracks every peer that has completed the handshake, and
+// every connection whose handshake is still under way.
 type membership struct {
-	mu      sync.Mutex
-	self    string
-	peers   map[string]*peerState
-	changed chan struct{} // closed and replaced whenever a peer joins or leaves
+	mu       sync.Mutex
+	self     string
+	peers    map[string]*peerState
+	greeting map[net.Conn]bool // connections in their handshake
+	shut     bool              // the member closed: nothing more is admitted
+	changed  chan struct{}     // closed and replaced whenever a peer joins or leaves
 }
 
 func newMembership(self string) *membership {
-	return &membership{self: self, peers: make(map[string]*peerState), changed: make(chan struct{})}
+	return &membership{
+		self:     self,
+		peers:    make(map[string]*peerState),
+		greeting: make(map[net.Conn]bool),
+		changed:  make(chan struct{}),
+	}
 }
 
 // watch returns a channel the next join or leave closes. Take it
@@ -99,12 +78,51 @@ func (ms *membership) signal() {
 	ms.changed = make(chan struct{})
 }
 
-// join registers a peer's established control connection.
-func (ms *membership) join(pc *peerConn, dataAddr string) {
+// greet registers a connection whose handshake is starting, so close
+// can cut it; it reports false, having closed c, once the member is
+// closed.
+func (ms *membership) greet(c net.Conn) bool {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
+	if ms.shut {
+		c.Close()
+		return false
+	}
+	ms.greeting[c] = true
+	return true
+}
+
+// join ends c's handshake, whose outcome err is: pc, the connection
+// over c, becomes the peer's control connection unless the handshake
+// failed or the member closed during it, which close c and return why.
+func (ms *membership) join(c net.Conn, pc *peerConn, dataAddr string, err error) error {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	delete(ms.greeting, c)
+	if err == nil && ms.shut {
+		err = fmt.Errorf("mesh: %s closed during the handshake", ms.self)
+	}
+	if err != nil {
+		c.Close()
+		return err
+	}
 	ms.peers[pc.name] = &peerState{conn: pc, dataAddr: dataAddr, lastHB: time.Now()}
 	ms.signal()
+	return nil
+}
+
+// close admits nothing more and closes every control connection,
+// established or in its handshake.
+func (ms *membership) close() {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	ms.shut = true
+	for c := range ms.greeting {
+		c.Close()
+	}
+	for _, ps := range ms.peers {
+		ps.conn.Close()
+	}
 }
 
 // note refreshes a peer's heartbeat; any control traffic counts.

@@ -33,7 +33,6 @@
 package mesh
 
 import (
-	"encoding/gob"
 	"fmt"
 	"maps"
 	"net"
@@ -48,6 +47,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/timeline"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // Config describes one mesh member.
@@ -198,8 +198,8 @@ type Member struct {
 // channel-accept hooks. Call Start to join the mesh.
 func New(cfg Config) (*Member, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Name == "" {
-		return nil, fmt.Errorf("mesh: member needs a name")
+	if cfg.Name == "" || len(cfg.Name) > maxName {
+		return nil, fmt.Errorf("mesh: member needs a name of 1 to %d bytes", maxName)
 	}
 	if cfg.Blueprint == nil {
 		return nil, fmt.Errorf("mesh: member %s needs a blueprint", cfg.Name)
@@ -361,36 +361,31 @@ func (m *Member) Start(peers map[string]string) error {
 }
 
 // dialCtl establishes the control connection to one peer, retrying
-// until the deadline so members may start in any order.
+// until the deadline so members may start in any order. The handshake
+// runs under the same deadline.
 func (m *Member) dialCtl(peer, addr string, deadline time.Time) error {
 	if addr == "" {
 		return fmt.Errorf("mesh: %s: no control address for peer %s", m.name, peer)
 	}
-	var lastErr error
+	var err error
 	for time.Now().Before(deadline) {
-		c, err := net.DialTimeout("tcp", addr, time.Until(deadline))
-		if err != nil {
-			lastErr = err
-			time.Sleep(ctlDialRetry)
-			continue
+		var c net.Conn
+		if c, err = net.DialTimeout("tcp", addr, time.Until(deadline)); err == nil {
+			if err = m.handshake(c, deadline, true); err == nil {
+				return nil
+			}
 		}
-		enc, dec := gob.NewEncoder(c), gob.NewDecoder(c)
-		var w ctlWelcome
-		if lastErr = enc.Encode(ctlHello{From: m.name, DataAddr: m.dataAddr}); lastErr == nil {
-			lastErr = dec.Decode(&w)
+		select {
+		case <-time.After(min(ctlDialRetry, time.Until(deadline))):
+		case <-m.closed:
+			return fmt.Errorf("mesh: %s closed while dialing %s", m.name, peer)
 		}
-		if lastErr != nil {
-			c.Close()
-			continue
-		}
-		m.admit(&peerConn{name: w.From, c: c, enc: enc, dec: dec}, w.DataAddr)
-		return nil
 	}
-	return fmt.Errorf("mesh: %s: dial control %s (%s): %w", m.name, peer, addr, lastErr)
+	return fmt.Errorf("mesh: %s: dial control %s (%s): %w", m.name, peer, addr, err)
 }
 
 // acceptCtl accepts inbound control connections from smaller-named
-// peers.
+// peers, each handshake under connectTimeout.
 func (m *Member) acceptCtl() {
 	defer m.wg.Done()
 	for {
@@ -398,28 +393,57 @@ func (m *Member) acceptCtl() {
 		if err != nil {
 			return
 		}
-		go func(c net.Conn) {
-			enc, dec := gob.NewEncoder(c), gob.NewDecoder(c)
-			var h ctlHello
-			err := dec.Decode(&h)
-			if err == nil {
-				err = enc.Encode(ctlWelcome{From: m.name, DataAddr: m.dataAddr})
-			}
-			if err != nil {
-				c.Close()
-				return
-			}
-			m.admit(&peerConn{name: h.From, c: c, enc: enc, dec: dec}, h.DataAddr)
-		}(c)
+		m.wg.Add(1)
+		go func() {
+			defer m.wg.Done()
+			_ = m.handshake(c, time.Now().Add(connectTimeout), false) // a failed one closed c; the dialer retries
+		}()
 	}
 }
 
-// admit makes a peer whose handshake completed a member and starts
-// reading its connection.
-func (m *Member) admit(pc *peerConn, dataAddr string) {
-	m.ms.join(pc, dataAddr)
+// handshake exchanges hellos on a fresh control connection before
+// deadline — the dialer speaks first — then clears the deadline, admits
+// the peer and starts reading its connection. Close cuts a handshake
+// still under way; a failed one closes c.
+func (m *Member) handshake(c net.Conn, deadline time.Time, dialer bool) error {
+	if !m.ms.greet(c) {
+		return fmt.Errorf("mesh: %s closed", m.name)
+	}
+	pc := &peerConn{Conn: wire.NewConn(c)}
+	h, err := hellos(pc, c, ctlHello{From: m.name, DataAddr: m.dataAddr}, deadline, dialer)
+	pc.name = h.From
+	if err := m.ms.join(c, pc, h.DataAddr, err); err != nil {
+		return err
+	}
 	m.wg.Add(1)
 	go m.readLoop(pc)
+	return nil
+}
+
+// hellos sends mine and reads the peer's hello on pc, the fresh
+// control connection over c, in the dialer's or the acceptor's order
+// and before deadline, which it then clears.
+func hellos(pc *peerConn, c net.Conn, mine ctlHello, deadline time.Time, dialer bool) (ctlHello, error) {
+	c.SetDeadline(deadline)
+	if dialer {
+		if err := pc.send(mine); err != nil {
+			return ctlHello{}, err
+		}
+	}
+	f, err := pc.recv()
+	if err != nil {
+		return ctlHello{}, err
+	}
+	h, ok := f.(ctlHello)
+	if !ok {
+		return ctlHello{}, fmt.Errorf("mesh: a %T where a hello belongs", f)
+	}
+	if !dialer {
+		if err := pc.send(mine); err != nil {
+			return ctlHello{}, err
+		}
+	}
+	return h, c.SetDeadline(time.Time{})
 }
 
 // readLoop drains one control connection, routing frames. Whatever
@@ -428,8 +452,11 @@ func (m *Member) readLoop(pc *peerConn) {
 	defer m.wg.Done()
 	for {
 		f, err := pc.recv()
+		if _, hello := f.(ctlHello); hello {
+			err = fmt.Errorf("mesh: a second hello from %s", pc.name)
+		}
 		if err != nil {
-			pc.c.Close()
+			pc.Close()
 			m.peerGone(pc.name)
 			return
 		}
@@ -629,16 +656,9 @@ func (m *Member) step(until vtime.Time) (counters, error) {
 		}
 		m.mu.Unlock()
 	}
-	c := counters{
-		Sent:    make(map[string]int64),
-		Queued:  make(map[string]int64),
-		Handled: make(map[string]int64),
-	}
-	for _, ep := range m.hub.Endpoints() {
-		p := ep.Peer()
-		c.Sent[p] += ep.SentCount()
-		c.Queued[p] += ep.QueuedCount()
-		c.Handled[p] += ep.HandledCount()
+	c := make(counters)
+	for _, ep := range m.hub.Endpoints() { // one per peer
+		c[ep.Peer()] = peerCount{Sent: ep.SentCount(), Queued: ep.QueuedCount(), Handled: ep.HandledCount()}
 	}
 	return c, err
 }
@@ -675,6 +695,9 @@ func (m *Member) MigrateAt(at vtime.Time, comp, dest string) error {
 // verdict: nil once the request is queued, a *Refused carrying the
 // leader's reason when it is not.
 func (m *Member) RequestMigration(comp, dest string) error {
+	if len(comp) > maxName || len(dest) > maxName {
+		return &Refused{Member: m.name, Phase: opMigrate.String(), Reason: fmt.Sprintf("a name over %d bytes", maxName)}
+	}
 	_, err := m.call([]string{m.leaderNm}, request{Op: opMigrate, Move: move{Comp: comp, To: dest}})
 	return err
 }
@@ -732,14 +755,14 @@ func (m *Member) rounds(until vtime.Time, step vtime.Duration) error {
 }
 
 // barrierHolds checks the drain condition over all members' reports:
-// for every directed pair X->Y, X.Sent[Y] == Y.Queued[X] ==
-// Y.Handled[X]. Counters are cumulative, so equality means nothing
-// is in flight or queued anywhere.
+// for every directed pair X->Y, X's Sent toward Y equals Y's Queued
+// and Handled from X. Counters are cumulative, so equality means
+// nothing is in flight or queued anywhere.
 func barrierHolds(reports map[string]reply) bool {
 	for x, rx := range reports {
-		for y, sent := range rx.Counters.Sent {
+		for y, out := range rx.Counters {
 			ry, ok := reports[y]
-			if !ok || ry.Counters.Queued[x] != sent || ry.Counters.Handled[x] != sent {
+			if in := ry.Counters[x]; !ok || in.Queued != out.Sent || in.Handled != out.Sent {
 				return false
 			}
 		}
@@ -755,9 +778,7 @@ func (m *Member) Close() error {
 		m.notify(opLeave)
 		close(m.closed)
 		m.ctlLn.Close()
-		for _, pc := range m.ms.conns() {
-			pc.c.Close()
-		}
+		m.ms.close()
 		err = m.nd.Close()
 		m.wg.Wait()
 	})

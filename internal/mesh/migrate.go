@@ -154,6 +154,9 @@ func (m *Member) extract(mv move) (image, error) {
 		return image{}, err
 	}
 	b, err := ci.Encode()
+	if err == nil && len(b) > maxImage {
+		err = fmt.Errorf("mesh: image of %s is %d bytes, over the control plane's %d", mv.Comp, len(b), maxImage)
+	}
 	return image{Bytes: b, Digest: m.digest.Value(mv.Comp)}, err
 }
 

@@ -68,8 +68,8 @@ func TestLinkFlagsConfigs(t *testing.T) {
 	if err := l.Apply(n); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(n.faults, wantF) || !n.faultsSet {
-		t.Errorf("node faults %+v (set %v)", n.faults, n.faultsSet)
+	if !reflect.DeepEqual(n.faults, wantF) || !n.faults.Enabled() {
+		t.Errorf("node faults %+v (on %v)", n.faults, n.faults.Enabled())
 	}
 	if got, on := n.resilient(); !on || got != rc {
 		t.Errorf("node session layer %+v (on %v)", got, on)
@@ -85,8 +85,8 @@ func TestLinkFlagsDefaults(t *testing.T) {
 	if err := parseLinks(t).Apply(n); err != nil {
 		t.Fatal(err)
 	}
-	if _, on := n.resilient(); on || n.faultsSet {
-		t.Errorf("defaults armed something: faults %v, session layer %v", n.faultsSet, on)
+	if _, on := n.resilient(); on || n.faults.Enabled() {
+		t.Errorf("defaults armed something: faults %v, session layer %v", n.faults.Enabled(), on)
 	}
 
 	l := parseLinks(t, "-fault-drop", "0.5", "-heartbeat", "20ms")

@@ -87,13 +87,12 @@ type Node struct {
 	coalesceSet bool
 
 	// Fault injection and session resilience, applied to every
-	// connection the node creates after the Set call.
-	faults    faultnet.Config
-	faultsSet bool
-	resil     resilience.Config
-	resilSet  bool
-	flinks    []*faultnet.Link
-	sessions  []*resilience.Session
+	// connection the node creates after the Set call; a zero Config is
+	// off.
+	faults   faultnet.Config
+	resil    resilience.Config
+	flinks   []*faultnet.Link
+	sessions []*resilience.Session
 
 	// metricsReg, when non-nil, is the registry every hosted
 	// subsystem and connection surface reports into (see metrics.go).
@@ -221,7 +220,6 @@ func (n *Node) applyCoalescing(ep *channel.Endpoint) {
 func (n *Node) SetFaults(cfg faultnet.Config) {
 	n.mu.Lock()
 	n.faults = cfg
-	n.faultsSet = true
 	n.mu.Unlock()
 }
 
@@ -234,15 +232,14 @@ func (n *Node) SetFaults(cfg faultnet.Config) {
 func (n *Node) SetResilience(cfg resilience.Config) {
 	n.mu.Lock()
 	n.resil = cfg
-	n.resilSet = true
 	n.mu.Unlock()
 }
 
 func (n *Node) faultLink(name string) *faultnet.Link {
 	n.mu.Lock()
-	cfg, set := n.faults, n.faultsSet
+	cfg := n.faults
 	n.mu.Unlock()
-	if !set || !cfg.Enabled() {
+	if !cfg.Enabled() {
 		return nil
 	}
 	l := faultnet.NewLink(name, cfg)
@@ -257,7 +254,7 @@ func (n *Node) faultLink(name string) *faultnet.Link {
 func (n *Node) resilient() (resilience.Config, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.resil, n.resilSet && n.resil.Enabled()
+	return n.resil, n.resil.Enabled()
 }
 
 func (n *Node) addSession(s *resilience.Session) {

@@ -13,7 +13,7 @@ import (
 	"repro/internal/vtime"
 )
 
-// ExportOptions controls the Perfetto/logfmt writers.
+// ExportOptions controls the Perfetto writer.
 type ExportOptions struct {
 	// Wall includes wall-clock args. Wall times differ run to run,
 	// so the deterministic merged export leaves this off.
@@ -293,50 +293,6 @@ func WritePerfetto(w io.Writer, evs []Event, opt ExportOptions) error {
 		}
 	}
 	fmt.Fprintf(bw, "\n]}\n")
-	return bw.Flush()
-}
-
-// WriteLogfmt writes events one per line in logfmt, sorted order
-// assumed. Wall and transient inclusion follow opt as in
-// WritePerfetto.
-func WriteLogfmt(w io.Writer, evs []Event, opt ExportOptions) error {
-	bw := bufio.NewWriter(w)
-	for i := range evs {
-		e := &evs[i]
-		if !opt.Transient && !e.Kind.Canonical() {
-			continue
-		}
-		fmt.Fprintf(bw, "vt=%d kind=%s", int64(e.VT), e.Kind)
-		if e.Node != "" {
-			fmt.Fprintf(bw, " node=%s", e.Node)
-		}
-		if e.Sub != "" {
-			fmt.Fprintf(bw, " sub=%s", e.Sub)
-		}
-		if e.Comp != "" {
-			fmt.Fprintf(bw, " comp=%s", e.Comp)
-		}
-		if e.Net != "" {
-			fmt.Fprintf(bw, " net=%s", e.Net)
-		}
-		if e.From != "" {
-			fmt.Fprintf(bw, " from=%s", e.From)
-		}
-		if e.To != "" {
-			fmt.Fprintf(bw, " to=%s", e.To)
-		}
-		if e.VT2 != 0 {
-			fmt.Fprintf(bw, " vt2=%d", int64(e.VT2))
-		}
-		fmt.Fprintf(bw, " seq=%d", e.Seq)
-		if e.Detail != "" {
-			fmt.Fprintf(bw, " detail=%s", strconv.Quote(e.Detail))
-		}
-		if opt.Wall {
-			fmt.Fprintf(bw, " wall=%d", e.Wall)
-		}
-		bw.WriteByte('\n')
-	}
 	return bw.Flush()
 }
 

@@ -3,7 +3,7 @@
 // checkpoint/restore/rewind markers, runlevel switches, conservative
 // protocol chatter, WAN fault injections, and resilient-session epoch
 // transitions. It is the repository's one rewind-aware event store:
-// "what happened, in what order, and what caused it" (Perfetto, logfmt)
+// "what happened, in what order, and what caused it" (Perfetto)
 // and "what value was on this net when" (VCD, text log, drive digest)
 // are exporters over the same []Event.
 //

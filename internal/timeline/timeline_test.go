@@ -258,31 +258,6 @@ func TestNativeRoundTripAndMergeFiles(t *testing.T) {
 	}
 }
 
-func TestLogfmt(t *testing.T) {
-	r := NewRecorder(0)
-	r.SetNode("n1")
-	r.Drive("a", "cpu", "bus", 10, 1)
-	r.Stall("a", 11, 30)
-	var buf bytes.Buffer
-	if err := WriteLogfmt(&buf, r.Events(), ExportOptions{Wall: true, Transient: true}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "vt=10 kind=drive node=n1 sub=a comp=cpu net=bus seq=1") {
-		t.Fatalf("logfmt drive line missing, got:\n%s", out)
-	}
-	if !strings.Contains(out, "kind=stall") || !strings.Contains(out, "vt2=30") {
-		t.Fatalf("logfmt stall line missing, got:\n%s", out)
-	}
-	var canon bytes.Buffer
-	if err := WriteLogfmt(&canon, r.Events(), ExportOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(canon.String(), "stall") || strings.Contains(canon.String(), "wall=") {
-		t.Fatalf("canonical logfmt leaked transient/wall fields:\n%s", canon.String())
-	}
-}
-
 // TestMigrateCanonical pins the migrate span kind: it is part of the
 // canonical (reproducible) set, survives Canonical filtering, and
 // names its phases in the exported event title.

@@ -8,7 +8,8 @@ import (
 
 // Fields reads the fields of one frame payload in order: the bounded
 // reader behind every hand-written layout a peer's bytes reach outside
-// the batch codec (the node handshake, the hardware-server RPC). Every
+// the batch codec (the node handshake, the hardware-server RPC, the
+// mesh control plane). Every
 // read is checked against what is left of the payload before anything
 // is sliced or allocated, so no length a peer declares can reach past
 // its frame or size an allocation: a string is further bounded by a
@@ -64,30 +65,39 @@ func (f *Fields) U32() uint32 {
 
 // Uvarint reads an unsigned varint.
 func (f *Fields) Uvarint() uint64 {
-	if f.err != nil {
-		return 0
-	}
 	v, n := binary.Uvarint(f.buf)
-	if n <= 0 {
-		f.err = errors.New("wire: truncated or overflowing varint")
+	if !f.varint(n) {
 		return 0
 	}
-	f.buf = f.buf[n:]
 	return v
 }
 
 // Varint reads a signed (zig-zag) varint.
 func (f *Fields) Varint() int64 {
-	if f.err != nil {
+	v, n := binary.Varint(f.buf)
+	if !f.varint(n) {
 		return 0
 	}
-	v, n := binary.Varint(f.buf)
-	if n <= 0 {
+	return v
+}
+
+// varint consumes a varint the decoder found n bytes long. One in more
+// bytes than its value needs — a zero last byte after the first — is an
+// error too, so every layout read with Fields has exactly one encoding
+// of each value.
+func (f *Fields) varint(n int) bool {
+	switch {
+	case f.err != nil:
+		return false
+	case n <= 0:
 		f.err = errors.New("wire: truncated or overflowing varint")
-		return 0
+		return false
+	case n > 1 && f.buf[n-1] == 0:
+		f.err = fmt.Errorf("wire: varint in %d bytes where fewer suffice", n)
+		return false
 	}
 	f.buf = f.buf[n:]
-	return v
+	return true
 }
 
 // String reads a uvarint length and that many bytes, at most max of

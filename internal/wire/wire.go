@@ -6,8 +6,9 @@
 // messages (internal/channel's codec) and is the only kind a node
 // accepts after the handshake — a lone message is a batch of one;
 // FrameHello carries the node handshake (internal/node); FrameHW the
-// hardware-server RPC (internal/hwstub). Fields is the bounded reader
-// those layouts are parsed with. The length prefix keeps the stream
+// hardware-server RPC (internal/hwstub); FrameMesh the mesh control
+// plane (internal/mesh). Fields is the bounded reader those layouts are
+// parsed with. The length prefix keeps the stream
 // self-describing, lets both sides count bytes, and makes partial reads
 // detectable.
 //
@@ -46,6 +47,9 @@ const (
 	FrameHello byte = 2
 	// FrameHW is one request or response of the hardware-server RPC.
 	FrameHW byte = 3
+	// FrameMesh is one message of the mesh control plane: a hello, a
+	// request or a reply.
+	FrameMesh byte = 4
 )
 
 // Conn frames values over a byte stream. Send, SendRaw, WriteFrame

@@ -80,7 +80,7 @@ type (
 	TimelineRecorder = timeline.Recorder
 	// TimelineEvent is one recorded timeline event.
 	TimelineEvent = timeline.Event
-	// TimelineExportOptions controls the Perfetto/logfmt exporters.
+	// TimelineExportOptions controls the Perfetto exporter.
 	TimelineExportOptions = timeline.ExportOptions
 )
 
