@@ -85,15 +85,21 @@ metrics:
 
 # The timeline gate: the one recorder's package (the ring against its
 # slice reference across limits, wraps and interleaved restores, its
-# wrapped steady state at 0 allocs/op, and the waveform exporters' VCD
-# and text bytes), determinism (the merged canonical export of the
-# faulted two-node run is byte-identical across same-seed reruns),
-# rewind semantics (rolled-back spans drop from the export), and the
-# disabled-path guard (the nil-recorder emitters and the drive fanout
-# hot path stay at exactly 0 allocs/op with the timeline off).
+# wrapped steady state at 0 allocs/op, the waveform exporters' VCD and
+# text bytes, and the one subscriber seeing each recorded event once,
+# in record order, one call at a time), determinism (the merged
+# canonical export of the faulted two-node run is byte-identical
+# across same-seed reruns), rewind semantics (rolled-back spans drop
+# from the export), the timeline as the transport's one emission (on
+# a faulted, resilient node pair every counted fault, epoch death and
+# resume is an event, and each node records the channel it opened or
+# accepted), and the disabled-path guard (the nil-recorder emitters
+# and the drive fanout hot path stay at exactly 0 allocs/op with the
+# timeline off).
 timeline:
 	$(GO) test -count=1 ./internal/timeline/
 	$(GO) test -count=1 -run 'TestTimelineChaos' ./internal/experiments/
+	$(GO) test -count=1 -run 'TestTransportEventsMatchStats' ./internal/node/
 	$(GO) test -count=1 -run 'TestDriveFanoutZeroAlloc' ./internal/event/
 
 # The wire gate: the zero-copy hot path's allocation guards (encode —

@@ -37,9 +37,6 @@ type stack struct {
 func bringUp(o *options, nodeName string) (*stack, error) {
 	m := o.mode()
 	n := node.New(nodeName)
-	if o.verbose {
-		n.Tracer = func(s string) { log.Print(s) }
-	}
 	if err := o.links.Apply(n); err != nil {
 		return nil, err
 	}
@@ -54,8 +51,12 @@ func bringUp(o *options, nodeName string) (*stack, error) {
 			n.EnableMetrics(st.reg)
 		}
 	}
-	if o.timelinePath != "" {
-		n.EnableTimeline(timeline.NewRecorder(0))
+	if o.timelinePath != "" || o.verbose {
+		rec := timeline.NewRecorder(0)
+		if o.verbose {
+			rec.Subscribe(logTransport)
+		}
+		n.EnableTimeline(rec)
 	}
 	// The flight recorder and /watch hub ride on the metrics listener.
 	if o.metricsAddr != "" {
@@ -70,6 +71,16 @@ func bringUp(o *options, nodeName string) (*stack, error) {
 		st.smp.Start()
 	}
 	return st, nil
+}
+
+// logTransport is -v's timeline subscriber: it logs each injected
+// fault and each transport lifecycle event (a channel opened, accepted,
+// lost or rewound; a session epoch dying, resuming or refused) as it
+// is recorded.
+func logTransport(e timeline.Event) {
+	if e.Kind == timeline.KindFault || e.Kind == timeline.KindSession {
+		log.Printf("%s %s: %s %s", e.Node, e.Sub, e.Kind, e.Detail)
+	}
 }
 
 // writeDump writes one tripped post-mortem as a self-contained JSON

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"log"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,17 +16,19 @@ import (
 )
 
 // TestBringUpTearDown stands the shared stack up and tears it down
-// under each observer set — none, -metrics, and everything that rides
-// on the metrics listener — on ephemeral ports, and checks what a mode
-// relies on: the pieces exist exactly when their flags ask, the
-// observability surface answers, and close leaves no listener and no
-// goroutine behind (and may be called twice).
+// under each observer set — none, -metrics, -v, and everything that
+// rides on the metrics listener — on ephemeral ports, and checks what a
+// mode relies on: the pieces exist exactly when their flags ask, the
+// observability surface answers, -v logs a recorded session event
+// once, and close leaves no listener and no goroutine behind (and may
+// be called twice).
 func TestBringUpTearDown(t *testing.T) {
 	dir := t.TempDir()
 	tl, dumps := filepath.Join(dir, "tl.json"), filepath.Join(dir, "dumps")
 	for _, argv := range []string{
 		"",
 		"-metrics 127.0.0.1:0",
+		"-v",
 		"-metrics 127.0.0.1:0 -pprof -timeline " + tl + " -flight-dump " + dumps + " -attrib-top 3 -resilient",
 	} {
 		before := runtime.NumGoroutine()
@@ -39,8 +44,17 @@ func TestBringUpTearDown(t *testing.T) {
 		if (st.reg != nil) != metricsOn || (st.fobs != nil) != metricsOn || (st.smp != nil) != metricsOn {
 			t.Errorf("pianode %s: registry %v, flight observer %v, sampler %v", argv, st.reg != nil, st.fobs != nil, st.smp != nil)
 		}
-		if (st.node.Timeline() != nil) != (o.timelinePath != "") {
+		if (st.node.Timeline() != nil) != (o.timelinePath != "" || o.verbose) {
 			t.Errorf("pianode %s: timeline recorder %v", argv, st.node.Timeline() != nil)
+		}
+		if o.verbose {
+			var logged bytes.Buffer
+			log.SetOutput(&logged)
+			st.node.Timeline().SessionEvent("chan:a>b", "lost", "probe")
+			log.SetOutput(os.Stderr)
+			if n := strings.Count(logged.String(), "chan:a>b: session lost probe"); n != 1 {
+				t.Errorf("pianode %s: the session event reached the log %d times, want once:\n%s", argv, n, logged.String())
+			}
 		}
 		sub := core.NewSubsystem("modemsite")
 		st.node.Host(sub)

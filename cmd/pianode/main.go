@@ -106,7 +106,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.level, "level", "packetLevel", "initial DMA detail level (hardwareLevel|wordLevel|packetLevel)")
 	fs.IntVar(&o.pageKB, "page", 66, "page size in KB served by the web store")
 	fs.IntVar(&o.images, "images", 4, "images embedded in the page")
-	fs.BoolVar(&o.verbose, "v", false, "log channel activity")
+	fs.BoolVar(&o.verbose, "v", false, "log each injected fault and each channel and session lifecycle event (opened, accepted, lost, rewound, epoch death, resume, refusal) as it happens")
 	fs.IntVar(&o.workers, "workers", 0, "scheduler worker-pool size (0 = sequential; results are identical)")
 	fs.Int64Var(&o.optimism, "optimism", 0, "speculate this many virtual ns past the safe horizon when workers would idle (0 = conservative; results are identical)")
 

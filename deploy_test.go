@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/node"
+	"repro/internal/timeline"
 )
 
 func TestBuildOnNodesTwoNodes(t *testing.T) {
@@ -273,6 +274,26 @@ func TestPeerLostEndsStalledRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	n1, n2 := NewNode("node1"), NewNode("node2")
+	// n1's recorder says when ssA has asked for its grant and when the
+	// channel's loss is latched: the node records a channel lost after
+	// the pump has latched it on the endpoint.
+	asked, lost := make(chan struct{}, 1), make(chan struct{}, 1)
+	signal := func(c chan struct{}) {
+		select {
+		case c <- struct{}{}:
+		default:
+		}
+	}
+	rec := NewTimelineRecorder(0)
+	rec.Subscribe(func(e TimelineEvent) {
+		switch {
+		case e.Kind == timeline.KindAsk && e.From == "ssA":
+			signal(asked)
+		case e.Kind == timeline.KindSession && strings.HasPrefix(e.Detail, "lost "):
+			signal(lost)
+		}
+	})
+	n1.EnableTimeline(rec)
 	hA, hB := n1.Host(sA), n2.Host(sB)
 	addr, err := n2.Listen("127.0.0.1:0")
 	if err != nil {
@@ -299,19 +320,20 @@ func TestPeerLostEndsStalledRun(t *testing.T) {
 
 	// Both sides wait: ssB inside its step, ssA on the grant it asked for.
 	<-entered
-	deadline := time.Now().Add(10 * time.Second)
-	for epA.Stats().AsksOut == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("ssA never asked for a grant")
-		}
-		time.Sleep(time.Millisecond)
+	deadline := time.After(10 * time.Second)
+	select {
+	case <-asked:
+	case <-deadline:
+		t.Fatal("ssA never asked for a grant")
 	}
 	px.cut()
-	for epA.Err() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("the channel died under a stalled run and its endpoint never latched the loss")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-lost:
+	case <-deadline:
+		t.Fatal("the channel died under a stalled run and its endpoint never latched the loss")
+	}
+	if epA.Err() == nil {
+		t.Fatal("the channel's loss was recorded before its endpoint latched it")
 	}
 	release <- struct{}{} // ssB's step returns; ssB's own latch stops it
 	select {

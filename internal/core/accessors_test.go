@@ -177,29 +177,6 @@ func TestAdvanceBackwardsPanics(t *testing.T) {
 	}
 }
 
-func TestTracerReceivesLines(t *testing.T) {
-	s := NewSubsystem("tr")
-	var lines []string
-	s.Tracer = func(l string) { lines = append(lines, l) }
-	b := BehaviorFunc(func(p *Proc) error {
-		p.Logf("hello %d", 7)
-		return nil
-	})
-	s.NewComponent("c", b)
-	if err := s.Run(vtime.Infinity); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, l := range lines {
-		if strings.Contains(l, "hello 7") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("trace lines: %v", lines)
-	}
-}
-
 func TestReplaceBehaviorErrors(t *testing.T) {
 	s := NewSubsystem("rb")
 	b := BehaviorFunc(func(p *Proc) error { return nil })

@@ -277,10 +277,6 @@ func (s *Subsystem) capture(tag string) (*CheckpointSet, error) {
 		s.checkpoints = append([]*CheckpointSet(nil), s.checkpoints[drop:]...)
 	}
 	atomic.AddInt64(&s.stats.Checkpoints, 1)
-	s.tracef("checkpoint #%d tag=%q @%v", cs.ID, tag, cs.Time)
-	if s.OnCheckpoint != nil {
-		s.OnCheckpoint(cs)
-	}
 	s.tlRec.Checkpoint(s.name, cs.Tag, cs.Time)
 	return cs, nil
 }
@@ -353,10 +349,6 @@ func (s *Subsystem) RestoreCheckpoint(cs *CheckpointSet) error {
 	s.fatal = nil
 	s.resetActive()
 	atomic.AddInt64(&s.stats.Restores, 1)
-	s.tracef("restored checkpoint #%d @%v", cs.ID, cs.Time)
-	if s.OnRestore != nil {
-		s.OnRestore(cs)
-	}
 	s.tlRec.Restore(s.name, cs.Tag, cs.Time)
 	return nil
 }

@@ -10,16 +10,15 @@ import (
 func TestCheckpointAndRestore(t *testing.T) {
 	s, pr, co := buildPipe(t, 0, 10, 10)
 	// Capture a checkpoint mid-run via a switch hook.
-	var captured *CheckpointSet
 	s.OnStep = func(now vtime.Time) {
-		if now >= 50 && captured == nil {
+		if now >= 50 && s.LatestCheckpoint() == nil {
 			s.RequestCheckpoint("")
 		}
 	}
-	s.OnCheckpoint = func(cs *CheckpointSet) { captured = cs }
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
+	captured := s.LatestCheckpoint()
 	if captured == nil {
 		t.Fatal("checkpoint never captured")
 	}
@@ -126,15 +125,13 @@ func TestCheckpointRetention(t *testing.T) {
 
 func TestCheckpointTagOncePerID(t *testing.T) {
 	s, _, _ := buildPipe(t, 0, 5, 10)
-	count := 0
-	s.OnCheckpoint = func(*CheckpointSet) { count++ }
 	s.RequestCheckpoint("snap-1")
 	s.RequestCheckpoint("snap-1") // duplicate mark, must be ignored
 	s.RequestCheckpoint("snap-2")
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
-	if count != 2 {
+	if count := s.Stats().Checkpoints; count != 2 {
 		t.Fatalf("captured %d tagged checkpoints, want 2", count)
 	}
 }
@@ -235,16 +232,15 @@ func TestCheckpointInboxPreserved(t *testing.T) {
 	pc.AddPort("out")
 	n, _ := s.NewNet("slow", 100)
 	s.Connect(n, pc.Port("out"), cc.Port("in"))
-	var cs *CheckpointSet
 	s.OnStep = func(now vtime.Time) {
-		if now >= 5 && cs == nil {
+		if now >= 5 && s.LatestCheckpoint() == nil {
 			s.RequestCheckpoint("")
 		}
 	}
-	s.OnCheckpoint = func(c *CheckpointSet) { cs = c }
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
+	cs := s.LatestCheckpoint()
 	if len(co.Got) != 1 {
 		t.Fatalf("first run: %d deliveries", len(co.Got))
 	}

@@ -141,9 +141,9 @@ type Component struct {
 	fastUntil vtime.Time
 	fastGen   uint64
 
-	// wbuf collects side effects (drives, trace lines, runlevel
-	// notes) while a parallel-round worker holds the token; nil in
-	// sequential execution.
+	// wbuf collects side effects (drives and runlevel notes) while a
+	// parallel-round worker holds the token; nil in sequential
+	// execution.
 	wbuf *workerBuf
 
 	// specImg is the lightweight pre-round image captured before a
@@ -304,27 +304,12 @@ func (c *Component) popDeliverable(e *event.Event) bool {
 	return ok
 }
 
-// tracef emits a trace line from component context: buffered when a
-// parallel-round worker holds the token, direct otherwise. The
-// Tracer-nil check runs before any formatting.
-func (c *Component) tracef(format string, args ...any) {
-	if c.sub.Tracer == nil {
-		return
-	}
-	line := fmt.Sprintf(format, args...)
-	if c.wbuf != nil {
-		c.wbuf.push(parOp{at: c.viewNow, kind: opTrace, str: line})
-		return
-	}
-	c.sub.Tracer(line)
-}
-
 // noteRunlevel records an imperative runlevel switch from component
 // context, buffering it during a parallel round.
 func (c *Component) noteRunlevel(level string) {
 	s := c.sub
 	if c.wbuf != nil {
-		if s.tlRec != nil || s.Tracer != nil {
+		if s.tlRec != nil {
 			c.wbuf.push(parOp{at: c.viewNow, kind: opRunlevel, str: level})
 		}
 		return

@@ -101,7 +101,6 @@ func (m *Memory) HandlerWrite(p *Proc, addr uint32, v uint64, raised vtime.Time)
 	if m.violatedBy(addr, raised) {
 		m.Violations++
 		m.syncAddrs[addr] = true
-		m.c.tracef("%s: consistency violation at addr %#x (irq @%v, read later); rewinding", m.c.name, addr, raised)
 		// The rewind must put THIS component before the interrupt
 		// time — a checkpoint whose cut time is early enough may
 		// still hold this component far ahead (it ran uninterrupted).

@@ -63,7 +63,6 @@ func (s *Subsystem) RemoveComponent(name string) error {
 		o.index = i
 	}
 	s.resetActive()
-	s.tracef("%s removed", name)
 	return nil
 }
 
@@ -89,6 +88,5 @@ func (s *Subsystem) RestoreComponentImage(img *Image) error {
 	if err != nil {
 		return fmt.Errorf("core: restore of %s: %w", c.name, err)
 	}
-	s.tracef("%s adopted @%v (live=%v, inbox=%d)", c.name, c.localTime, img.Live, len(img.Inbox))
 	return nil
 }

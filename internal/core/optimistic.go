@@ -31,7 +31,7 @@ package core
 //     order.
 //
 //  2. The GVT commit rule: the sequential scheduler emits actions
-//     (drives, trace lines, deliveries) in globally non-decreasing
+//     (drives, runlevel notes, deliveries) in globally non-decreasing
 //     canonical (time, component-index) order, and components that
 //     merely parked near the horizon will act again next iteration.
 //     A speculation is only proven once every other pending action
@@ -45,7 +45,7 @@ package core
 //     runs as a monotone fixpoint. This subsumes the
 //     transitive-consumer subtree (any member that consumed or raced
 //     a doomed output necessarily executed at or past the GVT) and
-//     is what keeps drive counts, virtual times and trace digests
+//     is what keeps drive counts, virtual times and drive digests
 //     bit-identical to the sequential kernel at any worker count.
 //
 // Rollback. Speculative members only shrink their inboxes during a
@@ -53,8 +53,8 @@ package core
 // plus the pre-round image (behaviour state, local clock, runlevel,
 // memory words) restores the member exactly; the goroutine is
 // unwound and re-enters Run from the restored state under the usual
-// StateSaver replay contract. Rolled-back work never reaches the
-// Tracer, OnDrive, metrics or canonical timeline exports; the only
+// StateSaver replay contract. Rolled-back work never reaches OnDrive,
+// metrics or canonical timeline exports; the only
 // record is a transient straggler-kind timeline span and the
 // pia_optimistic_* counters.
 //

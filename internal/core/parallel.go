@@ -20,12 +20,12 @@ package core
 // bounded worker pool at once. Each member runs on its own goroutine
 // (the ordinary cooperative handshake, just driven by a worker) and
 // may keep acting inline up to H via the fast paths in proc.go. Side
-// effects — net drives, trace lines, runlevel notes — are accumulated
+// effects — net drives and runlevel notes — are accumulated
 // in a per-member buffer, tagged with the virtual time of the fused
 // step that produced them, and replayed on the scheduler goroutine in
 // (time, component-index) order once the round completes. That is
 // exactly the order in which the step-at-a-time scheduler would have
-// emitted them, so virtual times, per-net drive counts and trace
+// emitted them, so virtual times, per-net drive counts and drive
 // digests are bit-for-bit identical to a sequential run.
 //
 // The horizon is additionally capped by Subsystem.roundCap — every
@@ -64,7 +64,6 @@ type opKind uint8
 
 const (
 	opDrive opKind = iota
-	opTrace
 	opRunlevel
 )
 
@@ -284,10 +283,6 @@ func (s *Subsystem) mergeRound(members []*Component, spec int) {
 		switch op.kind {
 		case opDrive:
 			s.driveFrom(op.net, nil, r.buf.c.name, op.t, op.v, false)
-		case opTrace:
-			if s.Tracer != nil {
-				s.Tracer(op.str)
-			}
 		case opRunlevel:
 			s.noteRunlevel(r.buf.c, op.str)
 		}

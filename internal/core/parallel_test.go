@@ -13,11 +13,10 @@ import (
 )
 
 // relay receives on "in", models some compute latency, and forwards
-// the incremented value on "out". Chatty relays exercise the buffered
-// trace path inside parallel rounds.
+// the incremented value on "out". Because it drives what it received,
+// the drive digest witnesses every reception.
 type relay struct {
-	work   vtime.Duration
-	chatty bool
+	work vtime.Duration
 }
 
 func (r *relay) Run(p *Proc) error {
@@ -26,9 +25,6 @@ func (r *relay) Run(p *Proc) error {
 		if !ok {
 			return nil
 		}
-		if r.chatty {
-			p.Logf("relay %v", m.Value)
-		}
 		p.Advance(r.work)
 		p.Send("out", m.Value.(int)+1)
 	}
@@ -36,7 +32,7 @@ func (r *relay) Run(p *Proc) error {
 
 // A relay is a pure reactor: its Recv loop carries no progress state,
 // so an empty image makes it checkpointable (and thus eligible for
-// speculative dispatch). work and chatty are configuration, preserved
+// speculative dispatch). work is configuration, preserved
 // because restore never touches them.
 func (r *relay) SaveState() ([]byte, error) { return nil, nil }
 func (r *relay) RestoreState([]byte) error  { return nil }
@@ -123,7 +119,7 @@ func randomParallelSystem(seed int64) (*Subsystem, []*consumer, []*poller) {
 	for i := 0; i < nRelay; i++ {
 		from := rng.Intn(nNets - 1)
 		to := from + 1 + rng.Intn(nNets-from-1)
-		rl := &relay{work: vtime.Duration(rng.Intn(8)), chatty: rng.Intn(2) == 0}
+		rl := &relay{work: vtime.Duration(rng.Intn(8))}
 		c, _ := s.NewComponent(fmt.Sprintf("relay%d", i), rl)
 		c.AddPort("in")
 		c.AddPort("out")
@@ -157,7 +153,7 @@ func randomParallelSystem(seed int64) (*Subsystem, []*consumer, []*poller) {
 // and returns a string capturing everything the parallel scheduler
 // must reproduce bit-for-bit: delivery values and times, final local
 // times, final subsystem time, per-net drive counts, the ordered
-// drive stream, the ordered trace stream, and the delivery counter.
+// drive stream, and the delivery counter.
 func runFingerprint(t *testing.T, seed int64, workers int) (string, Stats) {
 	return runFingerprintOpt(t, seed, workers, 0)
 }
@@ -187,8 +183,6 @@ func fingerprint(t *testing.T, seed int64, mode string, configure func(*Subsyste
 		driveCounts[net]++
 		fmt.Fprintf(driveDigest, "%s|%s|%d|%v\n", net, src, tt, v)
 	}
-	traceDigest := fnv.New64a()
-	s.Tracer = func(line string) { fmt.Fprintf(traceDigest, "%s\n", line) }
 
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatalf("seed %d %s: %v", seed, mode, err)
@@ -213,8 +207,8 @@ func fingerprint(t *testing.T, seed int64, mode string, configure func(*Subsyste
 		sig += fmt.Sprintf("|%s=%d", name, driveCounts[name])
 	}
 	st := s.Stats()
-	sig += fmt.Sprintf("|drv=%x|trc=%x|deliv=%d|drives=%d",
-		driveDigest.Sum64(), traceDigest.Sum64(), st.Deliveries, st.Drives)
+	sig += fmt.Sprintf("|drv=%x|deliv=%d|drives=%d",
+		driveDigest.Sum64(), st.Deliveries, st.Drives)
 	return sig, st
 }
 
@@ -222,7 +216,7 @@ func fingerprint(t *testing.T, seed int64, mode string, configure func(*Subsyste
 // three-way mode matrix — sequential, conservative rounds, and
 // optimistic (Time Warp) rounds at varied windows — at 1, 2 and 4
 // workers must produce exactly the sequential scheduler's delivery
-// stream, virtual end times, per-net drive counts and drive/trace
+// stream, virtual end times, per-net drive counts and drive
 // digests.
 func TestParallelEquivalenceProperty(t *testing.T) {
 	var parRounds, specRounds, rollbacks int64
@@ -439,8 +433,6 @@ func TestFastPathMatchesHookedRun(t *testing.T) {
 			driveCounts[net]++
 			fmt.Fprintf(driveDigest, "%s|%s|%d|%v\n", net, src, tt, v)
 		}
-		traceDigest := fnv.New64a()
-		s.Tracer = func(line string) { fmt.Fprintf(traceDigest, "%s\n", line) }
 		if err := s.Run(vtime.Infinity); err != nil {
 			t.Fatal(err)
 		}
@@ -463,8 +455,8 @@ func TestFastPathMatchesHookedRun(t *testing.T) {
 			sig += fmt.Sprintf("|%s=%d", name, driveCounts[name])
 		}
 		st := s.Stats()
-		sig += fmt.Sprintf("|drv=%x|trc=%x|deliv=%d|drives=%d",
-			driveDigest.Sum64(), traceDigest.Sum64(), st.Deliveries, st.Drives)
+		sig += fmt.Sprintf("|drv=%x|deliv=%d|drives=%d",
+			driveDigest.Sum64(), st.Deliveries, st.Drives)
 		if sig != fast {
 			t.Fatalf("seed %d: hooked (slow) run diverged from fast run\nslow: %s\nfast: %s", seed, sig, fast)
 		}
@@ -497,8 +489,8 @@ func (a *stormTicker) Run(p *Proc) error {
 // scheduling key therefore runs far ahead of the ticker's, so every
 // optimistic round speculates it past the horizon — and every ticker
 // send then lands in its executed past, forcing a rollback. Each poll
-// logs a trace line, so a single leaked (rolled-back, then replayed)
-// poll would double a line and break the trace digest.
+// drives its count on "out", so a single leaked (rolled-back, then
+// replayed) poll would double a drive and break the drive digest.
 type stormPoller struct {
 	Period vtime.Duration
 	Rounds int
@@ -513,7 +505,7 @@ func (po *stormPoller) Run(p *Proc) error {
 		if !ok {
 			po.Times = append(po.Times, p.Time())
 		}
-		p.Logf("poll %d", po.Done)
+		p.Send("out", po.Done)
 		po.Last = p.Time()
 		po.Done++
 	}
@@ -540,8 +532,11 @@ func buildStorm(t *testing.T) (*Subsystem, *stormPoller) {
 	m, _ := s.NewComponent("poll0", po)
 	m.AddPort("in")
 	m.AddPort("tick")
+	m.AddPort("out")
+	polls, _ := s.NewNet("polls", 1)
 	s.Connect(x, m.Port("in"))
 	s.Connect(tick, m.Port("tick"))
+	s.Connect(polls, m.Port("out"))
 	return s, po
 }
 
@@ -559,15 +554,12 @@ func stormFingerprint(t *testing.T, workers int, optimism vtime.Duration, thrott
 	s.OnDrive = func(net, src string, tt vtime.Time, v any) {
 		fmt.Fprintf(driveDigest, "%s|%s|%d|%v\n", net, src, tt, v)
 	}
-	traceDigest := fnv.New64a()
-	s.Tracer = func(line string) { fmt.Fprintf(traceDigest, "%s\n", line) }
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatalf("storm workers=%d optimism=%d: %v", workers, optimism, err)
 	}
 	st := s.Stats()
-	sig := fmt.Sprintf("done=%d|times=%v|now=%d|drv=%x|trc=%x|deliv=%d|drives=%d",
-		po.Done, po.Times, s.Now(), driveDigest.Sum64(), traceDigest.Sum64(),
-		st.Deliveries, st.Drives)
+	sig := fmt.Sprintf("done=%d|times=%v|now=%d|drv=%x|deliv=%d|drives=%d",
+		po.Done, po.Times, s.Now(), driveDigest.Sum64(), st.Deliveries, st.Drives)
 	for _, c := range s.Components() {
 		sig += fmt.Sprintf("|%s@%d", c.Name(), c.LocalTime())
 	}

@@ -246,17 +246,6 @@ func (p *Proc) DrainInterrupts() {
 	}
 }
 
-// Logf records a trace line through the subsystem's tracer, tagged
-// with the component name and local time. Behaviours call this on
-// every step, so the arguments must not be formatted (or even boxed
-// into the inner Sprintf) when no tracer is listening.
-func (p *Proc) Logf(format string, args ...any) {
-	if p.c.sub.Tracer == nil {
-		return
-	}
-	p.c.tracef("%s@%v: %s", p.c.name, p.c.localTime, fmt.Sprintf(format, args...))
-}
-
 // recvInline mirrors the scheduler's key()/step() pair for a single
 // component: if the receive's outcome (a delivery or a deadline
 // expiry) falls strictly below the component's fast bound, it is

@@ -227,16 +227,15 @@ func TestCheckpointLargeInboxPreserved(t *testing.T) {
 	pc.AddPort("out")
 	net, _ := s.NewNet("slow", 100)
 	s.Connect(net, pc.Port("out"), cc.Port("in"))
-	var cs *CheckpointSet
 	s.OnStep = func(now vtime.Time) {
-		if now >= 5 && cs == nil {
+		if now >= 5 && s.LatestCheckpoint() == nil {
 			s.RequestCheckpoint("")
 		}
 	}
-	s.OnCheckpoint = func(c *CheckpointSet) { cs = c }
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
+	cs := s.LatestCheckpoint()
 	if len(co.Got) != n {
 		t.Fatalf("first run: %d deliveries, want %d", len(co.Got), n)
 	}

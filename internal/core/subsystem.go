@@ -160,14 +160,11 @@ type Subsystem struct {
 	lastAuto    vtime.Time
 
 	// hooks
-	Tracer       func(string)                               // optional trace sink
-	OnStep       func(now vtime.Time)                       // called after every scheduling step
-	OnCheckpoint func(cs *CheckpointSet)                    // called when a checkpoint is captured
-	OnRestore    func(cs *CheckpointSet)                    // called after a restore completes
-	OnPublish    func(now, key vtime.Time)                  // called on the scheduler goroutine after each publish
-	OnDrive      func(net, src string, t vtime.Time, v any) // called for every net drive (debugger watchpoints, running digests)
-	OnDepart     func(until vtime.Time)                     // called right before Run returns at a finite horizon
-	OnStall      func()                                     // called right before the scheduler blocks waiting for input
+	OnStep    func(now vtime.Time)                       // called after every scheduling step
+	OnPublish func(now, key vtime.Time)                  // called on the scheduler goroutine after each publish
+	OnDrive   func(net, src string, t vtime.Time, v any) // called for every net drive (debugger watchpoints, running digests)
+	OnDepart  func(until vtime.Time)                     // called right before Run returns at a finite horizon
+	OnStall   func()                                     // called right before the scheduler blocks waiting for input
 
 	// OnThrottleCollapse fires on the scheduler goroutine when the
 	// optimistic throttle collapses the speculation window to zero
@@ -604,18 +601,10 @@ func (s *Subsystem) PublishedTimes() (now, key vtime.Time) {
 	return vtime.Time(s.pubNow.Load()), vtime.Time(s.pubKey.Load())
 }
 
-// tracef emits a trace line when a Tracer is installed.
-func (s *Subsystem) tracef(format string, args ...any) {
-	if s.Tracer != nil {
-		s.Tracer(fmt.Sprintf(format, args...))
-	}
-}
-
 // noteRunlevel runs on the scheduler goroutine, where s.now is
 // coherent.
 func (s *Subsystem) noteRunlevel(c *Component, level string) {
 	s.tlRec.Runlevel(s.name, c.name, level, s.now)
-	s.tracef("%s runlevel -> %s", c.name, level)
 }
 
 // drive fans a value out to every port on the net except the driver.
@@ -1285,7 +1274,6 @@ func (s *Subsystem) ReplaceBehavior(name string, b Behavior, transfer bool) erro
 	c.reset(true)
 	c.eofSignaled = false
 	s.activate(c)
-	s.tracef("%s behaviour reloaded (transfer=%v)", name, transfer)
 	return nil
 }
 

@@ -227,18 +227,16 @@ type Link struct {
 	// schedule either way and stays in the schedule digest.
 	now func() time.Time
 
-	// Tracer, when set, receives one line per injected fault.
-	Tracer func(string)
-
 	// tl, when set via SetTimeline, receives one structured timeline
-	// event per injected fault. Fault events are transient: frame
-	// indices depend on wall-clock batching, so they never enter the
-	// canonical merged export.
+	// event per injected fault, under mu with the counter it bumps, so
+	// Stats never counts a fault the recorder has not yet seen. Fault
+	// events are transient: frame indices depend on wall-clock
+	// batching, so they never enter the canonical merged export.
 	tl *timeline.Recorder
 }
 
 // SetTimeline attaches a timeline recorder; each injected fault is
-// recorded as a structured event alongside the Tracer line.
+// recorded as one structured event.
 func (l *Link) SetTimeline(rec *timeline.Recorder) {
 	l.mu.Lock()
 	l.tl = rec
@@ -301,12 +299,6 @@ func (l *Link) Broken() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.now().Before(l.cutUntil)
-}
-
-func (l *Link) trace(format string, args ...any) {
-	if l.Tracer != nil {
-		l.Tracer(fmt.Sprintf(format, args...))
-	}
 }
 
 // Dial connects to addr and wraps the connection; it fails while a
@@ -412,7 +404,6 @@ func (c *Conn) flushHeld() {
 	l.stats.Forwarded++
 	l.stats.BytesShaped += int64(len(f))
 	l.mu.Unlock()
-	l.trace("faultnet %s: held frame flushed after %v (no successor)", l.name, heldFlushDelay)
 	// A write error here means the epoch died while the frame was
 	// held; it is lost like any in-flight frame.
 	c.inner.Write(f)
@@ -466,23 +457,20 @@ func (c *Conn) processFrame(frame []byte) error {
 	}
 	idx := l.dec.frames
 	act, mask, jfrac := l.dec.next()
-	tl := l.tl
 	if act&actCut != 0 {
 		heal := l.cfg.Partitions[l.dec.partIdx-1].Heal
 		l.cutUntil = l.now().Add(heal)
 		l.stats.Cuts++
+		l.tl.Fault(l.name, "cut", int64(idx))
 		l.mu.Unlock()
-		l.trace("faultnet %s: frame %d: cut link for %v", l.name, idx, heal)
-		tl.Fault(l.name, "cut", int64(idx))
 		// A frame held across the cut is lost with the epoch.
 		c.Close()
 		return ErrLinkCut
 	}
 	if act&actDrop != 0 {
 		l.stats.Dropped++
+		l.tl.Fault(l.name, "drop", int64(idx))
 		l.mu.Unlock()
-		l.trace("faultnet %s: frame %d: dropped (%d bytes)", l.name, idx, len(frame))
-		tl.Fault(l.name, "drop", int64(idx))
 		return nil
 	}
 	if act&actCorrupt != 0 && len(frame) > 4 {
@@ -491,8 +479,7 @@ func (c *Conn) processFrame(frame []byte) error {
 		off := 4 + int(mask)%(len(frame)-4)
 		frame[off] ^= mask
 		l.stats.Corrupted++
-		l.trace("faultnet %s: frame %d: corrupted byte %d", l.name, idx, off)
-		tl.Fault(l.name, "corrupt", int64(idx))
+		l.tl.Fault(l.name, "corrupt", int64(idx))
 	}
 	var emit [][]byte
 	if act&actReorder != 0 {
@@ -504,9 +491,8 @@ func (c *Conn) processFrame(frame []byte) error {
 			c.htimer = time.AfterFunc(heldFlushDelay, c.flushHeld)
 			c.hmu.Unlock()
 			l.stats.Reordered++
+			l.tl.Fault(l.name, "reorder", int64(idx))
 			l.mu.Unlock()
-			l.trace("faultnet %s: frame %d: held for reorder", l.name, idx)
-			tl.Fault(l.name, "reorder", int64(idx))
 			return nil
 		}
 		c.hmu.Unlock()
@@ -515,8 +501,7 @@ func (c *Conn) processFrame(frame []byte) error {
 	if act&actDup != 0 {
 		l.stats.Duplicated++
 		emit = append(emit, frame)
-		l.trace("faultnet %s: frame %d: duplicated", l.name, idx)
-		tl.Fault(l.name, "dup", int64(idx))
+		l.tl.Fault(l.name, "dup", int64(idx))
 	}
 	if held := c.takeHeld(); held != nil {
 		emit = append(emit, held)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/timeline"
 	"repro/internal/wire"
 )
 
@@ -126,17 +127,22 @@ type legacyHello struct {
 
 // TestHelloRefusesGobPeer: the frame a pre-change peer opens with is
 // refused by its frame kind — the reason says so, and no decoder saw
-// the payload — the connection is closed, and the node goes on
-// accepting dials.
+// the payload — the refusal is recorded, the connection is closed, and
+// the node goes on accepting dials.
 func TestHelloRefusesGobPeer(t *testing.T) {
 	srv := New("srv")
-	traces := make(chan string, 8)
-	srv.Tracer = func(s string) {
+	refusals := make(chan string, 8)
+	rec := timeline.NewRecorder(0)
+	rec.Subscribe(func(e timeline.Event) {
+		if e.Kind != timeline.KindSession {
+			return
+		}
 		select {
-		case traces <- s:
+		case refusals <- e.Detail:
 		default:
 		}
-	}
+	})
+	srv.EnableTimeline(rec)
 	srv.Host(core.NewSubsystem("real"))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -171,12 +177,12 @@ func TestHelloRefusesGobPeer(t *testing.T) {
 		t.Fatal("the refused connection is still open")
 	}
 	select {
-	case tr := <-traces:
-		if !strings.Contains(tr, "frame kind 0") {
-			t.Fatalf("trace %q does not name the frame kind", tr)
+	case d := <-refusals:
+		if !strings.Contains(d, "frame kind 0") {
+			t.Fatalf("recorded refusal %q does not name the frame kind", d)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("the refusal was never traced")
+		t.Fatal("the refusal was never recorded")
 	}
 
 	cli := New("cli")

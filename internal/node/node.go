@@ -109,9 +109,6 @@ type Node struct {
 	// connection failures (see flight.go). Error paths pay one
 	// nil-guarded accessor, nothing more.
 	flightObs *flight.Observer
-
-	// Tracer receives connection-level diagnostics.
-	Tracer func(string)
 }
 
 // New creates a node.
@@ -243,7 +240,6 @@ func (n *Node) faultLink(name string) *faultnet.Link {
 		return nil
 	}
 	l := faultnet.NewLink(name, cfg)
-	l.Tracer = n.Tracer
 	n.mu.Lock()
 	l.SetTimeline(n.tlRec)
 	n.flinks = append(n.flinks, l)
@@ -382,13 +378,6 @@ func (n *Node) WireStats() wire.Stats {
 	return total
 }
 
-// trace logs through the tracer if set.
-func (n *Node) trace(format string, args ...any) {
-	if n.Tracer != nil {
-		n.Tracer(fmt.Sprintf(format, args...))
-	}
-}
-
 // Listen starts accepting channel connections on addr (use ":0" for
 // an ephemeral port) and returns the bound address. With resilience
 // armed, accepted connections speak the resumable session protocol
@@ -401,13 +390,13 @@ func (n *Node) Listen(addr string) (string, error) {
 	}
 	if rcfg, ok := n.resilient(); ok {
 		rl := resilience.NewListener(ln, rcfg)
-		rl.Tracer = n.Tracer
 		if flink := n.faultLink(n.name + "/accept"); flink != nil {
 			rl.Wrap = flink.Wrap
 		}
 		n.mu.Lock()
 		n.ln = ln
 		n.rln = rl
+		rl.SetTimeline(n.tlRec)
 		n.mu.Unlock()
 		n.wg.Add(2)
 		go func() {
@@ -440,7 +429,6 @@ func (n *Node) acceptLoop(ln net.Listener) {
 			defer n.wg.Done()
 			if err := n.serveConn(wire.NewConn(c), nil); err != nil && !n.isClosed() {
 				n.notePeerLost(err)
-				n.trace("node %s: connection error: %v", n.name, err)
 			}
 		}()
 	}
@@ -463,7 +451,6 @@ func (n *Node) acceptSessions(rl *resilience.Listener) {
 			defer n.wg.Done()
 			if err := n.serveConn(wire.NewConn(sess), sess); err != nil && !n.isClosed() {
 				n.notePeerLost(err)
-				n.trace("node %s: connection error: %v", n.name, err)
 			}
 		}()
 	}
@@ -507,13 +494,14 @@ func (n *Node) serveConn(c *wire.Conn, sess *resilience.Session) error {
 		c.Close()
 		return err
 	}
-	n.trace("node %s: accepted channel %s <- %s@%s", n.name, h.ToSub, h.FromSub, h.FromNode)
+	n.Timeline().SessionEvent(ep.Name(), "accepted", "from "+h.FromNode)
 	return n.pump(c, ep, hosted, sess)
 }
 
-// refuse answers a hello with a refusal naming the reason, and closes
-// the connection.
+// refuse answers a hello with a refusal naming the reason, records
+// it, and closes the connection.
 func (n *Node) refuse(c *wire.Conn, reason string) {
+	n.Timeline().SessionEvent(n.name+"/accept", "refused", reason)
 	_ = c.SendRaw(wire.FrameHello, appendHelloAck(nil, helloAck{Error: reason}))
 	c.Close()
 }
@@ -552,7 +540,6 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 		if err != nil {
 			return nil, fmt.Errorf("node %s: session to %s: %w", n.name, addr, err)
 		}
-		s.Tracer = n.Tracer
 		s.SetRewindHooks(n.rewindHooks(localSub))
 		n.addSession(s)
 		n.bindSession(hosted, s)
@@ -590,15 +577,14 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 	}
 	n.applyCoalescing(ep)
 	n.addConn(c)
+	n.Timeline().SessionEvent(ep.Name(), "opened", "to "+addr)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		if err := n.pump(c, ep, hosted, sess); err != nil && !n.isClosed() {
 			n.notePeerLost(err)
-			n.trace("node %s: channel to %s: %v", n.name, remoteSub, err)
 		}
 	}()
-	n.trace("node %s: opened channel %s -> %s@%s", n.name, localSub, remoteSub, addr)
 	return ep, nil
 }
 
@@ -621,6 +607,7 @@ func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilie
 	defer func() {
 		if err != nil && !n.isClosed() {
 			ep.PeerLost(err)
+			n.Timeline().SessionEvent(ep.Name(), "lost", err.Error())
 		}
 	}()
 	dec := channel.NewBatchDecoder()
@@ -728,7 +715,7 @@ func readBursts(c *wire.Conn, dec *channel.BatchDecoder, deliver func(*[]channel
 // completes — nothing may be read from the rewound session before
 // the protocol state is clean.
 func (n *Node) handleRewind(h *Hosted, ep *channel.Endpoint, sess *resilience.Session, tag string) error {
-	n.trace("node %s: rewinding channel %s to checkpoint %q", n.name, ep.Name(), tag)
+	n.Timeline().SessionEvent(ep.Name(), "rewind", tag)
 	agent := n.agentOf(h.Sub.Name())
 	if agent == nil {
 		return fmt.Errorf("node %s: rewind to %q with no snapshot agent", n.name, tag)

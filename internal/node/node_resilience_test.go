@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/resilience"
+	"repro/internal/timeline"
 	"repro/internal/vtime"
 	"repro/internal/wire"
 )
@@ -324,12 +325,17 @@ func TestSnapshotRewindAcrossReconnect(t *testing.T) {
 func TestPeerLostTyped(t *testing.T) {
 	errc := make(chan string, 8)
 	p := buildChaosPair(t, 5, 10, 5, func(n1, n2 *Node) {
-		n1.Tracer = func(line string) {
+		rec := timeline.NewRecorder(0)
+		rec.Subscribe(func(e timeline.Event) {
+			if e.Kind != timeline.KindSession {
+				return
+			}
 			select {
-			case errc <- line:
+			case errc <- e.Detail:
 			default:
 			}
-		}
+		})
+		n1.EnableTimeline(rec)
 	})
 	// Sever the transport abruptly: close the server node's raw
 	// connections without a channel Close handshake, then watch the

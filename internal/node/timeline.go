@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"os"
 
 	"repro/internal/faultnet"
@@ -11,10 +12,12 @@ import (
 
 // EnableTimeline attaches a timeline recorder to everything this node
 // owns: every hosted subsystem (scheduler lifecycle events) and its
-// hub (channel protocol events), every faultnet link, and every
-// resilient session — existing ones immediately, future ones as they
-// are created. The recorder is stamped with the node's name so
-// per-node timeline files merge unambiguously.
+// hub (channel protocol events), every faultnet link, the resilient
+// listener and every resilient session — existing ones immediately,
+// future ones as they are created. The node itself records each
+// channel it opens, accepts, refuses, loses or rewinds as a session
+// event. The recorder is stamped with the node's name so per-node
+// timeline files merge unambiguously.
 //
 // Idempotent per node; with the timeline never enabled the hot paths
 // pay one nil test. In any order with EnableMetrics and EnableFlight,
@@ -37,6 +40,7 @@ func (n *Node) EnableTimeline(rec *timeline.Recorder) {
 	}
 	flinks := append([]*faultnet.Link(nil), n.flinks...)
 	sessions := append([]*resilience.Session(nil), n.sessions...)
+	rln := n.rln
 	n.mu.Unlock()
 
 	for _, h := range hosted {
@@ -48,6 +52,9 @@ func (n *Node) EnableTimeline(rec *timeline.Recorder) {
 	}
 	for _, s := range sessions {
 		s.SetTimeline(rec)
+	}
+	if rln != nil {
+		rln.SetTimeline(rec)
 	}
 	n.wireObservers()
 }
@@ -64,6 +71,9 @@ func (n *Node) Timeline() *timeline.Recorder {
 // `pianode -timeline-merge`).
 func (n *Node) WriteTimeline(path string) error {
 	rec := n.Timeline()
+	if rec == nil {
+		return errors.New("timeline: nil recorder")
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"repro/internal/timeline"
 )
 
 // Listener accepts raw connections and demuxes them into resumable
@@ -20,11 +22,9 @@ type Listener struct {
 	// the handshake — the hook faultnet uses to injure server-side
 	// links.
 	Wrap func(io.ReadWriteCloser) io.ReadWriteCloser
-	// Tracer receives connection-level diagnostics and is inherited
-	// by accepted sessions.
-	Tracer func(string)
 
 	mu       sync.Mutex
+	tl       *timeline.Recorder // refusals, and the sessions it creates; set via SetTimeline
 	nextID   uint64
 	sessions map[uint64]*Session
 	pending  chan *Session
@@ -85,10 +85,20 @@ func (l *Listener) Accept() (*Session, error) {
 	return s, nil
 }
 
-func (l *Listener) trace(format string, args ...any) {
-	if l.Tracer != nil {
-		l.Tracer(fmt.Sprintf(format, args...))
-	}
+// SetTimeline attaches a timeline recorder: every resume the listener
+// refuses is recorded as a session event, and every session it creates
+// from now on records into it from its first epoch.
+func (l *Listener) SetTimeline(rec *timeline.Recorder) {
+	l.mu.Lock()
+	l.tl = rec
+	l.mu.Unlock()
+}
+
+func (l *Listener) refused(id uint64, detail string) {
+	l.mu.Lock()
+	tl := l.tl
+	l.mu.Unlock()
+	tl.SessionEvent(fmt.Sprintf("session-%d", id), "refused", detail)
 }
 
 // handshake runs the accepting side of the hello exchange on one raw
@@ -118,7 +128,7 @@ func (l *Listener) handshake(raw net.Conn) {
 	s := l.sessions[h.SessionID]
 	l.mu.Unlock()
 	if s == nil || s.Err() != nil {
-		l.trace("resilience listener: resume for unknown session %d rejected", h.SessionID)
+		l.refused(h.SessionID, "unknown session")
 		conn.Write(encodeHelloAck(helloAck{Status: statusReject}))
 		conn.Close()
 		return
@@ -138,7 +148,7 @@ func (l *Listener) acceptNew(conn io.ReadWriteCloser) {
 	l.nextID++
 	s := newSession(l.cfg, nil)
 	s.id = id
-	s.Tracer = l.Tracer
+	s.tl = l.tl
 	l.sessions[id] = s
 	l.mu.Unlock()
 	if _, err := conn.Write(encodeHelloAck(helloAck{Status: statusOK, SessionID: id, RecvNext: 1})); err != nil {
@@ -166,7 +176,7 @@ func (l *Listener) resume(s *Session, conn io.ReadWriteCloser, h hello) {
 	// can the peer serve ours from theirs?
 	canServe := h.RecvNext >= s.lowestAvail && h.RecvNext <= s.nextSeq
 	canGet := s.recvNext >= h.Lowest
-	recvNext := s.recvNext
+	recvNext, lowest := s.recvNext, s.lowestAvail
 	latest := ""
 	if s.latestTag != nil {
 		latest = s.latestTag()
@@ -195,14 +205,13 @@ func (l *Listener) resume(s *Session, conn io.ReadWriteCloser, h hello) {
 		tag = latest
 	}
 	if tag == "" {
-		l.trace("resilience listener: session %d retention miss with no common checkpoint (peer wants %d, we retain from %d)",
-			s.id, h.RecvNext, s.lowestAvail)
+		l.refused(s.id, fmt.Sprintf("retention miss with no common checkpoint: peer wants %d, we retain from %d",
+			h.RecvNext, lowest))
 		conn.Write(encodeHelloAck(helloAck{Status: statusReject, SessionID: s.id}))
 		conn.Close()
 		s.fail(fmt.Errorf("%w: retention miss with no common checkpoint", ErrSessionLost))
 		return
 	}
-	l.trace("resilience listener: session %d retention miss, rewinding to checkpoint %q", s.id, tag)
 	if _, err := conn.Write(encodeHelloAck(helloAck{Status: statusRewind, SessionID: s.id, Tag: tag})); err != nil {
 		conn.Close()
 		return

@@ -200,11 +200,11 @@ type Session struct {
 	// stalled on the departure gate re-evaluates promptly.
 	onChange func()
 
-	// Tracer receives connection-level diagnostics.
-	Tracer func(string)
-
 	// tl, when set via SetTimeline, receives structured session
-	// lifecycle events (epoch deaths, resumes, negotiated rewinds).
+	// lifecycle events (epoch deaths, resumes, negotiated rewinds,
+	// failed handshakes, terminal loss). Epoch deaths and resumes are
+	// recorded under mu with the counter they bump, so Stats never
+	// counts one the recorder has not yet seen.
 	// They are transient timeline kinds: epoch boundaries are
 	// wall-clock phenomena and never enter the canonical export.
 	tl *timeline.Recorder
@@ -217,11 +217,14 @@ func (s *Session) SetTimeline(rec *timeline.Recorder) {
 	s.mu.Unlock()
 }
 
+// actor names the session on the timeline. Caller holds mu.
+func (s *Session) actor() string { return fmt.Sprintf("session-%d", s.id) }
+
 func (s *Session) timelineEvent(what, detail string) {
 	s.mu.Lock()
-	tl, id := s.tl, s.id
+	tl, actor := s.tl, s.actor()
 	s.mu.Unlock()
-	tl.SessionEvent(fmt.Sprintf("session-%d", id), what, detail)
+	tl.SessionEvent(actor, what, detail)
 }
 
 func newSession(cfg Config, dial func() (io.ReadWriteCloser, error)) *Session {
@@ -325,12 +328,6 @@ func (s *Session) Quiescent() bool {
 		return false
 	}
 	return s.conn != nil
-}
-
-func (s *Session) trace(format string, args ...any) {
-	if s.Tracer != nil {
-		s.Tracer(fmt.Sprintf(format, args...))
-	}
 }
 
 // Write chunks p into data envelopes: each gets a sequence number, is
@@ -459,9 +456,8 @@ func (s *Session) fail(err error) {
 			s.conn = nil
 		}
 		s.cond.Broadcast()
-		id := s.id
 		s.mu.Unlock()
-		s.trace("resilience session %d: terminal: %v", id, err)
+		s.timelineEvent("lost", err.Error())
 		s.notify()
 		return
 	}
@@ -504,12 +500,10 @@ func (s *Session) epochDead(conn io.ReadWriteCloser, cause error) {
 	if s.conn == conn && conn != nil {
 		s.conn = nil
 		s.stats.EpochDeaths++
-		id := s.id
+		s.tl.SessionEvent(s.actor(), "epoch-death", fmt.Sprint(cause))
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		conn.Close()
-		s.trace("resilience session %d: epoch died: %v", id, cause)
-		s.timelineEvent("epoch-death", fmt.Sprint(cause))
 		s.notify()
 		return
 	}
@@ -550,19 +544,18 @@ func (s *Session) attach(conn io.ReadWriteCloser, peerRecvNext uint64) {
 	s.ackStall = time.Now()
 	s.stats.Resumes++
 	s.stats.ReplayedFrames += int64(len(replay))
-	tl, id := s.tl, s.id
+	if s.stats.Resumes > 1 {
+		// The first attach opens the session; the layer above records
+		// the channel it carries.
+		s.tl.SessionEvent(s.actor(), "resume", fmt.Sprintf("replay=%d", len(replay)))
+	}
 	s.mu.Unlock()
-	tl.SessionEvent(fmt.Sprintf("session-%d", id), "resume", fmt.Sprintf("replay=%d", len(replay)))
 	go s.readLoop(conn)
 	for _, f := range replay {
 		if _, err := conn.Write(f.env); err != nil {
 			s.epochDead(conn, fmt.Errorf("replay: %w", err))
 			return
 		}
-	}
-	if len(replay) > 0 {
-		s.trace("resilience session %d: resumed, replayed %d envelopes from seq %d",
-			s.ID(), len(replay), replay[0].seq)
 	}
 	s.notify()
 }
@@ -582,7 +575,6 @@ func (s *Session) resetForRewind(tag string) {
 	s.stats.Rewinds++
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.trace("resilience session %d: rewinding to checkpoint %q", s.ID(), tag)
 	s.timelineEvent("rewind", tag)
 	s.notify()
 }
@@ -700,7 +692,7 @@ func (s *Session) reconnect() error {
 			if errors.Is(err, ErrSessionLost) {
 				return err
 			}
-			s.trace("resilience session %d: handshake attempt %d failed: %v", s.ID(), attempt, err)
+			s.timelineEvent("handshake-failed", fmt.Sprintf("attempt=%d %v", attempt, err))
 			last = err
 			continue
 		}

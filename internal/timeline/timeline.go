@@ -1,11 +1,16 @@
 // Package timeline records causally-linked lifecycle events keyed by
 // virtual time: component drives, channel send/delivery pairs,
 // checkpoint/restore/rewind markers, runlevel switches, conservative
-// protocol chatter, WAN fault injections, and resilient-session epoch
-// transitions. It is the repository's one rewind-aware event store:
-// "what happened, in what order, and what caused it" (Perfetto)
-// and "what value was on this net when" (VCD, text log, drive digest)
-// are exporters over the same []Event.
+// protocol chatter, WAN fault injections, and transport lifecycle
+// (channels opened, accepted, lost and rewound; resilient-session
+// epochs, resumes and refusals). It is the repository's one
+// rewind-aware event store: "what happened, in what order, and what
+// caused it" (Perfetto) and "what value was on this net when" (VCD,
+// text log, drive digest) are exporters over the same []Event.
+//
+// It is also the one emission: a layer says what happened by recording
+// an event here, not by printing a line, and the recorder's one
+// subscriber (Subscribe) is how a live reader, such as a log, sees it.
 //
 // Events fall into two classes. Canonical kinds (drive, send, deliver,
 // checkpoint, restore, rewind, runlevel) describe the committed
@@ -54,7 +59,7 @@ const (
 	KindGrant     // safe-time grant sent to a peer
 	KindStraggler // data arrived behind the local clock
 	KindFault     // faultnet injected a fault on a link
-	KindSession   // resilient-session lifecycle (epoch death, resume, ...)
+	KindSession   // transport lifecycle (channel opened/lost, epoch death, resume, ...)
 )
 
 var kindNames = [...]string{
@@ -162,6 +167,7 @@ type Recorder struct {
 	hw     map[string]vtime.Time // per-sub high-water of canonical VT
 	hwAll  vtime.Time            // global canonical high-water, for clock-less events
 	stats  Stats
+	sub    func(Event) // the one subscriber; see Subscribe
 }
 
 // NewRecorder returns a recorder retaining at most limit events
@@ -185,6 +191,22 @@ func (r *Recorder) SetNode(name string) {
 	}
 	r.mu.Lock()
 	r.node = name
+	r.mu.Unlock()
+}
+
+// Subscribe makes fn the recorder's one subscriber (nil removes it):
+// fn is called with each event as it is recorded, stamped as the ring
+// holds it. Calls are made under the recorder's lock, so fn sees every
+// event once, in record order, one call at a time — and must neither
+// block nor call back into the recorder. An event a later rewind drops
+// from the committed view has already been delivered; the rewind
+// marker that follows it says so.
+func (r *Recorder) Subscribe(fn func(Event)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.sub = fn
 	r.mu.Unlock()
 }
 
@@ -218,6 +240,9 @@ func (r *Recorder) recordLocked(e Event) {
 		}
 	}
 	r.stats.Recorded++
+	if r.sub != nil {
+		r.sub(e)
+	}
 	if r.n < r.limit {
 		// Not yet wrapped (or just linearized by a rewind): head is 0
 		// and the ring is exactly the slice, so filling is an append.
@@ -368,10 +393,11 @@ func (r *Recorder) Fault(link, what string, frame int64) {
 	r.mu.Unlock()
 }
 
-// SessionEvent records a resilient-session lifecycle event (what:
-// epoch-death, resume, replay, rewind, gap-kill, ...) with free-form
-// detail. Stamped like Fault with the global high-water.
-func (r *Recorder) SessionEvent(session, what, detail string) {
+// SessionEvent records a transport lifecycle event of the named actor
+// (a channel or a resilient session; what: opened, accepted, lost,
+// epoch-death, resume, rewind, refused, ...) with free-form detail.
+// Stamped like Fault with the global high-water.
+func (r *Recorder) SessionEvent(actor, what, detail string) {
 	if r == nil {
 		return
 	}
@@ -379,7 +405,7 @@ func (r *Recorder) SessionEvent(session, what, detail string) {
 		what = what + " " + detail
 	}
 	r.mu.Lock()
-	r.recordLocked(Event{Kind: KindSession, Sub: session, VT: r.hwAll, Detail: what})
+	r.recordLocked(Event{Kind: KindSession, Sub: actor, VT: r.hwAll, Detail: what})
 	r.mu.Unlock()
 }
 

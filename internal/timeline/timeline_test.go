@@ -2,10 +2,14 @@ package timeline
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/vtime"
@@ -28,11 +32,75 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.SessionEvent("sess", "resume", "")
 	r.Migrate("s", "c", "a", "b", "quiesce", 1)
 	r.SetNode("x")
+	r.Subscribe(func(Event) { t.Fatal("a nil recorder has no subscriber to call") })
 	if r.Len() != 0 || r.Events() != nil || r.NodeName() != "" {
 		t.Fatal("nil recorder must be inert")
 	}
 	if (r.Stats() != Stats{}) {
 		t.Fatal("nil recorder stats must be zero")
+	}
+}
+
+// TestSubscriberSeesEachEventOnce: the one subscriber is handed every
+// recorded event exactly once, stamped as the ring holds it, in record
+// order, one call at a time — whether the events come from one
+// goroutine or from several at once — and a rewind reaches it as the
+// marker and restore that follow the events it discards.
+func TestSubscriberSeesEachEventOnce(t *testing.T) {
+	r := NewRecorder(0)
+	r.SetNode("n")
+	var (
+		seen     []Event
+		inFlight atomic.Int32
+		overlap  atomic.Bool
+	)
+	r.Subscribe(func(e Event) {
+		if inFlight.Add(1) != 1 {
+			overlap.Store(true)
+		}
+		seen = append(seen, e)
+		inFlight.Add(-1)
+	})
+
+	r.Drive("s", "c", "n", 1, 7)
+	r.Send("s", "t", "n", 2)
+	r.Fault("link", "drop", 3)
+	r.SessionEvent("chan:s>t", "opened", "to peer")
+	r.Checkpoint("s", "k", 2)
+	if !reflect.DeepEqual(seen, r.Events()) {
+		t.Fatalf("one goroutine: the subscriber saw\n%+v\nthe ring holds\n%+v", seen, r.Events())
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				r.SessionEvent(fmt.Sprintf("session-%d", g), "resume", fmt.Sprint(i))
+			}
+		}()
+	}
+	wg.Wait()
+	if overlap.Load() {
+		t.Fatal("the subscriber was called while another call was in flight")
+	}
+	if !reflect.DeepEqual(seen, r.Events()) || uint64(len(seen)) != r.Stats().Recorded {
+		t.Fatalf("concurrent recorders: the subscriber saw %d events, the recorder recorded %d", len(seen), r.Stats().Recorded)
+	}
+
+	before := len(seen)
+	r.Drive("s", "c", "n", 5, 8)
+	r.Restore("s", "k", 2)
+	tail := seen[before:]
+	if len(tail) != 3 || tail[0].Kind != KindDrive || tail[1].Kind != KindRewind || tail[2].Kind != KindRestore {
+		t.Fatalf("a drive then a restore reached the subscriber as %+v", tail)
+	}
+
+	r.Subscribe(nil)
+	r.Drive("s", "c", "n", 3, 9)
+	if len(seen) != before+3 {
+		t.Fatal("a removed subscriber was still called")
 	}
 }
 
