@@ -241,16 +241,20 @@ service:
 	$(GO) test -race -count=1 -run 'TestValidate|TestEveryFlagHasReaders|TestBringUpTearDown' ./cmd/pianode/
 	$(GO) test -count=1 ./cmd/pianode/ ./cmd/wubbleu/
 
-# The flight-recorder gate: the flight package (ring, trips,
-# backpressure hub, SSE end-to-end, sampler) under the race detector,
-# the extended hammer (live /watch client + deliberately stalled
-# client + /debug/flight served concurrently with faulted traffic),
-# and the zero-alloc guards for every disabled and steady-state hot
-# path the flight stack touches (nil recorder/observer, enabled ring
-# record, attribution accounting).
+# The flight-recorder gate: the flight package (ring, trips, watcher
+# backpressure, SSE end-to-end, sampler) under the race detector, then
+# by name and repeated: the one recorder streaming each transition from
+# 8 concurrent writers with its ring entry's seq and stamp, in seq
+# order, and the sampler's ticker sampling on its own and forgetting a
+# series that vanishes; the extended hammer (live /watch client +
+# deliberately stalled client + /debug/flight served concurrently with
+# faulted traffic), and the zero-alloc guards for every disabled and
+# steady-state hot path the flight stack touches (nil recorder,
+# enabled ring record, attribution accounting).
 obs:
 	$(GO) vet ./internal/flight/...
 	$(GO) test -race -count=1 ./internal/flight/
+	$(GO) test -race -count=10 -run 'TestRecordStreamsInSeqOrder|TestSamplerStartStop|TestSamplerForgetsVanishedSeries' ./internal/flight/
 	$(GO) test -race -count=1 -run 'TestMetricsHammer' .
 	$(GO) test -count=1 -run 'TestNilEverythingIsInert|TestDisabledPathZeroAllocs|TestEnabledRecordZeroAllocs' ./internal/flight/
 	$(GO) test -count=1 -run 'TestAttributionAccountingZeroAllocs|TestAttributionDigestUnchanged' ./internal/core/

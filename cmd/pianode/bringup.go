@@ -26,7 +26,7 @@ type stack struct {
 	o    *options
 	node *node.Node
 	reg  *metrics.Registry // nil unless -metrics or -report reads it
-	fobs *flight.Observer  // nil without -metrics
+	frec *flight.Recorder  // nil without -metrics
 	smp  *flight.Sampler
 	srv  *http.Server
 }
@@ -58,16 +58,20 @@ func bringUp(o *options, nodeName string) (*stack, error) {
 		}
 		n.EnableTimeline(rec)
 	}
-	// The flight recorder and /watch hub ride on the metrics listener.
+	// The flight recorder and its /watch stream ride on the metrics
+	// listener.
 	if o.metricsAddr != "" {
-		st.fobs, st.smp = flight.NewObserver(st.reg, m.String(), o.watchEvery)
+		st.frec = flight.New(0)
+		st.frec.SetInfo("mode", m.String())
+		st.frec.AttachRegistry(st.reg)
+		st.smp = flight.NewSampler(st.reg, st.frec, o.watchEvery)
 		if o.flightDump != "" {
 			if err := os.MkdirAll(o.flightDump, 0o755); err != nil {
 				return nil, fmt.Errorf("pianode: -flight-dump: %w", err)
 			}
-			st.fobs.Rec.OnTrip(func(d *flight.Dump) { writeDump(d, o.flightDump, m.String()) })
+			st.frec.OnTrip(func(d *flight.Dump) { writeDump(d, o.flightDump, m.String()) })
 		}
-		n.EnableFlight(st.fobs)
+		n.EnableFlight(st.frec)
 		st.smp.Start()
 	}
 	return st, nil
@@ -105,8 +109,8 @@ func (st *stack) watch(sub *core.Subsystem) {
 	if st.o.attribTop > 0 {
 		sub.EnableCostAttribution(st.reg, st.o.attribTop)
 	}
-	if st.fobs != nil {
-		st.fobs.TripOnRollbackStorm(sub)
+	if st.frec != nil {
+		st.frec.TripOnRollbackStorm(sub)
 	}
 }
 
@@ -119,7 +123,7 @@ func (st *stack) serve(extra obsConfig) (string, error) {
 	}
 	extra.reg, extra.health = st.reg, st.node
 	extra.resilient, extra.pprofOn = st.o.links.Resilient(), st.o.pprofOn
-	extra.rec, extra.hub = st.fobs.Rec, st.fobs.Hub
+	extra.rec = st.frec
 	ln, err := net.Listen("tcp", st.o.metricsAddr)
 	if err != nil {
 		return "", fmt.Errorf("pianode: -metrics %s: %w", st.o.metricsAddr, err)

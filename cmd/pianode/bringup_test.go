@@ -41,8 +41,8 @@ func TestBringUpTearDown(t *testing.T) {
 			t.Fatalf("pianode %s: %v", argv, err)
 		}
 		metricsOn := o.metricsAddr != ""
-		if (st.reg != nil) != metricsOn || (st.fobs != nil) != metricsOn || (st.smp != nil) != metricsOn {
-			t.Errorf("pianode %s: registry %v, flight observer %v, sampler %v", argv, st.reg != nil, st.fobs != nil, st.smp != nil)
+		if (st.reg != nil) != metricsOn || (st.frec != nil) != metricsOn || (st.smp != nil) != metricsOn {
+			t.Errorf("pianode %s: registry %v, flight recorder %v, sampler %v", argv, st.reg != nil, st.frec != nil, st.smp != nil)
 		}
 		if (st.node.Timeline() != nil) != (o.timelinePath != "" || o.verbose) {
 			t.Errorf("pianode %s: timeline recorder %v", argv, st.node.Timeline() != nil)

@@ -358,8 +358,7 @@ type obsConfig struct {
 	pprofOn   bool
 	mem       migrator         // mesh mode: membership health + migration admin
 	catalog   *service.Catalog // service mode: session API + per-tenant health
-	rec       *flight.Recorder // GET /debug/flight post-mortem view
-	hub       *flight.Hub      // GET /watch SSE telemetry stream
+	rec       *flight.Recorder // GET /debug/flight post-mortem view, GET /watch SSE stream
 }
 
 // newObsMux assembles the observability surface: /metrics in
@@ -399,9 +398,7 @@ func newObsMux(o obsConfig) *http.ServeMux {
 	})
 	if o.rec != nil {
 		mux.Handle("/debug/flight", o.rec)
-	}
-	if o.hub != nil {
-		mux.Handle("/watch", o.hub)
+		mux.HandleFunc("/watch", o.rec.Watch)
 	}
 	if o.mem != nil {
 		mux.HandleFunc("/migrate", func(w http.ResponseWriter, r *http.Request) {
@@ -571,7 +568,7 @@ func runService(o *options) error {
 		Limits:          o.limits,
 		Node:            st.node,
 		Metrics:         st.reg,
-		Flight:          st.fobs,
+		Flight:          st.frec,
 		AttributionTopN: o.attribTop,
 	})
 	defer cat.Close()
@@ -653,12 +650,12 @@ func runMesh(o *options) error {
 	// Peer loss trips the flight recorder via the node; quorum death
 	// via the sampler's poll hook (membership health is not
 	// registry-driven).
-	if st.fobs != nil {
-		st.fobs.Rec.SetInfo("member", o.meshName)
+	if st.frec != nil {
+		st.frec.SetInfo("member", o.meshName)
 		st.smp.SetPoll(func() {
 			if h := mem.Health(); h.QuorumDead {
-				st.fobs.Event("health", o.meshName, fmt.Sprintf("quorum dead: %d/%d members alive", h.Alive, h.Total), int64(h.Alive))
-				st.fobs.Trip("quorum-dead", fmt.Sprintf("%s sees %d/%d alive", o.meshName, h.Alive, h.Total))
+				st.frec.Record("health", o.meshName, fmt.Sprintf("quorum dead: %d/%d members alive", h.Alive, h.Total), int64(h.Alive))
+				st.frec.Trip("quorum-dead", fmt.Sprintf("%s sees %d/%d alive", o.meshName, h.Alive, h.Total))
 			}
 		})
 	}

@@ -255,15 +255,14 @@ func TestSessionsMountedOnObsMux(t *testing.T) {
 	}
 }
 
-// TestObsFlightAndWatchMounted: with a flight recorder and hub wired,
+// TestObsFlightAndWatchMounted: with a flight recorder wired,
 // the obs mux serves the post-mortem dump on /debug/flight and the
 // SSE stream on /watch; without them both paths 404.
 func TestObsFlightAndWatchMounted(t *testing.T) {
 	reg := metrics.NewRegistry()
 	rec := flight.New(8)
 	rec.Record("session", "s1", "created", 0)
-	hub := flight.NewHub()
-	mux := newObsMux(obsConfig{reg: reg, health: fakeHealth{}, rec: rec, hub: hub})
+	mux := newObsMux(obsConfig{reg: reg, health: fakeHealth{}, rec: rec})
 
 	rr, body := get(t, mux, "/debug/flight", nil)
 	if rr.Code != http.StatusOK {

@@ -79,22 +79,22 @@ func (cl *Cluster) EnableTimeline(limit int) map[string]*TimelineRecorder {
 }
 
 // EnableFlight wires the cluster's failure triggers into the
-// observer: each node's peer-loss detection (a resumable session
+// recorder: each node's peer-loss detection (a resumable session
 // exhausting its transport) and every subsystem's optimistic throttle
-// collapse record and trip. Each node offers the observer its metrics
+// collapse record and trip. Each node offers the recorder its metrics
 // registry and timeline recorder (enabled before or after this call)
 // and the flight recorder keeps the first of each, so post-mortems
 // carry the event tail of the first node (in subsystem declaration
-// order) that has one. Call between BuildOnNodes and Run. A nil/empty
-// observer leaves the hot paths untouched.
-func (cl *Cluster) EnableFlight(o *FlightObserver) {
-	if !o.Enabled() {
+// order) that has one. Call between BuildOnNodes and Run. A nil
+// recorder leaves the hot paths untouched.
+func (cl *Cluster) EnableFlight(r *FlightRecorder) {
+	if r == nil {
 		return
 	}
 	for _, n := range cl.nodeSet {
-		n.EnableFlight(o)
+		n.EnableFlight(r)
 	}
-	cl.Simulation.EnableFlight(o)
+	cl.Simulation.EnableFlight(r)
 }
 
 // Timelines returns the per-node recorders wired by EnableTimeline,

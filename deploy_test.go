@@ -369,14 +369,14 @@ func TestFlightTimelineEitherOrder(t *testing.T) {
 		}
 		simRec, clRec := NewFlightRecorder(0), NewFlightRecorder(0)
 		if flightFirst {
-			sim.EnableFlight(&FlightObserver{Rec: simRec})
-			cl.EnableFlight(&FlightObserver{Rec: clRec})
+			sim.EnableFlight(simRec)
+			cl.EnableFlight(clRec)
 		}
 		sim.EnableTimeline(nil)
 		cl.EnableTimeline(0)
 		if !flightFirst {
-			sim.EnableFlight(&FlightObserver{Rec: simRec})
-			cl.EnableFlight(&FlightObserver{Rec: clRec})
+			sim.EnableFlight(simRec)
+			cl.EnableFlight(clRec)
 		}
 		if err := sim.Run(Time(Seconds(1))); err != nil {
 			t.Fatal(err)

@@ -83,18 +83,18 @@ type ObsRow struct {
 	Dropped        uint64 `json:"subscribers_dropped"` // subscribers dropped for stalling (want 0)
 }
 
-// watcher is one live SSE client: the hub mounted on a real HTTP
-// server and a streaming GET /watch reader draining it, so the
-// measured overhead includes JSON encoding, the subscriber queue, and
-// actual socket writes.
+// watcher is one live SSE client: the recorder's /watch handler
+// mounted on a real HTTP server and a streaming GET /watch reader
+// draining it, so the measured overhead includes JSON encoding, the
+// subscriber queue, and actual socket writes.
 type watcher struct {
 	srv  *httptest.Server
 	resp *http.Response
 	done chan struct{}
 }
 
-func newWatcher(hub *flight.Hub) (*watcher, error) {
-	srv := httptest.NewServer(hub)
+func newWatcher(rec *flight.Recorder) (*watcher, error) {
+	srv := httptest.NewServer(http.HandlerFunc(rec.Watch))
 	resp, err := http.Get(srv.URL + "/watch")
 	if err != nil {
 		srv.Close()
@@ -120,15 +120,17 @@ func (w *watcher) close() {
 
 // obsStack is the full telemetry stack one instrumented run attaches.
 type obsStack struct {
-	obs     *flight.Observer
+	rec     *flight.Recorder
 	sampler *flight.Sampler
 	watch   *watcher
 }
 
 func newObsStack(reg *metrics.Registry, every time.Duration) (*obsStack, error) {
-	obs, sampler := flight.NewObserver(reg, "obs-experiment", every)
-	st := &obsStack{obs: obs, sampler: sampler}
-	w, err := newWatcher(obs.Hub)
+	rec := flight.New(0)
+	rec.SetInfo("mode", "obs-experiment")
+	rec.AttachRegistry(reg)
+	st := &obsStack{rec: rec, sampler: flight.NewSampler(reg, rec, every)}
+	w, err := newWatcher(rec)
 	if err != nil {
 		return nil, err
 	}
@@ -143,12 +145,12 @@ func newObsStack(reg *metrics.Registry, every time.Duration) (*obsStack, error) 
 func (st *obsStack) stop(row *ObsRow) error {
 	st.sampler.Stop()
 	st.watch.close()
-	if tripped, reason := st.obs.Rec.Tripped(); tripped {
+	if tripped, reason := st.rec.Tripped(); tripped {
 		return fmt.Errorf("obs: %s: flight recorder tripped during healthy run: %s", row.Leg, reason)
 	}
-	row.EventsStreamed = st.obs.Hub.Sent()
-	row.RingRecorded = st.obs.Rec.BuildDump().Recorded
-	row.Dropped = st.obs.Hub.Dropped()
+	row.EventsStreamed = st.rec.Sent()
+	row.RingRecorded = st.rec.BuildDump().Recorded
+	row.Dropped = st.rec.Dropped()
 	if row.Dropped != 0 {
 		return fmt.Errorf("obs: %s: live watcher dropped (%d) during run", row.Leg, row.Dropped)
 	}
@@ -183,7 +185,7 @@ func Obs(cfg ObsConfig) ([]ObsRow, error) {
 	err = cfg.pairs(&sessions, func(reg *metrics.Registry, st *obsStack) (time.Duration, outcome, error) {
 		svc := service.Config{Workers: sessions.Workers, Metrics: reg}
 		if st != nil {
-			svc.Flight, svc.AttributionTopN = st.obs, cfg.TopN
+			svc.Flight, svc.AttributionTopN = st.rec, cfg.TopN
 		}
 		row, err := steady(scfg, svc, refs)
 		return row.Wall, outcome{steps: row.Steps}, err
@@ -260,7 +262,7 @@ func (cfg ObsConfig) remoteRun(reg *metrics.Registry, st *obsStack) (time.Durati
 	defer s.sys.Close()
 	s.cl.EnableMetrics(reg)
 	if st != nil {
-		s.cl.EnableFlight(st.obs)
+		s.cl.EnableFlight(st.rec)
 		s.cl.EnableCostAttribution(reg, cfg.TopN)
 	}
 	wall, res, err := s.load()

@@ -1,22 +1,21 @@
-// Package flight is Pia's black-box layer: a bounded, allocation-
-// recycled ring of recent observability events (the flight recorder),
-// a fan-out hub for live SSE telemetry streaming, and the glue that
-// freezes the recorder into a self-contained JSON post-mortem when a
-// failure trigger fires.
+// Package flight is Pia's black-box layer: one recorder that keeps a
+// bounded, allocation-recycled ring of recent observability events,
+// streams each one live to SSE watchers (GET /watch), and freezes into
+// a self-contained JSON post-mortem when a failure trigger fires.
 //
 // The same design constraint that shapes internal/metrics applies
 // here: simulations that never enable flight recording must pay
 // nothing. Every entry point is nil-receiver-safe, and the enabled
-// record path writes into a pre-allocated ring slot — no per-record
-// allocation.
+// record path with no watcher writes into a pre-allocated ring slot —
+// no per-record allocation.
 //
-// Lock discipline: the recorder mutex is a leaf lock. Trip only
-// freezes the ring and stamps the reason under it, then builds the
-// dump (registry snapshot, timeline tail) on a fresh goroutine with
-// no locks held — so Trip is safe to call from the scheduler
-// goroutine, from under a session mutex, or from a node's pump
-// goroutine without deadlocking against the collectors that those
-// paths feed.
+// Lock discipline: the recorder mutex is a leaf lock. Record and Trip
+// write the ring slot and enqueue the watchers' frames under it, never
+// waiting on a watcher; Trip then builds the dump (registry snapshot,
+// timeline tail) on a fresh goroutine with no locks held — so both are
+// safe to call from the scheduler goroutine, from under a session
+// mutex, or from a node's pump goroutine without deadlocking against
+// the collectors that those paths feed.
 package flight
 
 import (
@@ -41,14 +40,19 @@ const dumpTimelineTail = 256
 
 // Entry is one recorded observation: a session/health transition, a
 // changed metric, or a trigger note. Entries live in a fixed ring and
-// are overwritten in place; strings are retained by reference.
+// are overwritten in place; strings are retained by reference. A
+// streamed /watch "transition" frame is the same Entry, so the two
+// join on seq and wall_ns; one recorded after the ring froze has seq 0.
+// Entries of kind "session" carry the name as the session id, which
+// ?session= filters match.
 type Entry struct {
-	Seq    uint64 `json:"seq"`
-	WallNS int64  `json:"wall_ns"`
-	Kind   string `json:"kind"`
-	Name   string `json:"name"`
-	Detail string `json:"detail,omitempty"`
-	Value  int64  `json:"value,omitempty"`
+	Seq     uint64 `json:"seq"`
+	WallNS  int64  `json:"wall_ns"`
+	Kind    string `json:"kind"`
+	Name    string `json:"name"`
+	Detail  string `json:"detail,omitempty"`
+	Value   int64  `json:"value,omitempty"`
+	Session string `json:"session,omitempty"`
 }
 
 // Dump is a frozen, self-contained post-mortem: recent recorder
@@ -81,8 +85,9 @@ func (d *Dump) WriteJSON(w io.Writer) error {
 }
 
 // Recorder is the flight recorder: a fixed ring of Entry slots
-// recycled in place. A nil *Recorder is inert, which is the whole
-// disabled path.
+// recycled in place, and the watchers each recorded transition is
+// streamed to. A nil *Recorder is inert, which is the whole disabled
+// path.
 type Recorder struct {
 	mu     sync.Mutex
 	ring   []Entry
@@ -98,6 +103,10 @@ type Recorder struct {
 	reg    *metrics.Registry
 	tl     *timeline.Recorder
 	onTrip []func(*Dump)
+
+	subs    map[*subscriber]struct{} // live /watch streams
+	dropped uint64                   // watchers cut loose for stalling
+	sent    uint64                   // frames enqueued to watchers
 }
 
 // New returns a recorder with the given ring capacity (DefaultRingSize
@@ -111,6 +120,7 @@ func New(size int) *Recorder {
 		info: map[string]string{
 			"version": metrics.BuildVersion(),
 		},
+		subs: make(map[*subscriber]struct{}),
 	}
 }
 
@@ -164,38 +174,41 @@ func (r *Recorder) OnTrip(f func(*Dump)) {
 	r.mu.Unlock()
 }
 
-// Record appends one entry to the ring, overwriting the oldest slot
-// when full. After a trip the ring is frozen: the post-mortem keeps
-// the moments before the failure, and later records only bump a
-// counter. It returns the wall-clock stamp it wrote into the entry, 0
-// when it wrote none, so whoever reports the same transition elsewhere
-// carries the same stamp. Nil-safe and allocation-free.
-func (r *Recorder) Record(kind, name, detail string, value int64) (wallNS int64) {
+// Record appends one transition to the ring, overwriting the oldest
+// slot when full, and streams the same entry to every matching
+// watcher. After a trip the ring is frozen: the post-mortem keeps the
+// moments before the failure, and later records only bump a counter,
+// though watchers still see them. Nil-safe, and allocation-free with
+// no watcher attached.
+func (r *Recorder) Record(kind, name, detail string, value int64) {
 	if r == nil {
-		return 0
+		return
+	}
+	e := Entry{Kind: kind, Name: name, Detail: detail, Value: value}
+	if kind == "session" {
+		e.Session = name
 	}
 	r.mu.Lock()
+	e.WallNS = time.Now().UnixNano()
 	if r.frozen {
 		r.after++
-		r.mu.Unlock()
-		return 0
+	} else {
+		r.writeLocked(&e)
 	}
+	r.publishLocked(e)
+	r.mu.Unlock()
+}
+
+// writeLocked stamps e with the next seq and copies it into the ring.
+func (r *Recorder) writeLocked(e *Entry) {
 	r.total++
-	e := &r.ring[r.next]
 	e.Seq = r.total
-	wallNS = time.Now().UnixNano()
-	e.WallNS = wallNS
-	e.Kind = kind
-	e.Name = name
-	e.Detail = detail
-	e.Value = value
+	r.ring[r.next] = *e
 	r.next++
 	if r.next == len(r.ring) {
 		r.next = 0
 		r.filled = true
 	}
-	r.mu.Unlock()
-	return wallNS
 }
 
 // Tripped reports whether the recorder has frozen, and why.
@@ -208,40 +221,30 @@ func (r *Recorder) Tripped() (bool, string) {
 	return r.frozen, r.reason
 }
 
-// Trip freezes the ring on the first failure trigger and kicks off
-// dump delivery to the OnTrip callbacks on a fresh goroutine. Only
-// the first trip wins; later ones are no-ops. Safe to call while
-// holding any caller-side lock: nothing beyond the recorder's own
-// leaf mutex is touched synchronously. Like Record it returns the
-// stamp of the entry it wrote, 0 for none.
-func (r *Recorder) Trip(reason, detail string) (wallNS int64) {
+// Trip records a "trip" entry, freezes the ring on the first failure
+// trigger and kicks off dump delivery to the OnTrip callbacks on a
+// fresh goroutine. Only the first trip freezes and writes the ring;
+// every trip is streamed to watchers so they see the failure the
+// moment it happens. Safe to call while holding any caller-side lock:
+// nothing beyond the recorder's own leaf mutex is touched
+// synchronously.
+func (r *Recorder) Trip(reason, detail string) {
 	if r == nil {
-		return 0
+		return
 	}
+	e := Entry{Kind: "trip", Name: reason, Detail: detail}
+	var cbs []func(*Dump)
 	r.mu.Lock()
-	if r.frozen {
-		r.mu.Unlock()
-		return 0
+	e.WallNS = time.Now().UnixNano()
+	if !r.frozen {
+		r.writeLocked(&e)
+		r.frozen = true
+		r.reason = reason
+		r.detail = detail
+		r.tripNS = e.WallNS
+		cbs = append(cbs, r.onTrip...)
 	}
-	r.total++
-	e := &r.ring[r.next]
-	e.Seq = r.total
-	wallNS = time.Now().UnixNano()
-	e.WallNS = wallNS
-	e.Kind = "trip"
-	e.Name = reason
-	e.Detail = detail
-	e.Value = 0
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.filled = true
-	}
-	r.frozen = true
-	r.reason = reason
-	r.detail = detail
-	r.tripNS = wallNS
-	cbs := append([]func(*Dump){}, r.onTrip...)
+	r.publishLocked(e)
 	r.mu.Unlock()
 	if len(cbs) > 0 {
 		go func() {
@@ -251,7 +254,26 @@ func (r *Recorder) Trip(reason, detail string) (wallNS int64) {
 			}
 		}()
 	}
-	return wallNS
+}
+
+// recordMetrics writes one sampling tick's changed series into the
+// ring as "metric" entries and streams them as one "metrics" frame,
+// not as transitions; all share the tick's stamp.
+func (r *Recorder) recordMetrics(changed []MetricDelta) {
+	if r == nil || len(changed) == 0 {
+		return
+	}
+	r.mu.Lock()
+	now := time.Now().UnixNano()
+	for _, d := range changed {
+		if r.frozen {
+			r.after++
+			continue
+		}
+		r.writeLocked(&Entry{WallNS: now, Kind: "metric", Name: d.Name, Value: d.Value})
+	}
+	r.publishMetricsLocked(now, changed)
+	r.mu.Unlock()
 }
 
 // BuildDump assembles a dump from the current state: ring entries
@@ -307,92 +329,16 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	_ = d.WriteJSON(w)
 }
 
-// Observer bundles the recorder and the streaming hub behind one
-// nil-safe handle, so instrumented layers hold a single pointer and
-// a nil Observer (or nil members) costs one branch.
-type Observer struct {
-	Rec *Recorder
-	Hub *Hub
-}
-
-// Event records a transition in the ring and streams it to watchers
-// under the stamp the ring entry got, so the two can be joined on
-// wall_ns (with no ring entry — no recorder, or a frozen one — the
-// frame is stamped here). Transitions whose kind is "session" carry the
-// name as the session id so ?session= filters apply.
-func (o *Observer) Event(kind, name, detail string, value int64) {
-	if o == nil {
-		return
-	}
-	wallNS := o.Rec.Record(kind, name, detail, value)
-	if o.Hub != nil {
-		if wallNS == 0 {
-			wallNS = time.Now().UnixNano()
-		}
-		session := ""
-		if kind == "session" {
-			session = name
-		}
-		o.Hub.PublishEvent(Transition{
-			Kind:    kind,
-			Name:    name,
-			Detail:  detail,
-			Value:   value,
-			Session: session,
-			WallNS:  wallNS,
-		})
-	}
-}
-
-// Trip freezes the recorder (see Recorder.Trip) and streams the trip
-// as a transition so live watchers see the failure the moment it
-// happens.
-func (o *Observer) Trip(reason, detail string) {
-	if o == nil {
-		return
-	}
-	wallNS := o.Rec.Trip(reason, detail)
-	if o.Hub != nil {
-		if wallNS == 0 {
-			wallNS = time.Now().UnixNano()
-		}
-		o.Hub.PublishEvent(Transition{
-			Kind:   "trip",
-			Name:   reason,
-			Detail: detail,
-			WallNS: wallNS,
-		})
-	}
-}
-
-// Enabled reports whether the observer does anything at all.
-func (o *Observer) Enabled() bool {
-	return o != nil && (o.Rec != nil || o.Hub != nil)
-}
-
-// NewObserver assembles the flight stack one process attaches: the
-// ring recorder (stamped with mode and wired to reg), the /watch
-// streaming hub, and the sampler feeding both with reg's metric deltas
-// at the given cadence (<= 0 selects DefaultInterval). The sampler is
-// returned unstarted; its owner calls Start and Stop.
-func NewObserver(reg *metrics.Registry, mode string, every time.Duration) (*Observer, *Sampler) {
-	rec := New(0)
-	rec.SetInfo("mode", mode)
-	rec.AttachRegistry(reg)
-	hub := NewHub()
-	return &Observer{Rec: rec, Hub: hub}, NewSampler(reg, rec, hub, every)
-}
-
 // TripOnRollbackStorm chains onto sub's throttle-collapse hook: a
 // rollback storm (the optimistic window collapsing) is recorded as a
 // transition and trips the recorder. Call before sub runs.
-func (o *Observer) TripOnRollbackStorm(sub *core.Subsystem) {
+func (r *Recorder) TripOnRollbackStorm(sub *core.Subsystem) {
 	name, prev := sub.Name(), sub.OnThrottleCollapse
 	sub.OnThrottleCollapse = func(spec, aborted int) {
 		if prev != nil {
 			prev(spec, aborted)
 		}
-		o.Event("throttle", name, "rollback storm: speculation window collapsed", int64(aborted))
-		o.Trip("rollback-storm", name)
+		r.Record("throttle", name, "rollback storm: speculation window collapsed", int64(aborted))
+		r.Trip("rollback-storm", name)
 	}
 }

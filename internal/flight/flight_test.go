@@ -32,18 +32,9 @@ func TestNilEverythingIsInert(t *testing.T) {
 		t.Fatal("nil recorder cannot trip")
 	}
 
-	var h *Hub
-	h.PublishEvent(Transition{Kind: "x"})
-	h.PublishMetrics(1, []MetricDelta{{Name: "n"}})
-	if h.Subscribers() != 0 || h.Dropped() != 0 || h.Sent() != 0 {
-		t.Fatal("nil hub must read zero")
-	}
-
-	var o *Observer
-	o.Event("a", "b", "c", 1)
-	o.Trip("x", "y")
-	if o.Enabled() {
-		t.Fatal("nil observer must be disabled")
+	r.recordMetrics([]MetricDelta{{Name: "n"}})
+	if r.Subscribers() != 0 || r.Dropped() != 0 || r.Sent() != 0 {
+		t.Fatal("nil recorder must have no watchers")
 	}
 
 	var s *Sampler
@@ -59,12 +50,6 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		r.Record("session", "s-1", "stepped", 42)
 	}); n != 0 {
 		t.Fatalf("nil recorder Record = %v allocs/op, want 0", n)
-	}
-	var o *Observer
-	if n := testing.AllocsPerRun(200, func() {
-		o.Event("session", "s-1", "stepped", 42)
-	}); n != 0 {
-		t.Fatalf("nil observer Event = %v allocs/op, want 0", n)
 	}
 }
 
@@ -204,8 +189,8 @@ func TestTripSafeUnderCallerLock(t *testing.T) {
 	}
 }
 
-func TestHubDropsStalledSubscriber(t *testing.T) {
-	h := NewHub()
+func TestWatchDropsStalledSubscriber(t *testing.T) {
+	h := New(8)
 	stalled := h.subscribe("", "")
 	healthy := h.subscribe("", "")
 	if h.Subscribers() != 2 {
@@ -218,7 +203,7 @@ func TestHubDropsStalledSubscriber(t *testing.T) {
 	var got int
 	start := time.Now()
 	for i := 0; i < subQueueCap+16; i++ {
-		h.PublishEvent(Transition{Kind: "session", Name: "s", Value: int64(i)})
+		h.Record("session", "s", "", int64(i))
 		for drained := false; !drained; {
 			select {
 			case <-healthy.ch:
@@ -253,56 +238,72 @@ func TestHubDropsStalledSubscriber(t *testing.T) {
 	h.unsubscribe(healthy)
 }
 
-// TestEventStampedOnce: the ring entry and the /watch frame of one
-// transition — and of the trip that freezes the ring — carry the same
-// wall_ns, so a post-mortem dump and a recorded stream can be joined on
-// it. After the trip there is no ring entry and the frame is stamped on
-// its own.
-func TestEventStampedOnce(t *testing.T) {
-	o := &Observer{Rec: New(8), Hub: NewHub()}
-	sub := o.Hub.subscribe("", "")
-	defer o.Hub.unsubscribe(sub)
-	frame := func() Transition {
-		var tr Transition
-		if err := json.Unmarshal((<-sub.ch).data, &tr); err != nil {
+// TestRecordStreamsInSeqOrder: with 8 goroutines recording at once, a
+// watcher receives every transition as the ring entry it is — same seq,
+// same wall_ns — in strictly increasing seq, and so does the trip that
+// freezes the ring. A transition recorded after the freeze streams with
+// seq 0 and a stamp of its own.
+func TestRecordStreamsInSeqOrder(t *testing.T) {
+	const writers, per = 8, subQueueCap/8 - 1 // room for the trip and one late record
+	r := New(writers*per + 1)
+	sub := r.subscribe("", "")
+	defer r.unsubscribe(sub)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				r.Record("session", fmt.Sprintf("s-%d", g), "stepped", int64(i))
+			}
+		}(g)
+	}
+	wg.Wait()
+	r.Trip("peer-lost", "alpha")
+	r.Record("session", "s-0", "stopped", 0)
+
+	ring := r.BuildDump().Entries
+	if len(ring) != writers*per+1 || r.Dropped() != 0 {
+		t.Fatalf("ring holds %d entries (want %d), %d watchers dropped", len(ring), writers*per+1, r.Dropped())
+	}
+	next := func() Entry {
+		var e Entry
+		if err := json.Unmarshal((<-sub.ch).data, &e); err != nil {
 			t.Fatal(err)
 		}
-		return tr
+		return e
 	}
-	o.Event("session", "s-1", "running", 3)
-	o.Trip("peer-lost", "alpha")
-	ring := o.Rec.BuildDump().Entries
-	if len(ring) != 2 {
-		t.Fatalf("ring holds %d entries, want 2", len(ring))
-	}
-	for _, e := range ring {
-		if tr := frame(); tr.Kind != e.Kind || tr.WallNS != e.WallNS || e.WallNS == 0 {
-			t.Errorf("%s: /watch frame wall_ns %d, ring entry wall_ns %d", e.Kind, tr.WallNS, e.WallNS)
+	for i, want := range ring {
+		got := next()
+		if got != want || got.Seq != uint64(i+1) || want.WallNS == 0 {
+			t.Fatalf("frame %d = %+v, ring entry %+v", i, got, want)
+		}
+		if want.Kind == "session" && want.Session != want.Name {
+			t.Fatalf("session entry %+v carries no session id", want)
 		}
 	}
-	o.Event("session", "s-1", "stopped", 0)
-	if tr := frame(); tr.WallNS == 0 {
-		t.Error("transition after the trip streamed without a stamp")
+	if late := next(); late.Seq != 0 || late.WallNS < ring[len(ring)-1].WallNS || late.Detail != "stopped" {
+		t.Fatalf("after the freeze streamed %+v, want seq 0 stamped after the trip", late)
 	}
 }
 
-func TestHubFilters(t *testing.T) {
-	h := NewHub()
+func TestWatchFilters(t *testing.T) {
+	h := New(8)
 	all := h.subscribe("", "")
 	tenant := h.subscribe("s-1", "")
 	prefixed := h.subscribe("", "pia_sched")
 	defer func() { h.unsubscribe(all); h.unsubscribe(tenant); h.unsubscribe(prefixed) }()
 
-	h.PublishEvent(Transition{Kind: "session", Name: "s-1", Session: "s-1"})
-	h.PublishEvent(Transition{Kind: "session", Name: "s-2", Session: "s-2"})
-	h.PublishEvent(Transition{Kind: "health", Name: "node"}) // global
+	h.Record("session", "s-1", "", 0)
+	h.Record("session", "s-2", "", 0)
+	h.Record("health", "node", "", 0) // global
 
 	recv := func(s *subscriber) []string {
 		var names []string
 		for {
 			select {
 			case f := <-s.ch:
-				var tr Transition
+				var tr Entry
 				_ = json.Unmarshal(f.data, &tr)
 				names = append(names, tr.Name)
 			default:
@@ -318,7 +319,7 @@ func TestHubFilters(t *testing.T) {
 	}
 	recv(prefixed) // drain its queued transitions before the metrics frame
 
-	h.PublishMetrics(1, []MetricDelta{
+	h.recordMetrics([]MetricDelta{
 		{Name: `pia_sched_steps{sub="a"}`, Value: 5, Delta: 5},
 		{Name: `pia_wire_bytes{node="n"}`, Value: 9, Delta: 9},
 		{Name: `pia_sched_steps{sub="b",session="s-1"}`, Value: 2, Delta: 2},
@@ -344,11 +345,10 @@ func TestWatchSSEEndToEnd(t *testing.T) {
 	c := reg.Counter("pia_live")
 	rec := New(32)
 	rec.AttachRegistry(reg)
-	h := NewHub()
-	smp := NewSampler(reg, rec, h, time.Hour) // ticked manually
+	smp := NewSampler(reg, rec, time.Hour) // ticked manually
 	defer smp.Stop()
 
-	srv := httptest.NewServer(h)
+	srv := httptest.NewServer(http.HandlerFunc(rec.Watch))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/?prefix=pia_")
@@ -379,14 +379,10 @@ func TestWatchSSEEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The handler subscribes before it writes hello, so from here on
+	// every frame reaches this stream.
 	if ev, _ := readEvent(); ev != "hello" {
 		t.Fatalf("first event = %s, want hello", ev)
-	}
-
-	// Wait for the subscriber to land before publishing.
-	deadline := time.Now().Add(5 * time.Second)
-	for h.Subscribers() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
 	}
 
 	c.Add(3)
@@ -413,9 +409,9 @@ func TestWatchSSEEndToEnd(t *testing.T) {
 		t.Fatalf("delta frame = %s %+v", ev, mf.Changed)
 	}
 
-	h.PublishEvent(Transition{Kind: "trip", Name: "quorum-dead"})
+	rec.Trip("quorum-dead", "")
 	ev, data = readEvent()
-	var tr Transition
+	var tr Entry
 	_ = json.Unmarshal([]byte(data), &tr)
 	if ev != "transition" || tr.Name != "quorum-dead" {
 		t.Fatalf("transition frame = %s %+v", ev, tr)
@@ -441,7 +437,7 @@ func TestWatchSSEEndToEnd(t *testing.T) {
 func TestSamplerPollHook(t *testing.T) {
 	reg := metrics.NewRegistry()
 	rec := New(8)
-	smp := NewSampler(reg, rec, nil, time.Hour)
+	smp := NewSampler(reg, rec, time.Hour)
 	defer smp.Stop()
 	polled := 0
 	smp.SetPoll(func() {
@@ -457,25 +453,76 @@ func TestSamplerPollHook(t *testing.T) {
 	}
 }
 
+// TestSamplerStartStop: the ticker goroutine samples on its own. The
+// poll hook runs only on ticks, so once it has run twice the first
+// tick's sample is in the ring — checked before Stop, whose final
+// sample would otherwise hide a ticker that never fired.
 func TestSamplerStartStop(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := reg.Counter("pia_t")
+	reg.Counter("pia_t").Add(1)
 	rec := New(64)
-	smp := NewSampler(reg, rec, nil, time.Millisecond)
+	smp := NewSampler(reg, rec, time.Millisecond)
+	ticked := make(chan struct{}, 1)
+	smp.SetPoll(func() {
+		select {
+		case ticked <- struct{}{}:
+		default:
+		}
+	})
 	smp.Start()
 	smp.Start() // idempotent
-	c.Add(1)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if d := rec.BuildDump(); len(d.Entries) > 0 {
-			break
+	for i := 0; i < 2; i++ {
+		select {
+		case <-ticked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("ticker goroutine never ticked")
 		}
-		time.Sleep(time.Millisecond)
+	}
+	if d := rec.BuildDump(); len(d.Entries) == 0 {
+		t.Fatal("ticker goroutine never sampled")
 	}
 	smp.Stop()
 	smp.Stop() // idempotent
-	if d := rec.BuildDump(); len(d.Entries) == 0 {
-		t.Fatal("ticker goroutine never sampled")
+}
+
+// TestSamplerForgetsVanishedSeries: the sampler diffs against exactly
+// the series of its latest snapshot. A series that disappears (a
+// stopped session's) and comes back at its old value is reported
+// again, its delta its whole value, and churning series names leave
+// nothing behind.
+func TestSamplerForgetsVanishedSeries(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var name string // "" = no series this tick
+	reg.AddCollector(func(emit func(metrics.Sample)) {
+		if name != "" {
+			emit(metrics.Sample{Name: name, Kind: metrics.KindGauge, Value: 5})
+		}
+	})
+	rec := New(64)
+	sub := rec.subscribe("", "")
+	defer rec.unsubscribe(sub)
+	smp := NewSampler(reg, rec, time.Hour) // ticked manually
+	for _, name = range []string{`pia_x{session="s-1"}`, "", `pia_x{session="s-1"}`} {
+		smp.Tick()
+	}
+	if got := rec.BuildDump().Entries; len(got) != 2 || got[1].Value != 5 {
+		t.Fatalf("reappearing series recorded as %+v, want two entries at 5", got)
+	}
+	var mf metricFrame
+	<-sub.ch
+	if err := json.Unmarshal((<-sub.ch).data, &mf); err != nil {
+		t.Fatal(err)
+	}
+	if len(mf.Changed) != 1 || mf.Changed[0].Delta != 5 {
+		t.Fatalf("reappearing series streamed as %+v, want delta 5", mf.Changed)
+	}
+
+	for i := 0; i < 100; i++ {
+		name = fmt.Sprintf(`pia_x{session="s-%d"}`, i)
+		smp.Tick()
+	}
+	if n := len(smp.prev); n != 1 {
+		t.Fatalf("after 100 sessions the sampler remembers %d series, want 1", n)
 	}
 }
 
@@ -486,8 +533,7 @@ func TestSamplerFinalSampleOnStop(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := reg.Counter("pia_t")
 	rec := New(64)
-	hub := NewHub()
-	smp := NewSampler(reg, rec, hub, time.Hour) // the ticker never fires
+	smp := NewSampler(reg, rec, time.Hour) // the ticker never fires
 	polls := 0
 	smp.SetPoll(func() { polls++ })
 	smp.Start()

@@ -14,21 +14,21 @@ const DefaultInterval = time.Second
 
 // Sampler periodically snapshots a metrics registry, computes which
 // samples changed since the previous tick, and feeds the deltas to
-// the flight recorder ring and the streaming hub. An optional Poll
-// hook runs first on every tick so callers can fold in checks that
-// are not registry-driven (e.g. mesh quorum health).
+// the flight recorder: into its ring, and to its watchers as one
+// "metrics" frame per tick. An optional Poll hook runs first on every
+// tick so callers can fold in checks that are not registry-driven
+// (e.g. mesh quorum health).
 //
 // The sampler owns its goroutine; the scheduler, merge loop, and
 // scrape path never run sampling work.
 type Sampler struct {
 	reg      *metrics.Registry
 	rec      *Recorder
-	hub      *Hub
 	interval time.Duration
 
 	mu   sync.Mutex
 	poll func()
-	prev map[string]int64
+	prev map[string]int64 // exactly the series of the latest snapshot
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -36,18 +36,16 @@ type Sampler struct {
 	done      chan struct{}
 }
 
-// NewSampler wires a registry to a recorder and/or hub (either may be
-// nil). The interval defaults to DefaultInterval if non-positive.
-func NewSampler(reg *metrics.Registry, rec *Recorder, hub *Hub, interval time.Duration) *Sampler {
+// NewSampler wires a registry to a recorder (which may be nil). The
+// interval defaults to DefaultInterval if non-positive.
+func NewSampler(reg *metrics.Registry, rec *Recorder, interval time.Duration) *Sampler {
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
 	return &Sampler{
 		reg:      reg,
 		rec:      rec,
-		hub:      hub,
 		interval: interval,
-		prev:     make(map[string]int64),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -81,38 +79,34 @@ func (s *Sampler) Tick() {
 	s.sample()
 }
 
-// sample snapshots the registry and publishes what changed since the
-// previous sample.
+// sample snapshots the registry and records what changed since the
+// previous sample. A series absent from the snapshot is forgotten, so
+// one that comes back is reported afresh, its delta its whole value.
 func (s *Sampler) sample() {
 	snap := s.reg.Snapshot()
-	now := time.Now().UnixNano()
 
 	s.mu.Lock()
 	var changed []MetricDelta
+	seen := make(map[string]int64, len(snap))
 	for _, sm := range snap {
 		// Histogram detail stays in /metrics; the stream carries the
 		// observation count so watchers still see activity.
-		old, seen := s.prev[sm.Name]
-		if sm.Value == old && seen {
+		seen[sm.Name] = sm.Value
+		old, ok := s.prev[sm.Name]
+		if sm.Value == old && ok {
 			continue
 		}
-		s.prev[sm.Name] = sm.Value
 		changed = append(changed, MetricDelta{
 			Name:  sm.Name,
 			Value: sm.Value,
 			Delta: sm.Value - old,
 		})
 	}
+	s.prev = seen
 	s.mu.Unlock()
-	if len(changed) == 0 {
-		return
-	}
 	// Deterministic order for the ring and the stream.
 	sort.Slice(changed, func(i, j int) bool { return changed[i].Name < changed[j].Name })
-	for _, d := range changed {
-		s.rec.Record("metric", d.Name, "", d.Value)
-	}
-	s.hub.PublishMetrics(now, changed)
+	s.rec.recordMetrics(changed)
 }
 
 // Start launches the sampling goroutine. Idempotent.

@@ -105,10 +105,10 @@ type Node struct {
 	tlRec       *timeline.Recorder
 	tlMetricsOn bool
 
-	// flightObs, when non-nil, is the flight observer notified on
+	// flightRec, when non-nil, is the flight recorder notified on
 	// connection failures (see flight.go). Error paths pay one
 	// nil-guarded accessor, nothing more.
-	flightObs *flight.Observer
+	flightRec *flight.Recorder
 }
 
 // New creates a node.

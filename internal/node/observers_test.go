@@ -28,7 +28,7 @@ func TestEnableOrderIndependent(t *testing.T) {
 				case tl:
 					n.EnableTimeline(rec)
 				case f:
-					n.EnableFlight(&flight.Observer{Rec: frec})
+					n.EnableFlight(frec)
 				}
 			}
 			rec.Drive("s", "c", "net", 10, 7)

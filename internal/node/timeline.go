@@ -93,7 +93,7 @@ func (n *Node) WriteTimeline(path string) error {
 // storing their own handle, so every call order wires the same thing.
 func (n *Node) wireObservers() {
 	n.mu.Lock()
-	reg, rec, o := n.metricsReg, n.tlRec, n.flightObs
+	reg, rec, fr := n.metricsReg, n.tlRec, n.flightRec
 	export := reg != nil && rec != nil && !n.tlMetricsOn
 	if export {
 		n.tlMetricsOn = true
@@ -101,10 +101,8 @@ func (n *Node) wireObservers() {
 	name := n.name
 	n.mu.Unlock()
 
-	if o != nil {
-		o.Rec.AttachRegistry(reg)
-		o.Rec.AttachTimeline(rec)
-	}
+	fr.AttachRegistry(reg)
+	fr.AttachTimeline(rec)
 	if !export {
 		return
 	}

@@ -118,11 +118,10 @@ type Config struct {
 	// session="<id>" label added to each sample.
 	Metrics *metrics.Registry
 
-	// Flight, when set, receives session lifecycle transitions on its
-	// streaming hub and records them in its flight recorder; session
-	// failures and budget evictions trip the recorder into a
-	// post-mortem dump.
-	Flight *flight.Observer
+	// Flight, when set, records session lifecycle transitions and
+	// streams them to its watchers; session failures and budget
+	// evictions trip the recorder into a post-mortem dump.
+	Flight *flight.Recorder
 
 	// AttributionTopN, when > 0 (and Metrics is set), turns on
 	// per-component wall-cost attribution inside every session's
@@ -268,7 +267,7 @@ func (c *Catalog) build(sess *Session) error {
 		}
 	}
 	sess.flight = c.cfg.Flight
-	sess.flight.Event("session", sess.id, "created: workload "+sess.spec.Workload, 0)
+	sess.flight.Record("session", sess.id, "created: workload "+sess.spec.Workload, 0)
 	if c.cfg.Node != nil {
 		h := c.cfg.Node.Host(sub)
 		h.OnChannel = sess.onChannel
@@ -385,13 +384,13 @@ func (c *Catalog) Step(id string, rev uint64, d vtime.Duration) (Info, error) {
 	if runErr != nil && !errors.Is(runErr, core.ErrStopped) {
 		sess.state = StateFailed
 		sess.runErr = runErr
-		sess.flight.Event("session", id, "failed: "+runErr.Error(), sess.sub.Stats().Steps)
+		sess.flight.Record("session", id, "failed: "+runErr.Error(), sess.sub.Stats().Steps)
 		sess.flight.Trip("session-failed", id+": "+runErr.Error())
 		return sess.infoLocked(), runErr
 	}
 	if h := sess.wl.Horizon(); (h != vtime.Infinity && sess.cursor >= h) || sess.sub.NextEventTime() == vtime.Infinity {
 		sess.state = StateDone
-		sess.flight.Event("session", id, "done", sess.sub.Stats().Steps)
+		sess.flight.Record("session", id, "done", sess.sub.Stats().Steps)
 	}
 	if max := c.cfg.Limits.MaxSteps; max > 0 {
 		if steps := sess.sub.Stats().Steps; steps > max {
@@ -445,7 +444,7 @@ func (c *Catalog) Stop(id string, rev uint64) (Info, error) {
 		c.teardownLocked(sess)
 	}
 	sess.state = StateStopped
-	sess.flight.Event("session", id, "stopped", 0)
+	sess.flight.Record("session", id, "stopped", 0)
 	sess.rev++
 	info := sess.infoLocked()
 	sess.mu.Unlock()
@@ -471,7 +470,7 @@ func (c *Catalog) evictLocked(sess *Session, limit string, used, max int64) {
 	sess.state = StateEvicted
 	sess.evictLimit, sess.evictUsed, sess.evictMax = limit, used, max
 	sess.rev++
-	sess.flight.Event("session", sess.id, fmt.Sprintf("evicted: %s budget (%d > %d)", limit, used, max), used)
+	sess.flight.Record("session", sess.id, fmt.Sprintf("evicted: %s budget (%d > %d)", limit, used, max), used)
 	sess.flight.Trip("session-evicted", fmt.Sprintf("%s: %s budget (%d > %d)", sess.id, limit, used, max))
 	c.teardownLocked(sess)
 	c.mu.Lock()

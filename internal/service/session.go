@@ -57,7 +57,7 @@ type Session struct {
 
 	// flight, set by build, receives lifecycle transitions; failures
 	// trip it into a post-mortem. Nil-safe (disabled path).
-	flight *flight.Observer
+	flight *flight.Recorder
 
 	evictLimit          string
 	evictUsed, evictMax int64
@@ -142,7 +142,7 @@ func (s *Session) startAuto() {
 			default:
 				s.state = StateFailed
 				s.runErr = err
-				s.flight.Event("session", s.id, "auto_run failed: "+err.Error(), 0)
+				s.flight.Record("session", s.id, "auto_run failed: "+err.Error(), 0)
 				s.flight.Trip("session-failed", s.id+": "+err.Error())
 			}
 			s.rev++

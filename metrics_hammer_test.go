@@ -51,21 +51,19 @@ func TestMetricsHammer(t *testing.T) {
 	reg := cl.EnableMetrics(NewMetricsRegistry())
 	recs := cl.EnableTimeline(64) // small limit: each node's ring wraps under fire
 
-	// The full flight stack: recorder + hub on the cluster's failure
+	// The full flight stack: the recorder on the cluster's failure
 	// triggers, cost attribution on every dispatch, and a sampler
 	// feeding /watch at an aggressive cadence.
 	frec := NewFlightRecorder(128) // small ring: wraps under fire
-	fhub := NewFlightHub()
-	fobs := &FlightObserver{Rec: frec, Hub: fhub}
 	frec.AttachRegistry(reg)
-	cl.EnableFlight(fobs)
+	cl.EnableFlight(frec)
 	cl.EnableCostAttribution(reg, 3)
-	sampler := NewFlightSampler(reg, frec, fhub, 5*time.Millisecond)
+	sampler := NewFlightSampler(reg, frec, 5*time.Millisecond)
 	sampler.Start()
 	defer sampler.Stop()
 
 	mux := http.NewServeMux()
-	mux.Handle("/watch", fhub)
+	mux.HandleFunc("/watch", frec.Watch)
 	mux.Handle("/debug/flight", frec)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -85,7 +83,7 @@ func TestMetricsHammer(t *testing.T) {
 	}()
 
 	// A second client subscribes and then never reads: its queue must
-	// fill and the hub must cut it loose without any publisher ever
+	// fill and the recorder must cut it loose without any publisher ever
 	// blocking on it.
 	stalled, err := http.Get(srv.URL + "/watch")
 	if err != nil {
@@ -144,12 +142,12 @@ func TestMetricsHammer(t *testing.T) {
 					_ = rec.Stats()
 					_ = timeline.Digest(rec.Events())
 				}
-				// Flight recorder and hub accessors.
+				// Flight recorder accessors.
 				_ = frec.BuildDump()
 				_, _ = frec.Tripped()
-				_ = fhub.Subscribers()
-				_ = fhub.Dropped()
-				_ = fhub.Sent()
+				_ = frec.Subscribers()
+				_ = frec.Dropped()
+				_ = frec.Sent()
 			}
 		}()
 	}
@@ -230,13 +228,13 @@ func TestMetricsHammer(t *testing.T) {
 	}
 
 	// The stalled client must be cut loose by a publisher without the
-	// publisher ever blocking: burst transitions until the hub drops
+	// publisher ever blocking: burst transitions until the recorder drops
 	// it. The loop terminating at all IS the non-blocking contract —
 	// each publish either enqueues or drops, never waits — and the
 	// healthy client keeps streaming throughout.
 	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; fhub.Dropped() == 0; i++ {
-		fobs.Event("health", "hammer", "synthetic burst", int64(i))
+	for i := 0; frec.Dropped() == 0; i++ {
+		frec.Record("health", "hammer", "synthetic burst", int64(i))
 		if i%512 == 0 {
 			time.Sleep(time.Millisecond) // let the healthy reader drain
 			if time.Now().After(deadline) {
@@ -244,8 +242,8 @@ func TestMetricsHammer(t *testing.T) {
 			}
 		}
 	}
-	if got := fhub.Dropped(); got < 1 {
-		t.Fatalf("hub dropped %d subscribers, want >= 1", got)
+	if got := frec.Dropped(); got < 1 {
+		t.Fatalf("recorder dropped %d subscribers, want >= 1", got)
 	}
 	// The recorder never tripped: faults, rollbacks and the burst are
 	// all healthy operation.

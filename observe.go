@@ -129,19 +129,14 @@ func (sim *Simulation) WriteTimeline(w io.Writer) error {
 
 type (
 	// FlightRecorder is the bounded black-box ring correlating recent
-	// timeline events, metric deltas, and health transitions; on a
+	// timeline events, metric deltas, and health transitions; it
+	// streams each transition to SSE /watch subscribers (Watch is the
+	// handler; slow clients are dropped, never waited on), and on a
 	// failure trigger it freezes into a self-contained JSON
 	// post-mortem. A nil recorder is inert.
 	FlightRecorder = flight.Recorder
-	// FlightHub fans live telemetry out to SSE /watch subscribers
-	// with per-subscriber bounded queues (slow clients are dropped,
-	// never waited on).
-	FlightHub = flight.Hub
-	// FlightObserver bundles a recorder and hub behind one nil-safe
-	// handle for the instrumented layers.
-	FlightObserver = flight.Observer
 	// FlightSampler periodically snapshots a registry and feeds
-	// metric deltas to a recorder and hub.
+	// metric deltas to a recorder.
 	FlightSampler = flight.Sampler
 	// FlightDump is a frozen post-mortem document.
 	FlightDump = flight.Dump
@@ -151,31 +146,27 @@ type (
 // ring entries (<= 0 selects the default).
 func NewFlightRecorder(size int) *FlightRecorder { return flight.New(size) }
 
-// NewFlightHub creates an empty streaming hub. Mount it on an HTTP
-// mux as the GET /watch handler.
-func NewFlightHub() *FlightHub { return flight.NewHub() }
-
-// NewFlightSampler wires a registry to a recorder and/or hub at the
-// given cadence (<= 0 selects the default). Call Start to begin
-// sampling and Stop to halt.
-func NewFlightSampler(reg *MetricsRegistry, rec *FlightRecorder, hub *FlightHub, every time.Duration) *FlightSampler {
-	return flight.NewSampler(reg, rec, hub, every)
+// NewFlightSampler wires a registry to a recorder at the given
+// cadence (<= 0 selects the default). Call Start to begin sampling and
+// Stop to halt.
+func NewFlightSampler(reg *MetricsRegistry, rec *FlightRecorder, every time.Duration) *FlightSampler {
+	return flight.NewSampler(reg, rec, every)
 }
 
 // EnableFlight wires the simulation's failure triggers into the
-// observer: every subsystem's optimistic throttle collapse (a
+// recorder: every subsystem's optimistic throttle collapse (a
 // rollback storm) records and trips, and the simulation's timeline
 // recorder (enabled before or after this call) is attached so
 // post-mortems carry the event tail. Call between BuildLocal and Run.
-// A nil/empty observer leaves the hot paths untouched.
-func (sim *Simulation) EnableFlight(o *FlightObserver) {
-	if !o.Enabled() {
+// A nil recorder leaves the hot paths untouched.
+func (sim *Simulation) EnableFlight(r *FlightRecorder) {
+	if r == nil {
 		return
 	}
-	sim.flightRec = o.Rec
-	o.Rec.AttachTimeline(sim.timelineRec)
+	sim.flightRec = r
+	r.AttachTimeline(sim.timelineRec)
 	for _, name := range sim.subOrder {
-		o.TripOnRollbackStorm(sim.Subsystems[name])
+		r.TripOnRollbackStorm(sim.Subsystems[name])
 	}
 }
 
