@@ -165,7 +165,14 @@ timeline:
 # publishes and FIFO deliveries among two or three bare protocol values
 # to a bounded depth, checking the paper's invariants after every
 # action (TestSafeTimeModel), and fuzz-smoke drives the same walk from a
-# byte stream (FuzzSafeTime).
+# byte stream (FuzzSafeTime). The migration image is a closed layout
+# over the same value codec: every field of core.Image, event.Event and
+# core.NetImage and a value of every tag survive it, equal state encodes
+# to equal bytes, an unregistered value type is refused at the source by
+# name, hostile images (unknown version, kind or flag, addresses out of
+# range or order, trailing bytes, lengths past a cap) are refused, and
+# the restore rule holds across the wire. A session spec past a shape
+# cap is refused before its footprint is computed.
 wire: fuzz-smoke
 	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestPageEgressTwoBufferAllocs|TestCoalesceByteCap|TestFlushDropsPayloadReferences|TestPipeDropsDeliveredValues|TestCursorBurstsDoNotAliasThePayload|TestSafeTimeModel' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestHello|TestConnectNamesAHandshakeFault|TestConnectUnknownSubsystem' ./internal/node/
@@ -176,6 +183,9 @@ wire: fuzz-smoke
 	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestBrowserCachesPageAsReceived|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks|TestHardwareTransferBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass' ./internal/core/
 	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes' .
+	$(GO) test -count=1 -run 'TestImageCarriesEveryField|TestImageValueTags|TestImageRefusesUnregisteredValue|TestDecodeRefusesHostileImages|TestExtractNetsOrderStable' ./internal/snapshot/
+	$(GO) test -count=1 -run 'TestRestoreImageRule' ./internal/core/
+	$(GO) test -count=1 -run 'TestSpecCaps' ./internal/service/
 	$(GO) test -race -count=1 -run 'TestBidirectionalStress|TestConcurrentFlushesKeepSeqOrder' ./internal/channel/
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/node/ ./internal/signal/ ./internal/hwstub/
 	$(GO) test -run=^$$ -bench 'BenchmarkAppendBatch|BenchmarkDecodeBatchInto' -benchtime=1000x ./internal/channel/
@@ -192,9 +202,13 @@ wire: fuzz-smoke
 # invariants on any schedule of its actions, the node
 # hello and helloAck and the hardware-server request and response
 # decoders on arbitrary payloads (no panic, nothing past a named cap,
-# what decodes re-encodes to the same value), and the mesh control
+# what decodes re-encodes to the same value), the mesh control
 # frame decoder the same way, re-encoding what it accepts to the same
-# bytes. A direct ci prerequisite.
+# bytes, the migration image decoder the same way (what it decodes is
+# bounded by its input and its caps, and re-encodes to an equal image),
+# and a session create request as JSON or form (every admitted spec has
+# a positive footprint within what the shape caps allow). A direct ci
+# prerequisite.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFrameParser -fuzztime=3s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBatch -fuzztime=3s ./internal/channel/
@@ -208,6 +222,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzHWRequest -fuzztime=3s ./internal/hwstub/
 	$(GO) test -run=^$$ -fuzz=FuzzHWResponse -fuzztime=3s ./internal/hwstub/
 	$(GO) test -run=^$$ -fuzz=FuzzMeshFrame -fuzztime=3s ./internal/mesh/
+	$(GO) test -run=^$$ -fuzz=FuzzComponentImage -fuzztime=3s ./internal/snapshot/
+	$(GO) test -run=^$$ -fuzz=FuzzSessionSpec -fuzztime=3s ./internal/service/
 
 # The scheduler-core gate: the three-way equivalence matrix
 # (sequential x conservative x optimistic over 50 random topologies,

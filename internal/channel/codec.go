@@ -120,8 +120,7 @@ var (
 // buffer — and must return an error, not panic, on a body it cannot
 // read: the bytes come from the peer. Both ends of a channel must
 // register the same name for the same layout. Call it from an init
-// function; like gob.Register it panics on a name or type registered
-// twice.
+// function; it panics on a name or type registered twice.
 func RegisterValue[T any](name string, enc func(dst []byte, v T) []byte, dec func(body []byte) (T, error)) {
 	typ := reflect.TypeFor[T]()
 	vc := &valueCodec{
@@ -154,10 +153,11 @@ func appendTime(dst []byte, t vtime.Time) []byte {
 	return binary.AppendUvarint(dst, uint64(t))
 }
 
-// appendValue encodes a data message's value: the closed tag table
-// first, then the RegisterValue registry. A type in neither is an
-// error — nothing is encoded by reflection.
-func appendValue(dst []byte, v any) ([]byte, error) {
+// AppendValue appends v in the codec's value layout: the closed tag
+// table first, then the RegisterValue registry. A type in neither is an
+// error naming it — nothing is encoded by reflection. It encodes a data
+// message's value and, with DecodeValue, a migration image's values.
+func AppendValue(dst []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(dst, valNil), nil
@@ -213,7 +213,7 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 	}
 }
 
-// appendExtValue is appendValue's miss path, kept out of line so the
+// appendExtValue is AppendValue's miss path, kept out of line so the
 // registry lookup costs the word/packet hot path nothing.
 func appendExtValue(dst []byte, v any) ([]byte, error) {
 	valuesMu.RLock()
@@ -412,7 +412,7 @@ func (b *frameBuilder) drive(seq, ack uint64, t vtime.Time, from, net, source st
 	if b.run >= 0 && sameRun(&b.head, seq, ack, t, from, net, source) {
 		b.buf = appendUvarint(b.buf, uint64(t-b.head.prev))
 		var err error
-		b.buf, err = appendValue(b.buf, v)
+		b.buf, err = AppendValue(b.buf, v)
 		if err == nil && len(b.buf)-b.run-1-entryLenWidth <= maxEntryLen {
 			if !b.fits(mark) {
 				return false, nil
@@ -439,7 +439,7 @@ func (b *frameBuilder) drive(seq, ack uint64, t vtime.Time, from, net, source st
 	b.buf = appendString(b.buf, source)
 	b.buf = appendUvarint(b.buf, uint64(t)) // the first item's ΔTime is from 0
 	var err error
-	if b.buf, err = appendValue(b.buf, v); err == nil && len(b.buf)-body > maxEntryLen {
+	if b.buf, err = AppendValue(b.buf, v); err == nil && len(b.buf)-body > maxEntryLen {
 		err = fmt.Errorf("channel: batch entry of %d bytes exceeds limit", len(b.buf)-body)
 	}
 	if err != nil {
@@ -823,6 +823,18 @@ func (d *BatchDecoder) value(r *reader) (any, error) {
 	default:
 		return nil, fmt.Errorf("channel: unknown value tag %d", tag)
 	}
+}
+
+// DecodeValue decodes b, exactly one value as AppendValue wrote it,
+// boxing words, frames and bus cycles and copying byte payloads into the
+// decoder's slab as a batch's values are: nothing it returns aliases b.
+func (d *BatchDecoder) DecodeValue(b []byte) (any, error) {
+	r := reader{buf: b}
+	v, err := d.value(&r)
+	if err == nil && r.pos < len(b) {
+		err = fmt.Errorf("channel: %d bytes after a value", len(b)-r.pos)
+	}
+	return v, err
 }
 
 // extValue decodes an extension value through the RegisterValue

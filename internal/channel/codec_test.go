@@ -439,7 +439,7 @@ func TestRegisterValueDuplicatePanics(t *testing.T) {
 	})
 	mustPanic("duplicate type", func() { RegisterValue("channel.test.customVal2", enc, dec) })
 	// Neither failed registration left anything behind.
-	if _, err := appendValue(nil, unregisteredVal{}); err == nil {
+	if _, err := AppendValue(nil, unregisteredVal{}); err == nil {
 		t.Fatal("a refused registration still took effect")
 	}
 }

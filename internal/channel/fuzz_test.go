@@ -10,8 +10,6 @@ import (
 	"repro/internal/wire"
 )
 
-func init() { Register() }
-
 // fuzzBatch builds a batch from fuzz primitives. Each shape byte is
 // one run of data messages — its low six bits the length, 1 to 64 —
 // and what ends it: nothing but a moved Ack, an ask, a grant with the

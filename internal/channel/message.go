@@ -18,7 +18,6 @@
 package channel
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/signal"
@@ -117,12 +116,4 @@ func (m Message) String() string {
 type Transport interface {
 	SendFrame(frame []byte) error
 	Close() error
-}
-
-// Register registers channel and signal types with gob, for what
-// still gob-encodes a Message: snapshot images of in-flight channel
-// state. The wire does not — see codec.go.
-func Register() {
-	gob.Register(Message{})
-	signal.Register()
 }

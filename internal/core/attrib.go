@@ -11,7 +11,7 @@ import (
 )
 
 // costBounds are the per-step wall-latency histogram edges in
-// nanoseconds: 1µs … 100ms. Component steps are user React/Recv
+// nanoseconds: 1µs … 100ms. Component steps are user Run/Recv
 // bodies, so the interesting range spans "trivial state flip" to
 // "accidentally quadratic".
 var costBounds = []int64{1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000}

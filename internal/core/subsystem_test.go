@@ -228,34 +228,29 @@ func TestSendAtSchedulesFuture(t *testing.T) {
 		p.SendAt("out", "later", 100)
 		return nil
 	})
-	co := &consumer{}
+	var times []vtime.Time
+	cons := BehaviorFunc(func(p *Proc) error {
+		for {
+			m, ok := p.Recv("in")
+			if !ok {
+				return nil
+			}
+			times = append(times, m.Time)
+		}
+	})
 	sc, _ := s.NewComponent("src", src)
 	sc.AddPort("out")
-	cc, _ := s.NewComponent("cons", React(reactorRecorder{co}))
+	cc, _ := s.NewComponent("cons", cons)
 	cc.AddPort("in")
 	n, _ := s.NewNet("w", 0)
 	s.Connect(n, sc.Port("out"), cc.Port("in"))
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
-	if len(co.Times) != 1 || co.Times[0] != 100 {
-		t.Fatalf("SendAt delivery = %v, want [100]", co.Times)
+	if len(times) != 1 || times[0] != 100 {
+		t.Fatalf("SendAt delivery = %v, want [100]", times)
 	}
 }
-
-// reactorRecorder adapts consumer storage to the Reactor interface.
-type reactorRecorder struct{ co *consumer }
-
-func (r reactorRecorder) OnMessage(p *Proc, m Msg) error {
-	if v, ok := m.Value.(int); ok {
-		r.co.Got = append(r.co.Got, v)
-	}
-	r.co.Times = append(r.co.Times, m.Time)
-	return nil
-}
-
-func (r reactorRecorder) SaveState() ([]byte, error)  { return GobSave(r.co) }
-func (r reactorRecorder) RestoreState(b []byte) error { return GobRestore(r.co, b) }
 
 func TestDeterminism(t *testing.T) {
 	run := func() ([]int, []vtime.Time) {

@@ -6,9 +6,9 @@ import (
 )
 
 // The wire row of TestRestoreImageRule's caller table: what
-// mesh's extract and applyEpoch do with an extracted image. gob
-// drops an empty State to nil on the way, which the restore rule must
-// not notice.
+// mesh's extract and applyEpoch do with an extracted image. The image
+// layout decodes an empty State as nil, which the restore rule must not
+// notice.
 func init() {
 	core.WireRestore = func(s *core.Subsystem, img *core.Image) error {
 		b, err := (&snapshot.ComponentImage{Image: *img}).Encode()

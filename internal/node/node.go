@@ -28,8 +28,6 @@ import (
 	"repro/internal/wire"
 )
 
-func init() { channel.Register() }
-
 // ErrPeerLost is wrapped by every pump failure caused by losing the
 // remote node mid-run — a raw EOF, a dead TCP connection, or an
 // exhausted resilient session. A clean channel Close is not a peer

@@ -2,6 +2,8 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -139,6 +141,38 @@ func TestAutoRunDefaultEncodingParity(t *testing.T) {
 func jsonNum(f float64) string {
 	b, _ := json.Marshal(uint64(f))
 	return string(b)
+}
+
+// TestSpecCaps: a shape past its cap is a bad spec, refused before a
+// footprint is computed from it. Uncapped, page_kb 2^37 with 131071
+// images wrapped the footprint to 256 KB, under any session budget, for
+// a server page of 2^47 bytes, and page_kb 2^53 made it negative.
+func TestSpecCaps(t *testing.T) {
+	specs := []Spec{
+		{Workload: WorkloadModemSite, PageKB: 1 << 37, Images: 131071},
+		{Workload: WorkloadModemSite, PageKB: 1 << 53},
+		{Workload: WorkloadModemSite, PageKB: maxPageKB + 1},
+		{Workload: WorkloadModemSite, Images: maxImages + 1},
+		{WorkIters: maxWorkIters + 1},
+	}
+	for _, spec := range specs {
+		w, err := newWorkload(&spec)
+		var se *SpecError
+		if !errors.As(err, &se) {
+			t.Fatalf("spec %+v: got %+v, %v; want a SpecError", spec, w, err)
+		}
+	}
+	// Over HTTP the first is a 400 that leaves no session behind.
+	c := NewCatalog(Config{Limits: Limits{MaxSessionMemBytes: 64 << 20}})
+	defer c.Close()
+	rr, body := doReq(t, Handler(c), "POST", "/sessions",
+		url.Values{"workload": {"modemsite"}, "page_kb": {"137438953472"}, "images": {"131071"}})
+	if rr.Code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(body["error"]), "page_kb 137438953472 exceeds") {
+		t.Fatalf("create past the page cap: code %d, body %v", rr.Code, body)
+	}
+	if infos, _ := c.List(); len(infos) != 0 {
+		t.Fatalf("a refused create left %d sessions", len(infos))
+	}
 }
 
 func TestHTTPErrorPaths(t *testing.T) {

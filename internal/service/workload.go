@@ -60,6 +60,17 @@ const (
 	WorkloadModemSite = "modemsite"
 )
 
+// A spec's shape caps, well above every shape in use: past one a spec
+// is refused, so its footprint is a positive int64, its page one GenPage
+// can allocate, and no step spins past what MaxSteps can stop.
+const (
+	maxFanout    = 1024
+	maxRounds    = 1_000_000
+	maxWorkIters = 1 << 20
+	maxPageKB    = 64 << 10 // 64 MB
+	maxImages    = 1 << 10
+)
+
 // newWorkload validates the spec, fills defaults in place, and
 // builds the workload.
 func newWorkload(spec *Spec) (Workload, error) {
@@ -72,6 +83,15 @@ func newWorkload(spec *Spec) (Workload, error) {
 		autoRun := spec.Workload == WorkloadModemSite
 		spec.AutoRun = &autoRun
 	}
+	for _, c := range []struct {
+		field  string
+		v, max int
+	}{{"fanout", spec.Fanout, maxFanout}, {"rounds", spec.Rounds, maxRounds}, {"work_iters", spec.WorkIters, maxWorkIters},
+		{"page_kb", spec.PageKB, maxPageKB}, {"images", spec.Images, maxImages}} {
+		if c.v > c.max {
+			return nil, &SpecError{Reason: fmt.Sprintf("%s %d exceeds %d", c.field, c.v, c.max)}
+		}
+	}
 	switch spec.Workload {
 	case WorkloadFan:
 		if spec.Fanout <= 0 {
@@ -82,12 +102,6 @@ func newWorkload(spec *Spec) (Workload, error) {
 		}
 		if spec.WorkIters <= 0 {
 			spec.WorkIters = 256
-		}
-		if spec.Fanout > 1024 {
-			return nil, &SpecError{Reason: fmt.Sprintf("fanout %d exceeds 1024", spec.Fanout)}
-		}
-		if spec.Rounds > 1_000_000 {
-			return nil, &SpecError{Reason: fmt.Sprintf("rounds %d exceeds 1000000", spec.Rounds)}
 		}
 		return &fanWorkload{spec: *spec}, nil
 	case WorkloadModemSite:

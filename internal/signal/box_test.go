@@ -41,10 +41,10 @@ func TestBoxIsAWord(t *testing.T) {
 	}
 }
 
-// TestBoxGobRoundTrip sends boxed words through gob as snapshot and
-// migration images do, behind an interface of Register's types.
+// TestBoxGobRoundTrip sends boxed words through gob behind an
+// interface, as wire.Conn.Send does for the benchmark's gob probe; the
+// package's init keeps the boxed types registered.
 func TestBoxGobRoundTrip(t *testing.T) {
-	Register()
 	var b WordBoxes
 	var f FrameBoxes
 	in := []any{b.Box(3), b.Box(0x12345678), Level(true), b.Box(0xffffffff),

@@ -5,8 +5,8 @@
 // bus cycles (Level changes and Words) at the hardware level, or as a
 // single Packet at the packet level. The types here cover that range;
 // each has a tag in the channel codec's value table, which is how it
-// crosses a node boundary unchanged. (Register keeps them known to gob
-// for what still uses it: snapshot and migration images.)
+// crosses a node boundary unchanged, and how it travels in a migration
+// image.
 package signal
 
 import (
@@ -100,10 +100,10 @@ func String(v any) string {
 	}
 }
 
-// Register registers every signal type with gob. Call it once in any
-// process that sends events across a node boundary; the node package
-// does so automatically.
-func Register() {
+// init keeps every signal type known to gob for wire.Conn.Send and
+// wire.DecodeGob, which only the benchmark's gob probe uses; it goes
+// when they do. Channels and migration images use the value tags.
+func init() {
 	gob.Register(Level(false))
 	gob.Register(Word(0))
 	gob.Register(Byte(0))

@@ -48,8 +48,9 @@ func TestString(t *testing.T) {
 	}
 }
 
+// TestGobRoundTrip checks that the package's init registers every
+// signal type with gob, which wire.Conn.Send and wire.DecodeGob need.
 func TestGobRoundTrip(t *testing.T) {
-	Register()
 	values := []any{
 		Level(true),
 		Word(0xdeadbeef),

@@ -231,13 +231,30 @@ func TestExtractRefusesLiveWithoutSaver(t *testing.T) {
 	}
 }
 
-// TestExtractNetsOrderStable captures a six-port component twenty
-// times: the image's Nets — built from Component.Ports — must come out
-// in the same order, by port name, every time, so the same component
-// state always encodes to the same bytes.
+// memHub writes memWords words of its memory, then waits on its ports.
+type memHub struct{ migReceiver }
+
+const memWords = 16
+
+func (h *memHub) Run(p *core.Proc) error {
+	for a := uint32(0); a < memWords; a++ {
+		p.Memory().Write(p, 0x1000+a*4, uint64(a+1)*0x9e3779b97f4a7c15)
+	}
+	for {
+		if _, ok := p.Recv(); !ok {
+			return nil
+		}
+	}
+}
+
+// TestExtractNetsOrderStable captures a six-port component with 16
+// words of memory fifty times: the image's Nets — built from
+// Component.Ports — must come out in the same order, by port name,
+// every time, and the memory words in address order, so the same
+// component state always encodes to the same bytes.
 func TestExtractNetsOrderStable(t *testing.T) {
 	s := core.NewSubsystem("hub")
-	c, err := s.NewComponent("hub", &migReceiver{})
+	c, err := s.NewComponent("hub", &memHub{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +274,17 @@ func TestExtractNetsOrderStable(t *testing.T) {
 		}
 		want = append(want, net)
 	}
+	if err := s.Run(1); err != nil {
+		t.Fatal(err)
+	}
 	var first []byte
-	for round := 0; round < 20; round++ {
+	for round := 0; round < 50; round++ {
 		ci, err := ExtractComponent(s, fmt.Sprintf("cut-%d", round), "hub")
 		if err != nil {
 			t.Fatalf("extract %d: %v", round, err)
+		}
+		if len(ci.MemData) != memWords {
+			t.Fatalf("capture %d holds %d memory words, want %d", round, len(ci.MemData), memWords)
 		}
 		var got []string
 		for _, ns := range ci.Nets {

@@ -9,8 +9,8 @@ import (
 // Fields reads the fields of one frame payload in order: the bounded
 // reader behind every hand-written layout a peer's bytes reach outside
 // the batch codec (the node handshake, the hardware-server RPC, the
-// mesh control plane). Every
-// read is checked against what is left of the payload before anything
+// mesh control plane and the migration image it carries). Every read
+// is checked against what is left of the payload before anything
 // is sliced or allocated, so no length a peer declares can reach past
 // its frame or size an allocation: a string is further bounded by a
 // named cap, a list by a cap and by the bytes its items need.
@@ -32,6 +32,9 @@ func NewFields(kind, want byte, payload []byte) Fields {
 	}
 	return f
 }
+
+// ReadFields starts reading a layout a frame carried, such as an image.
+func ReadFields(b []byte) Fields { return Fields{buf: b} }
 
 // take hands out the next n bytes, or nil once anything has failed.
 func (f *Fields) take(n int) []byte {
@@ -153,7 +156,7 @@ func (f *Fields) Done() error {
 
 // AppendString appends s as Fields.String reads it: a uvarint length
 // and the bytes.
-func AppendString(dst []byte, s string) []byte {
+func AppendString[T string | []byte](dst []byte, s T) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }

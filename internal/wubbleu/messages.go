@@ -1,16 +1,11 @@
 package wubbleu
 
-import (
-	"encoding/gob"
+import "repro/internal/channel"
 
-	"repro/internal/channel"
-)
-
-// Message types exchanged between the WubbleU modules. They are gob
-// registered so snapshot images can hold them. NetReq is the one that
-// crosses a node boundary — Placement can only split "dma" and
+// Message types exchanged between the WubbleU modules. NetReq is the
+// one that crosses a node boundary — Placement can only split "dma" and
 // "radio", and everything else on those nets is a signal type — so it
-// also registers a wire layout with the channel codec.
+// is the one that registers a layout with the channel codec.
 
 // Strokes is handwriting input from the UI to the recognizer.
 type Strokes struct {
@@ -63,15 +58,6 @@ type Rendered struct {
 }
 
 func init() {
-	gob.Register(Strokes{})
-	gob.Register(URLReq{})
-	gob.Register(CacheReq{})
-	gob.Register(CacheResp{})
-	gob.Register(DecodeReq{})
-	gob.Register(DecodeResp{})
-	gob.Register(NetReq{})
-	gob.Register(Rendered{})
-
 	// The body is the URL's bytes; signal.Size still charges the link
 	// model one byte for a NetReq, as for any non-signal value.
 	channel.RegisterValue("wubbleu.NetReq",

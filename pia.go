@@ -55,8 +55,6 @@ type (
 	Behavior = core.Behavior
 	// BehaviorFunc adapts a function to Behavior.
 	BehaviorFunc = core.BehaviorFunc
-	// Reactor is the reactive-component pattern.
-	Reactor = core.Reactor
 	// StateSaver marks checkpointable behaviours.
 	StateSaver = core.StateSaver
 	// Subsystem is a scheduler plus a fragment of the design.
@@ -88,9 +86,6 @@ const (
 	// Optimistic channels run ahead and roll back.
 	Optimistic = channel.Optimistic
 )
-
-// React adapts a Reactor to a Behavior.
-func React(r Reactor) Behavior { return core.React(r) }
 
 // GobSave / GobRestore implement StateSaver for gob-encodable state.
 func GobSave(v any) ([]byte, error)       { return core.GobSave(v) }
