@@ -160,7 +160,8 @@ timeline:
 # register read costs at most 8 allocations. A bus cycle is boxed in a
 # 3 KB chunk shared by 256 cycles, on decode and along a 64 KB
 # hardware-level transfer end to end, and the hub's grant fan-out after
-# a key publication and its flush at a stall allocate nothing. The
+# a key publication and its flush at a stall allocate nothing, nor does
+# an ingress burst through OnMessages and the step it injects. The
 # safe-time protocol's model walks every interleaving of steps,
 # publishes and FIFO deliveries among two or three bare protocol values
 # to a bounded depth, checking the paper's invariants after every
@@ -174,7 +175,7 @@ timeline:
 # the restore rule holds across the wire. A session spec past a shape
 # cap is refused before its footprint is computed.
 wire: fuzz-smoke
-	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestPageEgressTwoBufferAllocs|TestCoalesceByteCap|TestFlushDropsPayloadReferences|TestPipeDropsDeliveredValues|TestCursorBurstsDoNotAliasThePayload|TestSafeTimeModel' ./internal/channel/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestPageEgressTwoBufferAllocs|TestCoalesceByteCap|TestFlushDropsPayloadReferences|TestPipeDropsDeliveredValues|TestCursorBurstsDoNotAliasThePayload|TestSafeTimeModel|TestOnMessagesZeroAlloc' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestHello|TestConnectNamesAHandshakeFault|TestConnectUnknownSubsystem' ./internal/node/
 	$(GO) test -count=1 -run 'TestRPC|TestServerSurvivesProtocolError|TestRemoteRunForPastTheCap|TestRemoteCallNamesABadResponse|TestRemoteCallAllocs' ./internal/hwstub/
 	$(GO) test -count=1 -run 'TestSendFrameWord|TestPump|TestPingPong' ./internal/node/
@@ -233,11 +234,22 @@ fuzz-smoke:
 # bit-identical to sequential and to each other, fair-shared tenants,
 # no worker outliving Run) and the ablation's structural invariants,
 # all under the race detector, plus the guard that the disabled path
-# — straggler span emission — stays at 0 allocs/op.
+# — straggler span emission — stays at 0 allocs/op. Then what a
+# simulation allocates before and between its rounds: a warmed
+# speculative round allocates nothing (its sorts take no reflection
+# swapper), a component's ports and a subsystem's nets and port lists
+# are exact slabs, Partition matches its map-and-sort reference on
+# seeded random views (after moves too) in a fixed number of
+# allocations without writing to the view or letting one fragment's
+# append reach another's ports, and building the 16-lane fan stays
+# under its bound.
 optimistic:
 	$(GO) test -race -count=1 -run 'TestParallelEquivalenceProperty|TestOptimisticStragglerStorm|TestOptimisticThrottleAdapts|TestSharedPool|TestParallelPoolRestart' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestOptimistic' ./internal/experiments/
 	$(GO) test -count=1 -run 'TestDisabledTimelineZeroAlloc' ./internal/timeline/
+	$(GO) test -count=1 -run 'TestWarmSpeculativeRoundZeroAlloc|TestNewNetsSlabs|TestNewComponentPortSlab' ./internal/core/
+	$(GO) test -count=1 -run 'TestPartitionMatchesReference|TestCompareRefsIsStringOrder|TestFragmentsDoNotShareAppends|TestPartitionAllocs' ./internal/graph/
+	$(GO) test -count=1 -run 'TestBuildLocalAllocs' .
 
 # The multi-tenant service gate: the whole catalog package (session
 # lifecycle, concurrent churn, shared-listener attach, HTTP API)

@@ -379,9 +379,9 @@ func TestPipeFIFO(t *testing.T) {
 	var got []uint64
 	var mu sync.Mutex
 	done := make(chan struct{})
-	b.Receive(func(burst *[]Message) {
+	b.Receive(func(burst *Batch) {
 		mu.Lock()
-		for _, m := range *burst {
+		for _, m := range burst.Msgs {
 			got = append(got, m.Seq)
 		}
 		if len(got) == 100 {
@@ -421,14 +421,14 @@ func TestPipeFIFO(t *testing.T) {
 func TestPipeDropsDeliveredValues(t *testing.T) {
 	a, b := Pipe()
 	delivered := make(chan weak.Pointer[byte], 1)
-	b.Receive(func(burst *[]Message) {
+	b.Receive(func(burst *Batch) {
 		var held weak.Pointer[byte]
-		for _, m := range *burst {
+		for _, m := range burst.Msgs {
 			if pkt, ok := m.Value.(signal.Packet); ok {
 				held = weak.Make(&pkt[0])
 			}
 		}
-		clear(*burst)
+		clear(burst.Msgs)
 		delivered <- held
 	})
 	// Larger than the decoder's slab items: the copy is its own object.

@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,11 +83,11 @@ var DefaultCoalesce = CoalesceConfig{MaxBytes: frameCap}
 type Hub struct {
 	sub *core.Subsystem
 
+	// eps is copy-on-write: NewEndpoint publishes a new list under mu,
+	// so a reader loads it without a lock and ranges over it in place.
+	eps atomic.Pointer[[]*Endpoint]
+
 	mu sync.Mutex
-	// eps is copy-on-write: NewEndpoint installs a new slice and never
-	// writes into one it handed out, so a reader takes it under mu and
-	// ranges over it without a copy.
-	eps []*Endpoint
 	// bounds is publish's scratch, one entry per endpoint; publish runs
 	// on the scheduler goroutine only.
 	bounds []vtime.Time
@@ -130,9 +131,10 @@ func NewHub(sub *core.Subsystem) *Hub {
 // endpoints returns the current endpoint list. The caller must not
 // modify it.
 func (h *Hub) endpoints() []*Endpoint {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.eps
+	if p := h.eps.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // flushAll drains every endpoint's egress queue. Chained into the
@@ -157,7 +159,7 @@ func (h *Hub) EnableTimeline(rec *timeline.Recorder) {
 	}
 	h.mu.Lock()
 	h.tl = rec
-	eps := h.eps
+	eps := h.endpoints()
 	h.mu.Unlock()
 	for _, ep := range eps {
 		ep.mu.Lock()
@@ -188,18 +190,13 @@ func (h *Hub) depart(until vtime.Time) {
 // Subsystem returns the hub's subsystem.
 func (h *Hub) Subsystem() *core.Subsystem { return h.sub }
 
-// Endpoints returns the endpoints in creation order.
-func (h *Hub) Endpoints() []*Endpoint {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]*Endpoint(nil), h.eps...)
-}
+// Endpoints returns the endpoints in creation order: the published
+// list, which a later endpoint does not change; do not modify it.
+func (h *Hub) Endpoints() []*Endpoint { return slices.Clip(h.endpoints()) }
 
 // Endpoint returns the endpoint toward the named peer, or nil.
 func (h *Hub) Endpoint(peer string) *Endpoint {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, ep := range h.eps {
+	for _, ep := range h.endpoints() {
 		if ep.peer == peer {
 			return ep
 		}
@@ -235,7 +232,8 @@ func (h *Hub) NewEndpoint(peer string, policy Policy, link LinkModel, tr Transpo
 	ep.out.limit, ep.out.size = frameSizing(DefaultCoalesce)
 	h.mu.Lock()
 	ep.tl = h.tl
-	h.eps = append(h.eps[:len(h.eps):len(h.eps)], ep) // a new slice: see eps
+	eps := append(slices.Clip(h.endpoints()), ep) // a new list: see eps
+	h.eps.Store(&eps)
 	h.mu.Unlock()
 	h.sub.AddExternal()
 	if policy == Conservative {
@@ -285,7 +283,7 @@ func (h *Hub) Close() error {
 		return nil
 	}
 	h.closed = true
-	eps := h.eps
+	eps := h.endpoints()
 	h.mu.Unlock()
 	var first error
 	for _, ep := range eps {
@@ -690,25 +688,40 @@ func (ep *Endpoint) TakeRecorded() []Message {
 	return out
 }
 
-// msgBufPool recycles the batch buffers the transport pump decodes
-// into and OnMessages hands to the scheduler goroutine; every buffer in
-// it is empty (see recycle). It holds pointers, so a Put boxes nothing.
-var msgBufPool = sync.Pool{New: func() any {
-	b := make([]Message, 0, 64)
-	return &b
-}}
+// Batch is one burst of ingress messages on its way from a transport
+// pump to the scheduler goroutine, and the record of how far it is
+// handled. BatchBuf takes one from a pool, OnMessages takes it over,
+// and the pool gets it back handled, its references cleared.
+type Batch struct {
+	// Msgs is the burst, in arrival order: the pump decodes into it.
+	Msgs []Message
 
-// BatchBuf returns an empty buffer for one batch of ingress messages:
+	ep      *Endpoint
+	handled int         // messages already handled
+	step    func() bool // b.run, bound once: the first time the batch is handed out
+}
+
+// batchPool holds empty batches. It holds pointers, so a Put boxes
+// nothing.
+var batchPool = sync.Pool{New: func() any { return &Batch{Msgs: make([]Message, 0, 64)} }}
+
+// BatchBuf returns an empty batch for one burst of ingress messages:
 // the transport pump decodes into it and hands it to OnMessages, which
 // takes it over.
-func BatchBuf() *[]Message { return msgBufPool.Get().(*[]Message) }
+func BatchBuf() *Batch {
+	b := batchPool.Get().(*Batch)
+	if b.step == nil {
+		b.step = b.run
+	}
+	return b
+}
 
-// recycle drops the payload references *buf holds and returns it to
-// msgBufPool.
-func recycle(buf *[]Message) {
-	clear(*buf)
-	*buf = (*buf)[:0]
-	msgBufPool.Put(buf)
+// recycle drops the batch's references and returns it to batchPool.
+func (b *Batch) recycle() {
+	clear(b.Msgs)
+	b.Msgs = b.Msgs[:0]
+	b.ep, b.handled = nil, 0
+	batchPool.Put(b)
 }
 
 // OnMessages is the ingress entry point, called by the transport pump
@@ -719,36 +732,41 @@ func recycle(buf *[]Message) {
 // ingress action — the property both the safe-time protocol and the
 // Chandy-Lamport marks depend on. A message that requests a rollback
 // (an optimistic straggler) is retried, and the rest of the burst
-// stays behind it, by resuming the in-burst cursor after the restore.
+// stays behind it, by resuming the batch's cursor after the restore.
 //
-// OnMessages takes buf over — the caller got it from BatchBuf and must
+// OnMessages takes b over — the caller got it from BatchBuf and must
 // not touch it, or the slice it holds, again — so a burst crosses to
-// the scheduler goroutine as decoded, without a copy. The handled
-// count moves once per pass over the burst: by everything the pass
-// processed, before a straggler's retry as at the end.
-func (ep *Endpoint) OnMessages(buf *[]Message) {
-	msgs := *buf
-	if len(msgs) == 0 {
-		recycle(buf)
+// the scheduler goroutine as decoded, without a copy, and the step it
+// injects is the batch's own, bound once: a burst allocates nothing.
+// The handled count moves once per pass over the burst: by everything
+// the pass processed, before a straggler's retry as at the end.
+func (ep *Endpoint) OnMessages(b *Batch) {
+	if len(b.Msgs) == 0 {
+		b.recycle()
 		return
 	}
-	ep.queuedN.Add(int64(len(msgs)))
-	handled := 0
-	ep.sub.InjectFunc(func() bool {
-		i, retry := handled, false
-		for i < len(msgs) && !retry {
-			var n int
-			n, retry = ep.process(msgs[i:])
-			i += n
-		}
-		ep.handledN.Add(int64(i - handled))
-		handled = i
-		if retry {
-			return true // straggler: retry this message after the rollback
-		}
-		recycle(buf)
-		return false
-	})
+	ep.queuedN.Add(int64(len(b.Msgs)))
+	b.ep = ep
+	ep.sub.InjectFunc(b.step)
+}
+
+// run is a batch's injected step: it handles the burst from its cursor
+// and reports true to be retried in place after a straggler's rollback.
+func (b *Batch) run() bool {
+	ep, msgs := b.ep, b.Msgs
+	i, retry := b.handled, false
+	for i < len(msgs) && !retry {
+		var n int
+		n, retry = ep.process(msgs[i:])
+		i += n
+	}
+	ep.handledN.Add(int64(i - b.handled))
+	b.handled = i
+	if retry {
+		return true // straggler: retry this message after the rollback
+	}
+	b.recycle()
+	return false
 }
 
 // process handles msgs[0] and the messages after it that are plain

@@ -20,7 +20,7 @@ type PipeEnd struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	dec    *BatchDecoder
-	queue  *[]Message // decoded, not yet taken by the pump; nil when none
+	queue  *Batch // decoded, not yet taken by the pump; nil when none
 	closed bool
 
 	peer *PipeEnd
@@ -50,7 +50,7 @@ func (p *PipeEnd) SendFrame(frame []byte) error {
 		q.queue = BatchBuf()
 	}
 	var err error
-	*q.queue, _, err = q.dec.DecodeBatchAppend(frame[wire.HeaderLen:], *q.queue)
+	q.queue.Msgs, _, err = q.dec.DecodeBatchAppend(frame[wire.HeaderLen:], q.queue.Msgs)
 	q.cond.Signal()
 	return err
 }
@@ -59,7 +59,7 @@ func (p *PipeEnd) SendFrame(frame []byte) error {
 // is handed everything decoded since its last call, in order, as one
 // burst it takes over (see Endpoint.OnMessages). The pump keeps
 // nothing of a burst it has handed on.
-func (p *PipeEnd) Receive(fn func(*[]Message)) {
+func (p *PipeEnd) Receive(fn func(*Batch)) {
 	go func() {
 		for {
 			p.mu.Lock()

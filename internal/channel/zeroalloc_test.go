@@ -261,3 +261,45 @@ func TestPublishZeroAlloc(t *testing.T) {
 		t.Fatalf("a key publication and a stall flush allocate %.2f/op, want 0", avg)
 	}
 }
+
+// TestOnMessagesZeroAlloc guards the ingress burst: handing a decoded
+// burst to OnMessages and running the step it injects — the burst's
+// pooled record, with its cursor and its step bound once — allocate
+// nothing after warm-up: no closure, no captured counter, no buffer.
+func TestOnMessagesZeroAlloc(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's build allocates differently, and its sync.Pool drops items")
+	}
+	s := core.NewSubsystem("b")
+	if _, err := s.NewNet("dmaLink", 0); err != nil {
+		t.Fatal(err)
+	}
+	tr, _ := Pipe()
+	ep, err := NewHub(s).NewEndpoint("a", Optimistic, LinkModel{}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := uint64(0)
+	burst := func() {
+		b := BatchBuf()
+		for i := 0; i < 4; i++ {
+			seq++
+			b.Msgs = append(b.Msgs, Message{Kind: KindData, From: "a", Seq: seq, Net: "dmaLink", Source: "cpu",
+				Time: vtime.Time(10 * seq), Value: signal.Word(17)})
+		}
+		ep.OnMessages(b)
+		if err := s.Run(vtime.Time(10*seq + 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	if avg := testing.AllocsPerRun(200, burst); avg != 0 {
+		t.Fatalf("a burst through OnMessages and its step allocates %.2f times, want 0", avg)
+	}
+	if q, h := ep.QueuedCount(), ep.HandledCount(); q != int64(seq) || h != q {
+		t.Fatalf("queued %d, handled %d, want %d each", q, h, seq)
+	}
+	if st := s.Stats(); st.Drives != int64(seq) {
+		t.Fatalf("%d drives for %d messages", st.Drives, seq)
+	}
+}

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/event"
@@ -76,8 +77,8 @@ type Component struct {
 	sub  *Subsystem
 
 	behavior Behavior
-	ports    map[string]*Port
-	ifaces   map[string]*Interface
+	ports    []*Port               // in creation order
+	ifaces   map[string]*Interface // made by the first AddInterface
 
 	localTime vtime.Time
 	inbox     event.Queue // undelivered messages for this component
@@ -211,18 +212,23 @@ func (c *Component) Runlevel() string { return c.runlevel }
 // the subsystem is between runs applies immediately.
 func (c *Component) SetRunlevel(level string) { c.runlevel = level }
 
-// Port returns the named port, or nil.
-func (c *Component) Port(name string) *Port { return c.ports[name] }
+// Port returns the named port, or nil. Ports are few, and a sender's
+// is cached (Proc.sendNet), so a scan beats an index.
+func (c *Component) Port(name string) *Port {
+	for _, p := range c.ports {
+		if p.Name == name {
+			return p
+		}
+	}
+	return nil
+}
 
 // Ports returns the component's ports sorted by name, so everything
 // built from the list (migration images, diagnostics) is the same on
 // every call.
 func (c *Component) Ports() []*Port {
-	out := make([]*Port, 0, len(c.ports))
-	for _, p := range c.ports {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	out := append(make([]*Port, 0, len(c.ports)), c.ports...)
+	slices.SortFunc(out, func(a, b *Port) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 

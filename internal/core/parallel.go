@@ -41,7 +41,8 @@ package core
 // sequential execution.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/event"
@@ -212,11 +213,10 @@ func (s *Subsystem) runParallelRound(pi planInfo, roundCap vtime.Time) bool {
 	}
 	// Canonical member order: the order the sequential scheduler
 	// would first reach each member's pending action.
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].planKey != members[j].planKey {
-			return members[i].planKey < members[j].planKey
-		}
-		return members[i].index < members[j].index
+	// (planKey, index) is a total order, so the sort needs no
+	// stability.
+	slices.SortFunc(members, func(a, b *Component) int {
+		return cmp.Or(cmp.Compare(a.planKey, b.planKey), cmp.Compare(a.index, b.index))
 	})
 	gen := s.extGen.Load()
 	for _, c := range members {
@@ -271,12 +271,8 @@ func (s *Subsystem) mergeRound(members []*Component, spec int) {
 	}
 	// Stable: ops of one member are already in program order and
 	// share an index, so equal (at, index) pairs keep their order.
-	sort.SliceStable(refs, func(i, j int) bool {
-		oa, ob := &refs[i].buf.ops[refs[i].i], &refs[j].buf.ops[refs[j].i]
-		if oa.at != ob.at {
-			return oa.at < ob.at
-		}
-		return refs[i].buf.c.index < refs[j].buf.c.index
+	slices.SortStableFunc(refs, func(a, b opRef) int {
+		return cmp.Or(cmp.Compare(a.buf.ops[a.i].at, b.buf.ops[b.i].at), cmp.Compare(a.buf.c.index, b.buf.c.index))
 	})
 	for _, r := range refs {
 		op := &r.buf.ops[r.i]

@@ -121,7 +121,7 @@ func (p *Proc) Send(port string, v any) {
 func (p *Proc) sendNet(port string) *Net {
 	pt := p.sendPort
 	if pt == nil || pt.Name != port {
-		if pt = p.c.ports[port]; pt == nil {
+		if pt = p.c.Port(port); pt == nil {
 			panic(fmt.Sprintf("core: %s has no port %q", p.c.name, port))
 		}
 		p.sendPort = pt
@@ -163,7 +163,7 @@ func (p *Proc) recv(deadline vtime.Time, ports []string) (Msg, bool) {
 	if len(ports) > 0 {
 		if !slices.Equal(c.recvFilter, ports) {
 			for _, name := range ports {
-				if c.ports[name] == nil {
+				if c.Port(name) == nil {
 					panic(fmt.Sprintf("core: %s has no port %q", c.name, name))
 				}
 			}
@@ -219,7 +219,7 @@ func (p *Proc) Memory() *Memory { return p.c.Memory() }
 // so it is naturally re-established when Run is re-entered after a
 // rollback.
 func (p *Proc) SetInterruptHandler(port string, fn func(*Proc, Msg)) {
-	if p.c.ports[port] == nil {
+	if p.c.Port(port) == nil {
 		panic(fmt.Sprintf("core: %s has no port %q for interrupts", p.c.name, port))
 	}
 	p.c.irqPort = port

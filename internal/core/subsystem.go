@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/event"
+	"repro/internal/graph"
 	"repro/internal/timeline"
 	"repro/internal/vtime"
 )
@@ -144,6 +145,10 @@ type Subsystem struct {
 	rbComp   string     // pending component-relative rollback: component name
 	rbCompT  vtime.Time // ... and the local time it must rewind to or before
 	wakeGen  uint64
+
+	// injFree, the cleared array of the injections last routed, is the
+	// next queue: queueing allocates nothing. Swapped under mu.
+	injFree []injectedItem
 
 	// published lower bounds, readable from any goroutine
 	pubNow atomic.Int64
@@ -311,8 +316,9 @@ func (s *Subsystem) Component(name string) *Component { return s.comps[name] }
 // Net returns the named net, or nil.
 func (s *Subsystem) Net(name string) *Net { return s.nets[name] }
 
-// NewComponent adds a component with the given behaviour.
-func (s *Subsystem) NewComponent(name string, b Behavior) (*Component, error) {
+// NewComponent adds a component with the given behaviour and ports.
+// The ports share one allocation; AddPort adds more later.
+func (s *Subsystem) NewComponent(name string, b Behavior, ports ...string) (*Component, error) {
 	if s.running {
 		return nil, fmt.Errorf("core: cannot add component %q while running", name)
 	}
@@ -326,13 +332,20 @@ func (s *Subsystem) NewComponent(name string, b Behavior) (*Component, error) {
 		name:         name,
 		sub:          s,
 		behavior:     b,
-		ports:        make(map[string]*Port),
-		ifaces:       make(map[string]*Interface),
 		status:       statusNew,
 		index:        len(s.order),
 		token:        make(chan tokenMsg),
 		parked:       make(chan struct{}),
 		recvDeadline: vtime.Infinity,
+	}
+	slab := make([]Port, len(ports))
+	c.ports = make([]*Port, 0, len(ports))
+	for i, pn := range ports {
+		if c.Port(pn) != nil {
+			return nil, fmt.Errorf("core: duplicate port %s.%s", name, pn)
+		}
+		slab[i] = Port{Name: pn, comp: c}
+		c.ports = append(c.ports, &slab[i])
 	}
 	c.proc.c = c
 	s.comps[name] = c
@@ -343,11 +356,11 @@ func (s *Subsystem) NewComponent(name string, b Behavior) (*Component, error) {
 
 // AddPort adds a named port to the component.
 func (c *Component) AddPort(name string) (*Port, error) {
-	if _, dup := c.ports[name]; dup {
+	if c.Port(name) != nil {
 		return nil, fmt.Errorf("core: duplicate port %s.%s", c.name, name)
 	}
 	p := &Port{Name: name, comp: c}
-	c.ports[name] = p
+	c.ports = append(c.ports, p)
 	return p, nil
 }
 
@@ -358,29 +371,89 @@ func (c *Component) AddInterface(name string, ports ...string) (*Interface, erro
 		return nil, fmt.Errorf("core: duplicate interface %s.%s", c.name, name)
 	}
 	for _, pn := range ports {
-		if c.ports[pn] == nil {
-			if _, err := c.AddPort(pn); err != nil {
+		p := c.Port(pn)
+		if p == nil {
+			var err error
+			if p, err = c.AddPort(pn); err != nil {
 				return nil, err
 			}
 		}
-		c.ports[pn].iface = name
+		p.iface = name
 	}
 	ifc := &Interface{Name: name, Ports: append([]string(nil), ports...)}
+	if c.ifaces == nil {
+		c.ifaces = make(map[string]*Interface)
+	}
 	c.ifaces[name] = ifc
 	return ifc, nil
 }
 
 // NewNet creates a net with the given propagation delay.
 func (s *Subsystem) NewNet(name string, delay vtime.Duration) (*Net, error) {
-	if _, dup := s.nets[name]; dup {
-		return nil, fmt.Errorf("core: duplicate net %q", name)
-	}
-	if delay < 0 {
-		return nil, fmt.Errorf("core: net %q has negative delay", name)
+	if err := s.checkNet(name, delay); err != nil {
+		return nil, err
 	}
 	n := &Net{Name: name, Delay: delay, sub: s}
 	s.nets[name] = n
 	return n, nil
+}
+
+// NewNets creates the subsystem's fragment of every split with ports
+// here. The nets share one allocation and their port lists another,
+// each with room for a hidden port per other fragment's channel.
+func (s *Subsystem) NewNets(splits []graph.Split) error {
+	nets, slots := 0, 0
+	for i := range splits {
+		if f := splits[i].Fragment(s.name); f != nil {
+			nets++
+			slots += len(f.Ports) + len(splits[i].Fragments) - 1
+		}
+	}
+	if len(s.nets) == 0 && nets > 0 {
+		s.nets = make(map[string]*Net, nets)
+	}
+	slab := make([]Net, 0, nets)
+	ports := make([]*Port, 0, slots)
+	for i := range splits {
+		sp := &splits[i]
+		f := sp.Fragment(s.name)
+		if f == nil {
+			continue
+		}
+		if err := s.checkNet(sp.Net, sp.Delay); err != nil {
+			return err
+		}
+		slab = append(slab, Net{Name: sp.Net, Delay: sp.Delay, sub: s})
+		n := &slab[len(slab)-1]
+		lo := len(ports)
+		ports = ports[:lo+len(f.Ports)+len(sp.Fragments)-1]
+		n.ports = ports[lo:lo:len(ports)]
+		for _, pr := range f.Ports {
+			var p *Port
+			if c := s.comps[pr.Component]; c != nil {
+				p = c.Port(pr.Port)
+			}
+			if p == nil {
+				return fmt.Errorf("core: net %s: no port %s in subsystem %s", sp.Net, pr, s.name)
+			}
+			if err := n.attach(p); err != nil {
+				return err
+			}
+		}
+		s.nets[sp.Net] = n
+	}
+	return nil
+}
+
+// checkNet vets a new net's name and delay.
+func (s *Subsystem) checkNet(name string, delay vtime.Duration) error {
+	if _, dup := s.nets[name]; dup {
+		return fmt.Errorf("core: duplicate net %q", name)
+	}
+	if delay < 0 {
+		return fmt.Errorf("core: net %q has negative delay", name)
+	}
+	return nil
 }
 
 // Connect attaches the given ports to the net.
@@ -829,7 +902,7 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		var tags []string
 		if rb == vtime.Infinity && rbComp == "" {
 			inj = s.injected
-			s.injected = nil
+			s.injected, s.injFree = s.injFree, nil
 			tags = s.ckptTags
 			s.ckptTags = nil
 		}
@@ -879,6 +952,8 @@ func (s *Subsystem) Run(until vtime.Time) error {
 				break
 			}
 		}
+		clear(inj) // routed, or copied back into the queue
+		s.injFree = inj[:0]
 		s.mu.Lock()
 		interrupted := s.rbTime != vtime.Infinity
 		s.mu.Unlock()

@@ -63,13 +63,11 @@ func CheckpointInterval(workSteps int, intervals []vtime.Duration) ([]Checkpoint
 		src := &burster{Count: workSteps, Period: 1}
 		dst := &sink{}
 		s := core.NewSubsystem("ck")
-		sc, err := s.NewComponent("src", src)
+		sc, err := s.NewComponent("src", src, "out")
 		if err != nil {
 			return nil, err
 		}
-		sc.AddPort("out")
-		dc, _ := s.NewComponent("dst", dst)
-		dc.AddPort("in")
+		dc, _ := s.NewComponent("dst", dst, "in")
 		n, _ := s.NewNet("w", 0)
 		s.Connect(n, sc.Port("out"), dc.Port("in"))
 		s.SetAutoCheckpoint(iv)
@@ -119,8 +117,7 @@ func IncrementalCheckpoint(stateKB, checkpoints int) ([]IncrementalRow, error) {
 		big := &bigState{Payload: make([]byte, stateKB*1024)}
 		s.NewComponent("big", big)
 		tick := &burster{Count: checkpoints * 10, Period: 10}
-		tc, _ := s.NewComponent("tick", tick)
-		tc.AddPort("out")
+		tc, _ := s.NewComponent("tick", tick, "out")
 		n, _ := s.NewNet("void", 0)
 		s.Connect(n, tc.Port("out"))
 		s.SetIncrementalCheckpoints(incr)
@@ -263,14 +260,12 @@ func Memsync(reads, irqs int) ([]MemsyncRow, error) {
 	for _, static := range []bool{true, false} {
 		s := core.NewSubsystem("memsync")
 		cpu := &msCPU{Reads: reads, Static: static}
-		cc, err := s.NewComponent("cpu", cpu)
+		cc, err := s.NewComponent("cpu", cpu, "irq")
 		if err != nil {
 			return nil, err
 		}
-		cc.AddPort("irq")
 		dev := &burstIRQ{Count: irqs, Period: vtime.Duration(reads) * 10 / vtime.Duration(irqs+1)}
-		dc, _ := s.NewComponent("dev", dev)
-		dc.AddPort("irq")
+		dc, _ := s.NewComponent("dev", dev, "irq")
 		n, _ := s.NewNet("irqline", 0)
 		s.Connect(n, cc.Port("irq"), dc.Port("irq"))
 		if _, err := s.CaptureNow(""); err != nil {

@@ -208,13 +208,10 @@ func fanLeg(c OptimisticConfig, la OptLookahead, workers int, optimism vtime.Dur
 		}
 		w, err := s.NewComponent(fmt.Sprintf("svc%d", i), &optService{
 			id: i, iters: c.WorkIters, service: c.Service, advance: c.Advance,
-		})
+		}, "in", "out", "probe")
 		if err != nil {
 			return OptimisticRow{}, err
 		}
-		w.AddPort("in")
-		w.AddPort("out")
-		w.AddPort("probe")
 		lane, err := src.AddPort(fmt.Sprintf("lane%d", i))
 		if err != nil {
 			return OptimisticRow{}, err

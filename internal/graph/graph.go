@@ -15,8 +15,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/vtime"
 )
@@ -40,13 +43,13 @@ type LogicalNet struct {
 // subsystem assignments.
 type View struct {
 	comps map[string]string // component -> subsystem
-	nets  map[string]*LogicalNet
-	order []string // net insertion order, for deterministic output
+	nets  []LogicalNet      // in insertion order, for deterministic output
+	refs  []PortRef         // backs every net's Ports, each a capped window
 }
 
 // NewView creates an empty global view.
 func NewView() *View {
-	return &View{comps: make(map[string]string), nets: make(map[string]*LogicalNet)}
+	return &View{comps: make(map[string]string)}
 }
 
 // AddComponent registers a component on a subsystem.
@@ -61,9 +64,9 @@ func (v *View) AddComponent(comp, subsystem string) error {
 	return nil
 }
 
-// AddNet registers a logical net connecting the given ports.
+// AddNet registers a logical net connecting the given ports, copied.
 func (v *View) AddNet(name string, delay vtime.Duration, ports ...PortRef) error {
-	if _, dup := v.nets[name]; dup {
+	if v.HasNet(name) {
 		return fmt.Errorf("graph: duplicate net %q", name)
 	}
 	for _, p := range ports {
@@ -71,9 +74,15 @@ func (v *View) AddNet(name string, delay vtime.Duration, ports ...PortRef) error
 			return fmt.Errorf("graph: net %q references unknown component %q", name, p.Component)
 		}
 	}
-	v.nets[name] = &LogicalNet{Name: name, Delay: delay, Ports: append([]PortRef(nil), ports...)}
-	v.order = append(v.order, name)
+	lo := len(v.refs)
+	v.refs = append(v.refs, ports...)
+	v.nets = append(v.nets, LogicalNet{Name: name, Delay: delay, Ports: v.refs[lo:len(v.refs):len(v.refs)]})
 	return nil
+}
+
+// HasNet reports whether the view has a net of that name, by a scan.
+func (v *View) HasNet(name string) bool {
+	return slices.ContainsFunc(v.nets, func(n LogicalNet) bool { return n.Name == name })
 }
 
 // Subsystem returns the subsystem hosting the component ("" if
@@ -140,6 +149,17 @@ type Split struct {
 	Crossing bool
 }
 
+// Fragment returns the split's fragment on the named subsystem, or nil
+// when the subsystem hosts none of the net's ports.
+func (sp *Split) Fragment(subsystem string) *Fragment {
+	for i := range sp.Fragments {
+		if sp.Fragments[i].Subsystem == subsystem {
+			return &sp.Fragments[i]
+		}
+	}
+	return nil
+}
+
 // ChannelSpec is an unordered subsystem pair that needs a channel
 // because at least one net crosses between them. A < B always.
 type ChannelSpec struct {
@@ -151,58 +171,100 @@ type ChannelSpec struct {
 // net: fragments per subsystem and the set of required channels.
 // A net's fragments exist only on subsystems that host one of its
 // ports, so no net ever passes through an irrelevant subsystem.
+//
+// It allocates a few arrays, not per net or port: every fragment's
+// Ports is a capped window of one, every split's Fragments of another.
+// A fragment's ports are ordered by their String form.
 func (v *View) Partition() ([]Split, []ChannelSpec, error) {
+	placed := make([]placedRef, len(v.refs))
+	ports := make([]PortRef, len(v.refs))
+	frags := make([]Fragment, 0, len(v.nets))
 	var splits []Split
-	chans := make(map[[2]string]*ChannelSpec)
-	for _, name := range v.order {
-		n := v.nets[name]
-		bySub := make(map[string][]PortRef)
-		for _, p := range n.Ports {
-			bySub[v.comps[p.Component]] = append(bySub[v.comps[p.Component]], p)
+	if len(v.nets) > 0 {
+		splits = make([]Split, 0, len(v.nets))
+	}
+	specs := []ChannelSpec{}
+	lo := 0
+	for i := range v.nets {
+		n := &v.nets[i]
+		// Sorted by subsystem, the net's ports fall into one run a fragment.
+		run := placed[lo : lo+len(n.Ports)]
+		for j, p := range n.Ports {
+			run[j] = placedRef{sub: v.comps[p.Component], ref: p}
 		}
-		subs := make([]string, 0, len(bySub))
-		for s := range bySub {
-			subs = append(subs, s)
+		slices.SortFunc(run, func(a, b placedRef) int {
+			return cmp.Or(strings.Compare(a.sub, b.sub), compareRefs(a.ref, b.ref))
+		})
+		f0, start := len(frags), lo
+		for j, p := range run {
+			k := lo + j
+			ports[k] = p.ref
+			if j == 0 || p.sub != run[j-1].sub {
+				frags = append(frags, Fragment{Subsystem: p.sub})
+				start = k
+			}
+			frags[len(frags)-1].Ports = ports[start : k+1 : k+1]
 		}
-		sort.Strings(subs)
-		sp := Split{Net: n.Name, Delay: n.Delay, Crossing: len(subs) > 1}
-		for _, s := range subs {
-			ports := bySub[s]
-			sort.Slice(ports, func(i, j int) bool { return ports[i].String() < ports[j].String() })
-			sp.Fragments = append(sp.Fragments, Fragment{Subsystem: s, Ports: ports})
+		lo += len(run)
+		sp := Split{Net: n.Name, Delay: n.Delay, Crossing: len(frags)-f0 > 1}
+		if len(frags) > f0 {
+			sp.Fragments = frags[f0:len(frags):len(frags)]
 		}
 		splits = append(splits, sp)
-		if sp.Crossing {
-			for i := 0; i < len(subs); i++ {
-				for j := i + 1; j < len(subs); j++ {
-					key := [2]string{subs[i], subs[j]}
-					cs := chans[key]
-					if cs == nil {
-						cs = &ChannelSpec{A: subs[i], B: subs[j]}
-						chans[key] = cs
-					}
-					cs.Nets = append(cs.Nets, n.Name)
-				}
+		for a := f0; sp.Crossing && a < len(frags); a++ {
+			for b := a + 1; b < len(frags); b++ {
+				specs = addCrossing(specs, frags[a].Subsystem, frags[b].Subsystem, n.Name)
 			}
 		}
 	}
-	keys := make([][2]string, 0, len(chans))
-	for k := range chans {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	specs := make([]ChannelSpec, 0, len(keys))
-	for _, k := range keys {
-		cs := chans[k]
-		sort.Strings(cs.Nets)
-		specs = append(specs, *cs)
+	for i := range specs {
+		slices.Sort(specs[i].Nets)
 	}
 	return splits, specs, nil
+}
+
+// placedRef is a net's port tagged with the subsystem hosting it.
+type placedRef struct {
+	sub string
+	ref PortRef
+}
+
+// compareRefs orders two refs as their String forms compare, byte by
+// byte, without building them: component "a" sorts after "a-b", as
+// '.' > '-'. Equal String forms order by component, so the order is
+// total.
+func compareRefs(a, b PortRef) int {
+	la, lb := len(a.Component)+1+len(a.Port), len(b.Component)+1+len(b.Port)
+	for i := range min(la, lb) {
+		if x, y := refByte(a, i), refByte(b, i); x != y {
+			return cmp.Compare(x, y)
+		}
+	}
+	return cmp.Or(cmp.Compare(la, lb), strings.Compare(a.Component, b.Component))
+}
+
+// refByte is byte i of r.String().
+func refByte(r PortRef, i int) byte {
+	switch {
+	case i < len(r.Component):
+		return r.Component[i]
+	case i == len(r.Component):
+		return '.'
+	}
+	return r.Port[i-len(r.Component)-1]
+}
+
+// addCrossing records that net crosses between subsystems a < b,
+// keeping specs sorted by (A, B).
+func addCrossing(specs []ChannelSpec, a, b, net string) []ChannelSpec {
+	k, found := slices.BinarySearchFunc(specs, [2]string{a, b}, func(cs ChannelSpec, key [2]string) int {
+		return cmp.Or(strings.Compare(cs.A, key[0]), strings.Compare(cs.B, key[1]))
+	})
+	if !found {
+		specs = slices.Insert(specs, k, ChannelSpec{A: a, B: b})
+	}
+	specs[k].Nets = append(specs[k].Nets, net)
+	return specs
 }
 
 // UnknownHostError reports a component assigned to a host (node or

@@ -72,16 +72,8 @@ func (m *Member) buildData() error {
 // local subsystem: at build time for a component placed here, at an
 // epoch for one arriving by migration.
 func (m *Member) instantiate(spec *ComponentSpec) error {
-	c, err := m.sub.NewComponent(spec.Name, spec.New())
-	if err != nil {
-		return err
-	}
-	for _, pn := range spec.Ports {
-		if _, err := c.AddPort(pn); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := m.sub.NewComponent(spec.Name, spec.New(), spec.Ports...)
+	return err
 }
 
 // buildNets realizes the net fragments this member hosts, creating
@@ -90,7 +82,7 @@ func (m *Member) instantiate(spec *ComponentSpec) error {
 // application homes a migrated component here.
 func (m *Member) buildNets(splits []graph.Split) error {
 	for _, sp := range splits {
-		frag := fragmentFor(sp, m.name)
+		frag := sp.Fragment(m.name)
 		if frag == nil {
 			continue
 		}

@@ -130,14 +130,3 @@ func netsByPeer(chans []graph.ChannelSpec, me string) map[string]map[string]bool
 	}
 	return out
 }
-
-// fragmentFor returns the fragment of a split realized on the given
-// member, or nil when the member hosts none of the net's ports.
-func fragmentFor(sp graph.Split, me string) *graph.Fragment {
-	for i := range sp.Fragments {
-		if sp.Fragments[i].Subsystem == me {
-			return &sp.Fragments[i]
-		}
-	}
-	return nil
-}

@@ -646,7 +646,7 @@ func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilie
 // not at all — and for a longer frame the bursts already handed on.
 // Those are well-formed and in order; nothing after the fault is
 // delivered.
-func readBursts(c *wire.Conn, dec *channel.BatchDecoder, deliver func(*[]channel.Message)) error {
+func readBursts(c *wire.Conn, dec *channel.BatchDecoder, deliver func(*channel.Batch)) error {
 	unexpected := func(kind byte) error {
 		return fmt.Errorf("node: unexpected frame kind %d after the handshake", kind)
 	}
@@ -667,7 +667,7 @@ func readBursts(c *wire.Conn, dec *channel.BatchDecoder, deliver func(*[]channel
 		// messages do not alias the receive buffer, which the next frame
 		// reuses.
 		buf := channel.BatchBuf()
-		burst := *buf
+		burst := buf.Msgs
 		whole := 0 // where the frame being decoded starts in the burst
 		var err error
 		for {
@@ -694,7 +694,7 @@ func readBursts(c *wire.Conn, dec *channel.BatchDecoder, deliver func(*[]channel
 			dec.Start(payload)
 		}
 		closed := !open && dec.Closed()
-		*buf = burst
+		buf.Msgs = burst
 		deliver(buf)
 		if err != nil {
 			return err

@@ -295,9 +295,9 @@ func TestPumpBurstsAFrameAtTheCap(t *testing.T) {
 
 	var got []channel.Message
 	largest := 0
-	err := readBursts(wire.NewConn(&stubStream{in: bytes.NewReader(p.buf.Bytes())}), channel.NewBatchDecoder(), func(buf *[]channel.Message) {
-		largest = max(largest, len(*buf))
-		got = append(got, *buf...)
+	err := readBursts(wire.NewConn(&stubStream{in: bytes.NewReader(p.buf.Bytes())}), channel.NewBatchDecoder(), func(buf *channel.Batch) {
+		largest = max(largest, len(buf.Msgs))
+		got = append(got, buf.Msgs...)
 	})
 	if err != nil {
 		t.Fatalf("pump: %v", err)

@@ -150,11 +150,10 @@ func (w *fanWorkload) Install(sub *core.Subsystem) error {
 	src, err := sub.NewComponent("source", &fanSource{
 		rounds: w.spec.Rounds,
 		state:  mix(uint64(w.spec.Seed)),
-	})
+	}, "out")
 	if err != nil {
 		return err
 	}
-	src.AddPort("out")
 	if err := sub.Connect(jobs, src.Port("out")); err != nil {
 		return err
 	}
@@ -167,12 +166,10 @@ func (w *fanWorkload) Install(sub *core.Subsystem) error {
 			iters: w.spec.WorkIters,
 			salt:  mix(uint64(w.spec.Seed) ^ uint64(i+1)),
 			cost:  vtime.Duration(i%7+1) * 100 * vtime.Microsecond,
-		})
+		}, "in", "out")
 		if err != nil {
 			return err
 		}
-		c.AddPort("in")
-		c.AddPort("out")
 		if err := sub.Connect(jobs, c.Port("in")); err != nil {
 			return err
 		}

@@ -45,14 +45,8 @@ func InstallHandheld(sub *core.Subsystem, cfg Config) (*HandheldHalf, error) {
 		{"jpeg", h.JPEG, []string{"bus"}},
 	}
 	for _, cd := range comps {
-		c, err := sub.NewComponent(cd.name, cd.bhv)
-		if err != nil {
+		if _, err := sub.NewComponent(cd.name, cd.bhv, cd.ports...); err != nil {
 			return nil, err
-		}
-		for _, pn := range cd.ports {
-			if _, err := c.AddPort(pn); err != nil {
-				return nil, err
-			}
 		}
 	}
 	nets := []struct {
@@ -96,18 +90,15 @@ func InstallModemSite(sub *core.Subsystem, cfg Config) (*ModemHalf, error) {
 		ASIC:   &ASIC{Cfg: cfg},
 		Server: &Server{Cfg: cfg},
 	}
-	ac, err := sub.NewComponent("asic", m.ASIC)
+	ac, err := sub.NewComponent("asic", m.ASIC, "dma", "radio")
 	if err != nil {
 		return nil, err
 	}
-	ac.AddPort("dma")
-	ac.AddPort("radio")
 	ac.SetRunlevel(cfg.Level)
-	sc, err := sub.NewComponent("server", m.Server)
+	sc, err := sub.NewComponent("server", m.Server, "radio")
 	if err != nil {
 		return nil, err
 	}
-	sc.AddPort("radio")
 	dma, err := sub.NewNet("dma", 0)
 	if err != nil {
 		return nil, err

@@ -143,17 +143,10 @@ func ParseSwitchpoint(src string) (*Switchpoint, error) { return detail.ParseSwi
 
 // componentDef is one component in the designer's view.
 type componentDef struct {
-	name      string
-	subsystem string
-	behavior  Behavior
-	ports     []string
-	runlevel  string
-}
-
-type netDef struct {
-	name  string
-	delay Duration
-	ports []string // "component.port"
+	name     string
+	behavior Behavior
+	ports    []string
+	runlevel string
 }
 
 type channelCfg struct {
@@ -163,11 +156,11 @@ type channelCfg struct {
 
 // SystemBuilder accumulates the designer's view of a system.
 type SystemBuilder struct {
-	name     string
-	comps    map[string]*componentDef
-	order    []string
-	nets     map[string]*netDef
-	netOrder []string
+	name  string
+	comps map[string]*componentDef
+	order []string
+	view  *graph.View     // each component's subsystem, and the nets
+	refs  []graph.PortRef // AddNet's parse scratch
 
 	defaultPolicy Policy
 	defaultLink   LinkModel
@@ -192,7 +185,7 @@ func NewSystem(name string) *SystemBuilder {
 	return &SystemBuilder{
 		name:          name,
 		comps:         make(map[string]*componentDef),
-		nets:          make(map[string]*netDef),
+		view:          graph.NewView(),
 		defaultPolicy: Conservative,
 		defaultLink:   LoopbackLink,
 		perPair:       make(map[[2]string]channelCfg),
@@ -213,8 +206,11 @@ func (b *SystemBuilder) AddComponent(name, subsystem string, bhv Behavior, ports
 		b.err = fmt.Errorf("pia: duplicate component %q", name)
 		return b
 	}
-	b.comps[name] = &componentDef{name: name, subsystem: subsystem, behavior: bhv, ports: ports}
+	b.comps[name] = &componentDef{name: name, behavior: bhv, ports: ports}
 	b.order = append(b.order, name)
+	if err := b.view.AddComponent(name, subsystem); err != nil {
+		b.err = err
+	}
 	return b
 }
 
@@ -238,10 +234,11 @@ func (b *SystemBuilder) AddNet(name string, delay Duration, portRefs ...string) 
 	if b.err != nil {
 		return b
 	}
-	if _, dup := b.nets[name]; dup {
+	if b.view.HasNet(name) {
 		b.err = fmt.Errorf("pia: duplicate net %q", name)
 		return b
 	}
+	b.refs = b.refs[:0]
 	for _, ref := range portRefs {
 		comp, port, ok := splitRef(ref)
 		if !ok {
@@ -253,13 +250,15 @@ func (b *SystemBuilder) AddNet(name string, delay Duration, portRefs ...string) 
 			b.err = fmt.Errorf("pia: net %q references unknown component %q", name, comp)
 			return b
 		}
-		if !contains(c.ports, port) {
+		if !slices.Contains(c.ports, port) {
 			b.err = fmt.Errorf("pia: net %q references unknown port %q on %q", name, port, comp)
 			return b
 		}
+		b.refs = append(b.refs, graph.PortRef{Component: comp, Port: port})
 	}
-	b.nets[name] = &netDef{name: name, delay: delay, ports: portRefs}
-	b.netOrder = append(b.netOrder, name)
+	if err := b.view.AddNet(name, delay, b.refs...); err != nil {
+		b.err = err
+	}
 	return b
 }
 
@@ -347,38 +346,6 @@ func splitRef(ref string) (comp, port string, ok bool) {
 	return ref[:i], ref[i+1:], true
 }
 
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-// view builds the graph-package global view.
-func (b *SystemBuilder) view() (*graph.View, error) {
-	v := graph.NewView()
-	for _, name := range b.order {
-		c := b.comps[name]
-		if err := v.AddComponent(c.name, c.subsystem); err != nil {
-			return nil, err
-		}
-	}
-	for _, name := range b.netOrder {
-		n := b.nets[name]
-		refs := make([]graph.PortRef, 0, len(n.ports))
-		for _, ref := range n.ports {
-			comp, port, _ := splitRef(ref)
-			refs = append(refs, graph.PortRef{Component: comp, Port: port})
-		}
-		if err := v.AddNet(n.name, n.delay, refs...); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
-}
-
 func (b *SystemBuilder) pairCfg(a, c string) channelCfg {
 	if a > c {
 		a, c = c, a
@@ -445,10 +412,7 @@ func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	v, err := b.view()
-	if err != nil {
-		return nil, err
-	}
+	v := b.view // the view Partition cuts
 	splits, chans, err := v.Partition()
 	if err != nil {
 		return nil, err
@@ -556,39 +520,22 @@ func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 	return cl, nil
 }
 
-// populate instantiates components, ports and net fragments into the
-// prepared subsystems.
+// populate instantiates components with their ports, then each
+// subsystem's net fragments.
 func (b *SystemBuilder) populate(subs map[string]*core.Subsystem, splits []graph.Split) error {
 	for _, name := range b.order {
 		cd := b.comps[name]
-		s := subs[cd.subsystem]
-		c, err := s.NewComponent(cd.name, cd.behavior)
+		c, err := subs[b.view.Subsystem(name)].NewComponent(cd.name, cd.behavior, cd.ports...)
 		if err != nil {
 			return err
 		}
 		if cd.runlevel != "" {
 			c.SetRunlevel(cd.runlevel)
 		}
-		for _, pn := range cd.ports {
-			if _, err := c.AddPort(pn); err != nil {
-				return err
-			}
-		}
 	}
-	for _, sp := range splits {
-		for _, frag := range sp.Fragments {
-			s := subs[frag.Subsystem]
-			n, err := s.NewNet(sp.Net, sp.Delay)
-			if err != nil {
-				return err
-			}
-			ports := make([]*core.Port, 0, len(frag.Ports))
-			for _, pr := range frag.Ports {
-				ports = append(ports, s.Component(pr.Component).Port(pr.Port))
-			}
-			if err := s.Connect(n, ports...); err != nil {
-				return err
-			}
+	for _, s := range subs {
+		if err := s.NewNets(splits); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -669,9 +616,11 @@ func (sim *Simulation) runRounds(until Time, backoff func()) error {
 	if until == Infinity && len(sim.subOrder) > 1 {
 		return errors.New("pia: multi-subsystem simulations need a finite horizon (see Simulation.Run)")
 	}
+	// Every round writes each entry of errs and drains done, so both
+	// serve every round.
+	errs := make([]error, len(sim.subOrder))
+	done := make(chan int, len(sim.subOrder))
 	for {
-		errs := make([]error, len(sim.subOrder))
-		done := make(chan int, len(sim.subOrder))
 		for i, name := range sim.subOrder {
 			go func(i int, s *core.Subsystem) {
 				errs[i] = s.Run(until)
