@@ -173,7 +173,16 @@ timeline:
 # name, hostile images (unknown version, kind or flag, addresses out of
 # range or order, trailing bytes, lengths past a cap) are refused, and
 # the restore rule holds across the wire. A session spec past a shape
-# cap is refused before its footprint is computed.
+# cap is refused before its footprint is computed. A resumable session's
+# envelope is a wire frame too: one costs no allocation on ingress and
+# at most its retained copy on egress, a header past the session cap is
+# refused before any of its body is read, an older peer's hello is
+# refused by its kind, the envelope round trip and the corruption
+# verdicts hold, and the listener neither panics on Close with sessions
+# no Accept took nor keeps a dead session (under the race detector).
+# faultnet segments by the same convention, so a plain link shaped by
+# latency, jitter and a bandwidth cap carries a thousand mixed frames
+# whole and in order, and a word page with the clean run's result.
 wire: fuzz-smoke
 	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestPageEgressTwoBufferAllocs|TestCoalesceByteCap|TestFlushDropsPayloadReferences|TestPipeDropsDeliveredValues|TestCursorBurstsDoNotAliasThePayload|TestSafeTimeModel|TestOnMessagesZeroAlloc' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestHello|TestConnectNamesAHandshakeFault|TestConnectUnknownSubsystem' ./internal/node/
@@ -187,6 +196,10 @@ wire: fuzz-smoke
 	$(GO) test -count=1 -run 'TestImageCarriesEveryField|TestImageValueTags|TestImageRefusesUnregisteredValue|TestDecodeRefusesHostileImages|TestExtractNetsOrderStable' ./internal/snapshot/
 	$(GO) test -count=1 -run 'TestRestoreImageRule' ./internal/core/
 	$(GO) test -count=1 -run 'TestSpecCaps' ./internal/service/
+	$(GO) test -count=1 -run 'TestEnvelopeAllocs|TestOverCapHeaderRefusedUnread|TestPreEnvelopeHelloRefusedByKind|TestEnvelopeRoundTrip|TestCorruptionCountsAsCrcKill' ./internal/resilience/
+	$(GO) test -race -count=1 -run 'TestListenerCloseWithUnacceptedSessions|TestDeadSessionsLeaveTheListener' ./internal/resilience/
+	$(GO) test -count=1 -run 'TestShapedPlainLinkCarriesWireFrames' ./internal/faultnet/
+	$(GO) test -count=1 -run 'TestPlainLinkUnderLatency' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'TestBidirectionalStress|TestConcurrentFlushesKeepSeqOrder' ./internal/channel/
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/node/ ./internal/signal/ ./internal/hwstub/
 	$(GO) test -run=^$$ -bench 'BenchmarkAppendBatch|BenchmarkDecodeBatchInto' -benchtime=1000x ./internal/channel/
@@ -207,7 +220,9 @@ wire: fuzz-smoke
 # frame decoder the same way, re-encoding what it accepts to the same
 # bytes, the migration image decoder the same way (what it decodes is
 # bounded by its input and its caps, and re-encodes to an equal image),
-# and a session create request as JSON or form (every admitted spec has
+# the resumable session's envelopes on any stream (a header past the
+# cap refused as corruption, every accepted envelope re-encoding to its
+# own bytes), and a session create request as JSON or form (every admitted spec has
 # a positive footprint within what the shape caps allow). A direct ci
 # prerequisite.
 fuzz-smoke:
@@ -225,6 +240,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMeshFrame -fuzztime=3s ./internal/mesh/
 	$(GO) test -run=^$$ -fuzz=FuzzComponentImage -fuzztime=3s ./internal/snapshot/
 	$(GO) test -run=^$$ -fuzz=FuzzSessionSpec -fuzztime=3s ./internal/service/
+	$(GO) test -run=^$$ -fuzz=FuzzEnvelope -fuzztime=3s ./internal/resilience/
 
 # The scheduler-core gate: the three-way equivalence matrix
 # (sequential x conservative x optimistic over 50 random topologies,

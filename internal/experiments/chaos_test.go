@@ -1,6 +1,13 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	pia "repro"
+	"repro/internal/proto"
+	"repro/internal/wubbleu"
+)
 
 // TestChaosDeterminism runs the chaos experiment at a small page
 // size: the faulty leg must reproduce the clean leg's virtual time
@@ -50,5 +57,57 @@ func TestChaosSeedReproducible(t *testing.T) {
 	}
 	if a.Injected() == 0 || b.Injected() == 0 {
 		t.Fatalf("faults did not fire: %d / %d", a.Injected(), b.Injected())
+	}
+}
+
+// TestPlainLinkUnderLatency: a fault config that only delays frames
+// needs no session layer. The remote word-level page over a plain link
+// shaped by a per-frame latency must load with the clean run's virtual
+// time and drive count, every frame of it through the fault link.
+func TestPlainLinkUnderLatency(t *testing.T) {
+	c := smallTable1()
+	ref, err := Remote(c, proto.LevelWord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type leg struct {
+		res   wubbleu.Result
+		stats pia.FaultStats
+		err   error
+	}
+	done := make(chan leg, 1)
+	go func() {
+		var l leg
+		defer func() { done <- l }()
+		s, err := newStand(c.wubbleu(proto.LevelWord), true, func(b *pia.SystemBuilder) {
+			b.SetFaults(pia.FaultConfig{Latency: 50 * time.Microsecond})
+		})
+		if l.err = err; err != nil {
+			return
+		}
+		defer s.sys.Close()
+		if _, l.res, l.err = s.load(); l.err != nil {
+			return
+		}
+		for _, n := range s.nodes {
+			for _, fl := range n.FaultLinks() {
+				l.stats.Add(fl.Stats())
+			}
+		}
+	}()
+	var l leg
+	select {
+	case l = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the page never loaded over the shaped plain link")
+	}
+	if l.err != nil {
+		t.Fatal(l.err)
+	}
+	if l.res.LoadVirt[0] != ref.Virt || l.res.DMADrives != ref.Drives {
+		t.Fatalf("shaped plain link: virtual %v, drives %d; clean %v, %d", l.res.LoadVirt[0], l.res.DMADrives, ref.Virt, ref.Drives)
+	}
+	if l.stats.Forwarded == 0 || l.stats.Forwarded != l.stats.Frames {
+		t.Fatalf("fault links %+v: every frame must pass through them", l.stats)
 	}
 }

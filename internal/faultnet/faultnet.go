@@ -1,11 +1,14 @@
 // Package faultnet is a deterministic, seeded fault-injecting
 // transport for Pia's distributed links. It wraps any byte stream
-// that carries 4-byte big-endian length-prefixed frames (both the
-// wire package's framing and the resilience package's session
-// envelopes follow that convention) and applies per-frame faults on
-// the egress path: added latency and jitter, a bandwidth cap, drops,
-// duplicates, adjacent reorders, payload corruption, and scripted
-// partition/heal cycles.
+// that carries wire frames — a 4-byte big-endian payload length, a
+// kind byte, the payload; the resilience package's session envelopes
+// are wire frames too — and applies per-frame faults on the egress
+// path: added latency and jitter, a bandwidth cap, drops, duplicates,
+// adjacent reorders, payload corruption, and scripted partition/heal
+// cycles. Latency, jitter and the bandwidth cap only delay whole
+// frames, so a plain link carries them; the other faults lose, repeat,
+// reorder or damage frames, which only the session layer survives
+// (Config.Lossy).
 //
 // Every decision is drawn from a PRNG seeded by (Seed, link name), in
 // a fixed pattern per frame, so the fault schedule — which fault
@@ -33,11 +36,8 @@ import (
 	"time"
 
 	"repro/internal/timeline"
+	"repro/internal/wire"
 )
-
-// maxFrame bounds the frames the segmenter will buffer; anything
-// larger than the wire layer's own limit is a protocol error.
-const maxFrame = 64<<20 + 64
 
 // ErrLinkCut reports that a scripted partition is currently severing
 // the link.
@@ -83,8 +83,14 @@ type Config struct {
 
 // Enabled reports whether the config injects or shapes anything.
 func (c Config) Enabled() bool {
-	return c.Latency > 0 || c.Jitter > 0 || c.BandwidthBps > 0 ||
-		c.DropProb > 0 || c.DupProb > 0 || c.ReorderProb > 0 || c.CorruptProb > 0 ||
+	return c.Latency > 0 || c.Jitter > 0 || c.BandwidthBps > 0 || c.Lossy()
+}
+
+// Lossy reports whether the config drops, duplicates, reorders or
+// corrupts frames or cuts the link: the faults a connection survives
+// only with the session layer above it.
+func (c Config) Lossy() bool {
+	return c.DropProb > 0 || c.DupProb > 0 || c.ReorderProb > 0 || c.CorruptProb > 0 ||
 		len(c.Partitions) > 0
 }
 
@@ -333,11 +339,10 @@ func (l *Link) Wrap(inner io.ReadWriteCloser) io.ReadWriteCloser {
 const heldFlushDelay = 2 * time.Millisecond
 
 // Conn is one connection epoch on a faulty link. Writes are segmented
-// into length-prefixed frames and individually subjected to the
-// link's schedule; a partial trailing frame is buffered until its
-// remainder arrives. A frame held back for reorder belongs to the
-// epoch that wrote it: it dies with the connection rather than
-// leaking into a successor epoch.
+// into wire frames and individually subjected to the link's schedule;
+// a partial trailing frame is buffered until its remainder arrives. A
+// frame held back for reorder belongs to the epoch that wrote it: it
+// dies with the connection rather than leaking into a successor epoch.
 type Conn struct {
 	link  *Link
 	inner io.ReadWriteCloser
@@ -424,14 +429,14 @@ func (c *Conn) Write(p []byte) (int, error) {
 	defer c.wmu.Unlock()
 	c.pending = append(c.pending, p...)
 	for {
-		if len(c.pending) < 4 {
+		if len(c.pending) < wire.HeaderLen {
 			return len(p), nil
 		}
-		n := binary.BigEndian.Uint32(c.pending[:4])
-		if n > maxFrame {
+		n := binary.BigEndian.Uint32(c.pending)
+		if n > wire.MaxFrame {
 			return 0, fmt.Errorf("faultnet %s: frame of %d bytes exceeds limit", c.link.name, n)
 		}
-		total := 4 + int(n)
+		total := wire.HeaderLen + int(n)
 		if len(c.pending) < total {
 			return len(p), nil
 		}

@@ -6,18 +6,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
-// frame builds a length-prefixed frame with the given body.
+// frame builds a wire frame with the given payload.
 func frame(body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(out[:4], uint32(len(body)))
-	copy(out[4:], body)
+	out := make([]byte, wire.HeaderLen+len(body))
+	copy(out[wire.HeaderLen:], body)
+	wire.PutHeader(out, wire.FrameBatch)
 	return out
 }
 
@@ -31,20 +34,20 @@ func (s *sink) Write(p []byte) (int, error) { return s.buf.Write(p) }
 func (s *sink) Read(p []byte) (int, error)  { return 0, io.EOF }
 func (s *sink) Close() error                { s.closed = true; return nil }
 
-// readFrames splits a byte stream back into frame bodies.
+// readFrames splits a byte stream back into frame payloads.
 func readFrames(t *testing.T, raw []byte) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for len(raw) > 0 {
-		if len(raw) < 4 {
+		if len(raw) < wire.HeaderLen {
 			t.Fatalf("trailing partial header: % x", raw)
 		}
-		n := binary.BigEndian.Uint32(raw[:4])
-		if len(raw) < 4+int(n) {
+		n := binary.BigEndian.Uint32(raw)
+		if len(raw) < wire.HeaderLen+int(n) {
 			t.Fatalf("trailing partial frame")
 		}
-		out = append(out, raw[4:4+int(n)])
-		raw = raw[4+int(n):]
+		out = append(out, raw[wire.HeaderLen:wire.HeaderLen+int(n)])
+		raw = raw[wire.HeaderLen+int(n):]
 	}
 	return out
 }
@@ -147,17 +150,16 @@ func TestCorruptionFlipsExactlyOneByte(t *testing.T) {
 	s := &sink{}
 	l := NewLink("corrupt", Config{Seed: 7, CorruptProb: 1.0})
 	c := l.Wrap(s)
-	body := bytes.Repeat([]byte{0}, 32)
-	if _, err := c.Write(frame(body)); err != nil {
+	sent := frame(bytes.Repeat([]byte{0}, 32))
+	if _, err := c.Write(sent); err != nil {
 		t.Fatal(err)
 	}
-	got := readFrames(t, s.buf.Bytes())
-	if len(got) != 1 {
+	if got := readFrames(t, s.buf.Bytes()); len(got) != 1 {
 		t.Fatalf("forwarded %d frames", len(got))
 	}
 	diff := 0
-	for _, b := range got[0] {
-		if b != 0 {
+	for i, b := range s.buf.Bytes() {
+		if b != sent[i] {
 			diff++
 		}
 	}
@@ -350,5 +352,59 @@ func TestStatsAddCoversEveryCounter(t *testing.T) {
 	}
 	if sum.Digest != 3 {
 		t.Errorf("Add touched Digest: %d", sum.Digest)
+	}
+}
+
+// TestShapedPlainLinkCarriesWireFrames: latency, jitter and a bandwidth
+// cap delay whole frames, so a plain wire connection with no session
+// layer carries them. A thousand frames of mixed sizes, some larger
+// than the receive buffer, must arrive whole and in order through the
+// bounded reader on the far side.
+func TestShapedPlainLinkCarriesWireFrames(t *testing.T) {
+	const frames = 1000
+	sizes := []int{0, 1, 100, 4 << 10, wire.RecvBufSize - wire.HeaderLen, wire.RecvBufSize + 1000, 70 << 10}
+	payload := func(i int) []byte {
+		p := make([]byte, sizes[i%len(sizes)])
+		for j := range p {
+			p[j] = byte(i + j*7)
+		}
+		return p
+	}
+	a, b := net.Pipe()
+	deadline := time.Now().Add(20 * time.Second)
+	a.SetDeadline(deadline)
+	b.SetDeadline(deadline)
+	defer a.Close()
+	defer b.Close()
+	l := NewLink("shaped", Config{Seed: 3, Latency: 20 * time.Microsecond, Jitter: 20 * time.Microsecond, BandwidthBps: 1 << 30})
+	out := wire.NewConn(l.Wrap(a))
+	sent := make(chan error, 1)
+	var bytesOut int64
+	go func() {
+		for i := 0; i < frames; i++ {
+			p := payload(i)
+			bytesOut += int64(wire.HeaderLen + len(p))
+			if err := out.SendRaw(wire.FrameBatch, p); err != nil {
+				sent <- fmt.Errorf("frame %d: %w", i, err)
+				return
+			}
+		}
+		sent <- nil
+	}()
+	in := wire.NewConn(b)
+	for i := 0; i < frames; i++ {
+		kind, got, err := in.RecvFrame()
+		if err != nil {
+			t.Fatalf("frame %d of %d: %v (link %+v)", i, frames, err, l.Stats())
+		}
+		if kind != wire.FrameBatch || !bytes.Equal(got, payload(i)) {
+			t.Fatalf("frame %d arrived as kind %d with %d bytes, want %d", i, kind, len(got), len(payload(i)))
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Frames != frames || st.Forwarded != frames || st.BytesShaped != bytesOut {
+		t.Fatalf("link %+v, want %d frames and %d bytes shaped", st, frames, bytesOut)
 	}
 }

@@ -72,8 +72,8 @@ func (l *LinkFlags) Apply(n *Node) error {
 	}
 	if fc.Enabled() {
 		n.SetFaults(fc)
-		if !l.resilient {
-			log.Printf("%s: warning: faults armed without -resilient; connections will not survive them", l.own.Name())
+		if fc.Lossy() && !l.resilient {
+			log.Printf("%s: warning: drop, dup, reorder, corrupt or partition faults armed without -resilient; connections will not survive them", l.own.Name())
 		}
 	}
 	if l.resilient {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"log"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,6 +107,38 @@ func TestLinkFlagsDefaults(t *testing.T) {
 	err = parseLinks(t, "-fault-partition", "junk").Apply(New("n"))
 	if err == nil || !strings.HasPrefix(err.Error(), "pianode: -fault-partition: ") {
 		t.Errorf("bad partition script: %v", err)
+	}
+}
+
+// TestLinkFlagsWarnsOnlyForLossyFaults: faults armed without
+// -resilient draw a warning only when a plain link cannot survive them.
+// Latency, jitter and a bandwidth cap delay whole frames; drops,
+// duplicates, reorders, corruption and partitions lose or damage them.
+func TestLinkFlagsWarnsOnlyForLossyFaults(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	warns := func(args ...string) bool {
+		t.Helper()
+		logged.Reset()
+		if err := parseLinks(t, args...).Apply(New("n")); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(logged.String(), "pianode: warning: ")
+	}
+	if warns("-fault-latency", "2ms", "-fault-jitter", "1ms", "-fault-bw", "1000000") {
+		t.Errorf("latency, jitter and bandwidth warned: %q", logged.String())
+	}
+	for _, args := range [][]string{
+		{"-fault-drop", "0.1"}, {"-fault-dup", "0.1"}, {"-fault-reorder", "0.1"},
+		{"-fault-corrupt", "0.1"}, {"-fault-partition", "5:1"},
+	} {
+		if !warns(append(args, "-fault-latency", "2ms")...) {
+			t.Errorf("%v without -resilient did not warn", args)
+		}
+		if warns(append(args, "-resilient")...) {
+			t.Errorf("%v with -resilient warned: %q", args, logged.String())
+		}
 	}
 }
 

@@ -5,177 +5,167 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
+
+	"repro/internal/wire"
 )
 
-// Session envelope framing. Every envelope is
+// A session envelope is a wire frame of one of the session kinds whose
+// payload ends in a CRC32 (IEEE) over the frame's kind and body:
 //
-//	| 4-byte BE length of the rest | 1-byte type | body | 4-byte CRC32 |
+//	| u32 payload length | u8 kind | body | u32 CRC32(kind, body) |
 //
-// with the CRC computed over type and body. The leading length prefix
-// follows the same convention as the wire package, which is what lets
-// faultnet segment (and mangle) session traffic generically; the
-// trailing CRC is what turns a mangled frame into a detected fault
-// instead of silent corruption.
-const (
-	typeHello     byte = 1 // client -> server, first frame on every raw conn
-	typeHelloAck  byte = 2 // server -> client, second frame
-	typeData      byte = 3 // seq(8) ack(8) payload
-	typeHeartbeat byte = 4 // ack(8)
-)
+// The length counts the body and the CRC, as a wire frame's counts its
+// payload, so the envelope is read by wire.Conn's bounded reader and
+// segmented by faultnet like every other frame; the CRC is what turns a
+// mangled frame into a detected fault instead of silent corruption.
+// Every integer is a uvarint, the tag a uvarint length and its bytes.
+// The bodies, by kind:
+//
+//	FrameSessionHello, FrameSessionHelloAck  status, session id, recv-next, lowest, tag
+//	FrameSessionData                         seq, ack, chunk (the rest of the body)
+//	FrameSessionHeartbeat                    ack
 
 // Hello/HelloAck status codes.
 const (
-	statusOK     byte = 0 // resume (or fresh session) accepted
-	statusRewind byte = 1 // retention miss: both sides rewind to the tag
-	statusReject byte = 2 // unknown session or no common checkpoint
+	statusOK     = 0 // resume (or fresh session) accepted
+	statusRewind = 1 // retention miss: both sides rewind to the tag
+	statusReject = 2 // unknown session or no common checkpoint
 )
 
-// maxChunk bounds one data envelope's payload; Session.Write splits
-// larger writes. maxEnvelope bounds what the reader will accept.
+// maxChunk bounds one data envelope's chunk; Session.Write splits
+// larger writes. maxEnvelope bounds the payload the reader accepts: a
+// full chunk with its two uvarints and its CRC. maxTag bounds a
+// checkpoint tag, "snap:" and a subsystem name (the node handshake caps
+// names at 1 KB) and a sequence number.
 const (
 	maxChunk    = 32 << 10
 	maxEnvelope = maxChunk + 64
+	maxTag      = 2 << 10
+	crcLen      = 4
 )
 
-// envelope header/trailer overhead: length prefix + type + CRC.
-const (
-	envHeader  = 5
-	envTrailer = 4
-)
-
-// appendEnvelope frames type+body into dst.
-func appendEnvelope(dst []byte, typ byte, body []byte) []byte {
-	n := 1 + len(body) + envTrailer
-	var hdr [envHeader]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-	hdr[4] = typ
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, body...)
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(body)
-	var tail [envTrailer]byte
-	binary.BigEndian.PutUint32(tail[:], crc.Sum32())
-	return append(dst, tail[:]...)
-}
-
-// encodeData builds one data envelope.
-func encodeData(seq, ack uint64, payload []byte) []byte {
-	body := make([]byte, 16, 16+len(payload))
-	binary.BigEndian.PutUint64(body[0:8], seq)
-	binary.BigEndian.PutUint64(body[8:16], ack)
-	body = append(body, payload...)
-	return appendEnvelope(nil, typeData, body)
-}
-
-// encodeHeartbeat builds one heartbeat envelope.
-func encodeHeartbeat(ack uint64) []byte {
-	var body [8]byte
-	binary.BigEndian.PutUint64(body[:], ack)
-	return appendEnvelope(nil, typeHeartbeat, body[:])
-}
-
-// hello is the resume handshake sent by the dialing side on every new
-// raw connection.
-type hello struct {
-	SessionID uint64 // 0 = new session
+// handshake is a hello, which the dialing side sends first on every new
+// raw connection, or the hello ack that answers it: one layout, two
+// kinds.
+type handshake struct {
+	Status    uint64 // the ack's verdict; statusOK in a hello
+	SessionID uint64 // 0 in a hello asks for a new session
 	RecvNext  uint64 // next data seq the sender expects to receive
 	Lowest    uint64 // lowest data seq the sender can still replay
-	Tag       string // latest completed checkpoint tag, for rewind
+	Tag       string // a hello's latest checkpoint tag; an ack's rewind tag
 }
 
-// helloAck answers a hello.
-type helloAck struct {
-	Status    byte
-	SessionID uint64
-	RecvNext  uint64 // next data seq the responder expects to receive
-	Tag       string // rewind tag both sides restore, when Status is statusRewind
+// begin opens an envelope at the end of dst: header room seal fills.
+func begin(dst []byte) []byte { return append(dst, make([]byte, wire.HeaderLen)...) }
+
+// seal closes the envelope dst[start:] begin opened and its body
+// followed: it appends the CRC over kind and body and writes the
+// header.
+func seal(dst []byte, start int, kind byte) []byte {
+	dst[start+wire.HeaderLen-1] = kind
+	crc := crc32.Update(0, crc32.IEEETable, dst[start+wire.HeaderLen-1:])
+	dst = append(dst, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
+	wire.PutHeader(dst[start:], kind)
+	return dst
 }
 
-func encodeHello(h hello) []byte {
-	body := make([]byte, 26, 26+len(h.Tag))
-	binary.BigEndian.PutUint64(body[0:8], h.SessionID)
-	binary.BigEndian.PutUint64(body[8:16], h.RecvNext)
-	binary.BigEndian.PutUint64(body[16:24], h.Lowest)
-	binary.BigEndian.PutUint16(body[24:26], uint16(len(h.Tag)))
-	body = append(body, h.Tag...)
-	return appendEnvelope(nil, typeHello, body)
+// appendData appends one data envelope to dst.
+func appendData(dst []byte, seq, ack uint64, chunk []byte) []byte {
+	start := len(dst)
+	dst = binary.AppendUvarint(begin(dst), seq)
+	dst = binary.AppendUvarint(dst, ack)
+	dst = append(dst, chunk...)
+	return seal(dst, start, wire.FrameSessionData)
 }
 
-func decodeHello(body []byte) (hello, error) {
-	if len(body) < 26 {
-		return hello{}, fmt.Errorf("resilience: short hello (%d bytes)", len(body))
-	}
-	h := hello{
-		SessionID: binary.BigEndian.Uint64(body[0:8]),
-		RecvNext:  binary.BigEndian.Uint64(body[8:16]),
-		Lowest:    binary.BigEndian.Uint64(body[16:24]),
-	}
-	tagLen := int(binary.BigEndian.Uint16(body[24:26]))
-	if len(body) != 26+tagLen {
-		return hello{}, fmt.Errorf("resilience: hello tag length mismatch")
-	}
-	h.Tag = string(body[26:])
-	return h, nil
+// appendHeartbeat appends one heartbeat envelope to dst.
+func appendHeartbeat(dst []byte, ack uint64) []byte {
+	start := len(dst)
+	return seal(binary.AppendUvarint(begin(dst), ack), start, wire.FrameSessionHeartbeat)
 }
 
-func encodeHelloAck(a helloAck) []byte {
-	body := make([]byte, 19, 19+len(a.Tag))
-	body[0] = a.Status
-	binary.BigEndian.PutUint64(body[1:9], a.SessionID)
-	binary.BigEndian.PutUint64(body[9:17], a.RecvNext)
-	binary.BigEndian.PutUint16(body[17:19], uint16(len(a.Tag)))
-	body = append(body, a.Tag...)
-	return appendEnvelope(nil, typeHelloAck, body)
+// appendHandshake appends one hello or hello-ack envelope to dst. It
+// refuses a tag the peer would refuse to read.
+func appendHandshake(dst []byte, kind byte, h handshake) ([]byte, error) {
+	if len(h.Tag) > maxTag {
+		return dst, fmt.Errorf("resilience: checkpoint tag of %d bytes exceeds its cap of %d", len(h.Tag), maxTag)
+	}
+	start := len(dst)
+	dst = binary.AppendUvarint(begin(dst), h.Status)
+	dst = binary.AppendUvarint(dst, h.SessionID)
+	dst = binary.AppendUvarint(dst, h.RecvNext)
+	dst = binary.AppendUvarint(dst, h.Lowest)
+	return seal(wire.AppendString(dst, h.Tag), start, kind), nil
 }
 
-func decodeHelloAck(body []byte) (helloAck, error) {
-	if len(body) < 19 {
-		return helloAck{}, fmt.Errorf("resilience: short hello ack (%d bytes)", len(body))
-	}
-	a := helloAck{
-		Status:    body[0],
-		SessionID: binary.BigEndian.Uint64(body[1:9]),
-		RecvNext:  binary.BigEndian.Uint64(body[9:17]),
-	}
-	tagLen := int(binary.BigEndian.Uint16(body[17:19]))
-	if len(body) != 19+tagLen {
-		return helloAck{}, fmt.Errorf("resilience: hello ack tag length mismatch")
-	}
-	a.Tag = string(body[19:])
-	return a, nil
-}
+// kindCRC[k-FrameSessionHello] is the CRC32 of session kind k's byte:
+// the state the checksum over an envelope's kind and body continues
+// from, with no slice of the kind to hand crc32 on every envelope.
+// They are literals because computing them at init would build
+// crc32's 8 KB IEEE tables in every process, sessions or none. A
+// wrong one fails the envelope round trips (FuzzEnvelope's seeds cover
+// all four kinds).
+var kindCRC = [...]uint32{0xa2681b02, 0x3b614ab8, 0x4c667a2e, 0xdcd967bf}
 
-// errCorrupt marks a readEnvelope error as corruption — bytes arrived
-// and were wrong — as opposed to transport loss (the underlying read
+// errCorrupt marks an envelope error as corruption — bytes arrived and
+// were wrong — as opposed to transport loss (the underlying read
 // error, returned as is). Sessions count the first kind in CrcKills.
 var errCorrupt = errors.New("resilience: corrupt envelope")
 
-// readEnvelope reads and validates one envelope, returning its type
-// and body. Any framing or checksum anomaly is an error: the caller
-// kills the connection epoch and lets the resume protocol resync.
-func readEnvelope(r io.Reader) (typ byte, body []byte, err error) {
-	var hdr [envHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// recvEnvelope reads one frame from an epoch's connection and checks
+// it as an envelope, returning its kind and its body without the CRC.
+// The body aliases the connection's receive buffer: it is valid until
+// the next read. A frame past maxEnvelope, refused before its body is
+// read, a frame of a kind that is no session envelope's — a
+// pre-envelope peer's arrives as kind 1–4 — refused undecoded, or a
+// checksum mismatch is corruption; the caller kills the connection
+// epoch and lets the resume protocol resync.
+func recvEnvelope(c *wire.Conn) (kind byte, body []byte, err error) {
+	kind, payload, err := c.RecvFrame()
+	if errors.Is(err, wire.ErrFrameTooLarge) {
+		return 0, nil, fmt.Errorf("%w: %v", errCorrupt, err)
+	}
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < 1+envTrailer || n > maxEnvelope {
-		return 0, nil, fmt.Errorf("%w: length %d out of range", errCorrupt, n)
+	if kind < wire.FrameSessionHello || kind > wire.FrameSessionHeartbeat {
+		return 0, nil, fmt.Errorf("%w: frame kind %d is no session envelope", errCorrupt, kind)
 	}
-	typ = hdr[4]
-	rest := make([]byte, n-1)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return 0, nil, err
+	if len(payload) < crcLen {
+		return 0, nil, fmt.Errorf("%w: %d-byte payload has no checksum", errCorrupt, len(payload))
 	}
-	body = rest[:len(rest)-envTrailer]
-	wantCRC := binary.BigEndian.Uint32(rest[len(rest)-envTrailer:])
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(body)
-	if crc.Sum32() != wantCRC {
-		return 0, nil, fmt.Errorf("%w: checksum mismatch (type %d, %d bytes)", errCorrupt, typ, len(body))
+	body = payload[:len(payload)-crcLen]
+	tail := wire.ReadFields(payload[len(body):])
+	if crc32.Update(kindCRC[kind-wire.FrameSessionHello], crc32.IEEETable, body) != tail.U32() {
+		return 0, nil, fmt.Errorf("%w: checksum mismatch (kind %d, %d bytes)", errCorrupt, kind, len(body))
 	}
-	return typ, body, nil
+	return kind, body, nil
+}
+
+// parseHandshake reads the body of a handshake envelope that must be of
+// kind want; one of any other kind is refused undecoded.
+func parseHandshake(kind, want byte, body []byte) (handshake, error) {
+	f := wire.NewFields(kind, want, body)
+	h := handshake{Status: f.Uvarint(), SessionID: f.Uvarint(), RecvNext: f.Uvarint(), Lowest: f.Uvarint(), Tag: f.String(maxTag)}
+	if h.Status > statusReject {
+		f.Failf("resilience: unknown handshake status %d", h.Status)
+	}
+	if err := f.Done(); err != nil {
+		return handshake{}, fmt.Errorf("resilience: handshake: %w", err)
+	}
+	return h, nil
+}
+
+// parseData reads a data body; the chunk aliases it.
+func parseData(body []byte) (seq, ack uint64, chunk []byte, err error) {
+	f := wire.ReadFields(body)
+	seq, ack, chunk = f.Uvarint(), f.Uvarint(), f.Rest()
+	return seq, ack, chunk, f.Done()
+}
+
+// parseHeartbeat reads a heartbeat body.
+func parseHeartbeat(body []byte) (ack uint64, err error) {
+	f := wire.ReadFields(body)
+	ack = f.Uvarint()
+	return ack, f.Done()
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/timeline"
+	"repro/internal/wire"
 )
 
 // Listener accepts raw connections and demuxes them into resumable
@@ -23,12 +24,13 @@ type Listener struct {
 	// links.
 	Wrap func(io.ReadWriteCloser) io.ReadWriteCloser
 
-	mu       sync.Mutex
-	tl       *timeline.Recorder // refusals, and the sessions it creates; set via SetTimeline
-	nextID   uint64
-	sessions map[uint64]*Session
-	pending  chan *Session
-	closed   bool
+	mu        sync.Mutex
+	tl        *timeline.Recorder // refusals, and the sessions it creates; set via SetTimeline
+	nextID    uint64
+	sessions  map[uint64]*Session // live sessions; each leaves at its terminal failure
+	pending   chan *Session       // hands each new session to Accept
+	done      chan struct{}       // closed by Close
+	closeOnce sync.Once
 }
 
 // NewListener wraps a net.Listener. Call Serve (usually in a
@@ -39,19 +41,18 @@ func NewListener(ln net.Listener, cfg Config) *Listener {
 		cfg:      cfg.withDefaults(),
 		nextID:   1,
 		sessions: make(map[uint64]*Session),
-		pending:  make(chan *Session, 8),
+		pending:  make(chan *Session),
+		done:     make(chan struct{}),
 	}
 }
 
 // Addr returns the underlying listener address.
 func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
 
-// Close stops the demux. Live sessions are left to their own
-// lifecycles.
+// Close stops the demux. Accepted sessions are left to their own
+// lifecycles; new ones no Accept took have no owner and are closed.
 func (l *Listener) Close() error {
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
+	l.closeOnce.Do(func() { close(l.done) })
 	return l.ln.Close()
 }
 
@@ -62,14 +63,12 @@ func (l *Listener) Serve() error {
 	for {
 		raw, err := l.ln.Accept()
 		if err != nil {
-			l.mu.Lock()
-			closed := l.closed
-			l.mu.Unlock()
-			if closed {
-				close(l.pending)
+			select {
+			case <-l.done:
 				return nil
+			default:
+				return err
 			}
-			return err
 		}
 		go l.handshake(raw)
 	}
@@ -78,11 +77,12 @@ func (l *Listener) Serve() error {
 // Accept returns the next new session (not resumes — those splice
 // into their existing Session transparently).
 func (l *Listener) Accept() (*Session, error) {
-	s, ok := <-l.pending
-	if !ok {
+	select {
+	case s := <-l.pending:
+		return s, nil
+	case <-l.done:
 		return nil, fmt.Errorf("resilience: listener closed")
 	}
-	return s, nil
 }
 
 // SetTimeline attaches a timeline recorder: every resume the listener
@@ -104,17 +104,15 @@ func (l *Listener) refused(id uint64, detail string) {
 // handshake runs the accepting side of the hello exchange on one raw
 // connection.
 func (l *Listener) handshake(raw net.Conn) {
-	var conn io.ReadWriteCloser = raw
+	var rwc io.ReadWriteCloser = raw
 	if l.Wrap != nil {
-		conn = l.Wrap(raw)
+		rwc = l.Wrap(raw)
 	}
-	stop := handshakeDeadline(conn, l.cfg.HandshakeTimeout)
-	typ, body, err := readEnvelope(conn)
-	if !stop() || err != nil || typ != typeHello {
-		conn.Close()
-		return
+	conn, kind, body, err := exchange(rwc, l.cfg.HandshakeTimeout, nil)
+	var h handshake
+	if err == nil {
+		h, err = parseHandshake(kind, wire.FrameSessionHello, body)
 	}
-	h, err := decodeHello(body)
 	if err != nil {
 		conn.Close()
 		return
@@ -129,48 +127,56 @@ func (l *Listener) handshake(raw net.Conn) {
 	l.mu.Unlock()
 	if s == nil || s.Err() != nil {
 		l.refused(h.SessionID, "unknown session")
-		conn.Write(encodeHelloAck(helloAck{Status: statusReject}))
+		l.answer(conn, handshake{Status: statusReject})
 		conn.Close()
 		return
 	}
 	l.resume(s, conn, h)
 }
 
-// acceptNew creates a session for a first-contact hello.
-func (l *Listener) acceptNew(conn io.ReadWriteCloser) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		conn.Close()
-		return
+// answer writes a hello ack.
+func (l *Listener) answer(conn *wire.Conn, a handshake) error {
+	frame, err := appendHandshake(nil, wire.FrameSessionHelloAck, a)
+	if err == nil {
+		err = conn.WriteFrame(frame)
 	}
+	return err
+}
+
+// acceptNew creates a session for a first-contact hello and hands it
+// to Accept, or closes it when the listener closes first.
+func (l *Listener) acceptNew(conn *wire.Conn) {
+	l.mu.Lock()
 	id := l.nextID
 	l.nextID++
 	s := newSession(l.cfg, nil)
 	s.id = id
 	s.tl = l.tl
+	s.forget = func() {
+		l.mu.Lock()
+		delete(l.sessions, id)
+		l.mu.Unlock()
+	}
 	l.sessions[id] = s
 	l.mu.Unlock()
-	if _, err := conn.Write(encodeHelloAck(helloAck{Status: statusOK, SessionID: id, RecvNext: 1})); err != nil {
+	if err := l.answer(conn, handshake{Status: statusOK, SessionID: id, RecvNext: 1}); err != nil {
 		conn.Close()
+		s.Close()
 		return
 	}
 	s.attach(conn, 1)
 	s.startKeepalive()
-	l.mu.Lock()
-	closed := l.closed
-	l.mu.Unlock()
-	if closed {
+	select {
+	case l.pending <- s:
+	case <-l.done:
 		s.Close()
-		return
 	}
-	l.pending <- s
 }
 
 // resume splices a reconnect into an existing session, replaying
 // retained envelopes — or, when the peer's loss outruns retention on
 // either side, negotiates a rewind to a common checkpoint tag.
-func (l *Listener) resume(s *Session, conn io.ReadWriteCloser, h hello) {
+func (l *Listener) resume(s *Session, conn *wire.Conn, h handshake) {
 	s.mu.Lock()
 	// Can we serve the peer's resume point from our retention, and
 	// can the peer serve ours from theirs?
@@ -185,7 +191,7 @@ func (l *Listener) resume(s *Session, conn io.ReadWriteCloser, h hello) {
 	s.mu.Unlock()
 
 	if canServe && canGet {
-		if _, err := conn.Write(encodeHelloAck(helloAck{Status: statusOK, SessionID: s.id, RecvNext: recvNext})); err != nil {
+		if err := l.answer(conn, handshake{Status: statusOK, SessionID: s.id, RecvNext: recvNext}); err != nil {
 			conn.Close()
 			return
 		}
@@ -207,12 +213,12 @@ func (l *Listener) resume(s *Session, conn io.ReadWriteCloser, h hello) {
 	if tag == "" {
 		l.refused(s.id, fmt.Sprintf("retention miss with no common checkpoint: peer wants %d, we retain from %d",
 			h.RecvNext, lowest))
-		conn.Write(encodeHelloAck(helloAck{Status: statusReject, SessionID: s.id}))
+		l.answer(conn, handshake{Status: statusReject, SessionID: s.id})
 		conn.Close()
 		s.fail(fmt.Errorf("%w: retention miss with no common checkpoint", ErrSessionLost))
 		return
 	}
-	if _, err := conn.Write(encodeHelloAck(helloAck{Status: statusRewind, SessionID: s.id, Tag: tag})); err != nil {
+	if err := l.answer(conn, handshake{Status: statusRewind, SessionID: s.id, Tag: tag}); err != nil {
 		conn.Close()
 		return
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/faultnet"
+	"repro/internal/wire"
 )
 
 // pair is one client/server session couple over loopback TCP, with a
@@ -149,14 +150,41 @@ func TestCleanBidirectionalStream(t *testing.T) {
 // order, with no gaps.
 func TestResumeAfterConnKill(t *testing.T) {
 	p := newPair(t, Config{RetryBase: 5 * time.Millisecond})
+	changed := make(chan struct{}, 1)
+	p.client.SetOnChange(func() {
+		select {
+		case changed <- struct{}{}:
+		default:
+		}
+	})
+	// await waits, up to a deadline the checks below report, until the
+	// client's stats satisfy cond.
+	await := func(cond func(Stats) bool) {
+		deadline := time.After(10 * time.Second)
+		for !cond(p.client.Stats()) {
+			select {
+			case <-changed:
+			case <-deadline:
+				return
+			}
+		}
+	}
+	// cut waits for a live epoch, severs its connection and waits until
+	// the client has seen the epoch die, so what it writes next goes to
+	// retention and is replayed by the resume.
+	cut := func() {
+		await(func(st Stats) bool { return st.Resumes > st.EpochDeaths })
+		before := p.client.Stats().EpochDeaths
+		p.killRaw()
+		await(func(st Stats) bool { return st.EpochDeaths > before })
+	}
 	const n = 512 << 10
 	want := pattern(n)
 	go func() {
 		for i := 0; i < n; i += 4 << 10 {
 			p.client.Write(want[i : i+4<<10])
 			if i%(128<<10) == 64<<10 {
-				p.killRaw() // mid-transfer cut
-				time.Sleep(2 * time.Millisecond)
+				cut() // mid-transfer
 			}
 		}
 	}()
@@ -434,9 +462,26 @@ func TestListenerHandshakeTimesOut(t *testing.T) {
 }
 
 // TestRetryBudgetExhaustion: when the peer is unreachable for longer
-// than the retry budget, the session dies with ErrSessionLost.
+// than the retry budget, the session dies with ErrSessionLost. Bytes
+// it received before but had not read are still read first (the peer
+// has pruned them as acked), and the drained buffer is then released.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	p := newPair(t, Config{RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond, RetryMax: 3})
+	const unread = 8 << 10
+	if _, err := p.server.Write(pattern(unread)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		p.client.mu.Lock()
+		got := p.client.rbuf.Len()
+		p.client.mu.Unlock()
+		if got == unread {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("client buffered %d of %d bytes", got, unread)
+		}
+	}
 	p.ln.Close() // no more accepts
 	p.killRaw()
 	deadline := time.After(10 * time.Second)
@@ -450,8 +495,17 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if !errors.Is(p.client.Err(), ErrSessionLost) {
 		t.Fatalf("terminal error %v, want ErrSessionLost", p.client.Err())
 	}
+	if got := drain(t, p.client, unread); !bytes.Equal(got, pattern(unread)) {
+		t.Fatal("bytes received before the loss read back corrupted")
+	}
 	if _, err := p.client.Read(make([]byte, 16)); !errors.Is(err, ErrSessionLost) {
 		t.Fatalf("Read after loss: %v", err)
+	}
+	p.client.mu.Lock()
+	kept := p.client.rbuf.Cap()
+	p.client.mu.Unlock()
+	if kept != 0 {
+		t.Fatalf("a dead, drained session keeps a %d-byte receive buffer", kept)
 	}
 }
 
@@ -592,29 +646,39 @@ func TestConfigEnabled(t *testing.T) {
 	}
 }
 
+// envConn reads envelopes from fixed bytes as an epoch does.
+func envConn(b []byte) *wire.Conn { return wire.NewConnMax(byteConn{bytes.NewReader(b)}, maxEnvelope) }
+
 func TestEnvelopeRoundTrip(t *testing.T) {
-	h := hello{SessionID: 7, RecvNext: 42, Lowest: 3, Tag: "snap-9"}
-	typ, body, err := readEnvelope(bytes.NewReader(encodeHello(h)))
-	if err != nil || typ != typeHello {
-		t.Fatalf("hello: %v type %d", err, typ)
+	h := handshake{SessionID: 7, RecvNext: 42, Lowest: 3, Tag: "snap-9"}
+	env, err := appendHandshake(nil, wire.FrameSessionHello, h)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := decodeHello(body)
+	kind, body, err := recvEnvelope(envConn(env))
+	if err != nil || kind != wire.FrameSessionHello {
+		t.Fatalf("hello: %v kind %d", err, kind)
+	}
+	got, err := parseHandshake(kind, wire.FrameSessionHello, body)
 	if err != nil || got != h {
 		t.Fatalf("hello round trip: %+v %v", got, err)
 	}
-	a := helloAck{Status: statusRewind, SessionID: 7, RecvNext: 9, Tag: "snap-9"}
-	typ, body, err = readEnvelope(bytes.NewReader(encodeHelloAck(a)))
-	if err != nil || typ != typeHelloAck {
-		t.Fatalf("ack: %v type %d", err, typ)
+	a := handshake{Status: statusRewind, SessionID: 7, RecvNext: 9, Tag: "snap-9"}
+	if env, err = appendHandshake(nil, wire.FrameSessionHelloAck, a); err != nil {
+		t.Fatal(err)
 	}
-	gotA, err := decodeHelloAck(body)
+	kind, body, err = recvEnvelope(envConn(env))
+	if err != nil || kind != wire.FrameSessionHelloAck {
+		t.Fatalf("ack: %v kind %d", err, kind)
+	}
+	gotA, err := parseHandshake(kind, wire.FrameSessionHelloAck, body)
 	if err != nil || gotA != a {
 		t.Fatalf("ack round trip: %+v %v", gotA, err)
 	}
 	// Corruption must be detected.
-	env := encodeData(5, 4, []byte("payload"))
+	env = appendData(nil, 5, 4, []byte("payload"))
 	env[len(env)-6] ^= 0x40
-	if _, _, err := readEnvelope(bytes.NewReader(env)); err == nil {
+	if _, _, err := recvEnvelope(envConn(env)); err == nil {
 		t.Fatal("corrupted envelope accepted")
 	}
 }
@@ -652,9 +716,9 @@ func (byteConn) Close() error                { return nil }
 // byte, a length field outside the envelope bounds), not one that died
 // because the transport went away.
 func TestCorruptionCountsAsCrcKill(t *testing.T) {
-	flipped := encodeData(1, 0, []byte("payload"))
+	flipped := appendData(nil, 1, 0, []byte("payload"))
 	flipped[len(flipped)-1] ^= 0x01
-	hostile := encodeData(1, 0, []byte("payload"))
+	hostile := appendData(nil, 1, 0, []byte("payload"))
 	binary.BigEndian.PutUint32(hostile[:4], maxEnvelope+1)
 	for _, tc := range []struct {
 		name  string
@@ -666,10 +730,10 @@ func TestCorruptionCountsAsCrcKill(t *testing.T) {
 		{"EOF", nil, 0},
 		{"EOF mid-envelope", flipped[:len(flipped)-2], 0},
 	} {
-		conn := byteConn{bytes.NewReader(tc.bytes)}
-		_, _, err := readEnvelope(bytes.NewReader(tc.bytes))
+		conn := envConn(tc.bytes)
+		_, _, err := recvEnvelope(envConn(tc.bytes))
 		if got := errors.Is(err, errCorrupt); got != (tc.kills == 1) {
-			t.Fatalf("%s: readEnvelope error %v, errCorrupt = %v", tc.name, err, got)
+			t.Fatalf("%s: recvEnvelope error %v, errCorrupt = %v", tc.name, err, got)
 		}
 		s := newSession(Config{}, nil)
 		s.conn = conn

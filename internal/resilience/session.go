@@ -21,7 +21,9 @@
 //   - heartbeats bound how long a dead peer can go unnoticed.
 //
 // A Session implements io.ReadWriteCloser; wire.Conn runs on top
-// unchanged.
+// unchanged. Below it, each envelope is itself a wire frame of a
+// session kind (envelope.go), read through a wire.Conn on the raw
+// connection of each epoch.
 package resilience
 
 import (
@@ -35,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/timeline"
+	"repro/internal/wire"
 )
 
 // ErrSessionLost is wrapped by every terminal session failure: retry
@@ -147,12 +150,6 @@ func (s *Stats) Add(o Stats) {
 	s.HeartbeatsOut += o.HeartbeatsOut
 }
 
-// retFrame is one retained egress envelope.
-type retFrame struct {
-	seq uint64
-	env []byte
-}
-
 // Session is one reliable, resumable byte stream between two nodes.
 // It implements io.ReadWriteCloser. Reads and writes are safe for
 // one reader and any number of writers (writes are serialized).
@@ -168,15 +165,19 @@ type Session struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	id   uint64
-	conn io.ReadWriteCloser // current epoch, nil while down
-	err  error              // terminal
-	done chan struct{}      // closed at terminal failure or Close
+	conn *wire.Conn    // current epoch, nil while down
+	err  error         // terminal
+	done chan struct{} // closed at terminal failure or Close
+	// forget, set by the listener that created the session, drops it
+	// from the listener's table at terminal failure.
+	forget func()
 
-	// Egress.
+	// Egress: retention holds the unacked envelopes, seqs lowestAvail
+	// through nextSeq-1 in order.
 	nextSeq     uint64 // next data seq to assign (first is 1)
-	retention   []retFrame
-	retBytes    int
 	lowestAvail uint64 // lowest seq still replayable
+	retention   [][]byte
+	retBytes    int
 
 	// Ingress.
 	recvNext    uint64 // next data seq expected
@@ -357,15 +358,15 @@ func (s *Session) Write(p []byte) (int, error) {
 			total += n
 			continue
 		}
-		seq := s.nextSeq
+		env := make([]byte, 0, wire.HeaderLen+2*binary.MaxVarintLen64+n+crcLen) // retained as built
+		env = appendData(env, s.nextSeq, s.recvNext-1, chunk)
 		s.nextSeq++
-		env := encodeData(seq, s.recvNext-1, chunk)
-		s.retainLocked(seq, env)
+		s.retainLocked(env)
 		conn := s.conn
 		s.stats.FramesOut++
 		s.mu.Unlock()
 		if conn != nil {
-			if _, err := conn.Write(env); err != nil {
+			if err := conn.WriteFrame(env); err != nil {
 				// Not fatal: retention holds the envelope; the epoch
 				// dies and resume will replay it.
 				s.epochDead(conn, fmt.Errorf("write: %w", err))
@@ -378,22 +379,18 @@ func (s *Session) Write(p []byte) (int, error) {
 
 // retainLocked appends an envelope to the retention buffer, evicting
 // the oldest entries when over budget. Caller holds s.mu.
-func (s *Session) retainLocked(seq uint64, env []byte) {
+func (s *Session) retainLocked(env []byte) {
 	if len(s.retention) == 0 {
 		s.ackStall = time.Now()
 	}
-	s.retention = append(s.retention, retFrame{seq: seq, env: env})
+	s.retention = append(s.retention, env)
 	s.retBytes += len(env)
-	for (s.cfg.RetentionFrames > 0 && len(s.retention) > s.cfg.RetentionFrames) ||
-		s.retBytes > retentionBytes {
-		s.retBytes -= len(s.retention[0].env)
-		s.retention = s.retention[1:]
+	n, kept := 0, s.retBytes
+	for len(s.retention)-n > s.cfg.RetentionFrames || kept > retentionBytes {
+		kept -= len(s.retention[n])
+		n++
 	}
-	if len(s.retention) > 0 {
-		s.lowestAvail = s.retention[0].seq
-	} else {
-		s.lowestAvail = s.nextSeq
-	}
+	s.dropRetained(n)
 }
 
 // pruneLocked drops retained envelopes covered by a cumulative ack.
@@ -402,21 +399,22 @@ func (s *Session) pruneLocked(ack uint64) error {
 	if ack >= s.nextSeq {
 		return fmt.Errorf("resilience: peer acked %d beyond our %d", ack, s.nextSeq-1)
 	}
-	i := 0
-	for i < len(s.retention) && s.retention[i].seq <= ack {
-		s.retBytes -= len(s.retention[i].env)
-		i++
-	}
-	if i > 0 {
+	if ack >= s.lowestAvail {
 		s.ackStall = time.Now()
-	}
-	s.retention = s.retention[i:]
-	if len(s.retention) > 0 {
-		s.lowestAvail = s.retention[0].seq
-	} else {
-		s.lowestAvail = s.nextSeq
+		s.dropRetained(int(ack + 1 - s.lowestAvail))
 	}
 	return nil
+}
+
+// dropRetained forgets the n oldest retained envelopes. Caller holds
+// s.mu.
+func (s *Session) dropRetained(n int) {
+	for _, env := range s.retention[:n] {
+		s.retBytes -= len(env)
+	}
+	clear(s.retention[:n])
+	s.retention = s.retention[n:]
+	s.lowestAvail += uint64(n)
 }
 
 // Read delivers in-order session bytes. It blocks until data, a
@@ -433,6 +431,7 @@ func (s *Session) Read(p []byte) (int, error) {
 			return s.rbuf.Read(p)
 		}
 		if s.err != nil {
+			s.rbuf = bytes.Buffer{} // drained: release its array
 			return 0, s.err
 		}
 		s.cond.Wait()
@@ -445,7 +444,10 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// fail makes the session terminally dead.
+// fail makes the session terminally dead. Nothing it retains can be
+// sent again, so retention goes with it, and the listener that created
+// it forgets it. Bytes already delivered stay for Read, which releases
+// the receive buffer once it has drained it.
 func (s *Session) fail(err error) {
 	s.mu.Lock()
 	if s.err == nil {
@@ -455,8 +457,13 @@ func (s *Session) fail(err error) {
 			s.conn.Close()
 			s.conn = nil
 		}
+		s.retention, s.retBytes = nil, 0
+		forget := s.forget
 		s.cond.Broadcast()
 		s.mu.Unlock()
+		if forget != nil {
+			forget()
+		}
 		s.timelineEvent("lost", err.Error())
 		s.notify()
 		return
@@ -495,7 +502,7 @@ func (s *Session) Alive() bool { return s.Err() == nil }
 // epochDead retires one connection epoch. The session itself stays
 // alive: the dialing side's redial loop takes over, the accepting
 // side waits for the peer to come back.
-func (s *Session) epochDead(conn io.ReadWriteCloser, cause error) {
+func (s *Session) epochDead(conn *wire.Conn, cause error) {
 	s.mu.Lock()
 	if s.conn == conn && conn != nil {
 		s.conn = nil
@@ -514,9 +521,10 @@ func (s *Session) epochDead(conn io.ReadWriteCloser, cause error) {
 }
 
 // attach splices a fresh connection epoch into the session and
-// replays retained envelopes the peer has not seen. Caller must not
-// hold wmu or mu.
-func (s *Session) attach(conn io.ReadWriteCloser, peerRecvNext uint64) {
+// replays retained envelopes the peer has not seen. conn is the wire
+// reader the handshake read through: what it buffered past the
+// handshake belongs to the epoch. Caller must not hold wmu or mu.
+func (s *Session) attach(conn *wire.Conn, peerRecvNext uint64) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.mu.Lock()
@@ -533,12 +541,9 @@ func (s *Session) attach(conn io.ReadWriteCloser, peerRecvNext uint64) {
 	if peerRecvNext > 0 {
 		_ = s.pruneLocked(peerRecvNext - 1)
 	}
-	var replay []retFrame
-	for _, f := range s.retention {
-		if f.seq >= peerRecvNext {
-			replay = append(replay, f)
-		}
-	}
+	// Retention now starts at the peer's resume point. Replay a copy:
+	// the epoch's reader, started below, prunes retention as acks come.
+	replay := append([][]byte(nil), s.retention...)
 	s.conn = conn
 	s.lastTraffic = time.Now()
 	s.ackStall = time.Now()
@@ -551,8 +556,8 @@ func (s *Session) attach(conn io.ReadWriteCloser, peerRecvNext uint64) {
 	}
 	s.mu.Unlock()
 	go s.readLoop(conn)
-	for _, f := range replay {
-		if _, err := conn.Write(f.env); err != nil {
+	for _, env := range replay {
+		if err := conn.WriteFrame(env); err != nil {
 			s.epochDead(conn, fmt.Errorf("replay: %w", err))
 			return
 		}
@@ -581,9 +586,9 @@ func (s *Session) resetForRewind(tag string) {
 
 // readLoop consumes envelopes from one connection epoch until it
 // dies.
-func (s *Session) readLoop(conn io.ReadWriteCloser) {
+func (s *Session) readLoop(conn *wire.Conn) {
 	for {
-		typ, body, err := readEnvelope(conn)
+		kind, body, err := recvEnvelope(conn)
 		if err != nil {
 			s.mu.Lock()
 			if s.conn == conn && errors.Is(err, errCorrupt) {
@@ -593,7 +598,7 @@ func (s *Session) readLoop(conn io.ReadWriteCloser) {
 			s.epochDead(conn, err)
 			return
 		}
-		if fatal := s.handleEnvelope(conn, typ, body); fatal != nil {
+		if fatal := s.handleEnvelope(conn, kind, body); fatal != nil {
 			s.epochDead(conn, fatal)
 			return
 		}
@@ -604,28 +609,27 @@ func (s *Session) readLoop(conn io.ReadWriteCloser) {
 	}
 }
 
-// handleEnvelope processes one validated envelope; a non-nil return
+// handleEnvelope processes one checked envelope; a non-nil return
 // kills the epoch.
-func (s *Session) handleEnvelope(conn io.ReadWriteCloser, typ byte, body []byte) error {
+func (s *Session) handleEnvelope(conn *wire.Conn, kind byte, body []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.conn != conn {
 		return fmt.Errorf("superseded epoch")
 	}
 	s.lastTraffic = time.Now()
-	switch typ {
-	case typeData:
-		if len(body) < 16 {
-			return fmt.Errorf("short data envelope")
+	switch kind {
+	case wire.FrameSessionData:
+		seq, ack, chunk, err := parseData(body)
+		if err != nil {
+			return fmt.Errorf("data envelope: %w", err)
 		}
-		seq := binary.BigEndian.Uint64(body[0:8])
-		ack := binary.BigEndian.Uint64(body[8:16])
 		if err := s.pruneLocked(ack); err != nil {
 			return err
 		}
 		switch {
 		case seq == s.recvNext:
-			s.rbuf.Write(body[16:])
+			s.rbuf.Write(chunk)
 			s.recvNext++
 			s.stats.FramesIn++
 			s.cond.Broadcast()
@@ -635,15 +639,16 @@ func (s *Session) handleEnvelope(conn io.ReadWriteCloser, typ byte, body []byte)
 			s.stats.GapKills++
 			return fmt.Errorf("sequence gap: got %d, want %d", seq, s.recvNext)
 		}
-	case typeHeartbeat:
-		if len(body) != 8 {
-			return fmt.Errorf("short heartbeat")
+	case wire.FrameSessionHeartbeat:
+		ack, err := parseHeartbeat(body)
+		if err != nil {
+			return fmt.Errorf("heartbeat: %w", err)
 		}
-		if err := s.pruneLocked(binary.BigEndian.Uint64(body)); err != nil {
+		if err := s.pruneLocked(ack); err != nil {
 			return err
 		}
 	default:
-		return fmt.Errorf("unexpected envelope type %d mid-stream", typ)
+		return fmt.Errorf("unexpected frame kind %d mid-stream", kind)
 	}
 	return nil
 }
@@ -720,29 +725,22 @@ func (s *Session) sleepBackoff(attempt int) {
 
 // clientHandshake runs the dialing side of the hello exchange on a
 // fresh raw connection.
-func (s *Session) clientHandshake(conn io.ReadWriteCloser) error {
+func (s *Session) clientHandshake(raw io.ReadWriteCloser) error {
 	s.mu.Lock()
-	h := hello{SessionID: s.id, RecvNext: s.recvNext, Lowest: s.lowestAvail}
+	h := handshake{SessionID: s.id, RecvNext: s.recvNext, Lowest: s.lowestAvail}
 	if s.latestTag != nil {
 		h.Tag = s.latestTag()
 	}
 	s.mu.Unlock()
-	stop := handshakeDeadline(conn, s.cfg.HandshakeTimeout)
-	if _, err := conn.Write(encodeHello(h)); err != nil {
-		stop()
-		return fmt.Errorf("hello: %w", err)
+	frame, err := appendHandshake(nil, wire.FrameSessionHello, h)
+	if err != nil {
+		return err
 	}
-	typ, body, err := readEnvelope(conn)
-	if !stop() {
-		return fmt.Errorf("hello ack: none within %v", s.cfg.HandshakeTimeout)
-	}
+	conn, kind, body, err := exchange(raw, s.cfg.HandshakeTimeout, frame)
 	if err != nil {
 		return fmt.Errorf("hello ack: %w", err)
 	}
-	if typ != typeHelloAck {
-		return fmt.Errorf("expected hello ack, got type %d", typ)
-	}
-	ack, err := decodeHelloAck(body)
+	ack, err := parseHandshake(kind, wire.FrameSessionHelloAck, body)
 	if err != nil {
 		return err
 	}
@@ -780,6 +778,7 @@ func (s *Session) startKeepalive() {
 func (s *Session) keepaliveLoop() {
 	ticker := time.NewTicker(s.cfg.Heartbeat)
 	defer ticker.Stop()
+	var hb []byte // the heartbeat envelope, encoded anew into one array
 	for {
 		select {
 		case <-s.done:
@@ -808,13 +807,13 @@ func (s *Session) keepaliveLoop() {
 			s.epochDead(conn, fmt.Errorf("ack stall: %d envelopes unacked for %v", unacked, stalled.Round(time.Millisecond)))
 			continue
 		}
-		env := encodeHeartbeat(ack)
+		hb = appendHeartbeat(hb[:0], ack)
 		s.wmu.Lock()
 		s.mu.Lock()
 		cur := s.conn
 		s.mu.Unlock()
 		if cur == conn {
-			if _, err := conn.Write(env); err != nil {
+			if err := conn.WriteFrame(hb); err != nil {
 				s.wmu.Unlock()
 				s.epochDead(conn, fmt.Errorf("heartbeat write: %w", err))
 				continue
@@ -827,10 +826,21 @@ func (s *Session) keepaliveLoop() {
 	}
 }
 
-// handshakeDeadline bounds one hello/ack exchange on c to d by closing
-// c when d passes, which ends a blocked read or write on any stream.
-// stop ends the bound before c carries the stream, and reports false
-// when it came too late: c is closed and the exchange failed.
-func handshakeDeadline(c io.ReadWriteCloser, d time.Duration) (stop func() bool) {
-	return time.AfterFunc(d, func() { c.Close() }).Stop
+// exchange opens an epoch's wire reader on raw and runs one step of the
+// hello/ack handshake on it: it writes frame, when there is one, and
+// reads the peer's envelope. The step ends within d, by closing the
+// stream, which ends a blocked read or write on any stream.
+func exchange(raw io.ReadWriteCloser, d time.Duration, frame []byte) (conn *wire.Conn, kind byte, body []byte, err error) {
+	conn = wire.NewConnMax(raw, maxEnvelope)
+	stop := time.AfterFunc(d, func() { conn.Close() }).Stop
+	if frame != nil {
+		err = conn.WriteFrame(frame)
+	}
+	if err == nil {
+		kind, body, err = recvEnvelope(conn)
+	}
+	if !stop() {
+		err = fmt.Errorf("none within %v", d)
+	}
+	return conn, kind, body, err
 }

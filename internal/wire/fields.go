@@ -136,6 +136,10 @@ func (f *Fields) Len(max, itemMin int) int {
 	return int(n)
 }
 
+// Rest reads every byte left: the open-ended tail of a layout, such as
+// a session data envelope's chunk. What it returns aliases the payload.
+func (f *Fields) Rest() []byte { return f.take(len(f.buf)) }
+
 // Failf records a layout error the parser found in a value it read (an
 // unknown tag or version, a field out of range), unless a read failed
 // first — so a parser may check a value without asking whether the read

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-
-	"repro/internal/resilience"
 )
 
 // chunk is one scripted event on a stream's read side: bytes (handed
@@ -143,6 +141,13 @@ func TestRecvBurstCostsReadsPerBufferNotPerFrame(t *testing.T) {
 	}
 }
 
+// rewoundError stands in for the error a resumable session's Read
+// returns once it has negotiated a checkpoint rewind: the session layer
+// reads its envelopes with this package, so these tests cannot import it.
+type rewoundError struct{ tag string }
+
+func (e *rewoundError) Error() string { return "session rewound to checkpoint " + e.tag }
+
 func TestRecvFrameIngress(t *testing.T) {
 	small := wantFrame{FrameBatch, []byte("small")}
 	after := wantFrame{FrameBatch, []byte("after")}
@@ -151,7 +156,7 @@ func TestRecvFrameIngress(t *testing.T) {
 	overLimit := frameBytes(FrameBatch, nil)
 	binary.BigEndian.PutUint32(overLimit[:4], MaxFrame+1)
 	errBoom := errors.New("boom")
-	rewound := &resilience.RewoundError{Tag: "snap:1"}
+	rewound := &rewoundError{tag: "snap:1"}
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 	for _, tc := range []struct {
@@ -222,8 +227,8 @@ func TestRecvFrameIngress(t *testing.T) {
 			script: []chunk{{data: join(small.bytes(), after.bytes()[:HeaderLen+2])}, {err: rewound}, {data: after.bytes()}},
 			want:   []wantFrame{small},
 			wantErr: func(err error) bool {
-				var rw *resilience.RewoundError
-				return errors.As(err, &rw) && rw.Tag == "snap:1"
+				var rw *rewoundError
+				return errors.As(err, &rw) && rw.tag == "snap:1"
 			},
 			check: func(t *testing.T, c *Conn) {
 				if _, _, ok := c.RecvBuffered(); ok {

@@ -1,16 +1,19 @@
-// Package wire implements the framing Pia nodes speak over TCP:
+// Package wire implements the framing Pia nodes speak over every link:
 // length-prefixed, kind-tagged frames. Each frame is a 4-byte
-// big-endian payload length, a 1-byte frame kind, and the payload.
-// Each vocabulary a peer speaks has a kind of its own, and each is a
-// hand-written binary layout: FrameBatch carries a batch of channel
-// messages (internal/channel's codec) and is the only kind a node
-// accepts after the handshake — a lone message is a batch of one;
-// FrameHello carries the node handshake (internal/node); FrameHW the
-// hardware-server RPC (internal/hwstub); FrameMesh the mesh control
-// plane (internal/mesh). Fields is the bounded reader those layouts are
-// parsed with. The length prefix keeps the stream
-// self-describing, lets both sides count bytes, and makes partial reads
-// detectable.
+// big-endian payload length, a 1-byte frame kind, and the payload; the
+// length counts the payload alone. Each vocabulary a peer speaks has a
+// kind of its own, and each is a hand-written binary layout:
+// FrameBatch carries a batch of channel messages (internal/channel's
+// codec) and is the only kind a node accepts after the handshake — a
+// lone message is a batch of one; FrameHello carries the node handshake
+// (internal/node); FrameHW the hardware-server RPC (internal/hwstub);
+// FrameMesh the mesh control plane (internal/mesh). Kinds 5–8 are a
+// resumable session's envelopes (internal/resilience), whose data
+// envelopes carry the byte stream the frames above travel in on a
+// resilient link. Fields is the bounded reader those layouts are parsed
+// with. The length prefix keeps the stream self-describing, lets both
+// sides count bytes, makes partial reads detectable, and is what
+// internal/faultnet segments a link's egress by.
 //
 // Egress hands every frame (or run of frames) to the stream in one
 // Write: WriteFrame writes a frame its encoder built with room for the
@@ -24,6 +27,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -50,7 +54,18 @@ const (
 	// FrameMesh is one message of the mesh control plane: a hello, a
 	// request or a reply.
 	FrameMesh byte = 4
+	// A resumable session's envelopes: the hello that opens each
+	// connection epoch and its ack, a sequence-numbered chunk of the
+	// byte stream with a piggybacked ack, and an idle keepalive's ack.
+	FrameSessionHello     byte = 5
+	FrameSessionHelloAck  byte = 6
+	FrameSessionData      byte = 7
+	FrameSessionHeartbeat byte = 8
 )
+
+// ErrFrameTooLarge is wrapped by the error RecvFrame returns for a
+// header announcing more payload than the connection's cap.
+var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
 
 // Conn frames values over a byte stream. Send, SendRaw, WriteFrame
 // and BeginEgress are safe for concurrent use; Recv, RecvFrame and
@@ -64,7 +79,9 @@ type Conn struct {
 	egress Egress // the Conn's single egress builder, guarded by wmu
 
 	// Ingress, single reader: rb[rr:rw] holds bytes read but not yet
-	// handed out; rbuf holds the body of a frame larger than rb.
+	// handed out; rbuf holds the body of a frame larger than rb. max
+	// caps the payload a header may announce.
+	max    uint32
 	rb     []byte
 	rr, rw int
 	rbuf   []byte
@@ -75,10 +92,15 @@ type Conn struct {
 	framesOut atomic.Int64
 }
 
-// NewConn wraps a stream (usually a *net.TCPConn).
-func NewConn(rwc io.ReadWriteCloser) *Conn {
-	c := &Conn{rwc: rwc}
-	return c
+// NewConn wraps a stream (usually a *net.TCPConn). It accepts frames
+// of up to MaxFrame payload bytes.
+func NewConn(rwc io.ReadWriteCloser) *Conn { return NewConnMax(rwc, MaxFrame) }
+
+// NewConnMax wraps a stream whose incoming frames carry at most limit
+// payload bytes (at most MaxFrame): a header announcing more is refused
+// before any of its body is read or allocated.
+func NewConnMax(rwc io.ReadWriteCloser, limit int) *Conn {
+	return &Conn{rwc: rwc, max: uint32(min(limit, MaxFrame))}
 }
 
 // HeaderLen is the frame overhead: 4-byte length + 1-byte kind. An
@@ -234,8 +256,8 @@ func (c *Conn) RecvFrame() (kind byte, payload []byte, err error) {
 	}
 	// Checked as uint32, before any conversion or allocation.
 	l := binary.BigEndian.Uint32(c.rb[c.rr:])
-	if l > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", l)
+	if l > c.max {
+		return 0, nil, fmt.Errorf("%w: incoming frame of %d bytes, limit %d", ErrFrameTooLarge, l, c.max)
 	}
 	n := int(l)
 	if HeaderLen+n <= RecvBufSize {
@@ -272,7 +294,7 @@ func (c *Conn) RecvBuffered() (kind byte, payload []byte, ok bool) {
 		return 0, nil, false
 	}
 	l := binary.BigEndian.Uint32(c.rb[c.rr:])
-	if l > MaxFrame || c.rw-c.rr-HeaderLen < int(l) {
+	if l > c.max || c.rw-c.rr-HeaderLen < int(l) {
 		return 0, nil, false
 	}
 	kind, payload = c.take(int(l))
