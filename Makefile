@@ -53,9 +53,11 @@ race-core:
 
 # The seeded chaos suite: Table-1 workloads under injected WAN faults
 # must produce results identical to the fault-free run, under the race
-# detector.
+# detector; the determinism leg, whose recovery rides on wall-clock
+# heartbeats, is then repeated 20 times.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/experiments/...
+	$(GO) test -race -count=20 -run 'TestChaosDeterminism$$' ./internal/experiments/
 
 # The mesh gate: the 3-node control plane and live migration under
 # the race detector — the control frames' round trip, the hostile
@@ -75,9 +77,11 @@ mesh:
 
 # The observability gate: every Stats()/snapshot accessor hammered
 # concurrently with live faulted traffic under the race detector, plus
-# the guard that the drive fanout hot path still allocates nothing
+# the guards that the drive fanout hot path still allocates nothing
 # with metrics disabled (the registry is pull-based, so shipping it
-# must not move this number).
+# must not move this number), nor a warmed word Send and the filtered
+# Recv that takes it, and that no stream of sources a peer invents
+# grows a component's inbox link table.
 metrics:
 	$(GO) vet ./internal/metrics/...
 	$(GO) test -race -count=1 -run 'TestMetricsHammer' .
@@ -119,10 +123,10 @@ timeline:
 # with the boxer run under the race detector's checkptr), the event
 # queue's run/heap and route-table model test with the guards that an
 # in-order burst never enters the heap, that a push joins the tail span
-# exactly when it continues it (route, kind, sequence, time step), that
+# exactly when it continues it (link, sequence, time step), that
 # a run which never empties
 # keeps storage and chunk table proportional to its depth and that no
-# stream of names a peer sends grows an inbox's route table, the
+# stream of names a peer sends grows a component's link table, the
 # page-path guards (no one joins a 2 MB packet-level page: the ASIC
 # forwards the radio payloads it buffered and the browser reads and
 # caches the packets it received, so a load allocates the server's page
@@ -177,28 +181,31 @@ timeline:
 # envelope is a wire frame too: one costs no allocation on ingress and
 # at most its retained copy on egress, a header past the session cap is
 # refused before any of its body is read, an older peer's hello is
-# refused by its kind, the envelope round trip and the corruption
+# refused by its kind, every refused hello is on the timeline with its
+# reason, the envelope round trip and the corruption
 # verdicts hold, and the listener neither panics on Close with sessions
 # no Accept took nor keeps a dead session (under the race detector).
 # faultnet segments by the same convention, so a plain link shaped by
 # latency, jitter and a bandwidth cap carries a thousand mixed frames
-# whole and in order, and a word page with the clean run's result.
+# whole and in order, and a word page with the clean run's result; on a
+# link shaped by delay alone a frame costs no allocation, and a frame
+# held back for a reorder is held as a copy of the writer's bytes.
 wire: fuzz-smoke
 	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestPageEgressTwoBufferAllocs|TestCoalesceByteCap|TestFlushDropsPayloadReferences|TestPipeDropsDeliveredValues|TestCursorBurstsDoNotAliasThePayload|TestSafeTimeModel|TestOnMessagesZeroAlloc' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestHello|TestConnectNamesAHandshakeFault|TestConnectUnknownSubsystem' ./internal/node/
 	$(GO) test -count=1 -run 'TestRPC|TestServerSurvivesProtocolError|TestRemoteRunForPastTheCap|TestRemoteCallNamesABadResponse|TestRemoteCallAllocs' ./internal/hwstub/
 	$(GO) test -count=1 -run 'TestSendFrameWord|TestPump|TestPingPong' ./internal/node/
 	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst|TestWriteFrameInPlace' ./internal/wire/
-	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestPacedBurstIsOneSpan|TestRouteTableBounded' ./internal/event/
+	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestPacedBurstIsOneSpan' ./internal/event/
 	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestBrowserCachesPageAsReceived|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks|TestHardwareTransferBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
-	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass' ./internal/core/
+	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass|TestLinkTableBounded' ./internal/core/
 	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes' .
 	$(GO) test -count=1 -run 'TestImageCarriesEveryField|TestImageValueTags|TestImageRefusesUnregisteredValue|TestDecodeRefusesHostileImages|TestExtractNetsOrderStable' ./internal/snapshot/
 	$(GO) test -count=1 -run 'TestRestoreImageRule' ./internal/core/
 	$(GO) test -count=1 -run 'TestSpecCaps' ./internal/service/
-	$(GO) test -count=1 -run 'TestEnvelopeAllocs|TestOverCapHeaderRefusedUnread|TestPreEnvelopeHelloRefusedByKind|TestEnvelopeRoundTrip|TestCorruptionCountsAsCrcKill' ./internal/resilience/
+	$(GO) test -count=1 -run 'TestEnvelopeAllocs|TestOverCapHeaderRefusedUnread|TestPreEnvelopeHelloRefusedByKind|TestHelloRefusalReasons|TestEnvelopeRoundTrip|TestCorruptionCountsAsCrcKill' ./internal/resilience/
 	$(GO) test -race -count=1 -run 'TestListenerCloseWithUnacceptedSessions|TestDeadSessionsLeaveTheListener' ./internal/resilience/
-	$(GO) test -count=1 -run 'TestShapedPlainLinkCarriesWireFrames' ./internal/faultnet/
+	$(GO) test -count=1 -run 'TestShapedPlainLinkCarriesWireFrames|TestDelayOnlyLinkAllocatesNothingAFrame|TestReorderHoldsACopy' ./internal/faultnet/
 	$(GO) test -count=1 -run 'TestPlainLinkUnderLatency' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'TestBidirectionalStress|TestConcurrentFlushesKeepSeqOrder' ./internal/channel/
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/node/ ./internal/signal/ ./internal/hwstub/

@@ -105,12 +105,18 @@ func (c *Component) reset(live bool) {
 	c.recvDeadline = vtime.Infinity
 }
 
-// refillInbox replaces c's undelivered messages with the image's.
-func (c *Component) refillInbox(img *Image) {
+// refillInbox replaces c's undelivered messages with the image's. An
+// image event that is not for a port of c (see restock) fails the
+// refill and leaves the inbox empty.
+func (c *Component) refillInbox(img *Image) error {
 	c.inbox.Reset()
-	for _, e := range img.Inbox {
-		c.inbox.PushStamped(e)
+	for i := range img.Inbox {
+		if err := c.restock(&img.Inbox[i]); err != nil {
+			c.inbox.Reset()
+			return err
+		}
 	}
+	return nil
 }
 
 // NetImage is one net's sampling state (LastValue et al.): what a
@@ -265,7 +271,7 @@ func (s *Subsystem) capture(tag string) (*CheckpointSet, error) {
 				img.Shared = true
 			}
 		}
-		img.Inbox = c.inbox.Snapshot()
+		img.Inbox = c.inboxEvents()
 		cs.images[c.name] = &img
 	}
 	for _, n := range s.nets {
@@ -328,7 +334,9 @@ func (s *Subsystem) RestoreCheckpoint(cs *CheckpointSet) error {
 		if err := c.restoreImage(img); err != nil {
 			return fmt.Errorf("core: restore of %s: %w", c.name, err)
 		}
-		c.refillInbox(img)
+		if err := c.refillInbox(img); err != nil {
+			return fmt.Errorf("core: restore of %s: %w", c.name, err)
+		}
 	}
 	s.RestoreNets(cs.nets)
 	s.now = cs.Time

@@ -81,7 +81,11 @@ type Component struct {
 	ifaces   map[string]*Interface // made by the first AddInterface
 
 	localTime vtime.Time
-	inbox     event.Queue // undelivered messages for this component
+
+	// inbox holds the undelivered messages for this component, each
+	// on a link that links resolves to its receiving port and source.
+	inbox event.LinkQueue
+	links event.Table[link]
 
 	// The one-byte fields share a word: a Component is allocated per
 	// component per simulation and sits at the top of its allocator
@@ -160,13 +164,13 @@ type Component struct {
 
 	// recvPorts is the port filter of the Recv the component is
 	// parked in (nil = any port); recvDeadline bounds the wait. A
-	// filter is a handful of names matched linearly; it aliases
-	// recvFilter, the component-owned copy of the last filter a Recv
-	// named, which is rewritten (and its names validated) only when a
-	// Recv names a different one. recvMsg is the delivery handed to a
-	// parked Recv, which copies it out before the component runs on.
-	recvPorts    []string
-	recvFilter   []string
+	// filter is a handful of ports matched by identity; it aliases
+	// recvSet, the ports the last filtered Recv named, resolved again
+	// only when a Recv names a different list. recvMsg is the delivery
+	// handed to a parked Recv, which copies it out before the
+	// component runs on.
+	recvPorts    []*Port
+	recvSet      []*Port
 	recvDeadline vtime.Time
 	recvMsg      Msg
 
@@ -184,6 +188,13 @@ type Component struct {
 	proc Proc // handed to Run by address
 
 	err error // terminal error from Run
+}
+
+// link is what an inbox link stands for: the receiving port, which
+// names the component, the port and the net, and the driving source.
+type link struct {
+	port   *Port
+	source string
 }
 
 // tokenMsg is what the scheduler hands a parked component.
@@ -267,7 +278,7 @@ func (c *Component) key() vtime.Time {
 			if t := c.inbox.NextTime(); t != vtime.Infinity {
 				k = vtime.Max(t, c.localTime)
 			}
-		} else if t, ok := c.nextDeliverable(); ok {
+		} else if t, _, ok := c.nextDeliverable(); ok {
 			k = vtime.Max(t, c.localTime)
 		}
 		if c.recvDeadline < k {
@@ -279,35 +290,56 @@ func (c *Component) key() vtime.Time {
 	}
 }
 
-// nextDeliverable returns the time of the earliest inbox event
-// matching the component's current receive filter; ok is false when
-// none matches. No event is materialized: an unfiltered receive reads
-// the earliest event's time, and a filtered one searches the inbox for
-// the (Time, Seq)-minimal match, which a matching head ends at once.
-func (c *Component) nextDeliverable() (vtime.Time, bool) {
-	if c.recvPorts == nil {
-		t := c.inbox.NextTime()
-		return t, t != vtime.Infinity
+// nextDeliverable returns the time and the inbox position of the
+// earliest event matching the component's current receive filter; ok is
+// false when none matches. No event is materialized: an unfiltered
+// receive reads the earliest event's key, and a filtered one searches
+// the inbox for the (Time, Seq)-minimal event on a port of the filter,
+// which a matching head ends at once. The position is for deliver in
+// the same call; no match is kept past it.
+func (c *Component) nextDeliverable() (t vtime.Time, at int, ok bool) {
+	var match func(int32) bool
+	if c.recvPorts != nil {
+		match = func(l int32) bool { return slices.Contains(c.recvPorts, c.links.Key(l).port) }
 	}
-	t, _, ok := c.inbox.MinMatching(c.recvPorts)
-	return t, ok
+	at, t = c.inbox.MinMatching(match)
+	return t, at, at >= 0
 }
 
-// popDeliverable removes the event nextDeliverable found into *e.
-// While the component runs speculatively (past the safe horizon in an
-// optimistic round), every pop is journaled so a straggler rollback can
-// push the consumed events back.
-func (c *Component) popDeliverable(e *event.Event) bool {
-	var ok bool
-	if c.recvPorts != nil {
-		ok = c.inbox.PopMatching(c.recvPorts, e)
-	} else {
-		ok = c.inbox.PopInto(e)
+// restock pushes a stored event back into the inbox with its sequence
+// number: an image's inbox, or the pops a rolled-back member journaled.
+// It must be a net event for a port of c, on the net that port is
+// attached to.
+func (c *Component) restock(e *event.Event) error {
+	pt := c.Port(e.Port)
+	if e.Kind != event.KindNet || e.Component != c.name || pt == nil || pt.net == nil || pt.net.Name != e.Net {
+		return fmt.Errorf("core: inbox event %v is not for a port of %s", *e, c.name)
 	}
-	if b := c.wbuf; ok && b != nil && b.spec {
-		b.popped = append(b.popped, *e)
+	c.inbox.PushStamped(e.Time, e.Seq, c.links.Link(&c.inbox, link{pt, e.Source}), e.Value)
+	return nil
+}
+
+// stored is the whole Event of an inbox entry, as an image or the
+// speculative-pop journal keeps it.
+func (c *Component) stored(t vtime.Time, seq uint64, l int32, v any) event.Event {
+	k := c.links.Key(l)
+	return event.Event{
+		Time: t, Seq: seq, Kind: event.KindNet,
+		Component: c.name, Port: k.port.Name, Net: k.port.net.Name,
+		Value: v, Source: k.source,
 	}
-	return ok
+}
+
+// inboxEvents returns the undelivered messages in delivery order.
+func (c *Component) inboxEvents() []event.Event {
+	if c.inbox.Len() == 0 {
+		return nil
+	}
+	out := make([]event.Event, 0, c.inbox.Len())
+	c.inbox.Each(func(t vtime.Time, seq uint64, l int32, v any) {
+		out = append(out, c.stored(t, seq, l, v))
+	})
+	return out
 }
 
 // noteRunlevel records an imperative runlevel switch from component

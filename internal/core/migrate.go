@@ -83,7 +83,9 @@ func (s *Subsystem) RestoreComponentImage(img *Image) error {
 		return fmt.Errorf("core: no component %q to restore into", img.Component)
 	}
 	err := c.restoreImage(img)
-	c.refillInbox(img)
+	if ierr := c.refillInbox(img); err == nil {
+		err = ierr
+	}
 	s.resetActive()
 	if err != nil {
 		return fmt.Errorf("core: restore of %s: %w", c.name, err)

@@ -322,7 +322,9 @@ func (s *Subsystem) rollbackSpec(c *Component) {
 		s.fatal = fmt.Errorf("core: optimistic rollback of %s: %w", c.name, err)
 	}
 	for i := range b.popped {
-		c.inbox.PushStamped(b.popped[i])
+		if err := c.restock(&b.popped[i]); err != nil && s.fatal == nil {
+			s.fatal = fmt.Errorf("core: optimistic rollback of %s: %w", c.name, err)
+		}
 	}
 	c.specImg = Image{}
 	atomic.AddInt64(&s.stats.Rollbacks, 1)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"repro/internal/event"
 	"repro/internal/vtime"
 )
 
@@ -161,15 +160,18 @@ func (p *Proc) RecvDeadline(deadline vtime.Time, ports ...string) (Msg, bool) {
 func (p *Proc) recv(deadline vtime.Time, ports []string) (Msg, bool) {
 	c := p.c
 	if len(ports) > 0 {
-		if !slices.Equal(c.recvFilter, ports) {
+		if !slices.EqualFunc(c.recvSet, ports, func(pt *Port, name string) bool { return pt.Name == name }) {
+			c.recvSet = slices.Grow(c.recvSet[:0], len(ports))
 			for _, name := range ports {
-				if c.Port(name) == nil {
+				pt := c.Port(name)
+				if pt == nil {
+					c.recvSet = c.recvSet[:0]
 					panic(fmt.Sprintf("core: %s has no port %q", c.name, name))
 				}
+				c.recvSet = append(c.recvSet, pt)
 			}
-			c.recvFilter = append(c.recvFilter[:0], ports...)
 		}
-		c.recvPorts = c.recvFilter
+		c.recvPorts = c.recvSet
 	} else {
 		c.recvPorts = nil
 	}
@@ -254,7 +256,7 @@ func (p *Proc) DrainInterrupts() {
 // itself (gates, checkpoints, horizon) — may act first. A delivery
 // (ok) is left in recvMsg.
 func (c *Component) recvInline(deadline vtime.Time) (ok, done bool) {
-	t, have := c.nextDeliverable()
+	t, at, have := c.nextDeliverable()
 	key := vtime.Infinity
 	if have {
 		key = vtime.Max(t, c.localTime)
@@ -266,7 +268,7 @@ func (c *Component) recvInline(deadline vtime.Time) (ok, done bool) {
 		return false, false
 	}
 	if have && vtime.Max(t, c.localTime) == key {
-		c.deliver()
+		c.deliver(at)
 		c.viewNow = key
 		return true, true
 	}
@@ -280,18 +282,24 @@ func (c *Component) recvInline(deadline vtime.Time) (ok, done bool) {
 	return false, true
 }
 
-// deliver pops the event nextDeliverable found into recvMsg, the Msg
-// handed to Recv, advancing the component's local time to the delivery
-// time and counting the delivery.
-func (c *Component) deliver() {
-	var e event.Event
-	c.popDeliverable(&e)
-	at := vtime.Max(e.Time, c.localTime)
-	c.localTime = at
+// deliver pops the event nextDeliverable found at inbox position at
+// into recvMsg, the Msg handed to Recv, advancing the component's local
+// time to the delivery time and counting the delivery. While the
+// component runs speculatively (past the safe horizon in an optimistic
+// round) the pop is journaled, so a straggler rollback can push it back.
+func (c *Component) deliver(at int) {
+	t, seq, l, v := c.inbox.PopAt(at)
+	b := c.wbuf
+	if b != nil && b.spec {
+		b.popped = append(b.popped, c.stored(t, seq, l, v))
+	}
+	k := c.links.Key(l)
+	now := vtime.Max(t, c.localTime)
+	c.localTime = now
 	m := &c.recvMsg
-	m.Time, m.Sent = at, e.Time
-	m.Port, m.Net, m.Value, m.Source = e.Port, e.Net, e.Value, e.Source
-	if b := c.wbuf; b != nil {
+	m.Time, m.Sent = now, t
+	m.Port, m.Net, m.Value, m.Source = k.port.Name, k.port.net.Name, v, k.source
+	if b != nil {
 		b.delivs++
 	} else {
 		atomic.AddInt64(&c.sub.stats.Deliveries, 1)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/event"
 	"repro/internal/graph"
 	"repro/internal/timeline"
 	"repro/internal/vtime"
@@ -706,11 +705,6 @@ func (s *Subsystem) driveFrom(n *Net, driver *Port, src string, t vtime.Time, v 
 		s.tlRec.Drive(s.name, src, n.Name, t, v)
 	}
 	deliver := t.Add(n.Delay)
-	// One event serves the whole fanout: only the listener changes. It is
-	// filled field by field; a struct literal is built in a temporary and
-	// copied.
-	var ev event.Event
-	ev.Time, ev.Kind, ev.Net, ev.Value, ev.Source = deliver, event.KindNet, n.Name, v, src
 	for _, pt := range n.ports {
 		if pt == driver {
 			continue
@@ -726,12 +720,12 @@ func (s *Subsystem) driveFrom(n *Net, driver *Port, src string, t vtime.Time, v 
 		}
 		// The fanout writes one row per listener straight into the
 		// inbox's row store, and its key into the inbox's tail span or
-		// a new one; nothing is heap allocated once the store has
-		// warmed.
-		ev.Component, ev.Port = pt.comp.name, pt.Name
-		pt.comp.inbox.PushFrom(&ev)
-		if !pt.comp.active {
-			s.activate(pt.comp)
+		// a new one, on the link of (pt, src); nothing is heap allocated
+		// once the store has warmed.
+		c := pt.comp
+		c.inbox.Push(deliver, c.links.Link(&c.inbox, link{pt, src}), v)
+		if !c.active {
+			s.activate(c)
 		}
 	}
 }
@@ -1208,8 +1202,8 @@ func (s *Subsystem) step(c *Component, key vtime.Time) {
 	case statusNew, statusRunnable:
 		s.resume(c, tokenMsg{ok: true})
 	case statusRecv:
-		if t, ok := c.nextDeliverable(); ok && vtime.Max(t, c.localTime) == key {
-			c.deliver()
+		if t, at, ok := c.nextDeliverable(); ok && vtime.Max(t, c.localTime) == key {
+			c.deliver(at)
 			s.resume(c, tokenMsg{ok: true, msg: &c.recvMsg})
 			return
 		}

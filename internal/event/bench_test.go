@@ -75,11 +75,12 @@ func TestDriveFanoutZeroAlloc(t *testing.T) {
 
 // TestQueueScanZeroAlloc guards the safe-horizon scan paths: NextTime
 // (the scheduler key scan reads only the head of the time column),
-// MinMatching (filtered receive) and a PopBatch/PushStamped recycle
-// round must all run allocation-free against a warm queue.
+// MinMatching on a link filter (filtered receive) and a
+// PopBatch/PushStamped recycle round must all run allocation-free
+// against a warm queue.
 func TestQueueScanZeroAlloc(t *testing.T) {
 	var q Queue
-	ports := []string{"irq"}
+	irq := q.onPorts([]string{"irq"})
 	for i := 0; i < 64; i++ {
 		port := "bus"
 		if i%7 == 0 {
@@ -91,12 +92,12 @@ func TestQueueScanZeroAlloc(t *testing.T) {
 	sink := vtime.Time(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		sink += q.NextTime()
-		if t, _, ok := q.MinMatching(ports); ok {
+		if at, t := q.MinMatching(irq); at >= 0 {
 			sink += t
 		}
 		scratch = q.PopBatch(vtime.Infinity, 8, scratch)
 		for _, e := range scratch {
-			q.PushStamped(e)
+			q.pushStamped(e)
 		}
 	})
 	if allocs != 0 {

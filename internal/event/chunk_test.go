@@ -27,12 +27,12 @@ var acrossPorts = []string{"a", "b", "c"}
 
 // routePool is the routing tuples the model draws from: every port of
 // acrossPorts from each of 40 sources, several times what a push
-// searches (maxRoutes), so a walk that draws from all of it outruns the
+// searches (MaxLinks), so a walk that draws from all of it outruns the
 // route table's search and, at a shallow depth, its rebuild threshold.
 var routePool = func() (pool []route) {
 	for src := 0; src < 40; src++ {
 		for _, port := range acrossPorts {
-			pool = append(pool, route{"comp", port, "net-" + port, "src" + strconv.Itoa(src)})
+			pool = append(pool, route{component: "comp", port: port, net: "net-" + port, source: "src" + strconv.Itoa(src)})
 		}
 	}
 	return pool
@@ -75,9 +75,10 @@ func (m *model) pushAt(q *Queue, at vtime.Time) {
 	m.pushOn(q, at, m.prev)
 }
 
-// pushOn pushes an event at time at on route r.
+// pushOn pushes an event of the model's kind at time at on route r.
 func (m *model) pushOn(q *Queue, at vtime.Time, r route) {
 	m.prev = r
+	r.kind = m.kind
 	e := Event{
 		Time: at, Kind: m.kind,
 		Component: r.component, Port: r.port, Net: r.net, Source: r.source,
@@ -89,12 +90,19 @@ func (m *model) pushOn(q *Queue, at vtime.Time, r route) {
 }
 
 // pushed runs one push of an event routed r and counts how the route
-// table served it.
+// table served it: a push into an empty queue starts the table over.
 func (m *model) pushed(q *Queue, r route, push func()) {
-	n := len(q.routes)
-	wasLast := n > 0 && q.routes[q.lastRoute] == r
+	n, empty := len(q.routes.keys), q.Len() == 0
+	wasLast := n > 0 && q.routes.keys[q.routes.last] == r
 	push()
-	switch after := len(q.routes); {
+	switch after := len(q.routes.keys); {
+	case empty:
+		if after != 1 {
+			m.t.Fatalf("a push into an empty queue left %d routes", after)
+		}
+		if n > 0 {
+			m.routes.reset++
+		}
 	case wasLast:
 		m.routes.lastHit++
 	case after == n:
@@ -107,19 +115,8 @@ func (m *model) pushed(q *Queue, r route, push func()) {
 			m.routes.rebuilt++
 		}
 	}
-	if got := q.routes[q.lastRoute]; got != r {
+	if got := q.routes.Key(q.routes.last); got != r {
 		m.t.Fatalf("push routed %+v left %+v as the last route", r, got)
-	}
-}
-
-// emptied counts a route table reset: the queue is empty and its table,
-// which held hadRoutes, went with it.
-func (m *model) emptied(q *Queue, hadRoutes int) {
-	if q.Len() == 0 && hadRoutes > 0 {
-		if len(q.routes) != 0 {
-			m.t.Fatalf("empty queue keeps %d routes", len(q.routes))
-		}
-		m.routes.reset++
 	}
 }
 
@@ -173,7 +170,7 @@ func (m *model) fill(q *Queue, n int) {
 		case 5:
 			if want, ok := m.minMatching([]string{"b"}); ok {
 				var got Event
-				q.PopMatching([]string{"b"}, &got)
+				q.popMatching([]string{"b"}, &got)
 				m.removed(got, want)
 			}
 		}
@@ -183,7 +180,7 @@ func (m *model) fill(q *Queue, n int) {
 	}
 }
 
-// minMatching is the reference for Queue.MinMatching: a linear scan
+// minMatching is the reference for a filtered pop: a linear scan
 // for the (Time, Seq)-minimal live event on one of ports.
 func (m *model) minMatching(ports []string) (min Event, ok bool) {
 	for _, e := range m.live {
@@ -228,19 +225,19 @@ func TestMinMatchingAcrossChunks(t *testing.T) {
 	filter := []string{"a", "c"}
 	for {
 		want, any := m.minMatching(filter)
-		at, seq, ok := q.MinMatching(filter)
-		if ok != any || (ok && (at != want.Time || seq != want.Seq)) {
-			t.Fatalf("MinMatching = @%v seq %d %v, reference %+v %v", at, seq, ok, want, any)
+		at, tm := q.MinMatching(q.onPorts(filter))
+		if (at >= 0) != any || (any && tm != want.Time) {
+			t.Fatalf("MinMatching = position %d @%v, reference %+v %v", at, tm, want, any)
 		}
-		if !ok {
+		if !any {
 			break
 		}
 		var popped Event
-		q.PopMatching(filter, &popped)
+		q.popAt(at, &popped)
 		m.removed(popped, want)
 	}
-	if q.PopMatching(filter, new(Event)) {
-		t.Fatal("PopMatching matched after MinMatching reported none")
+	if q.popMatching(filter, new(Event)) {
+		t.Fatal("popMatching matched after MinMatching reported none")
 	}
 	for _, e := range m.live {
 		if e.Port != "b" {
@@ -268,7 +265,7 @@ func TestDrainPartitionAcrossChunks(t *testing.T) {
 
 func TestSnapshotAcrossChunks(t *testing.T) {
 	q, m := filled(t, 5)
-	if snap := q.Snapshot(); !slices.Equal(snap, m.sorted()) {
+	if snap := q.snapshot(); !slices.Equal(snap, m.sorted()) {
 		t.Fatalf("snapshot of %d events differs from the reference", len(snap))
 	}
 	// The queue is undisturbed: it still accepts pushes and pops in
@@ -279,8 +276,9 @@ func TestSnapshotAcrossChunks(t *testing.T) {
 
 // TestEmptyingPathsReleaseAlike: whichever call takes the last event
 // out leaves the queue in the same state — one chunk, row allocation
-// restarted, no burst-sized column kept, no route kept, the sequence
-// counter still monotone — and a refill after it orders correctly.
+// restarted, no burst-sized column kept, the sequence counter still
+// monotone — and the next push starts the route table over, keeping
+// nothing of what it held: a refill after it orders correctly.
 func TestEmptyingPathsReleaseAlike(t *testing.T) {
 	paths := []struct {
 		name  string
@@ -293,7 +291,7 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 		}},
 		{"PopMatching", func(q *Queue) {
 			for q.Len() > 0 {
-				q.PopMatching(acrossPorts, new(Event))
+				q.popMatching(acrossPorts, new(Event))
 			}
 		}},
 		{"PopBatch", func(q *Queue) {
@@ -325,28 +323,28 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 			if len(q.spans) != 0 || q.spanHead != 0 || cap(q.spans) > chunkRows {
 				t.Fatalf("run keys kept: spans %d..%d, room for %d", q.spanHead, len(q.spans), cap(q.spans))
 			}
-			if c := q.cols; c != nil && (len(c.times) != 0 || len(c.tags) != 0 ||
-				cap(c.times) > chunkRows || cap(c.seqs) > chunkRows || cap(c.rows) > chunkRows || cap(c.tags) > chunkRows) {
-				t.Fatalf("heap columns kept: %d positions, %d tags, room for %d/%d/%d/%d",
-					len(c.times), len(c.tags), cap(c.times), cap(c.seqs), cap(c.rows), cap(c.tags))
+			if c := q.cols; c != nil && (len(c.times) != 0 || len(c.links) != 0 ||
+				cap(c.times) > chunkRows || cap(c.seqs) > chunkRows || cap(c.rows) > chunkRows || cap(c.links) > chunkRows) {
+				t.Fatalf("heap columns kept: %d positions, %d links, room for %d/%d/%d/%d",
+					len(c.times), len(c.links), cap(c.times), cap(c.seqs), cap(c.rows), cap(c.links))
 			}
 			for i, r := range q.first {
 				if r != nil {
 					t.Fatalf("row %d of the kept chunk still holds %+v", i, r)
 				}
 			}
-			if len(q.routes) != 0 || cap(q.routes) > chunkRows {
-				t.Fatalf("route table kept: %d routes, room for %d", len(q.routes), cap(q.routes))
-			}
-			for i, r := range q.routes[:cap(q.routes)] {
-				if r != (route{}) {
-					t.Fatalf("route %d of the emptied table still holds %+v", i, r)
-				}
-			}
 			m.live = nil
 			m.push(q)
 			if got := m.live[0].Seq; got <= lastSeq {
 				t.Fatalf("sequence counter went back: %d after %d", got, lastSeq)
+			}
+			if len(q.routes.keys) != 1 || cap(q.routes.keys) > chunkRows {
+				t.Fatalf("route table kept: %d routes, room for %d", len(q.routes.keys), cap(q.routes.keys))
+			}
+			for i, r := range q.routes.keys[1:cap(q.routes.keys)] {
+				if r != (route{}) {
+					t.Fatalf("route %d of the restarted table still holds %+v", i+1, r)
+				}
 			}
 			m.fill(q, 600)
 			m.popAll(q)
@@ -439,52 +437,3 @@ func TestChunkFillsItsSizeClass(t *testing.T) {
 }
 
 var sink *chunk
-
-// TestRouteTableBounded: Source arrives from a peer's socket, so no
-// stream of distinct names may grow an inbox's route table — neither
-// through an inbox that empties between messages (the table goes with
-// the queue) nor through one that never does (it is rebuilt from the
-// live rows) — while a table that must be large, because the live rows
-// really are that distinct, still hands every row back as it was pushed.
-func TestRouteTableBounded(t *testing.T) {
-	const pushes = 1_000_000
-	for _, depth := range []int{1, 2} {
-		var q Queue
-		for i := 0; i < depth-1; i++ {
-			q.Push(Event{Time: 0, Port: "in", Source: "resident"})
-		}
-		for i := 0; i < pushes; i++ {
-			q.Push(Event{Time: vtime.Time(i), Port: "in", Source: strconv.Itoa(i), Value: i})
-			if n := len(q.routes); n > maxRoutes {
-				t.Fatalf("depth %d: %d routes after %d distinct sources, want <= %d", depth, n, i+1, maxRoutes)
-			}
-			e := mustPop(t, &q)
-			if was := i - (depth - 1); was >= 0 && (e.Source != strconv.Itoa(was) || e.Value != was) {
-				t.Fatalf("depth %d: pop %d returned %+v", depth, i, e)
-			}
-		}
-	}
-
-	// 1 000 live rows on 1 000 ports: far past what a push searches, so
-	// the table holds a route per row, and each row keeps its own.
-	const live = 1000
-	var q Queue
-	for i := 0; i < live; i++ {
-		q.Push(Event{Time: vtime.Time(i), Port: "p" + strconv.Itoa(i), Source: "s" + strconv.Itoa(i%7), Value: i})
-	}
-	if n := len(q.routes); n != live {
-		t.Fatalf("%d distinct live routes interned as %d", live, n)
-	}
-	for i := 0; i < live; i++ {
-		// Churn beside the distinct rows must not disturb them, though it
-		// rebuilds the table as they drain.
-		q.Push(Event{Time: live, Port: "churn", Source: strconv.Itoa(i)})
-		e := mustPop(t, &q)
-		if e.Port != "p"+strconv.Itoa(i) || e.Source != "s"+strconv.Itoa(i%7) || e.Value != i {
-			t.Fatalf("pop %d returned %+v", i, e)
-		}
-		if n, most := len(q.routes), max(maxRoutes, 2*q.Len()+1); n > most {
-			t.Fatalf("%d routes for %d live rows, want <= %d", n, q.Len(), most)
-		}
-	}
-}

@@ -9,17 +9,18 @@
 // delivered in the order they were produced. That tie-break is what
 // makes whole-simulation runs reproducible bit-for-bit.
 //
-// An event is stored as a row and a key. A row is the value alone, 16
-// bytes: it stays an `any` because Event, core.Msg and the drive hooks
-// are `any` on the public surface, and it is the only pointer pair the
-// collector walks in the row store. The rest of an event is its key:
-// the (Time, Seq) pair, the kind and an index into the queue's route
-// table, all pointer-free. The routing tuple (Component, Port, Net,
-// Source) is topology, not data — an inbox sees a handful of distinct
-// ones for the life of a design — so each distinct tuple is stored once
-// and a push that repeats the previous push's tuple, the shape of every
-// burst, finds it without a search. The table is bounded whatever a
-// peer sends (see maxRoutes).
+// A LinkQueue stores an event as a row and a key. A row is the value
+// alone, 16 bytes: it stays an `any` because Event, core.Msg and the
+// drive hooks are `any` on the public surface, and it is the only
+// pointer pair the collector walks in the row store. The rest of an
+// event is its key: the (Time, Seq) pair and a link, all pointer-free.
+// A link is an int32 the queue's owner gives meaning to through a
+// Table: the kernel's inbox links name a (receiving port, source) pair
+// of its component, and Queue's name the kind and the four names of an
+// Event. Routing is topology, not data — an inbox sees a handful of
+// distinct links for the life of a design — so a Table stores each
+// once, finds a burst's repeated one with one compare, and stays
+// bounded whatever a peer sends (see MaxLinks).
 //
 // The queue is read in one of two ways. It starts as a sorted run:
 // while every push orders at or after the one before it — a page
@@ -27,21 +28,21 @@
 // the live events are the row-store slots head..next, a push writes
 // slot next and a pop reads slot head and steps past it. A run keeps
 // its keys as spans, not one per slot: a span is a stretch of events on
-// one route and of one kind, with consecutive sequence numbers and
-// evenly spaced times, held as its first event's key, a stride and a
-// count. A push that continues the tail span counts itself into it, so
-// a burst of drives paced one word time apart is one 32-byte span
-// however long it is, and a queued word costs its row and nothing else.
-// The first push that orders before the tail, or a pop from inside the
-// run (a filtered receive whose earliest match is not the head), turns
-// the live range into a binary heap over three contiguous columns —
-// times, seqs and slots — with no heapify: a sorted array is a heap,
-// because every position's parent sits at a smaller index and so holds a
-// smaller key. Each live slot's kind and route move to a column indexed
-// by slot, which the sifts never touch. From then until something
-// empties the queue the heap's sifts compare and move the three columns
-// only (20 bytes a position) and freed slots are recycled through a free
-// list; an empty queue is an empty run again.
+// one link, with consecutive sequence numbers and evenly spaced times,
+// held as its first event's key, a stride and a count. A push that
+// continues the tail span counts itself into it, so a burst of drives
+// paced one word time apart is one 32-byte span however long it is, and
+// a queued word costs its row and nothing else. The first push that
+// orders before the tail, or a pop from inside the run (a filtered
+// receive whose earliest match is not the head), turns the live range
+// into a binary heap over three contiguous columns — times, seqs and
+// slots — with no heapify: a sorted array is a heap, because every
+// position's parent sits at a smaller index and so holds a smaller key.
+// Each live slot's link moves to a column indexed by slot, which the
+// sifts never touch. From then until something empties the queue the
+// heap's sifts compare and move the three columns only (20 bytes a
+// position) and freed slots are recycled through a free list; an empty
+// queue is an empty run again.
 //
 // The row store is chunked, and a row never moves. The first chunk
 // grows by append, so a queue that only ever holds a few events pays
@@ -50,8 +51,7 @@
 // rebases the chunk table once the dropped prefix outweighs the live
 // part, so a run that never empties keeps storage proportional to its
 // depth; whatever empties the queue releases every chunk but the first.
-// Events are copied field by field between the caller's Event and a row
-// and its key — there is no per-event heap object to pool or leak.
+// There is no per-event heap object to pool or leak.
 package event
 
 import (
@@ -90,8 +90,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is a single scheduled occurrence. Events are plain values:
-// they are copied into the queue on Push and copied back out on Pop.
+// Event is a single scheduled occurrence, whole: what a checkpoint, a
+// migration image and a rollback journal store of an inbox, and what
+// Queue takes and hands back.
 type Event struct {
 	Time vtime.Time // when the event takes effect
 	Seq  uint64     // enqueue order, breaks Time ties
@@ -134,13 +135,6 @@ func (e Event) String() string {
 	}
 }
 
-// tag is the part of an event's key that says what and where: its kind
-// and the index of its route in the route table.
-type tag struct {
-	link int32
-	kind Kind
-}
-
 // key is an event's ordering key.
 type key struct {
 	time vtime.Time
@@ -155,7 +149,7 @@ func (k key) after(t vtime.Time, seq uint64) bool {
 	return k.seq > seq
 }
 
-// span is a run's key for n consecutive slots: events sharing a tag,
+// span is a run's key for n consecutive slots: events sharing a link,
 // with consecutive sequence numbers and times stride apart. time and seq
 // are the first live event's; a pop from the head steps them to the
 // next one. While a span keys one event its stride means nothing: the
@@ -165,7 +159,7 @@ type span struct {
 	seq    uint64
 	n      int32
 	stride int32
-	tag
+	link   int32
 }
 
 // at returns the key of the span's i-th live event.
@@ -173,14 +167,14 @@ func (s *span) at(i int32) key {
 	return key{s.time + vtime.Time(i)*vtime.Time(s.stride), s.seq + uint64(i)}
 }
 
-// extend counts an event keyed (t, seq) with tag g into s when it
-// continues it: the same tag, the next sequence number, and — while s
+// extend counts an event keyed (t, seq) on link into s when it
+// continues it: the same link, the next sequence number, and — while s
 // keys two events or more — the same time step; joining a span of one
 // sets the step, if it fits. The caller has checked that (t, seq) does
 // not order before s's last event.
-func (s *span) extend(t vtime.Time, seq uint64, g tag) bool {
+func (s *span) extend(t vtime.Time, seq uint64, link int32) bool {
 	last := s.at(s.n - 1)
-	if s.tag != g || seq != last.seq+1 || s.n == math.MaxInt32 {
+	if s.link != link || seq != last.seq+1 || s.n == math.MaxInt32 {
 		return false
 	}
 	// t >= last.time, so the unsigned difference is exact.
@@ -193,28 +187,6 @@ func (s *span) extend(t vtime.Time, seq uint64, g tag) bool {
 	s.n++
 	return true
 }
-
-// route is the topology half of an event, stored once per distinct
-// tuple in Queue.routes.
-type route struct {
-	component, port, net, source string
-}
-
-func (r *route) is(component, port, net, source string) bool {
-	// Rows of one inbox share the component and mostly the net; the
-	// source and the port tell them apart.
-	return r.source == source && r.port == port && r.net == net && r.component == component
-}
-
-// maxRoutes bounds the route table against traffic it cannot intern:
-// Source arrives from a peer's socket. A push looks no further back
-// than the maxRoutes most recent routes, so it costs the same however
-// many distinct tuples a peer invents, and a table that has reached
-// maxRoutes is rebuilt from the live events once it is also more than
-// twice their number (it cannot be smaller than the distinct routes
-// they hold). A table of up to maxRoutes routes is searched whole and
-// so never holds a tuple twice.
-const maxRoutes = 32
 
 // chunkRows is the number of slots in a chunk, and what the first
 // chunk grows to: slot s lives in the first chunk when s < chunkRows
@@ -230,19 +202,19 @@ type chunk [chunkRows]any
 
 // columns is the heap: three parallel columns, a binary heap by
 // position ordered by (times, seqs), rows naming each position's slot.
-// tags is indexed by slot, not position: a live slot's tag, and a free
-// slot's link in the free list (1 + the next free slot, 0 at the end).
+// links is indexed by slot, not position: a live slot's link, and a free
+// slot's place in the free list (1 + the next free slot, 0 at the end).
 type columns struct {
 	times []vtime.Time
 	seqs  []uint64
 	rows  []int32
-	tags  []tag
+	links []int32
 }
 
-// Queue is a priority queue of events ordered by (Time, Seq).
-// The zero value is ready to use. Queue is not safe for concurrent
-// use; the subsystem scheduler owns it.
-type Queue struct {
+// LinkQueue is a priority queue of events ordered by (Time, Seq), each
+// a value on a link. The zero value is ready to use. LinkQueue is not
+// safe for concurrent use; the subsystem scheduler owns it.
+type LinkQueue struct {
 	// Row store, chunked so rows never move: the first chunk (first,
 	// grown by append up to chunkRows) and then fixed chunks, nil once a
 	// run's head has passed them. next is the first slot never handed
@@ -259,13 +231,7 @@ type Queue struct {
 	next     int32
 	free     int32
 	spanHead int32
-
-	// lastRoute is the route the most recent push used; routes is the
-	// table it indexes. The table is emptied with the queue (release)
-	// and rebuilt from the live events when it outgrows them (maxRoutes).
-	lastRoute int32
-	heap      bool
-	routes    []route
+	heap     bool
 
 	// cols is the heap while heap is true, and empty otherwise. It is
 	// a pointer, nil until the queue first becomes a heap: most inboxes
@@ -276,7 +242,7 @@ type Queue struct {
 }
 
 // at returns the row at slot.
-func (q *Queue) at(slot int32) *any {
+func (q *LinkQueue) at(slot int32) *any {
 	if slot < chunkRows {
 		return &q.first[slot]
 	}
@@ -285,7 +251,7 @@ func (q *Queue) at(slot int32) *any {
 }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int {
+func (q *LinkQueue) Len() int {
 	if q.heap {
 		return len(q.cols.times)
 	}
@@ -364,7 +330,7 @@ func (c *columns) remove(i int) {
 }
 
 // claim hands out slot next, adding the storage it lives in.
-func (q *Queue) claim() int32 {
+func (q *LinkQueue) claim() int32 {
 	slot := q.next
 	q.next++
 	switch {
@@ -390,85 +356,36 @@ func extend(s []any) []any {
 	return append(s, nil)
 }
 
-// intern returns the route table's index for the tuple, adding it when
-// the search (see maxRoutes) does not find it.
-func (q *Queue) intern(component, port, net, source string) int32 {
-	n := len(q.routes)
-	if n > 0 && q.routes[q.lastRoute].is(component, port, net, source) {
-		return q.lastRoute
-	}
-	for i := n - 1; i >= max(0, n-maxRoutes); i-- {
-		if q.routes[i].is(component, port, net, source) {
-			q.lastRoute = int32(i)
-			return q.lastRoute
-		}
-	}
-	if n >= maxRoutes && n > 2*q.Len() {
-		// A live event may hold the tuple at an index the bounded search
-		// above did not reach; the rebuilt table is searched whole.
-		q.rebuildRoutes()
-		return q.intern(component, port, net, source)
-	}
-	q.lastRoute = int32(len(q.routes))
-	q.routes = append(q.routes, route{component, port, net, source})
-	return q.lastRoute
-}
-
-// rebuildRoutes re-interns the live tags — a run's spans, a heap's live
-// slots — into an empty table, dropping every route none of them holds
-// any more. The new table has at most one route per live event, which
-// is below the size that asks for a rebuild, so the interning does not
-// re-enter.
-func (q *Queue) rebuildRoutes() {
-	old := q.routes
-	q.routes = nil
-	relink := func(g *tag) {
-		r := &old[g.link]
-		g.link = q.intern(r.component, r.port, r.net, r.source)
-	}
-	if q.heap {
-		for _, slot := range q.cols.rows {
-			relink(&q.cols.tags[slot])
-		}
-		return
-	}
-	for i := range q.spans[q.spanHead:] {
-		relink(&q.spans[int(q.spanHead)+i].tag)
-	}
-}
-
-// push stores an event keyed (t, seq): at the tail of a run when it
-// orders there — in the tail span when it continues it — and into the
-// heap otherwise. The route is interned before a slot is claimed, so a
-// rebuild it triggers sees only live events.
-func (q *Queue) push(t vtime.Time, seq uint64, e *Event) {
-	g := tag{q.intern(e.Component, e.Port, e.Net, e.Source), e.Kind}
+// push stores value v on link keyed (t, seq): at the tail of a run when
+// it orders there — in the tail span when it continues it — and into
+// the heap otherwise.
+func (q *LinkQueue) push(t vtime.Time, seq uint64, link int32, v any) {
 	if !q.heap && q.head != q.next {
 		if tail := &q.spans[len(q.spans)-1]; tail.at(tail.n-1).after(t, seq) {
 			// The first push that orders before the tail: from here
 			// until the queue empties it is a heap.
 			q.toHeap()
-		} else if tail.extend(t, seq, g) {
-			*q.at(q.claim()) = e.Value
+		} else if tail.extend(t, seq, link) {
+			*q.at(q.claim()) = v
 			return
 		}
 	}
 	if !q.heap {
-		q.open(span{time: t, seq: seq, n: 1, tag: g})
-		*q.at(q.claim()) = e.Value
+		q.open(span{time: t, seq: seq, n: 1, link: link})
+		*q.at(q.claim()) = v
 		return
 	}
 	c := q.cols
 	var slot int32
 	if q.free != 0 {
 		slot = q.free - 1
-		q.free = c.tags[slot].link
-		c.tags[slot] = g
+		q.free = c.links[slot]
+		c.links[slot] = link
 	} else {
 		slot = q.claim()
-		c.tags = append(c.tags, g) // tags is slot-indexed up to next
+		c.links = append(c.links, link) // links is slot-indexed up to next
 	}
-	*q.at(slot) = e.Value
+	*q.at(slot) = v
 	c.push(t, seq, slot)
 }
 
@@ -477,7 +394,7 @@ func (q *Queue) push(t vtime.Time, seq uint64, e *Event) {
 // live part moves the live part down instead of growing: each move
 // copies no more spans than were popped since the last, so a run that
 // never empties keeps keys proportional to its depth.
-func (q *Queue) open(s span) {
+func (q *LinkQueue) open(s span) {
 	if n := len(q.spans); n == cap(q.spans) && q.spanHead > 0 && 2*int(q.spanHead) >= n {
 		q.spans = q.spans[:copy(q.spans, q.spans[q.spanHead:])]
 		q.spanHead = 0
@@ -487,8 +404,8 @@ func (q *Queue) open(s span) {
 
 // toHeap turns the run into the heap: the run's i-th event becomes
 // column position i, which in a sorted range already satisfies the
-// heap order, and each span's tag is written to its slots.
-func (q *Queue) toHeap() {
+// heap order, and each span's link is written to its slots.
+func (q *LinkQueue) toHeap() {
 	c := q.cols
 	if c == nil {
 		c = new(columns)
@@ -498,7 +415,7 @@ func (q *Queue) toHeap() {
 	c.times = slices.Grow(c.times[:0], n)
 	c.seqs = slices.Grow(c.seqs[:0], n)
 	c.rows = slices.Grow(c.rows[:0], n)
-	c.tags = slices.Grow(c.tags[:0], int(q.next))[:q.next]
+	c.links = slices.Grow(c.links[:0], int(q.next))[:q.next]
 	slot := q.head
 	for _, s := range q.spans[q.spanHead:] {
 		for i := int32(0); i < s.n; i++ {
@@ -506,7 +423,7 @@ func (q *Queue) toHeap() {
 			c.times = append(c.times, k.time)
 			c.seqs = append(c.seqs, k.seq)
 			c.rows = append(c.rows, slot)
-			c.tags[slot] = s.tag
+			c.links[slot] = s.link
 			slot++
 		}
 	}
@@ -514,51 +431,30 @@ func (q *Queue) toHeap() {
 	q.heap = true
 }
 
-// Push schedules an event, stamping it with the next sequence number,
-// which it returns.
-func (q *Queue) Push(e Event) uint64 { return q.PushFrom(&e) }
-
-// PushFrom is Push reading the event through a pointer, for a caller
-// that pushes one event to many queues; e.Seq is ignored and *e is not
-// written.
-func (q *Queue) PushFrom(e *Event) uint64 {
+// Push schedules value v on link at time t, stamping it with the next
+// sequence number, which it returns.
+func (q *LinkQueue) Push(t vtime.Time, link int32, v any) uint64 {
 	q.seq++
-	q.push(e.Time, q.seq, e)
+	q.push(t, q.seq, link, v)
 	return q.seq
 }
 
 // PushStamped schedules an event that already carries a sequence
-// number (used when replaying events captured in a snapshot, so the
-// original ordering is preserved).
-func (q *Queue) PushStamped(e Event) {
-	if e.Seq > q.seq {
-		q.seq = e.Seq
+// number (used when replaying events captured in a snapshot or a
+// rollback journal, so the original ordering is preserved).
+func (q *LinkQueue) PushStamped(t vtime.Time, seq uint64, link int32, v any) {
+	if seq > q.seq {
+		q.seq = seq
 	}
-	q.push(e.Time, e.Seq, &e)
+	q.push(t, seq, link, v)
 }
 
-// fill materializes an event from its row and key into e. It fills e
-// in place: an Event is 104 bytes against a row's 16, and the drains
-// move tens of thousands of them per page load, so the removal paths
-// write each one once, straight into its destination.
-func (q *Queue) fill(e *Event, value any, k key, g tag) {
-	r := &q.routes[g.link]
-	e.Time = k.time
-	e.Seq = k.seq
-	e.Kind = g.kind
-	e.Component = r.component
-	e.Port = r.port
-	e.Net = r.net
-	e.Source = r.source
-	e.Value = value
-}
-
-// popHead removes the run's head into e: a load, a cleared value and a
-// step of the head and of its span. A chunk the head leaves, other than
-// the first, is dropped (see passed).
-func (q *Queue) popHead(e *Event) {
+// popHead removes the run's head: a load, a cleared value and a step of
+// the head and of its span. A chunk the head leaves, other than the
+// first, is dropped (see passed).
+func (q *LinkQueue) popHead() (k key, link int32, v any) {
 	s, row := &q.spans[q.spanHead], q.at(q.head)
-	q.fill(e, *row, s.at(0), s.tag)
+	k, link, v = s.at(0), s.link, *row
 	*row = nil
 	if s.n--; s.n > 0 {
 		s.time += vtime.Time(s.stride)
@@ -573,6 +469,7 @@ func (q *Queue) popHead(e *Event) {
 	case q.head%chunkRows == 0 && q.head > chunkRows:
 		q.passed()
 	}
+	return k, link, v
 }
 
 // passed drops the chunk the run's head has just left — chunk d of
@@ -581,7 +478,7 @@ func (q *Queue) popHead(e *Event) {
 // live ones: the live chunks move to the front and the cursors down by
 // d chunks. Each rebase moves fewer entries than it drops, so a run
 // that never empties keeps a table proportional to its depth.
-func (q *Queue) passed() {
+func (q *LinkQueue) passed() {
 	d := int(q.head/chunkRows) - 1
 	q.rest[d-1] = nil
 	if live := len(q.rest) - d; d > live {
@@ -593,31 +490,32 @@ func (q *Queue) passed() {
 	}
 }
 
-// removeAt extracts the event at heap position i into e, restores the
-// heap order and recycles its row slot, clearing the row so it drops
-// its reference to the value.
-func (q *Queue) removeAt(i int, e *Event) {
+// removeAt extracts the event at heap position i, restores the heap
+// order and recycles its row slot, clearing the row so it drops its
+// reference to the value.
+func (q *LinkQueue) removeAt(i int) (k key, link int32, v any) {
 	c := q.cols
 	slot := c.rows[i]
 	row := q.at(slot)
-	q.fill(e, *row, key{c.times[i], c.seqs[i]}, c.tags[slot])
+	k, link, v = key{c.times[i], c.seqs[i]}, c.links[slot], *row
 	*row = nil
-	c.tags[slot].link = q.free
+	c.links[slot] = q.free
 	q.free = slot + 1
 	c.remove(i)
 	if len(c.times) == 0 {
 		q.release()
 	}
+	return k, link, v
 }
 
 // release is what every path that empties the queue ends in: it is an
-// empty run again, row allocation restarts at slot 0, the route table
-// is empty, and the chunks past the first — with run keys, heap columns
-// and a route table that grew past one chunk's worth — are dropped, so
-// a drained burst is not held for the life of the queue while a queue
-// that stays small keeps everything it has warmed. The caller has
-// already cleared every row of the first chunk it used.
-func (q *Queue) release() {
+// empty run again, row allocation restarts at slot 0, and the chunks
+// past the first — with run keys and heap columns that grew past one
+// chunk's worth — are dropped, so a drained burst is not held for the
+// life of the queue while a queue that stays small keeps everything it
+// has warmed. The caller has already cleared every row of the first
+// chunk it used.
+func (q *LinkQueue) release() {
 	q.rest = nil
 	q.head, q.next, q.free, q.spanHead = 0, 0, 0, 0
 	q.heap = false
@@ -626,45 +524,19 @@ func (q *Queue) release() {
 	} else {
 		q.spans = q.spans[:0]
 	}
-	if cap(q.routes) > chunkRows {
-		q.routes = nil
-	} else {
-		clear(q.routes)
-		q.routes = q.routes[:0]
-	}
 	if c := q.cols; c != nil {
-		if cap(c.times) > chunkRows || cap(c.tags) > chunkRows {
+		if cap(c.times) > chunkRows || cap(c.links) > chunkRows {
 			q.cols = nil
 		} else {
-			c.times, c.seqs, c.rows, c.tags = c.times[:0], c.seqs[:0], c.rows[:0], c.tags[:0]
+			c.times, c.seqs, c.rows, c.links = c.times[:0], c.seqs[:0], c.rows[:0], c.links[:0]
 		}
 	}
-}
-
-// Pop removes and returns the earliest event; ok is false when empty.
-func (q *Queue) Pop() (e Event, ok bool) {
-	ok = q.PopInto(&e)
-	return e, ok
-}
-
-// PopInto is Pop writing the event through a pointer; it reports false,
-// leaving *e alone, when the queue is empty.
-func (q *Queue) PopInto(e *Event) bool {
-	switch {
-	case q.heap:
-		q.removeAt(0, e)
-	case q.head == q.next:
-		return false
-	default:
-		q.popHead(e)
-	}
-	return true
 }
 
 // NextTime returns the time of the earliest pending event, or
 // vtime.Infinity when the queue is empty. It reads one key — the
 // safe-horizon scan's fast path.
-func (q *Queue) NextTime() vtime.Time {
+func (q *LinkQueue) NextTime() vtime.Time {
 	switch {
 	case q.heap:
 		return q.cols.times[0]
@@ -675,29 +547,34 @@ func (q *Queue) NextTime() vtime.Time {
 	}
 }
 
-// minMatching returns the position (slot in a run, column in a heap)
-// and the key of the earliest event whose Port is in ports; the
-// position is -1 when none match. A run is in order and a span has one
-// route, so the run's answer is the first event of its first matching
-// span; a heap is scanned whole for the (Time, Seq)-minimal match,
-// unless its root matches. ports is a receive filter — a handful of
-// names — so membership is a linear match too.
-func (q *Queue) minMatching(ports []string) (int, key) {
-	if !q.heap {
+// MinMatching returns the position and the time of the earliest event
+// whose link match accepts — of the earliest event when match is nil —
+// without removing it; the position is -1, and the time Infinity, when
+// none is accepted. The position is what PopAt takes, and only until
+// the queue next changes. A run is in order and a span has one link, so
+// the run's answer is the first event of its first matching span; a
+// heap is scanned whole for the (Time, Seq)-minimal match, unless its
+// root matches.
+func (q *LinkQueue) MinMatching(match func(link int32) bool) (at int, t vtime.Time) {
+	switch {
+	case q.heap:
+	case q.head == q.next:
+		return -1, vtime.Infinity
+	default:
 		slot := q.head
 		for i := range q.spans[q.spanHead:] {
 			s := &q.spans[int(q.spanHead)+i]
-			if slices.Contains(ports, q.routes[s.link].port) {
-				return int(slot), s.at(0)
+			if match == nil || match(s.link) {
+				return int(slot), s.time
 			}
 			slot += s.n
 		}
-		return -1, key{}
+		return -1, vtime.Infinity
 	}
 	c := q.cols
 	best := -1
 	for i, slot := range c.rows {
-		if !slices.Contains(ports, q.routes[c.tags[slot].link].port) {
+		if match != nil && !match(c.links[slot]) {
 			continue
 		}
 		if i == 0 {
@@ -709,42 +586,184 @@ func (q *Queue) minMatching(ports []string) (int, key) {
 		}
 	}
 	if best < 0 {
-		return -1, key{}
+		return -1, vtime.Infinity
 	}
-	return best, key{c.times[best], c.seqs[best]}
+	return best, c.times[best]
 }
 
-// MinMatching returns the (Time, Seq) key of the earliest event whose
-// Port is in ports, without removing or materializing it; ok is false
-// when none match. It is what a filtered receive needs to decide when
-// its next delivery is due.
-func (q *Queue) MinMatching(ports []string) (t vtime.Time, seq uint64, ok bool) {
-	at, k := q.minMatching(ports)
-	if at < 0 {
-		return vtime.Infinity, 0, false
-	}
-	return k.time, k.seq, true
-}
-
-// PopMatching removes the earliest event whose Port is in ports into
-// *e; it reports false, leaving *e alone, when none match.
-func (q *Queue) PopMatching(ports []string, e *Event) bool {
-	at, _ := q.minMatching(ports)
-	if at < 0 {
-		return false
-	}
-	if !q.heap {
-		if at == int(q.head) {
-			q.popHead(e)
-			return true
-		}
+// PopAt removes the event at position at, which MinMatching returned
+// since the queue last changed.
+func (q *LinkQueue) PopAt(at int) (t vtime.Time, seq uint64, link int32, v any) {
+	var k key
+	switch {
+	case q.heap:
+		k, link, v = q.removeAt(at)
+	case at == int(q.head):
+		k, link, v = q.popHead()
+	default:
 		// A pop from inside the run: from here until the queue empties
 		// it is a heap, in which the run's slot at is position at-head.
 		at -= int(q.head)
 		q.toHeap()
+		k, link, v = q.removeAt(at)
 	}
-	q.removeAt(at, e)
-	return true
+	return k.time, k.seq, link, v
+}
+
+// Each calls f with every pending event in delivery order, without
+// disturbing the queue; f must not change it. The checkpoint machinery
+// images an inbox through it.
+func (q *LinkQueue) Each(f func(t vtime.Time, seq uint64, link int32, v any)) {
+	if !q.heap {
+		slot := q.head
+		for _, s := range q.spans[q.spanHead:] {
+			for i := int32(0); i < s.n; i++ {
+				k := s.at(i)
+				f(k.time, k.seq, s.link, *q.at(slot))
+				slot++
+			}
+		}
+		return
+	}
+	// Pop a copy of the heap columns down; the row store is only read.
+	c := q.cols
+	tmp := columns{times: slices.Clone(c.times), seqs: slices.Clone(c.seqs), rows: slices.Clone(c.rows)}
+	for len(tmp.times) > 0 {
+		slot := tmp.rows[0]
+		f(tmp.times[0], tmp.seqs[0], c.links[slot], *q.at(slot))
+		tmp.remove(0)
+	}
+}
+
+// relink replaces every live event's link l with f(l).
+func (q *LinkQueue) relink(f func(int32) int32) {
+	if q.heap {
+		for _, slot := range q.cols.rows {
+			q.cols.links[slot] = f(q.cols.links[slot])
+		}
+		return
+	}
+	for i := range q.spans[q.spanHead:] {
+		s := &q.spans[int(q.spanHead)+i]
+		s.link = f(s.link)
+	}
+}
+
+// Reset empties the queue but keeps the sequence counter monotone, so
+// new events still order after everything ever scheduled. Every row of
+// the first chunk that is not live is already clear, so clearing the
+// slots handed out clears exactly the live ones.
+func (q *LinkQueue) Reset() {
+	clear(q.first[:min(len(q.first), int(q.next))])
+	q.release()
+}
+
+// MaxLinks bounds a Table against keys it cannot intern: the kernel's
+// inbox keys hold a Source that arrives from a peer's socket. A push
+// looks no further back than the MaxLinks most recent keys, so it costs
+// the same however many distinct keys a peer invents, and a table that
+// has reached MaxLinks is rebuilt from the live events once it is also
+// more than twice their number (it cannot be smaller than the distinct
+// keys they hold). A table of up to MaxLinks keys is searched whole and
+// so never holds a key twice.
+const MaxLinks = 32
+
+// Table gives the links of one LinkQueue their meaning: Link interns a
+// key as the link an event is pushed on, and Key reads it back. A push
+// that repeats the previous push's key — the shape of every burst —
+// finds it with one compare. A push into an empty queue starts the
+// table over, letting go of one that grew past a chunk's worth, so with
+// the rules of MaxLinks it never holds more than max(MaxLinks, 2 × live
+// events + 1) keys.
+type Table[K comparable] struct {
+	keys []K
+	last int32
+}
+
+// Link returns the link for k, to push on q now.
+func (t *Table[K]) Link(q *LinkQueue, k K) int32 {
+	if q.Len() == 0 {
+		if cap(t.keys) > chunkRows {
+			t.keys = nil
+		}
+		clear(t.keys)
+		t.keys = t.keys[:0]
+	}
+	n := len(t.keys)
+	if n > 0 && t.keys[t.last] == k {
+		return t.last
+	}
+	for i := n - 1; i >= max(0, n-MaxLinks); i-- {
+		if t.keys[i] == k {
+			t.last = int32(i)
+			return t.last
+		}
+	}
+	if n >= MaxLinks && n > 2*q.Len() {
+		// A live event may hold k at a link the bounded search above did
+		// not reach; the rebuilt table holds at most one key per live
+		// event, below the size that asks for a rebuild, and is searched
+		// whole.
+		old := t.keys
+		t.keys = nil
+		q.relink(func(l int32) int32 { return t.Link(q, old[l]) })
+		return t.Link(q, k)
+	}
+	t.last = int32(n)
+	t.keys = append(t.keys, k)
+	return t.last
+}
+
+// Key returns the key of link, which an event of the table's queue
+// holds or has just been popped with.
+func (t *Table[K]) Key(link int32) K { return t.keys[link] }
+
+// Len returns the number of keys the table holds.
+func (t *Table[K]) Len() int { return len(t.keys) }
+
+// route is what a Queue's link stands for: an Event but its key and
+// value.
+type route struct {
+	kind                         Kind
+	component, port, net, source string
+}
+
+// Queue is a LinkQueue of whole Events: each goes in and comes out with
+// its kind and names, held once per distinct tuple in the queue's
+// Table. The kernel's inboxes key their events by their component's own
+// links instead; Queue is the form a caller outside the kernel measures
+// the queue through.
+type Queue struct {
+	LinkQueue
+	routes Table[route]
+}
+
+// Push schedules an event, stamping it with the next sequence number,
+// which it returns.
+func (q *Queue) Push(e Event) uint64 {
+	r := route{e.Kind, e.Component, e.Port, e.Net, e.Source}
+	return q.LinkQueue.Push(e.Time, q.routes.Link(&q.LinkQueue, r), e.Value)
+}
+
+// popAt removes the event at position at (see MinMatching) into e, in
+// place: an Event is 104 bytes against a row's 16, and a drain moves
+// tens of thousands of them, so each is written once, straight into its
+// destination.
+func (q *Queue) popAt(at int, e *Event) {
+	var l int32
+	e.Time, e.Seq, l, e.Value = q.PopAt(at)
+	r := q.routes.Key(l)
+	e.Kind, e.Component, e.Port, e.Net, e.Source = r.kind, r.component, r.port, r.net, r.source
+}
+
+// Pop removes and returns the earliest event; ok is false when empty.
+func (q *Queue) Pop() (e Event, ok bool) {
+	at, _ := q.MinMatching(nil)
+	if at < 0 {
+		return e, false
+	}
+	q.popAt(at, &e)
+	return e, true
 }
 
 // PopBatch removes up to max events (all of them when max <= 0) with
@@ -753,52 +772,10 @@ func (q *Queue) PopMatching(ports []string, e *Event) bool {
 // call makes a drain allocation-free in steady state.
 func (q *Queue) PopBatch(t vtime.Time, max int, buf []Event) []Event {
 	buf = buf[:0]
-	for q.Len() > 0 && q.NextTime() <= t {
-		if max > 0 && len(buf) >= max {
-			break
-		}
+	for q.Len() > 0 && q.NextTime() <= t && (max <= 0 || len(buf) < max) {
+		at, _ := q.MinMatching(nil)
 		buf = append(buf, Event{})
-		q.PopInto(&buf[len(buf)-1])
+		q.popAt(at, &buf[len(buf)-1])
 	}
 	return buf
-}
-
-// Snapshot returns the pending events in delivery order without
-// disturbing the queue. Used by the checkpoint machinery.
-func (q *Queue) Snapshot() []Event {
-	n := q.Len()
-	if n == 0 {
-		return nil
-	}
-	out := make([]Event, 0, n)
-	if !q.heap {
-		slot := q.head
-		for _, s := range q.spans[q.spanHead:] {
-			for i := int32(0); i < s.n; i++ {
-				out = append(out, Event{})
-				q.fill(&out[len(out)-1], *q.at(slot), s.at(i), s.tag)
-				slot++
-			}
-		}
-		return out
-	}
-	// Pop a copy of the heap columns down; the row store is only read.
-	c := q.cols
-	tmp := columns{times: slices.Clone(c.times), seqs: slices.Clone(c.seqs), rows: slices.Clone(c.rows)}
-	for range n {
-		slot := tmp.rows[0]
-		out = append(out, Event{})
-		q.fill(&out[len(out)-1], *q.at(slot), key{tmp.times[0], tmp.seqs[0]}, c.tags[slot])
-		tmp.remove(0)
-	}
-	return out
-}
-
-// Reset empties the queue but keeps the sequence counter monotone, so
-// new events still order after everything ever scheduled. Every row of
-// the first chunk that is not live is already clear, so clearing the
-// slots handed out clears exactly the live ones.
-func (q *Queue) Reset() {
-	clear(q.first[:min(len(q.first), int(q.next))])
-	q.release()
 }

@@ -2,12 +2,51 @@ package event
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/vtime"
 )
+
+// The kernel reads an inbox through the link API: a filtered receive
+// asks MinMatching for the earliest event on its ports and pops that
+// position, a rollback re-pushes journaled events with their sequence
+// numbers, and a checkpoint walks the queue with Each. These helpers
+// are those calls on a Queue, whose links stand for whole routes.
+
+// onPorts is the link filter of a receive on ports.
+func (q *Queue) onPorts(ports []string) func(int32) bool {
+	return func(l int32) bool { return slices.Contains(ports, q.routes.Key(l).port) }
+}
+
+// popMatching pops the earliest event on one of ports into *e; it
+// reports false, leaving *e alone, when none is.
+func (q *Queue) popMatching(ports []string, e *Event) bool {
+	at, _ := q.MinMatching(q.onPorts(ports))
+	if at < 0 {
+		return false
+	}
+	q.popAt(at, e)
+	return true
+}
+
+// pushStamped re-pushes e with its own sequence number.
+func (q *Queue) pushStamped(e Event) {
+	r := route{e.Kind, e.Component, e.Port, e.Net, e.Source}
+	q.PushStamped(e.Time, e.Seq, q.routes.Link(&q.LinkQueue, r), e.Value)
+}
+
+// snapshot returns the pending events in delivery order.
+func (q *Queue) snapshot() []Event {
+	var out []Event
+	q.Each(func(t vtime.Time, seq uint64, l int32, v any) {
+		r := q.routes.Key(l)
+		out = append(out, Event{Time: t, Seq: seq, Kind: r.kind, Component: r.component, Port: r.port, Net: r.net, Value: v, Source: r.source})
+	})
+	return out
+}
 
 func mustPop(t *testing.T, q *Queue) Event {
 	t.Helper()
@@ -94,7 +133,7 @@ func TestSnapshotDoesNotDisturb(t *testing.T) {
 	for _, ts := range []vtime.Time{5, 1, 9} {
 		q.Push(Event{Time: ts})
 	}
-	snap := q.Snapshot()
+	snap := q.snapshot()
 	if len(snap) != 3 || snap[0].Time != 1 || snap[1].Time != 5 || snap[2].Time != 9 {
 		t.Fatalf("snapshot wrong: %v", snap)
 	}
@@ -111,8 +150,8 @@ func TestPushStampedPreservesOrder(t *testing.T) {
 	b.Seq = q.Push(b)
 	// Simulate replay into a fresh queue.
 	var r Queue
-	r.PushStamped(b)
-	r.PushStamped(a)
+	r.pushStamped(b)
+	r.pushStamped(a)
 	if e := mustPop(t, &r); e.Seq != a.Seq || e.Component != "a" {
 		t.Fatal("PushStamped lost original ordering")
 	}
@@ -121,7 +160,7 @@ func TestPushStampedPreservesOrder(t *testing.T) {
 	}
 	// New pushes must order after replayed ones at the same time.
 	var s Queue
-	s.PushStamped(b)
+	s.pushStamped(b)
 	if cSeq := s.Push(Event{Time: 4}); cSeq <= b.Seq {
 		t.Fatal("sequence counter not kept monotone across PushStamped")
 	}
@@ -135,21 +174,21 @@ func TestMinMatchingAndPopMatching(t *testing.T) {
 	q.Push(Event{Time: 2, Port: "bus"})
 
 	irq := []string{"irq"}
-	at, seq, ok := q.MinMatching(irq)
-	if !ok || at != 2 || seq != 3 {
-		t.Fatalf("MinMatching = @%v seq %d ok=%v, want irq@2 (seq 3)", at, seq, ok)
+	at, tm := q.MinMatching(q.onPorts(irq))
+	if at < 0 || tm != 2 {
+		t.Fatalf("MinMatching = position %d @%v, want irq@2", at, tm)
 	}
 	if q.Len() != 4 {
 		t.Fatal("MinMatching must not remove")
 	}
 
 	var e Event
-	ok = q.PopMatching(irq, &e)
-	if !ok || e.Time != 2 || e.Seq != seq || e.Port != "irq" {
-		t.Fatalf("PopMatching = %v ok=%v, want irq@2", e, ok)
+	ok := q.popMatching(irq, &e)
+	if !ok || e.Time != 2 || e.Seq != 3 || e.Port != "irq" {
+		t.Fatalf("popMatching = %v ok=%v, want irq@2 (seq 3)", e, ok)
 	}
 	if q.Len() != 3 {
-		t.Fatalf("PopMatching left %d events, want 3", q.Len())
+		t.Fatalf("popMatching left %d events, want 3", q.Len())
 	}
 	// The untouched events still pop in global order.
 	want := []vtime.Time{1, 2, 3}
@@ -159,11 +198,11 @@ func TestMinMatchingAndPopMatching(t *testing.T) {
 		}
 	}
 
-	if _, _, ok := q.MinMatching([]string{"none"}); ok {
+	if at, _ := q.MinMatching(q.onPorts([]string{"none"})); at >= 0 {
 		t.Fatal("MinMatching matched a nonexistent port")
 	}
-	if q.PopMatching([]string{"none"}, &e) {
-		t.Fatal("PopMatching matched a nonexistent port")
+	if q.popMatching([]string{"none"}, &e) {
+		t.Fatal("popMatching matched a nonexistent port")
 	}
 }
 
@@ -181,13 +220,14 @@ func TestMinMatchingProperty(t *testing.T) {
 			}
 			q.Push(Event{Time: vtime.Time(ts), Port: port})
 		}
-		at, seq, ok := q.MinMatching(ports)
+		at, tm := q.MinMatching(q.onPorts(ports))
 		if !anyMatch {
-			return !ok
+			return at < 0
 		}
-		for _, e := range q.Snapshot() {
+		for _, e := range q.snapshot() {
 			if e.Port == "a" {
-				return ok && at == e.Time && seq == e.Seq
+				var got Event
+				return at >= 0 && tm == e.Time && q.popMatching(ports, &got) && got == e
 			}
 		}
 		return false

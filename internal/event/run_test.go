@@ -21,8 +21,8 @@ import (
 // and no heap columns; every chunk its head has passed is dropped and
 // every later one is there, and the dropped prefix of the chunk table is
 // no longer than the live part. A heap is its columns with every
-// position ordered at or after its parent, and a tag for every slot.
-// Either way every live event's route is in the table, and a table
+// position ordered at or after its parent, and a link for every slot.
+// Either way every live event's link is in the route table, and a table
 // small enough to be searched whole holds each route once.
 func checkShape(t *testing.T, q *Queue) {
 	t.Helper()
@@ -33,29 +33,30 @@ func checkShape(t *testing.T, q *Queue) {
 		}
 		return
 	}
-	var live []tag // the live events' tags
+	var live []int32 // the live events' links
 	if q.heap {
-		if len(q.cols.tags) != int(q.next) {
-			t.Fatalf("heap of slots up to %d holds %d tags", q.next, len(q.cols.tags))
+		if len(q.cols.links) != int(q.next) {
+			t.Fatalf("heap of slots up to %d holds %d links", q.next, len(q.cols.links))
 		}
 		for _, slot := range q.cols.rows {
-			live = append(live, q.cols.tags[slot])
+			live = append(live, q.cols.links[slot])
 		}
 	} else {
 		for _, s := range q.spans[q.spanHead:] {
-			live = append(live, s.tag)
+			live = append(live, s.link)
 		}
 	}
-	for _, g := range live {
-		if g.link < 0 || int(g.link) >= len(q.routes) {
-			t.Fatalf("live event holds route %d of %d", g.link, len(q.routes))
+	routes := q.routes.keys
+	for _, l := range live {
+		if l < 0 || int(l) >= len(routes) {
+			t.Fatalf("live event holds route %d of %d", l, len(routes))
 		}
 	}
-	if len(q.routes) <= maxRoutes {
+	if len(routes) <= MaxLinks {
 		// Searched whole on every push, so it holds no tuple twice.
-		for i, r := range q.routes {
-			if slices.Contains(q.routes[:i], r) {
-				t.Fatalf("route %d of %d repeats an earlier one: %+v", i, len(q.routes), r)
+		for i, r := range routes {
+			if slices.Contains(routes[:i], r) {
+				t.Fatalf("route %d of %d repeats an earlier one: %+v", i, len(routes), r)
 			}
 		}
 	}
@@ -125,7 +126,7 @@ type walk struct {
 	popped []Event    // most recent last, as a rollback journal holds them
 	seen   struct {
 		lateWithPrefix int // out-of-order push into a run whose head had advanced
-		midRun         int // PopMatching took an event from inside a run
+		midRun         int // a filtered pop took an event from inside a run
 		repushOlder    int // rollback re-push of keys older than the run's tail
 		passed         int // a run's head left a chunk and the chunk was dropped
 		rebased        int // ... and the chunk table was rebased
@@ -147,7 +148,7 @@ func (w *walk) took(got, want Event) {
 func (w *walk) do(op int, arg byte) {
 	t, q, m := w.t, w.q, w.model
 	t.Helper()
-	wasHeap, head, hadRoutes := q.heap, q.head, len(q.routes)
+	wasHeap, head := q.heap, q.head
 	wasLen, hadSpans := q.Len(), len(q.spans)-int(q.spanHead)
 	switch op {
 	case opPushNext:
@@ -167,7 +168,7 @@ func (w *walk) do(op int, arg byte) {
 			if !q.heap && q.Len() > 0 && e.Before(m.sorted()[len(m.live)-1]) {
 				w.seen.repushOlder++
 			}
-			m.pushed(q, route{e.Component, e.Port, e.Net, e.Source}, func() { q.PushStamped(e) })
+			m.pushed(q, route{e.Kind, e.Component, e.Port, e.Net, e.Source}, func() { q.pushStamped(e) })
 			m.live = append(m.live, e)
 		}
 		w.popped = w.popped[:len(w.popped)-n]
@@ -188,16 +189,18 @@ func (w *walk) do(op int, arg byte) {
 	case opPopMatching:
 		filter := acrossPorts[int(arg)%len(acrossPorts):][:1]
 		want, any := m.minMatching(filter)
-		if at, _ := q.minMatching(filter); !q.heap && at > int(q.head) {
+		at, tm := q.MinMatching(q.onPorts(filter))
+		if !q.heap && at > int(q.head) {
 			w.seen.midRun++
 		}
-		at, seq, peeked := q.MinMatching(filter)
 		var got Event
-		ok := q.PopMatching(filter, &got)
-		if ok != any || peeked != any || (ok && (at != got.Time || seq != got.Seq)) {
-			t.Fatalf("PopMatching = %+v %v after MinMatching @%v seq %d %v, reference %+v %v", got, ok, at, seq, peeked, want, any)
+		if at >= 0 {
+			q.popAt(at, &got)
 		}
-		if ok {
+		if (at >= 0) != any || (any && tm != got.Time) {
+			t.Fatalf("popped %+v at position %d @%v, reference %+v %v", got, at, tm, want, any)
+		}
+		if any {
 			w.took(got, want)
 		}
 	case opPopBatch:
@@ -215,7 +218,7 @@ func (w *walk) do(op int, arg byte) {
 			w.took(got[i], ref[i])
 		}
 	case opSnapshot:
-		if snap := q.Snapshot(); !slices.Equal(snap, m.sorted()) {
+		if snap := q.snapshot(); !slices.Equal(snap, m.sorted()) {
 			t.Fatalf("snapshot of %d events differs from the reference", len(snap))
 		}
 	case opReset:
@@ -232,7 +235,6 @@ func (w *walk) do(op int, arg byte) {
 			w.seen.opened++
 		}
 	}
-	m.emptied(q, hadRoutes)
 	if q.Len() != len(m.live) {
 		t.Fatalf("op %d: Len %d, reference %d", op, q.Len(), len(m.live))
 	}
@@ -411,8 +413,8 @@ func TestInOrderBurstNeverHeaps(t *testing.T) {
 }
 
 // TestPacedBurstIsOneSpan: a run keys its events by spans, and a push
-// joins the tail span exactly when it continues it — the same route and
-// kind, the next sequence number, and the span's time step (set by its
+// joins the tail span exactly when it continues it — the same link (a
+// Queue's link is the route with the kind), the next sequence number, and the span's time step (set by its
 // second event, if that step fits) — so a burst of drives paced one word
 // time apart, or tied at one time, is one span however long it is, and
 // every break in that shape opens a new one. Either way each event
@@ -455,7 +457,7 @@ func TestPacedBurstIsOneSpan(t *testing.T) {
 				e := Event{Time: p.at, Kind: p.kind, Component: "rx", Port: p.port, Net: p.port, Source: "tx", Value: i}
 				if p.seqGap > 0 {
 					e.Seq = q.seq + p.seqGap
-					q.PushStamped(e)
+					q.pushStamped(e)
 				} else {
 					e.Seq = q.Push(e)
 				}

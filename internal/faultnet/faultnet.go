@@ -32,6 +32,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -423,33 +424,39 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 	return nil
 }
 
-// Write segments p into frames and runs each through the schedule.
+// Write segments p into frames and runs each through the schedule. A
+// frame is read where it lies — in p, or in pending when an earlier
+// write left part of it there — and only a partial trailing frame is
+// copied, into pending's reused storage.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.pending = append(c.pending, p...)
-	for {
-		if len(c.pending) < wire.HeaderLen {
-			return len(p), nil
-		}
-		n := binary.BigEndian.Uint32(c.pending)
+	buf := p
+	if len(c.pending) > 0 {
+		c.pending = append(c.pending, p...)
+		buf = c.pending
+	}
+	for len(buf) >= wire.HeaderLen {
+		n := binary.BigEndian.Uint32(buf)
 		if n > wire.MaxFrame {
 			return 0, fmt.Errorf("faultnet %s: frame of %d bytes exceeds limit", c.link.name, n)
 		}
 		total := wire.HeaderLen + int(n)
-		if len(c.pending) < total {
-			return len(p), nil
+		if len(buf) < total {
+			break
 		}
-		frame := make([]byte, total)
-		copy(frame, c.pending[:total])
-		c.pending = c.pending[total:]
-		if err := c.processFrame(frame); err != nil {
+		if err := c.processFrame(buf[:total:total]); err != nil {
 			return 0, err
 		}
+		buf = buf[total:]
 	}
+	c.pending = append(c.pending[:0], buf...)
+	return len(p), nil
 }
 
-// processFrame applies the link schedule to one complete frame.
+// processFrame applies the link schedule to one complete frame. The
+// frame is the writer's bytes: it is copied before it is corrupted and
+// when it is held back, and written through otherwise.
 func (c *Conn) processFrame(frame []byte) error {
 	l := c.link
 	l.mu.Lock()
@@ -482,17 +489,17 @@ func (c *Conn) processFrame(frame []byte) error {
 		// Flip one byte past the length prefix so the receiver can
 		// still parse the framing and detect the damage by checksum.
 		off := 4 + int(mask)%(len(frame)-4)
+		frame = slices.Clone(frame)
 		frame[off] ^= mask
 		l.stats.Corrupted++
 		l.tl.Fault(l.name, "corrupt", int64(idx))
 	}
-	var emit [][]byte
 	if act&actReorder != 0 {
 		c.hmu.Lock()
 		if c.held == nil && !c.closed {
 			// Hold this frame back; it departs after the next one, or
 			// after heldFlushDelay if no successor arrives.
-			c.held = frame
+			c.held = slices.Clone(frame)
 			c.htimer = time.AfterFunc(heldFlushDelay, c.flushHeld)
 			c.hmu.Unlock()
 			l.stats.Reordered++
@@ -502,7 +509,10 @@ func (c *Conn) processFrame(frame []byte) error {
 		}
 		c.hmu.Unlock()
 	}
-	emit = append(emit, frame)
+	// What departs: the frame, its duplicate and the frame held
+	// before it, at most.
+	var out [3][]byte
+	emit := append(out[:0], frame)
 	if act&actDup != 0 {
 		l.stats.Duplicated++
 		emit = append(emit, frame)

@@ -112,6 +112,9 @@ var kindCRC = [...]uint32{0xa2681b02, 0x3b614ab8, 0x4c667a2e, 0xdcd967bf}
 // error, returned as is). Sessions count the first kind in CrcKills.
 var errCorrupt = errors.New("resilience: corrupt envelope")
 
+// errKind is the corruption of a frame that is no session envelope.
+var errKind = fmt.Errorf("%w: wrong kind", errCorrupt)
+
 // recvEnvelope reads one frame from an epoch's connection and checks
 // it as an envelope, returning its kind and its body without the CRC.
 // The body aliases the connection's receive buffer: it is valid until
@@ -123,13 +126,13 @@ var errCorrupt = errors.New("resilience: corrupt envelope")
 func recvEnvelope(c *wire.Conn) (kind byte, body []byte, err error) {
 	kind, payload, err := c.RecvFrame()
 	if errors.Is(err, wire.ErrFrameTooLarge) {
-		return 0, nil, fmt.Errorf("%w: %v", errCorrupt, err)
+		return 0, nil, fmt.Errorf("%w: %w", errCorrupt, err)
 	}
 	if err != nil {
 		return 0, nil, err
 	}
 	if kind < wire.FrameSessionHello || kind > wire.FrameSessionHeartbeat {
-		return 0, nil, fmt.Errorf("%w: frame kind %d is no session envelope", errCorrupt, kind)
+		return 0, nil, fmt.Errorf("%w: frame kind %d is no session envelope", errKind, kind)
 	}
 	if len(payload) < crcLen {
 		return 0, nil, fmt.Errorf("%w: %d-byte payload has no checksum", errCorrupt, len(payload))

@@ -7,10 +7,12 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/timeline"
 	"repro/internal/wire"
 )
 
@@ -29,7 +31,8 @@ func preEnvelopeHello() []byte {
 
 // TestPreEnvelopeHelloRefusedByKind: an older dialer's hello arrives as
 // a frame of kind 1 and is refused by its kind, undecoded, counting as
-// corruption; the listener hangs up at once and creates no session.
+// corruption; the listener records the refusal on its timeline, hangs
+// up at once and creates no session.
 // Its length counted the type byte a wire frame's length does not, so
 // the frame completes one byte past what the older dialer wrote: the
 // test sends that byte, or the listener would wait for it until its
@@ -42,6 +45,8 @@ func TestPreEnvelopeHelloRefusedByKind(t *testing.T) {
 	}
 
 	ln, dial := listen(t, Config{HandshakeTimeout: time.Minute})
+	rec := timeline.NewRecorder(16)
+	ln.SetTimeline(rec)
 	go ln.Serve()
 	defer ln.Close()
 	raw, err := dial()
@@ -59,6 +64,45 @@ func TestPreEnvelopeHelloRefusedByKind(t *testing.T) {
 	}
 	if n := ln.held(); n != 0 {
 		t.Fatalf("a pre-envelope hello created %d sessions", n)
+	}
+	// The refusal is on the timeline before the connection closes.
+	evs := rec.Events()
+	if len(evs) != 1 || evs[0].Kind != timeline.KindSession || !strings.HasPrefix(evs[0].Detail, "refused hello (wrong kind): ") {
+		t.Fatalf("timeline after a pre-envelope hello: %+v, want one session event refusing it by kind", evs)
+	}
+}
+
+// TestHelloRefusalReasons: whatever first frame the listener cannot
+// take as a hello, the refusal it records names why, reading the frame
+// as the listener does.
+func TestHelloRefusalReasons(t *testing.T) {
+	hello, _ := appendHandshake(nil, wire.FrameSessionHello, handshake{})
+	flipped := slices.Clone(hello)
+	flipped[len(flipped)-1] ^= 1
+	overCap := slices.Clone(hello)
+	binary.BigEndian.PutUint32(overCap, maxEnvelope+1)
+	badStatus, _ := appendHandshake(nil, wire.FrameSessionHello, handshake{Status: statusReject + 1})
+	for _, tc := range []struct {
+		name, want string
+		bytes      []byte
+	}{
+		{"older peer", "wrong kind", append(preEnvelopeHello(), 0)},
+		{"data envelope", "wrong kind", appendData(nil, 1, 0, []byte("x"))},
+		{"checksum", "crc", flipped},
+		{"over cap", "over cap", overCap},
+		{"layout", "malformed", badStatus},
+		{"cut short", "read error", hello[:len(hello)-1]},
+	} {
+		kind, body, err := recvEnvelope(envConn(tc.bytes))
+		if err == nil {
+			_, err = parseHandshake(kind, wire.FrameSessionHello, body)
+		}
+		if err == nil {
+			t.Fatalf("%s: taken as a hello", tc.name)
+		}
+		if got := refusal(kind, err); got != tc.want {
+			t.Fatalf("%s: refused as %q (%v), want %q", tc.name, got, err, tc.want)
+		}
 	}
 }
 

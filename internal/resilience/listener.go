@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -85,9 +86,10 @@ func (l *Listener) Accept() (*Session, error) {
 	}
 }
 
-// SetTimeline attaches a timeline recorder: every resume the listener
-// refuses is recorded as a session event, and every session it creates
-// from now on records into it from its first epoch.
+// SetTimeline attaches a timeline recorder: every hello and every
+// resume the listener refuses is recorded as a session event, and
+// every session it creates from now on records into it from its first
+// epoch.
 func (l *Listener) SetTimeline(rec *timeline.Recorder) {
 	l.mu.Lock()
 	l.tl = rec
@@ -114,6 +116,7 @@ func (l *Listener) handshake(raw net.Conn) {
 		h, err = parseHandshake(kind, wire.FrameSessionHello, body)
 	}
 	if err != nil {
+		l.refused(h.SessionID, fmt.Sprintf("hello (%s): %v", refusal(kind, err), err))
 		conn.Close()
 		return
 	}
@@ -132,6 +135,27 @@ func (l *Listener) handshake(raw net.Conn) {
 		return
 	}
 	l.resume(s, conn, h)
+}
+
+// refusal says why a hello was refused, given the kind of the envelope
+// it came in (0 when none was read whole) and the error: a header past
+// the session cap ("over cap"), a frame that is no hello ("wrong kind":
+// an older peer's hello, or another envelope), a checksum or a layout
+// that failed ("crc", "malformed"), or nothing whole in time ("read
+// error").
+func refusal(kind byte, err error) string {
+	switch {
+	case errors.Is(err, wire.ErrFrameTooLarge):
+		return "over cap"
+	case errors.Is(err, errKind) || kind != 0 && kind != wire.FrameSessionHello:
+		return "wrong kind"
+	case errors.Is(err, errCorrupt):
+		return "crc"
+	case kind != 0:
+		return "malformed"
+	default:
+		return "read error"
+	}
 }
 
 // answer writes a hello ack.
