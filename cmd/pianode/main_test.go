@@ -81,7 +81,9 @@ func postForm(t *testing.T, mux http.Handler, path string, form url.Values) *htt
 // carry the registered samples.
 func TestMetricsContentNegotiation(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Counter("pia_test_total").Add(7)
+	reg.AddCollector(func(emit func(metrics.Sample)) {
+		emit(metrics.Sample{Name: "pia_test_total", Kind: metrics.KindCounter, Value: 7})
+	})
 	mux := newObsMux(obsConfig{reg: reg, health: fakeHealth{}})
 
 	rr, _ := get(t, mux, "/metrics", nil)

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	pia "repro"
+	"repro/internal/experiments"
 	"repro/internal/wubbleu"
 )
 
@@ -44,22 +45,8 @@ func leg(seed int64, faulty bool) (res wubbleu.Result, wall time.Duration, n1, n
 	}
 	b.SetDefaultChannel(pia.Conservative, pia.LoopbackLink)
 	if faulty {
-		b.SetFaults(pia.FaultConfig{
-			Seed:        seed,
-			Jitter:      200 * time.Microsecond,
-			DropProb:    0.03,
-			DupProb:     0.02,
-			ReorderProb: 0.02,
-			CorruptProb: 0.02,
-			Partitions:  []pia.FaultPartition{{AtFrame: 50, Heal: 15 * time.Millisecond}},
-		})
-		b.SetResilience(pia.ResilienceConfig{
-			Heartbeat:        20 * time.Millisecond,
-			HandshakeTimeout: 250 * time.Millisecond,
-			RetryBase:        2 * time.Millisecond,
-			RetryCap:         50 * time.Millisecond,
-			RetryMax:         40,
-		})
+		b.SetFaults(experiments.DefaultChaosFaults(seed))
+		b.SetResilience(experiments.DefaultChaosResilience())
 	}
 
 	n1, n2 = pia.NewNode("handheld-node"), pia.NewNode("modem-node")

@@ -19,27 +19,28 @@ import (
 	"repro/internal/wubbleu"
 )
 
-// Server is a minimal page server: one request line (the URL), one
+// server is a minimal page server: one request line (the URL), one
 // length-prefixed body.
-type Server struct {
+type server struct {
 	store *wubbleu.Store
 	ln    net.Listener
 	wg    sync.WaitGroup
 }
 
-// Serve starts the reference server and returns its address.
-func Serve(store *wubbleu.Store, addr string) (*Server, string, error) {
+// Serve starts the reference server and returns it, for its Close,
+// and its address.
+func Serve(store *wubbleu.Store, addr string) (*server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("baseline: listen: %w", err)
 	}
-	s := &Server{store: store, ln: ln}
+	s := &server{store: store, ln: ln}
 	s.wg.Add(1)
 	go s.loop()
 	return s, ln.Addr().String(), nil
 }
 
-func (s *Server) loop() {
+func (s *server) loop() {
 	defer s.wg.Done()
 	for {
 		c, err := s.ln.Accept()
@@ -63,14 +64,14 @@ func (s *Server) loop() {
 }
 
 // Close stops the server.
-func (s *Server) Close() error {
+func (s *server) Close() error {
 	err := s.ln.Close()
 	s.wg.Wait()
 	return err
 }
 
-// Result is one reference load.
-type Result struct {
+// result is one reference load.
+type result struct {
 	Bytes   int
 	Images  int
 	Elapsed time.Duration
@@ -80,28 +81,28 @@ type Result struct {
 // fetch, parse, and a byte-scan of each image standing in for decode
 // work. It returns the wall-clock duration — the paper's 0.54 s
 // HotJava row.
-func Load(addr, url string) (Result, error) {
+func Load(addr, url string) (result, error) {
 	start := time.Now()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
-		return Result{}, fmt.Errorf("baseline: dial: %w", err)
+		return result{}, fmt.Errorf("baseline: dial: %w", err)
 	}
 	defer c.Close()
 	if _, err := fmt.Fprintf(c, "%s\n", url); err != nil {
-		return Result{}, err
+		return result{}, err
 	}
 	r := bufio.NewReader(c)
 	var n int
 	if _, err := fmt.Fscanf(r, "%d\n", &n); err != nil {
-		return Result{}, fmt.Errorf("baseline: bad header: %w", err)
+		return result{}, fmt.Errorf("baseline: bad header: %w", err)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return Result{}, fmt.Errorf("baseline: body: %w", err)
+		return result{}, fmt.Errorf("baseline: body: %w", err)
 	}
 	page, err := wubbleu.ParsePage(body)
 	if err != nil {
-		return Result{}, err
+		return result{}, err
 	}
 	// Native "decode": touch every image byte.
 	var sink byte
@@ -111,5 +112,5 @@ func Load(addr, url string) (Result, error) {
 		}
 	}
 	_ = sink
-	return Result{Bytes: n, Images: len(page.Images), Elapsed: time.Since(start)}, nil
+	return result{Bytes: n, Images: len(page.Images), Elapsed: time.Since(start)}, nil
 }

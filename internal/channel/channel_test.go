@@ -342,15 +342,15 @@ func TestConservativeRequiresLookahead(t *testing.T) {
 func TestLinkModel(t *testing.T) {
 	lm := LinkModel{Latency: 100, BytesPerSecond: 1_000_000_000, PerMessage: 10}
 	// 1 GB/s = 1 byte per ns.
-	if d := lm.TransferTime(500); d != 510 {
+	if d := lm.transferTime(500); d != 510 {
 		t.Fatalf("TransferTime = %v, want 510", d)
 	}
-	arrive, busy := lm.Arrival(1000, 500, 0)
+	arrive, busy := lm.arrival(1000, 500, 0)
 	if busy != 1510 || arrive != 1610 {
 		t.Fatalf("Arrival = %v busy %v", arrive, busy)
 	}
 	// Serialization: second message queues behind the first.
-	arrive2, busy2 := lm.Arrival(1000, 500, busy)
+	arrive2, busy2 := lm.arrival(1000, 500, busy)
 	if busy2 != busy+510 || arrive2 != busy2+100 {
 		t.Fatalf("serialized Arrival = %v busy %v", arrive2, busy2)
 	}
@@ -499,7 +499,7 @@ func TestMarkAndRestoreDelivery(t *testing.T) {
 }
 
 func TestKindAndPolicyStrings(t *testing.T) {
-	for _, k := range []Kind{KindData, KindSafeTimeReq, KindSafeTimeGrant, KindMark, KindRestore, KindClose, Kind(99)} {
+	for _, k := range []msgKind{KindData, kindSafeTimeReq, kindSafeTimeGrant, kindMark, kindRestore, KindClose, msgKind(99)} {
 		if k.String() == "" {
 			t.Fatal("empty Kind string")
 		}

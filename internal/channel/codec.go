@@ -39,9 +39,9 @@ import (
 //	uvarint Ack
 //	string  From            (uvarint length + bytes)
 //	kind-specific fields:
-//	  KindSafeTimeReq:   uvarint Ask
-//	  KindSafeTimeGrant: uvarint Grant
-//	  KindMark/Restore:  string Tag
+//	  kindSafeTimeReq:   uvarint Ask
+//	  kindSafeTimeGrant: uvarint Grant
+//	  kindMark/Restore:  string Tag
 //	  KindClose:         (nothing)
 //
 // KindData has no control layout: a data message travels only in a run
@@ -240,11 +240,11 @@ func appendMessage(dst []byte, m *Message) ([]byte, error) {
 	dst = appendUvarint(dst, m.Ack)
 	dst = appendString(dst, m.From)
 	switch m.Kind {
-	case KindSafeTimeReq:
+	case kindSafeTimeReq:
 		return appendTime(dst, m.Ask), nil
-	case KindSafeTimeGrant:
+	case kindSafeTimeGrant:
 		return appendTime(dst, m.Grant), nil
-	case KindMark, KindRestore:
+	case kindMark, kindRestore:
 		return appendString(dst, m.Tag), nil
 	case KindClose:
 		return dst, nil
@@ -876,7 +876,7 @@ func (d *BatchDecoder) message(body []byte, m *Message) error {
 	if err != nil {
 		return err
 	}
-	m.Kind = Kind(k)
+	m.Kind = msgKind(k)
 	if m.Seq, err = r.uvarint(); err != nil {
 		return err
 	}
@@ -887,19 +887,19 @@ func (d *BatchDecoder) message(body []byte, m *Message) error {
 		return err
 	}
 	switch m.Kind {
-	case KindSafeTimeReq:
+	case kindSafeTimeReq:
 		t, err := r.uvarint()
 		if err != nil {
 			return err
 		}
 		m.Ask = vtime.Time(t)
-	case KindSafeTimeGrant:
+	case kindSafeTimeGrant:
 		t, err := r.uvarint()
 		if err != nil {
 			return err
 		}
 		m.Grant = vtime.Time(t)
-	case KindMark, KindRestore:
+	case kindMark, kindRestore:
 		if m.Tag, err = d.str(r); err != nil {
 			return err
 		}
@@ -1046,13 +1046,13 @@ func (d *BatchDecoder) runItems(buf []Message, limit int) ([]Message, error) {
 }
 
 // DecodeBatchInto decodes a batch frame payload into buf[:0] and
-// returns it; see DecodeBatchAppend. Passing the returned slice back
+// returns it; see decodeBatchAppend. Passing the returned slice back
 // in keeps steady-state decoding allocation-free for protocol traffic.
 func (d *BatchDecoder) DecodeBatchInto(payload []byte, buf []Message) (msgs []Message, closed bool, err error) {
-	return d.DecodeBatchAppend(payload, buf[:0])
+	return d.decodeBatchAppend(payload, buf[:0])
 }
 
-// DecodeBatchAppend decodes a whole batch frame payload, appending
+// decodeBatchAppend decodes a whole batch frame payload, appending
 // every message to buf, and reports whether a KindClose was seen (the
 // connection pump's signal to stop reading): the cursor run over the
 // frame in one burst. Message fields are slices of decoder-owned memory
@@ -1060,7 +1060,7 @@ func (d *BatchDecoder) DecodeBatchInto(payload []byte, buf []Message) (msgs []Me
 // itself — so the caller may reuse the receive buffer immediately while
 // the decoded batch travels on. On an error the messages of the whole
 // entries decoded before it are still returned.
-func (d *BatchDecoder) DecodeBatchAppend(payload []byte, buf []Message) (msgs []Message, closed bool, err error) {
+func (d *BatchDecoder) decodeBatchAppend(payload []byte, buf []Message) (msgs []Message, closed bool, err error) {
 	d.Start(payload)
 	msgs, _, err = d.Next(buf, math.MaxInt)
 	return msgs, d.closed, err

@@ -41,7 +41,7 @@ func init() {
 func decodeAll(t *testing.T, dec *BatchDecoder, frames [][]byte) (got []Message, closed bool) {
 	t.Helper()
 	for _, f := range frames {
-		msgs, c, err := dec.DecodeBatchAppend(f, got)
+		msgs, c, err := dec.decodeBatchAppend(f, got)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -78,11 +78,11 @@ func TestBatchRoundTripAllKindsAndValues(t *testing.T) {
 			Value: signal.IRQ{Line: 3, Cause: "dma-done"}},
 		{Kind: KindData, From: "ss1", Seq: 9, Ack: 3, Net: "link", Source: "prod", Time: 90, Value: 123},
 		{Kind: KindData, From: "ss1", Seq: 10, Ack: 3, Net: "link", Source: "prod", Time: 95, Value: nil},
-		{Kind: KindSafeTimeReq, From: "ss1", Seq: 11, Ack: 4, Ask: 500},
-		{Kind: KindSafeTimeGrant, From: "ss1", Seq: 12, Ack: 5, Grant: 400},
-		{Kind: KindSafeTimeGrant, From: "ss1", Seq: 13, Ack: 5, Grant: vtime.Infinity},
-		{Kind: KindMark, From: "ss1", Seq: 14, Ack: 5, Tag: "snap-1"},
-		{Kind: KindRestore, From: "ss1", Seq: 15, Ack: 5, Tag: "snap-1"},
+		{Kind: kindSafeTimeReq, From: "ss1", Seq: 11, Ack: 4, Ask: 500},
+		{Kind: kindSafeTimeGrant, From: "ss1", Seq: 12, Ack: 5, Grant: 400},
+		{Kind: kindSafeTimeGrant, From: "ss1", Seq: 13, Ack: 5, Grant: vtime.Infinity},
+		{Kind: kindMark, From: "ss1", Seq: 14, Ack: 5, Tag: "snap-1"},
+		{Kind: kindRestore, From: "ss1", Seq: 15, Ack: 5, Tag: "snap-1"},
 	}
 	payload, n, err := AppendBatch(nil, msgs, 1<<20)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestBatchMixedBuiltinAndRegisteredValues(t *testing.T) {
 		{Kind: KindData, From: "ss1", Seq: 2, Net: "link", Source: "p", Time: 2, Value: customVal{A: -7, B: "ext"}},
 		{Kind: KindData, From: "ss1", Seq: 3, Net: "link", Source: "p", Time: 3, Value: signal.Word(3)},
 		{Kind: KindData, From: "ss1", Seq: 4, Net: "link", Source: "p", Time: 4, Value: customVal{A: 9, B: "again"}},
-		{Kind: KindSafeTimeReq, From: "ss1", Seq: 5, Ask: 100},
+		{Kind: kindSafeTimeReq, From: "ss1", Seq: 5, Ask: 100},
 	}
 	payload, n, err := AppendBatch(nil, msgs, 1<<20)
 	if err != nil {
@@ -255,7 +255,7 @@ func runOf(seq0 uint64, items ...[]byte) []byte {
 // costs the frame that entry and what follows — the whole entries
 // before it are returned, the corrupt run's own leading items are not.
 func TestCorruptRunKeepsEarlierWholeEntries(t *testing.T) {
-	ask := Message{Kind: KindSafeTimeReq, From: "ss1", Seq: 1, Ask: 9}
+	ask := Message{Kind: kindSafeTimeReq, From: "ss1", Seq: 1, Ask: 9}
 	payload, _, err := AppendBatch(nil, []Message{ask}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +341,7 @@ func TestRunBreakRule(t *testing.T) {
 		{"From changes", []Message{d(1, 0, "a", "n", "s", 5), d(2, 0, "b", "n", "s", 6)}, 2},
 		{"Seq skips", []Message{d(1, 0, "a", "n", "s", 5), d(3, 0, "a", "n", "s", 6)}, 2},
 		{"Time falls", []Message{d(1, 0, "a", "n", "s", 5), d(2, 0, "a", "n", "s", 4)}, 2},
-		{"a grant between", []Message{d(1, 0, "a", "n", "s", 5), {Kind: KindSafeTimeGrant, From: "a", Seq: 2, Grant: 7}, d(3, 0, "a", "n", "s", 6)}, 3},
+		{"a grant between", []Message{d(1, 0, "a", "n", "s", 5), {Kind: kindSafeTimeGrant, From: "a", Seq: 2, Grant: 7}, d(3, 0, "a", "n", "s", 6)}, 3},
 	} {
 		payload, n, err := AppendBatch(nil, tc.msgs, 1<<20)
 		if err != nil || n != len(tc.msgs) {
@@ -469,7 +469,7 @@ func TestCursorBurstsDoNotAliasThePayload(t *testing.T) {
 		msgs = append(msgs, m)
 		if i%97 == 0 {
 			seq++
-			msgs = append(msgs, Message{Kind: KindSafeTimeReq, From: "modemsite", Seq: seq, Ack: uint64(i / 50), Ask: vtime.Time(i)})
+			msgs = append(msgs, Message{Kind: kindSafeTimeReq, From: "modemsite", Seq: seq, Ack: uint64(i / 50), Ask: vtime.Time(i)})
 		}
 	}
 	payload, n, err := AppendBatch(nil, msgs, 1<<30)

@@ -320,14 +320,13 @@ type Endpoint struct {
 	link   LinkModel
 	tr     Transport
 
-	mu          sync.Mutex
-	st          safeTime
-	recording   bool
-	recorded    []Message
-	markFn      func(tag string)
-	restoreFn   func(tag string)
-	stragglerFn func(t vtime.Time) bool
-	tl          *timeline.Recorder // nil unless EnableTimeline wired it
+	mu        sync.Mutex
+	st        safeTime
+	recording bool
+	recorded  []Message
+	markFn    func(tag string)
+	restoreFn func(tag string)
+	tl        *timeline.Recorder // nil unless EnableTimeline wired it
 
 	// binds tracks the nets this endpoint bridges: local net name ->
 	// remote fragment name. Migration re-homes nets by unbinding here
@@ -384,9 +383,9 @@ func (ep *Endpoint) do(decide func(*safeTime) out, tag string) bool {
 		return true
 	}
 	switch o.kind {
-	case KindSafeTimeReq:
+	case kindSafeTimeReq:
 		tl.Ask(ep.local, ep.peer, o.t)
-	case KindSafeTimeGrant:
+	case kindSafeTimeGrant:
 		tl.Grant(ep.local, ep.peer, o.t)
 	}
 	ep.Flush()
@@ -434,8 +433,8 @@ func (ep *Endpoint) Err() error {
 	return ep.st.err
 }
 
-// Quiesced implements core.GateQuiescer: the endpoint owes the peer
-// nothing when no ask is outstanding.
+// Quiesced is the optional quiescence check of a core.Gate: the
+// endpoint owes the peer nothing when no ask is outstanding.
 func (ep *Endpoint) Quiesced() bool {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -644,27 +643,14 @@ func (ep *Endpoint) SetRestoreHandler(fn func(tag string)) {
 	ep.mu.Unlock()
 }
 
-// SetStragglerHandler overrides the default straggler reaction
-// (Subsystem.RequestRollback); the snapshot coordinator installs a
-// distributed restore here. The handler returns whether the straggler
-// message itself must be redelivered after the rollback: true for a
-// local-only rollback (the sender will not resend), false for a
-// coordinated restore (the sender rewinds past its send and will
-// regenerate the message).
-func (ep *Endpoint) SetStragglerHandler(fn func(t vtime.Time) bool) {
-	ep.mu.Lock()
-	ep.stragglerFn = fn
-	ep.mu.Unlock()
-}
-
 // SendMark emits a snapshot mark toward the peer.
 func (ep *Endpoint) SendMark(tag string) {
-	ep.do(func(s *safeTime) out { return s.control(KindMark) }, tag)
+	ep.do(func(s *safeTime) out { return s.control(kindMark) }, tag)
 }
 
 // SendRestore orders the peer to restore the tagged snapshot.
 func (ep *Endpoint) SendRestore(tag string) {
-	ep.do(func(s *safeTime) out { return s.control(KindRestore) }, tag)
+	ep.do(func(s *safeTime) out { return s.control(kindRestore) }, tag)
 }
 
 // SetRecording starts or stops capturing incoming data messages (the
@@ -774,8 +760,8 @@ func (b *Batch) run() bool {
 // verdicts are decided under one lock, up to and including the first
 // message whose verdict is not a delivery, and then performed in order.
 // It returns how many messages it handled, and whether the message
-// after them is an optimistic straggler the handler wants redelivered
-// once the rollback it requested has run.
+// after them is an optimistic straggler, to be redelivered once the
+// rollback it requested has run.
 func (ep *Endpoint) process(msgs []Message) (handled int, retry bool) {
 	now := ep.sub.Now()
 	n, v, stop := 0, inDeliver, false
@@ -792,7 +778,7 @@ func (ep *Endpoint) process(msgs []Message) (handled int, retry bool) {
 		}
 		n++
 	}
-	tl, markFn, restoreFn, stragglerFn := ep.tl, ep.markFn, ep.restoreFn, ep.stragglerFn
+	tl, markFn, restoreFn := ep.tl, ep.markFn, ep.restoreFn
 	ep.mu.Unlock()
 	if stop {
 		ep.sub.Stop()
@@ -816,15 +802,8 @@ func (ep *Endpoint) process(msgs []Message) (handled int, retry bool) {
 	switch v {
 	case inStraggler:
 		tl.Straggler(ep.peer, ep.local, m.Net, m.Time, now)
-		retry := true
-		if stragglerFn != nil {
-			retry = stragglerFn(m.Time) // false: the sender rewinds past it and sends it again
-		} else {
-			ep.sub.RequestRollback(m.Time)
-		}
-		if retry {
-			return n, true // re-deliver after the restore
-		}
+		ep.sub.RequestRollback(m.Time)
+		return n, true // re-deliver after the rollback
 	case inMark:
 		if markFn != nil {
 			markFn(m.Tag)

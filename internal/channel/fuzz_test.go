@@ -52,12 +52,12 @@ func fuzzBatch(shape []byte, seq, ack uint64, from, name, tag string, tick uint6
 		case 0:
 			ack++
 		case 1:
-			next(Message{Kind: KindSafeTimeReq, Ask: start})
+			next(Message{Kind: kindSafeTimeReq, Ask: start})
 		case 2:
-			next(Message{Kind: KindSafeTimeGrant, Grant: start})
+			next(Message{Kind: kindSafeTimeGrant, Grant: start})
 			source += "'"
 		case 3:
-			next(Message{Kind: KindMark, Tag: tag})
+			next(Message{Kind: kindMark, Tag: tag})
 		}
 	}
 	return msgs
@@ -122,7 +122,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			var frame []byte
 			frame, frames = wire.NextFrame(frames)
 			before := len(got)
-			if got, _, err = dec.DecodeBatchAppend(frame[wire.HeaderLen:], got); err != nil {
+			if got, _, err = dec.decodeBatchAppend(frame[wire.HeaderLen:], got); err != nil {
 				t.Fatalf("decode frame: %v", err)
 			}
 			if len(frame) > limit && len(got)-before != 1 {
@@ -162,7 +162,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	// Valid payloads as seeds, plus the garbage table.
 	for _, msgs := range [][]Message{
 		{{Kind: KindData, From: "ss1", Seq: 1, Net: "link", Source: "p", Time: 5, Value: signal.Word(1)}},
-		{{Kind: KindSafeTimeReq, From: "ss1", Seq: 2, Ask: 100}, {Kind: KindClose, From: "ss1", Seq: 3}},
+		{{Kind: kindSafeTimeReq, From: "ss1", Seq: 2, Ask: 100}, {Kind: KindClose, From: "ss1", Seq: 3}},
 		{{Kind: KindData, From: "ss1", Seq: 4, Net: "dma", Source: "asic", Time: 9,
 			Value: signal.Frame{Src: "a", Dst: "b", Seq: 1, Payload: []byte("xyz"), Last: true}}},
 	} {
@@ -195,8 +195,8 @@ func FuzzDecodeBatch(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte, size uint16) {
 		msgs, closedInto, errInto := NewBatchDecoder().DecodeBatchInto(payload, nil)
-		head := Message{Kind: KindMark, Tag: "earlier frame"}
-		burst, closedApp, errApp := NewBatchDecoder().DecodeBatchAppend(payload, []Message{head})
+		head := Message{Kind: kindMark, Tag: "earlier frame"}
+		burst, closedApp, errApp := NewBatchDecoder().decodeBatchAppend(payload, []Message{head})
 		if (errApp == nil) != (errInto == nil) || closedApp != closedInto {
 			t.Fatalf("decoders disagree: append=(%v, %v) into=(%v, %v)", closedApp, errApp, closedInto, errInto)
 		}

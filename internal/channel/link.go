@@ -34,8 +34,8 @@ func (lm LinkModel) Validate(conservative bool) error {
 	return nil
 }
 
-// TransferTime is the serialization time for size payload bytes.
-func (lm LinkModel) TransferTime(size int) vtime.Duration {
+// transferTime is the serialization time for size payload bytes.
+func (lm LinkModel) transferTime(size int) vtime.Duration {
 	d := lm.PerMessage
 	if lm.BytesPerSecond > 0 {
 		d += vtime.Duration(int64(size) * int64(vtime.Second) / lm.BytesPerSecond)
@@ -50,13 +50,13 @@ func (lm LinkModel) Lookahead() vtime.Duration {
 	return lm.Latency + lm.PerMessage
 }
 
-// Arrival computes when a message sent at virtual time sent with the
+// arrival computes when a message sent at virtual time sent with the
 // given payload size arrives at the peer, given that the link is busy
 // until busyUntil (channel serialization: one message at a time). It
 // returns the arrival time and the new busy horizon.
-func (lm LinkModel) Arrival(sent vtime.Time, size int, busyUntil vtime.Time) (arrive, newBusy vtime.Time) {
+func (lm LinkModel) arrival(sent vtime.Time, size int, busyUntil vtime.Time) (arrive, newBusy vtime.Time) {
 	start := vtime.Max(sent, busyUntil)
-	newBusy = start.Add(lm.TransferTime(size))
+	newBusy = start.Add(lm.transferTime(size))
 	arrive = newBusy.Add(lm.Latency)
 	return arrive, newBusy
 }

@@ -24,37 +24,37 @@ import (
 	"repro/internal/vtime"
 )
 
-// Kind classifies channel messages.
-type Kind uint8
+// msgKind classifies channel messages.
+type msgKind uint8
 
 const (
 	// KindData carries a net value change across the channel.
-	KindData Kind = iota
-	// KindSafeTimeReq asks the peer to grant a safe time.
-	KindSafeTimeReq
-	// KindSafeTimeGrant promises the receiver that the sender will
+	KindData msgKind = iota
+	// kindSafeTimeReq asks the peer to grant a safe time.
+	kindSafeTimeReq
+	// kindSafeTimeGrant promises the receiver that the sender will
 	// never transmit data with a timestamp below Grant.
-	KindSafeTimeGrant
-	// KindMark is a Chandy-Lamport snapshot marker.
-	KindMark
-	// KindRestore orders a coordinated restore to a snapshot tag.
-	KindRestore
+	kindSafeTimeGrant
+	// kindMark is a Chandy-Lamport snapshot marker.
+	kindMark
+	// kindRestore orders a coordinated restore to a snapshot tag.
+	kindRestore
 	// KindClose announces that the sender has finished and will
 	// never send again (equivalent to a grant of Infinity).
 	KindClose
 )
 
-func (k Kind) String() string {
+func (k msgKind) String() string {
 	switch k {
 	case KindData:
 		return "data"
-	case KindSafeTimeReq:
+	case kindSafeTimeReq:
 		return "safetime-req"
-	case KindSafeTimeGrant:
+	case kindSafeTimeGrant:
 		return "safetime-grant"
-	case KindMark:
+	case kindMark:
 		return "mark"
-	case KindRestore:
+	case kindRestore:
 		return "restore"
 	case KindClose:
 		return "close"
@@ -66,7 +66,7 @@ func (k Kind) String() string {
 // Message is one unit on a channel. Channels are FIFO: Seq increases
 // by one per message per direction, and receivers verify it.
 type Message struct {
-	Kind Kind
+	Kind msgKind
 	From string // sending subsystem
 	Seq  uint64
 
@@ -93,13 +93,13 @@ func (m Message) String() string {
 	switch m.Kind {
 	case KindData:
 		return fmt.Sprintf("data(%s @%v %s=%s)", m.From, m.Time, m.Net, signal.String(m.Value))
-	case KindSafeTimeReq:
+	case kindSafeTimeReq:
 		return fmt.Sprintf("ask(%s -> %v)", m.From, m.Ask)
-	case KindSafeTimeGrant:
+	case kindSafeTimeGrant:
 		return fmt.Sprintf("grant(%s -> %v)", m.From, m.Grant)
-	case KindMark:
+	case kindMark:
 		return fmt.Sprintf("mark(%s tag=%s)", m.From, m.Tag)
-	case KindRestore:
+	case kindRestore:
 		return fmt.Sprintf("restore(%s tag=%s)", m.From, m.Tag)
 	default:
 		return m.Kind.String() + "(" + m.From + ")"

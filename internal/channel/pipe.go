@@ -10,26 +10,26 @@ import (
 // ErrPipeClosed is returned by SendFrame after Close.
 var ErrPipeClosed = errors.New("channel: pipe closed")
 
-// PipeEnd is an in-process Transport: two ends connected by unbounded
+// pipeEnd is an in-process Transport: two ends connected by unbounded
 // FIFO queues with one pump goroutine per direction. Used when both
 // subsystems live in the same Pia node; the node package provides the
 // TCP equivalent for remote peers. A frame is decoded as it is sent,
 // with the receiving end's own BatchDecoder, so in-process and TCP
 // channels carry the same bytes through the same codec.
-type PipeEnd struct {
+type pipeEnd struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	dec    *BatchDecoder
 	queue  *Batch // decoded, not yet taken by the pump; nil when none
 	closed bool
 
-	peer *PipeEnd
+	peer *pipeEnd
 }
 
 // Pipe creates a connected pair of transports.
-func Pipe() (*PipeEnd, *PipeEnd) {
-	a := &PipeEnd{dec: NewBatchDecoder()}
-	b := &PipeEnd{dec: NewBatchDecoder()}
+func Pipe() (*pipeEnd, *pipeEnd) {
+	a := &pipeEnd{dec: NewBatchDecoder()}
+	b := &pipeEnd{dec: NewBatchDecoder()}
 	a.cond = sync.NewCond(&a.mu)
 	b.cond = sync.NewCond(&b.mu)
 	a.peer = b
@@ -39,7 +39,7 @@ func Pipe() (*PipeEnd, *PipeEnd) {
 
 // SendFrame decodes the frame onto the peer's queue, in order, under
 // one lock. It never blocks, and keeps nothing of frame.
-func (p *PipeEnd) SendFrame(frame []byte) error {
+func (p *pipeEnd) SendFrame(frame []byte) error {
 	q := p.peer
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -50,7 +50,7 @@ func (p *PipeEnd) SendFrame(frame []byte) error {
 		q.queue = BatchBuf()
 	}
 	var err error
-	q.queue.Msgs, _, err = q.dec.DecodeBatchAppend(frame[wire.HeaderLen:], q.queue.Msgs)
+	q.queue.Msgs, _, err = q.dec.decodeBatchAppend(frame[wire.HeaderLen:], q.queue.Msgs)
 	q.cond.Signal()
 	return err
 }
@@ -59,7 +59,7 @@ func (p *PipeEnd) SendFrame(frame []byte) error {
 // is handed everything decoded since its last call, in order, as one
 // burst it takes over (see Endpoint.OnMessages). The pump keeps
 // nothing of a burst it has handed on.
-func (p *PipeEnd) Receive(fn func(*Batch)) {
+func (p *pipeEnd) Receive(fn func(*Batch)) {
 	go func() {
 		for {
 			p.mu.Lock()
@@ -79,7 +79,7 @@ func (p *PipeEnd) Receive(fn func(*Batch)) {
 
 // Close shuts down this end; pending messages are still delivered to
 // the local pump, and the peer's sends start failing.
-func (p *PipeEnd) Close() error {
+func (p *pipeEnd) Close() error {
 	p.mu.Lock()
 	p.closed = true
 	p.cond.Broadcast()

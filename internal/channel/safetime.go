@@ -48,7 +48,7 @@ type safeTime struct {
 // stamp and, for data, an ask or a grant, its time. The zero out sends
 // nothing.
 type out struct {
-	kind     Kind
+	kind     msgKind
 	seq, ack uint64
 	t        vtime.Time
 }
@@ -59,9 +59,9 @@ func (m *Message) stamp(o out, from string) {
 	switch o.kind {
 	case KindData:
 		m.Time = o.t
-	case KindSafeTimeReq:
+	case kindSafeTimeReq:
 		m.Ask = o.t
-	case KindSafeTimeGrant:
+	case kindSafeTimeGrant:
 		m.Grant = o.t
 	}
 }
@@ -110,7 +110,7 @@ type grantRec struct {
 
 // next stamps a message of kind k carrying t with our next sequence
 // number and, as its Ack, the last peer message we processed.
-func (s *safeTime) next(k Kind, t vtime.Time) out {
+func (s *safeTime) next(k msgKind, t vtime.Time) out {
 	s.seqOut++
 	return out{kind: k, seq: s.seqOut, ack: s.seqIn, t: t}
 }
@@ -123,7 +123,7 @@ func (s *safeTime) data(sent vtime.Time, size int) out {
 	if s.closed || s.paused {
 		return out{}
 	}
-	arrive, busy := s.link.Arrival(sent, size, s.busyUntil)
+	arrive, busy := s.link.arrival(sent, size, s.busyUntil)
 	s.busyUntil = busy
 	s.stats.DataOut++
 	s.stats.BytesOut += int64(size)
@@ -156,7 +156,7 @@ func (s *safeTime) ask(t vtime.Time) out {
 	s.lastAsk = max(t, s.lastAsk) // keep the strongest outstanding demand
 	s.lastAskData = s.stats.DataIn
 	s.stats.AsksOut++
-	o := s.next(KindSafeTimeReq, s.lastAsk)
+	o := s.next(kindSafeTimeReq, s.lastAsk)
 	s.lastAskSeqOut = s.seqOut
 	return o
 }
@@ -193,7 +193,7 @@ func (s *safeTime) grant(floor vtime.Time) out {
 		s.pendingAsk = 0
 	}
 	s.stats.GrantsOut++
-	return s.next(KindSafeTimeGrant, g)
+	return s.next(kindSafeTimeGrant, g)
 }
 
 // depart decides the grant g covering a finite horizon that a subsystem
@@ -215,7 +215,7 @@ func (s *safeTime) depart(g vtime.Time) out {
 		s.pendingAsk = 0
 	}
 	s.stats.GrantsOut++
-	return s.next(KindSafeTimeGrant, g)
+	return s.next(kindSafeTimeGrant, g)
 }
 
 // forward relays upstream a demand the hub cannot satisfy (forwards):
@@ -228,7 +228,7 @@ func (s *safeTime) forward(needed vtime.Time) out {
 }
 
 // control stamps a snapshot mark or restore order.
-func (s *safeTime) control(k Kind) out {
+func (s *safeTime) control(k msgKind) out {
 	if s.closed || s.paused {
 		return out{}
 	}
@@ -274,19 +274,19 @@ func (s *safeTime) receive(m *Message, now vtime.Time) (v verdict, stop bool) {
 		s.stats.DataIn++
 		s.stats.BytesIn += int64(signal.Size(m.Value))
 		return inDeliver, stop
-	case KindSafeTimeReq:
+	case kindSafeTimeReq:
 		// Only recorded: the answer is computed fresh at the next
 		// publication, with the floor and Ack of one instant. An old
 		// value paired with a new Ack would be unsound — the new Ack may
 		// cover data whose reactions the old value never accounted for.
 		s.stats.AsksIn++
 		s.pendingAsk = max(s.pendingAsk, m.Ask)
-	case KindSafeTimeGrant:
+	case kindSafeTimeGrant:
 		s.stats.GrantsIn++
 		s.addGrant(m.Grant, m.Ack)
-	case KindMark:
+	case kindMark:
 		return inMark, stop
-	case KindRestore:
+	case kindRestore:
 		return inRestore, stop
 	case KindClose:
 		if !s.peerDone {

@@ -273,7 +273,7 @@ func (c *checker) apply(w *world, a act) {
 		c.step(w, a.sub)
 	case opForgeGap, opForgeBehind:
 		peer := &w.subs[a.from]
-		m := Message{Kind: KindSafeTimeGrant, From: "forged", Seq: peer.end(a.sub).st.seqOut + 2}
+		m := Message{Kind: kindSafeTimeGrant, From: "forged", Seq: peer.end(a.sub).st.seqOut + 2}
 		if a.op == opForgeBehind {
 			m = Message{Kind: KindData, From: "forged", Seq: peer.end(a.sub).st.seqOut + 1, Time: s.now - 1, Value: 0}
 		}

@@ -20,8 +20,8 @@ func protocolMix() []Message {
 		{Kind: KindData, From: "ss1", Seq: 1, Ack: 3, Net: "dmaLink", Source: "cpu", Time: 100, Value: signal.Word(17)},
 		{Kind: KindData, From: "ss1", Seq: 2, Ack: 3, Net: "dmaLink", Source: "cpu", Time: 110, Value: signal.Level(true)},
 		{Kind: KindData, From: "ss1", Seq: 3, Ack: 4, Net: "dmaLink", Source: "cpu", Time: 120, Value: signal.Byte(200)},
-		{Kind: KindSafeTimeReq, From: "ss1", Seq: 4, Ack: 4, Ask: 500},
-		{Kind: KindSafeTimeGrant, From: "ss1", Seq: 5, Ack: 5, Grant: vtime.Infinity},
+		{Kind: kindSafeTimeReq, From: "ss1", Seq: 4, Ack: 4, Ask: 500},
+		{Kind: kindSafeTimeGrant, From: "ss1", Seq: 5, Ack: 5, Grant: vtime.Infinity},
 	}
 }
 

@@ -60,9 +60,6 @@ func TestProcAccessors(t *testing.T) {
 		if p.Name() != "c" {
 			t.Error("Proc.Name wrong")
 		}
-		if p.SubsystemTime() > p.Time() {
-			t.Error("subsystem time exceeds local time")
-		}
 		p.SetRunlevel("fancy")
 		if p.Runlevel() != "fancy" {
 			t.Error("Proc runlevel roundtrip failed")
@@ -83,9 +80,6 @@ func TestProcAccessors(t *testing.T) {
 	}
 	if c.Name() != "c" || c.Runlevel() != "fancy" || !c.Done() || c.Err() != nil {
 		t.Fatalf("component accessors: %v %v %v %v", c.Name(), c.Runlevel(), c.Done(), c.Err())
-	}
-	if c.Behavior() == nil {
-		t.Fatal("Behavior accessor nil")
 	}
 	if len(c.Ports()) != 0 {
 		t.Fatal("Ports should be empty")
@@ -174,24 +168,6 @@ func TestAdvanceBackwardsPanics(t *testing.T) {
 	s.NewComponent("c", b)
 	if err := s.Run(vtime.Infinity); err == nil {
 		t.Fatal("negative Advance did not error")
-	}
-}
-
-func TestReplaceBehaviorErrors(t *testing.T) {
-	s := NewSubsystem("rb")
-	b := BehaviorFunc(func(p *Proc) error { return nil })
-	s.NewComponent("c", b)
-	if err := s.ReplaceBehavior("ghost", b, false); err == nil {
-		t.Fatal("replace of unknown component accepted")
-	}
-	if err := s.ReplaceBehavior("c", nil, false); err == nil {
-		t.Fatal("nil replacement accepted")
-	}
-	if err := s.ReplaceBehavior("c", BehaviorFunc(func(p *Proc) error { return nil }), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(vtime.Infinity); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -55,7 +55,7 @@ func (c *Component) captureImage() (Image, error) {
 		}
 		img.State = st
 	} else if img.Live {
-		return img, ErrNotCheckpointable
+		return img, errNotCheckpointable
 	}
 	if c.memory != nil {
 		img.MemData = c.memory.snapshotData()
@@ -76,7 +76,7 @@ func (c *Component) restoreImage(img *Image) error {
 	var err error
 	if sv := c.saver(); sv == nil {
 		if len(img.State) > 0 || img.Live {
-			err = ErrNotCheckpointable
+			err = errNotCheckpointable
 		}
 	} else if len(img.State) > 0 || img.Live {
 		err = sv.RestoreState(img.State)
@@ -297,7 +297,7 @@ func (s *Subsystem) restoreBefore(t vtime.Time) error {
 		}
 	}
 	if target == nil {
-		return fmt.Errorf("%w (requested <= %v)", ErrNoCheckpoint, t)
+		return fmt.Errorf("%w (requested <= %v)", errNoCheckpoint, t)
 	}
 	return s.RestoreCheckpoint(target)
 }
@@ -313,7 +313,7 @@ func (s *Subsystem) restoreComponentBefore(comp string, t vtime.Time) error {
 		}
 	}
 	if target == nil {
-		return fmt.Errorf("%w (component %s <= %v)", ErrNoCheckpoint, comp, t)
+		return fmt.Errorf("%w (component %s <= %v)", errNoCheckpoint, comp, t)
 	}
 	return s.RestoreCheckpoint(target)
 }

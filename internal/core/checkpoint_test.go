@@ -96,7 +96,7 @@ func TestRollbackWithoutCheckpointFails(t *testing.T) {
 		}
 	}
 	err := s.Run(vtime.Infinity)
-	if !errors.Is(err, ErrNoCheckpoint) {
+	if !errors.Is(err, errNoCheckpoint) {
 		t.Fatalf("err = %v, want ErrNoCheckpoint", err)
 	}
 	s.Teardown()
@@ -148,7 +148,7 @@ func TestNotCheckpointable(t *testing.T) {
 	}))
 	s.RequestCheckpoint("")
 	err := s.Run(vtime.Infinity)
-	if !errors.Is(err, ErrNotCheckpointable) {
+	if !errors.Is(err, errNotCheckpointable) {
 		t.Fatalf("err = %v, want ErrNotCheckpointable", err)
 	}
 	s.Teardown()
@@ -389,7 +389,7 @@ func TestRestoreImageRule(t *testing.T) {
 			if (err != nil) != tc.wantErr {
 				t.Errorf("%s via %s: err = %v, want error %v", tc.name, caller.name, err, tc.wantErr)
 			}
-			if err != nil && !errors.Is(err, ErrNotCheckpointable) {
+			if err != nil && !errors.Is(err, errNotCheckpointable) {
 				t.Errorf("%s via %s: err = %v, want ErrNotCheckpointable", tc.name, caller.name, err)
 			}
 			// Refused or not, the component is left reset to the image,

@@ -243,9 +243,6 @@ func (c *Component) Ports() []*Port {
 	return out
 }
 
-// Behavior returns the component's behaviour instance.
-func (c *Component) Behavior() Behavior { return c.behavior }
-
 // Memory returns the component's synchronous-memory model, creating
 // it on first use.
 func (c *Component) Memory() *Memory {

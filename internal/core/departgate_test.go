@@ -124,7 +124,7 @@ func TestInjectCtlRunsWhileLive(t *testing.T) {
 }
 
 // TestInjectCtlRejectedAfterExit: once Run has returned, InjectCtl
-// must reject immediately with ErrNotRunning instead of queueing the
+// must reject immediately with errNotRunning instead of queueing the
 // action for a scheduler that will never drain it.
 func TestInjectCtlRejectedAfterExit(t *testing.T) {
 	s, _, co := buildPipe(t, 2, 5, 10)
@@ -141,7 +141,7 @@ func TestInjectCtlRejectedAfterExit(t *testing.T) {
 	}, func(err error) { rejected <- err })
 	select {
 	case err := <-rejected:
-		if !errors.Is(err, ErrNotRunning) {
+		if !errors.Is(err, errNotRunning) {
 			t.Fatalf("reject error = %v, want ErrNotRunning", err)
 		}
 	default:

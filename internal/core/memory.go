@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/vtime"
 )
 
@@ -104,7 +102,7 @@ func (m *Memory) HandlerWrite(p *Proc, addr uint32, v uint64, raised vtime.Time)
 		// The rewind must put THIS component before the interrupt
 		// time — a checkpoint whose cut time is early enough may
 		// still hold this component far ahead (it ran uninterrupted).
-		m.c.sub.RequestRollbackComponent(m.c.name, raised)
+		m.c.sub.requestRollbackComponent(m.c.name, raised)
 		return true
 	}
 	m.data[addr] = v
@@ -156,15 +154,4 @@ func (m *Memory) restoreData(img map[uint32]uint64) {
 		m.data[k] = v
 	}
 	m.readLog = m.readLog[:0]
-}
-
-// Addresses returns the allocated addresses in ascending order
-// (diagnostics).
-func (m *Memory) Addresses() []uint32 {
-	out := make([]uint32, 0, len(m.data))
-	for a := range m.data {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

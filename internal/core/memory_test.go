@@ -148,10 +148,6 @@ func TestMemoryBasics(t *testing.T) {
 		if mem.Read(p, 1) != 10 || mem.Read(p, 2) != 20 || mem.Read(p, 3) != 0 {
 			t.Error("memory contents wrong")
 		}
-		addrs := mem.Addresses()
-		if len(addrs) != 2 || addrs[0] != 1 || addrs[1] != 2 {
-			t.Errorf("Addresses = %v", addrs)
-		}
 		mem.MarkSynchronous(7, 8)
 		if mem.SyncCount() != 2 || !mem.Synchronous(7) || mem.Synchronous(1) {
 			t.Error("sync marking wrong")

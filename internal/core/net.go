@@ -13,7 +13,6 @@ type Port struct {
 	Name      string
 	comp      *Component // owning component; nil for hidden ports
 	net       *Net
-	iface     string // owning interface name, "" if direct
 	hidden    bool   // hidden ports belong to channel endpoints
 	sink      Sink   // delivery target for hidden ports
 	sinkOwner string // diagnostic label for the sink

@@ -21,11 +21,6 @@ type Proc struct {
 // Time returns the component's local virtual time.
 func (p *Proc) Time() vtime.Time { return p.c.localTime }
 
-// SubsystemTime returns the subsystem's current virtual time as seen
-// from this component's schedule: the virtual time of the component's
-// current (possibly fused) scheduling step. It is always <= Time().
-func (p *Proc) SubsystemTime() vtime.Time { return p.c.viewNow }
-
 // Name returns the component's name.
 func (p *Proc) Name() string { return p.c.name }
 
@@ -56,7 +51,7 @@ func (p *Proc) Advance(d vtime.Duration) {
 // earlier local times run. Equivalent to Advance followed by Yield.
 func (p *Proc) Delay(d vtime.Duration) {
 	p.Advance(d)
-	p.Yield()
+	p.yield()
 }
 
 // DelayUntil advances local time to t — a no-op when t has already
@@ -70,14 +65,14 @@ func (p *Proc) DelayUntil(t vtime.Time) {
 	if t > p.c.localTime {
 		p.Advance(t.Sub(p.c.localTime))
 	}
-	p.Yield()
+	p.yield()
 }
 
-// Yield releases the processor; the scheduler will resume this
+// yield releases the processor; the scheduler will resume this
 // component when its local time is again the minimum. Yield is a safe
 // point: pending checkpoint requests and runlevel switches for this
 // component are applied while it is parked here.
-func (p *Proc) Yield() {
+func (p *Proc) yield() {
 	c := p.c
 	// Fast skip: when the component's local time is still below its
 	// fast bound it would immediately be re-picked by the scheduler
@@ -101,7 +96,7 @@ func (p *Proc) Yield() {
 // may observe shared state. On return every message with an earlier
 // timestamp has been delivered or is already in this component's
 // inbox.
-func (p *Proc) Sync() { p.Yield() }
+func (p *Proc) Sync() { p.yield() }
 
 // Send drives value v onto the net attached to the named port,
 // stamped with the component's current local time. Delivery to each
@@ -208,7 +203,7 @@ func (p *Proc) Pending() bool { return p.c.inbox.Len() > 0 }
 
 // Checkpoint declares an explicit safe point and, if a checkpoint
 // request is pending for this component, captures its image here.
-func (p *Proc) Checkpoint() { p.Yield() }
+func (p *Proc) Checkpoint() { p.yield() }
 
 // Memory returns the component's synchronous-memory model.
 func (p *Proc) Memory() *Memory { return p.c.Memory() }

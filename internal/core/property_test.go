@@ -86,7 +86,7 @@ func TestTimeInvariantsProperty(t *testing.T) {
 			}
 			last = now
 			for _, c := range s.Components() {
-				if !c.Done() && now.After(c.LocalTime()) {
+				if !c.Done() && c.LocalTime().Before(now) {
 					ok = false
 				}
 			}

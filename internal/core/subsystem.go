@@ -16,24 +16,24 @@ import (
 var (
 	// ErrStopped is returned by Run when Stop was called.
 	ErrStopped = errors.New("core: run stopped")
-	// ErrNoCheckpoint is reported when a rollback finds no
+	// errNoCheckpoint is reported when a rollback finds no
 	// checkpoint at or before the requested time.
-	ErrNoCheckpoint = errors.New("core: no checkpoint at or before requested time")
-	// ErrNotCheckpointable is reported when a live component's
+	errNoCheckpoint = errors.New("core: no checkpoint at or before requested time")
+	// errNotCheckpointable is reported when a live component's
 	// behaviour does not implement StateSaver and a checkpoint is
 	// requested, or an image is restored that needs one.
-	ErrNotCheckpointable = errors.New("core: component behaviour does not implement StateSaver")
-	// ErrNotRunning is delivered to an InjectCtl reject callback when
+	errNotCheckpointable = errors.New("core: component behaviour does not implement StateSaver")
+	// errNotRunning is delivered to an InjectCtl reject callback when
 	// the run loop exited before the control action could execute.
-	ErrNotRunning = errors.New("core: subsystem run loop has exited")
+	errNotRunning = errors.New("core: subsystem run loop has exited")
 )
 
-// GateQuiescer is optionally implemented by gates that hold
+// gateQuiescer is optionally implemented by gates that hold
 // obligations toward the peer (outstanding safe-time asks). A
 // subsystem finishing a finite-horizon run waits until every such
 // gate reports Quiesced, so the peer is never stranded waiting for a
 // grant that will no longer come.
-type GateQuiescer interface {
+type gateQuiescer interface {
 	Quiesced() bool
 }
 
@@ -55,24 +55,18 @@ type Gate interface {
 	Request(t vtime.Time)
 }
 
-// injectedItem is one queued external action: either a net drive or
-// a control function (channel ingress processing, snapshot marks).
-// Items are executed on the scheduler goroutine in arrival order.
+// injectedItem is one queued external action: a control function
+// (channel ingress processing, snapshot marks). Items are executed on
+// the scheduler goroutine in arrival order.
 type injectedItem struct {
-	// drive fields (fn == nil)
-	net string
-	src string
-	t   vtime.Time
-	v   any
-
-	// fn, when non-nil, is a control action. Returning true means
-	// "retry me": the item is re-queued at the front, typically
-	// because it requested a rollback that must complete first.
+	// fn is the control action. Returning true means "retry me": the
+	// item is re-queued at the front, typically because it requested
+	// a rollback that must complete first.
 	fn func() bool
 
 	// reject, when non-nil, marks a control action with a liveness
 	// guarantee (InjectCtl): if the run loop exits before executing
-	// fn, reject is called with ErrNotRunning instead of leaving the
+	// fn, reject is called with errNotRunning instead of leaving the
 	// item stranded in the queue.
 	reject func(error)
 }
@@ -370,14 +364,11 @@ func (c *Component) AddInterface(name string, ports ...string) (*Interface, erro
 		return nil, fmt.Errorf("core: duplicate interface %s.%s", c.name, name)
 	}
 	for _, pn := range ports {
-		p := c.Port(pn)
-		if p == nil {
-			var err error
-			if p, err = c.AddPort(pn); err != nil {
+		if c.Port(pn) == nil {
+			if _, err := c.AddPort(pn); err != nil {
 				return nil, err
 			}
 		}
-		p.iface = name
 	}
 	ifc := &Interface{Name: name, Ports: append([]string(nil), ports...)}
 	if c.ifaces == nil {
@@ -543,23 +534,6 @@ func (s *Subsystem) Stop() {
 	s.mu.Unlock()
 }
 
-// InjectDrive injects a net drive from outside the subsystem (channel
-// ingress): the named net will carry value v driven at virtual time t
-// by source src. Safe from any goroutine; takes effect at the next
-// scheduling step, in arrival order relative to other injections.
-func (s *Subsystem) InjectDrive(net, src string, t vtime.Time, v any) error {
-	s.extGen.Add(1)
-	s.mu.Lock()
-	if s.nets[net] == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("core: inject into unknown net %q", net)
-	}
-	s.injected = append(s.injected, injectedItem{net: net, src: src, t: t, v: v})
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	return nil
-}
-
 // InjectFunc queues a control function to run on the scheduler
 // goroutine, ordered with other injections. The function may use the
 // scheduler-context APIs (DriveNow, Now, CaptureNow, RequestRollback)
@@ -575,7 +549,7 @@ func (s *Subsystem) InjectFunc(fn func() bool) {
 
 // InjectCtl queues fn like InjectFunc but with a liveness guarantee:
 // either a run loop executes fn, or onDead is called (once, with
-// ErrNotRunning) — a control action is never silently stranded in
+// errNotRunning) — a control action is never silently stranded in
 // the queue of a scheduler that has already exited. Exits drain the
 // queue first, so an action queued while the loop is live always
 // runs. Safe from any goroutine.
@@ -585,7 +559,7 @@ func (s *Subsystem) InjectCtl(fn func() bool, onDead func(error)) {
 	if !s.accepting {
 		s.mu.Unlock()
 		if onDead != nil {
-			onDead(ErrNotRunning)
+			onDead(errNotRunning)
 		}
 		return
 	}
@@ -607,8 +581,8 @@ func (s *Subsystem) SetDepartGate(gate func(vtime.Time) bool) {
 }
 
 // DriveNow drives a net immediately from scheduler context (a control
-// injection or scheduler hook). Hidden ports are skipped, exactly as
-// for InjectDrive. Never call it from component code or other
+// injection or scheduler hook). Hidden ports are skipped, as for every
+// channel ingress drive. Never call it from component code or other
 // goroutines.
 func (s *Subsystem) DriveNow(net, src string, t vtime.Time, v any) error {
 	n := s.nets[net]
@@ -638,13 +612,13 @@ func (s *Subsystem) RequestRollback(t vtime.Time) {
 	s.mu.Unlock()
 }
 
-// RequestRollbackComponent asks the scheduler to restore the latest
+// requestRollbackComponent asks the scheduler to restore the latest
 // checkpoint in which the named component's local time is <= t. Used
 // by the interrupt-consistency machinery: the component that
 // optimistically ran past an interrupt must itself rewind behind it,
 // regardless of where the subsystem cut fell. Safe from any
 // goroutine.
-func (s *Subsystem) RequestRollbackComponent(comp string, t vtime.Time) {
+func (s *Subsystem) requestRollbackComponent(comp string, t vtime.Time) {
 	s.extGen.Add(1)
 	s.mu.Lock()
 	if s.rbComp == "" || t < s.rbCompT {
@@ -853,7 +827,7 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		s.injected = kept
 		s.mu.Unlock()
 		for _, r := range rejected {
-			r(ErrNotRunning)
+			r(errNotRunning)
 		}
 	}()
 
@@ -926,12 +900,7 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		// batch: it and everything after it are re-queued, the
 		// restore runs first, and routing resumes afterwards.
 		for idx, d := range inj {
-			retry := false
-			if d.fn != nil {
-				retry = d.fn()
-			} else if n := s.nets[d.net]; n != nil {
-				s.driveLocal(n, d.src, d.t, d.v)
-			}
+			retry := d.fn()
 			s.mu.Lock()
 			interrupted := s.rbTime != vtime.Infinity
 			if interrupted || retry {
@@ -1166,7 +1135,7 @@ func (s *Subsystem) gatesDrained(until vtime.Time) bool {
 			ok = false
 			continue
 		}
-		if q, isQ := g.(GateQuiescer); isQ && !q.Quiesced() {
+		if q, isQ := g.(gateQuiescer); isQ && !q.Quiesced() {
 			ok = false
 		}
 	}
@@ -1305,44 +1274,6 @@ func (s *Subsystem) collectErr() error {
 			return fmt.Errorf("core: component %s failed: %w", c.name, c.err)
 		}
 	}
-	return nil
-}
-
-// ReplaceBehavior swaps a component's behaviour for a new instance —
-// the runtime half of recompiling and reloading a component without
-// restarting the simulator. Only legal between runs. When both the
-// old and new behaviours support state saving and transfer is true,
-// the old state is carried over; the component's local time is
-// preserved either way and its goroutine restarts in the new Run.
-func (s *Subsystem) ReplaceBehavior(name string, b Behavior, transfer bool) error {
-	if s.running {
-		return fmt.Errorf("core: cannot replace behaviour of %q while running", name)
-	}
-	c := s.comps[name]
-	if c == nil {
-		return fmt.Errorf("core: no component %q", name)
-	}
-	if b == nil {
-		return fmt.Errorf("core: nil behaviour for %q", name)
-	}
-	if transfer {
-		oldSv, oldOK := c.behavior.(StateSaver)
-		newSv, newOK := b.(StateSaver)
-		if oldOK && newOK {
-			st, err := oldSv.SaveState()
-			if err != nil {
-				return fmt.Errorf("core: reload of %s: save: %w", name, err)
-			}
-			if err := newSv.RestoreState(st); err != nil {
-				return fmt.Errorf("core: reload of %s: restore: %w", name, err)
-			}
-		}
-	}
-	s.kill(c)
-	c.behavior = b
-	c.reset(true)
-	c.eofSignaled = false
-	s.activate(c)
 	return nil
 }
 

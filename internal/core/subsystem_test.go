@@ -106,7 +106,7 @@ func TestSubsystemTimeInvariant(t *testing.T) {
 	violated := false
 	s.OnStep = func(now vtime.Time) {
 		for _, c := range s.Components() {
-			if !c.Done() && now.After(c.LocalTime()) {
+			if !c.Done() && c.LocalTime().Before(now) {
 				violated = true
 			}
 		}
@@ -340,6 +340,15 @@ func TestStop(t *testing.T) {
 	s.Teardown()
 }
 
+// injectDrive queues a drive of net the way a channel endpoint does:
+// a control action that drives it from the scheduler goroutine.
+func injectDrive(s *Subsystem, net, src string, at vtime.Time, v any) {
+	s.InjectFunc(func() bool {
+		s.DriveNow(net, src, at, v)
+		return false
+	})
+}
+
 func TestInjectDrive(t *testing.T) {
 	s := NewSubsystem("inj")
 	co := &consumer{}
@@ -351,9 +360,7 @@ func TestInjectDrive(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Run(vtime.Infinity) }()
 	for i := 0; i < 3; i++ {
-		if err := s.InjectDrive("ext", "outside", vtime.Time(10*(i+1)), i); err != nil {
-			t.Fatal(err)
-		}
+		injectDrive(s, "ext", "outside", vtime.Time(10*(i+1)), i)
 	}
 	// Injections queued before the external source disappears are
 	// guaranteed to be routed before the run terminates.
@@ -391,9 +398,7 @@ func TestAddGateWhileRunning(t *testing.T) {
 	go func() { done <- s.Run(vtime.Infinity) }()
 	for i := 0; i < 50; i++ {
 		s.AddGate(openGate{})
-		if err := s.InjectDrive("ext", "outside", vtime.Time(10*(i+1)), i); err != nil {
-			t.Fatal(err)
-		}
+		injectDrive(s, "ext", "outside", vtime.Time(10*(i+1)), i)
 	}
 	s.RemoveExternal()
 	if err := <-done; err != nil {
@@ -406,7 +411,7 @@ func TestAddGateWhileRunning(t *testing.T) {
 
 func TestInjectUnknownNet(t *testing.T) {
 	s := NewSubsystem("inj2")
-	if err := s.InjectDrive("nope", "x", 1, 1); err == nil {
+	if err := s.DriveNow("nope", "x", 1, 1); err == nil {
 		t.Fatal("expected error for unknown net")
 	}
 }

@@ -45,12 +45,13 @@ func build(t *testing.T, n int) (*core.Subsystem, *Debugger, *taker) {
 	s := core.NewSubsystem("dbg")
 	tc, _ := s.NewComponent("clock", &ticker{N: n})
 	tc.AddPort("out")
-	rc, _ := s.NewComponent("sink", &taker{})
+	sink := &taker{}
+	rc, _ := s.NewComponent("sink", sink)
 	rc.AddPort("in")
 	nw, _ := s.NewNet("bus", 0)
 	s.Connect(nw, tc.Port("out"), rc.Port("in"))
 	d := New(s)
-	return s, d, rc.Behavior().(*taker)
+	return s, d, sink
 }
 
 func TestBreakpointPausesRun(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/vtime"
 )
 
-func src(times map[string]vtime.Time) TimeSource {
+func src(times map[string]vtime.Time) timeSource {
 	return func(name string) (vtime.Time, bool) {
 		t, ok := times[name]
 		return t, ok
@@ -103,10 +103,10 @@ func TestParseSwitchpoint(t *testing.T) {
 	if len(sp.Actions) != 2 {
 		t.Fatalf("actions = %d, want 2", len(sp.Actions))
 	}
-	if sp.Actions[0] != (Action{"I2CComponent", "hardwareLevel"}) {
+	if sp.Actions[0] != (action{"I2CComponent", "hardwareLevel"}) {
 		t.Fatalf("action[0] = %+v", sp.Actions[0])
 	}
-	if sp.Actions[1] != (Action{"VidCamComponent", "byteLevel"}) {
+	if sp.Actions[1] != (action{"VidCamComponent", "byteLevel"}) {
 		t.Fatalf("action[1] = %+v", sp.Actions[1])
 	}
 	if !sp.Cond.Eval(src(map[string]vtime.Time{"I2CComponent": 67})) {
@@ -144,14 +144,14 @@ when a >= 10: a->low
 
 when b >= 20 & a >= 5: b->high, a->high
 `
-	sps, err := ParseScript(script)
+	sps, err := parseScript(script)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sps) != 2 {
 		t.Fatalf("parsed %d switchpoints, want 2", len(sps))
 	}
-	if _, err := ParseScript("garbage !!"); err == nil {
+	if _, err := parseScript("garbage !!"); err == nil {
 		t.Fatal("bad script accepted")
 	}
 }
@@ -184,8 +184,8 @@ func TestEngineFiresSwitchpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var switched []Action
-	e.OnSwitch = func(_ *Switchpoint, a Action) { switched = append(switched, a) }
+	var switched []action
+	e.OnSwitch = func(_ *Switchpoint, a action) { switched = append(switched, a) }
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestEngineFiresOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	fires := 0
-	e.OnSwitch = func(*Switchpoint, Action) { fires++ }
+	e.OnSwitch = func(*Switchpoint, action) { fires++ }
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 	"repro/internal/vtime"
 )
 
-// Action is one runlevel change performed when a switchpoint fires.
-type Action struct {
+// action is one runlevel change performed when a switchpoint fires.
+type action struct {
 	Component string
 	Level     string
 }
@@ -21,7 +21,7 @@ type Action struct {
 type Switchpoint struct {
 	Source  string // original text, for diagnostics
 	Cond    Expr
-	Actions []Action
+	Actions []action
 	fired   bool
 }
 
@@ -54,7 +54,7 @@ func ParseSwitchpoint(src string) (*Switchpoint, error) {
 	if _, err := p.expect(tokColon, ":"); err != nil {
 		return nil, err
 	}
-	var actions []Action
+	var actions []action
 	for {
 		comp, err := p.expect(tokIdent, "component name")
 		if err != nil {
@@ -67,7 +67,7 @@ func ParseSwitchpoint(src string) (*Switchpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		actions = append(actions, Action{Component: comp.text, Level: level.text})
+		actions = append(actions, action{Component: comp.text, Level: level.text})
 		if p.cur().kind != tokComma {
 			break
 		}
@@ -79,9 +79,9 @@ func ParseSwitchpoint(src string) (*Switchpoint, error) {
 	return &Switchpoint{Source: text, Cond: cond, Actions: actions}, nil
 }
 
-// ParseScript parses a simulation run control file: one switchpoint
+// parseScript parses a simulation run control file: one switchpoint
 // per line, with blank lines and '#' comments ignored.
-func ParseScript(src string) ([]*Switchpoint, error) {
+func parseScript(src string) ([]*Switchpoint, error) {
 	var out []*Switchpoint
 	sc := bufio.NewScanner(strings.NewReader(src))
 	lineNo := 0
@@ -112,7 +112,7 @@ type Engine struct {
 	Switches int64
 
 	// OnSwitch is invoked for every applied action.
-	OnSwitch func(sp *Switchpoint, a Action)
+	OnSwitch func(sp *Switchpoint, a action)
 
 	prevStep func(vtime.Time)
 	hooked   bool
@@ -172,7 +172,7 @@ func (e *Engine) EnableTimeline(rec *timeline.Recorder) {
 	}
 	sub := e.sub.Name()
 	prev := e.OnSwitch
-	e.OnSwitch = func(sp *Switchpoint, a Action) {
+	e.OnSwitch = func(sp *Switchpoint, a action) {
 		if prev != nil {
 			prev(sp, a)
 		}
@@ -182,7 +182,7 @@ func (e *Engine) EnableTimeline(rec *timeline.Recorder) {
 
 // LoadScript parses a run control file and registers every rule.
 func (e *Engine) LoadScript(src string) error {
-	sps, err := ParseScript(src)
+	sps, err := parseScript(src)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@
 // (&) and disjuncts (|) of comparisons across multiple components.
 // Switchpoints come from three places, all supported here: the
 // detail-level slider (Engine.Slider), the simulation run control
-// file (ParseScript), and imperative switch statements in component
+// file (parseScript), and imperative switch statements in component
 // source (core.Proc.SetRunlevel).
 package detail
 
@@ -26,13 +26,13 @@ import (
 	"repro/internal/vtime"
 )
 
-// TimeSource reports a component's local virtual time. ok=false means
+// timeSource reports a component's local virtual time. ok=false means
 // the component is unknown, which makes any comparison on it false.
-type TimeSource func(component string) (vtime.Time, bool)
+type timeSource func(component string) (vtime.Time, bool)
 
 // Expr is a switchpoint condition.
 type Expr interface {
-	Eval(ts TimeSource) bool
+	Eval(ts timeSource) bool
 	String() string
 }
 
@@ -69,7 +69,7 @@ type cmpExpr struct {
 	t    vtime.Time
 }
 
-func (c *cmpExpr) Eval(ts TimeSource) bool {
+func (c *cmpExpr) Eval(ts timeSource) bool {
 	lt, ok := ts(c.comp)
 	if !ok {
 		return false
@@ -98,7 +98,7 @@ type binExpr struct {
 	l, r Expr
 }
 
-func (b *binExpr) Eval(ts TimeSource) bool {
+func (b *binExpr) Eval(ts timeSource) bool {
 	if b.and {
 		return b.l.Eval(ts) && b.r.Eval(ts)
 	}

@@ -69,8 +69,8 @@ const (
 	// KindNet is a value change on a net, destined for every port
 	// connected to the net other than the driver.
 	KindNet Kind = iota
-	// KindTimer is a component-requested wakeup.
-	KindTimer
+	// kindTimer is a component-requested wakeup.
+	kindTimer
 	// KindControl is a scheduler-internal control action (runlevel
 	// switch, checkpoint request, ...) executed at a point in virtual
 	// time.
@@ -81,7 +81,7 @@ func (k Kind) String() string {
 	switch k {
 	case KindNet:
 		return "net"
-	case KindTimer:
+	case kindTimer:
 		return "timer"
 	case KindControl:
 		return "control"
@@ -101,7 +101,7 @@ type Event struct {
 	// Target routing. For KindNet events, Net names the net whose
 	// value changed and Component/Port name one receiving port (the
 	// scheduler fans a net change out to one Event per listener).
-	// For KindTimer, Component names the sleeper.
+	// For kindTimer, Component names the sleeper.
 	Component string
 	Port      string
 	Net       string
@@ -128,7 +128,7 @@ func (e Event) String() string {
 	switch e.Kind {
 	case KindNet:
 		return fmt.Sprintf("@%v net %s -> %s.%s = %v", e.Time, e.Net, e.Component, e.Port, e.Value)
-	case KindTimer:
+	case kindTimer:
 		return fmt.Sprintf("@%v timer %s", e.Time, e.Component)
 	default:
 		return fmt.Sprintf("@%v %s", e.Time, e.Kind)

@@ -291,7 +291,7 @@ func TestEventString(t *testing.T) {
 	if s := e.String(); s == "" {
 		t.Fatal("empty String for net event")
 	}
-	timer := Event{Time: 5, Kind: KindTimer, Component: "cpu"}
+	timer := Event{Time: 5, Kind: kindTimer, Component: "cpu"}
 	if s := timer.String(); s == "" {
 		t.Fatal("empty String for timer event")
 	}
@@ -299,7 +299,7 @@ func TestEventString(t *testing.T) {
 	if s := ctl.String(); s == "" {
 		t.Fatal("empty String for control event")
 	}
-	for _, k := range []Kind{KindNet, KindTimer, KindControl, Kind(99)} {
+	for _, k := range []Kind{KindNet, kindTimer, KindControl, Kind(99)} {
 		if k.String() == "" {
 			t.Fatal("empty Kind string")
 		}

@@ -441,7 +441,7 @@ func TestPacedBurstIsOneSpan(t *testing.T) {
 		{"tied", paced(2000, 0), 1},
 		{"one", paced(1, 0), 1},
 		{"route changes", append(paced(10, 5), push{at: 1050, port: "irq"}, push{at: 1055, port: "irq"}), 2},
-		{"kind changes", append(paced(10, 5), push{at: 1050, port: "dma", kind: KindTimer}), 2},
+		{"kind changes", append(paced(10, 5), push{at: 1050, port: "dma", kind: kindTimer}), 2},
 		{"step changes", []push{{at: 0, port: "dma"}, {at: 1, port: "dma"}, {at: 2, port: "dma"}, {at: 4, port: "dma"}, {at: 6, port: "dma"}}, 2},
 		{"sequence gap", append(paced(10, 5), push{at: 1050, port: "dma", seqGap: 3}, push{at: 1055, port: "dma"}), 2},
 		{"step too wide", []push{{at: 0, port: "dma"}, {at: 1 << 40, port: "dma"}, {at: 2 << 40, port: "dma"}}, 3},

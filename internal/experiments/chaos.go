@@ -32,7 +32,8 @@ type ChaosConfig struct {
 // DefaultChaosFaults is the paper-style WAN misbehaviour mix the
 // chaos experiment injects: a few percent of frames dropped,
 // duplicated, reordered or corrupted, sub-millisecond jitter, and one
-// scripted partition/heal cycle early in the run.
+// scripted partition/heal cycle early in the run: at the eighth frame,
+// which every link reaches at any page size.
 func DefaultChaosFaults(seed int64) pia.FaultConfig {
 	return pia.FaultConfig{
 		Seed:        seed,
@@ -41,7 +42,7 @@ func DefaultChaosFaults(seed int64) pia.FaultConfig {
 		DupProb:     0.02,
 		ReorderProb: 0.02,
 		CorruptProb: 0.02,
-		Partitions:  []pia.FaultPartition{{AtFrame: 50, Heal: 15 * time.Millisecond}},
+		Partitions:  []pia.FaultPartition{{AtFrame: 8, Heal: 15 * time.Millisecond}},
 	}
 }
 

@@ -14,15 +14,13 @@ import (
 // and drive count exactly (Chaos itself asserts that), faults must
 // actually have fired, and the session layer must have recovered at
 // least one connection epoch. At this page size a link carries a few
-// dozen frames, short of the default partition's, and whether a random
-// fault then forces a recovery depends on which frames the heartbeats,
-// paced by the wall clock, take: a reorder whose hold times out, or a
-// duplicated heartbeat, loses nothing. So the partition is moved to a
-// frame every run reaches, and its cut forces one every time.
+// dozen frames, and whether a random fault forces a recovery depends on
+// which frames the heartbeats, paced by the wall clock, take: a reorder
+// whose hold times out, or a duplicated heartbeat, loses nothing. The
+// default partition sits at a frame every run reaches, so its cut
+// forces one every time.
 func TestChaosDeterminism(t *testing.T) {
-	faults := DefaultChaosFaults(7)
-	faults.Partitions = []pia.FaultPartition{{AtFrame: 8, Heal: 15 * time.Millisecond}}
-	cfg := ChaosConfig{Table1Config: smallTable1(), Seed: 7, Faults: faults}
+	cfg := ChaosConfig{Table1Config: smallTable1(), Seed: 7}
 	clean, faulty, err := Chaos(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -140,7 +140,7 @@ func TestFig2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byNet := map[string]Fig2Split{}
+	byNet := map[string]fig2Split{}
 	for _, s := range splits {
 		byNet[s.Net] = s
 	}

@@ -55,11 +55,11 @@ func (s *sink) Run(p *core.Proc) error {
 func (s *sink) SaveState() ([]byte, error)  { return core.GobSave(s) }
 func (s *sink) RestoreState(b []byte) error { return core.GobRestore(s, b) }
 
-// Fig3Result captures the Fig. 3 scenario: a subsystem with eager
+// fig3Result captures the Fig. 3 scenario: a subsystem with eager
 // local work must stall under a conservative channel to maintain
 // continuous consistency, or run ahead and pay restores under an
 // optimistic one.
-type Fig3Result struct {
+type fig3Result struct {
 	Policy     string
 	Wall       time.Duration
 	Delivered  int
@@ -72,8 +72,8 @@ type Fig3Result struct {
 // Fig3 runs the scenario under both policies at its published message
 // spacing. messages is the number of cross-channel messages; busySteps
 // the local work racing ahead.
-func Fig3(messages, busySteps int) ([]Fig3Result, error) {
-	var out []Fig3Result
+func Fig3(messages, busySteps int) ([]fig3Result, error) {
+	var out []fig3Result
 	for _, pol := range []pia.Policy{pia.Conservative, pia.Optimistic} {
 		res, err := policyLeg(pol, messages, busySteps, 100)
 		if err != nil {
@@ -91,7 +91,7 @@ func Fig3(messages, busySteps int) ([]Fig3Result, error) {
 // are guaranteed stragglers — the situation optimism gambles on and
 // Fig. 3's conservative stall prevents — and its rollback costs are
 // actually exercised.
-func policyLeg(pol pia.Policy, messages, busySteps int, period vtime.Duration) (Fig3Result, error) {
+func policyLeg(pol pia.Policy, messages, busySteps int, period vtime.Duration) (fig3Result, error) {
 	src := &burster{Count: messages, Period: period}
 	dst := &sink{}
 	busy := &burster{Count: busySteps, Period: 1}
@@ -104,7 +104,7 @@ func policyLeg(pol pia.Policy, messages, busySteps int, period vtime.Duration) (
 		SetDefaultChannel(pol, pia.LinkModel{Latency: 5, PerMessage: 1}).
 		BuildLocal()
 	if err != nil {
-		return Fig3Result{}, err
+		return fig3Result{}, err
 	}
 	defer sim.Close()
 	horizon := pia.Time(vtime.Duration(messages)*period + vtime.Duration(busySteps) + 100_000)
@@ -123,18 +123,18 @@ func policyLeg(pol pia.Policy, messages, busySteps int, period vtime.Duration) (
 			runtime.Gosched()
 		}
 		if err := ss2.Run(horizon); err != nil {
-			return Fig3Result{}, err
+			return fig3Result{}, err
 		}
 		if err := sim.Hubs["ss2"].Close(); err != nil {
-			return Fig3Result{}, err
+			return fig3Result{}, err
 		}
 		if err := <-done1; err != nil {
-			return Fig3Result{}, err
+			return fig3Result{}, err
 		}
 	} else if err := sim.Run(horizon); err != nil {
-		return Fig3Result{}, err
+		return fig3Result{}, err
 	}
-	res := Fig3Result{
+	res := fig3Result{
 		Policy:    pol.String(),
 		Wall:      time.Since(start),
 		Delivered: len(dst.Got),
@@ -163,9 +163,9 @@ func ordered(xs []int) bool {
 	return true
 }
 
-// Fig4Result shows the three-subsystem safe-time exchange: SS1 must
+// fig4Result shows the three-subsystem safe-time exchange: SS1 must
 // obtain safe times from both SS2 and SS3 before advancing.
-type Fig4Result struct {
+type fig4Result struct {
 	AsksToSS2, AsksToSS3         int64
 	GrantsFromSS2, GrantsFromSS3 int64
 	Delivered                    int
@@ -173,7 +173,7 @@ type Fig4Result struct {
 }
 
 // Fig4 runs SS2 and SS3 each feeding SS1, conservatively.
-func Fig4(messages int) (Fig4Result, error) {
+func Fig4(messages int) (fig4Result, error) {
 	d2 := &burster{Count: messages, Period: 70}
 	d3 := &burster{Count: messages, Period: 110}
 	dst := &sink{}
@@ -188,14 +188,14 @@ func Fig4(messages int) (Fig4Result, error) {
 		SetDefaultChannel(pia.Conservative, pia.LinkModel{Latency: 5, PerMessage: 1})
 	sim, err := b.BuildLocal()
 	if err != nil {
-		return Fig4Result{}, err
+		return fig4Result{}, err
 	}
 	defer sim.Close()
 	horizon := pia.Time(vtime.Duration(messages)*110 + 10_000)
 	if err := sim.Run(horizon); err != nil {
-		return Fig4Result{}, err
+		return fig4Result{}, err
 	}
-	var res Fig4Result
+	var res fig4Result
 	res.Delivered = len(dst.Got) + len(dst2.Got)
 	if ep := sim.Hubs["ss1"].Endpoint("ss2"); ep != nil {
 		res.AsksToSS2 = ep.Stats().AsksOut
@@ -210,9 +210,9 @@ func Fig4(messages int) (Fig4Result, error) {
 	return res, nil
 }
 
-// Fig2Split describes how a logical net is realized across
+// fig2Split describes how a logical net is realized across
 // subsystems.
-type Fig2Split struct {
+type fig2Split struct {
 	Net       string
 	Fragments []string // "subsystem(ports...)" plus hidden ports
 	Crossing  bool
@@ -220,16 +220,16 @@ type Fig2Split struct {
 
 // Fig2 builds the remote WubbleU and reports how its nets were split
 // — the hidden ports and channel components of Fig. 2.
-func Fig2() ([]Fig2Split, error) {
+func Fig2() ([]fig2Split, error) {
 	s, err := newStand(Table1Config{PageSize: 4096, Images: 1}.wubbleu(proto.LevelPacket), true, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer s.sys.Close()
-	var out []Fig2Split
+	var out []fig2Split
 	netNames := []string{"ink", "url", "screen", "cachebus", "jpegbus", "dma", "radio"}
 	for _, name := range netNames {
-		sp := Fig2Split{Net: name}
+		sp := fig2Split{Net: name}
 		for _, subName := range s.sim.SubsystemNames() {
 			n := s.sim.Subsystem(subName).Net(name)
 			if n == nil {
@@ -255,9 +255,9 @@ func Fig2() ([]Fig2Split, error) {
 	return out, nil
 }
 
-// Fig1Result is the multi-node smoke test: subsystems on two nodes
+// fig1Result is the multi-node smoke test: subsystems on two nodes
 // plus a remote hardware connection, all interconnected.
-type Fig1Result struct {
+type fig1Result struct {
 	Loads        int
 	HWInterrupts int64
 	Wall         time.Duration
@@ -266,7 +266,7 @@ type Fig1Result struct {
 // Fig1 runs WubbleU across two Pia nodes over TCP while a simulated
 // board behind a remote hardware server is patched into the handheld
 // subsystem through the stub.
-func Fig1() (Fig1Result, error) {
+func Fig1() (fig1Result, error) {
 	// Remote hardware: a watchdog board on a third site.
 	board := hwstub.NewSimBoard(func(regs map[uint32]uint32, from, to vtime.Time) []hwstub.Interrupt {
 		var irqs []hwstub.Interrupt
@@ -279,12 +279,12 @@ func Fig1() (Fig1Result, error) {
 	})
 	hwSrv, hwAddr, err := hwstub.Serve(board, "127.0.0.1:0")
 	if err != nil {
-		return Fig1Result{}, err
+		return fig1Result{}, err
 	}
 	defer hwSrv.Close()
 	dev, err := hwstub.Dial(hwAddr)
 	if err != nil {
-		return Fig1Result{}, err
+		return fig1Result{}, err
 	}
 	defer dev.Close()
 	adapter := &hwstub.Adapter{Dev: dev, Quantum: vtime.Duration(2 * vtime.Millisecond), Horizon: vtime.Time(60 * vtime.Millisecond)}
@@ -296,14 +296,14 @@ func Fig1() (Fig1Result, error) {
 			AddNet("wdirq", 0, "watchdog.irq", "irqmon.irq")
 	})
 	if err != nil {
-		return Fig1Result{}, err
+		return fig1Result{}, err
 	}
 	defer s.sys.Close()
 	wall, res, err := s.load()
 	if err != nil {
-		return Fig1Result{}, fmt.Errorf("fig1: %w", err)
+		return fig1Result{}, fmt.Errorf("fig1: %w", err)
 	}
-	return Fig1Result{Loads: res.Loads, HWInterrupts: adapter.Forwarded, Wall: wall}, nil
+	return fig1Result{Loads: res.Loads, HWInterrupts: adapter.Forwarded, Wall: wall}, nil
 }
 
 // irqCounter counts IRQ messages.

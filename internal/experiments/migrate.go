@@ -70,7 +70,7 @@ type MigrateRow struct {
 	DigestsMatch bool `json:"digests_match"`
 	// Digests is the union of per-component drive digests across the
 	// mesh at the end of the leg.
-	Digests map[string]Digest `json:"digests"`
+	Digests map[string]hexDigest `json:"digests"`
 }
 
 // migrateMembers is the fixed member set; "alpha" (the smallest name)
@@ -146,9 +146,9 @@ func migrateLeg(mode string, p mesh.DemoParams, cfg MigrateConfig, tune func(i i
 	row.VirtualDowntime = st.MigrationVirtual
 	row.MigrationWall = st.MigrationWall
 	row.EpochPropagation = st.EpochPropagation
-	row.Digests = make(map[string]Digest)
+	row.Digests = make(map[string]hexDigest)
 	for comp, d := range lm.Digests() {
-		row.Digests[comp] = Digest(d)
+		row.Digests[comp] = hexDigest(d)
 	}
 	return row, nil
 }

@@ -51,7 +51,7 @@ func DefaultObsConfig() ObsConfig {
 	s.Sessions = 60
 	s.WorkIters = 32768
 	return ObsConfig{
-		Table1:        DefaultTable1Config(),
+		Table1:        defaultTable1Config(),
 		Sessions:      s,
 		Runs:          8,
 		WatchInterval: 250 * time.Millisecond,

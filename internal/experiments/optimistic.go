@@ -38,11 +38,11 @@ type OptimisticConfig struct {
 	// propagation delay, so the bus delay IS the component's output
 	// lookahead: large values let the conservative horizon clear
 	// every service, small ones collapse it to (almost) nothing.
-	Lookaheads []OptLookahead
+	Lookaheads []optLookahead
 }
 
-// OptLookahead is one leg of the lookahead sweep.
-type OptLookahead struct {
+// optLookahead is one leg of the lookahead sweep.
+type optLookahead struct {
 	Name  string
 	Delay vtime.Duration
 }
@@ -57,7 +57,7 @@ func DefaultOptimisticConfig() OptimisticConfig {
 		WorkIters: 2000,
 		Service:   2 * time.Millisecond,
 		Advance:   4 * vtime.Microsecond,
-		Lookaheads: []OptLookahead{
+		Lookaheads: []optLookahead{
 			{Name: "high", Delay: vtime.Microsecond},
 			{Name: "low", Delay: 2},
 			{Name: "zero", Delay: 0},
@@ -82,7 +82,7 @@ type OptimisticRow struct {
 	Rollbacks   int64          `json:"rollbacks"`
 	RolledBack  int64          `json:"rolled_back_events"`
 	CommitRatio float64        `json:"commit_ratio"` // committed / dispatched speculations
-	Digest      Digest         `json:"drive_digest"`
+	Digest      hexDigest      `json:"drive_digest"`
 	Speedup     float64        `json:"speedup_vs_sequential"`             // sequential wall / this wall
 	VsCons      float64        `json:"speedup_vs_conservative,omitempty"` // conservative wall at same leg+workers / this wall
 }
@@ -169,7 +169,7 @@ func (k *optSink) Run(p *core.Proc) error {
 // by a private high-delay jobs net and reporting on a private
 // high-delay result net, all sharing a silent probe bus whose delay is
 // the lookahead under test. optimism == 0 selects conservative mode.
-func fanLeg(c OptimisticConfig, la OptLookahead, workers int, optimism vtime.Duration) (OptimisticRow, error) {
+func fanLeg(c OptimisticConfig, la optLookahead, workers int, optimism vtime.Duration) (OptimisticRow, error) {
 	const feed = vtime.Millisecond // jobs/result net delay; >= every lookahead
 	s := core.NewSubsystem("probe")
 	s.SetWorkers(workers)
@@ -260,7 +260,7 @@ func fanLeg(c OptimisticConfig, la OptLookahead, workers int, optimism vtime.Dur
 		SpecCommits: st.SpecCommits,
 		Rollbacks:   st.Rollbacks,
 		RolledBack:  st.RolledBack,
-		Digest:      Digest(digest.Sum64()),
+		Digest:      hexDigest(digest.Sum64()),
 	}
 	if st.SpecMembers > 0 {
 		row.CommitRatio = float64(st.SpecCommits) / float64(st.SpecMembers)

@@ -68,14 +68,14 @@ func TestOptimisticAblation(t *testing.T) {
 // a zero window is conservative by definition.
 func TestOptimisticWindowKnob(t *testing.T) {
 	c := quickOptConfig()
-	row, err := fanLeg(c, OptLookahead{Name: "zero", Delay: 0}, 4, 0)
+	row, err := fanLeg(c, optLookahead{Name: "zero", Delay: 0}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if row.SpecRounds != 0 || row.Rollbacks != 0 {
 		t.Fatalf("conservative leg reported speculation: %+v", row)
 	}
-	opt, err := fanLeg(c, OptLookahead{Name: "zero", Delay: 0}, 4, c.Window)
+	opt, err := fanLeg(c, optLookahead{Name: "zero", Delay: 0}, 4, c.Window)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,16 +55,16 @@ type ParallelRow struct {
 	Virt      vtime.Duration `json:"virtual_ns"`
 	Drives    int64          `json:"drives"`
 	ParRounds int64          `json:"parallel_rounds"`
-	Digest    Digest         `json:"drive_digest"`
+	Digest    hexDigest      `json:"drive_digest"`
 	Speedup   float64        `json:"speedup"`
 }
 
-// Digest is a drive digest as the experiments report it: a uint64 that
+// hexDigest is a drive digest as the experiments report it: a uint64 that
 // marshals as the 16 hex digits the BENCH files hold.
-type Digest uint64
+type hexDigest uint64
 
 // MarshalText renders the digest as %016x.
-func (d Digest) MarshalText() ([]byte, error) {
+func (d hexDigest) MarshalText() ([]byte, error) {
 	return fmt.Appendf(nil, "%016x", uint64(d)), nil
 }
 
@@ -84,7 +84,7 @@ func Parallel(c ParallelConfig) ([]ParallelRow, []Table1Row, error) {
 	rows := make([]ParallelRow, 0, len(c.Workers))
 	var ref outcome
 	for i, w := range c.Workers {
-		r, err := fanLeg(fan, OptLookahead{Name: "feed", Delay: vtime.Millisecond}, w, 0)
+		r, err := fanLeg(fan, optLookahead{Name: "feed", Delay: vtime.Millisecond}, w, 0)
 		if err != nil {
 			return nil, nil, err
 		}

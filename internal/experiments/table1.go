@@ -77,8 +77,8 @@ type Table1Config struct {
 	Timeline bool
 }
 
-// DefaultTable1Config reproduces the paper's setup.
-func DefaultTable1Config() Table1Config {
+// defaultTable1Config reproduces the paper's setup.
+func defaultTable1Config() Table1Config {
 	return Table1Config{PageSize: wubbleu.DefaultPageSize, Images: wubbleu.DefaultImageCount}
 }
 
@@ -122,7 +122,7 @@ func Native(c Table1Config) (Table1Row, error) {
 type outcome struct {
 	virt          vtime.Duration
 	drives, steps int64
-	digest        Digest
+	digest        hexDigest
 }
 
 // against errors unless o reproduces ref, naming the run as what.

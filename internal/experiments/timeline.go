@@ -11,10 +11,10 @@ import (
 	"repro/internal/vtime"
 )
 
-// ChaosTimelineResult is the outcome of the chaos-timeline scenario:
+// chaosTimelineResult is the outcome of the chaos-timeline scenario:
 // the faulty two-node run with per-node timeline recorders wired, a
 // scripted checkpoint-restore rewind, and the merged canonical export.
-type ChaosTimelineResult struct {
+type chaosTimelineResult struct {
 	Row ChaosRow // the instrumented faulty leg
 
 	// Trace is the merged canonical Perfetto JSON: both nodes'
@@ -58,11 +58,11 @@ type ChaosTimelineResult struct {
 // merged export has only complete flow arrows. All virtual times are
 // pure functions of the seed, so the merged canonical export is
 // byte-identical run to run.
-func ChaosTimeline(c ChaosConfig) (ChaosTimelineResult, error) {
+func ChaosTimeline(c ChaosConfig) (chaosTimelineResult, error) {
 	// Load 2 is a cache hit: it never leaves the handheld.
 	s, err := c.withDefaults().faultyStand(2)
 	if err != nil {
-		return ChaosTimelineResult{}, err
+		return chaosTimelineResult{}, err
 	}
 	defer s.sys.Close()
 	// Ring large enough that nothing is evicted: determinism of the
@@ -82,10 +82,10 @@ func ChaosTimeline(c ChaosConfig) (ChaosTimelineResult, error) {
 	start := time.Now()
 	for at := step; ; at += step {
 		if at > end {
-			return ChaosTimelineResult{}, fmt.Errorf("chaos-timeline: load 1 incomplete by horizon %v", end)
+			return chaosTimelineResult{}, fmt.Errorf("chaos-timeline: load 1 incomplete by horizon %v", end)
 		}
 		if err := s.sys.Run(at); err != nil {
-			return ChaosTimelineResult{}, err
+			return chaosTimelineResult{}, err
 		}
 		if s.app.Result().Loads >= 1 {
 			break
@@ -96,27 +96,27 @@ func ChaosTimeline(c ChaosConfig) (ChaosTimelineResult, error) {
 	hh := s.cl.Subsystems["handheld"]
 	cs, err := hh.CaptureNow("scripted-rewind")
 	if err != nil {
-		return ChaosTimelineResult{}, err
+		return chaosTimelineResult{}, err
 	}
 	_, res, err := s.load()
 	if err != nil {
-		return ChaosTimelineResult{}, fmt.Errorf("chaos-timeline: %w", err)
+		return chaosTimelineResult{}, fmt.Errorf("chaos-timeline: %w", err)
 	}
 	wall := time.Since(start)
 	if res.CacheHits == 0 {
 		// The all-arrows-complete guarantee depends on load 2 staying
 		// on the handheld; a cache miss would commit unmatched sends.
-		return ChaosTimelineResult{}, fmt.Errorf("chaos-timeline: load 2 missed the page cache")
+		return chaosTimelineResult{}, fmt.Errorf("chaos-timeline: load 2 missed the page cache")
 	}
 	// Scripted rewind, after the result is in: roll the handheld
 	// subsystem back to the inter-load checkpoint. Everything it
 	// recorded past the capture point — load 2 — leaves the committed
 	// view; the rewind marker documents the discarded window.
 	if err := hh.RestoreCheckpoint(cs); err != nil {
-		return ChaosTimelineResult{}, err
+		return chaosTimelineResult{}, err
 	}
 
-	out := ChaosTimelineResult{
+	out := chaosTimelineResult{
 		Row: ChaosRow{Mode: "faulty+timeline", Wall: wall, Virt: res.LoadVirt[0], Drives: res.DMADrives},
 	}
 	batches := make([][]timeline.Event, 0, 2)
@@ -139,7 +139,7 @@ func ChaosTimeline(c ChaosConfig) (ChaosTimelineResult, error) {
 	}
 	var buf bytes.Buffer
 	if err := timeline.WritePerfetto(&buf, merged, timeline.ExportOptions{}); err != nil {
-		return ChaosTimelineResult{}, err
+		return chaosTimelineResult{}, err
 	}
 	out.Trace = buf.Bytes()
 	return out, nil

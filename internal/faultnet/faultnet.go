@@ -16,7 +16,7 @@
 // configuration. Chaos runs are therefore exactly reproducible: the
 // same seed yields the same schedule byte for byte, which
 // Link.VerifyDigest checks at runtime against an independent replay
-// of the decision stream (Config.ScheduleDigest).
+// of the decision stream (Config.scheduleDigest).
 //
 // Faults are injected below the resilience session layer and above
 // TCP, which mirrors a WAN: TCP delivers whatever survives in order,
@@ -40,9 +40,9 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrLinkCut reports that a scripted partition is currently severing
+// errLinkCut reports that a scripted partition is currently severing
 // the link.
-var ErrLinkCut = errors.New("faultnet: link cut by scripted partition")
+var errLinkCut = errors.New("faultnet: link cut by scripted partition")
 
 // Partition is one scripted cut in a link's schedule: when the link
 // has forwarded AtFrame egress frames, the connection is severed and
@@ -135,7 +135,7 @@ const (
 )
 
 // decider is the deterministic decision stream: the same code path
-// drives the live link and the pure ScheduleDigest replay, so the two
+// drives the live link and the pure scheduleDigest replay, so the two
 // cannot diverge.
 type decider struct {
 	cfg     Config
@@ -202,11 +202,11 @@ func (d *decider) next() (act action, corruptMask byte, jitterFrac float64) {
 	return act, corruptMask, jitterFrac
 }
 
-// ScheduleDigest replays the first n frames' decision stream and
+// scheduleDigest replays the first n frames' decision stream and
 // returns its digest — a pure function of (Config, linkName). A live
 // link that has consumed n frames must report exactly this digest;
 // see Link.VerifyDigest.
-func (c Config) ScheduleDigest(linkName string, n int64) uint64 {
+func (c Config) scheduleDigest(linkName string, n int64) uint64 {
 	d := newDecider(c, linkName)
 	for i := int64(0); i < n; i++ {
 		d.next()
@@ -229,7 +229,7 @@ type Link struct {
 
 	// now is the clock partition-heal windows are measured against.
 	// It defaults to time.Now; tests inject a manual clock with
-	// SetClock so that WHEN a cut heals no longer depends on host
+	// setClock so that WHEN a cut heals no longer depends on host
 	// speed. Which frames trigger cuts is decided by the seeded
 	// schedule either way and stays in the schedule digest.
 	now func() time.Time
@@ -256,12 +256,12 @@ func NewLink(name string, cfg Config) *Link {
 	return &Link{name: name, cfg: cfg, dec: newDecider(cfg, name), now: time.Now}
 }
 
-// SetClock replaces the wall clock the link uses to time partition
+// setClock replaces the wall clock the link uses to time partition
 // heals. Injecting a manual clock makes cut/heal observations fully
 // deterministic: a link stays Broken until the injected clock is
 // advanced past the heal window, no matter how fast or slow the host
 // executes. Call before traffic flows; a nil clock restores time.Now.
-func (l *Link) SetClock(now func() time.Time) {
+func (l *Link) setClock(now func() time.Time) {
 	if now == nil {
 		now = time.Now
 	}
@@ -292,7 +292,7 @@ func (l *Link) Stats() Stats {
 // link deviated from its seeded schedule.
 func (l *Link) VerifyDigest() error {
 	st := l.Stats()
-	want := l.cfg.ScheduleDigest(l.name, st.Frames)
+	want := l.cfg.scheduleDigest(l.name, st.Frames)
 	if st.Digest != want {
 		return fmt.Errorf("faultnet %s: schedule digest mismatch after %d frames: live %x, replay %x",
 			l.name, st.Frames, st.Digest, want)
@@ -313,7 +313,7 @@ func (l *Link) Broken() bool {
 // backoff to ride out the cut.
 func (l *Link) Dial(network, addr string) (io.ReadWriteCloser, error) {
 	if l.Broken() {
-		return nil, fmt.Errorf("faultnet %s: dial %s: %w", l.name, addr, ErrLinkCut)
+		return nil, fmt.Errorf("faultnet %s: dial %s: %w", l.name, addr, errLinkCut)
 	}
 	c, err := net.Dial(network, addr)
 	if err != nil {
@@ -329,7 +329,7 @@ func (l *Link) Dial(network, addr string) (io.ReadWriteCloser, error) {
 // fault schedule. Reads pass through untouched — each side of a
 // channel shapes its own egress.
 func (l *Link) Wrap(inner io.ReadWriteCloser) io.ReadWriteCloser {
-	return &Conn{link: l, inner: inner}
+	return &faultConn{link: l, inner: inner}
 }
 
 // heldFlushDelay bounds how long a reorder can hold a frame with no
@@ -339,12 +339,12 @@ func (l *Link) Wrap(inner io.ReadWriteCloser) io.ReadWriteCloser {
 // to plain extra latency.
 const heldFlushDelay = 2 * time.Millisecond
 
-// Conn is one connection epoch on a faulty link. Writes are segmented
+// faultConn is one connection epoch on a faulty link. Writes are segmented
 // into wire frames and individually subjected to the link's schedule;
 // a partial trailing frame is buffered until its remainder arrives. A
 // frame held back for reorder belongs to the epoch that wrote it: it
 // dies with the connection rather than leaking into a successor epoch.
-type Conn struct {
+type faultConn struct {
 	link  *Link
 	inner io.ReadWriteCloser
 
@@ -361,18 +361,18 @@ type Conn struct {
 }
 
 // Read passes through to the underlying connection.
-func (c *Conn) Read(p []byte) (int, error) { return c.inner.Read(p) }
+func (c *faultConn) Read(p []byte) (int, error) { return c.inner.Read(p) }
 
 // Close drops any held frame (it is lost with the epoch; the session
 // layer replays it) and closes the underlying connection.
-func (c *Conn) Close() error {
+func (c *faultConn) Close() error {
 	c.dropHeld(true)
 	return c.inner.Close()
 }
 
 // dropHeld discards the held frame and stops its flush timer. With
 // closing set the conn also refuses future holds.
-func (c *Conn) dropHeld(closing bool) {
+func (c *faultConn) dropHeld(closing bool) {
 	c.hmu.Lock()
 	c.held = nil
 	if c.htimer != nil {
@@ -386,7 +386,7 @@ func (c *Conn) dropHeld(closing bool) {
 }
 
 // takeHeld removes and returns the held frame, if any.
-func (c *Conn) takeHeld() []byte {
+func (c *faultConn) takeHeld() []byte {
 	c.hmu.Lock()
 	f := c.held
 	c.held = nil
@@ -400,7 +400,7 @@ func (c *Conn) takeHeld() []byte {
 
 // flushHeld is the timer path: no successor frame showed up in time,
 // so the held frame departs on its own.
-func (c *Conn) flushHeld() {
+func (c *faultConn) flushHeld() {
 	f := c.takeHeld()
 	if f == nil {
 		return
@@ -417,7 +417,7 @@ func (c *Conn) flushHeld() {
 
 // SetReadDeadline forwards to the underlying connection when it
 // supports deadlines (handshake timeouts need this).
-func (c *Conn) SetReadDeadline(t time.Time) error {
+func (c *faultConn) SetReadDeadline(t time.Time) error {
 	if d, ok := c.inner.(interface{ SetReadDeadline(time.Time) error }); ok {
 		return d.SetReadDeadline(t)
 	}
@@ -428,7 +428,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 // frame is read where it lies — in p, or in pending when an earlier
 // write left part of it there — and only a partial trailing frame is
 // copied, into pending's reused storage.
-func (c *Conn) Write(p []byte) (int, error) {
+func (c *faultConn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	buf := p
@@ -457,7 +457,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 // processFrame applies the link schedule to one complete frame. The
 // frame is the writer's bytes: it is copied before it is corrupted and
 // when it is held back, and written through otherwise.
-func (c *Conn) processFrame(frame []byte) error {
+func (c *faultConn) processFrame(frame []byte) error {
 	l := c.link
 	l.mu.Lock()
 	if l.now().Before(l.cutUntil) {
@@ -465,7 +465,7 @@ func (c *Conn) processFrame(frame []byte) error {
 		// already dead, the writer just has not noticed yet.
 		l.mu.Unlock()
 		c.Close()
-		return ErrLinkCut
+		return errLinkCut
 	}
 	idx := l.dec.frames
 	act, mask, jfrac := l.dec.next()
@@ -477,7 +477,7 @@ func (c *Conn) processFrame(frame []byte) error {
 		l.mu.Unlock()
 		// A frame held across the cut is lost with the epoch.
 		c.Close()
-		return ErrLinkCut
+		return errLinkCut
 	}
 	if act&actDrop != 0 {
 		l.stats.Dropped++

@@ -131,17 +131,17 @@ func TestDeterministicSchedule(t *testing.T) {
 	if st1.Dropped == 0 || st1.Duplicated == 0 || st1.Corrupted == 0 || st1.Reordered == 0 {
 		t.Fatalf("schedule too tame for the probabilities: %+v", st1)
 	}
-	if st1.Digest != cfg.ScheduleDigest("det", st1.Frames) {
+	if st1.Digest != cfg.scheduleDigest("det", st1.Frames) {
 		t.Fatal("live digest does not match schedule replay")
 	}
 	// A different seed must yield a different schedule.
 	other := cfg
 	other.Seed = 43
-	if other.ScheduleDigest("det", 200) == cfg.ScheduleDigest("det", 200) {
+	if other.scheduleDigest("det", 200) == cfg.scheduleDigest("det", 200) {
 		t.Fatal("different seeds produced identical schedules")
 	}
 	// And a different link name, too.
-	if cfg.ScheduleDigest("other-link", 200) == cfg.ScheduleDigest("det", 200) {
+	if cfg.scheduleDigest("other-link", 200) == cfg.scheduleDigest("det", 200) {
 		t.Fatal("different link names produced identical schedules")
 	}
 }
@@ -193,6 +193,8 @@ func TestReorderHoldsACopy(t *testing.T) {
 func TestScriptedPartition(t *testing.T) {
 	s := &sink{}
 	l := NewLink("part", Config{Partitions: []Partition{{AtFrame: 3, Heal: 40 * time.Millisecond}}})
+	clock := &fakeClock{t: time.Unix(0, 0)}
+	l.setClock(clock.Now)
 	c := l.Wrap(s)
 	for i := 0; i < 3; i++ {
 		if _, err := c.Write(frame([]byte{byte(i)})); err != nil {
@@ -203,7 +205,7 @@ func TestScriptedPartition(t *testing.T) {
 		t.Fatal("link broken before the scripted frame")
 	}
 	_, err := c.Write(frame([]byte{3}))
-	if !errors.Is(err, ErrLinkCut) {
+	if !errors.Is(err, errLinkCut) {
 		t.Fatalf("frame 3 should cut the link, got %v", err)
 	}
 	if !s.closed {
@@ -212,10 +214,14 @@ func TestScriptedPartition(t *testing.T) {
 	if !l.Broken() {
 		t.Fatal("link not broken after cut")
 	}
-	if _, err := l.Dial("tcp", "127.0.0.1:1"); !errors.Is(err, ErrLinkCut) {
+	if _, err := l.Dial("tcp", "127.0.0.1:1"); !errors.Is(err, errLinkCut) {
 		t.Fatalf("dial during partition: %v", err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	clock.Advance(39 * time.Millisecond)
+	if !l.Broken() {
+		t.Fatal("link healed before its 40 ms window ended")
+	}
+	clock.Advance(time.Millisecond)
 	if l.Broken() {
 		t.Fatal("link did not heal")
 	}
@@ -227,7 +233,7 @@ func TestScriptedPartition(t *testing.T) {
 	}
 }
 
-// fakeClock is a manually advanced clock for SetClock.
+// fakeClock is a manually advanced clock for setClock.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -268,21 +274,21 @@ func TestPartitionHealDeterministicUnderSlowClock(t *testing.T) {
 		clock := &fakeClock{t: time.Unix(1_000_000, 0)}
 		s := &sink{}
 		l := NewLink("slowclock", cfg)
-		l.SetClock(clock.Now)
+		l.setClock(clock.Now)
 		c := l.Wrap(s)
 		var log []string
 		for i := 0; i < 12; i++ {
 			dally()
 			_, err := c.Write(frame([]byte{byte(i)}))
 			switch {
-			case errors.Is(err, ErrLinkCut):
+			case errors.Is(err, errLinkCut):
 				log = append(log, fmt.Sprintf("cut@%d", i))
 				dally()
 				log = append(log, fmt.Sprintf("broken=%v", l.Broken()))
 				// A write attempted mid-cut dies without entering the
 				// schedule: the epoch is already gone.
 				c = l.Wrap(s)
-				if _, err := c.Write(frame([]byte{0xFF})); !errors.Is(err, ErrLinkCut) {
+				if _, err := c.Write(frame([]byte{0xFF})); !errors.Is(err, errLinkCut) {
 					t.Fatalf("mid-cut write: got %v, want ErrLinkCut", err)
 				}
 				log = append(log, "midcut-rejected")

@@ -30,22 +30,22 @@ import (
 	"repro/internal/timeline"
 )
 
-// DefaultRingSize is the recorder capacity when New is given a
+// defaultRingSize is the recorder capacity when New is given a
 // non-positive size.
-const DefaultRingSize = 512
+const defaultRingSize = 512
 
 // dumpTimelineTail caps how many trailing timeline events a dump
 // embeds; the full timeline is still available via WriteTimeline.
 const dumpTimelineTail = 256
 
-// Entry is one recorded observation: a session/health transition, a
+// entry is one recorded observation: a session/health transition, a
 // changed metric, or a trigger note. Entries live in a fixed ring and
 // are overwritten in place; strings are retained by reference. A
 // streamed /watch "transition" frame is the same Entry, so the two
 // join on seq and wall_ns; one recorded after the ring froze has seq 0.
 // Entries of kind "session" carry the name as the session id, which
 // ?session= filters match.
-type Entry struct {
+type entry struct {
 	Seq     uint64 `json:"seq"`
 	WallNS  int64  `json:"wall_ns"`
 	Kind    string `json:"kind"`
@@ -68,7 +68,7 @@ type Dump struct {
 	Info        map[string]string `json:"info,omitempty"`
 	Recorded    uint64            `json:"recorded_total"`
 	AfterFreeze uint64            `json:"dropped_after_freeze,omitempty"`
-	Entries     []Entry           `json:"entries"`
+	Entries     []entry           `json:"entries"`
 	Metrics     []metrics.Sample  `json:"metrics,omitempty"`
 	Timeline    []timeline.Event  `json:"timeline,omitempty"`
 }
@@ -90,7 +90,7 @@ func (d *Dump) WriteJSON(w io.Writer) error {
 // path.
 type Recorder struct {
 	mu     sync.Mutex
-	ring   []Entry
+	ring   []entry
 	next   int    // next write slot
 	filled bool   // ring has wrapped at least once
 	total  uint64 // lifetime records
@@ -109,14 +109,14 @@ type Recorder struct {
 	sent    uint64                   // frames enqueued to watchers
 }
 
-// New returns a recorder with the given ring capacity (DefaultRingSize
+// New returns a recorder with the given ring capacity (defaultRingSize
 // if size <= 0).
 func New(size int) *Recorder {
 	if size <= 0 {
-		size = DefaultRingSize
+		size = defaultRingSize
 	}
 	return &Recorder{
-		ring: make([]Entry, size),
+		ring: make([]entry, size),
 		info: map[string]string{
 			"version": metrics.BuildVersion(),
 		},
@@ -184,7 +184,7 @@ func (r *Recorder) Record(kind, name, detail string, value int64) {
 	if r == nil {
 		return
 	}
-	e := Entry{Kind: kind, Name: name, Detail: detail, Value: value}
+	e := entry{Kind: kind, Name: name, Detail: detail, Value: value}
 	if kind == "session" {
 		e.Session = name
 	}
@@ -200,7 +200,7 @@ func (r *Recorder) Record(kind, name, detail string, value int64) {
 }
 
 // writeLocked stamps e with the next seq and copies it into the ring.
-func (r *Recorder) writeLocked(e *Entry) {
+func (r *Recorder) writeLocked(e *entry) {
 	r.total++
 	e.Seq = r.total
 	r.ring[r.next] = *e
@@ -232,7 +232,7 @@ func (r *Recorder) Trip(reason, detail string) {
 	if r == nil {
 		return
 	}
-	e := Entry{Kind: "trip", Name: reason, Detail: detail}
+	e := entry{Kind: "trip", Name: reason, Detail: detail}
 	var cbs []func(*Dump)
 	r.mu.Lock()
 	e.WallNS = time.Now().UnixNano()
@@ -259,7 +259,7 @@ func (r *Recorder) Trip(reason, detail string) {
 // recordMetrics writes one sampling tick's changed series into the
 // ring as "metric" entries and streams them as one "metrics" frame,
 // not as transitions; all share the tick's stamp.
-func (r *Recorder) recordMetrics(changed []MetricDelta) {
+func (r *Recorder) recordMetrics(changed []metricDelta) {
 	if r == nil || len(changed) == 0 {
 		return
 	}
@@ -270,7 +270,7 @@ func (r *Recorder) recordMetrics(changed []MetricDelta) {
 			r.after++
 			continue
 		}
-		r.writeLocked(&Entry{WallNS: now, Kind: "metric", Name: d.Name, Value: d.Value})
+		r.writeLocked(&entry{WallNS: now, Kind: "metric", Name: d.Name, Value: d.Value})
 	}
 	r.publishMetricsLocked(now, changed)
 	r.mu.Unlock()
@@ -302,11 +302,11 @@ func (r *Recorder) BuildDump() *Dump {
 	}
 	n := r.next
 	if r.filled {
-		d.Entries = make([]Entry, 0, len(r.ring))
+		d.Entries = make([]entry, 0, len(r.ring))
 		d.Entries = append(d.Entries, r.ring[n:]...)
 		d.Entries = append(d.Entries, r.ring[:n]...)
 	} else {
-		d.Entries = append([]Entry(nil), r.ring[:n]...)
+		d.Entries = append([]entry(nil), r.ring[:n]...)
 	}
 	reg, tl := r.reg, r.tl
 	r.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,13 +33,13 @@ func TestNilEverythingIsInert(t *testing.T) {
 		t.Fatal("nil recorder cannot trip")
 	}
 
-	r.recordMetrics([]MetricDelta{{Name: "n"}})
-	if r.Subscribers() != 0 || r.Dropped() != 0 || r.Sent() != 0 {
+	r.recordMetrics([]metricDelta{{Name: "n"}})
+	if r.subscribers() != 0 || r.Dropped() != 0 || r.Sent() != 0 {
 		t.Fatal("nil recorder must have no watchers")
 	}
 
 	var s *Sampler
-	s.Tick()
+	s.tick()
 	s.Start()
 	s.Stop()
 	s.SetPoll(func() {})
@@ -83,9 +84,20 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	}
 }
 
+// counter registers a pull collector reporting one counter, the way
+// every layer reports its Stats counters, and returns the value it
+// reads.
+func counter(reg *metrics.Registry, name string) *atomic.Int64 {
+	v := new(atomic.Int64)
+	reg.AddCollector(func(emit func(metrics.Sample)) {
+		emit(metrics.Sample{Name: name, Kind: metrics.KindCounter, Value: v.Load()})
+	})
+	return v
+}
+
 func TestTripFreezesAndDumps(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Counter("pia_x").Add(7)
+	counter(reg, "pia_x").Add(7)
 	tl := timeline.NewRecorder(0)
 	tl.Drive("sub", "comp", "net", vtime.Time(5), nil)
 
@@ -193,8 +205,8 @@ func TestWatchDropsStalledSubscriber(t *testing.T) {
 	h := New(8)
 	stalled := h.subscribe("", "")
 	healthy := h.subscribe("", "")
-	if h.Subscribers() != 2 {
-		t.Fatalf("subscribers = %d", h.Subscribers())
+	if h.subscribers() != 2 {
+		t.Fatalf("subscribers = %d", h.subscribers())
 	}
 
 	// Publish past the stalled subscriber's queue depth, draining the
@@ -219,8 +231,8 @@ func TestWatchDropsStalledSubscriber(t *testing.T) {
 	if h.Dropped() != 1 {
 		t.Fatalf("dropped = %d, want 1", h.Dropped())
 	}
-	if h.Subscribers() != 1 {
-		t.Fatalf("subscribers after drop = %d, want 1", h.Subscribers())
+	if h.subscribers() != 1 {
+		t.Fatalf("subscribers after drop = %d, want 1", h.subscribers())
 	}
 	// The stalled channel must be closed so its handler unwinds.
 	select {
@@ -266,8 +278,8 @@ func TestRecordStreamsInSeqOrder(t *testing.T) {
 	if len(ring) != writers*per+1 || r.Dropped() != 0 {
 		t.Fatalf("ring holds %d entries (want %d), %d watchers dropped", len(ring), writers*per+1, r.Dropped())
 	}
-	next := func() Entry {
-		var e Entry
+	next := func() entry {
+		var e entry
 		if err := json.Unmarshal((<-sub.ch).data, &e); err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +315,7 @@ func TestWatchFilters(t *testing.T) {
 		for {
 			select {
 			case f := <-s.ch:
-				var tr Entry
+				var tr entry
 				_ = json.Unmarshal(f.data, &tr)
 				names = append(names, tr.Name)
 			default:
@@ -319,7 +331,7 @@ func TestWatchFilters(t *testing.T) {
 	}
 	recv(prefixed) // drain its queued transitions before the metrics frame
 
-	h.recordMetrics([]MetricDelta{
+	h.recordMetrics([]metricDelta{
 		{Name: `pia_sched_steps{sub="a"}`, Value: 5, Delta: 5},
 		{Name: `pia_wire_bytes{node="n"}`, Value: 9, Delta: 9},
 		{Name: `pia_sched_steps{sub="b",session="s-1"}`, Value: 2, Delta: 2},
@@ -342,7 +354,7 @@ func TestWatchFilters(t *testing.T) {
 
 func TestWatchSSEEndToEnd(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := reg.Counter("pia_live")
+	c := counter(reg, "pia_live")
 	rec := New(32)
 	rec.AttachRegistry(reg)
 	smp := NewSampler(reg, rec, time.Hour) // ticked manually
@@ -386,7 +398,7 @@ func TestWatchSSEEndToEnd(t *testing.T) {
 	}
 
 	c.Add(3)
-	smp.Tick()
+	smp.tick()
 	ev, data := readEvent()
 	if ev != "metrics" {
 		t.Fatalf("event = %s, want metrics", ev)
@@ -400,9 +412,9 @@ func TestWatchSSEEndToEnd(t *testing.T) {
 	}
 
 	// Unchanged registry → no frame; next change streams only deltas.
-	smp.Tick()
+	smp.tick()
 	c.Add(2)
-	smp.Tick()
+	smp.tick()
 	ev, data = readEvent()
 	_ = json.Unmarshal([]byte(data), &mf)
 	if ev != "metrics" || mf.Changed[0].Value != 5 || mf.Changed[0].Delta != 2 {
@@ -411,7 +423,7 @@ func TestWatchSSEEndToEnd(t *testing.T) {
 
 	rec.Trip("quorum-dead", "")
 	ev, data = readEvent()
-	var tr Entry
+	var tr entry
 	_ = json.Unmarshal([]byte(data), &tr)
 	if ev != "transition" || tr.Name != "quorum-dead" {
 		t.Fatalf("transition frame = %s %+v", ev, tr)
@@ -444,7 +456,7 @@ func TestSamplerPollHook(t *testing.T) {
 		polled++
 		rec.Trip("quorum-dead", "2/5 members")
 	})
-	smp.Tick()
+	smp.tick()
 	if polled != 1 {
 		t.Fatalf("poll ran %d times, want 1", polled)
 	}
@@ -459,7 +471,7 @@ func TestSamplerPollHook(t *testing.T) {
 // sample would otherwise hide a ticker that never fired.
 func TestSamplerStartStop(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Counter("pia_t").Add(1)
+	counter(reg, "pia_t").Add(1)
 	rec := New(64)
 	smp := NewSampler(reg, rec, time.Millisecond)
 	ticked := make(chan struct{}, 1)
@@ -503,7 +515,7 @@ func TestSamplerForgetsVanishedSeries(t *testing.T) {
 	defer rec.unsubscribe(sub)
 	smp := NewSampler(reg, rec, time.Hour) // ticked manually
 	for _, name = range []string{`pia_x{session="s-1"}`, "", `pia_x{session="s-1"}`} {
-		smp.Tick()
+		smp.tick()
 	}
 	if got := rec.BuildDump().Entries; len(got) != 2 || got[1].Value != 5 {
 		t.Fatalf("reappearing series recorded as %+v, want two entries at 5", got)
@@ -519,7 +531,7 @@ func TestSamplerForgetsVanishedSeries(t *testing.T) {
 
 	for i := 0; i < 100; i++ {
 		name = fmt.Sprintf(`pia_x{session="s-%d"}`, i)
-		smp.Tick()
+		smp.tick()
 	}
 	if n := len(smp.prev); n != 1 {
 		t.Fatalf("after 100 sessions the sampler remembers %d series, want 1", n)
@@ -531,7 +543,7 @@ func TestSamplerForgetsVanishedSeries(t *testing.T) {
 // and the shutdown sample does not run the health poll.
 func TestSamplerFinalSampleOnStop(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := reg.Counter("pia_t")
+	c := counter(reg, "pia_t")
 	rec := New(64)
 	smp := NewSampler(reg, rec, time.Hour) // the ticker never fires
 	polls := 0

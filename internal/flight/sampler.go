@@ -8,9 +8,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// DefaultInterval is the sampling cadence when NewSampler is given a
+// defaultInterval is the sampling cadence when NewSampler is given a
 // non-positive interval.
-const DefaultInterval = time.Second
+const defaultInterval = time.Second
 
 // Sampler periodically snapshots a metrics registry, computes which
 // samples changed since the previous tick, and feeds the deltas to
@@ -37,10 +37,10 @@ type Sampler struct {
 }
 
 // NewSampler wires a registry to a recorder (which may be nil). The
-// interval defaults to DefaultInterval if non-positive.
+// interval defaults to defaultInterval if non-positive.
 func NewSampler(reg *metrics.Registry, rec *Recorder, interval time.Duration) *Sampler {
 	if interval <= 0 {
-		interval = DefaultInterval
+		interval = defaultInterval
 	}
 	return &Sampler{
 		reg:      reg,
@@ -63,10 +63,10 @@ func (s *Sampler) SetPoll(f func()) {
 	s.mu.Unlock()
 }
 
-// Tick runs one sampling pass synchronously: poll hook, snapshot,
+// tick runs one sampling pass synchronously: poll hook, snapshot,
 // delta computation, publication. Exported so tests and one-shot
 // callers can sample deterministically without the goroutine.
-func (s *Sampler) Tick() {
+func (s *Sampler) tick() {
 	if s == nil {
 		return
 	}
@@ -86,7 +86,7 @@ func (s *Sampler) sample() {
 	snap := s.reg.Snapshot()
 
 	s.mu.Lock()
-	var changed []MetricDelta
+	var changed []metricDelta
 	seen := make(map[string]int64, len(snap))
 	for _, sm := range snap {
 		// Histogram detail stays in /metrics; the stream carries the
@@ -96,7 +96,7 @@ func (s *Sampler) sample() {
 		if sm.Value == old && ok {
 			continue
 		}
-		changed = append(changed, MetricDelta{
+		changed = append(changed, metricDelta{
 			Name:  sm.Name,
 			Value: sm.Value,
 			Delta: sm.Value - old,
@@ -129,7 +129,7 @@ func (s *Sampler) Start() {
 					s.sample()
 					return
 				case <-t.C:
-					s.Tick()
+					s.tick()
 				}
 			}
 		}()

@@ -16,8 +16,8 @@ import (
 // genuinely stalled client within one sampling interval's traffic.
 const subQueueCap = 256
 
-// MetricDelta is one changed metric in a sampling interval.
-type MetricDelta struct {
+// metricDelta is one changed metric in a sampling interval.
+type metricDelta struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
 	Delta int64  `json:"delta"`
@@ -26,7 +26,7 @@ type MetricDelta struct {
 // metricFrame is the JSON body of one "metrics" SSE event.
 type metricFrame struct {
 	WallNS  int64         `json:"wall_ns"`
-	Changed []MetricDelta `json:"changed"`
+	Changed []metricDelta `json:"changed"`
 }
 
 // frame is one SSE event queued to a watcher.
@@ -45,7 +45,7 @@ type subscriber struct {
 // matchEntry reports whether a transition passes the watcher's session
 // filter. Global transitions (no session) always pass, so a tenant
 // watching one session still sees node-wide failures.
-func (s *subscriber) matchEntry(e *Entry) bool {
+func (s *subscriber) matchEntry(e *entry) bool {
 	return s.session == "" || e.Session == "" || e.Session == s.session
 }
 
@@ -63,8 +63,8 @@ func (s *subscriber) matchMetric(name string) bool {
 	return true
 }
 
-// Subscribers returns the current live watcher count.
-func (r *Recorder) Subscribers() int {
+// subscribers returns the current live watcher count.
+func (r *Recorder) subscribers() int {
 	if r == nil {
 		return 0
 	}
@@ -121,7 +121,7 @@ func (r *Recorder) removeLocked(s *subscriber) {
 // publishLocked streams one transition to every matching watcher. It
 // takes e by value so that an entry recorded with no watcher never
 // escapes to the heap.
-func (r *Recorder) publishLocked(e Entry) {
+func (r *Recorder) publishLocked(e entry) {
 	if len(r.subs) == 0 {
 		return
 	}
@@ -139,7 +139,7 @@ func (r *Recorder) publishLocked(e Entry) {
 // publishMetricsLocked streams a batch of changed metrics. Each
 // watcher receives only the samples passing its filters; watchers
 // whose filtered view is empty get no frame.
-func (r *Recorder) publishMetricsLocked(wallNS int64, changed []MetricDelta) {
+func (r *Recorder) publishMetricsLocked(wallNS int64, changed []metricDelta) {
 	for s := range r.subs {
 		view := changed
 		if s.session != "" || s.prefix != "" {

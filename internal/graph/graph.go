@@ -32,8 +32,8 @@ type PortRef struct {
 
 func (r PortRef) String() string { return r.Component + "." + r.Port }
 
-// LogicalNet is a net in the designer's view, before any splitting.
-type LogicalNet struct {
+// logicalNet is a net in the designer's view, before any splitting.
+type logicalNet struct {
 	Name  string
 	Delay vtime.Duration
 	Ports []PortRef
@@ -43,7 +43,7 @@ type LogicalNet struct {
 // subsystem assignments.
 type View struct {
 	comps map[string]string // component -> subsystem
-	nets  []LogicalNet      // in insertion order, for deterministic output
+	nets  []logicalNet      // in insertion order, for deterministic output
 	refs  []PortRef         // backs every net's Ports, each a capped window
 }
 
@@ -76,13 +76,13 @@ func (v *View) AddNet(name string, delay vtime.Duration, ports ...PortRef) error
 	}
 	lo := len(v.refs)
 	v.refs = append(v.refs, ports...)
-	v.nets = append(v.nets, LogicalNet{Name: name, Delay: delay, Ports: v.refs[lo:len(v.refs):len(v.refs)]})
+	v.nets = append(v.nets, logicalNet{Name: name, Delay: delay, Ports: v.refs[lo:len(v.refs):len(v.refs)]})
 	return nil
 }
 
 // HasNet reports whether the view has a net of that name, by a scan.
 func (v *View) HasNet(name string) bool {
-	return slices.ContainsFunc(v.nets, func(n LogicalNet) bool { return n.Name == name })
+	return slices.ContainsFunc(v.nets, func(n logicalNet) bool { return n.Name == name })
 }
 
 // Subsystem returns the subsystem hosting the component ("" if

@@ -195,8 +195,8 @@ func TestTopologyMixed(t *testing.T) {
 
 func TestTopologyNodes(t *testing.T) {
 	tp := NewTopology()
-	tp.AddNode("z")
-	tp.AddNode("a")
+	tp.addNode("z")
+	tp.addNode("a")
 	tp.AddEdge("a", "m")
 	nodes := tp.Nodes()
 	if len(nodes) != 3 || nodes[0] != "a" || nodes[2] != "z" {

@@ -114,7 +114,7 @@ func randomView(t *testing.T, rng *rand.Rand) *View {
 	return v
 }
 
-func cloneNets(v *View) []LogicalNet {
+func cloneNets(v *View) []logicalNet {
 	out := slices.Clone(v.nets)
 	for i := range out {
 		out[i].Ports = slices.Clone(out[i].Ports)

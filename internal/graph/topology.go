@@ -5,24 +5,24 @@ import (
 	"sort"
 )
 
-// Topology is the directed graph of conservative time restrictions
+// topology is the directed graph of conservative time restrictions
 // between subsystems: an edge A->B means B restricts A (A must obtain
 // safe times from B before advancing). Pia requires this graph to
 // have only simple cycles — a simple cycle being a bidirectional edge
 // — because eliminating self-restriction on the fly for general
 // graphs is computationally hard.
-type Topology struct {
+type topology struct {
 	edges map[string]map[string]bool
 	nodes map[string]bool
 }
 
 // NewTopology creates an empty restriction graph.
-func NewTopology() *Topology {
-	return &Topology{edges: make(map[string]map[string]bool), nodes: make(map[string]bool)}
+func NewTopology() *topology {
+	return &topology{edges: make(map[string]map[string]bool), nodes: make(map[string]bool)}
 }
 
-// AddNode registers a subsystem.
-func (t *Topology) AddNode(name string) {
+// addNode registers a subsystem.
+func (t *topology) addNode(name string) {
 	t.nodes[name] = true
 	if t.edges[name] == nil {
 		t.edges[name] = make(map[string]bool)
@@ -31,14 +31,14 @@ func (t *Topology) AddNode(name string) {
 
 // AddEdge records that `to` restricts `from` (a conservative channel
 // from `from`'s point of view).
-func (t *Topology) AddEdge(from, to string) {
-	t.AddNode(from)
-	t.AddNode(to)
+func (t *topology) AddEdge(from, to string) {
+	t.addNode(from)
+	t.addNode(to)
 	t.edges[from][to] = true
 }
 
 // Nodes returns the subsystems, sorted.
-func (t *Topology) Nodes() []string {
+func (t *topology) Nodes() []string {
 	out := make([]string, 0, len(t.nodes))
 	for n := range t.nodes {
 		out = append(out, n)
@@ -53,7 +53,7 @@ func (t *Topology) Nodes() []string {
 // arc u->v can be closed by a return path v->...->u of length >= 2 —
 // that is, when u is reachable from v without using the direct
 // reverse arc v->u. Validate names the offending cycle.
-func (t *Topology) Validate() error {
+func (t *topology) Validate() error {
 	for _, u := range t.Nodes() {
 		succs := make([]string, 0, len(t.edges[u]))
 		for w := range t.edges[u] {
@@ -77,7 +77,7 @@ func (t *Topology) Validate() error {
 // direct arc src->dst; it returns the node path src..dst (inclusive)
 // or nil. Any path found has length >= 2 arcs because the 1-arc path
 // is exactly the forbidden one.
-func (t *Topology) pathAvoidingArc(src, dst string) []string {
+func (t *topology) pathAvoidingArc(src, dst string) []string {
 	parent := map[string]string{src: ""}
 	queue := []string{src}
 	for len(queue) > 0 {

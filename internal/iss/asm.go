@@ -102,10 +102,10 @@ func parseInstr(line string) (Instr, string, error) {
 	rest := strings.Join(fields[1:], " ")
 	args := splitArgs(rest)
 
-	var op Op = numOps
+	var op opcode = numOps
 	for o, name := range opNames {
 		if name == mnemonic {
-			op = Op(o)
+			op = opcode(o)
 			break
 		}
 	}
@@ -121,9 +121,9 @@ func parseInstr(line string) (Instr, string, error) {
 		return nil
 	}
 	switch op {
-	case NOP, HALT, WFI:
+	case opNop, opHalt, opWfi:
 		return in, "", need(0)
-	case LI, LUI:
+	case opLi, opLui:
 		if err := need(2); err != nil {
 			return in, "", err
 		}
@@ -135,7 +135,7 @@ func parseInstr(line string) (Instr, string, error) {
 			return in, "", err
 		}
 		return in, "", nil
-	case MOV:
+	case opMov:
 		if err := need(2); err != nil {
 			return in, "", err
 		}
@@ -147,7 +147,7 @@ func parseInstr(line string) (Instr, string, error) {
 			return in, "", err
 		}
 		return in, "", nil
-	case ADD, SUB, MUL, AND, OR, XOR, SHL, SHR:
+	case opAdd, opSub, opMul, opAnd, opOr, opXor, opShl, opShr:
 		if err := need(3); err != nil {
 			return in, "", err
 		}
@@ -162,7 +162,7 @@ func parseInstr(line string) (Instr, string, error) {
 			return in, "", err
 		}
 		return in, "", nil
-	case ADDI:
+	case opAddi:
 		if err := need(3); err != nil {
 			return in, "", err
 		}
@@ -177,7 +177,7 @@ func parseInstr(line string) (Instr, string, error) {
 			return in, "", err
 		}
 		return in, "", nil
-	case LD, ST:
+	case opLd, opSt:
 		if err := need(2); err != nil {
 			return in, "", err
 		}
@@ -190,13 +190,13 @@ func parseInstr(line string) (Instr, string, error) {
 			return in, "", err
 		}
 		in.Rs, in.Imm = base, off
-		if op == LD {
+		if op == opLd {
 			in.Rd = r1
 		} else {
 			in.Rt = r1
 		}
 		return in, "", nil
-	case BEQ, BNE, BLT:
+	case opBeq, opBne, opBlt:
 		if err := need(3); err != nil {
 			return in, "", err
 		}
@@ -208,19 +208,19 @@ func parseInstr(line string) (Instr, string, error) {
 			return in, "", err
 		}
 		return withTarget(in, args[2])
-	case JMP:
+	case opJmp:
 		if err := need(1); err != nil {
 			return in, "", err
 		}
 		return withTarget(in, args[0])
-	case OUT:
+	case opOut:
 		if err := need(1); err != nil {
 			return in, "", err
 		}
 		var err error
 		in.Rs, err = reg(args[0])
 		return in, "", err
-	case IN:
+	case opIn:
 		if err := need(1); err != nil {
 			return in, "", err
 		}
@@ -301,7 +301,7 @@ func memOperand(s string) (uint8, int32, error) {
 func Disassemble(prog []uint32) []string {
 	out := make([]string, len(prog))
 	for i, w := range prog {
-		out[i] = Decode(w).String()
+		out[i] = decode(w).String()
 	}
 	return out
 }

@@ -95,7 +95,7 @@ func (c *CPU) Run(p *core.Proc) error {
 		if int(c.PC) >= len(c.Prog) {
 			return fmt.Errorf("iss: PC %d past end of program (%d words)", c.PC, len(c.Prog))
 		}
-		in := Decode(c.Prog[c.PC])
+		in := decode(c.Prog[c.PC])
 		c.PC++
 		c.Executed++
 		c.charge(p, in)
@@ -115,13 +115,13 @@ func (c *CPU) charge(p *core.Proc, in Instr) {
 	var b timing.Block
 	b.Instr = 1
 	switch in.Op {
-	case LD:
+	case opLd:
 		b.Loads = 1
-	case ST:
+	case opSt:
 		b.Stores = 1
-	case BEQ, BNE, BLT, JMP:
+	case opBeq, opBne, opBlt, opJmp:
 		b.Branches = 1
-	case MUL:
+	case opMul:
 		b.Mults = 1
 	}
 	c.est.Charge(p, b)
@@ -131,62 +131,62 @@ func (c *CPU) charge(p *core.Proc, in Instr) {
 func (c *CPU) exec(p *core.Proc, mem *core.Memory, in Instr) error {
 	r := &c.Regs
 	switch in.Op {
-	case NOP:
-	case HALT:
+	case opNop:
+	case opHalt:
 		c.Halted = true
-	case LI:
+	case opLi:
 		r[in.Rd] = uint32(in.Imm)
-	case LUI:
+	case opLui:
 		r[in.Rd] = uint32(in.Imm) << immBits
-	case MOV:
+	case opMov:
 		r[in.Rd] = r[in.Rs]
-	case ADD:
+	case opAdd:
 		r[in.Rd] = r[in.Rs] + r[in.Rt]
-	case SUB:
+	case opSub:
 		r[in.Rd] = r[in.Rs] - r[in.Rt]
-	case MUL:
+	case opMul:
 		r[in.Rd] = r[in.Rs] * r[in.Rt]
-	case AND:
+	case opAnd:
 		r[in.Rd] = r[in.Rs] & r[in.Rt]
-	case OR:
+	case opOr:
 		r[in.Rd] = r[in.Rs] | r[in.Rt]
-	case XOR:
+	case opXor:
 		r[in.Rd] = r[in.Rs] ^ r[in.Rt]
-	case SHL:
+	case opShl:
 		r[in.Rd] = r[in.Rs] << (r[in.Rt] & 31)
-	case SHR:
+	case opShr:
 		r[in.Rd] = r[in.Rs] >> (r[in.Rt] & 31)
-	case ADDI:
+	case opAddi:
 		r[in.Rd] = r[in.Rs] + uint32(in.Imm)
-	case LD:
+	case opLd:
 		addr := r[in.Rs] + uint32(in.Imm)
 		if c.MMIOBase != 0 && addr >= c.MMIOBase {
 			mem.MarkSynchronous(addr)
 		}
 		r[in.Rd] = uint32(mem.Read(p, addr))
-	case ST:
+	case opSt:
 		addr := r[in.Rs] + uint32(in.Imm)
 		if c.MMIOBase != 0 && addr >= c.MMIOBase {
 			mem.MarkSynchronous(addr)
 		}
 		mem.Write(p, addr, uint64(r[in.Rt]))
-	case BEQ:
+	case opBeq:
 		if r[in.Rs] == r[in.Rt] {
 			c.PC = uint32(in.Imm)
 		}
-	case BNE:
+	case opBne:
 		if r[in.Rs] != r[in.Rt] {
 			c.PC = uint32(in.Imm)
 		}
-	case BLT:
+	case opBlt:
 		if int32(r[in.Rs]) < int32(r[in.Rt]) {
 			c.PC = uint32(in.Imm)
 		}
-	case JMP:
+	case opJmp:
 		c.PC = uint32(in.Imm)
-	case OUT:
+	case opOut:
 		p.Send(c.outPort(), signal.Word(r[in.Rs]))
-	case IN:
+	case opIn:
 		for {
 			m, ok := p.Recv(c.inPort())
 			if !ok {
@@ -198,7 +198,7 @@ func (c *CPU) exec(p *core.Proc, mem *core.Memory, in Instr) error {
 				break
 			}
 		}
-	case WFI:
+	case opWfi:
 		if c.IRQPort == "" {
 			return fmt.Errorf("iss: WFI without an IRQ port")
 		}
@@ -217,9 +217,6 @@ func (c *CPU) exec(p *core.Proc, mem *core.Memory, in Instr) error {
 	}
 	return nil
 }
-
-// Mailbox returns the IRQ mailbox address for programs to load from.
-func Mailbox() uint32 { return mailboxAddr }
 
 // CyclesCharged reports the virtual time charged so far.
 func (c *CPU) CyclesCharged() vtime.Duration {

@@ -17,46 +17,46 @@ package iss
 
 import "fmt"
 
-// Op is an opcode.
-type Op uint8
+// opcode is an opcode.
+type opcode uint8
 
 // The instruction set.
 const (
-	NOP  Op = iota // nop
-	HALT           // halt
-	LI             // li rd, imm          rd = imm (sign-extended)
-	LUI            // lui rd, imm         rd = imm << 12
-	MOV            // mov rd, rs          rd = rs
-	ADD            // add rd, rs, rt      rd = rs + rt
-	SUB            // sub rd, rs, rt
-	MUL            // mul rd, rs, rt
-	AND            // and rd, rs, rt
-	OR             // or rd, rs, rt
-	XOR            // xor rd, rs, rt
-	SHL            // shl rd, rs, rt      rd = rs << (rt & 31)
-	SHR            // shr rd, rs, rt      rd = rs >> (rt & 31)
-	ADDI           // addi rd, rs, imm    rd = rs + imm
-	LD             // ld rd, [rs+imm]     rd = mem[rs+imm]
-	ST             // st rt, [rs+imm]     mem[rs+imm] = rt
-	BEQ            // beq rs, rt, target  if rs == rt: pc = target
-	BNE            // bne rs, rt, target
-	BLT            // blt rs, rt, target  (signed)
-	JMP            // jmp target
-	OUT            // out rs              send rs on the output port
-	IN             // in rd               block until a word arrives
-	WFI            // wfi                 wait for the next interrupt
+	opNop  opcode = iota // nop
+	opHalt               // halt
+	opLi                 // li rd, imm          rd = imm (sign-extended)
+	opLui                // lui rd, imm         rd = imm << 12
+	opMov                // mov rd, rs          rd = rs
+	opAdd                // add rd, rs, rt      rd = rs + rt
+	opSub                // sub rd, rs, rt
+	opMul                // mul rd, rs, rt
+	opAnd                // and rd, rs, rt
+	opOr                 // or rd, rs, rt
+	opXor                // xor rd, rs, rt
+	opShl                // shl rd, rs, rt      rd = rs << (rt & 31)
+	opShr                // shr rd, rs, rt      rd = rs >> (rt & 31)
+	opAddi               // addi rd, rs, imm    rd = rs + imm
+	opLd                 // ld rd, [rs+imm]     rd = mem[rs+imm]
+	opSt                 // st rt, [rs+imm]     mem[rs+imm] = rt
+	opBeq                // beq rs, rt, target  if rs == rt: pc = target
+	opBne                // bne rs, rt, target
+	opBlt                // blt rs, rt, target  (signed)
+	opJmp                // jmp target
+	opOut                // out rs              send rs on the output port
+	opIn                 // in rd               block until a word arrives
+	opWfi                // wfi                 wait for the next interrupt
 	numOps
 )
 
 var opNames = [...]string{
-	NOP: "nop", HALT: "halt", LI: "li", LUI: "lui", MOV: "mov",
-	ADD: "add", SUB: "sub", MUL: "mul", AND: "and", OR: "or", XOR: "xor",
-	SHL: "shl", SHR: "shr", ADDI: "addi", LD: "ld", ST: "st",
-	BEQ: "beq", BNE: "bne", BLT: "blt", JMP: "jmp",
-	OUT: "out", IN: "in", WFI: "wfi",
+	opNop: "nop", opHalt: "halt", opLi: "li", opLui: "lui", opMov: "mov",
+	opAdd: "add", opSub: "sub", opMul: "mul", opAnd: "and", opOr: "or", opXor: "xor",
+	opShl: "shl", opShr: "shr", opAddi: "addi", opLd: "ld", opSt: "st",
+	opBeq: "beq", opBne: "bne", opBlt: "blt", opJmp: "jmp",
+	opOut: "out", opIn: "in", opWfi: "wfi",
 }
 
-func (o Op) String() string {
+func (o opcode) String() string {
 	if int(o) < len(opNames) && opNames[o] != "" {
 		return opNames[o]
 	}
@@ -65,7 +65,7 @@ func (o Op) String() string {
 
 // Instr is a decoded instruction.
 type Instr struct {
-	Op         Op
+	Op         opcode
 	Rd, Rs, Rt uint8
 	Imm        int32 // 12-bit signed as decoded
 }
@@ -89,14 +89,14 @@ func (i Instr) Encode() (uint32, error) {
 	return w, nil
 }
 
-// Decode unpacks a program word.
-func Decode(w uint32) Instr {
+// decode unpacks a program word.
+func decode(w uint32) Instr {
 	imm := int32(w & 0xFFF)
 	if imm&0x800 != 0 {
 		imm -= 1 << immBits // sign extend
 	}
 	return Instr{
-		Op:  Op(w >> 24),
+		Op:  opcode(w >> 24),
 		Rd:  uint8(w >> 20 & 0xF),
 		Rs:  uint8(w >> 16 & 0xF),
 		Rt:  uint8(w >> 12 & 0xF),
@@ -107,25 +107,25 @@ func Decode(w uint32) Instr {
 // String disassembles one instruction.
 func (i Instr) String() string {
 	switch i.Op {
-	case NOP, HALT, WFI:
+	case opNop, opHalt, opWfi:
 		return i.Op.String()
-	case LI, LUI:
+	case opLi, opLui:
 		return fmt.Sprintf("%s r%d, %d", i.Op, i.Rd, i.Imm)
-	case MOV:
+	case opMov:
 		return fmt.Sprintf("mov r%d, r%d", i.Rd, i.Rs)
-	case ADDI:
+	case opAddi:
 		return fmt.Sprintf("addi r%d, r%d, %d", i.Rd, i.Rs, i.Imm)
-	case LD:
+	case opLd:
 		return fmt.Sprintf("ld r%d, [r%d%+d]", i.Rd, i.Rs, i.Imm)
-	case ST:
+	case opSt:
 		return fmt.Sprintf("st r%d, [r%d%+d]", i.Rt, i.Rs, i.Imm)
-	case BEQ, BNE, BLT:
+	case opBeq, opBne, opBlt:
 		return fmt.Sprintf("%s r%d, r%d, %d", i.Op, i.Rs, i.Rt, i.Imm)
-	case JMP:
+	case opJmp:
 		return fmt.Sprintf("jmp %d", i.Imm)
-	case OUT:
+	case opOut:
 		return fmt.Sprintf("out r%d", i.Rs)
-	case IN:
+	case opIn:
 		return fmt.Sprintf("in r%d", i.Rd)
 	default:
 		return fmt.Sprintf("%s r%d, r%d, r%d", i.Op, i.Rd, i.Rs, i.Rt)

@@ -238,7 +238,7 @@ func TestWFIAndMailbox(t *testing.T) {
 func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 	f := func(op uint8, rd, rs, rt uint8, imm int16) bool {
 		in := Instr{
-			Op: Op(op % uint8(numOps)),
+			Op: opcode(op % uint8(numOps)),
 			Rd: rd % 16, Rs: rs % 16, Rt: rt % 16,
 			Imm: int32(imm) % 2048,
 		}
@@ -246,7 +246,7 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Decode(w) == in
+		return decode(w) == in
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,20 +1,14 @@
 // Package loader is the Go analogue of the Pia class loader: a
 // component factory registry that resolves component implementations
-// by name through a chain of registries, supports re-registration
-// (recompile-and-reload without restarting the simulator), and can
-// hot-swap the behaviour of a live component between runs, carrying
-// its state across.
+// by name and supports re-registration.
 //
-// Pia's loader fetched Java classes on demand from arbitrary URLs and
-// fell back to the built-in class loader. Go cannot load code at
-// runtime, so the unit of loading is a registered factory: the
-// "custom channels" are registries chained with SetParent, and the
-// fallback registry plays the role of the built-in loader.
+// Pia's loader fetched Java classes on demand from arbitrary URLs. Go
+// cannot load code at runtime, so the unit of loading is a registered
+// factory.
 package loader
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -27,7 +21,6 @@ type Factory func() core.Behavior
 type Registry struct {
 	mu        sync.Mutex
 	factories map[string]*entry
-	parent    *Registry
 }
 
 type entry struct {
@@ -39,11 +32,6 @@ type entry struct {
 func NewRegistry() *Registry {
 	return &Registry{factories: make(map[string]*entry)}
 }
-
-// SetParent chains a fallback registry, consulted when a name is not
-// found here (Pia: "If a class cannot be found through the custom
-// channels, Pia uses Java's built in class loader").
-func (r *Registry) SetParent(p *Registry) { r.parent = p }
 
 // Register installs (or replaces) a factory; each registration bumps
 // the name's version.
@@ -63,22 +51,8 @@ func (r *Registry) Register(name string, f Factory) error {
 	return nil
 }
 
-// Resolve finds a factory through the registry chain.
-func (r *Registry) Resolve(name string) (Factory, error) {
-	r.mu.Lock()
-	e := r.factories[name]
-	r.mu.Unlock()
-	if e != nil {
-		return e.factory, nil
-	}
-	if r.parent != nil {
-		return r.parent.Resolve(name)
-	}
-	return nil, fmt.Errorf("loader: no factory for component %q", name)
-}
-
-// Version reports how many times the name has been registered here
-// (0 if unknown locally; the chain is not consulted).
+// Version reports how many times the name has been registered (0 if
+// unknown).
 func (r *Registry) Version(name string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -88,38 +62,17 @@ func (r *Registry) Version(name string) int {
 	return 0
 }
 
-// Names lists locally registered names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.factories))
-	for n := range r.factories {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // New instantiates a behaviour by name.
 func (r *Registry) New(name string) (core.Behavior, error) {
-	f, err := r.Resolve(name)
-	if err != nil {
-		return nil, err
+	r.mu.Lock()
+	e := r.factories[name]
+	r.mu.Unlock()
+	if e == nil {
+		return nil, fmt.Errorf("loader: no factory for component %q", name)
 	}
-	b := f()
+	b := e.factory()
 	if b == nil {
 		return nil, fmt.Errorf("loader: factory for %q produced nil", name)
 	}
 	return b, nil
-}
-
-// Reload swaps a live component's behaviour for a freshly built
-// instance of the (possibly re-registered) factory, transferring
-// state when both sides support it. Legal between runs.
-func (r *Registry) Reload(s *core.Subsystem, component, factoryName string) error {
-	b, err := r.New(factoryName)
-	if err != nil {
-		return err
-	}
-	return s.ReplaceBehavior(component, b, true)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/vtime"
 )
 
 type counter struct {
@@ -44,24 +43,11 @@ func TestRegisterResolve(t *testing.T) {
 	if err := r.Register("", nil); err == nil {
 		t.Fatal("empty registration accepted")
 	}
-}
-
-func TestParentChain(t *testing.T) {
-	parent := NewRegistry()
-	parent.Register("base", func() core.Behavior { return &counter{} })
-	child := NewRegistry()
-	child.SetParent(parent)
-	if _, err := child.Resolve("base"); err != nil {
-		t.Fatalf("fallback chain broken: %v", err)
+	if err := r.Register("nilfac", func() core.Behavior { return nil }); err != nil {
+		t.Fatal(err)
 	}
-	// Child shadows parent.
-	child.Register("base", func() core.Behavior { return &counter{Bonus: 5} })
-	b, _ := child.New("base")
-	if b.(*counter).Bonus != 5 {
-		t.Fatal("child registration does not shadow parent")
-	}
-	if parent.Version("base") != 1 || child.Version("base") != 1 || child.Version("other") != 0 {
-		t.Fatal("Version bookkeeping wrong")
+	if _, err := r.New("nilfac"); err == nil {
+		t.Fatal("nil-producing factory accepted at New")
 	}
 }
 
@@ -72,101 +58,7 @@ func TestVersionBumps(t *testing.T) {
 	if r.Version("x") != 2 {
 		t.Fatalf("Version = %d, want 2", r.Version("x"))
 	}
-	names := r.Names()
-	if len(names) != 1 || names[0] != "x" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
-func TestHotReloadCarriesState(t *testing.T) {
-	r := NewRegistry()
-	r.Register("counter", func() core.Behavior { return &counter{} })
-
-	s := core.NewSubsystem("reload")
-	b, _ := r.New("counter")
-	cc, _ := s.NewComponent("cnt", b)
-	cc.AddPort("in")
-	ticker := core.BehaviorFunc(func(p *core.Proc) error {
-		for i := 0; i < 3; i++ {
-			p.Delay(10)
-			p.Send("out", i)
-		}
-		return nil
-	})
-	tc, _ := s.NewComponent("tick", ticker)
-	tc.AddPort("out")
-	n, _ := s.NewNet("w", 0)
-	s.Connect(n, tc.Port("out"), cc.Port("in"))
-
-	// Phase 1: three events counted with the old version.
-	if err := s.Run(35); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.(*counter).N; got != 3 {
-		t.Fatalf("phase1 count = %d", got)
-	}
-
-	// "Recompile": register a new code version (a different type with
-	// the same state shape), reload the live component, state carried
-	// over.
-	r.Register("counter", func() core.Behavior { return &counterV2{} })
-	if err := r.Reload(s, "cnt", "counter"); err != nil {
-		t.Fatal(err)
-	}
-	tick2 := core.BehaviorFunc(func(p *core.Proc) error {
-		p.Delay(50)
-		p.Send("out", 99)
-		return nil
-	})
-	t2, _ := s.NewComponent("tick2", tick2)
-	t2.AddPort("out")
-	s.Connect(n, t2.Port("out"))
-	if err := s.Run(vtime.Infinity); err != nil {
-		t.Fatal(err)
-	}
-	// New code: carried N=3, then one event counted by tens.
-	got, ok := s.Component("cnt").Behavior().(*counterV2)
-	if !ok {
-		t.Fatalf("reload did not install the new version: %T", s.Component("cnt").Behavior())
-	}
-	if got.N != 3+10 {
-		t.Fatalf("reloaded count = %d, want 13 (3 carried + 1 event counted by 10)", got.N)
-	}
-}
-
-// counterV2 is the "recompiled" counter: same state shape, new code
-// (counts by tens).
-type counterV2 struct {
-	N int
-}
-
-func (c *counterV2) Run(p *core.Proc) error {
-	for {
-		_, ok := p.Recv("in")
-		if !ok {
-			return nil
-		}
-		c.N += 10
-	}
-}
-
-func (c *counterV2) SaveState() ([]byte, error)  { return core.GobSave(c) }
-func (c *counterV2) RestoreState(b []byte) error { return core.GobRestore(c, b) }
-
-func TestReloadErrors(t *testing.T) {
-	r := NewRegistry()
-	s := core.NewSubsystem("re")
-	if err := r.Reload(s, "cnt", "missing"); err == nil {
-		t.Fatal("reload with unknown factory accepted")
-	}
-	r.Register("c", func() core.Behavior { return &counter{} })
-	if err := r.Reload(s, "ghost", "c"); err == nil {
-		t.Fatal("reload of unknown component accepted")
-	}
-	if err := r.Register("nilfac", func() core.Behavior { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.New("nilfac"); err == nil {
-		t.Fatal("nil-producing factory accepted at New")
+	if r.Version("y") != 0 {
+		t.Fatalf("Version of an unregistered name = %d, want 0", r.Version("y"))
 	}
 }

@@ -26,8 +26,8 @@ type viewState struct {
 
 // buildData builds the member's local fragment — components placed
 // here, net fragments touching them — and opens the initial channels.
-func (m *Member) buildData() error {
-	view, err := m.bp.View()
+func (m *member) buildData() error {
+	view, err := m.bp.view()
 	if err != nil {
 		return err
 	}
@@ -71,7 +71,7 @@ func (m *Member) buildData() error {
 // instantiate creates one blueprint component and its ports on the
 // local subsystem: at build time for a component placed here, at an
 // epoch for one arriving by migration.
-func (m *Member) instantiate(spec *ComponentSpec) error {
+func (m *member) instantiate(spec *componentSpec) error {
 	_, err := m.sub.NewComponent(spec.Name, spec.New(), spec.Ports...)
 	return err
 }
@@ -80,7 +80,7 @@ func (m *Member) instantiate(spec *ComponentSpec) error {
 // missing nets and connecting locally-placed component ports. It is
 // idempotent for nets and used both at build time and when an epoch
 // application homes a migrated component here.
-func (m *Member) buildNets(splits []graph.Split) error {
+func (m *member) buildNets(splits []graph.Split) error {
 	for _, sp := range splits {
 		frag := sp.Fragment(m.name)
 		if frag == nil {
@@ -121,7 +121,7 @@ func (m *Member) buildNets(splits []graph.Split) error {
 // crossing nets. Every member has applied the same epoch before any
 // of them runs this (the leader sequences the phases), so both ends
 // know the nets to bind.
-func (m *Member) openChannels() error {
+func (m *member) openChannels() error {
 	vs := m.view // written only on the member loop, and by Start before it runs
 	if vs == nil {
 		return nil
@@ -159,7 +159,7 @@ func (m *Member) openChannels() error {
 // bindNet binds one crossing net on an endpoint. Remote fragments
 // share the logical net's name, so the remote name equals the local
 // one.
-func (m *Member) bindNet(ep *channel.Endpoint, nn string) error {
+func (m *member) bindNet(ep *channel.Endpoint, nn string) error {
 	n := m.sub.Net(nn)
 	if n == nil {
 		return fmt.Errorf("mesh: %s: channel to %s binds unknown net %s", m.name, ep.Peer(), nn)
@@ -169,7 +169,7 @@ func (m *Member) bindNet(ep *channel.Endpoint, nn string) error {
 
 // acceptedFrom returns the slot the node's accept path drops the
 // endpoint dialed by peer into. Either side may ask first.
-func (m *Member) acceptedFrom(peer string) chan *channel.Endpoint {
+func (m *member) acceptedFrom(peer string) chan *channel.Endpoint {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	slot := m.accepted[peer]
@@ -183,7 +183,7 @@ func (m *Member) acceptedFrom(peer string) chan *channel.Endpoint {
 // acceptChannel waits for the endpoint peer dials. Receiving it from
 // the accept goroutine both sequences the build and carries the
 // happens-before the race detector needs.
-func (m *Member) acceptChannel(peer string) (*channel.Endpoint, error) {
+func (m *member) acceptChannel(peer string) (*channel.Endpoint, error) {
 	patience := time.NewTimer(connectTimeout)
 	defer patience.Stop()
 	select {

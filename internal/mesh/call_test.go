@@ -101,7 +101,7 @@ func (p *peer) mustSend(f any) {
 	}
 }
 
-func newMember(t *testing.T, name string, bp *Blueprint) *Member {
+func newMember(t *testing.T, name string, bp *Blueprint) *member {
 	t.Helper()
 	m, err := New(Config{Name: name, Blueprint: bp})
 	if err != nil {
@@ -112,7 +112,7 @@ func newMember(t *testing.T, name string, bp *Blueprint) *Member {
 }
 
 // awaitMembership blocks on the membership signal until cond holds.
-func awaitMembership(t *testing.T, m *Member, what string, cond func() bool) {
+func awaitMembership(t *testing.T, m *member, what string, cond func() bool) {
 	t.Helper()
 	for {
 		changed := m.ms.watch()
@@ -127,7 +127,7 @@ func awaitMembership(t *testing.T, m *Member, what string, cond func() bool) {
 	}
 }
 
-func hasLeft(m *Member, name string) func() bool {
+func hasLeft(m *member, name string) func() bool {
 	return func() bool {
 		for _, ph := range m.Health().Members {
 			if ph.Name == name {
@@ -139,7 +139,7 @@ func hasLeft(m *Member, name string) func() bool {
 }
 
 // dialAs joins m's control mesh as name and returns once m admitted it.
-func dialAs(t *testing.T, m *Member, name string) *peer {
+func dialAs(t *testing.T, m *member, name string) *peer {
 	t.Helper()
 	c, err := net.Dial("tcp", m.CtlAddr())
 	if err != nil {
@@ -320,22 +320,22 @@ func TestCloseDuringGather(t *testing.T) {
 // on one member, nothing crossing.
 func soloBlueprint(home string) *Blueprint {
 	return &Blueprint{
-		Components: []ComponentSpec{
+		Components: []componentSpec{
 			{Name: "pump", Ports: []string{"out"}, New: func() core.Behavior { return &pumpBeh{N: 3, Period: vtime.Millisecond} }},
 			{Name: "drain", Ports: []string{"in"}, New: func() core.Behavior { return &drainBeh{} }},
 		},
-		Nets: []NetSpec{{Name: "local", Delay: 100 * vtime.Microsecond, Ports: []graph.PortRef{
+		Nets: []netSpec{{Name: "local", Delay: 100 * vtime.Microsecond, Ports: []graph.PortRef{
 			{Component: "pump", Port: "out"}, {Component: "drain", Port: "in"},
 		}}},
 		Placement: map[string]string{"pump": home, "drain": home},
 		Policy:    channel.Conservative,
-		Link:      DemoLink,
+		Link:      demoLink,
 	}
 }
 
 // startWithScriptedPeer starts a real member beside one scripted peer
 // and returns the peer's end of their control connection.
-func startWithScriptedPeer(t *testing.T, name, peerName string, bp *Blueprint) (*Member, *peer, error) {
+func startWithScriptedPeer(t *testing.T, name, peerName string, bp *Blueprint) (*member, *peer, error) {
 	t.Helper()
 	m := newMember(t, name, bp)
 	if peerName < name {
@@ -413,7 +413,9 @@ func TestFollowerAnswersTheLeader(t *testing.T) {
 	if rp.Err != "" || len(rp.Counters) != 0 {
 		t.Fatalf("step of a member with no channels answered %+v", rp)
 	}
-	if got := m.Subsystem().Component("drain").Behavior().(*drainBeh).Count; got != 3 {
+	drain := &drainBeh{}
+	savedState(t, m.Subsystem(), "drain", drain)
+	if got := drain.Count; got != 3 {
 		t.Fatalf("drain absorbed %d values after the step, want 3", got)
 	}
 	if rp := ask(request{ID: 3, Op: opMigrate, Move: move{Comp: "pump", To: "alpha"}}); !strings.Contains(rp.Err, "not the leader") {
@@ -457,7 +459,7 @@ func TestRequestMigrationReturnsTheVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(lm.Close)
-	charlie := lm.Member("charlie")
+	charlie := lm.member("charlie")
 	wantRefusal := func(err error, reason string) {
 		t.Helper()
 		var refused *Refused

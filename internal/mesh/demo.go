@@ -73,9 +73,9 @@ func (p DemoParams) Horizon() vtime.Time {
 	return vtime.Time(span) + vtime.Time(4*(p.ReqDelay+p.RespBase))
 }
 
-// DemoLink is the demo's channel model: pure latency, the shape
+// demoLink is the demo's channel model: pure latency, the shape
 // migration transparency requires.
-var DemoLink = channel.LinkModel{Latency: 2 * vtime.Millisecond}
+var demoLink = channel.LinkModel{Latency: 2 * vtime.Millisecond}
 
 // DemoBlueprint builds the workload for the given three members.
 func DemoBlueprint(p DemoParams) (*Blueprint, error) {
@@ -87,7 +87,7 @@ func DemoBlueprint(p DemoParams) (*Blueprint, error) {
 	bp := &Blueprint{
 		Placement: make(map[string]string),
 		Policy:    channel.Conservative,
-		Link:      DemoLink,
+		Link:      demoLink,
 	}
 
 	hotPorts := []string{"out"}
@@ -95,7 +95,7 @@ func DemoBlueprint(p DemoParams) (*Blueprint, error) {
 		hotPorts = append(hotPorts, fmt.Sprintf("in%d", i))
 	}
 	values, period, sinks := p.Values, p.Period, p.Sinks
-	bp.Components = append(bp.Components, ComponentSpec{
+	bp.Components = append(bp.Components, componentSpec{
 		Name: "hot", Ports: hotPorts,
 		New: func() core.Behavior { return &hotBeh{N: values, Period: period, Sinks: sinks} },
 	})
@@ -104,13 +104,13 @@ func DemoBlueprint(p DemoParams) (*Blueprint, error) {
 	reqPorts := []graph.PortRef{{Component: "hot", Port: "out"}}
 	for i := 0; i < p.Sinks; i++ {
 		name := fmt.Sprintf("sink%d", i)
-		bp.Components = append(bp.Components, ComponentSpec{
+		bp.Components = append(bp.Components, componentSpec{
 			Name: name, Ports: []string{"in", "out"},
 			New: func() core.Behavior { return &sinkBeh{} },
 		})
 		bp.Placement[name] = far
 		reqPorts = append(reqPorts, graph.PortRef{Component: name, Port: "in"})
-		bp.Nets = append(bp.Nets, NetSpec{
+		bp.Nets = append(bp.Nets, netSpec{
 			Name:  fmt.Sprintf("resp%d", i),
 			Delay: p.RespBase + vtime.Duration(i)*p.RespStep,
 			Ports: []graph.PortRef{
@@ -119,20 +119,20 @@ func DemoBlueprint(p DemoParams) (*Blueprint, error) {
 			},
 		})
 	}
-	bp.Nets = append(bp.Nets, NetSpec{Name: "req", Delay: p.ReqDelay, Ports: reqPorts})
+	bp.Nets = append(bp.Nets, netSpec{Name: "req", Delay: p.ReqDelay, Ports: reqPorts})
 
 	filler := p.Filler
 	for _, host := range []string{src, spare} {
 		pump, drain, net := "pump-"+host, "drain-"+host, "local-"+host
 		bp.Components = append(bp.Components,
-			ComponentSpec{Name: pump, Ports: []string{"out"},
+			componentSpec{Name: pump, Ports: []string{"out"},
 				New: func() core.Behavior { return &pumpBeh{N: filler, Period: 3 * vtime.Millisecond} }},
-			ComponentSpec{Name: drain, Ports: []string{"in"},
+			componentSpec{Name: drain, Ports: []string{"in"},
 				New: func() core.Behavior { return &drainBeh{} }},
 		)
 		bp.Placement[pump] = host
 		bp.Placement[drain] = host
-		bp.Nets = append(bp.Nets, NetSpec{
+		bp.Nets = append(bp.Nets, netSpec{
 			Name: net, Delay: 100 * vtime.Microsecond,
 			Ports: []graph.PortRef{
 				{Component: pump, Port: "out"},

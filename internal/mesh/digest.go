@@ -30,14 +30,14 @@ func fnvAdd(h uint64, s string) uint64 {
 	return h
 }
 
-// Digest accumulates per-component drive hashes for one member.
-type Digest struct {
+// digest accumulates per-component drive hashes for one member.
+type digest struct {
 	mu sync.Mutex
 	m  map[string]uint64
 }
 
-// NewDigest creates an empty digest table.
-func NewDigest() *Digest { return &Digest{m: make(map[string]uint64)} }
+// newDigest creates an empty digest table.
+func newDigest() *digest { return &digest{m: make(map[string]uint64)} }
 
 // Install chains onto the subsystem's OnDrive hook (preserving any
 // hook already installed, e.g. the timeline's) and hashes every drive
@@ -46,7 +46,7 @@ func NewDigest() *Digest { return &Digest{m: make(map[string]uint64)} }
 // driver hashes the drive exactly once, and remote fragments —
 // where the same drive arrives via a channel with src preserved —
 // skip it because the source is not local there.
-func (d *Digest) Install(sub *core.Subsystem) {
+func (d *digest) Install(sub *core.Subsystem) {
 	prev := sub.OnDrive
 	sub.OnDrive = func(net, src string, t vtime.Time, v any) {
 		if prev != nil {
@@ -72,7 +72,7 @@ func (d *Digest) Install(sub *core.Subsystem) {
 
 // Value returns the running hash for a component (0 if it never
 // drove anything here).
-func (d *Digest) Value(comp string) uint64 {
+func (d *digest) Value(comp string) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.m[comp]
@@ -80,7 +80,7 @@ func (d *Digest) Value(comp string) uint64 {
 
 // Seed installs a transferred hash state for a component arriving by
 // migration.
-func (d *Digest) Seed(comp string, h uint64) {
+func (d *digest) Seed(comp string, h uint64) {
 	if h == 0 {
 		return
 	}
@@ -89,15 +89,15 @@ func (d *Digest) Seed(comp string, h uint64) {
 	d.mu.Unlock()
 }
 
-// Take removes a departing component's hash state.
-func (d *Digest) Take(comp string) {
+// take removes a departing component's hash state.
+func (d *digest) take(comp string) {
 	d.mu.Lock()
 	delete(d.m, comp)
 	d.mu.Unlock()
 }
 
 // Snapshot copies the table: component -> hash.
-func (d *Digest) Snapshot() map[string]uint64 {
+func (d *digest) Snapshot() map[string]uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return maps.Clone(d.m)

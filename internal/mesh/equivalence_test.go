@@ -17,7 +17,7 @@ import (
 
 // runLeg executes one mesh run of the demo workload and returns the
 // merged digests plus hot's final checksum state.
-func runLeg(t *testing.T, p DemoParams, tune func(i int, cfg *Config), plan func(lm *LocalMesh)) (map[string]uint64, hotBeh) {
+func runLeg(t *testing.T, p DemoParams, tune func(i int, cfg *Config), plan func(lm *localMesh)) (map[string]uint64, hotBeh) {
 	t.Helper()
 	bp, err := DemoBlueprint(p)
 	if err != nil {
@@ -57,7 +57,7 @@ func compareLegs(t *testing.T, label string, refDg, gotDg map[string]uint64, ref
 func TestMigrationEquivalence(t *testing.T) {
 	p := demoParams()
 	refDg, refHot := runLeg(t, p, nil, nil)
-	migDg, migHot := runLeg(t, p, nil, func(lm *LocalMesh) {
+	migDg, migHot := runLeg(t, p, nil, func(lm *localMesh) {
 		lm.Leader().MigrateAt(vtime.Time(60*vtime.Millisecond), "hot", "bravo")
 	})
 	compareLegs(t, "migrated", refDg, migDg, refHot, migHot)
@@ -66,7 +66,7 @@ func TestMigrationEquivalence(t *testing.T) {
 func TestMigrationEquivalenceThereAndBack(t *testing.T) {
 	p := demoParams()
 	refDg, refHot := runLeg(t, p, nil, nil)
-	migDg, migHot := runLeg(t, p, nil, func(lm *LocalMesh) {
+	migDg, migHot := runLeg(t, p, nil, func(lm *localMesh) {
 		lm.Leader().MigrateAt(vtime.Time(50*vtime.Millisecond), "hot", "bravo")
 		lm.Leader().MigrateAt(vtime.Time(150*vtime.Millisecond), "hot", "alpha")
 	})
@@ -102,7 +102,7 @@ func TestMigrationEquivalenceUnderChaos(t *testing.T) {
 	}
 	p := demoParams()
 	refDg, refHot := runLeg(t, p, nil, nil) // clean, stationary reference
-	migDg, migHot := runLeg(t, p, chaosTune(0xC0FFEE), func(lm *LocalMesh) {
+	migDg, migHot := runLeg(t, p, chaosTune(0xC0FFEE), func(lm *localMesh) {
 		lm.Leader().MigrateAt(vtime.Time(60*vtime.Millisecond), "hot", "bravo")
 	})
 	compareLegs(t, "chaos+migrated", refDg, migDg, refHot, migHot)
@@ -137,7 +137,7 @@ func TestMigrationEquivalenceProperty(t *testing.T) {
 		dest := demoNames[1]
 
 		refDg, refHot := runLeg(t, p, nil, nil)
-		migDg, migHot := runLeg(t, p, nil, func(lm *LocalMesh) {
+		migDg, migHot := runLeg(t, p, nil, func(lm *localMesh) {
 			lm.Leader().MigrateAt(at, "hot", dest)
 		})
 		t.Logf("seed %d: values=%d sinks=%d period=%v migrate@%v", seed, p.Values, p.Sinks, p.Period, at)

@@ -11,20 +11,20 @@ import (
 	"repro/internal/vtime"
 )
 
-// LocalMesh is a set of in-process members, sorted by name (so
+// localMesh is a set of in-process members, sorted by name (so
 // Members[0] is the leader).
-type LocalMesh struct {
-	Members []*Member
+type localMesh struct {
+	Members []*member
 }
 
 // StartLocalMesh creates and joins one member per name, all on
 // loopback ephemeral ports. tune, when non-nil, may adjust each
 // member's Config (e.g. install a prebuilt faulted node) before New.
 // On error every already-created member is closed.
-func StartLocalMesh(bp *Blueprint, names []string, tune func(i int, cfg *Config)) (*LocalMesh, error) {
+func StartLocalMesh(bp *Blueprint, names []string, tune func(i int, cfg *Config)) (*localMesh, error) {
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
-	lm := &LocalMesh{}
+	lm := &localMesh{}
 	peers := make(map[string]string, len(sorted))
 	for i, name := range sorted {
 		cfg := Config{Name: name, Blueprint: bp}
@@ -45,7 +45,7 @@ func StartLocalMesh(bp *Blueprint, names []string, tune func(i int, cfg *Config)
 	errs := make([]error, len(lm.Members))
 	for i, m := range lm.Members {
 		wg.Add(1)
-		go func(i int, m *Member) {
+		go func(i int, m *member) {
 			defer wg.Done()
 			errs[i] = m.Start(peers)
 		}(i, m)
@@ -61,17 +61,17 @@ func StartLocalMesh(bp *Blueprint, names []string, tune func(i int, cfg *Config)
 }
 
 // Leader returns the leading member.
-func (lm *LocalMesh) Leader() *Member { return lm.Members[0] }
+func (lm *localMesh) Leader() *member { return lm.Members[0] }
 
 // Run drives the whole mesh to the horizon in steps: the leader
 // leads on this goroutine while followers wait, and the first error
 // from any member is returned.
-func (lm *LocalMesh) Run(until vtime.Time, step vtime.Duration) error {
+func (lm *localMesh) Run(until vtime.Time, step vtime.Duration) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(lm.Members))
 	for i, m := range lm.Members[1:] {
 		wg.Add(1)
-		go func(i int, m *Member) {
+		go func(i int, m *member) {
 			defer wg.Done()
 			errs[i+1] = m.Wait()
 		}(i, m)
@@ -89,7 +89,7 @@ func (lm *LocalMesh) Run(until vtime.Time, step vtime.Duration) error {
 // Digests merges every member's per-component drive digests. At a
 // finished run each component has exactly one home, so the union is
 // collision-free.
-func (lm *LocalMesh) Digests() map[string]uint64 {
+func (lm *localMesh) Digests() map[string]uint64 {
 	out := make(map[string]uint64)
 	for _, m := range lm.Members {
 		maps.Copy(out, m.Digests())
@@ -97,8 +97,8 @@ func (lm *LocalMesh) Digests() map[string]uint64 {
 	return out
 }
 
-// Member returns the named member, or nil.
-func (lm *LocalMesh) Member(name string) *Member {
+// member returns the named member, or nil.
+func (lm *localMesh) member(name string) *member {
 	for _, m := range lm.Members {
 		if m.Name() == name {
 			return m
@@ -108,7 +108,7 @@ func (lm *LocalMesh) Member(name string) *Member {
 }
 
 // Close tears down all members.
-func (lm *LocalMesh) Close() {
+func (lm *localMesh) Close() {
 	for _, m := range lm.Members {
 		if m != nil {
 			m.Close()

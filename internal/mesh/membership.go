@@ -187,8 +187,8 @@ func (ms *membership) joined() int {
 	return len(ms.peers)
 }
 
-// PeerHealth is one row of a member's health report.
-type PeerHealth struct {
+// peerHealth is one row of a member's health report.
+type peerHealth struct {
 	Name          string        `json:"name"`
 	Self          bool          `json:"self"`
 	Joined        bool          `json:"joined"`
@@ -204,7 +204,7 @@ type PeerHealth struct {
 // member that merely lost one peer of a large mesh is degraded, not
 // dead.
 type Health struct {
-	Members    []PeerHealth `json:"members"`
+	Members    []peerHealth `json:"members"`
 	Alive      int          `json:"alive"`
 	Total      int          `json:"total"`
 	QuorumDead bool         `json:"quorumDead"`
@@ -217,10 +217,10 @@ func (ms *membership) health() Health {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	now := time.Now()
-	h := Health{Members: []PeerHealth{{Name: ms.self, Self: true, Joined: true, Alive: true}}}
+	h := Health{Members: []peerHealth{{Name: ms.self, Self: true, Joined: true, Alive: true}}}
 	for n, ps := range ms.peers {
 		age := now.Sub(ps.lastHB)
-		h.Members = append(h.Members, PeerHealth{
+		h.Members = append(h.Members, peerHealth{
 			Name: n, Joined: true, Left: ps.left,
 			LastHeartbeat: ps.lastHB, Age: age, Alive: !ps.left && age < 3*heartbeatEvery,
 		})

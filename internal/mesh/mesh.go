@@ -98,9 +98,9 @@ const (
 	maxQueuedMigrations = 16 // live requests held for the next barrier; the leader refuses the one after
 )
 
-// Stats counts control-plane activity on one member. Leader-only
+// stats counts control-plane activity on one member. Leader-only
 // fields are zero elsewhere.
-type Stats struct {
+type stats struct {
 	Rounds     int64 // barriers that held (leader)
 	Reissues   int64 // rounds re-issued because the barrier failed (leader)
 	Migrations int64 // migrations completed (leader)
@@ -149,9 +149,9 @@ type migPlan struct {
 	move
 }
 
-// Member is one mesh participant: a node hosting one subsystem named
+// member is one mesh participant: a node hosting one subsystem named
 // after the member, plus the control-plane machinery.
-type Member struct {
+type member struct {
 	name   string
 	nd     *node.Node
 	hosted *node.Hosted
@@ -163,7 +163,7 @@ type Member struct {
 	ctlLn     net.Listener
 	ctlAddr   string
 	ms        *membership
-	digest    *Digest
+	digest    *digest
 	tl        *timeline.Recorder
 	epoch     atomic.Uint64
 	leaderNm  string
@@ -183,7 +183,7 @@ type Member struct {
 	view      *viewState                        // replicated placement (guarded by serve loop + mu for readers)
 	plans     []migPlan                         // leader: scheduled migrations, by virtual time
 	accepted  map[string]chan *channel.Endpoint // data channels the node accepted, by dialing peer
-	stats     Stats
+	stats     stats
 	buildErr  error
 	runErr    error
 	runDone   chan struct{}
@@ -196,7 +196,7 @@ type Member struct {
 // New creates a member: it builds the node, hosts the subsystem,
 // starts the control and data listeners, and installs the digest and
 // channel-accept hooks. Call Start to join the mesh.
-func New(cfg Config) (*Member, error) {
+func New(cfg Config) (*member, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Name == "" || len(cfg.Name) > maxName {
 		return nil, fmt.Errorf("mesh: member needs a name of 1 to %d bytes", maxName)
@@ -204,12 +204,12 @@ func New(cfg Config) (*Member, error) {
 	if cfg.Blueprint == nil {
 		return nil, fmt.Errorf("mesh: member %s needs a blueprint", cfg.Name)
 	}
-	m := &Member{
+	m := &member{
 		name:         cfg.Name,
 		bp:           cfg.Blueprint,
 		tl:           cfg.Timeline,
 		ms:           newMembership(cfg.Name),
-		digest:       NewDigest(),
+		digest:       newDigest(),
 		inbox:        make(chan inbound, 64),
 		replies:      make(chan answer, 256),
 		migReqs:      make(chan move, maxQueuedMigrations),
@@ -251,41 +251,41 @@ func New(cfg Config) (*Member, error) {
 }
 
 // CtlAddr returns the control-plane listen address.
-func (m *Member) CtlAddr() string { return m.ctlAddr }
+func (m *member) CtlAddr() string { return m.ctlAddr }
 
 // DataAddr returns the data-plane listen address.
-func (m *Member) DataAddr() string { return m.dataAddr }
+func (m *member) DataAddr() string { return m.dataAddr }
 
 // Name returns the member name.
-func (m *Member) Name() string { return m.name }
+func (m *member) Name() string { return m.name }
 
 // Subsystem exposes the hosted subsystem (for tests and tooling; do
 // not call Run on it — the mesh drives rounds).
-func (m *Member) Subsystem() *core.Subsystem { return m.sub }
+func (m *member) Subsystem() *core.Subsystem { return m.sub }
 
 // Node exposes the hosting node.
-func (m *Member) Node() *node.Node { return m.nd }
+func (m *member) Node() *node.Node { return m.nd }
 
 // Digests returns this member's per-component drive digests.
-func (m *Member) Digests() map[string]uint64 { return m.digest.Snapshot() }
+func (m *member) Digests() map[string]uint64 { return m.digest.Snapshot() }
 
 // Health reports membership and heartbeat state.
-func (m *Member) Health() Health { return m.ms.health() }
+func (m *member) Health() Health { return m.ms.health() }
 
 // Epoch returns the currently applied placement epoch.
-func (m *Member) Epoch() uint64 { return m.epoch.Load() }
+func (m *member) Epoch() uint64 { return m.epoch.Load() }
 
 // IsLeader reports whether this member leads the mesh.
-func (m *Member) IsLeader() bool { return m.name == m.leaderNm }
+func (m *member) IsLeader() bool { return m.name == m.leaderNm }
 
 // Members returns all member names, sorted (valid after Start).
-func (m *Member) Members() []string { return append([]string(nil), m.memberSet...) }
+func (m *member) Members() []string { return append([]string(nil), m.memberSet...) }
 
 // Leader returns the leader's name (valid after Start).
-func (m *Member) Leader() string { return m.leaderNm }
+func (m *member) Leader() string { return m.leaderNm }
 
 // Stats returns control-plane counters.
-func (m *Member) Stats() Stats {
+func (m *member) Stats() stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
@@ -295,7 +295,7 @@ func (m *Member) Stats() Stats {
 
 // Placement returns the member's replica of the component->member
 // placement map at the current epoch.
-func (m *Member) Placement() map[string]string {
+func (m *member) Placement() map[string]string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.view == nil {
@@ -311,7 +311,7 @@ func (m *Member) Placement() map[string]string {
 // serving the leader's calls — the first of which asks how the build
 // went. It returns once this member is operational; the leader then
 // calls Lead and followers call Wait.
-func (m *Member) Start(peers map[string]string) error {
+func (m *member) Start(peers map[string]string) error {
 	names := []string{m.name}
 	for n := range peers {
 		if n != m.name {
@@ -363,7 +363,7 @@ func (m *Member) Start(peers map[string]string) error {
 // dialCtl establishes the control connection to one peer, retrying
 // until the deadline so members may start in any order. The handshake
 // runs under the same deadline.
-func (m *Member) dialCtl(peer, addr string, deadline time.Time) error {
+func (m *member) dialCtl(peer, addr string, deadline time.Time) error {
 	if addr == "" {
 		return fmt.Errorf("mesh: %s: no control address for peer %s", m.name, peer)
 	}
@@ -386,7 +386,7 @@ func (m *Member) dialCtl(peer, addr string, deadline time.Time) error {
 
 // acceptCtl accepts inbound control connections from smaller-named
 // peers, each handshake under connectTimeout.
-func (m *Member) acceptCtl() {
+func (m *member) acceptCtl() {
 	defer m.wg.Done()
 	for {
 		c, err := m.ctlLn.Accept()
@@ -405,7 +405,7 @@ func (m *Member) acceptCtl() {
 // deadline — the dialer speaks first — then clears the deadline, admits
 // the peer and starts reading its connection. Close cuts a handshake
 // still under way; a failed one closes c.
-func (m *Member) handshake(c net.Conn, deadline time.Time, dialer bool) error {
+func (m *member) handshake(c net.Conn, deadline time.Time, dialer bool) error {
 	if !m.ms.greet(c) {
 		return fmt.Errorf("mesh: %s closed", m.name)
 	}
@@ -448,7 +448,7 @@ func hellos(pc *peerConn, c net.Conn, mine ctlHello, deadline time.Time, dialer 
 
 // readLoop drains one control connection, routing frames. Whatever
 // ends it — EOF, a reset, bytes that do not decode — the peer is gone.
-func (m *Member) readLoop(pc *peerConn) {
+func (m *member) readLoop(pc *peerConn) {
 	defer m.wg.Done()
 	for {
 		f, err := pc.recv()
@@ -466,13 +466,13 @@ func (m *Member) readLoop(pc *peerConn) {
 
 // peerGone records a departure and tells a call that may be waiting
 // on that member.
-func (m *Member) peerGone(name string) {
+func (m *member) peerGone(name string) {
 	m.ms.markLeft(name)
 	m.answer(answer{from: name, lost: true})
 }
 
 // answer hands call a reply or a departure.
-func (m *Member) answer(a answer) {
+func (m *member) answer(a answer) {
 	select {
 	case m.replies <- a:
 	case <-m.closed:
@@ -482,7 +482,7 @@ func (m *Member) answer(a answer) {
 // route dispatches one inbound frame. Notes are absorbed here, on the
 // reader, so they are never stuck behind a long round; replies go to
 // call; every other request is work for the member loop.
-func (m *Member) route(from string, f any) {
+func (m *member) route(from string, f any) {
 	m.ms.note(from) // any control traffic counts as a heartbeat
 	switch f := f.(type) {
 	case reply:
@@ -502,7 +502,7 @@ func (m *Member) route(from string, f any) {
 
 // send delivers a request or a reply to a member; frames to self are
 // routed locally so the leader participates like any member.
-func (m *Member) send(to string, f any) error {
+func (m *member) send(to string, f any) error {
 	if to == m.name {
 		m.route(m.name, f)
 		return nil
@@ -515,14 +515,14 @@ func (m *Member) send(to string, f any) error {
 }
 
 // notify sends a note to every peer still connected, best effort.
-func (m *Member) notify(o op) {
+func (m *member) notify(o op) {
 	for _, pc := range m.ms.conns() {
 		pc.send(request{Op: o})
 	}
 }
 
 // heartbeatLoop keeps peers' membership tables warm.
-func (m *Member) heartbeatLoop() {
+func (m *member) heartbeatLoop() {
 	defer m.wg.Done()
 	t := time.NewTicker(heartbeatEvery)
 	defer t.Stop()
@@ -543,7 +543,7 @@ func (m *Member) heartbeatLoop() {
 // one member. The first refusal, the first addressed member to leave
 // and the phase timeout each end the call with an error naming the
 // member and the phase.
-func (m *Member) call(to []string, rq request) (map[string]reply, error) {
+func (m *member) call(to []string, rq request) (map[string]reply, error) {
 	m.callMu.Lock()
 	defer m.callMu.Unlock()
 	m.callID++
@@ -601,7 +601,7 @@ func (m *Member) call(to []string, rq request) (map[string]reply, error) {
 // mid-run channel dial happens here, which both serializes them
 // logically and gives the race detector a visible happens-before
 // between channel acceptance and the next scheduler pass.
-func (m *Member) serve() {
+func (m *member) serve() {
 	defer m.wg.Done()
 	for {
 		select {
@@ -620,7 +620,7 @@ func (m *Member) serve() {
 }
 
 // handle carries out one request and builds its reply.
-func (m *Member) handle(rq request) reply {
+func (m *member) handle(rq request) reply {
 	rp := reply{ID: rq.ID, Op: rq.Op}
 	var err error
 	switch rq.Op {
@@ -647,7 +647,7 @@ func (m *Member) handle(rq request) reply {
 }
 
 // step runs one round and reports channel counters.
-func (m *Member) step(until vtime.Time) (counters, error) {
+func (m *member) step(until vtime.Time) (counters, error) {
 	err := m.sub.Run(until)
 	if err != nil {
 		m.mu.Lock()
@@ -665,7 +665,7 @@ func (m *Member) step(until vtime.Time) (counters, error) {
 
 // Wait blocks until the leader finishes the run (or the member is
 // closed) and returns the member's local run error, if any.
-func (m *Member) Wait() error {
+func (m *member) Wait() error {
 	select {
 	case <-m.runDone:
 	case <-m.closed:
@@ -679,7 +679,7 @@ func (m *Member) Wait() error {
 // dest at the first drained barrier whose horizon is >= at. Calls
 // before Lead are deterministic in virtual time: the same schedule
 // yields the same cut on every run.
-func (m *Member) MigrateAt(at vtime.Time, comp, dest string) error {
+func (m *member) MigrateAt(at vtime.Time, comp, dest string) error {
 	if !m.IsLeader() {
 		return fmt.Errorf("mesh: MigrateAt on non-leader %s", m.name)
 	}
@@ -694,7 +694,7 @@ func (m *Member) MigrateAt(at vtime.Time, comp, dest string) error {
 // to dest at the next drained barrier, and returns the leader's
 // verdict: nil once the request is queued, a *Refused carrying the
 // leader's reason when it is not.
-func (m *Member) RequestMigration(comp, dest string) error {
+func (m *member) RequestMigration(comp, dest string) error {
 	if len(comp) > maxName || len(dest) > maxName {
 		return &Refused{Member: m.name, Phase: opMigrate.String(), Reason: fmt.Sprintf("a name over %d bytes", maxName)}
 	}
@@ -706,7 +706,7 @@ func (m *Member) RequestMigration(comp, dest string) error {
 // size step up to until, executing scheduled and requested
 // migrations at drained barriers. It returns when every member has
 // finished (or on the first error).
-func (m *Member) Lead(until vtime.Time, step vtime.Duration) error {
+func (m *member) Lead(until vtime.Time, step vtime.Duration) error {
 	if !m.IsLeader() {
 		return fmt.Errorf("mesh: Lead called on non-leader %s (leader is %s)", m.name, m.leaderNm)
 	}
@@ -724,7 +724,7 @@ func (m *Member) Lead(until vtime.Time, step vtime.Duration) error {
 
 // rounds is the leader's script: ready, then step until the barrier
 // holds, migrate what is due, and on to the next horizon.
-func (m *Member) rounds(until vtime.Time, step vtime.Duration) error {
+func (m *member) rounds(until vtime.Time, step vtime.Duration) error {
 	if _, err := m.call(m.memberSet, request{Op: opReady}); err != nil {
 		return err
 	}
@@ -772,7 +772,7 @@ func barrierHolds(reports map[string]reply) bool {
 
 // Close leaves the mesh and tears down listeners, connections and
 // the node.
-func (m *Member) Close() error {
+func (m *member) Close() error {
 	var err error
 	m.closeOnce.Do(func() {
 		m.notify(opLeave)

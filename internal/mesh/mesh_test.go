@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/vtime"
 )
@@ -14,7 +15,7 @@ func demoParams() DemoParams {
 	return DemoParams{Members: demoNames}.withDefaults()
 }
 
-func runDemo(t *testing.T, plan func(lm *LocalMesh), tune func(i int, cfg *Config)) (*LocalMesh, DemoParams) {
+func runDemo(t *testing.T, plan func(lm *localMesh), tune func(i int, cfg *Config)) (*localMesh, DemoParams) {
 	t.Helper()
 	p := demoParams()
 	bp, err := DemoBlueprint(p)
@@ -37,18 +38,32 @@ func runDemo(t *testing.T, plan func(lm *LocalMesh), tune func(i int, cfg *Confi
 
 // hotState digs the hot component's behaviour out of whichever member
 // currently hosts it.
-func hotState(t *testing.T, lm *LocalMesh) *hotBeh {
+func hotState(t *testing.T, lm *localMesh) *hotBeh {
 	t.Helper()
 	home := lm.Leader().Placement()["hot"]
-	m := lm.Member(home)
+	m := lm.member(home)
 	if m == nil {
 		t.Fatalf("placement says hot is on unknown member %q", home)
 	}
-	c := m.Subsystem().Component("hot")
-	if c == nil {
+	if m.Subsystem().Component("hot") == nil {
 		t.Fatalf("member %s does not host hot despite placement", home)
 	}
-	return c.Behavior().(*hotBeh)
+	h := &hotBeh{}
+	savedState(t, m.Subsystem(), "hot", h)
+	return h
+}
+
+// savedState restores into v the state the named component saves, as
+// a checkpoint or a migration carries it. Only between runs.
+func savedState(t *testing.T, s *core.Subsystem, comp string, v core.StateSaver) {
+	t.Helper()
+	cs, err := s.CaptureNow("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.RestoreState(cs.Image(comp).State); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMeshRunsDemo(t *testing.T) {
@@ -73,7 +88,7 @@ func TestMeshRunsDemo(t *testing.T) {
 }
 
 func TestMeshMigrationMovesComponent(t *testing.T) {
-	lm, p := runDemo(t, func(lm *LocalMesh) {
+	lm, p := runDemo(t, func(lm *localMesh) {
 		if err := lm.Leader().MigrateAt(vtime.Time(50*vtime.Millisecond), "hot", "bravo"); err != nil {
 			t.Fatalf("schedule migration: %v", err)
 		}
@@ -86,10 +101,10 @@ func TestMeshMigrationMovesComponent(t *testing.T) {
 			t.Errorf("member %s places hot on %q, want bravo", m.Name(), home)
 		}
 	}
-	if lm.Member("alpha").Subsystem().Component("hot") != nil {
+	if lm.member("alpha").Subsystem().Component("hot") != nil {
 		t.Errorf("hot still instantiated on alpha after migration")
 	}
-	if lm.Member("bravo").Subsystem().Component("hot") == nil {
+	if lm.member("bravo").Subsystem().Component("hot") == nil {
 		t.Fatalf("hot not instantiated on bravo after migration")
 	}
 	h := hotState(t, lm)
@@ -112,7 +127,7 @@ func TestMeshHealth(t *testing.T) {
 	if h.Total != 3 || h.Alive != 3 || h.QuorumDead {
 		t.Fatalf("healthy mesh reported %+v", h)
 	}
-	lm.Member("charlie").Close()
+	lm.member("charlie").Close()
 	awaitMembership(t, lm.Leader(), "charlie leaving", func() bool {
 		h = lm.Leader().Health()
 		return h.Alive == 2

@@ -36,7 +36,7 @@ import (
 
 // runMigrations executes every migration due at the held barrier t:
 // scheduled plans with At <= t plus any queued live requests.
-func (m *Member) runMigrations(t vtime.Time) error {
+func (m *member) runMigrations(t vtime.Time) error {
 	var due []move
 	m.mu.Lock()
 	for len(m.plans) > 0 && m.plans[0].At <= t {
@@ -62,7 +62,7 @@ func (m *Member) runMigrations(t vtime.Time) error {
 
 // resolve checks a wanted move against the current placement and
 // returns it with From filled in.
-func (m *Member) resolve(mv move) (move, error) {
+func (m *member) resolve(mv move) (move, error) {
 	m.mu.Lock()
 	if m.view != nil {
 		mv.From = m.view.placement[mv.Comp]
@@ -79,7 +79,7 @@ func (m *Member) resolve(mv move) (move, error) {
 
 // queueMigration is the leader's verdict on a live request: queued
 // for the next barrier (nil) or the reason it is not.
-func (m *Member) queueMigration(mv move) error {
+func (m *member) queueMigration(mv move) error {
 	if !m.IsLeader() {
 		return fmt.Errorf("%s is not the leader, %s is", m.name, m.leaderNm)
 	}
@@ -100,7 +100,7 @@ func (m *Member) queueMigration(mv move) error {
 }
 
 // migrate moves one component at the held barrier with horizon t.
-func (m *Member) migrate(t vtime.Time, mv move) error {
+func (m *member) migrate(t vtime.Time, mv move) error {
 	mv, err := m.resolve(mv)
 	if err != nil {
 		return err
@@ -148,7 +148,7 @@ func (m *Member) migrate(t vtime.Time, mv move) error {
 // extract captures the migrating component's image (source member
 // only). The checkpoint tag is derived from the epoch so a re-sent
 // prepare deduplicates onto the same capture.
-func (m *Member) extract(mv move) (image, error) {
+func (m *member) extract(mv move) (image, error) {
 	ci, err := snapshot.ExtractComponent(m.sub, fmt.Sprintf("mig-%d", mv.Epoch), mv.Comp)
 	if err != nil {
 		return image{}, err
@@ -166,7 +166,7 @@ func (m *Member) extract(mv move) (image, error) {
 // the new splits. Peers a channel newly leads to are left for the
 // dial phase; channels that lost all nets stay connected but idle
 // (reused if a later epoch routes nets over them again).
-func (m *Member) applyEpoch(mv move, img image) error {
+func (m *member) applyEpoch(mv move, img image) error {
 	vs := m.view // written only on the member loop, and by Start before it runs
 	if vs == nil {
 		return fmt.Errorf("mesh: %s: epoch %d before build", m.name, mv.Epoch)
@@ -181,7 +181,7 @@ func (m *Member) applyEpoch(mv move, img image) error {
 	}
 
 	if m.name == mv.From {
-		m.digest.Take(mv.Comp)
+		m.digest.take(mv.Comp)
 		if err := m.sub.RemoveComponent(mv.Comp); err != nil {
 			return err
 		}

@@ -15,16 +15,16 @@ import (
 	"repro/internal/vtime"
 )
 
-// ComponentSpec describes one component: its ports and a factory for
+// componentSpec describes one component: its ports and a factory for
 // a fresh behaviour instance.
-type ComponentSpec struct {
+type componentSpec struct {
 	Name  string
 	Ports []string
 	New   func() core.Behavior
 }
 
-// NetSpec describes one logical net in the global view.
-type NetSpec struct {
+// netSpec describes one logical net in the global view.
+type netSpec struct {
 	Name  string
 	Delay vtime.Duration
 	Ports []graph.PortRef
@@ -37,15 +37,15 @@ type NetSpec struct {
 // message's arrival time does not depend on channel serialization
 // history, only on when it was sent.
 type Blueprint struct {
-	Components []ComponentSpec
-	Nets       []NetSpec
+	Components []componentSpec
+	Nets       []netSpec
 	Placement  map[string]string // component -> member name
 	Policy     channel.Policy
 	Link       channel.LinkModel
 }
 
 // Component returns the spec for the named component, or nil.
-func (bp *Blueprint) Component(name string) *ComponentSpec {
+func (bp *Blueprint) Component(name string) *componentSpec {
 	for i := range bp.Components {
 		if bp.Components[i].Name == name {
 			return &bp.Components[i]
@@ -85,8 +85,8 @@ func (bp *Blueprint) Validate(members []string) error {
 	return nil
 }
 
-// View builds the global graph view from the blueprint.
-func (bp *Blueprint) View() (*graph.View, error) {
+// view builds the global graph view from the blueprint.
+func (bp *Blueprint) view() (*graph.View, error) {
 	v := graph.NewView()
 	for _, cs := range bp.Components {
 		if err := v.AddComponent(cs.Name, bp.Placement[cs.Name]); err != nil {

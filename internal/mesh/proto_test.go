@@ -155,7 +155,7 @@ func TestControlRejectsHostileFrames(t *testing.T) {
 
 // callCompletes runs one step call from m to the scripted member name,
 // answering it through p.
-func callCompletes(t *testing.T, m *Member, name string, p *peer) {
+func callCompletes(t *testing.T, m *member, name string, p *peer) {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {

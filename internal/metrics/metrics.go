@@ -7,7 +7,7 @@
 // path: simulations that never ask for metrics must pay nothing. Two
 // mechanisms provide that:
 //
-//   - Instruments are nil-safe. A (*Counter)(nil).Add(1) is a single
+//   - Instruments are nil-safe. A (*Gauge)(nil).Set(1) is a single
 //     predictable branch and no memory traffic, so hot paths can keep
 //     an instrument field that is simply nil when metrics are off.
 //
@@ -40,32 +40,6 @@ const (
 	KindGauge     = "gauge"
 	KindHistogram = "histogram"
 )
-
-// Counter is a monotonically increasing value. The zero value is
-// ready to use; a nil *Counter is a no-op.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n (n must be >= 0; negative deltas are ignored so a
-// counter can never run backwards).
-func (c *Counter) Add(n int64) {
-	if c == nil || n <= 0 {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
 
 // Gauge is a value that can go up and down. The zero value is ready
 // to use; a nil *Gauge is a no-op.
@@ -154,7 +128,6 @@ type Collector func(emit func(Sample))
 type instrument struct {
 	name string
 	kind string
-	c    *Counter
 	g    *Gauge
 	h    *Histogram
 }
@@ -199,24 +172,6 @@ func (r *Registry) helpOf(base string) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.help[base]
-}
-
-// Counter returns the counter registered under name, creating it if
-// needed. Returns nil (a no-op counter) on a nil registry or if the
-// name is already taken by a different kind.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i, ok := r.byName[name]; ok {
-		return r.insts[i].c // nil if kind mismatch
-	}
-	c := &Counter{}
-	r.byName[name] = len(r.insts)
-	r.insts = append(r.insts, instrument{name: name, kind: KindCounter, c: c})
-	return c
 }
 
 // Gauge returns the gauge registered under name, creating it if
@@ -285,8 +240,6 @@ func (r *Registry) Snapshot() []Sample {
 	for _, in := range insts {
 		s := Sample{Name: in.name, Kind: in.kind}
 		switch in.kind {
-		case KindCounter:
-			s.Value = in.c.Value()
 		case KindGauge:
 			s.Value = in.g.Value()
 		case KindHistogram:

@@ -9,14 +9,17 @@ import (
 	"time"
 )
 
+// counter registers a pull collector reporting one counter, the way
+// every layer reports its Stats counters.
+func counter(r *Registry, name string, v int64) {
+	r.AddCollector(func(emit func(Sample)) { emit(Sample{Name: name, Kind: KindCounter, Value: v}) })
+}
+
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
 	g := r.Gauge("y")
 	h := r.Histogram("z", []int64{1, 2})
 	// All no-ops; must not panic.
-	c.Inc()
-	c.Add(5)
 	g.Set(7)
 	g.Add(-3)
 	h.Observe(1)
@@ -24,24 +27,13 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if got := r.Snapshot(); got != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", got)
 	}
-	if c.Value() != 0 || g.Value() != 0 {
+	if g.Value() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 }
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("pia_test_count")
-	c.Inc()
-	c.Add(4)
-	c.Add(-10) // ignored: counters are monotonic
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	if again := r.Counter("pia_test_count"); again != c {
-		t.Fatal("get-or-create must return the same counter")
-	}
-
 	g := r.Gauge("pia_test_gauge")
 	g.Set(10)
 	g.Add(-4)
@@ -70,9 +62,9 @@ func TestCounterGaugeHistogram(t *testing.T) {
 
 func TestKindClashReturnsNil(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("same")
+	r.Histogram("same", []int64{1})
 	if g := r.Gauge("same"); g != nil {
-		t.Fatal("gauge under a counter name must be nil")
+		t.Fatal("gauge under a histogram name must be nil")
 	}
 	// And the nil result must still be safe to use.
 	r.Gauge("same").Set(1)
@@ -80,7 +72,7 @@ func TestKindClashReturnsNil(t *testing.T) {
 
 func TestCollectorAndOrdering(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b_live").Add(2)
+	r.Gauge("b_live").Set(2)
 	r.AddCollector(func(emit func(Sample)) {
 		emit(Sample{Name: "a_pulled", Kind: KindGauge, Value: 9})
 		emit(Sample{Name: "c_pulled", Kind: KindCounter, Value: 1})
@@ -135,7 +127,7 @@ func TestLabelEscaping(t *testing.T) {
 	// And the whole exposition must stay parseable: one sample line,
 	// no stray quotes/newlines splitting it.
 	r := NewRegistry()
-	r.Counter(Label("pia_esc", "comp", "a\"b\\c\nd")).Add(1)
+	counter(r, Label("pia_esc", "comp", "a\"b\\c\nd"), 1)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -151,8 +143,8 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestHelpLines(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Label("pia_helped", "n", "1")).Add(3)
-	r.Counter("pia_unhelped").Add(1)
+	counter(r, Label("pia_helped", "n", "1"), 3)
+	counter(r, "pia_unhelped", 1)
 	r.SetHelp("pia_helped", "A documented counter.")
 	r.SetHelp("pia_helped", "second registration must lose")
 	var buf bytes.Buffer
@@ -233,7 +225,7 @@ func TestRegisterBuildInfo(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Label("pia_j", "n", "1")).Add(3)
+	counter(r, Label("pia_j", "n", "1"), 3)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -261,8 +253,8 @@ func TestWriteJSON(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Label("pia_frames", "node", "n1")).Add(7)
-	r.Counter(Label("pia_frames", "node", "n2")).Add(9)
+	counter(r, Label("pia_frames", "node", "n1"), 7)
+	counter(r, Label("pia_frames", "node", "n2"), 9)
 	h := r.Histogram("pia_lat", []int64{10})
 	h.Observe(5)
 	h.Observe(50)
@@ -292,7 +284,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestReportLine(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("steps").Add(12)
+	counter(r, "steps", 12)
 	r.Gauge("runnable").Set(3)
 	r.Histogram("skip_me", []int64{1}).Observe(1)
 	line := ReportLine(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC), r.Snapshot())
@@ -315,7 +307,6 @@ func TestConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.Counter("pia_cc").Inc()
 				r.Gauge("pia_cg").Set(int64(j))
 				r.Histogram("pia_ch", []int64{100, 500}).Observe(int64(j))
 				_ = r.Snapshot()
@@ -323,7 +314,16 @@ func TestConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("pia_cc").Value(); got != 8000 {
-		t.Fatalf("counter = %d, want 8000", got)
+	found := false
+	for _, smp := range r.Snapshot() {
+		if smp.Name == "pia_ch" {
+			found = true
+			if smp.Value != 8000 {
+				t.Fatalf("histogram count = %d, want 8000", smp.Value)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("pia_ch missing from the snapshot")
 	}
 }

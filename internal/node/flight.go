@@ -9,7 +9,7 @@ import (
 
 // EnableFlight attaches a flight recorder to the node's failure
 // triggers: an unrecoverable transport loss on a resumable session
-// (the pump surfacing *PeerLostError) records the loss and trips the
+// (the pump surfacing *peerLostError) records the loss and trips the
 // recorder, and the node's metrics registry / timeline recorder
 // (wired before or after this call) are attached so post-mortems are
 // self-contained. Idempotent per node; with flight never enabled the
@@ -38,7 +38,7 @@ func (n *Node) flightRecorder() *flight.Recorder {
 }
 
 // notePeerLost inspects a pump/serve error and, when it is a
-// *PeerLostError (a resumable session exhausting its transport for
+// *peerLostError (a resumable session exhausting its transport for
 // good), records the transition and trips the flight recorder. Any
 // other connection error is recorded as a transition but does not
 // freeze the ring.
@@ -47,7 +47,7 @@ func (n *Node) notePeerLost(err error) {
 	if r == nil {
 		return
 	}
-	var lost *PeerLostError
+	var lost *peerLostError
 	if errors.As(err, &lost) {
 		r.Record("peer", lost.Peer, "peer lost: "+err.Error(), int64(lost.LastSeq))
 		r.Trip("peer-lost", lost.Peer+" last_seq="+strconv.FormatUint(lost.LastSeq, 10))

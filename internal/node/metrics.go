@@ -101,14 +101,6 @@ func (n *Node) EnableMetrics(reg *metrics.Registry) {
 	n.wireObservers()
 }
 
-// MetricsRegistry returns the registry passed to EnableMetrics, or
-// nil when metrics are disabled.
-func (n *Node) MetricsRegistry() *metrics.Registry {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.metricsReg
-}
-
 // SessionHealth reports how many resilient sessions the node owns and
 // how many of them are still alive (not terminally failed). A session
 // riding out an outage — dead connection epoch, redial in progress —

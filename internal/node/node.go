@@ -34,21 +34,21 @@ import (
 // loss.
 var ErrPeerLost = errors.New("node: peer lost")
 
-// PeerLostError carries the context of a lost peer: which subsystem
+// peerLostError carries the context of a lost peer: which subsystem
 // vanished and the last channel sequence number processed from it.
-type PeerLostError struct {
+type peerLostError struct {
 	Peer    string // peer subsystem name
 	LastSeq uint64 // last channel seq processed from the peer
 	Cause   error
 }
 
-func (e *PeerLostError) Error() string {
+func (e *peerLostError) Error() string {
 	return fmt.Sprintf("node: peer %s lost after seq %d: %v", e.Peer, e.LastSeq, e.Cause)
 }
 
 // Unwrap makes errors.Is match both ErrPeerLost and the cause chain
 // (e.g. resilience.ErrSessionLost).
-func (e *PeerLostError) Unwrap() []error { return []error{ErrPeerLost, e.Cause} }
+func (e *peerLostError) Unwrap() []error { return []error{ErrPeerLost, e.Cause} }
 
 // Hosted bundles a subsystem with its channel hub and snapshot agent
 // on a node.
@@ -287,19 +287,6 @@ func (n *Node) bindSession(h *Hosted, sess *resilience.Session) {
 		})
 	}
 	sess.SetOnChange(h.Sub.Wake)
-}
-
-// BreakConns kills the current TCP connection of every resilient
-// session the node owns — chaos injection for reconnect tests. The
-// sessions survive and resume; plain (non-resilient) connections are
-// untouched.
-func (n *Node) BreakConns() {
-	n.mu.Lock()
-	sessions := append([]*resilience.Session(nil), n.sessions...)
-	n.mu.Unlock()
-	for _, s := range sessions {
-		s.BreakConn()
-	}
 }
 
 // FaultLinks returns the node's fault-injection links, one per
@@ -597,7 +584,7 @@ const maxBurst = 256
 // the session reconnects and replays underneath. Two session events
 // do surface: a negotiated checkpoint rewind (handled in place, the
 // pump continues on the rewound timeline) and terminal session loss.
-// Any unrecoverable transport failure is wrapped in PeerLostError and,
+// Any unrecoverable transport failure is wrapped in peerLostError and,
 // unless the node is closing, latched on the endpoint, which ends the
 // run of the subsystem it serves: nothing more will arrive from the
 // peer, and that run may be stalled on a grant only the peer can send.
@@ -624,7 +611,7 @@ func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilie
 			dec = channel.NewBatchDecoder()
 			continue
 		}
-		return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
+		return &peerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
 	}
 }
 
@@ -733,7 +720,7 @@ func (n *Node) handleRewind(h *Hosted, ep *channel.Endpoint, sess *resilience.Se
 		// rather than wait forever for post-rewind traffic this
 		// side can no longer produce.
 		sess.Close()
-		return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
+		return &peerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -66,12 +68,62 @@ func (r *trecv) SaveState() ([]byte, error)  { return core.GobSave(r) }
 func (r *trecv) RestoreState(b []byte) error { return core.GobRestore(r, b) }
 
 // chaosPair is one two-node deployment of the sender/receiver
-// workload, ready to run.
+// workload, ready to run. node1 reaches node2 through proxy.
 type chaosPair struct {
 	n1, n2 *Node
 	s1, s2 *core.Subsystem
 	snd    *tsender
 	rcv    *trecv
+	proxy  *killProxy
+}
+
+// killProxy forwards TCP connections to a listener and severs every
+// connection it carries on kill, as a failing network would: the
+// sessions on both sides lose their epoch and resume on a new one.
+type killProxy struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func newKillProxy(t *testing.T, target string) *killProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &killProxy{ln: ln}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			u, err := net.Dial("tcp", target)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			p.mu.Lock()
+			p.conns = append(p.conns, c, u)
+			p.mu.Unlock()
+			go func() { io.Copy(u, c); u.Close() }()
+			go func() { io.Copy(c, u); c.Close() }()
+		}
+	}()
+	t.Cleanup(func() { ln.Close(); p.kill() })
+	return p
+}
+
+// kill closes every connection the proxy has carried so far.
+func (p *killProxy) kill() {
+	p.mu.Lock()
+	conns := p.conns
+	p.conns = nil
+	p.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
 }
 
 // buildChaosPair wires the workload across two nodes on loopback
@@ -104,8 +156,9 @@ func buildChaosPair(t *testing.T, count int, period, latency vtime.Duration, con
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.proxy = newKillProxy(t, addr)
 	link := channel.LinkModel{Latency: latency, PerMessage: 1}
-	ep, err := p.n1.Connect("handheld", addr, "server", channel.Conservative, link)
+	ep, err := p.n1.Connect("handheld", p.proxy.ln.Addr().String(), "server", channel.Conservative, link)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +254,7 @@ func TestReconnectMidRun(t *testing.T) {
 	chaos.rcv.OnValue = func(n int) {
 		if n%5 == 0 {
 			kills++
-			chaos.n1.BreakConns()
+			chaos.proxy.kill()
 		}
 	}
 	chaos.run(t, 2000)
@@ -311,7 +364,7 @@ func TestSnapshotRewindAcrossReconnect(t *testing.T) {
 		if !a1.HasTag(tag) {
 			t.Error("snapshot incomplete when the tenth value left")
 		}
-		chaos.n1.BreakConns()
+		chaos.proxy.kill()
 	}
 	chaos.run(t, 3000)
 	assertSameResults(t, clean.rcv, chaos.rcv)
@@ -320,7 +373,7 @@ func TestSnapshotRewindAcrossReconnect(t *testing.T) {
 	}
 }
 
-// TestPeerLostTyped: a vanished peer surfaces as PeerLostError
+// TestPeerLostTyped: a vanished peer surfaces as peerLostError
 // carrying the peer name, matchable via errors.Is(err, ErrPeerLost).
 func TestPeerLostTyped(t *testing.T) {
 	errc := make(chan string, 8)

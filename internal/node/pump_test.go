@@ -153,7 +153,7 @@ func TestPumpDrainsBurstInOrder(t *testing.T) {
 
 // TestPumpRejectsGobAfterHandshake: after the hello exchange the only
 // legal frame is a batch frame. A gob frame ends the connection with a
-// PeerLostError naming the frame kind — its payload is never decoded —
+// peerLostError naming the frame kind — its payload is never decoded —
 // and the frames of the same burst that preceded it are still
 // delivered.
 func TestPumpRejectsGobAfterHandshake(t *testing.T) {
@@ -168,7 +168,7 @@ func TestPumpRejectsGobAfterHandshake(t *testing.T) {
 	p.batch(t, p.data(2))
 
 	err, ep, _, _ := p.serve(t)
-	var lost *PeerLostError
+	var lost *peerLostError
 	if !errors.As(err, &lost) || !errors.Is(err, ErrPeerLost) {
 		t.Fatalf("post-handshake gob frame gave %v, want a PeerLostError", err)
 	}
@@ -184,7 +184,7 @@ func TestPumpRejectsGobAfterHandshake(t *testing.T) {
 }
 
 // TestPumpDeliversFramesBeforeACorruptOne: a frame that fails to decode
-// mid-burst loses the connection — with a PeerLostError, never a
+// mid-burst loses the connection — with a peerLostError, never a
 // panic: pump runs unrecovered, so a panic here would take the whole
 // process down — and not the whole frames before it.
 func TestPumpDeliversFramesBeforeACorruptOne(t *testing.T) {
@@ -317,7 +317,7 @@ func TestPumpBurstsAFrameAtTheCap(t *testing.T) {
 
 // TestPumpLongFrameCorruptAtTheEnd: a frame of more than maxBurst
 // messages whose last entry is corrupt ends the connection with a
-// PeerLostError, never a panic. The bursts of it handed on before the
+// peerLostError, never a panic. The bursts of it handed on before the
 // fault was reached stay delivered — whole bursts of well-formed
 // messages, in order — and nothing of the corrupt entry is.
 func TestPumpLongFrameCorruptAtTheEnd(t *testing.T) {
@@ -342,7 +342,7 @@ func TestPumpLongFrameCorruptAtTheEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	err, ep, _, _ := p.serve(t)
-	var lost *PeerLostError
+	var lost *peerLostError
 	if !errors.As(err, &lost) || !strings.Contains(err.Error(), "truncated field") {
 		t.Fatalf("a long frame with a corrupt end gave %v, want a PeerLostError", err)
 	}

@@ -467,21 +467,3 @@ func receive(p *core.Proc, port string, a *Assembler) (completion, any, error) {
 		}
 	}
 }
-
-// Drives estimates the number of net drives a payload costs at a
-// level — the quantity the remote experiments count, since each
-// drive becomes one channel message.
-func Drives(payloadLen int, level string, cfg Config) int {
-	switch level {
-	case LevelHardware:
-		return 1 + payloadLen
-	case LevelWord:
-		return 1 + (payloadLen+3)/4
-	default:
-		n := (payloadLen + cfg.packetLen() - 1) / cfg.packetLen()
-		if n == 0 {
-			n = 1
-		}
-		return n
-	}
-}

@@ -77,12 +77,12 @@ func TestRoundTripAllLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	rng.Read(payload)
 	for _, level := range []string{LevelHardware, LevelWord, LevelPacket} {
-		got, _, drives := pipe(t, payload, level, DefaultConfig)
+		got, _, n := pipe(t, payload, level, DefaultConfig)
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("%s: payload corrupted (%d vs %d bytes)", level, len(got), len(payload))
 		}
-		if want := Drives(len(payload), level, DefaultConfig); drives != want {
-			t.Fatalf("%s: %d drives, Drives() predicts %d", level, drives, want)
+		if want := drives(len(payload), level, DefaultConfig); n != want {
+			t.Fatalf("%s: %d drives, the model predicts %d", level, n, want)
 		}
 	}
 }
@@ -190,7 +190,7 @@ func TestBarePacketIsComplete(t *testing.T) {
 func TestDrivesMonotoneProperty(t *testing.T) {
 	f := func(n uint16, extra uint8) bool {
 		for _, level := range []string{LevelHardware, LevelWord, LevelPacket} {
-			if Drives(int(n)+int(extra), level, DefaultConfig) < Drives(int(n), level, DefaultConfig) {
+			if drives(int(n)+int(extra), level, DefaultConfig) < drives(int(n), level, DefaultConfig) {
 				return false
 			}
 		}
@@ -403,7 +403,7 @@ func TestSendPacketsShareThePayload(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	n := Drives(len(payload), LevelPacket, DefaultConfig)
+	n := drives(len(payload), LevelPacket, DefaultConfig)
 	s := core.NewSubsystem("p")
 	sent := make([]any, 0, n) // sized ahead: the hook allocates nothing
 	s.OnDrive = func(_, _ string, _ vtime.Time, v any) { sent = append(sent, v) }
@@ -603,5 +603,23 @@ func TestHardwareTransferBoxesInChunks(t *testing.T) {
 	if limit := uint64(size/signal.BusCycleChunk + runSlack + 1); allocs > limit {
 		t.Fatalf("a %d-byte hardware-level transfer cost %d allocations, want <= %d: one box chunk per %d cycles, the presize and %d for the run",
 			size, allocs, limit, signal.BusCycleChunk, runSlack)
+	}
+}
+
+// drives models the number of net drives a payload costs at a level —
+// the quantity the remote experiments count, since each drive becomes
+// one channel message.
+func drives(payloadLen int, level string, cfg Config) int {
+	switch level {
+	case LevelHardware:
+		return 1 + payloadLen
+	case LevelWord:
+		return 1 + (payloadLen+3)/4
+	default:
+		n := (payloadLen + cfg.packetLen() - 1) / cfg.packetLen()
+		if n == 0 {
+			n = 1
+		}
+		return n
 	}
 }

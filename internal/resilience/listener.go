@@ -239,7 +239,7 @@ func (l *Listener) resume(s *Session, conn *wire.Conn, h handshake) {
 			h.RecvNext, lowest))
 		l.answer(conn, handshake{Status: statusReject, SessionID: s.id})
 		conn.Close()
-		s.fail(fmt.Errorf("%w: retention miss with no common checkpoint", ErrSessionLost))
+		s.fail(fmt.Errorf("%w: retention miss with no common checkpoint", errSessionLost))
 		return
 	}
 	if err := l.answer(conn, handshake{Status: statusRewind, SessionID: s.id, Tag: tag}); err != nil {

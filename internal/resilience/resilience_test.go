@@ -462,7 +462,7 @@ func TestListenerHandshakeTimesOut(t *testing.T) {
 }
 
 // TestRetryBudgetExhaustion: when the peer is unreachable for longer
-// than the retry budget, the session dies with ErrSessionLost. Bytes
+// than the retry budget, the session dies with errSessionLost. Bytes
 // it received before but had not read are still read first (the peer
 // has pruned them as acked), and the drained buffer is then released.
 func TestRetryBudgetExhaustion(t *testing.T) {
@@ -492,13 +492,13 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	if !errors.Is(p.client.Err(), ErrSessionLost) {
+	if !errors.Is(p.client.Err(), errSessionLost) {
 		t.Fatalf("terminal error %v, want ErrSessionLost", p.client.Err())
 	}
 	if got := drain(t, p.client, unread); !bytes.Equal(got, pattern(unread)) {
 		t.Fatal("bytes received before the loss read back corrupted")
 	}
-	if _, err := p.client.Read(make([]byte, 16)); !errors.Is(err, ErrSessionLost) {
+	if _, err := p.client.Read(make([]byte, 16)); !errors.Is(err, errSessionLost) {
 		t.Fatalf("Read after loss: %v", err)
 	}
 	p.client.mu.Lock()
@@ -596,7 +596,7 @@ func TestRewindWithoutHooksIsTerminal(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	if !errors.Is(p.client.Err(), ErrSessionLost) {
+	if !errors.Is(p.client.Err(), errSessionLost) {
 		t.Fatalf("terminal error %v", p.client.Err())
 	}
 }

@@ -40,10 +40,10 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrSessionLost is wrapped by every terminal session failure: retry
+// errSessionLost is wrapped by every terminal session failure: retry
 // budget exhausted, peer rejection, heartbeat timeout with no
 // reconnect, or an explicit Close.
-var ErrSessionLost = errors.New("resilience: session lost")
+var errSessionLost = errors.New("resilience: session lost")
 
 // RewoundError signals that the session negotiated a checkpoint
 // rewind: the byte stream was reset on both sides and the application
@@ -440,7 +440,7 @@ func (s *Session) Read(p []byte) (int, error) {
 
 // Close terminates the session.
 func (s *Session) Close() error {
-	s.fail(fmt.Errorf("%w: closed", ErrSessionLost))
+	s.fail(fmt.Errorf("%w: closed", errSessionLost))
 	return nil
 }
 
@@ -469,20 +469,6 @@ func (s *Session) fail(err error) {
 		return
 	}
 	s.mu.Unlock()
-}
-
-// BreakConn kills the current connection epoch as if the transport
-// had died — the chaos-injection entry point for "kill the TCP
-// connection mid-run". The session survives: the dialing side
-// reconnects and resumes. A no-op while the session is between
-// epochs.
-func (s *Session) BreakConn() {
-	s.mu.Lock()
-	conn := s.conn
-	s.mu.Unlock()
-	if conn != nil {
-		s.epochDead(conn, errors.New("resilience: connection killed by chaos injection"))
-	}
 }
 
 // Err returns the terminal error, if the session is dead.
@@ -694,7 +680,7 @@ func (s *Session) reconnect() error {
 		}
 		if err := s.clientHandshake(conn); err != nil {
 			conn.Close()
-			if errors.Is(err, ErrSessionLost) {
+			if errors.Is(err, errSessionLost) {
 				return err
 			}
 			s.timelineEvent("handshake-failed", fmt.Sprintf("attempt=%d %v", attempt, err))
@@ -703,7 +689,7 @@ func (s *Session) reconnect() error {
 		}
 		return nil
 	}
-	return fmt.Errorf("%w: retry budget exhausted after %d attempts: %v", ErrSessionLost, s.cfg.RetryMax, last)
+	return fmt.Errorf("%w: retry budget exhausted after %d attempts: %v", errSessionLost, s.cfg.RetryMax, last)
 }
 
 // sleepBackoff waits the jittered exponential delay for an attempt.
@@ -756,13 +742,13 @@ func (s *Session) clientHandshake(raw io.ReadWriteCloser) error {
 		ok := s.hasTag != nil && ack.Tag != "" && s.hasTag(ack.Tag)
 		s.mu.Unlock()
 		if !ok {
-			return fmt.Errorf("%w: peer ordered rewind to unknown checkpoint %q", ErrSessionLost, ack.Tag)
+			return fmt.Errorf("%w: peer ordered rewind to unknown checkpoint %q", errSessionLost, ack.Tag)
 		}
 		s.resetForRewind(ack.Tag)
 		s.attach(conn, 1)
 		return nil
 	default:
-		return fmt.Errorf("%w: peer rejected resume", ErrSessionLost)
+		return fmt.Errorf("%w: peer rejected resume", errSessionLost)
 	}
 }
 

@@ -30,7 +30,7 @@ func TestAttachOverSharedListener(t *testing.T) {
 	cfg.PageSize = 4 * 1024
 	cfg.Images = 1
 	autoRun := true
-	spec := Spec{Workload: WorkloadModemSite, AutoRun: &autoRun,
+	spec := Spec{Workload: workloadModemSite, AutoRun: &autoRun,
 		PageKB: cfg.PageSize / 1024, Images: cfg.Images}
 
 	var infos []Info
@@ -39,7 +39,7 @@ func TestAttachOverSharedListener(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.State != StateRunning {
+		if info.State != stateRunning {
 			t.Fatalf("auto_run session state %q, want running", info.State)
 		}
 		infos = append(infos, info)
@@ -126,7 +126,7 @@ func TestAttachOverSharedListener(t *testing.T) {
 	if _, err := c.Stop(infos[1].ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Stop(infos[1].ID, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Stop(infos[1].ID, 0); !errors.Is(err, errNotFound) {
 		t.Fatalf("double stop: %v", err)
 	}
 }

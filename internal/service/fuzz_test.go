@@ -9,7 +9,7 @@ import (
 
 // FuzzSessionSpec drives a create request's body, as JSON or as a form,
 // through specFromRequest and newWorkload: neither may panic, every
-// refusal is a SpecError, and every spec admitted has a positive
+// refusal is a specError, and every spec admitted has a positive
 // footprint no larger than the shape caps allow.
 func FuzzSessionSpec(f *testing.F) {
 	maxFootprint := max(int64(maxFanout+2)*32<<10, int64(maxPageKB)<<10*int64(maxImages+1)+256<<10)
@@ -37,7 +37,7 @@ func FuzzSessionSpec(f *testing.F) {
 		}
 		w, err := newWorkload(&spec)
 		if err != nil {
-			if !errors.Is(err, ErrBadSpec) {
+			if !errors.Is(err, errBadSpec) {
 				t.Fatalf("spec %+v refused with %v, not a SpecError", spec, err)
 			}
 			return

@@ -78,7 +78,7 @@ func Handler(c *Catalog) http.Handler {
 		if v := r.FormValue("until"); v != "" {
 			d, err := time.ParseDuration(v)
 			if err != nil || d < 0 {
-				writeError(w, &SpecError{Reason: "until must be a non-negative duration (virtual), e.g. until=20ms"})
+				writeError(w, &specError{Reason: "until must be a non-negative duration (virtual), e.g. until=20ms"})
 				return
 			}
 			until = vtime.Duration(d.Nanoseconds())
@@ -101,12 +101,12 @@ func specFromRequest(r *http.Request) (Spec, error) {
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			return Spec{}, &SpecError{Reason: "bad JSON body: " + err.Error()}
+			return Spec{}, &specError{Reason: "bad JSON body: " + err.Error()}
 		}
 		return spec, nil
 	}
 	if err := r.ParseForm(); err != nil {
-		return Spec{}, &SpecError{Reason: "bad form: " + err.Error()}
+		return Spec{}, &specError{Reason: "bad form: " + err.Error()}
 	}
 	spec.ID = r.Form.Get("id")
 	spec.Workload = r.Form.Get("workload")
@@ -127,21 +127,21 @@ func specFromRequest(r *http.Request) (Spec, error) {
 		}
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			return Spec{}, &SpecError{Reason: f.key + " must be an integer"}
+			return Spec{}, &specError{Reason: f.key + " must be an integer"}
 		}
 		*f.dst = n
 	}
 	if v := r.Form.Get("seed"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			return Spec{}, &SpecError{Reason: "seed must be an integer"}
+			return Spec{}, &specError{Reason: "seed must be an integer"}
 		}
 		spec.Seed = n
 	}
 	if v := r.Form.Get("run"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			return Spec{}, &SpecError{Reason: "run must be a boolean"}
+			return Spec{}, &specError{Reason: "run must be a boolean"}
 		}
 		spec.AutoRun = &b
 	}
@@ -157,7 +157,7 @@ func revParam(r *http.Request) (uint64, error) {
 	}
 	n, err := strconv.ParseUint(v, 10, 64)
 	if err != nil {
-		return 0, &SpecError{Reason: "rev must be a non-negative integer"}
+		return 0, &specError{Reason: "rev must be a non-negative integer"}
 	}
 	return n, nil
 }
@@ -167,15 +167,15 @@ func revParam(r *http.Request) (uint64, error) {
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
-	case errors.Is(err, ErrNotFound):
+	case errors.Is(err, errNotFound):
 		code = http.StatusNotFound
-	case errors.Is(err, ErrConflict):
+	case errors.Is(err, errConflict):
 		code = http.StatusConflict
 	case errors.Is(err, ErrOverBudget):
 		code = http.StatusTooManyRequests
-	case errors.Is(err, ErrBadSpec):
+	case errors.Is(err, errBadSpec):
 		code = http.StatusBadRequest
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, errClosed):
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, map[string]any{"error": err.Error()})

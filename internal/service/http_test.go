@@ -149,15 +149,15 @@ func jsonNum(f float64) string {
 // a server page of 2^47 bytes, and page_kb 2^53 made it negative.
 func TestSpecCaps(t *testing.T) {
 	specs := []Spec{
-		{Workload: WorkloadModemSite, PageKB: 1 << 37, Images: 131071},
-		{Workload: WorkloadModemSite, PageKB: 1 << 53},
-		{Workload: WorkloadModemSite, PageKB: maxPageKB + 1},
-		{Workload: WorkloadModemSite, Images: maxImages + 1},
+		{Workload: workloadModemSite, PageKB: 1 << 37, Images: 131071},
+		{Workload: workloadModemSite, PageKB: 1 << 53},
+		{Workload: workloadModemSite, PageKB: maxPageKB + 1},
+		{Workload: workloadModemSite, Images: maxImages + 1},
 		{WorkIters: maxWorkIters + 1},
 	}
 	for _, spec := range specs {
 		w, err := newWorkload(&spec)
-		var se *SpecError
+		var se *specError
 		if !errors.As(err, &se) {
 			t.Fatalf("spec %+v: got %+v, %v; want a SpecError", spec, w, err)
 		}

@@ -39,34 +39,34 @@ import (
 // Sentinel errors, matchable with errors.Is through the typed
 // wrappers below.
 var (
-	ErrNotFound   = errors.New("no such session")
-	ErrConflict   = errors.New("session conflict")
+	errNotFound   = errors.New("no such session")
+	errConflict   = errors.New("session conflict")
 	ErrOverBudget = errors.New("over budget")
-	ErrBadSpec    = errors.New("bad session spec")
-	ErrClosed     = errors.New("catalog closed")
+	errBadSpec    = errors.New("bad session spec")
+	errClosed     = errors.New("catalog closed")
 )
 
-// NotFoundError reports an operation on an unknown session id.
-type NotFoundError struct{ ID string }
+// notFoundError reports an operation on an unknown session id.
+type notFoundError struct{ ID string }
 
-func (e *NotFoundError) Error() string { return fmt.Sprintf("service: no such session %q", e.ID) }
-func (e *NotFoundError) Unwrap() error { return ErrNotFound }
+func (e *notFoundError) Error() string { return fmt.Sprintf("service: no such session %q", e.ID) }
+func (e *notFoundError) Unwrap() error { return errNotFound }
 
-// ConflictError reports a duplicate create, a lost revision CAS, or
+// conflictError reports a duplicate create, a lost revision CAS, or
 // an operation illegal in the session's current state.
-type ConflictError struct {
+type conflictError struct {
 	ID         string
 	Want, Have uint64 // CAS revisions; zero for non-CAS conflicts
 	Reason     string
 }
 
-func (e *ConflictError) Error() string {
+func (e *conflictError) Error() string {
 	if e.Want != 0 {
 		return fmt.Sprintf("service: session %q: %s (want rev %d, have %d)", e.ID, e.Reason, e.Want, e.Have)
 	}
 	return fmt.Sprintf("service: session %q: %s", e.ID, e.Reason)
 }
-func (e *ConflictError) Unwrap() error { return ErrConflict }
+func (e *conflictError) Unwrap() error { return errConflict }
 
 // BudgetError reports an admission rejection (Evicted false) or a
 // budget eviction of a live session (Evicted true).
@@ -86,11 +86,11 @@ func (e *BudgetError) Error() string {
 }
 func (e *BudgetError) Unwrap() error { return ErrOverBudget }
 
-// SpecError reports an invalid session spec or parameter.
-type SpecError struct{ Reason string }
+// specError reports an invalid session spec or parameter.
+type specError struct{ Reason string }
 
-func (e *SpecError) Error() string { return "service: " + e.Reason }
-func (e *SpecError) Unwrap() error { return ErrBadSpec }
+func (e *specError) Error() string { return "service: " + e.Reason }
+func (e *specError) Unwrap() error { return errBadSpec }
 
 // Limits bound what tenants may consume. Zero means unlimited.
 type Limits struct {
@@ -137,7 +137,7 @@ type Catalog struct {
 	pool *core.SharedPool
 
 	mu        sync.Mutex
-	sessions  map[string]*Session
+	sessions  map[string]*session
 	rev       uint64 // catalog revision: bumps on create/step/stop/evict
 	nextID    uint64
 	closed    bool
@@ -156,7 +156,7 @@ type Catalog struct {
 // cfg.Workers > 0 and registering the aggregation collector when
 // cfg.Metrics is set.
 func NewCatalog(cfg Config) *Catalog {
-	c := &Catalog{cfg: cfg, sessions: make(map[string]*Session)}
+	c := &Catalog{cfg: cfg, sessions: make(map[string]*session)}
 	if cfg.Workers > 0 {
 		c.pool = core.NewSharedPool(cfg.Workers)
 	}
@@ -167,8 +167,8 @@ func NewCatalog(cfg Config) *Catalog {
 }
 
 // Create admits and builds a new session. The id is taken from the
-// spec or allocated; duplicates are a ConflictError, budget misses a
-// BudgetError (counted as rejections), bad specs a SpecError.
+// spec or allocated; duplicates are a conflictError, budget misses a
+// BudgetError (counted as rejections), bad specs a specError.
 func (c *Catalog) Create(spec Spec) (Info, error) {
 	wl, err := newWorkload(&spec)
 	if err != nil {
@@ -176,7 +176,7 @@ func (c *Catalog) Create(spec Spec) (Info, error) {
 	}
 	fp := wl.Footprint()
 
-	sess := &Session{spec: spec, wl: wl, state: StateReady, rev: 1, digest: fnv.New64a()}
+	sess := &session{spec: spec, wl: wl, state: stateReady, rev: 1, digest: fnv.New64a()}
 	// The session lock is held across the build below so a concurrent
 	// Step/Stop that finds the session in the map blocks until the
 	// subsystem exists. Lock order is always session → catalog.
@@ -186,7 +186,7 @@ func (c *Catalog) Create(spec Spec) (Info, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return Info{}, ErrClosed
+		return Info{}, errClosed
 	}
 	id := spec.ID
 	if id == "" {
@@ -195,7 +195,7 @@ func (c *Catalog) Create(spec Spec) (Info, error) {
 	}
 	if _, dup := c.sessions[id]; dup {
 		c.mu.Unlock()
-		return Info{}, &ConflictError{ID: id, Reason: "session id already exists"}
+		return Info{}, &conflictError{ID: id, Reason: "session id already exists"}
 	}
 	if max := c.cfg.Limits.MaxSessions; max > 0 && len(c.sessions) >= max {
 		c.rejected++
@@ -225,7 +225,7 @@ func (c *Catalog) Create(spec Spec) (Info, error) {
 		// and be parked on sess.mu; flip the state before the deferred
 		// unlock so late lookups bounce with NotFound instead of
 		// running the half-built subsystem.
-		sess.state = StateStopped
+		sess.state = stateStopped
 		c.teardownLocked(sess)
 		c.mu.Lock()
 		delete(c.sessions, id)
@@ -240,7 +240,7 @@ func (c *Catalog) Create(spec Spec) (Info, error) {
 
 // build constructs the session's subsystem, workload, digest tap,
 // metrics registry and node hosting. Called with sess.mu held.
-func (c *Catalog) build(sess *Session) error {
+func (c *Catalog) build(sess *session) error {
 	sub := core.NewSubsystem(sess.id)
 	sess.sub = sub
 	sub.OnDrive = func(net, src string, t vtime.Time, v any) {
@@ -249,7 +249,7 @@ func (c *Catalog) build(sess *Session) error {
 		sess.dmu.Unlock()
 	}
 	if err := sess.wl.Install(sub); err != nil {
-		return &SpecError{Reason: fmt.Sprintf("install %s: %v", sess.spec.Workload, err)}
+		return &specError{Reason: fmt.Sprintf("install %s: %v", sess.spec.Workload, err)}
 	}
 	if c.buildFailpoint != nil {
 		if err := c.buildFailpoint(); err != nil {
@@ -283,12 +283,12 @@ func (c *Catalog) build(sess *Session) error {
 }
 
 // lookup returns the live session or a typed not-found error.
-func (c *Catalog) lookup(id string) (*Session, error) {
+func (c *Catalog) lookup(id string) (*session, error) {
 	c.mu.Lock()
 	sess := c.sessions[id]
 	c.mu.Unlock()
 	if sess == nil {
-		return nil, &NotFoundError{ID: id}
+		return nil, &notFoundError{ID: id}
 	}
 	return sess, nil
 }
@@ -309,7 +309,7 @@ func (c *Catalog) Get(id string) (Info, error) {
 func (c *Catalog) List() ([]Info, uint64) {
 	c.mu.Lock()
 	rev := c.rev
-	all := make([]*Session, 0, len(c.sessions))
+	all := make([]*session, 0, len(c.sessions))
 	for _, s := range c.sessions {
 		all = append(all, s)
 	}
@@ -337,10 +337,10 @@ func (c *Catalog) Step(id string, rev uint64, d vtime.Duration) (Info, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if rev != 0 && rev != sess.rev {
-		return sess.infoLocked(), &ConflictError{ID: id, Want: rev, Have: sess.rev, Reason: "revision mismatch"}
+		return sess.infoLocked(), &conflictError{ID: id, Want: rev, Have: sess.rev, Reason: "revision mismatch"}
 	}
 	if sess.stepping {
-		return sess.infoLocked(), &ConflictError{ID: id, Reason: "a step is already in progress"}
+		return sess.infoLocked(), &conflictError{ID: id, Reason: "a step is already in progress"}
 	}
 	switch sess.state {
 	case StateEvicted:
@@ -349,15 +349,15 @@ func (c *Catalog) Step(id string, rev uint64, d vtime.Duration) (Info, error) {
 		return sess.infoLocked(), fmt.Errorf("service: session %q failed: %w", id, sess.runErr)
 	case StateDone:
 		return sess.infoLocked(), nil // idempotent: nothing left to run
-	case StateRunning:
-		return sess.infoLocked(), &ConflictError{ID: id, Reason: "session is free-running (created with auto_run)"}
-	case StateStopped:
-		return sess.infoLocked(), &NotFoundError{ID: id}
+	case stateRunning:
+		return sess.infoLocked(), &conflictError{ID: id, Reason: "session is free-running (created with auto_run)"}
+	case stateStopped:
+		return sess.infoLocked(), &notFoundError{ID: id}
 	}
 	if d <= 0 {
 		h := sess.wl.Horizon()
 		if h == vtime.Infinity {
-			return sess.infoLocked(), &SpecError{Reason: fmt.Sprintf("workload %s is unbounded: step needs an explicit until", sess.spec.Workload)}
+			return sess.infoLocked(), &specError{Reason: fmt.Sprintf("workload %s is unbounded: step needs an explicit until", sess.spec.Workload)}
 		}
 		if sess.cursor < h {
 			sess.cursor = h
@@ -412,19 +412,19 @@ func (c *Catalog) Stop(id string, rev uint64) (Info, error) {
 	sess.mu.Lock()
 	if rev != 0 && rev != sess.rev {
 		defer sess.mu.Unlock()
-		return sess.infoLocked(), &ConflictError{ID: id, Want: rev, Have: sess.rev, Reason: "revision mismatch"}
+		return sess.infoLocked(), &conflictError{ID: id, Want: rev, Have: sess.rev, Reason: "revision mismatch"}
 	}
-	if sess.state == StateStopped { // lost a concurrent Stop race
+	if sess.state == stateStopped { // lost a concurrent Stop race
 		sess.mu.Unlock()
-		return Info{}, &NotFoundError{ID: id}
+		return Info{}, &notFoundError{ID: id}
 	}
 	// Halt a live scheduler — the auto_run goroutine or an in-flight
 	// Step — without holding the lock (the runner takes it to record
 	// the outcome). Both channels are closed once the run settles, so
 	// every racing Stop wakes; only the first to re-acquire the lock
-	// tears down, the rest bounce on the StateStopped re-check.
+	// tears down, the rest bounce on the stateStopped re-check.
 	var done chan struct{}
-	if sess.state == StateRunning {
+	if sess.state == stateRunning {
 		done = sess.runDone
 	} else if sess.stepping {
 		done = sess.stepDone
@@ -434,16 +434,16 @@ func (c *Catalog) Stop(id string, rev uint64) (Info, error) {
 		sess.mu.Unlock()
 		<-done
 		sess.mu.Lock()
-		if sess.state == StateStopped { // lost a concurrent Stop race
+		if sess.state == stateStopped { // lost a concurrent Stop race
 			sess.mu.Unlock()
-			return Info{}, &NotFoundError{ID: id}
+			return Info{}, &notFoundError{ID: id}
 		}
 	}
 	wasEvicted := sess.state == StateEvicted
 	if !wasEvicted {
 		c.teardownLocked(sess)
 	}
-	sess.state = StateStopped
+	sess.state = stateStopped
 	sess.flight.Record("session", id, "stopped", 0)
 	sess.rev++
 	info := sess.infoLocked()
@@ -466,7 +466,7 @@ func (c *Catalog) Stop(id string, rev uint64) (Info, error) {
 // unhost, pool detach. The record stays in the catalog (state
 // evicted) so the tenant can observe why; Stop removes it. Called
 // with sess.mu held.
-func (c *Catalog) evictLocked(sess *Session, limit string, used, max int64) {
+func (c *Catalog) evictLocked(sess *session, limit string, used, max int64) {
 	sess.state = StateEvicted
 	sess.evictLimit, sess.evictUsed, sess.evictMax = limit, used, max
 	sess.rev++
@@ -482,7 +482,7 @@ func (c *Catalog) evictLocked(sess *Session, limit string, used, max int64) {
 
 // teardownLocked releases a session's runtime resources. Called with
 // sess.mu held and the session not running.
-func (c *Catalog) teardownLocked(sess *Session) {
+func (c *Catalog) teardownLocked(sess *session) {
 	if sess.sub == nil {
 		return
 	}
@@ -502,8 +502,8 @@ func (c *Catalog) bumpRev() {
 	c.mu.Unlock()
 }
 
-// Stats is a point-in-time summary of catalog-level counters.
-type Stats struct {
+// stats is a point-in-time summary of catalog-level counters.
+type stats struct {
 	Live      int   `json:"live"`
 	Created   int64 `json:"created"`
 	Stopped   int64 `json:"stopped"`
@@ -513,10 +513,10 @@ type Stats struct {
 }
 
 // Stats returns the catalog counters.
-func (c *Catalog) Stats() Stats {
+func (c *Catalog) Stats() stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{
+	return stats{
 		Live:      len(c.sessions),
 		Created:   c.created,
 		Stopped:   c.stopped,
@@ -527,7 +527,7 @@ func (c *Catalog) Stats() Stats {
 }
 
 // Close stops every session and joins the shared pool. Creates after
-// Close fail with ErrClosed.
+// Close fail with errClosed.
 func (c *Catalog) Close() {
 	c.mu.Lock()
 	c.closed = true
@@ -552,7 +552,7 @@ func (c *Catalog) Close() {
 // shared registry.
 func (c *Catalog) collect(emit func(metrics.Sample)) {
 	c.mu.Lock()
-	all := make([]*Session, 0, len(c.sessions))
+	all := make([]*session, 0, len(c.sessions))
 	for _, s := range c.sessions {
 		all = append(all, s)
 	}

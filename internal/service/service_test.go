@@ -69,10 +69,10 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.State != StateReady || info.Rev != 1 {
+	if info.State != stateReady || info.Rev != 1 {
 		t.Fatalf("fresh session: state %q rev %d, want ready/1", info.State, info.Rev)
 	}
-	if info.Workload != WorkloadFan {
+	if info.Workload != workloadFan {
 		t.Fatalf("default workload %q, want fan", info.Workload)
 	}
 
@@ -102,7 +102,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if _, err := c.Stop(info.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(info.ID); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Get(info.ID); !errors.Is(err, errNotFound) {
 		t.Fatalf("get after stop: %v, want ErrNotFound", err)
 	}
 	st := c.Stats()
@@ -115,15 +115,15 @@ func TestTypedErrors(t *testing.T) {
 	c := NewCatalog(Config{})
 	defer c.Close()
 
-	var nf *NotFoundError
+	var nf *notFoundError
 	if _, err := c.Step("ghost", 0, stepChunk); !errors.As(err, &nf) || nf.ID != "ghost" {
 		t.Fatalf("step ghost: %v", err)
 	}
-	if _, err := c.Stop("ghost", 0); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Stop("ghost", 0); !errors.Is(err, errNotFound) {
 		t.Fatalf("stop ghost: %v", err)
 	}
 
-	if _, err := c.Create(Spec{Workload: "nonesuch"}); !errors.Is(err, ErrBadSpec) {
+	if _, err := c.Create(Spec{Workload: "nonesuch"}); !errors.Is(err, errBadSpec) {
 		t.Fatalf("bad workload: %v", err)
 	}
 
@@ -131,16 +131,16 @@ func TestTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var conf *ConflictError
+	var conf *conflictError
 	if _, err := c.Create(Spec{ID: "dup"}); !errors.As(err, &conf) {
 		t.Fatalf("duplicate create: %v", err)
 	}
 
 	// A stale revision loses the CAS.
-	if _, err := c.Step("dup", info.Rev+5, stepChunk); !errors.As(err, &conf) || !errors.Is(err, ErrConflict) {
+	if _, err := c.Step("dup", info.Rev+5, stepChunk); !errors.As(err, &conf) || !errors.Is(err, errConflict) {
 		t.Fatalf("stale step: %v", err)
 	}
-	if _, err := c.Stop("dup", info.Rev+5); !errors.Is(err, ErrConflict) {
+	if _, err := c.Stop("dup", info.Rev+5); !errors.Is(err, errConflict) {
 		t.Fatalf("stale stop: %v", err)
 	}
 }
@@ -414,7 +414,7 @@ func TestConcurrentStopRunning(t *testing.T) {
 		switch {
 		case err == nil:
 			ok++
-		case errors.Is(err, ErrNotFound):
+		case errors.Is(err, errNotFound):
 			notFound++
 		default:
 			t.Fatalf("concurrent stop: %v", err)
@@ -452,7 +452,7 @@ func TestStopDuringStep(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	if _, err := c.Step(info.ID, 0, stepChunk); !errors.Is(err, ErrConflict) {
+	if _, err := c.Step(info.ID, 0, stepChunk); !errors.Is(err, errConflict) {
 		t.Fatalf("concurrent step: %v, want ErrConflict", err)
 	}
 	if _, err := c.Stop(info.ID, 0); err != nil {
@@ -461,7 +461,7 @@ func TestStopDuringStep(t *testing.T) {
 	if err := <-stepErr; err != nil && !errors.Is(err, core.ErrStopped) {
 		t.Fatalf("interrupted step: %v", err)
 	}
-	if _, err := c.Get(info.ID); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Get(info.ID); !errors.Is(err, errNotFound) {
 		t.Fatalf("get after stop: %v", err)
 	}
 }
@@ -477,7 +477,7 @@ func TestCreateRollbackBouncesLateLookups(t *testing.T) {
 	release := make(chan struct{})
 	c.buildFailpoint = func() error {
 		<-release
-		return &SpecError{Reason: "injected build failure"}
+		return &specError{Reason: "injected build failure"}
 	}
 	createErr := make(chan error, 1)
 	go func() {
@@ -498,10 +498,10 @@ func TestCreateRollbackBouncesLateLookups(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond) // let the Step park on the session lock
 	close(release)
-	if err := <-createErr; !errors.Is(err, ErrBadSpec) {
+	if err := <-createErr; !errors.Is(err, errBadSpec) {
 		t.Fatalf("failed create: %v", err)
 	}
-	if err := <-stepErr; !errors.Is(err, ErrNotFound) {
+	if err := <-stepErr; !errors.Is(err, errNotFound) {
 		t.Fatalf("step on rolled-back session: %v, want ErrNotFound", err)
 	}
 	if st := c.Stats(); st.Live != 0 || st.Created != 0 || st.Footprint != 0 {
@@ -526,7 +526,7 @@ func TestCatalogClose(t *testing.T) {
 	if st := c.Stats(); st.Live != 0 {
 		t.Fatalf("live after close: %+v", st)
 	}
-	if _, err := c.Create(Spec{}); !errors.Is(err, ErrClosed) {
+	if _, err := c.Create(Spec{}); !errors.Is(err, errClosed) {
 		t.Fatalf("create after close: %v", err)
 	}
 }

@@ -13,26 +13,26 @@ import (
 	"repro/internal/vtime"
 )
 
-// State is a session's lifecycle state.
-type State string
+// state is a session's lifecycle state.
+type state string
 
 const (
-	StateReady   State = "ready"   // created; advances via Step
-	StateRunning State = "running" // free-running (auto_run) scheduler goroutine
-	StateDone    State = "done"    // workload exhausted or horizon reached
-	StateFailed  State = "failed"  // a component returned an error
-	StateEvicted State = "evicted" // torn down by a budget; record remains
-	StateStopped State = "stopped" // terminal; removed from the catalog
+	stateReady   state = "ready"   // created; advances via Step
+	stateRunning state = "running" // free-running (auto_run) scheduler goroutine
+	StateDone    state = "done"    // workload exhausted or horizon reached
+	StateFailed  state = "failed"  // a component returned an error
+	StateEvicted state = "evicted" // torn down by a budget; record remains
+	stateStopped state = "stopped" // terminal; removed from the catalog
 )
 
-// Session is one tenant's simulation: a private subsystem (named by
+// session is one tenant's simulation: a private subsystem (named by
 // the session id, which is also its address on the node's shared
 // listener), its workload, revision counter, drive digest and
 // private metrics registry.
-type Session struct {
+type session struct {
 	id   string
 	spec Spec
-	wl   Workload
+	wl   workload
 
 	// dmu guards the drive digest: the scheduler goroutine appends
 	// during Run while /healthz, /metrics and List read point-in-time
@@ -45,7 +45,7 @@ type Session struct {
 	mu       sync.Mutex
 	sub      *core.Subsystem
 	reg      *metrics.Registry // private; aggregated by Catalog.collect
-	state    State
+	state    state
 	rev      uint64
 	cursor   vtime.Time // accumulated Step horizon (deterministic quanta)
 	attached int64      // endpoints accepted for this session
@@ -68,7 +68,7 @@ type Info struct {
 	ID        string `json:"id"`
 	Workload  string `json:"workload"`
 	Seed      int64  `json:"seed"`
-	State     State  `json:"state"`
+	State     state  `json:"state"`
 	Rev       uint64 `json:"rev"`
 	Attached  int64  `json:"attached"`
 	VirtNowNS int64  `json:"virt_now_ns"`
@@ -83,7 +83,7 @@ type Info struct {
 // infoLocked snapshots the session. Called with sess.mu held; safe
 // while an auto_run scheduler is live because it reads only atomic
 // surfaces (PublishedTimes, Stats) and the dmu-guarded digest.
-func (s *Session) infoLocked() Info {
+func (s *session) infoLocked() Info {
 	info := Info{
 		ID:        s.id,
 		Workload:  s.spec.Workload,
@@ -113,13 +113,13 @@ func (s *Session) infoLocked() Info {
 // onChannel is the node's accept hook for this session: it records
 // the attachment (bumping the revision — attach is a lifecycle
 // event) and lets the workload bind its split nets.
-func (s *Session) onChannel(ep *channel.Endpoint) {
+func (s *session) onChannel(ep *channel.Endpoint) {
 	s.mu.Lock()
 	s.attached++
 	s.rev++
 	sub := s.sub
 	s.mu.Unlock()
-	if a, ok := s.wl.(Attacher); ok {
+	if a, ok := s.wl.(attacher); ok {
 		a.Attach(sub, ep)
 	}
 }
@@ -127,13 +127,13 @@ func (s *Session) onChannel(ep *channel.Endpoint) {
 // startAuto launches the free-running scheduler for auto_run
 // sessions and a watcher that records how it ended. Called with
 // sess.mu held, from build.
-func (s *Session) startAuto() {
-	s.state = StateRunning
+func (s *session) startAuto() {
+	s.state = stateRunning
 	s.runDone = make(chan struct{})
 	go func() {
 		err := s.sub.Run(vtime.Infinity)
 		s.mu.Lock()
-		if s.state == StateRunning {
+		if s.state == stateRunning {
 			switch {
 			case err == nil:
 				s.state = StateDone

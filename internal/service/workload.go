@@ -35,9 +35,9 @@ type Spec struct {
 	Level  string `json:"level,omitempty"`
 }
 
-// Workload builds a session's component graph and declares its
+// workload builds a session's component graph and declares its
 // resource envelope.
-type Workload interface {
+type workload interface {
 	// Footprint is the session's accounted memory cost in bytes —
 	// the admission-control currency. An estimate, but a
 	// deterministic one: the same spec always accounts the same.
@@ -49,15 +49,15 @@ type Workload interface {
 	Install(sub *core.Subsystem) error
 }
 
-// Attacher is implemented by workloads that accept designer
+// attacher is implemented by workloads that accept designer
 // endpoints over the node's shared listener.
-type Attacher interface {
+type attacher interface {
 	Attach(sub *core.Subsystem, ep *channel.Endpoint)
 }
 
 const (
-	WorkloadFan       = "fan"
-	WorkloadModemSite = "modemsite"
+	workloadFan       = "fan"
+	workloadModemSite = "modemsite"
 )
 
 // A spec's shape caps, well above every shape in use: past one a spec
@@ -73,14 +73,14 @@ const (
 
 // newWorkload validates the spec, fills defaults in place, and
 // builds the workload.
-func newWorkload(spec *Spec) (Workload, error) {
+func newWorkload(spec *Spec) (workload, error) {
 	if spec.Workload == "" {
-		spec.Workload = WorkloadFan
+		spec.Workload = workloadFan
 	}
 	if spec.AutoRun == nil {
 		// Attach-driven workloads default to free-running so a
 		// designer can dial in and co-simulate immediately.
-		autoRun := spec.Workload == WorkloadModemSite
+		autoRun := spec.Workload == workloadModemSite
 		spec.AutoRun = &autoRun
 	}
 	for _, c := range []struct {
@@ -89,11 +89,11 @@ func newWorkload(spec *Spec) (Workload, error) {
 	}{{"fanout", spec.Fanout, maxFanout}, {"rounds", spec.Rounds, maxRounds}, {"work_iters", spec.WorkIters, maxWorkIters},
 		{"page_kb", spec.PageKB, maxPageKB}, {"images", spec.Images, maxImages}} {
 		if c.v > c.max {
-			return nil, &SpecError{Reason: fmt.Sprintf("%s %d exceeds %d", c.field, c.v, c.max)}
+			return nil, &specError{Reason: fmt.Sprintf("%s %d exceeds %d", c.field, c.v, c.max)}
 		}
 	}
 	switch spec.Workload {
-	case WorkloadFan:
+	case workloadFan:
 		if spec.Fanout <= 0 {
 			spec.Fanout = 4
 		}
@@ -104,7 +104,7 @@ func newWorkload(spec *Spec) (Workload, error) {
 			spec.WorkIters = 256
 		}
 		return &fanWorkload{spec: *spec}, nil
-	case WorkloadModemSite:
+	case workloadModemSite:
 		cfg := wubbleu.DefaultConfig()
 		if spec.PageKB > 0 {
 			cfg.PageSize = spec.PageKB * 1024
@@ -117,7 +117,7 @@ func newWorkload(spec *Spec) (Workload, error) {
 		}
 		return &modemWorkload{spec: *spec, cfg: cfg}, nil
 	default:
-		return nil, &SpecError{Reason: fmt.Sprintf("unknown workload %q", spec.Workload)}
+		return nil, &specError{Reason: fmt.Sprintf("unknown workload %q", spec.Workload)}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package snapshot implements distributed checkpoints for Pia using
 // the Chandy-Lamport algorithm over the FIFO inter-subsystem
-// channels, plus the coordinated restore that optimistic channels
-// fall back on when a straggler arrives.
+// channels, plus the coordinated restore of a tagged snapshot across
+// every subsystem.
 //
 // After a subsystem receives (or generates) a checkpoint request, it
 // performs a local checkpoint and transmits a mark on all of its
@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/vtime"
 )
 
 // Snapshot is one subsystem's completed share of a distributed
@@ -110,42 +109,11 @@ func (a *Agent) attach(ep *channel.Endpoint) {
 // just replaces the handlers with equivalent ones.
 func (a *Agent) Attach(ep *channel.Endpoint) { a.attach(ep) }
 
-// UseSnapshotsForRollback makes optimistic stragglers rewind to this
-// subsystem's portion of the latest completed coordinated snapshot at
-// or before the straggler time, replaying the in-flight messages the
-// snapshot captured. The rollback stays receiver-local — the paper's
-// optimistic-channel semantics — so the straggler itself is
-// redelivered afterwards. (A receiver-local rollback can orphan
-// messages the receiver emitted in its discarded future; that is the
-// paper's "more expensive restores if optimistic channels are poorly
-// placed". A fully coordinated restore is available explicitly via
-// RestoreTag.) Falls back to plain local checkpoints when no snapshot
-// is old enough.
-func (a *Agent) UseSnapshotsForRollback() {
-	for _, ep := range a.hub.Endpoints() {
-		a.setStraggler(ep)
-	}
-}
-
-func (a *Agent) setStraggler(ep *channel.Endpoint) {
-	ep.SetStragglerHandler(func(t vtime.Time) bool {
-		if snap := a.LatestBefore(t); snap != nil {
-			if a.restore(snap, nil) == nil {
-				return true
-			}
-		}
-		// No coordinated snapshot available; fall back to a local
-		// rollback. Either way the message must be redelivered.
-		a.sub.RequestRollback(t)
-		return true
-	})
-}
-
 // restore rewinds this subsystem to its share of the snapshot, replays
 // the captured in-flight messages and fires OnRestore: the one body
-// behind a straggler's local rollback, a session rewind and a
-// coordinated restore. beforeReplay, when set, runs between the
-// checkpoint restore and the replay. Runs on the scheduler goroutine.
+// behind a session rewind and a coordinated restore. beforeReplay,
+// when set, runs between the checkpoint restore and the replay. Runs
+// on the scheduler goroutine.
 func (a *Agent) restore(snap *Snapshot, beforeReplay func()) error {
 	if err := a.sub.RestoreCheckpoint(snap.Checkpoint); err != nil {
 		return a.fail(fmt.Errorf("snapshot %s: restore: %w", snap.Tag, err))
@@ -201,20 +169,6 @@ func (a *Agent) Completed(tag string) *Snapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.done[tag]
-}
-
-// LatestBefore returns the most recent completed snapshot whose cut
-// time is <= t, or nil.
-func (a *Agent) LatestBefore(t vtime.Time) *Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i := len(a.doneOrder) - 1; i >= 0; i-- {
-		s := a.done[a.doneOrder[i]]
-		if s.Checkpoint != nil && s.Checkpoint.Time <= t {
-			return s
-		}
-	}
-	return nil
 }
 
 // LatestTag returns the most recent completed snapshot tag, or "".

@@ -321,81 +321,3 @@ type trivialState struct {
 func (g *trivialState) Run(p *core.Proc) error     { return g.B.Run(p) }
 func (g *trivialState) SaveState() ([]byte, error) { return []byte{}, nil }
 func (g *trivialState) RestoreState([]byte) error  { return nil }
-
-func TestSnapshotBasedStragglerRollback(t *testing.T) {
-	// ss2 races ahead; its share of a completed coordinated snapshot
-	// (cut at virtual ~0) serves as the rollback target when the
-	// straggler arrives, and the straggler is redelivered.
-	s1, s2, _, rcv, _, a2, h1, _ := pair(t, channel.Optimistic, 3, 100)
-	a2.UseSnapshotsForRollback()
-	busy := &stepSender{Count: 1200, Period: 1}
-	bc, _ := s2.NewComponent("busy", busy)
-	bc.AddPort("out")
-	nb, _ := s2.NewNet("noise", 0)
-	s2.Connect(nb, bc.Port("out"))
-
-	// Initiate from ss2 so its local checkpoint is captured at cut
-	// ~0, before the racing starts. Completion needs ss1's mark,
-	// which arrives once ss1 runs — before ss1's data, because the
-	// channel is FIFO.
-	a2.Initiate()
-
-	done2 := make(chan error, 1)
-	go func() { done2 <- s2.Run(vtime.Infinity) }()
-	// Wait until ss2 has raced well past the first send time.
-	for {
-		if now, _ := s2.PublishedTimes(); now >= 600 {
-			break
-		}
-	}
-	e1 := s1.Run(2000)
-	if e1 != nil {
-		t.Fatal(e1)
-	}
-	if err := h1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e2 := <-done2
-	if e2 != nil {
-		t.Fatal(e2)
-	}
-	if a2.Err() != nil {
-		t.Fatalf("agent error: %v", a2.Err())
-	}
-	if s2.Stats().Restores == 0 {
-		t.Fatal("no restore happened on ss2")
-	}
-	if s1.Stats().Restores != 0 {
-		t.Fatal("receiver-local rollback leaked to the sender")
-	}
-	if len(rcv.Got) != 3 {
-		t.Fatalf("after snapshot rollback: %v", rcv.Got)
-	}
-	for i, v := range rcv.Got {
-		if v != i {
-			t.Fatalf("order broken: %v", rcv.Got)
-		}
-	}
-}
-
-func TestLatestBefore(t *testing.T) {
-	s1, s2, _, _, a1, _, _, _ := pair(t, channel.Conservative, 2, 50)
-	tagA := a1.Initiate()
-	e1, e2 := runBoth(s1, s2, 200)
-	if e1 != nil || e2 != nil {
-		t.Fatalf("%v / %v", e1, e2)
-	}
-	snap := a1.Completed(tagA)
-	if snap == nil {
-		t.Fatal("snapshot missing")
-	}
-	if got := a1.LatestBefore(vtime.Infinity); got != snap {
-		t.Fatal("LatestBefore(Infinity) should find the snapshot")
-	}
-	if got := a1.LatestBefore(snap.Checkpoint.Time - 1); got != nil {
-		t.Fatal("LatestBefore found a snapshot newer than the bound")
-	}
-	if snap.Messages() < 0 {
-		t.Fatal("Messages() negative")
-	}
-}

@@ -24,12 +24,12 @@ type ExportOptions struct {
 	Transient bool
 }
 
-// SortEvents orders events by the canonical key: virtual time, then
+// sortEvents orders events by the canonical key: virtual time, then
 // kind, then actor/direction names, then per-stream sequence. The key
 // is total over any one run's canonical events (two events of the
 // same stream never share a sequence number), so sorting a merged
 // batch from several nodes yields the same order every run.
-func SortEvents(evs []Event) {
+func sortEvents(evs []Event) {
 	sort.Slice(evs, func(i, j int) bool {
 		a, b := &evs[i], &evs[j]
 		if a.VT != b.VT {
@@ -65,7 +65,7 @@ func Canonical(evs []Event) []Event {
 			out = append(out, e)
 		}
 	}
-	SortEvents(out)
+	sortEvents(out)
 	return out
 }
 
@@ -80,7 +80,7 @@ func MergeEvents(batches ...[]Event) []Event {
 	for _, b := range batches {
 		out = append(out, b...)
 	}
-	SortEvents(out)
+	sortEvents(out)
 	return out
 }
 
@@ -118,31 +118,31 @@ func eventName(e *Event) string {
 		return "send " + e.Net
 	case KindDeliver:
 		return "recv " + e.Net
-	case KindCheckpoint:
+	case kindCheckpoint:
 		if e.Detail == "" {
 			return "checkpoint"
 		}
 		return "checkpoint " + e.Detail
-	case KindRestore:
+	case kindRestore:
 		if e.Detail == "" {
 			return "restore"
 		}
 		return "restore " + e.Detail
 	case KindRewind:
 		return "rewind"
-	case KindRunlevel:
+	case kindRunlevel:
 		return "runlevel " + e.Comp + "=" + e.Detail
-	case KindMigrate:
+	case kindMigrate:
 		return "migrate " + e.Comp + " " + e.Detail + " " + e.From + ">" + e.To
-	case KindStall:
+	case kindStall:
 		return "stall"
-	case KindResume:
+	case kindResume:
 		return "resume"
 	case KindAsk:
 		return "ask " + e.To
-	case KindGrant:
+	case kindGrant:
 		return "grant " + e.To
-	case KindStraggler:
+	case kindStraggler:
 		return "straggler " + e.Net
 	case KindFault:
 		return "fault " + e.Detail
@@ -157,7 +157,7 @@ func eventName(e *Event) string {
 // clock: one trace "process" per node, one "thread" per actor
 // (subsystem, link, or session). Committed send/deliver pairs are
 // linked with flow events so cross-node message arrows render.
-// Events must already be sorted (SortEvents / Canonical / Merge*).
+// Events must already be sorted (sortEvents / Canonical / Merge*).
 func WritePerfetto(w io.Writer, evs []Event, opt ExportOptions) error {
 	bw := bufio.NewWriter(w)
 
@@ -256,7 +256,7 @@ func WritePerfetto(w io.Writer, evs []Event, opt ExportOptions) error {
 		if e.Kind == KindRewind {
 			args += fmt.Sprintf(",\"discarded_until\":%q", vtUS(e.VT2))
 		}
-		if e.Kind == KindStall && e.VT2 != 0 {
+		if e.Kind == kindStall && e.VT2 != 0 {
 			args += fmt.Sprintf(",\"need\":%q", vtUS(e.VT2))
 		}
 		if opt.Wall {
@@ -310,12 +310,12 @@ func (r *Recorder) WriteNative(w io.Writer) error {
 		return fmt.Errorf("timeline: nil recorder")
 	}
 	enc := json.NewEncoder(w)
-	return enc.Encode(nativeFile{Node: r.NodeName(), Events: r.Events()})
+	return enc.Encode(nativeFile{Node: r.nodeName(), Events: r.Events()})
 }
 
-// ReadNative reads a per-node file written by WriteNative, filling in
+// readNative reads a per-node file written by WriteNative, filling in
 // the file-level node name on any event missing one.
-func ReadNative(rd io.Reader) (node string, evs []Event, err error) {
+func readNative(rd io.Reader) (node string, evs []Event, err error) {
 	var f nativeFile
 	if err := json.NewDecoder(rd).Decode(&f); err != nil {
 		return "", nil, err
@@ -337,7 +337,7 @@ func MergeFiles(out io.Writer, paths ...string) error {
 		if err != nil {
 			return err
 		}
-		_, evs, err := ReadNative(f)
+		_, evs, err := readNative(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("timeline: %s: %w", p, err)

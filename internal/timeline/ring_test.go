@@ -16,7 +16,7 @@ type refRecorder struct {
 	events []Event
 	limit  int
 	hw     map[string]vtime.Time
-	stats  Stats
+	stats  stats
 }
 
 func (r *refRecorder) record(e Event) {
@@ -44,7 +44,7 @@ func (r *refRecorder) restore(sub string, t vtime.Time) {
 	if hw := r.hw[sub]; hw > t {
 		r.record(Event{Kind: KindRewind, Sub: sub, VT: t, VT2: hw})
 	}
-	r.record(Event{Kind: KindRestore, Sub: sub, VT: t})
+	r.record(Event{Kind: kindRestore, Sub: sub, VT: t})
 	r.hw[sub] = t
 }
 
@@ -96,7 +96,7 @@ func TestRingMatchesReference(t *testing.T) {
 				if err := sameHistory(ring.Events(), ref.events); err != nil {
 					t.Fatalf("op %d: %v", op, err)
 				}
-				if got, want := Digest(ring.Events()), Digest(ref.events); got != want {
+				if got, want := digest(ring.Events()), digest(ref.events); got != want {
 					t.Fatalf("op %d: digest diverged from reference", op)
 				}
 				ref.stats.Buffered = len(ref.events)

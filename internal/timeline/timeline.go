@@ -35,29 +35,29 @@ import (
 	"repro/internal/vtime"
 )
 
-// Kind classifies a timeline event.
-type Kind uint8
+// eventKind classifies a timeline event.
+type eventKind uint8
 
 const (
 	// Canonical kinds: deterministic in the committed view of a
-	// conservative run. Keep KindMigrate last in this block —
-	// Canonical() tests k <= KindMigrate.
-	KindDrive      Kind = iota // a component drove a net
-	KindSend                   // committed cross-subsystem data send
-	KindDeliver                // committed cross-subsystem data delivery
-	KindCheckpoint             // checkpoint captured (auto or tagged)
-	KindRestore                // checkpoint restored
-	KindRewind                 // discarded-future window after a restore
-	KindRunlevel               // detail-level switch on a component
-	KindMigrate                // live migration phase (quiesce … resume)
+	// conservative run. Keep kindMigrate last in this block —
+	// Canonical() tests k <= kindMigrate.
+	KindDrive      eventKind = iota // a component drove a net
+	KindSend                        // committed cross-subsystem data send
+	KindDeliver                     // committed cross-subsystem data delivery
+	kindCheckpoint                  // checkpoint captured (auto or tagged)
+	kindRestore                     // checkpoint restored
+	KindRewind                      // discarded-future window after a restore
+	kindRunlevel                    // detail-level switch on a component
+	kindMigrate                     // live migration phase (quiesce … resume)
 
 	// Transient kinds: wall-clock-timing-dependent mechanics,
 	// excluded from canonical exports.
-	KindStall     // scheduler stalled waiting for a safe-time grant
-	KindResume    // stall ended
+	kindStall     // scheduler stalled waiting for a safe-time grant
+	kindResume    // stall ended
 	KindAsk       // safe-time request sent to a peer
-	KindGrant     // safe-time grant sent to a peer
-	KindStraggler // data arrived behind the local clock
+	kindGrant     // safe-time grant sent to a peer
+	kindStraggler // data arrived behind the local clock
 	KindFault     // faultnet injected a fault on a link
 	KindSession   // transport lifecycle (channel opened/lost, epoch death, resume, ...)
 )
@@ -68,7 +68,7 @@ var kindNames = [...]string{
 	"straggler", "fault", "session",
 }
 
-func (k Kind) String() string {
+func (k eventKind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
 	}
@@ -77,7 +77,7 @@ func (k Kind) String() string {
 
 // Canonical reports whether events of this kind belong to the
 // committed, reproducible history of a run.
-func (k Kind) Canonical() bool { return k <= KindMigrate }
+func (k eventKind) Canonical() bool { return k <= kindMigrate }
 
 // Event is one timeline record. VT is the primary clock; Wall is
 // advisory (it never participates in canonical ordering or canonical
@@ -87,13 +87,13 @@ func (k Kind) Canonical() bool { return k <= KindMigrate }
 // within a stream is deterministic even though streams interleave at
 // wall-clock-dependent points.
 type Event struct {
-	Kind Kind   `json:"k"`
-	Node string `json:"node,omitempty"`
-	Sub  string `json:"sub,omitempty"`  // owning actor (subsystem, link, or session)
-	Comp string `json:"comp,omitempty"` // component, for drive/runlevel
-	Net  string `json:"net,omitempty"`  // net name, for drive/send/deliver
-	From string `json:"from,omitempty"` // source subsystem, for channel events
-	To   string `json:"to,omitempty"`   // destination subsystem, for channel events
+	Kind eventKind `json:"k"`
+	Node string    `json:"node,omitempty"`
+	Sub  string    `json:"sub,omitempty"`  // owning actor (subsystem, link, or session)
+	Comp string    `json:"comp,omitempty"` // component, for drive/runlevel
+	Net  string    `json:"net,omitempty"`  // net name, for drive/send/deliver
+	From string    `json:"from,omitempty"` // source subsystem, for channel events
+	To   string    `json:"to,omitempty"`   // destination subsystem, for channel events
 
 	VT  vtime.Time `json:"vt"`            // primary clock
 	VT2 vtime.Time `json:"vt2,omitempty"` // span end (rewind high-water, stall need)
@@ -103,8 +103,8 @@ type Event struct {
 	Detail string `json:"d,omitempty"`    // value / tag / level / fault verb
 
 	// Value is the driven value of a drive event as the component sent
-	// it, for the waveform exporters (WriteVCD, WriteText, Digest). It
-	// is not serialized: Detail carries its printed form.
+	// it, for the waveform exporter (WriteVCD). It is not serialized:
+	// Detail carries its printed form.
 	Value any `json:"-"`
 }
 
@@ -138,10 +138,10 @@ func streamOf(e *Event) streamKey {
 	return streamKey{class: streamTransient, a: e.Sub}
 }
 
-// Stats counts recorder activity. Evicted counts events lost to ring
+// stats counts recorder activity. Evicted counts events lost to ring
 // retention; RewindDropped counts events removed because a restore
 // rolled them back.
-type Stats struct {
+type stats struct {
 	Recorded      uint64
 	Evicted       uint64
 	RewindDropped uint64
@@ -166,7 +166,7 @@ type Recorder struct {
 	seqs   map[streamKey]uint64
 	hw     map[string]vtime.Time // per-sub high-water of canonical VT
 	hwAll  vtime.Time            // global canonical high-water, for clock-less events
-	stats  Stats
+	stats  stats
 	sub    func(Event) // the one subscriber; see Subscribe
 }
 
@@ -210,8 +210,8 @@ func (r *Recorder) Subscribe(fn func(Event)) {
 	r.mu.Unlock()
 }
 
-// NodeName returns the node name set with SetNode.
-func (r *Recorder) NodeName() string {
+// nodeName returns the node name set with SetNode.
+func (r *Recorder) nodeName() string {
 	if r == nil {
 		return ""
 	}
@@ -294,7 +294,7 @@ func (r *Recorder) Checkpoint(sub, tag string, t vtime.Time) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Kind: KindCheckpoint, Sub: sub, VT: t, Detail: tag})
+	r.record(Event{Kind: kindCheckpoint, Sub: sub, VT: t, Detail: tag})
 }
 
 // Restore records a checkpoint restore on sub back to t. Every event
@@ -312,7 +312,7 @@ func (r *Recorder) Restore(sub, tag string, t vtime.Time) {
 	if hw > t {
 		r.recordLocked(Event{Kind: KindRewind, Sub: sub, VT: t, VT2: hw, Detail: tag})
 	}
-	r.recordLocked(Event{Kind: KindRestore, Sub: sub, VT: t, Detail: tag})
+	r.recordLocked(Event{Kind: kindRestore, Sub: sub, VT: t, Detail: tag})
 	r.hw[sub] = t
 	r.mu.Unlock()
 }
@@ -327,7 +327,7 @@ func (r *Recorder) Migrate(sub, comp, from, to, phase string, t vtime.Time) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Kind: KindMigrate, Sub: sub, Comp: comp, From: from, To: to, VT: t, Detail: phase})
+	r.record(Event{Kind: kindMigrate, Sub: sub, Comp: comp, From: from, To: to, VT: t, Detail: phase})
 }
 
 // Runlevel records a detail-level switch of comp to level at t.
@@ -335,7 +335,7 @@ func (r *Recorder) Runlevel(sub, comp, level string, t vtime.Time) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Kind: KindRunlevel, Sub: sub, Comp: comp, VT: t, Detail: level})
+	r.record(Event{Kind: kindRunlevel, Sub: sub, Comp: comp, VT: t, Detail: level})
 }
 
 // Stall records that sub's scheduler stalled at t waiting for its
@@ -344,7 +344,7 @@ func (r *Recorder) Stall(sub string, t, need vtime.Time) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Kind: KindStall, Sub: sub, VT: t, VT2: need})
+	r.record(Event{Kind: kindStall, Sub: sub, VT: t, VT2: need})
 }
 
 // Resume records that sub's scheduler left a stall at t.
@@ -352,7 +352,7 @@ func (r *Recorder) Resume(sub string, t vtime.Time) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Kind: KindResume, Sub: sub, VT: t})
+	r.record(Event{Kind: kindResume, Sub: sub, VT: t})
 }
 
 // Ask records a safe-time request from→to carrying horizon t.
@@ -368,7 +368,7 @@ func (r *Recorder) Grant(from, to string, t vtime.Time) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Kind: KindGrant, Sub: from, From: from, To: to, VT: t})
+	r.record(Event{Kind: kindGrant, Sub: from, From: from, To: to, VT: t})
 }
 
 // Straggler records a data message from from that arrived on to with
@@ -377,7 +377,7 @@ func (r *Recorder) Straggler(from, to, net string, t, now vtime.Time) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Kind: KindStraggler, Sub: to, From: from, To: to, Net: net, VT: t, VT2: now})
+	r.record(Event{Kind: kindStraggler, Sub: to, From: from, To: to, Net: net, VT: t, VT2: now})
 }
 
 // Fault records a fault injection (what: drop, dup, reorder, corrupt,
@@ -466,9 +466,9 @@ func (r *Recorder) Len() int {
 }
 
 // Stats returns recorder counters.
-func (r *Recorder) Stats() Stats {
+func (r *Recorder) Stats() stats {
 	if r == nil {
-		return Stats{}
+		return stats{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -33,10 +33,10 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.Migrate("s", "c", "a", "b", "quiesce", 1)
 	r.SetNode("x")
 	r.Subscribe(func(Event) { t.Fatal("a nil recorder has no subscriber to call") })
-	if r.Len() != 0 || r.Events() != nil || r.NodeName() != "" {
+	if r.Len() != 0 || r.Events() != nil || r.nodeName() != "" {
 		t.Fatal("nil recorder must be inert")
 	}
-	if (r.Stats() != Stats{}) {
+	if (r.Stats() != stats{}) {
 		t.Fatal("nil recorder stats must be zero")
 	}
 }
@@ -93,7 +93,7 @@ func TestSubscriberSeesEachEventOnce(t *testing.T) {
 	r.Drive("s", "c", "n", 5, 8)
 	r.Restore("s", "k", 2)
 	tail := seen[before:]
-	if len(tail) != 3 || tail[0].Kind != KindDrive || tail[1].Kind != KindRewind || tail[2].Kind != KindRestore {
+	if len(tail) != 3 || tail[0].Kind != KindDrive || tail[1].Kind != KindRewind || tail[2].Kind != kindRestore {
 		t.Fatalf("a drive then a restore reached the subscriber as %+v", tail)
 	}
 
@@ -138,13 +138,13 @@ func TestRestoreDropsRolledBackSpans(t *testing.T) {
 	r.Restore("a", "snap", 15)
 
 	evs := r.Events()
-	var kinds []Kind
+	var kinds []eventKind
 	for _, e := range evs {
 		kinds = append(kinds, e.Kind)
 	}
 	// Surviving record order: a@10, b@25 (other sub), checkpoint a@15
 	// (at the cut, not past it), then the rewind marker and restore.
-	want := []Kind{KindDrive, KindDrive, KindCheckpoint, KindRewind, KindRestore}
+	want := []eventKind{KindDrive, KindDrive, kindCheckpoint, KindRewind, kindRestore}
 	if len(kinds) != len(want) {
 		t.Fatalf("kinds = %v, want %v", kinds, want)
 	}
@@ -296,7 +296,7 @@ func TestNativeRoundTripAndMergeFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, evs, err := ReadNative(f)
+	node, evs, err := readNative(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestMigrateCanonical(t *testing.T) {
 		t.Fatalf("migrate events dropped by Canonical: %d of 5 kept", len(evs))
 	}
 	for _, e := range evs {
-		if e.Kind != KindMigrate || !e.Kind.Canonical() {
+		if e.Kind != kindMigrate || !e.Kind.Canonical() {
 			t.Fatalf("migrate event has non-canonical kind %v", e.Kind)
 		}
 		if e.From != "alpha" || e.To != "bravo" || e.VT != 100 {

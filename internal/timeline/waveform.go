@@ -2,7 +2,6 @@ package timeline
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 
@@ -10,12 +9,11 @@ import (
 	"repro/internal/vtime"
 )
 
-// The waveform exporters: "what value was on this net when". They read
+// The waveform exporter: "what value was on this net when". It reads
 // only the KindDrive events of a committed view (Recorder.Events), so
 // a rewind that dropped a subsystem's discarded future from the ring
 // has dropped it from the waveform too. Events read back from a native
-// file carry no Value: they digest the same (Detail is the value as
-// printed) and export to VCD as bare drive counters.
+// file carry no Value: they export to VCD as bare drive counters.
 
 // drives returns the drive events of evs in virtual-time order, ties
 // keeping record order.
@@ -28,31 +26,6 @@ func drives(evs []Event) []Event {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].VT < out[j].VT })
 	return out
-}
-
-// Digest returns an FNV-1a hash over the drive events of evs in the
-// order given — a cheap fingerprint for asserting that two runs (e.g.
-// sequential vs. parallel scheduling, or clean vs. faulted links)
-// produced bit-for-bit identical drive streams.
-func Digest(evs []Event) uint64 {
-	h := fnv.New64a()
-	for i := range evs {
-		if e := &evs[i]; e.Kind == KindDrive {
-			fmt.Fprintf(h, "%d|%s|%s|%s|%s\n", e.VT, e.Sub, e.Net, e.Comp, e.Detail)
-		}
-	}
-	return h.Sum64()
-}
-
-// WriteText dumps the drive events of evs as a human-readable log.
-func WriteText(w io.Writer, evs []Event) error {
-	for _, e := range drives(evs) {
-		if _, err := fmt.Fprintf(w, "%-12v %s/%s <- %s = %s\n",
-			e.VT, e.Sub, e.Net, e.Comp, signal.String(e.Value)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // vcdVar is one declared VCD signal.

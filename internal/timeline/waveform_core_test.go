@@ -94,21 +94,6 @@ func TestRecorderLimit(t *testing.T) {
 	}
 }
 
-func TestWriteText(t *testing.T) {
-	s, r := buildTraced(t, 2, 0)
-	if err := s.Run(vtime.Infinity); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := timeline.WriteText(&buf, r.Events()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "dut/bitline") || !strings.Contains(out, "dut/wordbus") {
-		t.Fatalf("text log missing nets:\n%s", out)
-	}
-}
-
 func TestWriteVCD(t *testing.T) {
 	s, r := buildTraced(t, 3, 0)
 	if err := s.Run(vtime.Infinity); err != nil {

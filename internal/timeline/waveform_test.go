@@ -2,11 +2,25 @@ package timeline
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"repro/internal/signal"
 )
+
+// digest hashes the drive events of evs in the order given, so two
+// runs that drove the same values at the same times digest alike.
+func digest(evs []Event) uint64 {
+	h := fnv.New64a()
+	for i := range evs {
+		if e := &evs[i]; e.Kind == KindDrive {
+			fmt.Fprintf(h, "%d|%s|%s|%s|%s\n", e.VT, e.Sub, e.Net, e.Comp, e.Detail)
+		}
+	}
+	return h.Sum64()
+}
 
 func TestVCDIDsUnique(t *testing.T) {
 	seen := map[string]bool{}
@@ -33,13 +47,13 @@ func TestSanitize(t *testing.T) {
 // TestVCDSanitizedCollisions checks that raw names which sanitize to
 // the same identifier — nets "a-b" vs "a_b" in one subsystem, or
 // subsystems "s-1" vs "s_1" — are disambiguated in the declarations,
-// while the Digest (computed over raw names) is untouched.
+// while the digest (computed over raw names) is untouched.
 func TestVCDSanitizedCollisions(t *testing.T) {
 	r := NewRecorder(0)
 	r.Drive("s-1", "x", "a-b", 10, signal.Word(1))
 	r.Drive("s-1", "x", "a_b", 20, signal.Word(2))
 	r.Drive("s_1", "x", "a_b", 30, signal.Word(3))
-	before := Digest(r.Events())
+	before := digest(r.Events())
 	var buf bytes.Buffer
 	if err := WriteVCD(&buf, r.Events()); err != nil {
 		t.Fatal(err)
@@ -57,8 +71,8 @@ func TestVCDSanitizedCollisions(t *testing.T) {
 			t.Fatalf("VCD missing %q:\n%s", want, vcd)
 		}
 	}
-	if got := Digest(r.Events()); got != before {
-		t.Fatalf("Digest changed across WriteVCD: %x -> %x", before, got)
+	if got := digest(r.Events()); got != before {
+		t.Fatalf("digest changed across WriteVCD: %x -> %x", before, got)
 	}
 }
 
@@ -94,8 +108,8 @@ func TestVCDLevelOnWidenedVar(t *testing.T) {
 }
 
 // TestDigestSurvivesNativeRoundTrip: Value is not serialized, Detail
-// is, and the digest reads Detail — so a per-node file digests like
-// the ring that wrote it.
+// is, so a per-node file keeps every drive field the digest reads:
+// it digests like the ring that wrote it.
 func TestDigestSurvivesNativeRoundTrip(t *testing.T) {
 	r := NewRecorder(0)
 	r.Drive("a", "cpu", "bus", 10, signal.Word(0x1234))
@@ -105,11 +119,11 @@ func TestDigestSurvivesNativeRoundTrip(t *testing.T) {
 	if err := r.WriteNative(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_, evs, err := ReadNative(&buf)
+	_, evs, err := readNative(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := Digest(evs), Digest(r.Events()); got != want {
+	if got, want := digest(evs), digest(r.Events()); got != want {
 		t.Fatalf("digest of the file %x, of the ring %x", got, want)
 	}
 }

@@ -51,8 +51,8 @@ func (m *Model) Validate() error {
 	return nil
 }
 
-// Cycles returns the estimated cycle count for a basic block.
-func (m *Model) Cycles(b Block) int64 {
+// cycles returns the estimated cycle count for a basic block.
+func (m *Model) cycles(b Block) int64 {
 	c := int64(b.Instr) * m.CyclesPerInstr
 	c += int64(b.Loads) * m.LoadPenalty
 	c += int64(b.Stores) * m.StorePenalty
@@ -64,17 +64,17 @@ func (m *Model) Cycles(b Block) int64 {
 	return c
 }
 
-// Cost converts a basic block into virtual time on this processor.
+// cost converts a basic block into virtual time on this processor.
 // One tick is one nanosecond, so cost = cycles / (GHz).
-func (m *Model) Cost(b Block) vtime.Duration {
-	cycles := m.Cycles(b)
+func (m *Model) cost(b Block) vtime.Duration {
+	cycles := m.cycles(b)
 	// ticks = cycles * 1e9 / ClockHz, computed without overflow for
 	// realistic cycle counts.
 	return vtime.Duration(cycles * int64(vtime.Second) / m.ClockHz)
 }
 
-// CyclesCost converts a raw cycle count into virtual time.
-func (m *Model) CyclesCost(cycles int64) vtime.Duration {
+// cyclesCost converts a raw cycle count into virtual time.
+func (m *Model) cyclesCost(cycles int64) vtime.Duration {
 	return vtime.Duration(cycles * int64(vtime.Second) / m.ClockHz)
 }
 
@@ -98,14 +98,14 @@ func NewEstimator(m *Model) (*Estimator, error) {
 // This is the call sites compiled from "timing estimates embedded in
 // the source code" make.
 func (e *Estimator) Charge(p *core.Proc, b Block) {
-	d := e.Model.Cost(b)
+	d := e.Model.cost(b)
 	e.Charged += d
 	p.Advance(d)
 }
 
 // ChargeCycles advances local time by a raw cycle count.
 func (e *Estimator) ChargeCycles(p *core.Proc, cycles int64) {
-	d := e.Model.CyclesCost(cycles)
+	d := e.Model.cyclesCost(cycles)
 	e.Charged += d
 	p.Advance(d)
 }

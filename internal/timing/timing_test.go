@@ -11,11 +11,11 @@ import (
 func TestCycles(t *testing.T) {
 	m := &Model{Name: "t", ClockHz: 1_000_000_000, CyclesPerInstr: 1, LoadPenalty: 2, StorePenalty: 1, BranchPenalty: 3, MultPenalty: 4}
 	b := Block{Instr: 10, Loads: 2, Stores: 1, Branches: 1, Mults: 1}
-	if got := m.Cycles(b); got != 10+4+1+3+4 {
+	if got := m.cycles(b); got != 10+4+1+3+4 {
 		t.Fatalf("Cycles = %d, want 22", got)
 	}
 	// At 1 GHz, 22 cycles = 22 ticks.
-	if got := m.Cost(b); got != 22 {
+	if got := m.cost(b); got != 22 {
 		t.Fatalf("Cost = %v, want 22", got)
 	}
 }
@@ -24,8 +24,8 @@ func TestCostScalesWithClock(t *testing.T) {
 	slow := &Model{Name: "slow", ClockHz: 25_000_000, CyclesPerInstr: 1}
 	fast := &Model{Name: "fast", ClockHz: 100_000_000, CyclesPerInstr: 1}
 	b := Block{Instr: 100}
-	if slow.Cost(b) != 4*fast.Cost(b) {
-		t.Fatalf("4x clock should be 4x cheaper: %v vs %v", slow.Cost(b), fast.Cost(b))
+	if slow.cost(b) != 4*fast.cost(b) {
+		t.Fatalf("4x clock should be 4x cheaper: %v vs %v", slow.cost(b), fast.cost(b))
 	}
 }
 
@@ -84,7 +84,7 @@ func TestCostMonotoneProperty(t *testing.T) {
 		b := Block{Instr: int(i), Loads: int(l), Stores: int(s), Branches: int(br), Mults: int(mu)}
 		bigger := b
 		bigger.Instr += int(extra)
-		return m.Cost(bigger) >= m.Cost(b)
+		return m.cost(bigger) >= m.cost(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -32,10 +32,6 @@ type Duration int64
 // again".
 const Infinity Time = math.MaxInt64
 
-// Never is an alias of Infinity for call sites where the intent is
-// "this will not happen".
-const Never = Infinity
-
 // Conventional tick interpretations (one tick = one nanosecond).
 const (
 	Nanosecond  Duration = 1
@@ -62,12 +58,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Before reports whether t is strictly earlier than u.
 func (t Time) Before(u Time) bool { return t < u }
 
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
-// IsInfinite reports whether t is Infinity.
-func (t Time) IsInfinite() bool { return t == Infinity }
-
 // Min returns the earlier of a and b.
 func Min(a, b Time) Time {
 	if a < b {
@@ -82,18 +72,6 @@ func Max(a, b Time) Time {
 		return a
 	}
 	return b
-}
-
-// MinOf returns the earliest of the given times, or Infinity when
-// called with no arguments.
-func MinOf(ts ...Time) Time {
-	m := Infinity
-	for _, t := range ts {
-		if t < m {
-			m = t
-		}
-	}
-	return m
 }
 
 // String formats the time using the one-tick-per-nanosecond

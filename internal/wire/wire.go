@@ -76,7 +76,7 @@ type Conn struct {
 	wmu    sync.Mutex
 	wbuf   bytes.Buffer
 	ebuf   []byte // egress assembly buffer, recycled across flushes
-	egress Egress // the Conn's single egress builder, guarded by wmu
+	egress egress // the Conn's single egress builder, guarded by wmu
 
 	// Ingress, single reader: rb[rr:rw] holds bytes read but not yet
 	// handed out; rbuf holds the body of a frame larger than rb. max
@@ -322,13 +322,13 @@ func DecodeGob(payload []byte, v any) error {
 	return nil
 }
 
-// Egress is a multi-frame egress builder: callers encode frame
+// egress is a multi-frame egress builder: callers encode frame
 // payloads directly into the connection's recycled assembly buffer —
 // no intermediate per-frame slice — and Flush hands the whole run of
 // frames to the stream in a single Write (the writev-style batched
 // flush). Obtain one with BeginEgress; it holds the connection's
 // write lock until Close.
-type Egress struct {
+type egress struct {
 	c      *Conn
 	buf    []byte
 	hdr    int // offset of the open frame's header, -1 when none
@@ -340,7 +340,7 @@ type Egress struct {
 // builder (no allocation: the builder is part of the Conn). The
 // caller must call Close exactly once, typically via defer; Flush
 // before Close to actually send.
-func (c *Conn) BeginEgress() *Egress {
+func (c *Conn) BeginEgress() *egress {
 	c.wmu.Lock()
 	e := &c.egress
 	e.c = c
@@ -354,7 +354,7 @@ func (c *Conn) BeginEgress() *Egress {
 // BeginFrame opens a frame of the given kind and returns the buffer
 // to append the payload to. The caller encodes in place and hands the
 // grown buffer to EndFrame.
-func (e *Egress) BeginFrame(kind byte) []byte {
+func (e *egress) BeginFrame(kind byte) []byte {
 	if e.hdr >= 0 {
 		e.err = fmt.Errorf("wire: BeginFrame with a frame already open")
 		return e.buf
@@ -367,7 +367,7 @@ func (e *Egress) BeginFrame(kind byte) []byte {
 // EndFrame seals the frame whose payload was appended to buf (the
 // slice returned by BeginFrame, possibly reallocated by appends) by
 // patching the length prefix in place.
-func (e *Egress) EndFrame(buf []byte) error {
+func (e *egress) EndFrame(buf []byte) error {
 	if e.err != nil {
 		return e.err
 	}
@@ -394,7 +394,7 @@ func (e *Egress) EndFrame(buf []byte) error {
 // Flush writes every sealed frame with one Write call and resets the
 // builder for further frames. Byte and frame counters record what was
 // actually handed to the stream.
-func (e *Egress) Flush() error {
+func (e *egress) Flush() error {
 	if e.err != nil {
 		return e.err
 	}
@@ -419,7 +419,7 @@ func (e *Egress) Flush() error {
 
 // Close releases the connection's write lock and recycles the
 // assembly buffer. Unflushed frames are dropped (an abort).
-func (e *Egress) Close() {
+func (e *egress) Close() {
 	c := e.c
 	c.retainEbuf(e.buf)
 	e.buf = nil

@@ -33,13 +33,13 @@ func RemotePlacement() Placement {
 // run.
 type App struct {
 	Cfg    Config
-	UI     *UI
-	Recog  *Recognizer
-	Brow   *Browser
-	Cache  *Cache
-	JPEG   *JPEGDecoder
-	ASIC   *ASIC
-	Server *Server
+	UI     *ui
+	Recog  *recognizer
+	Brow   *browser
+	Cache  *cache
+	JPEG   *jpegDecoder
+	ASIC   *asic
+	Server *server
 }
 
 // Install adds the WubbleU design to a system builder under the given
@@ -53,13 +53,13 @@ func Install(b *pia.SystemBuilder, cfg Config, pl Placement) (*App, error) {
 	}
 	app := &App{
 		Cfg:    cfg,
-		UI:     &UI{Cfg: cfg},
-		Recog:  &Recognizer{Cfg: cfg},
-		Brow:   &Browser{Cfg: cfg},
-		Cache:  &Cache{},
-		JPEG:   &JPEGDecoder{Cfg: cfg},
-		ASIC:   &ASIC{Cfg: cfg},
-		Server: &Server{Cfg: cfg},
+		UI:     &ui{Cfg: cfg},
+		Recog:  &recognizer{Cfg: cfg},
+		Brow:   &browser{Cfg: cfg},
+		Cache:  &cache{},
+		JPEG:   &jpegDecoder{Cfg: cfg},
+		ASIC:   &asic{Cfg: cfg},
+		Server: &server{Cfg: cfg},
 	}
 	b.AddComponent("ui", pl.CPU, app.UI, "ink", "screen").
 		AddComponent("recog", pl.CPU, app.Recog, "ink", "url").

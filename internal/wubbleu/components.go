@@ -57,9 +57,9 @@ func (c Config) airtime(n int) vtime.Duration {
 	return vtime.Duration(int64(n) * 8 * int64(vtime.Second) / c.RadioBitsPerSec)
 }
 
-// UI is the user interface: it enters the URL (as ink strokes) and
+// ui is the user interface: it enters the URL (as ink strokes) and
 // waits for the rendered page.
-type UI struct {
+type ui struct {
 	Cfg Config
 
 	Requested []int64 // virtual times, ns
@@ -69,17 +69,17 @@ type UI struct {
 }
 
 // Run implements core.Behavior.
-func (u *UI) Run(p *core.Proc) error {
+func (u *ui) Run(p *core.Proc) error {
 	for u.Done < u.Cfg.Loads {
 		p.Delay(1 * vtime.Millisecond) // the user taps "go"
 		u.Requested = append(u.Requested, int64(p.Time()))
-		p.Send("ink", Strokes{URL: u.Cfg.URL})
+		p.Send("ink", strokes{URL: u.Cfg.URL})
 		for {
 			m, ok := p.Recv("screen")
 			if !ok {
 				return nil
 			}
-			r, isR := m.Value.(Rendered)
+			r, isR := m.Value.(renderedMsg)
 			if !isR {
 				continue
 			}
@@ -93,19 +93,19 @@ func (u *UI) Run(p *core.Proc) error {
 }
 
 // LoadTime returns the virtual duration of load i.
-func (u *UI) LoadTime(i int) (vtime.Duration, error) {
+func (u *ui) LoadTime(i int) (vtime.Duration, error) {
 	if i >= len(u.RenderedT) {
 		return 0, fmt.Errorf("wubbleu: load %d did not complete (%d done)", i, u.Done)
 	}
 	return vtime.Duration(u.RenderedT[i] - u.Requested[i]), nil
 }
 
-func (u *UI) SaveState() ([]byte, error)  { return core.GobSave(u) }
-func (u *UI) RestoreState(b []byte) error { return core.GobRestore(u, b) }
+func (u *ui) SaveState() ([]byte, error)  { return core.GobSave(u) }
+func (u *ui) RestoreState(b []byte) error { return core.GobRestore(u, b) }
 
-// Recognizer models the handwriting recognition software: it burns
+// recognizer models the handwriting recognition software: it burns
 // CPU and forwards the recognized URL.
-type Recognizer struct {
+type recognizer struct {
 	Cfg        Config
 	Recognized int
 
@@ -113,7 +113,7 @@ type Recognizer struct {
 }
 
 // Run implements core.Behavior.
-func (r *Recognizer) Run(p *core.Proc) error {
+func (r *recognizer) Run(p *core.Proc) error {
 	if r.est == nil {
 		r.est, _ = timing.NewEstimator(timing.EmbeddedCPU)
 	}
@@ -122,29 +122,29 @@ func (r *Recognizer) Run(p *core.Proc) error {
 		if !ok {
 			return nil
 		}
-		s, isS := m.Value.(Strokes)
+		s, isS := m.Value.(strokes)
 		if !isS {
 			continue
 		}
 		r.est.ChargeCycles(p, r.Cfg.RecognizeCycles)
 		r.Recognized++
-		p.Send("url", URLReq{URL: s.URL})
+		p.Send("url", urlReq{URL: s.URL})
 	}
 }
 
-func (r *Recognizer) SaveState() ([]byte, error)  { return core.GobSave(r) }
-func (r *Recognizer) RestoreState(b []byte) error { return core.GobRestore(r, b) }
+func (r *recognizer) SaveState() ([]byte, error)  { return core.GobSave(r) }
+func (r *recognizer) RestoreState(b []byte) error { return core.GobRestore(r, b) }
 
-// Cache is the handheld's page cache. It keeps each page as the parts
+// cache is the handheld's page cache. It keeps each page as the parts
 // the browser received it in.
-type Cache struct {
+type cache struct {
 	Pages  map[string][][]byte
 	Hits   int
 	Misses int
 }
 
 // Run implements core.Behavior.
-func (c *Cache) Run(p *core.Proc) error {
+func (c *cache) Run(p *core.Proc) error {
 	if c.Pages == nil {
 		c.Pages = make(map[string][][]byte)
 	}
@@ -153,7 +153,7 @@ func (c *Cache) Run(p *core.Proc) error {
 		if !ok {
 			return nil
 		}
-		req, isReq := m.Value.(CacheReq)
+		req, isReq := m.Value.(cacheReq)
 		if !isReq {
 			continue
 		}
@@ -166,7 +166,7 @@ func (c *Cache) Run(p *core.Proc) error {
 				c.Misses++
 			}
 			p.Advance(20 * vtime.Microsecond)
-			p.Send("bus", CacheResp{Key: req.Key, Hit: hit, Parts: parts})
+			p.Send("bus", cacheResp{Key: req.Key, Hit: hit, Parts: parts})
 		case "put":
 			c.Pages[req.Key] = req.Parts
 			p.Advance(vtime.Duration(partsLen(req.Parts)) * 2) // ~2ns/byte copy
@@ -174,11 +174,11 @@ func (c *Cache) Run(p *core.Proc) error {
 	}
 }
 
-func (c *Cache) SaveState() ([]byte, error)  { return core.GobSave(c) }
-func (c *Cache) RestoreState(b []byte) error { return core.GobRestore(c, b) }
+func (c *cache) SaveState() ([]byte, error)  { return core.GobSave(c) }
+func (c *cache) RestoreState(b []byte) error { return core.GobRestore(c, b) }
 
-// JPEGDecoder models the image decoder.
-type JPEGDecoder struct {
+// jpegDecoder models the image decoder.
+type jpegDecoder struct {
 	Cfg     Config
 	Decoded int
 
@@ -186,7 +186,7 @@ type JPEGDecoder struct {
 }
 
 // Run implements core.Behavior.
-func (d *JPEGDecoder) Run(p *core.Proc) error {
+func (d *jpegDecoder) Run(p *core.Proc) error {
 	if d.est == nil {
 		d.est, _ = timing.NewEstimator(timing.EmbeddedCPU)
 	}
@@ -195,22 +195,22 @@ func (d *JPEGDecoder) Run(p *core.Proc) error {
 		if !ok {
 			return nil
 		}
-		req, isReq := m.Value.(DecodeReq)
+		req, isReq := m.Value.(decodeReq)
 		if !isReq {
 			continue
 		}
 		d.est.ChargeCycles(p, d.Cfg.DecodeCyclesPerKB*int64(req.Size)/1024)
 		d.Decoded++
-		p.Send("bus", DecodeResp{ID: req.ID})
+		p.Send("bus", decodeResp{ID: req.ID})
 	}
 }
 
-func (d *JPEGDecoder) SaveState() ([]byte, error)  { return core.GobSave(d) }
-func (d *JPEGDecoder) RestoreState(b []byte) error { return core.GobRestore(d, b) }
+func (d *jpegDecoder) SaveState() ([]byte, error)  { return core.GobSave(d) }
+func (d *jpegDecoder) RestoreState(b []byte) error { return core.GobRestore(d, b) }
 
-// Browser is the control process: cache lookup, network fetch, parse,
+// browser is the control process: cache lookup, network fetch, parse,
 // image decode, render.
-type Browser struct {
+type browser struct {
 	Cfg    Config
 	Loaded int
 
@@ -218,7 +218,7 @@ type Browser struct {
 }
 
 // Run implements core.Behavior.
-func (b *Browser) Run(p *core.Proc) error {
+func (b *browser) Run(p *core.Proc) error {
 	if b.est == nil {
 		b.est, _ = timing.NewEstimator(timing.EmbeddedCPU)
 	}
@@ -227,7 +227,7 @@ func (b *Browser) Run(p *core.Proc) error {
 		if !ok {
 			return nil
 		}
-		req, isReq := m.Value.(URLReq)
+		req, isReq := m.Value.(urlReq)
 		if !isReq {
 			continue
 		}
@@ -244,29 +244,29 @@ func (b *Browser) Run(p *core.Proc) error {
 		}
 		b.est.ChargeCycles(p, b.Cfg.ParseCyclesPerKB*int64(l.html)/1024)
 		for i, size := range l.images {
-			p.Send("jpeg", DecodeReq{ID: i, Size: size})
+			p.Send("jpeg", decodeReq{ID: i, Size: size})
 			if !b.awaitDecode(p, i) {
 				return nil
 			}
 		}
 		b.est.ChargeCycles(p, b.Cfg.RenderCycles)
 		b.Loaded++
-		p.Send("screen", Rendered{URL: req.URL, Bytes: partsLen(page)})
+		p.Send("screen", renderedMsg{URL: req.URL, Bytes: partsLen(page)})
 	}
 }
 
 // fetch returns the page as the parts it arrived in, consulting the
 // cache first and the network interface on a miss. The browser reads
 // only the page's layout, so the parts are never joined.
-func (b *Browser) fetch(p *core.Proc, url string) ([][]byte, error) {
+func (b *browser) fetch(p *core.Proc, url string) ([][]byte, error) {
 	if !b.Cfg.NoCache {
-		p.Send("cache", CacheReq{Op: "get", Key: url})
+		p.Send("cache", cacheReq{Op: "get", Key: url})
 		for {
 			m, ok := p.Recv("cache")
 			if !ok {
 				return nil, nil
 			}
-			resp, isResp := m.Value.(CacheResp)
+			resp, isResp := m.Value.(cacheResp)
 			if !isResp {
 				continue
 			}
@@ -286,39 +286,39 @@ func (b *Browser) fetch(p *core.Proc, url string) ([][]byte, error) {
 		return nil, nil
 	}
 	if !b.Cfg.NoCache {
-		p.Send("cache", CacheReq{Op: "put", Key: url, Parts: page})
+		p.Send("cache", cacheReq{Op: "put", Key: url, Parts: page})
 	}
 	return page, nil
 }
 
-func (b *Browser) awaitDecode(p *core.Proc, id int) bool {
+func (b *browser) awaitDecode(p *core.Proc, id int) bool {
 	for {
 		m, ok := p.Recv("jpeg")
 		if !ok {
 			return false
 		}
-		if resp, isResp := m.Value.(DecodeResp); isResp && resp.ID == id {
+		if resp, isResp := m.Value.(decodeResp); isResp && resp.ID == id {
 			return true
 		}
 	}
 }
 
-func (b *Browser) SaveState() ([]byte, error)   { return core.GobSave(b) }
-func (b *Browser) RestoreState(bs []byte) error { return core.GobRestore(b, bs) }
+func (b *browser) SaveState() ([]byte, error)   { return core.GobSave(b) }
+func (b *browser) RestoreState(bs []byte) error { return core.GobRestore(b, bs) }
 
-// ASIC is the cellular communication chip: it carries requests over
+// asic is the cellular communication chip: it carries requests over
 // the wireless link and transfers received pages to the system
 // through DMA. Its runlevel chooses the DMA rendering — hardware
 // (bus cycles), word passage, or packet passage — which is exactly
 // the link whose abstraction level the paper's experiment varies.
-type ASIC struct {
+type asic struct {
 	Cfg       Config
 	Transfers int
 	DMADrives int
 }
 
 // Run implements core.Behavior.
-func (a *ASIC) Run(p *core.Proc) error {
+func (a *asic) Run(p *core.Proc) error {
 	asm := proto.NewAssembler()
 	for {
 		m, ok := p.Recv("dma", "radio")
@@ -346,12 +346,12 @@ func (a *ASIC) Run(p *core.Proc) error {
 	}
 }
 
-func (a *ASIC) SaveState() ([]byte, error)  { return core.GobSave(a) }
-func (a *ASIC) RestoreState(b []byte) error { return core.GobRestore(a, b) }
+func (a *asic) SaveState() ([]byte, error)  { return core.GobSave(a) }
+func (a *asic) RestoreState(b []byte) error { return core.GobRestore(a, b) }
 
-// Server is the dedicated server: a base station plus web gateway
+// server is the dedicated server: a base station plus web gateway
 // serving the page store over the wireless link.
-type Server struct {
+type server struct {
 	Cfg    Config
 	Served int
 
@@ -360,7 +360,7 @@ type Server struct {
 }
 
 // Run implements core.Behavior.
-func (s *Server) Run(p *core.Proc) error {
+func (s *server) Run(p *core.Proc) error {
 	if s.store == nil {
 		// The store holds the one page this server is configured to
 		// serve; any other URL gets the 404.
@@ -414,5 +414,5 @@ func (s *Server) Run(p *core.Proc) error {
 	}
 }
 
-func (s *Server) SaveState() ([]byte, error)  { return core.GobSave(s) }
-func (s *Server) RestoreState(b []byte) error { return core.GobRestore(s, b) }
+func (s *server) SaveState() ([]byte, error)  { return core.GobSave(s) }
+func (s *server) RestoreState(b []byte) error { return core.GobRestore(s, b) }

@@ -7,41 +7,41 @@ import "repro/internal/channel"
 // "radio", and everything else on those nets is a signal type — so it
 // is the one that registers a layout with the channel codec.
 
-// Strokes is handwriting input from the UI to the recognizer.
-type Strokes struct {
+// strokes is handwriting input from the UI to the recognizer.
+type strokes struct {
 	URL string // the text the strokes encode (recognition is modelled)
 }
 
-// URLReq is the recognized request from the recognizer to the
+// urlReq is the recognized request from the recognizer to the
 // browser control.
-type URLReq struct {
+type urlReq struct {
 	URL string
 }
 
-// CacheReq is a browser request to the cache module. A page is
+// cacheReq is a browser request to the cache module. A page is
 // carried as the parts it arrived in (proto.ReceiveParts), never
 // joined.
-type CacheReq struct {
+type cacheReq struct {
 	Op    string // "get" or "put"
 	Key   string
 	Parts [][]byte
 }
 
-// CacheResp answers a "get".
-type CacheResp struct {
+// cacheResp answers a "get".
+type cacheResp struct {
 	Key   string
 	Hit   bool
 	Parts [][]byte
 }
 
-// DecodeReq asks the JPEG decoder to decode one image.
-type DecodeReq struct {
+// decodeReq asks the JPEG decoder to decode one image.
+type decodeReq struct {
 	ID   int
 	Size int
 }
 
-// DecodeResp announces a finished decode.
-type DecodeResp struct {
+// decodeResp announces a finished decode.
+type decodeResp struct {
 	ID int
 }
 
@@ -51,8 +51,8 @@ type NetReq struct {
 	URL string
 }
 
-// Rendered tells the UI a page finished rendering.
-type Rendered struct {
+// renderedMsg tells the UI a page finished rendering.
+type renderedMsg struct {
 	URL   string
 	Bytes int
 }

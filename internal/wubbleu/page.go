@@ -31,14 +31,14 @@ const DefaultPageSize = 66 * 1024
 // DefaultImageCount is how many graphics the synthetic page embeds.
 const DefaultImageCount = 4
 
-// Page is a parsed page.
-type Page struct {
+// parsedPage is a parsed page.
+type parsedPage struct {
 	HTML   []byte
 	Images [][]byte
 }
 
 // TotalBytes is the encoded size.
-func (p *Page) TotalBytes() int {
+func (p *parsedPage) TotalBytes() int {
 	n := 12 + len(p.HTML)
 	for _, img := range p.Images {
 		n += 4 + len(img)
@@ -118,12 +118,12 @@ func (r *imageBytes) read(p []byte) {
 
 // ParsePage decodes a page held in one slice: parseLayout's one-part
 // case, with the html and images as views of data.
-func ParsePage(data []byte) (*Page, error) {
+func ParsePage(data []byte) (*parsedPage, error) {
 	l, err := parseLayout([][]byte{data})
 	if err != nil {
 		return nil, err
 	}
-	p := &Page{HTML: data[12 : 12+l.html], Images: make([][]byte, 0, len(l.images))}
+	p := &parsedPage{HTML: data[12 : 12+l.html], Images: make([][]byte, 0, len(l.images))}
 	pos := 12 + l.html
 	for _, sz := range l.images {
 		pos += 4

@@ -15,22 +15,22 @@ import (
 
 // HandheldHalf is the CPU side of the split design.
 type HandheldHalf struct {
-	UI    *UI
-	Recog *Recognizer
-	Brow  *Browser
-	Cache *Cache
-	JPEG  *JPEGDecoder
+	UI    *ui
+	Recog *recognizer
+	Brow  *browser
+	Cache *cache
+	JPEG  *jpegDecoder
 }
 
 // InstallHandheld builds the handheld subsystem: every module except
 // the network interface, plus the local fragment of the "dma" net.
 func InstallHandheld(sub *core.Subsystem, cfg Config) (*HandheldHalf, error) {
 	h := &HandheldHalf{
-		UI:    &UI{Cfg: cfg},
-		Recog: &Recognizer{Cfg: cfg},
-		Brow:  &Browser{Cfg: cfg},
-		Cache: &Cache{},
-		JPEG:  &JPEGDecoder{Cfg: cfg},
+		UI:    &ui{Cfg: cfg},
+		Recog: &recognizer{Cfg: cfg},
+		Brow:  &browser{Cfg: cfg},
+		Cache: &cache{},
+		JPEG:  &jpegDecoder{Cfg: cfg},
 	}
 	type compDef struct {
 		name  string
@@ -76,19 +76,19 @@ func InstallHandheld(sub *core.Subsystem, cfg Config) (*HandheldHalf, error) {
 	return h, nil
 }
 
-// ModemHalf is the network-interface side of the split design.
-type ModemHalf struct {
-	ASIC   *ASIC
-	Server *Server
+// modemHalf is the network-interface side of the split design.
+type modemHalf struct {
+	ASIC   *asic
+	Server *server
 }
 
 // InstallModemSite builds the modem subsystem: the cellular ASIC and
 // the dedicated server behind its wireless link, plus the remote
 // fragment of the "dma" net.
-func InstallModemSite(sub *core.Subsystem, cfg Config) (*ModemHalf, error) {
-	m := &ModemHalf{
-		ASIC:   &ASIC{Cfg: cfg},
-		Server: &Server{Cfg: cfg},
+func InstallModemSite(sub *core.Subsystem, cfg Config) (*modemHalf, error) {
+	m := &modemHalf{
+		ASIC:   &asic{Cfg: cfg},
+		Server: &server{Cfg: cfg},
 	}
 	ac, err := sub.NewComponent("asic", m.ASIC, "dma", "radio")
 	if err != nil {

@@ -163,7 +163,7 @@ func TestLocalPageLoadPacketLevel(t *testing.T) {
 	if res.LoadVirt[0] < 64*vtime.Millisecond {
 		t.Fatalf("load time %v below radio physics", res.LoadVirt[0])
 	}
-	if res.DMADrives != proto.Drives(cfg.PageSize, proto.LevelPacket, cfg.Proto) {
+	if res.DMADrives != packets(cfg) {
 		t.Fatalf("dma drives = %d", res.DMADrives)
 	}
 }
@@ -317,7 +317,7 @@ func TestASICForwardsRadioPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dma := make([]signal.Frame, 0, proto.Drives(cfg.PageSize, proto.LevelPacket, cfg.Proto)) // the hook allocates nothing
+	dma := make([]signal.Frame, 0, packets(cfg)) // the hook allocates nothing
 	sim.Subsystem("main").OnDrive = func(net, _ string, _ vtime.Time, v any) {
 		if f, ok := v.(signal.Frame); ok && net == "dma" {
 			dma = append(dma, f)
@@ -333,7 +333,7 @@ func TestASICForwardsRadioPayloads(t *testing.T) {
 		t.Fatalf("load did not complete: %+v", res)
 	}
 	store := app.Server.store.Get(cfg.URL)
-	if len(dma) != proto.Drives(cfg.PageSize, proto.LevelPacket, cfg.Proto) {
+	if len(dma) != packets(cfg) {
 		t.Fatalf("%d DMA packets", len(dma))
 	}
 	for i, f := range dma {
@@ -376,11 +376,11 @@ func TestBrowserCachesPageAsReceived(t *testing.T) {
 	)
 	sim.Subsystem("main").OnDrive = func(_, _ string, _ vtime.Time, v any) {
 		switch x := v.(type) {
-		case CacheResp:
+		case cacheResp:
 			if x.Hit {
 				served = x.Parts
 			}
-		case Rendered:
+		case renderedMsg:
 			runtime.ReadMemStats(&ms)
 			rendered = append(rendered, ms.TotalAlloc)
 		}
@@ -393,7 +393,7 @@ func TestBrowserCachesPageAsReceived(t *testing.T) {
 	}
 	store := app.Server.store.Get(cfg.URL)
 	cached := app.Cache.Pages[cfg.URL]
-	if n := proto.Drives(cfg.PageSize, proto.LevelPacket, cfg.Proto); len(cached) != n || partsLen(cached) != cfg.PageSize {
+	if n := packets(cfg); len(cached) != n || partsLen(cached) != cfg.PageSize {
 		t.Fatalf("cached %d parts of %d bytes, want the %d packets of the page", len(cached), partsLen(cached), n)
 	}
 	for i, part := range cached {
@@ -462,7 +462,7 @@ func TestInstallValidation(t *testing.T) {
 }
 
 func TestUILoadTimeError(t *testing.T) {
-	u := &UI{}
+	u := &ui{}
 	if _, err := u.LoadTime(0); err == nil {
 		t.Fatal("LoadTime of incomplete load succeeded")
 	}
@@ -491,4 +491,10 @@ func TestCodecZeroAllocNetReq(t *testing.T) {
 	if !reflect.DeepEqual(got, msgs) {
 		t.Fatalf("round trip:\n got  %+v\n want %+v", got, msgs)
 	}
+}
+
+// packets is the number of packet drives a page costs: one per packet
+// of cfg.Proto.PacketLen bytes, which DefaultConfig sets.
+func packets(cfg Config) int {
+	return max(1, (cfg.PageSize+cfg.Proto.PacketLen-1)/cfg.Proto.PacketLen)
 }

@@ -75,8 +75,7 @@ type (
 	// channel send/delivery flows, checkpoint/restore/rewind markers,
 	// runlevel switches, protocol and WAN fault chatter), bounded and
 	// rewind-aware. Its Events feed every exporter: WriteTimeline here,
-	// and the waveform ones in internal/timeline (WriteVCD, WriteText,
-	// Digest).
+	// and the waveform one in internal/timeline (WriteVCD).
 	TimelineRecorder = timeline.Recorder
 	// TimelineEvent is one recorded timeline event.
 	TimelineEvent = timeline.Event
