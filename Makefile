@@ -37,10 +37,11 @@ test:
 # the channel protocol + coalescing, the kernel scheduler, the
 # fault-injection / session-recovery layers, the snapshot agent (its
 # completed-snapshot table is read under mu by the session goroutines'
-# rewind hooks), and the two recorders written from scheduler, pump and
-# keepalive goroutines at once (the timeline ring and the flight ring).
+# rewind hooks), the two recorders written from scheduler, pump and
+# keepalive goroutines at once (the timeline ring and the flight ring),
+# and WubbleU's page memo, shared by simulations running at once.
 race:
-	$(GO) test -race -count=1 ./internal/wire/... ./internal/channel/... ./internal/core/... ./internal/node/... ./internal/faultnet/... ./internal/resilience/... ./internal/snapshot/... ./internal/timeline/... ./internal/flight/...
+	$(GO) test -race -count=1 ./internal/wire/... ./internal/channel/... ./internal/core/... ./internal/node/... ./internal/faultnet/... ./internal/resilience/... ./internal/snapshot/... ./internal/timeline/... ./internal/flight/... ./internal/wubbleu/...
 
 # The parallel scheduler must be race-clean both when goroutines are
 # forced onto one OS thread and when they genuinely interleave. The

@@ -6,12 +6,18 @@ import (
 	"repro/internal/wubbleu"
 )
 
-func TestLoad(t *testing.T) {
-	store, err := wubbleu.NewStore()
+// defaultStore is a store serving the default page at the default URL.
+func defaultStore(t *testing.T) *wubbleu.Store {
+	t.Helper()
+	page, err := wubbleu.GenPage(wubbleu.DefaultPageSize, wubbleu.DefaultImageCount)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, addr, err := Serve(store, "127.0.0.1:0")
+	return wubbleu.NewStore(wubbleu.DefaultURL, page)
+}
+
+func TestLoad(t *testing.T) {
+	srv, addr, err := Serve(defaultStore(t), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +38,7 @@ func TestLoad(t *testing.T) {
 }
 
 func TestLoadMissingPageFails(t *testing.T) {
-	store, err := wubbleu.NewStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, addr, err := Serve(store, "127.0.0.1:0")
+	srv, addr, err := Serve(defaultStore(t), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ package debug
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -167,17 +168,17 @@ func (d *Debugger) onStep(now vtime.Time) {
 		}
 		return c.LocalTime(), true
 	}
-	for _, bp := range d.breaks {
+	for i, bp := range d.breaks {
 		if !bp.enabled || !bp.Cond.Eval(ts) {
 			continue
 		}
 		bp.Hits++
+		// Level-triggered conditions (>=) would re-fire on every step:
+		// disarm until explicitly re-enabled via Rearm, or, one-shot,
+		// delete.
+		bp.enabled = false
 		if bp.OneShot {
-			bp.enabled = false
-		} else {
-			// Level-triggered conditions (>=) would re-fire on every
-			// step; disarm until explicitly re-enabled via Rearm.
-			bp.enabled = false
+			d.breaks = slices.Delete(d.breaks, i, i+1)
 		}
 		d.pendingHit = &Hit{Break: bp, Time: now}
 		d.sub.Stop()
@@ -185,7 +186,8 @@ func (d *Debugger) onStep(now vtime.Time) {
 	}
 }
 
-// Rearm re-enables a previously hit breakpoint.
+// Rearm re-enables a previously hit breakpoint. A one-shot breakpoint
+// is deleted at its hit, and Rearm reports false for it.
 func (d *Debugger) Rearm(id int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -104,6 +104,45 @@ func TestRearm(t *testing.T) {
 	}
 }
 
+// TestPlainBreakStaysDisarmed: a plain breakpoint fires once and stays
+// disarmed, though its condition still holds, until Rearm.
+func TestPlainBreakStaysDisarmed(t *testing.T) {
+	_, d, _ := build(t, 10)
+	bp, _ := d.AddBreak("clock >= 30")
+	if hit, err := d.Continue(vtime.Infinity); err != nil || hit == nil || hit.Break != bp {
+		t.Fatalf("first continue: hit %+v, err %v", hit, err)
+	}
+	if hit, err := d.Continue(vtime.Infinity); err != nil || hit != nil {
+		t.Fatalf("a disarmed breakpoint fired: hit %+v, err %v", hit, err)
+	}
+	if bp.Hits != 1 || bp.Enabled() {
+		t.Fatalf("hits=%d enabled=%v, want 1 hit and disarmed", bp.Hits, bp.Enabled())
+	}
+	if !d.Rearm(bp.ID) || !bp.Enabled() {
+		t.Fatal("a plain breakpoint did not rearm")
+	}
+}
+
+// TestOneShotBreakDeleted: a one-shot breakpoint is deleted at its
+// first hit, so Rearm and Remove no longer find it.
+func TestOneShotBreakDeleted(t *testing.T) {
+	_, d, _ := build(t, 10)
+	bp, _ := d.AddBreak("clock >= 30")
+	bp.OneShot = true
+	if hit, err := d.Continue(vtime.Infinity); err != nil || hit == nil || hit.Break != bp {
+		t.Fatalf("first continue: hit %+v, err %v", hit, err)
+	}
+	if d.Rearm(bp.ID) || d.Remove(bp.ID) {
+		t.Fatal("a one-shot breakpoint outlived its hit")
+	}
+	if hit, err := d.Continue(vtime.Infinity); err != nil || hit != nil {
+		t.Fatalf("a deleted breakpoint fired: hit %+v, err %v", hit, err)
+	}
+	if bp.Hits != 1 || bp.Enabled() {
+		t.Fatalf("hits=%d enabled=%v, want 1 hit and disarmed", bp.Hits, bp.Enabled())
+	}
+}
+
 func TestSingleStep(t *testing.T) {
 	_, d, _ := build(t, 5)
 	var times []vtime.Time

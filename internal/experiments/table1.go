@@ -92,18 +92,11 @@ func (c Table1Config) wubbleu(level string) wubbleu.Config {
 
 // Native measures the reference (HotJava-analog) load.
 func Native(c Table1Config) (Table1Row, error) {
-	store, err := wubbleu.NewStore()
+	page, err := wubbleu.GenPage(c.PageSize, c.Images)
 	if err != nil {
 		return Table1Row{}, err
 	}
-	if c.PageSize != wubbleu.DefaultPageSize || c.Images != wubbleu.DefaultImageCount {
-		page, err := wubbleu.GenPage(c.PageSize, c.Images)
-		if err != nil {
-			return Table1Row{}, err
-		}
-		store.Put(wubbleu.DefaultURL, page)
-	}
-	srv, addr, err := baseline.Serve(store, "127.0.0.1:0")
+	srv, addr, err := baseline.Serve(wubbleu.NewStore(wubbleu.DefaultURL, page), "127.0.0.1:0")
 	if err != nil {
 		return Table1Row{}, err
 	}

@@ -355,6 +355,7 @@ type server struct {
 	Cfg    Config
 	Served int
 
+	page  *sharedPage // keeps the store's page in the memo while this server serves it
 	store *Store
 	est   *timing.Estimator
 }
@@ -364,11 +365,11 @@ func (s *server) Run(p *core.Proc) error {
 	if s.store == nil {
 		// The store holds the one page this server is configured to
 		// serve; any other URL gets the 404.
-		page, err := GenPage(s.Cfg.PageSize, s.Cfg.Images)
+		page, err := servedPage(s.Cfg.PageSize, s.Cfg.Images)
 		if err != nil {
 			return err
 		}
-		s.store = &Store{pages: map[string][]byte{s.Cfg.URL: page}}
+		s.page, s.store = page, NewStore(s.Cfg.URL, page.b)
 	}
 	if s.est == nil {
 		s.est, _ = timing.NewEstimator(timing.ServerCPU)

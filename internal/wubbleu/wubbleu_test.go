@@ -110,16 +110,9 @@ func TestParsePageErrors(t *testing.T) {
 }
 
 func TestStore(t *testing.T) {
-	s, err := NewStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Get(DefaultURL); len(got) != DefaultPageSize {
-		t.Fatalf("default page is %d bytes", len(got))
-	}
-	s.Put("x", []byte{1})
+	s := NewStore("x", []byte{1})
 	if len(s.Get("x")) != 1 || s.Get("nope") != nil {
-		t.Fatal("Put/Get broken")
+		t.Fatal("NewStore/Get broken")
 	}
 }
 
