@@ -1,11 +1,12 @@
 // piabench regenerates the paper's evaluation from the command line:
-// Table 1 and the Fig. 1-6 scenarios, plus the ablations the design
-// document calls out. Each experiment prints the rows the paper
+// Table 1 and the Fig. 1-4 and 6 scenarios, plus the ablations the
+// design document calls out (Fig. 5, the module graph, is checked by
+// wubbleu's TestFig5CommunicationGraph). Each experiment prints the rows the paper
 // reports (or the structural facts a figure shows).
 //
 //	piabench -exp table1
 //	piabench -exp chaos -seed 42
-//	piabench -exp fig1|fig2|fig3|fig4|fig5|fig6
+//	piabench -exp fig1|fig2|fig3|fig4|fig6
 //	piabench -exp runlevel|policy|checkpoint|incremental|snapshot|memsync
 //	piabench -exp all
 package main
@@ -102,7 +103,7 @@ func startReporter() {
 }
 
 func main() {
-	exp := flag.String("exp", "table1", "experiment to run (table1, chaos, timeline, parallel, optimistic, migrate, sessions, obs, fig1..fig6, runlevel, policy, checkpoint, incremental, snapshot, memsync, all)")
+	exp := flag.String("exp", "table1", "experiment to run (table1, chaos, timeline, parallel, optimistic, migrate, sessions, obs, fig1..fig4, fig6, runlevel, policy, checkpoint, incremental, snapshot, memsync, all)")
 	pageKB := flag.Int("page", 66, "page size in KB for WubbleU experiments")
 	flag.StringVar(&jsonOut, "json", "", "write the rows of -exp table1, parallel, optimistic, migrate, sessions or obs to this file as JSON (e.g. BENCH_1.json)")
 	flag.Int64Var(&chaosSeed, "seed", 1, "fault-schedule seed for -exp chaos")
@@ -175,7 +176,6 @@ var runners = map[string]func(int) error{
 	"fig2":        fig2,
 	"fig3":        fig3,
 	"fig4":        fig4,
-	"fig5":        fig5,
 	"fig6":        fig6,
 	"runlevel":    runlevel,
 	"policy":      policy,
@@ -186,7 +186,7 @@ var runners = map[string]func(int) error{
 }
 
 // all is what -exp all runs, in order.
-var all = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
+var all = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig6",
 	"runlevel", "policy", "checkpoint", "incremental", "snapshot", "memsync"}
 
 func tw() *tabwriter.Writer {
@@ -615,16 +615,6 @@ func fig4(int) error {
 	fmt.Printf("  asks to SS3: %d (grants back: %d)\n", res.AsksToSS3, res.GrantsFromSS3)
 	fmt.Printf("  deliveries: %d, causality violations: %v\n", res.Delivered, res.Violations)
 	return nil
-}
-
-func fig5(int) error {
-	fmt.Println("Fig 5: the WubbleU communication flow graph (module -> module over net).")
-	w := tw()
-	fmt.Fprintln(w, "net\tendpoints")
-	for net, ends := range wubbleu.CommunicationGraph() {
-		fmt.Fprintf(w, "%s\t%s <-> %s\n", net, ends[0], ends[1])
-	}
-	return w.Flush()
 }
 
 func fig6(pageKB int) error {

@@ -218,7 +218,6 @@ func TestPrintersRunAll(t *testing.T) {
 		"fig2":        {"net\tcrossing\tfragments"},
 		"fig3":        {"policy\twall\tdelivered\tstalls\trestores\tstragglers"},
 		"fig4":        {"asks to SS2:", "asks to SS3:", "deliveries:"},
-		"fig5":        {"net\tendpoints"},
 		"fig6":        {"CPU subsystem", "remote subsystem", "smoke run (remote, packet):"},
 		"runlevel":    {"mode\twall\tlink drives"},
 		"policy":      {"period\tpolicy\twall\tstalls\trestores\tstragglers"},

@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	pia "repro"
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/flight"
@@ -257,12 +258,14 @@ func runModem(o *options) error {
 	cfg.Images = o.images
 	cfg.Level = o.level
 
-	sub := core.NewSubsystem("modemsite")
-	sub.SetWorkers(o.workers)
-	if o.optimism > 0 {
-		sub.SetOptimism(vtime.Duration(o.optimism))
+	// This process hosts the modem-site slice of the one description;
+	// the designer's node hosts the handheld's.
+	b := pia.NewSystem("wubbleu").SetWorkers(o.workers).SetOptimism(pia.Duration(o.optimism))
+	if _, err := wubbleu.Install(b, cfg, wubbleu.RemotePlacement()); err != nil {
+		return err
 	}
-	if _, err := wubbleu.InstallModemSite(sub, cfg); err != nil {
+	sub, err := b.BuildSubsystem("modemsite")
+	if err != nil {
 		return err
 	}
 

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	pia "repro"
-	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/vtime"
 	"repro/internal/wubbleu"
@@ -104,8 +103,14 @@ func runLocal(cfg wubbleu.Config, script string) {
 }
 
 func runRemote(cfg wubbleu.Config, addr string, links *node.LinkFlags) {
-	sub := core.NewSubsystem("handheld")
-	half, err := wubbleu.InstallHandheld(sub, cfg)
+	// This process hosts the handheld slice of the one description; the
+	// pianode it dials hosts the modem site's.
+	b := pia.NewSystem("wubbleu")
+	app, err := wubbleu.Install(b, cfg, wubbleu.RemotePlacement())
+	if err != nil {
+		log.Fatal(err)
+	}
+	sub, err := b.BuildSubsystem("handheld")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -132,18 +137,7 @@ func runRemote(cfg wubbleu.Config, addr string, links *node.LinkFlags) {
 	n.CloseChannels()
 	n.Close()
 
-	res := resultOf(half)
-	report(res, cfg, time.Since(start), "remote "+addr)
-}
-
-func resultOf(h *wubbleu.HandheldHalf) wubbleu.Result {
-	r := wubbleu.Result{Loads: h.UI.Done, PageBytes: h.UI.Bytes, CacheHits: h.Cache.Hits}
-	for i := 0; i < h.UI.Done; i++ {
-		if d, err := h.UI.LoadTime(i); err == nil {
-			r.LoadVirt = append(r.LoadVirt, d)
-		}
-	}
-	return r
+	report(app.Result(), cfg, time.Since(start), "remote "+addr)
 }
 
 func report(res wubbleu.Result, cfg wubbleu.Config, wall time.Duration, where string) {

@@ -159,11 +159,7 @@ func TestLatchedErrorWithAllStalled(t *testing.T) {
 	}
 	for _, name := range sim.subOrder {
 		s := core.NewSubsystem(name)
-		c, err := s.NewComponent("waiter", &pongState{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		in, err := c.AddPort("in")
+		c, err := s.NewComponent("waiter", &pongState{}, "in")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +167,7 @@ func TestLatchedErrorWithAllStalled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Connect(n, in); err != nil {
+		if err := s.Connect(n, c.Port("in")); err != nil {
 			t.Fatal(err)
 		}
 		sim.Subsystems[name], sim.Hubs[name] = s, channel.NewHub(s)

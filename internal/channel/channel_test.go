@@ -67,10 +67,8 @@ func splitPair(t *testing.T, policy Policy, link LinkModel, prod, cons core.Beha
 	t.Helper()
 	s1 = core.NewSubsystem("ss1")
 	s2 = core.NewSubsystem("ss2")
-	sc, _ := s1.NewComponent("prod", prod)
-	sc.AddPort("out")
-	rc, _ := s2.NewComponent("cons", cons)
-	rc.AddPort("in")
+	sc, _ := s1.NewComponent("prod", prod, "out")
+	rc, _ := s2.NewComponent("cons", cons, "in")
 	// The split net: one fragment per subsystem.
 	n1, _ := s1.NewNet("link", 0)
 	if err := s1.Connect(n1, sc.Port("out")); err != nil {
@@ -141,8 +139,7 @@ func TestConservativeNoCausalityViolation(t *testing.T) {
 	link := LinkModel{Latency: 5, PerMessage: 1}
 	s1, s2, _, rcv, _, h2 := twoSubs(t, Conservative, link, 20, 10)
 	busy := &sender{Count: 1000, Period: 1} // local noise on ss2
-	bc, _ := s2.NewComponent("busy", busy)
-	bc.AddPort("out")
+	bc, _ := s2.NewComponent("busy", busy, "out")
 	nb, _ := s2.NewNet("noise", 0)
 	s2.Connect(nb, bc.Port("out"))
 
@@ -183,9 +180,7 @@ func TestConservativeBidirectional(t *testing.T) {
 		}
 		return nil
 	})
-	pc, _ := s1.NewComponent("ping", &gobBehavior{B: ping})
-	pc.AddPort("out")
-	pc.AddPort("in")
+	pc, _ := s1.NewComponent("ping", &gobBehavior{B: ping}, "out", "in")
 	echo := core.BehaviorFunc(func(p *core.Proc) error {
 		for {
 			m, ok := p.Recv("in")
@@ -196,9 +191,7 @@ func TestConservativeBidirectional(t *testing.T) {
 			p.Send("out", m.Value)
 		}
 	})
-	ec, _ := s2.NewComponent("echo", &gobBehavior{B: echo})
-	ec.AddPort("in")
-	ec.AddPort("out")
+	ec, _ := s2.NewComponent("echo", &gobBehavior{B: echo}, "in", "out")
 
 	req1, _ := s1.NewNet("req", 0)
 	s1.Connect(req1, pc.Port("out"))
@@ -251,8 +244,7 @@ func TestOptimisticStragglerRollsBack(t *testing.T) {
 	link := LinkModel{Latency: 5, PerMessage: 1}
 	s1, s2, _, rcv, h1, h2 := twoSubs(t, Optimistic, link, 5, 100)
 	busy := &sender{Count: 2000, Period: 1}
-	bc, _ := s2.NewComponent("busy", busy)
-	bc.AddPort("out")
+	bc, _ := s2.NewComponent("busy", busy, "out")
 	nb, _ := s2.NewNet("noise", 0)
 	s2.Connect(nb, bc.Port("out"))
 	s2.SetAutoCheckpoint(10)

@@ -52,9 +52,7 @@ func TestBidirectionalStress(t *testing.T) {
 				}
 				return nil
 			})
-			pc, _ := s1.NewComponent("ping", &trivial{ping})
-			pc.AddPort("out")
-			pc.AddPort("in")
+			pc, _ := s1.NewComponent("ping", &trivial{ping}, "out", "in")
 			echo := core.BehaviorFunc(func(p *core.Proc) error {
 				for {
 					m, ok := p.Recv("in")
@@ -65,9 +63,7 @@ func TestBidirectionalStress(t *testing.T) {
 					p.Send("out", m.Value)
 				}
 			})
-			ec, _ := s2.NewComponent("echo", &trivial{echo})
-			ec.AddPort("in")
-			ec.AddPort("out")
+			ec, _ := s2.NewComponent("echo", &trivial{echo}, "in", "out")
 			req1, _ := s1.NewNet("req", 0)
 			s1.Connect(req1, pc.Port("out"))
 			rsp1, _ := s1.NewNet("rsp", 0)

@@ -29,8 +29,8 @@ func TestFilteredReceiveSlowPath(t *testing.T) {
 		return nil
 	})
 	rc, _ := s.NewComponent("rx", rx)
-	rc.AddPort("a")
-	rc.AddPort("b")
+	rc.addPort("a")
+	rc.addPort("b")
 	tx := BehaviorFunc(func(p *Proc) error {
 		p.Delay(10)
 		p.Send("toA", "first")
@@ -39,8 +39,8 @@ func TestFilteredReceiveSlowPath(t *testing.T) {
 		return nil
 	})
 	tc, _ := s.NewComponent("tx", tx)
-	tc.AddPort("toA")
-	tc.AddPort("toB")
+	tc.addPort("toA")
+	tc.addPort("toB")
 	na, _ := s.NewNet("na", 0)
 	s.Connect(na, tc.Port("toA"), rc.Port("a"))
 	nb, _ := s.NewNet("nb", 0)
@@ -97,7 +97,7 @@ func TestNetAccessors(t *testing.T) {
 		return nil
 	})
 	c, _ := s.NewComponent("drv", drv)
-	c.AddPort("out")
+	c.addPort("out")
 	n, _ := s.NewNet("w", 3)
 	s.Connect(n, c.Port("out"))
 	if err := s.Run(vtime.Infinity); err != nil {
@@ -127,7 +127,7 @@ func TestSendAtPastPanics(t *testing.T) {
 		return nil
 	})
 	c, _ := s.NewComponent("c", b)
-	c.AddPort("out")
+	c.addPort("out")
 	n, _ := s.NewNet("w", 0)
 	s.Connect(n, c.Port("out"))
 	if err := s.Run(vtime.Infinity); err == nil {

@@ -208,7 +208,7 @@ func TestNewNetsSlabs(t *testing.T) {
 }
 
 // TestNewComponentPortSlab: the ports named at creation are one slab,
-// exactly as long as the list; AddPort still adds more, and a
+// exactly as long as the list; addPort still adds more, and a
 // duplicate name is refused either way.
 func TestNewComponentPortSlab(t *testing.T) {
 	s := NewSubsystem("a")
@@ -219,7 +219,7 @@ func TestNewComponentPortSlab(t *testing.T) {
 	if len(c.ports) != 3 || cap(c.ports) != 3 {
 		t.Fatalf("ports = %d (cap %d), want exactly 3", len(c.ports), cap(c.ports))
 	}
-	if _, err := c.AddPort("d"); err != nil {
+	if _, err := c.addPort("d"); err != nil {
 		t.Fatal(err)
 	}
 	var names []string
@@ -232,8 +232,8 @@ func TestNewComponentPortSlab(t *testing.T) {
 	if fmt.Sprint(names) != "[a b c d]" {
 		t.Fatalf("Ports() = %v, want sorted by name", names)
 	}
-	if _, err := c.AddPort("a"); err == nil {
-		t.Fatal("AddPort accepted a duplicate")
+	if _, err := c.addPort("a"); err == nil {
+		t.Fatal("addPort accepted a duplicate")
 	}
 	if _, err := s.NewComponent("dup", &fanSink{}, "x", "x"); err == nil {
 		t.Fatal("NewComponent accepted a duplicate port")

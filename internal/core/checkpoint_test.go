@@ -160,12 +160,12 @@ func TestIncrementalCheckpointsShareState(t *testing.T) {
 	s := NewSubsystem("incr")
 	co := &consumer{}
 	cc, _ := s.NewComponent("cons", co)
-	cc.AddPort("in")
+	cc.addPort("in")
 	n, _ := s.NewNet("quiet", 0)
 	s.Connect(n, cc.Port("in"))
 	ticker := &producer{Count: 10, Period: 10}
 	tc, _ := s.NewComponent("tick", ticker)
-	tc.AddPort("out")
+	tc.addPort("out")
 	n2, _ := s.NewNet("void", 0)
 	s.Connect(n2, tc.Port("out"))
 	s.SetIncrementalCheckpoints(true)
@@ -225,11 +225,11 @@ func TestCheckpointInboxPreserved(t *testing.T) {
 	s := NewSubsystem("inflight")
 	co := &consumer{}
 	cc, _ := s.NewComponent("cons", co)
-	cc.AddPort("in")
+	cc.addPort("in")
 	// Producer sends at t=5 with delivery at t=105 (big net delay).
 	pr := &producer{Count: 1, Period: 5}
 	pc, _ := s.NewComponent("prod", pr)
-	pc.AddPort("out")
+	pc.addPort("out")
 	n, _ := s.NewNet("slow", 100)
 	s.Connect(n, pc.Port("out"), cc.Port("in"))
 	s.OnStep = func(now vtime.Time) {
@@ -284,10 +284,10 @@ func TestRestoreOfDoneComponentStaysDone(t *testing.T) {
 	s := NewSubsystem("donedone")
 	pr := &producer{Count: 1, Period: 5}
 	pc, _ := s.NewComponent("prod", pr)
-	pc.AddPort("out")
+	pc.addPort("out")
 	co := &consumer{}
 	cc, _ := s.NewComponent("cons", co)
-	cc.AddPort("in")
+	cc.addPort("in")
 	n, _ := s.NewNet("w", 0)
 	s.Connect(n, pc.Port("out"), cc.Port("in"))
 	if err := s.Run(vtime.Infinity); err != nil {

@@ -64,10 +64,10 @@ func buildMemSystem(t *testing.T, static bool) (*Subsystem, *memCPU) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc.AddPort("irq")
+	cc.addPort("irq")
 	dev := &irqDevice{}
 	dc, _ := s.NewComponent("dev", dev)
-	dc.AddPort("irq")
+	dc.addPort("irq")
 	n, _ := s.NewNet("irqline", 0)
 	if err := s.Connect(n, cc.Port("irq"), dc.Port("irq")); err != nil {
 		t.Fatal(err)

@@ -109,7 +109,7 @@ func randomParallelSystem(seed int64) (*Subsystem, []*consumer, []*poller) {
 	for i := 0; i < nProd; i++ {
 		pr := &producer{Count: 1 + rng.Intn(20), Period: vtime.Duration(1 + rng.Intn(30))}
 		c, _ := s.NewComponent(fmt.Sprintf("prod%d", i), pr)
-		c.AddPort("out")
+		c.addPort("out")
 		s.Connect(nets[rng.Intn(nNets)], c.Port("out"))
 	}
 
@@ -121,8 +121,8 @@ func randomParallelSystem(seed int64) (*Subsystem, []*consumer, []*poller) {
 		to := from + 1 + rng.Intn(nNets-from-1)
 		rl := &relay{work: vtime.Duration(rng.Intn(8))}
 		c, _ := s.NewComponent(fmt.Sprintf("relay%d", i), rl)
-		c.AddPort("in")
-		c.AddPort("out")
+		c.addPort("in")
+		c.addPort("out")
 		s.Connect(nets[from], c.Port("in"))
 		s.Connect(nets[to], c.Port("out"))
 	}
@@ -133,7 +133,7 @@ func randomParallelSystem(seed int64) (*Subsystem, []*consumer, []*poller) {
 		co := &consumer{}
 		cons = append(cons, co)
 		c, _ := s.NewComponent(fmt.Sprintf("cons%d", i), co)
-		c.AddPort("in")
+		c.addPort("in")
 		s.Connect(nets[rng.Intn(nNets)], c.Port("in"))
 	}
 
@@ -143,7 +143,7 @@ func randomParallelSystem(seed int64) (*Subsystem, []*consumer, []*poller) {
 		po := &poller{period: vtime.Duration(1 + rng.Intn(20)), rounds: 1 + rng.Intn(10)}
 		polls = append(polls, po)
 		c, _ := s.NewComponent(fmt.Sprintf("poll%d", i), po)
-		c.AddPort("in")
+		c.addPort("in")
 		s.Connect(nets[rng.Intn(nNets)], c.Port("in"))
 	}
 	return s, cons, polls
@@ -290,11 +290,11 @@ func TestParallelRoundsDispatch(t *testing.T) {
 			n, _ := s.NewNet(fmt.Sprintf("lane%d", i), 5)
 			pr := &producer{Count: 20, Period: 7}
 			pc, _ := s.NewComponent(fmt.Sprintf("p%d", i), pr)
-			pc.AddPort("out")
+			pc.addPort("out")
 			co := &consumer{}
 			cons = append(cons, co)
 			cc, _ := s.NewComponent(fmt.Sprintf("c%d", i), co)
-			cc.AddPort("in")
+			cc.addPort("in")
 			s.Connect(n, pc.Port("out"), cc.Port("in"))
 		}
 		return s, cons
@@ -405,7 +405,7 @@ func TestParallelStop(t *testing.T) {
 				p.Delay(1)
 			}
 		}))
-		c.AddPort("out")
+		c.addPort("out")
 		s.Connect(n, c.Port("out"))
 	}
 	s.SetWorkers(4)
@@ -526,13 +526,13 @@ func buildStorm(t *testing.T) (*Subsystem, *stormPoller) {
 	x, _ := s.NewNet("x", 1)
 	tick, _ := s.NewNet("tick", 100)
 	a, _ := s.NewComponent("tick0", &stormTicker{N: 30})
-	a.AddPort("out")
+	a.addPort("out")
 	s.Connect(x, a.Port("out"))
 	po := &stormPoller{Period: 10, Rounds: 10}
 	m, _ := s.NewComponent("poll0", po)
-	m.AddPort("in")
-	m.AddPort("tick")
-	m.AddPort("out")
+	m.addPort("in")
+	m.addPort("tick")
+	m.addPort("out")
 	polls, _ := s.NewNet("polls", 1)
 	s.Connect(x, m.Port("in"))
 	s.Connect(tick, m.Port("tick"))

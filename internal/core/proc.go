@@ -108,7 +108,7 @@ func (p *Proc) Send(port string, v any) {
 
 // sendNet resolves the net a send on the named port drives. A sender
 // names the same port send after send, so the last port found is kept
-// and recognised by its name: AddPort rejects duplicate names and
+// and recognised by its name: a component's port names are unique and
 // nothing removes or renames a port, so a name resolves to one *Port
 // for the component's life. The port's net is read each time; Connect
 // may attach it later.

@@ -29,13 +29,13 @@ func randomSystem(seed int64) (*Subsystem, []*consumer) {
 		co := &consumer{}
 		cons = append(cons, co)
 		c, _ := s.NewComponent(fmt.Sprintf("cons%d", i), co)
-		c.AddPort("in")
+		c.addPort("in")
 		s.Connect(nets[rng.Intn(nNets)], c.Port("in"))
 	}
 	for i := 0; i < nProd; i++ {
 		pr := &producer{Count: 1 + rng.Intn(20), Period: vtime.Duration(1 + rng.Intn(30))}
 		c, _ := s.NewComponent(fmt.Sprintf("prod%d", i), pr)
-		c.AddPort("out")
+		c.addPort("out")
 		s.Connect(nets[rng.Intn(nNets)], c.Port("out"))
 	}
 	return s, cons

@@ -24,11 +24,11 @@ func streamPair(tb testing.TB, tx, rx Behavior, ports ...string) *Subsystem {
 		tb.Fatal(err)
 	}
 	for _, name := range ports {
-		out, err := tc.AddPort(name)
+		out, err := tc.addPort(name)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		in, err := rc.AddPort(name)
+		in, err := rc.addPort(name)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -222,9 +222,9 @@ func TestCheckpointLargeInboxPreserved(t *testing.T) {
 	s := NewSubsystem("burst")
 	co := &consumer{}
 	cc, _ := s.NewComponent("cons", co)
-	cc.AddPort("in")
+	cc.addPort("in")
 	pc, _ := s.NewComponent("prod", &burster{N: n})
-	pc.AddPort("out")
+	pc.addPort("out")
 	net, _ := s.NewNet("slow", 100)
 	s.Connect(net, pc.Port("out"), cc.Port("in"))
 	s.OnStep = func(now vtime.Time) {
@@ -332,7 +332,7 @@ func TestWordBurstBytesPerDelivery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, _ := pc.AddPort("out")
+				out, _ := pc.addPort("out")
 				n, _ := s.NewNet("pace", 1)
 				if err := s.Connect(n, out); err != nil {
 					t.Fatal(err)

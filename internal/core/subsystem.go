@@ -310,7 +310,7 @@ func (s *Subsystem) Component(name string) *Component { return s.comps[name] }
 func (s *Subsystem) Net(name string) *Net { return s.nets[name] }
 
 // NewComponent adds a component with the given behaviour and ports.
-// The ports share one allocation; AddPort adds more later.
+// The ports share one allocation; AddInterface adds more later.
 func (s *Subsystem) NewComponent(name string, b Behavior, ports ...string) (*Component, error) {
 	if s.running {
 		return nil, fmt.Errorf("core: cannot add component %q while running", name)
@@ -347,8 +347,8 @@ func (s *Subsystem) NewComponent(name string, b Behavior, ports ...string) (*Com
 	return c, nil
 }
 
-// AddPort adds a named port to the component.
-func (c *Component) AddPort(name string) (*Port, error) {
+// addPort adds a named port to the component.
+func (c *Component) addPort(name string) (*Port, error) {
 	if c.Port(name) != nil {
 		return nil, fmt.Errorf("core: duplicate port %s.%s", c.name, name)
 	}
@@ -365,7 +365,7 @@ func (c *Component) AddInterface(name string, ports ...string) (*Interface, erro
 	}
 	for _, pn := range ports {
 		if c.Port(pn) == nil {
-			if _, err := c.AddPort(pn); err != nil {
+			if _, err := c.addPort(pn); err != nil {
 				return nil, err
 			}
 		}

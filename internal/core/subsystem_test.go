@@ -63,11 +63,11 @@ func buildPipe(t *testing.T, delay vtime.Duration, count int, period vtime.Durat
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := pc.AddPort("out")
+	out, err := pc.addPort("out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := cc.AddPort("in")
+	in, err := cc.addPort("in")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +152,14 @@ func TestRecvDeadline(t *testing.T) {
 		return nil
 	})
 	c, _ := s.NewComponent("poll", poller)
-	in, _ := c.AddPort("in")
+	in, _ := c.addPort("in")
 	sender := BehaviorFunc(func(p *Proc) error {
 		p.Delay(25)
 		p.Send("out", 1)
 		return nil
 	})
 	sc, _ := s.NewComponent("send", sender)
-	out, _ := sc.AddPort("out")
+	out, _ := sc.addPort("out")
 	n, _ := s.NewNet("w", 0)
 	if err := s.Connect(n, in, out); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestMultiListenerFanout(t *testing.T) {
 	mk := func(name string) *consumer {
 		co := &consumer{}
 		c, _ := s.NewComponent(name, co)
-		c.AddPort("in")
+		c.addPort("in")
 		return co
 	}
 	a, b := mk("a"), mk("b")
@@ -187,7 +187,7 @@ func TestMultiListenerFanout(t *testing.T) {
 		return nil
 	})
 	sc, _ := s.NewComponent("src", src)
-	sc.AddPort("out")
+	sc.addPort("out")
 	n, _ := s.NewNet("bus", 0)
 	if err := s.Connect(n, sc.Port("out"), s.Component("a").Port("in"), s.Component("b").Port("in")); err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestDriverDoesNotHearItself(t *testing.T) {
 		return nil
 	})
 	c, _ := s.NewComponent("self", self)
-	c.AddPort("io")
+	c.addPort("io")
 	n, _ := s.NewNet("w", 0)
 	s.Connect(n, c.Port("io"))
 	if err := s.Run(vtime.Infinity); err != nil {
@@ -239,9 +239,9 @@ func TestSendAtSchedulesFuture(t *testing.T) {
 		}
 	})
 	sc, _ := s.NewComponent("src", src)
-	sc.AddPort("out")
+	sc.addPort("out")
 	cc, _ := s.NewComponent("cons", cons)
-	cc.AddPort("in")
+	cc.addPort("in")
 	n, _ := s.NewNet("w", 0)
 	s.Connect(n, sc.Port("out"), cc.Port("in"))
 	if err := s.Run(vtime.Infinity); err != nil {
@@ -257,7 +257,7 @@ func TestDeterminism(t *testing.T) {
 		s := NewSubsystem("det")
 		co := &consumer{}
 		cc, _ := s.NewComponent("cons", co)
-		cc.AddPort("in")
+		cc.addPort("in")
 		n, _ := s.NewNet("bus", 1)
 		s.Connect(n, cc.Port("in"))
 		// Three producers colliding at identical times.
@@ -271,7 +271,7 @@ func TestDeterminism(t *testing.T) {
 				return nil
 			})
 			pc, _ := s.NewComponent(fmt.Sprintf("p%d", id), pb)
-			pc.AddPort("out")
+			pc.addPort("out")
 			s.Connect(n, pc.Port("out"))
 		}
 		if err := s.Run(vtime.Infinity); err != nil {
@@ -353,7 +353,7 @@ func TestInjectDrive(t *testing.T) {
 	s := NewSubsystem("inj")
 	co := &consumer{}
 	cc, _ := s.NewComponent("cons", co)
-	cc.AddPort("in")
+	cc.addPort("in")
 	n, _ := s.NewNet("ext", 0)
 	s.Connect(n, cc.Port("in"))
 	s.AddExternal()
@@ -390,7 +390,7 @@ func TestAddGateWhileRunning(t *testing.T) {
 	s := NewSubsystem("live")
 	co := &consumer{}
 	cc, _ := s.NewComponent("cons", co)
-	cc.AddPort("in")
+	cc.addPort("in")
 	n, _ := s.NewNet("ext", 0)
 	s.Connect(n, cc.Port("in"))
 	s.AddExternal()
@@ -430,7 +430,7 @@ func TestHiddenPortSink(t *testing.T) {
 		return nil
 	})
 	sc, _ := s.NewComponent("src", src)
-	sc.AddPort("out")
+	sc.addPort("out")
 	n, _ := s.NewNet("w", 2)
 	s.Connect(n, sc.Port("out"))
 	_, err := s.AttachHidden(n, "w$chan", "chan0", func(src string, sent vtime.Time, v any) {
@@ -458,8 +458,8 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := s.NewComponent("c", BehaviorFunc(func(p *Proc) error { return nil })); err == nil {
 		t.Fatal("duplicate component accepted")
 	}
-	c.AddPort("p")
-	if _, err := c.AddPort("p"); err == nil {
+	c.addPort("p")
+	if _, err := c.addPort("p"); err == nil {
 		t.Fatal("duplicate port accepted")
 	}
 	n, _ := s.NewNet("n", 0)

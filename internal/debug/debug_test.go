@@ -43,11 +43,9 @@ func (c *taker) RestoreState(b []byte) error { return core.GobRestore(c, b) }
 func build(t *testing.T, n int) (*core.Subsystem, *Debugger, *taker) {
 	t.Helper()
 	s := core.NewSubsystem("dbg")
-	tc, _ := s.NewComponent("clock", &ticker{N: n})
-	tc.AddPort("out")
+	tc, _ := s.NewComponent("clock", &ticker{N: n}, "out")
 	sink := &taker{}
-	rc, _ := s.NewComponent("sink", sink)
-	rc.AddPort("in")
+	rc, _ := s.NewComponent("sink", sink, "in")
 	nw, _ := s.NewNet("bus", 0)
 	s.Connect(nw, tc.Port("out"), rc.Port("in"))
 	d := New(s)

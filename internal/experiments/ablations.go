@@ -62,14 +62,14 @@ func CheckpointInterval(workSteps int, intervals []vtime.Duration) ([]Checkpoint
 	for _, iv := range intervals {
 		src := &burster{Count: workSteps, Period: 1}
 		dst := &sink{}
-		s := core.NewSubsystem("ck")
-		sc, err := s.NewComponent("src", src, "out")
+		s, err := pia.NewSystem("ck").
+			AddComponent("src", "ck", src, "out").
+			AddComponent("dst", "ck", dst, "in").
+			AddNet("w", 0, "src.out", "dst.in").
+			BuildSubsystem("ck")
 		if err != nil {
 			return nil, err
 		}
-		dc, _ := s.NewComponent("dst", dst, "in")
-		n, _ := s.NewNet("w", 0)
-		s.Connect(n, sc.Port("out"), dc.Port("in"))
 		s.SetAutoCheckpoint(iv)
 		s.SetCheckpointRetention(1_000_000)
 		start := time.Now()
@@ -113,13 +113,16 @@ type IncrementalRow struct {
 func IncrementalCheckpoint(stateKB, checkpoints int) ([]IncrementalRow, error) {
 	var out []IncrementalRow
 	for _, incr := range []bool{false, true} {
-		s := core.NewSubsystem("incr")
 		big := &bigState{Payload: make([]byte, stateKB*1024)}
-		s.NewComponent("big", big)
 		tick := &burster{Count: checkpoints * 10, Period: 10}
-		tc, _ := s.NewComponent("tick", tick, "out")
-		n, _ := s.NewNet("void", 0)
-		s.Connect(n, tc.Port("out"))
+		s, err := pia.NewSystem("incr").
+			AddComponent("big", "incr", big).
+			AddComponent("tick", "incr", tick, "out").
+			AddNet("void", 0, "tick.out").
+			BuildSubsystem("incr")
+		if err != nil {
+			return nil, err
+		}
 		s.SetIncrementalCheckpoints(incr)
 		s.SetAutoCheckpoint(10)
 		s.SetCheckpointRetention(1_000_000)
@@ -258,16 +261,16 @@ type MemsyncRow struct {
 func Memsync(reads, irqs int) ([]MemsyncRow, error) {
 	var out []MemsyncRow
 	for _, static := range []bool{true, false} {
-		s := core.NewSubsystem("memsync")
 		cpu := &msCPU{Reads: reads, Static: static}
-		cc, err := s.NewComponent("cpu", cpu, "irq")
+		dev := &burstIRQ{Count: irqs, Period: vtime.Duration(reads) * 10 / vtime.Duration(irqs+1)}
+		s, err := pia.NewSystem("memsync").
+			AddComponent("cpu", "memsync", cpu, "irq").
+			AddComponent("dev", "memsync", dev, "irq").
+			AddNet("irqline", 0, "cpu.irq", "dev.irq").
+			BuildSubsystem("memsync")
 		if err != nil {
 			return nil, err
 		}
-		dev := &burstIRQ{Count: irqs, Period: vtime.Duration(reads) * 10 / vtime.Duration(irqs+1)}
-		dc, _ := s.NewComponent("dev", dev, "irq")
-		n, _ := s.NewNet("irqline", 0)
-		s.Connect(n, cc.Port("irq"), dc.Port("irq"))
 		if _, err := s.CaptureNow(""); err != nil {
 			return nil, err
 		}

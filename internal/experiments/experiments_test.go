@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/vtime"
 )
 
@@ -202,6 +204,14 @@ func TestCheckpointInterval(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
+	// Pinned from the stand as it was before the system builder
+	// described it.
+	for i, want := range [][2]int64{{51, 241}, {5, 401}} {
+		if rows[i].Checkpoints != want[0] || rows[i].ReplaySteps != want[1] {
+			t.Errorf("interval %v: %d checkpoints, %d replay steps; want %d, %d",
+				rows[i].Interval, rows[i].Checkpoints, rows[i].ReplaySteps, want[0], want[1])
+		}
+	}
 	// More frequent checkpoints => more checkpoints, less replay.
 	if rows[0].Checkpoints <= rows[1].Checkpoints {
 		t.Fatalf("checkpoint counts not ordered: %+v", rows)
@@ -220,9 +230,45 @@ func TestIncrementalCheckpoint(t *testing.T) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	full, incr := rows[0], rows[1]
+	if full.Checkpoints != 100 || incr.Checkpoints != 100 {
+		t.Errorf("rows %+v, want the pinned 100 checkpoints a mode", rows)
+	}
+	if want := rawIncremental(t, 64, 10); !slices.Equal(rows, want) {
+		t.Errorf("rows %+v, want the core-wired stand's %+v", rows, want)
+	}
 	if incr.TotalBytes >= full.TotalBytes {
 		t.Fatalf("incremental (%d B) not smaller than full (%d B)", incr.TotalBytes, full.TotalBytes)
 	}
+}
+
+// rawIncremental is IncrementalCheckpoint's stand wired with core calls,
+// as it was before the system builder described it: the reference its
+// byte counts are held to. The counts include gob's type descriptors,
+// whose ids gob numbers process-wide, so they depend on what the
+// process encoded before (a fresh process reads full 6 564 537 and
+// incremental 71 820) and are compared within one process.
+func rawIncremental(t *testing.T, stateKB, checkpoints int) []IncrementalRow {
+	t.Helper()
+	var out []IncrementalRow
+	for _, mode := range []string{"full", "incremental"} {
+		s := core.NewSubsystem("incr")
+		s.NewComponent("big", &bigState{Payload: make([]byte, stateKB*1024)})
+		tc, _ := s.NewComponent("tick", &burster{Count: checkpoints * 10, Period: 10}, "out")
+		n, _ := s.NewNet("void", 0)
+		s.Connect(n, tc.Port("out"))
+		s.SetIncrementalCheckpoints(mode == "incremental")
+		s.SetAutoCheckpoint(10)
+		s.SetCheckpointRetention(1_000_000)
+		if err := s.Run(vtime.Infinity); err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, cs := range s.Checkpoints() {
+			total += cs.Bytes()
+		}
+		out = append(out, IncrementalRow{Mode: mode, Checkpoints: len(s.Checkpoints()), TotalBytes: total})
+	}
+	return out
 }
 
 func TestSnapshotScale(t *testing.T) {
@@ -243,6 +289,12 @@ func TestMemsync(t *testing.T) {
 	byMode := map[string]MemsyncRow{}
 	for _, r := range rows {
 		byMode[r.Mode] = r
+	}
+	for mode, want := range map[string][3]int64{"static": {0, 0, 1}, "optimistic": {1, 1, 1}} {
+		r := byMode[mode]
+		if got := [3]int64{r.Violations, r.Restores, int64(r.SyncMarked)}; got != want {
+			t.Errorf("%s: violations, restores, marked %v; want the pinned %v", mode, got, want)
+		}
 	}
 	if byMode["static"].Violations != 0 || byMode["static"].Restores != 0 {
 		t.Fatalf("static mode rolled back: %+v", byMode["static"])

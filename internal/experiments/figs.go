@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	pia "repro"
@@ -226,8 +227,19 @@ func Fig2() ([]fig2Split, error) {
 		return nil, err
 	}
 	defer s.sys.Close()
+	// Every net of the built stand, in the order its subsystems'
+	// components first reach it.
+	var netNames []string
+	for _, subName := range s.sim.SubsystemNames() {
+		for _, c := range s.sim.Subsystem(subName).Components() {
+			for _, p := range c.Ports() {
+				if n := p.Net(); n != nil && !slices.Contains(netNames, n.Name) {
+					netNames = append(netNames, n.Name)
+				}
+			}
+		}
+	}
 	var out []fig2Split
-	netNames := []string{"ink", "url", "screen", "cachebus", "jpegbus", "dma", "radio"}
 	for _, name := range netNames {
 		sp := fig2Split{Net: name}
 		for _, subName := range s.sim.SubsystemNames() {

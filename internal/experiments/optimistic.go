@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"time"
 
+	pia "repro"
 	"repro/internal/core"
 	"repro/internal/vtime"
 )
@@ -171,64 +172,34 @@ func (k *optSink) Run(p *core.Proc) error {
 // the lookahead under test. optimism == 0 selects conservative mode.
 func fanLeg(c OptimisticConfig, la optLookahead, workers int, optimism vtime.Duration) (OptimisticRow, error) {
 	const feed = vtime.Millisecond // jobs/result net delay; >= every lookahead
-	s := core.NewSubsystem("probe")
-	s.SetWorkers(workers)
-	if optimism > 0 {
-		s.SetOptimism(optimism)
+	lanes := make([]string, c.Fanout)
+	for i := range lanes {
+		lanes[i] = fmt.Sprintf("lane%d", i)
 	}
-
+	b := pia.NewSystem("fan").SetWorkers(workers).SetOptimism(optimism)
+	b.AddComponent("source", "probe", &optSource{
+		lanes: c.Fanout, rounds: c.Rounds, period: 10 * vtime.Millisecond,
+	}, lanes...)
+	sink := &optSink{}
+	b.AddComponent("sink", "probe", sink, lanes...)
+	probes := make([]string, c.Fanout)
+	for i, lane := range lanes {
+		svc := fmt.Sprintf("svc%d", i)
+		b.AddComponent(svc, "probe", &optService{
+			id: i, iters: c.WorkIters, service: c.Service, advance: c.Advance,
+		}, "in", "out", "probe")
+		b.AddNet(fmt.Sprintf("jobs%d", i), feed, "source."+lane, svc+".in")
+		b.AddNet(fmt.Sprintf("result%d", i), feed, svc+".out", "sink."+lane)
+		probes[i] = svc + ".probe"
+	}
+	b.AddNet("probe", la.Delay, probes...)
+	s, err := b.BuildSubsystem("probe")
+	if err != nil {
+		return OptimisticRow{}, err
+	}
 	digest := fnv.New64a()
 	s.OnDrive = func(net, src string, t vtime.Time, v any) {
 		fmt.Fprintf(digest, "%s|%s|%d|%v\n", net, src, t, v)
-	}
-
-	src, err := s.NewComponent("source", &optSource{
-		lanes: c.Fanout, rounds: c.Rounds, period: 10 * vtime.Millisecond,
-	})
-	if err != nil {
-		return OptimisticRow{}, err
-	}
-	probe, err := s.NewNet("probe", la.Delay)
-	if err != nil {
-		return OptimisticRow{}, err
-	}
-	sink := &optSink{}
-	sc, err := s.NewComponent("sink", sink)
-	if err != nil {
-		return OptimisticRow{}, err
-	}
-	for i := 0; i < c.Fanout; i++ {
-		jobs, err := s.NewNet(fmt.Sprintf("jobs%d", i), feed)
-		if err != nil {
-			return OptimisticRow{}, err
-		}
-		result, err := s.NewNet(fmt.Sprintf("result%d", i), feed)
-		if err != nil {
-			return OptimisticRow{}, err
-		}
-		w, err := s.NewComponent(fmt.Sprintf("svc%d", i), &optService{
-			id: i, iters: c.WorkIters, service: c.Service, advance: c.Advance,
-		}, "in", "out", "probe")
-		if err != nil {
-			return OptimisticRow{}, err
-		}
-		lane, err := src.AddPort(fmt.Sprintf("lane%d", i))
-		if err != nil {
-			return OptimisticRow{}, err
-		}
-		sp, err := sc.AddPort(fmt.Sprintf("lane%d", i))
-		if err != nil {
-			return OptimisticRow{}, err
-		}
-		if err := s.Connect(jobs, lane, w.Port("in")); err != nil {
-			return OptimisticRow{}, err
-		}
-		if err := s.Connect(result, w.Port("out"), sp); err != nil {
-			return OptimisticRow{}, err
-		}
-		if err := s.Connect(probe, w.Port("probe")); err != nil {
-			return OptimisticRow{}, err
-		}
 	}
 
 	start := time.Now()

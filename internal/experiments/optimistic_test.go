@@ -17,6 +17,11 @@ func quickOptConfig() OptimisticConfig {
 	return c
 }
 
+// quickFanOutcome is what every leg of the quick sweep reproduces: the
+// virtual time, drive count and drive digest the fan gave before it was
+// described through the system builder.
+var quickFanOutcome = outcome{virt: 30_000_000, drives: 48, digest: 0x7761b09468aa4d35}
+
 // TestOptimisticAblation runs the full sweep and checks the structural
 // expectations behind the headline numbers: every row agrees with the
 // sequential reference (Optimistic errors otherwise), the high
@@ -34,6 +39,11 @@ func TestOptimisticAblation(t *testing.T) {
 			byLeg[r.Lookahead] = map[string]OptimisticRow{}
 		}
 		byLeg[r.Lookahead][r.Mode] = r
+	}
+	for _, r := range rows {
+		if r.outcome() != quickFanOutcome {
+			t.Errorf("%s/%s leg: %+v, want %+v", r.Lookahead, r.Mode, r.outcome(), quickFanOutcome)
+		}
 	}
 	for _, leg := range []string{"high", "low", "zero"} {
 		if len(byLeg[leg]) != 3 {

@@ -25,6 +25,12 @@ func TestParallelSweepInvariant(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
+	for _, r := range rows {
+		if r.Virt != 60_000_000 || r.Drives != 96 || r.Digest != 0xc3d5d84ec964de8f {
+			t.Errorf("%s: virtual %d, drives %d, digest %016x; want the pinned 60000000, 96, c3d5d84ec964de8f",
+				r.Mode, r.Virt, r.Drives, uint64(r.Digest))
+		}
+	}
 	var parRounds int64
 	for _, r := range rows[1:] {
 		parRounds += r.ParRounds

@@ -100,12 +100,9 @@ func buildHWSim(t *testing.T, dev Device) (*core.Subsystem, *irqCollector, *Adap
 	t.Helper()
 	s := core.NewSubsystem("hw")
 	ad := &Adapter{Dev: dev, Quantum: 10, Horizon: 100}
-	hc, _ := s.NewComponent("board", ad)
-	hc.AddPort("bus")
-	hc.AddPort("irq")
+	hc, _ := s.NewComponent("board", ad, "bus", "irq")
 	col := &irqCollector{}
-	cc, _ := s.NewComponent("cpu", col)
-	cc.AddPort("irq")
+	cc, _ := s.NewComponent("cpu", col, "irq")
 	nIRQ, _ := s.NewNet("irqline", 0)
 	s.Connect(nIRQ, hc.Port("irq"), cc.Port("irq"))
 	nBus, _ := s.NewNet("bus", 0)
@@ -144,16 +141,13 @@ func TestAdapterBusWrites(t *testing.T) {
 	b := NewSimBoard(nil)
 	s := core.NewSubsystem("bus")
 	ad := &Adapter{Dev: b, Quantum: 10, Horizon: 200}
-	hc, _ := s.NewComponent("board", ad)
-	hc.AddPort("bus")
-	hc.AddPort("irq")
+	hc, _ := s.NewComponent("board", ad, "bus", "irq")
 	drv := core.BehaviorFunc(func(p *core.Proc) error {
 		p.Delay(15)
 		p.Send("bus", signal.BusCycle{Addr: 5, Data: 77, Write: true})
 		return nil
 	})
-	dc, _ := s.NewComponent("drv", drv)
-	dc.AddPort("bus")
+	dc, _ := s.NewComponent("drv", drv, "bus")
 	n, _ := s.NewNet("bus", 0)
 	s.Connect(n, hc.Port("bus"), dc.Port("bus"))
 	nIRQ, _ := s.NewNet("irq", 0)

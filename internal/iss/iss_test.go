@@ -40,12 +40,9 @@ func runProgram(t *testing.T, src string) ([]uint32, *CPU) {
 	}
 	cpu := &CPU{Prog: prog}
 	s := core.NewSubsystem("iss")
-	cc, _ := s.NewComponent("cpu", cpu)
-	cc.AddPort("out")
-	cc.AddPort("in")
+	cc, _ := s.NewComponent("cpu", cpu, "out", "in")
 	col := &collectWords{}
-	kc, _ := s.NewComponent("col", col)
-	kc.AddPort("in")
+	kc, _ := s.NewComponent("col", col, "in")
 	n, _ := s.NewNet("bus", 0)
 	s.Connect(n, cc.Port("out"), kc.Port("in"))
 	if err := s.Run(vtime.Infinity); err != nil {
@@ -154,9 +151,7 @@ func TestInInstruction(t *testing.T) {
 	}
 	cpu := &CPU{Prog: prog}
 	s := core.NewSubsystem("io")
-	cc, _ := s.NewComponent("cpu", cpu)
-	cc.AddPort("out")
-	cc.AddPort("in")
+	cc, _ := s.NewComponent("cpu", cpu, "out", "in")
 	feeder := core.BehaviorFunc(func(p *core.Proc) error {
 		for _, v := range []uint32{10, 20, 98} {
 			p.Delay(100)
@@ -164,11 +159,9 @@ func TestInInstruction(t *testing.T) {
 		}
 		return nil
 	})
-	fc, _ := s.NewComponent("feed", &saver{feeder})
-	fc.AddPort("out")
+	fc, _ := s.NewComponent("feed", &saver{feeder}, "out")
 	col := &collectWords{}
-	kc, _ := s.NewComponent("col", col)
-	kc.AddPort("in")
+	kc, _ := s.NewComponent("col", col, "in")
 	nin, _ := s.NewNet("cin", 0)
 	s.Connect(nin, fc.Port("out"), cc.Port("in"))
 	nout, _ := s.NewNet("cout", 0)
@@ -206,20 +199,15 @@ func TestWFIAndMailbox(t *testing.T) {
 	}
 	cpu := &CPU{Prog: prog, IRQPort: "irq"}
 	s := core.NewSubsystem("irq")
-	cc, _ := s.NewComponent("cpu", cpu)
-	cc.AddPort("out")
-	cc.AddPort("in")
-	cc.AddPort("irq")
+	cc, _ := s.NewComponent("cpu", cpu, "out", "in", "irq")
 	dev := core.BehaviorFunc(func(p *core.Proc) error {
 		p.Delay(500)
 		p.Send("irq", signal.IRQ{Line: 7})
 		return nil
 	})
-	dc, _ := s.NewComponent("dev", &saver{dev})
-	dc.AddPort("irq")
+	dc, _ := s.NewComponent("dev", &saver{dev}, "irq")
 	col := &collectWords{}
-	kc, _ := s.NewComponent("col", col)
-	kc.AddPort("in")
+	kc, _ := s.NewComponent("col", col, "in")
 	nirq, _ := s.NewNet("irqline", 0)
 	s.Connect(nirq, dc.Port("irq"), cc.Port("irq"))
 	nout, _ := s.NewNet("cout", 0)
@@ -295,9 +283,7 @@ func TestDisassemble(t *testing.T) {
 func TestIllegalInstruction(t *testing.T) {
 	cpu := &CPU{Prog: []uint32{uint32(numOps) << 24}}
 	s := core.NewSubsystem("ill")
-	cc, _ := s.NewComponent("cpu", cpu)
-	cc.AddPort("out")
-	cc.AddPort("in")
+	s.NewComponent("cpu", cpu, "out", "in")
 	if err := s.Run(vtime.Infinity); err == nil {
 		t.Fatal("illegal instruction did not error")
 	}
@@ -306,9 +292,7 @@ func TestIllegalInstruction(t *testing.T) {
 func TestPCOffEnd(t *testing.T) {
 	cpu := &CPU{Prog: []uint32{0}} // single nop, no halt
 	s := core.NewSubsystem("off")
-	cc, _ := s.NewComponent("cpu", cpu)
-	cc.AddPort("out")
-	cc.AddPort("in")
+	s.NewComponent("cpu", cpu, "out", "in")
 	if err := s.Run(vtime.Infinity); err == nil {
 		t.Fatal("running off the end did not error")
 	}
@@ -332,12 +316,9 @@ func TestCheckpointRestoreMidProgram(t *testing.T) {
 	}
 	cpu := &CPU{Prog: prog}
 	s := core.NewSubsystem("ckpt")
-	cc, _ := s.NewComponent("cpu", cpu)
-	cc.AddPort("out")
-	cc.AddPort("in")
+	cc, _ := s.NewComponent("cpu", cpu, "out", "in")
 	col := &collectWords{}
-	kc, _ := s.NewComponent("col", col)
-	kc.AddPort("in")
+	kc, _ := s.NewComponent("col", col, "in")
 	n, _ := s.NewNet("bus", 0)
 	s.Connect(n, cc.Port("out"), kc.Port("in"))
 	// The ISS never yields mid-run (no I/O in the loop), so capture

@@ -136,10 +136,8 @@ func buildChaosPair(t *testing.T, count int, period, latency vtime.Duration, con
 	p.s2 = core.NewSubsystem("server")
 	p.snd = &tsender{Count: count, Period: period}
 	p.rcv = &trecv{}
-	sc, _ := p.s1.NewComponent("prod", p.snd)
-	sc.AddPort("out")
-	rc, _ := p.s2.NewComponent("cons", p.rcv)
-	rc.AddPort("in")
+	sc, _ := p.s1.NewComponent("prod", p.snd, "out")
+	rc, _ := p.s2.NewComponent("cons", p.rcv, "in")
 	l1, _ := p.s1.NewNet("link", 0)
 	p.s1.Connect(l1, sc.Port("out"))
 	l2, _ := p.s2.NewNet("link", 0)

@@ -53,10 +53,8 @@ func buildRemotePair(t *testing.T, policy channel.Policy, count int) (n1, n2 *No
 	s2 = core.NewSubsystem("server")
 	snd := &sender{Count: count, Period: 10}
 	rcv = &receiver{}
-	sc, _ := s1.NewComponent("prod", snd)
-	sc.AddPort("out")
-	rc, _ := s2.NewComponent("cons", rcv)
-	rc.AddPort("in")
+	sc, _ := s1.NewComponent("prod", snd, "out")
+	rc, _ := s2.NewComponent("cons", rcv, "in")
 	l1, _ := s1.NewNet("link", 0)
 	s1.Connect(l1, sc.Port("out"))
 	l2, _ := s2.NewNet("link", 0)

@@ -51,12 +51,8 @@ func runPingPong(t *testing.T, trips int, cfg *channel.CoalesceConfig) (done vti
 	t.Helper()
 	s1, s2 := core.NewSubsystem("handheld"), core.NewSubsystem("server")
 	ping := &pinger{Trips: trips}
-	pc, _ := s1.NewComponent("ping", ping)
-	pc.AddPort("out")
-	pc.AddPort("in")
-	qc, _ := s2.NewComponent("pong", ponger{})
-	qc.AddPort("out")
-	qc.AddPort("in")
+	pc, _ := s1.NewComponent("ping", ping, "out", "in")
+	qc, _ := s2.NewComponent("pong", ponger{}, "out", "in")
 	// Two split nets, one per direction.
 	connect := func(s *core.Subsystem, name string, port *core.Port) *core.Net {
 		n, _ := s.NewNet(name, 0)

@@ -94,8 +94,7 @@ func (p *peerScript) serve(t *testing.T) (error, *channel.Endpoint, *core.Subsys
 	t.Helper()
 	sub := core.NewSubsystem("server")
 	rcv := &receiver{}
-	rc, _ := sub.NewComponent("cons", rcv)
-	rc.AddPort("in")
+	rc, _ := sub.NewComponent("cons", rcv, "in")
 	l, _ := sub.NewNet("link", 0)
 	sub.Connect(l, rc.Port("in"))
 	n := New("node2")

@@ -30,8 +30,7 @@ func recordSend(t *testing.T, send func(p *core.Proc) int) ([]drive, int) {
 	tc, _ := s.NewComponent("tx", core.BehaviorFunc(func(p *core.Proc) error {
 		n = send(p)
 		return nil
-	}))
-	tc.AddPort("out")
+	}), "out")
 	w, _ := s.NewNet("w", 0)
 	if err := s.Connect(w, tc.Port("out")); err != nil {
 		t.Fatal(err)
@@ -153,8 +152,7 @@ func TestSendMessageAllocatesNoPartList(t *testing.T) {
 	tc, _ := s.NewComponent("tx", core.BehaviorFunc(func(p *core.Proc) error {
 		allocs = testing.AllocsPerRun(10, func() { SendMessage(p, "out", payload, LevelWord, Config{}) })
 		return nil
-	}))
-	tc.AddPort("out")
+	}), "out")
 	w, _ := s.NewNet("w", 0) // nobody listens: the send is all that allocates
 	if err := s.Connect(w, tc.Port("out")); err != nil {
 		t.Fatal(err)

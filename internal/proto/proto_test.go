@@ -46,12 +46,9 @@ func pipe(t *testing.T, payload []byte, level string, cfg Config) ([]byte, vtime
 		parts, _, err = ReceiveParts(p, "in", NewAssembler())
 		return err
 	})
-	tc, _ := s.NewComponent("tx", tx)
-	tc.AddPort("out")
-	rc, _ := s.NewComponent("rx", rx)
-	rc.AddPort("in")
-	pc, _ := s.NewComponent("rxParts", rxParts)
-	pc.AddPort("in")
+	tc, _ := s.NewComponent("tx", tx, "out")
+	rc, _ := s.NewComponent("rx", rx, "in")
+	pc, _ := s.NewComponent("rxParts", rxParts, "in")
 	n, _ := s.NewNet("w", 1)
 	s.Connect(n, tc.Port("out"), rc.Port("in"), pc.Port("in"))
 	if err := s.Run(vtime.Infinity); err != nil {
@@ -411,8 +408,7 @@ func TestSendPacketsShareThePayload(t *testing.T) {
 	tc, _ := s.NewComponent("tx", core.BehaviorFunc(func(p *core.Proc) error {
 		size = allocatedBytes(func() { SendMessage(p, "out", payload, LevelPacket, DefaultConfig) })
 		return nil
-	}))
-	tc.AddPort("out")
+	}), "out")
 	w, _ := s.NewNet("w", 0) // nobody listens: the send is all that allocates
 	s.Connect(w, tc.Port("out"))
 	if err := s.Run(vtime.Infinity); err != nil {
@@ -528,10 +524,8 @@ func TestWordPageBoxesInChunks(t *testing.T) {
 		got = msg
 		return err
 	})
-	tc, _ := s.NewComponent("tx", tx)
-	tc.AddPort("out")
-	rc, _ := s.NewComponent("rx", rx)
-	rc.AddPort("in")
+	tc, _ := s.NewComponent("tx", tx, "out")
+	rc, _ := s.NewComponent("rx", rx, "in")
 	n, _ := s.NewNet("w", 1)
 	if err := s.Connect(n, tc.Port("out"), rc.Port("in")); err != nil {
 		t.Fatal(err)
@@ -580,10 +574,8 @@ func TestHardwareTransferBoxesInChunks(t *testing.T) {
 		got = msg
 		return err
 	})
-	tc, _ := s.NewComponent("tx", tx)
-	tc.AddPort("out")
-	rc, _ := s.NewComponent("rx", rx)
-	rc.AddPort("in")
+	tc, _ := s.NewComponent("tx", tx, "out")
+	rc, _ := s.NewComponent("rx", rx, "in")
 	n, _ := s.NewNet("bus", 1)
 	if err := s.Connect(n, tc.Port("out"), rc.Port("in")); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	pia "repro"
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/node"
@@ -66,8 +67,13 @@ func TestAttachOverSharedListener(t *testing.T) {
 		go func(sessID string) {
 			dn := node.New("designer-" + sessID)
 			defer dn.Close()
-			hh := core.NewSubsystem("handheld")
-			half, err := wubbleu.InstallHandheld(hh, cfg)
+			b := pia.NewSystem("wubbleu")
+			app, err := wubbleu.Install(b, cfg, wubbleu.RemotePlacement())
+			if err != nil {
+				results <- result{err: err}
+				return
+			}
+			hh, err := b.BuildSubsystem("handheld")
 			if err != nil {
 				results <- result{err: err}
 				return
@@ -89,7 +95,7 @@ func TestAttachOverSharedListener(t *testing.T) {
 				results <- result{err: err}
 				return
 			}
-			results <- result{loads: half.UI.Done}
+			results <- result{loads: app.UI.Done}
 		}(info.ID)
 	}
 	for range infos {

@@ -241,15 +241,15 @@ func (c *Catalog) Create(spec Spec) (Info, error) {
 // build constructs the session's subsystem, workload, digest tap,
 // metrics registry and node hosting. Called with sess.mu held.
 func (c *Catalog) build(sess *session) error {
-	sub := core.NewSubsystem(sess.id)
+	sub, err := sess.wl.Build(sess.id)
+	if err != nil {
+		return &specError{Reason: fmt.Sprintf("build %s: %v", sess.spec.Workload, err)}
+	}
 	sess.sub = sub
 	sub.OnDrive = func(net, src string, t vtime.Time, v any) {
 		sess.dmu.Lock()
 		fmt.Fprintf(sess.digest, "%s|%s|%d|%v\n", net, src, t, v)
 		sess.dmu.Unlock()
-	}
-	if err := sess.wl.Install(sub); err != nil {
-		return &specError{Reason: fmt.Sprintf("install %s: %v", sess.spec.Workload, err)}
 	}
 	if c.buildFailpoint != nil {
 		if err := c.buildFailpoint(); err != nil {

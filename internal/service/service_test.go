@@ -36,6 +36,24 @@ func isolatedDigest(t *testing.T, spec Spec) uint64 {
 	return info.DigestU64
 }
 
+// TestFanDigestPinned: the fan workload's default spec at seed 1 runs
+// to this virtual time, step and drive count and session digest — what
+// it gave before it was described through the system builder.
+func TestFanDigestPinned(t *testing.T) {
+	c := NewCatalog(Config{})
+	defer c.Close()
+	info, err := c.Create(Spec{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err = c.Step(info.ID, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if info.State != StateDone || info.VirtNowNS != 80_000_000 || info.Steps != 45 || info.Drives != 40 || info.Digest != "5e345fe6ac16562d" {
+		t.Fatalf("fan at seed 1: %+v", info)
+	}
+}
+
 // stepAll drives every given session to done with interleaved fixed
 // chunks — the fair-share pattern — and returns the final infos.
 func stepAll(t *testing.T, c *Catalog, ids []string) map[string]Info {
@@ -125,6 +143,11 @@ func TestTypedErrors(t *testing.T) {
 
 	if _, err := c.Create(Spec{Workload: "nonesuch"}); !errors.Is(err, errBadSpec) {
 		t.Fatalf("bad workload: %v", err)
+	}
+	// A modemsite session named after the designer's subsystem would
+	// place the whole WubbleU on itself.
+	if _, err := c.Create(Spec{ID: designerSubsystem, Workload: workloadModemSite}); !errors.Is(err, errBadSpec) {
+		t.Fatalf("modemsite named %q: %v", designerSubsystem, err)
 	}
 
 	info, err := c.Create(Spec{ID: "dup", Seed: 1})

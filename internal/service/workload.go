@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 
+	pia "repro"
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/vtime"
@@ -45,8 +46,9 @@ type workload interface {
 	// Horizon is the virtual time by which the workload is finished,
 	// or vtime.Infinity for open-ended (attach-driven) workloads.
 	Horizon() vtime.Time
-	// Install builds the components into the session's subsystem.
-	Install(sub *core.Subsystem) error
+	// Build builds the session's subsystem, named id, from the
+	// workload's system description.
+	Build(id string) (*core.Subsystem, error)
 }
 
 // attacher is implemented by workloads that accept designer
@@ -59,6 +61,10 @@ const (
 	workloadFan       = "fan"
 	workloadModemSite = "modemsite"
 )
+
+// designerSubsystem is the subsystem a modemsite session's designer
+// hosts the handheld on: a session cannot take its name.
+const designerSubsystem = "handheld"
 
 // A spec's shape caps, well above every shape in use: past one a spec
 // is refused, so its footprint is a positive int64, its page one GenPage
@@ -105,6 +111,9 @@ func newWorkload(spec *Spec) (workload, error) {
 		}
 		return &fanWorkload{spec: *spec}, nil
 	case workloadModemSite:
+		if spec.ID == designerSubsystem {
+			return nil, &specError{Reason: fmt.Sprintf("a modemsite session cannot be named %q, the designer's subsystem", spec.ID)}
+		}
 		cfg := wubbleu.DefaultConfig()
 		if spec.PageKB > 0 {
 			cfg.PageSize = spec.PageKB * 1024
@@ -142,42 +151,25 @@ func (w *fanWorkload) Horizon() vtime.Time {
 	return vtime.Time(0).Add(vtime.Duration(w.spec.Rounds+2) * fanPeriod)
 }
 
-func (w *fanWorkload) Install(sub *core.Subsystem) error {
-	jobs, err := sub.NewNet("jobs", vtime.Millisecond)
-	if err != nil {
-		return err
-	}
-	src, err := sub.NewComponent("source", &fanSource{
+func (w *fanWorkload) Build(id string) (*core.Subsystem, error) {
+	b := pia.NewSystem(workloadFan)
+	b.AddComponent("source", id, &fanSource{
 		rounds: w.spec.Rounds,
 		state:  mix(uint64(w.spec.Seed)),
 	}, "out")
-	if err != nil {
-		return err
-	}
-	if err := sub.Connect(jobs, src.Port("out")); err != nil {
-		return err
-	}
+	jobs := []string{"source.out"}
 	for i := 0; i < w.spec.Fanout; i++ {
-		lane, err := sub.NewNet(fmt.Sprintf("lane%d", i), vtime.Millisecond)
-		if err != nil {
-			return err
-		}
-		c, err := sub.NewComponent(fmt.Sprintf("svc%d", i), &fanService{
+		svc := fmt.Sprintf("svc%d", i)
+		b.AddComponent(svc, id, &fanService{
 			iters: w.spec.WorkIters,
 			salt:  mix(uint64(w.spec.Seed) ^ uint64(i+1)),
 			cost:  vtime.Duration(i%7+1) * 100 * vtime.Microsecond,
 		}, "in", "out")
-		if err != nil {
-			return err
-		}
-		if err := sub.Connect(jobs, c.Port("in")); err != nil {
-			return err
-		}
-		if err := sub.Connect(lane, c.Port("out")); err != nil {
-			return err
-		}
+		b.AddNet(fmt.Sprintf("lane%d", i), vtime.Millisecond, svc+".out")
+		jobs = append(jobs, svc+".in")
 	}
-	return nil
+	b.AddNet("jobs", vtime.Millisecond, jobs...)
+	return b.BuildSubsystem(id)
 }
 
 // mix is splitmix64's finalizer: spreads small seeds across the word.
@@ -248,9 +240,15 @@ func (w *modemWorkload) Footprint() int64 {
 
 func (w *modemWorkload) Horizon() vtime.Time { return vtime.Infinity }
 
-func (w *modemWorkload) Install(sub *core.Subsystem) error {
-	_, err := wubbleu.InstallModemSite(sub, w.cfg)
-	return err
+// Build builds the modem-site slice of the one WubbleU description:
+// the ASIC and the server placed on the session's subsystem, the
+// handheld on the designer's.
+func (w *modemWorkload) Build(id string) (*core.Subsystem, error) {
+	b := pia.NewSystem(workloadModemSite)
+	if _, err := wubbleu.Install(b, w.cfg, wubbleu.Placement{CPU: designerSubsystem, Modem: id, Server: id}); err != nil {
+		return nil, err
+	}
+	return b.BuildSubsystem(id)
 }
 
 func (w *modemWorkload) Attach(sub *core.Subsystem, ep *channel.Endpoint) {

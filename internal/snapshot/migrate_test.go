@@ -56,18 +56,12 @@ func buildMigPair(t *testing.T, name string, count int, delay vtime.Duration) (*
 	s := core.NewSubsystem(name)
 	snd := &migSender{Count: count, Period: 10}
 	rcv := &migReceiver{}
-	sc, err := s.NewComponent("src", snd)
+	sc, err := s.NewComponent("src", snd, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.AddPort("out"); err != nil {
-		t.Fatal(err)
-	}
-	rc, err := s.NewComponent("dst", rcv)
+	rc, err := s.NewComponent("dst", rcv, "in")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.AddPort("in"); err != nil {
 		t.Fatal(err)
 	}
 	n, err := s.NewNet("wire", delay)
@@ -209,11 +203,8 @@ func (saverless) Run(p *core.Proc) error {
 
 func TestExtractRefusesLiveWithoutSaver(t *testing.T) {
 	s := core.NewSubsystem("bare")
-	c, err := s.NewComponent("opaque", saverless{})
+	c, err := s.NewComponent("opaque", saverless{}, "in")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AddPort("in"); err != nil {
 		t.Fatal(err)
 	}
 	n, err := s.NewNet("w", 1)
@@ -254,7 +245,7 @@ func (h *memHub) Run(p *core.Proc) error {
 // component state always encodes to the same bytes.
 func TestExtractNetsOrderStable(t *testing.T) {
 	s := core.NewSubsystem("hub")
-	c, err := s.NewComponent("hub", &memHub{})
+	c, err := s.NewComponent("hub", &memHub{}, "p0", "p1", "p2", "p3", "p4", "p5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +253,6 @@ func TestExtractNetsOrderStable(t *testing.T) {
 	var want []string
 	for i := 0; i < 6; i++ {
 		port, net := fmt.Sprintf("p%d", i), fmt.Sprintf("n%d", 5-i)
-		if _, err := c.AddPort(port); err != nil {
-			t.Fatal(err)
-		}
 		n, err := s.NewNet(net, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -53,10 +53,8 @@ func pair(t *testing.T, policy channel.Policy, count int, period vtime.Duration)
 	s2 = core.NewSubsystem("ss2")
 	snd = &stepSender{Count: count, Period: period}
 	rcv = &recorder{}
-	sc, _ := s1.NewComponent("prod", snd)
-	sc.AddPort("out")
-	rc, _ := s2.NewComponent("cons", rcv)
-	rc.AddPort("in")
+	sc, _ := s1.NewComponent("prod", snd, "out")
+	rc, _ := s2.NewComponent("cons", rcv, "in")
 	n1, _ := s1.NewNet("link", 0)
 	s1.Connect(n1, sc.Port("out"))
 	n2, _ := s2.NewNet("link", 0)
@@ -144,10 +142,8 @@ func TestCoordinatedRestoreReplaysTail(t *testing.T) {
 	s2 := core.NewSubsystem("ss2")
 	snd := &timedSender{At: []int64{100, 200, 300, 700, 800}}
 	rcv := &recorder{}
-	sc, _ := s1.NewComponent("prod", snd)
-	sc.AddPort("out")
-	rc, _ := s2.NewComponent("cons", rcv)
-	rc.AddPort("in")
+	sc, _ := s1.NewComponent("prod", snd, "out")
+	rc, _ := s2.NewComponent("cons", rcv, "in")
 	n1, _ := s1.NewNet("link", 0)
 	s1.Connect(n1, sc.Port("out"))
 	n2, _ := s2.NewNet("link", 0)
@@ -240,8 +236,7 @@ func TestThreeSubsystemMarkPropagation(t *testing.T) {
 	sa, sb, sc := mk("a"), mk("b"), mk("c")
 	// a: sender; b: forwarder; c: recorder.
 	snd := &stepSender{Count: 3, Period: 50}
-	ac, _ := sa.NewComponent("src", snd)
-	ac.AddPort("out")
+	ac, _ := sa.NewComponent("src", snd, "out")
 	fwd := core.BehaviorFunc(func(p *core.Proc) error {
 		for {
 			m, ok := p.Recv("in")
@@ -252,12 +247,9 @@ func TestThreeSubsystemMarkPropagation(t *testing.T) {
 			p.Send("out", m.Value)
 		}
 	})
-	bc, _ := sb.NewComponent("fwd", &trivialState{B: fwd})
-	bc.AddPort("in")
-	bc.AddPort("out")
+	bc, _ := sb.NewComponent("fwd", &trivialState{B: fwd}, "in", "out")
 	rcv := &recorder{}
-	cc, _ := sc.NewComponent("dst", rcv)
-	cc.AddPort("in")
+	cc, _ := sc.NewComponent("dst", rcv, "in")
 
 	na, _ := sa.NewNet("ab", 0)
 	sa.Connect(na, ac.Port("out"))

@@ -38,9 +38,7 @@ func (g *wiggler) RestoreState(b []byte) error { return core.GobRestore(g, b) }
 func buildTraced(t *testing.T, n, limit int) (*core.Subsystem, *timeline.Recorder) {
 	t.Helper()
 	s := core.NewSubsystem("dut")
-	c, _ := s.NewComponent("gen", &wiggler{N: n})
-	c.AddPort("bit")
-	c.AddPort("word")
+	c, _ := s.NewComponent("gen", &wiggler{N: n}, "bit", "word")
 	nb, _ := s.NewNet("bitline", 0)
 	s.Connect(nb, c.Port("bit"))
 	nw, _ := s.NewNet("wordbus", 0)

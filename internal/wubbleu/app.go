@@ -46,10 +46,15 @@ type App struct {
 // placement. The nets follow Fig. 5; the "dma" net between the
 // browser (CPU) and the ASIC is the link whose detail level the
 // experiment switches, and the one that is split across subsystems
-// in the remote configuration.
+// in the remote configuration. It is the one WubbleU topology: a split
+// deployment installs the whole design and builds the subsystem it
+// hosts with SystemBuilder.BuildSubsystem.
 func Install(b *pia.SystemBuilder, cfg Config, pl Placement) (*App, error) {
 	if cfg.URL == "" || cfg.PageSize <= 0 || cfg.Loads <= 0 {
 		return nil, fmt.Errorf("wubbleu: incomplete config %+v", cfg)
+	}
+	if cfg.Level == "" {
+		return nil, fmt.Errorf("wubbleu: the ASIC needs an initial detail level")
 	}
 	app := &App{
 		Cfg:    cfg,
@@ -106,19 +111,4 @@ func (a *App) Result() Result {
 		}
 	}
 	return r
-}
-
-// CommunicationGraph returns the module adjacency of Fig. 5 as
-// (from, to) pairs over net names — used by the Fig. 5 validation
-// test and the documentation generator.
-func CommunicationGraph() map[string][2]string {
-	return map[string][2]string{
-		"ink":      {"ui", "recog"},
-		"url":      {"recog", "browser"},
-		"screen":   {"browser", "ui"},
-		"cachebus": {"browser", "cache"},
-		"jpegbus":  {"browser", "jpeg"},
-		"dma":      {"browser", "asic"},
-		"radio":    {"asic", "server"},
-	}
 }

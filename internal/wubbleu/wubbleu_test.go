@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -415,10 +416,22 @@ func within(b, page []byte) bool {
 	return p >= lo && p < lo+uintptr(len(page))
 }
 
+// fig5Edges is the paper's Fig. 5 module graph, written down here as
+// the test's own reference: each net joins exactly these two modules.
+var fig5Edges = map[string][2]string{
+	"ink":      {"ui", "recog"},
+	"url":      {"recog", "browser"},
+	"screen":   {"browser", "ui"},
+	"cachebus": {"browser", "cache"},
+	"jpegbus":  {"browser", "jpeg"},
+	"dma":      {"browser", "asic"},
+	"radio":    {"asic", "server"},
+}
+
+// TestFig5CommunicationGraph: the installed design's wiring realizes
+// Fig. 5's module graph — every edge is a net connecting exactly its
+// two endpoints, and the built system has no net outside the graph.
 func TestFig5CommunicationGraph(t *testing.T) {
-	// The installed design's wiring must realize Fig. 5's module
-	// graph: every edge is a net connecting exactly the two
-	// endpoints.
 	cfg := DefaultConfig()
 	cfg.PageSize = 2048
 	cfg.Images = 1
@@ -430,19 +443,28 @@ func TestFig5CommunicationGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for net, ends := range CommunicationGraph() {
-		n := sim.Subsystem("main").Net(net)
+	defer sim.Close()
+	main := sim.Subsystem("main")
+	for net, ends := range fig5Edges {
+		n := main.Net(net)
 		if n == nil {
 			t.Fatalf("Fig 5 net %q missing", net)
 		}
-		comps := map[string]bool{}
+		var comps []string
 		for _, p := range n.Ports() {
-			if p.Component() != nil {
-				comps[p.Component().Name()] = true
-			}
+			comps = append(comps, p.Component().Name())
 		}
-		if !comps[ends[0]] || !comps[ends[1]] {
+		if len(comps) != 2 || !slices.Contains(comps, ends[0]) || !slices.Contains(comps, ends[1]) {
 			t.Fatalf("net %q connects %v, want %v", net, comps, ends)
+		}
+	}
+	for _, c := range main.Components() {
+		for _, p := range c.Ports() {
+			if n := p.Net(); n == nil {
+				t.Errorf("port %s.%s is on no net", c.Name(), p.Name)
+			} else if _, ok := fig5Edges[n.Name]; !ok {
+				t.Errorf("net %q is not in Fig. 5", n.Name)
+			}
 		}
 	}
 }

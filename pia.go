@@ -7,7 +7,8 @@
 // ports, nets connecting them, and a placement of every component
 // onto a named subsystem. The builder then realizes the description
 // either locally (all subsystems in one process, bridged by in-memory
-// channels) or across Pia nodes connected over TCP. Nets crossing
+// channels), across Pia nodes connected over TCP, or one subsystem at
+// a time for a process of a split deployment. Nets crossing
 // subsystem boundaries are split automatically — each fragment gets a
 // hidden port owned by a channel endpoint, exactly as in the paper —
 // and virtual time is coordinated with conservative (safe-time) or
@@ -409,17 +410,11 @@ func (b *SystemBuilder) BuildLocal() (*Simulation, error) {
 // node get. Subsystems on different nodes get a TCP channel, the
 // accepting node listening on an ephemeral loopback port.
 func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	v := b.view // the view Partition cuts
-	splits, chans, err := v.Partition()
+	splits, chans, err := b.partition()
 	if err != nil {
 		return nil, err
 	}
-	if err := b.validateTopology(chans); err != nil {
-		return nil, err
-	}
+	v := b.view
 
 	cl := &Cluster{Simulation: Simulation{
 		Name:       b.name,
@@ -457,8 +452,10 @@ func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 			cl.nodeSet = append(cl.nodeSet, n)
 		}
 	}
-	if err := b.populate(cl.Subsystems, splits); err != nil {
-		return nil, err
+	for _, subName := range cl.subOrder {
+		if err := b.populate(cl.Subsystems[subName], splits); err != nil {
+			return nil, err
+		}
 	}
 	for _, n := range cl.nodeSet {
 		if b.coalesceSet {
@@ -520,12 +517,54 @@ func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 	return cl, nil
 }
 
-// populate instantiates components with their ports, then each
-// subsystem's net fragments.
-func (b *SystemBuilder) populate(subs map[string]*core.Subsystem, splits []graph.Split) error {
+// BuildSubsystem realizes one subsystem of the description on its
+// own: the components the description places on name, in description
+// order with their runlevels, and name's fragment of every net,
+// crossing nets included, which the caller binds to a channel
+// endpoint. It makes no hub, node or channel. This is how a split
+// deployment runs its slice of the one description: each process
+// describes the whole system and builds the subsystem it hosts.
+func (b *SystemBuilder) BuildSubsystem(name string) (*Subsystem, error) {
+	splits, _, err := b.partition()
+	if err != nil {
+		return nil, err
+	}
+	if !slices.ContainsFunc(b.order, func(c string) bool { return b.view.Subsystem(c) == name }) {
+		return nil, fmt.Errorf("pia: the description places nothing on subsystem %q", name)
+	}
+	s := b.newSubsystem(name)
+	if err := b.populate(s, splits); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// partition checks the description and cuts it into per-subsystem net
+// fragments and the channels joining them, validating the channel
+// topology.
+func (b *SystemBuilder) partition() ([]graph.Split, []graph.ChannelSpec, error) {
+	if b.err != nil {
+		return nil, nil, b.err
+	}
+	splits, chans, err := b.view.Partition()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := b.validateTopology(chans); err != nil {
+		return nil, nil, err
+	}
+	return splits, chans, nil
+}
+
+// populate instantiates the components the description places on s,
+// with their ports, then s's net fragments.
+func (b *SystemBuilder) populate(s *core.Subsystem, splits []graph.Split) error {
 	for _, name := range b.order {
+		if b.view.Subsystem(name) != s.Name() {
+			continue
+		}
 		cd := b.comps[name]
-		c, err := subs[b.view.Subsystem(name)].NewComponent(cd.name, cd.behavior, cd.ports...)
+		c, err := s.NewComponent(cd.name, cd.behavior, cd.ports...)
 		if err != nil {
 			return err
 		}
@@ -533,12 +572,7 @@ func (b *SystemBuilder) populate(subs map[string]*core.Subsystem, splits []graph
 			c.SetRunlevel(cd.runlevel)
 		}
 	}
-	for _, s := range subs {
-		if err := s.NewNets(splits); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.NewNets(splits)
 }
 
 // validateTopology applies the simple-cycles-only rule to the
@@ -558,24 +592,6 @@ func (b *SystemBuilder) validateTopology(chans []graph.ChannelSpec) error {
 
 // Subsystem returns a built subsystem by name.
 func (sim *Simulation) Subsystem(name string) *core.Subsystem { return sim.Subsystems[name] }
-
-// SetWorkers resizes the scheduler worker pool of every subsystem in
-// the simulation. Takes effect at the next Run; 0 restores the
-// sequential scheduler.
-func (sim *Simulation) SetWorkers(n int) {
-	for _, s := range sim.Subsystems {
-		s.SetWorkers(n)
-	}
-}
-
-// SetOptimism sets the optimistic (Time Warp) window of every
-// subsystem in the simulation. Takes effect at the next Run; 0
-// restores purely conservative rounds.
-func (sim *Simulation) SetOptimism(w Duration) {
-	for _, s := range sim.Subsystems {
-		s.SetOptimism(vtime.Duration(w))
-	}
-}
 
 // SubsystemNames returns the subsystem names, sorted.
 func (sim *Simulation) SubsystemNames() []string {
@@ -627,25 +643,29 @@ func (sim *Simulation) runRounds(until Time, backoff func()) error {
 				done <- i
 			}(i, sim.Subsystems[name])
 		}
-		// A channel that has latched an error dropped what it held —
-		// possibly the grant a peer is stalled on — so once one
-		// subsystem is back with such an error standing, the others are
-		// stopped rather than waited for. The latch stops the subsystem
-		// that owns the endpoint, so at least that one does come back.
-		var chanErr error
+		// A subsystem back with an error — its own, or one a channel
+		// latched after dropping what it held — may leave a peer
+		// stalled on a grant that never comes, so the others are
+		// stopped rather than waited for, and the first error is the
+		// run's, not the ErrStopped of the subsystems stopped for it.
+		// A latched channel error is the cause of its subsystem's stop,
+		// so it is looked at first. The latch stops the subsystem that
+		// owns the endpoint, so at least that one does come back.
+		var first error
 		for range sim.subOrder {
-			<-done
-			if chanErr == nil {
-				if chanErr = sim.channelErr(); chanErr != nil {
-					sim.Stop()
-				}
+			i := <-done
+			if first != nil {
+				continue
+			}
+			if first = sim.channelErr(); first == nil {
+				first = errs[i]
+			}
+			if first != nil {
+				sim.Stop()
 			}
 		}
-		if chanErr != nil {
-			return chanErr
-		}
-		if err := errors.Join(errs...); err != nil {
-			return err
+		if first != nil {
+			return first
 		}
 		if len(sim.subOrder) == 1 {
 			return nil

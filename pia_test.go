@@ -1,8 +1,10 @@
 package pia
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 type pingState struct {
@@ -104,6 +106,78 @@ func TestBuildLocalSplitNet(t *testing.T) {
 			t.Fatalf("%s fragment has %d hidden ports, want 1", sub, hidden)
 		}
 	}
+}
+
+// TestBuildSubsystemSlices: BuildSubsystem builds one subsystem of the
+// description — its components in description order with their
+// runlevels, and its fragment of every net it touches, the crossing net
+// with no hidden port yet — and refuses a subsystem the description
+// places nothing on.
+func TestBuildSubsystemSlices(t *testing.T) {
+	b := NewSystem("slices").
+		AddComponent("src", "ssA", &pingState{N: 1}, "out").
+		AddComponent("dst", "ssB", &pongState{}, "in").
+		AddComponent("tap", "ssA", &pongState{}, "in").
+		AddNet("wire", 0, "src.out", "dst.in", "tap.in").
+		SetRunlevel("tap", "wordLevel")
+	s, err := b.BuildSubsystem("ssA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, c := range s.Components() {
+		names = append(names, c.Name())
+	}
+	if strings.Join(names, ",") != "src,tap" {
+		t.Fatalf("ssA holds %v, want src,tap", names)
+	}
+	if got := s.Component("tap").Runlevel(); got != "wordLevel" {
+		t.Fatalf("tap runlevel %q", got)
+	}
+	n := s.Net("wire")
+	if n == nil || len(n.Ports()) != 2 {
+		t.Fatalf("ssA's fragment of wire: %v", n)
+	}
+	if _, err := b.BuildSubsystem("nowhere"); err == nil {
+		t.Fatal("a subsystem with no components was built")
+	}
+	if _, err := NewSystem("bad").AddNet("x", 0, "a.b").BuildSubsystem("ssA"); err == nil {
+		t.Fatal("a builder error was not reported")
+	}
+}
+
+// TestRunStopsPeersOnComponentError: a component failing on one
+// subsystem of a split simulation stops the other subsystems, which
+// would otherwise wait forever on its grants, and Run returns the
+// component's error.
+func TestRunStopsPeersOnComponentError(t *testing.T) {
+	boom := errors.New("boom")
+	b := NewSystem("fail").
+		AddComponent("src", "ssA", &pingState{N: 1 << 30}, "out").
+		AddComponent("dst", "ssB", BehaviorFunc(func(p *Proc) error {
+			for i := 0; i < 3; i++ {
+				if _, ok := p.Recv("in"); !ok {
+					return nil
+				}
+			}
+			return boom
+		}), "in").
+		AddNet("wire", 0, "src.out", "dst.in")
+	sim, err := b.BuildLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- sim.Run(Time(Seconds(1))) }()
+	select {
+	case err := <-ran:
+		if !errors.Is(err, boom) {
+			t.Fatalf("Run = %v, want the component's error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after a component failed")
+	}
+	sim.Close()
 }
 
 func TestMultiSubsystemNeedsHorizon(t *testing.T) {
