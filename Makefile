@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci loc fmt vet build test race race-core chaos mesh metrics timeline wire optimistic service obs fuzz-smoke bench-smoke bench bench-parallel bench-migrate bench-optimistic bench-sessions bench-obs
+.PHONY: ci loc fmt vet build test examples race race-core chaos mesh metrics timeline wire optimistic service obs fuzz-smoke bench-smoke bench bench-parallel bench-migrate bench-optimistic bench-sessions bench-obs
 
-ci: fmt vet build test race race-core chaos mesh metrics timeline fuzz-smoke wire optimistic service obs bench-smoke
+ci: fmt vet build test examples race race-core chaos mesh metrics timeline fuzz-smoke wire optimistic service obs bench-smoke
 
 # Line counts, the north star's net-negative metric: for each package
 # directory outside bench/, then each top-level directory and the whole
@@ -32,6 +32,16 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Every program under examples/ builds and runs to a zero exit. The
+# examples are the callers that keep several of the pia package's names
+# exported (TestPublicSurface), so a broken one fails here, not only a
+# build.
+examples:
+	@for d in examples/*/; do \
+		d=$${d%/}; echo "example $$d"; \
+		$(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done
 
 # Race-check the packages with real concurrency: the wire framing,
 # the channel protocol + coalescing, the kernel scheduler, the

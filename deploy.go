@@ -37,16 +37,12 @@ func (b *SystemBuilder) BuildOnNodes(placement map[string]*Node) (*Cluster, erro
 	return b.build(placement)
 }
 
-// EnableMetrics wires the whole cluster into reg and returns the
-// registry used: every hosted subsystem and hub (via each node), plus
-// the node-level surfaces a local Simulation does not have — wire
-// connections, fault-injection links, and resilient sessions. A nil
-// reg selects the process-default registry (the one pia.Metrics()
-// reads). Call between BuildOnNodes and Run.
+// EnableMetrics wires the whole cluster into reg and returns reg:
+// every hosted subsystem and hub (via each node), plus the node-level
+// surfaces a local Simulation does not have — wire connections,
+// fault-injection links, and resilient sessions. A nil reg wires
+// nothing. Call between BuildOnNodes and Run.
 func (cl *Cluster) EnableMetrics(reg *MetricsRegistry) *MetricsRegistry {
-	if reg == nil {
-		reg = DefaultMetrics()
-	}
 	for _, n := range cl.nodeSet {
 		n.EnableMetrics(reg)
 	}
@@ -66,7 +62,7 @@ func (cl *Cluster) EnableTimeline(limit int) map[string]*TimelineRecorder {
 	}
 	cl.timelines = make(map[string]*TimelineRecorder, len(cl.nodeSet))
 	for _, n := range cl.nodeSet {
-		rec := NewTimelineRecorder(limit)
+		rec := timeline.NewRecorder(limit)
 		n.EnableTimeline(rec)
 		cl.timelines[n.Name()] = rec
 	}
@@ -110,7 +106,7 @@ func (cl *Cluster) WriteTimeline(w io.Writer) error {
 	if cl.timelines == nil {
 		return errTimelineDisabled
 	}
-	batches := make([][]TimelineEvent, 0, len(cl.nodeSet))
+	batches := make([][]timeline.Event, 0, len(cl.nodeSet))
 	for _, n := range cl.nodeSet {
 		batches = append(batches, cl.timelines[n.Name()].Events())
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/timeline"
@@ -280,8 +281,8 @@ func TestPeerLostEndsStalledRun(t *testing.T) {
 		default:
 		}
 	}
-	rec := NewTimelineRecorder(0)
-	rec.Subscribe(func(e TimelineEvent) {
+	rec := timeline.NewRecorder(0)
+	rec.Subscribe(func(e timeline.Event) {
 		switch {
 		case e.Kind == timeline.KindAsk && e.From == "ssA":
 			signal(asked)
@@ -363,7 +364,7 @@ func TestFlightTimelineEitherOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simRec, clRec := NewFlightRecorder(0), NewFlightRecorder(0)
+		simRec, clRec := flight.New(0), flight.New(0)
 		if flightFirst {
 			sim.EnableFlight(simRec)
 			cl.EnableFlight(clRec)

@@ -1,11 +1,16 @@
 package pia
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // The examples drive the paper's mechanisms through this package's
 // API, one section each: §2.1 interfaces, §2.1.1 synchronous memory,
-// §2.1.2 checkpoint requests, §2.1.3 the detail slider, §2.2.4 the
-// coordinated restore, §2.3 the hardware stub, and the debugger the
+// §2.1.2 checkpoint requests, §2.1.3 the detail slider and the
+// word/packet protocol, §2.2.2–2.2.3 a channel per subsystem pair,
+// §2.2.4 the coordinated restore, §2.3 the hardware stub, the
+// basic-block timing estimator (DESIGN.md §2), and the debugger the
 // paper names as its current work.
 
 // pingPong builds src (n values on "out", one every 10 ns) and dst
@@ -22,6 +27,23 @@ func pingPong(n int) (*Simulation, *pongState) {
 	}
 	return sim, dst
 }
+
+// arrivals records when each value reaches "in".
+type arrivals struct {
+	At []Time
+}
+
+func (s *arrivals) Run(p *Proc) error {
+	for {
+		if _, ok := p.Recv("in"); !ok {
+			return nil
+		}
+		s.At = append(s.At, p.Time())
+	}
+}
+
+func (s *arrivals) SaveState() ([]byte, error)  { return GobSave(s) }
+func (s *arrivals) RestoreState(b []byte) error { return GobRestore(s, b) }
 
 // An interface (§2.1) groups a component's ports under one name,
 // creating the ports it names that the component lacks.
@@ -58,6 +80,48 @@ func ExampleProc_Memory() {
 	}
 	// Output:
 	// true false 7 50ns
+}
+
+// The protocol library (§2.1.3) sends one message at word level (a
+// length header, then 4-byte words) or at packet level (1 KB frames);
+// the receiver's assembler rebuilds it whole at either level.
+func ExampleSendMessage() {
+	payload := bytes.Repeat([]byte("pia!"), 625) // 2500 bytes
+	levels := []string{LevelWord, LevelPacket}
+	drives := make([]int, len(levels))
+	got := make([]string, len(levels))
+	sim, err := NewSystem("proto").
+		AddComponent("modem", "main", BehaviorFunc(func(p *Proc) error {
+			for i, level := range levels {
+				drives[i] = SendMessage(p, "out", payload, level, DefaultProtoConfig)
+			}
+			return nil
+		}), "out").
+		AddComponent("handheld", "main", BehaviorFunc(func(p *Proc) error {
+			a := NewAssembler()
+			for i := range levels {
+				msg, ok, err := ReceiveMessage(p, "in", a)
+				if !ok || err != nil {
+					return err
+				}
+				got[i] = fmt.Sprint(len(msg), " bytes, intact ", bytes.Equal(msg, payload), ", at ", p.Time())
+			}
+			return nil
+		}), "in").
+		AddNet("link", 0, "modem.out", "handheld.in").
+		BuildLocal()
+	if err != nil {
+		panic(err)
+	}
+	if err := sim.Run(Infinity); err != nil {
+		panic(err)
+	}
+	for i, level := range levels {
+		fmt.Printf("%s: %d drives, %s\n", level, drives[i], got[i])
+	}
+	// Output:
+	// wordLevel: 626 drives, 2500 bytes, intact true, at 500us
+	// packetLevel: 3 drives, 2500 bytes, intact true, at 560us
 }
 
 // A checkpoint request (§2.1.2) is honoured at the scheduler's next
@@ -104,6 +168,31 @@ func ExampleEngine_Slider() {
 	// [wordLevel packetLevel]
 }
 
+// Each pair of subsystems gets a channel of its own (§2.2.2–2.2.3):
+// here a conservative one with 1 µs of latency by default, and an
+// optimistic one with 40 µs to the remote site.
+func ExampleSystemBuilder_SetChannel() {
+	lab, remote := &arrivals{}, &arrivals{}
+	sim, err := NewSystem("sites").
+		AddComponent("src", "home", &pingState{N: 2}, "out").
+		AddComponent("lab", "lab", lab, "in").
+		AddComponent("remote", "remote", remote, "in").
+		AddNet("wire", 0, "src.out", "lab.in", "remote.in").
+		SetDefaultChannel(Conservative, LinkModel{Latency: Microseconds(1)}).
+		SetChannel("home", "remote", Optimistic, LinkModel{Latency: Microseconds(40)}).
+		BuildLocal()
+	if err != nil {
+		panic(err)
+	}
+	defer sim.Close()
+	if err := sim.Run(Time(Milliseconds(1))); err != nil {
+		panic(err)
+	}
+	fmt.Println(lab.At, remote.At)
+	// Output:
+	// [1010ns 1020ns] [40010ns 40020ns]
+}
+
 // A coordinated restore (§2.2.4) rewinds every subsystem to its share
 // of a completed distributed snapshot and replays the messages the
 // snapshot caught in flight.
@@ -141,6 +230,34 @@ func ExampleSimBoard_Stalled() {
 	// Output:
 	// true
 	// false 100ns [{7 0ns 0} {1 100ns 0}]
+}
+
+// The basic-block timing estimator (DESIGN.md §2) prices a block's
+// instruction mix on a processor model and charges it against the
+// component's local time, as an annotation in its source would.
+func ExampleNewEstimator() {
+	est, err := NewEstimator(ModelI960)
+	if err != nil {
+		panic(err)
+	}
+	sim, err := NewSystem("timing").
+		AddComponent("cpu", "main", BehaviorFunc(func(p *Proc) error {
+			loop := TimingBlock{Instr: 12, Loads: 3, Stores: 1, Branches: 1}
+			for range 10 {
+				est.Charge(p, loop)
+			}
+			fmt.Println(p.Time(), est.Charged) // 21 cycles a block at 33 MHz
+			return nil
+		})).
+		BuildLocal()
+	if err != nil {
+		panic(err)
+	}
+	if err := sim.Run(Infinity); err != nil {
+		panic(err)
+	}
+	// Output:
+	// 6360ns 6360ns
 }
 
 // The debugger pauses a run on a condition over component local times

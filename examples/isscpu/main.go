@@ -13,7 +13,6 @@ import (
 	"os"
 
 	pia "repro"
-	"repro/internal/iss"
 	"repro/internal/signal"
 	"repro/internal/timeline"
 )
@@ -76,16 +75,16 @@ func (t *timer) SaveState() ([]byte, error)  { return pia.GobSave(t) }
 func (t *timer) RestoreState(b []byte) error { return pia.GobRestore(t, b) }
 
 func main() {
-	prog, err := iss.Assemble(program)
+	prog, err := pia.AssembleISS(program)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "program:")
-	for i, line := range iss.Disassemble(prog) {
+	for i, line := range pia.DisassembleISS(prog) {
 		fmt.Fprintf(os.Stderr, "  %2d: %s\n", i, line)
 	}
 
-	cpu := &iss.CPU{Prog: prog, ModelName: "i960", IRQPort: "irq"}
+	cpu := &pia.ISSCPU{Prog: prog, ModelName: "i960", IRQPort: "irq"}
 	w := &watcher{}
 	b := pia.NewSystem("isscpu").
 		AddComponent("cpu", "main", cpu, "out", "in", "irq").

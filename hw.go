@@ -2,7 +2,6 @@ package pia
 
 import (
 	"repro/internal/hwstub"
-	"repro/internal/loader"
 	"repro/internal/proto"
 	"repro/internal/timing"
 )
@@ -36,8 +35,6 @@ func DialHardware(addr string) (*hwstub.RemoteDevice, error) { return hwstub.Dia
 
 // Protocol library surface (package proto re-exports).
 const (
-	// LevelHardware renders transfers as individual bus cycles.
-	LevelHardware = proto.LevelHardware
 	// LevelWord is the paper's word passage (4-byte words).
 	LevelWord = proto.LevelWord
 	// LevelPacket is the paper's packet passage (1 KB packets).
@@ -69,35 +66,19 @@ func ReceiveMessage(p *Proc, port string, a *Assembler) ([]byte, bool, error) {
 // NewAssembler creates an idle assembler.
 func NewAssembler() *Assembler { return proto.NewAssembler() }
 
-// Timing estimation surface (package timing re-exports).
+// Timing estimation surface (package timing re-exports): DESIGN.md
+// §2's basic-block timing estimator.
 type (
 	// TimingModel characterizes a processor.
 	TimingModel = timing.Model
 	// TimingBlock is a basic block's instruction mix.
 	TimingBlock = timing.Block
-	// Estimator charges basic-block costs against local time.
-	Estimator = timing.Estimator
 )
 
-// Predefined processor models.
-var (
-	ModelI960         = timing.I960
-	ModelEmbeddedCPU  = timing.EmbeddedCPU
-	ModelCellularASIC = timing.CellularASIC
-	ModelServerCPU    = timing.ServerCPU
-)
+// ModelI960 is the i960 embedded processor the paper's remote
+// evaluation discussion mentions.
+var ModelI960 = timing.I960
 
-// NewEstimator builds an estimator for a model.
-func NewEstimator(m *TimingModel) (*Estimator, error) { return timing.NewEstimator(m) }
-
-// Component loading surface (package loader re-exports).
-type (
-	// Registry resolves component names to factories (the "class
-	// loader").
-	Registry = loader.Registry
-	// Factory builds a behaviour instance.
-	Factory = loader.Factory
-)
-
-// NewRegistry creates an empty component registry.
-func NewRegistry() *Registry { return loader.NewRegistry() }
+// NewEstimator builds an estimator for a model: its Charge advances a
+// component's local time by a basic block's cost.
+func NewEstimator(m *TimingModel) (*timing.Estimator, error) { return timing.NewEstimator(m) }

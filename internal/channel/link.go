@@ -77,12 +77,4 @@ var (
 		BytesPerSecond: 1 << 20, // ~10 Mbit Ethernet
 		PerMessage:     200 * vtime.Microsecond,
 	}
-
-	// InternetLink approximates the geographically distributed case
-	// the framework targets.
-	InternetLink = LinkModel{
-		Latency:        40 * vtime.Millisecond,
-		BytesPerSecond: 128 << 10, // 1 Mbit
-		PerMessage:     1 * vtime.Millisecond,
-	}
 )

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -92,10 +91,7 @@ func TestAttributionDigestUnchanged(t *testing.T) {
 		if attrib {
 			s.EnableCostAttribution(metrics.NewRegistry(), 3)
 		}
-		digest := fnv.New64a()
-		s.OnDrive = func(net, src string, tt vtime.Time, v any) {
-			fmt.Fprintf(digest, "%s|%s|%d|%v\n", net, src, tt, v)
-		}
+		digest := s.DigestDrives()
 		if err := s.Run(vtime.Infinity); err != nil {
 			t.Fatal(err)
 		}

@@ -550,10 +550,7 @@ func stormFingerprint(t *testing.T, workers int, optimism vtime.Duration, thrott
 		s.SetOptimism(optimism)
 		s.optThrottle = throttle
 	}
-	driveDigest := fnv.New64a()
-	s.OnDrive = func(net, src string, tt vtime.Time, v any) {
-		fmt.Fprintf(driveDigest, "%s|%s|%d|%v\n", net, src, tt, v)
-	}
+	driveDigest := s.DigestDrives()
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatalf("storm workers=%d optimism=%d: %v", workers, optimism, err)
 	}

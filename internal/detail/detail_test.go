@@ -96,7 +96,7 @@ func TestExprString(t *testing.T) {
 
 func TestParseSwitchpoint(t *testing.T) {
 	// The paper's example, in our concrete syntax.
-	sp, err := ParseSwitchpoint("when I2CComponent >= 67: I2CComponent->hardwareLevel, VidCamComponent->byteLevel")
+	sp, err := parseSwitchpoint("when I2CComponent >= 67: I2CComponent->hardwareLevel, VidCamComponent->byteLevel")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestParseSwitchpoint(t *testing.T) {
 		t.Fatal("condition false at t=67")
 	}
 	// "when" is optional.
-	if _, err := ParseSwitchpoint("a >= 1: a->x"); err != nil {
+	if _, err := parseSwitchpoint("a >= 1: a->x"); err != nil {
 		t.Fatal(err)
 	}
 	if s := sp.String(); !strings.Contains(s, "I2CComponent->hardwareLevel") {
@@ -131,8 +131,8 @@ func TestParseSwitchpointErrors(t *testing.T) {
 		"when a >= 1: a->x b->y",
 	}
 	for _, s := range bad {
-		if _, err := ParseSwitchpoint(s); err == nil {
-			t.Errorf("ParseSwitchpoint(%q) accepted", s)
+		if _, err := parseSwitchpoint(s); err == nil {
+			t.Errorf("parseSwitchpoint(%q) accepted", s)
 		}
 	}
 }

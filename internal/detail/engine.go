@@ -37,9 +37,9 @@ func (sp *Switchpoint) String() string {
 	return fmt.Sprintf("when %s: %s", sp.Cond, strings.Join(acts, ", "))
 }
 
-// ParseSwitchpoint parses one switchpoint rule. The leading "when"
+// parseSwitchpoint parses one switchpoint rule. The leading "when"
 // keyword is optional.
-func ParseSwitchpoint(src string) (*Switchpoint, error) {
+func parseSwitchpoint(src string) (*Switchpoint, error) {
 	text := strings.TrimSpace(src)
 	body := strings.TrimSpace(strings.TrimPrefix(text, "when "))
 	toks, err := lex(body)
@@ -91,7 +91,7 @@ func parseScript(src string) ([]*Switchpoint, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		sp, err := ParseSwitchpoint(line)
+		sp, err := parseSwitchpoint(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
@@ -152,7 +152,7 @@ func (e *Engine) Add(sp *Switchpoint) {
 
 // AddRule parses and registers a switchpoint rule.
 func (e *Engine) AddRule(src string) (*Switchpoint, error) {
-	sp, err := ParseSwitchpoint(src)
+	sp, err := parseSwitchpoint(src)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -143,7 +144,7 @@ func IncrementalCheckpoint(stateKB, checkpoints int) ([]IncrementalRow, error) {
 }
 
 // bigState is a checkpointable component with a large, unchanging
-// state.
+// state, saved as the payload's bytes (see burster.SaveState).
 type bigState struct {
 	Payload []byte
 }
@@ -156,8 +157,8 @@ func (b *bigState) Run(p *core.Proc) error {
 	}
 }
 
-func (b *bigState) SaveState() ([]byte, error)   { return core.GobSave(b) }
-func (b *bigState) RestoreState(bs []byte) error { return core.GobRestore(b, bs) }
+func (b *bigState) SaveState() ([]byte, error)   { return bytes.Clone(b.Payload), nil }
+func (b *bigState) RestoreState(bs []byte) error { b.Payload = bytes.Clone(bs); return nil }
 
 // SnapshotRow is one point of the Chandy-Lamport scaling measurement.
 type SnapshotRow struct {

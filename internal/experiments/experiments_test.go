@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/vtime"
 )
 
@@ -221,54 +220,22 @@ func TestCheckpointInterval(t *testing.T) {
 	}
 }
 
+// TestIncrementalCheckpoint pins the stand's byte counts. Its states
+// are laid out by their fields alone, so the counts do not depend on
+// what the process encoded before: alone or after the whole suite, in
+// this binary or in piabench, the totals are the same.
 func TestIncrementalCheckpoint(t *testing.T) {
 	rows, err := IncrementalCheckpoint(64, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	want := []IncrementalRow{
+		{Mode: "full", Checkpoints: 100, TotalBytes: 6_554_037},
+		{Mode: "incremental", Checkpoints: 100, TotalBytes: 65_973},
 	}
-	full, incr := rows[0], rows[1]
-	if full.Checkpoints != 100 || incr.Checkpoints != 100 {
-		t.Errorf("rows %+v, want the pinned 100 checkpoints a mode", rows)
+	if !slices.Equal(rows, want) {
+		t.Errorf("rows %+v, want %+v", rows, want)
 	}
-	if want := rawIncremental(t, 64, 10); !slices.Equal(rows, want) {
-		t.Errorf("rows %+v, want the core-wired stand's %+v", rows, want)
-	}
-	if incr.TotalBytes >= full.TotalBytes {
-		t.Fatalf("incremental (%d B) not smaller than full (%d B)", incr.TotalBytes, full.TotalBytes)
-	}
-}
-
-// rawIncremental is IncrementalCheckpoint's stand wired with core calls,
-// as it was before the system builder described it: the reference its
-// byte counts are held to. The counts include gob's type descriptors,
-// whose ids gob numbers process-wide, so they depend on what the
-// process encoded before (a fresh process reads full 6 564 537 and
-// incremental 71 820) and are compared within one process.
-func rawIncremental(t *testing.T, stateKB, checkpoints int) []IncrementalRow {
-	t.Helper()
-	var out []IncrementalRow
-	for _, mode := range []string{"full", "incremental"} {
-		s := core.NewSubsystem("incr")
-		s.NewComponent("big", &bigState{Payload: make([]byte, stateKB*1024)})
-		tc, _ := s.NewComponent("tick", &burster{Count: checkpoints * 10, Period: 10}, "out")
-		n, _ := s.NewNet("void", 0)
-		s.Connect(n, tc.Port("out"))
-		s.SetIncrementalCheckpoints(mode == "incremental")
-		s.SetAutoCheckpoint(10)
-		s.SetCheckpointRetention(1_000_000)
-		if err := s.Run(vtime.Infinity); err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, cs := range s.Checkpoints() {
-			total += cs.Bytes()
-		}
-		out = append(out, IncrementalRow{Mode: mode, Checkpoints: len(s.Checkpoints()), TotalBytes: total})
-	}
-	return out
 }
 
 func TestSnapshotScale(t *testing.T) {

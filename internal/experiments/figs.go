@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -31,8 +33,28 @@ func (s *burster) Run(p *core.Proc) error {
 	return nil
 }
 
-func (s *burster) SaveState() ([]byte, error)  { return core.GobSave(s) }
-func (s *burster) RestoreState(b []byte) error { return core.GobRestore(s, b) }
+// SaveState writes the three fields as varints, bytes that depend on
+// the fields alone: gob's would carry type ids numbered process-wide,
+// so a checkpoint's size would depend on what the process encoded
+// before.
+func (s *burster) SaveState() ([]byte, error) {
+	b := binary.AppendVarint(nil, int64(s.Next))
+	b = binary.AppendVarint(b, int64(s.Count))
+	return binary.AppendVarint(b, int64(s.Period)), nil
+}
+
+func (s *burster) RestoreState(b []byte) error {
+	var f [3]int64
+	for i := range f {
+		v, n := binary.Varint(b)
+		if n <= 0 {
+			return errors.New("experiments: truncated burster state")
+		}
+		f[i], b = v, b[n:]
+	}
+	s.Next, s.Count, s.Period = int(f[0]), int(f[1]), vtime.Duration(f[2])
+	return nil
+}
 
 // sink records what it receives on "in".
 type sink struct {

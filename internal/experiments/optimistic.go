@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	pia "repro"
@@ -197,10 +196,7 @@ func fanLeg(c OptimisticConfig, la optLookahead, workers int, optimism vtime.Dur
 	if err != nil {
 		return OptimisticRow{}, err
 	}
-	digest := fnv.New64a()
-	s.OnDrive = func(net, src string, t vtime.Time, v any) {
-		fmt.Fprintf(digest, "%s|%s|%d|%v\n", net, src, t, v)
-	}
+	digest := s.DigestDrives()
 
 	start := time.Now()
 	if err := s.Run(vtime.Infinity); err != nil {

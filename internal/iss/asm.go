@@ -22,7 +22,7 @@ import (
 func Assemble(src string) ([]uint32, error) {
 	type pending struct {
 		line  int
-		instr Instr
+		instr instruction
 		label string // branch target to resolve, "" if none
 	}
 	labels := make(map[string]int)
@@ -96,7 +96,7 @@ func validLabel(s string) bool {
 
 // parseInstr parses one instruction; target is a label to resolve
 // later (branches/jumps), "" otherwise.
-func parseInstr(line string) (Instr, string, error) {
+func parseInstr(line string) (instruction, string, error) {
 	fields := strings.Fields(line)
 	mnemonic := strings.ToLower(fields[0])
 	rest := strings.Join(fields[1:], " ")
@@ -110,10 +110,10 @@ func parseInstr(line string) (Instr, string, error) {
 		}
 	}
 	if op == numOps {
-		return Instr{}, "", fmt.Errorf("unknown mnemonic %q", mnemonic)
+		return instruction{}, "", fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
 
-	in := Instr{Op: op}
+	in := instruction{Op: op}
 	need := func(n int) error {
 		if len(args) != n {
 			return fmt.Errorf("%s wants %d operands, got %d", mnemonic, n, len(args))
@@ -234,7 +234,7 @@ func parseInstr(line string) (Instr, string, error) {
 // withTarget resolves a branch/jump operand: a numeric absolute
 // instruction index is encoded directly; anything else is a label
 // resolved in the second pass.
-func withTarget(in Instr, arg string) (Instr, string, error) {
+func withTarget(in instruction, arg string) (instruction, string, error) {
 	if n, err := imm(arg); err == nil {
 		in.Imm = n
 		return in, "", nil

@@ -111,7 +111,7 @@ func (c *CPU) Run(p *core.Proc) error {
 const mailboxAddr uint32 = 0x700
 
 // charge applies the timing model to one instruction.
-func (c *CPU) charge(p *core.Proc, in Instr) {
+func (c *CPU) charge(p *core.Proc, in instruction) {
 	var b timing.Block
 	b.Instr = 1
 	switch in.Op {
@@ -128,7 +128,7 @@ func (c *CPU) charge(p *core.Proc, in Instr) {
 }
 
 // exec executes one decoded instruction.
-func (c *CPU) exec(p *core.Proc, mem *core.Memory, in Instr) error {
+func (c *CPU) exec(p *core.Proc, mem *core.Memory, in instruction) error {
 	r := &c.Regs
 	switch in.Op {
 	case opNop:

@@ -63,8 +63,8 @@ func (o opcode) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Instr is a decoded instruction.
-type Instr struct {
+// instruction is one decoded instruction.
+type instruction struct {
 	Op         opcode
 	Rd, Rs, Rt uint8
 	Imm        int32 // 12-bit signed as decoded
@@ -77,7 +77,7 @@ const (
 )
 
 // Encode packs an instruction into a program word.
-func (i Instr) Encode() (uint32, error) {
+func (i instruction) Encode() (uint32, error) {
 	if i.Rd > 15 || i.Rs > 15 || i.Rt > 15 {
 		return 0, fmt.Errorf("iss: register out of range in %v", i)
 	}
@@ -90,12 +90,12 @@ func (i Instr) Encode() (uint32, error) {
 }
 
 // decode unpacks a program word.
-func decode(w uint32) Instr {
+func decode(w uint32) instruction {
 	imm := int32(w & 0xFFF)
 	if imm&0x800 != 0 {
 		imm -= 1 << immBits // sign extend
 	}
-	return Instr{
+	return instruction{
 		Op:  opcode(w >> 24),
 		Rd:  uint8(w >> 20 & 0xF),
 		Rs:  uint8(w >> 16 & 0xF),
@@ -105,7 +105,7 @@ func decode(w uint32) Instr {
 }
 
 // String disassembles one instruction.
-func (i Instr) String() string {
+func (i instruction) String() string {
 	switch i.Op {
 	case opNop, opHalt, opWfi:
 		return i.Op.String()

@@ -225,7 +225,7 @@ func TestWFIAndMailbox(t *testing.T) {
 
 func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 	f := func(op uint8, rd, rs, rt uint8, imm int16) bool {
-		in := Instr{
+		in := instruction{
 			Op: opcode(op % uint8(numOps)),
 			Rd: rd % 16, Rs: rs % 16, Rt: rt % 16,
 			Imm: int32(imm) % 2048,

@@ -97,10 +97,10 @@ func (h *Histogram) Observe(v int64) {
 	h.n.Add(1)
 }
 
-// Bucket is one cumulative histogram bucket in a Sample. LE is the
+// bucket is one cumulative histogram bucket in a Sample. LE is the
 // inclusive upper edge; the +Inf bucket is omitted (its count equals
 // the sample's Value).
-type Bucket struct {
+type bucket struct {
 	LE    int64 `json:"le"`
 	Count int64 `json:"count"`
 }
@@ -117,7 +117,7 @@ type Sample struct {
 	// Sum is the sum of observations (histograms only).
 	Sum int64 `json:"sum,omitempty"`
 	// Buckets are cumulative bucket counts (histograms only).
-	Buckets []Bucket `json:"buckets,omitempty"`
+	Buckets []bucket `json:"buckets,omitempty"`
 }
 
 // Collector is a pull hook: called at snapshot time to emit samples
@@ -247,7 +247,7 @@ func (r *Registry) Snapshot() []Sample {
 			var cum int64
 			for i := range h.bounds {
 				cum += h.counts[i].Load()
-				s.Buckets = append(s.Buckets, Bucket{LE: h.bounds[i], Count: cum})
+				s.Buckets = append(s.Buckets, bucket{LE: h.bounds[i], Count: cum})
 			}
 			s.Value = h.n.Load()
 			s.Sum = h.sum.Load()

@@ -54,7 +54,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if hs.Value != 4 || hs.Sum != 556 {
 		t.Fatalf("hist count/sum = %d/%d, want 4/556", hs.Value, hs.Sum)
 	}
-	want := []Bucket{{LE: 10, Count: 2}, {LE: 100, Count: 3}}
+	want := []bucket{{LE: 10, Count: 2}, {LE: 100, Count: 3}}
 	if len(hs.Buckets) != 2 || hs.Buckets[0] != want[0] || hs.Buckets[1] != want[1] {
 		t.Fatalf("hist buckets = %+v, want %+v", hs.Buckets, want)
 	}

@@ -94,10 +94,6 @@ const retentionBytes = 32 << 20
 // all-zero config leaves the resilience layer off in the node stack.
 func (c Config) Enabled() bool { return c != Config{} }
 
-// DefaultConfig is a reasonable WAN policy: 1s heartbeats, generous
-// retention, ten reconnect attempts per outage.
-var DefaultConfig = Config{Heartbeat: time.Second}
-
 func (c Config) withDefaults() Config {
 	if c.HeartbeatMiss <= 0 {
 		c.HeartbeatMiss = 4

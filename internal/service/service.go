@@ -25,7 +25,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -176,7 +175,7 @@ func (c *Catalog) Create(spec Spec) (Info, error) {
 	}
 	fp := wl.Footprint()
 
-	sess := &session{spec: spec, wl: wl, state: stateReady, rev: 1, digest: fnv.New64a()}
+	sess := &session{spec: spec, wl: wl, state: stateReady, rev: 1}
 	// The session lock is held across the build below so a concurrent
 	// Step/Stop that finds the session in the map blocks until the
 	// subsystem exists. Lock order is always session → catalog.
@@ -246,11 +245,7 @@ func (c *Catalog) build(sess *session) error {
 		return &specError{Reason: fmt.Sprintf("build %s: %v", sess.spec.Workload, err)}
 	}
 	sess.sub = sub
-	sub.OnDrive = func(net, src string, t vtime.Time, v any) {
-		sess.dmu.Lock()
-		fmt.Fprintf(sess.digest, "%s|%s|%d|%v\n", net, src, t, v)
-		sess.dmu.Unlock()
-	}
+	sess.digest = sub.DigestDrives()
 	if c.buildFailpoint != nil {
 		if err := c.buildFailpoint(); err != nil {
 			return err

@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"hash"
 	"sync"
 
 	"repro/internal/channel"
@@ -34,11 +33,9 @@ type session struct {
 	spec Spec
 	wl   workload
 
-	// dmu guards the drive digest: the scheduler goroutine appends
-	// during Run while /healthz, /metrics and List read point-in-time
-	// sums.
-	dmu    sync.Mutex
-	digest hash.Hash64
+	// digest is read while the scheduler goroutine feeds it during Run:
+	// /healthz, /metrics and List read point-in-time sums.
+	digest *core.DriveDigest
 
 	// mu guards everything below and serializes lifecycle operations;
 	// lock order is session → catalog.
@@ -82,7 +79,7 @@ type Info struct {
 
 // infoLocked snapshots the session. Called with sess.mu held; safe
 // while an auto_run scheduler is live because it reads only atomic
-// surfaces (PublishedTimes, Stats) and the dmu-guarded digest.
+// surfaces (PublishedTimes, Stats) and the digest, which locks itself.
 func (s *session) infoLocked() Info {
 	info := Info{
 		ID:        s.id,
@@ -100,9 +97,7 @@ func (s *session) infoLocked() Info {
 		info.Steps = st.Steps
 		info.Drives = st.Drives
 	}
-	s.dmu.Lock()
 	info.DigestU64 = s.digest.Sum64()
-	s.dmu.Unlock()
 	info.Digest = fmt.Sprintf("%016x", info.DigestU64)
 	if s.runErr != nil {
 		info.Error = s.runErr.Error()

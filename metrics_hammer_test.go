@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/flight"
 )
 
 // TestMetricsHammer runs a two-node cluster with coalescing, seeded
@@ -52,11 +54,11 @@ func TestMetricsHammer(t *testing.T) {
 	// The full flight stack: the recorder on the cluster's failure
 	// triggers, cost attribution on every dispatch, and a sampler
 	// feeding /watch at an aggressive cadence.
-	frec := NewFlightRecorder(128) // small ring: wraps under fire
+	frec := flight.New(128) // small ring: wraps under fire
 	frec.AttachRegistry(reg)
 	cl.EnableFlight(frec)
 	cl.EnableCostAttribution(reg, 3)
-	sampler := NewFlightSampler(reg, frec, 5*time.Millisecond)
+	sampler := flight.NewSampler(reg, frec, 5*time.Millisecond)
 	sampler.Start()
 	defer sampler.Stop()
 
@@ -101,11 +103,10 @@ func TestMetricsHammer(t *testing.T) {
 					return
 				default:
 				}
-				// The new registry surface, all three exposition paths.
+				// The registry surface, all three exposition paths.
 				_ = reg.Snapshot()
 				_ = reg.WriteJSON(io.Discard)
 				_ = reg.WritePrometheus(io.Discard)
-				_ = Metrics() // process-default registry
 
 				// Kernel scheduler.
 				for _, sub := range cl.Subsystems {

@@ -21,8 +21,8 @@
 //	sim, err := b.BuildLocal()
 //	err = sim.Run(pia.Seconds(1))
 //
-// The subpackages remain internal; everything a downstream user needs
-// is re-exported here.
+// The subpackages remain internal; what a program built on the
+// framework calls is re-exported here, and nothing else.
 package pia
 
 import (
@@ -50,18 +50,12 @@ import (
 type (
 	// Proc is the execution context of a component behaviour.
 	Proc = core.Proc
-	// Msg is a value delivered to a port.
-	Msg = core.Msg
 	// Behavior is a component's functionality.
 	Behavior = core.Behavior
 	// BehaviorFunc adapts a function to Behavior.
 	BehaviorFunc = core.BehaviorFunc
-	// StateSaver marks checkpointable behaviours.
-	StateSaver = core.StateSaver
 	// Subsystem is a scheduler plus a fragment of the design.
 	Subsystem = core.Subsystem
-	// CheckpointSet is a whole-subsystem checkpoint.
-	CheckpointSet = core.CheckpointSet
 	// Time is virtual time; Duration a span of it.
 	Time = vtime.Time
 	// Duration is a span of virtual time.
@@ -70,8 +64,6 @@ type (
 	Policy = channel.Policy
 	// LinkModel prices traffic crossing a channel.
 	LinkModel = channel.LinkModel
-	// Switchpoint is a parsed runlevel switching rule.
-	Switchpoint = detail.Switchpoint
 	// Engine evaluates switchpoints for a subsystem.
 	Engine = detail.Engine
 	// Agent coordinates distributed snapshots.
@@ -88,7 +80,8 @@ const (
 	Optimistic = channel.Optimistic
 )
 
-// GobSave / GobRestore implement StateSaver for gob-encodable state.
+// GobSave / GobRestore implement core.StateSaver for gob-encodable
+// state.
 func GobSave(v any) ([]byte, error)       { return core.GobSave(v) }
 func GobRestore(v any, data []byte) error { return core.GobRestore(v, data) }
 
@@ -101,7 +94,6 @@ func Microseconds(n int64) Duration { return Duration(n) * vtime.Microsecond }
 var (
 	LoopbackLink = channel.LoopbackLink
 	LANLink      = channel.LANLink
-	InternetLink = channel.InternetLink
 )
 
 // CoalesceConfig caps, in wire bytes, the frames a channel's egress is
@@ -130,17 +122,6 @@ type ResilienceConfig = resilience.Config
 
 // ResilienceStats aggregates session-layer recovery counters.
 type ResilienceStats = resilience.Stats
-
-// DefaultResilience enables resilient sessions with a 1s heartbeat
-// and the default backoff/retention policy.
-var DefaultResilience = resilience.DefaultConfig
-
-// ParsePartitions parses a scripted partition schedule written
-// "atframe:healms[,atframe:healms...]", e.g. "40:30,200:15".
-func ParsePartitions(s string) ([]FaultPartition, error) { return faultnet.ParsePartitions(s) }
-
-// ParseSwitchpoint parses a single switchpoint rule.
-func ParseSwitchpoint(src string) (*Switchpoint, error) { return detail.ParseSwitchpoint(src) }
 
 // componentDef is one component in the designer's view.
 type componentDef struct {
