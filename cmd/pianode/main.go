@@ -623,12 +623,10 @@ func runMesh(o *options) error {
 	}
 	sort.Strings(names)
 	// The control plane is N-node; the demo workload is written for
-	// exactly three members (DemoBlueprint rejects other sizes).
+	// exactly three members (DescribeDemo rejects other sizes), and
+	// every member runs the same description of it.
 	params := mesh.DemoParams{Members: names}
-	bp, err := mesh.DemoBlueprint(params)
-	if err != nil {
-		return err
-	}
+	describe := func(b *pia.SystemBuilder) error { return mesh.DescribeDemo(b, params) }
 
 	st, err := bringUp(o, o.meshName)
 	if err != nil {
@@ -637,7 +635,7 @@ func runMesh(o *options) error {
 	defer st.close()
 	mem, err := mesh.New(mesh.Config{
 		Name:       o.meshName,
-		Blueprint:  bp,
+		Describe:   describe,
 		Node:       st.node,
 		CtlListen:  self,
 		DataListen: o.listen,
@@ -728,8 +726,11 @@ func runMesh(o *options) error {
 	}
 
 	ms := mem.Stats()
-	fmt.Printf("pianode: mesh run complete: rounds=%d reissues=%d migrations=%d epoch=%d\n",
-		ms.Rounds, ms.Reissues, ms.Migrations, ms.Epoch)
+	fmt.Printf("pianode: mesh run complete: rounds=%d reissues=%d migrations=%d dropped=%d epoch=%d\n",
+		ms.Rounds, ms.Reissues, ms.Migrations, ms.Dropped, ms.Epoch)
+	if ms.Dropped > 0 {
+		fmt.Printf("pianode: last dropped migration: %s\n", ms.LastDrop)
+	}
 	if ms.Migrations > 0 {
 		fmt.Printf("pianode: last migration: virtual downtime=%dns wall=%s epoch_propagation=%s\n",
 			int64(ms.MigrationVirtual), ms.MigrationWall, ms.EpochPropagation)

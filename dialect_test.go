@@ -13,16 +13,16 @@ import (
 
 // rawConstructors are the core methods that build a system piece by
 // piece. A system is described once, through SystemBuilder, so only the
-// kernel that defines them (internal/core), the builder that realizes a
-// description with them (pia.go) and the migration blueprint that
-// re-creates a component migrating in (internal/mesh) call them — and
-// core.NewSubsystem — outside tests.
-var rawConstructors = []string{"NewComponent", "NewNet", "NewNets", "AddPort"}
+// kernel that defines them (internal/core) and the description the
+// builder fills (internal/design), which realizes itself on subsystems
+// for every build and for a component migrating into a mesh member,
+// call them — and core.NewSubsystem — outside tests.
+var rawConstructors = []string{"NewComponent", "NewNet", "NewNets"}
 
 // rawAllowed reports whether the non-test file at path may build a
 // system with raw core calls.
 func rawAllowed(path string) bool {
-	return path == "pia.go" || strings.HasPrefix(path, "internal/core/") || strings.HasPrefix(path, "internal/mesh/")
+	return strings.HasPrefix(path, "internal/core/") || strings.HasPrefix(path, "internal/design/")
 }
 
 // TestOneSystemDialect parses every non-test Go file in the module and

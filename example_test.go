@@ -45,16 +45,14 @@ func (s *arrivals) Run(p *Proc) error {
 func (s *arrivals) SaveState() ([]byte, error)  { return GobSave(s) }
 func (s *arrivals) RestoreState(b []byte) error { return GobRestore(s, b) }
 
-// An interface (§2.1) groups a component's ports under one name,
-// creating the ports it names that the component lacks.
+// Component finds a component in whichever subsystem holds it; the
+// unit of §2.1 is the component, and its ports are looked up by name.
 func ExampleSimulation_Component() {
 	sim, _ := pingPong(1)
-	ifc, err := sim.Component("src").AddInterface("bus", "out", "strobe")
-	fmt.Println(ifc.Name, ifc.Ports, err)
-	fmt.Println(sim.Component("src").Port("strobe") != nil)
+	src := sim.Component("src")
+	fmt.Println(src.Name(), src.Port("out") != nil, src.Port("strobe") != nil)
 	// Output:
-	// bus [out strobe] <nil>
-	// true
+	// src true false
 }
 
 // An address marked synchronous (§2.1.1) is one an interrupt handler

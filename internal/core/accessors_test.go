@@ -28,9 +28,7 @@ func TestFilteredReceiveSlowPath(t *testing.T) {
 		gotA = m.Value
 		return nil
 	})
-	rc, _ := s.NewComponent("rx", rx)
-	rc.addPort("a")
-	rc.addPort("b")
+	rc, _ := s.NewComponent("rx", rx, "a", "b")
 	tx := BehaviorFunc(func(p *Proc) error {
 		p.Delay(10)
 		p.Send("toA", "first")
@@ -38,9 +36,7 @@ func TestFilteredReceiveSlowPath(t *testing.T) {
 		p.Send("toB", "second")
 		return nil
 	})
-	tc, _ := s.NewComponent("tx", tx)
-	tc.addPort("toA")
-	tc.addPort("toB")
+	tc, _ := s.NewComponent("tx", tx, "toA", "toB")
 	na, _ := s.NewNet("na", 0)
 	s.Connect(na, tc.Port("toA"), rc.Port("a"))
 	nb, _ := s.NewNet("nb", 0)
@@ -96,8 +92,7 @@ func TestNetAccessors(t *testing.T) {
 		p.Send("out", 42)
 		return nil
 	})
-	c, _ := s.NewComponent("drv", drv)
-	c.addPort("out")
+	c, _ := s.NewComponent("drv", drv, "out")
 	n, _ := s.NewNet("w", 3)
 	s.Connect(n, c.Port("out"))
 	if err := s.Run(vtime.Infinity); err != nil {
@@ -126,8 +121,7 @@ func TestSendAtPastPanics(t *testing.T) {
 		p.SendAt("out", 1, 5) // into the past: must panic -> error
 		return nil
 	})
-	c, _ := s.NewComponent("c", b)
-	c.addPort("out")
+	c, _ := s.NewComponent("c", b, "out")
 	n, _ := s.NewNet("w", 0)
 	s.Connect(n, c.Port("out"))
 	if err := s.Run(vtime.Infinity); err == nil {

@@ -239,14 +239,8 @@ func (s *Subsystem) CaptureNow(tag string) (*CheckpointSet, error) {
 }
 
 func (s *Subsystem) capture(tag string) (*CheckpointSet, error) {
-	if tag != "" {
-		if s.doneTags == nil {
-			s.doneTags = make(map[string]bool)
-		}
-		if s.doneTags[tag] {
-			return nil, nil // already checkpointed for this snapshot id
-		}
-		s.doneTags[tag] = true
+	if s.doneTags[tag] {
+		return nil, nil // already checkpointed for this snapshot id
 	}
 	s.ckptNextID++
 	cs := &CheckpointSet{
@@ -276,6 +270,14 @@ func (s *Subsystem) capture(tag string) (*CheckpointSet, error) {
 	}
 	for _, n := range s.nets {
 		cs.nets = append(cs.nets, n.Image())
+	}
+	// A tag is spent only by a capture that succeeded, so one that
+	// failed can be asked for again.
+	if tag != "" {
+		if s.doneTags == nil {
+			s.doneTags = make(map[string]bool)
+		}
+		s.doneTags[tag] = true
 	}
 	s.checkpoints = append(s.checkpoints, cs)
 	if len(s.checkpoints) > s.ckptKeep {

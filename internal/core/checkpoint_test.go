@@ -159,13 +159,11 @@ func TestIncrementalCheckpointsShareState(t *testing.T) {
 	// incremental mode must share it between checkpoints.
 	s := NewSubsystem("incr")
 	co := &consumer{}
-	cc, _ := s.NewComponent("cons", co)
-	cc.addPort("in")
+	cc, _ := s.NewComponent("cons", co, "in")
 	n, _ := s.NewNet("quiet", 0)
 	s.Connect(n, cc.Port("in"))
 	ticker := &producer{Count: 10, Period: 10}
-	tc, _ := s.NewComponent("tick", ticker)
-	tc.addPort("out")
+	tc, _ := s.NewComponent("tick", ticker, "out")
 	n2, _ := s.NewNet("void", 0)
 	s.Connect(n2, tc.Port("out"))
 	s.SetIncrementalCheckpoints(true)
@@ -224,12 +222,10 @@ func TestCheckpointInboxPreserved(t *testing.T) {
 	// restore must re-deliver it exactly once.
 	s := NewSubsystem("inflight")
 	co := &consumer{}
-	cc, _ := s.NewComponent("cons", co)
-	cc.addPort("in")
+	cc, _ := s.NewComponent("cons", co, "in")
 	// Producer sends at t=5 with delivery at t=105 (big net delay).
 	pr := &producer{Count: 1, Period: 5}
-	pc, _ := s.NewComponent("prod", pr)
-	pc.addPort("out")
+	pc, _ := s.NewComponent("prod", pr, "out")
 	n, _ := s.NewNet("slow", 100)
 	s.Connect(n, pc.Port("out"), cc.Port("in"))
 	s.OnStep = func(now vtime.Time) {
@@ -283,11 +279,9 @@ func TestImageAccessors(t *testing.T) {
 func TestRestoreOfDoneComponentStaysDone(t *testing.T) {
 	s := NewSubsystem("donedone")
 	pr := &producer{Count: 1, Period: 5}
-	pc, _ := s.NewComponent("prod", pr)
-	pc.addPort("out")
+	pc, _ := s.NewComponent("prod", pr, "out")
 	co := &consumer{}
-	cc, _ := s.NewComponent("cons", co)
-	cc.addPort("in")
+	cc, _ := s.NewComponent("cons", co, "in")
 	n, _ := s.NewNet("w", 0)
 	s.Connect(n, pc.Port("out"), cc.Port("in"))
 	if err := s.Run(vtime.Infinity); err != nil {
@@ -435,5 +429,32 @@ func TestSpecImageAllocs(t *testing.T) {
 	})
 	if got != want {
 		t.Fatalf("captureSpec costs %v allocs, SaveState + memory snapshot cost %v", got, want)
+	}
+}
+
+// TestFailedCaptureLeavesTagUnspent: a tagged capture that fails — a
+// live component that saves no state — spends no tag, so the same tag
+// captures once the cause is gone. A migration the mesh dropped at a
+// refused capture is retried under the same tag.
+func TestFailedCaptureLeavesTagUnspent(t *testing.T) {
+	s := NewSubsystem("retry")
+	if _, err := s.NewComponent("f", BehaviorFunc(func(p *Proc) error {
+		p.Delay(10)
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CaptureNow("mig-1"); err == nil {
+		t.Fatal("captured a live component that saves no state")
+	}
+	if err := s.Run(vtime.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := s.CaptureNow("mig-1")
+	if err != nil || cs == nil {
+		t.Fatalf("capture after the component finished: %v, %v", cs, err)
 	}
 }

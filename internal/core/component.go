@@ -77,8 +77,7 @@ type Component struct {
 	sub  *Subsystem
 
 	behavior Behavior
-	ports    []*Port               // in creation order
-	ifaces   map[string]*Interface // made by the first AddInterface
+	ports    []*Port // in creation order
 
 	localTime vtime.Time
 

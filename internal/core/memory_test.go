@@ -60,14 +60,12 @@ func buildMemSystem(t *testing.T, static bool) (*Subsystem, *memCPU) {
 	t.Helper()
 	s := NewSubsystem("mem")
 	cpu := &memCPU{Sync: static}
-	cc, err := s.NewComponent("cpu", cpu)
+	cc, err := s.NewComponent("cpu", cpu, "irq")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc.addPort("irq")
 	dev := &irqDevice{}
-	dc, _ := s.NewComponent("dev", dev)
-	dc.addPort("irq")
+	dc, _ := s.NewComponent("dev", dev, "irq")
 	n, _ := s.NewNet("irqline", 0)
 	if err := s.Connect(n, cc.Port("irq"), dc.Port("irq")); err != nil {
 		t.Fatal(err)

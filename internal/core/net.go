@@ -28,15 +28,6 @@ func (p *Port) Net() *Net { return p.net }
 // endpoint rather than a user component).
 func (p *Port) Hidden() bool { return p.hidden }
 
-// Interface is an organizational grouping of ports on a component, as
-// in Pia's component/interface/port/net hierarchy. It carries no
-// simulation semantics of its own: connecting and sending happen at
-// port granularity.
-type Interface struct {
-	Name  string
-	Ports []string
-}
-
 // Sink receives the drives of the net a hidden port listens to: the
 // driving component, the virtual time it sent at and the value. It is
 // called on the subsystem scheduler goroutine and must not block.

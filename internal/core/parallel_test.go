@@ -108,8 +108,7 @@ func randomParallelSystem(seed int64) (*Subsystem, []*consumer, []*poller) {
 	nProd := 1 + rng.Intn(4)
 	for i := 0; i < nProd; i++ {
 		pr := &producer{Count: 1 + rng.Intn(20), Period: vtime.Duration(1 + rng.Intn(30))}
-		c, _ := s.NewComponent(fmt.Sprintf("prod%d", i), pr)
-		c.addPort("out")
+		c, _ := s.NewComponent(fmt.Sprintf("prod%d", i), pr, "out")
 		s.Connect(nets[rng.Intn(nNets)], c.Port("out"))
 	}
 
@@ -120,9 +119,7 @@ func randomParallelSystem(seed int64) (*Subsystem, []*consumer, []*poller) {
 		from := rng.Intn(nNets - 1)
 		to := from + 1 + rng.Intn(nNets-from-1)
 		rl := &relay{work: vtime.Duration(rng.Intn(8))}
-		c, _ := s.NewComponent(fmt.Sprintf("relay%d", i), rl)
-		c.addPort("in")
-		c.addPort("out")
+		c, _ := s.NewComponent(fmt.Sprintf("relay%d", i), rl, "in", "out")
 		s.Connect(nets[from], c.Port("in"))
 		s.Connect(nets[to], c.Port("out"))
 	}
@@ -132,8 +129,7 @@ func randomParallelSystem(seed int64) (*Subsystem, []*consumer, []*poller) {
 	for i := 0; i < nCons; i++ {
 		co := &consumer{}
 		cons = append(cons, co)
-		c, _ := s.NewComponent(fmt.Sprintf("cons%d", i), co)
-		c.addPort("in")
+		c, _ := s.NewComponent(fmt.Sprintf("cons%d", i), co, "in")
 		s.Connect(nets[rng.Intn(nNets)], c.Port("in"))
 	}
 
@@ -142,8 +138,7 @@ func randomParallelSystem(seed int64) (*Subsystem, []*consumer, []*poller) {
 	for i := 0; i < nPoll; i++ {
 		po := &poller{period: vtime.Duration(1 + rng.Intn(20)), rounds: 1 + rng.Intn(10)}
 		polls = append(polls, po)
-		c, _ := s.NewComponent(fmt.Sprintf("poll%d", i), po)
-		c.addPort("in")
+		c, _ := s.NewComponent(fmt.Sprintf("poll%d", i), po, "in")
 		s.Connect(nets[rng.Intn(nNets)], c.Port("in"))
 	}
 	return s, cons, polls
@@ -289,12 +284,10 @@ func TestParallelRoundsDispatch(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			n, _ := s.NewNet(fmt.Sprintf("lane%d", i), 5)
 			pr := &producer{Count: 20, Period: 7}
-			pc, _ := s.NewComponent(fmt.Sprintf("p%d", i), pr)
-			pc.addPort("out")
+			pc, _ := s.NewComponent(fmt.Sprintf("p%d", i), pr, "out")
 			co := &consumer{}
 			cons = append(cons, co)
-			cc, _ := s.NewComponent(fmt.Sprintf("c%d", i), co)
-			cc.addPort("in")
+			cc, _ := s.NewComponent(fmt.Sprintf("c%d", i), co, "in")
 			s.Connect(n, pc.Port("out"), cc.Port("in"))
 		}
 		return s, cons
@@ -404,8 +397,7 @@ func TestParallelStop(t *testing.T) {
 				p.Send("out", 1)
 				p.Delay(1)
 			}
-		}))
-		c.addPort("out")
+		}), "out")
 		s.Connect(n, c.Port("out"))
 	}
 	s.SetWorkers(4)
@@ -525,14 +517,10 @@ func buildStorm(t *testing.T) (*Subsystem, *stormPoller) {
 	s := NewSubsystem("storm")
 	x, _ := s.NewNet("x", 1)
 	tick, _ := s.NewNet("tick", 100)
-	a, _ := s.NewComponent("tick0", &stormTicker{N: 30})
-	a.addPort("out")
+	a, _ := s.NewComponent("tick0", &stormTicker{N: 30}, "out")
 	s.Connect(x, a.Port("out"))
 	po := &stormPoller{Period: 10, Rounds: 10}
-	m, _ := s.NewComponent("poll0", po)
-	m.addPort("in")
-	m.addPort("tick")
-	m.addPort("out")
+	m, _ := s.NewComponent("poll0", po, "in", "tick", "out")
 	polls, _ := s.NewNet("polls", 1)
 	s.Connect(x, m.Port("in"))
 	s.Connect(tick, m.Port("tick"))

@@ -28,14 +28,12 @@ func randomSystem(seed int64) (*Subsystem, []*consumer) {
 	for i := 0; i < nCons; i++ {
 		co := &consumer{}
 		cons = append(cons, co)
-		c, _ := s.NewComponent(fmt.Sprintf("cons%d", i), co)
-		c.addPort("in")
+		c, _ := s.NewComponent(fmt.Sprintf("cons%d", i), co, "in")
 		s.Connect(nets[rng.Intn(nNets)], c.Port("in"))
 	}
 	for i := 0; i < nProd; i++ {
 		pr := &producer{Count: 1 + rng.Intn(20), Period: vtime.Duration(1 + rng.Intn(30))}
-		c, _ := s.NewComponent(fmt.Sprintf("prod%d", i), pr)
-		c.addPort("out")
+		c, _ := s.NewComponent(fmt.Sprintf("prod%d", i), pr, "out")
 		s.Connect(nets[rng.Intn(nNets)], c.Port("out"))
 	}
 	return s, cons

@@ -15,28 +15,20 @@ import (
 func streamPair(tb testing.TB, tx, rx Behavior, ports ...string) *Subsystem {
 	tb.Helper()
 	s := NewSubsystem("stream")
-	tc, err := s.NewComponent("tx", tx)
+	tc, err := s.NewComponent("tx", tx, ports...)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rc, err := s.NewComponent("rx", rx)
+	rc, err := s.NewComponent("rx", rx, ports...)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for _, name := range ports {
-		out, err := tc.addPort(name)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		in, err := rc.addPort(name)
-		if err != nil {
-			tb.Fatal(err)
-		}
 		n, err := s.NewNet(name, 0)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if err := s.Connect(n, out, in); err != nil {
+		if err := s.Connect(n, tc.Port(name), rc.Port(name)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -221,10 +213,8 @@ func TestCheckpointLargeInboxPreserved(t *testing.T) {
 	const n = 700
 	s := NewSubsystem("burst")
 	co := &consumer{}
-	cc, _ := s.NewComponent("cons", co)
-	cc.addPort("in")
-	pc, _ := s.NewComponent("prod", &burster{N: n})
-	pc.addPort("out")
+	cc, _ := s.NewComponent("cons", co, "in")
+	pc, _ := s.NewComponent("prod", &burster{N: n}, "out")
 	net, _ := s.NewNet("slow", 100)
 	s.Connect(net, pc.Port("out"), cc.Port("in"))
 	s.OnStep = func(now vtime.Time) {
@@ -328,13 +318,12 @@ func TestWordBurstBytesPerDelivery(t *testing.T) {
 						p.Delay(window)
 					}
 					return nil
-				}))
+				}), "out")
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, _ := pc.addPort("out")
 				n, _ := s.NewNet("pace", 1)
-				if err := s.Connect(n, out); err != nil {
+				if err := s.Connect(n, pc.Port("out")); err != nil {
 					t.Fatal(err)
 				}
 				s.SetWorkers(2)

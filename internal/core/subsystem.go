@@ -310,7 +310,7 @@ func (s *Subsystem) Component(name string) *Component { return s.comps[name] }
 func (s *Subsystem) Net(name string) *Net { return s.nets[name] }
 
 // NewComponent adds a component with the given behaviour and ports.
-// The ports share one allocation; AddInterface adds more later.
+// The ports share one allocation.
 func (s *Subsystem) NewComponent(name string, b Behavior, ports ...string) (*Component, error) {
 	if s.running {
 		return nil, fmt.Errorf("core: cannot add component %q while running", name)
@@ -345,37 +345,6 @@ func (s *Subsystem) NewComponent(name string, b Behavior, ports ...string) (*Com
 	s.order = append(s.order, c)
 	s.activate(c)
 	return c, nil
-}
-
-// addPort adds a named port to the component.
-func (c *Component) addPort(name string) (*Port, error) {
-	if c.Port(name) != nil {
-		return nil, fmt.Errorf("core: duplicate port %s.%s", c.name, name)
-	}
-	p := &Port{Name: name, comp: c}
-	c.ports = append(c.ports, p)
-	return p, nil
-}
-
-// AddInterface groups existing ports (creating any that do not exist)
-// under a named interface.
-func (c *Component) AddInterface(name string, ports ...string) (*Interface, error) {
-	if _, dup := c.ifaces[name]; dup {
-		return nil, fmt.Errorf("core: duplicate interface %s.%s", c.name, name)
-	}
-	for _, pn := range ports {
-		if c.Port(pn) == nil {
-			if _, err := c.addPort(pn); err != nil {
-				return nil, err
-			}
-		}
-	}
-	ifc := &Interface{Name: name, Ports: append([]string(nil), ports...)}
-	if c.ifaces == nil {
-		c.ifaces = make(map[string]*Interface)
-	}
-	c.ifaces[name] = ifc
-	return ifc, nil
 }
 
 // NewNet creates a net with the given propagation delay.

@@ -55,19 +55,11 @@ func buildPipe(t *testing.T, delay vtime.Duration, count int, period vtime.Durat
 	s := NewSubsystem("pipe")
 	pr := &producer{Count: count, Period: period}
 	co := &consumer{}
-	pc, err := s.NewComponent("prod", pr)
+	pc, err := s.NewComponent("prod", pr, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := s.NewComponent("cons", co)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := pc.addPort("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := cc.addPort("in")
+	cc, err := s.NewComponent("cons", co, "in")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +67,7 @@ func buildPipe(t *testing.T, delay vtime.Duration, count int, period vtime.Durat
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Connect(n, out, in); err != nil {
+	if err := s.Connect(n, pc.Port("out"), cc.Port("in")); err != nil {
 		t.Fatal(err)
 	}
 	return s, pr, co
@@ -151,17 +143,15 @@ func TestRecvDeadline(t *testing.T) {
 		}
 		return nil
 	})
-	c, _ := s.NewComponent("poll", poller)
-	in, _ := c.addPort("in")
+	c, _ := s.NewComponent("poll", poller, "in")
 	sender := BehaviorFunc(func(p *Proc) error {
 		p.Delay(25)
 		p.Send("out", 1)
 		return nil
 	})
-	sc, _ := s.NewComponent("send", sender)
-	out, _ := sc.addPort("out")
+	sc, _ := s.NewComponent("send", sender, "out")
 	n, _ := s.NewNet("w", 0)
-	if err := s.Connect(n, in, out); err != nil {
+	if err := s.Connect(n, c.Port("in"), sc.Port("out")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(vtime.Infinity); err != nil {
@@ -176,8 +166,7 @@ func TestMultiListenerFanout(t *testing.T) {
 	s := NewSubsystem("bus")
 	mk := func(name string) *consumer {
 		co := &consumer{}
-		c, _ := s.NewComponent(name, co)
-		c.addPort("in")
+		s.NewComponent(name, co, "in")
 		return co
 	}
 	a, b := mk("a"), mk("b")
@@ -186,8 +175,7 @@ func TestMultiListenerFanout(t *testing.T) {
 		p.Send("out", 42)
 		return nil
 	})
-	sc, _ := s.NewComponent("src", src)
-	sc.addPort("out")
+	sc, _ := s.NewComponent("src", src, "out")
 	n, _ := s.NewNet("bus", 0)
 	if err := s.Connect(n, sc.Port("out"), s.Component("a").Port("in"), s.Component("b").Port("in")); err != nil {
 		t.Fatal(err)
@@ -210,8 +198,7 @@ func TestDriverDoesNotHearItself(t *testing.T) {
 		}
 		return nil
 	})
-	c, _ := s.NewComponent("self", self)
-	c.addPort("io")
+	c, _ := s.NewComponent("self", self, "io")
 	n, _ := s.NewNet("w", 0)
 	s.Connect(n, c.Port("io"))
 	if err := s.Run(vtime.Infinity); err != nil {
@@ -238,10 +225,8 @@ func TestSendAtSchedulesFuture(t *testing.T) {
 			times = append(times, m.Time)
 		}
 	})
-	sc, _ := s.NewComponent("src", src)
-	sc.addPort("out")
-	cc, _ := s.NewComponent("cons", cons)
-	cc.addPort("in")
+	sc, _ := s.NewComponent("src", src, "out")
+	cc, _ := s.NewComponent("cons", cons, "in")
 	n, _ := s.NewNet("w", 0)
 	s.Connect(n, sc.Port("out"), cc.Port("in"))
 	if err := s.Run(vtime.Infinity); err != nil {
@@ -256,8 +241,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() ([]int, []vtime.Time) {
 		s := NewSubsystem("det")
 		co := &consumer{}
-		cc, _ := s.NewComponent("cons", co)
-		cc.addPort("in")
+		cc, _ := s.NewComponent("cons", co, "in")
 		n, _ := s.NewNet("bus", 1)
 		s.Connect(n, cc.Port("in"))
 		// Three producers colliding at identical times.
@@ -270,8 +254,7 @@ func TestDeterminism(t *testing.T) {
 				}
 				return nil
 			})
-			pc, _ := s.NewComponent(fmt.Sprintf("p%d", id), pb)
-			pc.addPort("out")
+			pc, _ := s.NewComponent(fmt.Sprintf("p%d", id), pb, "out")
 			s.Connect(n, pc.Port("out"))
 		}
 		if err := s.Run(vtime.Infinity); err != nil {
@@ -352,8 +335,7 @@ func injectDrive(s *Subsystem, net, src string, at vtime.Time, v any) {
 func TestInjectDrive(t *testing.T) {
 	s := NewSubsystem("inj")
 	co := &consumer{}
-	cc, _ := s.NewComponent("cons", co)
-	cc.addPort("in")
+	cc, _ := s.NewComponent("cons", co, "in")
 	n, _ := s.NewNet("ext", 0)
 	s.Connect(n, cc.Port("in"))
 	s.AddExternal()
@@ -389,8 +371,7 @@ func (openGate) Request(vtime.Time) {}
 func TestAddGateWhileRunning(t *testing.T) {
 	s := NewSubsystem("live")
 	co := &consumer{}
-	cc, _ := s.NewComponent("cons", co)
-	cc.addPort("in")
+	cc, _ := s.NewComponent("cons", co, "in")
 	n, _ := s.NewNet("ext", 0)
 	s.Connect(n, cc.Port("in"))
 	s.AddExternal()
@@ -429,8 +410,7 @@ func TestHiddenPortSink(t *testing.T) {
 		p.Send("out", "x")
 		return nil
 	})
-	sc, _ := s.NewComponent("src", src)
-	sc.addPort("out")
+	sc, _ := s.NewComponent("src", src, "out")
 	n, _ := s.NewNet("w", 2)
 	s.Connect(n, sc.Port("out"))
 	_, err := s.AttachHidden(n, "w$chan", "chan0", func(src string, sent vtime.Time, v any) {
@@ -454,13 +434,9 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := s.NewComponent("c", nil); err == nil {
 		t.Fatal("nil behaviour accepted")
 	}
-	c, _ := s.NewComponent("c", BehaviorFunc(func(p *Proc) error { return nil }))
+	c, _ := s.NewComponent("c", BehaviorFunc(func(p *Proc) error { return nil }), "p")
 	if _, err := s.NewComponent("c", BehaviorFunc(func(p *Proc) error { return nil })); err == nil {
 		t.Fatal("duplicate component accepted")
-	}
-	c.addPort("p")
-	if _, err := c.addPort("p"); err == nil {
-		t.Fatal("duplicate port accepted")
 	}
 	n, _ := s.NewNet("n", 0)
 	if _, err := s.NewNet("n", 0); err == nil {
@@ -478,21 +454,6 @@ func TestBuilderErrors(t *testing.T) {
 	s2 := NewSubsystem("other")
 	if err := s2.Connect(n); err == nil {
 		t.Fatal("cross-subsystem net accepted")
-	}
-}
-
-func TestInterfaceGrouping(t *testing.T) {
-	s := NewSubsystem("i")
-	c, _ := s.NewComponent("c", BehaviorFunc(func(p *Proc) error { return nil }))
-	ifc, err := c.AddInterface("bus", "addr", "data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ifc.Ports) != 2 || c.Port("addr") == nil || c.Port("data") == nil {
-		t.Fatal("interface did not create its ports")
-	}
-	if _, err := c.AddInterface("bus"); err == nil {
-		t.Fatal("duplicate interface accepted")
 	}
 }
 

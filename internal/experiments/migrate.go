@@ -12,6 +12,7 @@ import (
 	"maps"
 	"time"
 
+	pia "repro"
 	"repro/internal/faultnet"
 	"repro/internal/mesh"
 	"repro/internal/node"
@@ -119,12 +120,8 @@ func Migrate(cfg MigrateConfig) ([]MigrateRow, error) {
 // digests.
 func migrateLeg(mode string, p mesh.DemoParams, cfg MigrateConfig, tune func(i int, mc *mesh.Config), migrate bool) (MigrateRow, error) {
 	row := MigrateRow{Mode: mode}
-	bp, err := mesh.DemoBlueprint(p)
-	if err != nil {
-		return row, err
-	}
 	start := time.Now()
-	lm, err := mesh.StartLocalMesh(bp, p.Members, tune)
+	lm, err := mesh.StartLocalMesh(func(b *pia.SystemBuilder) error { return mesh.DescribeDemo(b, p) }, p.Members, tune)
 	if err != nil {
 		return row, err
 	}

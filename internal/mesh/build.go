@@ -1,5 +1,5 @@
-// Local data-plane construction: each member compiles the shared
-// blueprint, instantiates only its own slice of the system, and
+// Local data-plane construction: each member runs the shared
+// description, builds only its own slice of the system, and
 // establishes the inter-member channels — the initial ones at build
 // time, the ones a placement epoch adds in its dial phase.
 package mesh
@@ -9,50 +9,52 @@ import (
 	"slices"
 	"time"
 
+	pia "repro"
 	"repro/internal/channel"
+	"repro/internal/design"
 	"repro/internal/graph"
 )
 
-// viewState is a member's replica of the global placement: the graph
-// view, the flat component->member map, the channel specs derived
-// from the current epoch, and the peers whose channel those specs
-// need but the hub does not hold yet.
+// viewState is what a member derives from the description's view at
+// the current epoch: the channel specs, and the peers whose channel
+// those specs need but the hub does not hold yet.
 type viewState struct {
-	view      *graph.View
-	placement map[string]string
 	chanSpecs []graph.ChannelSpec
 	toOpen    []string
 }
 
-// buildData builds the member's local fragment — components placed
-// here, net fragments touching them — and opens the initial channels.
+// describe runs a description on a fresh builder.
+func describe(fn func(*pia.SystemBuilder) error) (*pia.SystemBuilder, *design.System, error) {
+	b := pia.NewSystem("mesh")
+	if err := fn(b); err != nil {
+		return nil, nil, fmt.Errorf("describe: %w", err)
+	}
+	d, err := b.Design()
+	return b, d, err
+}
+
+// fresh runs the description again for a never-run instance of comp,
+// with its ports and runlevel: the component a migration brings in.
+func (m *member) fresh(comp string) (*design.Component, error) {
+	_, d, err := describe(m.describe)
+	if err != nil {
+		return nil, fmt.Errorf("mesh: %s: %w", m.name, err)
+	}
+	c := d.Comps[comp]
+	if c == nil {
+		return nil, fmt.Errorf("mesh: %s: the description has no component %q", m.name, comp)
+	}
+	return c, nil
+}
+
+// buildData derives the channels the description's view needs, whose
+// slice New already built, and opens the initial ones.
 func (m *member) buildData() error {
-	view, err := m.bp.view()
+	_, chans, err := m.design.Partition()
 	if err != nil {
 		return err
 	}
-	splits, chans, err := view.Partition()
-	if err != nil {
-		return err
-	}
-	vs := &viewState{
-		view:      view,
-		placement: make(map[string]string, len(m.bp.Components)),
-		chanSpecs: chans,
-	}
-	for i := range m.bp.Components {
-		cs := &m.bp.Components[i]
-		vs.placement[cs.Name] = m.bp.Placement[cs.Name]
-		if vs.placement[cs.Name] != m.name {
-			continue
-		}
-		if err := m.instantiate(cs); err != nil {
-			return err
-		}
-	}
-	if err := m.buildNets(splits); err != nil {
-		return err
-	}
+	vs := &viewState{chanSpecs: chans}
 	for _, cs := range chans {
 		if peer := peerOf(cs, m.name); peer != "" {
 			vs.toOpen = append(vs.toOpen, peer)
@@ -68,50 +70,34 @@ func (m *member) buildData() error {
 	return nil
 }
 
-// instantiate creates one blueprint component and its ports on the
-// local subsystem: at build time for a component placed here, at an
-// epoch for one arriving by migration.
-func (m *member) instantiate(spec *componentSpec) error {
-	_, err := m.sub.NewComponent(spec.Name, spec.New(), spec.Ports...)
-	return err
+// peerOf returns the other end of a channel spec that touches me, ""
+// for one that does not.
+func peerOf(cs graph.ChannelSpec, me string) string {
+	switch me {
+	case cs.A:
+		return cs.B
+	case cs.B:
+		return cs.A
+	}
+	return ""
 }
 
-// buildNets realizes the net fragments this member hosts, creating
-// missing nets and connecting locally-placed component ports. It is
-// idempotent for nets and used both at build time and when an epoch
-// application homes a migrated component here.
-func (m *member) buildNets(splits []graph.Split) error {
-	for _, sp := range splits {
-		frag := sp.Fragment(m.name)
-		if frag == nil {
+// netsByPeer extracts, for one member, the set of nets each of its
+// channels carries: peer name -> net name set.
+func netsByPeer(chans []graph.ChannelSpec, me string) map[string]map[string]bool {
+	out := make(map[string]map[string]bool)
+	for _, cs := range chans {
+		peer := peerOf(cs, me)
+		if peer == "" {
 			continue
 		}
-		n := m.sub.Net(sp.Net)
-		if n == nil {
-			var err error
-			if n, err = m.sub.NewNet(sp.Net, sp.Delay); err != nil {
-				return err
-			}
+		set := make(map[string]bool, len(cs.Nets))
+		for _, n := range cs.Nets {
+			set[n] = true
 		}
-		for _, pr := range frag.Ports {
-			c := m.sub.Component(pr.Component)
-			if c == nil {
-				return fmt.Errorf("mesh: %s: net %s references missing local component %s",
-					m.name, sp.Net, pr.Component)
-			}
-			p := c.Port(pr.Port)
-			if p == nil {
-				return fmt.Errorf("mesh: %s: component %s has no port %s", m.name, pr.Component, pr.Port)
-			}
-			if p.Net() == n {
-				continue // already connected
-			}
-			if err := m.sub.Connect(n, p); err != nil {
-				return err
-			}
-		}
+		out[peer] = set
 	}
-	return nil
+	return out
 }
 
 // openChannels establishes the channel toward every peer in the
@@ -136,7 +122,8 @@ func (m *member) openChannels() error {
 			err error
 		)
 		if m.name < peer {
-			ep, err = m.nd.Connect(m.name, m.ms.dataAddr(peer), peer, m.bp.Policy, m.bp.Link)
+			ch := m.design.Channel(m.name, peer)
+			ep, err = m.nd.Connect(m.name, m.ms.dataAddr(peer), peer, ch.Policy, ch.Link)
 		} else {
 			ep, err = m.acceptChannel(peer)
 		}

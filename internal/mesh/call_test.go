@@ -12,9 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/channel"
-	"repro/internal/core"
-	"repro/internal/graph"
+	pia "repro"
 	"repro/internal/vtime"
 	"repro/internal/wire"
 )
@@ -101,9 +99,9 @@ func (p *peer) mustSend(f any) {
 	}
 }
 
-func newMember(t *testing.T, name string, bp *Blueprint) *member {
+func newMember(t *testing.T, name string, describe func(*pia.SystemBuilder) error) *member {
 	t.Helper()
-	m, err := New(Config{Name: name, Blueprint: bp})
+	m, err := New(Config{Name: name, Describe: describe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +201,7 @@ func marked(id uint64, mark int64) reply {
 // from a member the call did not address, a duplicate, and the two it
 // wants — and keeps exactly those two.
 func TestCallGathersOneReplyPerMember(t *testing.T) {
-	m := newMember(t, "alpha", &Blueprint{})
+	m := newMember(t, "alpha", nothing)
 	p1, p2 := dialAs(t, m, "p1"), dialAs(t, m, "p2")
 	dialAs(t, m, "p3")
 	id := m.callID + 1
@@ -236,7 +234,7 @@ func TestCallGathersOneReplyPerMember(t *testing.T) {
 // TestCallSurfacesRefusal: the first non-empty Err ends the call with
 // an error naming the member and the phase.
 func TestCallSurfacesRefusal(t *testing.T) {
-	m := newMember(t, "alpha", &Blueprint{})
+	m := newMember(t, "alpha", nothing)
 	dialAs(t, m, "p1")
 	dialAs(t, m, "p2")
 	id := m.callID + 1
@@ -251,7 +249,7 @@ func TestCallSurfacesRefusal(t *testing.T) {
 
 // TestCallTimesOut: one timer bounds the whole gather.
 func TestCallTimesOut(t *testing.T) {
-	m := newMember(t, "alpha", &Blueprint{})
+	m := newMember(t, "alpha", nothing)
 	dialAs(t, m, "p1")
 	p2 := dialAs(t, m, "p2")
 	m.phaseTimeout = 50 * time.Millisecond
@@ -274,7 +272,7 @@ func TestCallTimesOut(t *testing.T) {
 // refused at send time afterwards.
 func TestCallEndsWhenMemberLeaves(t *testing.T) {
 	for _, how := range []string{"hangs up", "announces leave"} {
-		m := newMember(t, "alpha", &Blueprint{})
+		m := newMember(t, "alpha", nothing)
 		p := dialAs(t, m, "p1")
 		go func() {
 			p.nextRequest()
@@ -301,7 +299,7 @@ func TestCallEndsWhenMemberLeaves(t *testing.T) {
 // TestCloseDuringGather: Close does not wait out the phase timeout of
 // a call in flight.
 func TestCloseDuringGather(t *testing.T) {
-	m := newMember(t, "alpha", &Blueprint{})
+	m := newMember(t, "alpha", nothing)
 	p := dialAs(t, m, "p1")
 	go func() {
 		p.nextRequest() // the call is gathering now
@@ -316,28 +314,25 @@ func TestCloseDuringGather(t *testing.T) {
 	}
 }
 
-// soloBlueprint is the smallest system that runs: a pump and a drain
-// on one member, nothing crossing.
-func soloBlueprint(home string) *Blueprint {
-	return &Blueprint{
-		Components: []componentSpec{
-			{Name: "pump", Ports: []string{"out"}, New: func() core.Behavior { return &pumpBeh{N: 3, Period: vtime.Millisecond} }},
-			{Name: "drain", Ports: []string{"in"}, New: func() core.Behavior { return &drainBeh{} }},
-		},
-		Nets: []netSpec{{Name: "local", Delay: 100 * vtime.Microsecond, Ports: []graph.PortRef{
-			{Component: "pump", Port: "out"}, {Component: "drain", Port: "in"},
-		}}},
-		Placement: map[string]string{"pump": home, "drain": home},
-		Policy:    channel.Conservative,
-		Link:      demoLink,
+// nothing is the empty description.
+func nothing(*pia.SystemBuilder) error { return nil }
+
+// solo describes the smallest system that runs: a pump and a drain on
+// one member, nothing crossing.
+func solo(home string) func(*pia.SystemBuilder) error {
+	return func(b *pia.SystemBuilder) error {
+		return b.AddComponent("pump", home, &pumpBeh{N: 3, Period: vtime.Millisecond}, "out").
+			AddComponent("drain", home, &drainBeh{}, "in").
+			AddNet("local", 100*vtime.Microsecond, "pump.out", "drain.in").
+			Err()
 	}
 }
 
 // startWithScriptedPeer starts a real member beside one scripted peer
 // and returns the peer's end of their control connection.
-func startWithScriptedPeer(t *testing.T, name, peerName string, bp *Blueprint) (*member, *peer, error) {
+func startWithScriptedPeer(t *testing.T, name, peerName string, describe func(*pia.SystemBuilder) error) (*member, *peer, error) {
 	t.Helper()
-	m := newMember(t, name, bp)
+	m := newMember(t, name, describe)
 	if peerName < name {
 		started := make(chan error, 1)
 		go func() { started <- m.Start(map[string]string{peerName: "unused: the smaller name dials"}) }()
@@ -353,7 +348,7 @@ func startWithScriptedPeer(t *testing.T, name, peerName string, bp *Blueprint) (
 // error, here on a connection the member dialed: the member hangs up —
 // no panic, no reply — and records the peer as left.
 func TestUnknownOpIsRefused(t *testing.T) {
-	m, p, err := startWithScriptedPeer(t, "alpha", "zulu", soloBlueprint("alpha"))
+	m, p, err := startWithScriptedPeer(t, "alpha", "zulu", solo("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +361,7 @@ func TestUnknownOpIsRefused(t *testing.T) {
 // dies mid-round makes Lead return, naming it, instead of waiting out
 // the phase timeout.
 func TestLeadEndsWhenFollowerDies(t *testing.T) {
-	m, p, err := startWithScriptedPeer(t, "alpha", "zulu", soloBlueprint("alpha"))
+	m, p, err := startWithScriptedPeer(t, "alpha", "zulu", solo("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +388,7 @@ func TestLeadEndsWhenFollowerDies(t *testing.T) {
 // system can be asked: ready, step with its counters, a migration
 // request it must refuse, finish.
 func TestFollowerAnswersTheLeader(t *testing.T) {
-	m, p, err := startWithScriptedPeer(t, "bravo", "alpha", soloBlueprint("bravo"))
+	m, p, err := startWithScriptedPeer(t, "bravo", "alpha", solo("bravo"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,14 +425,20 @@ func TestFollowerAnswersTheLeader(t *testing.T) {
 	}
 }
 
-// TestBuildFailureReachesTheLeader: a member whose build failed still
-// answers opReady, with the reason.
+// TestBuildFailureReachesTheLeader: a member whose build failed — here
+// the data channel its slice needs, dialed at an address nothing
+// listens on — still answers opReady, with the reason.
 func TestBuildFailureReachesTheLeader(t *testing.T) {
-	bp := soloBlueprint("bravo")
-	bp.Nets[0].Ports[1].Port = "nope"
-	_, p, err := startWithScriptedPeer(t, "bravo", "alpha", bp)
-	if err == nil {
-		t.Fatal("Start built a net onto a port that does not exist")
+	crossing := func(b *pia.SystemBuilder) error {
+		return b.SetDefaultChannel(pia.Conservative, demoLink).
+			AddComponent("pump", "alpha", &pumpBeh{N: 3, Period: vtime.Millisecond}, "out").
+			AddComponent("drain", "zulu", &drainBeh{}, "in").
+			AddNet("wire", 0, "pump.out", "drain.in").
+			Err()
+	}
+	_, p, err := startWithScriptedPeer(t, "alpha", "zulu", crossing)
+	if err == nil || !strings.Contains(err.Error(), "data channel with zulu") {
+		t.Fatalf("Start returned %v, want the data channel to zulu failing", err)
 	}
 	p.mustSend(request{ID: 1, Op: opReady})
 	if rp := p.nextReply(); rp.Err != err.Error() {
@@ -450,11 +451,7 @@ func TestBuildFailureReachesTheLeader(t *testing.T) {
 // reason, the queue is bounded, and what was queued happens.
 func TestRequestMigrationReturnsTheVerdict(t *testing.T) {
 	p := demoParams()
-	bp, err := DemoBlueprint(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm, err := StartLocalMesh(bp, demoNames, nil)
+	lm, err := StartLocalMesh(demo(p), demoNames, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

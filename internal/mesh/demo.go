@@ -19,9 +19,9 @@ package mesh
 import (
 	"fmt"
 
+	pia "repro"
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/vtime"
 )
 
@@ -77,70 +77,37 @@ func (p DemoParams) Horizon() vtime.Time {
 // migration transparency requires.
 var demoLink = channel.LinkModel{Latency: 2 * vtime.Millisecond}
 
-// DemoBlueprint builds the workload for the given three members.
-func DemoBlueprint(p DemoParams) (*Blueprint, error) {
+// DescribeDemo describes the workload for the given three members on
+// b: the description every member of the demo mesh runs.
+func DescribeDemo(b *pia.SystemBuilder, p DemoParams) error {
 	p = p.withDefaults()
 	if len(p.Members) != 3 {
-		return nil, fmt.Errorf("mesh: demo wants exactly 3 members, got %d", len(p.Members))
+		return fmt.Errorf("mesh: demo wants exactly 3 members, got %d", len(p.Members))
 	}
 	src, spare, far := p.Members[0], p.Members[1], p.Members[2]
-	bp := &Blueprint{
-		Placement: make(map[string]string),
-		Policy:    channel.Conservative,
-		Link:      demoLink,
-	}
+	b.SetDefaultChannel(pia.Conservative, demoLink)
 
 	hotPorts := []string{"out"}
 	for i := 0; i < p.Sinks; i++ {
 		hotPorts = append(hotPorts, fmt.Sprintf("in%d", i))
 	}
-	values, period, sinks := p.Values, p.Period, p.Sinks
-	bp.Components = append(bp.Components, componentSpec{
-		Name: "hot", Ports: hotPorts,
-		New: func() core.Behavior { return &hotBeh{N: values, Period: period, Sinks: sinks} },
-	})
-	bp.Placement["hot"] = src
-
-	reqPorts := []graph.PortRef{{Component: "hot", Port: "out"}}
+	b.AddComponent("hot", src, &hotBeh{N: p.Values, Period: p.Period, Sinks: p.Sinks}, hotPorts...)
+	req := []string{"hot.out"}
 	for i := 0; i < p.Sinks; i++ {
 		name := fmt.Sprintf("sink%d", i)
-		bp.Components = append(bp.Components, componentSpec{
-			Name: name, Ports: []string{"in", "out"},
-			New: func() core.Behavior { return &sinkBeh{} },
-		})
-		bp.Placement[name] = far
-		reqPorts = append(reqPorts, graph.PortRef{Component: name, Port: "in"})
-		bp.Nets = append(bp.Nets, netSpec{
-			Name:  fmt.Sprintf("resp%d", i),
-			Delay: p.RespBase + vtime.Duration(i)*p.RespStep,
-			Ports: []graph.PortRef{
-				{Component: name, Port: "out"},
-				{Component: "hot", Port: fmt.Sprintf("in%d", i)},
-			},
-		})
+		b.AddComponent(name, far, &sinkBeh{}, "in", "out").
+			AddNet(fmt.Sprintf("resp%d", i), p.RespBase+vtime.Duration(i)*p.RespStep, name+".out", fmt.Sprintf("hot.in%d", i))
+		req = append(req, name+".in")
 	}
-	bp.Nets = append(bp.Nets, netSpec{Name: "req", Delay: p.ReqDelay, Ports: reqPorts})
+	b.AddNet("req", p.ReqDelay, req...)
 
-	filler := p.Filler
 	for _, host := range []string{src, spare} {
-		pump, drain, net := "pump-"+host, "drain-"+host, "local-"+host
-		bp.Components = append(bp.Components,
-			componentSpec{Name: pump, Ports: []string{"out"},
-				New: func() core.Behavior { return &pumpBeh{N: filler, Period: 3 * vtime.Millisecond} }},
-			componentSpec{Name: drain, Ports: []string{"in"},
-				New: func() core.Behavior { return &drainBeh{} }},
-		)
-		bp.Placement[pump] = host
-		bp.Placement[drain] = host
-		bp.Nets = append(bp.Nets, netSpec{
-			Name: net, Delay: 100 * vtime.Microsecond,
-			Ports: []graph.PortRef{
-				{Component: pump, Port: "out"},
-				{Component: drain, Port: "in"},
-			},
-		})
+		pump, drain := "pump-"+host, "drain-"+host
+		b.AddComponent(pump, host, &pumpBeh{N: p.Filler, Period: 3 * vtime.Millisecond}, "out").
+			AddComponent(drain, host, &drainBeh{}, "in").
+			AddNet("local-"+host, 100*vtime.Microsecond, pump+".out", drain+".in")
 	}
-	return bp, nil
+	return b.Err()
 }
 
 // hotBeh sends Values requests at a fixed cadence and folds every

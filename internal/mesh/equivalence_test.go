@@ -19,11 +19,7 @@ import (
 // merged digests plus hot's final checksum state.
 func runLeg(t *testing.T, p DemoParams, tune func(i int, cfg *Config), plan func(lm *localMesh)) (map[string]uint64, hotBeh) {
 	t.Helper()
-	bp, err := DemoBlueprint(p)
-	if err != nil {
-		t.Fatalf("blueprint: %v", err)
-	}
-	lm, err := StartLocalMesh(bp, p.Members, tune)
+	lm, err := StartLocalMesh(demo(p), p.Members, tune)
 	if err != nil {
 		t.Fatalf("start mesh: %v", err)
 	}

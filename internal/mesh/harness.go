@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	pia "repro"
 	"repro/internal/vtime"
 )
 
@@ -18,16 +19,17 @@ type localMesh struct {
 }
 
 // StartLocalMesh creates and joins one member per name, all on
-// loopback ephemeral ports. tune, when non-nil, may adjust each
-// member's Config (e.g. install a prebuilt faulted node) before New.
-// On error every already-created member is closed.
-func StartLocalMesh(bp *Blueprint, names []string, tune func(i int, cfg *Config)) (*localMesh, error) {
+// loopback ephemeral ports, each running the description. tune, when
+// non-nil, may adjust each member's Config (e.g. install a prebuilt
+// faulted node) before New. On error every already-created member is
+// closed.
+func StartLocalMesh(describe func(*pia.SystemBuilder) error, names []string, tune func(i int, cfg *Config)) (*localMesh, error) {
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
 	lm := &localMesh{}
 	peers := make(map[string]string, len(sorted))
 	for i, name := range sorted {
-		cfg := Config{Name: name, Blueprint: bp}
+		cfg := Config{Name: name, Describe: describe}
 		if tune != nil {
 			tune(i, &cfg)
 		}

@@ -26,15 +26,15 @@
 // image at the source) -> transfer (ship image + digest state to the
 // destination inside the epoch broadcast) -> splice (every member
 // moves the component in its replica of the global view, re-derives
-// net splits, and rebinds channel endpoints; the destination rebuilds
-// the component from the shared blueprint and adopts the state) ->
+// net splits, and rebinds channel endpoints; the destination runs the
+// shared description again for a fresh instance of the component and
+// adopts the state) ->
 // resume (next round). Virtual time does not advance during any of
 // this, so migration downtime in simulated time is exactly zero.
 package mesh
 
 import (
 	"fmt"
-	"maps"
 	"net"
 	"slices"
 	"sort"
@@ -42,8 +42,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	pia "repro"
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/design"
 	"repro/internal/node"
 	"repro/internal/timeline"
 	"repro/internal/vtime"
@@ -54,9 +56,12 @@ import (
 type Config struct {
 	// Name is the member's (and its subsystem's) unique name.
 	Name string
-	// Blueprint is the shared system description. Must be identical
-	// on every member.
-	Blueprint *Blueprint
+	// Describe describes the whole system, identically on every member,
+	// each subsystem named after a member. The member builds its slice,
+	// re-partitions the description's view at each placement epoch, and
+	// runs Describe again for a fresh instance of a component migrating
+	// in. Migration is transparent only over pure-latency channels.
+	Describe func(*pia.SystemBuilder) error
 	// Node optionally supplies a prebuilt node (so callers can
 	// SetFaults/SetResilience before any listener starts). Nil
 	// creates a plain node named after the member.
@@ -101,9 +106,11 @@ const (
 // stats counts control-plane activity on one member. Leader-only
 // fields are zero elsewhere.
 type stats struct {
-	Rounds     int64 // barriers that held (leader)
-	Reissues   int64 // rounds re-issued because the barrier failed (leader)
-	Migrations int64 // migrations completed (leader)
+	Rounds     int64  // barriers that held (leader)
+	Reissues   int64  // rounds re-issued because the barrier failed (leader)
+	Migrations int64  // migrations completed (leader)
+	Dropped    int64  // migrations dropped because the source could not capture the component (leader)
+	LastDrop   string // the source's reason for the last dropped migration (leader)
 	Epoch      uint64
 	// EpochPropagation is the wall-clock time from the last epoch
 	// broadcast to its final ack (leader).
@@ -158,7 +165,8 @@ type member struct {
 	sub    *core.Subsystem
 	hub    *channel.Hub
 
-	bp        *Blueprint
+	describe  func(*pia.SystemBuilder) error
+	design    *design.System // its view is the replicated placement (written on the member loop under mu)
 	dataAddr  string
 	ctlLn     net.Listener
 	ctlAddr   string
@@ -180,7 +188,7 @@ type member struct {
 	phaseTimeout time.Duration // phaseTimeout, except in tests of the timer
 
 	mu        sync.Mutex
-	view      *viewState                        // replicated placement (guarded by serve loop + mu for readers)
+	view      *viewState                        // derived from the placement (guarded by serve loop + mu for readers)
 	plans     []migPlan                         // leader: scheduled migrations, by virtual time
 	accepted  map[string]chan *channel.Endpoint // data channels the node accepted, by dialing peer
 	stats     stats
@@ -193,20 +201,37 @@ type member struct {
 	wg        sync.WaitGroup
 }
 
-// New creates a member: it builds the node, hosts the subsystem,
-// starts the control and data listeners, and installs the digest and
+// New creates a member: it runs the description and builds the
+// member's slice of it, builds the node, hosts the subsystem, starts
+// the control and data listeners, and installs the digest and
 // channel-accept hooks. Call Start to join the mesh.
 func New(cfg Config) (*member, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Name == "" || len(cfg.Name) > maxName {
 		return nil, fmt.Errorf("mesh: member needs a name of 1 to %d bytes", maxName)
 	}
-	if cfg.Blueprint == nil {
-		return nil, fmt.Errorf("mesh: member %s needs a blueprint", cfg.Name)
+	if cfg.Describe == nil {
+		return nil, fmt.Errorf("mesh: member %s needs a description", cfg.Name)
+	}
+	b, d, err := describe(cfg.Describe)
+	if err != nil {
+		return nil, fmt.Errorf("mesh: member %s: %w", cfg.Name, err)
+	}
+	// A member the description places nothing on still joins, empty,
+	// so that a component can migrate in later.
+	var sub *core.Subsystem
+	if d.Places(cfg.Name) {
+		if sub, err = b.BuildSubsystem(cfg.Name); err != nil {
+			return nil, fmt.Errorf("mesh: member %s: %w", cfg.Name, err)
+		}
+	} else {
+		sub = d.NewSubsystem(cfg.Name)
 	}
 	m := &member{
 		name:         cfg.Name,
-		bp:           cfg.Blueprint,
+		describe:     cfg.Describe,
+		design:       d,
+		sub:          sub,
 		tl:           cfg.Timeline,
 		ms:           newMembership(cfg.Name),
 		digest:       newDigest(),
@@ -225,7 +250,6 @@ func New(cfg Config) (*member, error) {
 	if m.tl != nil {
 		m.nd.EnableTimeline(m.tl)
 	}
-	m.sub = core.NewSubsystem(cfg.Name)
 	m.hosted = m.nd.Host(m.sub)
 	m.hub = m.hosted.Hub
 	// The hook fires on the node's accept goroutine after the endpoint
@@ -298,10 +322,11 @@ func (m *member) Stats() stats {
 func (m *member) Placement() map[string]string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.view == nil {
-		return map[string]string{}
+	out := make(map[string]string, len(m.design.Order))
+	for _, c := range m.design.Order {
+		out[c] = m.design.View.Subsystem(c)
 	}
-	return maps.Clone(m.view.placement)
+	return out
 }
 
 // Start joins the mesh: peers maps every member name (self included
@@ -321,8 +346,10 @@ func (m *member) Start(peers map[string]string) error {
 	sort.Strings(names)
 	m.memberSet = names
 	m.leaderNm = names[0]
-	if err := m.bp.Validate(names); err != nil {
-		return err
+	for _, sub := range m.design.View.Subsystems() {
+		if !slices.Contains(names, sub) {
+			return m.design.Unhosted(sub)
+		}
 	}
 
 	// Connect the control mesh: the smaller name dials.
@@ -631,7 +658,7 @@ func (m *member) handle(rq request) reply {
 	case opMigrate:
 		err = m.queueMigration(rq.Move)
 	case opPrepare:
-		rp.Image, err = m.extract(rq.Move)
+		rp.Image, err = m.extract(rq.Move, rq.Until)
 	case opApply:
 		err = m.applyEpoch(rq.Move, rq.Image)
 	case opDial:

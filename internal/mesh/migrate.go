@@ -7,29 +7,34 @@
 //	quiesce   barrier held: all channels empty, virtual time <= h final
 //	   |
 //	snapshot  opPrepare -> the source extracts the ComponentImage at tag
-//	   |      "mig-<epoch>" (a degenerate Chandy-Lamport cut)
+//	   |      "mig-<epoch>@<h>" (a degenerate Chandy-Lamport cut)
 //	transfer  opApply -> everyone, the image and digest riding only
 //	   |      toward the destination
 //	splice    each member: view.Move, re-derive Partition, source
-//	   |      removes the component, dest rebuilds it from the
-//	   |      blueprint and adopts the state, everyone rebinds
-//	   |      channel endpoints to the new net splits
+//	   |      removes the component, dest runs the description again
+//	   |      for a fresh instance and adopts the state, everyone
+//	   |      rebinds channel endpoints to the new net splits
 //	resume    opDial -> everyone opens the channels the new placement
 //	          needs that did not exist; the next opStep resumes the run
 //
-// Failure cases: a member that cannot apply the epoch refuses and the
-// leader aborts the run (placement must never fork); a component with
-// a pending scheduler-control event refuses to migrate at the snapshot
-// phase; rewinds to snapshot tags taken under an older epoch are
-// refused by construction (tags do not survive migration — see
-// DESIGN.md §10).
+// Failure cases: a source that cannot capture the component — one whose
+// behaviour saves no state, a value with no channel codec, an image
+// over maxImage, a pending scheduler-control event — refuses the
+// snapshot phase, and the leader drops that move and runs on: nothing
+// has changed yet, because no apply was sent. A member that cannot
+// apply the epoch, or dial what it needs, refuses and the leader aborts
+// the run (placement must never fork). Rewinds to snapshot tags taken
+// under an older epoch are refused by construction (tags do not
+// survive migration — see DESIGN.md §10).
 package mesh
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
 
+	"repro/internal/design"
 	"repro/internal/snapshot"
 	"repro/internal/vtime"
 )
@@ -64,9 +69,7 @@ func (m *member) runMigrations(t vtime.Time) error {
 // returns it with From filled in.
 func (m *member) resolve(mv move) (move, error) {
 	m.mu.Lock()
-	if m.view != nil {
-		mv.From = m.view.placement[mv.Comp]
-	}
+	mv.From = m.design.View.Subsystem(mv.Comp)
 	m.mu.Unlock()
 	if mv.From == "" {
 		return mv, fmt.Errorf("mesh: migrate unknown component %q", mv.Comp)
@@ -117,7 +120,18 @@ func (m *member) migrate(t vtime.Time, mv move) error {
 	start := time.Now()
 	span("quiesce")
 
-	prepared, err := m.call([]string{mv.From}, request{Op: opPrepare, Move: mv})
+	prepared, err := m.call([]string{mv.From}, request{Op: opPrepare, Until: t, Move: mv})
+	var refused *Refused
+	if errors.As(err, &refused) {
+		// The source could not capture the component; no apply was
+		// sent, so nothing moved: drop the move, keep its reason, run on.
+		span("dropped: " + refused.Reason)
+		m.mu.Lock()
+		m.stats.Dropped++
+		m.stats.LastDrop = refused.Reason
+		m.mu.Unlock()
+		return nil
+	}
 	if err != nil {
 		return err
 	}
@@ -146,10 +160,10 @@ func (m *member) migrate(t vtime.Time, mv move) error {
 }
 
 // extract captures the migrating component's image (source member
-// only). The checkpoint tag is derived from the epoch so a re-sent
-// prepare deduplicates onto the same capture.
-func (m *member) extract(mv move) (image, error) {
-	ci, err := snapshot.ExtractComponent(m.sub, fmt.Sprintf("mig-%d", mv.Epoch), mv.Comp)
+// only) under a tag naming the epoch and the barrier t, so a capture a
+// dropped move left behind is never reused at a later barrier.
+func (m *member) extract(mv move, t vtime.Time) (image, error) {
+	ci, err := snapshot.ExtractComponent(m.sub, fmt.Sprintf("mig-%d@%d", mv.Epoch, int64(t)), mv.Comp)
 	if err != nil {
 		return image{}, err
 	}
@@ -161,9 +175,9 @@ func (m *member) extract(mv move) (image, error) {
 }
 
 // applyEpoch applies one placement epoch locally: move the component
-// in the replicated view, re-derive the net splits, remove or
-// rebuild-and-adopt the component, and rebind channel endpoints to
-// the new splits. Peers a channel newly leads to are left for the
+// in the description's view, re-derive the net splits, remove the
+// component or make a fresh one from the description and adopt its
+// state, and rebind channel endpoints to the new splits. Peers a channel newly leads to are left for the
 // dial phase; channels that lost all nets stay connected but idle
 // (reused if a later epoch routes nets over them again).
 func (m *member) applyEpoch(mv move, img image) error {
@@ -172,11 +186,17 @@ func (m *member) applyEpoch(mv move, img image) error {
 		return fmt.Errorf("mesh: %s: epoch %d before build", m.name, mv.Epoch)
 	}
 	oldNets := netsByPeer(vs.chanSpecs, m.name)
-	if err := vs.view.Move(mv.To, mv.Comp); err != nil {
+	m.mu.Lock()
+	err := m.design.View.Move(mv.To, mv.Comp)
+	m.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	splits, chans, err := vs.view.Partition()
+	splits, chans, err := m.design.Partition()
 	if err != nil {
+		m.mu.Lock()
+		m.design.View.Move(mv.From, mv.Comp) // the rules refuse this placement: keep the old one
+		m.mu.Unlock()
 		return err
 	}
 
@@ -187,14 +207,14 @@ func (m *member) applyEpoch(mv move, img image) error {
 		}
 	}
 	if m.name == mv.To {
-		spec := m.bp.Component(mv.Comp)
-		if spec == nil {
-			return fmt.Errorf("mesh: %s: blueprint has no component %q", m.name, mv.Comp)
-		}
-		if err := m.instantiate(spec); err != nil {
+		c, err := m.fresh(mv.Comp)
+		if err != nil {
 			return err
 		}
-		if err := m.buildNets(splits); err != nil {
+		if err := c.Instantiate(m.sub); err != nil {
+			return err
+		}
+		if err := design.Resplit(m.sub, splits); err != nil {
 			return err
 		}
 		ci, err := snapshot.DecodeComponentImage(img.Bytes)
@@ -240,7 +260,6 @@ func (m *member) applyEpoch(mv move, img image) error {
 
 	m.mu.Lock()
 	vs.chanSpecs = chans
-	vs.placement[mv.Comp] = mv.To
 	m.mu.Unlock()
 	m.epoch.Store(mv.Epoch)
 	return nil

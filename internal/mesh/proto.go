@@ -76,7 +76,7 @@ const (
 	opReady                   // leader -> all: report the local build (components, nets, data channels)
 	opStep                    // leader -> all: run to request.Until, reply with channel counters
 	opMigrate                 // any -> leader: queue a live migration (Move.Comp, Move.To)
-	opPrepare                 // leader -> source: extract Move.Comp, reply with its image
+	opPrepare                 // leader -> source: extract Move.Comp at barrier Until, reply with its image
 	opApply                   // leader -> all: apply placement epoch Move.Epoch
 	opDial                    // leader -> all: open the channels the applied epoch added
 	opFinish                  // leader -> all: no more rounds

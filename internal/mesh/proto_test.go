@@ -106,7 +106,7 @@ var requestFrame = func() []byte {
 // connection, and a call to another member still completes. A stale
 // or hostile handshake is cut the same way.
 func TestControlRejectsHostileFrames(t *testing.T) {
-	m := newMember(t, "alpha", &Blueprint{})
+	m := newMember(t, "alpha", nothing)
 	ok := dialAs(t, m, "ok")
 	for i, tc := range hostileRows {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,7 +198,7 @@ func TestDialCtlGivesUpAtTheDeadline(t *testing.T) {
 			silent = append(silent, c)
 		}
 	}()
-	m := newMember(t, "alpha", &Blueprint{})
+	m := newMember(t, "alpha", nothing)
 	deadline := time.Now().Add(200 * time.Millisecond)
 	err = within(t, "dialCtl against a silent peer", func() error {
 		return m.dialCtl("zulu", ln.Addr().String(), deadline)
@@ -215,7 +215,7 @@ func TestDialCtlGivesUpAtTheDeadline(t *testing.T) {
 // nothing neither holds Close for the handshake timeout nor outlives
 // it: Close hangs up on it.
 func TestCloseCutsAPendingHandshake(t *testing.T) {
-	m := newMember(t, "alpha", &Blueprint{})
+	m := newMember(t, "alpha", nothing)
 	c, err := net.Dial("tcp", m.CtlAddr())
 	if err != nil {
 		t.Fatal(err)

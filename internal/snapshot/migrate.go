@@ -208,9 +208,9 @@ func ExtractComponent(sub *core.Subsystem, tag, comp string) (*ComponentImage, e
 
 // AdoptComponent restores a transferred image into the destination
 // subsystem. The component must already exist there with the right
-// behaviour, ports and net connections (the mesh rebuilds them from
-// its blueprint); adoption supplies the state. Only legal between
-// runs.
+// behaviour, ports and net connections (the mesh makes them by
+// running the system's description again); adoption supplies the
+// state. Only legal between runs.
 func AdoptComponent(sub *core.Subsystem, ci *ComponentImage) error {
 	if err := sub.RestoreComponentImage(&ci.Image); err != nil {
 		return err

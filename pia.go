@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/design"
 	"repro/internal/detail"
 	"repro/internal/faultnet"
 	"repro/internal/flight"
@@ -123,30 +124,11 @@ type ResilienceConfig = resilience.Config
 // ResilienceStats aggregates session-layer recovery counters.
 type ResilienceStats = resilience.Stats
 
-// componentDef is one component in the designer's view.
-type componentDef struct {
-	name     string
-	behavior Behavior
-	ports    []string
-	runlevel string
-}
-
-type channelCfg struct {
-	policy Policy
-	link   LinkModel
-}
-
 // SystemBuilder accumulates the designer's view of a system.
 type SystemBuilder struct {
-	name  string
-	comps map[string]*componentDef
-	order []string
-	view  *graph.View     // each component's subsystem, and the nets
-	refs  []graph.PortRef // AddNet's parse scratch
-
-	defaultPolicy Policy
-	defaultLink   LinkModel
-	perPair       map[[2]string]channelCfg
+	name string
+	d    design.System
+	refs []graph.PortRef // AddNet's parse scratch
 
 	coalesce    CoalesceConfig
 	coalesceSet bool
@@ -156,21 +138,19 @@ type SystemBuilder struct {
 	resil     ResilienceConfig
 	resilSet  bool
 
-	workers  int
-	optimism vtime.Duration
-
 	err error
 }
 
 // NewSystem starts a system description.
 func NewSystem(name string) *SystemBuilder {
 	return &SystemBuilder{
-		name:          name,
-		comps:         make(map[string]*componentDef),
-		view:          graph.NewView(),
-		defaultPolicy: Conservative,
-		defaultLink:   LoopbackLink,
-		perPair:       make(map[[2]string]channelCfg),
+		name: name,
+		d: design.System{
+			Comps:   make(map[string]*design.Component),
+			View:    graph.NewView(),
+			Default: design.Channel{Policy: Conservative, Link: LoopbackLink},
+			PerPair: make(map[[2]string]design.Channel),
+		},
 	}
 }
 
@@ -184,13 +164,13 @@ func (b *SystemBuilder) AddComponent(name, subsystem string, bhv Behavior, ports
 		b.err = fmt.Errorf("pia: component %q needs a name, a subsystem and a behaviour", name)
 		return b
 	}
-	if _, dup := b.comps[name]; dup {
+	if _, dup := b.d.Comps[name]; dup {
 		b.err = fmt.Errorf("pia: duplicate component %q", name)
 		return b
 	}
-	b.comps[name] = &componentDef{name: name, behavior: bhv, ports: ports}
-	b.order = append(b.order, name)
-	if err := b.view.AddComponent(name, subsystem); err != nil {
+	b.d.Comps[name] = &design.Component{Name: name, Behavior: bhv, Ports: ports}
+	b.d.Order = append(b.d.Order, name)
+	if err := b.d.View.AddComponent(name, subsystem); err != nil {
 		b.err = err
 	}
 	return b
@@ -201,12 +181,12 @@ func (b *SystemBuilder) SetRunlevel(component, level string) *SystemBuilder {
 	if b.err != nil {
 		return b
 	}
-	c := b.comps[component]
+	c := b.d.Comps[component]
 	if c == nil {
 		b.err = fmt.Errorf("pia: SetRunlevel of unknown component %q", component)
 		return b
 	}
-	c.runlevel = level
+	c.Runlevel = level
 	return b
 }
 
@@ -216,7 +196,7 @@ func (b *SystemBuilder) AddNet(name string, delay Duration, portRefs ...string) 
 	if b.err != nil {
 		return b
 	}
-	if b.view.HasNet(name) {
+	if b.d.View.HasNet(name) {
 		b.err = fmt.Errorf("pia: duplicate net %q", name)
 		return b
 	}
@@ -227,18 +207,18 @@ func (b *SystemBuilder) AddNet(name string, delay Duration, portRefs ...string) 
 			b.err = fmt.Errorf("pia: net %q: bad port reference %q (want component.port)", name, ref)
 			return b
 		}
-		c := b.comps[comp]
+		c := b.d.Comps[comp]
 		if c == nil {
 			b.err = fmt.Errorf("pia: net %q references unknown component %q", name, comp)
 			return b
 		}
-		if !slices.Contains(c.ports, port) {
+		if !slices.Contains(c.Ports, port) {
 			b.err = fmt.Errorf("pia: net %q references unknown port %q on %q", name, port, comp)
 			return b
 		}
 		b.refs = append(b.refs, graph.PortRef{Component: comp, Port: port})
 	}
-	if err := b.view.AddNet(name, delay, b.refs...); err != nil {
+	if err := b.d.View.AddNet(name, delay, b.refs...); err != nil {
 		b.err = err
 	}
 	return b
@@ -247,7 +227,7 @@ func (b *SystemBuilder) AddNet(name string, delay Duration, portRefs ...string) 
 // SetDefaultChannel sets the policy and link model used for every
 // subsystem pair without an explicit override.
 func (b *SystemBuilder) SetDefaultChannel(p Policy, link LinkModel) *SystemBuilder {
-	b.defaultPolicy, b.defaultLink = p, link
+	b.d.Default = design.Channel{Policy: p, Link: link}
 	return b
 }
 
@@ -256,7 +236,7 @@ func (b *SystemBuilder) SetChannel(subA, subB string, p Policy, link LinkModel) 
 	if subA > subB {
 		subA, subB = subB, subA
 	}
-	b.perPair[[2]string{subA, subB}] = channelCfg{policy: p, link: link}
+	b.d.PerPair[[2]string{subA, subB}] = design.Channel{Policy: p, Link: link}
 	return b
 }
 
@@ -300,7 +280,7 @@ func (b *SystemBuilder) SetResilience(cfg ResilienceConfig) *SystemBuilder {
 // default) keeps the classic sequential scheduler. Results are
 // bit-for-bit identical either way; see core.Subsystem.SetWorkers.
 func (b *SystemBuilder) SetWorkers(n int) *SystemBuilder {
-	b.workers = n
+	b.d.Workers = n
 	return b
 }
 
@@ -313,7 +293,7 @@ func (b *SystemBuilder) SetWorkers(n int) *SystemBuilder {
 // (the default) keeps rounds purely conservative. See
 // core.Subsystem.SetOptimism.
 func (b *SystemBuilder) SetOptimism(w Duration) *SystemBuilder {
-	b.optimism = vtime.Duration(w)
+	b.d.Optimism = vtime.Duration(w)
 	return b
 }
 
@@ -326,16 +306,6 @@ func splitRef(ref string) (comp, port string, ok bool) {
 		return "", "", false
 	}
 	return ref[:i], ref[i+1:], true
-}
-
-func (b *SystemBuilder) pairCfg(a, c string) channelCfg {
-	if a > c {
-		a, c = c, a
-	}
-	if cfg, ok := b.perPair[[2]string{a, c}]; ok {
-		return cfg
-	}
-	return channelCfg{policy: b.defaultPolicy, link: b.defaultLink}
 }
 
 // Simulation is a locally built system: every subsystem in this
@@ -358,18 +328,6 @@ type Simulation struct {
 	// EnableFlight; EnableTimeline attaches its recorder to it, so the
 	// two calls work in either order.
 	flightRec *flight.Recorder
-}
-
-// newSubsystem creates one kernel subsystem with the builder's
-// scheduler settings — the one place a local build and a deployment
-// configure the kernel.
-func (b *SystemBuilder) newSubsystem(name string) *core.Subsystem {
-	s := core.NewSubsystem(name)
-	s.SetWorkers(b.workers)
-	if b.optimism > 0 {
-		s.SetOptimism(b.optimism)
-	}
-	return s
 }
 
 // BuildLocal realizes the description in-process. Conservative
@@ -395,7 +353,7 @@ func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := b.view
+	v := b.d.View
 
 	cl := &Cluster{Simulation: Simulation{
 		Name:       b.name,
@@ -408,18 +366,14 @@ func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 	if placement != nil {
 		for _, subName := range v.Subsystems() {
 			if placement[subName] == nil {
-				e := &graph.UnknownHostError{Host: subName}
-				if comps := v.Components(subName); len(comps) > 0 {
-					e.Component = comps[0]
-				}
-				return nil, e
+				return nil, b.d.Unhosted(subName)
 			}
 		}
 		cl.Nodes = make(map[string]*Node)
 		addrs = make(map[*Node]string)
 	}
 	for _, subName := range v.Subsystems() {
-		s := b.newSubsystem(subName)
+		s := b.d.NewSubsystem(subName)
 		cl.Subsystems[subName] = s
 		cl.subOrder = append(cl.subOrder, subName)
 		n := placement[subName]
@@ -434,7 +388,7 @@ func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 		}
 	}
 	for _, subName := range cl.subOrder {
-		if err := b.populate(cl.Subsystems[subName], splits); err != nil {
+		if err := b.d.Populate(cl.Subsystems[subName], splits); err != nil {
 			return nil, err
 		}
 	}
@@ -452,11 +406,11 @@ func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 
 	// Bridge the crossing nets.
 	for _, cs := range chans {
-		cfg := b.pairCfg(cs.A, cs.B)
+		cfg := b.d.Channel(cs.A, cs.B)
 		na, nb := placement[cs.A], placement[cs.B]
 		var epA, epB *channel.Endpoint
 		if na == nb {
-			epA, epB, err = channel.Connect(cl.Hubs[cs.A], cl.Hubs[cs.B], cfg.policy, cfg.link)
+			epA, epB, err = channel.Connect(cl.Hubs[cs.A], cl.Hubs[cs.B], cfg.Policy, cfg.Link)
 			if err != nil {
 				return nil, err
 			}
@@ -468,7 +422,7 @@ func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 				}
 				addrs[nb] = addr
 			}
-			if epA, err = na.Connect(cs.A, addr, cs.B, cfg.policy, cfg.link); err != nil {
+			if epA, err = na.Connect(cs.A, addr, cs.B, cfg.Policy, cfg.Link); err != nil {
 				return nil, err
 			}
 			if epB = cl.Hubs[cs.B].Endpoint(cs.A); epB == nil {
@@ -510,11 +464,11 @@ func (b *SystemBuilder) BuildSubsystem(name string) (*Subsystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !slices.ContainsFunc(b.order, func(c string) bool { return b.view.Subsystem(c) == name }) {
+	if !b.d.Places(name) {
 		return nil, fmt.Errorf("pia: the description places nothing on subsystem %q", name)
 	}
-	s := b.newSubsystem(name)
-	if err := b.populate(s, splits); err != nil {
+	s := b.d.NewSubsystem(name)
+	if err := b.d.Populate(s, splits); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -527,48 +481,17 @@ func (b *SystemBuilder) partition() ([]graph.Split, []graph.ChannelSpec, error) 
 	if b.err != nil {
 		return nil, nil, b.err
 	}
-	splits, chans, err := b.view.Partition()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := b.validateTopology(chans); err != nil {
-		return nil, nil, err
-	}
-	return splits, chans, nil
+	return b.d.Partition()
 }
 
-// populate instantiates the components the description places on s,
-// with their ports, then s's net fragments.
-func (b *SystemBuilder) populate(s *core.Subsystem, splits []graph.Split) error {
-	for _, name := range b.order {
-		if b.view.Subsystem(name) != s.Name() {
-			continue
-		}
-		cd := b.comps[name]
-		c, err := s.NewComponent(cd.name, cd.behavior, cd.ports...)
-		if err != nil {
-			return err
-		}
-		if cd.runlevel != "" {
-			c.SetRunlevel(cd.runlevel)
-		}
+// Design returns the description the builder holds, or its first
+// error. It is how a mesh member reads the one description it builds
+// its slice of and re-partitions at every placement epoch.
+func (b *SystemBuilder) Design() (*design.System, error) {
+	if b.err != nil {
+		return nil, b.err
 	}
-	return s.NewNets(splits)
-}
-
-// validateTopology applies the simple-cycles-only rule to the
-// conservative restriction graph.
-func (b *SystemBuilder) validateTopology(chans []graph.ChannelSpec) error {
-	tp := graph.NewTopology()
-	for _, cs := range chans {
-		cfg := b.pairCfg(cs.A, cs.B)
-		if cfg.policy != Conservative {
-			continue
-		}
-		tp.AddEdge(cs.A, cs.B)
-		tp.AddEdge(cs.B, cs.A)
-	}
-	return tp.Validate()
+	return &b.d, nil
 }
 
 // Subsystem returns a built subsystem by name.

@@ -34,7 +34,6 @@ var surfaceAllow = map[string]string{
 	"pia.Debugger":                 "the debugger the paper names as current work (DESIGN.md §3): ExampleDebugger",
 	"pia.NewDebugger":              "the debugger the paper names as current work (DESIGN.md §3): ExampleDebugger",
 
-	"internal/core.Component.AddInterface":      "§2.1: an interface groups a component's ports",
 	"internal/core.StateSaver":                  "§2.1.2: the state a checkpoint saves; the Examples' behaviours implement it",
 	"internal/core.Memory.Synchronous":          "§2.1.1: memory an interrupt handler touches is marked synchronous",
 	"internal/core.Proc.Sync":                   "§2.1.1: a component waits for subsystem time before it observes shared state",
