@@ -300,12 +300,15 @@ optimistic:
 # does not read, every documented invocation), its bring-up and
 # teardown under each observer set with no goroutine or listener left
 # behind, its observability-mux suite, and wubbleu's two conflicts.
+# The whole pianode package runs under the race detector: its designer
+# test spans the node's accept goroutine, the catalog and each dialed
+# tenant's run, from the designer's dial to the tenant's retirement.
 service:
 	$(GO) test -race -count=1 ./internal/service/
 	$(GO) test -race -count=1 -run 'TestSessionsExperiment' ./internal/experiments/
 	$(GO) test -count=1 -run 'TestLinkFlags' ./internal/node/
-	$(GO) test -race -count=1 -run 'TestValidate|TestEveryFlagHasReaders|TestBringUpTearDown' ./cmd/pianode/
-	$(GO) test -count=1 ./cmd/pianode/ ./cmd/wubbleu/
+	$(GO) test -race -count=1 ./cmd/pianode/
+	$(GO) test -count=1 ./cmd/wubbleu/
 
 # The flight-recorder gate: the flight package (ring, trips, watcher
 # backpressure, SSE end-to-end, sampler) under the race detector, then

@@ -2,13 +2,15 @@
 // WubbleU design: the cellular communication ASIC plus the dedicated
 // server behind its wireless link. This is the parts-vendor scenario
 // the paper motivates — a component made available over the network
-// for designers to patch into their simulated circuits.
+// for designers to patch into their simulated circuits. The node is a
+// server: every designer who dials gets a modem site of its own, freed
+// when that designer is done, and -metrics adds the session API.
 //
 // Start the server:
 //
 //	pianode -listen 127.0.0.1:7777 -level packetLevel
 //
-// then run the handheld side against it:
+// then run handheld sides against it, one after another or at once:
 //
 //	wubbleu -remote 127.0.0.1:7777
 package main
@@ -26,12 +28,11 @@ import (
 	"os/signal"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	pia "repro"
-	"repro/internal/channel"
-	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/mesh"
 	"repro/internal/metrics"
@@ -48,15 +49,14 @@ import (
 type mode uint8
 
 const (
-	modeModem   mode = 1 << iota // serve the WubbleU modem site (the default)
-	modeService                  // multi-tenant session catalog
+	modeService mode = 1 << iota // tenants for designers and the session API (the default)
 	modeMesh                     // one member of an N-node control plane
 	modeMerge                    // stitch timeline files and exit
 
-	serving = modeModem | modeService | modeMesh
+	serving = modeService | modeMesh
 )
 
-var modeNames = map[mode]string{modeModem: "modemsite", modeService: "service", modeMesh: "mesh", modeMerge: "timeline-merge"}
+var modeNames = map[mode]string{modeService: "service", modeMesh: "mesh", modeMerge: "timeline-merge"}
 
 // String is the mode's name in build info, flight dumps and messages.
 func (m mode) String() string { return modeNames[m] }
@@ -67,7 +67,6 @@ type options struct {
 	pageKB, images int
 	verbose        bool
 	workers        int
-	optimism       int64
 	links          node.LinkFlags
 
 	metricsAddr              string
@@ -78,8 +77,7 @@ type options struct {
 	timelineMerge            string
 	args                     []string // positional: the files -timeline-merge reads
 
-	service bool
-	limits  service.Limits
+	limits service.Limits
 
 	meshName, meshPeers, meshMigrate string
 	meshStep, meshUntil              time.Duration
@@ -91,12 +89,11 @@ type options struct {
 var readBy = map[string]mode{
 	"listen": serving, "v": serving, "metrics": serving, "pprof": serving,
 	"flight-dump": serving, "watch-interval": serving, "attrib-top": serving,
-	"level": modeModem, "page": modeModem, "images": modeModem,
-	"optimism": modeModem, "report": modeModem,
-	"workers":        modeModem | modeService,
-	"timeline":       modeModem | modeMesh,
+	"level": modeService, "page": modeService, "images": modeService,
+	"report": modeService, "workers": modeService,
+	"timeline":       modeService | modeMesh,
 	"timeline-merge": modeMerge,
-	"service":        modeService, "max-sessions": modeService, "max-mem": modeService,
+	"max-sessions":   modeService, "max-mem": modeService,
 	"max-session-mem": modeService, "max-steps": modeService,
 	"mesh-name": modeMesh, "peers": modeMesh, "mesh-step": modeMesh,
 	"mesh-until": modeMesh, "mesh-migrate": modeMesh,
@@ -104,12 +101,11 @@ var readBy = map[string]mode{
 
 func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:7777", "address to serve Pia channels on")
-	fs.StringVar(&o.level, "level", "packetLevel", "initial DMA detail level (hardwareLevel|wordLevel|packetLevel)")
-	fs.IntVar(&o.pageKB, "page", 66, "page size in KB served by the web store")
+	fs.StringVar(&o.level, "level", "packetLevel", "initial DMA detail level of each designer's modem site (hardwareLevel|wordLevel|packetLevel)")
+	fs.IntVar(&o.pageKB, "page", 66, "page size in KB served by each designer's web store")
 	fs.IntVar(&o.images, "images", 4, "images embedded in the page")
 	fs.BoolVar(&o.verbose, "v", false, "log each injected fault and each channel and session lifecycle event (opened, accepted, lost, rewound, epoch death, resume, refusal) as it happens")
-	fs.IntVar(&o.workers, "workers", 0, "scheduler worker-pool size (0 = sequential; results are identical)")
-	fs.Int64Var(&o.optimism, "optimism", 0, "speculate this many virtual ns past the safe horizon when workers would idle (0 = conservative; results are identical)")
+	fs.IntVar(&o.workers, "workers", 0, "worker-pool size the tenants fair-share (0 = sequential; results are identical)")
 
 	// Deterministic fault injection on accepted connections (chaos
 	// testing a designer's link against this vendor node) and the
@@ -127,17 +123,14 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.attribTop, "attrib-top", 0, "per-component wall-cost attribution: export cost histograms plus a top-N ranking in /metrics (0 = off; requires -metrics)")
 	fs.StringVar(&o.timelineMerge, "timeline-merge", "", "merge per-node timeline files (remaining args) into a Perfetto trace at this path, then exit")
 
-	// Service mode: a multi-tenant session catalog replaces the single
-	// modem-site subsystem. Designers create sessions over HTTP and
-	// attach over the shared data listener by session id.
-	fs.BoolVar(&o.service, "service", false, "run the multi-tenant session service (session API on the -metrics address, data channels on -listen)")
-	fs.IntVar(&o.limits.MaxSessions, "max-sessions", 0, "service mode: admission cap on concurrent sessions (0 = unlimited)")
-	fs.Int64Var(&o.limits.MaxMemBytes, "max-mem", 0, "service mode: admission cap on total session footprint bytes (0 = unlimited)")
-	fs.Int64Var(&o.limits.MaxSessionMemBytes, "max-session-mem", 0, "service mode: admission cap on a single session's footprint bytes (0 = unlimited)")
-	fs.Int64Var(&o.limits.MaxSteps, "max-steps", 0, "service mode: per-session scheduler-step budget; crossing it evicts the tenant (0 = unlimited)")
+	// Budgets a tenant is admitted against, dialed or created over HTTP.
+	fs.IntVar(&o.limits.MaxSessions, "max-sessions", 0, "admission cap on concurrent tenants (0 = unlimited)")
+	fs.Int64Var(&o.limits.MaxMemBytes, "max-mem", 0, "admission cap on total tenant footprint bytes (0 = unlimited)")
+	fs.Int64Var(&o.limits.MaxSessionMemBytes, "max-session-mem", 0, "admission cap on a single tenant's footprint bytes (0 = unlimited)")
+	fs.Int64Var(&o.limits.MaxSteps, "max-steps", 0, "scheduler-step budget of a tenant stepped over the session API; crossing it evicts the tenant (0 = unlimited)")
 
 	// Mesh mode: join an N-node control plane running the shared
-	// migration demo workload instead of serving the modem site.
+	// migration demo workload instead of serving designers.
 	fs.StringVar(&o.meshName, "mesh-name", "", "join a mesh as this member and run the migration demo workload (requires -peers)")
 	fs.StringVar(&o.meshPeers, "peers", "", "static mesh peer list: comma-separated name=host:port control addresses including this member's own entry (bare host:port entries get names derived from the address)")
 	fs.DurationVar(&o.meshStep, "mesh-step", 25*time.Millisecond, "mesh lock-step round length in virtual time")
@@ -149,12 +142,10 @@ func (o *options) mode() mode {
 	switch {
 	case o.timelineMerge != "":
 		return modeMerge
-	case o.service:
-		return modeService
 	case o.meshName != "" || o.meshPeers != "":
 		return modeMesh
 	}
-	return modeModem
+	return modeService
 }
 
 // validate returns every flag conflict at once: each flag in set (the
@@ -182,9 +173,8 @@ func (o *options) validate(set []string) error {
 		{noMetrics && o.pprofOn, "-pprof needs -metrics to provide the HTTP listener"},
 		{noMetrics && o.flightDump != "", "-flight-dump needs -metrics to enable the flight recorder"},
 		{noMetrics && o.attribTop > 0 && o.report <= 0, "-attrib-top needs -metrics (or -report) to provide the registry"},
-		{m == modeService && (o.meshName != "" || o.meshPeers != ""), "-service and mesh mode are mutually exclusive"},
-		{noMetrics && m == modeService, "-service needs -metrics to provide the session API listener"},
 		{m == modeMesh && o.meshName == "", "-peers needs -mesh-name to say which member this node is"},
+		{m == modeService && wubbleu.CheckLevel(o.level) != nil, "-level " + strconv.Quote(o.level) + " is not a detail level (hardwareLevel|wordLevel|packetLevel)"},
 	} {
 		if rule.hit {
 			bad("%s", rule.msg)
@@ -219,12 +209,10 @@ func main() {
 	if m == modeMesh && !slices.Contains(set, "listen") {
 		o.listen = "127.0.0.1:0"
 	}
-	run := runModem
+	run := runService
 	switch m {
 	case modeMerge:
 		run = runMerge
-	case modeService:
-		run = runService
 	case modeMesh:
 		run = runMesh
 	}
@@ -247,88 +235,6 @@ func runMerge(o *options) error {
 	}
 	fmt.Printf("pianode: merged %d timeline file(s) into %s (open at ui.perfetto.dev)\n",
 		len(o.args), o.timelineMerge)
-	return nil
-}
-
-// runModem serves the WubbleU modem site as one subsystem a
-// designer's node dials.
-func runModem(o *options) error {
-	cfg := wubbleu.DefaultConfig()
-	cfg.PageSize = o.pageKB * 1024
-	cfg.Images = o.images
-	cfg.Level = o.level
-
-	// This process hosts the modem-site slice of the one description;
-	// the designer's node hosts the handheld's.
-	b := pia.NewSystem("wubbleu").SetWorkers(o.workers).SetOptimism(pia.Duration(o.optimism))
-	if _, err := wubbleu.Install(b, cfg, wubbleu.RemotePlacement()); err != nil {
-		return err
-	}
-	sub, err := b.BuildSubsystem("modemsite")
-	if err != nil {
-		return err
-	}
-
-	st, err := bringUp(o, "modem-node")
-	if err != nil {
-		return err
-	}
-	defer st.close()
-	n := st.node
-	// When a designer's node connects, splice the incoming channel
-	// into our fragment of the split "dma" net.
-	n.Host(sub).OnChannel = func(ep *channel.Endpoint) {
-		if err := ep.BindNet(sub.Net("dma"), "dma"); err != nil {
-			log.Printf("pianode: bind dma: %v", err)
-		}
-	}
-	st.watch(sub)
-
-	addr, err := n.Listen(o.listen)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("pianode: serving subsystem %q (level %s, %d KB page) on %s\n",
-		sub.Name(), cfg.Level, o.pageKB, addr)
-	maddr, err := st.serve(obsConfig{})
-	if err != nil {
-		return err
-	}
-	if maddr != "" {
-		st.banner(maddr, "")
-	}
-	if o.report > 0 {
-		t := time.NewTicker(o.report)
-		defer t.Stop()
-		go func() {
-			for range t.C {
-				fmt.Println(reportLine(sub, n))
-			}
-		}()
-	}
-
-	// The listening socket is a standing ingress source: the
-	// subsystem must not declare the simulation over just because no
-	// designer has connected yet.
-	sub.AddExternal()
-
-	done := make(chan error, 1)
-	go func() { done <- sub.Run(vtime.Infinity) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	select {
-	case err := <-done:
-		if err != nil {
-			return err
-		}
-		fmt.Println("pianode: simulation complete")
-	case <-sig:
-		fmt.Println("pianode: interrupted")
-		sub.Stop()
-		<-done
-	}
-	st.writeTimeline()
 	return nil
 }
 
@@ -520,9 +426,6 @@ func handleMigrate(w http.ResponseWriter, r *http.Request, mem migrator) {
 		return
 	}
 	comp := r.FormValue("component")
-	if comp == "" {
-		comp = r.FormValue("comp")
-	}
 	dest := r.FormValue("dest")
 	if comp == "" || dest == "" {
 		http.Error(w, "need component= and dest= parameters", http.StatusBadRequest)
@@ -556,39 +459,40 @@ func handleMigrate(w http.ResponseWriter, r *http.Request, mem migrator) {
 	})
 }
 
-// runService turns the node into a multi-tenant simulation service:
-// a session catalog managed over HTTP on the -metrics address, every
-// live session hosted under its id behind the one shared data
-// listener, all of them fair-sharing one bounded worker pool.
+// runService serves designers until interrupted. Every dial naming
+// the modemsite workload gets a fresh tenant of its own, built from
+// -page, -images and -level and retired when its designer is done;
+// with -metrics the session API manages further tenants over HTTP.
+// All of them are hosted behind the one data listener and fair-share
+// one bounded worker pool.
 func runService(o *options) error {
-	st, err := bringUp(o, "service-node")
+	st, cat, addr, err := openService(o)
 	if err != nil {
 		return err
 	}
 	defer st.close()
-	cat := service.NewCatalog(service.Config{
-		Workers:         o.workers,
-		Limits:          o.limits,
-		Node:            st.node,
-		Metrics:         st.reg,
-		Flight:          st.frec,
-		AttributionTopN: o.attribTop,
-	})
 	defer cat.Close()
-
-	addr, err := st.node.Listen(o.listen)
-	if err != nil {
-		return err
-	}
+	fmt.Printf("pianode: serving each designer who dials %q a modem site of its own (level %s, %d KB page) on %s\n",
+		"modemsite", o.level, o.pageKB, addr)
 	maddr, err := st.serve(obsConfig{catalog: cat})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pianode: session service up: data channels on %s, session API on http://%s/sessions\n",
-		addr, maddr)
-	st.banner(maddr, " (?session= filters a tenant)")
+	if maddr != "" {
+		fmt.Printf("pianode: session API on http://%s/sessions\n", maddr)
+		st.banner(maddr, " (?session= filters a tenant)")
+	}
 	if o.workers > 0 {
-		fmt.Printf("pianode: sessions fair-share a %d-worker pool\n", o.workers)
+		fmt.Printf("pianode: tenants fair-share a %d-worker pool\n", o.workers)
+	}
+	if o.report > 0 {
+		t := time.NewTicker(o.report)
+		defer t.Stop()
+		go func() {
+			for range t.C {
+				fmt.Println(reportLine(st.node, cat))
+			}
+		}()
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -597,9 +501,37 @@ func runService(o *options) error {
 	fmt.Println("pianode: interrupted")
 	shutdownObs(st.srv)
 	cs := cat.Stats()
-	fmt.Printf("pianode: service done: live=%d created=%d stopped=%d evicted=%d rejected=%d\n",
-		cs.Live, cs.Created, cs.Stopped, cs.Evicted, cs.Rejected)
+	fmt.Printf("pianode: service done: live=%d created=%d stopped=%d failed=%d evicted=%d rejected=%d\n",
+		cs.Live, cs.Created, cs.Stopped, cs.Failed, cs.Evicted, cs.Rejected)
+	st.writeTimeline()
 	return nil
+}
+
+// openService stands up a serving node: the stack, the tenant catalog
+// on its node, and the data listener, whose address it returns. The
+// caller closes the catalog, then the stack: a tenant's run ends when
+// the catalog stops it, not when the node drops its channel.
+func openService(o *options) (*stack, *service.Catalog, string, error) {
+	st, err := bringUp(o, "service-node")
+	if err != nil {
+		return nil, nil, "", err
+	}
+	cat := service.NewCatalog(service.Config{
+		Workers:         o.workers,
+		Limits:          o.limits,
+		Node:            st.node,
+		Dial:            service.Spec{PageKB: o.pageKB, Images: o.images, Level: o.level},
+		Metrics:         st.reg,
+		Flight:          st.frec,
+		AttributionTopN: o.attribTop,
+	})
+	addr, err := st.node.Listen(o.listen)
+	if err != nil {
+		cat.Close()
+		st.close()
+		return nil, nil, "", err
+	}
+	return st, cat, addr, nil
 }
 
 // runMesh joins the static mesh as one member and runs the shared
@@ -795,23 +727,24 @@ func parseMigrate(s string) (comp, dest string, at vtime.Time, err error) {
 }
 
 // reportLine renders one structured run-report line from the node's
-// race-safe accessors: virtual progress, scheduler counters, wire
-// and session totals. One line per -report interval, logfmt-style,
-// so a long-running vendor node can be tailed without a scraper.
-func reportLine(sub *core.Subsystem, n *node.Node) string {
-	now, key := sub.PublishedTimes()
-	st := sub.Stats()
+// and the catalog's race-safe accessors: tenants, the scheduler
+// counters summed over the live ones, wire and session totals. One
+// line per -report interval, logfmt-style, so a long-running vendor
+// node can be tailed without a scraper.
+func reportLine(n *node.Node, cat *service.Catalog) string {
+	cs := cat.Stats()
+	infos, _ := cat.List()
+	var steps, drives int64
+	for _, in := range infos {
+		steps += in.Steps
+		drives += in.Drives
+	}
 	ws := n.WireStats()
 	rs := n.ResilienceStats()
 	total, alive := n.SessionHealth()
-	keyStr := "inf"
-	if key != vtime.Infinity {
-		keyStr = fmt.Sprintf("%d", int64(key))
-	}
-	return fmt.Sprintf("pia-report t=%s vnow=%d vnext=%s steps=%d deliveries=%d drives=%d stalls=%d par_rounds=%d "+
+	return fmt.Sprintf("pia-report t=%s tenants=%d created=%d stopped=%d failed=%d live_steps=%d live_drives=%d "+
 		"frames_out=%d frames_in=%d bytes_out=%d bytes_in=%d sessions=%d/%d epoch_deaths=%d resumes=%d rewinds=%d",
-		time.Now().UTC().Format("15:04:05.000"), int64(now), keyStr,
-		st.Steps, st.Deliveries, st.Drives, st.Stalls, st.ParRounds,
+		time.Now().UTC().Format("15:04:05.000"), cs.Live, cs.Created, cs.Stopped, cs.Failed, steps, drives,
 		ws.FramesOut, ws.FramesIn, ws.BytesOut, ws.BytesIn,
 		alive, total, rs.EpochDeaths, rs.Resumes, rs.Rewinds)
 }

@@ -194,6 +194,7 @@ func TestMigrateEndpoint(t *testing.T) {
 	}{
 		{url.Values{}, http.StatusBadRequest},
 		{url.Values{"component": {"hot"}}, http.StatusBadRequest},
+		{url.Values{"comp": {"hot"}, "dest": {"bravo"}}, http.StatusBadRequest}, // component= has no alias
 		{url.Values{"component": {"nope"}, "dest": {"bravo"}}, http.StatusNotFound},
 		{url.Values{"component": {"hot"}, "dest": {"ghost"}}, http.StatusNotFound},
 		{url.Values{"component": {"hot"}, "dest": {"bravo"}}, http.StatusOK},

@@ -33,34 +33,28 @@ func TestValidate(t *testing.T) {
 		{"-timeline-merge out.json", []string{"-timeline-merge needs at least one per-node timeline file argument"}},
 		{"-pprof", []string{"-pprof needs -metrics to provide the HTTP listener"}},
 		{"-flight-dump d", []string{"-flight-dump needs -metrics to enable the flight recorder"}},
-		{"-service -metrics :0 -mesh-name a", []string{"-mesh-name is not read in service mode", "-service and mesh mode are mutually exclusive"}},
-		{"-service", []string{"-service needs -metrics to provide the session API listener"}},
 		{peers, []string{"-peers needs -mesh-name to say which member this node is"}},
+		{"-level packetlevel", []string{`-level "packetlevel" is not a detail level (hardwareLevel|wordLevel|packetLevel)`}},
+		{"-level wordLevel -mesh-name a " + peers, []string{"-level is not read in mesh mode"}},
 		{"-attrib-top 3", []string{"-attrib-top needs -metrics (or -report) to provide the registry"}},
 		// The same rule in every mode: mesh used to drop it silently.
 		{"-mesh-name a -attrib-top 3 " + peers, []string{"-attrib-top needs -metrics (or -report) to provide the registry"}},
 
 		// Flags the selected mode never read.
-		{"-service -metrics :0 -report 1s", []string{"-report is not read in service mode"}},
-		{"-service -metrics :0 -optimism 8000", []string{"-optimism is not read in service mode"}},
-		{"-service -metrics :0 -timeline t.json", []string{"-timeline is not read in service mode"}},
-		{"-service -metrics :0 -level wordLevel -page 8 -images 2", []string{
-			"-images is not read in service mode", "-level is not read in service mode", "-page is not read in service mode"}},
 		{"-mesh-name a -report 1s " + peers, []string{"-report is not read in mesh mode"}},
-		{"-mesh-name a -optimism 8000 " + peers, []string{"-optimism is not read in mesh mode"}},
 		{"-mesh-name a -workers 2 " + peers, []string{"-workers is not read in mesh mode"}},
-		{"-max-sessions 5 -max-mem 1 -max-session-mem 1 -max-steps 1", []string{
-			"-max-mem is not read in modemsite mode", "-max-session-mem is not read in modemsite mode",
-			"-max-sessions is not read in modemsite mode", "-max-steps is not read in modemsite mode"}},
-		{"-mesh-step 1ms", []string{"-mesh-step is not read in modemsite mode"}},
+		{"-mesh-name a -page 8 -images 2 -max-sessions 5 -max-mem 1 -max-session-mem 1 -max-steps 1 " + peers, []string{
+			"-images is not read in mesh mode", "-max-mem is not read in mesh mode", "-max-session-mem is not read in mesh mode",
+			"-max-sessions is not read in mesh mode", "-max-steps is not read in mesh mode", "-page is not read in mesh mode"}},
+		{"-mesh-step 1ms", []string{"-mesh-step is not read in service mode"}},
 		{"-mesh-until 1s -mesh-migrate hot:b@1ms", []string{
-			"-mesh-migrate is not read in modemsite mode", "-mesh-until is not read in modemsite mode"}},
-		{"-timeline-merge out.json -seed 3 -metrics :0 a.json", []string{
-			"-metrics is not read in timeline-merge mode", "-seed is not read in timeline-merge mode"}},
+			"-mesh-migrate is not read in service mode", "-mesh-until is not read in service mode"}},
+		{"-timeline-merge out.json -seed 3 -metrics :0 -level wordLevel a.json", []string{
+			"-level is not read in timeline-merge mode", "-metrics is not read in timeline-merge mode", "-seed is not read in timeline-merge mode"}},
 
 		// Two unrelated conflicts: both reported.
-		{"-pprof -flight-dump d -max-steps 9", []string{
-			"-max-steps is not read in modemsite mode",
+		{"-pprof -flight-dump d -mesh-step 9ms", []string{
+			"-mesh-step is not read in service mode",
 			"-pprof needs -metrics to provide the HTTP listener",
 			"-flight-dump needs -metrics to enable the flight recorder"}},
 	} {
@@ -88,22 +82,23 @@ func TestValidateAcceptsDocumentedInvocations(t *testing.T) {
 		argv string
 		mode mode
 	}{
-		{"-listen 127.0.0.1:7777 -level packetLevel", modeModem},
-		{"-listen 127.0.0.1:7777", modeModem},
+		{"-listen 127.0.0.1:7777 -level packetLevel", modeService},
+		{"-listen 127.0.0.1:7777", modeService},
 		{"-mesh-name bravo " + peers + " -metrics 127.0.0.1:9312", modeMesh},
 		{"-mesh-name charlie " + peers, modeMesh},
 		{"-mesh-name alpha " + peers + " -mesh-migrate hot:bravo@50ms", modeMesh},
-		{"-service -listen 127.0.0.1:7777 -metrics 127.0.0.1:9390 -workers 4 -max-sessions 500", modeService},
-		{"-metrics 127.0.0.1:9390", modeModem},
-		{"-metrics 127.0.0.1:9390 -pprof", modeModem},
-		{"-report 5s", modeModem},
-		{"-timeline node-a.json", modeModem},
+		{"-listen 127.0.0.1:7777 -metrics 127.0.0.1:9390 -workers 4 -max-sessions 500", modeService},
+		{"-metrics 127.0.0.1:9390", modeService},
+		{"-metrics 127.0.0.1:9390 -pprof", modeService},
+		{"-report 5s", modeService},
+		{"-timeline node-a.json", modeService},
 		{"-timeline-merge merged.json node-a.json node-b.json", modeMerge},
-		{"-listen :7000 -metrics :9000 -flight-dump ./dumps -watch-interval 1s -attrib-top 5", modeModem},
-		{"-flight-dump DIR -metrics :9000", modeModem},
-		{"-listen 127.0.0.1:7911 -page 8", modeModem},
-		{"-listen 127.0.0.1:7911 -page 8 -fault-drop 0.02 -fault-reorder 0.01 -fault-partition 50:15 -seed 5 -resilient -heartbeat 20ms", modeModem},
-		{"-v", modeModem},
+		{"-listen :7000 -metrics :9000 -flight-dump ./dumps -watch-interval 1s -attrib-top 5", modeService},
+		{"-flight-dump DIR -metrics :9000", modeService},
+		{"-listen 127.0.0.1:7911 -page 8", modeService},
+		{"-listen 127.0.0.1:7911 -page 8 -level wordLevel", modeService},
+		{"-listen 127.0.0.1:7911 -page 8 -fault-drop 0.02 -fault-reorder 0.01 -fault-partition 50:15 -seed 5 -resilient -heartbeat 20ms", modeService},
+		{"-v", modeService},
 	} {
 		o, set := parseOptions(t, tc.argv)
 		if got := o.mode(); got != tc.mode {
@@ -131,8 +126,13 @@ func TestEveryFlagHasReaders(t *testing.T) {
 			t.Errorf("-%s is a link flag and has a row in readBy", f.Name)
 		}
 	})
-	if n != 36 {
-		t.Errorf("%d flags declared, want 36", n)
+	if n != 34 {
+		t.Errorf("%d flags declared, want 34", n)
+	}
+	for _, gone := range []string{"service", "optimism"} {
+		if fs.Lookup(gone) != nil {
+			t.Errorf("-%s is declared", gone)
+		}
 	}
 	for name := range readBy {
 		if fs.Lookup(name) == nil {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"repro/internal/channel"
@@ -65,6 +66,21 @@ type Hosted struct {
 	// serving this subsystem's channels. The subsystem's departure
 	// gate consults them (see bindSession).
 	sessions []*resilience.Session
+
+	// links, guarded by the node's mu, are the connections serving
+	// this subsystem's channels, the first of them in link1, so that
+	// recording it allocates nothing; gone is set when it is unhosted.
+	links []link
+	link1 [1]link
+	gone  bool
+}
+
+// link is one channel connection of a hosted subsystem and whether its
+// pump has returned; a dropped link's conn is nil.
+type link struct {
+	c    *wire.Conn
+	sess *resilience.Session
+	done bool
 }
 
 // Node is a Pia node: a number of sockets, each of which can
@@ -79,7 +95,11 @@ type Node struct {
 	rln    *resilience.Listener
 	conns  []*wire.Conn
 	closed bool
-	wg     sync.WaitGroup
+
+	// The counters of the links dropped with unhosted subsystems.
+	retiredWire  wire.Stats
+	retiredResil resilience.Stats
+	wg           sync.WaitGroup
 
 	coalesce    channel.CoalesceConfig
 	coalesceSet bool
@@ -107,6 +127,8 @@ type Node struct {
 	// connection failures (see flight.go). Error paths pay one
 	// nil-guarded accessor, nothing more.
 	flightRec *flight.Recorder
+
+	resolver func(name string) (*Hosted, error) // see SetResolver
 }
 
 // New creates a node.
@@ -128,6 +150,7 @@ func (n *Node) Host(sub *core.Subsystem) *Hosted {
 		return h
 	}
 	h := &Hosted{Sub: sub, Hub: channel.NewHub(sub)}
+	h.links = h.link1[:0]
 	n.hosted[sub.Name()] = h
 	if n.metricsReg != nil {
 		h.Sub.EnableMetrics(n.metricsReg)
@@ -142,9 +165,10 @@ func (n *Node) Host(sub *core.Subsystem) *Hosted {
 
 // Unhost removes a hosted subsystem: new dials naming it are
 // rejected at the hello handshake and its hub closes, announcing
-// completion to any peers still attached. The multi-tenant service
-// uses this to retire a stopped session's endpoints from the shared
-// listener. Returns false if the name was not hosted.
+// completion to any peers still attached; each connection that served
+// it is dropped once its pump has returned (dropDone). The multi-tenant
+// service uses this to retire a stopped session's endpoints from the
+// shared listener. Returns false if the name was not hosted.
 func (n *Node) Unhost(name string) bool {
 	n.mu.Lock()
 	h := n.hosted[name]
@@ -154,7 +178,66 @@ func (n *Node) Unhost(name string) bool {
 		return false
 	}
 	_ = h.Hub.Close()
+	n.mu.Lock()
+	h.gone = true
+	n.mu.Unlock()
+	n.dropDone(h)
 	return true
+}
+
+// addConn registers c, which serves h's channel over sess (nil on a
+// plain link), and returns its index among h's links.
+func (n *Node) addConn(h *Hosted, c *wire.Conn, sess *resilience.Session) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.conns = append(n.conns, c)
+	h.links = append(h.links, link{c: c, sess: sess})
+	return len(h.links) - 1
+}
+
+// pumpDone marks h's link i finished.
+func (n *Node) pumpDone(h *Hosted, i int) {
+	n.mu.Lock()
+	h.links[i].done = true
+	n.mu.Unlock()
+	n.dropDone(h)
+}
+
+// dropDone forgets the finished links of h once it is unhosted: their
+// conns and sessions leave the node's lists, their counters move into
+// the retired totals, and the conns close.
+func (n *Node) dropDone(h *Hosted) {
+	var drop []*wire.Conn
+	n.mu.Lock()
+	for i := range h.links {
+		l := &h.links[i]
+		if !h.gone || !l.done || l.c == nil {
+			continue
+		}
+		// Fresh lists: Close ranges over the old ones unlocked.
+		n.retiredWire.Add(l.c.Stats())
+		n.conns = slices.DeleteFunc(slices.Clone(n.conns), func(c *wire.Conn) bool { return c == l.c })
+		if l.sess != nil {
+			n.retiredResil.Add(l.sess.Stats())
+			n.sessions = slices.DeleteFunc(slices.Clone(n.sessions), func(s *resilience.Session) bool { return s == l.sess })
+		}
+		drop = append(drop, l.c)
+		l.c, l.sess = nil, nil
+	}
+	n.mu.Unlock()
+	for _, c := range drop {
+		c.Close() // a resumable session closes with its conn
+	}
+}
+
+// SetResolver installs fn as the node's resolver: a hello naming a
+// subsystem the node does not host, with a valid link, is offered to fn
+// before it is refused. fn returns the Hosted to serve the channel,
+// nil to let the refusal stand, or an error to refuse with.
+func (n *Node) SetResolver(fn func(name string) (*Hosted, error)) {
+	n.mu.Lock()
+	n.resolver = fn
+	n.mu.Unlock()
 }
 
 // Hosted returns the named hosted subsystem, or nil.
@@ -312,8 +395,8 @@ func (n *Node) FaultStats() map[string]faultnet.Stats {
 func (n *Node) ResilienceStats() resilience.Stats {
 	n.mu.Lock()
 	sessions := append([]*resilience.Session(nil), n.sessions...)
+	total := n.retiredResil
 	n.mu.Unlock()
-	var total resilience.Stats
 	for _, s := range sessions {
 		total.Add(s.Stats())
 	}
@@ -355,8 +438,8 @@ func (n *Node) rewindHooks(sub string) (func() string, func(string) bool) {
 func (n *Node) WireStats() wire.Stats {
 	n.mu.Lock()
 	conns := append([]*wire.Conn(nil), n.conns...)
+	total := n.retiredWire
 	n.mu.Unlock()
-	var total wire.Stats
 	for _, c := range conns {
 		total.Add(c.Stats())
 	}
@@ -456,6 +539,12 @@ func (n *Node) serveConn(c *wire.Conn, sess *resilience.Session) error {
 	}
 	hosted := n.Hosted(h.ToSub)
 	if hosted == nil {
+		if hosted, err = n.resolve(h); err != nil {
+			n.refuse(c, err.Error())
+			return err
+		}
+	}
+	if hosted == nil {
 		n.refuse(c, fmt.Sprintf("node %s hosts no subsystem %q", n.name, h.ToSub))
 		return fmt.Errorf("unknown subsystem %q", h.ToSub)
 	}
@@ -474,13 +563,30 @@ func (n *Node) serveConn(c *wire.Conn, sess *resilience.Session) error {
 	}
 	// Registered before the ack, so that once the dialer's Connect
 	// returns this side's Close and WireStats already cover the conn.
-	n.addConn(c)
+	defer n.pumpDone(hosted, n.addConn(hosted, c, sess))
 	if err := c.SendRaw(wire.FrameHello, appendHelloAck(nil, helloAck{OK: true})); err != nil {
 		c.Close()
+		if !n.isClosed() {
+			ep.PeerLost(err) // no pump will ever feed the endpoint
+		}
 		return err
 	}
 	n.Timeline().SessionEvent(ep.Name(), "accepted", "from "+h.FromNode)
 	return n.pump(c, ep, hosted, sess)
+}
+
+// resolve offers a hello naming no hosted subsystem to the resolver.
+func (n *Node) resolve(h hello) (*Hosted, error) {
+	n.mu.Lock()
+	fn := n.resolver
+	n.mu.Unlock()
+	if fn == nil {
+		return nil, nil
+	}
+	if err := h.Link.Validate(h.Policy == channel.Conservative); err != nil {
+		return nil, err
+	}
+	return fn(h.ToSub)
 }
 
 // refuse answers a hello with a refusal naming the reason, records
@@ -561,11 +667,12 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 		return nil, err
 	}
 	n.applyCoalescing(ep)
-	n.addConn(c)
+	li := n.addConn(hosted, c, sess)
 	n.Timeline().SessionEvent(ep.Name(), "opened", "to "+addr)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
+		defer n.pumpDone(hosted, li)
 		if err := n.pump(c, ep, hosted, sess); err != nil && !n.isClosed() {
 			n.notePeerLost(err)
 		}
@@ -723,12 +830,6 @@ func (n *Node) handleRewind(h *Hosted, ep *channel.Endpoint, sess *resilience.Se
 		return &peerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
 	}
 	return nil
-}
-
-func (n *Node) addConn(c *wire.Conn) {
-	n.mu.Lock()
-	n.conns = append(n.conns, c)
-	n.mu.Unlock()
 }
 
 func (n *Node) isClosed() bool {

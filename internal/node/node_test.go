@@ -1,9 +1,12 @@
 package node
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/core"
@@ -190,6 +193,132 @@ func TestConnectUnknownSubsystem(t *testing.T) {
 	}
 	if _, err := n1.Connect("nolocal", addr, "real", channel.Conservative, channel.LinkModel{Latency: 1}); err == nil {
 		t.Fatal("connect from unhosted local subsystem accepted")
+	}
+}
+
+// TestResolverServesAMiss: a hello naming no hosted subsystem goes to
+// the resolver, which may host one for it, let the refusal stand, or
+// refuse with its own reason; a bad link is refused before it is asked,
+// and a hosted name never reaches it.
+func TestResolverServesAMiss(t *testing.T) {
+	srv := New("srv")
+	srv.Host(core.NewSubsystem("real"))
+	var (
+		mu    sync.Mutex
+		asked []string
+	)
+	srv.SetResolver(func(name string) (*Hosted, error) {
+		mu.Lock()
+		asked = append(asked, name)
+		mu.Unlock()
+		switch name {
+		case "fresh":
+			return srv.Host(core.NewSubsystem("fresh-1")), nil
+		case "full":
+			return nil, errors.New("no room for another tenant")
+		}
+		return nil, nil
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := New("cli")
+	cli.Host(core.NewSubsystem("local"))
+	defer cli.Close()
+	dial := func(to string, link channel.LinkModel) error {
+		_, err := cli.Connect("local", addr, to, channel.Conservative, link)
+		return err
+	}
+
+	if err := dial("fresh", channel.LinkModel{Latency: 1}); err != nil {
+		t.Fatalf("resolved dial: %v", err)
+	}
+	if srv.Hosted("fresh-1").Hub.Endpoint("local") == nil {
+		t.Fatal("the resolved subsystem has no endpoint toward the dialer")
+	}
+	for _, tc := range []struct {
+		to, want string
+		link     channel.LinkModel
+	}{
+		{"ghost", `hosts no subsystem "ghost"`, channel.LinkModel{Latency: 1}},
+		{"full", "no room for another tenant", channel.LinkModel{Latency: 1}},
+		{"fresh", "positive lookahead", channel.LinkModel{}},
+	} {
+		if err := dial(tc.to, tc.link); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("dial %q: %v, want a refusal naming %q", tc.to, err, tc.want)
+		}
+	}
+	if err := dial("real", channel.LinkModel{Latency: 1}); err != nil {
+		t.Fatalf("hosted dial: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"fresh", "ghost", "full"}; !slices.Equal(asked, want) {
+		t.Fatalf("resolver asked for %q, want %q", asked, want)
+	}
+}
+
+// TestUnhostDropsItsLinks: a connection that served an unhosted
+// subsystem is closed and forgotten once its pump returns, whether the
+// peer finished before the unhost or after it, and the node's wire
+// totals keep what it carried.
+func TestUnhostDropsItsLinks(t *testing.T) {
+	srv := New("srv")
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	live := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns)
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !ok() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if !ok() {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	for _, peerFirst := range []bool{true, false} {
+		srv.Host(core.NewSubsystem("tenant"))
+		cli := New("cli")
+		cli.Host(core.NewSubsystem("local"))
+		if _, err := cli.Connect("local", addr, "tenant", channel.Conservative, channel.LinkModel{Latency: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if live() != 1 {
+			t.Fatalf("%d conns after the dial, want 1", live())
+		}
+		if peerFirst {
+			// The server's pump returns once the peer's close arrives;
+			// the link stays until the subsystem is unhosted.
+			cli.CloseChannels()
+			waitFor("the peer's close", func() bool {
+				srv.mu.Lock()
+				defer srv.mu.Unlock()
+				return srv.hosted["tenant"].links[0].done
+			})
+			if live() != 1 {
+				t.Fatalf("%d conns before the unhost, want 1", live())
+			}
+		}
+		before := srv.WireStats()
+		srv.Unhost("tenant")
+		if !peerFirst {
+			cli.CloseChannels()
+		}
+		waitFor("the link to be dropped", func() bool { return live() == 0 })
+		if after := srv.WireStats(); after.FramesIn < before.FramesIn || after.BytesOut < before.BytesOut {
+			t.Fatalf("wire totals fell when the link was dropped: %+v, then %+v", before, after)
+		}
+		cli.Close()
 	}
 }
 

@@ -194,6 +194,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"POST", "/sessions", url.Values{"seed": {"not-a-number"}}, http.StatusBadRequest},
 		{"POST", "/sessions", url.Values{"fanout": {"many"}}, http.StatusBadRequest},
 		{"POST", "/sessions", url.Values{"run": {"maybe"}}, http.StatusBadRequest},
+		{"POST", "/sessions", url.Values{"workload": {"modemsite"}, "level": {"packetlevel"}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		rr, body := doReq(t, h, tc.method, tc.path, tc.form)

@@ -7,8 +7,9 @@
 // the node's ordinary hello routing (dials name the subsystem they
 // want) is exactly the session-id routing the service needs: a
 // designer attaches to session "s-7" by dialing the shared listener
-// with remote subsystem "s-7". Sessions carry their own seed and
-// config, a revision counter bumped by every lifecycle transition
+// with remote subsystem "s-7"; a dial naming the modemsite workload
+// gets a tenant of its own, retired when its designer is done.
+// Sessions carry their own seed and config, a revision counter bumped by every lifecycle transition
 // (create, attach, step, stop), a per-session metrics registry, and a
 // running FNV-64a digest over their drive stream — the determinism
 // witness: a tenant's digest must be bit-identical to the same
@@ -28,6 +29,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/metrics"
@@ -109,8 +111,9 @@ type Config struct {
 
 	// Node, when set, hosts every session's subsystem under the
 	// session id so designers can attach over the node's shared data
-	// listener.
+	// listener; a dial naming modemsite creates a tenant from Dial.
 	Node *node.Node
+	Dial Spec
 
 	// Metrics, when set, receives the catalog-level series and an
 	// aggregation of every session's private registry with a
@@ -142,7 +145,7 @@ type Catalog struct {
 	closed    bool
 	footprint int64 // summed live-session footprints
 
-	created, stopped, evicted, rejected int64
+	created, stopped, evicted, rejected, failed int64
 
 	// buildFailpoint, when non-nil (tests only), runs mid-build and
 	// may inject a failure: the rollback path runs after the session
@@ -161,6 +164,9 @@ func NewCatalog(cfg Config) *Catalog {
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.AddCollector(c.collect)
+	}
+	if cfg.Node != nil {
+		cfg.Node.SetResolver(c.resolve)
 	}
 	return c
 }
@@ -237,6 +243,23 @@ func (c *Catalog) Create(spec Spec) (Info, error) {
 	return sess.infoLocked(), nil
 }
 
+// resolve is the node's resolver: a dial naming the modemsite workload
+// gets a tenant of its own, built from cfg.Dial under a generated id.
+// Its run starts once the designer's endpoint is bound (onChannel) and
+// it is retired when that run ends.
+func (c *Catalog) resolve(name string) (*node.Hosted, error) {
+	if name != workloadModemSite {
+		return nil, nil
+	}
+	spec := c.cfg.Dial
+	spec.ID, spec.Workload, spec.AutoRun, spec.dialed = "", workloadModemSite, nil, true
+	info, err := c.Create(spec)
+	if err != nil {
+		return nil, err
+	}
+	return c.cfg.Node.Hosted(info.ID), nil
+}
+
 // build constructs the session's subsystem, workload, digest tap,
 // metrics registry and node hosting. Called with sess.mu held.
 func (c *Catalog) build(sess *session) error {
@@ -263,18 +286,84 @@ func (c *Catalog) build(sess *session) error {
 	}
 	sess.flight = c.cfg.Flight
 	sess.flight.Record("session", sess.id, "created: workload "+sess.spec.Workload, 0)
+	dialed := sess.spec.dialed
 	if c.cfg.Node != nil {
 		h := c.cfg.Node.Host(sub)
-		h.OnChannel = sess.onChannel
-		// Peers may attach and inject at any time: the scheduler must
-		// park instead of exiting when the event queue drains.
-		sub.AddExternal()
+		h.OnChannel = func(ep *channel.Endpoint) { c.onChannel(sess, ep) }
+		if !dialed {
+			// Peers may attach and inject at any time: the scheduler
+			// must park instead of exiting when the event queue drains.
+			sub.AddExternal()
+		}
 		sess.hosted = true
 	}
-	if sess.spec.AutoRun != nil && *sess.spec.AutoRun {
-		sess.startAuto()
+	if *sess.spec.AutoRun {
+		// Free-running; a dialed tenant's run waits for its designer,
+		// its only ingress (onChannel).
+		sess.state = stateRunning
+		sess.runDone = make(chan struct{})
+		if !dialed {
+			go c.run(sess)
+		}
 	}
 	return nil
+}
+
+// onChannel is the node's accept hook for a session: it records the
+// attachment (bumping the revision — attach is a lifecycle event),
+// lets the workload bind its split nets, and starts a dialed tenant's
+// run. The first designer's endpoint is kept: its loss ends the run.
+func (c *Catalog) onChannel(sess *session, ep *channel.Endpoint) {
+	sess.mu.Lock()
+	sess.attached++
+	sess.rev++
+	first := sess.ep == nil
+	if first {
+		sess.ep = ep
+	}
+	sess.mu.Unlock()
+	if a, ok := sess.wl.(attacher); ok {
+		a.Attach(sess.sub, ep)
+	}
+	if first && sess.spec.dialed {
+		go c.run(sess)
+	}
+}
+
+// run is a free-running session's scheduler and the watcher that
+// records how it ended. A designer that vanishes stops the run with
+// the loss latched on its endpoint, which fails the session. A dialed
+// tenant's run also ends when its designer closes the channel; either
+// way that tenant is then stopped.
+func (c *Catalog) run(sess *session) {
+	err := sess.sub.Run(vtime.Infinity)
+	sess.mu.Lock()
+	if sess.ep != nil && sess.ep.Err() != nil {
+		err = sess.ep.Err()
+	}
+	if sess.state == stateRunning {
+		switch {
+		case err == nil:
+			sess.state = StateDone
+		case errors.Is(err, core.ErrStopped):
+			// Stop is mid-flight; it owns the transition.
+		default:
+			sess.state = StateFailed
+			sess.runErr = err
+			sess.flight.Record("session", sess.id, "run failed: "+err.Error(), 0)
+			sess.flight.Trip("session-failed", sess.id+": "+err.Error())
+		}
+		sess.rev++
+	}
+	retire := sess.spec.dialed && sess.state != stateRunning
+	sess.mu.Unlock()
+	// Close rather than send: any number of racing Stop callers
+	// (client retries, Catalog.Close vs an HTTP DELETE) may wait on
+	// runDone, and all of them must wake.
+	close(sess.runDone)
+	if retire {
+		_, _ = c.Stop(sess.id, 0)
+	}
 }
 
 // lookup returns the live session or a typed not-found error.
@@ -396,8 +485,9 @@ func (c *Catalog) Step(id string, rev uint64, d vtime.Duration) (Info, error) {
 	return sess.infoLocked(), nil
 }
 
-// Stop tears the session down and removes it from the catalog. rev,
-// when non-zero, is a CAS precondition. Stopping an evicted session
+// Stop tears the session down and removes it from the catalog,
+// counted as failed if its run had failed. rev, when non-zero, is a
+// CAS precondition. Stopping an evicted session
 // just removes the record (it was already torn down).
 func (c *Catalog) Stop(id string, rev uint64) (Info, error) {
 	sess, err := c.lookup(id)
@@ -434,7 +524,7 @@ func (c *Catalog) Stop(id string, rev uint64) (Info, error) {
 			return Info{}, &notFoundError{ID: id}
 		}
 	}
-	wasEvicted := sess.state == StateEvicted
+	wasEvicted, failed := sess.state == StateEvicted, sess.state == StateFailed
 	if !wasEvicted {
 		c.teardownLocked(sess)
 	}
@@ -447,7 +537,11 @@ func (c *Catalog) Stop(id string, rev uint64) (Info, error) {
 	c.mu.Lock()
 	if _, ok := c.sessions[id]; ok {
 		delete(c.sessions, id)
-		c.stopped++
+		if failed {
+			c.failed++
+		} else {
+			c.stopped++
+		}
 		if !wasEvicted {
 			c.footprint -= sess.wl.Footprint()
 		}
@@ -502,6 +596,7 @@ type stats struct {
 	Live      int   `json:"live"`
 	Created   int64 `json:"created"`
 	Stopped   int64 `json:"stopped"`
+	Failed    int64 `json:"failed"`
 	Evicted   int64 `json:"evicted"`
 	Rejected  int64 `json:"rejected"`
 	Footprint int64 `json:"footprint_bytes"`
@@ -515,6 +610,7 @@ func (c *Catalog) Stats() stats {
 		Live:      len(c.sessions),
 		Created:   c.created,
 		Stopped:   c.stopped,
+		Failed:    c.failed,
 		Evicted:   c.evicted,
 		Rejected:  c.rejected,
 		Footprint: c.footprint,
@@ -561,6 +657,7 @@ func (c *Catalog) collect(emit func(metrics.Sample)) {
 		{"pia_service_catalog_revision", metrics.KindGauge, int64(c.rev)},
 		{"pia_service_sessions_created", metrics.KindCounter, c.created},
 		{"pia_service_sessions_stopped", metrics.KindCounter, c.stopped},
+		{"pia_service_sessions_failed", metrics.KindCounter, c.failed},
 		{"pia_service_sessions_evicted", metrics.KindCounter, c.evicted},
 		{"pia_service_sessions_rejected", metrics.KindCounter, c.rejected},
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -17,7 +16,7 @@ type state string
 
 const (
 	stateReady   state = "ready"   // created; advances via Step
-	stateRunning state = "running" // free-running (auto_run) scheduler goroutine
+	stateRunning state = "running" // free-running scheduler goroutine (auto_run or dialed)
 	StateDone    state = "done"    // workload exhausted or horizon reached
 	StateFailed  state = "failed"  // a component returned an error
 	StateEvicted state = "evicted" // torn down by a budget; record remains
@@ -47,8 +46,9 @@ type session struct {
 	cursor   vtime.Time // accumulated Step horizon (deterministic quanta)
 	attached int64      // endpoints accepted for this session
 	hosted   bool
+	ep       *channel.Endpoint // the first designer's, once attached
 	runErr   error
-	runDone  chan struct{} // closed once the auto_run watcher records the outcome
+	runDone  chan struct{} // closed once the run's watcher records the outcome
 	stepping bool          // a Step released mu to run the scheduler
 	stepDone chan struct{} // closed when the in-flight Step settles
 
@@ -103,49 +103,4 @@ func (s *session) infoLocked() Info {
 		info.Error = s.runErr.Error()
 	}
 	return info
-}
-
-// onChannel is the node's accept hook for this session: it records
-// the attachment (bumping the revision — attach is a lifecycle
-// event) and lets the workload bind its split nets.
-func (s *session) onChannel(ep *channel.Endpoint) {
-	s.mu.Lock()
-	s.attached++
-	s.rev++
-	sub := s.sub
-	s.mu.Unlock()
-	if a, ok := s.wl.(attacher); ok {
-		a.Attach(sub, ep)
-	}
-}
-
-// startAuto launches the free-running scheduler for auto_run
-// sessions and a watcher that records how it ended. Called with
-// sess.mu held, from build.
-func (s *session) startAuto() {
-	s.state = stateRunning
-	s.runDone = make(chan struct{})
-	go func() {
-		err := s.sub.Run(vtime.Infinity)
-		s.mu.Lock()
-		if s.state == stateRunning {
-			switch {
-			case err == nil:
-				s.state = StateDone
-			case errors.Is(err, core.ErrStopped):
-				// Stop is mid-flight; it owns the transition.
-			default:
-				s.state = StateFailed
-				s.runErr = err
-				s.flight.Record("session", s.id, "auto_run failed: "+err.Error(), 0)
-				s.flight.Trip("session-failed", s.id+": "+err.Error())
-			}
-			s.rev++
-		}
-		s.mu.Unlock()
-		// Close rather than send: any number of racing Stop callers
-		// (client retries, Catalog.Close vs an HTTP DELETE) may wait on
-		// runDone, and all of them must wake.
-		close(s.runDone)
-	}()
 }

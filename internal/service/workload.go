@@ -34,6 +34,8 @@ type Spec struct {
 	PageKB int    `json:"page_kb,omitempty"`
 	Images int    `json:"images,omitempty"`
 	Level  string `json:"level,omitempty"`
+
+	dialed bool // created by a designer's dial (Catalog.resolve)
 }
 
 // workload builds a session's component graph and declares its
@@ -226,8 +228,8 @@ func (s *fanService) Run(p *core.Proc) error {
 //
 // The WubbleU modem-site fragment (ASIC + dedicated server) hosted
 // as a tenant: a designer's handheld half attaches over the node's
-// shared listener by dialing the session id and binding the split
-// "dma" net, exactly as the single-tenant pianode mode works.
+// shared listener, by dialing the session id or, for a tenant of its
+// own, the workload's name, and binds the split "dma" net.
 
 type modemWorkload struct {
 	spec Spec

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	pia "repro"
+	"repro/internal/proto"
 	"repro/internal/vtime"
 )
 
@@ -53,8 +54,8 @@ func Install(b *pia.SystemBuilder, cfg Config, pl Placement) (*App, error) {
 	if cfg.URL == "" || cfg.PageSize <= 0 || cfg.Loads <= 0 {
 		return nil, fmt.Errorf("wubbleu: incomplete config %+v", cfg)
 	}
-	if cfg.Level == "" {
-		return nil, fmt.Errorf("wubbleu: the ASIC needs an initial detail level")
+	if err := CheckLevel(cfg.Level); err != nil {
+		return nil, err
 	}
 	app := &App{
 		Cfg:    cfg,
@@ -85,6 +86,16 @@ func Install(b *pia.SystemBuilder, cfg Config, pl Placement) (*App, error) {
 		return nil, err
 	}
 	return app, nil
+}
+
+// CheckLevel refuses a level the ASIC does not render, which the
+// passages would silently run as packet level.
+func CheckLevel(level string) error {
+	switch level {
+	case proto.LevelHardware, proto.LevelWord, proto.LevelPacket:
+		return nil
+	}
+	return fmt.Errorf("wubbleu: %q is not a detail level (hardwareLevel|wordLevel|packetLevel)", level)
 }
 
 // Result summarizes the loads the UI completed.

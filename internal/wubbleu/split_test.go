@@ -185,11 +185,14 @@ func overTCP(t *testing.T, cfg Config) splitOutcome {
 	return splitOutcome{res.PageBytes, res.LoadVirt, mApp.ASIC.DMADrives, mApp.Server.Served, mApp.ASIC.Transfers}
 }
 
-// TestInstallNeedsLevel: the ASIC needs an initial detail level.
+// TestInstallNeedsLevel: the ASIC needs an initial detail level, and
+// one it renders: a typo is refused, not run as packet level.
 func TestInstallNeedsLevel(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Level = ""
-	if _, err := Install(pia.NewSystem("x"), cfg, RemotePlacement()); err == nil {
-		t.Fatal("empty level accepted")
+	for _, level := range []string{"", "packetlevel", "wordLevel "} {
+		cfg := DefaultConfig()
+		cfg.Level = level
+		if _, err := Install(pia.NewSystem("x"), cfg, RemotePlacement()); err == nil {
+			t.Fatalf("level %q accepted", level)
+		}
 	}
 }
