@@ -171,8 +171,13 @@ timeline:
 # the loss, the codec microbenchmarks, the cross-node stress tests and
 # egress racing marks and flushes under the race detector, and — its
 # prerequisite — the fuzz smoke
-# pass. The peer vocabularies outside the batch codec are gated here
-# too: the node hello/helloAck and the hardware-server RPC round-trip,
+# pass. The batch decoder reads only the canonical layout, through the
+# one layout reader every peer vocabulary uses: a padded varint, a
+# count or length in another than its fixed width, or bytes after a
+# control entry, a value or the last entry are refused, a corrupt entry
+# costs the frame that entry and what follows, and no file outside the
+# wire package reads a varint by hand. The other peer vocabularies are
+# gated here too: the node hello/helloAck and the hardware-server RPC round-trip,
 # refuse every hostile or pre-binary frame (a gob hello, a 2^62 length,
 # an unknown kind, version or tag, trailing bytes) without a large
 # allocation while the node and the server keep serving, and a remote
@@ -206,7 +211,7 @@ timeline:
 # link shaped by delay alone a frame costs no allocation, and a frame
 # held back for a reorder is held as a copy of the writer's bytes.
 wire: fuzz-smoke
-	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestPageEgressTwoBufferAllocs|TestCoalesceByteCap|TestFlushDropsPayloadReferences|TestPipeDropsDeliveredValues|TestCursorBurstsDoNotAliasThePayload|TestSafeTimeModel|TestOnMessagesZeroAlloc' ./internal/channel/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestPageEgressTwoBufferAllocs|TestCoalesceByteCap|TestFlushDropsPayloadReferences|TestPipeDropsDeliveredValues|TestCursorBurstsDoNotAliasThePayload|TestSafeTimeModel|TestOnMessagesZeroAlloc|TestDecodeRefusesNonCanonical|TestCorruptRunKeepsEarlierWholeEntries' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestHello|TestConnectNamesAHandshakeFault|TestConnectUnknownSubsystem' ./internal/node/
 	$(GO) test -count=1 -run 'TestRPC|TestServerSurvivesProtocolError|TestRemoteRunForPastTheCap|TestRemoteCallNamesABadResponse|TestRemoteCallAllocs' ./internal/hwstub/
 	$(GO) test -count=1 -run 'TestSendFrameWord|TestPump|TestPingPong' ./internal/node/
@@ -214,7 +219,7 @@ wire: fuzz-smoke
 	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestPacedBurstIsOneSpan' ./internal/event/
 	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestBrowserCachesPageAsReceived|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks|TestHardwareTransferBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass|TestLinkTableBounded' ./internal/core/
-	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes' .
+	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes|TestOneLayoutReader' .
 	$(GO) test -count=1 -run 'TestImageCarriesEveryField|TestImageValueTags|TestImageRefusesUnregisteredValue|TestDecodeRefusesHostileImages|TestExtractNetsOrderStable' ./internal/snapshot/
 	$(GO) test -count=1 -run 'TestRestoreImageRule' ./internal/core/
 	$(GO) test -count=1 -run 'TestSpecCaps' ./internal/service/

@@ -44,12 +44,11 @@ func bringUp(o *options, nodeName string) (*stack, error) {
 	if o.metricsAddr != "" || o.report > 0 {
 		st.reg = metrics.NewRegistry()
 		metrics.RegisterBuildInfo(st.reg, m.String())
-		// The service's node is not wired in: each session runs its
-		// own registry (so its samples can carry the tenant label) and
-		// the catalog's collector re-emits them all into this one.
-		if m != modeService {
-			n.EnableMetrics(st.reg)
-		}
+		// The node's own surfaces only: each tenant runs its own
+		// registry (so its samples can carry the tenant label) and the
+		// catalog's collector re-emits them all into this one; a mesh
+		// member's subsystem is wired by watch.
+		n.EnableMetrics(st.reg)
 	}
 	if o.timelinePath != "" || o.verbose {
 		rec := timeline.NewRecorder(0)
@@ -103,9 +102,12 @@ func writeDump(d *flight.Dump, dir, label string) {
 	fmt.Printf("pianode: flight recorder tripped (%s): post-mortem written to %s\n", d.Reason, path)
 }
 
-// watch points the stack's observers at a subsystem the mode runs:
-// cost attribution into the registry and the rollback-storm trigger.
+// watch points the stack's observers at a subsystem the mode runs on
+// its node: its scheduler and hub and, with -attrib-top, its cost
+// attribution into the registry, and the rollback-storm trigger.
 func (st *stack) watch(sub *core.Subsystem) {
+	sub.EnableMetrics(st.reg)
+	st.node.Hosted(sub.Name()).Hub.EnableMetrics(st.reg)
 	if st.o.attribTop > 0 {
 		sub.EnableCostAttribution(st.reg, st.o.attribTop)
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -211,5 +212,44 @@ func TestEveryDesignerGetsATenant(t *testing.T) {
 		cat.Close()
 		st.close()
 		settle(t, st, cat, before, level+" after the node closed")
+	}
+}
+
+// TestServiceNodeMetrics: a serving node's /metrics carries the node's
+// own series, its wire counters among them, and a designer served and
+// retired leaves nothing behind in the shared registry: the scrape
+// after a second designer has the series the scrape after the first
+// had.
+func TestServiceNodeMetrics(t *testing.T) {
+	o, set := parseOptions(t, "-listen 127.0.0.1:0 -page 8 -level "+proto.LevelWord+" -metrics 127.0.0.1:0")
+	if err := o.validate(set); err != nil {
+		t.Fatal(err)
+	}
+	st, cat, addr, err := openService(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.close()
+	defer cat.Close()
+	mux := newObsMux(obsConfig{reg: st.reg, health: st.node, catalog: cat})
+	serving := runtime.NumGoroutine()
+	var series [2][]string
+	for i := range series {
+		if _, _, err := designer(addr, proto.LevelWord, nil, 0); err != nil {
+			t.Fatalf("designer %d: %v", i+1, err)
+		}
+		settle(t, st, cat, serving, fmt.Sprintf("after designer %d", i+1))
+		rr, _ := get(t, mux, "/metrics", nil)
+		for _, line := range strings.Split(rr.Body.String(), "\n") {
+			if name, _, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+				series[i] = append(series[i], name)
+			}
+		}
+		if !slices.Contains(series[i], `pia_wire_bytes_out{node="service-node"}`) {
+			t.Fatalf("after designer %d the scrape has no node wire counters:\n%s", i+1, rr.Body.String())
+		}
+	}
+	if !slices.Equal(series[0], series[1]) {
+		t.Errorf("the second designer changed the scrape's series:\nfirst  %v\nsecond %v", series[0], series[1])
 	}
 }

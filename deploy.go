@@ -38,11 +38,12 @@ func (b *SystemBuilder) BuildOnNodes(placement map[string]*Node) (*Cluster, erro
 }
 
 // EnableMetrics wires the whole cluster into reg and returns reg:
-// every hosted subsystem and hub (via each node), plus the node-level
-// surfaces a local Simulation does not have — wire connections,
-// fault-injection links, and resilient sessions. A nil reg wires
-// nothing. Call between BuildOnNodes and Run.
+// every subsystem and hub, as Simulation.EnableMetrics wires them,
+// plus each node's own surfaces, which a local Simulation does not
+// have — wire connections, fault-injection links, and resilient
+// sessions. A nil reg wires nothing. Call between BuildOnNodes and Run.
 func (cl *Cluster) EnableMetrics(reg *MetricsRegistry) *MetricsRegistry {
+	cl.Simulation.EnableMetrics(reg)
 	for _, n := range cl.nodeSet {
 		n.EnableMetrics(reg)
 	}

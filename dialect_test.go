@@ -29,34 +29,11 @@ func rawAllowed(path string) bool {
 // fails on a raw construction call outside rawAllowed: a
 // core.NewSubsystem, or a selector naming one of rawConstructors.
 func TestOneSystemDialect(t *testing.T) {
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	eachSourceFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if rawAllowed(path) {
+			return
 		}
-		if d.IsDir() {
-			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		path = filepath.ToSlash(path)
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || rawAllowed(path) {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		corePkg := ""
-		for _, im := range f.Imports {
-			if strings.Trim(im.Path.Value, `"`) == "repro/internal/core" {
-				corePkg = "core"
-				if im.Name != nil {
-					corePkg = im.Name.Name
-				}
-			}
-		}
+		corePkg := importName(f, "repro/internal/core")
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -73,6 +50,77 @@ func TestOneSystemDialect(t *testing.T) {
 				fset.Position(sel.Pos()), sel.Sel.Name)
 			return true
 		})
+	})
+}
+
+// varintReaders are the encoding/binary functions that read a varint.
+// Every peer byte is read through wire.Fields, which refuses a varint
+// in more bytes than it needs and checks every length against a cap
+// and what is left, so only internal/wire calls them outside tests.
+var varintReaders = []string{"Uvarint", "Varint", "ReadUvarint"}
+
+// TestOneLayoutReader parses every non-test Go file in the module and
+// fails on a call to one of varintReaders outside internal/wire.
+func TestOneLayoutReader(t *testing.T) {
+	eachSourceFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		binaryPkg := importName(f, "encoding/binary")
+		if binaryPkg == "" || strings.HasPrefix(path, "internal/wire/") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, _ := sel.X.(*ast.Ident); x != nil && x.Name == binaryPkg && slices.Contains(varintReaders, sel.Sel.Name) {
+				t.Errorf("%s: binary.%s reads a layout by hand; read it with wire.Fields",
+					fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	})
+}
+
+// importName is the name f refers to the package imported from path
+// by, or "" when f does not import it.
+func importName(f *ast.File, path string) string {
+	for _, im := range f.Imports {
+		if strings.Trim(im.Path.Value, `"`) != path {
+			continue
+		}
+		if im.Name != nil {
+			return im.Name.Name
+		}
+		return path[strings.LastIndex(path, "/")+1:]
+	}
+	return ""
+}
+
+// eachSourceFile parses every non-test Go file of the module, outside
+// hidden and testdata directories, and hands it to visit with its
+// slash-separated path.
+func eachSourceFile(t *testing.T, visit func(fset *token.FileSet, path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		path = filepath.ToSlash(path)
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(fset, path, f)
 		return nil
 	})
 	if err != nil {

@@ -16,13 +16,13 @@ import (
 //
 // A batch frame payload (wire.FrameBatch) is
 //
-//	uvarint count
+//	fixed10 count           (a uvarint padded to exactly 10 bytes)
 //	count x entry
 //
 // and each entry is
 //
 //	u8      encoding
-//	uvarint length
+//	fixed4  length          (a uvarint padded to exactly 4 bytes)
 //	length  bytes
 //
 // with three encoding bytes assigned:
@@ -67,11 +67,19 @@ import (
 //
 //	0 nil, 1 Level, 2 Word, 3 Byte, 4 Packet, 5 Frame, 6 BusCycle,
 //	7 Control, 8 IRQ, 9 int (the common test/helper payload),
-//	10 extension: string name, uvarint length, body — a type that
+//	10 extension: string name, fixed4 length, body — a type that
 //	   registered its own layout under that name with RegisterValue
 //
 // Times are non-negative int64 ticks (Infinity = MaxInt64), encoded
 // as uvarint.
+//
+// The count and the two lengths are fixed-width so the encoder can
+// reserve them and patch them in place once what they count is written
+// (wire.PutFixed); every other varint is in its shortest form. The
+// decoder reads the layout with wire.Fields and refuses any other
+// encoding: a padded varint, a fixed field in another width, a control
+// entry or a value (DecodeValue) with bytes after its fields, and bytes
+// after the last entry.
 
 const (
 	encBinary byte = 0
@@ -140,19 +148,6 @@ func RegisterValue[T any](name string, enc func(dst []byte, v T) []byte, dec fun
 	valuesByType[typ] = vc
 }
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendTime(dst []byte, t vtime.Time) []byte {
-	return binary.AppendUvarint(dst, uint64(t))
-}
-
 // AppendValue appends v in the codec's value layout: the closed tag
 // table first, then the RegisterValue registry. A type in neither is an
 // error naming it — nothing is encoded by reflection. It encodes a data
@@ -178,8 +173,8 @@ func AppendValue(dst []byte, v any) ([]byte, error) {
 		return append(dst, x...), nil
 	case signal.Frame:
 		dst = append(dst, valFrame)
-		dst = appendString(dst, x.Src)
-		dst = appendString(dst, x.Dst)
+		dst = wire.AppendString(dst, x.Src)
+		dst = wire.AppendString(dst, x.Dst)
 		dst = binary.BigEndian.AppendUint32(dst, x.Seq)
 		dst = binary.AppendUvarint(dst, uint64(len(x.Payload)))
 		dst = append(dst, x.Payload...)
@@ -199,12 +194,12 @@ func AppendValue(dst []byte, v any) ([]byte, error) {
 		return append(dst, b), nil
 	case signal.Control:
 		dst = append(dst, valControl)
-		dst = appendString(dst, x.Op)
+		dst = wire.AppendString(dst, x.Op)
 		return binary.AppendUvarint(dst, uint64(int64(x.Arg))+math.MaxInt64+1), nil
 	case signal.IRQ:
 		dst = append(dst, valIRQ)
 		dst = binary.AppendUvarint(dst, uint64(int64(x.Line))+math.MaxInt64+1)
-		return appendString(dst, x.Cause), nil
+		return wire.AppendString(dst, x.Cause), nil
 	case int:
 		dst = append(dst, valInt)
 		return binary.AppendUvarint(dst, uint64(int64(x))+math.MaxInt64+1), nil
@@ -223,29 +218,29 @@ func appendExtValue(dst []byte, v any) ([]byte, error) {
 		return dst, fmt.Errorf("channel: no wire codec for value type %T: register one with channel.RegisterValue", v)
 	}
 	dst = append(dst, valExt)
-	dst = appendString(dst, vc.name)
+	dst = wire.AppendString(dst, vc.name)
 	lenPos := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
 	dst = vc.enc(dst, v)
 	// A body too long for the fixed-width length makes the entry too
-	// long as well, which appendEntry rejects.
-	putFixedUvarint4(dst[lenPos:], uint64(len(dst)-lenPos-entryLenWidth))
+	// long as well, which drive rejects.
+	wire.PutFixed(dst[lenPos:lenPos+entryLenWidth], uint64(len(dst)-lenPos-entryLenWidth))
 	return dst, nil
 }
 
 // appendMessage encodes a control message's entry body onto dst.
 func appendMessage(dst []byte, m *Message) ([]byte, error) {
 	dst = append(dst, byte(m.Kind))
-	dst = appendUvarint(dst, m.Seq)
-	dst = appendUvarint(dst, m.Ack)
-	dst = appendString(dst, m.From)
+	dst = binary.AppendUvarint(dst, m.Seq)
+	dst = binary.AppendUvarint(dst, m.Ack)
+	dst = wire.AppendString(dst, m.From)
 	switch m.Kind {
 	case kindSafeTimeReq:
-		return appendTime(dst, m.Ask), nil
+		return binary.AppendUvarint(dst, uint64(m.Ask)), nil
 	case kindSafeTimeGrant:
-		return appendTime(dst, m.Grant), nil
+		return binary.AppendUvarint(dst, uint64(m.Grant)), nil
 	case kindMark, kindRestore:
-		return appendString(dst, m.Tag), nil
+		return wire.AppendString(dst, m.Tag), nil
 	case KindClose:
 		return dst, nil
 	default:
@@ -254,35 +249,18 @@ func appendMessage(dst []byte, m *Message) ([]byte, error) {
 }
 
 // entryLenWidth is the fixed width of the patchable per-entry length
-// varint: 4 bytes encode up to 2^28-1, comfortably above the frame
-// limit. Continuation-padded varints are what binary.Uvarint already
-// accepts.
+// (and an extension body's): 4 bytes encode up to 2^28-1, comfortably
+// above the frame limit.
 const entryLenWidth = 4
 
+// maxEntryLen is the longest entry a 4-byte length can say. No field
+// inside an entry is longer, so it is also the cap every name, payload
+// and extension body is read under, in a batch or in a value read
+// alone: no encoding the frame builder accepts reaches it.
 const maxEntryLen = 1<<(7*entryLenWidth) - 1
 
 // countWidth is the fixed width of a frame's patchable entry count.
 const countWidth = 10
-
-// putFixedUvarint4 writes v as a 4-byte continuation-padded varint so
-// an entry length can be patched in place after the body is encoded.
-func putFixedUvarint4(dst []byte, v uint64) {
-	for i := 0; i < entryLenWidth-1; i++ {
-		dst[i] = byte(v&0x7f) | 0x80
-		v >>= 7
-	}
-	dst[entryLenWidth-1] = byte(v & 0x7f)
-}
-
-// putFixedUvarint writes v as a 10-byte varint (padded with
-// continuation zeros) so the count can be patched in place.
-func putFixedUvarint(dst []byte, v uint64) {
-	for i := 0; i < countWidth-1; i++ {
-		dst[i] = byte(v&0x7f) | 0x80
-		v >>= 7
-	}
-	dst[countWidth-1] = byte(v & 0x7f)
-}
 
 // frameBuilder is the batch encoder: it appends messages, in seq order,
 // to batch frame payloads it builds in place. A drive extends the open
@@ -382,7 +360,7 @@ func (b *frameBuilder) open() {
 func (b *frameBuilder) closeRun() {
 	if b.run >= 0 {
 		body := b.run + 1 + entryLenWidth
-		putFixedUvarint4(b.buf[b.run+1:body], uint64(len(b.buf)-body))
+		wire.PutFixed(b.buf[b.run+1:body], uint64(len(b.buf)-body))
 		b.run = -1
 	}
 }
@@ -410,7 +388,7 @@ func (b *frameBuilder) drive(seq, ack uint64, t vtime.Time, from, net, source st
 	}
 	mark := len(b.buf)
 	if b.run >= 0 && sameRun(&b.head, seq, ack, t, from, net, source) {
-		b.buf = appendUvarint(b.buf, uint64(t-b.head.prev))
+		b.buf = binary.AppendUvarint(b.buf, uint64(t-b.head.prev))
 		var err error
 		b.buf, err = AppendValue(b.buf, v)
 		if err == nil && len(b.buf)-b.run-1-entryLenWidth <= maxEntryLen {
@@ -432,12 +410,12 @@ func (b *frameBuilder) drive(seq, ack uint64, t vtime.Time, from, net, source st
 	b.closeRun()
 	b.buf = append(b.buf, encRun, 0, 0, 0, 0)
 	body := len(b.buf)
-	b.buf = appendUvarint(b.buf, seq)
-	b.buf = appendUvarint(b.buf, ack)
-	b.buf = appendString(b.buf, from)
-	b.buf = appendString(b.buf, net)
-	b.buf = appendString(b.buf, source)
-	b.buf = appendUvarint(b.buf, uint64(t)) // the first item's ΔTime is from 0
+	b.buf = binary.AppendUvarint(b.buf, seq)
+	b.buf = binary.AppendUvarint(b.buf, ack)
+	b.buf = wire.AppendString(b.buf, from)
+	b.buf = wire.AppendString(b.buf, net)
+	b.buf = wire.AppendString(b.buf, source)
+	b.buf = binary.AppendUvarint(b.buf, uint64(t)) // the first item's ΔTime is from 0
 	var err error
 	if b.buf, err = AppendValue(b.buf, v); err == nil && len(b.buf)-body > maxEntryLen {
 		err = fmt.Errorf("channel: batch entry of %d bytes exceeds limit", len(b.buf)-body)
@@ -479,7 +457,7 @@ func (b *frameBuilder) control(m *Message) (bool, error) {
 	if !b.fits(mark) {
 		return false, nil
 	}
-	putFixedUvarint4(b.buf[body-entryLenWidth:body], uint64(len(b.buf)-body))
+	wire.PutFixed(b.buf[body-entryLenWidth:body], uint64(len(b.buf)-body))
 	b.entries++
 	b.msgs++
 	return true, nil
@@ -504,7 +482,8 @@ func (b *frameBuilder) seal() {
 		b.buf = b.buf[:b.frame]
 	} else {
 		b.closeRun()
-		putFixedUvarint(b.buf[b.frame+b.room:], uint64(b.entries))
+		count := b.frame + b.room
+		wire.PutFixed(b.buf[count:count+countWidth], uint64(b.entries))
 		if b.room > 0 {
 			wire.PutHeader(b.buf[b.frame:], wire.FrameBatch)
 		}
@@ -608,10 +587,11 @@ type BatchDecoder struct {
 	frames signal.FrameBoxes
 	cycles signal.BusCycleBoxes
 
-	// The frame Start was given: frame.pos is at the next entry, items
-	// at the open run entry's next item (empty when none is open).
-	frame  reader
-	items  reader
+	// The frame Start was given, read up to the next entry, and the
+	// body of the entry it read last, read up to the open run's next
+	// item (nothing left when no run is open).
+	frame  wire.Fields
+	items  wire.Fields
 	left   uint64 // entries not yet begun
 	n      int    // messages decoded from the frame
 	closed bool   // a KindClose was among them
@@ -656,259 +636,133 @@ func (d *BatchDecoder) copyBytes(b []byte) []byte {
 	return d.slab[off : off+len(b) : off+len(b)]
 }
 
+const (
+	// maxInterned bounds how many distinct names a decoder keeps, and
+	// maxInternLen how long a name it keeps may be (the node
+	// handshake's name cap): a longer name is decoded but not kept, so
+	// a peer pins at most maxInterned*maxInternLen bytes of names.
+	maxInterned  = 1024
+	maxInternLen = 1 << 10
+)
+
 func (d *BatchDecoder) intern(b []byte) string {
 	if s, ok := d.names[string(b)]; ok { // no alloc: map lookup by []byte
 		return s
 	}
 	s := string(b)
-	if len(d.names) < 1024 { // bound pathological name churn
+	if len(d.names) < maxInterned && len(s) <= maxInternLen {
 		d.names[s] = s
 	}
 	return s
 }
 
-type reader struct {
-	buf []byte
-	pos int
+// name reads a name (a subsystem, net, component, address or tag) and
+// interns it.
+func (d *BatchDecoder) name(f *wire.Fields) string {
+	return d.intern(f.View(f.Uvarint(), maxEntryLen))
 }
 
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("channel: truncated varint")
-	}
-	r.pos += n
-	return v, nil
-}
+// zigzagless reads an int64 stored offset by 2^63 as a uvarint.
+func zigzagless(f *wire.Fields) int64 { return int64(f.Uvarint() - math.MaxInt64 - 1) }
 
-// bytes is the one bounds check behind every length a peer supplies
-// (entry, string, packet, frame, extension body). It compares against
-// the remainder: r.pos+n overflows for a hostile n.
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || n > len(r.buf)-r.pos {
-		return nil, fmt.Errorf("channel: truncated field (%d bytes wanted)", n)
-	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-// lenBytes reads a uvarint length and that many bytes.
-func (r *reader) lenBytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	return r.bytes(int(n))
-}
-
-func (r *reader) byte1() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-func (d *BatchDecoder) str(r *reader) (string, error) {
-	b, err := r.lenBytes()
-	if err != nil {
-		return "", err
-	}
-	return d.intern(b), nil
-}
-
-func (r *reader) zigzagless() (int64, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(v - math.MaxInt64 - 1), nil
-}
-
-func (d *BatchDecoder) value(r *reader) (any, error) {
-	tag, err := r.byte1()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+// value reads one value. A value that takes a box or slab space is read
+// whole and boxed only if every read held; after a failure the value
+// returned means nothing and f says why.
+func (d *BatchDecoder) value(f *wire.Fields) any {
+	switch tag := f.Byte(); tag {
 	case valNil:
-		return nil, nil
+		return nil
 	case valLevel:
-		b, err := r.byte1()
-		return signal.Level(b != 0), err
+		return signal.Level(f.Byte() != 0)
 	case valWord:
-		w, err := r.u32()
-		return d.words.Box(signal.Word(w)), err
+		if w := f.U32(); f.Err() == nil {
+			return d.words.Box(signal.Word(w))
+		}
 	case valByte:
-		b, err := r.byte1()
-		return signal.Byte(b), err
+		return signal.Byte(f.Byte())
 	case valPacket:
-		b, err := r.lenBytes()
-		if err != nil {
-			return nil, err
+		if b := f.View(f.Uvarint(), maxEntryLen); f.Err() == nil {
+			return signal.Packet(d.copyBytes(b))
 		}
-		return signal.Packet(d.copyBytes(b)), nil
 	case valFrame:
-		var f signal.Frame
-		if f.Src, err = d.str(r); err != nil {
-			return nil, err
+		fr := signal.Frame{Src: d.name(f), Dst: d.name(f), Seq: f.U32()}
+		b := f.View(f.Uvarint(), maxEntryLen)
+		if fr.Last = f.Byte() != 0; f.Err() == nil {
+			fr.Payload = d.copyBytes(b)
+			return d.frames.Box(fr)
 		}
-		if f.Dst, err = d.str(r); err != nil {
-			return nil, err
-		}
-		if f.Seq, err = r.u32(); err != nil {
-			return nil, err
-		}
-		b, err := r.lenBytes()
-		if err != nil {
-			return nil, err
-		}
-		f.Payload = d.copyBytes(b)
-		last, err := r.byte1()
-		if err != nil {
-			return nil, err
-		}
-		f.Last = last != 0
-		return d.frames.Box(f), nil
 	case valBusCycle:
-		var bc signal.BusCycle
-		if bc.Addr, err = r.u32(); err != nil {
-			return nil, err
+		if bc := (signal.BusCycle{Addr: f.U32(), Data: signal.Word(f.U32()), Write: f.Byte() != 0}); f.Err() == nil {
+			return d.cycles.Box(bc)
 		}
-		w, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		bc.Data = signal.Word(w)
-		wr, err := r.byte1()
-		if err != nil {
-			return nil, err
-		}
-		bc.Write = wr != 0
-		return d.cycles.Box(bc), nil
 	case valControl:
-		var c signal.Control
-		if c.Op, err = d.str(r); err != nil {
-			return nil, err
+		if c := (signal.Control{Op: d.name(f), Arg: zigzagless(f)}); f.Err() == nil {
+			return c
 		}
-		if c.Arg, err = r.zigzagless(); err != nil {
-			return nil, err
-		}
-		return c, nil
 	case valIRQ:
-		var q signal.IRQ
-		line, err := r.zigzagless()
-		if err != nil {
-			return nil, err
+		if q := (signal.IRQ{Line: int(zigzagless(f)), Cause: d.name(f)}); f.Err() == nil {
+			return q
 		}
-		q.Line = int(line)
-		if q.Cause, err = d.str(r); err != nil {
-			return nil, err
-		}
-		return q, nil
 	case valInt:
-		v, err := r.zigzagless()
-		return int(v), err
+		return int(zigzagless(f))
 	case valExt:
-		return extValue(r)
+		return extValue(f)
 	default:
-		return nil, fmt.Errorf("channel: unknown value tag %d", tag)
+		f.Failf("channel: unknown value tag %d", tag)
 	}
+	return nil
 }
 
 // DecodeValue decodes b, exactly one value as AppendValue wrote it,
 // boxing words, frames and bus cycles and copying byte payloads into the
 // decoder's slab as a batch's values are: nothing it returns aliases b.
 func (d *BatchDecoder) DecodeValue(b []byte) (any, error) {
-	r := reader{buf: b}
-	v, err := d.value(&r)
-	if err == nil && r.pos < len(b) {
-		err = fmt.Errorf("channel: %d bytes after a value", len(b)-r.pos)
+	f := wire.ReadFields(b)
+	v := d.value(&f)
+	if err := f.Done(); err != nil {
+		return nil, err
 	}
-	return v, err
+	return v, nil
 }
 
 // extValue decodes an extension value through the RegisterValue
 // registry. The name is looked up, never interned: an unknown one is
 // a protocol error and must not grow decoder state.
-func extValue(r *reader) (any, error) {
-	name, err := r.lenBytes()
-	if err != nil {
-		return nil, err
-	}
+func extValue(f *wire.Fields) any {
+	name := f.View(f.Uvarint(), maxEntryLen)
 	valuesMu.RLock()
 	vc := valuesByName[string(name)]
 	valuesMu.RUnlock()
 	if vc == nil {
-		return nil, fmt.Errorf("channel: value type %q is not registered (channel.RegisterValue)", name)
+		f.Failf("channel: value type %q is not registered (channel.RegisterValue)", name)
 	}
-	body, err := r.lenBytes()
-	if err != nil {
-		return nil, err
+	body := f.View(f.Fixed(entryLenWidth), maxEntryLen)
+	if f.Err() != nil {
+		return nil
 	}
 	v, err := vc.dec(body)
 	if err != nil {
-		return nil, fmt.Errorf("channel: %s value: %w", vc.name, err)
+		f.Failf("channel: %s value: %w", vc.name, err)
 	}
-	return v, nil
-}
-
-// grow extends buf by one zero Message and returns it for the decoder
-// to fill in place.
-func grow(buf []Message) ([]Message, *Message) {
-	buf = append(buf, Message{})
-	return buf, &buf[len(buf)-1]
+	return v
 }
 
 // message decodes a control entry body into m, a zero Message.
-func (d *BatchDecoder) message(body []byte, m *Message) error {
-	r := &reader{buf: body}
-	k, err := r.byte1()
-	if err != nil {
-		return err
-	}
-	m.Kind = msgKind(k)
-	if m.Seq, err = r.uvarint(); err != nil {
-		return err
-	}
-	if m.Ack, err = r.uvarint(); err != nil {
-		return err
-	}
-	if m.From, err = d.str(r); err != nil {
-		return err
-	}
+func (d *BatchDecoder) message(f *wire.Fields, m *Message) {
+	k := f.Byte()
+	m.Kind, m.Seq, m.Ack, m.From = msgKind(k), f.Uvarint(), f.Uvarint(), d.name(f)
 	switch m.Kind {
 	case kindSafeTimeReq:
-		t, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		m.Ask = vtime.Time(t)
+		m.Ask = vtime.Time(f.Uvarint())
 	case kindSafeTimeGrant:
-		t, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		m.Grant = vtime.Time(t)
+		m.Grant = vtime.Time(f.Uvarint())
 	case kindMark, kindRestore:
-		if m.Tag, err = d.str(r); err != nil {
-			return err
-		}
+		m.Tag = d.name(f)
 	case KindClose:
 	default:
 		// KindData included: a drive travels in a run entry.
-		return fmt.Errorf("channel: unknown message kind %d in batch", k)
+		f.Failf("channel: unknown message kind %d in batch", k)
 	}
-	return nil
 }
 
 var errBatchTooLong = fmt.Errorf("channel: batch of more than %d messages", maxBatchMsgs)
@@ -916,9 +770,10 @@ var errBatchTooLong = fmt.Errorf("channel: batch of more than %d messages", maxB
 // Start points the cursor at a batch frame payload, dropping whatever
 // is left of the previous one.
 func (d *BatchDecoder) Start(payload []byte) {
-	d.frame, d.items = reader{buf: payload}, reader{}
+	d.frame, d.items = wire.ReadFields(payload), wire.Fields{}
 	d.n, d.closed = 0, false
-	d.left, d.err = d.frame.uvarint()
+	d.left = d.frame.Fixed(countWidth)
+	d.err = d.frame.Err()
 }
 
 // Closed reports whether the frame Start was given carried a KindClose
@@ -931,118 +786,111 @@ func (d *BatchDecoder) Closed() bool { return d.closed }
 // takes back out what it appended of the entry that failed, so the
 // messages it returns are whole entries and the leading items of the run
 // entry an earlier call stopped in. The encoding byte of an entry is
-// checked before its body is looked at.
+// checked before its body is looked at, and bytes after the last entry
+// are an error.
 func (d *BatchDecoder) Next(buf []Message, limit int) (_ []Message, done bool, err error) {
 	keep := len(buf) // where the entry being decoded starts, within this call
-	for d.err == nil && len(buf) < limit {
-		if d.items.pos < len(d.items.buf) {
+	for d.err == nil && len(buf) < limit && (d.left > 0 || d.items.Left() > 0) {
+		if d.items.Left() > 0 {
 			buf, d.err = d.runItems(buf, limit)
-			continue
+		} else {
+			d.left--
+			keep = len(buf)
+			buf, d.err = d.entry(buf)
 		}
-		if d.left == 0 {
-			break
-		}
-		d.left--
-		keep = len(buf)
-		buf, d.err = d.entry(buf)
 	}
-	if d.err != nil {
+	switch {
+	case d.err != nil:
 		clear(buf[keep:])
 		buf = buf[:keep]
-	} else if d.left > 0 || d.items.pos < len(d.items.buf) {
+	case d.left > 0 || d.items.Left() > 0:
 		return buf, false, nil
+	default:
+		d.err = d.frame.Done()
 	}
-	d.frame, d.items, d.left = reader{}, reader{}, 0 // the payload is the caller's again
+	d.frame, d.items, d.left = wire.Fields{}, wire.Fields{}, 0 // the payload is the caller's again
 	return buf, true, d.err
 }
 
-// entry begins the frame's next entry: a control message is decoded
-// onto buf, a run entry's header is read and its items left to runItems.
+// entry begins the frame's next entry, whose body becomes d.items: a
+// control message is decoded onto buf, a run entry's header is read and
+// its items left to runItems.
 func (d *BatchDecoder) entry(buf []Message) ([]Message, error) {
-	r := &d.frame
-	enc, err := r.byte1()
-	if err != nil {
-		return buf, err
-	}
+	f := &d.frame
+	enc := f.Byte()
 	if enc != encBinary && enc != encRun {
-		return buf, fmt.Errorf("channel: unknown batch encoding %d", enc)
+		f.Failf("channel: unknown batch encoding %d", enc)
 	}
-	body, err := r.lenBytes()
-	if err != nil {
+	d.items = wire.ReadFields(f.View(f.Fixed(entryLenWidth), maxEntryLen))
+	if err := f.Err(); err != nil {
 		return buf, err
 	}
 	if enc == encRun {
-		return buf, d.runHeader(body)
+		d.runHeader()
+		return buf, d.items.Err()
 	}
 	if d.n >= maxBatchMsgs {
-		return buf, errBatchTooLong
+		d.items.Failf("%w", errBatchTooLong)
 	}
 	var m *Message
 	buf, m = grow(buf)
-	if err := d.message(body, m); err != nil {
-		return buf, err
+	d.message(&d.items, m)
+	if err := d.items.Done(); err != nil {
+		return buf, err // Next takes m back out
 	}
 	d.n++
 	d.closed = d.closed || m.Kind == KindClose
 	return buf, nil
 }
 
-// runHeader reads a run entry's header and opens its items. The three
-// names are interned once for the whole run.
-func (d *BatchDecoder) runHeader(body []byte) (err error) {
-	r := &reader{buf: body}
-	if d.seq0, err = r.uvarint(); err != nil {
-		return err
+// runHeader reads the open run entry's header. The three names are
+// interned once for the whole run.
+func (d *BatchDecoder) runHeader() {
+	f := &d.items
+	d.seq0, d.ack = f.Uvarint(), f.Uvarint()
+	d.from, d.net, d.source = d.name(f), d.name(f), d.name(f)
+	if f.Left() == 0 {
+		f.Failf("channel: empty run in batch")
 	}
-	if d.ack, err = r.uvarint(); err != nil {
-		return err
-	}
-	if d.from, err = d.str(r); err != nil {
-		return err
-	}
-	if d.net, err = d.str(r); err != nil {
-		return err
-	}
-	if d.source, err = d.str(r); err != nil {
-		return err
-	}
-	if r.pos == len(r.buf) {
-		return fmt.Errorf("channel: empty run in batch")
-	}
-	d.seq, d.t, d.items = d.seq0, 0, *r
-	return nil
+	d.seq, d.t = d.seq0, 0
 }
 
 // runItems decodes the open run's items onto buf until the run ends or
-// buf holds limit messages.
+// buf holds limit messages. An item is appended only once all of it
+// has been read.
 func (d *BatchDecoder) runItems(buf []Message, limit int) ([]Message, error) {
-	r := &d.items
-	for r.pos < len(r.buf) && len(buf) < limit {
+	f := &d.items
+	for f.Left() > 0 && len(buf) < limit {
 		if d.seq < d.seq0 {
-			return buf, fmt.Errorf("channel: run from seq %d wraps", d.seq0)
+			f.Failf("channel: run from seq %d wraps", d.seq0)
 		}
 		if d.n >= maxBatchMsgs {
-			return buf, errBatchTooLong
+			f.Failf("%w", errBatchTooLong)
 		}
-		delta, err := r.uvarint()
-		if err != nil {
-			return buf, err
-		}
+		delta := f.Uvarint()
 		if delta > math.MaxInt64-d.t {
-			return buf, fmt.Errorf("channel: run time overflows (%d + %d)", d.t, delta)
+			f.Failf("channel: run time overflows (%d + %d)", d.t, delta)
+		}
+		v := d.value(f)
+		if err := f.Err(); err != nil {
+			return buf, err
 		}
 		d.t += delta
 		var m *Message
 		buf, m = grow(buf)
 		m.Kind, m.From, m.Seq, m.Ack = KindData, d.from, d.seq, d.ack
-		m.Net, m.Source, m.Time = d.net, d.source, vtime.Time(d.t)
-		if m.Value, err = d.value(r); err != nil {
-			return buf, err
-		}
+		m.Net, m.Source, m.Time, m.Value = d.net, d.source, vtime.Time(d.t), v
 		d.seq++
 		d.n++
 	}
 	return buf, nil
+}
+
+// grow extends buf by one zero Message and returns it for the decoder
+// to fill in place.
+func grow(buf []Message) ([]Message, *Message) {
+	buf = append(buf, Message{})
+	return buf, &buf[len(buf)-1]
 }
 
 // DecodeBatchInto decodes a batch frame payload into buf[:0] and

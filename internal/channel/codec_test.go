@@ -6,11 +6,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/signal"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // customVal is outside the closed tag table: it travels as an
@@ -190,15 +192,23 @@ func TestBatchCloseDetected(t *testing.T) {
 	mustEqualMessages(t, got, msgs)
 }
 
+// fixed is v as a uvarint padded to width bytes: a frame's count, an
+// entry's length or an extension body's.
+func fixed(width int, v uint64) []byte {
+	b := make([]byte, width)
+	wire.PutFixed(b, v)
+	return b
+}
+
 // rawEntry is one batch entry: encoding byte, length, body.
 func rawEntry(enc byte, body ...byte) []byte {
-	return append(binary.AppendUvarint([]byte{enc}, uint64(len(body))), body...)
+	return append(append([]byte{enc}, fixed(entryLenWidth, uint64(len(body)))...), body...)
 }
 
 // batchOf is a batch payload announcing count entries and carrying the
 // ones given.
 func batchOf(count uint64, entries ...[]byte) []byte {
-	p := binary.AppendUvarint(nil, count)
+	p := fixed(countWidth, count)
 	for _, e := range entries {
 		p = append(p, e...)
 	}
@@ -215,10 +225,11 @@ func wordItem(delta ...byte) []byte { return append(delta, valWord, 0, 0, 0, 7) 
 // hostileLen is a length that fits an int but overflows pos+n.
 var hostileLen = binary.AppendUvarint(nil, 1<<63-1)
 
-// hostilePayloads are one-entry batches whose entry, string and packet
-// length is hostileLen; each used to slice out of range.
+// hostilePayloads are one-entry batches whose string and packet length
+// is hostileLen, and whose entry length is the largest four bytes say;
+// each used to slice out of range.
 func hostilePayloads() [][]byte {
-	entry := append(append([]byte{0x01, 0x00}, hostileLen...), 1, 2, 3)
+	entry := batchOf(1, append(append([]byte{encBinary}, fixed(entryLenWidth, maxEntryLen)...), 1, 2, 3))
 	str := entryOf(encBinary, append([]byte{byte(KindClose), 1, 0}, hostileLen...)...) // From's length
 	pkt := batchOf(1, runOf(1, append([]byte{0, valPacket}, hostileLen...)))
 	return [][]byte{entry, str, pkt}
@@ -227,12 +238,12 @@ func hostilePayloads() [][]byte {
 func TestBatchDecoderRejectsGarbage(t *testing.T) {
 	dec := NewBatchDecoder()
 	for _, payload := range append([][]byte{
-		{},                       // no count
-		{0x01},                   // count 1, no entry
-		{0x01, 0x00},             // entry without length
-		{0x01, 0x00, 0x09},       // binary entry shorter than its length
-		{0x01, 0x07, 0x01},       // unknown encoding 7
-		{0x01, 0x00, 0x01, 0xff}, // unknown message kind 255
+		{},                            // no count
+		batchOf(1),                    // count 1, no entry
+		batchOf(1, []byte{encBinary}), // entry without length
+		batchOf(1, []byte{encBinary}, fixed(entryLenWidth, 9)), // binary entry shorter than its length
+		batchOf(1, rawEntry(7, 1)),                             // unknown encoding 7
+		batchOf(1, rawEntry(encBinary, 0xff)),                  // unknown message kind 255
 	}, hostilePayloads()...) {
 		if _, _, err := dec.DecodeBatchInto(payload, nil); err == nil {
 			t.Fatalf("payload %v decoded without error", payload)
@@ -261,6 +272,8 @@ func TestCorruptRunKeepsEarlierWholeEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := payload[countWidth:] // the ask's entry, without the frame's count
+	askBody := good[1+entryLenWidth:]
+	run := append([]byte{2, 0, 0, 0, 0}, wordItem(0)...) // a whole run entry's body: Seq0 2, one word
 	nilItems := make([][]byte, maxBatchMsgs)
 	for i := range nilItems {
 		nilItems[i] = []byte{0, valNil}
@@ -274,12 +287,17 @@ func TestCorruptRunKeepsEarlierWholeEntries(t *testing.T) {
 		{"drive outside a run entry", 2, rawEntry(encBinary, byte(KindData), 2, 0, 0, 0, 0, 0, valNil), "unknown message kind 0"},
 		{"header cut short", 2, rawEntry(encRun, 2, 0, 0, 0), "truncated"},
 		{"no items", 2, runOf(2), "empty run"},
-		{"second item cut short", 2, runOf(2, wordItem(3), []byte{1, valWord, 0}), "truncated field"},
+		{"second item cut short", 2, runOf(2, wordItem(3), []byte{1, valWord, 0}), "short body"},
 		{"ΔTime sum past MaxInt64", 2, runOf(2, wordItem(1), wordItem(hostileLen...)), "overflows"},
 		{"Seq0+n wraps", 2, runOf(^uint64(0), wordItem(0), wordItem(0)), "wraps"},
 		{"one message past the cap", 2, runOf(2, nilItems...), "more than 65536 messages"},
 		{"retired gob entry", 2, rawEntry(1, 0x01, 0x02), "unknown batch encoding 1"},
-		{"count larger than the entries present", 3, runOf(2, wordItem(0)), "truncated"},
+		{"count larger than the entries present", 3, runOf(2, wordItem(0)), "short body"},
+		{"Seq0 in a padded varint", 2, rawEntry(encRun, append([]byte{0x82, 0x00}, run[1:]...)...), "fewer suffice"},
+		{"Ack in a padded varint", 2, rawEntry(encRun, append([]byte{2, 0x80, 0x00}, run[2:]...)...), "fewer suffice"},
+		{"ΔTime in a padded varint", 2, runOf(2, wordItem(0x80, 0x00)), "fewer suffice"},
+		{"entry length in one byte", 2, append([]byte{encRun, byte(len(run))}, run...), "padded to 4 bytes"},
+		{"control entry with a trailing byte", 2, rawEntry(encBinary, append(slices.Clone(askBody), 0)...), "1 trailing bytes"},
 	} {
 		msgs, _, err := NewBatchDecoder().DecodeBatchInto(batchOf(tc.count, good, tc.entry), nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -371,7 +389,7 @@ func TestRetiredGobEntryRejected(t *testing.T) {
 		t.Fatalf("gob entry: msgs=%v err=%v, want unknown batch encoding 1", msgs, err)
 	}
 	// The verdict comes before the length and body are even read.
-	if _, _, err := NewBatchDecoder().DecodeBatchInto([]byte{0x01, 0x01}, nil); err == nil || !strings.Contains(err.Error(), "unknown batch encoding 1") {
+	if _, _, err := NewBatchDecoder().DecodeBatchInto(batchOf(1, []byte{1}), nil); err == nil || !strings.Contains(err.Error(), "unknown batch encoding 1") {
 		t.Fatalf("bare encoding byte: err=%v, want unknown batch encoding 1", err)
 	}
 }
@@ -379,7 +397,7 @@ func TestRetiredGobEntryRejected(t *testing.T) {
 // extRun is a one-entry batch: a run of one item carrying an extension
 // value whose length varint and bytes are given raw.
 func extRun(name string, lenAndValue ...byte) []byte {
-	item := appendString([]byte{0, valExt}, name)
+	item := wire.AppendString([]byte{0, valExt}, name)
 	return batchOf(1, runOf(1, append(item, lenAndValue...)))
 }
 
@@ -389,15 +407,92 @@ func TestExtensionValueBoundary(t *testing.T) {
 		payload []byte
 		want    string
 	}{
-		{"unregistered name", extRun("nobody.registered.this", 1, 7), `"nobody.registered.this" is not registered`},
-		{"truncated body", extRun("channel.test.customVal", 9, 14, 'x'), "truncated field"},
-		{"hostile body length", extRun("channel.test.customVal", hostileLen...), "truncated field"},
-		{"body the type's decoder refuses", extRun("channel.test.customVal", 0), "channel.test.customVal value: customVal: bad A"},
+		{"unregistered name", extRun("nobody.registered.this", append(fixed(entryLenWidth, 1), 7)...), `"nobody.registered.this" is not registered`},
+		{"truncated body", extRun("channel.test.customVal", append(fixed(entryLenWidth, 9), 14, 'x')...), "short body"},
+		{"hostile body length", extRun("channel.test.customVal", fixed(entryLenWidth, maxEntryLen)...), "short body"},
+		{"body the type's decoder refuses", extRun("channel.test.customVal", fixed(entryLenWidth, 0)...), "channel.test.customVal value: customVal: bad A"},
+		{"body length in one byte", extRun("channel.test.customVal", 2, 14, 'x', 0), "padded to 4 bytes"},
 	} {
 		msgs, _, err := NewBatchDecoder().DecodeBatchInto(tc.payload, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: msgs=%v err=%v, want error containing %q", tc.name, msgs, err, tc.want)
 		}
+	}
+}
+
+// TestDecodeRefusesNonCanonical: every value has one encoding, and the
+// batch decoder reads no other — no padded varint, no count or length
+// in another width than its fixed one, no byte after a value read alone
+// or after a frame's last entry — so what it accepts re-encodes to the
+// same bytes.
+func TestDecodeRefusesNonCanonical(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		value []byte
+		want  string
+	}{
+		{"a trailing byte", []byte{valWord, 0, 0, 1, 0, 0}, "1 trailing bytes"},
+		{"an int in a padded varint", []byte{valInt, 0x80, 0x80, 0x00}, "fewer suffice"},
+		{"a packet length in a padded varint", []byte{valPacket, 0x81, 0x00, 7}, "fewer suffice"},
+	} {
+		if v, err := NewBatchDecoder().DecodeValue(tc.value); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeValue = %v, %v; want an error containing %q", tc.name, v, err, tc.want)
+		}
+	}
+	one := batchOf(1, runOf(1, wordItem(5)))
+	if msgs, _, err := NewBatchDecoder().DecodeBatchInto(one, nil); err != nil || len(msgs) != 1 {
+		t.Fatalf("the canonical frame: %d messages, %v", len(msgs), err)
+	}
+	short := append(binary.AppendUvarint(nil, 1), one[countWidth:]...)
+	if _, _, err := NewBatchDecoder().DecodeBatchInto(short, nil); err == nil || !strings.Contains(err.Error(), "padded to 10 bytes") {
+		t.Errorf("a count in one byte: %v", err)
+	}
+	// The entries before the stray byte are whole: they are returned
+	// with the error, as the whole entries before a corrupt one are.
+	msgs, _, err := NewBatchDecoder().DecodeBatchInto(append(one, 0), nil)
+	if err == nil || !strings.Contains(err.Error(), "1 trailing bytes") || len(msgs) != 1 {
+		t.Errorf("a byte after the last entry: %d messages, %v", len(msgs), err)
+	}
+}
+
+// TestInternKeepsOnlyShortNames pins what a decoder retains of the
+// names a peer sends: a name past maxInternLen is decoded but not kept,
+// so fresh long names cannot pile up for the connection's lifetime.
+func TestInternKeepsOnlyShortNames(t *testing.T) {
+	dec := NewBatchDecoder()
+	retained := func() (n int) {
+		for k := range dec.names {
+			n += len(k)
+		}
+		return n
+	}
+	for i := range 20 {
+		long := strings.Repeat(string(rune('a'+i)), 64<<10)
+		edge := strings.Repeat(string(rune('a'+i)), maxInternLen)
+		msgs := []Message{
+			{Kind: KindData, From: "ss1", Seq: uint64(2*i + 1), Net: long, Source: "p", Value: signal.Word(1)},
+			{Kind: KindData, From: "ss1", Seq: uint64(2*i + 2), Net: edge, Source: "p", Value: signal.Word(2)},
+		}
+		payload, _, err := AppendBatch(nil, msgs, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := decodeAll(t, dec, [][]byte{payload})
+		mustEqualMessages(t, got, msgs)
+	}
+	// ss1, p and the twenty names of exactly maxInternLen bytes.
+	if want := len("ss1") + len("p") + 20*maxInternLen; retained() != want || len(dec.names) != 22 {
+		t.Errorf("retained %d bytes in %d names, want %d in 22", retained(), len(dec.names), want)
+	}
+	for i := range 2 * maxInterned {
+		payload, _, err := AppendBatch(nil, []Message{{Kind: KindData, From: "ss1", Seq: uint64(i + 1), Net: strings.Repeat("n", maxInternLen-4) + string(binary.AppendUvarint(nil, uint64(i))), Source: "p", Value: signal.Word(1)}}, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeAll(t, dec, [][]byte{payload})
+	}
+	if n := retained(); len(dec.names) != maxInterned || n > maxInterned*maxInternLen {
+		t.Errorf("retained %d bytes in %d names, want at most %d in %d", n, len(dec.names), maxInterned*maxInternLen, maxInterned)
 	}
 }
 
@@ -487,10 +582,7 @@ func TestCursorBurstsDoNotAliasThePayload(t *testing.T) {
 				t.Fatalf("bursts of %d: %v", size, err)
 			}
 			got = append(got, burst...)
-			read := dec.frame.pos // what the cursor has moved past
-			if dec.items.pos < len(dec.items.buf) {
-				read = cap(p) - cap(dec.items.buf) + dec.items.pos
-			}
+			read := len(p) - dec.frame.Left() - dec.items.Left() // what the cursor has moved past
 			for i := range p[:read] {
 				p[i] = poison
 			}

@@ -175,13 +175,13 @@ func FuzzDecodeBatch(f *testing.F) {
 		add(payload[:len(payload)/2])
 	}
 	add([]byte{})
-	add([]byte{0x01, 0x07, 0x01})
-	add([]byte{0x01, 0x00, 0x01, 0xff})
+	add(batchOf(1, rawEntry(7, 1)))
+	add(batchOf(1, rawEntry(encBinary, 0xff)))
 	for _, payload := range hostilePayloads() {
 		add(payload)
 	}
-	add(entryOf(1, 0x01, 0x02))                       // the retired gob encoding
-	add(extRun("channel.test.customVal", 2, 14, 'x')) // a registered extension value
+	add(entryOf(1, 0x01, 0x02))                                                        // the retired gob encoding
+	add(extRun("channel.test.customVal", append(fixed(entryLenWidth, 2), 14, 'x')...)) // a registered extension value
 	add(extRun("nobody.registered.this", 1, 7))
 	// Run entries: a whole one, then each way of being wrong.
 	add(batchOf(1, runOf(1, wordItem(5), wordItem(0), wordItem(3))))

@@ -220,6 +220,25 @@ func TestCheckpointInterval(t *testing.T) {
 	}
 }
 
+// TestBursterStateRoundTrip: a burster's state restores to the fields
+// it saved, and a state with a byte past its three fields, or one cut
+// short, is refused.
+func TestBursterStateRoundTrip(t *testing.T) {
+	saved, err := (&burster{Next: 7, Count: 400, Period: -10}).SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got burster
+	if err := got.RestoreState(saved); err != nil || got != (burster{Next: 7, Count: 400, Period: -10}) {
+		t.Fatalf("restored %+v, %v", got, err)
+	}
+	for _, bad := range [][]byte{append(slices.Clone(saved), 0), saved[:len(saved)-1]} {
+		if err := new(burster).RestoreState(bad); err == nil {
+			t.Errorf("state % x restored without error", bad)
+		}
+	}
+}
+
 // TestIncrementalCheckpoint pins the stand's byte counts. Its states
 // are laid out by their fields alone, so the counts do not depend on
 // what the process encoded before: alone or after the whole suite, in

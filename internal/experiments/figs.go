@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/signal"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // --- shared workload pieces ---
@@ -44,15 +44,12 @@ func (s *burster) SaveState() ([]byte, error) {
 }
 
 func (s *burster) RestoreState(b []byte) error {
-	var f [3]int64
-	for i := range f {
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			return errors.New("experiments: truncated burster state")
-		}
-		f[i], b = v, b[n:]
+	f := wire.ReadFields(b)
+	next, count, period := f.Varint(), f.Varint(), f.Varint()
+	if err := f.Done(); err != nil {
+		return fmt.Errorf("experiments: burster state: %w", err)
 	}
-	s.Next, s.Count, s.Period = int(f[0]), int(f[1]), vtime.Duration(f[2])
+	s.Next, s.Count, s.Period = int(next), int(count), vtime.Duration(period)
 	return nil
 }
 

@@ -5,14 +5,13 @@ import (
 	"repro/internal/resilience"
 )
 
-// EnableMetrics wires every observable surface the node owns into
-// reg: each hosted subsystem's scheduler (steps, lag gauges, runnable
-// set), each hub's channel endpoints, and — pull-style, walked at
-// snapshot time so late-created objects are covered — the node's wire
-// connections, fault-injection links, and resilient sessions.
-//
-// Call after hosting subsystems and before running; subsystems hosted
-// after the call are wired as they are hosted. Idempotent per node.
+// EnableMetrics wires the surfaces the node itself owns into reg,
+// pull-style — walked at snapshot time, so objects created later are
+// covered: its wire connections, fault-injection links and resilient
+// sessions. A hosted subsystem and its hub are wired by whoever built
+// them (Simulation.EnableMetrics, a tenant's own registry), so a node
+// serving tenant after tenant adds nothing to reg per tenant.
+// Idempotent per node.
 func (n *Node) EnableMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -23,16 +22,7 @@ func (n *Node) EnableMetrics(reg *metrics.Registry) {
 		return
 	}
 	n.metricsReg = reg
-	hosted := make([]*Hosted, 0, len(n.hosted))
-	for _, h := range n.hosted {
-		hosted = append(hosted, h)
-	}
 	n.mu.Unlock()
-
-	for _, h := range hosted {
-		h.Sub.EnableMetrics(reg)
-		h.Hub.EnableMetrics(reg)
-	}
 
 	name := n.name
 	counter := func(emit func(metrics.Sample), metric string, v int64, kv ...string) {

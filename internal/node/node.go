@@ -112,8 +112,8 @@ type Node struct {
 	flinks   []*faultnet.Link
 	sessions []*resilience.Session
 
-	// metricsReg, when non-nil, is the registry every hosted
-	// subsystem and connection surface reports into (see metrics.go).
+	// metricsReg, when non-nil, is the registry the node's connection
+	// surfaces report into (see metrics.go).
 	metricsReg *metrics.Registry
 
 	// tlRec, when non-nil, is the timeline recorder every hosted
@@ -152,10 +152,6 @@ func (n *Node) Host(sub *core.Subsystem) *Hosted {
 	h := &Hosted{Sub: sub, Hub: channel.NewHub(sub)}
 	h.links = h.link1[:0]
 	n.hosted[sub.Name()] = h
-	if n.metricsReg != nil {
-		h.Sub.EnableMetrics(n.metricsReg)
-		h.Hub.EnableMetrics(n.metricsReg)
-	}
 	if n.tlRec != nil {
 		h.Sub.EnableTimeline(n.tlRec)
 		h.Hub.EnableTimeline(n.tlRec)

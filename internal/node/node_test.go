@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/vtime"
 )
 
@@ -335,6 +336,30 @@ func TestHostIdempotent(t *testing.T) {
 	}
 	if n.Name() != "x" {
 		t.Fatal("Name broken")
+	}
+}
+
+// TestEnableMetricsWiresOnlyTheNode: a node's registry carries the
+// node's own series, not its hosted subsystems' or their channels' —
+// whoever builds a subsystem wires it — so a node hosting tenant after
+// tenant adds nothing to the registry per tenant.
+func TestEnableMetricsWiresOnlyTheNode(t *testing.T) {
+	n1, n2, _, _, _ := buildRemotePair(t, channel.Conservative, 1)
+	defer n1.Close()
+	defer n2.Close()
+	reg := metrics.NewRegistry()
+	n2.EnableMetrics(reg)
+	late := core.NewSubsystem("late")
+	n2.Host(late)
+	var names []string
+	for _, s := range reg.Snapshot() {
+		names = append(names, s.Name)
+		if strings.Contains(s.Name, "sub=") {
+			t.Errorf("the node wired a hosted subsystem's series %s", s.Name)
+		}
+	}
+	if !slices.Contains(names, `pia_wire_bytes_out{node="node2"}`) {
+		t.Errorf("no node wire counters among %v", names)
 	}
 }
 

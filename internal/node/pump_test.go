@@ -2,10 +2,10 @@ package node
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -182,6 +182,30 @@ func TestPumpRejectsGobAfterHandshake(t *testing.T) {
 	}
 }
 
+// fixedWidth is v as a uvarint padded to width bytes, the form of a
+// batch frame's count (10 bytes) and of an entry's length (4).
+func fixedWidth(width int, v uint64) []byte {
+	b := make([]byte, width)
+	wire.PutFixed(b, v)
+	return b
+}
+
+// batchPayload is a batch frame payload announcing count entries and
+// carrying the raw bytes given.
+func batchPayload(count uint64, raw ...byte) []byte {
+	return append(fixedWidth(10, count), raw...)
+}
+
+// entry is one batch entry: encoding byte, 4-byte length, body.
+func entry(enc byte, body ...byte) []byte {
+	return append(append([]byte{enc}, fixedWidth(4, uint64(len(body)))...), body...)
+}
+
+// cutRun is a run entry's body (encoding 2: seq0 3, ack 0, empty From,
+// Net "link", Source "prod") whose first item is whole — ΔTime 30, nil
+// — and whose second, a word, stops inside its value.
+var cutRun = []byte{3, 0, 0, 4, 'l', 'i', 'n', 'k', 4, 'p', 'r', 'o', 'd', 30, 0, 10, 2, 0}
+
 // TestPumpDeliversFramesBeforeACorruptOne: a frame that fails to decode
 // mid-burst loses the connection — with a peerLostError, never a
 // panic: pump runs unrecovered, so a panic here would take the whole
@@ -196,17 +220,19 @@ func TestPumpDeliversFramesBeforeACorruptOne(t *testing.T) {
 		payload []byte
 		want    string
 	}{
-		{"unknown entry encoding", []byte{0x02, 0x07, 0x01}, "unknown batch encoding 7"},
-		// An entry length that fits an int but overflows pos+len.
-		{"hostile entry length", append(binary.AppendUvarint([]byte{0x01, 0x00}, 1<<63-1), 1, 2, 3), "truncated field"},
+		{"unknown entry encoding", batchPayload(2, entry(7, 1)...), "unknown batch encoding 7"},
+		// The longest entry four length bytes can say, far past the frame.
+		{"hostile entry length", batchPayload(1, append(append([]byte{0}, 0xff, 0xff, 0xff, 0x7f), 1, 2, 3)...), "short body"},
 		// What a pre-registry sender put on the wire for a value outside
 		// the tag table: well-formed then, refused undecoded now.
-		{"retired gob entry", append(binary.AppendUvarint([]byte{0x01, 0x01}, uint64(gobClose.Len())), gobClose.Bytes()...), "unknown batch encoding 1"},
-		// A run entry (encoding 2: seq0 3, ack 0, empty From, Net "link",
-		// Source "prod") whose first item is whole — ΔTime 30, nil — and
-		// whose second, a word, stops inside its value: the whole item is
-		// not delivered either, only whole frames are.
-		{"run cut short inside an item", []byte{0x01, 0x02, 18, 3, 0, 0, 4, 'l', 'i', 'n', 'k', 4, 'p', 'r', 'o', 'd', 30, 0, 10, 2, 0}, "truncated field"},
+		{"retired gob entry", batchPayload(1, entry(1, gobClose.Bytes()...)...), "unknown batch encoding 1"},
+		// The whole first item of the cut run is not delivered either,
+		// only whole frames are.
+		{"run cut short inside an item", batchPayload(1, entry(2, cutRun...)...), "short body"},
+		// The first item's ΔTime, 30, in two bytes where one suffices.
+		{"ΔTime in a padded varint", batchPayload(1, entry(2, append(slices.Clone(cutRun[:13]), 0x9e, 0x00, 0)...)...), "fewer suffice"},
+		{"entry length in one byte", batchPayload(1, append([]byte{2, 15}, cutRun[:15]...)...), "padded to 4 bytes"},
+		{"close entry with a trailing byte", batchPayload(1, entry(0, byte(channel.KindClose), 3, 0, 8, 'h', 'a', 'n', 'd', 'h', 'e', 'l', 'd', 0)...), "1 trailing bytes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newPeerScript(t)
@@ -330,19 +356,19 @@ func TestPumpLongFrameCorruptAtTheEnd(t *testing.T) {
 	}
 	frame := frameOf(t, msgs)
 	// One more entry, counted in the frame's count: an item cut short.
-	entries, n := binary.Uvarint(frame[wire.HeaderLen:])
-	if n <= 0 {
+	f := wire.ReadFields(frame[wire.HeaderLen:])
+	entries := f.Fixed(10)
+	if f.Err() != nil {
 		t.Fatal("frame count unreadable")
 	}
-	count := binary.AppendUvarint(nil, entries+1)
-	payload := append(count, frame[wire.HeaderLen+n:]...)
-	payload = append(payload, 0x02, 18, 3, 0, 0, 4, 'l', 'i', 'n', 'k', 4, 'p', 'r', 'o', 'd', 30, 0, 10, 2, 0)
+	payload := batchPayload(entries+1, frame[wire.HeaderLen+10:]...)
+	payload = append(payload, entry(2, cutRun...)...)
 	if err := p.c.SendRaw(wire.FrameBatch, payload); err != nil {
 		t.Fatal(err)
 	}
 	err, ep, _, _ := p.serve(t)
 	var lost *peerLostError
-	if !errors.As(err, &lost) || !strings.Contains(err.Error(), "truncated field") {
+	if !errors.As(err, &lost) || !strings.Contains(err.Error(), "short body") {
 		t.Fatalf("a long frame with a corrupt end gave %v, want a PeerLostError", err)
 	}
 	if got := ep.QueuedCount(); got%maxBurst != 0 || got == 0 || got > drives {

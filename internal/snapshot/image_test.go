@@ -204,11 +204,11 @@ func TestDecodeRefusesHostileImages(t *testing.T) {
 		{"inbox past the input", cat(head(1), uv(1000), row(0, intValue)), "items in"},
 		{"memory past the input", cat(head(1), uv(0), uv(1<<20), uv(4)), "items in"},
 		{"nets past the input", cat(head(1), uv(0), uv(0), uv(1000)), "items in"},
-		{"empty value", cat(head(1), uv(1), row(0, field("")), uv(0), uv(0)), "truncated"},
+		{"empty value", cat(head(1), uv(1), row(0, field("")), uv(0), uv(0)), "short body"},
 		{"unknown value tag", cat(head(1), uv(1), row(0, field("\x63")), uv(0), uv(0)), "unknown value tag 99"},
-		{"bytes after a value", cat(head(1), uv(1), row(0, field("\x00\x00")), uv(0), uv(0)), "bytes after a value"},
+		{"bytes after a value", cat(head(1), uv(1), row(0, field("\x00\x00")), uv(0), uv(0)), "1 trailing bytes"},
 		{"unregistered extension", cat(head(1), uv(1), row(0, field("\x0a\x04nope\x00")), uv(0), uv(0)), "not registered"},
-		{"packet longer than its value", cat(head(1), uv(1), row(0, field("\x04\x7f")), uv(0), uv(0)), "truncated"},
+		{"packet longer than its value", cat(head(1), uv(1), row(0, field("\x04\x7f")), uv(0), uv(0)), "short body"},
 	} {
 		ci, err := snapshot.DecodeComponentImage(tc.b)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

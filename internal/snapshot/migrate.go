@@ -7,6 +7,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -119,8 +120,8 @@ func DecodeComponentImage(b []byte) (*ComponentImage, error) {
 		f.Failf("unknown image version %d", v)
 	}
 	d := channel.NewBatchDecoder()
-	value := func() any {
-		v, err := d.DecodeValue([]byte(f.String(maxValue)))
+	value := func() any { // decoded where it lies: DecodeValue copies what it keeps
+		v, err := d.DecodeValue(f.View(f.Uvarint(), maxValue))
 		if err != nil {
 			f.Failf("%w", err)
 		}
@@ -133,8 +134,8 @@ func DecodeComponentImage(b []byte) (*ComponentImage, error) {
 	} else {
 		ci.Live, ci.EOF, ci.Shared = flags&1 != 0, flags&2 != 0, flags&4 != 0
 	}
-	if s := f.String(maxState); s != "" {
-		ci.State = []byte(s)
+	if s := f.View(f.Uvarint(), maxState); len(s) > 0 {
+		ci.State = bytes.Clone(s)
 	}
 	if n := f.Len(maxInbox, inboxRowMin); n > 0 {
 		ci.Inbox = make([]event.Event, n)

@@ -7,9 +7,9 @@ import (
 )
 
 // Fields reads the fields of one frame payload in order: the bounded
-// reader behind every hand-written layout a peer's bytes reach outside
-// the batch codec (the node handshake, the hardware-server RPC, the
-// mesh control plane and the migration image it carries). Every read
+// reader behind every layout a peer's bytes reach (the batch codec, the
+// node handshake, the hardware-server RPC, the mesh control plane, the
+// session envelope and the migration image). Every read
 // is checked against what is left of the payload before anything
 // is sliced or allocated, so no length a peer declares can reach past
 // its frame or size an allocation: a string is further bounded by a
@@ -103,19 +103,35 @@ func (f *Fields) varint(n int) bool {
 	return true
 }
 
+// Fixed reads a uvarint padded to exactly width bytes, as PutFixed
+// writes it: a length or count patched in place after what it counts.
+// The same value in any other width is an error.
+func (f *Fields) Fixed(width int) uint64 {
+	b := f.take(width)
+	if b == nil {
+		return 0
+	}
+	v, n := binary.Uvarint(b)
+	if n != width {
+		f.err = fmt.Errorf("wire: field is not a uvarint padded to %d bytes", width)
+		return 0
+	}
+	return v
+}
+
+// View reads n bytes, at most max of them, where n is the length the
+// layout gave just before (read with Uvarint or Fixed). What it returns
+// aliases the payload: a caller that keeps it copies it.
+func (f *Fields) View(n uint64, max int) []byte {
+	if f.err == nil && n > uint64(max) {
+		f.err = fmt.Errorf("wire: field of %d bytes exceeds its cap of %d", n, max)
+	}
+	return f.take(int(n))
+}
+
 // String reads a uvarint length and that many bytes, at most max of
 // them, and copies them out: nothing returned aliases the payload.
-func (f *Fields) String(max int) string {
-	n := f.Uvarint()
-	if f.err != nil {
-		return ""
-	}
-	if n > uint64(max) {
-		f.err = fmt.Errorf("wire: string of %d bytes exceeds its cap of %d", n, max)
-		return ""
-	}
-	return string(f.take(int(n)))
-}
+func (f *Fields) String(max int) string { return string(f.View(f.Uvarint(), max)) }
 
 // Len reads a list length: at most max items, each at least itemMin
 // bytes of what is left, so the list the caller allocates is bounded by
@@ -150,6 +166,12 @@ func (f *Fields) Failf(format string, args ...any) {
 	}
 }
 
+// Left is how many bytes are left to read.
+func (f *Fields) Left() int { return len(f.buf) }
+
+// Err is the first failure, or nil while every read has succeeded.
+func (f *Fields) Err() error { return f.err }
+
 // Done ends the layout: the first failure, or an error if bytes remain.
 func (f *Fields) Done() error {
 	if f.err == nil && len(f.buf) > 0 {
@@ -163,4 +185,17 @@ func (f *Fields) Done() error {
 func AppendString[T string | []byte](dst []byte, s T) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+// PutFixed writes v into dst as a uvarint padded to exactly len(dst)
+// bytes, every byte but the last carrying the continuation bit, so a
+// length or count can be reserved and patched once what it counts is
+// written; Fixed reads it back. v must fit in 7*len(dst) bits.
+func PutFixed(dst []byte, v uint64) {
+	last := len(dst) - 1
+	for i := range last {
+		dst[i] = byte(v) | 0x80
+		v >>= 7
+	}
+	dst[last] = byte(v & 0x7f)
 }
