@@ -219,7 +219,7 @@ wire: fuzz-smoke
 	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestPacedBurstIsOneSpan' ./internal/event/
 	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestBrowserCachesPageAsReceived|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks|TestHardwareTransferBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass|TestLinkTableBounded' ./internal/core/
-	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes|TestOneLayoutReader' .
+	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes|TestOneLayoutReader|TestGobStaysInItsProbe' .
 	$(GO) test -count=1 -run 'TestImageCarriesEveryField|TestImageValueTags|TestImageRefusesUnregisteredValue|TestDecodeRefusesHostileImages|TestExtractNetsOrderStable' ./internal/snapshot/
 	$(GO) test -count=1 -run 'TestRestoreImageRule' ./internal/core/
 	$(GO) test -count=1 -run 'TestSpecCaps' ./internal/service/
@@ -247,7 +247,9 @@ wire: fuzz-smoke
 # frame decoder the same way, re-encoding what it accepts to the same
 # bytes, the migration image decoder the same way (what it decodes is
 # bounded by its input and its caps, and re-encodes to an equal image),
-# the resumable session's envelopes on any stream (a header past the
+# the state of every behaviour a migration can restore the same way
+# (no panic, allocation bounded by the state's bytes, every accepted
+# state saving back to its own bytes), the resumable session's envelopes on any stream (a header past the
 # cap refused as corruption, every accepted envelope re-encoding to its
 # own bytes), and a session create request as JSON or form (every admitted spec has
 # a positive footprint within what the shape caps allow). A direct ci
@@ -266,6 +268,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzHWResponse -fuzztime=3s ./internal/hwstub/
 	$(GO) test -run=^$$ -fuzz=FuzzMeshFrame -fuzztime=3s ./internal/mesh/
 	$(GO) test -run=^$$ -fuzz=FuzzComponentImage -fuzztime=3s ./internal/snapshot/
+	$(GO) test -run=^$$ -fuzz=FuzzBehaviourState -fuzztime=3s ./internal/mesh/
 	$(GO) test -run=^$$ -fuzz=FuzzSessionSpec -fuzztime=3s ./internal/service/
 	$(GO) test -run=^$$ -fuzz=FuzzEnvelope -fuzztime=3s ./internal/resilience/
 

@@ -81,6 +81,22 @@ func TestOneLayoutReader(t *testing.T) {
 	})
 }
 
+// gobImporters are the non-test files that may import encoding/gob:
+// wire's Send, Recv and DecodeGob and signal's registrations, which
+// only the benchmark's gob probe uses. Behaviour state is a closed
+// layout read with wire.Fields like every other.
+var gobImporters = []string{"internal/wire/wire.go", "internal/signal/signal.go"}
+
+// TestGobStaysInItsProbe parses every non-test Go file in the module
+// and fails on an import of encoding/gob outside gobImporters.
+func TestGobStaysInItsProbe(t *testing.T) {
+	eachSourceFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if importName(f, "encoding/gob") != "" && !slices.Contains(gobImporters, path) {
+			t.Errorf("%s imports encoding/gob; lay its bytes out for wire.Fields (gob is kept only for the benchmark's probe, which ROADMAP item 16 deletes)", path)
+		}
+	})
+}
+
 // importName is the name f refers to the package imported from path
 // by, or "" when f does not import it.
 func importName(f *ast.File, path string) string {

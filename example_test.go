@@ -42,8 +42,13 @@ func (s *arrivals) Run(p *Proc) error {
 	}
 }
 
-func (s *arrivals) SaveState() ([]byte, error)  { return GobSave(s) }
-func (s *arrivals) RestoreState(b []byte) error { return GobRestore(s, b) }
+func (s *arrivals) SaveState() ([]byte, error) { return appendList(nil, s.At), nil }
+
+func (s *arrivals) RestoreState(b []byte) error {
+	f := ReadFields(b)
+	s.At = readList[Time](&f)
+	return f.Done()
+}
 
 // Component finds a component in whichever subsystem holds it; the
 // unit of §2.1 is the component, and its ports are looked up by name.

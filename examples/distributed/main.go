@@ -8,6 +8,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
@@ -36,8 +37,24 @@ func (r *requester) Run(p *pia.Proc) error {
 	return nil
 }
 
-func (r *requester) SaveState() ([]byte, error)  { return pia.GobSave(r) }
-func (r *requester) RestoreState(b []byte) error { return pia.GobRestore(r, b) }
+// SaveState lays out the round trips measured so far: their count and
+// each in turn. Rounds is configuration, so it is not saved.
+func (r *requester) SaveState() ([]byte, error) {
+	b := binary.AppendUvarint(nil, uint64(len(r.RTTs)))
+	for _, rtt := range r.RTTs {
+		b = binary.AppendVarint(b, rtt)
+	}
+	return b, nil
+}
+
+func (r *requester) RestoreState(b []byte) error {
+	f := pia.ReadFields(b)
+	r.RTTs = make([]int64, f.Len(r.Rounds, 1))
+	for i := range r.RTTs {
+		r.RTTs[i] = f.Varint()
+	}
+	return f.Done()
+}
 
 // responder echoes queries after some compute time.
 type responder struct {
@@ -56,8 +73,15 @@ func (r *responder) Run(p *pia.Proc) error {
 	}
 }
 
-func (r *responder) SaveState() ([]byte, error)  { return pia.GobSave(r) }
-func (r *responder) RestoreState(b []byte) error { return pia.GobRestore(r, b) }
+func (r *responder) SaveState() ([]byte, error) {
+	return binary.AppendVarint(nil, int64(r.Served)), nil
+}
+
+func (r *responder) RestoreState(b []byte) error {
+	f := pia.ReadFields(b)
+	r.Served = int(f.Varint())
+	return f.Done()
+}
 
 func main() {
 	optimistic := flag.Bool("optimistic", false, "use optimistic channels")

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 
@@ -33,8 +34,26 @@ func (m *monitor) Run(p *pia.Proc) error {
 	}
 }
 
-func (m *monitor) SaveState() ([]byte, error)  { return pia.GobSave(m) }
-func (m *monitor) RestoreState(b []byte) error { return pia.GobRestore(m, b) }
+// maxIRQs caps the interrupts a monitor's state may record.
+const maxIRQs = 1 << 20
+
+// SaveState lays out the interrupt times: their count and each in turn.
+func (m *monitor) SaveState() ([]byte, error) {
+	b := binary.AppendUvarint(nil, uint64(len(m.IRQs)))
+	for _, t := range m.IRQs {
+		b = binary.AppendVarint(b, t)
+	}
+	return b, nil
+}
+
+func (m *monitor) RestoreState(b []byte) error {
+	f := pia.ReadFields(b)
+	m.IRQs = make([]int64, f.Len(maxIRQs, 1))
+	for i := range m.IRQs {
+		m.IRQs[i] = f.Varint()
+	}
+	return f.Done()
+}
 
 func main() {
 	// The "real hardware": a board whose logic raises a heartbeat

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
@@ -53,8 +54,27 @@ func (w *watcher) Run(p *pia.Proc) error {
 	}
 }
 
-func (w *watcher) SaveState() ([]byte, error)  { return pia.GobSave(w) }
-func (w *watcher) RestoreState(b []byte) error { return pia.GobRestore(w, b) }
+// maxWords caps the words a watcher's state may hold.
+const maxWords = 1 << 20
+
+// SaveState lays out the words seen: their count, then each word in
+// four bytes.
+func (w *watcher) SaveState() ([]byte, error) {
+	b := binary.AppendUvarint(nil, uint64(len(w.Got)))
+	for _, word := range w.Got {
+		b = binary.BigEndian.AppendUint32(b, word)
+	}
+	return b, nil
+}
+
+func (w *watcher) RestoreState(b []byte) error {
+	f := pia.ReadFields(b)
+	w.Got = make([]uint32, f.Len(maxWords, 4))
+	for i := range w.Got {
+		w.Got[i] = f.U32()
+	}
+	return f.Done()
+}
 
 // timer raises one interrupt.
 type timer struct {
@@ -71,8 +91,23 @@ func (t *timer) Run(p *pia.Proc) error {
 	return nil
 }
 
-func (t *timer) SaveState() ([]byte, error)  { return pia.GobSave(t) }
-func (t *timer) RestoreState(b []byte) error { return pia.GobRestore(t, b) }
+// SaveState lays out whether the timer has fired as one byte.
+func (t *timer) SaveState() ([]byte, error) {
+	if t.Fired {
+		return []byte{1}, nil
+	}
+	return []byte{0}, nil
+}
+
+func (t *timer) RestoreState(b []byte) error {
+	f := pia.ReadFields(b)
+	fired := f.Byte()
+	if fired > 1 {
+		f.Failf("timer: fired byte %d", fired)
+	}
+	t.Fired = fired == 1
+	return f.Done()
+}
 
 func main() {
 	prog, err := pia.AssembleISS(program)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 
@@ -26,8 +27,15 @@ func (g *generator) Run(p *pia.Proc) error {
 	return nil
 }
 
-func (g *generator) SaveState() ([]byte, error)  { return pia.GobSave(g) }
-func (g *generator) RestoreState(b []byte) error { return pia.GobRestore(g, b) }
+// SaveState lays out the generator's progress, the one count, as a
+// varint; RestoreState reads it back and refuses any other bytes.
+func (g *generator) SaveState() ([]byte, error) { return binary.AppendVarint(nil, int64(g.Sent)), nil }
+
+func (g *generator) RestoreState(b []byte) error {
+	f := pia.ReadFields(b)
+	g.Sent = int(f.Varint())
+	return f.Done()
+}
 
 // accumulator is the device under test: it integrates what it sees.
 type accumulator struct {
@@ -45,8 +53,13 @@ func (a *accumulator) Run(p *pia.Proc) error {
 	}
 }
 
-func (a *accumulator) SaveState() ([]byte, error)  { return pia.GobSave(a) }
-func (a *accumulator) RestoreState(b []byte) error { return pia.GobRestore(a, b) }
+func (a *accumulator) SaveState() ([]byte, error) { return binary.AppendVarint(nil, int64(a.Sum)), nil }
+
+func (a *accumulator) RestoreState(b []byte) error {
+	f := pia.ReadFields(b)
+	a.Sum = int(f.Varint())
+	return f.Done()
+}
 
 func main() {
 	gen := &generator{}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // memCPU models a processor whose main computation reads a shared
@@ -37,8 +39,15 @@ func (c *memCPU) Run(p *Proc) error {
 	return nil
 }
 
-func (c *memCPU) SaveState() ([]byte, error)  { return GobSave(c) }
-func (c *memCPU) RestoreState(b []byte) error { return GobRestore(c, b) }
+func (c *memCPU) SaveState() ([]byte, error) {
+	return binary.AppendVarint(appendList(appendList(nil, c.Reads), c.ReadTimes), int64(c.IRQs)), nil
+}
+
+func (c *memCPU) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	c.Reads, c.ReadTimes, c.IRQs = readList[uint64](&f), readList[vtime.Time](&f), int(f.Varint())
+	return f.Done()
+}
 
 // irqDevice raises one interrupt at t=15 carrying the value 99.
 type irqDevice struct{ Fired bool }
@@ -53,8 +62,8 @@ func (d *irqDevice) Run(p *Proc) error {
 	return nil
 }
 
-func (d *irqDevice) SaveState() ([]byte, error)  { return GobSave(d) }
-func (d *irqDevice) RestoreState(b []byte) error { return GobRestore(d, b) }
+func (d *irqDevice) SaveState() ([]byte, error)  { return saveFlag(d.Fired), nil }
+func (d *irqDevice) RestoreState(b []byte) error { return restoreFlag(b, &d.Fired) }
 
 func buildMemSystem(t *testing.T, static bool) (*Subsystem, *memCPU) {
 	t.Helper()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // relay receives on "in", models some compute latency, and forwards
@@ -67,28 +69,18 @@ func (po *poller) Run(p *Proc) error {
 	return nil
 }
 
-// pollerState is the poller's saved progress. period and rounds are
-// configuration and stay out of the image: GobRestore zeroes its
-// target, so gob-encoding the poller itself would wipe them (they are
-// unexported and gob cannot carry them).
-type pollerState struct {
-	Done  int
-	Last  vtime.Time
-	Got   []int
-	Times []vtime.Time
-}
-
+// SaveState writes the poller's progress; period and rounds are
+// configuration and stay out of the image.
 func (po *poller) SaveState() ([]byte, error) {
-	return GobSave(pollerState{Done: po.Done, Last: po.Last, Got: po.Got, Times: po.Times})
+	b := binary.AppendVarint(binary.AppendVarint(nil, int64(po.Done)), int64(po.Last))
+	return appendList(appendList(b, po.Got), po.Times), nil
 }
 
 func (po *poller) RestoreState(b []byte) error {
-	var st pollerState
-	if err := GobRestore(&st, b); err != nil {
-		return err
-	}
-	po.Done, po.Last, po.Got, po.Times = st.Done, st.Last, st.Got, st.Times
-	return nil
+	f := wire.ReadFields(b)
+	po.Done, po.Last = int(f.Varint()), vtime.Time(f.Varint())
+	po.Got, po.Times = readList[int](&f), readList[vtime.Time](&f)
+	return f.Done()
 }
 
 // randomParallelSystem builds a seeded random topology: producers and
@@ -504,9 +496,15 @@ func (po *stormPoller) Run(p *Proc) error {
 	return nil
 }
 
-func (po *stormPoller) SaveState() ([]byte, error) { return GobSave(po) }
+func (po *stormPoller) SaveState() ([]byte, error) {
+	b := binary.AppendVarint(binary.AppendVarint(nil, int64(po.Done)), int64(po.Last))
+	return appendList(b, po.Times), nil
+}
+
 func (po *stormPoller) RestoreState(b []byte) error {
-	return GobRestore(po, b)
+	f := wire.ReadFields(b)
+	po.Done, po.Last, po.Times = int(f.Varint()), vtime.Time(f.Varint()), readList[vtime.Time](&f)
+	return f.Done()
 }
 
 // buildStorm wires the straggler storm: ticker -> (delay-1 net) ->

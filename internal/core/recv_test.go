@@ -201,8 +201,8 @@ func (bu *burster) Run(p *Proc) error {
 	return nil
 }
 
-func (bu *burster) SaveState() ([]byte, error)  { return GobSave(bu) }
-func (bu *burster) RestoreState(b []byte) error { return GobRestore(bu, b) }
+func (bu *burster) SaveState() ([]byte, error)  { return saveFlag(bu.Sent), nil }
+func (bu *burster) RestoreState(b []byte) error { return restoreFlag(b, &bu.Sent) }
 
 // TestCheckpointLargeInboxPreserved is TestCheckpointInboxPreserved
 // with an inbox that spans several row-store chunks: a checkpoint

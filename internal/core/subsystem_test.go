@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // producer sends Count integers on port "out", spaced Period apart.
@@ -26,8 +28,8 @@ func (pr *producer) Run(p *Proc) error {
 	return nil
 }
 
-func (pr *producer) SaveState() ([]byte, error)  { return GobSave(pr) }
-func (pr *producer) RestoreState(b []byte) error { return GobRestore(pr, b) }
+func (pr *producer) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(pr.Next)), nil }
+func (pr *producer) RestoreState(b []byte) error { return wire.ReadInts(b, &pr.Next) }
 
 // consumer records everything it receives on port "in".
 type consumer struct {
@@ -46,8 +48,52 @@ func (co *consumer) Run(p *Proc) error {
 	}
 }
 
-func (co *consumer) SaveState() ([]byte, error)  { return GobSave(co) }
-func (co *consumer) RestoreState(b []byte) error { return GobRestore(co, b) }
+func (co *consumer) SaveState() ([]byte, error) {
+	return appendList(appendList(nil, co.Got), co.Times), nil
+}
+
+func (co *consumer) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	co.Got, co.Times = readList[int](&f), readList[vtime.Time](&f)
+	return f.Done()
+}
+
+// appendList and readList lay out a list of integers in a test
+// behaviour's state: its count, then each value as a varint.
+func appendList[T ~int | ~int64 | ~uint32 | ~uint64](b []byte, vs []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+func readList[T ~int | ~int64 | ~uint32 | ~uint64](f *wire.Fields) []T {
+	vs := make([]T, f.Len(1<<20, 1))
+	for i := range vs {
+		vs[i] = T(f.Varint())
+	}
+	return vs
+}
+
+// saveFlag and restoreFlag lay out a test behaviour's one flag as a
+// byte, 0 or 1.
+func saveFlag(v bool) []byte {
+	if v {
+		return []byte{1}
+	}
+	return []byte{0}
+}
+
+func restoreFlag(b []byte, v *bool) error {
+	f := wire.ReadFields(b)
+	if x := f.Byte(); x > 1 {
+		f.Failf("flag byte %d", x)
+	} else {
+		*v = x == 1
+	}
+	return f.Done()
+}
 
 // buildPipe wires producer -> consumer over one net.
 func buildPipe(t *testing.T, delay vtime.Duration, count int, period vtime.Duration) (*Subsystem, *producer, *consumer) {

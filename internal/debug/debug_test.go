@@ -1,11 +1,13 @@
 package debug
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/signal"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // ticker advances time and emits its counter.
@@ -21,8 +23,8 @@ func (g *ticker) Run(p *core.Proc) error {
 	return nil
 }
 
-func (g *ticker) SaveState() ([]byte, error)  { return core.GobSave(g) }
-func (g *ticker) RestoreState(b []byte) error { return core.GobRestore(g, b) }
+func (g *ticker) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(g.I)), nil }
+func (g *ticker) RestoreState(b []byte) error { return wire.ReadInts(b, &g.I) }
 
 type taker struct {
 	Got int
@@ -37,8 +39,8 @@ func (c *taker) Run(p *core.Proc) error {
 	}
 }
 
-func (c *taker) SaveState() ([]byte, error)  { return core.GobSave(c) }
-func (c *taker) RestoreState(b []byte) error { return core.GobRestore(c, b) }
+func (c *taker) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(c.Got)), nil }
+func (c *taker) RestoreState(b []byte) error { return wire.ReadInts(b, &c.Got) }
 
 func build(t *testing.T, n int) (*core.Subsystem, *Debugger, *taker) {
 	t.Helper()

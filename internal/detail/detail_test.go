@@ -1,11 +1,13 @@
 package detail
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 func src(times map[string]vtime.Time) timeSource {
@@ -171,8 +173,24 @@ func (c *clockComp) Run(p *core.Proc) error {
 	return nil
 }
 
-func (c *clockComp) SaveState() ([]byte, error)  { return core.GobSave(c) }
-func (c *clockComp) RestoreState(b []byte) error { return core.GobRestore(c, b) }
+// SaveState writes the runlevels observed, a count and each string;
+// Steps is configuration.
+func (c *clockComp) SaveState() ([]byte, error) {
+	b := binary.AppendUvarint(nil, uint64(len(c.Levels)))
+	for _, l := range c.Levels {
+		b = wire.AppendString(b, l)
+	}
+	return b, nil
+}
+
+func (c *clockComp) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	c.Levels = make([]string, f.Len(1<<10, 1))
+	for i := range c.Levels {
+		c.Levels[i] = f.String(1 << 10)
+	}
+	return f.Done()
+}
 
 func TestEngineFiresSwitchpoint(t *testing.T) {
 	s := core.NewSubsystem("rl")

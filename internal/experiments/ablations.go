@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/snapshot"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // PolicyRow is one point of the conservative-vs-optimistic sweep:
@@ -244,8 +246,8 @@ func (f *forwarder) Run(p *core.Proc) error {
 	}
 }
 
-func (f *forwarder) SaveState() ([]byte, error)  { return core.GobSave(f) }
-func (f *forwarder) RestoreState(b []byte) error { return core.GobRestore(f, b) }
+func (f *forwarder) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(f.N)), nil }
+func (f *forwarder) RestoreState(b []byte) error { return wire.ReadInts(b, &f.N) }
 
 // MemsyncRow compares interrupt-consistency strategies (§2.1.1).
 type MemsyncRow struct {
@@ -324,8 +326,17 @@ func (c *msCPU) Run(p *core.Proc) error {
 	return nil
 }
 
-func (c *msCPU) SaveState() ([]byte, error)  { return core.GobSave(c) }
-func (c *msCPU) RestoreState(b []byte) error { return core.GobRestore(c, b) }
+// SaveState writes the progress, I and Sum; Reads and Static are the
+// description's.
+func (c *msCPU) SaveState() ([]byte, error) {
+	return binary.AppendUvarint(binary.AppendVarint(nil, int64(c.I)), c.Sum), nil
+}
+
+func (c *msCPU) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	c.I, c.Sum = int(f.Varint()), f.Uvarint()
+	return f.Done()
+}
 
 // burstIRQ raises interrupts periodically.
 type burstIRQ struct {
@@ -341,5 +352,5 @@ func (d *burstIRQ) Run(p *core.Proc) error {
 	return nil
 }
 
-func (d *burstIRQ) SaveState() ([]byte, error)  { return core.GobSave(d) }
-func (d *burstIRQ) RestoreState(b []byte) error { return core.GobRestore(d, b) }
+func (d *burstIRQ) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(d.Fired)), nil }
+func (d *burstIRQ) RestoreState(b []byte) error { return wire.ReadInts(b, &d.Fired) }

@@ -34,9 +34,8 @@ func (s *burster) Run(p *core.Proc) error {
 }
 
 // SaveState writes the three fields as varints, bytes that depend on
-// the fields alone: gob's would carry type ids numbered process-wide,
-// so a checkpoint's size would depend on what the process encoded
-// before.
+// the fields alone, so a checkpoint's size does not depend on what the
+// process encoded before.
 func (s *burster) SaveState() ([]byte, error) {
 	b := binary.AppendVarint(nil, int64(s.Next))
 	b = binary.AppendVarint(b, int64(s.Count))
@@ -72,8 +71,28 @@ func (s *sink) Run(p *core.Proc) error {
 	}
 }
 
-func (s *sink) SaveState() ([]byte, error)  { return core.GobSave(s) }
-func (s *sink) RestoreState(b []byte) error { return core.GobRestore(s, b) }
+// maxGot caps the values a sink's state may hold.
+const maxGot = 1 << 24
+
+// SaveState writes the count of values received, then each value and
+// its receive time.
+func (s *sink) SaveState() ([]byte, error) {
+	b := binary.AppendUvarint(nil, uint64(len(s.Got)))
+	for i, v := range s.Got {
+		b = binary.AppendVarint(binary.AppendVarint(b, int64(v)), s.Times[i])
+	}
+	return b, nil
+}
+
+func (s *sink) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	n := f.Len(maxGot, 2)
+	s.Got, s.Times = make([]int, n), make([]int64, n)
+	for i := range n {
+		s.Got[i], s.Times[i] = int(f.Varint()), f.Varint()
+	}
+	return f.Done()
+}
 
 // fig3Result captures the Fig. 3 scenario: a subsystem with eager
 // local work must stall under a conservative channel to maintain
@@ -354,8 +373,8 @@ func (c *irqCounter) Run(p *core.Proc) error {
 	}
 }
 
-func (c *irqCounter) SaveState() ([]byte, error)  { return core.GobSave(c) }
-func (c *irqCounter) RestoreState(b []byte) error { return core.GobRestore(c, b) }
+func (c *irqCounter) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(c.N)), nil }
+func (c *irqCounter) RestoreState(b []byte) error { return wire.ReadInts(b, &c.N) }
 
 // SwitchpointResult demonstrates dynamic detail switching: a load
 // that starts at word level and is switched to packet level by a

@@ -1,11 +1,13 @@
 package hwstub
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/signal"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // pulseLogic raises an interrupt on line 1 every `period` ticks, and
@@ -93,8 +95,33 @@ func (c *irqCollector) Run(p *core.Proc) error {
 	}
 }
 
-func (c *irqCollector) SaveState() ([]byte, error)  { return core.GobSave(c) }
-func (c *irqCollector) RestoreState(b []byte) error { return core.GobRestore(c, b) }
+func (c *irqCollector) SaveState() ([]byte, error) {
+	return appendList(appendList(nil, c.Lines), c.Times), nil
+}
+
+func (c *irqCollector) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	c.Lines, c.Times = readList[int](&f), readList[vtime.Time](&f)
+	return f.Done()
+}
+
+// appendList and readList lay out a list of integers in a test
+// behaviour's state: its count, then each value as a varint.
+func appendList[T ~int | ~int64 | ~uint32 | ~uint64](b []byte, vs []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+func readList[T ~int | ~int64 | ~uint32 | ~uint64](f *wire.Fields) []T {
+	vs := make([]T, f.Len(1<<20, 1))
+	for i := range vs {
+		vs[i] = T(f.Varint())
+	}
+	return vs
+}
 
 func buildHWSim(t *testing.T, dev Device) (*core.Subsystem, *irqCollector, *Adapter) {
 	t.Helper()

@@ -1,17 +1,20 @@
 package iss
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/signal"
 	"repro/internal/timing"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // CPU is the interpreter: a checkpointable core.Behavior executing a
-// program. All architectural state lives in exported fields, so the
-// component rolls back and resumes exactly.
+// program. Its state is its progress — the architectural state, the
+// counters and the time charged — so the component rolls back and
+// resumes exactly; the program and configuration are the description's.
 type CPU struct {
 	// Program and configuration.
 	Prog      []uint32
@@ -34,7 +37,12 @@ type CPU struct {
 	Executed int64
 	IRQs     int64
 
-	est *timing.Estimator
+	// parked reports that Run yielded inside the instruction before PC
+	// (an IN or WFI waiting for its input, a synchronous load or store
+	// waiting for subsystem time): Run re-entered after a restore
+	// finishes that instruction before it fetches the next.
+	parked bool
+	est    timing.Estimator // Run sets the model; Charged is progress
 }
 
 func (c *CPU) model() *timing.Model {
@@ -74,12 +82,10 @@ func (c *CPU) Run(p *core.Proc) error {
 	if m == nil {
 		return fmt.Errorf("iss: unknown timing model %q", c.ModelName)
 	}
-	if c.est == nil {
-		var err error
-		if c.est, err = timing.NewEstimator(m); err != nil {
-			return err
-		}
+	if err := m.Validate(); err != nil {
+		return err
 	}
+	c.est.Model = m
 	mem := p.Memory()
 	if c.IRQPort != "" {
 		p.SetInterruptHandler(c.IRQPort, func(p *core.Proc, msg core.Msg) {
@@ -92,14 +98,23 @@ func (c *CPU) Run(p *core.Proc) error {
 	}
 
 	for !c.Halted {
-		if int(c.PC) >= len(c.Prog) {
-			return fmt.Errorf("iss: PC %d past end of program (%d words)", c.PC, len(c.Prog))
+		at := c.PC
+		if c.parked {
+			at--
 		}
-		in := decode(c.Prog[c.PC])
-		c.PC++
-		c.Executed++
-		c.charge(p, in)
-		if err := c.exec(p, mem, in); err != nil {
+		if int(at) >= len(c.Prog) {
+			return fmt.Errorf("iss: PC %d past end of program (%d words)", at, len(c.Prog))
+		}
+		in := decode(c.Prog[at])
+		if !c.parked {
+			c.PC++
+			c.Executed++
+			c.charge(p, in)
+			c.parked = true
+		}
+		err := c.exec(p, mem, in)
+		c.parked = false
+		if err != nil {
 			return err
 		}
 	}
@@ -219,14 +234,39 @@ func (c *CPU) exec(p *core.Proc, mem *core.Memory, in instruction) error {
 }
 
 // CyclesCharged reports the virtual time charged so far.
-func (c *CPU) CyclesCharged() vtime.Duration {
-	if c.est == nil {
-		return 0
+func (c *CPU) CyclesCharged() vtime.Duration { return c.est.Charged }
+
+// SaveState writes PC and the registers in four bytes each, a flags
+// byte (halted 1, parked 2), then the counters and the time charged.
+func (c *CPU) SaveState() ([]byte, error) {
+	b := binary.BigEndian.AppendUint32(nil, c.PC)
+	for _, r := range c.Regs {
+		b = binary.BigEndian.AppendUint32(b, r)
 	}
-	return c.est.Charged
+	var flags byte
+	if c.Halted {
+		flags |= 1
+	}
+	if c.parked {
+		flags |= 2
+	}
+	b = append(b, flags)
+	b = binary.AppendVarint(b, c.Executed)
+	b = binary.AppendVarint(b, c.IRQs)
+	return binary.AppendVarint(b, int64(c.est.Charged)), nil
 }
 
-// SaveState / RestoreState implement core.StateSaver. The timing
-// estimator is reconstructed from ModelName on re-entry.
-func (c *CPU) SaveState() ([]byte, error)  { return core.GobSave(c) }
-func (c *CPU) RestoreState(b []byte) error { return core.GobRestore(c, b) }
+func (c *CPU) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	c.PC = f.U32()
+	for i := range c.Regs {
+		c.Regs[i] = f.U32()
+	}
+	flags := f.Byte()
+	if flags > 3 {
+		f.Failf("iss: CPU state flags %#x", flags)
+	}
+	c.Halted, c.parked = flags&1 != 0, flags&2 != 0
+	c.Executed, c.IRQs, c.est.Charged = f.Varint(), f.Varint(), vtime.Duration(f.Varint())
+	return f.Done()
+}

@@ -1,6 +1,8 @@
 package iss
 
 import (
+	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -8,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/signal"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // collectWords gathers OUT traffic.
@@ -27,8 +30,31 @@ func (c *collectWords) Run(p *core.Proc) error {
 	}
 }
 
-func (c *collectWords) SaveState() ([]byte, error)  { return core.GobSave(c) }
-func (c *collectWords) RestoreState(b []byte) error { return core.GobRestore(c, b) }
+func (c *collectWords) SaveState() ([]byte, error) { return appendList(nil, c.Got), nil }
+
+func (c *collectWords) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	c.Got = readList[uint32](&f)
+	return f.Done()
+}
+
+// appendList and readList lay out a list of integers in a test
+// behaviour's state: its count, then each value as a varint.
+func appendList[T ~int | ~int64 | ~uint32 | ~uint64](b []byte, vs []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+func readList[T ~int | ~int64 | ~uint32 | ~uint64](f *wire.Fields) []T {
+	vs := make([]T, f.Len(1<<20, 1))
+	for i := range vs {
+		vs[i] = T(f.Varint())
+	}
+	return vs
+}
 
 // runProgram assembles src, runs it on a CPU wired to a collector,
 // and returns the collected output and the CPU.
@@ -342,4 +368,84 @@ func TestCheckpointRestoreMidProgram(t *testing.T) {
 	if len(col.Got) != 1 || col.Got[0] != 60 {
 		t.Fatalf("replay output %v", col.Got)
 	}
+
+	// Mid-program: the checkpoint is taken while the CPU is parked at
+	// an IN whose word arrives later. The replay finishes that IN and
+	// ends with the output, instruction count and cycles charged of an
+	// uninterrupted run.
+	prog, err = Assemble(`
+		li r1, 7
+		in r2
+		add r1, r1, r2
+		li r3, 0
+		li r4, 10
+	loop:	addi r3, r3, 1
+		blt r3, r4, loop
+		out r1
+		halt
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() (*core.Subsystem, *CPU, *collectWords) {
+		cpu, col := &CPU{Prog: prog}, &collectWords{}
+		s := core.NewSubsystem("parked")
+		cc, _ := s.NewComponent("cpu", cpu, "out", "in")
+		kc, _ := s.NewComponent("col", col, "in")
+		wc, _ := s.NewComponent("src", &wordAt{At: 100_000, W: 5}, "out")
+		out, _ := s.NewNet("out", 0)
+		s.Connect(out, cc.Port("out"), kc.Port("in"))
+		in, _ := s.NewNet("in", 0)
+		s.Connect(in, wc.Port("out"), cc.Port("in"))
+		return s, cpu, col
+	}
+	ref, refCPU, refCol := build()
+	if err := ref.Run(vtime.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	s, cpu, col = build()
+	if err := s.Run(50_000); err != nil {
+		t.Fatal(err)
+	}
+	if cpu.PC != 2 || cpu.Halted {
+		t.Fatalf("at the checkpoint PC=%d halted=%v, want parked at the IN (PC 2)", cpu.PC, cpu.Halted)
+	}
+	if _, err := s.CaptureNow(""); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(vtime.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RestoreCheckpoint(s.LatestCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(vtime.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(col.Got, refCol.Got) || len(col.Got) != 1 || col.Got[0] != 12 {
+		t.Errorf("replay output %v, uninterrupted %v, want [12]", col.Got, refCol.Got)
+	}
+	if cpu.Executed != refCPU.Executed || cpu.CyclesCharged() != refCPU.CyclesCharged() {
+		t.Errorf("replay executed %d charging %v, uninterrupted %d charging %v",
+			cpu.Executed, cpu.CyclesCharged(), refCPU.Executed, refCPU.CyclesCharged())
+	}
 }
+
+// wordAt sends the word W on "out" at virtual time At.
+type wordAt struct {
+	At   vtime.Time
+	W    signal.Word
+	Sent int
+}
+
+func (w *wordAt) Run(p *core.Proc) error {
+	if w.Sent == 0 {
+		p.DelayUntil(w.At)
+		p.Send("out", w.W)
+		w.Sent = 1
+	}
+	return nil
+}
+
+func (w *wordAt) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(w.Sent)), nil }
+func (w *wordAt) RestoreState(b []byte) error { return wire.ReadInts(b, &w.Sent) }

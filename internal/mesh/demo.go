@@ -17,12 +17,14 @@
 package mesh
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	pia "repro"
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // DemoParams sizes the demo workload.
@@ -112,8 +114,8 @@ func DescribeDemo(b *pia.SystemBuilder, p DemoParams) error {
 
 // hotBeh sends Values requests at a fixed cadence and folds every
 // reply — with its exact receive time — into a running checksum.
-// All progress lives in exported state, and the schedule is a pure
-// function of that state, so the behaviour is restart-safe: a
+// All progress lives in I, Got and Sum, and the schedule is a pure
+// function of them, so the behaviour is restart-safe: a
 // migrated instance resumes mid-exchange from adopted state alone.
 type hotBeh struct {
 	N      int
@@ -158,8 +160,19 @@ func (h *hotBeh) Run(p *core.Proc) error {
 	return nil
 }
 
-func (h *hotBeh) SaveState() ([]byte, error)  { return core.GobSave(h) }
-func (h *hotBeh) RestoreState(b []byte) error { return core.GobRestore(h, b) }
+// SaveState writes the progress: I, Got and Sum. N, Period and Sinks
+// are the description's, as every demo behaviour's parameters are.
+func (h *hotBeh) SaveState() ([]byte, error) {
+	b := binary.AppendVarint(nil, int64(h.I))
+	b = binary.AppendVarint(b, int64(h.Got))
+	return binary.AppendUvarint(b, h.Sum), nil
+}
+
+func (h *hotBeh) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	h.I, h.Got, h.Sum = int(f.Varint()), int(f.Varint()), f.Uvarint()
+	return f.Done()
+}
 
 // sinkBeh echoes each request back on its reply net.
 type sinkBeh struct {
@@ -177,8 +190,8 @@ func (s *sinkBeh) Run(p *core.Proc) error {
 	}
 }
 
-func (s *sinkBeh) SaveState() ([]byte, error)  { return core.GobSave(s) }
-func (s *sinkBeh) RestoreState(b []byte) error { return core.GobRestore(s, b) }
+func (s *sinkBeh) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(s.Count)), nil }
+func (s *sinkBeh) RestoreState(b []byte) error { return wire.ReadInts(b, &s.Count) }
 
 // pumpBeh generates purely local traffic on its host.
 type pumpBeh struct {
@@ -196,8 +209,8 @@ func (b *pumpBeh) Run(p *core.Proc) error {
 	return nil
 }
 
-func (b *pumpBeh) SaveState() ([]byte, error)   { return core.GobSave(b) }
-func (b *pumpBeh) RestoreState(bs []byte) error { return core.GobRestore(b, bs) }
+func (b *pumpBeh) SaveState() ([]byte, error)   { return binary.AppendVarint(nil, int64(b.I)), nil }
+func (b *pumpBeh) RestoreState(bs []byte) error { return wire.ReadInts(bs, &b.I) }
 
 // drainBeh absorbs local filler traffic.
 type drainBeh struct {
@@ -213,5 +226,5 @@ func (b *drainBeh) Run(p *core.Proc) error {
 	}
 }
 
-func (b *drainBeh) SaveState() ([]byte, error)   { return core.GobSave(b) }
-func (b *drainBeh) RestoreState(bs []byte) error { return core.GobRestore(b, bs) }
+func (b *drainBeh) SaveState() ([]byte, error)   { return binary.AppendVarint(nil, int64(b.Count)), nil }
+func (b *drainBeh) RestoreState(bs []byte) error { return wire.ReadInts(bs, &b.Count) }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -19,7 +20,7 @@ import (
 // tsender emits values on "out" with a fixed period. OnSend, when set,
 // runs inside the step that sent value i — the hook chaos tests use to
 // break connections at a point of the simulation, not of the wall
-// clock. (gob skips func fields, so checkpoints leave it alone.)
+// clock. (SaveState lays out Next alone, so checkpoints leave it be.)
 type tsender struct {
 	Next, Count int
 	Period      vtime.Duration
@@ -38,8 +39,8 @@ func (s *tsender) Run(p *core.Proc) error {
 	return nil
 }
 
-func (s *tsender) SaveState() ([]byte, error)  { return core.GobSave(s) }
-func (s *tsender) RestoreState(b []byte) error { return core.GobRestore(s, b) }
+func (s *tsender) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(s.Next)), nil }
+func (s *tsender) RestoreState(b []byte) error { return wire.ReadInts(b, &s.Next) }
 
 // trecv records every value with its virtual arrival time — the
 // ground truth that fault-injected runs must reproduce exactly.
@@ -64,8 +65,15 @@ func (r *trecv) Run(p *core.Proc) error {
 	}
 }
 
-func (r *trecv) SaveState() ([]byte, error)  { return core.GobSave(r) }
-func (r *trecv) RestoreState(b []byte) error { return core.GobRestore(r, b) }
+func (r *trecv) SaveState() ([]byte, error) {
+	return appendList(appendList(nil, r.Got), r.Times), nil
+}
+
+func (r *trecv) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	r.Got, r.Times = readList[int](&f), readList[vtime.Time](&f)
+	return f.Done()
+}
 
 // chaosPair is one two-node deployment of the sender/receiver
 // workload, ready to run. node1 reaches node2 through proxy.

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"errors"
 	"slices"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // sender emits Count values on "out".
@@ -29,8 +31,8 @@ func (s *sender) Run(p *core.Proc) error {
 	return nil
 }
 
-func (s *sender) SaveState() ([]byte, error)  { return core.GobSave(s) }
-func (s *sender) RestoreState(b []byte) error { return core.GobRestore(s, b) }
+func (s *sender) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(s.Next)), nil }
+func (s *sender) RestoreState(b []byte) error { return wire.ReadInts(b, &s.Next) }
 
 type receiver struct {
 	Got []int
@@ -46,8 +48,31 @@ func (r *receiver) Run(p *core.Proc) error {
 	}
 }
 
-func (r *receiver) SaveState() ([]byte, error)  { return core.GobSave(r) }
-func (r *receiver) RestoreState(b []byte) error { return core.GobRestore(r, b) }
+func (r *receiver) SaveState() ([]byte, error) { return appendList(nil, r.Got), nil }
+
+func (r *receiver) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	r.Got = readList[int](&f)
+	return f.Done()
+}
+
+// appendList and readList lay out a list of integers in a test
+// behaviour's state: its count, then each value as a varint.
+func appendList[T ~int | ~int64 | ~uint32 | ~uint64](b []byte, vs []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+func readList[T ~int | ~int64 | ~uint32 | ~uint64](f *wire.Fields) []T {
+	vs := make([]T, f.Len(1<<20, 1))
+	for i := range vs {
+		vs[i] = T(f.Varint())
+	}
+	return vs
+}
 
 // buildRemotePair creates two nodes on loopback TCP with the logical
 // net "link" split across them.

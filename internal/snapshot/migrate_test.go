@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // migSender drives one value per period on "out".
@@ -26,8 +28,8 @@ func (s *migSender) Run(p *core.Proc) error {
 	return nil
 }
 
-func (s *migSender) SaveState() ([]byte, error)  { return core.GobSave(s) }
-func (s *migSender) RestoreState(b []byte) error { return core.GobRestore(s, b) }
+func (s *migSender) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(s.Next)), nil }
+func (s *migSender) RestoreState(b []byte) error { return wire.ReadInts(b, &s.Next) }
 
 // migReceiver records each delivery with its exact receive time.
 type migReceiver struct {
@@ -46,8 +48,33 @@ func (r *migReceiver) Run(p *core.Proc) error {
 	}
 }
 
-func (r *migReceiver) SaveState() ([]byte, error)  { return core.GobSave(r) }
-func (r *migReceiver) RestoreState(b []byte) error { return core.GobRestore(r, b) }
+func (r *migReceiver) SaveState() ([]byte, error) {
+	return appendList(appendList(nil, r.Got), r.Times), nil
+}
+
+func (r *migReceiver) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	r.Got, r.Times = readList[int](&f), readList[vtime.Time](&f)
+	return f.Done()
+}
+
+// appendList and readList lay out a list of integers in a test
+// behaviour's state: its count, then each value as a varint.
+func appendList[T ~int | ~int64 | ~uint32 | ~uint64](b []byte, vs []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+func readList[T ~int | ~int64 | ~uint32 | ~uint64](f *wire.Fields) []T {
+	vs := make([]T, f.Len(1<<20, 1))
+	for i := range vs {
+		vs[i] = T(f.Varint())
+	}
+	return vs
+}
 
 // buildMigPair wires sender->net("wire", delay)->receiver on a fresh
 // subsystem and returns it with the receiver behaviour.

@@ -1,12 +1,14 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // stepSender emits Count values on "out", spaced Period apart.
@@ -25,8 +27,8 @@ func (s *stepSender) Run(p *core.Proc) error {
 	return nil
 }
 
-func (s *stepSender) SaveState() ([]byte, error)  { return core.GobSave(s) }
-func (s *stepSender) RestoreState(b []byte) error { return core.GobRestore(s, b) }
+func (s *stepSender) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(s.Next)), nil }
+func (s *stepSender) RestoreState(b []byte) error { return wire.ReadInts(b, &s.Next) }
 
 type recorder struct {
 	Got []int
@@ -42,8 +44,13 @@ func (r *recorder) Run(p *core.Proc) error {
 	}
 }
 
-func (r *recorder) SaveState() ([]byte, error)  { return core.GobSave(r) }
-func (r *recorder) RestoreState(b []byte) error { return core.GobRestore(r, b) }
+func (r *recorder) SaveState() ([]byte, error) { return appendList(nil, r.Got), nil }
+
+func (r *recorder) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	r.Got = readList[int](&f)
+	return f.Done()
+}
 
 // pair builds two subsystems connected by a channel, sender on ss1
 // driving net "link" into a recorder on ss2.
@@ -132,8 +139,10 @@ func (s *timedSender) Run(p *core.Proc) error {
 	return nil
 }
 
-func (s *timedSender) SaveState() ([]byte, error)  { return core.GobSave(s) }
-func (s *timedSender) RestoreState(b []byte) error { return core.GobRestore(s, b) }
+func (s *timedSender) SaveState() ([]byte, error) {
+	return binary.AppendVarint(nil, int64(s.Next)), nil
+}
+func (s *timedSender) RestoreState(b []byte) error { return wire.ReadInts(b, &s.Next) }
 
 func TestCoordinatedRestoreReplaysTail(t *testing.T) {
 	// A sender with a fixed schedule: three values before the cut,

@@ -2,6 +2,7 @@ package timeline_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/signal"
 	"repro/internal/timeline"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // The waveform exporters against a real scheduler: core emits drives
@@ -32,8 +34,8 @@ func (g *wiggler) Run(p *core.Proc) error {
 	return nil
 }
 
-func (g *wiggler) SaveState() ([]byte, error)  { return core.GobSave(g) }
-func (g *wiggler) RestoreState(b []byte) error { return core.GobRestore(g, b) }
+func (g *wiggler) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(g.I)), nil }
+func (g *wiggler) RestoreState(b []byte) error { return wire.ReadInts(b, &g.I) }
 
 func buildTraced(t *testing.T, n, limit int) (*core.Subsystem, *timeline.Recorder) {
 	t.Helper()

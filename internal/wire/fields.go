@@ -9,11 +9,12 @@ import (
 // Fields reads the fields of one frame payload in order: the bounded
 // reader behind every layout a peer's bytes reach (the batch codec, the
 // node handshake, the hardware-server RPC, the mesh control plane, the
-// session envelope and the migration image). Every read
-// is checked against what is left of the payload before anything
-// is sliced or allocated, so no length a peer declares can reach past
-// its frame or size an allocation: a string is further bounded by a
-// named cap, a list by a cap and by the bytes its items need.
+// session envelope, the migration image and the behaviour states inside
+// it). Every read is checked against what is left of the payload before
+// anything is sliced or allocated, so no length a peer declares can
+// reach past its frame or size an allocation: a string is further
+// bounded by a named cap, a list by a cap and by the bytes its items
+// need.
 //
 // The first failure sticks — later reads return zero values — so a
 // parser reads its whole layout and asks once: Done reports the failure
@@ -164,6 +165,16 @@ func (f *Fields) Failf(format string, args ...any) {
 	if f.err == nil {
 		f.err = fmt.Errorf(format, args...)
 	}
+}
+
+// ReadInts reads a layout of signed varints alone, one into each of vs
+// in order: the state of a behaviour whose progress is its counters.
+func ReadInts(b []byte, vs ...*int) error {
+	f := ReadFields(b)
+	for _, v := range vs {
+		*v = int(f.Varint())
+	}
+	return f.Done()
 }
 
 // Left is how many bytes are left to read.

@@ -111,9 +111,11 @@ type Result struct {
 func (a *App) Result() Result {
 	r := Result{
 		Loads:     a.UI.Done,
-		PageBytes: append([]int(nil), a.UI.Bytes...),
 		DMADrives: a.ASIC.DMADrives,
 		CacheHits: a.Cache.Hits,
+	}
+	for _, n := range a.UI.Bytes {
+		r.PageBytes = append(r.PageBytes, int(n))
 	}
 	for i := 0; i < a.UI.Done; i++ {
 		d, err := a.UI.LoadTime(i)

@@ -1,13 +1,17 @@
 package wubbleu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/signal"
 	"repro/internal/timing"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // Config parameterizes a WubbleU build.
@@ -64,7 +68,7 @@ type ui struct {
 
 	Requested []int64 // virtual times, ns
 	RenderedT []int64
-	Bytes     []int
+	Bytes     []int64
 	Done      int
 }
 
@@ -84,7 +88,7 @@ func (u *ui) Run(p *core.Proc) error {
 				continue
 			}
 			u.RenderedT = append(u.RenderedT, int64(p.Time()))
-			u.Bytes = append(u.Bytes, r.Bytes)
+			u.Bytes = append(u.Bytes, int64(r.Bytes))
 			u.Done++
 			break
 		}
@@ -100,8 +104,40 @@ func (u *ui) LoadTime(i int) (vtime.Duration, error) {
 	return vtime.Duration(u.RenderedT[i] - u.Requested[i]), nil
 }
 
-func (u *ui) SaveState() ([]byte, error)  { return core.GobSave(u) }
-func (u *ui) RestoreState(b []byte) error { return core.GobRestore(u, b) }
+// The caps the state layouts below are read under.
+const (
+	maxLoads     = 1 << 20  // a UI's load records
+	maxPages     = 1 << 10  // pages in the cache
+	maxURL       = 4 << 10  // a cached page's key
+	maxPageParts = 1 << 20  // the parts one cached page arrived in
+	maxPart      = 32 << 20 // one part's bytes
+)
+
+// SaveState writes the UI's progress: the loads done, then its three
+// load records, each a count and its values. Cfg is the description's,
+// so it stays out of the state, as in every WubbleU module.
+func (u *ui) SaveState() ([]byte, error) {
+	b := binary.AppendVarint(nil, int64(u.Done))
+	for _, l := range [][]int64{u.Requested, u.RenderedT, u.Bytes} {
+		b = binary.AppendUvarint(b, uint64(len(l)))
+		for _, v := range l {
+			b = binary.AppendVarint(b, v)
+		}
+	}
+	return b, nil
+}
+
+func (u *ui) RestoreState(b []byte) error {
+	f := wire.ReadFields(b)
+	u.Done = int(f.Varint())
+	for _, l := range []*[]int64{&u.Requested, &u.RenderedT, &u.Bytes} {
+		*l = make([]int64, f.Len(maxLoads, 1))
+		for i := range *l {
+			(*l)[i] = f.Varint()
+		}
+	}
+	return f.Done()
+}
 
 // recognizer models the handwriting recognition software: it burns
 // CPU and forwards the recognized URL.
@@ -132,8 +168,13 @@ func (r *recognizer) Run(p *core.Proc) error {
 	}
 }
 
-func (r *recognizer) SaveState() ([]byte, error)  { return core.GobSave(r) }
-func (r *recognizer) RestoreState(b []byte) error { return core.GobRestore(r, b) }
+// SaveState writes the count of recognized requests. The estimator
+// only prices work: nothing reads what it has charged.
+func (r *recognizer) SaveState() ([]byte, error) {
+	return binary.AppendVarint(nil, int64(r.Recognized)), nil
+}
+
+func (r *recognizer) RestoreState(b []byte) error { return wire.ReadInts(b, &r.Recognized) }
 
 // cache is the handheld's page cache. It keeps each page as the parts
 // the browser received it in.
@@ -174,8 +215,48 @@ func (c *cache) Run(p *core.Proc) error {
 	}
 }
 
-func (c *cache) SaveState() ([]byte, error)  { return core.GobSave(c) }
-func (c *cache) RestoreState(b []byte) error { return core.GobRestore(c, b) }
+// SaveState writes the hit and miss counts, then each page in key
+// order: its key, its part count and the parts.
+func (c *cache) SaveState() ([]byte, error) {
+	b := binary.AppendVarint(nil, int64(c.Hits))
+	b = binary.AppendVarint(b, int64(c.Misses))
+	keys := make([]string, 0, len(c.Pages))
+	for key := range c.Pages {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for _, key := range keys {
+		b = wire.AppendString(b, key)
+		b = binary.AppendUvarint(b, uint64(len(c.Pages[key])))
+		for _, part := range c.Pages[key] {
+			b = wire.AppendString(b, part)
+		}
+	}
+	return b, nil
+}
+
+// RestoreState reads what SaveState wrote, the keys strictly in order.
+// The parts share one copy of the state.
+func (c *cache) RestoreState(b []byte) error {
+	f := wire.ReadFields(bytes.Clone(b))
+	c.Hits, c.Misses = int(f.Varint()), int(f.Varint())
+	n := f.Len(maxPages, 2)
+	c.Pages = make(map[string][][]byte, n)
+	prev := ""
+	for i := range n {
+		key := f.String(maxURL)
+		if i > 0 && key <= prev {
+			f.Failf("wubbleu: cache key %q out of order", key)
+		}
+		parts := make([][]byte, f.Len(maxPageParts, 1))
+		for j := range parts {
+			parts[j] = f.View(f.Uvarint(), maxPart)
+		}
+		c.Pages[key], prev = parts, key
+	}
+	return f.Done()
+}
 
 // jpegDecoder models the image decoder.
 type jpegDecoder struct {
@@ -205,8 +286,11 @@ func (d *jpegDecoder) Run(p *core.Proc) error {
 	}
 }
 
-func (d *jpegDecoder) SaveState() ([]byte, error)  { return core.GobSave(d) }
-func (d *jpegDecoder) RestoreState(b []byte) error { return core.GobRestore(d, b) }
+func (d *jpegDecoder) SaveState() ([]byte, error) {
+	return binary.AppendVarint(nil, int64(d.Decoded)), nil
+}
+
+func (d *jpegDecoder) RestoreState(b []byte) error { return wire.ReadInts(b, &d.Decoded) }
 
 // browser is the control process: cache lookup, network fetch, parse,
 // image decode, render.
@@ -303,8 +387,8 @@ func (b *browser) awaitDecode(p *core.Proc, id int) bool {
 	}
 }
 
-func (b *browser) SaveState() ([]byte, error)   { return core.GobSave(b) }
-func (b *browser) RestoreState(bs []byte) error { return core.GobRestore(b, bs) }
+func (b *browser) SaveState() ([]byte, error)   { return binary.AppendVarint(nil, int64(b.Loaded)), nil }
+func (b *browser) RestoreState(bs []byte) error { return wire.ReadInts(bs, &b.Loaded) }
 
 // asic is the cellular communication chip: it carries requests over
 // the wireless link and transfers received pages to the system
@@ -346,8 +430,11 @@ func (a *asic) Run(p *core.Proc) error {
 	}
 }
 
-func (a *asic) SaveState() ([]byte, error)  { return core.GobSave(a) }
-func (a *asic) RestoreState(b []byte) error { return core.GobRestore(a, b) }
+func (a *asic) SaveState() ([]byte, error) {
+	return binary.AppendVarint(binary.AppendVarint(nil, int64(a.Transfers)), int64(a.DMADrives)), nil
+}
+
+func (a *asic) RestoreState(b []byte) error { return wire.ReadInts(b, &a.Transfers, &a.DMADrives) }
 
 // server is the dedicated server: a base station plus web gateway
 // serving the page store over the wireless link.
@@ -415,5 +502,7 @@ func (s *server) Run(p *core.Proc) error {
 	}
 }
 
-func (s *server) SaveState() ([]byte, error)  { return core.GobSave(s) }
-func (s *server) RestoreState(b []byte) error { return core.GobRestore(s, b) }
+// SaveState writes the count of pages served; the store and the
+// estimator are built from Cfg.
+func (s *server) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(s.Served)), nil }
+func (s *server) RestoreState(b []byte) error { return wire.ReadInts(b, &s.Served) }

@@ -81,7 +81,7 @@ func TestSplitHalvesInterop(t *testing.T) {
 	if hApp.UI.Done != 1 {
 		t.Fatalf("loads = %d", hApp.UI.Done)
 	}
-	if hApp.UI.Bytes[0] != cfg.PageSize {
+	if hApp.UI.Bytes[0] != int64(cfg.PageSize) {
 		t.Fatalf("page bytes = %d", hApp.UI.Bytes[0])
 	}
 	if mApp.Server.Served != 1 || mApp.ASIC.Transfers != 1 {

@@ -103,8 +103,13 @@ func (s *pongStateWord) Run(p *Proc) error {
 	}
 }
 
-func (s *pongStateWord) SaveState() ([]byte, error)  { return GobSave(s) }
-func (s *pongStateWord) RestoreState(b []byte) error { return GobRestore(s, b) }
+func (s *pongStateWord) SaveState() ([]byte, error) { return appendList(nil, s.Got), nil }
+
+func (s *pongStateWord) RestoreState(b []byte) error {
+	f := ReadFields(b)
+	s.Got = readList[uint32](&f)
+	return f.Done()
+}
 
 // metricsSystem is src on ssA sending n values to dst on ssB over a
 // conservative channel.

@@ -44,6 +44,7 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/timeline"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // Re-exported core types: see the internal packages for full
@@ -81,10 +82,8 @@ const (
 	Optimistic = channel.Optimistic
 )
 
-// GobSave / GobRestore implement core.StateSaver for gob-encodable
-// state.
-func GobSave(v any) ([]byte, error)       { return core.GobSave(v) }
-func GobRestore(v any, data []byte) error { return core.GobRestore(v, data) }
+// ReadFields reads the varints and capped lists a SaveState laid out.
+func ReadFields(state []byte) wire.Fields { return wire.ReadFields(state) }
 
 // Milliseconds, Microseconds and Seconds build virtual durations.
 func Seconds(n int64) Duration      { return Duration(n) * vtime.Second }

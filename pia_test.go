@@ -1,10 +1,13 @@
 package pia
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 type pingState struct {
@@ -21,8 +24,8 @@ func (s *pingState) Run(p *Proc) error {
 	return nil
 }
 
-func (s *pingState) SaveState() ([]byte, error)  { return GobSave(s) }
-func (s *pingState) RestoreState(b []byte) error { return GobRestore(s, b) }
+func (s *pingState) SaveState() ([]byte, error)  { return binary.AppendVarint(nil, int64(s.Sent)), nil }
+func (s *pingState) RestoreState(b []byte) error { return wire.ReadInts(b, &s.Sent) }
 
 type pongState struct {
 	Got []int
@@ -38,8 +41,31 @@ func (s *pongState) Run(p *Proc) error {
 	}
 }
 
-func (s *pongState) SaveState() ([]byte, error)  { return GobSave(s) }
-func (s *pongState) RestoreState(b []byte) error { return GobRestore(s, b) }
+func (s *pongState) SaveState() ([]byte, error) { return appendList(nil, s.Got), nil }
+
+func (s *pongState) RestoreState(b []byte) error {
+	f := ReadFields(b)
+	s.Got = readList[int](&f)
+	return f.Done()
+}
+
+// appendList and readList lay out a list of integers in a test
+// behaviour's state: its count, then each value as a varint.
+func appendList[T ~int | ~int64 | ~uint32 | ~uint64](b []byte, vs []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+func readList[T ~int | ~int64 | ~uint32 | ~uint64](f *wire.Fields) []T {
+	vs := make([]T, f.Len(1<<20, 1))
+	for i := range vs {
+		vs[i] = T(f.Varint())
+	}
+	return vs
+}
 
 func TestBuildLocalSingleSubsystem(t *testing.T) {
 	src := &pingState{N: 4}
