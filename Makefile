@@ -49,9 +49,11 @@ examples:
 # completed-snapshot table is read under mu by the session goroutines'
 # rewind hooks), the two recorders written from scheduler, pump and
 # keepalive goroutines at once (the timeline ring and the flight ring),
-# and WubbleU's page memo, shared by simulations running at once.
+# WubbleU's page memo, shared by simulations running at once, and the
+# root package's round loop, whose wait between rounds is woken from the
+# transport pumps' goroutines.
 race:
-	$(GO) test -race -count=1 ./internal/wire/... ./internal/channel/... ./internal/core/... ./internal/node/... ./internal/faultnet/... ./internal/resilience/... ./internal/snapshot/... ./internal/timeline/... ./internal/flight/... ./internal/wubbleu/...
+	$(GO) test -race -count=1 . ./internal/wire/... ./internal/channel/... ./internal/core/... ./internal/node/... ./internal/faultnet/... ./internal/resilience/... ./internal/snapshot/... ./internal/timeline/... ./internal/flight/... ./internal/wubbleu/...
 
 # The parallel scheduler must be race-clean both when goroutines are
 # forced onto one OS thread and when they genuinely interleave. The

@@ -2,7 +2,6 @@ package pia
 
 import (
 	"io"
-	"time"
 
 	"repro/internal/node"
 	"repro/internal/timeline"
@@ -16,7 +15,8 @@ func NewNode(name string) *Node { return node.New(name) }
 
 // Cluster is a system realized across Pia nodes: a Simulation whose
 // subsystems live on (possibly several) nodes, with cross-node
-// channels carried over TCP.
+// channels carried over TCP. It runs as any Simulation does
+// (Simulation.Run).
 type Cluster struct {
 	Simulation
 	Nodes map[string]*Node // subsystem -> hosting node
@@ -113,13 +113,6 @@ func (cl *Cluster) WriteTimeline(w io.Writer) error {
 	}
 	merged := timeline.Canonical(timeline.MergeEvents(batches...))
 	return timeline.WritePerfetto(w, merged, timeline.ExportOptions{})
-}
-
-// Run executes the cluster's subsystems, iterating rounds until
-// quiescent like Simulation.Run; TCP flushing is awaited with a
-// small backoff.
-func (cl *Cluster) Run(until Time) error {
-	return cl.Simulation.runRounds(until, func() { time.Sleep(200 * time.Microsecond) })
 }
 
 // Close tears down the cluster: channels, subsystems, nodes.

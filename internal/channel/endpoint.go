@@ -99,6 +99,9 @@ type Hub struct {
 	// endpoint (see EnableTimeline). Nil costs one pointer check per
 	// protocol action; the data hot path stays untouched.
 	tl *timeline.Recorder
+
+	// wake is handed to every endpoint the hub makes (see SetWake).
+	wake chan<- struct{}
 }
 
 // NewHub creates the hub and installs its publish hook.
@@ -168,6 +171,17 @@ func (h *Hub) EnableTimeline(rec *timeline.Recorder) {
 	}
 }
 
+// SetWake gives every endpoint the hub makes from now on wake, the
+// signal a round driver waits on between rounds (pia.Simulation.Run):
+// an endpoint posts to it, without blocking, when a burst reaches the
+// injection queue and when it latches an error. Call before the hub's
+// first endpoint.
+func (h *Hub) SetWake(wake chan<- struct{}) {
+	h.mu.Lock()
+	h.wake = wake
+	h.mu.Unlock()
+}
+
 // SetCoalescing applies cfg to every endpoint of the hub.
 func (h *Hub) SetCoalescing(cfg CoalesceConfig) {
 	for _, ep := range h.endpoints() {
@@ -231,7 +245,7 @@ func (h *Hub) NewEndpoint(peer string, policy Policy, link LinkModel, tr Transpo
 	}
 	ep.out.limit, ep.out.size = frameSizing(DefaultCoalesce)
 	h.mu.Lock()
-	ep.tl = h.tl
+	ep.tl, ep.wake = h.tl, h.wake
 	eps := append(slices.Clip(h.endpoints()), ep) // a new list: see eps
 	h.eps.Store(&eps)
 	h.mu.Unlock()
@@ -350,9 +364,12 @@ type Endpoint struct {
 
 	// Flush accounting for round-based drivers (pia.Simulation.Run):
 	// queuedN counts messages enqueued by the transport pump,
-	// handledN counts messages fully processed by the scheduler.
+	// handledN counts messages fully processed by the scheduler. wake,
+	// set at creation (Hub.SetWake), is posted to when queuedN or the
+	// latched error moves; nil posts nowhere.
 	queuedN  atomic.Int64
 	handledN atomic.Int64
+	wake     chan<- struct{}
 }
 
 // do is the one shape of every protocol send: under ep.mu it lets the
@@ -542,6 +559,7 @@ func (ep *Endpoint) fail(err error) {
 	ep.mu.Unlock()
 	if stop {
 		ep.sub.Stop()
+		ep.post()
 	}
 }
 
@@ -557,6 +575,17 @@ func (ep *Endpoint) PeerLost(err error) {
 	ep.mu.Unlock()
 	if stop {
 		ep.sub.Stop()
+		ep.post()
+	}
+}
+
+// post wakes the round driver waiting between rounds (Hub.SetWake):
+// the ingress count or the latched error has moved. A post already
+// pending covers this one, since the driver looks at both once woken.
+func (ep *Endpoint) post() {
+	select {
+	case ep.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -734,6 +763,7 @@ func (ep *Endpoint) OnMessages(b *Batch) {
 	ep.queuedN.Add(int64(len(b.Msgs)))
 	b.ep = ep
 	ep.sub.InjectFunc(b.step)
+	ep.post()
 }
 
 // run is a batch's injected step: it handles the burst from its cursor

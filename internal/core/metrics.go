@@ -55,7 +55,6 @@ func (s *Subsystem) EnableMetrics(reg *metrics.Registry) {
 			{"pia_sched_checkpoints", st.Checkpoints},
 			{"pia_sched_restores", st.Restores},
 			{"pia_sched_par_rounds", st.ParRounds},
-			{"pia_sched_bytes_on_nets", st.BytesOnNets},
 			{"pia_optimistic_rounds", st.SpecRounds},
 			{"pia_optimistic_members", st.SpecMembers},
 			{"pia_optimistic_commits", st.SpecCommits},

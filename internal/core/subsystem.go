@@ -220,7 +220,6 @@ type Stats struct {
 	Checkpoints int64
 	Restores    int64
 	ParRounds   int64 // parallel rounds dispatched to the worker pool
-	BytesOnNets int64
 
 	// Optimistic (Time Warp) counters: see optimistic.go.
 	SpecRounds  int64 // rounds that dispatched at least one speculative member
@@ -263,7 +262,6 @@ func (s *Subsystem) Stats() Stats {
 		Checkpoints: atomic.LoadInt64(&s.stats.Checkpoints),
 		Restores:    atomic.LoadInt64(&s.stats.Restores),
 		ParRounds:   atomic.LoadInt64(&s.stats.ParRounds),
-		BytesOnNets: atomic.LoadInt64(&s.stats.BytesOnNets),
 		SpecRounds:  atomic.LoadInt64(&s.stats.SpecRounds),
 		SpecMembers: atomic.LoadInt64(&s.stats.SpecMembers),
 		SpecCommits: atomic.LoadInt64(&s.stats.SpecCommits),

@@ -28,7 +28,6 @@ package pia
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -327,6 +326,12 @@ type Simulation struct {
 	// EnableFlight; EnableTimeline attaches its recorder to it, so the
 	// two calls work in either order.
 	flightRec *flight.Recorder
+
+	// wake is the signal Run waits on between rounds, shared by every
+	// hub: an endpoint posts to it when a burst reaches its injection
+	// queue or it latches an error (channel.Hub.SetWake). Made at
+	// build, for a simulation of more than one subsystem.
+	wake chan struct{}
 }
 
 // BuildLocal realizes the description in-process. Conservative
@@ -360,10 +365,14 @@ func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 		Hubs:       make(map[string]*channel.Hub),
 		Agents:     make(map[string]*snapshot.Agent),
 		Engines:    make(map[string]*detail.Engine),
+		subOrder:   v.Subsystems(),
 	}}
+	if len(cl.subOrder) > 1 {
+		cl.wake = make(chan struct{}, 1)
+	}
 	var addrs map[*Node]string // accepting node -> its listen address
 	if placement != nil {
-		for _, subName := range v.Subsystems() {
+		for _, subName := range cl.subOrder {
 			if placement[subName] == nil {
 				return nil, b.d.Unhosted(subName)
 			}
@@ -371,16 +380,17 @@ func (b *SystemBuilder) build(placement map[string]*Node) (*Cluster, error) {
 		cl.Nodes = make(map[string]*Node)
 		addrs = make(map[*Node]string)
 	}
-	for _, subName := range v.Subsystems() {
+	for _, subName := range cl.subOrder {
 		s := b.d.NewSubsystem(subName)
 		cl.Subsystems[subName] = s
-		cl.subOrder = append(cl.subOrder, subName)
 		n := placement[subName]
 		if n == nil {
 			cl.Hubs[subName] = channel.NewHub(s)
+			cl.Hubs[subName].SetWake(cl.wake)
 			continue
 		}
 		cl.Hubs[subName] = n.Host(s).Hub
+		cl.Hubs[subName].SetWake(cl.wake)
 		cl.Nodes[subName] = n
 		if !slices.Contains(cl.nodeSet, n) {
 			cl.nodeSet = append(cl.nodeSet, n)
@@ -523,15 +533,10 @@ func (sim *Simulation) Component(name string) *core.Component {
 // its peer and been fully processed. This makes Run deterministic for
 // optimistic channels too, whose subsystems otherwise return from a
 // finite-horizon run as soon as their local work is exhausted,
-// possibly before in-flight traffic lands.
+// possibly before in-flight traffic lands. Between rounds it waits on
+// ingress (quiesce), not on a clock, over in-process pipes and TCP
+// alike.
 func (sim *Simulation) Run(until Time) error {
-	return sim.runRounds(until, runtime.Gosched)
-}
-
-// runRounds is the shared round loop behind Simulation.Run and
-// Cluster.Run; backoff is called while waiting for transports to
-// flush.
-func (sim *Simulation) runRounds(until Time, backoff func()) error {
 	if until == Infinity && len(sim.subOrder) > 1 {
 		return errors.New("pia: multi-subsystem simulations need a finite horizon (see Simulation.Run)")
 	}
@@ -573,7 +578,7 @@ func (sim *Simulation) runRounds(until Time, backoff func()) error {
 		if len(sim.subOrder) == 1 {
 			return nil
 		}
-		if quiet, err := sim.quiesce(backoff); quiet || err != nil {
+		if quiet, err := sim.quiesce(); quiet || err != nil {
 			return err
 		}
 	}
@@ -581,17 +586,19 @@ func (sim *Simulation) runRounds(until Time, backoff func()) error {
 
 // quiesce waits for the transports to flush and reports whether every
 // channel message has been handled; false means another round is
-// needed. A channel that latched an error — a value with no wire
-// codec, a dead transport, a protocol violation — will never deliver
-// what it dropped, so that error ends the wait and the run.
-func (sim *Simulation) quiesce(backoff func()) (bool, error) {
-	// Wait until everything sent has at least reached the peer's
-	// injection queue (in-memory pipes flush promptly).
+// needed. Only the pumps move the counts it waits on, and every
+// endpoint posts to sim.wake when its pump hands a burst on or it
+// latches an error, so quiesce looks again each time it is woken: a
+// post that lands before the wait ends it at once, and a stale one
+// costs one more look. A channel that latched an error — a value with
+// no wire codec, a dead transport, a protocol violation — will never
+// deliver what it dropped, so that error ends the wait and the run.
+func (sim *Simulation) quiesce() (bool, error) {
 	for !sim.flushed() {
 		if err := sim.channelErr(); err != nil {
 			return false, err
 		}
-		backoff()
+		<-sim.wake
 	}
 	for _, name := range sim.subOrder {
 		for _, ep := range sim.Hubs[name].Endpoints() {
