@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -59,8 +60,8 @@ func TestBringUpTearDown(t *testing.T) {
 		sub := core.NewSubsystem("modemsite")
 		st.node.Host(sub)
 		st.watch(sub)
-		if (sub.OnThrottleCollapse != nil) != metricsOn {
-			t.Errorf("pianode %s: rollback-storm trigger installed = %v", argv, sub.OnThrottleCollapse != nil)
+		if got := stormWatched(sub); got != metricsOn {
+			t.Errorf("pianode %s: rollback-storm trigger installed = %v", argv, got)
 		}
 		addrs := make([]string, 0, 2)
 		addr, err := st.node.Listen("127.0.0.1:0")
@@ -114,4 +115,17 @@ func TestBringUpTearDown(t *testing.T) {
 			t.Errorf("pianode %s: %d goroutines before, %d after close\n%s", argv, before, after, buf[:runtime.Stack(buf, true)])
 		}
 	}
+}
+
+// stormWatched reports whether an observer of sub takes its throttle
+// collapses. The subsystem keeps its observers unexported, so the test
+// reads them by reflection.
+func stormWatched(sub *core.Subsystem) bool {
+	obs := reflect.ValueOf(sub).Elem().FieldByName("observers")
+	for i := range obs.Len() {
+		if !obs.Index(i).FieldByName("ThrottleCollapse").IsNil() {
+			return true
+		}
+	}
+	return false
 }

@@ -6,9 +6,12 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // rawConstructors are the core methods that build a system piece by
@@ -94,6 +97,40 @@ func TestGobStaysInItsProbe(t *testing.T) {
 		if importName(f, "encoding/gob") != "" && !slices.Contains(gobImporters, path) {
 			t.Errorf("%s imports encoding/gob; lay its bytes out for wire.Fields (gob is kept only for the benchmark's probe, which ROADMAP item 16 deletes)", path)
 		}
+	})
+}
+
+// TestOneObserverSpine parses every non-test Go file in the module and
+// fails on an assignment to a func field of core.Subsystem: a watcher
+// of a subsystem's steps, publications, departures, stalls, throttle
+// collapses or drives subscribes with Subsystem.Observe, which keeps
+// every earlier observer, where an assigned hook silences the one it
+// replaced. The benchmark's fan digest in bench/workloads.go is the one
+// exception, until ROADMAP item 1 moves it onto Observe.
+func TestOneObserverSpine(t *testing.T) {
+	var hooks []string
+	typ := reflect.TypeOf(core.Subsystem{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.IsExported() && f.Type.Kind() == reflect.Func {
+			hooks = append(hooks, f.Name)
+		}
+	}
+	eachSourceFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok {
+				return true
+			}
+			for _, lhs := range as.Lhs {
+				sel, ok := lhs.(*ast.SelectorExpr)
+				if !ok || !slices.Contains(hooks, sel.Sel.Name) || (path == "bench/workloads.go" && sel.Sel.Name == "OnDrive") {
+					continue
+				}
+				t.Errorf("%s: assigns the subsystem hook %s; subscribe with Subsystem.Observe (only bench/workloads.go sets OnDrive, until ROADMAP item 1 moves the fan digest onto Observe)",
+					fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
 	})
 }
 

@@ -76,8 +76,8 @@ const frameCap = wire.RecvBufSize
 // flush-per-message reference the tests compare against.
 var DefaultCoalesce = CoalesceConfig{MaxBytes: frameCap}
 
-// Hub manages all channel endpoints of one subsystem. It chains into
-// the subsystem's publish hook so grants are computed and pushed on
+// Hub manages all channel endpoints of one subsystem. It observes the
+// subsystem's publications so grants are computed and pushed on
 // the scheduler goroutine, after injected messages have been routed —
 // which is what makes the published next-event key an honest bound.
 type Hub struct {
@@ -104,30 +104,11 @@ type Hub struct {
 	wake chan<- struct{}
 }
 
-// NewHub creates the hub and installs its publish hook.
+// NewHub creates the hub and subscribes it to the subsystem's
+// publish, depart and stall events.
 func NewHub(sub *core.Subsystem) *Hub {
 	h := &Hub{sub: sub}
-	prev := sub.OnPublish
-	sub.OnPublish = func(now, key vtime.Time) {
-		if prev != nil {
-			prev(now, key)
-		}
-		h.publish(key)
-	}
-	prevDepart := sub.OnDepart
-	sub.OnDepart = func(until vtime.Time) {
-		if prevDepart != nil {
-			prevDepart(until)
-		}
-		h.depart(until)
-	}
-	prevStall := sub.OnStall
-	sub.OnStall = func() {
-		if prevStall != nil {
-			prevStall()
-		}
-		h.flushAll()
-	}
+	sub.Observe(core.Observer{Publish: h.publish, Depart: h.depart, Stall: h.flushAll})
 	return h
 }
 
@@ -140,8 +121,8 @@ func (h *Hub) endpoints() []*Endpoint {
 	return nil
 }
 
-// flushAll drains every endpoint's egress queue. Chained into the
-// subsystem's stall hook: whenever the scheduler is about to block,
+// flushAll drains every endpoint's egress queue. It observes the
+// subsystem's stalls: whenever the scheduler is about to block,
 // anything still coalescing goes on the wire — the peer may be
 // waiting on exactly those drives, and nothing further will top up
 // the batch while we sleep.
@@ -261,7 +242,7 @@ func (h *Hub) NewEndpoint(peer string, policy Policy, link LinkModel, tr Transpo
 // we cannot yet satisfy. The grant toward peer X stands on
 // floorExcept(key, bounds, X) — our key with X's restriction removed —
 // and a pending ask is relayed upstream when forwards says so.
-func (h *Hub) publish(_ vtime.Time) {
+func (h *Hub) publish(_, _ vtime.Time) {
 	_, key := h.sub.PublishedTimes()
 	eps := h.endpoints()
 	if cap(h.bounds) < len(eps) {

@@ -255,7 +255,7 @@ func TestPublishZeroAlloc(t *testing.T) {
 		}
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		h.publish(0)
+		h.publish(0, 0)
 		h.flushAll()
 	}); avg != 0 {
 		t.Fatalf("a key publication and a stall flush allocate %.2f/op, want 0", avg)

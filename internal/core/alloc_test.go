@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/signal"
 	"repro/internal/vtime"
 )
 
@@ -233,5 +234,45 @@ func TestNewComponentPortSlab(t *testing.T) {
 	}
 	if s.Component("dup") != nil {
 		t.Fatal("a refused component was registered")
+	}
+}
+
+// TestDigestDriveZeroAlloc: with a drive digest subscribed, a drive of
+// a word or an int allocates nothing: the digest writes the time and
+// the value's print form into a buffer it keeps.
+func TestDigestDriveZeroAlloc(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's build allocates differently")
+	}
+	values := []any{signal.Word(0xdeadbeef), 12345, signal.Word(7), -3}
+	const runs = 200
+	allocs := -1.0
+	tx := BehaviorFunc(func(p *Proc) error {
+		at := vtime.Time(0)
+		drive := func() {
+			for _, v := range values {
+				at++
+				p.SendAt("out", v, at)
+			}
+		}
+		drive() // seats the source's entry and sizes the buffer
+		allocs = testing.AllocsPerRun(runs, drive)
+		return nil
+	})
+	s := NewSubsystem("digest")
+	digest := s.DigestDrives()
+	c, _ := s.NewComponent("tx", tx, "out")
+	n, _ := s.NewNet("bus", 0)
+	if err := s.Connect(n, c.Port("out")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(vtime.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%d drives allocate %.2f times, want 0", len(values), allocs)
+	}
+	if want := int64((runs + 2) * len(values)); s.Stats().Drives != want || digest.Value("tx") == 0 {
+		t.Fatalf("%d drives, digest %016x: want %d drives, all hashed", s.Stats().Drives, digest.Value("tx"), want)
 	}
 }

@@ -119,7 +119,7 @@ func TestOnThrottleCollapseHook(t *testing.T) {
 	s.optThrottle = true
 	s.effOpt = 1
 	var gotSpec, gotAborted int
-	s.OnThrottleCollapse = func(spec, aborted int) { gotSpec, gotAborted = spec, aborted }
+	s.Observe(Observer{ThrottleCollapse: func(spec, aborted int) { gotSpec, gotAborted = spec, aborted }})
 
 	s.noteSpecOutcome(4, 1) // 1/4 aborted: no collapse
 	if gotSpec != 0 {

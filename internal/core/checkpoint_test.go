@@ -10,11 +10,11 @@ import (
 func TestCheckpointAndRestore(t *testing.T) {
 	s, pr, co := buildPipe(t, 0, 10, 10)
 	// Capture a checkpoint mid-run via a switch hook.
-	s.OnStep = func(now vtime.Time) {
+	s.Observe(Observer{Step: func(now vtime.Time) {
 		if now >= 50 && s.LatestCheckpoint() == nil {
 			s.RequestCheckpoint("")
 		}
-	}
+	}})
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestCheckpointAndRestore(t *testing.T) {
 	if pr.Next >= 10 {
 		t.Fatal("restore did not rewind producer state")
 	}
-	s.OnStep = nil
+	s.observers = nil
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +63,12 @@ func TestRollbackRequestDuringRun(t *testing.T) {
 	s, _, co := buildPipe(t, 0, 8, 10)
 	s.SetAutoCheckpoint(20)
 	rolled := false
-	s.OnStep = func(now vtime.Time) {
+	s.Observe(Observer{Step: func(now vtime.Time) {
 		if now >= 60 && !rolled {
 			rolled = true
 			s.RequestRollback(30)
 		}
-	}
+	}})
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestRollbackRequestDuringRun(t *testing.T) {
 
 func TestRollbackWithoutCheckpointFails(t *testing.T) {
 	s, _, _ := buildPipe(t, 0, 3, 10)
-	s.OnStep = func(now vtime.Time) {
+	s.Observe(Observer{Step: func(now vtime.Time) {
 		if now >= 20 {
 			s.RequestRollback(10)
 		}
-	}
+	}})
 	err := s.Run(vtime.Infinity)
 	if !errors.Is(err, errNoCheckpoint) {
 		t.Fatalf("err = %v, want ErrNoCheckpoint", err)
@@ -228,11 +228,11 @@ func TestCheckpointInboxPreserved(t *testing.T) {
 	pc, _ := s.NewComponent("prod", pr, "out")
 	n, _ := s.NewNet("slow", 100)
 	s.Connect(n, pc.Port("out"), cc.Port("in"))
-	s.OnStep = func(now vtime.Time) {
+	s.Observe(Observer{Step: func(now vtime.Time) {
 		if now >= 5 && s.LatestCheckpoint() == nil {
 			s.RequestCheckpoint("")
 		}
-	}
+	}})
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestCheckpointInboxPreserved(t *testing.T) {
 	if len(img.Inbox) != 1 {
 		t.Fatalf("checkpoint inbox has %d events, want 1 in-flight", len(img.Inbox))
 	}
-	s.OnStep = nil
+	s.observers = nil
 	if err := s.RestoreCheckpoint(cs); err != nil {
 		t.Fatal(err)
 	}

@@ -26,15 +26,15 @@ func TestDepartGateHoldsFiniteHorizonRun(t *testing.T) {
 		}
 		return ok
 	})
-	// OnStall fires after the gate said no, right before the scheduler
+	// A stall observer fires after the gate said no, right before the scheduler
 	// blocks: once it has, the run is parked on the gate.
 	parked := make(chan struct{})
 	var once sync.Once
-	s.OnStall = func() {
+	s.Observe(Observer{Stall: func() {
 		if refused.Load() {
 			once.Do(func() { close(parked) })
 		}
-	}
+	}})
 
 	done := make(chan error, 1)
 	go func() { done <- s.Run(1000) }()
@@ -67,22 +67,22 @@ func TestDepartGateHoldsFiniteHorizonRun(t *testing.T) {
 }
 
 // TestDepartGateWakeBeforeWait: a Wake that lands after the gate said
-// no but before the scheduler blocks — here from OnStall itself, the
+// no but before the scheduler blocks — here from a stall observer, the
 // last code to run before the wait — must not be slept through. The
 // gate opens exactly once and nothing wakes the loop again, so a run
-// loop that samples the wake generation only after OnStall parks for
+// loop that samples the wake generation only after the observer parks for
 // good.
 func TestDepartGateWakeBeforeWait(t *testing.T) {
 	s, _, _ := buildPipe(t, 2, 5, 10)
 	var open atomic.Bool
 	s.SetDepartGate(func(vtime.Time) bool { return open.Load() })
 	var once sync.Once
-	s.OnStall = func() {
+	s.Observe(Observer{Stall: func() {
 		once.Do(func() {
 			open.Store(true)
 			s.Wake()
 		})
-	}
+	}})
 	done := make(chan error, 1)
 	go func() { done <- s.Run(1000) }()
 	select {

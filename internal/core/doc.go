@@ -60,8 +60,9 @@
 // What a run did is recorded in one place, the timeline recorder
 // EnableTimeline stores: the drive, checkpoint, restore, runlevel,
 // stall and resume sites emit into it directly, and it drops a
-// restored subsystem's discarded future itself. The On* hook fields
-// are for code that must act on the scheduler goroutine — the
-// debugger's watchpoints, the channel layer's flush at a stall, the
-// running drive digests of mesh and service — not for recording.
+// restored subsystem's discarded future itself. Observers, added with
+// Subsystem.Observe and called in the order they were added, are for
+// code that must act on the scheduler goroutine — the debugger's
+// watchpoints, the channel layer's flush at a stall, the drive digest
+// of mesh and service — not for recording.
 package core

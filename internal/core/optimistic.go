@@ -53,8 +53,8 @@ package core
 // plus the pre-round image (behaviour state, local clock, runlevel,
 // memory words) restores the member exactly; the goroutine is
 // unwound and re-enters Run from the restored state under the usual
-// StateSaver replay contract. Rolled-back work never reaches OnDrive,
-// metrics or canonical timeline exports; the only
+// StateSaver replay contract. Rolled-back work never reaches a drive
+// observer, metrics or canonical timeline exports; the only
 // record is a transient straggler-kind timeline span and the
 // pia_optimistic_* counters.
 //
@@ -136,8 +136,10 @@ func (s *Subsystem) noteSpecOutcome(spec, aborted int) {
 		s.effOpt /= 2
 		if s.effOpt == 0 {
 			s.optCool = optCooldownRounds
-			if s.OnThrottleCollapse != nil {
-				s.OnThrottleCollapse(spec, aborted)
+			for i := range s.observers {
+				if f := s.observers[i].ThrottleCollapse; f != nil {
+					f(spec, aborted)
+				}
 			}
 		}
 	case aborted > 0:

@@ -166,10 +166,10 @@ func fingerprint(t *testing.T, seed int64, mode string, configure func(*Subsyste
 
 	driveDigest := fnv.New64a()
 	driveCounts := make(map[string]int64)
-	s.OnDrive = func(net, src string, tt vtime.Time, v any) {
+	s.Observe(Observer{Drive: func(net, src string, tt vtime.Time, v any) {
 		driveCounts[net]++
 		fmt.Fprintf(driveDigest, "%s|%s|%d|%v\n", net, src, tt, v)
-	}
+	}})
 
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatalf("seed %d %s: %v", seed, mode, err)
@@ -402,7 +402,7 @@ func TestParallelStop(t *testing.T) {
 	s.Teardown()
 }
 
-// TestFastPathMatchesHookedRun: installing OnStep pins the scheduler
+// TestFastPathMatchesHookedRun: a step observer pins the scheduler
 // to the classic step-at-a-time path; results must match the fast
 // (fused) path exactly.
 func TestFastPathMatchesHookedRun(t *testing.T) {
@@ -410,13 +410,13 @@ func TestFastPathMatchesHookedRun(t *testing.T) {
 		fast, _ := runFingerprint(t, seed, 0)
 		s, cons, polls := randomParallelSystem(seed)
 		steps := 0
-		s.OnStep = func(vtime.Time) { steps++ }
+		s.Observe(Observer{Step: func(vtime.Time) { steps++ }})
 		driveDigest := fnv.New64a()
 		driveCounts := make(map[string]int64)
-		s.OnDrive = func(net, src string, tt vtime.Time, v any) {
+		s.Observe(Observer{Drive: func(net, src string, tt vtime.Time, v any) {
 			driveCounts[net]++
 			fmt.Fprintf(driveDigest, "%s|%s|%d|%v\n", net, src, tt, v)
-		}
+		}})
 		if err := s.Run(vtime.Infinity); err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +445,7 @@ func TestFastPathMatchesHookedRun(t *testing.T) {
 			t.Fatalf("seed %d: hooked (slow) run diverged from fast run\nslow: %s\nfast: %s", seed, sig, fast)
 		}
 		if steps == 0 {
-			t.Fatal("OnStep never called")
+			t.Fatal("the step observer was never called")
 		}
 	}
 }

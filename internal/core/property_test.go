@@ -78,7 +78,7 @@ func TestTimeInvariantsProperty(t *testing.T) {
 		s, _ := randomSystem(seed)
 		ok := true
 		last := vtime.Time(0)
-		s.OnStep = func(now vtime.Time) {
+		s.Observe(Observer{Step: func(now vtime.Time) {
 			if now < last {
 				ok = false
 			}
@@ -88,7 +88,7 @@ func TestTimeInvariantsProperty(t *testing.T) {
 					ok = false
 				}
 			}
-		}
+		}})
 		if err := s.Run(vtime.Infinity); err != nil {
 			return false
 		}
@@ -115,12 +115,12 @@ func TestRestoreReplayProperty(t *testing.T) {
 		s, c := randomSystem(seed)
 		cut := vtime.Time(1 + int(cutSeedRaw)%200)
 		requested := false
-		s.OnStep = func(now vtime.Time) {
+		s.Observe(Observer{Step: func(now vtime.Time) {
 			if now >= cut && !requested {
 				requested = true
 				s.RequestCheckpoint("")
 			}
-		}
+		}})
 		if err := s.Run(vtime.Infinity); err != nil {
 			return false
 		}
@@ -135,7 +135,7 @@ func TestRestoreReplayProperty(t *testing.T) {
 		if err := s.RestoreCheckpoint(cs); err != nil {
 			return false
 		}
-		s.OnStep = nil
+		s.observers = nil
 		if err := s.Run(vtime.Infinity); err != nil {
 			return false
 		}

@@ -43,7 +43,7 @@ var preBoxed = [...]any{7, 70_000}
 // TestRecvFilteredZeroAlloc: a steady-state filtered Recv allocates
 // nothing — no per-call filter, no per-delivery Msg — whether it is
 // served inline below the fast bound or parks and is resumed by the
-// scheduler (OnStep pins that classic path), and whether consecutive
+// scheduler (a step observer pins that classic path), and whether consecutive
 // receives name the same filter or alternate between different ones.
 // A receive whose filter skips the inbox head (the column scan) is in
 // the mix too: every tick carries one message per port.
@@ -85,7 +85,7 @@ func TestRecvFilteredZeroAlloc(t *testing.T) {
 			s := streamPair(t, tx, rx, "a", "b")
 			steps := 0
 			if parked {
-				s.OnStep = func(vtime.Time) { steps++ }
+				s.Observe(Observer{Step: func(vtime.Time) { steps++ }})
 			}
 			if err := s.Run(vtime.Infinity); err != nil {
 				t.Fatal(err)
@@ -137,7 +137,7 @@ func TestRecvFilterChangeAfterTimeout(t *testing.T) {
 			})
 			s := streamPair(t, tx, rx, "irq", "in")
 			if parked {
-				s.OnStep = func(vtime.Time) {}
+				s.Observe(Observer{Step: func(vtime.Time) {}})
 			}
 			if err := s.Run(vtime.Infinity); err != nil {
 				t.Fatal(err)
@@ -217,11 +217,11 @@ func TestCheckpointLargeInboxPreserved(t *testing.T) {
 	pc, _ := s.NewComponent("prod", &burster{N: n}, "out")
 	net, _ := s.NewNet("slow", 100)
 	s.Connect(net, pc.Port("out"), cc.Port("in"))
-	s.OnStep = func(now vtime.Time) {
+	s.Observe(Observer{Step: func(now vtime.Time) {
 		if now >= 5 && s.LatestCheckpoint() == nil {
 			s.RequestCheckpoint("")
 		}
-	}
+	}})
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestCheckpointLargeInboxPreserved(t *testing.T) {
 	if img := cs.Image("cons"); len(img.Inbox) != n {
 		t.Fatalf("checkpoint inbox has %d events, want %d in flight", len(img.Inbox), n)
 	}
-	s.OnStep = nil
+	s.observers = nil
 	if err := s.RestoreCheckpoint(cs); err != nil {
 		t.Fatal(err)
 	}

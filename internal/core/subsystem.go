@@ -91,7 +91,7 @@ type Subsystem struct {
 	// Parallel execution (see parallel.go). workers is the size of
 	// the pool a Run owns when none is attached (0 = sequential);
 	// fastOK gates the inline fast paths and parallel rounds on the
-	// absence of a per-step hook. attached is the host-wide pool set
+	// absence of a step observer. attached is the host-wide pool set
 	// by SetPool, fair-shared with other subsystems (see pool.go);
 	// pool is the one the current Run dispatches into — attached, or
 	// the run's own; nil when sequential.
@@ -157,20 +157,15 @@ type Subsystem struct {
 	autoCkpt    vtime.Duration
 	lastAuto    vtime.Time
 
-	// hooks
-	OnStep    func(now vtime.Time)                       // called after every scheduling step
-	OnPublish func(now, key vtime.Time)                  // called on the scheduler goroutine after each publish
-	OnDrive   func(net, src string, t vtime.Time, v any) // called for every net drive (debugger watchpoints, running digests)
-	OnDepart  func(until vtime.Time)                     // called right before Run returns at a finite horizon
-	OnStall   func()                                     // called right before the scheduler blocks waiting for input
+	// observers, in the order Observe added them. obsBuf backs the
+	// first few, so subscribing allocates nothing.
+	observers []Observer
+	obsBuf    [4]Observer
 
-	// OnThrottleCollapse fires on the scheduler goroutine when the
-	// optimistic throttle collapses the speculation window to zero
-	// (a rollback storm: more than half the speculative cohort
-	// aborted and the halving bottomed out). The flight recorder
-	// treats it as a failure trigger. Unlike OnStep it does not
-	// disable the fast paths: it only runs on an already-slow round.
-	OnThrottleCollapse func(spec, aborted int)
+	// OnDrive is called for every net drive before the observers'
+	// Drive funcs. Only the benchmark's fan digest sets it; every
+	// other drive watcher subscribes through Observe.
+	OnDrive func(net, src string, t vtime.Time, v any)
 
 	running bool
 	fatal   error
@@ -227,6 +222,33 @@ type Stats struct {
 	SpecCommits int64 // speculative dispatches whose effects committed
 	Rollbacks   int64 // speculative dispatches undone by stragglers
 	RolledBack  int64 // buffered effects discarded by those rollbacks
+}
+
+// Observer is one subscriber to a subsystem's scheduling events. Each
+// func may be nil; all run on the scheduler goroutine (Drive also under
+// a component's run token), in the order Observe added them.
+type Observer struct {
+	Step    func(now vtime.Time)                       // after every scheduling step; pins the scheduler to one action a step
+	Publish func(now, key vtime.Time)                  // after each publish of the lower bounds
+	Depart  func(until vtime.Time)                     // right before Run returns at a finite horizon
+	Stall   func()                                     // right before the scheduler blocks waiting for input; may send on a transport
+	Drive   func(net, src string, t vtime.Time, v any) // for every net drive
+
+	// ThrottleCollapse fires when the optimistic throttle collapses
+	// the speculation window to zero (a rollback storm: more than half
+	// the speculative cohort aborted and the halving bottomed out).
+	// Unlike Step it leaves the fast paths on: it only runs on an
+	// already-slow round.
+	ThrottleCollapse func(spec, aborted int)
+}
+
+// Observe adds o after every observer already added. Call it before
+// Run, never while the subsystem runs.
+func (s *Subsystem) Observe(o Observer) {
+	if s.observers == nil {
+		s.observers = s.obsBuf[:0]
+	}
+	s.observers = append(s.observers, o)
 }
 
 // NewSubsystem creates an empty subsystem.
@@ -642,6 +664,11 @@ func (s *Subsystem) driveFrom(n *Net, driver *Port, src string, t vtime.Time, v 
 	if s.OnDrive != nil {
 		s.OnDrive(n.Name, src, t, v)
 	}
+	for i := range s.observers {
+		if f := s.observers[i].Drive; f != nil {
+			f(n.Name, src, t, v)
+		}
+	}
 	if s.tlRec != nil {
 		s.tlRec.Drive(s.name, src, n.Name, t, v)
 	}
@@ -799,10 +826,10 @@ func (s *Subsystem) Run(until vtime.Time) error {
 	}()
 
 	// The inline fast paths and parallel rounds fuse or reorder
-	// scheduling steps; a per-step hook (detail switchpoints, the
-	// debugger) needs to observe every one, so its presence pins the
+	// scheduling steps; a step observer (detail switchpoints, the
+	// debugger) needs to see every one, so its presence pins the
 	// scheduler to the classic step-at-a-time path.
-	s.fastOK = s.OnStep == nil
+	s.fastOK = !slices.ContainsFunc(s.observers, func(o Observer) bool { return o.Step != nil })
 	s.prepareLookahead()
 	// The adaptive throttle starts each run at the configured window
 	// and re-earns it after rollback storms (see optimistic.go).
@@ -824,8 +851,9 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		s.mu.Lock()
 		// The wake generation is read here, before any gate below is
 		// evaluated: a Wake landing after a gate reported closed (or
-		// from inside OnStall) moves it, and stall then returns at once
-		// instead of sleeping through the update it announces.
+		// from inside a Stall observer) moves it, and stall then
+		// returns at once instead of sleeping through the update it
+		// announces.
 		gen := s.wakeGen
 		stop := s.stopReq
 		s.stopReq = false
@@ -917,8 +945,10 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		next, key := pi.best, pi.key
 		s.pubNow.Store(int64(s.now))
 		s.pubKey.Store(int64(key))
-		if s.OnPublish != nil {
-			s.OnPublish(s.now, key)
+		for i := range s.observers {
+			if f := s.observers[i].Publish; f != nil {
+				f(s.now, key)
+			}
 		}
 		if s.mSched != nil {
 			s.sampleMetrics()
@@ -961,8 +991,10 @@ func (s *Subsystem) Run(until vtime.Time) error {
 			// final grant covering the horizon: a peer whose ask is
 			// still in flight would otherwise wait forever on a
 			// scheduler that has already left.
-			if s.OnDepart != nil {
-				s.OnDepart(until)
+			for i := range s.observers {
+				if f := s.observers[i].Depart; f != nil {
+					f(until)
+				}
 			}
 			return nil
 		}
@@ -998,7 +1030,7 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		// effects merge in canonical order (see parallel.go). A cohort
 		// of one — always the case without a pool — is stepped inline
 		// below, on this goroutine and unbuffered, the same cap
-		// bounding its inline fast path. A per-step hook pins the
+		// bounding its inline fast path. A step observer pins the
 		// scheduler to one action per step: no rounds, no fast bound.
 		var fast vtime.Time
 		if s.fastOK {
@@ -1021,8 +1053,10 @@ func (s *Subsystem) Run(until vtime.Time) error {
 		if next.viewNow > s.now {
 			s.advance(next.viewNow)
 		}
-		if s.OnStep != nil {
-			s.OnStep(s.now)
+		for i := range s.observers {
+			if f := s.observers[i].Step; f != nil {
+				f(s.now)
+			}
 		}
 	}
 }
@@ -1183,14 +1217,16 @@ func (s *Subsystem) hasExternal() bool {
 // coalesced egress here — peers may be waiting on exactly those
 // messages) and then waits for an external request or for the wake
 // generation to move past gen, the value the loop top read before it
-// evaluated the gates. OnStall runs outside s.mu, so hooks may send on
-// transports freely; a peer reply racing in between lands in the
+// evaluated the gates. Stall observers run outside s.mu, so they may
+// send on transports freely; a peer reply racing in between lands in the
 // injection queue, and a gate update racing in between has already
 // moved the generation, so either makes waitForWake return immediately.
 func (s *Subsystem) stall(gen uint64) {
 	atomic.AddInt64(&s.stats.Stalls, 1)
-	if s.OnStall != nil {
-		s.OnStall()
+	for i := range s.observers {
+		if f := s.observers[i].Stall; f != nil {
+			f()
+		}
 	}
 	s.tlRec.Stall(s.name, s.now, 0)
 	s.waitForWake(gen)

@@ -142,13 +142,13 @@ func TestSubsystemTimeInvariant(t *testing.T) {
 	// System time must never exceed any component's local time.
 	s, _, _ := buildPipe(t, 1, 20, 3)
 	violated := false
-	s.OnStep = func(now vtime.Time) {
+	s.Observe(Observer{Step: func(now vtime.Time) {
 		for _, c := range s.Components() {
 			if !c.Done() && c.LocalTime().Before(now) {
 				violated = true
 			}
 		}
-	}
+	}})
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}

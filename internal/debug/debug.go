@@ -73,27 +73,14 @@ type Debugger struct {
 	watches []*Watchpoint
 
 	stepBudget int  // >0: stop after this many scheduler steps
-	pendingHit *Hit // set by hooks, consumed by Continue/Step
+	pendingHit *Hit // set by the observers, consumed by Continue/Step
 }
 
-// New attaches a debugger to the subsystem (chains existing hooks).
-// Attach before running.
+// New attaches a debugger to the subsystem, after any observer it
+// already has. Attach before running.
 func New(sub *core.Subsystem) *Debugger {
 	d := &Debugger{sub: sub}
-	prevStep := sub.OnStep
-	sub.OnStep = func(now vtime.Time) {
-		if prevStep != nil {
-			prevStep(now)
-		}
-		d.onStep(now)
-	}
-	prevDrive := sub.OnDrive
-	sub.OnDrive = func(net, src string, t vtime.Time, v any) {
-		if prevDrive != nil {
-			prevDrive(net, src, t, v)
-		}
-		d.onDrive(net, t, v)
-	}
+	sub.Observe(core.Observer{Step: d.onStep, Drive: d.onDrive})
 	return d
 }
 
@@ -201,7 +188,7 @@ func (d *Debugger) Rearm(id int) bool {
 }
 
 // onDrive evaluates watchpoints (scheduler goroutine).
-func (d *Debugger) onDrive(net string, t vtime.Time, v any) {
+func (d *Debugger) onDrive(net, _ string, t vtime.Time, v any) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.pendingHit != nil {

@@ -44,14 +44,20 @@ func (c *taker) RestoreState(b []byte) error { return wire.ReadInts(b, &c.Got) }
 
 func build(t *testing.T, n int) (*core.Subsystem, *Debugger, *taker) {
 	t.Helper()
+	s, sink := clockOnBus(n)
+	return s, New(s), sink
+}
+
+// clockOnBus is a clock ticking n words onto bus and the sink taking
+// them, with no debugger yet.
+func clockOnBus(n int) (*core.Subsystem, *taker) {
 	s := core.NewSubsystem("dbg")
 	tc, _ := s.NewComponent("clock", &ticker{N: n}, "out")
 	sink := &taker{}
 	rc, _ := s.NewComponent("sink", sink, "in")
 	nw, _ := s.NewNet("bus", 0)
 	s.Connect(nw, tc.Port("out"), rc.Port("in"))
-	d := New(s)
-	return s, d, sink
+	return s, sink
 }
 
 func TestBreakpointPausesRun(t *testing.T) {
@@ -197,6 +203,38 @@ func TestWatchpoint(t *testing.T) {
 	}
 	if hit, err := d.Continue(vtime.Infinity); err != nil || hit != nil {
 		t.Fatalf("resume after watch: %+v %v", hit, err)
+	}
+}
+
+// TestWatchpointBesideDigest: a drive digest attached before or after
+// the debugger observes the drives beside it, and silences neither the
+// watchpoint (it still pauses on word 3 at 40 ns) nor itself.
+func TestWatchpointBesideDigest(t *testing.T) {
+	for _, digestFirst := range []bool{false, true} {
+		s, _ := clockOnBus(10)
+		var d *Debugger
+		var digest *core.DriveDigest
+		if digestFirst {
+			digest = s.DigestDrives()
+			d = New(s)
+		} else {
+			d = New(s)
+			digest = s.DigestDrives()
+		}
+		wp, err := d.AddWatch("bus", func(v any) bool { return v == signal.Word(3) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit, err := d.Continue(vtime.Infinity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit == nil || hit.Watch != wp || hit.Value != signal.Word(3) || hit.Time != 40 {
+			t.Fatalf("digest attached first %v: hit = %+v, want word 3 on bus at 40", digestFirst, hit)
+		}
+		if digest.Value("clock") == 0 {
+			t.Fatalf("digest attached first %v: the digest heard no drive", digestFirst)
+		}
 	}
 }
 

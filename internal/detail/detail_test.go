@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/timeline"
 	"repro/internal/vtime"
 	"repro/internal/wire"
 )
@@ -202,16 +203,22 @@ func TestEngineFiresSwitchpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var switched []action
-	e.OnSwitch = func(_ *Switchpoint, a action) { switched = append(switched, a) }
+	rec := timeline.NewRecorder(0)
+	e.EnableTimeline(rec)
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if !sp.Fired() {
 		t.Fatal("switchpoint never fired")
 	}
-	if len(switched) != 1 || switched[0].Level != "packet" {
-		t.Fatalf("switched = %v", switched)
+	var switched []timeline.Event
+	for _, ev := range rec.Events() {
+		if ev.Kind.String() == "runlevel" {
+			switched = append(switched, ev)
+		}
+	}
+	if len(switched) != 1 || switched[0].Comp != "cpu" || switched[0].Detail != "packet" {
+		t.Fatalf("switched = %+v", switched)
 	}
 	// The component saw "word" strictly before t=50 and "packet"
 	// after the switch took effect.
@@ -235,13 +242,11 @@ func TestEngineFiresOnce(t *testing.T) {
 	if _, err := e.AddRule("when cpu >= 10: cpu->b"); err != nil {
 		t.Fatal(err)
 	}
-	fires := 0
-	e.OnSwitch = func(*Switchpoint, action) { fires++ }
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
-	if fires != 1 {
-		t.Fatalf("switchpoint fired %d times, want 1", fires)
+	if e.Switches != 1 {
+		t.Fatalf("switchpoint fired %d times, want 1", e.Switches)
 	}
 }
 
@@ -282,13 +287,17 @@ func TestEngineChainsExistingHook(t *testing.T) {
 	cc := &clockComp{Steps: 3}
 	s.NewComponent("cpu", cc)
 	prevCalls := 0
-	s.OnStep = func(vtime.Time) { prevCalls++ }
-	NewEngine(s)
+	s.Observe(core.Observer{Step: func(vtime.Time) { prevCalls++ }})
+	e := NewEngine(s)
+	sp, err := e.AddRule("when cpu >= 10: cpu->b")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
-	if prevCalls == 0 {
-		t.Fatal("engine replaced the existing OnStep hook instead of chaining")
+	if prevCalls == 0 || !sp.Fired() {
+		t.Fatalf("step observer called %d times, switchpoint fired %v: the engine silenced the observer before it", prevCalls, sp.Fired())
 	}
 }
 

@@ -102,8 +102,8 @@ func parseScript(src string) ([]*Switchpoint, error) {
 
 // Engine evaluates switchpoints against a subsystem at every
 // scheduling step. Components are all parked when the scheduler calls
-// the hook, so runlevel changes are applied at safe points — the
-// state of every interface is stable.
+// its step observer, so runlevel changes are applied at safe points —
+// the state of every interface is stable.
 type Engine struct {
 	sub          *core.Subsystem
 	switchpoints []*Switchpoint
@@ -111,42 +111,31 @@ type Engine struct {
 	// Switches counts applied runlevel changes.
 	Switches int64
 
-	// OnSwitch is invoked for every applied action.
-	OnSwitch func(sp *Switchpoint, a action)
-
-	prevStep func(vtime.Time)
-	hooked   bool
+	tl         *timeline.Recorder // set by EnableTimeline: every applied action, as a runlevel event
+	subscribed bool
 }
 
-// NewEngine creates a switchpoint engine for the subsystem. The
-// per-step hook is installed lazily, on the first registered
-// switchpoint: a per-step hook pins the scheduler to its
+// NewEngine creates a switchpoint engine for the subsystem. It
+// subscribes to the subsystem's steps lazily, on the first registered
+// switchpoint: a step observer pins the scheduler to its
 // step-at-a-time path (no inline fast paths, no parallel rounds), so
 // an engine with no rules must not cost anything.
 func NewEngine(s *core.Subsystem) *Engine {
 	return &Engine{sub: s}
 }
 
-// ensureHook attaches the engine to the subsystem's step hook
-// (chaining any existing hook). Idempotent.
-func (e *Engine) ensureHook() {
-	if e.hooked {
-		return
-	}
-	e.hooked = true
-	s := e.sub
-	e.prevStep = s.OnStep
-	s.OnStep = func(now vtime.Time) {
-		if e.prevStep != nil {
-			e.prevStep(now)
-		}
-		e.Step()
+// subscribe adds the engine as a step observer of the subsystem, after
+// any observer it already has. Idempotent.
+func (e *Engine) subscribe() {
+	if !e.subscribed {
+		e.subscribed = true
+		e.sub.Observe(core.Observer{Step: func(vtime.Time) { e.Step() }})
 	}
 }
 
 // Add registers a switchpoint.
 func (e *Engine) Add(sp *Switchpoint) {
-	e.ensureHook()
+	e.subscribe()
 	e.switchpoints = append(e.switchpoints, sp)
 }
 
@@ -161,23 +150,12 @@ func (e *Engine) AddRule(src string) (*Switchpoint, error) {
 }
 
 // EnableTimeline records every applied switchpoint action as a
-// runlevel event, chained through OnSwitch. The firing is stamped
-// with the subsystem's current virtual time; the component itself
-// adopts the level at its next safe point (core records that
-// consultation separately, into the recorder Subsystem.EnableTimeline
-// stored).
+// runlevel event into rec. The firing is stamped with the subsystem's
+// current virtual time; the component itself adopts the level at its
+// next safe point (core records that consultation separately, into the
+// recorder Subsystem.EnableTimeline stored).
 func (e *Engine) EnableTimeline(rec *timeline.Recorder) {
-	if rec == nil {
-		return
-	}
-	sub := e.sub.Name()
-	prev := e.OnSwitch
-	e.OnSwitch = func(sp *Switchpoint, a action) {
-		if prev != nil {
-			prev(sp, a)
-		}
-		rec.Runlevel(sub, a.Component, a.Level, e.sub.Now())
-	}
+	e.tl = rec
 }
 
 // LoadScript parses a run control file and registers every rule.
@@ -199,8 +177,8 @@ func (e *Engine) Switchpoints() []*Switchpoint {
 	return out
 }
 
-// Step evaluates all unfired switchpoints once; called from the
-// scheduler hook but also usable directly in tests.
+// Step evaluates all unfired switchpoints once; called by the engine's
+// step observer but also usable directly in tests.
 func (e *Engine) Step() {
 	ts := func(name string) (vtime.Time, bool) {
 		c := e.sub.Component(name)
@@ -218,9 +196,7 @@ func (e *Engine) Step() {
 			if c := e.sub.Component(a.Component); c != nil {
 				c.SetRunlevel(a.Level)
 				e.Switches++
-				if e.OnSwitch != nil {
-					e.OnSwitch(sp, a)
-				}
+				e.tl.Runlevel(e.sub.Name(), a.Component, a.Level, e.sub.Now())
 			}
 		}
 	}

@@ -18,9 +18,10 @@ func quickOptConfig() OptimisticConfig {
 }
 
 // quickFanOutcome is what every leg of the quick sweep reproduces: the
-// virtual time, drive count and drive digest the fan gave before it was
-// described through the system builder.
-var quickFanOutcome = outcome{virt: 30_000_000, drives: 48, digest: 0x7761b09468aa4d35}
+// virtual time and drive count the fan gave before it was described
+// through the system builder, and its drive digest, the fold of its
+// per-source drive hashes.
+var quickFanOutcome = outcome{virt: 30_000_000, drives: 48, digest: 0x0844015015d9da79}
 
 // TestOptimisticAblation runs the full sweep and checks the structural
 // expectations behind the headline numbers: every row agrees with the

@@ -26,8 +26,8 @@ func TestParallelSweepInvariant(t *testing.T) {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	for _, r := range rows {
-		if r.Virt != 60_000_000 || r.Drives != 96 || r.Digest != 0xc3d5d84ec964de8f {
-			t.Errorf("%s: virtual %d, drives %d, digest %016x; want the pinned 60000000, 96, c3d5d84ec964de8f",
+		if r.Virt != 60_000_000 || r.Drives != 96 || r.Digest != 0x7d308ac216e4b868 {
+			t.Errorf("%s: virtual %d, drives %d, digest %016x; want the pinned 60000000, 96, 7d308ac216e4b868",
 				r.Mode, r.Virt, r.Drives, uint64(r.Digest))
 		}
 	}

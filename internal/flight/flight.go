@@ -329,16 +329,13 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	_ = d.WriteJSON(w)
 }
 
-// TripOnRollbackStorm chains onto sub's throttle-collapse hook: a
+// TripOnRollbackStorm subscribes to sub's throttle collapses: a
 // rollback storm (the optimistic window collapsing) is recorded as a
 // transition and trips the recorder. Call before sub runs.
 func (r *Recorder) TripOnRollbackStorm(sub *core.Subsystem) {
-	name, prev := sub.Name(), sub.OnThrottleCollapse
-	sub.OnThrottleCollapse = func(spec, aborted int) {
-		if prev != nil {
-			prev(spec, aborted)
-		}
+	name := sub.Name()
+	sub.Observe(core.Observer{ThrottleCollapse: func(_, aborted int) {
 		r.Record("throttle", name, "rollback storm: speculation window collapsed", int64(aborted))
 		r.Trip("rollback-storm", name)
-	}
+	}})
 }

@@ -127,11 +127,15 @@ type hotBeh struct {
 	Sum uint64 // checksum over (receive time, value)
 }
 
+// fold folds a reply into Sum, a running FNV-64a hash.
 func (h *hotBeh) fold(t vtime.Time, v any) {
 	if h.Sum == 0 {
-		h.Sum = fnvOffset
+		h.Sum = 14695981039346656037 // the offset basis
 	}
-	h.Sum = fnvAdd(h.Sum, fmt.Sprintf("%d:%v", int64(t), v))
+	for _, c := range []byte(fmt.Sprintf("%d:%v", int64(t), v)) {
+		h.Sum ^= uint64(c)
+		h.Sum *= 1099511628211 // the prime
+	}
 	h.Got++
 }
 

@@ -35,6 +35,7 @@ package mesh
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"slices"
 	"sort"
@@ -171,7 +172,7 @@ type member struct {
 	ctlLn     net.Listener
 	ctlAddr   string
 	ms        *membership
-	digest    *digest
+	digest    *core.DriveDigest
 	tl        *timeline.Recorder
 	epoch     atomic.Uint64
 	leaderNm  string
@@ -203,8 +204,8 @@ type member struct {
 
 // New creates a member: it runs the description and builds the
 // member's slice of it, builds the node, hosts the subsystem, starts
-// the control and data listeners, and installs the digest and
-// channel-accept hooks. Call Start to join the mesh.
+// the control and data listeners, subscribes the drive digest and
+// installs the channel-accept hook. Call Start to join the mesh.
 func New(cfg Config) (*member, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Name == "" || len(cfg.Name) > maxName {
@@ -234,7 +235,6 @@ func New(cfg Config) (*member, error) {
 		sub:          sub,
 		tl:           cfg.Timeline,
 		ms:           newMembership(cfg.Name),
-		digest:       newDigest(),
 		inbox:        make(chan inbound, 64),
 		replies:      make(chan answer, 256),
 		migReqs:      make(chan move, maxQueuedMigrations),
@@ -256,7 +256,7 @@ func New(cfg Config) (*member, error) {
 	// is fully registered and before the handshake ack releases the
 	// dialer; a hub holds one endpoint per peer, so the slot is free.
 	m.hosted.OnChannel = func(ep *channel.Endpoint) { m.acceptedFrom(ep.Peer()) <- ep }
-	m.digest.Install(m.sub)
+	m.digest = m.sub.DigestDrives()
 	dataAddr, err := m.nd.Listen(cfg.DataListen)
 	if err != nil {
 		return nil, fmt.Errorf("mesh: %s data listen: %w", cfg.Name, err)
@@ -290,8 +290,20 @@ func (m *member) Subsystem() *core.Subsystem { return m.sub }
 // Node exposes the hosting node.
 func (m *member) Node() *node.Node { return m.nd }
 
-// Digests returns this member's per-component drive digests.
-func (m *member) Digests() map[string]uint64 { return m.digest.Snapshot() }
+// Digests returns the drive digests of the components this member
+// hosts: the equivalence oracle for live migration. The member hashes
+// every drive it sees, including a remote component's that arrive over
+// a channel with their source kept; reporting only the hosted ones
+// counts each drive once, at the member whose component made it. A
+// migrating component's hash goes with its image, and its
+// pre-barrier drives all happened at the source and its post-barrier
+// drives all happen at the destination, so its hash stays
+// bit-identical to the stationary run's.
+func (m *member) Digests() map[string]uint64 {
+	d := m.digest.Snapshot()
+	maps.DeleteFunc(d, func(comp string, _ uint64) bool { return m.sub.Component(comp) == nil })
+	return d
+}
 
 // Health reports membership and heartbeat state.
 func (m *member) Health() Health { return m.ms.health() }

@@ -201,7 +201,7 @@ func (m *member) applyEpoch(mv move, img image) error {
 	}
 
 	if m.name == mv.From {
-		m.digest.take(mv.Comp)
+		m.digest.Seed(mv.Comp, 0)
 		if err := m.sub.RemoveComponent(mv.Comp); err != nil {
 			return err
 		}

@@ -56,7 +56,7 @@ func migratable(t testing.TB) map[string]core.StateSaver {
 	return map[string]core.StateSaver{
 		"ui": app.UI, "recog": app.Recog, "browser": app.Brow, "cache": app.Cache,
 		"jpeg": app.JPEG, "asic": app.ASIC, "server": app.Server,
-		"hot":   &hotBeh{N: 8, Period: 3, Sinks: 2, I: 5, Got: 9, Sum: fnvOffset},
+		"hot":   &hotBeh{N: 8, Period: 3, Sinks: 2, I: 5, Got: 9, Sum: 14695981039346656037},
 		"sink":  &sinkBeh{Count: 4},
 		"pump":  &pumpBeh{N: 8, Period: 3, I: 6},
 		"drain": &drainBeh{Count: 6},

@@ -97,19 +97,18 @@ func runPingPong(t *testing.T, trips int, cfg *channel.CoalesceConfig) (done vti
 	n1.FinishAgents()
 	n2.FinishAgents()
 
-	// After the hub's own stall hook has run, nothing may be left in
+	// After the hub's own stall observer has run, nothing may be left in
 	// an egress queue: the scheduler is about to block, and the peer
 	// is blocked on exactly that message.
 	var stalls, heldAtStall atomic.Int64
 	for _, h := range []*Hosted{n1.Hosted("handheld"), n2.Hosted("server")} {
-		hub, flush := h.Hub, h.Sub.OnStall
-		h.Sub.OnStall = func() {
-			flush()
+		hub := h.Hub
+		h.Sub.Observe(core.Observer{Stall: func() {
 			stalls.Add(1)
 			for _, ep := range hub.Endpoints() {
 				heldAtStall.Add(int64(ep.PendingOut()))
 			}
-		}
+		}})
 	}
 
 	var wg sync.WaitGroup

@@ -25,7 +25,7 @@ func recordSend(t *testing.T, send func(p *core.Proc) int) ([]drive, int) {
 	t.Helper()
 	s := core.NewSubsystem("p")
 	var got []drive
-	s.OnDrive = func(_, _ string, at vtime.Time, v any) { got = append(got, drive{at, v}) }
+	s.Observe(core.Observer{Drive: func(_, _ string, at vtime.Time, v any) { got = append(got, drive{at, v}) }})
 	n := 0
 	tc, _ := s.NewComponent("tx", core.BehaviorFunc(func(p *core.Proc) error {
 		n = send(p)

@@ -403,7 +403,7 @@ func TestSendPacketsShareThePayload(t *testing.T) {
 	n := drives(len(payload), LevelPacket, DefaultConfig)
 	s := core.NewSubsystem("p")
 	sent := make([]any, 0, n) // sized ahead: the hook allocates nothing
-	s.OnDrive = func(_, _ string, _ vtime.Time, v any) { sent = append(sent, v) }
+	s.Observe(core.Observer{Drive: func(_, _ string, _ vtime.Time, v any) { sent = append(sent, v) }})
 	var size uint64
 	tc, _ := s.NewComponent("tx", core.BehaviorFunc(func(p *core.Proc) error {
 		size = allocatedBytes(func() { SendMessage(p, "out", payload, LevelPacket, DefaultConfig) })

@@ -3,6 +3,7 @@ package resilience
 import (
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -107,5 +108,58 @@ func TestDeadSessionsLeaveTheListener(t *testing.T) {
 		if kept != 0 || bytes != 0 || rbuf != 0 {
 			t.Fatalf("dead session %d keeps %d envelopes (%d bytes) and a %d-byte receive buffer", s.ID(), kept, bytes, rbuf)
 		}
+	}
+}
+
+// TestOrphanedAcceptFails: a dialer opens a session, writes, and closes
+// only its own side, so it never redials. Once the dialer's whole
+// outage budget has passed with no traffic, the accepting side fails:
+// the listener holds no session and the session no retention.
+func TestOrphanedAcceptFails(t *testing.T) {
+	cfg := Config{Heartbeat: 20 * time.Millisecond, HeartbeatMiss: 2, RetryBase: 10 * time.Millisecond, RetryCap: 20 * time.Millisecond, RetryMax: 2, HandshakeTimeout: 20 * time.Millisecond}
+	ln, dial := listen(t, cfg)
+	go ln.Serve()
+	defer ln.Close()
+	c, err := Dial(dial, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := make(chan struct{})
+	var once sync.Once
+	s.SetOnChange(func() {
+		if !s.Alive() {
+			once.Do(func() { close(failed) })
+		}
+	})
+	const size = 4 << 10
+	if _, err := c.Write(pattern(size)); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s, size)
+	c.Close()
+	// Written after the dialer left, this stays unacked in retention.
+	if _, err := s.Write(pattern(size)); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	kept := s.retBytes
+	s.mu.Unlock()
+	if kept == 0 {
+		t.Fatal("the orphaned session retains nothing before its budget runs out")
+	}
+	select {
+	case <-failed:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the orphaned session is still alive %v after its dialer left (budget %v)", 10*time.Second, cfg.withDefaults().outageBudget())
+	}
+	s.mu.Lock()
+	kept, bytes := len(s.retention), s.retBytes
+	s.mu.Unlock()
+	if n := ln.held(); n != 0 || kept != 0 || bytes != 0 {
+		t.Fatalf("after the budget the listener holds %d sessions, the session %d envelopes (%d bytes)", n, kept, bytes)
 	}
 }

@@ -688,12 +688,32 @@ func (s *Session) reconnect() error {
 	return fmt.Errorf("%w: retry budget exhausted after %d attempts: %v", errSessionLost, s.cfg.RetryMax, last)
 }
 
+// backoff is an attempt's delay before jitter: RetryBase doubling per
+// attempt up to RetryCap.
+func (c Config) backoff(attempt int) time.Duration {
+	d := c.RetryBase << uint(attempt)
+	if d > c.RetryCap || d <= 0 {
+		d = c.RetryCap
+	}
+	return d
+}
+
+// outageBudget is the longest a dialer with this config stays away
+// and still resumes: HeartbeatMiss silent heartbeats to find the epoch
+// dead, then RetryMax attempts, each a backoff at its +50 % jitter and
+// a handshake that may run out its HandshakeTimeout (a hello the
+// network dropped).
+func (c Config) outageBudget() time.Duration {
+	b := c.Heartbeat * time.Duration(c.HeartbeatMiss)
+	for attempt := 0; attempt < c.RetryMax; attempt++ {
+		b += c.backoff(attempt)*3/2 + c.HandshakeTimeout
+	}
+	return b
+}
+
 // sleepBackoff waits the jittered exponential delay for an attempt.
 func (s *Session) sleepBackoff(attempt int) {
-	d := s.cfg.RetryBase << uint(attempt)
-	if d > s.cfg.RetryCap || d <= 0 {
-		d = s.cfg.RetryCap
-	}
+	d := s.cfg.backoff(attempt)
 	s.mu.Lock()
 	jitter := 0.5 + s.rng.Float64()
 	s.mu.Unlock()
@@ -758,6 +778,7 @@ func (s *Session) startKeepalive() {
 }
 
 func (s *Session) keepaliveLoop() {
+	budget := s.cfg.outageBudget()
 	ticker := time.NewTicker(s.cfg.Heartbeat)
 	defer ticker.Stop()
 	var hb []byte // the heartbeat envelope, encoded anew into one array
@@ -775,6 +796,13 @@ func (s *Session) keepaliveLoop() {
 		stalled := time.Since(s.ackStall)
 		s.mu.Unlock()
 		if conn == nil {
+			// The dialer redials; an accepting side whose dialer
+			// has been away longer than it could survive holds
+			// retention for no one.
+			if s.dial == nil && idle > budget {
+				s.fail(fmt.Errorf("%w: dialer away %v, past its outage budget", errSessionLost, idle.Round(time.Millisecond)))
+				return
+			}
 			continue
 		}
 		if idle > s.cfg.Heartbeat*time.Duration(s.cfg.HeartbeatMiss) {

@@ -37,8 +37,9 @@ func isolatedDigest(t *testing.T, spec Spec) uint64 {
 }
 
 // TestFanDigestPinned: the fan workload's default spec at seed 1 runs
-// to this virtual time, step and drive count and session digest — what
-// it gave before it was described through the system builder.
+// to this virtual time, step and drive count — what it gave before it
+// was described through the system builder — and this session digest,
+// the fold of its per-source drive hashes.
 func TestFanDigestPinned(t *testing.T) {
 	c := NewCatalog(Config{})
 	defer c.Close()
@@ -49,7 +50,7 @@ func TestFanDigestPinned(t *testing.T) {
 	if info, err = c.Step(info.ID, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if info.State != StateDone || info.VirtNowNS != 80_000_000 || info.Steps != 45 || info.Drives != 40 || info.Digest != "5e345fe6ac16562d" {
+	if info.State != StateDone || info.VirtNowNS != 80_000_000 || info.Steps != 45 || info.Drives != 40 || info.Digest != "5d82bc5b6602f4c6" {
 		t.Fatalf("fan at seed 1: %+v", info)
 	}
 }

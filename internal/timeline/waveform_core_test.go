@@ -147,12 +147,12 @@ func TestRollbackDropsFuture(t *testing.T) {
 	s, r := buildTraced(t, 10, 0)
 	s.SetAutoCheckpoint(30)
 	rolled := false
-	s.OnStep = func(now vtime.Time) {
+	s.Observe(core.Observer{Step: func(now vtime.Time) {
 		if now >= 80 && !rolled {
 			rolled = true
 			s.RequestRollback(50)
 		}
-	}
+	}})
 	if err := s.Run(vtime.Infinity); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	pia "repro"
 	"repro/internal/channel"
+	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/signal"
 	"repro/internal/vtime"
@@ -259,11 +260,11 @@ func TestLastValuesPinNoPage(t *testing.T) {
 	}
 	defer sim.Close()
 	var firstDMA []byte
-	sim.Subsystem("modemsite").OnDrive = func(net, _ string, _ vtime.Time, v any) {
+	sim.Subsystem("modemsite").Observe(core.Observer{Drive: func(net, _ string, _ vtime.Time, v any) {
 		if f, ok := v.(signal.Frame); ok && net == "dma" && firstDMA == nil {
 			firstDMA = f.Payload
 		}
-	}
+	}})
 	if err := sim.Run(pia.Time(pia.Seconds(30))); err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +313,11 @@ func TestASICForwardsRadioPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	dma := make([]signal.Frame, 0, packets(cfg)) // the hook allocates nothing
-	sim.Subsystem("main").OnDrive = func(net, _ string, _ vtime.Time, v any) {
+	sim.Subsystem("main").Observe(core.Observer{Drive: func(net, _ string, _ vtime.Time, v any) {
 		if f, ok := v.(signal.Frame); ok && net == "dma" {
 			dma = append(dma, f)
 		}
-	}
+	}})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if err := sim.Run(pia.Infinity); err != nil {
@@ -368,7 +369,7 @@ func TestBrowserCachesPageAsReceived(t *testing.T) {
 		rendered []uint64 // TotalAlloc as each load rendered
 		ms       runtime.MemStats
 	)
-	sim.Subsystem("main").OnDrive = func(_, _ string, _ vtime.Time, v any) {
+	sim.Subsystem("main").Observe(core.Observer{Drive: func(_, _ string, _ vtime.Time, v any) {
 		switch x := v.(type) {
 		case cacheResp:
 			if x.Hit {
@@ -378,7 +379,7 @@ func TestBrowserCachesPageAsReceived(t *testing.T) {
 			runtime.ReadMemStats(&ms)
 			rendered = append(rendered, ms.TotalAlloc)
 		}
-	}
+	}})
 	if err := sim.Run(pia.Infinity); err != nil {
 		t.Fatal(err)
 	}
