@@ -41,6 +41,7 @@ type peerState struct {
 	dataAddr string
 	lastHB   time.Time
 	left     bool
+	sent     []int64 // the Sent counts of its opSent notes not yet taken, oldest first
 }
 
 // membership tracks every peer that has completed the handshake, and
@@ -63,7 +64,7 @@ func newMembership(self string) *membership {
 	}
 }
 
-// watch returns a channel the next join or leave closes. Take it
+// watch returns a channel the next join, leave or opSent note closes. Take it
 // before reading the state being waited on, so a change landing
 // between the read and the wait is not slept through.
 func (ms *membership) watch() <-chan struct{} {
@@ -142,6 +143,44 @@ func (ms *membership) markLeft(name string) {
 		ps.left = true
 		ms.signal()
 	}
+}
+
+// noteSent queues the Sent count of a peer's opSent note and wakes the
+// watchers.
+func (ms *membership) noteSent(name string, n int64) {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if ps := ms.peers[name]; ps != nil {
+		ps.sent = append(ps.sent, n)
+		ms.signal()
+	}
+}
+
+// takeSent takes the oldest queued note of every peer in names, once
+// each of them has one.
+func (ms *membership) takeSent(names []string) (counters, bool) {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	for _, n := range names {
+		if ps := ms.peers[n]; ps == nil || len(ps.sent) == 0 {
+			return nil, false
+		}
+	}
+	out := make(counters, len(names))
+	for _, n := range names {
+		ps := ms.peers[n]
+		out[n] = peerCount{Sent: ps.sent[0]}
+		ps.sent = ps.sent[1:]
+	}
+	return out, true
+}
+
+// gone reports whether name joined and has left since.
+func (ms *membership) gone(name string) bool {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	ps := ms.peers[name]
+	return ps != nil && ps.left
 }
 
 // conn returns the control connection toward a peer that is still a

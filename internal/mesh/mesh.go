@@ -13,10 +13,12 @@
 // counters. A round's drain barrier holds when for every directed
 // pair X->Y the count X sent equals the count Y enqueued equals the
 // count Y absorbed — at that point every inter-member channel is
-// provably empty and virtual time t <= horizon is globally final. The
-// leader re-issues a round (cheap: re-entering Run at the same
-// horizon is idempotent) until the barrier holds, which also rides
-// out faultnet-induced retransmissions on the data plane.
+// provably empty and virtual time t <= horizon is globally final. When
+// it fails, the leader re-issues the round (re-entering Run at the
+// same horizon is idempotent) carrying, for each member, what its
+// peers reported sending toward it; the member waits for its channels
+// to queue that many before it runs again (Mattern's counting rule),
+// so a round ends on a drain event, never on a timer.
 //
 // # Migration
 //
@@ -95,11 +97,9 @@ const (
 	connectTimeout = 10 * time.Second       // mesh formation, and each data-channel dial or accept
 	phaseTimeout   = 60 * time.Second       // one call: a step round or a migration phase, every reply included
 
-	// The two waits with no event behind them, because what they wait
-	// for happens in another process: a peer's listener coming up, and
-	// data frames still on the wire when a round's counters were read.
-	ctlDialRetry   = 50 * time.Millisecond
-	reissueBackoff = 500 * time.Microsecond
+	// The one wait with no event behind it, because what it waits for
+	// happens in another process: a peer's listener coming up.
+	ctlDialRetry = 50 * time.Millisecond
 
 	maxQueuedMigrations = 16 // live requests held for the next barrier; the leader refuses the one after
 )
@@ -165,6 +165,7 @@ type member struct {
 	hosted *node.Hosted
 	sub    *core.Subsystem
 	hub    *channel.Hub
+	wake   chan struct{} // the hub's wake: a burst queued or a channel failed (awaitDrain)
 
 	describe  func(*pia.SystemBuilder) error
 	design    *design.System // its view is the replicated placement (written on the member loop under mu)
@@ -252,6 +253,8 @@ func New(cfg Config) (*member, error) {
 	}
 	m.hosted = m.nd.Host(m.sub)
 	m.hub = m.hosted.Hub
+	m.wake = make(chan struct{}, 1)
+	m.hub.SetWake(m.wake)
 	// The hook fires on the node's accept goroutine after the endpoint
 	// is fully registered and before the handshake ack releases the
 	// dialer; a hub holds one endpoint per peer, so the slot is free.
@@ -535,6 +538,8 @@ func (m *member) route(from string, f any) {
 			}
 		case f.Op == opLeave:
 			m.peerGone(from)
+		case f.Op == opSent:
+			m.ms.noteSent(from, f.Drain[from].Sent)
 		}
 	}
 }
@@ -583,17 +588,27 @@ func (m *member) heartbeatLoop() {
 // and the phase timeout each end the call with an error naming the
 // member and the phase.
 func (m *member) call(to []string, rq request) (map[string]reply, error) {
-	m.callMu.Lock()
-	defer m.callMu.Unlock()
-	m.callID++
-	rq.ID = m.callID
-	var sendErr error
-	for _, name := range to {
+	return m.callEach(to, func(name string) request {
 		out := rq
 		if name != rq.Move.To {
 			out.Image = image{} // an image rides only toward its destination
 		}
-		if err := m.send(name, out); err != nil && sendErr == nil {
+		return out
+	})
+}
+
+// callEach is call with the request to each member built by each: one
+// op under one ID, its fields tailored to the member.
+func (m *member) callEach(to []string, each func(name string) request) (map[string]reply, error) {
+	m.callMu.Lock()
+	defer m.callMu.Unlock()
+	m.callID++
+	var rq request
+	var sendErr error
+	for _, name := range to {
+		rq = each(name)
+		rq.ID = m.callID
+		if err := m.send(name, rq); err != nil && sendErr == nil {
 			sendErr = fmt.Errorf("mesh: %s: %s to %s: %w", m.name, rq.Op, name, err)
 		}
 	}
@@ -666,7 +681,7 @@ func (m *member) handle(rq request) reply {
 	case opReady:
 		err = m.buildErr
 	case opStep:
-		rp.Counters, err = m.step(rq.Until)
+		rp.Counters, err = m.step(rq.Until, rq.Drain)
 	case opMigrate:
 		err = m.queueMigration(rq.Move)
 	case opPrepare:
@@ -685,8 +700,32 @@ func (m *member) handle(rq request) reply {
 	return rp
 }
 
-// step runs one round and reports channel counters.
-func (m *member) step(until vtime.Time) (counters, error) {
+// step runs one round and reports channel counters. A re-issued step
+// (drain non-nil) runs once its channels have queued what drain says
+// the peers sent; then it trades Sent counts with its channel peers
+// and drains and runs once more, so that what the peers' own re-runs
+// sent it — the grant acknowledging data that arrived late, say — is
+// absorbed in the same re-issue.
+func (m *member) step(until vtime.Time, drain counters) (counters, error) {
+	err := m.run(until, drain)
+	if err == nil && drain != nil {
+		if drain, err = m.tradeSent(); err == nil {
+			err = m.run(until, drain)
+		}
+	}
+	c := make(counters)
+	for _, ep := range m.hub.Endpoints() { // one per peer
+		c[ep.Peer()] = peerCount{Sent: ep.SentCount(), Queued: ep.QueuedCount(), Handled: ep.HandledCount()}
+	}
+	return c, err
+}
+
+// run runs the subsystem to until once its channels have drained
+// drain, and keeps the first error the subsystem returned.
+func (m *member) run(until vtime.Time, drain counters) error {
+	if err := m.awaitDrain(drain); err != nil {
+		return err
+	}
 	err := m.sub.Run(until)
 	if err != nil {
 		m.mu.Lock()
@@ -695,11 +734,83 @@ func (m *member) step(until vtime.Time) (counters, error) {
 		}
 		m.mu.Unlock()
 	}
-	c := make(counters)
-	for _, ep := range m.hub.Endpoints() { // one per peer
-		c[ep.Peer()] = peerCount{Sent: ep.SentCount(), Queued: ep.QueuedCount(), Handled: ep.HandledCount()}
+	return err
+}
+
+// tradeSent tells each channel peer, in an opSent note, how many
+// messages this member has sent it, and returns the counts the peers'
+// notes report in turn.
+func (m *member) tradeSent() (counters, error) {
+	eps := m.hub.Endpoints()
+	peers := make([]string, len(eps))
+	for i, ep := range eps {
+		peers[i] = ep.Peer()
+		m.send(peers[i], request{Op: opSent, Drain: counters{m.name: {Sent: ep.SentCount()}}})
 	}
-	return c, err
+	var got counters
+	err := m.await(func() (string, error) {
+		var ok bool
+		got, ok = m.ms.takeSent(peers)
+		if ok {
+			return "", nil
+		}
+		for _, p := range peers {
+			if m.ms.gone(p) {
+				return p, fmt.Errorf("%s: member %s left before it said what it sent", m.name, p)
+			}
+		}
+		return "a channel peer", nil
+	}, "said what it sent")
+	return got, err
+}
+
+// awaitDrain blocks until, from every peer in want, this member's
+// channel has queued as many messages as the peer reported sending
+// toward it. A peer whose channel failed or who left ends the wait
+// with an error naming it.
+func (m *member) awaitDrain(want counters) error {
+	return m.await(func() (string, error) {
+		for peer, pc := range want {
+			ep := m.hub.Endpoint(peer)
+			switch {
+			case ep == nil:
+				return peer, fmt.Errorf("%s: no channel from %s to drain", m.name, peer)
+			case ep.QueuedCount() >= pc.Sent:
+				continue
+			case ep.Err() != nil:
+				return peer, fmt.Errorf("%s: channel from %s failed while draining: %w", m.name, peer, ep.Err())
+			case m.ms.gone(peer):
+				return peer, fmt.Errorf("%s: member %s left while draining", m.name, peer)
+			}
+			return peer, nil
+		}
+		return "", nil
+	}, "drained")
+}
+
+// await blocks until pending reports nothing pending ("") or an error.
+// It looks again whenever the hub's wake is posted — an endpoint posts
+// it when a burst reaches the injection queue and when it latches an
+// error — and whenever the membership changes; connectTimeout ends the
+// wait with an error naming what was still pending.
+func (m *member) await(pending func() (string, error), what string) error {
+	patience := time.NewTimer(connectTimeout)
+	defer patience.Stop()
+	for {
+		changed := m.ms.watch()
+		peer, err := pending()
+		if peer == "" || err != nil {
+			return err
+		}
+		select {
+		case <-m.wake:
+		case <-changed:
+		case <-patience.C:
+			return fmt.Errorf("%s: %s had not %s after %v", m.name, peer, what, connectTimeout)
+		case <-m.closed:
+			return fmt.Errorf("%s closed in a step", m.name)
+		}
+	}
 }
 
 // Wait blocks until the leader finishes the run (or the member is
@@ -769,22 +880,25 @@ func (m *member) rounds(until vtime.Time, step vtime.Duration) error {
 	}
 	for t := vtime.Time(0); t < until; {
 		h := vtime.Min(t.Add(step), until)
-		reports, err := m.call(m.memberSet, request{Op: opStep, Until: h})
-		if err != nil {
-			return err
-		}
-		held := barrierHolds(reports)
-		m.mu.Lock()
-		if held {
-			m.stats.Rounds++
-		} else {
+		var reports map[string]reply
+		for {
+			drains := drainTargets(reports)
+			var err error
+			if reports, err = m.callEach(m.memberSet, func(name string) request {
+				return request{Op: opStep, Until: h, Drain: drains[name]}
+			}); err != nil {
+				return err
+			}
+			if barrierHolds(reports) {
+				break
+			}
+			m.mu.Lock()
 			m.stats.Reissues++
+			m.mu.Unlock()
 		}
+		m.mu.Lock()
+		m.stats.Rounds++
 		m.mu.Unlock()
-		if !held {
-			time.Sleep(reissueBackoff)
-			continue
-		}
 		t = h
 		if err := m.runMigrations(t); err != nil {
 			return err
@@ -807,6 +921,22 @@ func barrierHolds(reports map[string]reply) bool {
 		}
 	}
 	return true
+}
+
+// drainTargets turns the reports of a step whose barrier failed into
+// each member's wait for the re-issued step: for member Y and peer X,
+// the Sent X reported toward Y. Nil reports give no waits.
+func drainTargets(reports map[string]reply) map[string]counters {
+	out := make(map[string]counters, len(reports))
+	for x, rx := range reports {
+		for y, pc := range rx.Counters {
+			if out[y] == nil {
+				out[y] = make(counters)
+			}
+			out[y][x] = peerCount{Sent: pc.Sent}
+		}
+	}
+	return out
 }
 
 // Close leaves the mesh and tears down listeners, connections and

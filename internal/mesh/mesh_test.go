@@ -86,6 +86,9 @@ func TestMeshRunsDemo(t *testing.T) {
 	if st.Rounds == 0 {
 		t.Errorf("leader recorded no rounds")
 	}
+	if st.Reissues > st.Rounds {
+		t.Errorf("%d re-issues in %d rounds: a re-issued step did not drain its round", st.Reissues, st.Rounds)
+	}
 	if st.Epoch != 0 {
 		t.Errorf("epoch moved without migration: %d", st.Epoch)
 	}
@@ -143,6 +146,34 @@ func TestMeshHealth(t *testing.T) {
 		if ph.Name == "charlie" && !ph.Left {
 			t.Fatalf("charlie not marked left: %+v", ph)
 		}
+	}
+}
+
+// TestDrainEndsWhenThePeerLeaves: a re-issued step waiting for
+// messages a peer will never send — here it claims more than it ever
+// sent, then leaves — ends with the member's refusal naming that peer,
+// not at the phase timeout.
+func TestDrainEndsWhenThePeerLeaves(t *testing.T) {
+	crossing := func(b *pia.SystemBuilder) error {
+		return b.SetDefaultChannel(pia.Conservative, demoLink).
+			AddComponent("pump", "bravo", &pumpBeh{N: 3, Period: vtime.Millisecond}, "out").
+			AddComponent("drain", "charlie", &drainBeh{}, "in").
+			AddNet("wire", 0, "pump.out", "drain.in").
+			Err()
+	}
+	lm, err := StartLocalMesh(crossing, demoNames, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lm.Close)
+	go lm.member("bravo").Close()
+	err = within(t, "a step draining a departed peer", func() error {
+		_, err := lm.Leader().call([]string{"charlie"}, request{Op: opStep, Until: 1, Drain: counters{"bravo": {Sent: 1 << 20}}})
+		return err
+	})
+	var refused *Refused
+	if !errors.As(err, &refused) || refused.Member != "charlie" || refused.Phase != "step" || !strings.Contains(refused.Reason, "bravo") {
+		t.Fatalf("step returned %v, want charlie refusing it, naming bravo", err)
 	}
 }
 

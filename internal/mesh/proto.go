@@ -14,7 +14,7 @@
 //
 //	hello    u8 ctlVersion, u8 tagHello, string From, string DataAddr
 //	request  u8 ctlVersion, u8 tagRequest, uvarint ID, u8 Op,
-//	         varint Until, move, image
+//	         varint Until, move, image, counters Drain
 //	reply    u8 ctlVersion, u8 tagReply, uvarint ID, u8 Op,
 //	         string Err, counters, image
 //	move     uvarint Epoch, string Comp, string From, string To
@@ -42,7 +42,7 @@ import (
 )
 
 const (
-	ctlVersion byte = 1
+	ctlVersion byte = 2
 
 	tagHello   byte = 1
 	tagRequest byte = 2
@@ -65,9 +65,9 @@ type ctlHello struct {
 	DataAddr string
 }
 
-// op names one control-plane operation. The first two are one-way
-// notes (request ID 0, never answered); every other op is a call that
-// gets exactly one reply.
+// op names one control-plane operation. Heartbeat, leave and sent are
+// one-way notes (request ID 0, never answered); every other op is a
+// call that gets exactly one reply.
 type op uint8
 
 const (
@@ -80,9 +80,10 @@ const (
 	opApply                   // leader -> all: apply placement epoch Move.Epoch
 	opDial                    // leader -> all: open the channels the applied epoch added
 	opFinish                  // leader -> all: no more rounds
+	opSent                    // note, member -> channel peer, in a re-issued step: what it has sent the peer (Drain)
 )
 
-var opNames = [...]string{"", "heartbeat", "leave", "ready", "step", "migrate", "prepare", "apply", "dial", "finish"}
+var opNames = [...]string{"", "heartbeat", "leave", "ready", "step", "migrate", "prepare", "apply", "dial", "finish", "sent"}
 
 func (o op) String() string {
 	if int(o) < len(opNames) && o != 0 {
@@ -102,6 +103,10 @@ type request struct {
 	Until vtime.Time
 	Move  move  // opMigrate, opPrepare, opApply
 	Image image // opApply, toward the destination only
+	// Drain is a re-issued opStep's wait: for each peer, the Sent it
+	// reported toward the recipient, which the recipient queues before
+	// it runs to Until again. Only Sent is used.
+	Drain counters
 }
 
 // reply answers the request whose ID it echoes. A non-empty Err is the
@@ -156,7 +161,7 @@ func appendFrame(dst []byte, f any) []byte {
 	case request:
 		dst = binary.AppendUvarint(append(dst, ctlVersion, tagRequest), f.ID)
 		dst = binary.AppendVarint(append(dst, byte(f.Op)), int64(f.Until))
-		return appendImage(appendMove(dst, f.Move), f.Image)
+		return appendCounters(appendImage(appendMove(dst, f.Move), f.Image), f.Drain)
 	case reply:
 		dst = binary.AppendUvarint(append(dst, ctlVersion, tagReply), f.ID)
 		reason := f.Err
@@ -209,7 +214,7 @@ func decodeFrame(kind byte, payload []byte) (any, error) {
 	case tagHello:
 		out = ctlHello{From: f.String(maxName), DataAddr: f.String(maxName)}
 	case tagRequest:
-		out = request{ID: f.Uvarint(), Op: readOp(&f), Until: vtime.Time(f.Varint()), Move: readMove(&f), Image: readImage(&f)}
+		out = request{ID: f.Uvarint(), Op: readOp(&f), Until: vtime.Time(f.Varint()), Move: readMove(&f), Image: readImage(&f), Drain: readCounters(&f)}
 	case tagReply:
 		out = reply{ID: f.Uvarint(), Op: readOp(&f), Err: f.String(maxReason), Counters: readCounters(&f), Image: readImage(&f)}
 	default:
@@ -223,7 +228,7 @@ func decodeFrame(kind byte, payload []byte) (any, error) {
 
 func readOp(f *wire.Fields) op {
 	o := op(f.Byte())
-	if o == 0 || o > opFinish {
+	if o == 0 || o > opSent {
 		f.Failf("unknown %s", o)
 	}
 	return o
