@@ -74,23 +74,30 @@ chaos:
 
 # The mesh gate: the 3-node control plane and live migration under
 # the race detector — the control frames' round trip, the hostile
-# frames and handshakes that end only their own connection, a silent
-# peer that holds neither Start past its deadline nor Close, a move the
-# source cannot capture dropped without ending the run — including
-# the drive-digest equivalence suite
+# frames and handshakes that end only their own connection, a drain
+# wait on a departed peer that ends the step, a move the source cannot
+# capture dropped without ending the run — including the drive-digest
+# equivalence suite
 # (stationary vs migrated vs there-and-back vs randomized barriers) and
 # WubbleU's server migrating between two page loads with the results
 # of the unmigrated mesh and of BuildLocal, both with goroutines forced
 # onto one OS thread and genuinely interleaved. The control plane waits
-# on signals (a membership change, a handed-over channel, a reply),
-# which is where a lost wake-up hides at 1-in-100, so everything but
-# the wall-clock-heavy chaos leg and the WubbleU runs (four full page
-# loads on meshes, the demo's control plane again) is then repeated
-# 20 times.
+# on signals (a membership change, a handed-over channel, a reply, a
+# drained channel), which is where a lost wake-up hides at 1-in-100, so
+# everything but the wall-clock-heavy chaos leg and the WubbleU runs
+# (four full page loads on meshes, the demo's control plane again) is
+# then repeated 20 times. Control frames ride the members' node
+# connections, so under chaos they are shaped by faultnet and recovered
+# by the resilient sessions like the data: the chaos leg runs three
+# times. Last, the node's side of the one port: a control connection
+# reaches its taker, and a silent peer holds neither the dialer past
+# the handshake timeout nor Close.
 mesh:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/mesh/
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/mesh/
 	$(GO) test -race -count=20 -skip 'UnderChaos|TestWubbleUMigratesOnAMesh' ./internal/mesh/
+	$(GO) test -race -count=3 -run 'TestMigrationEquivalenceUnderChaos' ./internal/mesh/
+	$(GO) test -race -count=1 -run 'TestControlConnection|TestDialControlGivesUpAtTheDeadline|TestCloseCutsAPendingHandshake' ./internal/node/
 
 # The observability gate: every Stats()/snapshot accessor hammered
 # concurrently with live faulted traffic under the race detector, plus

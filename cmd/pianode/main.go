@@ -132,7 +132,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	// Mesh mode: join an N-node control plane running the shared
 	// migration demo workload instead of serving designers.
 	fs.StringVar(&o.meshName, "mesh-name", "", "join a mesh as this member and run the migration demo workload (requires -peers)")
-	fs.StringVar(&o.meshPeers, "peers", "", "static mesh peer list: comma-separated name=host:port control addresses including this member's own entry (bare host:port entries get names derived from the address)")
+	fs.StringVar(&o.meshPeers, "peers", "", "static mesh peer list: comma-separated name=host:port member addresses including this member's own entry, the one address it listens on (bare host:port entries get names derived from the address)")
 	fs.DurationVar(&o.meshStep, "mesh-step", 25*time.Millisecond, "mesh lock-step round length in virtual time")
 	fs.DurationVar(&o.meshUntil, "mesh-until", 0, "virtual horizon for the mesh run (0 = the demo workload's natural horizon)")
 	fs.StringVar(&o.meshMigrate, "mesh-migrate", "", "scripted live migration, \"component:dest@virtualtime\" e.g. \"hot:bravo@50ms\" (leader only)")
@@ -165,6 +165,14 @@ func (o *options) validate(set []string) error {
 		}
 	}
 	noMetrics := m != modeMerge && o.metricsAddr == ""
+	// A mesh member listens on its own -peers entry; a -listen may only
+	// repeat it.
+	var own string
+	if m == modeMesh && slices.Contains(set, "listen") {
+		if peers, err := parsePeers(o.meshPeers); err == nil {
+			own = peers[o.meshName]
+		}
+	}
 	for _, rule := range []struct {
 		hit bool
 		msg string
@@ -174,6 +182,7 @@ func (o *options) validate(set []string) error {
 		{noMetrics && o.flightDump != "", "-flight-dump needs -metrics to enable the flight recorder"},
 		{noMetrics && o.attribTop > 0 && o.report <= 0, "-attrib-top needs -metrics (or -report) to provide the registry"},
 		{m == modeMesh && o.meshName == "", "-peers needs -mesh-name to say which member this node is"},
+		{own != "" && o.listen != own, "-listen " + o.listen + " contradicts this member's -peers entry " + own},
 		{m == modeService && wubbleu.CheckLevel(o.level) != nil, "-level " + strconv.Quote(o.level) + " is not a detail level (hardwareLevel|wordLevel|packetLevel)"},
 	} {
 		if rule.hit {
@@ -201,16 +210,8 @@ func main() {
 	if err := o.validate(set); err != nil {
 		log.Fatal(err)
 	}
-	m := o.mode()
-	// The single-node default port would collide between co-hosted
-	// mesh members; mesh mode defaults to an ephemeral data port (the
-	// control plane exchanges the bound addresses) unless -listen was
-	// given explicitly.
-	if m == modeMesh && !slices.Contains(set, "listen") {
-		o.listen = "127.0.0.1:0"
-	}
 	run := runService
-	switch m {
+	switch o.mode() {
 	case modeMerge:
 		run = runMerge
 	case modeMesh:
@@ -386,8 +387,8 @@ func writeObsJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // meshHealth reports this member's view of the mesh: every member
-// with its join/leave state and last-heartbeat age. The probe fails
-// (503) only when a quorum of members is dead; losing one peer of a
+// with its join/leave state and liveness. The probe fails (503)
+// only when a quorum of members is dead; losing one peer of a
 // larger mesh reports "degraded" but stays 200, because the mesh is
 // still able to coordinate rounds once the peer returns.
 func meshHealth(w http.ResponseWriter, mem migrator) {
@@ -566,19 +567,17 @@ func runMesh(o *options) error {
 	}
 	defer st.close()
 	mem, err := mesh.New(mesh.Config{
-		Name:       o.meshName,
-		Describe:   describe,
-		Node:       st.node,
-		CtlListen:  self,
-		DataListen: o.listen,
-		Timeline:   st.node.Timeline(),
+		Name:     o.meshName,
+		Describe: describe,
+		Node:     st.node,
+		Listen:   self,
+		Timeline: st.node.Timeline(),
 	})
 	if err != nil {
 		return err
 	}
 	defer mem.Close()
-	fmt.Printf("pianode: mesh member %q: control on %s, data on %s\n",
-		o.meshName, mem.CtlAddr(), mem.DataAddr())
+	fmt.Printf("pianode: mesh member %q on %s\n", o.meshName, mem.Addr())
 
 	// Peer loss trips the flight recorder via the node; quorum death
 	// via the sampler's poll hook (membership health is not

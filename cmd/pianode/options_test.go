@@ -39,6 +39,9 @@ func TestValidate(t *testing.T) {
 		{"-attrib-top 3", []string{"-attrib-top needs -metrics (or -report) to provide the registry"}},
 		// The same rule in every mode: mesh used to drop it silently.
 		{"-mesh-name a -attrib-top 3 " + peers, []string{"-attrib-top needs -metrics (or -report) to provide the registry"}},
+		// A member listens on its own -peers entry: -listen may repeat it.
+		{"-mesh-name a -listen 127.0.0.1:9 " + peers, []string{"-listen 127.0.0.1:9 contradicts this member's -peers entry 127.0.0.1:1"}},
+		{"-mesh-name a -listen 127.0.0.1:1 " + peers, nil},
 
 		// Flags the selected mode never read.
 		{"-mesh-name a -report 1s " + peers, []string{"-report is not read in mesh mode"}},

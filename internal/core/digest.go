@@ -12,23 +12,25 @@ import (
 )
 
 // DriveDigest is the witness runs are compared by: a table of running
-// FNV-64a hashes, one per drive source. A drive folds its net name, a
-// zero byte, its decimal virtual time, a zero byte and its value's %v
-// form into its source's entry. An entry depends only on what its
-// source drove and when, so it is the same wherever the source runs,
-// and a mesh carries a migrating component's entry with it (Value,
-// Seed). Every method is safe from any goroutine while the subsystem
-// runs.
+// FNV-64a hashes, one per drive source, a component of the subsystem.
+// A drive folds its net name, a zero byte, its decimal virtual time, a
+// zero byte and its value's %v form into its source's entry. An entry
+// depends only on what its source drove and when, so it is the same
+// wherever the source runs, and a mesh carries a migrating component's
+// entry with it (Value, Seed). Every method is safe from any goroutine
+// while the subsystem runs.
 type DriveDigest struct {
+	sub *Subsystem
 	mu  sync.Mutex
 	m   map[string]uint64
 	buf []byte // the bytes being hashed, reused drive to drive
 }
 
-// DigestDrives subscribes a new digest to every drive s makes and
-// returns it.
+// DigestDrives subscribes a new digest to every drive s's components
+// make and returns it. A drive that reaches s over a channel from a
+// component elsewhere is that component's, and is hashed where it runs.
 func (s *Subsystem) DigestDrives() *DriveDigest {
-	d := &DriveDigest{m: make(map[string]uint64)}
+	d := &DriveDigest{sub: s, m: make(map[string]uint64)}
 	s.Observe(Observer{Drive: d.drive})
 	return d
 }
@@ -47,6 +49,9 @@ func fnvAdd(h uint64, b []byte) uint64 {
 }
 
 func (d *DriveDigest) drive(net, src string, t vtime.Time, v any) {
+	if d.sub.comps[src] == nil {
+		return
+	}
 	d.mu.Lock()
 	h := d.m[src]
 	if h == 0 {

@@ -150,9 +150,9 @@ func migrateLeg(mode string, p mesh.DemoParams, cfg MigrateConfig, tune func(i i
 	return row, nil
 }
 
-// chaosNodes shapes every member's data plane with seeded faults and
-// recovers it with resilient sessions; the control plane stays on
-// plain TCP, like a management network.
+// chaosNodes shapes every member's links with seeded faults and
+// recovers them with resilient sessions: the data channels and the
+// control connections, which ride the same node.
 func chaosNodes(seed int64) func(i int, mc *mesh.Config) {
 	return func(i int, mc *mesh.Config) {
 		n := node.New(mc.Name)

@@ -123,7 +123,7 @@ func (m *member) openChannels() error {
 		)
 		if m.name < peer {
 			ch := m.design.Channel(m.name, peer)
-			ep, err = m.nd.Connect(m.name, m.ms.dataAddr(peer), peer, ch.Policy, ch.Link)
+			ep, err = m.nd.Connect(m.name, m.addrs[peer], peer, ch.Policy, ch.Link)
 		} else {
 			ep, err = m.acceptChannel(peer)
 		}

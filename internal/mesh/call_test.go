@@ -7,12 +7,12 @@ package mesh
 import (
 	"errors"
 	"io"
-	"net"
 	"strings"
 	"testing"
 	"time"
 
 	pia "repro"
+	"repro/internal/node"
 	"repro/internal/vtime"
 	"repro/internal/wire"
 )
@@ -21,32 +21,58 @@ import (
 // microseconds; it only ever elapses in a failing test.
 const guard = 10 * time.Second
 
-// peer is the test's end of one control connection: c is the socket,
-// the peerConn the member's own framing over it.
+// peer is the test's end of one control connection, a connection of a
+// node of the test's own: the peerConn is the member's framing over it,
+// and a reader goroutine hands on what arrives.
 type peer struct {
 	t *testing.T
-	c net.Conn
 	*peerConn
+	frames chan any      // decoded frames, then the error that ended the reads
+	done   chan struct{} // closed when the reads end
 }
 
-// handshakeAs plays one side of the control handshake as name on c —
-// the dialer's when dialer is set — and returns the test's end of the
-// connection and the hello the other side sent.
-func handshakeAs(t *testing.T, c net.Conn, name string, dialer bool) (*peer, ctlHello, error) {
-	p := &peer{t, c, &peerConn{Conn: wire.NewConn(c)}}
-	h, err := hellos(p.peerConn, c, ctlHello{From: name, DataAddr: "127.0.0.1:1"}, time.Now().Add(guard), dialer)
-	p.name = h.From
-	return p, h, err
+// scripted starts the test's end of c, a control connection to or from
+// the member as name: it reads c and heartbeats on it until c closes.
+func scripted(t *testing.T, name string, c *wire.Conn) *peer {
+	p := &peer{t: t, peerConn: &peerConn{name: name, Conn: c}, frames: make(chan any, 64), done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		for {
+			f, err := p.recv()
+			if err != nil {
+				p.frames <- err
+				return
+			}
+			p.frames <- f
+		}
+	}()
+	go func() {
+		for {
+			select {
+			case <-p.done:
+				return
+			case <-time.After(heartbeatEvery):
+				if p.send(request{Op: opHeartbeat}) != nil {
+					return
+				}
+			}
+		}
+	}()
+	return p
 }
 
 func (p *peer) next() any {
 	p.t.Helper()
-	p.c.SetReadDeadline(time.Now().Add(guard))
-	f, err := p.recv()
-	if err != nil {
-		p.t.Fatalf("scripted peer: %v", err)
+	select {
+	case f := <-p.frames:
+		if err, ok := f.(error); ok {
+			p.t.Fatalf("scripted peer: %v", err)
+		}
+		return f
+	case <-time.After(guard):
+		p.t.Fatalf("scripted peer: nothing arrived in %v", guard)
+		return nil
 	}
-	return f
 }
 
 // nextRequest skips heartbeat notes: they arrive on their own clock.
@@ -81,13 +107,17 @@ func (p *peer) nextReply() reply {
 // and fails unless that is a clean EOF inside the guard.
 func (p *peer) hungUp() {
 	p.t.Helper()
-	p.c.SetReadDeadline(time.Now().Add(guard))
 	for {
-		if _, _, err := p.RecvFrame(); err != nil {
-			if err != io.EOF {
-				p.t.Fatalf("scripted peer: want the member to hang up, got %v", err)
+		select {
+		case f := <-p.frames:
+			if err, ok := f.(error); ok {
+				if err != io.EOF {
+					p.t.Fatalf("scripted peer: want the member to hang up, got %v", err)
+				}
+				return
 			}
-			return
+		case <-time.After(guard):
+			p.t.Fatalf("scripted peer: the member kept the connection open")
 		}
 	}
 }
@@ -97,6 +127,13 @@ func (p *peer) mustSend(f any) {
 	if err := p.send(f); err != nil {
 		p.t.Fatalf("scripted peer send: %v", err)
 	}
+}
+
+// testNode is a node of the test's own, closed when the test ends.
+func testNode(t *testing.T, name string) *node.Node {
+	n := node.New(name)
+	t.Cleanup(func() { n.Close() })
+	return n
 }
 
 func newMember(t *testing.T, name string, describe func(*pia.SystemBuilder) error) *member {
@@ -139,42 +176,31 @@ func hasLeft(m *member, name string) func() bool {
 // dialAs joins m's control mesh as name and returns once m admitted it.
 func dialAs(t *testing.T, m *member, name string) *peer {
 	t.Helper()
-	c, err := net.Dial("tcp", m.CtlAddr())
+	c, err := testNode(t, name).DialControl(name, m.name, m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	p, h, err := handshakeAs(t, c, name, true)
-	if err != nil || h.From != m.name {
-		t.Fatalf("answering hello %+v, %v", h, err)
-	}
+	p := scripted(t, name, c)
 	awaitMembership(t, m, name+" joining", func() bool { _, err := m.ms.conn(name); return err == nil })
 	return p
 }
 
-// listenAs plays a larger-named member before the handshake: the
-// address to list in Start's peer map, and the connection Start dials.
+// listenAs plays a larger-named member: the address to list in Start's
+// peer map, and the connection Start dials.
 func listenAs(t *testing.T, name string) (string, <-chan *peer) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	n := testNode(t, name)
+	out := make(chan *peer, 1)
+	n.SetControl(func(_ string, c *wire.Conn) {
+		p := scripted(t, name, c)
+		out <- p
+		<-p.done // the node closes c when this returns
+	})
+	addr, err := n.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	out := make(chan *peer, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		p, _, err := handshakeAs(t, c, name, false)
-		if err != nil {
-			c.Close()
-			return
-		}
-		out <- p
-	}()
-	return ln.Addr().String(), out
+	return addr, out
 }
 
 // within fails the test unless fn returns inside the guard, and
@@ -277,7 +303,7 @@ func TestCallEndsWhenMemberLeaves(t *testing.T) {
 		go func() {
 			p.nextRequest()
 			if how == "hangs up" {
-				p.c.Close()
+				p.Close()
 			} else {
 				p.send(request{Op: opLeave})
 			}
@@ -369,7 +395,7 @@ func TestLeadEndsWhenFollowerDies(t *testing.T) {
 		rq := p.nextRequest()
 		p.send(reply{ID: rq.ID, Op: rq.Op}) // ready
 		p.nextRequest()                     // the first step: die holding it
-		p.c.Close()
+		p.Close()
 	}()
 	err = within(t, "Lead with a dead follower", func() error {
 		return m.Lead(vtime.Time(10*vtime.Millisecond), vtime.Millisecond)

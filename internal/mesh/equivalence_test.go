@@ -69,9 +69,9 @@ func TestMigrationEquivalenceThereAndBack(t *testing.T) {
 	compareLegs(t, "there-and-back", refDg, migDg, refHot, migHot)
 }
 
-// chaosTune shapes every member's data plane with faultnet and
-// recovers it with resilient sessions. The control plane stays on
-// plain TCP, like a management network.
+// chaosTune shapes every member's links with faultnet and recovers
+// them with resilient sessions: the data channels and, riding the same
+// node connections, the control plane.
 func chaosTune(seed int64) func(i int, cfg *Config) {
 	return func(i int, cfg *Config) {
 		n := node.New(cfg.Name)

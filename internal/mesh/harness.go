@@ -39,7 +39,7 @@ func StartLocalMesh(describe func(*pia.SystemBuilder) error, names []string, tun
 			return nil, err
 		}
 		lm.Members = append(lm.Members, m)
-		peers[name] = m.CtlAddr()
+		peers[name] = m.Addr()
 	}
 	// Every Start blocks until the full control mesh is connected,
 	// so the members must join concurrently.

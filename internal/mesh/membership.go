@@ -1,20 +1,18 @@
-// Membership: the per-member table of peers, their control
-// connections, data-plane addresses, and heartbeat freshness.
+// Membership: the per-member table of peers and their control
+// connections.
 package mesh
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/wire"
 )
 
-// peerConn is one admitted control connection. wire.Conn serialises its
-// writes and bounds its frames; reads happen on a single reader
-// goroutine.
+// peerConn is one admitted control connection: a connection of the
+// member's node. wire.Conn serialises its writes and bounds its frames;
+// reads happen on a single reader goroutine.
 type peerConn struct {
 	name string
 	*wire.Conn
@@ -37,35 +35,31 @@ func (pc *peerConn) recv() (any, error) {
 
 // peerState is everything the membership table knows about one peer.
 type peerState struct {
-	conn     *peerConn
-	dataAddr string
-	lastHB   time.Time
-	left     bool
-	sent     []int64 // the Sent counts of its opSent notes not yet taken, oldest first
+	conn  *peerConn
+	left  bool
+	sent  int64 // the count of its last opSent note,
+	noted bool  // not taken yet
 }
 
-// membership tracks every peer that has completed the handshake, and
-// every connection whose handshake is still under way.
+// membership tracks every peer whose control connection is up or was.
 type membership struct {
-	mu       sync.Mutex
-	self     string
-	peers    map[string]*peerState
-	greeting map[net.Conn]bool // connections in their handshake
-	shut     bool              // the member closed: nothing more is admitted
-	changed  chan struct{}     // closed and replaced whenever a peer joins or leaves
+	mu      sync.Mutex
+	self    string
+	peers   map[string]*peerState
+	shut    bool          // the member closed: nothing more is admitted
+	changed chan struct{} // closed and replaced whenever a peer joins, leaves or sends a note
 }
 
 func newMembership(self string) *membership {
 	return &membership{
-		self:     self,
-		peers:    make(map[string]*peerState),
-		greeting: make(map[net.Conn]bool),
-		changed:  make(chan struct{}),
+		self:    self,
+		peers:   make(map[string]*peerState),
+		changed: make(chan struct{}),
 	}
 }
 
-// watch returns a channel the next join, leave or opSent note closes. Take it
-// before reading the state being waited on, so a change landing
+// watch returns a channel the next join, leave or opSent note closes.
+// Take it before reading the state being waited on, so a change landing
 // between the read and the wait is not slept through.
 func (ms *membership) watch() <-chan struct{} {
 	ms.mu.Lock()
@@ -79,60 +73,36 @@ func (ms *membership) signal() {
 	ms.changed = make(chan struct{})
 }
 
-// greet registers a connection whose handshake is starting, so close
-// can cut it; it reports false, having closed c, once the member is
-// closed.
-func (ms *membership) greet(c net.Conn) bool {
+// join makes pc its peer's control connection, unless the member has
+// closed or the peer already has a live one; then pc is closed and the
+// reason returned.
+func (ms *membership) join(pc *peerConn) error {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if ms.shut {
-		c.Close()
-		return false
-	}
-	ms.greeting[c] = true
-	return true
-}
-
-// join ends c's handshake, whose outcome err is: pc, the connection
-// over c, becomes the peer's control connection unless the handshake
-// failed or the member closed during it, which close c and return why.
-func (ms *membership) join(c net.Conn, pc *peerConn, dataAddr string, err error) error {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	delete(ms.greeting, c)
-	if err == nil && ms.shut {
-		err = fmt.Errorf("mesh: %s closed during the handshake", ms.self)
+	var err error
+	switch ps := ms.peers[pc.name]; {
+	case ms.shut:
+		err = fmt.Errorf("mesh: %s closed", ms.self)
+	case ps != nil && !ps.left:
+		err = fmt.Errorf("mesh: %s already has a control connection from %s", ms.self, pc.name)
 	}
 	if err != nil {
-		c.Close()
+		pc.Close()
 		return err
 	}
-	ms.peers[pc.name] = &peerState{conn: pc, dataAddr: dataAddr, lastHB: time.Now()}
+	ms.peers[pc.name] = &peerState{conn: pc}
 	ms.signal()
 	return nil
 }
 
-// close admits nothing more and closes every control connection,
-// established or in its handshake.
+// close admits nothing more and closes every control connection.
 func (ms *membership) close() {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	ms.shut = true
-	for c := range ms.greeting {
-		c.Close()
-	}
 	for _, ps := range ms.peers {
 		ps.conn.Close()
 	}
-}
-
-// note refreshes a peer's heartbeat; any control traffic counts.
-func (ms *membership) note(name string) {
-	ms.mu.Lock()
-	if ps := ms.peers[name]; ps != nil {
-		ps.lastHB = time.Now()
-	}
-	ms.mu.Unlock()
 }
 
 // markLeft records a graceful leave (or a dead connection).
@@ -145,42 +115,28 @@ func (ms *membership) markLeft(name string) {
 	}
 }
 
-// noteSent queues the Sent count of a peer's opSent note and wakes the
-// watchers.
+// noteSent keeps the count of a peer's opSent note for takeSent and
+// wakes the watchers.
 func (ms *membership) noteSent(name string, n int64) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if ps := ms.peers[name]; ps != nil {
-		ps.sent = append(ps.sent, n)
+		ps.sent, ps.noted = n, true
 		ms.signal()
 	}
 }
 
-// takeSent takes the oldest queued note of every peer in names, once
-// each of them has one.
-func (ms *membership) takeSent(names []string) (counters, bool) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	for _, n := range names {
-		if ps := ms.peers[n]; ps == nil || len(ps.sent) == 0 {
-			return nil, false
-		}
-	}
-	out := make(counters, len(names))
-	for _, n := range names {
-		ps := ms.peers[n]
-		out[n] = peerCount{Sent: ps.sent[0]}
-		ps.sent = ps.sent[1:]
-	}
-	return out, true
-}
-
-// gone reports whether name joined and has left since.
-func (ms *membership) gone(name string) bool {
+// takeSent takes the count of the peer's last opSent note, if one came
+// since the last take.
+func (ms *membership) takeSent(name string) (int64, bool) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	ps := ms.peers[name]
-	return ps != nil && ps.left
+	if ps == nil || !ps.noted {
+		return 0, false
+	}
+	ps.noted = false
+	return ps.sent, true
 }
 
 // conn returns the control connection toward a peer that is still a
@@ -209,16 +165,6 @@ func (ms *membership) conns() []*peerConn {
 	return out
 }
 
-// dataAddr returns the peer's data-plane listen address.
-func (ms *membership) dataAddr(name string) string {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if ps := ms.peers[name]; ps != nil {
-		return ps.dataAddr
-	}
-	return ""
-}
-
 // joined reports how many peers have completed the handshake.
 func (ms *membership) joined() int {
 	ms.mu.Lock()
@@ -228,20 +174,20 @@ func (ms *membership) joined() int {
 
 // peerHealth is one row of a member's health report.
 type peerHealth struct {
-	Name          string        `json:"name"`
-	Self          bool          `json:"self"`
-	Joined        bool          `json:"joined"`
-	Left          bool          `json:"left"`
-	LastHeartbeat time.Time     `json:"lastHeartbeat,omitzero"`
-	Age           time.Duration `json:"heartbeatAgeNs"`
-	Alive         bool          `json:"alive"`
+	Name   string `json:"name"`
+	Self   bool   `json:"self"`
+	Joined bool   `json:"joined"`
+	Left   bool   `json:"left"`
+	Alive  bool   `json:"alive"`
 }
 
-// Health is a member's view of the mesh: per-peer membership and
-// heartbeat age, plus the quorum verdict. QuorumDead (alive*2 <=
-// total) is the only condition that makes /healthz report 503: a
-// member that merely lost one peer of a large mesh is degraded, not
-// dead.
+// Health is a member's view of the mesh: per-peer membership, plus the
+// quorum verdict. A peer is alive while its control connection is: on
+// a plain node that connection dies after three silent heartbeat
+// intervals, on a resilient one when its session is lost. QuorumDead
+// (alive*2 <= total) is the only condition that makes /healthz report
+// 503: a member that merely lost one peer of a large mesh is degraded,
+// not dead.
 type Health struct {
 	Members    []peerHealth `json:"members"`
 	Alive      int          `json:"alive"`
@@ -249,20 +195,13 @@ type Health struct {
 	QuorumDead bool         `json:"quorumDead"`
 }
 
-// health assembles the report. A peer is alive when it has joined,
-// has not left, and its last heartbeat is fresher than three
-// intervals.
+// health assembles the report.
 func (ms *membership) health() Health {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	now := time.Now()
 	h := Health{Members: []peerHealth{{Name: ms.self, Self: true, Joined: true, Alive: true}}}
 	for n, ps := range ms.peers {
-		age := now.Sub(ps.lastHB)
-		h.Members = append(h.Members, peerHealth{
-			Name: n, Joined: true, Left: ps.left,
-			LastHeartbeat: ps.lastHB, Age: age, Alive: !ps.left && age < 3*heartbeatEvery,
-		})
+		h.Members = append(h.Members, peerHealth{Name: n, Joined: true, Left: ps.left, Alive: !ps.left})
 	}
 	sort.Slice(h.Members, func(i, j int) bool { return h.Members[i].Name < h.Members[j].Name })
 	for _, ph := range h.Members {

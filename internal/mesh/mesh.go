@@ -1,5 +1,5 @@
 // Package mesh is the cluster control plane: it runs N pianodes as a
-// full mesh with join/leave membership, per-peer heartbeat health, a
+// full mesh with join/leave membership, per-peer health, a
 // replicated component->member placement map stamped with
 // leader-issued epochs, and live component migration on top of the
 // simulation layers below.
@@ -37,8 +37,6 @@ package mesh
 
 import (
 	"fmt"
-	"maps"
-	"net"
 	"slices"
 	"sort"
 	"sync"
@@ -66,35 +64,24 @@ type Config struct {
 	// in. Migration is transparent only over pure-latency channels.
 	Describe func(*pia.SystemBuilder) error
 	// Node optionally supplies a prebuilt node (so callers can
-	// SetFaults/SetResilience before any listener starts). Nil
-	// creates a plain node named after the member.
+	// SetFaults/SetResilience before it listens). Nil creates a plain
+	// node named after the member.
 	Node *node.Node
-	// CtlListen and DataListen are listen addresses; empty means an
-	// ephemeral loopback port.
-	CtlListen  string
-	DataListen string
+	// Listen is the node's listen address, the member's one address:
+	// its channels and its control connections both arrive there.
+	// Empty means an ephemeral loopback port.
+	Listen string
 	// Timeline, when non-nil, receives the member's timeline events
 	// (and, on the leader, the migrate phase spans).
 	Timeline *timeline.Recorder
-}
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.CtlListen == "" {
-		out.CtlListen = "127.0.0.1:0"
-	}
-	if out.DataListen == "" {
-		out.DataListen = "127.0.0.1:0"
-	}
-	return out
 }
 
 // The control plane's wall-clock constants: no caller ever set one to
 // another value, so they are not configuration (DESIGN §10.1 has the
 // reasoning behind each value).
 const (
-	heartbeatEvery = 250 * time.Millisecond // note interval; a peer is dead after three silent ones
-	connectTimeout = 10 * time.Second       // mesh formation, and each data-channel dial or accept
+	heartbeatEvery = 250 * time.Millisecond // note interval on a plain node; a peer silent for three is dead
+	connectTimeout = 30 * time.Second       // mesh formation, each data-channel dial or accept, and a drain
 	phaseTimeout   = 60 * time.Second       // one call: a step round or a migration phase, every reply included
 
 	// The one wait with no event behind it, because what it waits for
@@ -165,13 +152,12 @@ type member struct {
 	hosted *node.Hosted
 	sub    *core.Subsystem
 	hub    *channel.Hub
-	wake   chan struct{} // the hub's wake: a burst queued or a channel failed (awaitDrain)
+	wake   chan struct{} // the hub's wake: a burst queued or a channel failed (drain)
 
 	describe  func(*pia.SystemBuilder) error
 	design    *design.System // its view is the replicated placement (written on the member loop under mu)
-	dataAddr  string
-	ctlLn     net.Listener
-	ctlAddr   string
+	addr      string
+	addrs     map[string]string // every peer's address, by name (set by Start)
 	ms        *membership
 	digest    *core.DriveDigest
 	tl        *timeline.Recorder
@@ -204,11 +190,14 @@ type member struct {
 }
 
 // New creates a member: it runs the description and builds the
-// member's slice of it, builds the node, hosts the subsystem, starts
-// the control and data listeners, subscribes the drive digest and
-// installs the channel-accept hook. Call Start to join the mesh.
+// member's slice of it, builds the node, hosts the subsystem,
+// subscribes the drive digest, installs the channel-accept hook and the
+// control taker, and starts the node listening. Call Start to join the
+// mesh.
 func New(cfg Config) (*member, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Listen == "" {
+		cfg.Listen = "127.0.0.1:0"
+	}
 	if cfg.Name == "" || len(cfg.Name) > maxName {
 		return nil, fmt.Errorf("mesh: member needs a name of 1 to %d bytes", maxName)
 	}
@@ -260,28 +249,21 @@ func New(cfg Config) (*member, error) {
 	// dialer; a hub holds one endpoint per peer, so the slot is free.
 	m.hosted.OnChannel = func(ep *channel.Endpoint) { m.acceptedFrom(ep.Peer()) <- ep }
 	m.digest = m.sub.DigestDrives()
-	dataAddr, err := m.nd.Listen(cfg.DataListen)
-	if err != nil {
-		return nil, fmt.Errorf("mesh: %s data listen: %w", cfg.Name, err)
+	m.nd.SetControl(m.admit)
+	if m.addr, err = m.nd.Listen(cfg.Listen); err != nil {
+		return nil, fmt.Errorf("mesh: %s: %w", cfg.Name, err)
 	}
-	m.dataAddr = dataAddr
-	ln, err := net.Listen("tcp", cfg.CtlListen)
-	if err != nil {
-		m.nd.Close()
-		return nil, fmt.Errorf("mesh: %s control listen: %w", cfg.Name, err)
+	// A resilient node's sessions detect a dead peer; a plain one's
+	// control connections carry the one heartbeat.
+	if !m.nd.Resilient() {
+		m.wg.Add(1)
+		go m.heartbeatLoop()
 	}
-	m.ctlLn = ln
-	m.ctlAddr = ln.Addr().String()
-	m.wg.Add(1)
-	go m.acceptCtl()
 	return m, nil
 }
 
-// CtlAddr returns the control-plane listen address.
-func (m *member) CtlAddr() string { return m.ctlAddr }
-
-// DataAddr returns the data-plane listen address.
-func (m *member) DataAddr() string { return m.dataAddr }
+// Addr returns the member's address: its node's listen address.
+func (m *member) Addr() string { return m.addr }
 
 // Name returns the member name.
 func (m *member) Name() string { return m.name }
@@ -290,25 +272,16 @@ func (m *member) Name() string { return m.name }
 // not call Run on it — the mesh drives rounds).
 func (m *member) Subsystem() *core.Subsystem { return m.sub }
 
-// Node exposes the hosting node.
-func (m *member) Node() *node.Node { return m.nd }
-
 // Digests returns the drive digests of the components this member
 // hosts: the equivalence oracle for live migration. The member hashes
-// every drive it sees, including a remote component's that arrive over
-// a channel with their source kept; reporting only the hosted ones
-// counts each drive once, at the member whose component made it. A
-// migrating component's hash goes with its image, and its
-// pre-barrier drives all happened at the source and its post-barrier
-// drives all happen at the destination, so its hash stays
-// bit-identical to the stationary run's.
-func (m *member) Digests() map[string]uint64 {
-	d := m.digest.Snapshot()
-	maps.DeleteFunc(d, func(comp string, _ uint64) bool { return m.sub.Component(comp) == nil })
-	return d
-}
+// only its own components' drives, so each drive is counted once, at
+// the member whose component made it. A migrating component's hash
+// goes with its image, and its pre-barrier drives all happened at the
+// source and its post-barrier drives all happen at the destination, so
+// its hash stays bit-identical to the stationary run's.
+func (m *member) Digests() map[string]uint64 { return m.digest.Snapshot() }
 
-// Health reports membership and heartbeat state.
+// Health reports membership state.
 func (m *member) Health() Health { return m.ms.health() }
 
 // Epoch returns the currently applied placement epoch.
@@ -345,12 +318,11 @@ func (m *member) Placement() map[string]string {
 }
 
 // Start joins the mesh: peers maps every member name (self included
-// or not) to its control address. Start connects the full control
-// mesh, exchanges data-plane addresses, builds the local slice of the
-// simulation, establishes the initial data channels, and starts
-// serving the leader's calls — the first of which asks how the build
-// went. It returns once this member is operational; the leader then
-// calls Lead and followers call Wait.
+// or not) to its address. Start connects the full control mesh, builds
+// the local slice of the simulation, establishes the initial data
+// channels, and starts serving the leader's calls — the first of which
+// asks how the build went. It returns once this member is operational;
+// the leader then calls Lead and followers call Wait.
 func (m *member) Start(peers map[string]string) error {
 	names := []string{m.name}
 	for n := range peers {
@@ -361,20 +333,29 @@ func (m *member) Start(peers map[string]string) error {
 	sort.Strings(names)
 	m.memberSet = names
 	m.leaderNm = names[0]
+	m.addrs = peers
 	for _, sub := range m.design.View.Subsystems() {
 		if !slices.Contains(names, sub) {
 			return m.design.Unhosted(sub)
 		}
 	}
 
-	// Connect the control mesh: the smaller name dials.
+	// Connect the control mesh: the smaller name dials, every peer at
+	// once, since a dial over a faulted link may wait out a dropped
+	// session handshake.
 	deadline := time.Now().Add(connectTimeout)
+	dialed := make(chan error, len(names))
 	for _, peer := range names {
-		if peer <= m.name {
-			continue
-		}
-		if err := m.dialCtl(peer, peers[peer], deadline); err != nil {
-			return err
+		if peer > m.name {
+			m.wg.Add(1)
+			go func() {
+				defer m.wg.Done()
+				pc, err := m.dialCtl(peer, peers[peer], deadline)
+				dialed <- err
+				if err == nil {
+					m.readLoop(pc)
+				}
+			}()
 		}
 	}
 	formed := time.NewTimer(time.Until(deadline))
@@ -386,6 +367,10 @@ func (m *member) Start(peers map[string]string) error {
 		}
 		select {
 		case <-joinOrLeave:
+		case err := <-dialed:
+			if err != nil {
+				return err
+			}
 		case <-formed.C:
 			return fmt.Errorf("mesh: %s: mesh formation timed out (%d/%d peers)",
 				m.name, m.ms.joined(), len(names)-1)
@@ -396,111 +381,61 @@ func (m *member) Start(peers map[string]string) error {
 
 	// A failed build still serves: opReady is how the leader learns why.
 	m.buildErr = m.buildData()
-	m.wg.Add(2)
+	m.wg.Add(1)
 	go m.serve()
-	go m.heartbeatLoop()
 	return m.buildErr
 }
 
-// dialCtl establishes the control connection to one peer, retrying
-// until the deadline so members may start in any order. The handshake
-// runs under the same deadline.
-func (m *member) dialCtl(peer, addr string, deadline time.Time) error {
+// dialCtl opens the control connection to one peer through the node,
+// retrying until the deadline so members may start in any order, and
+// makes it the peer's.
+func (m *member) dialCtl(peer, addr string, deadline time.Time) (*peerConn, error) {
 	if addr == "" {
-		return fmt.Errorf("mesh: %s: no control address for peer %s", m.name, peer)
+		return nil, fmt.Errorf("mesh: %s: no address for peer %s", m.name, peer)
 	}
 	var err error
 	for time.Now().Before(deadline) {
-		var c net.Conn
-		if c, err = net.DialTimeout("tcp", addr, time.Until(deadline)); err == nil {
-			if err = m.handshake(c, deadline, true); err == nil {
-				return nil
-			}
+		var c *wire.Conn
+		if c, err = m.nd.DialControl(m.name, peer, addr); err == nil {
+			pc := &peerConn{name: peer, Conn: c}
+			return pc, m.ms.join(pc)
 		}
 		select {
 		case <-time.After(min(ctlDialRetry, time.Until(deadline))):
 		case <-m.closed:
-			return fmt.Errorf("mesh: %s closed while dialing %s", m.name, peer)
+			return nil, fmt.Errorf("mesh: %s closed while dialing %s", m.name, peer)
 		}
 	}
-	return fmt.Errorf("mesh: %s: dial control %s (%s): %w", m.name, peer, addr, err)
+	return nil, fmt.Errorf("mesh: %s: dial control %s (%s): %w", m.name, peer, addr, err)
 }
 
-// acceptCtl accepts inbound control connections from smaller-named
-// peers, each handshake under connectTimeout.
-func (m *member) acceptCtl() {
-	defer m.wg.Done()
-	for {
-		c, err := m.ctlLn.Accept()
-		if err != nil {
-			return
-		}
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			_ = m.handshake(c, time.Now().Add(connectTimeout), false) // a failed one closed c; the dialer retries
-		}()
+// admit is the node's control taker: it makes a control connection
+// the node accepted the dialer's, and reads it until it ends.
+func (m *member) admit(from string, c *wire.Conn) {
+	pc := &peerConn{name: from, Conn: c}
+	if m.ms.join(pc) == nil {
+		m.readLoop(pc)
 	}
-}
-
-// handshake exchanges hellos on a fresh control connection before
-// deadline — the dialer speaks first — then clears the deadline, admits
-// the peer and starts reading its connection. Close cuts a handshake
-// still under way; a failed one closes c.
-func (m *member) handshake(c net.Conn, deadline time.Time, dialer bool) error {
-	if !m.ms.greet(c) {
-		return fmt.Errorf("mesh: %s closed", m.name)
-	}
-	pc := &peerConn{Conn: wire.NewConn(c)}
-	h, err := hellos(pc, c, ctlHello{From: m.name, DataAddr: m.dataAddr}, deadline, dialer)
-	pc.name = h.From
-	if err := m.ms.join(c, pc, h.DataAddr, err); err != nil {
-		return err
-	}
-	m.wg.Add(1)
-	go m.readLoop(pc)
-	return nil
-}
-
-// hellos sends mine and reads the peer's hello on pc, the fresh
-// control connection over c, in the dialer's or the acceptor's order
-// and before deadline, which it then clears.
-func hellos(pc *peerConn, c net.Conn, mine ctlHello, deadline time.Time, dialer bool) (ctlHello, error) {
-	c.SetDeadline(deadline)
-	if dialer {
-		if err := pc.send(mine); err != nil {
-			return ctlHello{}, err
-		}
-	}
-	f, err := pc.recv()
-	if err != nil {
-		return ctlHello{}, err
-	}
-	h, ok := f.(ctlHello)
-	if !ok {
-		return ctlHello{}, fmt.Errorf("mesh: a %T where a hello belongs", f)
-	}
-	if !dialer {
-		if err := pc.send(mine); err != nil {
-			return ctlHello{}, err
-		}
-	}
-	return h, c.SetDeadline(time.Time{})
 }
 
 // readLoop drains one control connection, routing frames. Whatever
-// ends it — EOF, a reset, bytes that do not decode — the peer is gone.
+// ends it — EOF, a reset, bytes that do not decode, on a plain node
+// three heartbeat intervals of silence — the peer is gone.
 func (m *member) readLoop(pc *peerConn) {
-	defer m.wg.Done()
+	var silent *time.Timer
+	if !m.nd.Resilient() {
+		silent = time.AfterFunc(3*heartbeatEvery, func() { pc.Close() })
+		defer silent.Stop()
+	}
 	for {
 		f, err := pc.recv()
-		if _, hello := f.(ctlHello); hello {
-			err = fmt.Errorf("mesh: a second hello from %s", pc.name)
-		}
 		if err != nil {
 			pc.Close()
 			m.peerGone(pc.name)
 			return
+		}
+		if silent != nil {
+			silent.Reset(3 * heartbeatEvery)
 		}
 		m.route(pc.name, f)
 	}
@@ -525,7 +460,6 @@ func (m *member) answer(a answer) {
 // reader, so they are never stuck behind a long round; replies go to
 // call; every other request is work for the member loop.
 func (m *member) route(from string, f any) {
-	m.ms.note(from) // any control traffic counts as a heartbeat
 	switch f := f.(type) {
 	case reply:
 		m.answer(answer{from: from, rp: f})
@@ -539,7 +473,7 @@ func (m *member) route(from string, f any) {
 		case f.Op == opLeave:
 			m.peerGone(from)
 		case f.Op == opSent:
-			m.ms.noteSent(from, f.Drain[from].Sent)
+			m.ms.noteSent(from, f.Sent)
 		}
 	}
 }
@@ -565,7 +499,8 @@ func (m *member) notify(o op) {
 	}
 }
 
-// heartbeatLoop keeps peers' membership tables warm.
+// heartbeatLoop keeps a plain node's control connections from falling
+// silent: any frame counts as a heartbeat.
 func (m *member) heartbeatLoop() {
 	defer m.wg.Done()
 	t := time.NewTicker(heartbeatEvery)
@@ -588,27 +523,17 @@ func (m *member) heartbeatLoop() {
 // and the phase timeout each end the call with an error naming the
 // member and the phase.
 func (m *member) call(to []string, rq request) (map[string]reply, error) {
-	return m.callEach(to, func(name string) request {
+	m.callMu.Lock()
+	defer m.callMu.Unlock()
+	m.callID++
+	rq.ID = m.callID
+	var sendErr error
+	for _, name := range to {
 		out := rq
 		if name != rq.Move.To {
 			out.Image = image{} // an image rides only toward its destination
 		}
-		return out
-	})
-}
-
-// callEach is call with the request to each member built by each: one
-// op under one ID, its fields tailored to the member.
-func (m *member) callEach(to []string, each func(name string) request) (map[string]reply, error) {
-	m.callMu.Lock()
-	defer m.callMu.Unlock()
-	m.callID++
-	var rq request
-	var sendErr error
-	for _, name := range to {
-		rq = each(name)
-		rq.ID = m.callID
-		if err := m.send(name, rq); err != nil && sendErr == nil {
+		if err := m.send(name, out); err != nil && sendErr == nil {
 			sendErr = fmt.Errorf("mesh: %s: %s to %s: %w", m.name, rq.Op, name, err)
 		}
 	}
@@ -681,7 +606,7 @@ func (m *member) handle(rq request) reply {
 	case opReady:
 		err = m.buildErr
 	case opStep:
-		rp.Counters, err = m.step(rq.Until, rq.Drain)
+		rp.Counters, err = m.step(rq.Until)
 	case opMigrate:
 		err = m.queueMigration(rq.Move)
 	case opPrepare:
@@ -700,17 +625,13 @@ func (m *member) handle(rq request) reply {
 	return rp
 }
 
-// step runs one round and reports channel counters. A re-issued step
-// (drain non-nil) runs once its channels have queued what drain says
-// the peers sent; then it trades Sent counts with its channel peers
-// and drains and runs once more, so that what the peers' own re-runs
-// sent it — the grant acknowledging data that arrived late, say — is
-// absorbed in the same re-issue.
-func (m *member) step(until vtime.Time, drain counters) (counters, error) {
-	err := m.run(until, drain)
-	if err == nil && drain != nil {
-		if drain, err = m.tradeSent(); err == nil {
-			err = m.run(until, drain)
+// step runs one round and reports channel counters. The subsystem runs
+// to until, drains, and runs again to absorb what the drain brought in.
+func (m *member) step(until vtime.Time) (counters, error) {
+	err := m.run(until)
+	if err == nil {
+		if err = m.drain(); err == nil {
+			err = m.run(until)
 		}
 	}
 	c := make(counters)
@@ -720,12 +641,9 @@ func (m *member) step(until vtime.Time, drain counters) (counters, error) {
 	return c, err
 }
 
-// run runs the subsystem to until once its channels have drained
-// drain, and keeps the first error the subsystem returned.
-func (m *member) run(until vtime.Time, drain counters) error {
-	if err := m.awaitDrain(drain); err != nil {
-		return err
-	}
+// run runs the subsystem to until and keeps the first error it
+// returned.
+func (m *member) run(until vtime.Time) error {
 	err := m.sub.Run(until)
 	if err != nil {
 		m.mu.Lock()
@@ -737,80 +655,51 @@ func (m *member) run(until vtime.Time, drain counters) error {
 	return err
 }
 
-// tradeSent tells each channel peer, in an opSent note, how many
-// messages this member has sent it, and returns the counts the peers'
-// notes report in turn.
-func (m *member) tradeSent() (counters, error) {
+// drain tells each channel peer in an opSent note how many messages
+// this member has sent it, then waits until each peer's own note has
+// come and the channel from it has queued as many as the note says:
+// Mattern's counting rule, traded peer to peer, so that data still on
+// the wire when a peer's run ended is taken in by this round rather
+// than by a re-issue. The wait wakes on the hub's wake, which an
+// endpoint posts when a burst reaches the injection queue and when it
+// latches an error, and on membership changes, notes included. A peer
+// whose channel failed or who left ends it with an error naming the
+// peer, and so does connectTimeout.
+func (m *member) drain() error {
 	eps := m.hub.Endpoints()
-	peers := make([]string, len(eps))
-	for i, ep := range eps {
-		peers[i] = ep.Peer()
-		m.send(peers[i], request{Op: opSent, Drain: counters{m.name: {Sent: ep.SentCount()}}})
+	for _, ep := range eps {
+		m.send(ep.Peer(), request{Op: opSent, Sent: ep.SentCount()})
 	}
-	var got counters
-	err := m.await(func() (string, error) {
-		var ok bool
-		got, ok = m.ms.takeSent(peers)
-		if ok {
-			return "", nil
-		}
-		for _, p := range peers {
-			if m.ms.gone(p) {
-				return p, fmt.Errorf("%s: member %s left before it said what it sent", m.name, p)
-			}
-		}
-		return "a channel peer", nil
-	}, "said what it sent")
-	return got, err
-}
-
-// awaitDrain blocks until, from every peer in want, this member's
-// channel has queued as many messages as the peer reported sending
-// toward it. A peer whose channel failed or who left ends the wait
-// with an error naming it.
-func (m *member) awaitDrain(want counters) error {
-	return m.await(func() (string, error) {
-		for peer, pc := range want {
-			ep := m.hub.Endpoint(peer)
-			switch {
-			case ep == nil:
-				return peer, fmt.Errorf("%s: no channel from %s to drain", m.name, peer)
-			case ep.QueuedCount() >= pc.Sent:
-				continue
-			case ep.Err() != nil:
-				return peer, fmt.Errorf("%s: channel from %s failed while draining: %w", m.name, peer, ep.Err())
-			case m.ms.gone(peer):
-				return peer, fmt.Errorf("%s: member %s left while draining", m.name, peer)
-			}
-			return peer, nil
-		}
-		return "", nil
-	}, "drained")
-}
-
-// await blocks until pending reports nothing pending ("") or an error.
-// It looks again whenever the hub's wake is posted — an endpoint posts
-// it when a burst reaches the injection queue and when it latches an
-// error — and whenever the membership changes; connectTimeout ends the
-// wait with an error naming what was still pending.
-func (m *member) await(pending func() (string, error), what string) error {
 	patience := time.NewTimer(connectTimeout)
 	defer patience.Stop()
-	for {
-		changed := m.ms.watch()
-		peer, err := pending()
-		if peer == "" || err != nil {
-			return err
-		}
-		select {
-		case <-m.wake:
-		case <-changed:
-		case <-patience.C:
-			return fmt.Errorf("%s: %s had not %s after %v", m.name, peer, what, connectTimeout)
-		case <-m.closed:
-			return fmt.Errorf("%s closed in a step", m.name)
+	for _, ep := range eps {
+		peer := ep.Peer()
+		want, noted := int64(0), false
+		for {
+			changed := m.ms.watch()
+			if !noted {
+				want, noted = m.ms.takeSent(peer)
+			}
+			if noted && ep.QueuedCount() >= want {
+				break
+			}
+			if err := ep.Err(); err != nil {
+				return fmt.Errorf("%s: the channel from %s failed while draining: %w", m.name, peer, err)
+			}
+			if _, err := m.ms.conn(peer); err != nil {
+				return fmt.Errorf("%s: member %s left while draining", m.name, peer)
+			}
+			select {
+			case <-m.wake:
+			case <-changed:
+			case <-patience.C:
+				return fmt.Errorf("%s: the channel from %s had not drained after %v", m.name, peer, connectTimeout)
+			case <-m.closed:
+				return fmt.Errorf("%s closed while draining", m.name)
+			}
 		}
 	}
+	return nil
 }
 
 // Wait blocks until the leader finishes the run (or the member is
@@ -880,25 +769,21 @@ func (m *member) rounds(until vtime.Time, step vtime.Duration) error {
 	}
 	for t := vtime.Time(0); t < until; {
 		h := vtime.Min(t.Add(step), until)
-		var reports map[string]reply
-		for {
-			drains := drainTargets(reports)
-			var err error
-			if reports, err = m.callEach(m.memberSet, func(name string) request {
-				return request{Op: opStep, Until: h, Drain: drains[name]}
-			}); err != nil {
-				return err
-			}
-			if barrierHolds(reports) {
-				break
-			}
-			m.mu.Lock()
-			m.stats.Reissues++
-			m.mu.Unlock()
+		reports, err := m.call(m.memberSet, request{Op: opStep, Until: h})
+		if err != nil {
+			return err
 		}
+		held := barrierHolds(reports)
 		m.mu.Lock()
-		m.stats.Rounds++
+		if held {
+			m.stats.Rounds++
+		} else {
+			m.stats.Reissues++
+		}
 		m.mu.Unlock()
+		if !held {
+			continue
+		}
 		t = h
 		if err := m.runMigrations(t); err != nil {
 			return err
@@ -923,30 +808,13 @@ func barrierHolds(reports map[string]reply) bool {
 	return true
 }
 
-// drainTargets turns the reports of a step whose barrier failed into
-// each member's wait for the re-issued step: for member Y and peer X,
-// the Sent X reported toward Y. Nil reports give no waits.
-func drainTargets(reports map[string]reply) map[string]counters {
-	out := make(map[string]counters, len(reports))
-	for x, rx := range reports {
-		for y, pc := range rx.Counters {
-			if out[y] == nil {
-				out[y] = make(counters)
-			}
-			out[y][x] = peerCount{Sent: pc.Sent}
-		}
-	}
-	return out
-}
-
-// Close leaves the mesh and tears down listeners, connections and
+// Close leaves the mesh and tears down the control connections and
 // the node.
 func (m *member) Close() error {
 	var err error
 	m.closeOnce.Do(func() {
 		m.notify(opLeave)
 		close(m.closed)
-		m.ctlLn.Close()
 		m.ms.close()
 		err = m.nd.Close()
 		m.wg.Wait()

@@ -3,6 +3,7 @@ package mesh
 import (
 	"errors"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,6 +95,32 @@ func TestMeshRunsDemo(t *testing.T) {
 	}
 }
 
+// TestDigestHashesOnlyHostedComponents: a member's digest holds an
+// entry for a component it hosts and for no other — a remote
+// component's drives, which reach it over a channel, are hashed only
+// where that component runs — so after a migrated run every driving
+// component has exactly one entry in the whole mesh.
+func TestDigestHashesOnlyHostedComponents(t *testing.T) {
+	lm, _ := runDemo(t, func(lm *localMesh) {
+		if err := lm.Leader().MigrateAt(vtime.Time(50*vtime.Millisecond), "hot", "bravo"); err != nil {
+			t.Fatal(err)
+		}
+	}, nil)
+	var all []string
+	for _, m := range lm.Members {
+		for comp := range m.digest.Snapshot() {
+			if m.Subsystem().Component(comp) == nil {
+				t.Errorf("%s's digest holds %s, which it does not host", m.Name(), comp)
+			}
+			all = append(all, comp)
+		}
+	}
+	slices.Sort(all)
+	if want := []string{"hot", "pump-alpha", "pump-bravo", "sink0", "sink1"}; !slices.Equal(all, want) {
+		t.Errorf("the members' digests hold %v, want each of %v once", all, want)
+	}
+}
+
 func TestMeshMigrationMovesComponent(t *testing.T) {
 	lm, p := runDemo(t, func(lm *localMesh) {
 		if err := lm.Leader().MigrateAt(vtime.Time(50*vtime.Millisecond), "hot", "bravo"); err != nil {
@@ -149,10 +176,9 @@ func TestMeshHealth(t *testing.T) {
 	}
 }
 
-// TestDrainEndsWhenThePeerLeaves: a re-issued step waiting for
-// messages a peer will never send — here it claims more than it ever
-// sent, then leaves — ends with the member's refusal naming that peer,
-// not at the phase timeout.
+// TestDrainEndsWhenThePeerLeaves: a step whose channel peer leaves
+// instead of saying what it sent ends with the member's refusal naming
+// that peer, not at the phase timeout.
 func TestDrainEndsWhenThePeerLeaves(t *testing.T) {
 	crossing := func(b *pia.SystemBuilder) error {
 		return b.SetDefaultChannel(pia.Conservative, demoLink).
@@ -168,7 +194,7 @@ func TestDrainEndsWhenThePeerLeaves(t *testing.T) {
 	t.Cleanup(lm.Close)
 	go lm.member("bravo").Close()
 	err = within(t, "a step draining a departed peer", func() error {
-		_, err := lm.Leader().call([]string{"charlie"}, request{Op: opStep, Until: 1, Drain: counters{"bravo": {Sent: 1 << 20}}})
+		_, err := lm.Leader().call([]string{"charlie"}, request{Op: opStep, Until: 1})
 		return err
 	})
 	var refused *Refused

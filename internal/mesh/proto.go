@@ -1,20 +1,21 @@
 // Control-plane wire protocol. Members speak wire.FrameMesh frames over
-// dedicated TCP connections, one per unordered member pair (the
-// lexicographically smaller name dials). The control plane is
-// deliberately NOT routed through the data-plane channels: membership
-// and migration coordination must stay reachable while faultnet is
-// mangling the data links, exactly like a management network in a real
-// cluster.
+// one control connection per unordered member pair, a connection of
+// their nodes: the lexicographically smaller name dials the other's
+// one address (node.DialControl), whose node hands the connection, its
+// hello naming the reserved control name, to the member. So control
+// frames ride the links the data channels ride — shaped by faultnet
+// when faults are armed, carried by resumable sessions when resilience
+// is — and each pair has one failure detector: the session's on a
+// resilient node, a heartbeat note on a plain one.
 //
-// Each side opens with one hello; after that a connection carries
+// The node's hello names the dialer; after it a connection carries
 // requests and the replies that echo their IDs, in both directions. An
 // operation is an op code; what it carries beyond "do it" and "done, or
 // this error" is a field of the request or the reply. Every frame is
 // laid out by hand:
 //
-//	hello    u8 ctlVersion, u8 tagHello, string From, string DataAddr
 //	request  u8 ctlVersion, u8 tagRequest, uvarint ID, u8 Op,
-//	         varint Until, move, image, counters Drain
+//	         varint Until, move, image, varint Sent
 //	reply    u8 ctlVersion, u8 tagReply, uvarint ID, u8 Op,
 //	         string Err, counters, image
 //	move     uvarint Epoch, string Comp, string From, string To
@@ -22,7 +23,7 @@
 //	counters uvarint n, n x (string Peer, varint Sent,
 //	         varint Queued, varint Handled), peers in increasing order
 //
-// A string is a uvarint length and its bytes: a name or address at
+// A string is a uvarint length and its bytes: a name at
 // most maxName of them, a refusal's reason at most maxReason (clipped
 // on send), an image at most maxImage (refused on send). A counter list
 // holds at most maxMembers peers. An unknown frame kind, version, tag
@@ -44,7 +45,6 @@ import (
 const (
 	ctlVersion byte = 2
 
-	tagHello   byte = 1
 	tagRequest byte = 2
 	tagReply   byte = 3
 
@@ -56,14 +56,6 @@ const (
 	// peer name and three one-byte varints.
 	minCount = 4
 )
-
-// ctlHello opens a control connection; each side sends one. DataAddr
-// is the sender's data-plane listen address, which peers need later to
-// dial simulation channels toward it.
-type ctlHello struct {
-	From     string
-	DataAddr string
-}
 
 // op names one control-plane operation. Heartbeat, leave and sent are
 // one-way notes (request ID 0, never answered); every other op is a
@@ -80,7 +72,7 @@ const (
 	opApply                   // leader -> all: apply placement epoch Move.Epoch
 	opDial                    // leader -> all: open the channels the applied epoch added
 	opFinish                  // leader -> all: no more rounds
-	opSent                    // note, member -> channel peer, in a re-issued step: what it has sent the peer (Drain)
+	opSent                    // note, member -> channel peer, in a step: how many messages it has sent the peer
 )
 
 var opNames = [...]string{"", "heartbeat", "leave", "ready", "step", "migrate", "prepare", "apply", "dial", "finish", "sent"}
@@ -103,10 +95,7 @@ type request struct {
 	Until vtime.Time
 	Move  move  // opMigrate, opPrepare, opApply
 	Image image // opApply, toward the destination only
-	// Drain is a re-issued opStep's wait: for each peer, the Sent it
-	// reported toward the recipient, which the recipient queues before
-	// it runs to Until again. Only Sent is used.
-	Drain counters
+	Sent  int64 // opSent
 }
 
 // reply answers the request whose ID it echoes. A non-empty Err is the
@@ -151,17 +140,14 @@ type peerCount struct {
 // channels are provably empty.
 type counters map[string]peerCount
 
-// appendFrame encodes a ctlHello, request or reply. A reply's Err is
+// appendFrame encodes a request or a reply. A reply's Err is
 // clipped to maxReason, so the frame is always one the peer can read.
 func appendFrame(dst []byte, f any) []byte {
 	switch f := f.(type) {
-	case ctlHello:
-		dst = wire.AppendString(append(dst, ctlVersion, tagHello), f.From)
-		return wire.AppendString(dst, f.DataAddr)
 	case request:
 		dst = binary.AppendUvarint(append(dst, ctlVersion, tagRequest), f.ID)
 		dst = binary.AppendVarint(append(dst, byte(f.Op)), int64(f.Until))
-		return appendCounters(appendImage(appendMove(dst, f.Move), f.Image), f.Drain)
+		return binary.AppendVarint(appendImage(appendMove(dst, f.Move), f.Image), f.Sent)
 	case reply:
 		dst = binary.AppendUvarint(append(dst, ctlVersion, tagReply), f.ID)
 		reason := f.Err
@@ -202,8 +188,7 @@ func appendCounters(dst []byte, c counters) []byte {
 	return dst
 }
 
-// decodeFrame parses one control frame into a ctlHello, a request or a
-// reply.
+// decodeFrame parses one control frame into a request or a reply.
 func decodeFrame(kind byte, payload []byte) (any, error) {
 	f := wire.NewFields(kind, wire.FrameMesh, payload)
 	if v := f.Byte(); v != ctlVersion {
@@ -211,10 +196,8 @@ func decodeFrame(kind byte, payload []byte) (any, error) {
 	}
 	var out any
 	switch tag := f.Byte(); tag {
-	case tagHello:
-		out = ctlHello{From: f.String(maxName), DataAddr: f.String(maxName)}
 	case tagRequest:
-		out = request{ID: f.Uvarint(), Op: readOp(&f), Until: vtime.Time(f.Varint()), Move: readMove(&f), Image: readImage(&f), Drain: readCounters(&f)}
+		out = request{ID: f.Uvarint(), Op: readOp(&f), Until: vtime.Time(f.Varint()), Move: readMove(&f), Image: readImage(&f), Sent: f.Varint()}
 	case tagReply:
 		out = reply{ID: f.Uvarint(), Op: readOp(&f), Err: f.String(maxReason), Counters: readCounters(&f), Image: readImage(&f)}
 	default:

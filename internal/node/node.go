@@ -16,6 +16,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/core"
@@ -89,12 +90,13 @@ type link struct {
 type Node struct {
 	name string
 
-	mu     sync.Mutex
-	hosted map[string]*Hosted
-	ln     net.Listener
-	rln    *resilience.Listener
-	conns  []*wire.Conn
-	closed bool
+	mu       sync.Mutex
+	hosted   map[string]*Hosted
+	ln       net.Listener
+	rln      *resilience.Listener
+	conns    []*wire.Conn
+	unlinked map[*wire.Conn]bool // accepted connections no link holds: in their handshake, or control
+	closed   bool
 
 	// The counters of the links dropped with unhosted subsystems.
 	retiredWire  wire.Stats
@@ -129,11 +131,21 @@ type Node struct {
 	flightRec *flight.Recorder
 
 	resolver func(name string) (*Hosted, error) // see SetResolver
+	control  func(from string, c *wire.Conn)    // see SetControl
 }
+
+// controlName is the subsystem name a control connection's hello
+// names: no subsystem of that name can be reached.
+const controlName = "pia/control"
+
+// helloTimeout bounds each side of the handshake: the acceptor's wait
+// for the hello and the dialer's wait for the ack. A variable so tests
+// can shorten it.
+var helloTimeout = 10 * time.Second
 
 // New creates a node.
 func New(name string) *Node {
-	return &Node{name: name, hosted: make(map[string]*Hosted)}
+	return &Node{name: name, hosted: make(map[string]*Hosted), unlinked: make(map[*wire.Conn]bool)}
 }
 
 // Name returns the node's name.
@@ -186,6 +198,7 @@ func (n *Node) Unhost(name string) bool {
 func (n *Node) addConn(h *Hosted, c *wire.Conn, sess *resilience.Session) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	delete(n.unlinked, c)
 	n.conns = append(n.conns, c)
 	h.links = append(h.links, link{c: c, sess: sess})
 	return len(h.links) - 1
@@ -234,6 +247,23 @@ func (n *Node) SetResolver(fn func(name string) (*Hosted, error)) {
 	n.mu.Lock()
 	n.resolver = fn
 	n.mu.Unlock()
+}
+
+// SetControl installs fn as the taker of control connections: a hello
+// naming the control name (DialControl) is acked and its connection
+// handed to fn with the dialer's name, on the accept goroutine, until
+// fn returns or the node closes. Without fn such a hello is refused.
+func (n *Node) SetControl(fn func(from string, c *wire.Conn)) {
+	n.mu.Lock()
+	n.control = fn
+	n.mu.Unlock()
+}
+
+// Resilient reports whether the node's connections are resumable
+// sessions (SetResilience), which detect a dead peer themselves.
+func (n *Node) Resilient() bool {
+	_, ok := n.resilient()
+	return ok
 }
 
 // Hosted returns the named hosted subsystem, or nil.
@@ -498,6 +528,31 @@ func (n *Node) acceptLoop(ln net.Listener) {
 	}
 }
 
+// track holds c, an accepted connection, among the unlinked until a
+// link takes it or it is done, so that Close cuts it; it reports false,
+// having closed c, once the node is closed.
+func (n *Node) track(c *wire.Conn) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		c.Close()
+		return false
+	}
+	n.unlinked[c] = true
+	return true
+}
+
+// recvWithin reads one handshake frame from c, closing c if none has
+// come within helloTimeout.
+func recvWithin(c *wire.Conn) (kind byte, payload []byte, err error) {
+	cut := time.AfterFunc(helloTimeout, func() { c.Close() })
+	kind, payload, err = c.RecvFrame()
+	if !cut.Stop() {
+		err = fmt.Errorf("no handshake within %v", helloTimeout)
+	}
+	return kind, payload, err
+}
+
 // acceptSessions accepts resumable sessions: reconnects splice into
 // their existing session inside the resilience listener, so each
 // session surfaces here exactly once and pumps one channel for its
@@ -523,7 +578,15 @@ func (n *Node) acceptSessions(rl *resilience.Listener) {
 // serveConn handles the server side of one channel connection. sess
 // is non-nil when the connection is a resumable session.
 func (n *Node) serveConn(c *wire.Conn, sess *resilience.Session) error {
-	kind, payload, err := c.RecvFrame()
+	if !n.track(c) {
+		return nil
+	}
+	defer func() {
+		n.mu.Lock()
+		delete(n.unlinked, c)
+		n.mu.Unlock()
+	}()
+	kind, payload, err := recvWithin(c)
 	if err != nil {
 		c.Close()
 		return fmt.Errorf("handshake: %w", err)
@@ -532,6 +595,9 @@ func (n *Node) serveConn(c *wire.Conn, sess *resilience.Session) error {
 	if err != nil {
 		n.refuse(c, fmt.Sprintf("node %s: %v", n.name, err))
 		return fmt.Errorf("handshake: %w", err)
+	}
+	if h.ToSub == controlName {
+		return n.serveControl(c, h)
 	}
 	hosted := n.Hosted(h.ToSub)
 	if hosted == nil {
@@ -571,6 +637,24 @@ func (n *Node) serveConn(c *wire.Conn, sess *resilience.Session) error {
 	return n.pump(c, ep, hosted, sess)
 }
 
+// serveControl acks a control connection's hello and hands the
+// connection to the control taker until it returns.
+func (n *Node) serveControl(c *wire.Conn, h hello) error {
+	n.mu.Lock()
+	fn := n.control
+	n.mu.Unlock()
+	if fn == nil || h.FromSub == "" {
+		n.refuse(c, fmt.Sprintf("node %s takes no control connection from %q", n.name, h.FromSub))
+		return fmt.Errorf("control connection from %q refused", h.FromSub)
+	}
+	defer c.Close()
+	if err := c.SendRaw(wire.FrameHello, appendHelloAck(nil, helloAck{OK: true})); err != nil {
+		return err
+	}
+	fn(h.FromSub, c)
+	return nil
+}
+
 // resolve offers a hello naming no hosted subsystem to the resolver.
 func (n *Node) resolve(h hello) (*Hosted, error) {
 	n.mu.Lock()
@@ -604,7 +688,47 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 	if hosted == nil {
 		return nil, fmt.Errorf("node %s hosts no subsystem %q", n.name, localSub)
 	}
-	flink := n.faultLink(n.name + "->" + remoteSub)
+	h := hello{FromNode: n.name, FromSub: localSub, ToSub: remoteSub, Policy: policy, Link: link}
+	c, sess, err := n.open(addr, n.name+"->"+remoteSub, h, hosted)
+	if err != nil {
+		return nil, err
+	}
+	ep, err := hosted.Hub.NewEndpoint(remoteSub, policy, link, &connTransport{c: c})
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	n.applyCoalescing(ep)
+	li := n.addConn(hosted, c, sess)
+	n.Timeline().SessionEvent(ep.Name(), "opened", "to "+addr)
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		defer n.pumpDone(hosted, li)
+		if err := n.pump(c, ep, hosted, sess); err != nil && !n.isClosed() {
+			n.notePeerLost(err)
+		}
+	}()
+	return ep, nil
+}
+
+// DialControl opens a control connection, announcing the caller as
+// from, to the node at addr, whose control taker (SetControl) receives
+// it. The connection is dialed as Connect dials a channel: through a
+// fault link named "<node>-><to>/control" when faults are armed, as a
+// resumable session when resilience is. The caller closes it.
+func (n *Node) DialControl(from, to, addr string) (*wire.Conn, error) {
+	c, _, err := n.open(addr, n.name+"->"+to+"/control", hello{FromNode: n.name, FromSub: from, ToSub: controlName}, nil)
+	return c, err
+}
+
+// open dials addr, through a fault link named linkName when faults are
+// armed and as a resumable session when resilience is, sends h and
+// returns the connection once its ack accepts it, with the session (nil
+// on a plain link). A session serving hosted's channel gets its rewind
+// hooks and departure gate before the hello goes.
+func (n *Node) open(addr, linkName string, h hello, hosted *Hosted) (*wire.Conn, *resilience.Session, error) {
+	flink := n.faultLink(linkName)
 	dialRaw := func() (io.ReadWriteCloser, error) {
 		if flink != nil {
 			return flink.Dial("tcp", addr)
@@ -625,55 +749,40 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 	if rcfg, ok := n.resilient(); ok {
 		s, err := resilience.Dial(dialRaw, rcfg)
 		if err != nil {
-			return nil, fmt.Errorf("node %s: session to %s: %w", n.name, addr, err)
+			return nil, nil, fmt.Errorf("node %s: session to %s: %w", n.name, addr, err)
 		}
-		s.SetRewindHooks(n.rewindHooks(localSub))
 		n.addSession(s)
-		n.bindSession(hosted, s)
+		if hosted != nil {
+			s.SetRewindHooks(n.rewindHooks(hosted.Sub.Name()))
+			n.bindSession(hosted, s)
+		}
 		sess = s
 		c = wire.NewConn(s)
 	} else {
 		rwc, err := dialRaw()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		c = wire.NewConn(rwc)
 	}
-	h := hello{FromNode: n.name, FromSub: localSub, ToSub: remoteSub, Policy: policy, Link: link}
 	if err := c.SendRaw(wire.FrameHello, appendHello(nil, h)); err != nil {
 		c.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	var ack helloAck
-	kind, payload, err := c.RecvFrame()
+	kind, payload, err := recvWithin(c)
 	if err == nil {
 		ack, err = decodeHelloAck(kind, payload)
 	}
 	if err != nil {
 		c.Close()
-		return nil, fmt.Errorf("node %s: handshake with %s: %w", n.name, addr, err)
+		return nil, nil, fmt.Errorf("node %s: handshake with %s: %w", n.name, addr, err)
 	}
 	if !ack.OK {
 		c.Close()
-		return nil, fmt.Errorf("node %s: peer rejected channel: %s", n.name, ack.Error)
+		return nil, nil, fmt.Errorf("node %s: peer rejected channel: %s", n.name, ack.Error)
 	}
-	ep, err := hosted.Hub.NewEndpoint(remoteSub, policy, link, &connTransport{c: c})
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	n.applyCoalescing(ep)
-	li := n.addConn(hosted, c, sess)
-	n.Timeline().SessionEvent(ep.Name(), "opened", "to "+addr)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer n.pumpDone(hosted, li)
-		if err := n.pump(c, ep, hosted, sess); err != nil && !n.isClosed() {
-			n.notePeerLost(err)
-		}
-	}()
-	return ep, nil
+	return c, sess, nil
 }
 
 // maxBurst bounds how many messages pump hands the scheduler in one
@@ -862,7 +971,10 @@ func (n *Node) Close() error {
 	n.closed = true
 	ln := n.ln
 	rln := n.rln
-	conns := n.conns
+	conns := slices.Clip(n.conns) // appending the unlinked copies: see dropDone
+	for c := range n.unlinked {
+		conns = append(conns, c)
+	}
 	sessions := n.sessions
 	n.mu.Unlock()
 	_ = n.CloseChannels()
