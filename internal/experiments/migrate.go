@@ -1,7 +1,7 @@
 // The live-migration experiment: the mesh demo workload on three
 // members, run stationary, with a mid-run migration of the hot
 // component, and with the same migration while faultnet mangles the
-// data plane. The paper-level claim is zero virtual downtime and
+// members' links, control connections included. The paper-level claim is zero virtual downtime and
 // bit-identical drive digests across all three legs; the measured
 // quantities are the wall-clock migration cost and the placement
 // epoch propagation latency.

@@ -1,7 +1,7 @@
 // The headline property: a run that live-migrates the hot component
 // is bit-identical — every drive digest and the component's own
 // receive-time checksum — to the run that never moves it, including
-// when faultnet is mangling the data plane underneath.
+// when faultnet is mangling the members' links underneath.
 package mesh
 
 import (

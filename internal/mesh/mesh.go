@@ -627,10 +627,12 @@ func (m *member) handle(rq request) reply {
 
 // step runs one round and reports channel counters. The subsystem runs
 // to until, drains, and runs again to absorb what the drain brought in.
+// It drains even after a failed run, so that no peer waits out its
+// drain for this member's note.
 func (m *member) step(until vtime.Time) (counters, error) {
 	err := m.run(until)
-	if err == nil {
-		if err = m.drain(); err == nil {
+	if derr := m.drain(); err == nil {
+		if err = derr; err == nil {
 			err = m.run(until)
 		}
 	}

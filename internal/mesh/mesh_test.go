@@ -198,7 +198,7 @@ func TestDrainEndsWhenThePeerLeaves(t *testing.T) {
 		return err
 	})
 	var refused *Refused
-	if !errors.As(err, &refused) || refused.Member != "charlie" || refused.Phase != "step" || !strings.Contains(refused.Reason, "bravo") {
+	if !errors.As(err, &refused) || refused.Member != "charlie" || refused.Phase != "step" || !strings.Contains(refused.Reason, "bravo left while draining") {
 		t.Fatalf("step returned %v, want charlie refusing it, naming bravo", err)
 	}
 }

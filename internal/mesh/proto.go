@@ -63,7 +63,7 @@ const (
 type op uint8
 
 const (
-	opHeartbeat op = iota + 1 // note, any -> any: keeps the membership table warm when nothing else flows
+	opHeartbeat op = iota + 1 // note, any -> any on a plain node: keeps the control connection from falling silent
 	opLeave                   // note, any -> any: graceful departure
 	opReady                   // leader -> all: report the local build (components, nets, data channels)
 	opStep                    // leader -> all: run to request.Until, reply with channel counters
