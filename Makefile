@@ -49,11 +49,13 @@ examples:
 # completed-snapshot table is read under mu by the session goroutines'
 # rewind hooks), the two recorders written from scheduler, pump and
 # keepalive goroutines at once (the timeline ring and the flight ring),
-# WubbleU's page memo, shared by simulations running at once, and the
+# WubbleU's page memo, shared by simulations running at once, the
 # root package's round loop, whose wait between rounds is woken from the
-# transport pumps' goroutines.
+# transport pumps' goroutines, and the event queue, whose row chunks
+# pass through one pool shared by every queue, drained on the parallel
+# round's worker goroutines at once.
 race:
-	$(GO) test -race -count=1 . ./internal/wire/... ./internal/channel/... ./internal/core/... ./internal/node/... ./internal/faultnet/... ./internal/resilience/... ./internal/snapshot/... ./internal/timeline/... ./internal/flight/... ./internal/wubbleu/...
+	$(GO) test -race -count=1 . ./internal/wire/... ./internal/channel/... ./internal/core/... ./internal/node/... ./internal/faultnet/... ./internal/resilience/... ./internal/snapshot/... ./internal/timeline/... ./internal/flight/... ./internal/wubbleu/... ./internal/event/...
 
 # The parallel scheduler must be race-clean both when goroutines are
 # forced onto one OS thread and when they genuinely interleave. The
@@ -151,6 +153,12 @@ timeline:
 # a run which never empties
 # keeps storage and chunk table proportional to its depth and that no
 # stream of names a peer sends grows a component's link table, the
+# process-wide pools (a row chunk goes back to its pool only once every
+# row in it has been popped and cleared — never from Reset — and a second
+# page burst through a drained queue allocates no chunk; a receive
+# buffer goes back once, after its pump has returned, and a frame buffer
+# once its hub's close has been flushed; the next connection or endpoint
+# takes it instead of allocating), the
 # page-path guards (no one joins a 2 MB packet-level page: the ASIC
 # forwards the radio payloads it buffered and the browser reads and
 # caches the packets it received, so a load allocates the server's page
@@ -220,12 +228,12 @@ timeline:
 # link shaped by delay alone a frame costs no allocation, and a frame
 # held back for a reorder is held as a copy of the writer's bytes.
 wire: fuzz-smoke
-	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestPageEgressTwoBufferAllocs|TestCoalesceByteCap|TestFlushDropsPayloadReferences|TestPipeDropsDeliveredValues|TestCursorBurstsDoNotAliasThePayload|TestSafeTimeModel|TestOnMessagesZeroAlloc|TestDecodeRefusesNonCanonical|TestCorruptRunKeepsEarlierWholeEntries' ./internal/channel/ ./internal/wubbleu/
+	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordsOneChunkPer256|TestDecodeFramesOneChunkPer16|TestDecodeBusCyclesOneChunkPer256|TestPublishZeroAlloc|TestPageBurstIsOneUnackedRun|TestPageEgressTwoBufferAllocs|TestClosedHubPoolsItsFrameBuffer|TestCoalesceByteCap|TestFlushDropsPayloadReferences|TestPipeDropsDeliveredValues|TestCursorBurstsDoNotAliasThePayload|TestSafeTimeModel|TestOnMessagesZeroAlloc|TestDecodeRefusesNonCanonical|TestCorruptRunKeepsEarlierWholeEntries' ./internal/channel/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestHello|TestConnectNamesAHandshakeFault|TestConnectUnknownSubsystem' ./internal/node/
 	$(GO) test -count=1 -run 'TestRPC|TestServerSurvivesProtocolError|TestRemoteRunForPastTheCap|TestRemoteCallNamesABadResponse|TestRemoteCallAllocs' ./internal/hwstub/
-	$(GO) test -count=1 -run 'TestSendFrameWord|TestPump|TestPingPong' ./internal/node/
-	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst|TestWriteFrameInPlace' ./internal/wire/
-	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestPacedBurstIsOneSpan' ./internal/event/
+	$(GO) test -count=1 -run 'TestSendFrameWord|TestPump|TestPingPong|TestReceiveBuffersComeBackOnce' ./internal/node/
+	$(GO) test -count=1 -run 'TestRecvFrame|TestRecvBurst|TestWriteFrameInPlace|TestStopReadingReturnsTheBufferOnce' ./internal/wire/
+	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc|TestQueueBurstAllocs|TestChunkFillsItsSizeClass|TestQueueModel|TestRunNeverEmptiesStaysSmall|TestInOrderBurstNeverHeaps|TestPacedBurstIsOneSpan|TestPooledChunksAreClear|TestSecondBurstAllocatesNoChunk|TestChunkPoolSharedAcrossGoroutines' ./internal/event/
 	$(GO) test -count=1 -run 'TestAssemblerErrors|TestAssemblerJoinsFramesOnce|TestAssemblerHandsOutWordBuffer|TestAssemblerBoundsTransferInProgress|TestSendPartsMatchesSendMessage|TestSendMessageAllocatesNoPartList|TestASICForwardsRadioPayloads|TestBrowserCachesPageAsReceived|TestGenPageAllocatesPageOnce|TestGenPageBytesPinned|TestSendPacketsShareThePayload|TestLastValuesPinNoPage|TestWordPageBoxesInChunks|TestHardwareTransferBoxesInChunks' ./internal/proto/ ./internal/wubbleu/
 	$(GO) test -count=1 -run 'TestRecvFilteredZeroAlloc|TestRecvFilterChangeAfterTimeout|TestWordBurstBytesPerDelivery|TestComponentSizeClass|TestLinkTableBounded' ./internal/core/
 	$(GO) test -count=1 -run 'TestPeerLostEndsStalledRun|TestBuildOnNodesTwoNodes|TestOneLayoutReader|TestGobStaysInItsProbe' .

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"weak"
@@ -286,6 +287,49 @@ func TestPageEgressTwoBufferAllocs(t *testing.T) {
 	}
 	if c := cap(ep.out.buf); c != frameCap+frameSlack {
 		t.Fatalf("the frame buffer grew to %d bytes, want %d", c, frameCap+frameSlack)
+	}
+}
+
+// TestClosedHubPoolsItsFrameBuffer: a hub's Close, once each endpoint
+// has flushed its close, hands the endpoint's full-size frame buffer to
+// the pool, once, and the next endpoint whose frames outgrow its first
+// buffer takes that one instead of allocating. With the collector off
+// and one P the pool keeps what it is given and hands it to the next Get.
+func TestClosedHubPoolsItsFrameBuffer(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's pool drops some of what it is given")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var v any = signal.Word(0xdead)
+	page := func() (*Hub, *Endpoint) {
+		h := NewHub(core.NewSubsystem("ss1"))
+		ep, err := h.NewEndpoint("peer", Conservative, LinkModel{Latency: 5, PerMessage: 1}, &nullTr{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4096; i++ {
+			ep.egress("link", "prod", vtime.Time(3*i), v)
+		}
+		ep.Flush()
+		if cap(ep.out.buf) != frameBufSize {
+			t.Fatalf("a page's frame buffer holds %d bytes, want %d", cap(ep.out.buf), frameBufSize)
+		}
+		return h, ep
+	}
+	h, ep := page()
+	buf := &ep.out.buf[:1][0]
+	h.Close()
+	h.Close()
+	if ep.out.buf != nil {
+		t.Fatal("the closed endpoint kept its frame buffer")
+	}
+	_, next := page()
+	if &next.out.buf[:1][0] != buf {
+		t.Fatal("the next endpoint allocated a frame buffer with one in the pool")
+	}
+	if got := frameBufs.Get().(*[frameBufSize]byte); &got[0] == buf {
+		t.Fatal("the frame buffer went back to the pool twice")
 	}
 }
 

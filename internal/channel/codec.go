@@ -327,20 +327,47 @@ const (
 
 var zeroHead [16]byte // a frame's room and count before they are filled
 
+// frameBufSize is the full size of a builder sized for DefaultCoalesce:
+// the size every endpoint's buffer takes once its frames pass
+// firstFrameCap, unless the endpoint's cap was changed.
+const frameBufSize = frameCap + frameSlack
+
+// frameBufs carries full-size egress buffers from endpoints whose hub
+// has closed (frameBuilder.release) to the next endpoint that fills its
+// first one, so a process that opens channels for run after run does not
+// allocate and collect 34 KB for each. A buffer holds no pointers and a
+// builder sends only what it has written, so one goes back as it is.
+var frameBufs = sync.Pool{New: func() any { return new([frameBufSize]byte) }}
+
 // reserve gives buf room for the next message without append's growth
 // when the builder is sized for frames: firstFrameCap at first, then
-// the full size in one step once less than half of that is left.
+// the full size in one step once less than half of that is left, from
+// the pool when it is frameBufSize.
 func (b *frameBuilder) reserve() {
 	if b.size == 0 || cap(b.buf)-len(b.buf) >= firstFrameCap/2 || cap(b.buf) >= b.size {
 		return
 	}
-	n := b.size
-	if b.buf == nil {
-		n = firstFrameCap
+	var buf []byte
+	switch {
+	case b.buf == nil:
+		buf = make([]byte, 0, firstFrameCap)
+	case b.size == frameBufSize:
+		buf = frameBufs.Get().(*[frameBufSize]byte)[:0]
+	default:
+		buf = make([]byte, 0, b.size)
 	}
-	buf := make([]byte, len(b.buf), n)
-	copy(buf, b.buf)
-	b.buf = buf
+	b.buf = append(buf, b.buf...)
+}
+
+// release hands a full-size buffer to the pool and lets go of any
+// other. The caller guarantees that nothing will be encoded into the
+// buffer or sent from it again: the endpoint has flushed its close and
+// no flush is in flight.
+func (b *frameBuilder) release() {
+	if cap(b.buf) == frameBufSize {
+		frameBufs.Put((*[frameBufSize]byte)(b.buf[:frameBufSize]))
+	}
+	b.buf = nil
 }
 
 // open starts a frame unless one is open, and readies buf for the next

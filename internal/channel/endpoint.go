@@ -282,14 +282,14 @@ func (h *Hub) Close() error {
 	h.mu.Unlock()
 	var first error
 	for _, ep := range eps {
-		if !ep.do((*safeTime).close, "") {
-			continue
+		if ep.do((*safeTime).close, "") {
+			// Everything queued, then the close, went out: the transport
+			// goes down.
+			if err := ep.tr.Close(); err != nil && first == nil {
+				first = err
+			}
 		}
-		// Everything queued, then the close, went out: the transport
-		// goes down.
-		if err := ep.tr.Close(); err != nil && first == nil {
-			first = err
-		}
+		ep.release()
 	}
 	return first
 }
@@ -630,6 +630,18 @@ func (ep *Endpoint) flush(all bool) {
 	if err != nil {
 		ep.fail(err)
 	}
+}
+
+// release returns the egress buffer to the pool after the hub's final
+// flush: the endpoint has sent its close, so nothing is encoded into
+// the buffer again (safeTime stamps nothing once closed), and sendMu
+// waits out a flush still writing from it.
+func (ep *Endpoint) release() {
+	ep.sendMu.Lock()
+	ep.mu.Lock()
+	ep.out.release()
+	ep.mu.Unlock()
+	ep.sendMu.Unlock()
 }
 
 // PendingOut returns how many egress messages are queued, unflushed.

@@ -1,11 +1,14 @@
 package event
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -274,36 +277,39 @@ func TestSnapshotAcrossChunks(t *testing.T) {
 	m.popAll(q)
 }
 
+// emptyingPaths are the calls that can take the last event out of a
+// queue.
+var emptyingPaths = []struct {
+	name  string
+	empty func(q *Queue)
+}{
+	{"Pop", func(q *Queue) {
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	}},
+	{"PopMatching", func(q *Queue) {
+		for q.Len() > 0 {
+			q.popMatching(acrossPorts, new(Event))
+		}
+	}},
+	{"PopBatch", func(q *Queue) {
+		var buf []Event
+		for q.Len() > 0 {
+			buf = q.PopBatch(vtime.Infinity, 100, buf)
+		}
+	}},
+	{"PopBatchAll", func(q *Queue) { q.PopBatch(vtime.Infinity, 0, nil) }},
+	{"Reset", func(q *Queue) { q.Reset() }},
+}
+
 // TestEmptyingPathsReleaseAlike: whichever call takes the last event
 // out leaves the queue in the same state — one chunk, row allocation
 // restarted, no burst-sized column kept, the sequence counter still
 // monotone — and the next push starts the route table over, keeping
 // nothing of what it held: a refill after it orders correctly.
 func TestEmptyingPathsReleaseAlike(t *testing.T) {
-	paths := []struct {
-		name  string
-		empty func(q *Queue)
-	}{
-		{"Pop", func(q *Queue) {
-			for q.Len() > 0 {
-				q.Pop()
-			}
-		}},
-		{"PopMatching", func(q *Queue) {
-			for q.Len() > 0 {
-				q.popMatching(acrossPorts, new(Event))
-			}
-		}},
-		{"PopBatch", func(q *Queue) {
-			var buf []Event
-			for q.Len() > 0 {
-				buf = q.PopBatch(vtime.Infinity, 100, buf)
-			}
-		}},
-		{"PopBatchAll", func(q *Queue) { q.PopBatch(vtime.Infinity, 0, nil) }},
-		{"Reset", func(q *Queue) { q.Reset() }},
-	}
-	for _, p := range paths {
+	for _, p := range emptyingPaths {
 		t.Run(p.name, func(t *testing.T) {
 			q, m := filled(t, 7)
 			lastSeq := m.live[len(m.live)-1].Seq
@@ -437,3 +443,136 @@ func TestChunkFillsItsSizeClass(t *testing.T) {
 }
 
 var sink *chunk
+
+// chunkWatch stands in for the chunk pool while a test runs: it hands
+// out chunks from the real pool and checks each one that comes back.
+type chunkWatch struct {
+	t     *testing.T
+	inner interface {
+		Get() any
+		Put(any)
+	}
+	out, back int
+}
+
+func (w *chunkWatch) Get() any { w.out++; return w.inner.Get() }
+
+func (w *chunkWatch) Put(x any) {
+	w.back++
+	for i, r := range x.(*chunk) {
+		if r != nil {
+			w.t.Fatalf("a chunk went back to the pool holding %v in row %d", r, i)
+		}
+	}
+	w.inner.Put(x)
+}
+
+// watchChunks puts a chunkWatch in the pool's place until t ends.
+func watchChunks(t *testing.T) *chunkWatch {
+	w := &chunkWatch{t: t, inner: chunks}
+	chunks = w
+	t.Cleanup(func() { chunks = w.inner })
+	return w
+}
+
+// TestPooledChunksAreClear: a chunk goes back to the pool only once
+// every row in it has been popped, and so cleared. Each path that
+// empties a queue by popping returns every chunk past the first that
+// the queue took; Reset, which empties a queue whose later chunks hold
+// live rows, returns none of them; and a run returns each chunk as its
+// head leaves it, while the events behind it wait, and the last one as
+// it empties.
+func TestPooledChunksAreClear(t *testing.T) {
+	for _, p := range emptyingPaths {
+		t.Run(p.name, func(t *testing.T) {
+			w := watchChunks(t)
+			q, _ := filled(t, 11)
+			p.empty(q)
+			want := w.out
+			if p.name == "Reset" {
+				want = 0
+			}
+			if w.back != want {
+				t.Fatalf("%d of the %d chunks the queue took went back, want %d", w.back, w.out, want)
+			}
+		})
+	}
+	t.Run("RunPassesChunks", func(t *testing.T) {
+		w := watchChunks(t)
+		q := new(Queue)
+		const n = 5 * chunkRows
+		for i := 0; i < n; i++ {
+			q.Push(Event{Time: vtime.Time(i), Kind: KindNet, Port: "dma", Net: "dma", Value: i})
+		}
+		if q.heap || w.out != 4 {
+			t.Fatalf("an in-order burst of %d took %d chunks past the first (heap %v), want 4", n, w.out, q.heap)
+		}
+		for popped := 0; q.Len() > 0; popped++ {
+			// Chunk k (k >= 1) is left once the head reaches chunk k+1.
+			if want := max(0, popped/chunkRows-1); w.back != want {
+				t.Fatalf("after %d pops %d chunks went back, want %d", popped, w.back, want)
+			}
+			q.Pop()
+		}
+		if w.back != w.out {
+			t.Fatalf("the drained run returned %d of its %d chunks", w.back, w.out)
+		}
+	})
+}
+
+// TestSecondBurstAllocatesNoChunk: with the collector off and one P, so
+// the pool keeps what it is given and any Get can reach it, a page-load
+// burst through a queue that a
+// burst before it has drained takes every chunk from the pool: in all it
+// allocates less than one chunk's bytes.
+func TestSecondBurstAllocatesNoChunk(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's pool drops some of what it is given")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	q := new(Queue)
+	burst(q, burstLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	burst(q, burstLen)
+	runtime.ReadMemStats(&after)
+	if got, chunk := after.TotalAlloc-before.TotalAlloc, uint64(unsafe.Sizeof(chunk{})); got >= chunk {
+		t.Fatalf("a second burst of %d allocates %d bytes, want less than a %d-byte chunk", burstLen, got, chunk)
+	}
+}
+
+// TestChunkPoolSharedAcrossGoroutines: queues drained on several
+// goroutines at once, as a parallel round's workers drain their
+// members' inboxes, trade chunks through the one pool, and each still
+// hands back its own events in order. make race runs it under the race
+// detector.
+func TestChunkPoolSharedAcrossGoroutines(t *testing.T) {
+	const workers, rounds = 4, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var q Queue
+			for r := 0; r < rounds; r++ {
+				n := 3*chunkRows + 100*w + r
+				for i := 0; i < n; i++ {
+					q.Push(Event{Time: vtime.Time(i), Kind: KindNet, Port: "dma", Net: "dma", Value: w<<20 | i})
+				}
+				for i := 0; i < n; i++ {
+					if e, ok := q.Pop(); !ok || e.Value != w<<20|i {
+						errs <- fmt.Errorf("queue %d, round %d: pop %d gave %v (ok %v)", w, r, i, e.Value, ok)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

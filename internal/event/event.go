@@ -47,17 +47,24 @@
 // The row store is chunked, and a row never moves. The first chunk
 // grows by append, so a queue that only ever holds a few events pays
 // for a few rows; every later chunk is one fixed block of rows, sized to
-// its allocator class. A run drops each chunk its head has passed and
-// rebases the chunk table once the dropped prefix outweighs the live
-// part, so a run that never empties keeps storage proportional to its
-// depth; whatever empties the queue releases every chunk but the first.
-// There is no per-event heap object to pool or leak.
+// its allocator class, and comes from a process-wide pool that every
+// queue shares. A run returns each chunk its head has passed and
+// rebases the chunk table once the dead prefix outweighs the live part,
+// so a run that never empties keeps storage proportional to its depth;
+// whatever empties the queue by popping returns every chunk but the
+// first. A chunk goes back only when every row in it has been popped,
+// and a pop clears its row, so a pooled chunk is all nil: it pins no
+// value and gives the collector no pointer to follow. Reset, which
+// empties the queue without popping, drops its later chunks instead. A
+// page-sized burst through a drained inbox therefore allocates no row
+// storage once a run before it has warmed the pool.
 package event
 
 import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/vtime"
 )
@@ -200,6 +207,18 @@ const chunkRows = 639
 // 640 would spill into the 10 880-byte one.
 type chunk [chunkRows]any
 
+// chunks carries the row chunks past the first from the queue that let
+// them go to the next one that needs one, across queues and across
+// simulations: a process serving many runs would otherwise allocate and
+// collect a drained burst's chunks for every run. A chunk goes in only
+// once every one of its rows has been popped, and each pop clears its
+// row, so every chunk in the pool is all nil. It is held by its two
+// methods so that a test can watch every chunk go back.
+var chunks interface {
+	Get() any
+	Put(any)
+} = &sync.Pool{New: func() any { return new(chunk) }}
+
 // columns is the heap: three parallel columns, a binary heap by
 // position ordered by (times, seqs), rows naming each position's slot.
 // links is indexed by slot, not position: a live slot's link, and a free
@@ -341,7 +360,7 @@ func (q *LinkQueue) claim() int32 {
 			q.first = extend(q.first)
 		}
 	case slot%chunkRows == 0:
-		q.rest = append(q.rest, new(chunk))
+		q.rest = append(q.rest, chunks.Get().(*chunk))
 	}
 	return slot
 }
@@ -451,7 +470,7 @@ func (q *LinkQueue) PushStamped(t vtime.Time, seq uint64, link int32, v any) {
 
 // popHead removes the run's head: a load, a cleared value and a step of
 // the head and of its span. A chunk the head leaves, other than the
-// first, is dropped (see passed).
+// first, goes back to the pool (see passed).
 func (q *LinkQueue) popHead() (k key, link int32, v any) {
 	s, row := &q.spans[q.spanHead], q.at(q.head)
 	k, link, v = s.at(0), s.link, *row
@@ -472,14 +491,15 @@ func (q *LinkQueue) popHead() (k key, link int32, v any) {
 	return k, link, v
 }
 
-// passed drops the chunk the run's head has just left — chunk d of
-// the store, rest[d-1], with every chunk before it already dropped —
-// and rebases the chunk table once those d dead entries outnumber the
-// live ones: the live chunks move to the front and the cursors down by
-// d chunks. Each rebase moves fewer entries than it drops, so a run
+// passed returns the chunk the run's head has just left — chunk d of
+// the store, rest[d-1], every row of it popped and so cleared, with
+// every chunk before it already gone — to the pool, and rebases the
+// chunk table once those d dead entries outnumber the live ones: the
+// live chunks move to the front and the cursors down by d chunks. Each rebase moves fewer entries than it drops, so a run
 // that never empties keeps a table proportional to its depth.
 func (q *LinkQueue) passed() {
 	d := int(q.head/chunkRows) - 1
+	chunks.Put(q.rest[d-1])
 	q.rest[d-1] = nil
 	if live := len(q.rest) - d; d > live {
 		n := copy(q.rest, q.rest[d:])
@@ -509,13 +529,18 @@ func (q *LinkQueue) removeAt(i int) (k key, link int32, v any) {
 }
 
 // release is what every path that empties the queue ends in: it is an
-// empty run again, row allocation restarts at slot 0, and the chunks
-// past the first — with run keys and heap columns that grew past one
-// chunk's worth — are dropped, so a drained burst is not held for the
-// life of the queue while a queue that stays small keeps everything it
-// has warmed. The caller has already cleared every row of the first
-// chunk it used.
+// empty run again, row allocation restarts at slot 0, the chunks past
+// the first go back to the pool, and run keys and heap columns that
+// grew past one chunk's worth are dropped, so a drained burst is not
+// held for the life of the queue while a queue that stays small keeps
+// everything it has warmed. The caller has already cleared every row it
+// used: the pool takes the chunks as they are.
 func (q *LinkQueue) release() {
+	for _, c := range q.rest {
+		if c != nil {
+			chunks.Put(c)
+		}
+	}
 	q.rest = nil
 	q.head, q.next, q.free, q.spanHead = 0, 0, 0, 0
 	q.heap = false
@@ -652,9 +677,11 @@ func (q *LinkQueue) relink(f func(int32) int32) {
 // Reset empties the queue but keeps the sequence counter monotone, so
 // new events still order after everything ever scheduled. Every row of
 // the first chunk that is not live is already clear, so clearing the
-// slots handed out clears exactly the live ones.
+// slots handed out clears exactly the live ones. The later chunks may
+// hold live rows: they are dropped, not pooled.
 func (q *LinkQueue) Reset() {
 	clear(q.first[:min(len(q.first), int(q.next))])
+	q.rest = nil
 	q.release()
 }
 

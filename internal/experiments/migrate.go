@@ -152,7 +152,9 @@ func migrateLeg(mode string, p mesh.DemoParams, cfg MigrateConfig, tune func(i i
 
 // chaosNodes shapes every member's links with seeded faults and
 // recovers them with resilient sessions: the data channels and the
-// control connections, which ride the same node.
+// control connections, which ride the same node. As in
+// DefaultChaosResilience, a dropped session hello costs 250 ms, not the
+// 5 s WAN default.
 func chaosNodes(seed int64) func(i int, mc *mesh.Config) {
 	return func(i int, mc *mesh.Config) {
 		n := node.New(mc.Name)
@@ -164,10 +166,11 @@ func chaosNodes(seed int64) func(i int, mc *mesh.Config) {
 			ReorderProb: 0.02,
 		})
 		n.SetResilience(resilience.Config{
-			Heartbeat: 20 * time.Millisecond,
-			RetryBase: 2 * time.Millisecond,
-			RetryCap:  50 * time.Millisecond,
-			RetryMax:  40,
+			Heartbeat:        20 * time.Millisecond,
+			HandshakeTimeout: 250 * time.Millisecond,
+			RetryBase:        2 * time.Millisecond,
+			RetryCap:         50 * time.Millisecond,
+			RetryMax:         40,
 		})
 		mc.Node = n
 	}

@@ -71,7 +71,8 @@ func TestMigrationEquivalenceThereAndBack(t *testing.T) {
 
 // chaosTune shapes every member's links with faultnet and recovers
 // them with resilient sessions: the data channels and, riding the same
-// node connections, the control plane.
+// node connections, the control plane. A dropped session hello costs
+// 250 ms, not the 5 s WAN default.
 func chaosTune(seed int64) func(i int, cfg *Config) {
 	return func(i int, cfg *Config) {
 		n := node.New(cfg.Name)
@@ -83,10 +84,11 @@ func chaosTune(seed int64) func(i int, cfg *Config) {
 			ReorderProb: 0.02,
 		})
 		n.SetResilience(resilience.Config{
-			Heartbeat: 20 * time.Millisecond,
-			RetryBase: 2 * time.Millisecond,
-			RetryCap:  50 * time.Millisecond,
-			RetryMax:  40,
+			Heartbeat:        20 * time.Millisecond,
+			HandshakeTimeout: 250 * time.Millisecond,
+			RetryBase:        2 * time.Millisecond,
+			RetryCap:         50 * time.Millisecond,
+			RetryMax:         40,
 		})
 		cfg.Node = n
 	}

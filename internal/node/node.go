@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"time"
@@ -204,13 +205,22 @@ func (n *Node) addConn(h *Hosted, c *wire.Conn, sess *resilience.Session) int {
 	return len(h.links) - 1
 }
 
-// pumpDone marks h's link i finished.
+// pumpDone marks h's link i finished: its pump, the one reader of its
+// conn, has returned, so the conn's receive buffer goes back to the
+// pool.
 func (n *Node) pumpDone(h *Hosted, i int) {
 	n.mu.Lock()
-	h.links[i].done = true
+	l := &h.links[i]
+	l.done = true
+	c := l.c
 	n.mu.Unlock()
+	stopReading(c)
 	n.dropDone(h)
 }
+
+// stopReading is wire.Conn.StopReading, a variable so that tests can
+// see each receive buffer come back.
+var stopReading = (*wire.Conn).StopReading
 
 // dropDone forgets the finished links of h once it is unhosted: their
 // conns and sessions leave the node's lists, their counters move into
@@ -542,13 +552,24 @@ func (n *Node) track(c *wire.Conn) bool {
 	return true
 }
 
-// recvWithin reads one handshake frame from c, closing c if none has
-// come within helloTimeout.
+// recvWithin reads one handshake frame from c, failing if none has come
+// within helloTimeout: the stream's own read deadline bounds the read,
+// and on a resumable session, which has none, a timer closes c.
 func recvWithin(c *wire.Conn) (kind byte, payload []byte, err error) {
-	cut := time.AfterFunc(helloTimeout, func() { c.Close() })
-	kind, payload, err = c.RecvFrame()
-	if !cut.Stop() {
-		err = fmt.Errorf("no handshake within %v", helloTimeout)
+	var late bool
+	if c.SetReadDeadline(time.Now().Add(helloTimeout)) == nil {
+		kind, payload, err = c.RecvFrame()
+		late = errors.Is(err, os.ErrDeadlineExceeded)
+		if err == nil {
+			err = c.SetReadDeadline(time.Time{})
+		}
+	} else {
+		cut := time.AfterFunc(helloTimeout, func() { c.Close() })
+		kind, payload, err = c.RecvFrame()
+		late = !cut.Stop()
+	}
+	if late {
+		return 0, nil, fmt.Errorf("no handshake within %v", helloTimeout)
 	}
 	return kind, payload, err
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -196,6 +197,70 @@ func TestRemoteInfiniteRunTerminatesViaClose(t *testing.T) {
 	}
 	if len(rcv.Got) != 3 {
 		t.Fatalf("received %v", rcv.Got)
+	}
+}
+
+// TestReceiveBuffersComeBackOnce: a node pair closed mid-page, while
+// both pumps are still reading, returns each connection's receive
+// buffer to the pool exactly once, and only once the pump reading it
+// has returned. make race runs it under the race detector, which also
+// sees a buffer handed on while a read still writes into it.
+func TestReceiveBuffersComeBackOnce(t *testing.T) {
+	n1, n2, s1, s2, _ := buildRemotePair(t, channel.Conservative, 1<<20)
+	pumpReturned := func(c *wire.Conn) bool {
+		for _, n := range []*Node{n1, n2} {
+			n.mu.Lock()
+			for _, h := range n.hosted {
+				for _, l := range h.links {
+					if l.c == c {
+						n.mu.Unlock()
+						return l.done
+					}
+				}
+			}
+			n.mu.Unlock()
+		}
+		return false
+	}
+	var mu sync.Mutex
+	back := map[*wire.Conn]int{}
+	stopReading = func(c *wire.Conn) {
+		if !pumpReturned(c) {
+			t.Error("a receive buffer came back before its pump returned")
+		}
+		mu.Lock()
+		back[c]++
+		mu.Unlock()
+		c.StopReading()
+	}
+	t.Cleanup(func() { stopReading = (*wire.Conn).StopReading })
+	conns := append(slices.Clone(n1.conns), n2.conns...)
+	if len(conns) != 2 {
+		t.Fatalf("the pair holds %d connections, want 2", len(conns))
+	}
+
+	runs := make(chan error, 2)
+	go func() { runs <- s1.Run(vtime.Infinity) }()
+	go func() { runs <- s2.Run(vtime.Infinity) }()
+	ep := n2.Hosted("server").Hub.Endpoint("handheld")
+	within(t, "the first drives", func() error {
+		for ep.QueuedCount() < 1000 {
+			runtime.Gosched()
+		}
+		return nil
+	})
+	within(t, "Close", func() error { return errors.Join(n1.Close(), n2.Close()) })
+	s1.Stop()
+	s2.Stop()
+	for range 2 {
+		within(t, "a run", func() error { <-runs; return nil })
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, c := range conns {
+		if back[c] != 1 {
+			t.Errorf("a connection's receive buffer came back %d times, want once", back[c])
+		}
 	}
 }
 

@@ -567,8 +567,9 @@ func (s *Session) resetForRewind(tag string) {
 }
 
 // readLoop consumes envelopes from one connection epoch until it
-// dies.
+// dies. It is the epoch's one reader, so it returns the receive buffer.
 func (s *Session) readLoop(conn *wire.Conn) {
+	defer conn.StopReading()
 	for {
 		kind, body, err := recvEnvelope(conn)
 		if err != nil {

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -260,5 +262,43 @@ func TestRecvFrameIngress(t *testing.T) {
 				tc.check(t, c)
 			}
 		})
+	}
+}
+
+// TestStopReadingReturnsTheBufferOnce: StopReading hands the receive
+// buffer to the pool once, dropping what was buffered, and the next
+// connection's first read takes that buffer back instead of allocating;
+// a second StopReading returns nothing. With the collector off and one
+// P, the pool keeps what it is given and hands it back to the next Get.
+func TestStopReadingReturnsTheBufferOnce(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's pool drops some of what it is given")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	two := append(frameBytes(FrameBatch, []byte("one")), frameBytes(FrameBatch, []byte("two"))...)
+	c := NewConn(&scriptStream{script: []chunk{{data: two}}})
+	if _, payload, err := c.RecvFrame(); err != nil || string(payload) != "one" {
+		t.Fatalf("first frame %q, %v", payload, err)
+	}
+	buf := &c.rb[0]
+	c.StopReading()
+	c.StopReading()
+	if _, _, ok := c.RecvBuffered(); ok {
+		t.Fatal("a frame buffered before StopReading was handed out after it")
+	}
+	d := NewConn(&scriptStream{script: []chunk{{data: frameBytes(FrameBatch, []byte("three"))}}})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, payload, err := d.RecvFrame()
+	runtime.ReadMemStats(&after)
+	if err != nil || string(payload) != "three" {
+		t.Fatalf("next connection's frame %q, %v", payload, err)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 || &d.rb[0] != buf {
+		t.Fatalf("the next connection's first read allocated %d times; it took the returned buffer: %v", allocs, &d.rb[0] == buf)
+	}
+	if got := recvBufs.Get().(*[RecvBufSize]byte); &got[0] == buf {
+		t.Fatal("the buffer went back to the pool twice")
 	}
 }

@@ -20,7 +20,9 @@
 // header, where it lies, once PutHeader has filled it; SendRaw and the
 // Egress builder assemble in a recycled buffer. Ingress reads through a
 // bounded receive buffer, so a burst of small frames costs one read and
-// RecvBuffered hands back the rest of the burst without blocking.
+// RecvBuffered hands back the rest of the burst without blocking; the
+// buffer comes from a process-wide pool at the first read and goes back
+// to it when the reader calls StopReading.
 package wire
 
 import (
@@ -33,6 +35,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // MaxFrame bounds a single frame; anything larger is a protocol
@@ -68,8 +71,8 @@ const (
 var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
 
 // Conn frames values over a byte stream. Send, SendRaw, WriteFrame
-// and BeginEgress are safe for concurrent use; Recv, RecvFrame and
-// RecvBuffered must be called from a single reader.
+// and BeginEgress are safe for concurrent use; Recv, RecvFrame,
+// RecvBuffered and StopReading must be called from a single reader.
 type Conn struct {
 	rwc io.ReadWriteCloser
 
@@ -206,6 +209,13 @@ func (c *Conn) retainEbuf(buf []byte) {
 // at this size, so each of them arrives in one piece.
 const RecvBufSize = 32 << 10
 
+// recvBufs carries receive buffers from connections whose reader has
+// stopped (StopReading) to the next connection's first read, so a
+// process that opens connections for run after run does not allocate
+// and collect 32 KB for each. A buffer holds no pointers and a reader
+// reads only what its own stream put there, so one goes back as it is.
+var recvBufs = sync.Pool{New: func() any { return new([RecvBufSize]byte) }}
+
 // fill reads until at least need bytes (need <= RecvBufSize) are
 // buffered, compacting first so every read has the most room the
 // buffer allows. On a read error the buffered partial frame is
@@ -213,7 +223,7 @@ const RecvBufSize = 32 << 10
 // rewound — restarts at a frame boundary.
 func (c *Conn) fill(need int) error {
 	if c.rb == nil {
-		c.rb = make([]byte, RecvBufSize)
+		c.rb = recvBufs.Get().(*[RecvBufSize]byte)[:]
 	}
 	for c.rw-c.rr < need {
 		if c.rr > 0 {
@@ -299,6 +309,19 @@ func (c *Conn) RecvBuffered() (kind byte, payload []byte, ok bool) {
 	}
 	kind, payload = c.take(int(l))
 	return kind, payload, true
+}
+
+// StopReading ends the reading side: the single reader calls it once it
+// will read no more, and the receive buffer goes back to a pool the
+// process shares. Bytes buffered but not handed out are dropped, and no
+// payload a receive returned may be used after it; a read after it
+// starts over with a buffer from the pool. A second call does nothing.
+func (c *Conn) StopReading() {
+	if c.rb == nil {
+		return
+	}
+	recvBufs.Put((*[RecvBufSize]byte)(c.rb))
+	c.rb, c.rr, c.rw = nil, 0, 0
 }
 
 // Recv reads one FrameGob frame into v. It fails on any other frame
@@ -429,6 +452,18 @@ func (e *egress) Close() {
 
 // Close closes the underlying stream.
 func (c *Conn) Close() error { return c.rwc.Close() }
+
+// SetReadDeadline sets the stream's read deadline, where it has one: a
+// TCP or faultnet connection does, and a read past it fails with an
+// error that matches os.ErrDeadlineExceeded; on a stream without one,
+// such as a resumable session, it returns errors.ErrUnsupported. The
+// zero time clears it.
+func (c *Conn) SetReadDeadline(t time.Time) error {
+	if d, ok := c.rwc.(interface{ SetReadDeadline(time.Time) error }); ok {
+		return d.SetReadDeadline(t)
+	}
+	return errors.ErrUnsupported
+}
 
 // Stats is a snapshot of one connection's framing counters. Totals
 // include the frame headers; FramesOut is egress coalescing's figure
