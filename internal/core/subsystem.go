@@ -777,13 +777,16 @@ func (s *Subsystem) kill(c *Component) {
 	}
 }
 
-// Teardown kills every live component goroutine. Call it when
-// abandoning a subsystem whose Run returned early (ErrStopped or a
-// gate error) to avoid leaking goroutines.
+// Teardown kills every live component goroutine and discards every
+// inbox, handing its row storage back to the process's chunk pool for
+// the next simulation. Call it when done with the subsystem, and when
+// abandoning one whose Run returned early (ErrStopped or a gate error)
+// to avoid leaking goroutines.
 func (s *Subsystem) Teardown() {
 	for _, c := range s.order {
 		s.kill(c)
 		c.status = statusDone
+		c.inbox.Discard()
 	}
 }
 

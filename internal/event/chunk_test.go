@@ -360,17 +360,17 @@ func TestEmptyingPathsReleaseAlike(t *testing.T) {
 
 // TestQueueBurstAllocs is the guard behind BenchmarkQueueBurst: one
 // page load into a zero Queue costs one allocation per chunk plus the
-// logarithmic growth of the chunk table and of the first chunk's rows —
-// no ordering column, no key per event, never a re-copy of the rows —
-// and once drained the queue keeps at most one chunk. The burst is
-// evenly spaced on one route, so its keys are one span: at its peak it
-// holds its rows, at most one chunk more and that span, and in all it
-// allocates 16 bytes an event and the first chunk's growth, which is
+// logarithmic growth of the chunk table and of the inline head — no
+// ordering column, no key per event, never a re-copy of the rows — and
+// once drained the queue keeps at most one chunk. The burst is evenly
+// spaced on one route, so its keys are one span: at its peak it holds
+// its rows, at most one chunk more and that span, and in all it
+// allocates 16 bytes an event and the inline head's growth, which is
 // under three chunks' worth.
 func TestQueueBurstAllocs(t *testing.T) {
 	const (
 		chunks = (burstLen + chunkRows - 1) / chunkRows
-		slack  = 24 // ~10 growths of the first chunk's rows, ~5 of the chunk table, the route table, the span
+		slack  = 24 // 7 growths of the inline head, ~5 of the chunk table, the route table, the span
 	)
 	if size := unsafe.Sizeof(*new(Queue).at(0)); size != 16 {
 		t.Fatalf("a row is %d bytes, want 16", size)
@@ -445,7 +445,8 @@ func TestChunkFillsItsSizeClass(t *testing.T) {
 var sink *chunk
 
 // chunkWatch stands in for the chunk pool while a test runs: it hands
-// out chunks from the real pool and checks each one that comes back.
+// out chunks from the real pool and checks each one that comes back,
+// counting how often each went back.
 type chunkWatch struct {
 	t     *testing.T
 	inner interface {
@@ -453,13 +454,16 @@ type chunkWatch struct {
 		Put(any)
 	}
 	out, back int
+	returns   map[*chunk]int
 }
 
 func (w *chunkWatch) Get() any { w.out++; return w.inner.Get() }
 
 func (w *chunkWatch) Put(x any) {
 	w.back++
-	for i, r := range x.(*chunk) {
+	c := x.(*chunk)
+	w.returns[c]++
+	for i, r := range c {
 		if r != nil {
 			w.t.Fatalf("a chunk went back to the pool holding %v in row %d", r, i)
 		}
@@ -469,31 +473,48 @@ func (w *chunkWatch) Put(x any) {
 
 // watchChunks puts a chunkWatch in the pool's place until t ends.
 func watchChunks(t *testing.T) *chunkWatch {
-	w := &chunkWatch{t: t, inner: chunks}
+	w := &chunkWatch{t: t, inner: chunks, returns: map[*chunk]int{}}
 	chunks = w
 	t.Cleanup(func() { chunks = w.inner })
 	return w
 }
 
+// firstChunk returns q's pooled first chunk, failing t when q still
+// holds its inline head.
+func firstChunk(t *testing.T, q *LinkQueue) *chunk {
+	t.Helper()
+	if len(q.first) != chunkRows {
+		t.Fatalf("the first chunk is an inline head of %d rows, not a pooled chunk", len(q.first))
+	}
+	return (*chunk)(q.first)
+}
+
 // TestPooledChunksAreClear: a chunk goes back to the pool only once
-// every row in it has been popped, and so cleared. Each path that
-// empties a queue by popping returns every chunk past the first that
-// the queue took; Reset, which empties a queue whose later chunks hold
-// live rows, returns none of them; and a run returns each chunk as its
-// head leaves it, while the events behind it wait, and the last one as
-// it empties.
+// every row in it has been popped or cleared. Each path that empties a
+// queue by popping returns every chunk the queue took but the first,
+// which it keeps; Reset, which empties a queue whose later chunks hold
+// live rows, returns none of them; Discard then returns the first; and
+// a run returns each later chunk as its head leaves it, while the
+// events behind it wait, and the last one as it empties.
 func TestPooledChunksAreClear(t *testing.T) {
 	for _, p := range emptyingPaths {
 		t.Run(p.name, func(t *testing.T) {
 			w := watchChunks(t)
 			q, _ := filled(t, 11)
+			if w.out != 4 {
+				t.Fatalf("%d live rows took %d chunks, want 4", acrossRows, w.out)
+			}
 			p.empty(q)
-			want := w.out
+			want := 3
 			if p.name == "Reset" {
 				want = 0
 			}
 			if w.back != want {
 				t.Fatalf("%d of the %d chunks the queue took went back, want %d", w.back, w.out, want)
+			}
+			q.Discard()
+			if w.back != want+1 {
+				t.Fatalf("Discard returned %d chunks, want the first alone", w.back-want)
 			}
 		})
 	}
@@ -504,8 +525,8 @@ func TestPooledChunksAreClear(t *testing.T) {
 		for i := 0; i < n; i++ {
 			q.Push(Event{Time: vtime.Time(i), Kind: KindNet, Port: "dma", Net: "dma", Value: i})
 		}
-		if q.heap || w.out != 4 {
-			t.Fatalf("an in-order burst of %d took %d chunks past the first (heap %v), want 4", n, w.out, q.heap)
+		if q.heap || w.out != 5 {
+			t.Fatalf("an in-order burst of %d took %d chunks (heap %v), want 5", n, w.out, q.heap)
 		}
 		for popped := 0; q.Len() > 0; popped++ {
 			// Chunk k (k >= 1) is left once the head reaches chunk k+1.
@@ -514,10 +535,92 @@ func TestPooledChunksAreClear(t *testing.T) {
 			}
 			q.Pop()
 		}
-		if w.back != w.out {
-			t.Fatalf("the drained run returned %d of its %d chunks", w.back, w.out)
+		if w.back != 4 {
+			t.Fatalf("the drained run returned %d of its 5 chunks, want all but the first", w.back)
+		}
+		q.Discard()
+		if w.back != 5 {
+			t.Fatalf("after Discard %d of the 5 chunks went back, want 5", w.back)
 		}
 	})
+}
+
+// TestFirstChunkGoesBackAtDiscard: a queue that has outgrown its inline
+// head keeps its pooled first chunk through every path that empties it,
+// and through the refill after, and Discard hands it back exactly once,
+// all nil — also from a queue that still holds events in it and in
+// later chunks, which Discard drops. A second Discard returns nothing.
+func TestFirstChunkGoesBackAtDiscard(t *testing.T) {
+	for _, p := range emptyingPaths {
+		t.Run(p.name, func(t *testing.T) {
+			w := watchChunks(t)
+			q, m := filled(t, 13)
+			first := firstChunk(t, &q.LinkQueue)
+			p.empty(q)
+			if n := w.returns[first]; n != 0 || firstChunk(t, &q.LinkQueue) != first {
+				t.Fatalf("emptying the queue returned its first chunk %d times or let it go", n)
+			}
+			m.live = nil
+			m.fill(q, 300)
+			if firstChunk(t, &q.LinkQueue) != first {
+				t.Fatal("the refill took a new first chunk")
+			}
+			m.popAll(q)
+			q.Discard()
+			q.Discard()
+			if n := w.returns[first]; n != 1 {
+				t.Fatalf("Discard returned the first chunk %d times, want once", n)
+			}
+			if q.first != nil || q.Len() != 0 {
+				t.Fatalf("a discarded queue keeps %d first-chunk rows and %d events", len(q.first), q.Len())
+			}
+		})
+	}
+	t.Run("Holding", func(t *testing.T) {
+		w := watchChunks(t)
+		q, _ := filled(t, 17)
+		first := firstChunk(t, &q.LinkQueue)
+		q.Discard()
+		if n := w.returns[first]; n != 1 || w.back != 1 {
+			t.Fatalf("discarding a full queue returned its first chunk %d times and %d chunks in all, want the first once", n, w.back)
+		}
+		// The queue is usable after: a new head, and events in order.
+		m := &model{t: t, rng: rand.New(rand.NewSource(17))}
+		m.fill(q, 100)
+		m.popAll(q)
+	})
+}
+
+// TestInlineHeadTakesNoChunk: a queue that never holds more than
+// inlineRows events never takes a chunk from the pool, however many it
+// has carried, and Discard returns none; the push that outgrows the
+// head takes exactly one, and keeps the head's events in order.
+func TestInlineHeadTakesNoChunk(t *testing.T) {
+	w := watchChunks(t)
+	q := new(Queue)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < inlineRows; i++ {
+			q.Push(Event{Time: vtime.Time(inlineRows - i), Kind: KindNet, Port: "dma", Net: "dma", Value: i})
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	}
+	q.Discard()
+	if w.out != 0 || w.back != 0 {
+		t.Fatalf("a queue within its %d-row head took %d chunks and returned %d", inlineRows, w.out, w.back)
+	}
+	for i := 0; i <= inlineRows; i++ {
+		q.Push(Event{Time: vtime.Time(i), Kind: KindNet, Port: "dma", Net: "dma", Value: i})
+	}
+	if w.out != 1 {
+		t.Fatalf("%d events took %d chunks, want 1", inlineRows+1, w.out)
+	}
+	for i := 0; i <= inlineRows; i++ {
+		if e, _ := q.Pop(); e.Value != i {
+			t.Fatalf("pop %d gave %v", i, e.Value)
+		}
+	}
 }
 
 // TestSecondBurstAllocatesNoChunk: with the collector off and one P, so

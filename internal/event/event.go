@@ -44,20 +44,26 @@
 // position) and freed slots are recycled through a free list; an empty
 // queue is an empty run again.
 //
-// The row store is chunked, and a row never moves. The first chunk
-// grows by append, so a queue that only ever holds a few events pays
-// for a few rows; every later chunk is one fixed block of rows, sized to
-// its allocator class, and comes from a process-wide pool that every
-// queue shares. A run returns each chunk its head has passed and
-// rebases the chunk table once the dead prefix outweighs the live part,
-// so a run that never empties keeps storage proportional to its depth;
-// whatever empties the queue by popping returns every chunk but the
-// first. A chunk goes back only when every row in it has been popped,
-// and a pop clears its row, so a pooled chunk is all nil: it pins no
-// value and gives the collector no pointer to follow. Reset, which
-// empties the queue without popping, drops its later chunks instead. A
-// page-sized burst through a drained inbox therefore allocates no row
-// storage once a run before it has warmed the pool.
+// The row store is chunked, and a row never moves. Every chunk is one
+// fixed block of rows, sized to its allocator class, and comes from a
+// process-wide pool that every queue shares, with one exception: a
+// queue that has never held more than inlineRows events keeps them in
+// an inline head, a slice of its own grown by append, so that the
+// eighteen idle inboxes of a design do not each hold a 10 KB chunk and
+// a queue that stays shallow never touches the pool. The push that
+// outgrows the head moves it into a pooled chunk, which is the queue's
+// first chunk from then on: it is kept while the queue empties and
+// fills again, and goes back to the pool once, when its owner discards
+// the queue (Discard). A run returns each later chunk its head has
+// passed and rebases the chunk table once the dead prefix outweighs the
+// live part, so a run that never empties keeps storage proportional to
+// its depth; whatever empties the queue by popping returns every chunk
+// but the first. A chunk goes back only when every row in it has been
+// popped or cleared, and a pop clears its row, so a pooled chunk is all
+// nil: it pins no value and gives the collector no pointer to follow.
+// Reset, which empties the queue without popping, drops its later
+// chunks instead. A page-sized burst through a queue therefore
+// allocates no row storage once a run before it has warmed the pool.
 package event
 
 import (
@@ -195,11 +201,15 @@ func (s *span) extend(t vtime.Time, seq uint64, link int32) bool {
 	return true
 }
 
-// chunkRows is the number of slots in a chunk, and what the first
-// chunk grows to: slot s lives in the first chunk when s < chunkRows
-// and in chunk s/chunkRows of the store, rest[s/chunkRows-1], at
-// s%chunkRows otherwise.
+// chunkRows is the number of slots in a chunk: slot s lives in the
+// first chunk when s < chunkRows and in chunk s/chunkRows of the store,
+// rest[s/chunkRows-1], at s%chunkRows otherwise.
 const chunkRows = 639
+
+// inlineRows is the depth of a queue's inline head: the first chunk of
+// a queue that never holds more events than this is a slice grown by
+// append, 1 KB at most, and not a pooled 10 KB chunk.
+const inlineRows = 64
 
 // chunk is one fixed block of the row store. 639 rows of 16 bytes, with
 // the 8-byte header the allocator puts before a pointerful object this
@@ -207,13 +217,13 @@ const chunkRows = 639
 // 640 would spill into the 10 880-byte one.
 type chunk [chunkRows]any
 
-// chunks carries the row chunks past the first from the queue that let
-// them go to the next one that needs one, across queues and across
-// simulations: a process serving many runs would otherwise allocate and
-// collect a drained burst's chunks for every run. A chunk goes in only
-// once every one of its rows has been popped, and each pop clears its
-// row, so every chunk in the pool is all nil. It is held by its two
-// methods so that a test can watch every chunk go back.
+// chunks carries the row chunks from the queue that let them go to the
+// next one that needs one, across queues and across simulations: a
+// process serving many runs would otherwise allocate and collect a
+// burst's chunks for every run. A chunk goes in only once every one of
+// its rows has been popped or cleared, so every chunk in the pool is
+// all nil. It is held by its two methods so that a test can watch every
+// chunk go back.
 var chunks interface {
 	Get() any
 	Put(any)
@@ -235,14 +245,16 @@ type columns struct {
 // safe for concurrent use; the subsystem scheduler owns it.
 type LinkQueue struct {
 	// Row store, chunked so rows never move: the first chunk (first,
-	// grown by append up to chunkRows) and then fixed chunks, nil once a
-	// run's head has passed them. next is the first slot never handed
-	// out since the queue was last empty. While the queue is a run (heap
-	// false) its live events are the slots head..next in order, keyed by
-	// spans[spanHead:] in the same order. Once it is a heap, cols holds
-	// their keys and free heads the list of recycled slots (1 + slot, 0
-	// when there is none). A queue that becomes empty restarts at slot 0
-	// as an empty run and keeps only the first chunk (see release).
+	// the inline head grown by append up to inlineRows rows, or a pooled
+	// chunk of chunkRows rows once the queue has outgrown it) and then
+	// pooled chunks, nil once a run's head has passed them. next is the
+	// first slot never handed out since the queue was last empty. While
+	// the queue is a run (heap false) its live events are the slots
+	// head..next in order, keyed by spans[spanHead:] in the same order.
+	// Once it is a heap, cols holds their keys and free heads the list
+	// of recycled slots (1 + slot, 0 when there is none). A queue that
+	// becomes empty restarts at slot 0 as an empty run and keeps only
+	// the first chunk (see release).
 	first    []any
 	rest     []*chunk
 	spans    []span
@@ -353,26 +365,21 @@ func (q *LinkQueue) claim() int32 {
 	slot := q.next
 	q.next++
 	switch {
+	case int(slot) < len(q.first):
+		// The first chunk keeps its rows across a release.
+	case slot < inlineRows:
+		q.first = append(q.first, nil)
 	case slot < chunkRows:
-		// The first chunk keeps its rows across a release; grow it only
-		// when this queue has never been this deep.
-		if int(slot) == len(q.first) {
-			q.first = extend(q.first)
-		}
+		// The queue outgrows its inline head: a pooled chunk takes the
+		// head's rows and is the first chunk until Discard. The head is
+		// dropped whole.
+		c := chunks.Get().(*chunk)
+		copy(c[:], q.first)
+		q.first = c[:]
 	case slot%chunkRows == 0:
 		q.rest = append(q.rest, chunks.Get().(*chunk))
 	}
 	return slot
-}
-
-// extend appends one zero element to the first chunk: by append's own
-// growth while that stays within one chunk, and to exactly chunkRows on
-// the growth that would pass it.
-func extend(s []any) []any {
-	if n := len(s); n == cap(s) && 2*n > chunkRows {
-		s = append(make([]any, 0, chunkRows), s...)
-	}
-	return append(s, nil)
 }
 
 // push stores value v on link keyed (t, seq): at the tail of a run when
@@ -683,6 +690,19 @@ func (q *LinkQueue) Reset() {
 	clear(q.first[:min(len(q.first), int(q.next))])
 	q.rest = nil
 	q.release()
+}
+
+// Discard empties the queue as Reset does and hands a pooled first
+// chunk back to the pool, every row of it clear: the owner's last call,
+// when it is done with the queue. No row the queue handed out is a
+// view: a popped value, an image and a journal entry are copies. A
+// queue used after Discard starts over from an empty inline head.
+func (q *LinkQueue) Discard() {
+	q.Reset()
+	if len(q.first) == chunkRows {
+		chunks.Put((*chunk)(q.first))
+	}
+	q.first = nil
 }
 
 // MaxLinks bounds a Table against keys it cannot intern: the kernel's

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -162,6 +164,38 @@ func TestSendMessageAllocatesNoPartList(t *testing.T) {
 	}
 	if allocs > 2 {
 		t.Fatalf("a %d-word send allocated %.1f objects, want the header's box and one box chunk", signal.WordChunk, allocs)
+	}
+}
+
+// TestFramePartListDoubles: a frame transfer's part list grows by at
+// least its length past 256 entries, not by append's quarter, so a
+// 2 048-frame page allocates its list about twice over (105 832 bytes),
+// not three times (157 672). The frames are boxed before the count and
+// the collector is off, so the list is all that allocates.
+func TestFramePartListDoubles(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's build allocates differently")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 2048
+	payload := make([]byte, 1024)
+	frames := make([]any, n)
+	for i := range frames {
+		frames[i] = signal.Frame{Seq: uint32(i), Payload: payload, Last: i == n-1}
+	}
+	a := NewAssembler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var parts [][]byte
+	for _, f := range frames {
+		parts, _, _ = a.FeedParts(f)
+	}
+	runtime.ReadMemStats(&after)
+	if len(parts) != n {
+		t.Fatalf("the transfer completed with %d parts, want %d", len(parts), n)
+	}
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(5*n*sliceHeader/2); got > bound {
+		t.Fatalf("a %d-frame transfer allocates %d bytes of part list, want <= %d (2.5 times its entries)", n, got, bound)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/signal"
@@ -372,6 +373,13 @@ func (a *Assembler) feed(v any) (completion, error) {
 			return pending, fmt.Errorf("proto: frame inside a word/byte transfer")
 		}
 		a.inFrame = true
+		if n := len(a.parts); n == cap(a.parts) && n >= 256 {
+			// Past 256 entries append grows a slice by about a quarter,
+			// which re-copies a page-sized list many times over; grow it
+			// by at least its length, as the event queue grows its
+			// columns.
+			a.parts = slices.Grow(a.parts, n)
+		}
 		a.parts = append(a.parts, x.Payload)
 		a.size += len(x.Payload)
 		if a.size+len(a.parts)*sliceHeader > maxMessage {

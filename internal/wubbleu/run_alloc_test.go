@@ -86,3 +86,93 @@ func TestSplitRunAllocs(t *testing.T) {
 		}
 	}
 }
+
+// chunkClass is the allocator size class of an inbox row chunk: 639
+// rows of 16 bytes and the allocator's 8-byte header (see the event
+// package's TestChunkFillsItsSizeClass).
+const chunkClass = 10240
+
+// localSims builds, runs and closes the local WubbleU (the default
+// 66 KB page at word level) sims times after one that warms the page
+// memo and the chunk pool, at one P with the collector off so that the
+// pool keeps what it is given. It returns the mean bytes Run allocates
+// and the most objects of the chunk's size class that one sim's build,
+// run and close allocate.
+func localSims(t *testing.T, sims int) (runBytes float64, chunkObjs uint64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := DefaultConfig()
+	cfg.Level = proto.LevelWord
+	var total uint64
+	for i := -1; i < sims; i++ {
+		var m0, m1, m2, m3 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		b := pia.NewSystem("wubbleu")
+		app, err := Install(b, cfg, LocalPlacement())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := b.BuildLocal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		err = sim.Run(pia.Infinity)
+		runtime.ReadMemStats(&m2)
+		if cerr := sim.Close(); err == nil {
+			err = cerr
+		}
+		runtime.ReadMemStats(&m3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := app.Result(); res.Loads != cfg.Loads {
+			t.Fatalf("load did not complete: %+v", res)
+		}
+		if i < 0 {
+			continue
+		}
+		total += m2.TotalAlloc - m1.TotalAlloc
+		for k, c := range m3.BySize {
+			if c.Size == chunkClass {
+				chunkObjs = max(chunkObjs, c.Mallocs-m0.BySize[k].Mallocs)
+			}
+		}
+	}
+	return float64(total) / float64(sims), chunkObjs
+}
+
+// TestWarmLocalSimAllocatesNoRowChunk: once a sim before it has handed
+// its inboxes' chunks back at Close, a local word sim takes every row
+// chunk it needs, the first chunk of each deep inbox included, from the
+// pool: no build, run or close of the sims after it allocates an
+// object of the chunk's size class. A first chunk grown by append
+// (one a sim) or one kept out of the pool at Close (the pool runs dry
+// within a few sims) fails it.
+func TestWarmLocalSimAllocatesNoRowChunk(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's pool drops some of what it is given")
+	}
+	if _, n := localSims(t, 8); n != 0 {
+		t.Fatalf("a warm local sim allocates %d objects of the %d-byte chunk class, want 0", n, chunkClass)
+	}
+}
+
+// TestLocalRunBytes: a warm local word Run (the default 66 KB page)
+// allocates at most 172 000 bytes. The bound sits between the readings
+// of a row store that grows each deep inbox's first chunk by append in
+// every sim (185 392 bytes a Run) and of one that takes it from the
+// chunk pool (158 512–159 312), at one P with the collector off, so
+// the row store giving up its pooling fails it.
+func TestLocalRunBytes(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's build allocates differently")
+	}
+	const bound = 172_000
+	if got, _ := localSims(t, 5); got > bound {
+		t.Errorf("a warm local word Run allocates %.0f bytes, want at most %d", got, bound)
+	} else {
+		t.Logf("a warm local word Run allocates %.0f bytes (bound %d)", got, bound)
+	}
+}
